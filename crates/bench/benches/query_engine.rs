@@ -1,5 +1,9 @@
-//! Query-engine benches (ablation: predicate pushdown + secondary
-//! indexes + summary projection, DESIGN.md §"Query engine").
+//! Store benches: the typed query engine (ablation: predicate
+//! pushdown, secondary indexes and summary projection, DESIGN.md
+//! §"Query engine"), the same rows read unsealed and sealed, the
+//! corpus-scale tier, and the relational engine underneath (bulk
+//! insert, indexed-equality vs full-scan selection, the SQL front end,
+//! image round trip — ablation: secondary indexes, DESIGN.md §6).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
@@ -13,10 +17,13 @@ use iokc_core::model::{
     IterationResult, Knowledge, KnowledgeItem, KnowledgeSource, OperationSummary,
 };
 use iokc_store::{
-    AggregateQuery, DeadlineToken, Factor, GroupBy, KnowledgeStore, Query, RunKind, RunOrder,
-    RunPredicate,
+    sql, AggregateQuery, Column, ColumnType, Database, DeadlineToken, Factor, FaultVfs, GroupBy,
+    KnowledgeStore, OrderBy, Predicate, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value,
+    Vfs,
 };
 use std::hint::black_box;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One synthetic benchmark run with realistic weight: two operation
 /// summaries and four per-iteration results, so full deserialization
@@ -154,6 +161,40 @@ fn bench_query_engine(c: &mut Criterion) {
         b.iter(|| black_box(store.count(&RunPredicate::True).unwrap()));
     });
 
+    // One executor, two blocks: the same 1 000 rows listed and
+    // aggregated while they are the unsealed active generation, then
+    // again once `seal_active` has made them a segment.
+    let mut store = KnowledgeStore::open_with_vfs(
+        PathBuf::from("/bench-seal.json"),
+        Arc::new(FaultVfs::pristine()) as Arc<dyn Vfs>,
+    )
+    .unwrap();
+    let batch: Vec<KnowledgeItem> = (0..1_000)
+        .map(|i| KnowledgeItem::Benchmark(knowledge(i)))
+        .collect();
+    store.save_batch(&batch).unwrap();
+    let agg = AggregateQuery::new(GroupBy::Api, Factor::Bandwidth);
+    for block in ["active", "sealed"] {
+        assert_eq!(store.segment_metas().len(), usize::from(block == "sealed"));
+        group.bench_function(format!("listing_1k_{block}"), |b| {
+            b.iter(|| {
+                let rows = store
+                    .query_summaries(&Query::all(), &DeadlineToken::unbounded())
+                    .unwrap();
+                assert_eq!(rows.len(), 1_000);
+                black_box(rows.len())
+            });
+        });
+        group.bench_function(format!("aggregate_1k_{block}"), |b| {
+            b.iter(|| {
+                let res = store.aggregate(&agg, &DeadlineToken::unbounded()).unwrap();
+                assert_eq!(res.rows_aggregated, 1_000);
+                black_box(res.groups.len())
+            });
+        });
+        store.seal_active().unwrap();
+    }
+
     group.finish();
 }
 
@@ -166,10 +207,6 @@ fn bench_query_engine(c: &mut Criterion) {
 /// instead of bulk-rebuilding `RunIndexes`, its cost tracks the segment
 /// count, not the corpus size.
 fn bench_store_scale(c: &mut Criterion) {
-    use iokc_store::{FaultVfs, Vfs};
-    use std::path::PathBuf;
-    use std::sync::Arc;
-
     let runs: usize = std::env::var("IOKC_BENCH_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -281,5 +318,101 @@ fn bench_store_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_query_engine, bench_store_scale);
+/// A bare relational table, below the knowledge schema.
+fn relational(rows: usize) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "performances",
+            vec![
+                Column::required("command", ColumnType::Text),
+                Column::required("api", ColumnType::Text),
+                Column::new("tasks", ColumnType::Integer),
+                Column::new("bw", ColumnType::Real),
+            ],
+        )
+        .with_index("api"),
+    )
+    .unwrap();
+    for i in 0..rows {
+        let api = ["POSIX", "MPIIO", "HDF5"][i % 3];
+        db.insert(
+            "performances",
+            vec![
+                Value::from(format!("ior -b {i}m")),
+                Value::from(api),
+                Value::from((i % 128) as u32),
+                Value::from(i as f64 * 1.5),
+            ],
+        )
+        .unwrap();
+    }
+    db
+}
+
+fn bench_relational(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store");
+    let db = relational(10_000);
+
+    group.bench_function("insert_10k_rows", |b| {
+        b.iter(|| black_box(relational(10_000).row_count("performances").unwrap()));
+    });
+
+    group.bench_function("select_eq_indexed", |b| {
+        b.iter(|| {
+            let rows = db
+                .select(
+                    "performances",
+                    &Predicate::Eq("api".into(), Value::from("MPIIO")),
+                    OrderBy::Id,
+                    None,
+                )
+                .unwrap();
+            black_box(rows.len())
+        });
+    });
+
+    group.bench_function("select_scan_equivalent", |b| {
+        b.iter(|| {
+            let rows = db
+                .select(
+                    "performances",
+                    &Predicate::Contains("api".into(), "MPIIO".into()),
+                    OrderBy::Id,
+                    None,
+                )
+                .unwrap();
+            black_box(rows.len())
+        });
+    });
+
+    group.bench_function("sql_parse_and_select", |b| {
+        b.iter(|| {
+            let rows = sql::query(
+                &db,
+                "SELECT * FROM performances WHERE tasks > 64 AND bw < 5000 ORDER BY bw DESC LIMIT 20",
+            )
+            .unwrap();
+            black_box(rows.len())
+        });
+    });
+
+    group.bench_function("json_image_roundtrip_1k", |b| {
+        let small = relational(1_000);
+        b.iter(|| {
+            let image = iokc_store::persist::to_json(&small);
+            let restored = iokc_store::persist::from_json(&image).unwrap();
+            black_box(restored.row_count("performances").unwrap())
+        });
+    });
+
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_query_engine,
+    bench_store_scale,
+    bench_relational
+);
 criterion_main!(benches);

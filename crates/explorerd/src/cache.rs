@@ -2,7 +2,7 @@
 //!
 //! Rendered responses are cached under their normalized query string
 //! (path plus sorted parameters), tagged with the *store generation* —
-//! the monotonic counter [`iokc_store::KnowledgeStore::generation`]
+//! the monotonic counter [`iokc_store::Snapshot::generation`]
 //! bumps on every successful persist or delete. A lookup presenting a
 //! newer generation than the cache holds empties it wholesale: any
 //! write may change any view, and full invalidation is cheap, correct,

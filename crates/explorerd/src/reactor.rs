@@ -157,9 +157,9 @@ enum Phase {
 struct ConnState {
     conn: Box<dyn Conn>,
     fd: Option<i32>,
-    // Held for the connection's whole lifetime; released on close.
-    #[allow(dead_code)]
-    permit: Option<ConnPermit>,
+    // Held for its `Drop` over the connection's whole lifetime;
+    // released on close.
+    _permit: Option<ConnPermit>,
     peer: Option<IpAddr>,
     phase: Phase,
     /// Timer for `Idle`/`Reading`; ignored in the other phases.
@@ -412,7 +412,7 @@ fn accept_ready(
                     ConnState {
                         conn,
                         fd,
-                        permit: Some(permit),
+                        _permit: Some(permit),
                         peer: Some(peer.ip()),
                         phase: Phase::Idle,
                         deadline: now + ctx.idle_timeout,

@@ -354,83 +354,67 @@ impl Explorer {
         Ok(store.snapshot())
     }
 
-    /// The store's current write generation, read under the lock
-    /// without pinning. Pinning clones the active generation — O(its
-    /// size) — so the cache-hit and `304` fast paths, which only need
-    /// the generation number for the validator, must not pay it.
-    fn generation(&self) -> Result<u64, RouteError> {
-        let store = self.store.read().map_err(|_| poisoned())?;
-        Ok(store.generation())
-    }
-
-    /// The no-render fast path shared by every cacheable endpoint:
-    /// compute the validator from the current generation, answer `304`
-    /// if the client already holds the body, or serve it straight from
-    /// the cache. Returns `None` on a miss — only then does the caller
-    /// pin a snapshot and render.
+    /// The preamble shared by every cacheable endpoint: pin (O(1) — a
+    /// few refcount bumps), derive the strong validator for `key` from
+    /// the pinned generation, answer `304` if the client already holds
+    /// the body, or serve it straight from the cache. On a miss the
+    /// caller gets the pin and the validator back and renders from
+    /// exactly the generation the validator names. `/metrics` and
+    /// `/healthz` never come through here.
     fn fast_path(
         &self,
         req: &Request,
         key: &str,
         content_type: &'static str,
-    ) -> Result<Option<Response>, RouteError> {
-        let generation = self.generation()?;
-        let tag = cache::etag(generation, key);
-        if let Some(resp) = self.check_not_modified(req, content_type, &tag) {
-            return Ok(Some(resp));
+    ) -> Result<Result<Response, (Snapshot, String)>, RouteError> {
+        let snapshot = self.pin()?;
+        let tag = cache::etag(snapshot.generation(), key);
+        if req.if_none_match.as_deref() == Some(tag.as_str()) {
+            self.cache.note_not_modified();
+            return Ok(Ok(Response::not_modified(content_type, tag)));
         }
-        if let Some((cached_type, body)) = self.cache.get(key, generation) {
+        if let Some((cached_type, body)) = self.cache.get(key, snapshot.generation()) {
             let mut resp = Response::full(cached_type, body);
             resp.headers.push(("ETag", tag));
-            return Ok(Some(resp));
+            return Ok(Ok(resp));
         }
-        Ok(None)
+        Ok(Err((snapshot, tag)))
     }
 
-    /// Conditional-GET preamble shared by every cacheable endpoint: the
-    /// strong validator for `key` at `generation`, and the `304` if the
-    /// client already holds it. `/metrics` and `/healthz` never come
-    /// through here.
-    fn check_not_modified(
+    /// Read-through endpoint: serve from cache or render the whole body
+    /// against the pinned [`Snapshot`] — outside the store lock — and
+    /// fill the cache.
+    fn cached(
         &self,
         req: &Request,
+        key: &str,
         content_type: &'static str,
-        tag: &str,
-    ) -> Option<Response> {
-        if req.if_none_match.as_deref() == Some(tag) {
-            self.cache.note_not_modified();
-            return Some(Response::not_modified(content_type, tag.to_owned()));
-        }
-        None
+        render: impl FnOnce(&Snapshot) -> Result<Vec<u8>, RouteError>,
+    ) -> RouteResult {
+        let (snapshot, tag) = match self.fast_path(req, key, content_type)? {
+            Ok(resp) => return Ok(resp),
+            Err(miss) => miss,
+        };
+        let body = Arc::new(render(&snapshot)?);
+        self.cache
+            .put(key, snapshot.generation(), content_type, Arc::clone(&body));
+        let mut resp = Response::full(content_type, body);
+        resp.headers.push(("ETag", tag));
+        Ok(resp)
     }
 
-    /// Read-through JSON endpoint: serve from cache or render against a
-    /// pinned [`Snapshot`] — outside the store lock — and fill the
-    /// cache. Typed-query endpoints pass a canonical key derived from
-    /// the parsed query, so two request strings that parse identically
-    /// share one entry (and one ETag).
+    /// Read-through JSON endpoint. Typed-query endpoints pass a
+    /// canonical key derived from the parsed query, so two request
+    /// strings that parse identically share one entry (and one ETag).
     fn cached_json(
         &self,
         req: &Request,
         key: String,
         render: impl FnOnce(&Snapshot) -> Result<Json, RouteError>,
     ) -> RouteResult {
-        if let Some(resp) = self.fast_path(req, &key, "application/json")? {
-            return Ok(resp);
-        }
-        // Miss: pin and render. Re-derive the validator from the pinned
-        // snapshot — a writer may have bumped the generation between the
-        // fast-path read and the pin.
-        let snapshot = self.pin()?;
-        let generation = snapshot.generation();
-        let tag = cache::etag(generation, &key);
-        let json = render(&snapshot)?;
-        let body = Arc::new(json.to_compact().into_bytes());
-        self.cache
-            .put(&key, generation, "application/json", Arc::clone(&body));
-        let mut resp = Response::full("application/json", body);
-        resp.headers.push(("ETag", tag));
-        Ok(resp)
+        self.cached(req, &key, "application/json", |snapshot| {
+            Ok(render(snapshot)?.to_compact().into_bytes())
+        })
     }
 
     /// Read-through HTML endpoint: snapshot-then-render, unlocked.
@@ -440,24 +424,11 @@ impl Explorer {
         key: String,
         render: impl FnOnce(&Snapshot, &mut String) -> Result<(), RouteError>,
     ) -> RouteResult {
-        if let Some(resp) = self.fast_path(req, &key, "text/html; charset=utf-8")? {
-            return Ok(resp);
-        }
-        let snapshot = self.pin()?;
-        let generation = snapshot.generation();
-        let tag = cache::etag(generation, &key);
-        let mut page = String::new();
-        render(&snapshot, &mut page)?;
-        let body = Arc::new(page.into_bytes());
-        self.cache.put(
-            &key,
-            generation,
-            "text/html; charset=utf-8",
-            Arc::clone(&body),
-        );
-        let mut resp = Response::full("text/html; charset=utf-8", body);
-        resp.headers.push(("ETag", tag));
-        Ok(resp)
+        self.cached(req, &key, "text/html; charset=utf-8", |snapshot| {
+            let mut page = String::new();
+            render(snapshot, &mut page)?;
+            Ok(page.into_bytes())
+        })
     }
 
     /// `GET /api/runs`: the one endpoint whose body grows with the
@@ -472,19 +443,16 @@ impl Explorer {
         // `?sort=id&api=X` (or an explicit `order=asc`) land on the
         // same entry.
         let key = format!("/api/runs:{}", spec.to_query().cache_key());
-        if let Some(resp) = self.fast_path(req, &key, "application/json")? {
-            return Ok(resp);
-        }
-        let snapshot = self.pin()?;
-        let generation = snapshot.generation();
-        let tag = cache::etag(generation, &key);
+        let (snapshot, tag) = match self.fast_path(req, &key, "application/json")? {
+            Ok(resp) => return Ok(resp),
+            Err(miss) => miss,
+        };
         let stream = RunsStream::new(
             snapshot,
             spec,
             deadline.clone(),
             Arc::clone(&self.cache),
             key,
-            generation,
         )?;
         let mut resp = Response::stream("application/json", Box::new(stream));
         resp.headers.push(("ETag", tag));
@@ -509,7 +477,6 @@ struct RunsStream {
     deadline: DeadlineToken,
     cache: Arc<QueryCache>,
     key: String,
-    generation: u64,
     /// Rows pulled from the snapshot so far (relative to `spec.offset`).
     fetched: usize,
     /// The next page, fetched but not yet serialized.
@@ -529,7 +496,6 @@ impl RunsStream {
         deadline: DeadlineToken,
         cache: Arc<QueryCache>,
         key: String,
-        generation: u64,
     ) -> Result<RunsStream, RouteError> {
         let mut stream = RunsStream {
             snapshot,
@@ -537,7 +503,6 @@ impl RunsStream {
             deadline,
             cache,
             key,
-            generation,
             fetched: 0,
             pending: Vec::new(),
             finished_input: false,
@@ -619,7 +584,7 @@ impl BodySource for RunsStream {
             if let Some(copy) = self.copy.take() {
                 self.cache.put(
                     &self.key,
-                    self.generation,
+                    self.snapshot.generation(),
                     "application/json",
                     Arc::new(copy),
                 );

@@ -19,13 +19,13 @@
 //!   exception: each group buffers its metric values and sorts once at
 //!   finalize (the sorted-merge strategy), trading O(matched rows) of
 //!   `f64`s for exact quantiles that are independent of scan order;
-//! * segment pruning — sealed segments whose index block
+//! * one executor — the fold runs over the same `Snapshot::scan` the
+//!   query engine uses, so sealed segments whose index block
 //!   ([`crate::segment::may_match_segment`]) rules out the predicate
 //!   are skipped without loading their bodies, counted in
 //!   `store.aggregate.segments_pruned`;
 //! * no `Knowledge` deserialization, ever — the scan reads only the
-//!   `RunSummary` projections (pre-computed blocks for sealed
-//!   segments, row probes for the bounded active generation). The
+//!   `RunSummary` projections every block (active or sealed) holds. The
 //!   `store.aggregate.knowledge_deserialized` counter exists precisely
 //!   so tests can assert it stays zero.
 //!
@@ -35,10 +35,10 @@
 //! interleaved saves/deletes/seals/compactions against a pinned
 //! snapshot), so pruning and pushdown are purely optimizations.
 
-use crate::database::{DbError, OrderBy, Predicate};
-use crate::query::{RunKind, RunPredicate, RunSummary, StoreView};
-use crate::segment::may_match_segment;
-use iokc_obs::{Counter, DeadlineToken, MetricsRegistry, SpanStatus};
+use crate::database::DbError;
+use crate::knowledge_store::Snapshot;
+use crate::query::{RunPredicate, RunSummary, ScanStats};
+use iokc_obs::{Counter, DeadlineToken, MetricsRegistry};
 use iokc_util::stats;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -193,8 +193,8 @@ impl fmt::Display for Factor {
 
 /// A corpus aggregation: filter, grouping, metric with percentile
 /// points, and optionally a pairwise correlation matrix over a factor
-/// list. Evaluated inside the store ([`crate::KnowledgeStore::aggregate`],
-/// [`crate::Snapshot::aggregate`]) or over explicit rows
+/// list. Evaluated inside the store ([`crate::Snapshot::aggregate`],
+/// which [`crate::KnowledgeStore`] dereferences to) or over explicit rows
 /// ([`AggregateQuery::evaluate_rows`], the property-test oracle).
 #[derive(Debug, Clone)]
 pub struct AggregateQuery {
@@ -537,11 +537,6 @@ pub(crate) struct AggObs {
     pub(crate) rows_aggregated: Counter,
     pub(crate) segments_scanned: Counter,
     pub(crate) segments_pruned: Counter,
-    /// Never incremented by the pushdown path — registered so tests and
-    /// dashboards can assert the aggregate engine stays on the
-    /// summary-projection fast path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) knowledge_deserialized: Counter,
     pub(crate) cancelled: Counter,
 }
 
@@ -552,117 +547,58 @@ impl AggObs {
             rows_aggregated: metrics.counter("store.aggregate.rows"),
             segments_scanned: metrics.counter("store.aggregate.segments_scanned"),
             segments_pruned: metrics.counter("store.aggregate.segments_pruned"),
-            knowledge_deserialized: metrics.counter("store.aggregate.knowledge_deserialized"),
             cancelled: metrics.counter("store.aggregate.cancelled"),
         }
     }
 }
 
-impl StoreView<'_> {
-    /// Execute an aggregation over this view under a `store.aggregate`
-    /// span. `force_scan` disables segment pruning (the equivalence
-    /// oracle's configuration); results must be identical either way.
-    pub(crate) fn aggregate(
+impl Snapshot {
+    /// Evaluate an aggregation inside the store: group-by + streaming
+    /// statistics folded over the rows the one executor
+    /// (`Snapshot::scan`) matches, in its order — per kind, active ids
+    /// ascending, then segments oldest first — so repeated evaluations
+    /// are bit-identical. Segments are pruned by their index blocks, no
+    /// `Knowledge` is deserialized, and `deadline` is polled per row: a
+    /// blown budget aborts with [`DbError::Cancelled`] carrying partial
+    /// progress.
+    pub fn aggregate(
         &self,
         q: &AggregateQuery,
-        force_scan: bool,
         deadline: &DeadlineToken,
     ) -> Result<AggregateResult, DbError> {
-        let span =
-            self.obs
-                .recorder
-                .start_span("store.aggregate", None, Some("analysis"), Some("store"));
-        let result = self.aggregate_inner(q, force_scan, deadline);
-        if matches!(result, Err(DbError::Cancelled { .. })) {
-            self.obs.agg.cancelled.inc();
-        }
-        self.obs.recorder.end_span(
-            &span,
-            if result.is_ok() {
-                SpanStatus::Ok
-            } else {
-                SpanStatus::Failed
-            },
-        );
-        result
+        self.aggregate_with(q, false, deadline)
     }
 
-    /// The aggregate executor: fold active-generation rows (bounded by
-    /// the seal threshold) and sealed segments' pre-computed summary
-    /// blocks into the streaming accumulators. Segments whose index
-    /// block rules out the predicate are pruned before their bodies are
-    /// touched. The deadline is polled per row; a blown budget aborts
-    /// with [`DbError::Cancelled`] carrying partial progress.
-    fn aggregate_inner(
+    /// The unpruned aggregate executor — the equivalence oracle the
+    /// property tests compare against.
+    #[cfg(test)]
+    pub(crate) fn aggregate_force_scan(
+        &self,
+        q: &AggregateQuery,
+    ) -> Result<AggregateResult, DbError> {
+        self.aggregate_with(q, true, &DeadlineToken::unbounded())
+    }
+
+    fn aggregate_with(
         &self,
         q: &AggregateQuery,
         force_scan: bool,
         deadline: &DeadlineToken,
     ) -> Result<AggregateResult, DbError> {
-        self.obs.agg.queries.inc();
-        let mut state = AggState::new(q);
-        let mut examined = 0usize;
-        for kind in [RunKind::Benchmark, RunKind::Io500] {
-            if !q.predicate.may_match_kind(kind) {
-                continue;
-            }
-            // Active generation: probe each row into its summary
-            // projection (tables only, never a full `Knowledge`).
-            let table = match kind {
-                RunKind::Benchmark => "performances",
-                RunKind::Io500 => "IOFHsRuns",
-            };
-            for row in self
-                .active
-                .select(table, &Predicate::True, OrderBy::Id, None)?
-            {
-                if deadline.should_stop() {
-                    return Err(DbError::Cancelled {
-                        examined,
-                        matched: state.rows as usize,
-                    });
-                }
-                let r = crate::query::RunRef {
-                    kind,
-                    id: row.id as u64,
-                };
-                let s = crate::query::summarize_in_db(self.active, r)?;
-                examined += 1;
-                if q.predicate.matches_summary(&s) {
-                    state.push(q, &s);
-                }
-            }
-            // Sealed segments: the pre-computed summary blocks, pruned
-            // by the per-segment index block.
-            for seg in self.segments {
-                if seg.meta.count(kind) == 0 {
-                    continue;
-                }
-                if !force_scan && !may_match_segment(&q.predicate, &seg.meta, kind) {
-                    self.obs.agg.segments_pruned.inc();
-                    continue;
-                }
-                self.obs.agg.segments_scanned.inc();
-                let data = seg.data(self.vfs)?;
-                for s in data.summaries.iter().filter(|s| s.kind == kind) {
-                    if deadline.should_stop() {
-                        return Err(DbError::Cancelled {
-                            examined,
-                            matched: state.rows as usize,
-                        });
-                    }
-                    if self.tombstones.contains(&(kind, s.id)) {
-                        continue;
-                    }
-                    examined += 1;
-                    if q.predicate.matches_summary(s) {
-                        state.push(q, s);
-                    }
-                }
-            }
-        }
-        self.obs.agg.rows_aggregated.add(state.rows);
-        Ok(state.finish(q))
+        let obs = &self.obs.agg;
+        obs.queries.inc();
+        self.traced("store.aggregate", &obs.cancelled, || {
+            let mut state = AggState::new(q);
+            let mut stats = ScanStats::default();
+            let scanned = self.scan(&q.predicate, force_scan, deadline, &mut stats, |_, s| {
+                state.push(q, s);
+            });
+            obs.segments_scanned.add(stats.segments_scanned);
+            obs.segments_pruned.add(stats.segments_pruned);
+            scanned?;
+            obs.rows_aggregated.add(state.rows);
+            Ok(state.finish(q))
+        })
     }
 }
 
@@ -670,6 +606,7 @@ impl StoreView<'_> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::query::RunKind;
 
     fn row(kind: RunKind, id: u64, api: &str, tasks: u32, bw: f64) -> RunSummary {
         RunSummary {
@@ -1003,8 +940,11 @@ mod tests {
             assert_eq!(result.rows_aggregated, 0);
             // The api filter rules out every sealed segment via the
             // index block's api set.
+            let deserialized = recorder
+                .metrics()
+                .counter("store.aggregate.knowledge_deserialized");
             assert!(store.obs.agg.segments_pruned.get() >= 1);
-            assert_eq!(store.obs.agg.knowledge_deserialized.get(), 0);
+            assert_eq!(deserialized.get(), 0);
             assert_eq!(store.obs.knowledge_deserialized.get(), 0);
 
             let broad = AggregateQuery::new(GroupBy::Api, Factor::Bandwidth);
@@ -1012,7 +952,7 @@ mod tests {
                 .aggregate(&broad, &DeadlineToken::unbounded())
                 .unwrap();
             assert!(store.obs.agg.segments_scanned.get() >= 2);
-            assert_eq!(store.obs.agg.knowledge_deserialized.get(), 0);
+            assert_eq!(deserialized.get(), 0);
             assert_eq!(store.obs.knowledge_deserialized.get(), 0);
         }
 

@@ -9,7 +9,7 @@
 //! manifest write — the commit point, exactly like sealing.
 //!
 //! Compaction never touches the active generation and never changes the
-//! store's write [`KnowledgeStore::generation`]: it moves rows between
+//! store's write [`Snapshot::generation`]: it moves rows between
 //! layers without changing what any read returns. Open [`Snapshot`]s
 //! are immune — the bodies of every input segment are preloaded into
 //! their shared [`crate::Segment`] handles *before* the old files are
@@ -27,11 +27,9 @@
 
 use crate::database::DbError;
 use crate::knowledge_store::{
-    build_schema, copy_all_rows, delete_benchmark_rows, delete_io500_rows, KnowledgeStore,
-    Manifest, Snapshot,
+    build_schema, copy_all_rows, delete_run_rows, KnowledgeStore, Manifest, Snapshot,
 };
 use crate::persist;
-use crate::query::{RunKind, RunSummary};
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
 use iokc_obs::SpanStatus;
 use std::sync::Arc;
@@ -124,49 +122,41 @@ impl KnowledgeStore {
         // Preload every input body through the *shared* handles before
         // anything is unlinked: open snapshots hold the same `Arc`s and
         // keep reading the pre-compaction layout from memory.
+        let vfs = self.vfs.as_ref();
         let mut inputs: Vec<Arc<SegmentData>> = Vec::with_capacity(self.segments.len());
-        for seg in &self.segments {
-            inputs.push(seg.data(self.vfs.as_ref())?);
+        for seg in self.segments.iter() {
+            inputs.push(seg.data(vfs)?);
         }
 
         // Merge in memory: ids are globally unique across generations
         // (sealing forwards every auto-increment counter), so the merge
         // is a plain row copy followed by cascade deletes.
-        let mut merged = build_schema();
-        let mut summaries: Vec<RunSummary> = Vec::new();
+        let mut merged = SegmentData::empty(build_schema());
         for data in &inputs {
-            copy_all_rows(&data.db, &mut merged)?;
-            summaries.extend(
+            copy_all_rows(&data.db, &mut merged.db)?;
+            merged.summaries.extend(
                 data.summaries
                     .iter()
-                    .filter(|s| !self.tombstones.contains(&(s.kind, s.id)))
-                    .cloned(),
+                    .filter(|(key, _)| !self.tombstones.contains(key))
+                    .map(|(key, s)| (*key, s.clone())),
             );
         }
-        for (kind, id) in &self.tombstones {
-            match kind {
-                RunKind::Benchmark => delete_benchmark_rows(&mut merged, *id)?,
-                RunKind::Io500 => delete_io500_rows(&mut merged, *id)?,
-            }
+        for (kind, id) in self.tombstones.iter() {
+            delete_run_rows(&mut merged.db, *kind, *id)?;
         }
-        summaries.sort_by_key(|a| (a.kind, a.id));
 
         // Write the output segment (if anything survived), then commit
         // with one manifest write.
-        let output = if summaries.is_empty() {
+        let output = if merged.summaries.is_empty() {
             None
         } else {
             let seg_id = self.next_segment;
             let seg_path = persist::segment_path(path, seg_id);
-            write_segment_vfs(&seg_path, self.vfs.as_ref(), seg_id, &summaries, &merged).map_err(
-                |e| {
-                    persist::classify_io_error(
-                        &format!("compact segment {}", seg_path.display()),
-                        &e,
-                    )
-                },
-            )?;
-            Some((seg_id, seg_path, SegmentMeta::compute(seg_id, &summaries)))
+            write_segment_vfs(&seg_path, vfs, seg_id, &merged).map_err(|e| {
+                persist::classify_io_error(&format!("compact segment {}", seg_path.display()), &e)
+            })?;
+            let meta = SegmentMeta::compute(seg_id, merged.summaries.values());
+            Some((seg_id, seg_path, meta))
         };
         let manifest = Manifest {
             active_epoch: self.active_epoch,
@@ -179,7 +169,7 @@ impl KnowledgeStore {
                 .map(|(_, _, meta)| vec![meta.clone()])
                 .unwrap_or_default(),
         };
-        if let Err(e) = persist::write_document_vfs(path, self.vfs.as_ref(), &manifest.to_json()) {
+        if let Err(e) = persist::write_document_vfs(path, vfs, &manifest.to_json()) {
             let classified =
                 persist::classify_io_error(&format!("compact manifest {}", path.display()), &e);
             self.reload_from_disk(path);
@@ -191,28 +181,24 @@ impl KnowledgeStore {
         let report = CompactionReport {
             segments_merged: plan.input_segments.len(),
             tombstones_dropped: self.tombstones.len(),
-            runs_rewritten: summaries.len(),
+            runs_rewritten: merged.summaries.len(),
             output_segment: output.as_ref().map(|(id, _, _)| *id),
         };
         self.next_segment = manifest.next_segment;
-        self.tombstones.clear();
+        self.state.tombstones = Arc::default();
         self.manifest_dirty = false;
         let old_segments = std::mem::replace(
-            &mut self.segments,
-            output
-                .map(|(_, seg_path, meta)| {
-                    vec![Arc::new(Segment::preloaded(
-                        meta,
-                        seg_path,
-                        Arc::new(SegmentData {
-                            summaries,
-                            db: merged,
-                        }),
-                    ))]
-                })
-                .unwrap_or_default(),
+            &mut self.state.segments,
+            Arc::new(
+                output
+                    .map(|(_, seg_path, meta)| {
+                        Arc::new(Segment::preloaded(meta, seg_path, Arc::new(merged)))
+                    })
+                    .into_iter()
+                    .collect(),
+            ),
         );
-        for seg in old_segments {
+        for seg in old_segments.iter() {
             for stale in [
                 seg.path().to_path_buf(),
                 persist::backup_path(seg.path()),
@@ -238,7 +224,7 @@ impl KnowledgeStore {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::query::{Query, RunPredicate};
+    use crate::query::{Query, RunKind, RunPredicate};
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
     use iokc_obs::DeadlineToken;

@@ -43,11 +43,11 @@
 //! unrepairable and the store should be served via
 //! [`crate::KnowledgeStore::open_or_degraded`].
 
-use crate::database::{Database, DbError, OrderBy, Predicate};
+use crate::database::{Database, OrderBy, Predicate};
 use crate::journal;
 use crate::knowledge_store::{build_schema, Manifest, MANIFEST_FORMAT};
 use crate::persist;
-use crate::query::{run_refs_in_db, summarize_in_db, RunIndexes, RunKind};
+use crate::query::{summarize_db, RunKind};
 use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentMeta};
 use crate::value::Value;
 use crate::vfs::Vfs;
@@ -278,11 +278,10 @@ fn check_manifest_layout(
                     kept.push(meta);
                 }
             }
-            Ok(data) => {
-                let mut db = data.db;
-                let mut dirty = check_segment_rows(&mut db, meta.id, opts, report);
-                let (summaries, recomputed) = match recompute_segment(meta.id, &db) {
-                    Ok(pair) => pair,
+            Ok(mut data) => {
+                let mut dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
+                let recomputed = match summarize_db(&data.db) {
+                    Ok(summaries) => summaries,
                     Err(e) => {
                         report.push(
                             format!("segment {} summaries unrecoverable: {e}", meta.id),
@@ -292,7 +291,8 @@ fn check_manifest_layout(
                         continue;
                     }
                 };
-                if !dirty && recomputed != meta {
+                let recomputed_meta = SegmentMeta::compute(meta.id, recomputed.values());
+                if !dirty && recomputed_meta != meta {
                     report.push(
                         format!("segment {} index block does not match its body", meta.id),
                         opts.repair,
@@ -300,16 +300,17 @@ fn check_manifest_layout(
                     dirty = true;
                 }
                 if dirty && opts.repair {
-                    if let Err(e) = write_segment_vfs(&seg_path, vfs, meta.id, &summaries, &db) {
+                    data.summaries = recomputed;
+                    if let Err(e) = write_segment_vfs(&seg_path, vfs, meta.id, &data) {
                         report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
                         kept.push(meta);
                     } else {
                         manifest_changed = true;
-                        live_runs.extend(summaries.iter().map(|s| (s.kind, s.id)));
-                        kept.push(recomputed);
+                        live_runs.extend(data.summaries.keys());
+                        kept.push(recomputed_meta);
                     }
                 } else {
-                    live_runs.extend(data.summaries.iter().map(|s| (s.kind, s.id)));
+                    live_runs.extend(data.summaries.keys());
                     kept.push(meta);
                 }
             }
@@ -430,21 +431,6 @@ fn resolve_active_image(
     }
 }
 
-/// Recompute a segment's summaries and index block from its database.
-fn recompute_segment(
-    id: u64,
-    db: &Database,
-) -> Result<(Vec<crate::query::RunSummary>, SegmentMeta), DbError> {
-    let refs = run_refs_in_db(db)?;
-    let mut summaries = Vec::with_capacity(refs.len());
-    for r in refs {
-        summaries.push(summarize_in_db(db, r)?);
-    }
-    summaries.sort_by_key(|a| (a.kind, a.id));
-    let meta = SegmentMeta::compute(id, &summaries);
-    Ok((summaries, meta))
-}
-
 /// Referential-integrity scan of one segment's database; deletes
 /// orphans on repair (the caller rewrites the file). Returns whether
 /// anything was deleted.
@@ -479,7 +465,7 @@ fn check_segment_rows(
 }
 
 fn check_indexes(db: &Database, report: &mut FsckReport) {
-    match RunIndexes::rebuild(db) {
+    match summarize_db(db) {
         Ok(_) => report.note("secondary indexes rebuild cleanly from the tables"),
         Err(e) => report.push(format!("index rebuild failed (schema damage?): {e}"), false),
     }
@@ -761,25 +747,24 @@ mod tests {
             .unwrap();
         // A checksum-valid image can still contain rows whose parents
         // were deleted by a buggy external tool: forge one.
-        store
-            .db
-            .insert_raw(
-                "summaries",
-                999,
-                vec![
-                    Value::Int(12345), // no such performance
-                    Value::from("write"),
-                    Value::from("POSIX"),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                ],
-            )
-            .unwrap();
-        persist::save_vfs(&store.db, &kb(), vfs.as_ref()).unwrap();
+        let mut db = store.database().clone();
+        db.insert_raw(
+            "summaries",
+            999,
+            vec![
+                Value::Int(12345), // no such performance
+                Value::from("write"),
+                Value::from("POSIX"),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ],
+        )
+        .unwrap();
+        persist::save_vfs(&db, &kb(), vfs.as_ref()).unwrap();
 
         let check_vfs = FaultVfs::from_state(vfs.durable_state());
         let detect = fsck(&kb(), &check_vfs, &FsckOptions::default());

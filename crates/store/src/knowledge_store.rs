@@ -15,8 +15,7 @@
 use crate::database::{Column, Database, DbError, OrderBy, Predicate, Row, TableSchema};
 use crate::persist;
 use crate::query::{
-    run_refs_in_db, summarize_in_db, Query, QueryObs, RunIndexes, RunKind, RunPredicate, RunRef,
-    RunSummary, StoreView,
+    summarize_db, summarize_in_db, Query, QueryObs, RunIndexes, RunKind, RunPredicate, RunRef,
 };
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
@@ -27,7 +26,6 @@ use iokc_core::model::{
     KnowledgeItem, KnowledgeSource, OperationSummary, SystemInfo,
 };
 use iokc_core::phases::{CycleError, Persister, PhaseKind};
-use iokc_obs::DeadlineToken;
 use iokc_util::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -35,7 +33,7 @@ use std::sync::Arc;
 
 /// Format tag of the manifest document at a segmented store's nominal
 /// path. The legacy single-image layout tagged the same file
-/// `iokc-store`; [`load_state`] accepts both and migrates the legacy
+/// `iokc-store`; `load_state` accepts both and migrates the legacy
 /// layout on the first flush.
 pub(crate) const MANIFEST_FORMAT: &str = "iokc-manifest";
 
@@ -92,36 +90,24 @@ impl StoreHealth {
 }
 
 /// The knowledge database.
+///
+/// Reads go through the store's [`Snapshot`] (the store dereferences to
+/// it): `query_ids`, `query_summaries`, `query_items`, `count`,
+/// `boxplot_series`, `aggregate`, `load_knowledge`, `load_io500` and
+/// `generation` are the snapshot's methods, run against the live state.
 pub struct KnowledgeStore {
-    pub(crate) db: Database,
+    /// Everything a read needs — the active block, its indexes, the
+    /// sealed segments and the tombstones, each behind an `Arc`.
+    /// [`KnowledgeStore::snapshot`] is a clone of this value; writers
+    /// mutate the parts copy-on-write (`Arc::make_mut`), so a part is
+    /// copied only while a pin on it is outstanding.
+    pub(crate) state: Snapshot,
     /// When set, every write is flushed to this file.
     pub(crate) path: Option<PathBuf>,
-    /// The filesystem under every flush/reload — [`StdVfs`] in
-    /// production, a fault-injecting VFS in the crash-consistency
-    /// harness.
-    pub(crate) vfs: Arc<dyn Vfs>,
     /// How the on-disk image was recovered at open time, if it was.
     recovery: persist::RecoveryReport,
     /// Health at and since open: `Degraded` stores reject writes.
     health: StoreHealth,
-    /// Monotonic write generation: bumped on every successful persist or
-    /// delete, so read-through caches over this store (the explorer
-    /// service) can key entries on it and invalidate on any mutation.
-    generation: u64,
-    /// The query engine's secondary run indexes (by api, by tasks,
-    /// sorted by bandwidth), maintained by every `save_*`/`delete_*`
-    /// and rebuilt from the *active generation's* tables on open —
-    /// sealed segments carry their own index blocks instead.
-    pub(crate) indexes: RunIndexes,
-    /// Query-engine observability: recorder + counter handles.
-    pub(crate) obs: QueryObs,
-    /// Sealed, immutable segments, oldest first. `Arc`d so snapshots
-    /// pin them across seals and compactions.
-    pub(crate) segments: Vec<Arc<Segment>>,
-    /// Runs deleted out of sealed segments: hidden from every read,
-    /// physically dropped at the next compaction. Active-generation
-    /// deletes remove rows directly and never tombstone.
-    pub(crate) tombstones: BTreeSet<(RunKind, u64)>,
     /// Epoch of the active generation's on-disk image
     /// (`<path>.active-<epoch>`); bumped by every seal.
     pub(crate) active_epoch: u64,
@@ -134,27 +120,42 @@ pub struct KnowledgeStore {
     pub(crate) manifest_dirty: bool,
 }
 
+impl std::ops::Deref for KnowledgeStore {
+    type Target = Snapshot;
+
+    fn deref(&self) -> &Snapshot {
+        &self.state
+    }
+}
+
 impl KnowledgeStore {
-    /// An in-memory store with the paper's schema. In-memory stores
-    /// never seal: everything stays in the active generation.
-    #[must_use]
-    pub fn in_memory() -> KnowledgeStore {
+    /// A store over an empty schema.
+    fn empty(path: Option<PathBuf>, vfs: Arc<dyn Vfs>, health: StoreHealth) -> KnowledgeStore {
         KnowledgeStore {
-            db: build_schema(),
-            path: None,
-            vfs: Arc::new(StdVfs),
+            state: Snapshot {
+                active: Arc::new(SegmentData::empty(build_schema())),
+                indexes: Arc::default(),
+                segments: Arc::default(),
+                tombstones: Arc::default(),
+                vfs,
+                obs: Arc::default(),
+                generation: 0,
+            },
+            path,
             recovery: persist::RecoveryReport::default(),
-            health: StoreHealth::Ok,
-            generation: 0,
-            indexes: RunIndexes::default(),
-            obs: QueryObs::default(),
-            segments: Vec::new(),
-            tombstones: BTreeSet::new(),
+            health,
             active_epoch: 0,
             next_segment: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             manifest_dirty: false,
         }
+    }
+
+    /// An in-memory store with the paper's schema. In-memory stores
+    /// never seal: everything stays in the active generation.
+    #[must_use]
+    pub fn in_memory() -> KnowledgeStore {
+        KnowledgeStore::empty(None, Arc::new(StdVfs), StoreHealth::Ok)
     }
 
     /// A file-backed store: loads the image when the file (or its `.bak`
@@ -170,33 +171,22 @@ impl KnowledgeStore {
     ///
     /// Opening a segmented store maps the manifest's segment metadata —
     /// id ranges, counts, membership filters — without loading any
-    /// segment body and without any bulk index rebuild over sealed
-    /// data; only the (bounded) active generation is re-indexed. Open
-    /// cost is proportional to the active generation, not the corpus.
+    /// segment body; only the (bounded) active generation is summarized
+    /// and indexed. Open cost is proportional to the active generation,
+    /// not the corpus.
     pub fn open_with_vfs(path: PathBuf, vfs: Arc<dyn Vfs>) -> Result<KnowledgeStore, DbError> {
-        let state = load_state(&path, vfs.as_ref())?;
-        let health = match &state.recovery.primary_error {
-            Some(primary_error) if state.recovery.recovered_from_backup => StoreHealth::Recovered {
+        let mut loaded = load_state(&path, vfs.as_ref())?;
+        let recovery = std::mem::take(&mut loaded.recovery);
+        let health = match &recovery.primary_error {
+            Some(primary_error) if recovery.recovered_from_backup => StoreHealth::Recovered {
                 primary_error: primary_error.clone(),
             },
             _ => StoreHealth::Ok,
         };
-        Ok(KnowledgeStore {
-            db: state.db,
-            path: Some(path),
-            vfs,
-            recovery: state.recovery,
-            health,
-            generation: 0,
-            indexes: state.indexes,
-            obs: QueryObs::default(),
-            segments: state.segments,
-            tombstones: state.tombstones,
-            active_epoch: state.active_epoch,
-            next_segment: state.next_segment,
-            seal_threshold: DEFAULT_SEAL_THRESHOLD,
-            manifest_dirty: state.manifest_dirty,
-        })
+        let mut store = KnowledgeStore::empty(Some(path), vfs, health);
+        store.recovery = recovery;
+        store.install(loaded);
+        Ok(store)
     }
 
     /// Open a file-backed store, degrading instead of failing: when the
@@ -215,24 +205,13 @@ impl KnowledgeStore {
         match KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)) {
             Ok(store) => store,
             Err(e) => {
-                let store = KnowledgeStore {
-                    db: build_schema(),
-                    path: Some(path),
+                let store = KnowledgeStore::empty(
+                    Some(path),
                     vfs,
-                    recovery: persist::RecoveryReport::default(),
-                    health: StoreHealth::Degraded {
+                    StoreHealth::Degraded {
                         reason: e.to_string(),
                     },
-                    generation: 0,
-                    indexes: RunIndexes::default(),
-                    obs: QueryObs::default(),
-                    segments: Vec::new(),
-                    tombstones: BTreeSet::new(),
-                    active_epoch: 0,
-                    next_segment: 0,
-                    seal_threshold: DEFAULT_SEAL_THRESHOLD,
-                    manifest_dirty: false,
-                };
+                );
                 store.obs.recorder.log(
                     None,
                     &format!(
@@ -242,15 +221,6 @@ impl KnowledgeStore {
                 store
             }
         }
-    }
-
-    /// The store's write generation: a monotonic counter bumped on every
-    /// successful persist or delete. Two calls returning the same value
-    /// bracket a window in which no knowledge changed, so any view
-    /// computed inside that window is still valid.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// How the on-disk image was loaded: whether the `.bak` generation
@@ -279,11 +249,13 @@ impl KnowledgeStore {
         self.vfs.as_ref()
     }
 
-    /// Whether the incrementally-maintained secondary indexes agree with
-    /// a bulk rebuild from the active generation's tables — the
-    /// crash-consistency checker's index invariant.
+    /// Whether the incrementally-maintained active summary block and
+    /// secondary indexes agree with a bulk rebuild from the active
+    /// generation's rows — the crash-consistency checker's invariant.
     pub fn indexes_consistent(&self) -> Result<bool, DbError> {
-        Ok(RunIndexes::rebuild(&self.db)? == self.indexes)
+        let from_rows = summarize_db(&self.active.db)?;
+        Ok(RunIndexes::of(from_rows.values()) == *self.indexes
+            && from_rows == self.active.summaries)
     }
 
     pub(crate) fn ensure_writable(&self) -> Result<(), DbError> {
@@ -298,40 +270,19 @@ impl KnowledgeStore {
     /// surface) goes through [`Snapshot::materialize`].
     #[must_use]
     pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The one read path over the segmented store: active generation +
-    /// indexes + sealed segments + tombstones, borrowed together.
-    pub(crate) fn view(&self) -> StoreView<'_> {
-        StoreView {
-            active: &self.db,
-            indexes: &self.indexes,
-            segments: &self.segments,
-            tombstones: &self.tombstones,
-            vfs: self.vfs.as_ref(),
-            obs: &self.obs,
-        }
+        &self.active.db
     }
 
     /// Pin the store's current state into an immutable [`Snapshot`].
     ///
-    /// Cheap: the (bounded) active generation and its indexes are
-    /// cloned; sealed segments are shared by `Arc`, so a million-run
-    /// corpus snapshots in active-generation time. The snapshot keeps
-    /// answering from exactly this generation while the store ingests,
-    /// seals, deletes, or compacts underneath it.
+    /// O(1): a fixed number of refcount bumps, whatever the size of the
+    /// active generation or the corpus. The snapshot keeps answering
+    /// from exactly this generation while the store ingests, seals,
+    /// deletes, or compacts underneath it; the first write after a pin
+    /// copies the (bounded) active block it is about to change.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            active: self.db.clone(),
-            indexes: self.indexes.clone(),
-            segments: self.segments.clone(),
-            tombstones: self.tombstones.clone(),
-            vfs: Arc::clone(&self.vfs),
-            obs: self.obs.clone(),
-            generation: self.generation,
-        }
+        self.state.clone()
     }
 
     /// The sealed segments' metadata, oldest first.
@@ -358,13 +309,13 @@ impl KnowledgeStore {
         Manifest {
             active_epoch: self.active_epoch,
             next_segment: self.next_segment,
-            tombstones: self.tombstones.clone(),
-            segments: self.segments.iter().map(|s| s.meta.clone()).collect(),
+            tombstones: BTreeSet::clone(&self.tombstones),
+            segments: self.segment_metas(),
         }
     }
 
     /// Number of benchmark knowledge objects stored. Routed through the
-    /// query engine's [`KnowledgeStore::count`] fast path — no row is
+    /// query engine's [`Snapshot::count`] fast path — no row is
     /// materialized and no `Knowledge` is deserialized.
     #[must_use]
     pub fn knowledge_count(&self) -> usize {
@@ -390,18 +341,19 @@ impl KnowledgeStore {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
+        let vfs = self.vfs.as_ref();
         let active = persist::active_path(&path, self.active_epoch);
-        let result = persist::save_vfs(&self.db, &active, self.vfs.as_ref()).and_then(|()| {
+        let result = persist::save_vfs(&self.active.db, &active, vfs).and_then(|()| {
             if self.manifest_dirty {
-                persist::write_document_vfs(&path, self.vfs.as_ref(), &self.manifest().to_json())?;
+                persist::write_document_vfs(&path, vfs, &self.manifest().to_json())?;
                 // The very first manifest write has nothing to rotate
                 // into `.bak`; seed the backup generation explicitly so
                 // a torn manifest is *always* repairable from `.bak`,
                 // like every other image in the layout.
                 let bak = persist::backup_path(&path);
-                if !self.vfs.exists(&bak) {
-                    let bytes = self.vfs.read(&path)?;
-                    let mut file = self.vfs.create(&bak)?;
+                if !vfs.exists(&bak) {
+                    let bytes = vfs.read(&path)?;
+                    let mut file = vfs.create(&bak)?;
                     file.write_all(&bytes)?;
                     file.sync()?;
                 }
@@ -422,6 +374,18 @@ impl KnowledgeStore {
         }
     }
 
+    /// Make loaded on-disk state this store's state: the active block as
+    /// loaded, its indexes derived from that block.
+    fn install(&mut self, loaded: LoadedState) {
+        self.state.indexes = Arc::new(RunIndexes::of(loaded.active.summaries.values()));
+        self.state.active = Arc::new(loaded.active);
+        self.state.segments = Arc::new(loaded.segments);
+        self.state.tombstones = Arc::new(loaded.tombstones);
+        self.active_epoch = loaded.active_epoch;
+        self.next_segment = loaded.next_segment;
+        self.manifest_dirty = loaded.manifest_dirty;
+    }
+
     /// Reload the last durable layout after a failed flush or a failed
     /// seal/compaction commit. Keeps the generation counter (caches over
     /// a reverted write must still invalidate). If even the reload fails
@@ -430,15 +394,7 @@ impl KnowledgeStore {
     /// it cannot prove were persisted.
     pub(crate) fn reload_from_disk(&mut self, path: &Path) {
         match load_state(path, self.vfs.as_ref()) {
-            Ok(state) => {
-                self.db = state.db;
-                self.indexes = state.indexes;
-                self.segments = state.segments;
-                self.tombstones = state.tombstones;
-                self.active_epoch = state.active_epoch;
-                self.next_segment = state.next_segment;
-                self.manifest_dirty = state.manifest_dirty;
-            }
+            Ok(loaded) => self.install(loaded),
             Err(e) => {
                 self.health = StoreHealth::Degraded {
                     reason: format!("reload after failed flush: {e}"),
@@ -451,17 +407,12 @@ impl KnowledgeStore {
         }
     }
 
-    /// Runs currently in the active generation.
-    fn active_run_count(&self) -> Result<usize, DbError> {
-        Ok(self.db.row_count("performances")? + self.db.row_count("IOFHsRuns")?)
-    }
-
     /// Seal the active generation when it reached the threshold.
     fn maybe_seal(&mut self) -> Result<(), DbError> {
-        if self.path.is_none() || self.health.is_degraded() {
-            return Ok(());
-        }
-        if self.active_run_count()? < self.seal_threshold {
+        if self.path.is_none()
+            || self.health.is_degraded()
+            || self.active.summaries.len() < self.seal_threshold
+        {
             return Ok(());
         }
         self.seal_active()
@@ -472,9 +423,9 @@ impl KnowledgeStore {
     ///
     /// Protocol (disk first, memory only after the commit point):
     ///
-    /// 1. compute the projection summaries of every active run and the
-    ///    segment's index block ([`SegmentMeta`]);
-    /// 2. write the segment file `<path>.seg-<id>`;
+    /// 1. compute the segment's index block ([`SegmentMeta`]) from the
+    ///    active block's summaries;
+    /// 2. write the block as the segment file `<path>.seg-<id>`;
     /// 3. write a fresh, empty active image at the *next* epoch, with
     ///    every table's auto-increment counter forwarded — ids stay
     ///    globally unique across all segments, which is what lets
@@ -493,64 +444,46 @@ impl KnowledgeStore {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
-        let refs = run_refs_in_db(&self.db)?;
-        if refs.is_empty() {
+        if self.active.summaries.is_empty() {
             return Ok(());
         }
-        let mut summaries = Vec::with_capacity(refs.len());
-        for r in refs {
-            summaries.push(summarize_in_db(&self.db, r)?);
-        }
-        summaries.sort_by_key(|a| (a.kind, a.id));
+        let vfs = self.vfs.as_ref();
         let seg_id = self.next_segment;
-        let meta = SegmentMeta::compute(seg_id, &summaries);
+        let meta = SegmentMeta::compute(seg_id, self.active.summaries.values());
         let seg_path = persist::segment_path(&path, seg_id);
-        write_segment_vfs(&seg_path, self.vfs.as_ref(), seg_id, &summaries, &self.db).map_err(
-            |e| persist::classify_io_error(&format!("seal segment {}", seg_path.display()), &e),
-        )?;
+        write_segment_vfs(&seg_path, vfs, seg_id, &self.active).map_err(|e| {
+            persist::classify_io_error(&format!("seal segment {}", seg_path.display()), &e)
+        })?;
         let mut fresh = build_schema();
-        for table in self.db.table_names() {
-            if let Some(next) = self.db.next_id(table) {
+        for table in self.active.db.table_names() {
+            if let Some(next) = self.active.db.next_id(table) {
                 fresh.bump_next_id(table, next);
             }
         }
         let fresh_path = persist::active_path(&path, self.active_epoch + 1);
-        persist::save_vfs(&fresh, &fresh_path, self.vfs.as_ref()).map_err(|e| {
+        persist::save_vfs(&fresh, &fresh_path, vfs).map_err(|e| {
             persist::classify_io_error(&format!("seal active {}", fresh_path.display()), &e)
         })?;
-        let manifest = Manifest {
-            active_epoch: self.active_epoch + 1,
-            next_segment: seg_id + 1,
-            tombstones: self.tombstones.clone(),
-            segments: self
-                .segments
-                .iter()
-                .map(|s| s.meta.clone())
-                .chain(std::iter::once(meta.clone()))
-                .collect(),
-        };
-        if let Err(e) = persist::write_document_vfs(&path, self.vfs.as_ref(), &manifest.to_json()) {
+        let mut manifest = self.manifest();
+        manifest.active_epoch += 1;
+        manifest.next_segment += 1;
+        manifest.segments.push(meta.clone());
+        if let Err(e) = persist::write_document_vfs(&path, vfs, &manifest.to_json()) {
             let classified =
                 persist::classify_io_error(&format!("seal manifest {}", path.display()), &e);
             self.reload_from_disk(&path);
             return Err(classified);
         }
-        // Commit point passed: swap memory. The sealed database moves
-        // into the segment's preloaded body, so open snapshots and the
-        // next queries keep working without re-reading the file.
-        let sealed_db = std::mem::replace(&mut self.db, fresh);
-        self.segments.push(Arc::new(Segment::preloaded(
-            meta,
-            seg_path,
-            Arc::new(SegmentData {
-                summaries,
-                db: sealed_db,
-            }),
-        )));
+        // Commit point passed: swap memory. The block the store already
+        // holds becomes the segment's preloaded body, so open snapshots
+        // and the next queries keep working without re-reading the file.
+        let sealed = std::mem::replace(&mut self.state.active, Arc::new(SegmentData::empty(fresh)));
+        Arc::make_mut(&mut self.state.segments)
+            .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
+        self.state.indexes = Arc::default();
         let old_active = persist::active_path(&path, self.active_epoch);
         self.active_epoch += 1;
-        self.next_segment = seg_id + 1;
-        self.indexes = RunIndexes::default();
+        self.next_segment += 1;
         self.manifest_dirty = false;
         // Best-effort cleanup of the superseded active generation; a
         // crash here leaves strays that fsck sweeps.
@@ -567,117 +500,37 @@ impl KnowledgeStore {
     /// Persist a benchmark knowledge object; returns its id.
     pub fn save_knowledge(&mut self, k: &Knowledge) -> Result<u64, DbError> {
         self.ensure_writable()?;
-        let performance_id = self.insert_knowledge_rows(k)?;
+        let id = self.insert_rows(RunKind::Benchmark, |db| insert_knowledge_rows(db, k))?;
         self.flush()?;
-        self.generation += 1;
+        self.state.generation += 1;
         self.maybe_seal()?;
-        Ok(performance_id as u64)
+        Ok(id)
     }
 
-    /// Insert a benchmark knowledge object's rows and index entries
-    /// without flushing — the shared body of
-    /// [`KnowledgeStore::save_knowledge`] and
-    /// [`KnowledgeStore::save_batch`].
-    fn insert_knowledge_rows(&mut self, k: &Knowledge) -> Result<i64, DbError> {
-        let p = &k.pattern;
-        let performance_id = self.db.insert(
-            "performances",
-            vec![
-                Value::from(k.command.as_str()),
-                Value::from(k.source.as_str()),
-                Value::from(p.api.as_str()),
-                Value::from(p.test_file.as_str()),
-                Value::from(p.block_size),
-                Value::from(p.transfer_size),
-                Value::from(p.segments),
-                Value::from(p.file_per_proc),
-                Value::from(p.reorder_tasks),
-                Value::from(p.fsync),
-                Value::from(p.collective),
-                Value::from(p.iterations),
-                Value::from(p.tasks),
-                Value::from(p.clients_per_node),
-                Value::from(k.start_time),
-                Value::from(k.end_time),
-                k.derived_from.map(Value::from).unwrap_or(Value::Null),
-            ],
-        )?;
-        for summary in &k.summaries {
-            let summary_id = self.db.insert(
-                "summaries",
-                vec![
-                    Value::Int(performance_id),
-                    Value::from(summary.operation.as_str()),
-                    Value::from(summary.api.as_str()),
-                    Value::from(summary.max_mib),
-                    Value::from(summary.min_mib),
-                    Value::from(summary.mean_mib),
-                    Value::from(summary.stddev_mib),
-                    Value::from(summary.mean_ops),
-                    Value::from(summary.iterations),
-                ],
-            )?;
-            for result in k
-                .results
-                .iter()
-                .filter(|r| r.operation == summary.operation)
-            {
-                self.db.insert(
-                    "results",
-                    vec![
-                        Value::Int(summary_id),
-                        Value::from(result.iteration),
-                        Value::from(result.bw_mib),
-                        Value::from(result.ops),
-                        Value::from(result.ops_per_sec),
-                        Value::from(result.latency_s),
-                        Value::from(result.open_s),
-                        Value::from(result.wrrd_s),
-                        Value::from(result.close_s),
-                        Value::from(result.total_s),
-                    ],
-                )?;
-            }
-        }
-        if let Some(fs) = &k.filesystem {
-            self.db.insert(
-                "filesystems",
-                vec![
-                    Value::Int(performance_id),
-                    Value::from(fs.fs_type.as_str()),
-                    Value::from(fs.entry_type.as_str()),
-                    Value::from(fs.entry_id.as_str()),
-                    Value::from(fs.metadata_node.as_str()),
-                    Value::from(fs.chunk_size),
-                    Value::from(fs.storage_targets),
-                    Value::from(fs.raid.as_str()),
-                    Value::from(fs.storage_pool.as_str()),
-                ],
-            )?;
-        }
-        if let Some(sys) = &k.system {
-            self.db.insert(
-                "systeminfos",
-                vec![
-                    Value::Int(performance_id),
-                    Value::from(sys.system.as_str()),
-                    Value::from(sys.cpu_model.as_str()),
-                    Value::from(sys.cores),
-                    Value::from(sys.cpu_mhz),
-                    Value::from(sys.cache_kib),
-                    Value::from(sys.mem_kib),
-                ],
-            )?;
-        }
-        self.save_warnings("benchmark", performance_id, &k.warnings)?;
-        let write_bw = k
-            .summaries
-            .iter()
-            .find(|s| s.operation == "write")
-            .map_or(0.0, |s| s.mean_mib);
-        self.indexes
-            .insert_bench(performance_id as u64, &p.api, p.tasks, write_bw);
-        Ok(performance_id)
+    /// Persist an IO500 knowledge object; returns its `IOFH_id`.
+    pub fn save_io500(&mut self, k: &Io500Knowledge) -> Result<u64, DbError> {
+        self.ensure_writable()?;
+        let id = self.insert_rows(RunKind::Io500, |db| insert_io500_rows(db, k))?;
+        self.flush()?;
+        self.state.generation += 1;
+        self.maybe_seal()?;
+        Ok(id)
+    }
+
+    /// Insert one run's rows into the active block (copy-on-write),
+    /// derive its summary from those rows and index it — without
+    /// flushing: the shared body of the `save_*` methods.
+    fn insert_rows(
+        &mut self,
+        kind: RunKind,
+        insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
+    ) -> Result<u64, DbError> {
+        let active = Arc::make_mut(&mut self.state.active);
+        let id = insert(&mut active.db)? as u64;
+        let summary = summarize_in_db(&active.db, RunRef { kind, id })?;
+        Arc::make_mut(&mut self.state.indexes).insert(&summary);
+        active.summaries.insert((kind, id), summary);
+        Ok(id)
     }
 
     /// Delete a benchmark knowledge object and its dependent rows
@@ -688,150 +541,7 @@ impl KnowledgeStore {
     /// is bumped only when it did, so deleting nothing invalidates
     /// nothing.
     pub fn delete_knowledge(&mut self, id: u64) -> Result<bool, DbError> {
-        self.ensure_writable()?;
-        let Some(row) = self.db.get("performances", id as i64)? else {
-            return self.tombstone_delete(RunKind::Benchmark, id);
-        };
-        // Capture the index keys before the rows go away.
-        let api = row.values[2].as_text().unwrap_or("").to_owned();
-        let tasks = row.values[12].as_int().unwrap_or(0) as u32;
-        let by_perf = Predicate::Eq("performance_id".into(), Value::Int(id as i64));
-        let write_bw = self
-            .db
-            .select("summaries", &by_perf, OrderBy::Id, None)?
-            .iter()
-            .find(|s| s.values[1].as_text() == Some("write"))
-            .and_then(|s| s.values[5].as_real())
-            .unwrap_or(0.0);
-        delete_benchmark_rows(&mut self.db, id)?;
-        self.flush()?;
-        self.generation += 1;
-        self.indexes.remove_bench(id, &api, tasks, write_bw);
-        Ok(true)
-    }
-
-    /// Tombstone a segment-resident run: the rows stay in their
-    /// immutable segment, the manifest hides them from every read, and
-    /// the next compaction drops them physically. The secondary indexes
-    /// are untouched — they only cover the active generation.
-    fn tombstone_delete(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
-        if self.view().locate(kind, id)?.is_none() {
-            return Ok(false);
-        }
-        self.tombstones.insert((kind, id));
-        self.manifest_dirty = true;
-        // A failed flush reloads from disk, which un-inserts the
-        // tombstone: the delete is only acknowledged once durable.
-        self.flush()?;
-        self.generation += 1;
-        Ok(true)
-    }
-
-    /// Load a benchmark knowledge object by id — the full multi-table
-    /// join, resolved to whichever generation (active or sealed
-    /// segment) holds the run. Counted by the
-    /// `store.query.knowledge_deserialized` obs counter; count-style
-    /// reads must keep it at zero.
-    pub fn load_knowledge(&self, id: u64) -> Result<Option<Knowledge>, DbError> {
-        let Some(location) = self.view().locate(RunKind::Benchmark, id)? else {
-            return Ok(None);
-        };
-        self.obs.knowledge_deserialized.inc();
-        load_knowledge_from(location.db(), id)
-    }
-
-    fn save_warnings(
-        &mut self,
-        owner: &str,
-        owner_id: i64,
-        warnings: &[String],
-    ) -> Result<(), DbError> {
-        for warning in warnings {
-            self.db.insert(
-                "warnings",
-                vec![
-                    Value::from(owner),
-                    Value::Int(owner_id),
-                    Value::from(warning.as_str()),
-                ],
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Persist an IO500 knowledge object; returns its `IOFH_id`.
-    pub fn save_io500(&mut self, k: &Io500Knowledge) -> Result<u64, DbError> {
-        self.ensure_writable()?;
-        let iofh_id = self.insert_io500_rows(k)?;
-        self.flush()?;
-        self.generation += 1;
-        self.maybe_seal()?;
-        Ok(iofh_id as u64)
-    }
-
-    /// Insert an IO500 knowledge object's rows and index entries
-    /// without flushing — the shared body of
-    /// [`KnowledgeStore::save_io500`] and [`KnowledgeStore::save_batch`].
-    fn insert_io500_rows(&mut self, k: &Io500Knowledge) -> Result<i64, DbError> {
-        let iofh_id = self.db.insert(
-            "IOFHsRuns",
-            vec![Value::from(k.tasks), Value::from(k.start_time)],
-        )?;
-        self.db.insert(
-            "IOFHsScores",
-            vec![
-                Value::Int(iofh_id),
-                Value::from(k.bw_score),
-                Value::from(k.md_score),
-                Value::from(k.total_score),
-            ],
-        )?;
-        for testcase in &k.testcases {
-            let tc_id = self.db.insert(
-                "IOFHsTestcases",
-                vec![
-                    Value::Int(iofh_id),
-                    Value::from(testcase.name.as_str()),
-                    Value::from(testcase.unit.as_str()),
-                ],
-            )?;
-            self.db.insert(
-                "IOFHsResults",
-                vec![
-                    Value::Int(tc_id),
-                    Value::from(testcase.value),
-                    Value::from(testcase.time_s),
-                ],
-            )?;
-        }
-        for (key, value) in &k.options {
-            self.db.insert(
-                "IOFHsOptions",
-                vec![
-                    Value::Int(iofh_id),
-                    Value::from(key.as_str()),
-                    Value::from(value.as_str()),
-                ],
-            )?;
-        }
-        if let Some(sys) = &k.system {
-            self.db.insert(
-                "IOFHsSystem",
-                vec![
-                    Value::Int(iofh_id),
-                    Value::from(sys.system.as_str()),
-                    Value::from(sys.cpu_model.as_str()),
-                    Value::from(sys.cores),
-                    Value::from(sys.cpu_mhz),
-                    Value::from(sys.cache_kib),
-                    Value::from(sys.mem_kib),
-                ],
-            )?;
-        }
-        self.save_warnings("io500", iofh_id, &k.warnings)?;
-        self.indexes
-            .insert_io500(iofh_id as u64, k.tasks, k.bw_score);
-        Ok(iofh_id)
+        self.delete_run(RunKind::Benchmark, id)
     }
 
     /// Delete an IO500 knowledge object and its dependent rows (scores,
@@ -840,33 +550,40 @@ impl KnowledgeStore {
     /// [`KnowledgeStore::delete_knowledge`], the generation is bumped
     /// only when it did.
     pub fn delete_io500(&mut self, id: u64) -> Result<bool, DbError> {
+        self.delete_run(RunKind::Io500, id)
+    }
+
+    fn delete_run(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
         self.ensure_writable()?;
-        let Some(run) = self.db.get("IOFHsRuns", id as i64)? else {
-            return self.tombstone_delete(RunKind::Io500, id);
-        };
-        let tasks = run.values[0].as_int().unwrap_or(0) as u32;
-        let by_iofh = Predicate::Eq("IOFH_id".into(), Value::Int(id as i64));
-        let bw_score = self
-            .db
-            .select("IOFHsScores", &by_iofh, OrderBy::Id, Some(1))?
-            .first()
-            .and_then(|s| s.values[1].as_real())
-            .unwrap_or(0.0);
-        delete_io500_rows(&mut self.db, id)?;
+        if !self.active.summaries.contains_key(&(kind, id)) {
+            return self.tombstone_delete(kind, id);
+        }
+        let active = Arc::make_mut(&mut self.state.active);
+        if let Some(summary) = active.summaries.remove(&(kind, id)) {
+            Arc::make_mut(&mut self.state.indexes).remove(&summary);
+        }
+        delete_run_rows(&mut active.db, kind, id)?;
+        // A failed flush reloads block and indexes from disk.
         self.flush()?;
-        self.generation += 1;
-        self.indexes.remove_io500(id, tasks, bw_score);
+        self.state.generation += 1;
         Ok(true)
     }
 
-    /// Load an IO500 knowledge object by `IOFH_id`, resolved to
-    /// whichever generation holds the run.
-    pub fn load_io500(&self, id: u64) -> Result<Option<Io500Knowledge>, DbError> {
-        let Some(location) = self.view().locate(RunKind::Io500, id)? else {
-            return Ok(None);
-        };
-        self.obs.knowledge_deserialized.inc();
-        load_io500_from(location.db(), id)
+    /// Tombstone a segment-resident run: the rows stay in their
+    /// immutable segment, the manifest hides them from every read, and
+    /// the next compaction drops them physically. The secondary indexes
+    /// are untouched — they only cover the active generation.
+    fn tombstone_delete(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
+        if self.locate(kind, id)?.is_none() {
+            return Ok(false);
+        }
+        Arc::make_mut(&mut self.state.tombstones).insert((kind, id));
+        self.manifest_dirty = true;
+        // A failed flush reloads from disk, which un-inserts the
+        // tombstone: the delete is only acknowledged once durable.
+        self.flush()?;
+        self.state.generation += 1;
+        Ok(true)
     }
 
     /// Persist a batch of knowledge items with one durability point:
@@ -892,20 +609,200 @@ impl KnowledgeStore {
     fn save_batch_inner(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
         let mut ids = Vec::with_capacity(items.len());
         for item in items {
-            let id = match item {
-                KnowledgeItem::Benchmark(k) => self.insert_knowledge_rows(k)?,
-                KnowledgeItem::Io500(k) => self.insert_io500_rows(k)?,
-            };
-            ids.push(id as u64);
+            ids.push(match item {
+                KnowledgeItem::Benchmark(k) => {
+                    self.insert_rows(RunKind::Benchmark, |db| insert_knowledge_rows(db, k))?
+                }
+                KnowledgeItem::Io500(k) => {
+                    self.insert_rows(RunKind::Io500, |db| insert_io500_rows(db, k))?
+                }
+            });
             // Sealing writes the rows inserted so far into an immutable
             // segment, so the batch never holds more than one
             // generation's worth of unflushed rows in memory.
             self.maybe_seal()?;
         }
         self.flush()?;
-        self.generation += 1;
+        self.state.generation += 1;
         Ok(ids)
     }
+}
+
+/// Insert a benchmark knowledge object's rows; returns its
+/// `performances` id.
+fn insert_knowledge_rows(db: &mut Database, k: &Knowledge) -> Result<i64, DbError> {
+    let p = &k.pattern;
+    let performance_id = db.insert(
+        "performances",
+        vec![
+            Value::from(k.command.as_str()),
+            Value::from(k.source.as_str()),
+            Value::from(p.api.as_str()),
+            Value::from(p.test_file.as_str()),
+            Value::from(p.block_size),
+            Value::from(p.transfer_size),
+            Value::from(p.segments),
+            Value::from(p.file_per_proc),
+            Value::from(p.reorder_tasks),
+            Value::from(p.fsync),
+            Value::from(p.collective),
+            Value::from(p.iterations),
+            Value::from(p.tasks),
+            Value::from(p.clients_per_node),
+            Value::from(k.start_time),
+            Value::from(k.end_time),
+            k.derived_from.map(Value::from).unwrap_or(Value::Null),
+        ],
+    )?;
+    for summary in &k.summaries {
+        let summary_id = db.insert(
+            "summaries",
+            vec![
+                Value::Int(performance_id),
+                Value::from(summary.operation.as_str()),
+                Value::from(summary.api.as_str()),
+                Value::from(summary.max_mib),
+                Value::from(summary.min_mib),
+                Value::from(summary.mean_mib),
+                Value::from(summary.stddev_mib),
+                Value::from(summary.mean_ops),
+                Value::from(summary.iterations),
+            ],
+        )?;
+        for result in k
+            .results
+            .iter()
+            .filter(|r| r.operation == summary.operation)
+        {
+            db.insert(
+                "results",
+                vec![
+                    Value::Int(summary_id),
+                    Value::from(result.iteration),
+                    Value::from(result.bw_mib),
+                    Value::from(result.ops),
+                    Value::from(result.ops_per_sec),
+                    Value::from(result.latency_s),
+                    Value::from(result.open_s),
+                    Value::from(result.wrrd_s),
+                    Value::from(result.close_s),
+                    Value::from(result.total_s),
+                ],
+            )?;
+        }
+    }
+    if let Some(fs) = &k.filesystem {
+        db.insert(
+            "filesystems",
+            vec![
+                Value::Int(performance_id),
+                Value::from(fs.fs_type.as_str()),
+                Value::from(fs.entry_type.as_str()),
+                Value::from(fs.entry_id.as_str()),
+                Value::from(fs.metadata_node.as_str()),
+                Value::from(fs.chunk_size),
+                Value::from(fs.storage_targets),
+                Value::from(fs.raid.as_str()),
+                Value::from(fs.storage_pool.as_str()),
+            ],
+        )?;
+    }
+    if let Some(sys) = &k.system {
+        db.insert(
+            "systeminfos",
+            vec![
+                Value::Int(performance_id),
+                Value::from(sys.system.as_str()),
+                Value::from(sys.cpu_model.as_str()),
+                Value::from(sys.cores),
+                Value::from(sys.cpu_mhz),
+                Value::from(sys.cache_kib),
+                Value::from(sys.mem_kib),
+            ],
+        )?;
+    }
+    insert_warnings(db, RunKind::Benchmark, performance_id, &k.warnings)?;
+    Ok(performance_id)
+}
+
+fn insert_warnings(
+    db: &mut Database,
+    owner: RunKind,
+    owner_id: i64,
+    warnings: &[String],
+) -> Result<(), DbError> {
+    for warning in warnings {
+        db.insert(
+            "warnings",
+            vec![
+                Value::from(owner.as_str()),
+                Value::Int(owner_id),
+                Value::from(warning.as_str()),
+            ],
+        )?;
+    }
+    Ok(())
+}
+
+/// Insert an IO500 knowledge object's rows; returns its `IOFH_id`.
+fn insert_io500_rows(db: &mut Database, k: &Io500Knowledge) -> Result<i64, DbError> {
+    let iofh_id = db.insert(
+        "IOFHsRuns",
+        vec![Value::from(k.tasks), Value::from(k.start_time)],
+    )?;
+    db.insert(
+        "IOFHsScores",
+        vec![
+            Value::Int(iofh_id),
+            Value::from(k.bw_score),
+            Value::from(k.md_score),
+            Value::from(k.total_score),
+        ],
+    )?;
+    for testcase in &k.testcases {
+        let tc_id = db.insert(
+            "IOFHsTestcases",
+            vec![
+                Value::Int(iofh_id),
+                Value::from(testcase.name.as_str()),
+                Value::from(testcase.unit.as_str()),
+            ],
+        )?;
+        db.insert(
+            "IOFHsResults",
+            vec![
+                Value::Int(tc_id),
+                Value::from(testcase.value),
+                Value::from(testcase.time_s),
+            ],
+        )?;
+    }
+    for (key, value) in &k.options {
+        db.insert(
+            "IOFHsOptions",
+            vec![
+                Value::Int(iofh_id),
+                Value::from(key.as_str()),
+                Value::from(value.as_str()),
+            ],
+        )?;
+    }
+    if let Some(sys) = &k.system {
+        db.insert(
+            "IOFHsSystem",
+            vec![
+                Value::Int(iofh_id),
+                Value::from(sys.system.as_str()),
+                Value::from(sys.cpu_model.as_str()),
+                Value::from(sys.cores),
+                Value::from(sys.cpu_mhz),
+                Value::from(sys.cache_kib),
+                Value::from(sys.mem_kib),
+            ],
+        )?;
+    }
+    insert_warnings(db, RunKind::Io500, iofh_id, &k.warnings)?;
+    Ok(iofh_id)
 }
 
 impl Persister for KnowledgeStore {
@@ -1014,223 +911,151 @@ impl Manifest {
     }
 }
 
-/// Everything [`KnowledgeStore::open_with_vfs`] and
-/// [`KnowledgeStore::reload_from_disk`] need, loaded in one place —
+/// What [`KnowledgeStore::open_with_vfs`] and
+/// [`KnowledgeStore::reload_from_disk`] install, loaded in one place —
 /// the single open path over both on-disk layouts.
-pub(crate) struct LoadedState {
-    pub(crate) db: Database,
-    pub(crate) indexes: RunIndexes,
-    pub(crate) segments: Vec<Arc<Segment>>,
-    pub(crate) tombstones: BTreeSet<(RunKind, u64)>,
-    pub(crate) active_epoch: u64,
-    pub(crate) next_segment: u64,
-    pub(crate) manifest_dirty: bool,
-    pub(crate) recovery: persist::RecoveryReport,
+struct LoadedState {
+    active: SegmentData,
+    segments: Vec<Arc<Segment>>,
+    tombstones: BTreeSet<(RunKind, u64)>,
+    active_epoch: u64,
+    next_segment: u64,
+    manifest_dirty: bool,
+    recovery: persist::RecoveryReport,
 }
 
 /// Load a store's state from `path`: a fresh store (no file), the
 /// segmented layout (manifest + active image + segment files, mapped
 /// lazily), or the legacy single-image layout (migrated to the
-/// segmented layout on the first flush).
-pub(crate) fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
-    let fresh = |dirty| LoadedState {
-        db: build_schema(),
-        indexes: RunIndexes::default(),
-        segments: Vec::new(),
-        tombstones: BTreeSet::new(),
-        active_epoch: 0,
-        next_segment: 0,
-        manifest_dirty: dirty,
-        recovery: persist::RecoveryReport::default(),
+/// segmented layout on the first flush). The active block's summaries
+/// are derived from the image's rows here.
+fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
+    // A store with no file yet, and the legacy single-image layout (the
+    // whole corpus is the active generation), both start at epoch 0 with
+    // the manifest still to write: the first flush writes the segmented
+    // layout (a legacy image rotates into `.bak`).
+    let unsegmented = |db, recovery| -> Result<LoadedState, DbError> {
+        Ok(LoadedState {
+            active: SegmentData::from_db(db)?,
+            segments: Vec::new(),
+            tombstones: BTreeSet::new(),
+            active_epoch: 0,
+            next_segment: 0,
+            manifest_dirty: true,
+            recovery,
+        })
     };
     if !vfs.exists(path) && !vfs.exists(&persist::backup_path(path)) {
-        return Ok(fresh(true));
+        return unsegmented(build_schema(), persist::RecoveryReport::default());
     }
     let (doc, recovery) = persist::read_document_with_recovery_vfs(path, vfs)?;
-    match doc.get("format").and_then(Json::as_str) {
-        Some(MANIFEST_FORMAT) => {
-            let manifest = Manifest::from_json(&doc)?;
-            let active = persist::active_path(path, manifest.active_epoch);
-            let (db, active_recovery) =
-                if vfs.exists(&active) || vfs.exists(&persist::backup_path(&active)) {
-                    persist::load_with_recovery_vfs(&active, vfs)?
-                } else {
-                    return Err(DbError::Corrupt(format!(
-                        "manifest names epoch {} but {} is missing",
-                        manifest.active_epoch,
-                        active.display()
-                    )));
-                };
-            let indexes = RunIndexes::rebuild(&db)?;
-            let segments = manifest
-                .segments
-                .into_iter()
-                .map(|meta| {
-                    let seg_path = persist::segment_path(path, meta.id);
-                    Arc::new(Segment::new(meta, seg_path))
-                })
-                .collect();
-            Ok(LoadedState {
-                db,
-                indexes,
-                segments,
-                tombstones: manifest.tombstones,
-                active_epoch: manifest.active_epoch,
-                next_segment: manifest.next_segment,
-                manifest_dirty: false,
-                recovery: persist::RecoveryReport {
-                    recovered_from_backup: recovery.recovered_from_backup
-                        || active_recovery.recovered_from_backup,
-                    primary_error: recovery.primary_error.or(active_recovery.primary_error),
-                },
-            })
-        }
-        _ => {
-            // Legacy single-image layout: the whole corpus is the
-            // active generation at epoch 0. The first flush writes the
-            // segmented layout (the legacy image rotates into `.bak`).
-            let db = persist::from_json(&doc)?;
-            let indexes = RunIndexes::rebuild(&db)?;
-            Ok(LoadedState {
-                db,
-                indexes,
-                segments: Vec::new(),
-                tombstones: BTreeSet::new(),
-                active_epoch: 0,
-                next_segment: 0,
-                manifest_dirty: true,
-                recovery,
-            })
-        }
+    if doc.get("format").and_then(Json::as_str) != Some(MANIFEST_FORMAT) {
+        return unsegmented(persist::from_json(&doc)?, recovery);
     }
+    let manifest = Manifest::from_json(&doc)?;
+    let active = persist::active_path(path, manifest.active_epoch);
+    if !vfs.exists(&active) && !vfs.exists(&persist::backup_path(&active)) {
+        return Err(DbError::Corrupt(format!(
+            "manifest names epoch {} but {} is missing",
+            manifest.active_epoch,
+            active.display()
+        )));
+    }
+    let (db, active_recovery) = persist::load_with_recovery_vfs(&active, vfs)?;
+    Ok(LoadedState {
+        active: SegmentData::from_db(db)?,
+        segments: manifest
+            .segments
+            .into_iter()
+            .map(|meta| {
+                let seg_path = persist::segment_path(path, meta.id);
+                Arc::new(Segment::new(meta, seg_path))
+            })
+            .collect(),
+        tombstones: manifest.tombstones,
+        active_epoch: manifest.active_epoch,
+        next_segment: manifest.next_segment,
+        manifest_dirty: false,
+        recovery: persist::RecoveryReport {
+            recovered_from_backup: recovery.recovered_from_backup
+                || active_recovery.recovered_from_backup,
+            primary_error: recovery.primary_error.or(active_recovery.primary_error),
+        },
+    })
 }
 
-/// An immutable, point-in-time view of the whole store: a clone of the
-/// (bounded) active generation and its indexes, `Arc`-shared sealed
-/// segments, and the tombstone set, all pinned at one
-/// [`Snapshot::generation`].
+/// An immutable, point-in-time view of the whole store — and the one
+/// place every read is implemented: the active block and its indexes,
+/// the sealed segments, and the tombstone set, each shared by `Arc` and
+/// all pinned at one [`Snapshot::generation`]. The store's own read
+/// state is a value of this type, and [`KnowledgeStore::snapshot`] is
+/// its `clone()`.
 ///
 /// Reads through a snapshot are wait-free with respect to the store:
 /// ingest, sealing, deletes and compaction never change what a snapshot
-/// returns. Segment bodies a snapshot has touched stay resident for the
-/// snapshot's lifetime (they are never evicted from the shared
-/// [`Segment`] handle), and compaction preloads the bodies of the
-/// segments it replaces, so a snapshot keeps answering even after the
-/// segment files it references are unlinked. `Send + Sync`: explorerd
-/// hands snapshots to request threads and renders without holding the
-/// store lock.
+/// returns (a writer copies a shared part before changing it). Segment
+/// bodies a snapshot has touched stay resident for the snapshot's
+/// lifetime (they are never evicted from the shared [`Segment`]
+/// handle), and compaction preloads the bodies of the segments it
+/// replaces, so a snapshot keeps answering even after the segment files
+/// it references are unlinked. `Send + Sync`: explorerd hands snapshots
+/// to request threads and renders without holding the store lock.
+#[derive(Clone)]
 pub struct Snapshot {
-    active: Database,
-    indexes: RunIndexes,
-    segments: Vec<Arc<Segment>>,
-    tombstones: BTreeSet<(RunKind, u64)>,
-    vfs: Arc<dyn Vfs>,
-    obs: QueryObs,
-    generation: u64,
+    /// The active generation: a segment-shaped block not yet written to
+    /// a `.seg-` file.
+    pub(crate) active: Arc<SegmentData>,
+    /// Secondary indexes over the active block; sealed segments carry
+    /// their own index blocks instead.
+    pub(crate) indexes: Arc<RunIndexes>,
+    /// Sealed, immutable segments, oldest first.
+    pub(crate) segments: Arc<Vec<Arc<Segment>>>,
+    /// Runs deleted out of sealed segments: hidden from every read,
+    /// physically dropped at the next compaction. Active-generation
+    /// deletes remove rows directly and never tombstone.
+    pub(crate) tombstones: Arc<BTreeSet<(RunKind, u64)>>,
+    /// The filesystem under every flush, reload and segment-body load —
+    /// [`StdVfs`] in production, a fault-injecting VFS in the
+    /// crash-consistency harness.
+    pub(crate) vfs: Arc<dyn Vfs>,
+    /// Query-engine observability: recorder + counter handles.
+    pub(crate) obs: Arc<QueryObs>,
+    /// Monotonic write generation: bumped on every successful persist or
+    /// delete.
+    pub(crate) generation: u64,
 }
 
 impl Snapshot {
-    fn view(&self) -> StoreView<'_> {
-        StoreView {
-            active: &self.active,
-            indexes: &self.indexes,
-            segments: &self.segments,
-            tombstones: &self.tombstones,
-            vfs: self.vfs.as_ref(),
-            obs: &self.obs,
-        }
-    }
-
     /// The store's write generation at the moment this snapshot was
-    /// taken — the cache key for anything rendered from it.
+    /// taken: a monotonic counter bumped on every successful persist or
+    /// delete. Two reads returning the same value bracket a window in
+    /// which no knowledge changed, so read-through caches (the explorer
+    /// service) key entries on it.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// [`KnowledgeStore::query_ids`] against the pinned state.
-    pub fn query_ids(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunRef>, DbError> {
-        self.view().execute(query, false, deadline)
-    }
-
-    /// [`KnowledgeStore::query_summaries`] against the pinned state.
-    pub fn query_summaries(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunSummary>, DbError> {
-        self.view().query_summaries(query, deadline)
-    }
-
-    /// [`KnowledgeStore::boxplot_series`] against the pinned state.
-    pub fn boxplot_series(
-        &self,
-        predicate: &RunPredicate,
-        operation: &str,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<(String, Vec<f64>)>, DbError> {
-        self.view().boxplot_series(predicate, operation, deadline)
-    }
-
-    /// [`KnowledgeStore::aggregate`] against the pinned state: the
-    /// aggregates answer from exactly this generation however the live
-    /// store mutates underneath.
-    pub fn aggregate(
-        &self,
-        query: &crate::aggregate::AggregateQuery,
-        deadline: &DeadlineToken,
-    ) -> Result<crate::aggregate::AggregateResult, DbError> {
-        self.view().aggregate(query, false, deadline)
-    }
-
-    /// [`KnowledgeStore::count`] against the pinned state.
-    pub fn count(&self, predicate: &RunPredicate) -> Result<usize, DbError> {
-        self.view().count(predicate)
-    }
-
-    /// [`KnowledgeStore::query_items`] against the pinned state.
-    pub fn query_items(&self, query: &Query) -> Result<Vec<KnowledgeItem>, DbError> {
-        let refs = self
-            .view()
-            .execute(query, false, &DeadlineToken::unbounded())?;
-        let mut items = Vec::with_capacity(refs.len());
-        for r in refs {
-            match r.kind {
-                RunKind::Benchmark => {
-                    if let Some(k) = self.load_knowledge(r.id)? {
-                        items.push(KnowledgeItem::Benchmark(k));
-                    }
-                }
-                RunKind::Io500 => {
-                    if let Some(k) = self.load_io500(r.id)? {
-                        items.push(KnowledgeItem::Io500(k));
-                    }
-                }
-            }
-        }
-        Ok(items)
-    }
-
-    /// [`KnowledgeStore::load_knowledge`] against the pinned state.
+    /// Load a benchmark knowledge object by id — the full multi-table
+    /// join, resolved to whichever block (active or sealed segment)
+    /// holds the run. Counted by the `store.query.knowledge_deserialized`
+    /// obs counter; count-style reads must keep it at zero.
     pub fn load_knowledge(&self, id: u64) -> Result<Option<Knowledge>, DbError> {
-        let Some(location) = self.view().locate(RunKind::Benchmark, id)? else {
+        let Some(block) = self.locate(RunKind::Benchmark, id)? else {
             return Ok(None);
         };
         self.obs.knowledge_deserialized.inc();
-        load_knowledge_from(location.db(), id)
+        load_knowledge_from(&block.db, id)
     }
 
-    /// [`KnowledgeStore::load_io500`] against the pinned state.
+    /// Load an IO500 knowledge object by `IOFH_id`, resolved to
+    /// whichever block holds the run.
     pub fn load_io500(&self, id: u64) -> Result<Option<Io500Knowledge>, DbError> {
-        let Some(location) = self.view().locate(RunKind::Io500, id)? else {
+        let Some(block) = self.locate(RunKind::Io500, id)? else {
             return Ok(None);
         };
         self.obs.knowledge_deserialized.inc();
-        load_io500_from(location.db(), id)
+        load_io500_from(&block.db, id)
     }
 
     /// Merge the pinned state into one relational database: the active
@@ -1239,16 +1064,13 @@ impl Snapshot {
     /// by construction, which is exactly why the query engine, not SQL,
     /// is the hot read path.
     pub fn materialize(&self) -> Result<Database, DbError> {
-        let mut merged = self.active.clone();
-        for seg in &self.segments {
+        let mut merged = self.active.db.clone();
+        for seg in self.segments.iter() {
             let data = seg.data(self.vfs.as_ref())?;
             copy_all_rows(&data.db, &mut merged)?;
         }
-        for (kind, id) in &self.tombstones {
-            match kind {
-                RunKind::Benchmark => delete_benchmark_rows(&mut merged, *id)?,
-                RunKind::Io500 => delete_io500_rows(&mut merged, *id)?,
-            }
+        for (kind, id) in self.tombstones.iter() {
+            delete_run_rows(&mut merged, *kind, *id)?;
         }
         Ok(merged)
     }
@@ -1267,10 +1089,18 @@ pub(crate) fn copy_all_rows(src: &Database, dst: &mut Database) -> Result<(), Db
     Ok(())
 }
 
+/// Cascade-delete one run's rows from `db`.
+pub(crate) fn delete_run_rows(db: &mut Database, kind: RunKind, id: u64) -> Result<(), DbError> {
+    match kind {
+        RunKind::Benchmark => delete_benchmark_rows(db, id),
+        RunKind::Io500 => delete_io500_rows(db, id),
+    }
+}
+
 /// Cascade-delete one benchmark run's rows from `db` (summaries,
 /// results, filesystem, system info, warnings, then the performance
 /// row itself).
-pub(crate) fn delete_benchmark_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
+fn delete_benchmark_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
     let by_perf = Predicate::Eq("performance_id".into(), Value::Int(id as i64));
     for srow in db.select("summaries", &by_perf, OrderBy::Id, None)? {
         db.delete(
@@ -1295,7 +1125,7 @@ pub(crate) fn delete_benchmark_rows(db: &mut Database, id: u64) -> Result<(), Db
 
 /// Cascade-delete one IO500 run's rows from `db` (scores, testcases +
 /// their results, options, system info, warnings, then the run row).
-pub(crate) fn delete_io500_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
+fn delete_io500_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
     let by_iofh = Predicate::Eq("IOFH_id".into(), Value::Int(id as i64));
     for tc in db.select("IOFHsTestcases", &by_iofh, OrderBy::Id, None)? {
         db.delete(
@@ -1348,9 +1178,8 @@ fn one_child_in(db: &Database, table: &str, performance_id: u64) -> Result<Optio
 }
 
 /// The full benchmark multi-table join against an explicit database —
-/// the shared body of [`KnowledgeStore::load_knowledge`] and
-/// [`Snapshot::load_knowledge`], so active and sealed generations load
-/// identically.
+/// the body of [`Snapshot::load_knowledge`] and of full-projection
+/// queries, so active and sealed blocks load identically.
 pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowledge>, DbError> {
     let Some(row) = db.get("performances", id as i64)? else {
         return Ok(None);
@@ -1440,8 +1269,7 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
 }
 
 /// The full IO500 multi-table join against an explicit database — the
-/// shared body of [`KnowledgeStore::load_io500`] and
-/// [`Snapshot::load_io500`].
+/// IO500 twin of [`load_knowledge_from`].
 pub(crate) fn load_io500_from(db: &Database, id: u64) -> Result<Option<Io500Knowledge>, DbError> {
     let Some(run) = db.get("IOFHsRuns", id as i64)? else {
         return Ok(None);
@@ -1951,21 +1779,20 @@ mod tests {
 
     #[test]
     fn file_backed_store_survives_reopen() {
-        let dir = std::env::temp_dir().join("iokc-kstore-test");
         // The segmented layout is several sibling files (manifest,
-        // `.bak`, `.active-<epoch>`); start from an empty directory.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        // `.bak`, `.active-<epoch>`): a directory of its own, removed
+        // whole.
+        let dir = crate::persist::tests::scratch_dir("kstore-reopen");
         let path = dir.join("knowledge.iokc.json");
         {
             let mut store = KnowledgeStore::open(path.clone()).unwrap();
             store.save_knowledge(&sample_knowledge()).unwrap();
         }
-        let store = KnowledgeStore::open(path.clone()).unwrap();
+        let store = KnowledgeStore::open(path).unwrap();
         assert_eq!(store.knowledge_count(), 1);
         let k = store.load_knowledge(1).unwrap().unwrap();
         assert_eq!(k.pattern.tasks, 80);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     mod prop {

@@ -246,9 +246,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// Render the on-disk image: pretty JSON body plus the checksum footer.
 #[must_use]
 pub fn render_image(db: &Database) -> String {
-    let body = to_json(db).to_pretty();
-    let crc = checksum(body.as_bytes());
-    format!("{body}{FOOTER_MARKER}{crc:016x}\n")
+    render_document(&to_json(db))
 }
 
 /// Split an image into its JSON body, verifying the checksum footer.
@@ -310,42 +308,16 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Save a database to a file, crash-safely.
-///
-/// The image (with checksum footer) is written to a temp file and
-/// fsynced; the current image — if it verifies — is rotated to the
-/// `.bak` generation; then the temp file is renamed into place. A crash
-/// at any point leaves either the old image, the old image plus a stray
-/// temp file, or the new image — never a file that loads as wrong data.
+/// Save a database to a file, crash-safely: a database image is
+/// [`to_json`] written by [`write_document_vfs`].
 pub fn save(db: &Database, path: &Path) -> Result<(), std::io::Error> {
     save_vfs(db, path, &StdVfs)
 }
 
 /// [`save`] over an explicit [`Vfs`] — the seam the fault-injection
-/// harness uses. An error at any step (including the final directory
-/// sync, whose renames a crash could otherwise revert) means the save
-/// is *not acknowledged*; the caller must treat the on-disk state as
-/// whatever the previous generation was.
+/// harness uses.
 pub fn save_vfs(db: &Database, path: &Path, vfs: &dyn Vfs) -> Result<(), std::io::Error> {
-    let image = render_image(db);
-    let tmp = temp_path(path);
-    {
-        let mut file = vfs.create(&tmp)?;
-        file.write_all(image.as_bytes())?;
-        file.sync()?;
-    }
-    // Rotate only a checksum-valid current image into the backup slot;
-    // rotating a torn image would evict the last good generation.
-    if vfs.exists(path) && load_verified_vfs(path, vfs).is_ok() {
-        vfs.rename(path, &backup_path(path))?;
-    }
-    vfs.rename(&tmp, path)?;
-    // Make the renames durable. `StdVfs` treats this as best-effort
-    // (not all platforms allow opening a directory for sync);
-    // fault-injecting VFS implementations fail it for real so the
-    // rename-uncertainty window is exercised.
-    vfs.sync_parent_dir(path)?;
-    Ok(())
+    write_document_vfs(path, vfs, &to_json(db))
 }
 
 /// Classify an I/O failure from the persistence layer onto the store's
@@ -375,17 +347,17 @@ pub struct RecoveryReport {
 
 /// Load a database from a file, verifying its checksum.
 pub fn load(path: &Path) -> Result<Database, DbError> {
-    load_verified_vfs(path, &StdVfs)
+    load_vfs(path, &StdVfs)
 }
 
 /// [`load`] over an explicit [`Vfs`].
 pub fn load_vfs(path: &Path, vfs: &dyn Vfs) -> Result<Database, DbError> {
-    load_verified_vfs(path, vfs)
+    from_json(&read_document_vfs(path, vfs)?)
 }
 
 /// Load a database, falling back to the `.bak` generation when the
-/// primary image is missing, torn, or corrupt. The report says which
-/// generation was used and why.
+/// primary image is missing, torn, corrupt, or verifies but does not
+/// decode. The report says which generation was used and why.
 pub fn load_with_recovery(path: &Path) -> Result<(Database, RecoveryReport), DbError> {
     load_with_recovery_vfs(path, &StdVfs)
 }
@@ -395,46 +367,13 @@ pub fn load_with_recovery_vfs(
     path: &Path,
     vfs: &dyn Vfs,
 ) -> Result<(Database, RecoveryReport), DbError> {
-    match load_verified_vfs(path, vfs) {
-        Ok(db) => Ok((db, RecoveryReport::default())),
-        Err(primary_error) => {
-            let backup = backup_path(path);
-            if !vfs.exists(&backup) {
-                return Err(primary_error);
-            }
-            match load_verified_vfs(&backup, vfs) {
-                Ok(db) => Ok((
-                    db,
-                    RecoveryReport {
-                        recovered_from_backup: true,
-                        primary_error: Some(primary_error.to_string()),
-                    },
-                )),
-                Err(backup_error) => Err(DbError::Corrupt(format!(
-                    "primary image unusable ({primary_error}) and backup image unusable \
-                     ({backup_error})"
-                ))),
-            }
-        }
-    }
+    read_with_recovery(path, vfs, load_vfs)
 }
 
-fn load_verified_vfs(path: &Path, vfs: &dyn Vfs) -> Result<Database, DbError> {
-    let bytes = vfs
-        .read(path)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let text = String::from_utf8(bytes)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let body = verify_image(&text)?;
-    let json = iokc_util::json::parse(body)
-        .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))?;
-    from_json(&json)
-}
-
-/// Render any JSON document the way images are rendered: pretty body
-/// plus the checksum footer. Manifest and segment files of the segmented
-/// store use this, so every file the store writes is torn-write
-/// detectable by the same footer check.
+/// Render any JSON document the way every file of the store is
+/// rendered: pretty body plus the checksum footer, so database images,
+/// manifests and segments are all torn-write detectable by the same
+/// footer check.
 #[must_use]
 pub fn render_document(body: &Json) -> String {
     let text = body.to_pretty();
@@ -442,10 +381,17 @@ pub fn render_document(body: &Json) -> String {
     format!("{text}{FOOTER_MARKER}{crc:016x}\n")
 }
 
-/// Write a checksummed JSON document crash-safely: temp file, fsync,
-/// rotate a still-verifiable current generation to `.bak`, rename into
-/// place, sync the directory. The same protocol as [`save_vfs`], for
-/// documents that are not whole database images (manifests, segments).
+/// Write a checksummed JSON document crash-safely — the one write
+/// protocol of the store. The document (with checksum footer) is
+/// written to a temp file and fsynced; the current file — if it
+/// verifies — is rotated to the `.bak` generation; then the temp file is
+/// renamed into place and the directory synced. A crash at any point
+/// leaves either the old file, the old file plus a stray temp file, or
+/// the new file — never one that loads as wrong data. An error at any
+/// step (including the final directory sync, whose renames a crash
+/// could otherwise revert) means the write is *not acknowledged*; the
+/// caller must treat the on-disk state as whatever the previous
+/// generation was.
 pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(), std::io::Error> {
     let image = render_document(body);
     let tmp = temp_path(path);
@@ -460,6 +406,10 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
         vfs.rename(path, &backup_path(path))?;
     }
     vfs.rename(&tmp, path)?;
+    // Make the renames durable. `StdVfs` treats this as best-effort
+    // (not all platforms allow opening a directory for sync);
+    // fault-injecting VFS implementations fail it for real so the
+    // rename-uncertainty window is exercised.
     vfs.sync_parent_dir(path)?;
     Ok(())
 }
@@ -476,34 +426,44 @@ pub fn read_document_vfs(path: &Path, vfs: &dyn Vfs) -> Result<Json, DbError> {
         .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))
 }
 
-/// [`read_document_vfs`] with the `.bak` fallback [`load_with_recovery`]
-/// gives database images: a missing, torn, or corrupt primary falls back
-/// to the previous generation when one survives.
+/// [`read_document_vfs`] with the `.bak` fallback: a missing, torn, or
+/// corrupt primary falls back to the previous generation when one
+/// survives.
 pub fn read_document_with_recovery_vfs(
     path: &Path,
     vfs: &dyn Vfs,
 ) -> Result<(Json, RecoveryReport), DbError> {
-    match read_document_vfs(path, vfs) {
-        Ok(doc) => Ok((doc, RecoveryReport::default())),
-        Err(primary_error) => {
-            let backup = backup_path(path);
-            if !vfs.exists(&backup) {
-                return Err(primary_error);
-            }
-            match read_document_vfs(&backup, vfs) {
-                Ok(doc) => Ok((
-                    doc,
-                    RecoveryReport {
-                        recovered_from_backup: true,
-                        primary_error: Some(primary_error.to_string()),
-                    },
-                )),
-                Err(backup_error) => Err(DbError::Corrupt(format!(
-                    "primary document unusable ({primary_error}) and backup unusable \
-                     ({backup_error})"
-                ))),
-            }
-        }
+    read_with_recovery(path, vfs, read_document_vfs)
+}
+
+/// The one read-with-`.bak`-fallback, parameterised by how a file is
+/// read and decoded: whatever makes `read` fail on the primary — a
+/// missing file, a bad checksum, or a verified body that does not
+/// decode — falls back to the backup generation.
+fn read_with_recovery<T>(
+    path: &Path,
+    vfs: &dyn Vfs,
+    read: impl Fn(&Path, &dyn Vfs) -> Result<T, DbError>,
+) -> Result<(T, RecoveryReport), DbError> {
+    let primary_error = match read(path, vfs) {
+        Ok(value) => return Ok((value, RecoveryReport::default())),
+        Err(e) => e,
+    };
+    let backup = backup_path(path);
+    if !vfs.exists(&backup) {
+        return Err(primary_error);
+    }
+    match read(&backup, vfs) {
+        Ok(value) => Ok((
+            value,
+            RecoveryReport {
+                recovered_from_backup: true,
+                primary_error: Some(primary_error.to_string()),
+            },
+        )),
+        Err(backup_error) => Err(DbError::Corrupt(format!(
+            "primary image unusable ({primary_error}) and backup image unusable ({backup_error})"
+        ))),
     }
 }
 
@@ -604,7 +564,7 @@ pub fn import_csv(db: &mut Database, table: &str, text: &str) -> Result<usize, D
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::database::{Column, TableSchema};
 
@@ -689,14 +649,13 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("iokc-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("roundtrip");
         let path = dir.join("kb.iokc.json");
         let db = sample_db();
         save(&db, &path).unwrap();
         let restored = load(&path).unwrap();
         assert_eq!(restored.row_count("performances").unwrap(), 2);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -774,7 +733,7 @@ not-a-number
         assert!(from_json(&good).is_err());
     }
 
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("iokc-persist-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -21,18 +21,20 @@
 //!   full-scan fallbacks, rows pruned by pushdown, and full `Knowledge`
 //!   deserializations.
 //!
-//! The executor always re-evaluates the complete predicate on every
+//! There is one executor (`Snapshot::scan`) and one row shape: every
+//! run, unsealed or sealed, is evaluated as a [`RunSummary`] out of a
+//! segment-shaped block. The complete predicate is re-evaluated on every
 //! candidate row, so indexes are purely an optimization — the
 //! index-backed plan and the forced full scan return identical ids in
 //! identical order (property-tested in this module).
 
 use crate::database::{Database, DbError, OrderBy, Predicate, Row};
-use crate::knowledge_store::KnowledgeStore;
-use crate::segment::{may_match_segment, Segment, SegmentData};
+use crate::knowledge_store::{load_io500_from, load_knowledge_from, KnowledgeStore, Snapshot};
+use crate::segment::{may_match_segment, SegmentData};
 use crate::value::Value;
-use crate::vfs::Vfs;
+use iokc_core::model::KnowledgeItem;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -52,6 +54,14 @@ impl RunKind {
         match self {
             RunKind::Benchmark => "benchmark",
             RunKind::Io500 => "io500",
+        }
+    }
+
+    /// The table holding one row per run of this kind.
+    pub(crate) fn table(self) -> &'static str {
+        match self {
+            RunKind::Benchmark => "performances",
+            RunKind::Io500 => "IOFHsRuns",
         }
     }
 }
@@ -134,11 +144,9 @@ impl RunPredicate {
         }
     }
 
-    /// Evaluate against a materialized projection row — the segment scan
-    /// path, where every run already has its [`RunSummary`] in memory.
-    /// Must agree exactly with the row-probe evaluation
-    /// (property-tested: the segment path and the active path return the
-    /// same runs for the same data).
+    /// Evaluate against a projection row — the only predicate evaluator
+    /// over runs: active and sealed blocks alike hold every run's
+    /// [`RunSummary`] in memory.
     pub(crate) fn matches_summary(&self, s: &RunSummary) -> bool {
         match self {
             RunPredicate::True => true,
@@ -237,10 +245,10 @@ impl RunOrder {
 }
 
 /// A typed query: predicate, order, offset/limit. Projection is chosen
-/// by the executing method — [`KnowledgeStore::query_summaries`] for
-/// the cheap [`RunSummary`] rows, [`KnowledgeStore::query_ids`] for
-/// bare refs, [`KnowledgeStore::query_items`] for explicit full
-/// deserialization, [`KnowledgeStore::count`] for the no-materialize
+/// by the executing method — [`Snapshot::query_summaries`] for
+/// the cheap [`RunSummary`] rows, [`Snapshot::query_ids`] for
+/// bare refs, [`Snapshot::query_items`] for explicit full
+/// deserialization, [`Snapshot::count`] for the no-materialize
 /// count fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
@@ -414,10 +422,11 @@ impl Ord for BwKey {
     }
 }
 
-/// The secondary run indexes: by api (benchmarks), by tasks and by
-/// bandwidth (both kinds). Values are sorted id vectors. Maintained
-/// incrementally by `save_*`/`delete_*`; rebuilt from the tables on
-/// `open()`.
+/// The secondary run indexes over the active block: by api
+/// (benchmarks), by tasks and by bandwidth (both kinds). Values are
+/// sorted id vectors. Maintained incrementally by `save_*`/`delete_*`
+/// from the same [`RunSummary`] the block holds; rebuilt from the block
+/// on `open()`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunIndexes {
     pub(crate) bench_by_api: BTreeMap<String, Vec<u64>>,
@@ -445,59 +454,47 @@ fn entry_remove<K: Ord>(map: &mut BTreeMap<K, Vec<u64>>, key: &K, id: u64) {
 }
 
 impl RunIndexes {
-    pub(crate) fn insert_bench(&mut self, id: u64, api: &str, tasks: u32, bw: f64) {
-        entry_insert(&mut self.bench_by_api, api.to_owned(), id);
-        entry_insert(&mut self.bench_by_tasks, tasks, id);
-        entry_insert(&mut self.bench_by_bw, BwKey(bw), id);
+    /// Index one run under its summary's api (benchmarks only), task
+    /// count and bandwidth.
+    pub(crate) fn insert(&mut self, s: &RunSummary) {
+        let bw = BwKey(s.bandwidth());
+        match s.kind {
+            RunKind::Benchmark => {
+                entry_insert(&mut self.bench_by_api, s.api.clone(), s.id);
+                entry_insert(&mut self.bench_by_tasks, s.tasks, s.id);
+                entry_insert(&mut self.bench_by_bw, bw, s.id);
+            }
+            RunKind::Io500 => {
+                entry_insert(&mut self.io500_by_tasks, s.tasks, s.id);
+                entry_insert(&mut self.io500_by_bw, bw, s.id);
+            }
+        }
     }
 
-    pub(crate) fn remove_bench(&mut self, id: u64, api: &str, tasks: u32, bw: f64) {
-        entry_remove(&mut self.bench_by_api, &api.to_owned(), id);
-        entry_remove(&mut self.bench_by_tasks, &tasks, id);
-        entry_remove(&mut self.bench_by_bw, &BwKey(bw), id);
+    /// Un-index a run from the fields of the summary it was indexed by.
+    pub(crate) fn remove(&mut self, s: &RunSummary) {
+        let bw = BwKey(s.bandwidth());
+        match s.kind {
+            RunKind::Benchmark => {
+                entry_remove(&mut self.bench_by_api, &s.api, s.id);
+                entry_remove(&mut self.bench_by_tasks, &s.tasks, s.id);
+                entry_remove(&mut self.bench_by_bw, &bw, s.id);
+            }
+            RunKind::Io500 => {
+                entry_remove(&mut self.io500_by_tasks, &s.tasks, s.id);
+                entry_remove(&mut self.io500_by_bw, &bw, s.id);
+            }
+        }
     }
 
-    pub(crate) fn insert_io500(&mut self, id: u64, tasks: u32, bw_score: f64) {
-        entry_insert(&mut self.io500_by_tasks, tasks, id);
-        entry_insert(&mut self.io500_by_bw, BwKey(bw_score), id);
-    }
-
-    pub(crate) fn remove_io500(&mut self, id: u64, tasks: u32, bw_score: f64) {
-        entry_remove(&mut self.io500_by_tasks, &tasks, id);
-        entry_remove(&mut self.io500_by_bw, &BwKey(bw_score), id);
-    }
-
-    /// Rebuild every index from the tables — the `open()` invariant:
-    /// after a rebuild the indexes agree exactly with the rows, whatever
-    /// the on-disk image contained.
-    pub(crate) fn rebuild(db: &Database) -> Result<RunIndexes, DbError> {
+    /// The indexes over a whole summary block — the `open()` invariant:
+    /// indexes and block agree exactly, whatever the on-disk image held.
+    pub(crate) fn of<'a>(summaries: impl IntoIterator<Item = &'a RunSummary>) -> RunIndexes {
         let mut indexes = RunIndexes::default();
-        let mut write_bw: BTreeMap<i64, f64> = BTreeMap::new();
-        for srow in db.select("summaries", &Predicate::True, OrderBy::Id, None)? {
-            if srow.values[1].as_text() == Some("write") {
-                if let Some(perf_id) = srow.values[0].as_int() {
-                    write_bw.insert(perf_id, srow.values[5].as_real().unwrap_or(0.0));
-                }
-            }
+        for s in summaries {
+            indexes.insert(s);
         }
-        for row in db.select("performances", &Predicate::True, OrderBy::Id, None)? {
-            let api = row.values[2].as_text().unwrap_or("");
-            let tasks = row.values[12].as_int().unwrap_or(0) as u32;
-            let bw = write_bw.get(&row.id).copied().unwrap_or(0.0);
-            indexes.insert_bench(row.id as u64, api, tasks, bw);
-        }
-        let mut scores: BTreeMap<i64, f64> = BTreeMap::new();
-        for srow in db.select("IOFHsScores", &Predicate::True, OrderBy::Id, None)? {
-            if let Some(iofh_id) = srow.values[0].as_int() {
-                scores.insert(iofh_id, srow.values[1].as_real().unwrap_or(0.0));
-            }
-        }
-        for row in db.select("IOFHsRuns", &Predicate::True, OrderBy::Id, None)? {
-            let tasks = row.values[0].as_int().unwrap_or(0) as u32;
-            let bw = scores.get(&row.id).copied().unwrap_or(0.0);
-            indexes.insert_io500(row.id as u64, tasks, bw);
-        }
-        Ok(indexes)
+        indexes
     }
 }
 
@@ -538,11 +535,12 @@ impl Default for QueryObs {
     }
 }
 
-/// One matched run plus the sort key captured during evaluation, so
-/// ordering never needs a second row probe.
-struct Matched {
-    run: RunRef,
+/// One matched run: the sort key captured during evaluation, and which
+/// of the executor's blocks holds its summary and rows.
+pub(crate) struct Matched {
+    pub(crate) run: RunRef,
     key: SortKey,
+    pub(crate) block: usize,
 }
 
 enum SortKey {
@@ -552,6 +550,16 @@ enum SortKey {
 }
 
 impl SortKey {
+    /// The one run sort-key function.
+    fn of(s: &RunSummary, order: RunOrder) -> SortKey {
+        match order {
+            RunOrder::Id => SortKey::Int(s.id),
+            RunOrder::Tasks => SortKey::Int(u64::from(s.tasks)),
+            RunOrder::Command => SortKey::Text(s.command.clone()),
+            RunOrder::Bandwidth => SortKey::Bw(s.bandwidth()),
+        }
+    }
+
     fn cmp_key(&self, other: &SortKey) -> std::cmp::Ordering {
         match (self, other) {
             (SortKey::Int(a), SortKey::Int(b)) => a.cmp(b),
@@ -559,171 +567,6 @@ impl SortKey {
             (SortKey::Bw(a), SortKey::Bw(b)) => a.total_cmp(b),
             _ => std::cmp::Ordering::Equal,
         }
-    }
-}
-
-/// A lazily-probed benchmark row: the `performances` row is fetched
-/// once, `summaries` only when the predicate or sort key needs them.
-struct BenchProbe<'a> {
-    db: &'a Database,
-    id: u64,
-    row: Row,
-    ops: Option<Vec<OpStat>>,
-}
-
-impl<'a> BenchProbe<'a> {
-    fn fetch(db: &'a Database, id: u64) -> Result<Option<BenchProbe<'a>>, DbError> {
-        Ok(db.get("performances", id as i64)?.map(|row| BenchProbe {
-            db,
-            id,
-            row,
-            ops: None,
-        }))
-    }
-
-    fn command(&self) -> &str {
-        self.row.values[0].as_text().unwrap_or("")
-    }
-
-    fn api(&self) -> &str {
-        self.row.values[2].as_text().unwrap_or("")
-    }
-
-    fn transfer_size(&self) -> u64 {
-        self.row.values[5].as_int().unwrap_or(0) as u64
-    }
-
-    fn tasks(&self) -> u32 {
-        self.row.values[12].as_int().unwrap_or(0) as u32
-    }
-
-    fn ops(&mut self) -> Result<&[OpStat], DbError> {
-        if self.ops.is_none() {
-            let rows = self.db.select(
-                "summaries",
-                &Predicate::Eq("performance_id".into(), Value::Int(self.id as i64)),
-                OrderBy::Id,
-                None,
-            )?;
-            self.ops = Some(
-                rows.iter()
-                    .map(|srow| OpStat {
-                        operation: srow.values[1].as_text().unwrap_or("").to_owned(),
-                        max_mib: srow.values[3].as_real().unwrap_or(0.0),
-                        mean_mib: srow.values[5].as_real().unwrap_or(0.0),
-                        mean_ops: srow.values[7].as_real().unwrap_or(0.0),
-                    })
-                    .collect(),
-            );
-        }
-        Ok(self.ops.as_deref().unwrap_or(&[]))
-    }
-
-    fn bandwidth(&mut self) -> Result<f64, DbError> {
-        Ok(self
-            .ops()?
-            .iter()
-            .find(|o| o.operation == "write")
-            .map_or(0.0, |o| o.mean_mib))
-    }
-
-    fn eval(&mut self, predicate: &RunPredicate) -> Result<bool, DbError> {
-        Ok(match predicate {
-            RunPredicate::True => true,
-            RunPredicate::Kind(kind) => *kind == RunKind::Benchmark,
-            RunPredicate::ApiEq(api) => self.api() == api,
-            RunPredicate::HasOp(op) => self.ops()?.iter().any(|o| &o.operation == op),
-            RunPredicate::TasksBetween(lo, hi) => (*lo..=*hi).contains(&self.tasks()),
-            RunPredicate::TransferBetween(lo, hi) => (*lo..=*hi).contains(&self.transfer_size()),
-            RunPredicate::BandwidthBetween(lo, hi) => {
-                let bw = self.bandwidth()?;
-                *lo <= bw && bw <= *hi
-            }
-            RunPredicate::CommandContains(text) => self.command().contains(text.as_str()),
-            RunPredicate::IdIn(ids) => ids.contains(&self.id),
-            RunPredicate::And(a, b) => self.eval(a)? && self.eval(b)?,
-            RunPredicate::Or(a, b) => self.eval(a)? || self.eval(b)?,
-            RunPredicate::Not(inner) => !self.eval(inner)?,
-        })
-    }
-
-    fn sort_key(&mut self, order: RunOrder) -> Result<SortKey, DbError> {
-        Ok(match order {
-            RunOrder::Id => SortKey::Int(self.id),
-            RunOrder::Tasks => SortKey::Int(u64::from(self.tasks())),
-            RunOrder::Command => SortKey::Text(self.command().to_owned()),
-            RunOrder::Bandwidth => SortKey::Bw(self.bandwidth()?),
-        })
-    }
-}
-
-/// A lazily-probed IO500 row.
-struct Io500Probe<'a> {
-    db: &'a Database,
-    id: u64,
-    row: Row,
-    bw_score: Option<f64>,
-}
-
-impl<'a> Io500Probe<'a> {
-    fn fetch(db: &'a Database, id: u64) -> Result<Option<Io500Probe<'a>>, DbError> {
-        Ok(db.get("IOFHsRuns", id as i64)?.map(|row| Io500Probe {
-            db,
-            id,
-            row,
-            bw_score: None,
-        }))
-    }
-
-    fn tasks(&self) -> u32 {
-        self.row.values[0].as_int().unwrap_or(0) as u32
-    }
-
-    fn bw_score(&mut self) -> Result<f64, DbError> {
-        if self.bw_score.is_none() {
-            let score = self
-                .db
-                .select(
-                    "IOFHsScores",
-                    &Predicate::Eq("IOFH_id".into(), Value::Int(self.id as i64)),
-                    OrderBy::Id,
-                    Some(1),
-                )?
-                .first()
-                .and_then(|s| s.values[1].as_real())
-                .unwrap_or(0.0);
-            self.bw_score = Some(score);
-        }
-        Ok(self.bw_score.unwrap_or(0.0))
-    }
-
-    fn eval(&mut self, predicate: &RunPredicate) -> Result<bool, DbError> {
-        Ok(match predicate {
-            RunPredicate::True => true,
-            RunPredicate::Kind(kind) => *kind == RunKind::Io500,
-            RunPredicate::ApiEq(api) => api.is_empty(),
-            RunPredicate::HasOp(_) => false,
-            RunPredicate::TasksBetween(lo, hi) => (*lo..=*hi).contains(&self.tasks()),
-            RunPredicate::TransferBetween(lo, hi) => *lo == 0 || (*lo..=*hi).contains(&0),
-            RunPredicate::BandwidthBetween(lo, hi) => {
-                let bw = self.bw_score()?;
-                *lo <= bw && bw <= *hi
-            }
-            RunPredicate::CommandContains(text) => "io500".contains(text.as_str()),
-            RunPredicate::IdIn(ids) => ids.contains(&self.id),
-            RunPredicate::And(a, b) => self.eval(a)? && self.eval(b)?,
-            RunPredicate::Or(a, b) => self.eval(a)? || self.eval(b)?,
-            RunPredicate::Not(inner) => !self.eval(inner)?,
-        })
-    }
-
-    fn sort_key(&mut self, order: RunOrder) -> Result<SortKey, DbError> {
-        Ok(match order {
-            RunOrder::Id => SortKey::Int(self.id),
-            RunOrder::Tasks => SortKey::Int(u64::from(self.tasks())),
-            RunOrder::Command => SortKey::Text("io500".to_owned()),
-            RunOrder::Bandwidth => SortKey::Bw(self.bw_score()?),
-        })
     }
 }
 
@@ -760,7 +603,7 @@ pub(crate) fn plan_candidates(
     // Walk the top-level AND chain: every indexable conjunct contributes
     // a sorted candidate list, and a matching row must appear in all of
     // them, so the plan is their intersection — each usable index
-    // narrows the probe set further instead of the first one winning.
+    // narrows the candidate set further instead of the first one winning.
     let mut conjuncts = Vec::new();
     let mut stack = vec![predicate];
     while let Some(p) = stack.pop() {
@@ -839,9 +682,9 @@ pub(crate) fn plan_candidates(
 
 impl KnowledgeStore {
     /// Attach an observability recorder: engine spans and counters
-    /// (`store.query.*`) register with its metrics registry, so
-    /// `/metrics` shows whether queries are index-served. The
-    /// robustness counters (`store.faults_injected`,
+    /// (`store.query.*`, `store.aggregate.*`) register with its metrics
+    /// registry, so `/metrics` shows whether queries are index-served.
+    /// The robustness counters (`store.faults_injected`,
     /// `store.open_degraded`, `store.fsck_repairs`) register too, so a
     /// degraded open or an injected storage fault is visible in the same
     /// schema-1 dump.
@@ -849,6 +692,9 @@ impl KnowledgeStore {
         let metrics = recorder.metrics();
         let degraded = metrics.counter("store.open_degraded");
         let _ = metrics.counter("store.fsck_repairs");
+        // Never incremented: the aggregate engine reads summary blocks
+        // only. Registered so dashboards and tests can assert it stays 0.
+        let _ = metrics.counter("store.aggregate.knowledge_deserialized");
         self.vfs()
             .attach_fault_counter(metrics.counter("store.faults_injected"));
         if self.is_read_only() && degraded.get() == 0 {
@@ -857,346 +703,41 @@ impl KnowledgeStore {
                 recorder.log(None, &format!("WARN store.open_degraded: {detail}"));
             }
         }
-        self.obs = QueryObs::new(recorder);
-    }
-
-    /// Execute a query, returning matched run refs in query order.
-    ///
-    /// The scan polls `deadline` between row probes and stops with
-    /// [`DbError::Cancelled`] (partial-progress counters included) the
-    /// moment the budget runs out or cancellation fires — counted in
-    /// `store.query_cancelled`. Pass [`DeadlineToken::unbounded`] when
-    /// there is no deadline to impose.
-    pub fn query_ids(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunRef>, DbError> {
-        self.view().execute(query, false, deadline)
-    }
-
-    /// Execute a query, materializing the cheap [`RunSummary`]
-    /// projection for each matched run (no `results`, `filesystems`,
-    /// `systeminfos` or full-`Knowledge` deserialization). The scan
-    /// *and* the per-row projection both poll `deadline`.
-    pub fn query_summaries(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunSummary>, DbError> {
-        self.view().query_summaries(query, deadline)
-    }
-
-    /// Execute a query and *fully deserialize* every matched run — the
-    /// explicit full projection. Use only when per-iteration results or
-    /// system/filesystem details are genuinely needed.
-    pub fn query_items(
-        &self,
-        query: &Query,
-    ) -> Result<Vec<iokc_core::model::KnowledgeItem>, DbError> {
-        use iokc_core::model::KnowledgeItem;
-        let refs = self.execute(query, false)?;
-        let mut items = Vec::with_capacity(refs.len());
-        for r in refs {
-            match r.kind {
-                RunKind::Benchmark => {
-                    if let Some(k) = self.load_knowledge(r.id)? {
-                        items.push(KnowledgeItem::Benchmark(k));
-                    }
-                }
-                RunKind::Io500 => {
-                    if let Some(k) = self.load_io500(r.id)? {
-                        items.push(KnowledgeItem::Io500(k));
-                    }
-                }
-            }
-        }
-        Ok(items)
-    }
-
-    /// Count matching runs without materializing any row projection.
-    /// Kind-only predicates are answered straight from the active table
-    /// sizes plus the sealed segments' metadata counts (minus
-    /// tombstones); everything else runs the id executor (row probes,
-    /// but never a `Knowledge` deserialization).
-    pub fn count(&self, predicate: &RunPredicate) -> Result<usize, DbError> {
-        self.view().count(predicate)
-    }
-
-    /// The per-run bandwidth series for one operation across every
-    /// matching benchmark run — the box-plot projection. Reads only the
-    /// matched `summaries` and `results` rows (both index-backed), not
-    /// the full `Knowledge` objects. Returns `(command, series)` pairs
-    /// in query order. `deadline` is polled between runs, since each
-    /// run fans out into `summaries` and `results` selects.
-    pub fn boxplot_series(
-        &self,
-        predicate: &RunPredicate,
-        operation: &str,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<(String, Vec<f64>)>, DbError> {
-        self.view().boxplot_series(predicate, operation, deadline)
-    }
-
-    /// Evaluate an aggregation inside the store: group-by + streaming
-    /// statistics over the [`RunSummary`] projections, segments pruned
-    /// by their index blocks, no `Knowledge` deserialization (see
-    /// [`crate::aggregate`]). Polls `deadline` per row like the query
-    /// executor.
-    pub fn aggregate(
-        &self,
-        query: &crate::aggregate::AggregateQuery,
-        deadline: &DeadlineToken,
-    ) -> Result<crate::aggregate::AggregateResult, DbError> {
-        self.view().aggregate(query, false, deadline)
-    }
-
-    /// The unpruned aggregate executor — the equivalence oracle the
-    /// property tests compare against.
-    #[cfg(test)]
-    pub(crate) fn aggregate_force_scan(
-        &self,
-        query: &crate::aggregate::AggregateQuery,
-    ) -> Result<crate::aggregate::AggregateResult, DbError> {
-        self.view()
-            .aggregate(query, true, &DeadlineToken::unbounded())
-    }
-
-    /// The unbounded executor: used by internal callers that cannot be
-    /// cancelled (fsck, the Persister trait). `force_scan` disables
-    /// index planning — the equivalence oracle the property tests
-    /// compare against.
-    pub(crate) fn execute(&self, query: &Query, force_scan: bool) -> Result<Vec<RunRef>, DbError> {
-        self.view()
-            .execute(query, force_scan, &DeadlineToken::unbounded())
+        self.state.obs = Arc::new(QueryObs::new(recorder));
     }
 }
 
-/// A coherent read-only view of store state: the active generation with
-/// its indexes, the sealed segments, and the tombstones hiding deleted
-/// segment-resident runs. Both [`KnowledgeStore`] (live state) and
-/// [`crate::Snapshot`] (pinned state) execute every read through this
-/// one type, so there is exactly one read path over the segmented
-/// store.
-pub(crate) struct StoreView<'a> {
-    pub(crate) active: &'a Database,
-    pub(crate) indexes: &'a RunIndexes,
-    pub(crate) segments: &'a [Arc<Segment>],
-    pub(crate) tombstones: &'a BTreeSet<(RunKind, u64)>,
-    pub(crate) vfs: &'a dyn Vfs,
-    pub(crate) obs: &'a QueryObs,
+/// What one `Snapshot::scan` did — the accounting its two callers
+/// (the query and aggregate engines) turn into their own counters.
+#[derive(Default)]
+pub(crate) struct ScanStats {
+    /// Rows of both kinds in every block, candidates or not.
+    total: usize,
+    /// Live candidate rows the predicate was evaluated on.
+    pub(crate) examined: usize,
+    /// Rows the predicate accepted.
+    pub(crate) matched: usize,
+    any_index: bool,
+    any_scan: bool,
+    pub(crate) segments_scanned: u64,
+    pub(crate) segments_pruned: u64,
 }
 
-/// Where one run's rows live — the active generation, or a sealed
-/// segment whose loaded body the location keeps alive.
-pub(crate) enum RunLocation<'a> {
-    /// The run is in the active generation.
-    Active(&'a Database),
-    /// The run is in a sealed segment.
-    Segment(Arc<SegmentData>),
-}
-
-impl RunLocation<'_> {
-    /// The database holding the run's rows.
-    pub(crate) fn db(&self) -> &Database {
-        match self {
-            RunLocation::Active(db) => db,
-            RunLocation::Segment(data) => &data.db,
-        }
-    }
-}
-
-impl<'a> StoreView<'a> {
-    /// Find the generation holding run `(kind, id)`: the active
-    /// database first (no I/O), then each sealed segment whose id range
-    /// and membership filter admit the id (loading its body on first
-    /// touch). Tombstoned runs resolve to `None`.
-    pub(crate) fn locate(
+impl Snapshot {
+    /// Run one engine call under its span, counting a cancellation.
+    pub(crate) fn traced<T>(
         &self,
-        kind: RunKind,
-        id: u64,
-    ) -> Result<Option<RunLocation<'a>>, DbError> {
-        let table = match kind {
-            RunKind::Benchmark => "performances",
-            RunKind::Io500 => "IOFHsRuns",
-        };
-        if self.active.get(table, id as i64)?.is_some() {
-            return Ok(Some(RunLocation::Active(self.active)));
-        }
-        if self.tombstones.contains(&(kind, id)) {
-            return Ok(None);
-        }
-        for seg in self.segments {
-            let range = match kind {
-                RunKind::Benchmark => seg.meta.bench_ids,
-                RunKind::Io500 => seg.meta.io500_ids,
-            };
-            if !range.is_some_and(|(lo, hi)| (lo..=hi).contains(&id)) {
-                continue;
-            }
-            if !seg.meta.bloom.may_contain(kind, id) {
-                continue;
-            }
-            let data = seg.data(self.vfs)?;
-            if data.summaries.iter().any(|s| s.kind == kind && s.id == id) {
-                return Ok(Some(RunLocation::Segment(data)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Build the [`RunSummary`] projection for one run: computed from
-    /// rows when the run is active, cloned from the segment's
-    /// pre-computed summary block when sealed.
-    pub(crate) fn summarize(&self, r: RunRef) -> Result<RunSummary, DbError> {
-        match self.locate(r.kind, r.id)? {
-            Some(RunLocation::Active(db)) => summarize_in_db(db, r),
-            Some(RunLocation::Segment(data)) => data
-                .summaries
-                .iter()
-                .find(|s| s.kind == r.kind && s.id == r.id)
-                .cloned()
-                .ok_or_else(|| {
-                    DbError::Corrupt(format!(
-                        "{} run {} vanished mid-query",
-                        r.kind.as_str(),
-                        r.id
-                    ))
-                }),
-            None => Err(DbError::Corrupt(format!(
-                "{} run {} vanished mid-query",
-                r.kind.as_str(),
-                r.id
-            ))),
-        }
-    }
-
-    /// [`KnowledgeStore::query_summaries`] over this view.
-    pub(crate) fn query_summaries(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunSummary>, DbError> {
-        let refs = self.execute(query, false, deadline)?;
-        let mut rows = Vec::with_capacity(refs.len());
-        for (done, r) in refs.iter().enumerate() {
-            if deadline.should_stop() {
-                self.obs.cancelled.inc();
-                return Err(DbError::Cancelled {
-                    examined: refs.len(),
-                    matched: done,
-                });
-            }
-            rows.push(self.summarize(*r)?);
-        }
-        Ok(rows)
-    }
-
-    /// [`KnowledgeStore::count`] over this view.
-    pub(crate) fn count(&self, predicate: &RunPredicate) -> Result<usize, DbError> {
-        let sealed = |kind: RunKind| -> usize {
-            let live: usize = self.segments.iter().map(|s| s.meta.count(kind)).sum();
-            // Tombstones only ever reference segment-resident runs, so
-            // this subtraction is exact (saturating defends a corrupt
-            // manifest, not a normal state).
-            live.saturating_sub(self.tombstones.iter().filter(|(k, _)| *k == kind).count())
-        };
-        match predicate {
-            RunPredicate::True => Ok(self.active.row_count("performances")?
-                + self.active.row_count("IOFHsRuns")?
-                + sealed(RunKind::Benchmark)
-                + sealed(RunKind::Io500)),
-            RunPredicate::Kind(RunKind::Benchmark) => {
-                Ok(self.active.row_count("performances")? + sealed(RunKind::Benchmark))
-            }
-            RunPredicate::Kind(RunKind::Io500) => {
-                Ok(self.active.row_count("IOFHsRuns")? + sealed(RunKind::Io500))
-            }
-            _ => Ok(self
-                .execute(
-                    &Query::new(predicate.clone()),
-                    false,
-                    &DeadlineToken::unbounded(),
-                )?
-                .len()),
-        }
-    }
-
-    /// [`KnowledgeStore::boxplot_series`] over this view.
-    pub(crate) fn boxplot_series(
-        &self,
-        predicate: &RunPredicate,
-        operation: &str,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<(String, Vec<f64>)>, DbError> {
-        let query = Query::new(
-            RunPredicate::Kind(RunKind::Benchmark)
-                .and(RunPredicate::HasOp(operation.to_owned()))
-                .and(predicate.clone()),
-        );
-        let refs = self.execute(&query, false, deadline)?;
-        let total = refs.len();
-        let mut out = Vec::with_capacity(refs.len());
-        for (done, r) in refs.into_iter().enumerate() {
-            if deadline.should_stop() {
-                self.obs.cancelled.inc();
-                return Err(DbError::Cancelled {
-                    examined: total,
-                    matched: done,
-                });
-            }
-            let Some(location) = self.locate(r.kind, r.id)? else {
-                continue;
-            };
-            let db = location.db();
-            let Some(row) = db.get("performances", r.id as i64)? else {
-                continue;
-            };
-            let command = row.values[0].as_text().unwrap_or("").to_owned();
-            let summaries = db.select(
-                "summaries",
-                &Predicate::Eq("performance_id".into(), Value::Int(r.id as i64)),
-                OrderBy::Id,
-                None,
-            )?;
-            let mut series = Vec::new();
-            for srow in summaries
-                .iter()
-                .filter(|s| s.values[1].as_text() == Some(operation))
-            {
-                for rrow in db.select(
-                    "results",
-                    &Predicate::Eq("summary_id".into(), Value::Int(srow.id)),
-                    OrderBy::Id,
-                    None,
-                )? {
-                    series.push(rrow.values[2].as_real().unwrap_or(0.0));
-                }
-            }
-            if !series.is_empty() {
-                out.push((command, series));
-            }
-        }
-        Ok(out)
-    }
-
-    /// The executor entry point: runs [`StoreView::execute_inner`]
-    /// under a `store.query` span and counts cancellations.
-    pub(crate) fn execute(
-        &self,
-        query: &Query,
-        force_scan: bool,
-        deadline: &DeadlineToken,
-    ) -> Result<Vec<RunRef>, DbError> {
-        let span =
-            self.obs
-                .recorder
-                .start_span("store.query", None, Some("analysis"), Some("store"));
-        let result = self.execute_inner(query, force_scan, deadline);
+        span: &str,
+        cancelled: &Counter,
+        call: impl FnOnce() -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let recorder = &self.obs.recorder;
+        let span = recorder.start_span(span, None, Some("analysis"), Some("store"));
+        let result = call();
         if matches!(result, Err(DbError::Cancelled { .. })) {
-            self.obs.cancelled.inc();
+            cancelled.inc();
         }
-        self.obs.recorder.end_span(
+        recorder.end_span(
             &span,
             if result.is_ok() {
                 SpanStatus::Ok
@@ -1207,141 +748,141 @@ impl<'a> StoreView<'a> {
         result
     }
 
-    /// The executor: plan candidates per kind over the active
-    /// generation (index or scan), evaluate the full predicate on each,
-    /// then scan each sealed segment's pre-computed summary block —
-    /// pruned by the segment's index block ([`may_match_segment`]) so
-    /// non-matching segments are never loaded — sort with the id
-    /// tie-break, apply offset/limit. `force_scan` disables index
-    /// planning — the equivalence oracle the property tests compare
-    /// against.
-    fn execute_inner(
+    /// The one executor over runs. For each kind the predicate can
+    /// match, the candidate rows are the active block — narrowed by
+    /// [`plan_candidates`] — then every sealed segment whose index block
+    /// admits the predicate ([`may_match_segment`]; a pruned segment's
+    /// body is never loaded), oldest first, minus tombstoned rows. The
+    /// full predicate is evaluated on each candidate's summary and
+    /// `on_match` sees every accepted row together with the block that
+    /// holds it. `force_scan` turns both prunings off — the oracle the
+    /// property tests compare against. `deadline` is polled per
+    /// candidate row; a blown budget stops the scan within one row with
+    /// [`DbError::Cancelled`] carrying the progress so far.
+    pub(crate) fn scan(
         &self,
-        query: &Query,
+        predicate: &RunPredicate,
         force_scan: bool,
         deadline: &DeadlineToken,
-    ) -> Result<Vec<RunRef>, DbError> {
-        self.obs.queries.inc();
-        let mut matched: Vec<Matched> = Vec::new();
-        let mut examined = 0usize;
-        let mut total = 0usize;
-        let mut any_index = false;
-        let mut any_scan = false;
-
+        stats: &mut ScanStats,
+        mut on_match: impl FnMut(&Arc<SegmentData>, &RunSummary),
+    ) -> Result<(), DbError> {
+        let mut visit = |block: &Arc<SegmentData>, s: &RunSummary, stats: &mut ScanStats| {
+            stats.examined += 1;
+            if predicate.matches_summary(s) {
+                stats.matched += 1;
+                on_match(block, s);
+            }
+        };
+        let poll = |stats: &ScanStats| {
+            if deadline.should_stop() {
+                Err(DbError::Cancelled {
+                    examined: stats.examined,
+                    matched: stats.matched,
+                })
+            } else {
+                Ok(())
+            }
+        };
         for kind in [RunKind::Benchmark, RunKind::Io500] {
-            let table = match kind {
-                RunKind::Benchmark => "performances",
-                RunKind::Io500 => "IOFHsRuns",
-            };
-            let table_rows = self.active.row_count(table)?;
-            total += table_rows;
-            total += self
-                .segments
-                .iter()
-                .map(|s| s.meta.count(kind))
-                .sum::<usize>();
-            if !query.predicate.may_match_kind(kind) {
+            stats.total += self.active.count(kind)?
+                + self
+                    .segments
+                    .iter()
+                    .map(|s| s.meta.count(kind))
+                    .sum::<usize>();
+            if !predicate.may_match_kind(kind) {
                 continue;
             }
             let plan = if force_scan {
                 Plan::Scan
             } else {
-                plan_candidates(self.indexes, kind, &query.predicate)
+                plan_candidates(&self.indexes, kind, predicate)
             };
-            let ids: Vec<u64> = match &plan {
-                Plan::Index(ids) => {
-                    any_index = true;
-                    ids.clone()
+            let ids;
+            let candidates: Box<dyn Iterator<Item = Option<&RunSummary>> + '_> = match plan {
+                Plan::Index(planned) => {
+                    stats.any_index = true;
+                    ids = planned;
+                    Box::new(ids.iter().map(|id| self.active.summaries.get(&(kind, *id))))
                 }
                 Plan::Scan => {
-                    any_scan = true;
-                    self.active
-                        .select(table, &Predicate::True, OrderBy::Id, None)?
-                        .into_iter()
-                        .map(|row| row.id as u64)
-                        .collect()
+                    stats.any_scan = true;
+                    Box::new(self.active.of_kind(kind).map(Some))
                 }
             };
-            for id in ids {
-                // Poll the deadline per candidate row: each probe is at
-                // least one table `get`, so the poll is cheap relative
-                // to the work it bounds, and a runaway scan stops within
-                // one row of the budget expiring.
-                if deadline.should_stop() {
-                    return Err(DbError::Cancelled {
-                        examined,
-                        matched: matched.len(),
-                    });
-                }
-                match kind {
-                    RunKind::Benchmark => {
-                        let Some(mut probe) = BenchProbe::fetch(self.active, id)? else {
-                            continue;
-                        };
-                        examined += 1;
-                        if probe.eval(&query.predicate)? {
-                            matched.push(Matched {
-                                run: RunRef { kind, id },
-                                key: probe.sort_key(query.order)?,
-                            });
-                        }
-                    }
-                    RunKind::Io500 => {
-                        let Some(mut probe) = Io500Probe::fetch(self.active, id)? else {
-                            continue;
-                        };
-                        examined += 1;
-                        if probe.eval(&query.predicate)? {
-                            matched.push(Matched {
-                                run: RunRef { kind, id },
-                                key: probe.sort_key(query.order)?,
-                            });
-                        }
-                    }
+            for candidate in candidates {
+                poll(stats)?;
+                if let Some(s) = candidate {
+                    visit(&self.active, s, stats);
                 }
             }
-            // Sealed segments: evaluate against the pre-computed
-            // summary block. Segments whose index block rules out the
-            // predicate are skipped without touching disk — their rows
-            // show up in `rows_pruned`.
-            for seg in self.segments {
+            for seg in self.segments.iter() {
                 if seg.meta.count(kind) == 0 {
                     continue;
                 }
-                if !may_match_segment(&query.predicate, &seg.meta, kind) {
+                if !force_scan && !may_match_segment(predicate, &seg.meta, kind) {
+                    stats.segments_pruned += 1;
                     continue;
                 }
-                let data = seg.data(self.vfs)?;
-                for s in data.summaries.iter().filter(|s| s.kind == kind) {
-                    if deadline.should_stop() {
-                        return Err(DbError::Cancelled {
-                            examined,
-                            matched: matched.len(),
-                        });
-                    }
-                    if self.tombstones.contains(&(kind, s.id)) {
-                        continue;
-                    }
-                    examined += 1;
-                    if query.predicate.matches_summary(s) {
-                        matched.push(Matched {
-                            run: RunRef { kind, id: s.id },
-                            key: summary_sort_key(s, query.order),
-                        });
+                stats.segments_scanned += 1;
+                let data = seg.data(self.vfs.as_ref())?;
+                for s in data.of_kind(kind) {
+                    poll(stats)?;
+                    if !self.tombstones.contains(&(kind, s.id)) {
+                        visit(&data, s, stats);
                     }
                 }
             }
         }
+        Ok(())
+    }
 
-        if any_index && !any_scan {
-            self.obs.index_hits.inc();
-        } else {
-            self.obs.full_scans.inc();
-        }
-        self.obs
-            .rows_pruned
-            .add(total.saturating_sub(examined) as u64);
-
+    /// Run `query` through the executor under a `store.query` span and
+    /// return the matched runs in query order — sorted by the requested
+    /// key with the `(id, kind)` tie-break, then offset/limit — plus the
+    /// blocks they live in, so every projection reads the rows the
+    /// executor already found instead of locating them again.
+    fn select(
+        &self,
+        query: &Query,
+        force_scan: bool,
+        deadline: &DeadlineToken,
+    ) -> Result<(Vec<Arc<SegmentData>>, Vec<Matched>), DbError> {
+        let obs = &self.obs;
+        obs.queries.inc();
+        let mut blocks: Vec<Arc<SegmentData>> = Vec::new();
+        let mut matched: Vec<Matched> = Vec::new();
+        self.traced("store.query", &obs.cancelled, || {
+            let mut stats = ScanStats::default();
+            self.scan(
+                &query.predicate,
+                force_scan,
+                deadline,
+                &mut stats,
+                |block, s| {
+                    if !blocks.last().is_some_and(|last| Arc::ptr_eq(last, block)) {
+                        blocks.push(Arc::clone(block));
+                    }
+                    matched.push(Matched {
+                        run: RunRef {
+                            kind: s.kind,
+                            id: s.id,
+                        },
+                        key: SortKey::of(s, query.order),
+                        block: blocks.len() - 1,
+                    });
+                },
+            )?;
+            if stats.any_index && !stats.any_scan {
+                obs.index_hits.inc();
+            } else {
+                obs.full_scans.inc();
+            }
+            obs.rows_pruned
+                .add(stats.total.saturating_sub(stats.examined) as u64);
+            Ok(())
+        })?;
         // Sort: the requested key (possibly reversed), then always the
         // (id, kind) tie-break ascending, so non-unique keys still give
         // one deterministic order across requests and pages.
@@ -1351,105 +892,265 @@ impl<'a> StoreView<'a> {
             key.then(a.run.id.cmp(&b.run.id))
                 .then(a.run.kind.cmp(&b.run.kind))
         });
-
-        let refs = matched
+        let page = matched
             .into_iter()
             .skip(query.offset)
             .take(query.limit.unwrap_or(usize::MAX))
-            .map(|m| m.run)
             .collect();
-        Ok(refs)
+        Ok((blocks, page))
     }
-}
 
-/// The sort key for a run already projected to a [`RunSummary`] — the
-/// segment-side mirror of the probes' `sort_key`.
-fn summary_sort_key(s: &RunSummary, order: RunOrder) -> SortKey {
-    match order {
-        RunOrder::Id => SortKey::Int(s.id),
-        RunOrder::Tasks => SortKey::Int(u64::from(s.tasks)),
-        RunOrder::Command => SortKey::Text(s.command.clone()),
-        RunOrder::Bandwidth => SortKey::Bw(s.bandwidth()),
+    /// Execute a query, returning matched run refs in query order.
+    ///
+    /// The scan polls `deadline` per candidate row and stops with
+    /// [`DbError::Cancelled`] (partial-progress counters included) the
+    /// moment the budget runs out or cancellation fires — counted in
+    /// `store.query_cancelled`. Pass [`DeadlineToken::unbounded`] when
+    /// there is no deadline to impose.
+    pub fn query_ids(
+        &self,
+        query: &Query,
+        deadline: &DeadlineToken,
+    ) -> Result<Vec<RunRef>, DbError> {
+        let (_, matched) = self.select(query, false, deadline)?;
+        Ok(matched.into_iter().map(|m| m.run).collect())
     }
-}
 
-/// Every run in `db`, benchmarks then io500s, each in id order.
-pub(crate) fn run_refs_in_db(db: &Database) -> Result<Vec<RunRef>, DbError> {
-    let mut refs = Vec::new();
-    for row in db.select("performances", &Predicate::True, OrderBy::Id, None)? {
-        refs.push(RunRef {
-            kind: RunKind::Benchmark,
-            id: row.id as u64,
-        });
+    /// The executor with index planning and segment pruning optionally
+    /// off — the equivalence oracle of the property tests.
+    #[cfg(test)]
+    pub(crate) fn execute(&self, query: &Query, force_scan: bool) -> Result<Vec<RunRef>, DbError> {
+        let (_, matched) = self.select(query, force_scan, &DeadlineToken::unbounded())?;
+        Ok(matched.into_iter().map(|m| m.run).collect())
     }
-    for row in db.select("IOFHsRuns", &Predicate::True, OrderBy::Id, None)? {
-        refs.push(RunRef {
-            kind: RunKind::Io500,
-            id: row.id as u64,
-        });
-    }
-    Ok(refs)
-}
 
-/// Build the [`RunSummary`] projection for one run from its rows in
-/// `db` — used for active-generation reads and for computing a
-/// segment's summary block at seal time.
-pub(crate) fn summarize_in_db(db: &Database, r: RunRef) -> Result<RunSummary, DbError> {
-    match r.kind {
-        RunKind::Benchmark => {
-            let row = db.get("performances", r.id as i64)?.ok_or_else(|| {
-                DbError::Corrupt(format!("benchmark run {} vanished mid-query", r.id))
-            })?;
-            let mut probe = BenchProbe {
-                db,
-                id: r.id,
-                row,
-                ops: None,
-            };
-            let ops = probe.ops()?.to_vec();
-            Ok(RunSummary {
-                kind: RunKind::Benchmark,
-                id: r.id,
-                command: probe.command().to_owned(),
-                api: probe.api().to_owned(),
-                tasks: probe.tasks(),
-                block_size: probe.row.values[4].as_int().unwrap_or(0) as u64,
-                transfer_size: probe.transfer_size(),
-                segments: probe.row.values[6].as_int().unwrap_or(0) as u64,
-                clients_per_node: probe.row.values[13].as_int().unwrap_or(0) as u32,
-                ops,
-                bw_score: 0.0,
-                md_score: 0.0,
-                total_score: 0.0,
-                warning_count: warning_count_in(db, "benchmark", r.id)?,
-            })
+    /// Execute a query, returning the cheap [`RunSummary`] projection of
+    /// each matched run (no `results`, `filesystems`, `systeminfos` or
+    /// full-`Knowledge` deserialization): a clone of the rows the
+    /// executor matched, in query order.
+    pub fn query_summaries(
+        &self,
+        query: &Query,
+        deadline: &DeadlineToken,
+    ) -> Result<Vec<RunSummary>, DbError> {
+        let (blocks, matched) = self.select(query, false, deadline)?;
+        Ok(matched
+            .iter()
+            .map(|m| blocks[m.block].summaries[&(m.run.kind, m.run.id)].clone())
+            .collect())
+    }
+
+    /// Execute a query and *fully deserialize* every matched run — the
+    /// explicit full projection. Use only when per-iteration results or
+    /// system/filesystem details are genuinely needed.
+    pub fn query_items(&self, query: &Query) -> Result<Vec<KnowledgeItem>, DbError> {
+        let (blocks, matched) = self.select(query, false, &DeadlineToken::unbounded())?;
+        let mut items = Vec::with_capacity(matched.len());
+        for m in matched {
+            self.obs.knowledge_deserialized.inc();
+            let db = &blocks[m.block].db;
+            items.extend(match m.run.kind {
+                RunKind::Benchmark => {
+                    load_knowledge_from(db, m.run.id)?.map(KnowledgeItem::Benchmark)
+                }
+                RunKind::Io500 => load_io500_from(db, m.run.id)?.map(KnowledgeItem::Io500),
+            });
         }
-        RunKind::Io500 => {
-            let row = db.get("IOFHsRuns", r.id as i64)?.ok_or_else(|| {
-                DbError::Corrupt(format!("io500 run {} vanished mid-query", r.id))
-            })?;
-            let tasks = row.values[0].as_int().unwrap_or(0) as u32;
-            let scores = db
-                .select(
-                    "IOFHsScores",
-                    &Predicate::Eq("IOFH_id".into(), Value::Int(r.id as i64)),
+        Ok(items)
+    }
+
+    /// Count matching runs without materializing any row projection.
+    /// Kind-only predicates are answered straight from the active
+    /// block's table sizes plus the sealed segments' metadata counts
+    /// (minus tombstones); everything else runs the executor (never a
+    /// `Knowledge` deserialization).
+    pub fn count(&self, predicate: &RunPredicate) -> Result<usize, DbError> {
+        let of = |kind: RunKind| -> Result<usize, DbError> {
+            let sealed: usize = self.segments.iter().map(|s| s.meta.count(kind)).sum();
+            // Tombstones only ever reference segment-resident runs, so
+            // this subtraction is exact (saturating defends a corrupt
+            // manifest, not a normal state).
+            let dead = self.tombstones.iter().filter(|(k, _)| *k == kind).count();
+            Ok(self.active.count(kind)? + sealed.saturating_sub(dead))
+        };
+        match predicate {
+            RunPredicate::True => Ok(of(RunKind::Benchmark)? + of(RunKind::Io500)?),
+            RunPredicate::Kind(kind) => of(*kind),
+            _ => {
+                let query = Query::new(predicate.clone());
+                Ok(self
+                    .select(&query, false, &DeadlineToken::unbounded())?
+                    .1
+                    .len())
+            }
+        }
+    }
+
+    /// The per-run bandwidth series for one operation across every
+    /// matching benchmark run — the box-plot projection. Reads only the
+    /// matched runs' `summaries` and `results` rows (both index-backed),
+    /// not the full `Knowledge` objects. Returns `(command, series)`
+    /// pairs in query order. `deadline` is polled between runs too,
+    /// since each run fans out into `summaries` and `results` selects.
+    pub fn boxplot_series(
+        &self,
+        predicate: &RunPredicate,
+        operation: &str,
+        deadline: &DeadlineToken,
+    ) -> Result<Vec<(String, Vec<f64>)>, DbError> {
+        let query = Query::new(
+            RunPredicate::Kind(RunKind::Benchmark)
+                .and(RunPredicate::HasOp(operation.to_owned()))
+                .and(predicate.clone()),
+        );
+        let (blocks, matched) = self.select(&query, false, deadline)?;
+        let mut out = Vec::with_capacity(matched.len());
+        for (done, m) in matched.iter().enumerate() {
+            if deadline.should_stop() {
+                self.obs.cancelled.inc();
+                return Err(DbError::Cancelled {
+                    examined: matched.len(),
+                    matched: done,
+                });
+            }
+            let block = &blocks[m.block];
+            let mut series = Vec::new();
+            for srow in block.db.select(
+                "summaries",
+                &Predicate::Eq("performance_id".into(), Value::Int(m.run.id as i64)),
+                OrderBy::Id,
+                None,
+            )? {
+                if srow.values[1].as_text() != Some(operation) {
+                    continue;
+                }
+                for rrow in block.db.select(
+                    "results",
+                    &Predicate::Eq("summary_id".into(), Value::Int(srow.id)),
                     OrderBy::Id,
-                    Some(1),
-                )?
-                .into_iter()
-                .next();
+                    None,
+                )? {
+                    series.push(rrow.values[2].as_real().unwrap_or(0.0));
+                }
+            }
+            if !series.is_empty() {
+                let command = block.summaries[&(m.run.kind, m.run.id)].command.clone();
+                out.push((command, series));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The block holding run `(kind, id)`: the active block first, then
+    /// each sealed segment whose id range and membership filter admit
+    /// the id (loading its body on first touch). O(log n) in every
+    /// block; tombstoned runs resolve to `None`.
+    pub(crate) fn locate(
+        &self,
+        kind: RunKind,
+        id: u64,
+    ) -> Result<Option<Arc<SegmentData>>, DbError> {
+        if self.active.summaries.contains_key(&(kind, id)) {
+            return Ok(Some(Arc::clone(&self.active)));
+        }
+        if self.tombstones.contains(&(kind, id)) {
+            return Ok(None);
+        }
+        for seg in self.segments.iter() {
+            let range = match kind {
+                RunKind::Benchmark => seg.meta.bench_ids,
+                RunKind::Io500 => seg.meta.io500_ids,
+            };
+            if !range.is_some_and(|(lo, hi)| (lo..=hi).contains(&id))
+                || !seg.meta.bloom.may_contain(kind, id)
+            {
+                continue;
+            }
+            let data = seg.data(self.vfs.as_ref())?;
+            if data.summaries.contains_key(&(kind, id)) {
+                return Ok(Some(data));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The summary block of every run in `db`, keyed `(kind, id)` — how a
+/// block is built from rows: on open, by `fsck`, and as the from-rows
+/// side of [`KnowledgeStore::indexes_consistent`].
+pub(crate) fn summarize_db(db: &Database) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
+    let mut summaries = BTreeMap::new();
+    for kind in [RunKind::Benchmark, RunKind::Io500] {
+        for row in db.select(kind.table(), &Predicate::True, OrderBy::Id, None)? {
+            summaries.insert((kind, row.id as u64), summarize_row(db, kind, &row)?);
+        }
+    }
+    Ok(summaries)
+}
+
+/// The [`RunSummary`] projection of one run in `db` — the single
+/// definition every block's summaries are derived by.
+pub(crate) fn summarize_in_db(db: &Database, r: RunRef) -> Result<RunSummary, DbError> {
+    let row = db
+        .get(r.kind.table(), r.id as i64)?
+        .ok_or_else(|| DbError::Corrupt(format!("{} run {} has no row", r.kind.as_str(), r.id)))?;
+    summarize_row(db, r.kind, &row)
+}
+
+fn summarize_row(db: &Database, kind: RunKind, row: &Row) -> Result<RunSummary, DbError> {
+    let id = row.id as u64;
+    let children = |table: &str, column: &str| {
+        db.select(
+            table,
+            &Predicate::Eq(column.into(), Value::Int(row.id)),
+            OrderBy::Id,
+            None,
+        )
+    };
+    let warning_count = children("warnings", "owner_id")?
+        .iter()
+        .filter(|w| w.values[0].as_text() == Some(kind.as_str()))
+        .count();
+    let int = |i: usize| row.values[i].as_int().unwrap_or(0);
+    Ok(match kind {
+        RunKind::Benchmark => RunSummary {
+            kind,
+            id,
+            command: row.values[0].as_text().unwrap_or("").to_owned(),
+            api: row.values[2].as_text().unwrap_or("").to_owned(),
+            tasks: int(12) as u32,
+            block_size: int(4) as u64,
+            transfer_size: int(5) as u64,
+            segments: int(6) as u64,
+            clients_per_node: int(13) as u32,
+            ops: children("summaries", "performance_id")?
+                .iter()
+                .map(|srow| OpStat {
+                    operation: srow.values[1].as_text().unwrap_or("").to_owned(),
+                    max_mib: srow.values[3].as_real().unwrap_or(0.0),
+                    mean_mib: srow.values[5].as_real().unwrap_or(0.0),
+                    mean_ops: srow.values[7].as_real().unwrap_or(0.0),
+                })
+                .collect(),
+            bw_score: 0.0,
+            md_score: 0.0,
+            total_score: 0.0,
+            warning_count,
+        },
+        RunKind::Io500 => {
+            let scores = children("IOFHsScores", "IOFH_id")?.into_iter().next();
             let score = |i: usize| {
                 scores
                     .as_ref()
                     .and_then(|s| s.values[i].as_real())
                     .unwrap_or(0.0)
             };
-            Ok(RunSummary {
-                kind: RunKind::Io500,
-                id: r.id,
+            RunSummary {
+                kind,
+                id,
                 command: "io500".to_owned(),
                 api: String::new(),
-                tasks,
+                tasks: int(0) as u32,
                 block_size: 0,
                 transfer_size: 0,
                 segments: 0,
@@ -1458,23 +1159,10 @@ pub(crate) fn summarize_in_db(db: &Database, r: RunRef) -> Result<RunSummary, Db
                 bw_score: score(1),
                 md_score: score(2),
                 total_score: score(3),
-                warning_count: warning_count_in(db, "io500", r.id)?,
-            })
+                warning_count,
+            }
         }
-    }
-}
-
-fn warning_count_in(db: &Database, owner: &str, id: u64) -> Result<usize, DbError> {
-    Ok(db
-        .select(
-            "warnings",
-            &Predicate::Eq("owner_id".into(), Value::Int(id as i64)),
-            OrderBy::Id,
-            None,
-        )?
-        .iter()
-        .filter(|row| row.values[0].as_text() == Some(owner))
-        .count())
+    })
 }
 
 #[cfg(test)]
@@ -1699,12 +1387,11 @@ mod tests {
 
     #[test]
     fn indexes_rebuild_identically_on_open() {
-        let dir = std::env::temp_dir().join("iokc-query-reopen-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("knowledge.iokc.json");
-        let _ = std::fs::remove_file(&path);
+        use crate::vfs::{FaultVfs, Vfs};
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
+        let path = std::path::PathBuf::from("/knowledge.iokc.json");
         let incremental = {
-            let mut store = KnowledgeStore::open(path.clone()).unwrap();
+            let mut store = KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)).unwrap();
             store
                 .save_knowledge(&bench("a", "POSIX", 8, 100.0))
                 .unwrap();
@@ -1715,9 +1402,8 @@ mod tests {
             store.delete_knowledge(1).unwrap();
             format!("{:?}", store.indexes)
         };
-        let reopened = KnowledgeStore::open(path.clone()).unwrap();
+        let reopened = KnowledgeStore::open_with_vfs(path, vfs).unwrap();
         assert_eq!(format!("{:?}", reopened.indexes), incremental);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1851,6 +1537,110 @@ mod tests {
                 proptest::collection::vec(1u64..12, 0..4),
                 proptest::collection::vec(1u64..6, 0..3),
             )
+        }
+
+        #[derive(Debug, Clone)]
+        enum WriteOp {
+            Bench(u8, u32, f64),
+            Io500(u32, f64),
+            DeleteBench(u64),
+            DeleteIo500(u64),
+        }
+
+        fn arb_write_op() -> impl Strategy<Value = WriteOp> {
+            prop_oneof![
+                (0u8..3, 1u32..64, 0.0f64..600.0).prop_map(|(a, t, b)| WriteOp::Bench(a, t, b)),
+                (0u8..3, 1u32..64, 0.0f64..600.0).prop_map(|(a, t, b)| WriteOp::Bench(a, t, b)),
+                (1u32..64, 0.0f64..10.0).prop_map(|(t, b)| WriteOp::Io500(t, b)),
+                (1u64..12).prop_map(WriteOp::DeleteBench),
+                (1u64..6).prop_map(WriteOp::DeleteIo500),
+            ]
+        }
+
+        fn apply(store: &mut KnowledgeStore, op: &WriteOp) {
+            let apis = ["POSIX", "MPIIO", "HDF5"];
+            match op {
+                WriteOp::Bench(api, tasks, bw) => {
+                    let api = apis[usize::from(*api)];
+                    let k = bench(&format!("ior -a {api} -t {tasks}"), api, *tasks, *bw);
+                    store.save_knowledge(&k).unwrap();
+                }
+                WriteOp::Io500(tasks, bw) => {
+                    store.save_io500(&io500(*tasks, *bw)).unwrap();
+                }
+                WriteOp::DeleteBench(id) => {
+                    store.delete_knowledge(*id).unwrap();
+                }
+                WriteOp::DeleteIo500(id) => {
+                    store.delete_io500(*id).unwrap();
+                }
+            }
+        }
+
+        /// Everything the read API answers for `queries`, rendered as
+        /// one comparable value.
+        fn read_all(snap: &Snapshot, queries: &[Query]) -> Vec<String> {
+            use crate::aggregate::{AggregateQuery, Factor, GroupBy};
+            let open = DeadlineToken::unbounded();
+            queries
+                .iter()
+                .map(|q| {
+                    let ids = snap.query_ids(q, &open).unwrap();
+                    let loaded: Vec<String> = ids
+                        .iter()
+                        .map(|r| match r.kind {
+                            RunKind::Benchmark => format!("{:?}", snap.load_knowledge(r.id)),
+                            RunKind::Io500 => format!("{:?}", snap.load_io500(r.id)),
+                        })
+                        .collect();
+                    let agg = AggregateQuery::new(GroupBy::Api, Factor::Bandwidth)
+                        .with_predicate(q.predicate.clone())
+                        .with_percentiles(&[0.1, 0.5, 0.9])
+                        .with_correlation(&[Factor::Tasks, Factor::Bandwidth, Factor::TotalScore]);
+                    format!(
+                        "{ids:?} {:?} {:?} {:?} {:?} {loaded:?}",
+                        snap.query_summaries(q, &open).unwrap(),
+                        snap.count(&q.predicate).unwrap(),
+                        snap.aggregate(&agg, &open).unwrap(),
+                        snap.boxplot_series(&q.predicate, "write", &open).unwrap(),
+                    )
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Sealing is read-invisible: the same rows answer every
+            /// read identically while unsealed, once sealed, after a
+            /// reopen, and from a snapshot pinned before the seal while
+            /// the store keeps ingesting (and tombstoning) under it.
+            #[test]
+            fn sealing_is_read_invisible(
+                ops in proptest::collection::vec(arb_write_op(), 1..24),
+                later in proptest::collection::vec(arb_write_op(), 1..8),
+                queries in proptest::collection::vec(arb_query(), 1..4),
+            ) {
+                use crate::vfs::{FaultVfs, Vfs};
+                let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
+                let path = std::path::PathBuf::from("/kb.json");
+                let mut store =
+                    KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)).unwrap();
+                for op in &ops {
+                    apply(&mut store, op);
+                }
+                let unsealed = read_all(&store, &queries);
+                let pinned = store.snapshot();
+                store.seal_active().unwrap();
+                prop_assert_eq!(&read_all(&store, &queries), &unsealed);
+                let reopened = KnowledgeStore::open_with_vfs(path, vfs).unwrap();
+                prop_assert_eq!(&read_all(&reopened, &queries), &unsealed);
+                for op in &later {
+                    apply(&mut store, op);
+                }
+                prop_assert_eq!(&read_all(&pinned, &queries), &unsealed);
+                prop_assert!(store.indexes_consistent().unwrap());
+            }
         }
 
         proptest! {

@@ -16,10 +16,10 @@
 
 use crate::database::{Database, DbError};
 use crate::persist;
-use crate::query::{OpStat, RunKind, RunPredicate, RunSummary};
+use crate::query::{summarize_db, OpStat, RunKind, RunPredicate, RunSummary};
 use crate::vfs::Vfs;
 use iokc_util::json::Json;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -152,7 +152,10 @@ pub struct SegmentMeta {
 impl SegmentMeta {
     /// Compute the index block for the runs in `summaries`.
     #[must_use]
-    pub fn compute(id: u64, summaries: &[RunSummary]) -> SegmentMeta {
+    pub fn compute<'a>(
+        id: u64,
+        summaries: impl ExactSizeIterator<Item = &'a RunSummary>,
+    ) -> SegmentMeta {
         let mut meta = SegmentMeta {
             id,
             bench_count: 0,
@@ -300,15 +303,47 @@ impl SegmentMeta {
     }
 }
 
-/// The body of a segment: the pre-computed projections the executor
-/// scans, and the full database image full deserialization joins against.
-#[derive(Debug)]
+/// A block of runs: the projections the executor scans, and the full
+/// database image full deserialization joins against. A sealed segment's
+/// body and the store's active generation are both one of these — the
+/// active block simply has not been written to a `.seg-` file yet.
+#[derive(Debug, Clone)]
 pub struct SegmentData {
-    /// Every run's projection row, in `(kind, id)` order.
-    pub summaries: Vec<RunSummary>,
-    /// The runs' rows, exactly as they were in the active generation at
-    /// seal time (ids preserved).
+    /// Every run's projection row, keyed (and so iterated, and written
+    /// to segment files) in `(kind, id)` order.
+    pub summaries: BTreeMap<(RunKind, u64), RunSummary>,
+    /// The runs' rows (ids preserved across sealing).
     pub db: Database,
+}
+
+impl SegmentData {
+    /// A block holding no runs over `db` (its schema and counters).
+    pub(crate) fn empty(db: Database) -> SegmentData {
+        SegmentData {
+            summaries: BTreeMap::new(),
+            db,
+        }
+    }
+
+    /// The block over `db`'s rows, every summary derived from them.
+    pub(crate) fn from_db(db: Database) -> Result<SegmentData, DbError> {
+        Ok(SegmentData {
+            summaries: summarize_db(&db)?,
+            db,
+        })
+    }
+
+    /// The projection rows of one kind, ids ascending.
+    pub(crate) fn of_kind(&self, kind: RunKind) -> impl Iterator<Item = &RunSummary> {
+        self.summaries
+            .range((kind, 0)..=(kind, u64::MAX))
+            .map(|(_, s)| s)
+    }
+
+    /// How many runs of `kind` the block holds.
+    pub(crate) fn count(&self, kind: RunKind) -> Result<usize, DbError> {
+        self.db.row_count(kind.table())
+    }
 }
 
 /// One immutable sealed segment: its index block, its file, and a
@@ -382,8 +417,7 @@ pub fn write_segment_vfs(
     path: &Path,
     vfs: &dyn Vfs,
     id: u64,
-    summaries: &[RunSummary],
-    db: &Database,
+    data: &SegmentData,
 ) -> Result<(), std::io::Error> {
     let body = Json::obj(vec![
         ("format", Json::from(SEGMENT_FORMAT)),
@@ -391,9 +425,9 @@ pub fn write_segment_vfs(
         ("id", Json::from(id)),
         (
             "summaries",
-            Json::Arr(summaries.iter().map(summary_to_json).collect()),
+            Json::Arr(data.summaries.values().map(summary_to_json).collect()),
         ),
-        ("db", persist::to_json(db)),
+        ("db", persist::to_json(&data.db)),
     ]);
     persist::write_document_vfs(path, vfs, &body)
 }
@@ -407,13 +441,14 @@ pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbErr
             path.display()
         )));
     }
-    let mut summaries = Vec::new();
+    let mut summaries = BTreeMap::new();
     for s in doc
         .get("summaries")
         .and_then(Json::as_arr)
         .ok_or_else(|| DbError::Corrupt(format!("{}: missing summaries", path.display())))?
     {
-        summaries.push(summary_from_json(s)?);
+        let s = summary_from_json(s)?;
+        summaries.insert((s.kind, s.id), s);
     }
     let db = persist::from_json(
         doc.get("db")
@@ -648,12 +683,12 @@ mod tests {
 
     #[test]
     fn meta_computes_ranges_and_roundtrips_json() {
-        let summaries = vec![
+        let summaries = [
             bench_summary(3, "MPIIO", 80, 2000.0),
             bench_summary(9, "POSIX", 40, 900.0),
             io500_summary(2, 160, 1.5),
         ];
-        let meta = SegmentMeta::compute(4, &summaries);
+        let meta = SegmentMeta::compute(4, summaries.iter());
         assert_eq!(meta.id, 4);
         assert_eq!(meta.bench_count, 2);
         assert_eq!(meta.io500_count, 1);
@@ -686,11 +721,11 @@ mod tests {
 
     #[test]
     fn may_match_prunes_exactly_when_safe() {
-        let summaries = vec![
+        let summaries = [
             bench_summary(3, "MPIIO", 80, 2000.0),
             bench_summary(9, "POSIX", 40, 900.0),
         ];
-        let meta = SegmentMeta::compute(0, &summaries);
+        let meta = SegmentMeta::compute(0, summaries.iter());
         let b = RunKind::Benchmark;
         assert!(may_match_segment(&RunPredicate::True, &meta, b));
         assert!(may_match_segment(&RunPredicate::Kind(b), &meta, b));
@@ -778,10 +813,15 @@ mod tests {
         .unwrap();
         db.insert("performances", vec![crate::value::Value::from("ior")])
             .unwrap();
-        let summaries = vec![bench_summary(1, "MPIIO", 80, 2000.0)];
-        write_segment_vfs(&path, &vfs, 0, &summaries, &db).unwrap();
+        let summaries = BTreeMap::from([(
+            (RunKind::Benchmark, 1),
+            bench_summary(1, "MPIIO", 80, 2000.0),
+        )]);
+        let data = SegmentData { summaries, db };
+        write_segment_vfs(&path, &vfs, 0, &data).unwrap();
+        let summaries = data.summaries;
 
-        let meta = SegmentMeta::compute(0, &summaries);
+        let meta = SegmentMeta::compute(0, summaries.values());
         let seg = Segment::new(meta, path.clone());
         let a = seg.data(&vfs).unwrap();
         let b = seg.data(&vfs).unwrap();

@@ -85,6 +85,14 @@ cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
 cargo run -q -p iokc-cli -- agg --db "$corpus_dir/corpus.iokc.json" \
   --group tasks --factor total_score --outliers | grep -q "2 run(s) outside their band"
 
+# Benchmark smoke: perfbench is a package of its own, compiled against
+# the crates' public API from outside the workspace, so a refactor that
+# breaks it would otherwise be noticed only by the acceptance driver.
+# ~1/50 scale, one round per workload; exits non-zero when a check fails.
+echo "==> perfbench smoke (every workload)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
+  --workload all --seed 1 --smoke >/dev/null
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
