@@ -13,9 +13,8 @@
 //! 1 000 runs on every query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use iokc_core::model::{
-    IterationResult, Knowledge, KnowledgeItem, KnowledgeSource, OperationSummary,
-};
+use iokc_bench::synthetic_knowledge as knowledge;
+use iokc_core::model::KnowledgeItem;
 use iokc_store::{
     sql, AggregateQuery, Column, ColumnType, Database, DeadlineToken, Factor, FaultVfs, GroupBy,
     KnowledgeStore, OrderBy, Predicate, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value,
@@ -24,50 +23,6 @@ use iokc_store::{
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// One synthetic benchmark run with realistic weight: two operation
-/// summaries and four per-iteration results, so full deserialization
-/// has a real cost to pay.
-fn knowledge(i: usize) -> Knowledge {
-    let api = ["POSIX", "MPIIO", "HDF5"][i % 3];
-    let bw = i as f64 * 1.5;
-    let command = format!(
-        "ior -a {} -b {}m -t 1m -o /scratch/q{i}",
-        api.to_lowercase(),
-        i % 16 + 1
-    );
-    let mut k = Knowledge::new(KnowledgeSource::Ior, &command);
-    k.pattern.api = api.to_owned();
-    k.pattern.tasks = (i % 128) as u32;
-    k.pattern.transfer_size = 1 << 20;
-    for op in ["write", "read"] {
-        k.summaries.push(OperationSummary {
-            operation: op.to_owned(),
-            api: api.to_owned(),
-            max_mib: bw * 1.2,
-            min_mib: bw * 0.8,
-            mean_mib: bw,
-            stddev_mib: 1.0,
-            mean_ops: bw / 2.0,
-            iterations: 2,
-        });
-        for iteration in 0..2u32 {
-            k.results.push(IterationResult {
-                operation: op.to_owned(),
-                iteration,
-                bw_mib: bw + f64::from(iteration),
-                ops: 10,
-                ops_per_sec: 5.0,
-                latency_s: 0.001,
-                open_s: 0.002,
-                wrrd_s: 1.0,
-                close_s: 0.003,
-                total_s: 1.1,
-            });
-        }
-    }
-    k
-}
 
 fn populated(runs: usize) -> KnowledgeStore {
     let mut store = KnowledgeStore::in_memory();

@@ -27,9 +27,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use iokc_core::model::{
-    IterationResult, Knowledge, KnowledgeItem, KnowledgeSource, OperationSummary,
-};
+use iokc_bench::synthetic_knowledge;
+use iokc_core::model::KnowledgeItem;
 use iokc_explorerd::{Server, ServerConfig};
 use iokc_obs::{Clock, NullSink, Recorder};
 use iokc_store::KnowledgeStore;
@@ -71,54 +70,11 @@ fn parse_args() -> Args {
     args
 }
 
-/// One synthetic benchmark run, heavy enough that serialization has a
-/// real cost (two operation summaries, four iteration results).
-fn knowledge(i: usize) -> Knowledge {
-    let api = ["POSIX", "MPIIO", "HDF5"][i % 3];
-    let bw = i as f64 * 1.5;
-    let command = format!(
-        "ior -a {} -b {}m -t 1m -o /scratch/load{i}",
-        api.to_lowercase(),
-        i % 16 + 1
-    );
-    let mut k = Knowledge::new(KnowledgeSource::Ior, &command);
-    k.pattern.api = api.to_owned();
-    k.pattern.tasks = (i % 128) as u32;
-    k.pattern.transfer_size = 1 << 20;
-    for op in ["write", "read"] {
-        k.summaries.push(OperationSummary {
-            operation: op.to_owned(),
-            api: api.to_owned(),
-            max_mib: bw * 1.2,
-            min_mib: bw * 0.8,
-            mean_mib: bw,
-            stddev_mib: 1.0,
-            mean_ops: bw / 2.0,
-            iterations: 2,
-        });
-        for iteration in 0..2u32 {
-            k.results.push(IterationResult {
-                operation: op.to_owned(),
-                iteration,
-                bw_mib: bw + f64::from(iteration),
-                ops: 10,
-                ops_per_sec: 5.0,
-                latency_s: 0.001,
-                open_s: 0.002,
-                wrrd_s: 1.0,
-                close_s: 0.003,
-                total_s: 1.1,
-            });
-        }
-    }
-    k
-}
-
 fn populated(rows: usize) -> KnowledgeStore {
     let mut store = KnowledgeStore::in_memory();
     let mut batch: Vec<KnowledgeItem> = Vec::with_capacity(1024);
     for i in 0..rows {
-        batch.push(KnowledgeItem::Benchmark(knowledge(i)));
+        batch.push(KnowledgeItem::Benchmark(synthetic_knowledge(i)));
         if batch.len() == 1024 {
             store.save_batch(&batch).expect("save batch");
             batch.clear();

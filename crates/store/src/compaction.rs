@@ -160,6 +160,7 @@ impl KnowledgeStore {
         };
         let manifest = Manifest {
             active_epoch: self.active_epoch,
+            next_ids: self.epoch_base.clone(),
             next_segment: output
                 .as_ref()
                 .map_or(self.next_segment, |(id, _, _)| id + 1),

@@ -429,6 +429,10 @@ fn validate_predicate_columns(schema: &TableSchema, predicate: &Predicate) -> Re
     }
 }
 
+/// Auto-increment counters by table name: the id each table's next
+/// [`Database::insert`] would assign.
+pub(crate) type Counters = BTreeMap<String, i64>;
+
 /// The database: a set of tables.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
@@ -579,10 +583,12 @@ impl Database {
         Ok(())
     }
 
-    /// A table's auto-increment counter: the id the next [`Database::insert`]
-    /// would assign. `None` for unknown tables.
-    pub(crate) fn next_id(&self, table: &str) -> Option<i64> {
-        self.tables.get(table).map(|t| t.next_id)
+    /// Every table's auto-increment counter.
+    pub(crate) fn next_ids(&self) -> Counters {
+        self.tables
+            .iter()
+            .map(|(name, t)| (name.clone(), t.next_id))
+            .collect()
     }
 
     /// Raise a table's auto-increment counter to at least `next`. Counters
@@ -593,6 +599,13 @@ impl Database {
     pub(crate) fn bump_next_id(&mut self, table: &str, next: i64) {
         if let Some(t) = self.tables.get_mut(table) {
             t.next_id = t.next_id.max(next);
+        }
+    }
+
+    /// [`Database::bump_next_id`] for every table in `counters`.
+    pub(crate) fn bump_next_ids(&mut self, counters: &Counters) {
+        for (table, next) in counters {
+            self.bump_next_id(table, *next);
         }
     }
 

@@ -3,18 +3,22 @@
 //! `iokc fsck [--repair]` runs these checks without bringing the store
 //! fully online. The store has two on-disk layouts — the segmented
 //! manifest layout ([`crate::knowledge_store`]: manifest at the nominal
-//! path, active image at `.active-<epoch>`, sealed segments at
-//! `.seg-<id>`) and the legacy single-image layout — and fsck dispatches
-//! on the document's format tag:
+//! path, the active generation's log at `.wal-<epoch>`, sealed segments
+//! at `.seg-<id>`) and the legacy single-image layout — and fsck
+//! dispatches on the document's format tag:
 //!
 //! 1. **Document generations** — the document at the nominal path and
 //!    its `.bak` rotation must verify their checksum footers. A corrupt
 //!    primary with a good backup (or the reverse) is repairable by
 //!    promoting or re-rotating the good generation; both corrupt is not.
-//! 2. **Active image generations** (manifest layout) — the same
-//!    two-generation check at the manifest's `active_path`; if both are
-//!    gone the active generation is reset to an empty schema with an
-//!    explicit data-loss note.
+//! 2. **Active generation** (manifest layout) — the epoch's log must
+//!    replay onto the manifest's counters. A torn trailing record (a
+//!    crash mid-append) is reported and, on repair, truncated, exactly
+//!    like a campaign journal's (check 8); a record that verifies but
+//!    does not apply is unrepairable. Under a manifest written before
+//!    the active generation was journaled, the epoch's `.active-<epoch>`
+//!    image must load instead (its `.bak` may stand in; the next seal
+//!    retires both).
 //! 3. **Segments** (manifest layout) — every referenced segment must
 //!    read back; a corrupt one is dropped from the manifest on repair
 //!    (data loss, noted). Segment databases get the same
@@ -24,13 +28,15 @@
 //! 4. **Tombstones** (manifest layout) — tombstones must reference runs
 //!    that exist in some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
-//!    siblings, active images at non-current epochs, segment files the
-//!    manifest does not reference. Removed on repair.
-//! 6. **Referential integrity** — checksums only prove the image is the
-//!    one that was written, not that it is *sensible*: rows whose
-//!    foreign keys point at deleted parents (e.g. from a half-applied
-//!    external import) are reported and, on repair, deleted cascade-wise
-//!    until the image is closed under its foreign keys.
+//!    siblings, logs and active images of any epoch the manifest does
+//!    not read, segment files the manifest does not reference. Removed
+//!    on repair.
+//! 6. **Referential integrity** (segments, legacy single image) —
+//!    checksums only prove the image is the one that was written, not
+//!    that it is *sensible*: rows whose foreign keys point at deleted
+//!    parents (e.g. from a half-applied external import) are reported
+//!    and, on repair, deleted cascade-wise until the image is closed
+//!    under its foreign keys.
 //! 7. **Index shape** — the query engine's secondary indexes must be
 //!    rebuildable from the active tables; an image missing the paper's
 //!    schema cannot serve queries and is reported as unrepairable.
@@ -45,7 +51,7 @@
 
 use crate::database::{Database, OrderBy, Predicate};
 use crate::journal;
-use crate::knowledge_store::{build_schema, Manifest, MANIFEST_FORMAT};
+use crate::knowledge_store::{load_active, Manifest, MANIFEST_FORMAT};
 use crate::persist;
 use crate::query::{summarize_db, RunKind};
 use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentMeta};
@@ -208,8 +214,8 @@ fn resolve_document(
     }
 }
 
-/// All checks specific to the segmented layout: active image, segments,
-/// tombstones, strays, then the active-generation row and index checks.
+/// All checks specific to the segmented layout: active generation,
+/// segments, tombstones, strays, then the active-generation index check.
 fn check_manifest_layout(
     doc: &Json,
     path: &Path,
@@ -226,32 +232,31 @@ fn check_manifest_layout(
     };
     let mut manifest_changed = false;
 
-    // Active image: two-generation resolve at the manifest's epoch.
-    let active = persist::active_path(path, manifest.active_epoch);
-    check_stray_tmp(&active, vfs, opts, report);
-    let active_db = match resolve_active_image(&active, vfs, opts, report) {
-        Some(db) => Some(db),
-        None => {
-            // The seal/flush protocol makes the active image durable
-            // before the manifest that names it; both generations gone
-            // is real damage. Resetting to an empty generation restores
-            // a servable layout — rows in sealed segments survive.
-            let repaired = opts.repair && persist::save_vfs(&build_schema(), &active, vfs).is_ok();
-            report.push(
-                format!(
-                    "active image {} unusable in both generations",
-                    active.display()
-                ),
-                repaired,
-            );
-            if repaired {
-                report.note(
-                    "DATA LOSS: active generation reset to empty; sealed segments unaffected",
-                );
-                Some(build_schema())
-            } else {
-                None
+    // Active generation: the epoch's log replays (a torn tail is
+    // truncated first, on repair); a manifest from before the log
+    // existed reads its epoch's image instead.
+    let journaled = manifest.next_ids.is_some();
+    let image = persist::active_path(path, manifest.active_epoch);
+    if journaled {
+        let log = persist::wal_path(path, manifest.active_epoch);
+        check_journal(&log, vfs, opts, report);
+    } else {
+        check_stray_tmp(&image, vfs, opts, report);
+    }
+    let active_db = match load_active(path, &manifest, vfs) {
+        Ok((db, _, recovery)) => {
+            if let Some(e) = recovery.primary_error {
+                report.note(format!(
+                    "active image {} unusable ({e}); its backup generation stands in until \
+                     the next seal retires both",
+                    image.display()
+                ));
             }
+            Some(db)
+        }
+        Err(e) => {
+            report.push(format!("active generation unusable: {e}"), false);
+            None
         }
     };
 
@@ -337,22 +342,31 @@ fn check_manifest_layout(
         );
     }
 
-    // Strays at deterministic names: non-current active epochs and
-    // unreferenced segment ids (a crash between a seal/compaction's file
-    // writes and its manifest commit leaves exactly these behind).
+    // Strays at deterministic names: logs and active images of epochs
+    // the manifest does not read, and unreferenced segment ids (a crash
+    // between a seal/compaction's file writes and its manifest commit,
+    // or between the commit and the cleanup, leaves exactly these).
     let referenced: BTreeSet<u64> = manifest.segments.iter().map(|m| m.id).collect();
     for epoch in 0..=manifest.active_epoch + 2 {
-        if epoch == manifest.active_epoch {
-            continue;
+        let current = epoch == manifest.active_epoch;
+        if !current || journaled {
+            check_stray_file(
+                &persist::active_path(path, epoch),
+                "active image the manifest does not read",
+                vfs,
+                opts,
+                report,
+            );
         }
-        let stale_active = persist::active_path(path, epoch);
-        check_stray_file(
-            &stale_active,
-            "active image at a non-current epoch",
-            vfs,
-            opts,
-            report,
-        );
+        if !current {
+            check_stray_file(
+                &persist::wal_path(path, epoch),
+                "log of a non-current epoch",
+                vfs,
+                opts,
+                report,
+            );
+        }
     }
     for id in 0..=manifest.next_segment {
         let seg_path = persist::segment_path(path, id);
@@ -375,59 +389,12 @@ fn check_manifest_layout(
         }
     }
 
-    // Finally the active generation's relational and index checks.
-    if let Some(mut db) = active_db {
-        check_rows(&mut db, &active, vfs, opts, report);
+    // Finally the active generation's index check. Its rows get no
+    // referential scan: the log holds what FK-checked inserts wrote, and
+    // a pre-journal image becomes a segment — scanned above — at the
+    // next write.
+    if let Some(db) = active_db {
         check_indexes(&db, report);
-    }
-}
-
-/// Two-generation resolve of a *database image* (the active
-/// generation). `None` when neither generation is usable — including
-/// when neither exists.
-fn resolve_active_image(
-    path: &Path,
-    vfs: &dyn Vfs,
-    opts: &FsckOptions,
-    report: &mut FsckReport,
-) -> Option<Database> {
-    let backup = persist::backup_path(path);
-    let primary = vfs.exists(path).then(|| persist::load_vfs(path, vfs));
-    let backup_db = vfs.exists(&backup).then(|| persist::load_vfs(&backup, vfs));
-    match (primary, backup_db) {
-        (None, None) => None,
-        (Some(Ok(db)), None) | (Some(Ok(db)), Some(Ok(_))) => Some(db),
-        (Some(Ok(db)), Some(Err(e))) => {
-            let repaired = opts.repair && copy_file(vfs, path, &backup).is_ok();
-            report.push(
-                format!("active backup image {} unusable: {e}", backup.display()),
-                repaired,
-            );
-            Some(db)
-        }
-        (None, Some(Ok(db))) => {
-            let repaired = opts.repair && persist::save_vfs(&db, path, vfs).is_ok();
-            report.push(
-                format!(
-                    "active image {} missing; backup generation present",
-                    path.display()
-                ),
-                repaired,
-            );
-            Some(db)
-        }
-        (Some(Err(e)), Some(Ok(db))) => {
-            let repaired = opts.repair && persist::save_vfs(&db, path, vfs).is_ok();
-            report.push(
-                format!(
-                    "active image {} unusable ({e}); promoting backup generation",
-                    path.display()
-                ),
-                repaired,
-            );
-            Some(db)
-        }
-        (Some(Err(_)), None) | (None, Some(Err(_))) | (Some(Err(_)), Some(Err(_))) => None,
     }
 }
 

@@ -1,12 +1,13 @@
 //! Append-only, checksummed journal files.
 //!
 //! The campaign layer needs a *write-ahead* record of work-item state
-//! transitions that survives process death at any instant. The database
-//! image in [`crate::persist`] is the wrong shape for that — it rewrites
-//! the whole file per save — so this module provides the complementary
-//! primitive: an append-only line journal where every record carries its
-//! own FNV-1a 64 checksum (the same checksum the image footer uses) and
-//! is fsynced before the writer proceeds.
+//! transitions that survives process death at any instant, and the store
+//! needs the same for its active generation (`store::wal`). The
+//! checksummed documents in [`crate::persist`] are the wrong shape for
+//! that — they rewrite the whole file per save — so this module provides
+//! the complementary primitive: an append-only line journal where every
+//! record carries its own FNV-1a 64 checksum (the same checksum the
+//! document footer uses) and is fsynced before the writer proceeds.
 //!
 //! A crash can only ever tear the *last* record. [`read_journal`]
 //! therefore salvages the longest valid prefix and reports the torn
@@ -31,6 +32,12 @@ use std::path::Path;
 
 /// Version/magic prefix of every record line.
 const RECORD_MAGIC: &str = "j1";
+
+/// Bytes one record carrying `payload` occupies in the file: magic,
+/// 16-digit checksum, two separating spaces, payload, newline.
+pub(crate) fn framed_len(payload: &str) -> u64 {
+    (RECORD_MAGIC.len() + 1 + 16 + 1 + payload.len() + 1) as u64
+}
 
 /// An open journal file, appending checksummed records durably.
 pub struct JournalWriter {

@@ -8,11 +8,11 @@
 //! in its own tables: `IOFHsRuns`, `IOFHsScores`, `IOFHsTestcases`,
 //! `IOFHsOptions`, `IOFHsResults` and `IOFHsSystem`, keyed by `IOFH_id`.
 //!
-//! [`KnowledgeStore`] implements [`iokc_core::Persister`], with an
-//! optional on-disk image (the "local database" of Fig. 4; a second
-//! store instance models the "global database").
+//! [`KnowledgeStore`] implements [`iokc_core::Persister`], optionally
+//! file-backed (the "local database" of Fig. 4; a second store instance
+//! models the "global database").
 
-use crate::database::{Column, Database, DbError, OrderBy, Predicate, Row, TableSchema};
+use crate::database::{Column, Counters, Database, DbError, OrderBy, Predicate, Row, TableSchema};
 use crate::persist;
 use crate::query::{
     summarize_db, summarize_in_db, Query, QueryObs, RunIndexes, RunKind, RunPredicate, RunRef,
@@ -20,6 +20,7 @@ use crate::query::{
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
+use crate::wal::{self, Delta, Wal};
 use iokc_core::ctx::PhaseCtx;
 use iokc_core::model::{
     FilesystemInfo, Io500Knowledge, Io500Testcase, IoPattern, IterationResult, Knowledge,
@@ -33,21 +34,21 @@ use std::sync::Arc;
 
 /// Format tag of the manifest document at a segmented store's nominal
 /// path. The legacy single-image layout tagged the same file
-/// `iokc-store`; `load_state` accepts both and migrates the legacy
-/// layout on the first flush.
+/// `iokc-store`; `load_state` accepts both, and the first write to a
+/// legacy layout seals its rows into a segment.
 pub(crate) const MANIFEST_FORMAT: &str = "iokc-manifest";
 
-/// Active generations start sealing into segments at this many runs
-/// unless [`KnowledgeStore::set_seal_threshold`] overrides it.
+/// Active generations seal into segments at this many logged operations
+/// (runs saved plus active runs deleted) unless
+/// [`KnowledgeStore::set_seal_threshold`] overrides it.
 const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
 /// How healthy a store is, from the perspective of anything serving it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreHealth {
-    /// The image loaded cleanly (or the store is fresh/in-memory).
+    /// The files loaded cleanly (or the store is fresh/in-memory).
     Ok,
-    /// The primary image was unusable; the `.bak` generation stood in.
-    /// Fully functional, but one generation of writes was lost.
+    /// A primary document was unusable; its `.bak` generation stood in.
     Recovered {
         /// Why the primary image was rejected.
         primary_error: String,
@@ -102,21 +103,33 @@ pub struct KnowledgeStore {
     /// mutate the parts copy-on-write (`Arc::make_mut`), so a part is
     /// copied only while a pin on it is outstanding.
     pub(crate) state: Snapshot,
-    /// When set, every write is flushed to this file.
+    /// When set, every write is made durable under this path.
     pub(crate) path: Option<PathBuf>,
-    /// How the on-disk image was recovered at open time, if it was.
+    /// Which documents were recovered from `.bak` at open time, if any.
     recovery: persist::RecoveryReport,
     /// Health at and since open: `Degraded` stores reject writes.
     health: StoreHealth,
-    /// Epoch of the active generation's on-disk image
-    /// (`<path>.active-<epoch>`); bumped by every seal.
+    /// Epoch of the active generation's log (`<path>.wal-<epoch>`);
+    /// bumped by every seal.
     pub(crate) active_epoch: u64,
+    /// Every table's auto-increment counter when this epoch began: what
+    /// the log replays onto. `None` while the active block was loaded
+    /// from an image written before the active generation was journaled
+    /// — the next write seals that block first.
+    pub(crate) epoch_base: Option<Counters>,
+    /// Operations (runs saved, active runs deleted) applied to the active
+    /// block this epoch: the length of the log a reopen replays, counted
+    /// against the seal threshold.
+    epoch_ops: usize,
+    /// The append side of this epoch's log.
+    pub(crate) wal: Wal,
     /// The id the next sealed segment will take.
     pub(crate) next_segment: u64,
-    /// Seal the active generation once it holds this many runs.
+    /// Seal the active generation once its log holds this many
+    /// operations.
     seal_threshold: usize,
     /// Whether the manifest at `path` needs rewriting on the next
-    /// flush (new tombstone, legacy image migration, fresh store).
+    /// flush (new tombstone, fresh store).
     pub(crate) manifest_dirty: bool,
 }
 
@@ -145,6 +158,9 @@ impl KnowledgeStore {
             recovery: persist::RecoveryReport::default(),
             health,
             active_epoch: 0,
+            epoch_base: Some(Counters::new()),
+            epoch_ops: 0,
+            wal: Wal::default(),
             next_segment: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             manifest_dirty: false,
@@ -158,11 +174,13 @@ impl KnowledgeStore {
         KnowledgeStore::empty(None, Arc::new(StdVfs), StoreHealth::Ok)
     }
 
-    /// A file-backed store: loads the image when the file (or its `.bak`
-    /// generation) exists, otherwise starts fresh; writes flush back to
-    /// the file. A torn or corrupt primary image falls back to the last
-    /// good generation — check [`KnowledgeStore::recovery`] to see
-    /// whether that happened.
+    /// A file-backed store: loads what is on disk when the manifest (or
+    /// its `.bak` generation) exists, otherwise starts fresh; every write
+    /// is durable when it returns. A torn or corrupt manifest falls back
+    /// to its last good generation — check [`KnowledgeStore::recovery`]
+    /// to see whether that happened. Opening writes nothing: a log tail
+    /// torn by a crash is salvaged in memory and truncated by the first
+    /// write.
     pub fn open(path: PathBuf) -> Result<KnowledgeStore, DbError> {
         KnowledgeStore::open_with_vfs(path, Arc::new(StdVfs))
     }
@@ -171,9 +189,9 @@ impl KnowledgeStore {
     ///
     /// Opening a segmented store maps the manifest's segment metadata —
     /// id ranges, counts, membership filters — without loading any
-    /// segment body; only the (bounded) active generation is summarized
-    /// and indexed. Open cost is proportional to the active generation,
-    /// not the corpus.
+    /// segment body; only the (bounded) active generation is replayed
+    /// from its log, summarized and indexed. Open cost is proportional
+    /// to the active generation, not the corpus.
     pub fn open_with_vfs(path: PathBuf, vfs: Arc<dyn Vfs>) -> Result<KnowledgeStore, DbError> {
         let mut loaded = load_state(&path, vfs.as_ref())?;
         let recovery = std::mem::take(&mut loaded.recovery);
@@ -190,7 +208,7 @@ impl KnowledgeStore {
     }
 
     /// Open a file-backed store, degrading instead of failing: when the
-    /// image (and its backup) are unrecoverably corrupt, the store comes
+    /// files are unrecoverably corrupt, the store comes
     /// up read-only over an empty schema with
     /// [`KnowledgeStore::health`] reporting `Degraded`, so a serving
     /// layer stays up (answering `/healthz` honestly) rather than dying.
@@ -223,8 +241,8 @@ impl KnowledgeStore {
         }
     }
 
-    /// How the on-disk image was loaded: whether the `.bak` generation
-    /// had to stand in for a torn or corrupt primary image.
+    /// How the on-disk documents were loaded: whether a `.bak`
+    /// generation had to stand in for a torn or corrupt primary.
     #[must_use]
     pub fn recovery(&self) -> &persist::RecoveryReport {
         &self.recovery
@@ -297,9 +315,10 @@ impl KnowledgeStore {
         self.tombstones.len()
     }
 
-    /// Override the run count at which the active generation seals into
-    /// a segment (default 1024). Test and benchmark harnesses lower it
-    /// to exercise sealing on small corpora.
+    /// Override the operation count (runs saved plus active runs
+    /// deleted) at which the active generation seals into a segment
+    /// (default 1024). Test and benchmark harnesses lower it to exercise
+    /// sealing on small corpora.
     pub fn set_seal_threshold(&mut self, threshold: usize) {
         self.seal_threshold = threshold.max(1);
     }
@@ -308,6 +327,7 @@ impl KnowledgeStore {
     pub(crate) fn manifest(&self) -> Manifest {
         Manifest {
             active_epoch: self.active_epoch,
+            next_ids: self.epoch_base.clone(),
             next_segment: self.next_segment,
             tombstones: BTreeSet::clone(&self.tombstones),
             segments: self.segment_metas(),
@@ -330,36 +350,26 @@ impl KnowledgeStore {
         self.count(&RunPredicate::Kind(RunKind::Io500)).unwrap_or(0)
     }
 
-    /// Flush the active generation (and, when dirty, the manifest) to
-    /// disk. On failure the error is classified ([`DbError::Full`] for
+    /// Make a write durable: the manifest when it is dirty (a new
+    /// tombstone, a fresh store's first write), then `delta` — what the
+    /// write changed in the active generation — as one log record. On
+    /// failure the error is classified ([`DbError::Full`] for
     /// ENOSPC-like conditions — the CLI maps it to the transient exit
-    /// code — [`DbError::Io`] otherwise) and the in-memory state is
-    /// *reloaded from the last durable layout*, so an unacknowledged
-    /// write is never visible to later reads: memory and disk stay in
-    /// agreement.
-    fn flush(&mut self) -> Result<(), DbError> {
+    /// code — [`DbError::Io`] otherwise), the log is truncated back to
+    /// its acknowledged length and the in-memory state is *reloaded from
+    /// the last durable layout*, so an unacknowledged write is never
+    /// visible to later reads nor replayed by a later open: memory and
+    /// disk stay in agreement.
+    fn flush(&mut self, delta: Option<Delta>) -> Result<(), DbError> {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
-        let vfs = self.vfs.as_ref();
-        let active = persist::active_path(&path, self.active_epoch);
-        let result = persist::save_vfs(&self.active.db, &active, vfs).and_then(|()| {
-            if self.manifest_dirty {
-                persist::write_document_vfs(&path, vfs, &self.manifest().to_json())?;
-                // The very first manifest write has nothing to rotate
-                // into `.bak`; seed the backup generation explicitly so
-                // a torn manifest is *always* repairable from `.bak`,
-                // like every other image in the layout.
-                let bak = persist::backup_path(&path);
-                if !vfs.exists(&bak) {
-                    let bytes = vfs.read(&path)?;
-                    let mut file = vfs.create(&bak)?;
-                    file.write_all(&bytes)?;
-                    file.sync()?;
-                }
-            }
-            Ok(())
-        });
+        let result = self
+            .write_dirty_manifest(&path)
+            .and_then(|()| match &delta {
+                Some(delta) => self.append_to_log(&path, delta),
+                None => Ok(()),
+            });
         match result {
             Ok(()) => {
                 self.manifest_dirty = false;
@@ -374,6 +384,53 @@ impl KnowledgeStore {
         }
     }
 
+    fn write_dirty_manifest(&self, path: &Path) -> Result<(), std::io::Error> {
+        if !self.manifest_dirty {
+            return Ok(());
+        }
+        let vfs = self.vfs.as_ref();
+        persist::write_document_vfs(path, vfs, &self.manifest().to_json())?;
+        // The very first manifest write has nothing to rotate into
+        // `.bak`; seed the backup generation explicitly so a torn
+        // manifest is *always* repairable from `.bak`, like every other
+        // document in the layout.
+        let bak = persist::backup_path(path);
+        if !vfs.exists(&bak) {
+            let bytes = vfs.read(path)?;
+            let mut file = vfs.create(&bak)?;
+            file.write_all(&bytes)?;
+            file.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Append one record to this epoch's log. A failed append is rolled
+    /// back before the error is reported; a log that cannot be rolled
+    /// back may hold bytes nobody acknowledged, so the store stops
+    /// writing to it.
+    fn append_to_log(&mut self, path: &Path, delta: &Delta) -> Result<(), std::io::Error> {
+        let log = persist::wal_path(path, self.active_epoch);
+        let vfs = Arc::clone(&self.state.vfs);
+        let result = self.wal.append(&log, vfs.as_ref(), delta);
+        if result.is_err() {
+            if let Err(e) = self.wal.rollback(&log, vfs.as_ref()) {
+                self.degrade(format!(
+                    "{} not truncated after a failed append: {e}",
+                    log.display()
+                ));
+            }
+        }
+        result
+    }
+
+    /// The log record for the rows inserted since the active database's
+    /// counters read `mark`. In-memory stores have no log: skip encoding
+    /// what `flush` would drop.
+    fn inserted_since(&self, mark: &Counters) -> Option<Delta> {
+        self.path.as_ref()?;
+        Delta::rows_since(&self.active.db, mark)
+    }
+
     /// Make loaded on-disk state this store's state: the active block as
     /// loaded, its indexes derived from that block.
     fn install(&mut self, loaded: LoadedState) {
@@ -382,6 +439,13 @@ impl KnowledgeStore {
         self.state.segments = Arc::new(loaded.segments);
         self.state.tombstones = Arc::new(loaded.tombstones);
         self.active_epoch = loaded.active_epoch;
+        self.epoch_base = loaded.epoch_base;
+        self.epoch_ops = loaded.replay.ops;
+        self.wal.restart(&loaded.replay);
+        self.wal
+            .obs
+            .replayed_records
+            .add(loaded.replay.records as u64);
         self.next_segment = loaded.next_segment;
         self.manifest_dirty = loaded.manifest_dirty;
     }
@@ -392,26 +456,45 @@ impl KnowledgeStore {
     /// (the disk is gone, or the failure tore the manifest with no
     /// backup), the store degrades to read-only rather than serving rows
     /// it cannot prove were persisted.
+    ///
+    /// What is read back is what the filesystem shows now; a manifest
+    /// rename whose directory sync failed shows, yet is not durable. So
+    /// the next flush commits the manifest again before it acknowledges
+    /// anything logged under it.
     pub(crate) fn reload_from_disk(&mut self, path: &Path) {
         match load_state(path, self.vfs.as_ref()) {
-            Ok(loaded) => self.install(loaded),
-            Err(e) => {
-                self.health = StoreHealth::Degraded {
-                    reason: format!("reload after failed flush: {e}"),
-                };
-                self.obs.recorder.log(
-                    None,
-                    &format!("WARN store.open_degraded: reload after failed flush: {e}"),
-                );
+            Ok(loaded) => {
+                self.install(loaded);
+                self.manifest_dirty = true;
             }
+            Err(e) => self.degrade(format!("reload after failed flush: {e}")),
         }
     }
 
-    /// Seal the active generation when it reached the threshold.
+    fn degrade(&mut self, reason: String) {
+        self.obs
+            .recorder
+            .log(None, &format!("WARN store.open_degraded: {reason}"));
+        self.health = StoreHealth::Degraded { reason };
+    }
+
+    /// Every write starts here: a degraded store refuses, and an active
+    /// block that was loaded from a pre-journal image is sealed first, so
+    /// that whatever the write logs replays onto counters the manifest
+    /// records.
+    fn begin_write(&mut self) -> Result<(), DbError> {
+        self.ensure_writable()?;
+        if self.epoch_base.is_none() {
+            self.seal_active()?;
+        }
+        Ok(())
+    }
+
+    /// Seal the active generation when its operations reached the
+    /// threshold. Operations, not live runs: saves and deletes that
+    /// cancel out still lengthen the log and its replay.
     fn maybe_seal(&mut self) -> Result<(), DbError> {
-        if self.path.is_none()
-            || self.health.is_degraded()
-            || self.active.summaries.len() < self.seal_threshold
+        if self.path.is_none() || self.health.is_degraded() || self.epoch_ops < self.seal_threshold
         {
             return Ok(());
         }
@@ -419,56 +502,64 @@ impl KnowledgeStore {
     }
 
     /// Seal the active generation into an immutable on-disk segment and
-    /// start a fresh, empty active generation.
+    /// start a fresh, empty active generation with an empty log.
     ///
     /// Protocol (disk first, memory only after the commit point):
     ///
     /// 1. compute the segment's index block ([`SegmentMeta`]) from the
-    ///    active block's summaries;
-    /// 2. write the block as the segment file `<path>.seg-<id>`;
-    /// 3. write a fresh, empty active image at the *next* epoch, with
-    ///    every table's auto-increment counter forwarded — ids stay
+    ///    active block's summaries and write the block as the segment
+    ///    file `<path>.seg-<id>` — the only whole-block write there is
+    ///    (skipped when every run of the generation was deleted again);
+    /// 2. remove any file stranded at the next epoch's log name, then
+    ///    write the new manifest (the commit point): it names the new
+    ///    segment, the *next* epoch, and every table's auto-increment
+    ///    counter, which the next epoch's log replays onto — ids stay
     ///    globally unique across all segments, which is what lets
     ///    compaction merge segment databases by plain row copy;
-    /// 4. write the new manifest (the commit point: it names the new
-    ///    segment and the new epoch).
+    /// 3. remove the superseded epoch's log.
     ///
-    /// A failure before step 4 leaves memory and the old manifest
-    /// untouched — the new files are strays for `fsck` to sweep. A
-    /// failure *in* step 4 reloads from disk, because either manifest
-    /// generation may have become durable. The write generation does not
-    /// change: sealing moves rows between layers without changing what
-    /// any read returns.
+    /// A failure before step 2 leaves memory, the old manifest and the
+    /// log untouched — the segment file is a stray for `fsck` to sweep.
+    /// A failure *in* step 2 reloads from disk, because either manifest
+    /// generation may have become durable. A crash before step 3 leaves
+    /// the old log as a stray. The write generation does not change:
+    /// sealing moves rows between layers without changing what any read
+    /// returns.
     pub fn seal_active(&mut self) -> Result<(), DbError> {
         self.ensure_writable()?;
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
-        if self.active.summaries.is_empty() {
+        let journaled = self.epoch_base.is_some();
+        if journaled && self.epoch_ops == 0 {
             return Ok(());
         }
         let vfs = self.vfs.as_ref();
-        let seg_id = self.next_segment;
-        let meta = SegmentMeta::compute(seg_id, self.active.summaries.values());
-        let seg_path = persist::segment_path(&path, seg_id);
-        write_segment_vfs(&seg_path, vfs, seg_id, &self.active).map_err(|e| {
-            persist::classify_io_error(&format!("seal segment {}", seg_path.display()), &e)
-        })?;
-        let mut fresh = build_schema();
-        for table in self.active.db.table_names() {
-            if let Some(next) = self.active.db.next_id(table) {
-                fresh.bump_next_id(table, next);
-            }
-        }
-        let fresh_path = persist::active_path(&path, self.active_epoch + 1);
-        persist::save_vfs(&fresh, &fresh_path, vfs).map_err(|e| {
-            persist::classify_io_error(&format!("seal active {}", fresh_path.display()), &e)
-        })?;
+        let counters = self.active.db.next_ids();
         let mut manifest = self.manifest();
         manifest.active_epoch += 1;
-        manifest.next_segment += 1;
-        manifest.segments.push(meta.clone());
-        if let Err(e) = persist::write_document_vfs(&path, vfs, &manifest.to_json()) {
+        manifest.next_ids = Some(counters.clone());
+        let mut segment = None;
+        if !self.active.summaries.is_empty() {
+            let seg_id = self.next_segment;
+            let meta = SegmentMeta::compute(seg_id, self.active.summaries.values());
+            let seg_path = persist::segment_path(&path, seg_id);
+            write_segment_vfs(&seg_path, vfs, seg_id, &self.active).map_err(|e| {
+                persist::classify_io_error(&format!("seal segment {}", seg_path.display()), &e)
+            })?;
+            manifest.next_segment += 1;
+            manifest.segments.push(meta.clone());
+            segment = Some((meta, seg_path));
+        }
+        // A file already at the next log's name (a crash can strand one)
+        // would replay into the new generation.
+        let next_log = persist::wal_path(&path, manifest.active_epoch);
+        let commit = match vfs.exists(&next_log) {
+            true => vfs.remove_file(&next_log),
+            false => Ok(()),
+        }
+        .and_then(|()| persist::write_document_vfs(&path, vfs, &manifest.to_json()));
+        if let Err(e) = commit {
             let classified =
                 persist::classify_io_error(&format!("seal manifest {}", path.display()), &e);
             self.reload_from_disk(&path);
@@ -477,41 +568,56 @@ impl KnowledgeStore {
         // Commit point passed: swap memory. The block the store already
         // holds becomes the segment's preloaded body, so open snapshots
         // and the next queries keep working without re-reading the file.
+        let mut fresh = build_schema();
+        fresh.bump_next_ids(&counters);
         let sealed = std::mem::replace(&mut self.state.active, Arc::new(SegmentData::empty(fresh)));
-        Arc::make_mut(&mut self.state.segments)
-            .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
-        self.state.indexes = Arc::default();
-        let old_active = persist::active_path(&path, self.active_epoch);
-        self.active_epoch += 1;
-        self.next_segment += 1;
-        self.manifest_dirty = false;
-        // Best-effort cleanup of the superseded active generation; a
-        // crash here leaves strays that fsck sweeps.
-        for stale in [
-            old_active.clone(),
-            persist::backup_path(&old_active),
-            persist::temp_path(&old_active),
-        ] {
-            let _ = self.vfs.remove_file(&stale);
+        if let Some((meta, seg_path)) = segment {
+            Arc::make_mut(&mut self.state.segments)
+                .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
         }
+        self.state.indexes = Arc::default();
+        // Best-effort cleanup of the superseded epoch; a crash here
+        // leaves strays that fsck sweeps.
+        let mut stale = vec![persist::wal_path(&path, self.active_epoch)];
+        if !journaled {
+            let image = persist::active_path(&path, self.active_epoch);
+            stale.extend([
+                persist::backup_path(&image),
+                persist::temp_path(&image),
+                image,
+            ]);
+        }
+        for stale in &stale {
+            let _ = self.vfs.remove_file(stale);
+        }
+        self.active_epoch += 1;
+        self.epoch_base = Some(counters);
+        self.epoch_ops = 0;
+        self.wal.restart(&wal::Replay::default());
+        self.next_segment = manifest.next_segment;
+        self.manifest_dirty = false;
         Ok(())
     }
 
     /// Persist a benchmark knowledge object; returns its id.
     pub fn save_knowledge(&mut self, k: &Knowledge) -> Result<u64, DbError> {
-        self.ensure_writable()?;
-        let id = self.insert_rows(RunKind::Benchmark, |db| insert_knowledge_rows(db, k))?;
-        self.flush()?;
-        self.state.generation += 1;
-        self.maybe_seal()?;
-        Ok(id)
+        self.save_one(RunKind::Benchmark, |db| insert_knowledge_rows(db, k))
     }
 
     /// Persist an IO500 knowledge object; returns its `IOFH_id`.
     pub fn save_io500(&mut self, k: &Io500Knowledge) -> Result<u64, DbError> {
-        self.ensure_writable()?;
-        let id = self.insert_rows(RunKind::Io500, |db| insert_io500_rows(db, k))?;
-        self.flush()?;
+        self.save_one(RunKind::Io500, |db| insert_io500_rows(db, k))
+    }
+
+    fn save_one(
+        &mut self,
+        kind: RunKind,
+        insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
+    ) -> Result<u64, DbError> {
+        self.begin_write()?;
+        let mark = self.active.db.next_ids();
+        let id = self.insert_rows(kind, insert)?;
+        self.flush(self.inserted_since(&mark))?;
         self.state.generation += 1;
         self.maybe_seal()?;
         Ok(id)
@@ -530,6 +636,7 @@ impl KnowledgeStore {
         let summary = summarize_in_db(&active.db, RunRef { kind, id })?;
         Arc::make_mut(&mut self.state.indexes).insert(&summary);
         active.summaries.insert((kind, id), summary);
+        self.epoch_ops += 1;
         Ok(id)
     }
 
@@ -554,7 +661,7 @@ impl KnowledgeStore {
     }
 
     fn delete_run(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
-        self.ensure_writable()?;
+        self.begin_write()?;
         if !self.active.summaries.contains_key(&(kind, id)) {
             return self.tombstone_delete(kind, id);
         }
@@ -563,9 +670,11 @@ impl KnowledgeStore {
             Arc::make_mut(&mut self.state.indexes).remove(&summary);
         }
         delete_run_rows(&mut active.db, kind, id)?;
+        self.epoch_ops += 1;
         // A failed flush reloads block and indexes from disk.
-        self.flush()?;
+        self.flush(Some(Delta::delete(kind, id)))?;
         self.state.generation += 1;
+        self.maybe_seal()?;
         Ok(true)
     }
 
@@ -581,20 +690,20 @@ impl KnowledgeStore {
         self.manifest_dirty = true;
         // A failed flush reloads from disk, which un-inserts the
         // tombstone: the delete is only acknowledged once durable.
-        self.flush()?;
+        self.flush(None)?;
         self.state.generation += 1;
         Ok(true)
     }
 
     /// Persist a batch of knowledge items with one durability point:
     /// rows accumulate in the active generation (sealing into segments
-    /// at the threshold, which is itself a durability point), one final
-    /// flush covers the tail, and the write generation bumps once.
-    /// Returns the assigned ids in input order. On error the store
-    /// reloads the last durable layout, so no unacknowledged row is
-    /// ever visible.
+    /// at the threshold, which is itself a durability point), one log
+    /// record covers the tail that is still unsealed when the batch
+    /// ends, and the write generation bumps once. Returns the assigned
+    /// ids in input order. On error the store reloads the last durable
+    /// layout, so no unacknowledged row is ever visible.
     pub fn save_batch(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
-        self.ensure_writable()?;
+        self.begin_write()?;
         match self.save_batch_inner(items) {
             Ok(ids) => Ok(ids),
             Err(e) => {
@@ -607,6 +716,9 @@ impl KnowledgeStore {
     }
 
     fn save_batch_inner(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
+        // Rows that seal mid-batch leave the active database, so what is
+        // at or past this mark at the end is exactly the unsealed tail.
+        let mark = self.active.db.next_ids();
         let mut ids = Vec::with_capacity(items.len());
         for item in items {
             ids.push(match item {
@@ -622,7 +734,7 @@ impl KnowledgeStore {
             // generation's worth of unflushed rows in memory.
             self.maybe_seal()?;
         }
-        self.flush()?;
+        self.flush(self.inserted_since(&mark))?;
         self.state.generation += 1;
         Ok(ids)
     }
@@ -828,12 +940,17 @@ impl Persister for KnowledgeStore {
 }
 
 /// The segmented store's manifest: what the file at the store's nominal
-/// path holds once the store has sealed (or tombstoned) anything. Names
-/// the active generation's epoch, every sealed segment's metadata
-/// (id ranges, counts, membership filter — the per-segment index
-/// block), and the tombstones.
+/// path holds. Names the active generation's epoch and the
+/// auto-increment counters its log replays onto, every sealed segment's
+/// metadata (id ranges, counts, membership filter — the per-segment
+/// index block), and the tombstones.
 pub(crate) struct Manifest {
     pub(crate) active_epoch: u64,
+    /// Every table's auto-increment counter when the epoch began.
+    /// `None` in a manifest written before the active generation was
+    /// journaled: its epoch's rows are the image at
+    /// [`persist::active_path`].
+    pub(crate) next_ids: Option<Counters>,
     pub(crate) next_segment: u64,
     pub(crate) tombstones: BTreeSet<(RunKind, u64)>,
     pub(crate) segments: Vec<SegmentMeta>,
@@ -850,7 +967,7 @@ impl Manifest {
                     .collect(),
             )
         };
-        Json::obj(vec![
+        let mut fields = vec![
             ("format", Json::from(MANIFEST_FORMAT)),
             ("version", Json::from(1u64)),
             ("active_epoch", Json::from(self.active_epoch)),
@@ -866,7 +983,11 @@ impl Manifest {
                 "segments",
                 Json::Arr(self.segments.iter().map(SegmentMeta::to_json).collect()),
             ),
-        ])
+        ];
+        if let Some(next_ids) = &self.next_ids {
+            fields.push(("next_ids", persist::counters_to_json(next_ids)));
+        }
+        Json::obj(fields)
     }
 
     pub(crate) fn from_json(json: &Json) -> Result<Manifest, DbError> {
@@ -904,6 +1025,7 @@ impl Manifest {
         }
         Ok(Manifest {
             active_epoch: field("active_epoch")?,
+            next_ids: json.get("next_ids").map(persist::counters_from_json),
             next_segment: field("next_segment")?,
             tombstones,
             segments,
@@ -913,55 +1035,80 @@ impl Manifest {
 
 /// What [`KnowledgeStore::open_with_vfs`] and
 /// [`KnowledgeStore::reload_from_disk`] install, loaded in one place —
-/// the single open path over both on-disk layouts.
+/// the single open path over every on-disk layout.
 struct LoadedState {
     active: SegmentData,
     segments: Vec<Arc<Segment>>,
     tombstones: BTreeSet<(RunKind, u64)>,
     active_epoch: u64,
+    epoch_base: Option<Counters>,
+    replay: wal::Replay,
     next_segment: u64,
     manifest_dirty: bool,
     recovery: persist::RecoveryReport,
 }
 
+/// The active generation a manifest names, rebuilt from disk: the
+/// epoch's log replayed onto an empty schema that starts at the
+/// manifest's counters — or, under a manifest written before the active
+/// generation was journaled, that layout's image (with its `.bak`
+/// fallback) and no log. Shared by the open path and `fsck`.
+pub(crate) fn load_active(
+    path: &Path,
+    manifest: &Manifest,
+    vfs: &dyn Vfs,
+) -> Result<(Database, wal::Replay, persist::RecoveryReport), DbError> {
+    let Some(next_ids) = &manifest.next_ids else {
+        let image = persist::active_path(path, manifest.active_epoch);
+        if !vfs.exists(&image) && !vfs.exists(&persist::backup_path(&image)) {
+            return Err(DbError::Corrupt(format!(
+                "manifest names epoch {} but {} is missing",
+                manifest.active_epoch,
+                image.display()
+            )));
+        }
+        let (db, recovery) = persist::load_with_recovery_vfs(&image, vfs)?;
+        return Ok((db, wal::Replay::default(), recovery));
+    };
+    let mut db = build_schema();
+    db.bump_next_ids(next_ids);
+    let log = persist::wal_path(path, manifest.active_epoch);
+    let replay = wal::replay(&log, vfs, &mut db)?;
+    Ok((db, replay, persist::RecoveryReport::default()))
+}
+
 /// Load a store's state from `path`: a fresh store (no file), the
-/// segmented layout (manifest + active image + segment files, mapped
-/// lazily), or the legacy single-image layout (migrated to the
-/// segmented layout on the first flush). The active block's summaries
-/// are derived from the image's rows here.
+/// segmented layout (manifest + the active epoch's log + segment files,
+/// mapped lazily), or the legacy single-image layout (whose rows the
+/// first write seals into a segment). The active block's summaries are
+/// derived from the replayed rows here.
 fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
-    // A store with no file yet, and the legacy single-image layout (the
-    // whole corpus is the active generation), both start at epoch 0 with
-    // the manifest still to write: the first flush writes the segmented
-    // layout (a legacy image rotates into `.bak`).
-    let unsegmented = |db, recovery| -> Result<LoadedState, DbError> {
+    // A store with no file yet and the legacy single-image layout (the
+    // whole corpus is the active block) both start at epoch 0 with no
+    // segments; only the fresh one is journaled from the start, and its
+    // first flush writes the manifest.
+    let unsegmented = |db, fresh: bool, recovery| -> Result<LoadedState, DbError> {
         Ok(LoadedState {
             active: SegmentData::from_db(db)?,
             segments: Vec::new(),
             tombstones: BTreeSet::new(),
             active_epoch: 0,
+            epoch_base: fresh.then(Counters::new),
+            replay: wal::Replay::default(),
             next_segment: 0,
-            manifest_dirty: true,
+            manifest_dirty: fresh,
             recovery,
         })
     };
     if !vfs.exists(path) && !vfs.exists(&persist::backup_path(path)) {
-        return unsegmented(build_schema(), persist::RecoveryReport::default());
+        return unsegmented(build_schema(), true, persist::RecoveryReport::default());
     }
     let (doc, recovery) = persist::read_document_with_recovery_vfs(path, vfs)?;
     if doc.get("format").and_then(Json::as_str) != Some(MANIFEST_FORMAT) {
-        return unsegmented(persist::from_json(&doc)?, recovery);
+        return unsegmented(persist::from_json(&doc)?, false, recovery);
     }
     let manifest = Manifest::from_json(&doc)?;
-    let active = persist::active_path(path, manifest.active_epoch);
-    if !vfs.exists(&active) && !vfs.exists(&persist::backup_path(&active)) {
-        return Err(DbError::Corrupt(format!(
-            "manifest names epoch {} but {} is missing",
-            manifest.active_epoch,
-            active.display()
-        )));
-    }
-    let (db, active_recovery) = persist::load_with_recovery_vfs(&active, vfs)?;
+    let (db, replay, active_recovery) = load_active(path, &manifest, vfs)?;
     Ok(LoadedState {
         active: SegmentData::from_db(db)?,
         segments: manifest
@@ -974,6 +1121,8 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
             .collect(),
         tombstones: manifest.tombstones,
         active_epoch: manifest.active_epoch,
+        epoch_base: manifest.next_ids,
+        replay,
         next_segment: manifest.next_segment,
         manifest_dirty: false,
         recovery: persist::RecoveryReport {
@@ -1960,6 +2109,111 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// A save whose log append fails — torn by a short write, refused
+        /// outright, or written whole and then failing its fsync — is
+        /// not visible, and nothing acknowledged later makes it durable.
+        #[test]
+        fn a_failed_append_is_neither_visible_nor_replayed_later() {
+            // With the log open and the manifest clean, a save is two
+            // filesystem operations: the record's write and its fsync.
+            let probe = Arc::new(FaultVfs::pristine());
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), probe.clone() as Arc<dyn Vfs>).unwrap();
+            store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            let (write, fsync) = (probe.op_count(), probe.sync_count());
+            store.save_knowledge(&cmd_knowledge(1)).unwrap();
+            assert_eq!(probe.op_count(), write + 2);
+
+            for plan in [
+                FaultPlan::short_write_at(write),
+                FaultPlan::eio_at(write),
+                FaultPlan::eio_at(write + 1),
+                FaultPlan::fail_fsync(fsync),
+            ] {
+                let vfs = Arc::new(FaultVfs::new(plan.clone()));
+                let mut store =
+                    KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
+                store.save_knowledge(&cmd_knowledge(0)).unwrap();
+                let generation = store.generation();
+                assert!(store.save_knowledge(&cmd_knowledge(1)).is_err(), "{plan:?}");
+                assert_eq!(stored_commands(&store), vec!["cmd-0"], "{plan:?}");
+                assert_eq!(store.generation(), generation, "{plan:?}");
+                assert!(!store.is_read_only(), "{plan:?}");
+                // The id the failed save took is issued again.
+                assert_eq!(store.save_knowledge(&cmd_knowledge(2)).unwrap(), 2);
+                for state in vfs.crash_states() {
+                    let reopened =
+                        KnowledgeStore::open_with_vfs(kb(), Arc::new(FaultVfs::from_state(state)))
+                            .unwrap();
+                    assert_eq!(
+                        stored_commands(&reopened),
+                        vec!["cmd-0", "cmd-2"],
+                        "{plan:?}"
+                    );
+                    assert!(reopened.load_knowledge(2).unwrap().is_some());
+                }
+            }
+        }
+
+        /// When the failed append cannot be undone either, the log may
+        /// hold a record nobody acknowledged: the store stops writing.
+        #[test]
+        fn a_failed_append_that_cannot_be_truncated_degrades_the_store() {
+            let probe = Arc::new(FaultVfs::pristine());
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), probe.clone() as Arc<dyn Vfs>).unwrap();
+            store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            let write = probe.op_count();
+            // The fsync fails, and so does the truncate that follows it.
+            let vfs = Arc::new(FaultVfs::new(FaultPlan {
+                eio_ops: BTreeSet::from([write + 1, write + 2]),
+                ..FaultPlan::default()
+            }));
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
+            store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            assert!(store.save_knowledge(&cmd_knowledge(1)).is_err());
+            assert!(store.is_read_only());
+            assert!(matches!(
+                store.save_knowledge(&cmd_knowledge(2)),
+                Err(DbError::ReadOnly(_))
+            ));
+        }
+
+        #[test]
+        fn log_counters_register_on_attach_and_carry_what_open_replayed() {
+            let disk = Arc::new(FaultVfs::pristine());
+            let recorder = Arc::new(iokc_obs::Recorder::disabled());
+            let counter = |name: &str| recorder.metrics().counter(name).get();
+            {
+                let mut store =
+                    KnowledgeStore::open_with_vfs(kb(), disk.clone() as Arc<dyn Vfs>).unwrap();
+                store.save_knowledge(&cmd_knowledge(0)).unwrap();
+                store.attach_recorder(Arc::clone(&recorder));
+                store.save_knowledge(&cmd_knowledge(1)).unwrap();
+                assert_eq!(counter("store.wal.appends"), 2);
+                let log = persist::wal_path(&kb(), 0);
+                assert_eq!(counter("store.wal.bytes"), disk.len(&log).unwrap());
+                assert_eq!(counter("store.wal.replayed_records"), 0);
+                disk.set_len(&log, disk.len(&log).unwrap() - 3).unwrap();
+            }
+            let recorder = Arc::new(iokc_obs::Recorder::disabled());
+            let counter = |name: &str| recorder.metrics().counter(name).get();
+            let mut store = KnowledgeStore::open_with_vfs(kb(), disk as Arc<dyn Vfs>).unwrap();
+            store.attach_recorder(Arc::clone(&recorder));
+            assert_eq!(counter("store.wal.replayed_records"), 1);
+            assert_eq!(counter("store.wal.torn_tails_truncated"), 0);
+            store.save_knowledge(&cmd_knowledge(2)).unwrap();
+            assert_eq!(counter("store.wal.torn_tails_truncated"), 1);
+            assert_eq!(stored_commands(&store), vec!["cmd-0", "cmd-2"]);
+        }
+
+        #[test]
+        fn store_is_send_and_sync() {
+            fn assert_send_sync<T: Send + Sync>() {}
+            assert_send_sync::<KnowledgeStore>();
         }
 
         #[test]

@@ -24,6 +24,7 @@ pub mod segment;
 pub mod sql;
 pub mod value;
 pub mod vfs;
+mod wal;
 
 pub use aggregate::{
     AggregateQuery, AggregateResult, CorrelationMatrix, Factor, GroupBy, GroupStats,

@@ -15,7 +15,9 @@
 //! to the last good generation. [`inject_torn_write`] truncates an image
 //! at a byte offset so tests can exercise exactly that path.
 
-use crate::database::{Column, Database, DbError, ForeignKey, OrderBy, Predicate, TableSchema};
+use crate::database::{
+    Column, Counters, Database, DbError, ForeignKey, OrderBy, Predicate, TableSchema,
+};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
 use iokc_util::json::Json;
@@ -59,11 +61,7 @@ pub fn to_json(db: &Database) -> Json {
             .collect();
         let row_json: Vec<Json> = rows
             .iter()
-            .map(|row| {
-                let mut cells = vec![Json::from(row.id)];
-                cells.extend(row.values.iter().map(value_to_json));
-                Json::Arr(cells)
-            })
+            .map(|row| row_to_json(row.id, &row.values))
             .collect();
         tables.push(Json::obj(vec![
             ("name", Json::from(name)),
@@ -78,16 +76,10 @@ pub fn to_json(db: &Database) -> Json {
     // allocates ids after the highest ever issued, not after the highest
     // it happens to contain. Images without the key (written before the
     // segmented store) fall back to max(id)+1 per table.
-    let next_ids = Json::obj(
-        db.table_names()
-            .into_iter()
-            .map(|name| (name, Json::from(db.next_id(name).unwrap_or(1) as u64)))
-            .collect(),
-    );
     Json::obj(vec![
         ("format", Json::from("iokc-store")),
         ("version", Json::from(1u64)),
-        ("next_ids", next_ids),
+        ("next_ids", counters_to_json(&db.next_ids())),
         ("tables", Json::Arr(tables)),
     ])
 }
@@ -178,17 +170,7 @@ pub fn from_json(json: &Json) -> Result<Database, DbError> {
             .and_then(Json::as_arr)
             .ok_or_else(|| DbError::Corrupt(format!("{name}: missing rows")))?;
         for row in rows {
-            let cells = row
-                .as_arr()
-                .ok_or_else(|| DbError::Corrupt(format!("{name}: row not an array")))?;
-            if cells.is_empty() {
-                return Err(DbError::Corrupt(format!("{name}: empty row")));
-            }
-            let id = cells[0]
-                .as_f64()
-                .map(|f| f as i64)
-                .ok_or_else(|| DbError::Corrupt(format!("{name}: row without id")))?;
-            let values: Vec<Value> = cells[1..].iter().map(json_to_value).collect();
+            let (id, values) = row_from_json(name, row)?;
             db.insert_raw(name, id, values)?;
         }
     }
@@ -196,14 +178,53 @@ pub fn from_json(json: &Json) -> Result<Database, DbError> {
     // `insert_raw` already advanced each to max(id)+1, so this only ever
     // moves counters forward (segmented images allocate past ids that
     // live in sealed segments, not in this image).
-    if let Some(Json::Obj(next_ids)) = json.get("next_ids") {
-        for (table, next) in next_ids {
-            if let Some(next) = next.as_u64() {
-                db.bump_next_id(table, next as i64);
-            }
-        }
+    if let Some(next_ids) = json.get("next_ids") {
+        db.bump_next_ids(&counters_from_json(next_ids));
     }
     Ok(db)
+}
+
+/// Auto-increment counters as the `next_ids` object of images and
+/// manifests.
+pub(crate) fn counters_to_json(counters: &Counters) -> Json {
+    Json::Obj(
+        counters
+            .iter()
+            .map(|(table, next)| (table.clone(), Json::from(*next as u64)))
+            .collect(),
+    )
+}
+
+/// Decode a `next_ids` object; entries that are not counters are skipped.
+pub(crate) fn counters_from_json(json: &Json) -> Counters {
+    let Json::Obj(map) = json else {
+        return Counters::new();
+    };
+    map.iter()
+        .filter_map(|(table, next)| Some((table.clone(), next.as_u64()? as i64)))
+        .collect()
+}
+
+/// One row as it is written in images, segments and log records: the
+/// rowid followed by the cells.
+pub(crate) fn row_to_json(id: i64, values: &[Value]) -> Json {
+    let mut cells = vec![Json::from(id)];
+    cells.extend(values.iter().map(value_to_json));
+    Json::Arr(cells)
+}
+
+/// Decode a [`row_to_json`] row of `table`.
+pub(crate) fn row_from_json(table: &str, row: &Json) -> Result<(i64, Vec<Value>), DbError> {
+    let cells = row
+        .as_arr()
+        .ok_or_else(|| DbError::Corrupt(format!("{table}: row not an array")))?;
+    let id = cells
+        .first()
+        .ok_or_else(|| DbError::Corrupt(format!("{table}: empty row")))?
+        .as_f64()
+        .map(|f| f as i64)
+        .ok_or_else(|| DbError::Corrupt(format!("{table}: row without id")))?;
+    Ok((id, cells[1..].iter().map(json_to_value).collect()))
 }
 
 fn value_to_json(value: &Value) -> Json {
@@ -286,11 +307,19 @@ pub fn backup_path(path: &Path) -> PathBuf {
     sibling(path, ".bak")
 }
 
-/// The segmented store's active-generation image for `epoch`, kept next
-/// to the manifest (which lives at the store's nominal path).
+/// Where a store written before the active generation was journaled
+/// kept its active-generation image for `epoch`. Read (never written)
+/// when a manifest of that layout is opened; retired at the next seal.
 #[must_use]
 pub fn active_path(path: &Path, epoch: u64) -> PathBuf {
     sibling(path, &format!(".active-{epoch}"))
+}
+
+/// The active generation's write-ahead log for `epoch`, kept next to
+/// the manifest (which lives at the store's nominal path).
+#[must_use]
+pub fn wal_path(path: &Path, epoch: u64) -> PathBuf {
+    sibling(path, &format!(".wal-{epoch}"))
 }
 
 /// A sealed segment's file, kept next to the manifest.
@@ -400,9 +429,9 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
         file.write_all(image.as_bytes())?;
         file.sync()?;
     }
-    // Rotate only a checksum-valid current file into the backup slot;
-    // rotating a torn one would evict the last good generation.
-    if vfs.exists(path) && read_document_vfs(path, vfs).is_ok() {
+    // Rotate only a valid current file into the backup slot; rotating a
+    // torn one would evict the last good generation.
+    if vfs.exists(path) && vfs.read(path).is_ok_and(|bytes| rotatable(&bytes)) {
         vfs.rename(path, &backup_path(path))?;
     }
     vfs.rename(&tmp, path)?;
@@ -412,6 +441,22 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
     // rename-uncertainty window is exercised.
     vfs.sync_parent_dir(path)?;
     Ok(())
+}
+
+/// Whether a file may rotate into the `.bak` slot: its checksum footer
+/// verifies. The body is not parsed — the footer is the proof that these
+/// are the bytes that were written. Only a file without a footer (written
+/// before checksumming existed; also what a torn write leaves) has to
+/// parse instead.
+fn rotatable(bytes: &[u8]) -> bool {
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        return false;
+    };
+    if text.contains(FOOTER_MARKER) {
+        verify_image(text).is_ok()
+    } else {
+        iokc_util::json::parse(text).is_ok()
+    }
 }
 
 /// Read a checksummed JSON document, verifying its footer.

@@ -687,7 +687,9 @@ impl KnowledgeStore {
     /// The robustness counters (`store.faults_injected`,
     /// `store.open_degraded`, `store.fsck_repairs`) register too, so a
     /// degraded open or an injected storage fault is visible in the same
-    /// schema-1 dump.
+    /// schema-1 dump, and so do the log's (`store.wal.appends`, `.bytes`,
+    /// `.replayed_records`, `.torn_tails_truncated`), carrying over what
+    /// the open replayed before any recorder was attached.
     pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
         let metrics = recorder.metrics();
         let degraded = metrics.counter("store.open_degraded");
@@ -703,6 +705,7 @@ impl KnowledgeStore {
                 recorder.log(None, &format!("WARN store.open_degraded: {detail}"));
             }
         }
+        self.wal.obs.rebind(&metrics);
         self.state.obs = Arc::new(QueryObs::new(recorder));
     }
 }

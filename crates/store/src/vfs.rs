@@ -343,6 +343,33 @@ impl Inner {
         Ok(op)
     }
 
+    /// Make the first `count` pending renames durable.
+    fn commit_renames(&mut self, count: usize) {
+        for (from, to) in self.pending_renames.drain(..count).collect::<Vec<_>>() {
+            if let Some(bytes) = self.durable.remove(&from) {
+                self.durable.insert(to, bytes);
+            } else {
+                self.durable.remove(&to);
+            }
+        }
+    }
+
+    /// `path` is about to name a different file (created anew, or
+    /// unlinked). `durable` is keyed by path, so a rename still pending
+    /// on that name — a directory sync failed and the caller carried on
+    /// — would later move the wrong file's bytes. Let the renames up to
+    /// the last one naming `path` reach the disk first: an order a crash
+    /// could expose anyway.
+    fn settle_renames_of(&mut self, path: &Path) {
+        let last = self
+            .pending_renames
+            .iter()
+            .rposition(|(from, to)| from == path || to == path);
+        if let Some(last) = last {
+            self.commit_renames(last + 1);
+        }
+    }
+
     /// Account one durability barrier and apply any sync-keyed fault.
     fn begin_sync(&mut self, plan: &FaultPlan) -> Result<(), io::Error> {
         let sync = self.syncs;
@@ -576,6 +603,7 @@ impl Vfs for FaultVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
         inner.begin_op(&self.plan)?;
+        inner.settle_renames_of(path);
         inner
             .volatile
             .insert(path.to_path_buf(), FileNode::default());
@@ -589,7 +617,12 @@ impl Vfs for FaultVfs {
     fn append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
         inner.begin_op(&self.plan)?;
-        inner.volatile.entry(path.to_path_buf()).or_default();
+        if !inner.volatile.contains_key(path) {
+            inner.settle_renames_of(path);
+            inner
+                .volatile
+                .insert(path.to_path_buf(), FileNode::default());
+        }
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
             plan: self.plan.clone(),
@@ -655,8 +688,8 @@ impl Vfs for FaultVfs {
         }
         // Model the unlink as immediately durable (conservative for the
         // fsck-repair flows that use it; nothing in the save path does).
+        inner.settle_renames_of(path);
         inner.durable.remove(path);
-        inner.pending_renames.retain(|(from, _)| from != path);
         Ok(())
     }
 
@@ -664,14 +697,8 @@ impl Vfs for FaultVfs {
         let mut inner = self.lock();
         inner.begin_op(&self.plan)?;
         inner.begin_sync(&self.plan)?;
-        let pending = std::mem::take(&mut inner.pending_renames);
-        for (from, to) in pending {
-            if let Some(bytes) = inner.durable.remove(&from) {
-                inner.durable.insert(to, bytes);
-            } else {
-                inner.durable.remove(&to);
-            }
-        }
+        let all = inner.pending_renames.len();
+        inner.commit_renames(all);
         Ok(())
     }
 

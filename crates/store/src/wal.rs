@@ -1,0 +1,400 @@
+//! The active generation's write-ahead log.
+//!
+//! A file-backed store makes a write durable by appending ONE
+//! [`crate::journal`] record to `<path>.wal-<epoch>` — one `write_all`,
+//! one fsync (the first record of a log also syncs the directory) —
+//! holding only what the write changed: the rows it
+//! inserted (with their ids, in the same cell encoding images and
+//! segments use), or the `(kind, id)` of the run it deleted. A batch is
+//! one record, so it is all-or-nothing. Opening replays the records, in
+//! order, onto an empty schema whose auto-increment counters come from
+//! the manifest; sealing writes the block as a segment, bumps the epoch
+//! in the manifest commit and retires the log, so neither the log nor
+//! the replay ever outgrows one generation.
+//!
+//! A crash can tear only the last record, and [`replay`] salvages the
+//! valid prefix. Reading never changes the file: the torn tail is
+//! truncated by the first append after the open, so a new record is
+//! never fused onto torn bytes. A *failed* append is undone the same
+//! way ([`Wal::rollback`]): the file goes back to its acknowledged
+//! length before anything else is appended, because bytes of an
+//! unacknowledged record that a later fsync made durable would replay
+//! as a write nobody was told had happened.
+
+use crate::database::{Counters, Database, DbError};
+use crate::journal::{self, JournalWriter};
+use crate::knowledge_store::delete_run_rows;
+use crate::persist;
+use crate::query::RunKind;
+use crate::vfs::Vfs;
+use iokc_obs::{Counter, MetricsRegistry};
+use iokc_util::json::Json;
+use std::path::Path;
+use std::sync::{Mutex, PoisonError};
+
+const KINDS: [RunKind; 2] = [RunKind::Benchmark, RunKind::Io500];
+
+/// What one flush appends, encoded.
+pub(crate) struct Delta(String);
+
+impl Delta {
+    /// The rows inserted into `db` since its counters read `mark`: every
+    /// row whose id is at or past its table's mark. `None` when there
+    /// are none — a batch whose rows all sealed mid-batch logs nothing,
+    /// the segment already holds them.
+    pub(crate) fn rows_since(db: &Database, mark: &Counters) -> Option<Delta> {
+        let mut tables = std::collections::BTreeMap::new();
+        for (name, table) in &db.tables {
+            let from = mark.get(name).copied().unwrap_or(1);
+            let rows: Vec<Json> = table
+                .rows
+                .range(from..)
+                .map(|(id, values)| persist::row_to_json(*id, values))
+                .collect();
+            if !rows.is_empty() {
+                tables.insert(name.clone(), Json::Arr(rows));
+            }
+        }
+        (!tables.is_empty())
+            .then(|| Delta(Json::obj(vec![("rows", Json::Obj(tables))]).to_compact()))
+    }
+
+    /// The delete of one active-generation run.
+    pub(crate) fn delete(kind: RunKind, id: u64) -> Delta {
+        let run = Json::Arr(vec![Json::from(kind.as_str()), Json::from(id)]);
+        Delta(Json::obj(vec![("delete", run)]).to_compact())
+    }
+}
+
+/// Apply one record to `db`; returns the operations (runs saved or
+/// deleted) it stood for.
+fn apply(db: &mut Database, payload: &str) -> Result<usize, DbError> {
+    let corrupt = |what: &str| DbError::Corrupt(format!("log record: {what}"));
+    let doc = iokc_util::json::parse(payload).map_err(|e| corrupt(&e.to_string()))?;
+    let mut ops = 0;
+    if let Some(Json::Obj(tables)) = doc.get("rows") {
+        for (table, rows) in tables {
+            let rows = rows.as_arr().ok_or_else(|| corrupt("rows not an array"))?;
+            for row in rows {
+                let (id, values) = persist::row_from_json(table, row)?;
+                db.insert_raw(table, id, values)?;
+            }
+            if KINDS.iter().any(|kind| kind.table() == table) {
+                ops += rows.len();
+            }
+        }
+    }
+    if let Some(run) = doc.get("delete") {
+        let run = run.as_arr().unwrap_or(&[]);
+        let kind = run.first().and_then(Json::as_str);
+        let kind = KINDS.into_iter().find(|k| Some(k.as_str()) == kind);
+        match (kind, run.get(1).and_then(Json::as_u64)) {
+            (Some(kind), Some(id)) => delete_run_rows(db, kind, id)?,
+            _ => return Err(corrupt("bad delete")),
+        }
+        ops += 1;
+    }
+    Ok(ops)
+}
+
+/// What [`replay`] found.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// Records applied.
+    pub(crate) records: usize,
+    /// Operations those records stood for: what the store counts
+    /// against its seal threshold.
+    pub(crate) ops: usize,
+    /// Length of the valid record prefix, in bytes.
+    pub(crate) len: u64,
+    /// Bytes follow the valid prefix (a crash tore the last append).
+    pub(crate) torn: bool,
+}
+
+/// Apply the log at `path` to `db`, salvaging the valid record prefix.
+/// A missing file is an empty log. A record that verifies but does not
+/// apply is corruption, not a torn tail.
+pub(crate) fn replay(path: &Path, vfs: &dyn Vfs, db: &mut Database) -> Result<Replay, DbError> {
+    let report = journal::read_journal_vfs(path, vfs)
+        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
+    let mut replay = Replay {
+        records: report.records.len(),
+        torn: report.torn_tail,
+        ..Replay::default()
+    };
+    for (n, record) in report.records.iter().enumerate() {
+        replay.ops += apply(db, record)
+            .map_err(|e| DbError::Corrupt(format!("{} record {n}: {e}", path.display())))?;
+        replay.len += journal::framed_len(record);
+    }
+    Ok(replay)
+}
+
+/// The `store.wal.*` counters.
+#[derive(Clone)]
+pub(crate) struct WalObs {
+    appends: Counter,
+    bytes: Counter,
+    pub(crate) replayed_records: Counter,
+    torn_tails_truncated: Counter,
+}
+
+impl WalObs {
+    pub(crate) fn new(metrics: &MetricsRegistry) -> WalObs {
+        WalObs {
+            appends: metrics.counter("store.wal.appends"),
+            bytes: metrics.counter("store.wal.bytes"),
+            replayed_records: metrics.counter("store.wal.replayed_records"),
+            torn_tails_truncated: metrics.counter("store.wal.torn_tails_truncated"),
+        }
+    }
+
+    /// Count into `metrics` from here on, carrying over what was counted
+    /// before a recorder was attached (the replay at open, notably).
+    pub(crate) fn rebind(&mut self, metrics: &MetricsRegistry) {
+        let next = WalObs::new(metrics);
+        next.appends.add(self.appends.get());
+        next.bytes.add(self.bytes.get());
+        next.replayed_records.add(self.replayed_records.get());
+        next.torn_tails_truncated
+            .add(self.torn_tails_truncated.get());
+        *self = next;
+    }
+}
+
+impl Default for WalObs {
+    fn default() -> WalObs {
+        WalObs::new(&MetricsRegistry::default())
+    }
+}
+
+/// The append side of the current epoch's log.
+#[derive(Default)]
+pub(crate) struct Wal {
+    /// The open handle; `None` until the first append after an open, a
+    /// seal or a reload. Behind a `Mutex` only to keep the store `Sync`
+    /// (a [`crate::VfsFile`] is `Send`); every use holds `&mut self`.
+    writer: Mutex<Option<JournalWriter>>,
+    /// Length of the acknowledged records: what a failed append is
+    /// truncated back to.
+    len: u64,
+    /// Torn bytes follow the acknowledged records; truncate them before
+    /// appending.
+    torn: bool,
+    pub(crate) obs: WalObs,
+}
+
+impl Wal {
+    /// Continue after the log was replayed (or, with the default
+    /// [`Replay`], start an empty one).
+    pub(crate) fn restart(&mut self, replay: &Replay) {
+        *self
+            .writer
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+        self.len = replay.len;
+        self.torn = replay.torn;
+    }
+
+    /// Append `delta` as one record and fsync it. On error the caller
+    /// must [`Wal::rollback`] before appending again.
+    pub(crate) fn append(
+        &mut self,
+        path: &Path,
+        vfs: &dyn Vfs,
+        delta: &Delta,
+    ) -> Result<(), std::io::Error> {
+        let slot = self
+            .writer
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let writer = match slot {
+            Some(writer) => writer,
+            None => {
+                if self.torn {
+                    journal::truncate_torn_tail_vfs(path, vfs)?;
+                    self.torn = false;
+                    self.obs.torn_tails_truncated.inc();
+                }
+                slot.insert(JournalWriter::open_vfs(path, vfs)?)
+            }
+        };
+        writer.append(&delta.0)?;
+        if self.len == 0 {
+            // Nothing acknowledged yet: the file may have just been
+            // created, so its directory entry has to become durable too.
+            vfs.sync_parent_dir(path)?;
+        }
+        let bytes = journal::framed_len(&delta.0);
+        self.len += bytes;
+        self.obs.appends.inc();
+        self.obs.bytes.add(bytes);
+        Ok(())
+    }
+
+    /// Undo a failed append: durably truncate the file back to the
+    /// acknowledged length, so neither half a record (a later record
+    /// would fuse onto it) nor a whole unacknowledged one survives.
+    pub(crate) fn rollback(&self, path: &Path, vfs: &dyn Vfs) -> Result<(), std::io::Error> {
+        if vfs.exists(path) {
+            vfs.set_len(path, self.len)?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::knowledge_store::build_schema;
+    use crate::value::Value;
+    use crate::vfs::{FaultPlan, FaultVfs};
+
+    fn log() -> &'static Path {
+        Path::new("/kb.json.wal-0")
+    }
+
+    /// Insert one benchmark run with a summary row; returns its id.
+    fn insert_run(db: &mut Database, command: &str) -> i64 {
+        let mut cells = vec![Value::Null; 17];
+        cells[0] = Value::from(command);
+        cells[1] = Value::from("ior");
+        let id = db.insert("performances", cells).unwrap();
+        let mut cells = vec![Value::Null; 9];
+        cells[0] = Value::Int(id);
+        cells[1] = Value::from("write");
+        db.insert("summaries", cells).unwrap();
+        id
+    }
+
+    fn commands(db: &Database) -> Vec<String> {
+        db.tables["performances"]
+            .rows
+            .values()
+            .map(|cells| cells[0].to_string())
+            .collect()
+    }
+
+    #[test]
+    fn replay_rebuilds_rows_ids_and_counters() {
+        let vfs = FaultVfs::pristine();
+        let mut wal = Wal::default();
+        let mut db = build_schema();
+        db.bump_next_id("performances", 40);
+        let base = db.next_ids();
+        for command in ["a", "b", "c"] {
+            let mark = db.next_ids();
+            insert_run(&mut db, command);
+            wal.append(log(), &vfs, &Delta::rows_since(&db, &mark).unwrap())
+                .unwrap();
+        }
+        delete_run_rows(&mut db, RunKind::Benchmark, 41).unwrap();
+        wal.append(log(), &vfs, &Delta::delete(RunKind::Benchmark, 41))
+            .unwrap();
+        assert_eq!(vfs.len(log()).unwrap(), wal.len);
+
+        let mut replayed = build_schema();
+        replayed.bump_next_ids(&base);
+        let report = replay(log(), &vfs, &mut replayed).unwrap();
+        assert_eq!((report.records, report.ops, report.torn), (4, 4, false));
+        assert_eq!(report.len, wal.len);
+        assert_eq!(commands(&replayed), vec!["a", "c"]);
+        assert_eq!(replayed.tables["summaries"].rows.len(), 2);
+        // Deleted ids are not reissued: the counters equal the live ones.
+        assert_eq!(replayed.next_ids(), db.next_ids());
+        // Nothing inserted, nothing to log.
+        assert!(Delta::rows_since(&db, &db.next_ids()).is_none());
+    }
+
+    #[test]
+    fn a_missing_log_is_empty() {
+        let report = replay(log(), &FaultVfs::pristine(), &mut build_schema()).unwrap();
+        assert_eq!((report.records, report.len, report.torn), (0, 0, false));
+    }
+
+    #[test]
+    fn a_torn_tail_is_salvaged_on_read_and_truncated_by_the_next_append() {
+        let vfs = FaultVfs::pristine();
+        let mut wal = Wal::default();
+        let mut db = build_schema();
+        for command in ["a", "b"] {
+            let mark = db.next_ids();
+            insert_run(&mut db, command);
+            wal.append(log(), &vfs, &Delta::rows_since(&db, &mark).unwrap())
+                .unwrap();
+        }
+        vfs.set_len(log(), wal.len - 5).unwrap();
+        let torn_len = vfs.len(log()).unwrap();
+
+        let mut replayed = build_schema();
+        let report = replay(log(), &vfs, &mut replayed).unwrap();
+        assert_eq!((report.records, report.torn), (1, true));
+        assert_eq!(commands(&replayed), vec!["a"]);
+        assert_eq!(vfs.len(log()).unwrap(), torn_len, "reading changes nothing");
+
+        let mut wal = Wal::default();
+        wal.restart(&report);
+        let mark = replayed.next_ids();
+        insert_run(&mut replayed, "c");
+        wal.append(log(), &vfs, &Delta::rows_since(&replayed, &mark).unwrap())
+            .unwrap();
+        assert_eq!(wal.obs.torn_tails_truncated.get(), 1);
+        let mut again = build_schema();
+        let report = replay(log(), &vfs, &mut again).unwrap();
+        assert_eq!((report.records, report.torn), (2, false));
+        assert_eq!(commands(&again), vec!["a", "c"]);
+    }
+
+    /// Whatever way an append fails, after the rollback the log holds
+    /// exactly the acknowledged records and keeps accepting appends.
+    #[test]
+    fn a_failed_append_leaves_no_bytes_behind() {
+        // Ops: 0 open, 1 write, 2 fsync, 3 dir sync (first record);
+        // 4 write, 5 fsync (second record).
+        for plan in [
+            FaultPlan::short_write_at(4),
+            FaultPlan::eio_at(4),
+            FaultPlan::eio_at(5),
+            FaultPlan::fail_fsync(2),
+        ] {
+            let vfs = FaultVfs::new(plan.clone());
+            let mut wal = Wal::default();
+            let mut db = build_schema();
+            let mark = db.next_ids();
+            insert_run(&mut db, "a");
+            wal.append(log(), &vfs, &Delta::rows_since(&db, &mark).unwrap())
+                .unwrap();
+            let acked = wal.len;
+
+            let mark = db.next_ids();
+            insert_run(&mut db, "unacknowledged");
+            let delta = Delta::rows_since(&db, &mark).unwrap();
+            assert!(wal.append(log(), &vfs, &delta).is_err(), "{plan:?}");
+            wal.rollback(log(), &vfs).unwrap();
+            assert_eq!(vfs.len(log()).unwrap(), acked, "{plan:?}");
+
+            wal.append(log(), &vfs, &Delta::delete(RunKind::Benchmark, 1))
+                .unwrap();
+            // What a crash right now would leave is what is acknowledged.
+            let disk = FaultVfs::from_state(vfs.durable_state());
+            let mut replayed = build_schema();
+            let report = replay(log(), &disk, &mut replayed).unwrap();
+            assert_eq!((report.records, report.torn), (2, false), "{plan:?}");
+            assert!(commands(&replayed).is_empty(), "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn a_record_that_verifies_but_does_not_apply_is_corruption() {
+        let vfs = FaultVfs::pristine();
+        let mut writer = JournalWriter::open_vfs(log(), &vfs).unwrap();
+        writer
+            .append("{\"rows\":{\"no_such_table\":[[1]]}}")
+            .unwrap();
+        assert!(matches!(
+            replay(log(), &vfs, &mut build_schema()),
+            Err(DbError::Corrupt(_))
+        ));
+    }
+}

@@ -42,9 +42,11 @@ echo "==> cargo clippy -p iokc-util -p iokc-core -p iokc-darshan (unwraps are er
 cargo clippy -p iokc-util -p iokc-core -p iokc-darshan --all-targets -- -D warnings -D clippy::unwrap_used
 
 # Crash-consistency: enumerate every crash point of the mixed workload
-# and verify each post-crash disk image recovers an acknowledged prefix.
-echo "==> crash-consistency suite"
-cargo test -p iokc-integration --test crash_consistency -q
+# and verify each post-crash disk image recovers an acknowledged prefix;
+# then any history of writes, injected faults and reboots against a
+# map of acknowledged results.
+echo "==> crash-consistency suite + store-vs-model proptest"
+cargo test -p iokc-integration --test crash_consistency --test store_model -q
 
 # Compaction smoke: seal/merge/tombstone protocol plus the snapshot
 # immunity proptest, quick enough to run on every check.

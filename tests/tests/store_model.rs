@@ -1,0 +1,496 @@
+//! The store against a reference model (ROADMAP "code diet (c)", first
+//! slice), plus the two properties of the journaled active generation
+//! that no crash point shows: it opens what the previous layout wrote,
+//! and its log stays bounded under churn.
+//!
+//! The model is a `BTreeMap<(kind, id), label>` of *acknowledged*
+//! results. One proptest state machine drives saves, batches, deletes
+//! of active and of sealed runs, explicit seals, injected I/O faults and
+//! crash-and-reopen, and after every reopen the store must read back
+//! exactly the model — same ids, same rows — with consistent indexes and
+//! a disk that one `fsck --repair` pass leaves clean.
+
+use iokc_core::model::{Io500Knowledge, Knowledge, KnowledgeItem, KnowledgeSource};
+use iokc_obs::Recorder;
+use iokc_store::persist;
+use iokc_store::{
+    fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
+    Vfs,
+};
+use iokc_util::json::Json;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+type Disk = BTreeMap<PathBuf, Vec<u8>>;
+type Model = BTreeMap<(RunKind, u64), String>;
+
+/// Low enough that seals happen every few operations, mid-batch too.
+const SEAL_THRESHOLD: usize = 4;
+
+fn kb() -> PathBuf {
+    PathBuf::from("/kb.json")
+}
+
+fn bench(tag: u32) -> Knowledge {
+    Knowledge::new(KnowledgeSource::Ior, &format!("ior -t 1m #{tag}"))
+}
+
+fn io500(tag: u32) -> Io500Knowledge {
+    Io500Knowledge {
+        id: None,
+        tasks: tag,
+        bw_score: 1.5,
+        md_score: 10.0,
+        total_score: 3.9,
+        testcases: Vec::new(),
+        options: BTreeMap::new(),
+        system: None,
+        start_time: 0,
+        warnings: Vec::new(),
+    }
+}
+
+/// What the model remembers of an item: distinct per tag and kind.
+fn label(item: &KnowledgeItem) -> String {
+    match item {
+        KnowledgeItem::Benchmark(k) => k.command.clone(),
+        KnowledgeItem::Io500(k) => format!("io500 tasks={}", k.tasks),
+    }
+}
+
+fn open(vfs: &Arc<FaultVfs>) -> KnowledgeStore {
+    let mut store = KnowledgeStore::open_with_vfs(kb(), Arc::clone(vfs) as Arc<dyn Vfs>)
+        .expect("a disk the store wrote reopens");
+    store.set_seal_threshold(SEAL_THRESHOLD);
+    store
+}
+
+/// Everything the store reads back, in the model's shape.
+fn contents(store: &KnowledgeStore) -> Model {
+    store
+        .query_summaries(&Query::all(), &DeadlineToken::unbounded())
+        .expect("listing")
+        .iter()
+        .map(|r| {
+            let label = match r.kind {
+                RunKind::Benchmark => r.command.clone(),
+                RunKind::Io500 => format!("io500 tasks={}", r.tasks),
+            };
+            ((r.kind, r.id), label)
+        })
+        .collect()
+}
+
+fn in_active(store: &KnowledgeStore, (kind, id): (RunKind, u64)) -> bool {
+    let table = match kind {
+        RunKind::Benchmark => "performances",
+        RunKind::Io500 => "IOFHsRuns",
+    };
+    matches!(store.database().get(table, id as i64), Ok(Some(_)))
+}
+
+fn fsck_pass(vfs: &FaultVfs, repair: bool) -> iokc_store::FsckReport {
+    let opts = FsckOptions {
+        repair,
+        journal: None,
+    };
+    fsck(&kb(), vfs, &opts)
+}
+
+/// Power loss now: reboot into what the disk guarantees, and check it
+/// with `acknowledged` (equal to the model — or, after a failed
+/// operation, one of the states that operation may have left). Returns
+/// the store's contents and the disk after one `fsck --repair` pass.
+fn crash_and_check(vfs: &FaultVfs, acknowledged: impl Fn(&Model) -> bool) -> (Model, Disk) {
+    let disk = Arc::new(FaultVfs::from_state(vfs.durable_state()));
+    let reopened = open(&disk);
+    let found = contents(&reopened);
+    assert!(acknowledged(&found), "reopened to unacknowledged {found:?}");
+    assert!(reopened.indexes_consistent().expect("index rebuild"));
+    drop(reopened);
+    let repair = fsck_pass(&disk, true);
+    assert_eq!(repair.unrepaired(), 0, "{:?}", repair.findings);
+    let second = fsck_pass(&disk, false);
+    assert!(second.clean(), "{:?}", second.findings);
+    assert_eq!(contents(&open(&disk)), found, "fsck --repair changed rows");
+    (found, disk.durable_state())
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    SaveKnowledge,
+    SaveIo500,
+    /// `true` items are benchmark runs, `false` IO500 runs.
+    SaveBatch(Vec<bool>),
+    DeleteActive(usize),
+    DeleteSealed(usize),
+    Seal,
+}
+
+/// One mount of the disk: the faults its filesystem injects (by
+/// mutating-operation index and by fsync index, both counted from the
+/// mount), the operations run on it, then power loss.
+#[derive(Debug, Clone)]
+struct Session {
+    eio_at: Vec<u64>,
+    short_write_at: Vec<u64>,
+    fail_fsync: Vec<u64>,
+    ops: Vec<Op>,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        Just(Op::SaveKnowledge),
+        Just(Op::SaveKnowledge),
+        Just(Op::SaveIo500),
+        proptest::collection::vec(any::<bool>(), 0..7).prop_map(Op::SaveBatch),
+        (0usize..64).prop_map(Op::DeleteActive),
+        (0usize..64).prop_map(Op::DeleteSealed),
+        Just(Op::Seal),
+    ]
+}
+
+fn arb_session() -> impl Strategy<Value = Session> {
+    (
+        proptest::collection::vec(0u64..60, 0..3),
+        proptest::collection::vec(0u64..60, 0..3),
+        proptest::collection::vec(0u64..20, 0..2),
+        proptest::collection::vec(arb_op(), 1..12),
+    )
+        .prop_map(|(eio_at, short_write_at, fail_fsync, ops)| Session {
+            eio_at,
+            short_write_at,
+            fail_fsync,
+            ops,
+        })
+}
+
+/// Run `op`; on success the model moves with it. Returns what the
+/// operation reported, and the items it tried to add, in order.
+fn apply(
+    store: &mut KnowledgeStore,
+    model: &mut Model,
+    op: &Op,
+    next_tag: &mut u32,
+) -> (Result<(), DbError>, Vec<KnowledgeItem>) {
+    let mut fresh = |benchmark: bool| {
+        *next_tag += 1;
+        if benchmark {
+            KnowledgeItem::Benchmark(bench(*next_tag))
+        } else {
+            KnowledgeItem::Io500(io500(*next_tag))
+        }
+    };
+    let pick = |store: &KnowledgeStore, model: &Model, active: bool, n: usize| {
+        let keys: Vec<(RunKind, u64)> = model
+            .keys()
+            .copied()
+            .filter(|key| in_active(store, *key) == active)
+            .collect();
+        (!keys.is_empty()).then(|| keys[n % keys.len()])
+    };
+    match op {
+        Op::SaveKnowledge | Op::SaveIo500 => {
+            let item = fresh(matches!(op, Op::SaveKnowledge));
+            let saved = match &item {
+                KnowledgeItem::Benchmark(k) => {
+                    store.save_knowledge(k).map(|id| (RunKind::Benchmark, id))
+                }
+                KnowledgeItem::Io500(k) => store.save_io500(k).map(|id| (RunKind::Io500, id)),
+            };
+            let result = saved.map(|key| {
+                assert!(
+                    model.insert(key, label(&item)).is_none(),
+                    "{key:?} reissued"
+                );
+            });
+            (result, vec![item])
+        }
+        Op::SaveBatch(kinds) => {
+            let items: Vec<KnowledgeItem> = kinds.iter().map(|b| fresh(*b)).collect();
+            let result = store.save_batch(&items).map(|ids| {
+                assert_eq!(ids.len(), items.len());
+                for (item, id) in items.iter().zip(ids) {
+                    let kind = match item {
+                        KnowledgeItem::Benchmark(_) => RunKind::Benchmark,
+                        KnowledgeItem::Io500(_) => RunKind::Io500,
+                    };
+                    assert!(model.insert((kind, id), label(item)).is_none());
+                }
+            });
+            (result, items)
+        }
+        Op::DeleteActive(n) | Op::DeleteSealed(n) => {
+            let Some((kind, id)) = pick(store, model, matches!(op, Op::DeleteActive(_)), *n) else {
+                return (Ok(()), Vec::new());
+            };
+            let deleted = match kind {
+                RunKind::Benchmark => store.delete_knowledge(id),
+                RunKind::Io500 => store.delete_io500(id),
+            };
+            let result = deleted.map(|existed| {
+                assert!(existed, "{kind:?} {id} is acknowledged but was not there");
+                model.remove(&(kind, id));
+            });
+            (result, Vec::new())
+        }
+        Op::Seal => (store.seal_active(), Vec::new()),
+    }
+}
+
+/// Whether a *failed* `op` may have left `state`, given the model
+/// before it: nothing of it; all of it (the failure hit after the commit
+/// point — the directory sync that follows a manifest rename, the seal
+/// that follows a durable save — or could not be undone); or, for a
+/// batch, the prefix that a mid-batch seal made durable.
+fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[KnowledgeItem]) -> bool {
+    if state == before {
+        return true;
+    }
+    match op {
+        Op::Seal => false,
+        Op::DeleteActive(_) | Op::DeleteSealed(_) => {
+            state.len() + 1 == before.len() && state.iter().all(|(k, l)| before.get(k) == Some(l))
+        }
+        _ => {
+            // The new rows carry the items' labels, in order, under keys
+            // the model never held.
+            let mut added: Vec<&String> = state
+                .iter()
+                .filter(|(key, _)| !before.contains_key(*key))
+                .map(|(_, label)| label)
+                .collect();
+            added.sort();
+            let kept = before.iter().all(|(k, l)| state.get(k) == Some(l));
+            kept && (1..=items.len()).any(|k| {
+                let mut want: Vec<String> = items[..k].iter().map(label).collect();
+                want.sort();
+                want.iter().eq(added.iter().copied())
+            })
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+    #[test]
+    fn the_store_equals_a_map_of_acknowledged_results(
+        sessions in proptest::collection::vec(arb_session(), 1..5)
+    ) {
+        let mut disk = Disk::new();
+        let mut model = Model::new();
+        let mut next_tag = 0u32;
+        for session in &sessions {
+            let plan = FaultPlan {
+                eio_ops: session.eio_at.iter().copied().collect(),
+                short_write_ops: session.short_write_at.iter().copied().collect(),
+                fail_syncs: session.fail_fsync.iter().copied().collect(),
+                ..FaultPlan::default()
+            };
+            let vfs = Arc::new(FaultVfs::from_state_with_plan(disk, plan));
+            let mut store = open(&vfs);
+            prop_assert_eq!(&contents(&store), &model);
+            // Set by a failed operation that may have reached the disk.
+            let mut unsettled = None;
+            for op in &session.ops {
+                let before = model.clone();
+                let generation = store.generation();
+                let (result, items) = apply(&mut store, &mut model, op, &mut next_tag);
+                let now = contents(&store);
+                prop_assert!(store.indexes_consistent().expect("index rebuild"));
+                match result {
+                    Ok(()) => prop_assert_eq!(&now, &model, "after acknowledged {:?}", op),
+                    Err(DbError::ReadOnly(_)) => break,
+                    Err(e) => {
+                        prop_assert!(
+                            failed_op_may_leave(&before, &now, op, &items),
+                            "failed {op:?} ({e}) left {now:?}, before it {before:?}"
+                        );
+                        if now != before || store.is_read_only() {
+                            // Memory follows the volatile disk, which may
+                            // be ahead of the durable one; and a store
+                            // that could not undo a failed append stops
+                            // writing because the disk may hold it
+                            // whole. Settle either by rebooting now.
+                            unsettled = Some((op, items));
+                            break;
+                        }
+                        prop_assert_eq!(store.generation(), generation);
+                    }
+                }
+            }
+            drop(store);
+            (model, disk) = crash_and_check(&vfs, |found| match &unsettled {
+                Some((op, items)) => failed_op_may_leave(&model, found, op, items),
+                None => *found == model,
+            });
+        }
+    }
+}
+
+/// A store directory as the commit before the log laid it out: a
+/// manifest without counters, the active generation as a checksummed
+/// image at `.active-<epoch>` with its `.bak` rotation, sealed segments
+/// beside it.
+fn previous_layout() -> (Disk, Model) {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store = open(&vfs);
+    let mut model = Model::new();
+    for tag in 0..6 {
+        let id = store.save_knowledge(&bench(tag)).expect("save");
+        model.insert((RunKind::Benchmark, id), bench(tag).command);
+    }
+    // Four sealed, two active.
+    assert_eq!(store.segment_metas().len(), 1);
+    let active_rows = store.database().clone();
+    drop(store);
+
+    let mut manifest = persist::read_document_vfs(&kb(), &*vfs).expect("manifest");
+    let epoch = manifest
+        .get("active_epoch")
+        .and_then(Json::as_u64)
+        .expect("epoch");
+    if let Json::Obj(fields) = &mut manifest {
+        assert!(fields.remove("next_ids").is_some());
+    }
+    persist::write_document_vfs(&kb(), &*vfs, &manifest).expect("manifest rewrite");
+    let image = persist::active_path(&kb(), epoch);
+    persist::save_vfs(&active_rows, &image, &*vfs).expect("image");
+    persist::save_vfs(&active_rows, &image, &*vfs).expect("image again: rotates a .bak");
+    vfs.remove_file(&persist::wal_path(&kb(), epoch))
+        .expect("log removed");
+    (vfs.durable_state(), model)
+}
+
+#[test]
+fn a_store_laid_out_by_the_previous_commit_opens_and_is_migrated_by_the_next_seal() {
+    let (disk, mut model) = previous_layout();
+    let image = persist::active_path(&kb(), 1);
+    assert!(disk.contains_key(&image) && disk.contains_key(&persist::backup_path(&image)));
+
+    let vfs = Arc::new(FaultVfs::from_state(disk.clone()));
+    assert!(fsck_pass(&vfs, false).clean());
+    let mut store = open(&vfs);
+    assert_eq!(contents(&store), model);
+    assert!(store.indexes_consistent().expect("index rebuild"));
+    assert_eq!(vfs.op_count(), 0, "opening writes nothing");
+
+    // The first write seals what the image held, then is logged.
+    let id = store.save_knowledge(&bench(100)).expect("save");
+    model.insert((RunKind::Benchmark, id), bench(100).command);
+    assert!(store.delete_knowledge(5).expect("delete"));
+    model.remove(&(RunKind::Benchmark, 5));
+    assert_eq!(contents(&store), model);
+    assert_eq!(store.segment_metas().len(), 2);
+    drop(store);
+    let after = vfs.durable_state();
+    assert!(
+        !after
+            .keys()
+            .any(|p| p.to_string_lossy().contains(".active-")),
+        "image not retired: {:?}",
+        after.keys()
+    );
+    assert!(after.contains_key(&persist::wal_path(&kb(), 2)));
+    crash_and_check(&vfs, |found| *found == model);
+
+    // A torn primary image falls back to its `.bak`, as it always did.
+    let mut torn = disk;
+    torn.get_mut(&image).expect("image").truncate(40);
+    let vfs = Arc::new(FaultVfs::from_state(torn));
+    let store = open(&vfs);
+    assert!(store.recovery().recovered_from_backup);
+    assert_eq!(store.knowledge_count(), 6);
+}
+
+#[test]
+fn fsck_sweeps_images_and_logs_of_other_epochs_and_truncates_a_torn_log() {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store = open(&vfs);
+    let mut model = Model::new();
+    for tag in 0..6 {
+        let id = store.save_knowledge(&bench(tag)).expect("save");
+        model.insert((RunKind::Benchmark, id), bench(tag).command);
+    }
+    drop(store);
+    // Epoch 1 is current. Tear its log mid-record (the sixth save is
+    // lost with it) and plant files a crashed seal could have left.
+    let log = persist::wal_path(&kb(), 1);
+    vfs.set_len(&log, vfs.len(&log).expect("log") - 7)
+        .expect("tear");
+    model.remove(&(RunKind::Benchmark, 6));
+    for stray in [
+        persist::wal_path(&kb(), 0),
+        persist::wal_path(&kb(), 2),
+        persist::active_path(&kb(), 0),
+        persist::active_path(&kb(), 1),
+        persist::backup_path(&persist::active_path(&kb(), 1)),
+    ] {
+        let mut file = vfs.create(&stray).expect("stray");
+        file.write_all(b"left behind").expect("stray bytes");
+        file.sync().expect("stray sync");
+    }
+    let vfs = Arc::new(FaultVfs::from_state(vfs.durable_state()));
+
+    // The store already reads the acknowledged prefix, without writing.
+    assert_eq!(contents(&open(&vfs)), model);
+    assert_eq!(vfs.op_count(), 0);
+    let detect = fsck_pass(&vfs, false);
+    assert_eq!(detect.unrepaired(), 6, "{:?}", detect.findings);
+    let repair = fsck_pass(&vfs, true);
+    assert_eq!(
+        (repair.repaired(), repair.unrepaired()),
+        (6, 0),
+        "{:?}",
+        repair.findings
+    );
+    assert!(fsck_pass(&vfs, false).clean());
+    let names: Vec<String> = vfs
+        .durable_state()
+        .keys()
+        .map(|p| p.to_string_lossy().into_owned())
+        .filter(|p| p.contains(".wal-") || p.contains(".active-"))
+        .collect();
+    assert_eq!(names, vec!["/kb.json.wal-1".to_owned()]);
+    assert_eq!(contents(&open(&vfs)), model);
+}
+
+#[test]
+fn save_and_delete_churn_cannot_grow_the_log_or_its_replay() {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store = open(&vfs);
+    let keeper = store.save_knowledge(&bench(0)).expect("save");
+    let mut longest_log = 0;
+    for tag in 1..=10 * SEAL_THRESHOLD as u32 {
+        let id = store.save_knowledge(&bench(tag)).expect("save");
+        assert!(store.delete_knowledge(id).expect("delete"));
+        let logs: Vec<usize> = vfs
+            .durable_state()
+            .iter()
+            .filter(|(path, _)| path.to_string_lossy().contains(".wal-"))
+            .map(|(_, bytes)| bytes.len())
+            .collect();
+        assert!(logs.len() <= 1, "a retired log was left behind");
+        longest_log = longest_log.max(logs.iter().sum());
+    }
+    drop(store);
+    // No log ever held more than a threshold's worth of operations...
+    let record = 1024; // generous: a save record here is ~300 bytes
+    assert!(
+        longest_log <= SEAL_THRESHOLD * record,
+        "log grew to {longest_log} bytes"
+    );
+    // ...so no reopen replays more than that, however long the churn.
+    let mut reopened = open(&Arc::new(FaultVfs::from_state(vfs.durable_state())));
+    let recorder = Arc::new(Recorder::disabled());
+    reopened.attach_recorder(Arc::clone(&recorder));
+    let replayed = recorder
+        .metrics()
+        .counter("store.wal.replayed_records")
+        .get();
+    assert!(replayed < SEAL_THRESHOLD as u64, "replayed {replayed}");
+    assert_eq!(reopened.knowledge_count(), 1);
+    assert!(reopened.load_knowledge(keeper).expect("load").is_some());
+}
