@@ -1,16 +1,16 @@
 //! Store benches: the typed query engine (ablation: predicate
-//! pushdown, secondary indexes and summary projection, DESIGN.md
-//! §"Query engine"), the same rows read unsealed and sealed, the
-//! corpus-scale tier, and the relational engine underneath (bulk
-//! insert, indexed-equality vs full-scan selection, the SQL front end,
-//! image round trip — ablation: secondary indexes, DESIGN.md §6).
+//! pushdown and summary projection, DESIGN.md §"Query engine"), the
+//! same rows read unsealed and sealed, the corpus-scale tier, and the
+//! relational engine underneath (bulk insert, indexed-equality vs
+//! full-scan selection, the SQL front end, image round trip — ablation:
+//! per-table secondary indexes, DESIGN.md §6).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
 //! filter/sort/count in application code. On a 1k-run store the engine
-//! answers a selective filter from its indexes while touching only the
-//! rows it returns; the old path pays full deserialization for all
-//! 1 000 runs on every query.
+//! answers a selective filter from one pass over the in-memory summary
+//! rows, cloning only the rows it returns; the old path pays full
+//! deserialization for all 1 000 runs on every query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iokc_bench::synthetic_knowledge as knowledge;
@@ -60,7 +60,7 @@ fn bench_query_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_engine");
     group.sample_size(20);
 
-    // Cold selective filter: index-served summary projection…
+    // Cold selective filter: summary projection from one scan…
     group.bench_function("filtered_1k_engine", |b| {
         let q = Query::new(selective());
         b.iter(|| {
@@ -159,7 +159,7 @@ fn bench_query_engine(c: &mut Criterion) {
 /// timing the kernel). The default 2 000-run corpus keeps the CI smoke
 /// fast; `IOKC_BENCH_SCALE=100000` reproduces the tier recorded in
 /// `BENCH_store_scale.json`. Because `open()` maps segment metadata
-/// instead of bulk-rebuilding `RunIndexes`, its cost tracks the segment
+/// instead of summarizing every run, its cost tracks the segment
 /// count, not the corpus size.
 fn bench_store_scale(c: &mut Criterion) {
     let runs: usize = std::env::var("IOKC_BENCH_SCALE")

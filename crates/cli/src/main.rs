@@ -540,8 +540,8 @@ fn print_help() {
          \x20 mdtest \"<mdtest cmd>\" run the metadata benchmark and persist its knowledge\n\
          \x20 hacc --particles <n>  run the HACC-IO checkpoint/restart benchmark\n\
          \x20 list                  list stored knowledge objects\n\
-         \x20 query                 filtered/sorted store queries served by the query\n\
-         \x20                       engine's indexes (--kind benchmark|io500, --api <API>,\n\
+         \x20 query                 filtered/sorted queries evaluated inside the store's\n\
+         \x20                       query engine (--kind benchmark|io500, --api <API>,\n\
          \x20                       --contains <text>, --op <operation>, --min-tasks /\n\
          \x20                       --max-tasks <n>, --min-bw / --max-bw <MiB/s>,\n\
          \x20                       --sort id|tasks|command|bw, --order asc|desc,\n\
@@ -1107,9 +1107,8 @@ fn query_predicate(opts: &Options) -> Result<RunPredicate, CliError> {
 }
 
 /// `iokc query` — the typed query engine from the shell: filters are
-/// pushed down into the store (served from its secondary indexes where
-/// possible) and only summary projections come back, never full
-/// knowledge objects.
+/// pushed down into the store and only summary projections come back,
+/// never full knowledge objects.
 fn cmd_query(opts: &Options) -> Result<(), CliError> {
     let store = open_store(opts)?;
     let predicate = query_predicate(opts)?;

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use iokc_obs::Counter;
+use iokc_store::vfs::scatter_faults;
 
 /// One bidirectional client connection, as the server sees it.
 ///
@@ -193,40 +194,24 @@ impl NetFaultPlan {
     }
 
     /// A reproducible chaos plan: scatter `faults` fault points over the
-    /// op range `0..horizon`, drawn from a seeded xorshift64* stream —
-    /// the same generator `store::vfs` uses, so a failing seed prints in
-    /// one number and replays exactly.
+    /// op range `0..horizon`, drawn from the seeded stream `store::vfs`
+    /// uses ([`scatter_faults`]), so a failing seed prints in one number
+    /// and replays exactly.
     #[must_use]
     pub fn seeded_chaos(seed: u64, horizon: u64, faults: usize) -> NetFaultPlan {
         let mut plan = NetFaultPlan {
             stall: Duration::from_millis(30),
             ..NetFaultPlan::default()
         };
-        let mut state = seed | 1;
-        let mut next = move || {
-            // xorshift64* — deterministic, dependency-free.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let mut placed = 0usize;
-        while placed < faults && horizon > 0 {
-            let op = next() % horizon;
-            let bucket = next() % 7;
-            let inserted = match bucket {
-                0 => plan.short_read_ops.insert(op),
-                1 => plan.short_write_ops.insert(op),
-                2 => plan.reset_read_ops.insert(op),
-                3 => plan.reset_write_ops.insert(op),
-                4 => plan.stall_ops.insert(op),
-                5 => plan.trickle_ops.insert(op),
-                _ => plan.drop_ops.insert(op),
-            };
-            if inserted {
-                placed += 1;
-            }
-        }
+        scatter_faults(seed, horizon, faults, 7, |op, bucket| match bucket {
+            0 => plan.short_read_ops.insert(op),
+            1 => plan.short_write_ops.insert(op),
+            2 => plan.reset_read_ops.insert(op),
+            3 => plan.reset_write_ops.insert(op),
+            4 => plan.stall_ops.insert(op),
+            5 => plan.trickle_ops.insert(op),
+            _ => plan.drop_ops.insert(op),
+        });
         plan
     }
 }
@@ -855,6 +840,20 @@ mod tests {
             + a.trickle_ops.len()
             + a.drop_ops.len();
         assert_eq!(total, 12);
+        // Pinned: a recorded failing seed must keep replaying the plan
+        // it failed under.
+        assert_eq!(
+            format!("{a:?}"),
+            "NetFaultPlan { short_read_ops: {}, short_write_ops: {51, 99}, reset_read_ops: {73}, \
+             reset_write_ops: {76, 87}, stall_ops: {19, 27, 33, 53, 99}, trickle_ops: {10, 46}, \
+             drop_ops: {}, stall: 30ms }"
+        );
+        assert_eq!(
+            format!("{c:?}"),
+            "NetFaultPlan { short_read_ops: {18, 74}, short_write_ops: {10, 96}, \
+             reset_read_ops: {70}, reset_write_ops: {5, 16, 23, 61}, stall_ops: {67}, \
+             trickle_ops: {5, 48}, drop_ops: {}, stall: 30ms }"
+        );
 
         // Counter attach backfills faults injected before attachment.
         let (server, _client) = pair();

@@ -566,31 +566,12 @@ impl Snapshot {
         q: &AggregateQuery,
         deadline: &DeadlineToken,
     ) -> Result<AggregateResult, DbError> {
-        self.aggregate_with(q, false, deadline)
-    }
-
-    /// The unpruned aggregate executor — the equivalence oracle the
-    /// property tests compare against.
-    #[cfg(test)]
-    pub(crate) fn aggregate_force_scan(
-        &self,
-        q: &AggregateQuery,
-    ) -> Result<AggregateResult, DbError> {
-        self.aggregate_with(q, true, &DeadlineToken::unbounded())
-    }
-
-    fn aggregate_with(
-        &self,
-        q: &AggregateQuery,
-        force_scan: bool,
-        deadline: &DeadlineToken,
-    ) -> Result<AggregateResult, DbError> {
         let obs = &self.obs.agg;
         obs.queries.inc();
         self.traced("store.aggregate", &obs.cancelled, || {
             let mut state = AggState::new(q);
             let mut stats = ScanStats::default();
-            let scanned = self.scan(&q.predicate, force_scan, deadline, &mut stats, |_, s| {
+            let scanned = self.scan(&q.predicate, deadline, &mut stats, |_, s| {
                 state.push(q, s);
             });
             obs.segments_scanned.add(stats.segments_scanned);
@@ -604,7 +585,7 @@ impl Snapshot {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::query::RunKind;
 
@@ -756,10 +737,9 @@ mod tests {
         assert_eq!(a.cache_key(), a.clone().cache_key());
     }
 
-    mod engine {
+    pub(crate) mod engine {
         use super::*;
         use crate::knowledge_store::KnowledgeStore;
-        use crate::query::Query;
         use iokc_core::model::{
             Io500Knowledge, IterationResult, Knowledge, KnowledgeSource, OperationSummary,
         };
@@ -815,7 +795,7 @@ mod tests {
         /// counts exact, floats to relative 1e-9 (scan order may differ
         /// between the segmented executor and the oracle, which perturbs
         /// the last bits of streaming sums).
-        pub(super) fn assert_results_close(a: &AggregateResult, b: &AggregateResult) {
+        pub(crate) fn assert_results_close(a: &AggregateResult, b: &AggregateResult) {
             fn close(x: f64, y: f64) -> bool {
                 (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
             }
@@ -869,13 +849,11 @@ mod tests {
             }
         }
 
-        /// The oracle: every summary row out of the store, fed through
-        /// the reference accumulators (the predicate is applied there).
+        /// The oracle: every live summary of every block, unpruned, fed
+        /// through the reference accumulators (the predicate is applied
+        /// there).
         pub(super) fn oracle(store: &KnowledgeStore, q: &AggregateQuery) -> AggregateResult {
-            let rows = store
-                .query_summaries(&Query::all(), &DeadlineToken::unbounded())
-                .unwrap();
-            q.evaluate_rows(rows.iter())
+            q.evaluate_rows(store.live_summaries().iter())
         }
 
         pub(super) fn vfs_store(name: &str) -> KnowledgeStore {
@@ -907,7 +885,7 @@ mod tests {
         }
 
         #[test]
-        fn pushdown_equals_oracle_and_force_scan() {
+        fn pushdown_equals_oracle() {
             let store = segmented_store();
             assert!(
                 store.segment_metas().len() >= 2,
@@ -924,7 +902,6 @@ mod tests {
             ];
             for q in &queries {
                 let pushed = store.aggregate(q, &DeadlineToken::unbounded()).unwrap();
-                assert_results_close(&pushed, &store.aggregate_force_scan(q).unwrap());
                 assert_results_close(&pushed, &oracle(&store, q));
             }
         }
@@ -1079,10 +1056,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Satellite 2: the segmented, pruned executor equals the
-            /// forced full scan and the row-fed oracle for every query,
-            /// under arbitrary interleavings of saves, deletes, seals
-            /// and compactions — and a snapshot pinned mid-sequence
-            /// keeps answering from its own generation.
+            /// row-fed oracle for every query, under arbitrary
+            /// interleavings of saves, deletes, seals and compactions —
+            /// and a snapshot pinned mid-sequence keeps answering from
+            /// its own generation.
             #[test]
             fn pushdown_equals_oracle_under_mutations(
                 ops in proptest::collection::vec(arb_op(), 1..28),
@@ -1105,7 +1082,6 @@ mod tests {
                 }
                 for q in &queries() {
                     let pushed = store.aggregate(q, &DeadlineToken::unbounded()).unwrap();
-                    assert_results_close(&pushed, &store.aggregate_force_scan(q).unwrap());
                     assert_results_close(&pushed, &oracle(&store, q));
                 }
                 if let Some((snap, at_pin)) = pinned {

@@ -732,54 +732,6 @@ impl Database {
         Ok((rows, stats))
     }
 
-    /// Update one named column of every row matching a predicate; returns
-    /// the number of rows changed. Enforces the column's type and NOT
-    /// NULL constraint and keeps secondary indexes consistent.
-    pub fn update(
-        &mut self,
-        table: &str,
-        column: &str,
-        value: Value,
-        predicate: &Predicate,
-    ) -> Result<usize, DbError> {
-        let victims: Vec<i64> = self
-            .select(table, predicate, OrderBy::Id, None)?
-            .into_iter()
-            .map(|r| r.id)
-            .collect();
-        let t = self.tables.get_mut(table).expect("select verified table");
-        let ci = t
-            .schema
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            })?;
-        let col = &t.schema.columns[ci];
-        if value.is_null() && col.not_null {
-            return Err(DbError::NotNull {
-                table: table.to_owned(),
-                column: column.to_owned(),
-            });
-        }
-        if !value.fits(col.ty) {
-            return Err(DbError::TypeMismatch {
-                table: table.to_owned(),
-                column: column.to_owned(),
-                value: value.to_string(),
-            });
-        }
-        for id in &victims {
-            let old_values = t.rows.get(id).expect("selected row exists").clone();
-            t.index_remove(*id, &old_values);
-            let mut new_values = old_values;
-            new_values[ci] = value.clone();
-            t.index_insert(*id, &new_values);
-            t.rows.insert(*id, new_values);
-        }
-        Ok(victims.len())
-    }
-
     /// Delete rows matching a predicate; returns the number removed.
     pub fn delete(&mut self, table: &str, predicate: &Predicate) -> Result<usize, DbError> {
         let victims: Vec<i64> = self
@@ -1048,59 +1000,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rest.len(), 5);
-    }
-
-    #[test]
-    fn update_changes_rows_and_indexes() {
-        let mut db = db_with_perf();
-        for i in 0..6 {
-            db.insert(
-                "performances",
-                vec![
-                    Value::from(format!("c{i}")),
-                    Value::from("POSIX"),
-                    Value::Int(i),
-                ],
-            )
-            .unwrap();
-        }
-        let changed = db
-            .update(
-                "performances",
-                "api",
-                Value::from("MPIIO"),
-                &Predicate::Ge("tasks".into(), Value::Int(3)),
-            )
-            .unwrap();
-        assert_eq!(changed, 3);
-        // The secondary index on `api` reflects the change.
-        let mpiio = db
-            .select(
-                "performances",
-                &Predicate::Eq("api".into(), Value::from("MPIIO")),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
-        assert_eq!(mpiio.len(), 3);
-        // Constraints still apply.
-        assert!(matches!(
-            db.update("performances", "command", Value::Null, &Predicate::True),
-            Err(DbError::NotNull { .. })
-        ));
-        assert!(matches!(
-            db.update(
-                "performances",
-                "tasks",
-                Value::from("oops"),
-                &Predicate::True
-            ),
-            Err(DbError::TypeMismatch { .. })
-        ));
-        assert!(matches!(
-            db.update("performances", "ghost", Value::Null, &Predicate::True),
-            Err(DbError::NoSuchColumn { .. })
-        ));
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!    parents (e.g. from a half-applied external import) are reported
 //!    and, on repair, deleted cascade-wise until the image is closed
 //!    under its foreign keys.
-//! 7. **Index shape** — the query engine's secondary indexes must be
-//!    rebuildable from the active tables; an image missing the paper's
+//! 7. **Summary shape** — the query engine's summary block must be
+//!    derivable from the active tables; an image missing the paper's
 //!    schema cannot serve queries and is reported as unrepairable.
 //! 8. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
@@ -133,7 +133,7 @@ pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
         Some(doc) => match persist::from_json(&doc) {
             Ok(mut db) => {
                 check_rows(&mut db, path, vfs, opts, &mut report);
-                check_indexes(&db, &mut report);
+                check_summaries(&db, &mut report);
             }
             Err(e) => report.push(format!("image undecodable: {e}"), false),
         },
@@ -215,7 +215,7 @@ fn resolve_document(
 }
 
 /// All checks specific to the segmented layout: active generation,
-/// segments, tombstones, strays, then the active-generation index check.
+/// segments, tombstones, strays, then the active-generation summary check.
 fn check_manifest_layout(
     doc: &Json,
     path: &Path,
@@ -389,12 +389,12 @@ fn check_manifest_layout(
         }
     }
 
-    // Finally the active generation's index check. Its rows get no
+    // Finally the active generation's summary check. Its rows get no
     // referential scan: the log holds what FK-checked inserts wrote, and
     // a pre-journal image becomes a segment — scanned above — at the
     // next write.
     if let Some(db) = active_db {
-        check_indexes(&db, report);
+        check_summaries(&db, report);
     }
 }
 
@@ -431,10 +431,13 @@ fn check_segment_rows(
     deleted_any
 }
 
-fn check_indexes(db: &Database, report: &mut FsckReport) {
+fn check_summaries(db: &Database, report: &mut FsckReport) {
     match summarize_db(db) {
-        Ok(_) => report.note("secondary indexes rebuild cleanly from the tables"),
-        Err(e) => report.push(format!("index rebuild failed (schema damage?): {e}"), false),
+        Ok(_) => report.note("run summaries derive cleanly from the tables"),
+        Err(e) => report.push(
+            format!("summary rebuild failed (schema damage?): {e}"),
+            false,
+        ),
     }
 }
 

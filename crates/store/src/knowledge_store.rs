@@ -14,9 +14,7 @@
 
 use crate::database::{Column, Counters, Database, DbError, OrderBy, Predicate, Row, TableSchema};
 use crate::persist;
-use crate::query::{
-    summarize_db, summarize_in_db, Query, QueryObs, RunIndexes, RunKind, RunPredicate, RunRef,
-};
+use crate::query::{summarize_db, summarize_in_db, Query, QueryObs, RunKind, RunPredicate, RunRef};
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
@@ -97,8 +95,8 @@ impl StoreHealth {
 /// `boxplot_series`, `aggregate`, `load_knowledge`, `load_io500` and
 /// `generation` are the snapshot's methods, run against the live state.
 pub struct KnowledgeStore {
-    /// Everything a read needs — the active block, its indexes, the
-    /// sealed segments and the tombstones, each behind an `Arc`.
+    /// Everything a read needs — the active block, the sealed segments
+    /// and the tombstones, each behind an `Arc`.
     /// [`KnowledgeStore::snapshot`] is a clone of this value; writers
     /// mutate the parts copy-on-write (`Arc::make_mut`), so a part is
     /// copied only while a pin on it is outstanding.
@@ -147,7 +145,6 @@ impl KnowledgeStore {
         KnowledgeStore {
             state: Snapshot {
                 active: Arc::new(SegmentData::empty(build_schema())),
-                indexes: Arc::default(),
                 segments: Arc::default(),
                 tombstones: Arc::default(),
                 vfs,
@@ -267,13 +264,12 @@ impl KnowledgeStore {
         self.vfs.as_ref()
     }
 
-    /// Whether the incrementally-maintained active summary block and
-    /// secondary indexes agree with a bulk rebuild from the active
-    /// generation's rows — the crash-consistency checker's invariant.
+    /// Whether the incrementally-maintained active summary block — the
+    /// only derived structure a read consults — agrees with a bulk
+    /// rebuild from the active generation's rows: the crash-consistency
+    /// checker's invariant.
     pub fn indexes_consistent(&self) -> Result<bool, DbError> {
-        let from_rows = summarize_db(&self.active.db)?;
-        Ok(RunIndexes::of(from_rows.values()) == *self.indexes
-            && from_rows == self.active.summaries)
+        Ok(summarize_db(&self.active.db)? == self.active.summaries)
     }
 
     pub(crate) fn ensure_writable(&self) -> Result<(), DbError> {
@@ -431,10 +427,8 @@ impl KnowledgeStore {
         Delta::rows_since(&self.active.db, mark)
     }
 
-    /// Make loaded on-disk state this store's state: the active block as
-    /// loaded, its indexes derived from that block.
+    /// Make loaded on-disk state this store's state.
     fn install(&mut self, loaded: LoadedState) {
-        self.state.indexes = Arc::new(RunIndexes::of(loaded.active.summaries.values()));
         self.state.active = Arc::new(loaded.active);
         self.state.segments = Arc::new(loaded.segments);
         self.state.tombstones = Arc::new(loaded.tombstones);
@@ -575,7 +569,6 @@ impl KnowledgeStore {
             Arc::make_mut(&mut self.state.segments)
                 .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
         }
-        self.state.indexes = Arc::default();
         // Best-effort cleanup of the superseded epoch; a crash here
         // leaves strays that fsck sweeps.
         let mut stale = vec![persist::wal_path(&path, self.active_epoch)];
@@ -623,9 +616,9 @@ impl KnowledgeStore {
         Ok(id)
     }
 
-    /// Insert one run's rows into the active block (copy-on-write),
-    /// derive its summary from those rows and index it — without
-    /// flushing: the shared body of the `save_*` methods.
+    /// Insert one run's rows into the active block (copy-on-write) and
+    /// derive its summary from those rows — without flushing: the shared
+    /// body of the `save_*` methods.
     fn insert_rows(
         &mut self,
         kind: RunKind,
@@ -634,7 +627,6 @@ impl KnowledgeStore {
         let active = Arc::make_mut(&mut self.state.active);
         let id = insert(&mut active.db)? as u64;
         let summary = summarize_in_db(&active.db, RunRef { kind, id })?;
-        Arc::make_mut(&mut self.state.indexes).insert(&summary);
         active.summaries.insert((kind, id), summary);
         self.epoch_ops += 1;
         Ok(id)
@@ -666,12 +658,10 @@ impl KnowledgeStore {
             return self.tombstone_delete(kind, id);
         }
         let active = Arc::make_mut(&mut self.state.active);
-        if let Some(summary) = active.summaries.remove(&(kind, id)) {
-            Arc::make_mut(&mut self.state.indexes).remove(&summary);
-        }
+        active.summaries.remove(&(kind, id));
         delete_run_rows(&mut active.db, kind, id)?;
         self.epoch_ops += 1;
-        // A failed flush reloads block and indexes from disk.
+        // A failed flush reloads the block from disk.
         self.flush(Some(Delta::delete(kind, id)))?;
         self.state.generation += 1;
         self.maybe_seal()?;
@@ -680,8 +670,7 @@ impl KnowledgeStore {
 
     /// Tombstone a segment-resident run: the rows stay in their
     /// immutable segment, the manifest hides them from every read, and
-    /// the next compaction drops them physically. The secondary indexes
-    /// are untouched — they only cover the active generation.
+    /// the next compaction drops them physically.
     fn tombstone_delete(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
         if self.locate(kind, id)?.is_none() {
             return Ok(false);
@@ -1134,9 +1123,9 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
 }
 
 /// An immutable, point-in-time view of the whole store — and the one
-/// place every read is implemented: the active block and its indexes,
-/// the sealed segments, and the tombstone set, each shared by `Arc` and
-/// all pinned at one [`Snapshot::generation`]. The store's own read
+/// place every read is implemented: the active block, the sealed
+/// segments, and the tombstone set, each shared by `Arc` and all pinned
+/// at one [`Snapshot::generation`]. The store's own read
 /// state is a value of this type, and [`KnowledgeStore::snapshot`] is
 /// its `clone()`.
 ///
@@ -1154,9 +1143,6 @@ pub struct Snapshot {
     /// The active generation: a segment-shaped block not yet written to
     /// a `.seg-` file.
     pub(crate) active: Arc<SegmentData>,
-    /// Secondary indexes over the active block; sealed segments carry
-    /// their own index blocks instead.
-    pub(crate) indexes: Arc<RunIndexes>,
     /// Sealed, immutable segments, oldest first.
     pub(crate) segments: Arc<Vec<Arc<Segment>>>,
     /// Runs deleted out of sealed segments: hidden from every read,

@@ -41,7 +41,7 @@ pub use journal::{
     JournalWriter,
 };
 pub use knowledge_store::{KnowledgeStore, Snapshot, StoreHealth};
-pub use persist::{classify_io_error, export_csv, import_csv, load, save};
+pub use persist::{classify_io_error, export_csv, load, save};
 pub use query::{OpStat, Query, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
 pub use segment::{Segment, SegmentMeta};
 pub use value::{ColumnType, Value};

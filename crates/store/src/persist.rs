@@ -264,12 +264,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Render the on-disk image: pretty JSON body plus the checksum footer.
-#[must_use]
-pub fn render_image(db: &Database) -> String {
-    render_document(&to_json(db))
-}
-
 /// Split an image into its JSON body, verifying the checksum footer.
 ///
 /// Images without a footer (written before checksumming existed) are
@@ -536,77 +530,6 @@ pub fn export_csv(db: &Database, table: &str) -> Result<String, DbError> {
     Ok(text_table.render_csv())
 }
 
-/// Import CSV rows into an existing table. The header must name the
-/// table's columns (an `id` column, if present, is preserved as the
-/// rowid); empty cells become NULL; numeric cells are typed by the
-/// column's declared type.
-pub fn import_csv(db: &mut Database, table: &str, text: &str) -> Result<usize, DbError> {
-    let rows = iokc_util::table::parse_csv(text);
-    let Some((header, data)) = rows.split_first() else {
-        return Ok(0);
-    };
-    let schema = db.schema(table)?.clone();
-    // Map CSV columns → schema positions (or the id pseudo-column).
-    let mut id_column = None;
-    let mut mapping = Vec::with_capacity(header.len());
-    for (i, name) in header.iter().enumerate() {
-        if name == "id" {
-            id_column = Some(i);
-            mapping.push(None);
-        } else {
-            let ci = schema
-                .column_index(name)
-                .ok_or_else(|| DbError::NoSuchColumn {
-                    table: table.to_owned(),
-                    column: name.clone(),
-                })?;
-            mapping.push(Some(ci));
-        }
-    }
-    let mut imported = 0;
-    for row in data {
-        let mut values = vec![Value::Null; schema.columns.len()];
-        for (cell, target) in row.iter().zip(&mapping) {
-            let Some(ci) = target else { continue };
-            values[*ci] =
-                if cell.is_empty() {
-                    Value::Null
-                } else {
-                    match schema.columns[*ci].ty {
-                        ColumnType::Integer => {
-                            cell.parse::<i64>().map(Value::Int).map_err(|_| {
-                                DbError::TypeMismatch {
-                                    table: table.to_owned(),
-                                    column: schema.columns[*ci].name.clone(),
-                                    value: cell.clone(),
-                                }
-                            })?
-                        }
-                        ColumnType::Real => cell.parse::<f64>().map(Value::Real).map_err(|_| {
-                            DbError::TypeMismatch {
-                                table: table.to_owned(),
-                                column: schema.columns[*ci].name.clone(),
-                                value: cell.clone(),
-                            }
-                        })?,
-                        ColumnType::Text => Value::Text(cell.clone()),
-                    }
-                };
-        }
-        match id_column
-            .and_then(|i| row.get(i))
-            .and_then(|c| c.parse::<i64>().ok())
-        {
-            Some(id) => db.insert_raw(table, id, values)?,
-            None => {
-                db.insert(table, values)?;
-            }
-        }
-        imported += 1;
-    }
-    Ok(imported)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 pub(crate) mod tests {
@@ -704,65 +627,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn csv_export_import_roundtrip() {
-        let db = sample_db();
-        let csv = export_csv(&db, "performances").unwrap();
-        // Import into a fresh database with the same schema.
-        let mut fresh = Database::new();
-        fresh
-            .create_table(
-                TableSchema::new(
-                    "performances",
-                    vec![
-                        Column::required("command", ColumnType::Text),
-                        Column::new("mean", ColumnType::Real),
-                        Column::new("tasks", ColumnType::Integer),
-                    ],
-                )
-                .with_index("command"),
-            )
-            .unwrap();
-        let imported = import_csv(&mut fresh, "performances", &csv).unwrap();
-        assert_eq!(imported, 2);
-        let original = db
-            .select("performances", &Predicate::True, OrderBy::Id, None)
-            .unwrap();
-        let restored = fresh
-            .select("performances", &Predicate::True, OrderBy::Id, None)
-            .unwrap();
-        // Text/NULL/Int columns round trip exactly; the REAL column too
-        // (f64 display → parse is lossless for these values).
-        assert_eq!(original.len(), restored.len());
-        for (a, b) in original.iter().zip(&restored) {
-            assert_eq!(a.id, b.id, "ids preserved");
-            assert_eq!(a.values[0], b.values[0]);
-            assert_eq!(a.values[2], b.values[2]);
-        }
-        // Errors: unknown column and bad numeric cell.
-        assert!(matches!(
-            import_csv(
-                &mut fresh,
-                "performances",
-                "ghost
-x
-"
-            ),
-            Err(DbError::NoSuchColumn { .. })
-        ));
-        assert!(matches!(
-            import_csv(
-                &mut fresh,
-                "performances",
-                "tasks
-not-a-number
-"
-            ),
-            Err(DbError::TypeMismatch { .. })
-        ));
-        assert_eq!(import_csv(&mut fresh, "performances", "").unwrap(), 0);
-    }
-
-    #[test]
     fn rejects_corrupt_images() {
         assert!(from_json(&Json::Null).is_err());
         assert!(from_json(&Json::obj(vec![("format", Json::from("wrong"))])).is_err());
@@ -787,7 +651,7 @@ not-a-number
 
     #[test]
     fn image_carries_verifiable_checksum() {
-        let image = render_image(&sample_db());
+        let image = render_document(&to_json(&sample_db()));
         let body = verify_image(&image).unwrap();
         assert!(!body.contains("#iokc-crc64"));
         // Flipping one byte in the body is detected.

@@ -1,5 +1,5 @@
-//! The typed query engine: predicates, ordering, projection and
-//! secondary run indexes executed *inside* the store.
+//! The typed query engine: predicates, ordering and projection
+//! executed *inside* the store.
 //!
 //! Every interactive reader of the knowledge base — the explorer
 //! service, the comparison and box-plot views, the CLI listings — used
@@ -14,19 +14,18 @@
 //!   [`Query::cache_key`] read-through caches can key on;
 //! * [`RunSummary`] — the projection row answering list/compare/boxplot
 //!   queries without touching `results`/`filesystems`/`systeminfos`;
-//! * [`RunIndexes`] — secondary indexes by api, by tasks, and a sorted
-//!   bandwidth index (top-k, range scans), maintained incrementally on
-//!   every `save_*`/`delete_*` and rebuilt on `open()`;
-//! * per-query obs: a `store.query` span plus counters for index hits,
-//!   full-scan fallbacks, rows pruned by pushdown, and full `Knowledge`
+//! * per-query obs: a `store.query` span plus counters for segments
+//!   scanned and pruned, rows pruned by pushdown, and full `Knowledge`
 //!   deserializations.
 //!
-//! There is one executor (`Snapshot::scan`) and one row shape: every
-//! run, unsealed or sealed, is evaluated as a [`RunSummary`] out of a
-//! segment-shaped block. The complete predicate is re-evaluated on every
-//! candidate row, so indexes are purely an optimization — the
-//! index-backed plan and the forced full scan return identical ids in
-//! identical order (property-tested in this module).
+//! There is one executor (`Snapshot::scan`), one row shape and one way
+//! to read a block: every run, unsealed or sealed, is evaluated as a
+//! [`RunSummary`] out of a segment-shaped block, walked front to back
+//! (the active one is bounded by the seal threshold). The only pruning
+//! is of whole sealed segments by their index block; the complete
+//! predicate is evaluated on every row of every admitted block, so
+//! results equal a brute-force filter over every live summary
+//! (property-tested in this module).
 
 use crate::database::{Database, DbError, OrderBy, Predicate, Row};
 use crate::knowledge_store::{load_io500_from, load_knowledge_from, KnowledgeStore, Snapshot};
@@ -403,101 +402,6 @@ impl RunSummary {
     }
 }
 
-/// A bandwidth key with a total order (`f64` via `total_cmp`), usable
-/// in the sorted bandwidth index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct BwKey(pub(crate) f64);
-
-impl Eq for BwKey {}
-
-impl PartialOrd for BwKey {
-    fn partial_cmp(&self, other: &BwKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BwKey {
-    fn cmp(&self, other: &BwKey) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// The secondary run indexes over the active block: by api
-/// (benchmarks), by tasks and by bandwidth (both kinds). Values are
-/// sorted id vectors. Maintained incrementally by `save_*`/`delete_*`
-/// from the same [`RunSummary`] the block holds; rebuilt from the block
-/// on `open()`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunIndexes {
-    pub(crate) bench_by_api: BTreeMap<String, Vec<u64>>,
-    pub(crate) bench_by_tasks: BTreeMap<u32, Vec<u64>>,
-    pub(crate) io500_by_tasks: BTreeMap<u32, Vec<u64>>,
-    pub(crate) bench_by_bw: BTreeMap<BwKey, Vec<u64>>,
-    pub(crate) io500_by_bw: BTreeMap<BwKey, Vec<u64>>,
-}
-
-fn entry_insert<K: Ord>(map: &mut BTreeMap<K, Vec<u64>>, key: K, id: u64) {
-    let ids = map.entry(key).or_default();
-    match ids.binary_search(&id) {
-        Ok(_) => {}
-        Err(pos) => ids.insert(pos, id),
-    }
-}
-
-fn entry_remove<K: Ord>(map: &mut BTreeMap<K, Vec<u64>>, key: &K, id: u64) {
-    if let Some(ids) = map.get_mut(key) {
-        ids.retain(|x| *x != id);
-        if ids.is_empty() {
-            map.remove(key);
-        }
-    }
-}
-
-impl RunIndexes {
-    /// Index one run under its summary's api (benchmarks only), task
-    /// count and bandwidth.
-    pub(crate) fn insert(&mut self, s: &RunSummary) {
-        let bw = BwKey(s.bandwidth());
-        match s.kind {
-            RunKind::Benchmark => {
-                entry_insert(&mut self.bench_by_api, s.api.clone(), s.id);
-                entry_insert(&mut self.bench_by_tasks, s.tasks, s.id);
-                entry_insert(&mut self.bench_by_bw, bw, s.id);
-            }
-            RunKind::Io500 => {
-                entry_insert(&mut self.io500_by_tasks, s.tasks, s.id);
-                entry_insert(&mut self.io500_by_bw, bw, s.id);
-            }
-        }
-    }
-
-    /// Un-index a run from the fields of the summary it was indexed by.
-    pub(crate) fn remove(&mut self, s: &RunSummary) {
-        let bw = BwKey(s.bandwidth());
-        match s.kind {
-            RunKind::Benchmark => {
-                entry_remove(&mut self.bench_by_api, &s.api, s.id);
-                entry_remove(&mut self.bench_by_tasks, &s.tasks, s.id);
-                entry_remove(&mut self.bench_by_bw, &bw, s.id);
-            }
-            RunKind::Io500 => {
-                entry_remove(&mut self.io500_by_tasks, &s.tasks, s.id);
-                entry_remove(&mut self.io500_by_bw, &bw, s.id);
-            }
-        }
-    }
-
-    /// The indexes over a whole summary block — the `open()` invariant:
-    /// indexes and block agree exactly, whatever the on-disk image held.
-    pub(crate) fn of<'a>(summaries: impl IntoIterator<Item = &'a RunSummary>) -> RunIndexes {
-        let mut indexes = RunIndexes::default();
-        for s in summaries {
-            indexes.insert(s);
-        }
-        indexes
-    }
-}
-
 /// Cached counter handles for the engine's observability. Rebuilt when
 /// a recorder is attached; the default registry belongs to a disabled
 /// recorder, so the counters always work and attaching is optional.
@@ -505,8 +409,8 @@ impl RunIndexes {
 pub(crate) struct QueryObs {
     pub(crate) recorder: Arc<Recorder>,
     pub(crate) queries: Counter,
-    pub(crate) index_hits: Counter,
-    pub(crate) full_scans: Counter,
+    pub(crate) segments_scanned: Counter,
+    pub(crate) segments_pruned: Counter,
     pub(crate) rows_pruned: Counter,
     pub(crate) knowledge_deserialized: Counter,
     pub(crate) cancelled: Counter,
@@ -518,8 +422,8 @@ impl QueryObs {
         let metrics = recorder.metrics();
         QueryObs {
             queries: metrics.counter("store.query.queries"),
-            index_hits: metrics.counter("store.query.index_hits"),
-            full_scans: metrics.counter("store.query.full_scans"),
+            segments_scanned: metrics.counter("store.query.segments_scanned"),
+            segments_pruned: metrics.counter("store.query.segments_pruned"),
             rows_pruned: metrics.counter("store.query.rows_pruned"),
             knowledge_deserialized: metrics.counter("store.query.knowledge_deserialized"),
             cancelled: metrics.counter("store.query_cancelled"),
@@ -570,120 +474,10 @@ impl SortKey {
     }
 }
 
-/// The candidate plan for one kind: either an index-pruned id list or a
-/// full scan of the kind's table.
-pub(crate) enum Plan {
-    Index(Vec<u64>),
-    Scan,
-}
-
-/// Two-pointer intersection of ascending-sorted id lists.
-fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-pub(crate) fn plan_candidates(
-    indexes: &RunIndexes,
-    kind: RunKind,
-    predicate: &RunPredicate,
-) -> Plan {
-    // Walk the top-level AND chain: every indexable conjunct contributes
-    // a sorted candidate list, and a matching row must appear in all of
-    // them, so the plan is their intersection — each usable index
-    // narrows the candidate set further instead of the first one winning.
-    let mut conjuncts = Vec::new();
-    let mut stack = vec![predicate];
-    while let Some(p) = stack.pop() {
-        if let RunPredicate::And(a, b) = p {
-            stack.push(a);
-            stack.push(b);
-        } else {
-            conjuncts.push(p);
-        }
-    }
-    let mut lists: Vec<Vec<u64>> = Vec::new();
-    for conjunct in &conjuncts {
-        match conjunct {
-            RunPredicate::IdIn(set) => {
-                let mut ids = set.clone();
-                ids.sort_unstable();
-                ids.dedup();
-                lists.push(ids);
-            }
-            RunPredicate::ApiEq(api) if kind == RunKind::Benchmark => {
-                lists.push(
-                    indexes
-                        .bench_by_api
-                        .get(api.as_str())
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-            }
-            RunPredicate::TasksBetween(lo, hi) => {
-                if lo > hi {
-                    return Plan::Index(Vec::new());
-                }
-                let map = match kind {
-                    RunKind::Benchmark => &indexes.bench_by_tasks,
-                    RunKind::Io500 => &indexes.io500_by_tasks,
-                };
-                let mut ids: Vec<u64> = map
-                    .range(lo..=hi)
-                    .flat_map(|(_, v)| v.iter().copied())
-                    .collect();
-                ids.sort_unstable();
-                lists.push(ids);
-            }
-            RunPredicate::BandwidthBetween(lo, hi) => {
-                if lo > hi {
-                    return Plan::Index(Vec::new());
-                }
-                let map = match kind {
-                    RunKind::Benchmark => &indexes.bench_by_bw,
-                    RunKind::Io500 => &indexes.io500_by_bw,
-                };
-                let mut ids: Vec<u64> = map
-                    .range(BwKey(*lo)..=BwKey(*hi))
-                    .flat_map(|(_, v)| v.iter().copied())
-                    .collect();
-                ids.sort_unstable();
-                lists.push(ids);
-            }
-            _ => {}
-        }
-    }
-    // Intersect starting from the smallest list, which bounds the output.
-    lists.sort_by_key(Vec::len);
-    let mut lists = lists.into_iter();
-    let Some(mut ids) = lists.next() else {
-        return Plan::Scan;
-    };
-    for other in lists {
-        if ids.is_empty() {
-            break;
-        }
-        ids = intersect_sorted(&ids, &other);
-    }
-    Plan::Index(ids)
-}
-
 impl KnowledgeStore {
     /// Attach an observability recorder: engine spans and counters
     /// (`store.query.*`, `store.aggregate.*`) register with its metrics
-    /// registry, so `/metrics` shows whether queries are index-served.
+    /// registry, so `/metrics` shows whether queries are segment-pruned.
     /// The robustness counters (`store.faults_injected`,
     /// `store.open_degraded`, `store.fsck_repairs`) register too, so a
     /// degraded open or an injected storage fault is visible in the same
@@ -720,8 +514,6 @@ pub(crate) struct ScanStats {
     pub(crate) examined: usize,
     /// Rows the predicate accepted.
     pub(crate) matched: usize,
-    any_index: bool,
-    any_scan: bool,
     pub(crate) segments_scanned: u64,
     pub(crate) segments_pruned: u64,
 }
@@ -752,20 +544,20 @@ impl Snapshot {
     }
 
     /// The one executor over runs. For each kind the predicate can
-    /// match, the candidate rows are the active block — narrowed by
-    /// [`plan_candidates`] — then every sealed segment whose index block
-    /// admits the predicate ([`may_match_segment`]; a pruned segment's
-    /// body is never loaded), oldest first, minus tombstoned rows. The
-    /// full predicate is evaluated on each candidate's summary and
-    /// `on_match` sees every accepted row together with the block that
-    /// holds it. `force_scan` turns both prunings off — the oracle the
-    /// property tests compare against. `deadline` is polled per
+    /// match, the candidate rows are the active block, then every sealed
+    /// segment whose index block admits the predicate
+    /// ([`may_match_segment`]; a pruned segment's body is never loaded),
+    /// oldest first, minus tombstoned rows. Every block is read the same
+    /// way — a pass over its in-memory summaries; the active block of a
+    /// file-backed store is bounded by the seal threshold, so it needs no
+    /// index of its own. The full predicate is evaluated on each
+    /// candidate's summary and `on_match` sees every accepted row
+    /// together with the block that holds it. `deadline` is polled per
     /// candidate row; a blown budget stops the scan within one row with
     /// [`DbError::Cancelled`] carrying the progress so far.
     pub(crate) fn scan(
         &self,
         predicate: &RunPredicate,
-        force_scan: bool,
         deadline: &DeadlineToken,
         stats: &mut ScanStats,
         mut on_match: impl FnMut(&Arc<SegmentData>, &RunSummary),
@@ -797,34 +589,15 @@ impl Snapshot {
             if !predicate.may_match_kind(kind) {
                 continue;
             }
-            let plan = if force_scan {
-                Plan::Scan
-            } else {
-                plan_candidates(&self.indexes, kind, predicate)
-            };
-            let ids;
-            let candidates: Box<dyn Iterator<Item = Option<&RunSummary>> + '_> = match plan {
-                Plan::Index(planned) => {
-                    stats.any_index = true;
-                    ids = planned;
-                    Box::new(ids.iter().map(|id| self.active.summaries.get(&(kind, *id))))
-                }
-                Plan::Scan => {
-                    stats.any_scan = true;
-                    Box::new(self.active.of_kind(kind).map(Some))
-                }
-            };
-            for candidate in candidates {
+            for s in self.active.of_kind(kind) {
                 poll(stats)?;
-                if let Some(s) = candidate {
-                    visit(&self.active, s, stats);
-                }
+                visit(&self.active, s, stats);
             }
             for seg in self.segments.iter() {
                 if seg.meta.count(kind) == 0 {
                     continue;
                 }
-                if !force_scan && !may_match_segment(predicate, &seg.meta, kind) {
+                if !may_match_segment(predicate, &seg.meta, kind) {
                     stats.segments_pruned += 1;
                     continue;
                 }
@@ -841,6 +614,24 @@ impl Snapshot {
         Ok(())
     }
 
+    /// Every live summary of every block — nothing pruned, no predicate
+    /// applied: the rows the differential tests filter and sort on their
+    /// own side.
+    #[cfg(test)]
+    pub(crate) fn live_summaries(&self) -> Vec<RunSummary> {
+        let mut rows: Vec<RunSummary> = self.active.summaries.values().cloned().collect();
+        for seg in self.segments.iter() {
+            let data = seg.data(self.vfs.as_ref()).expect("segment body loads");
+            rows.extend(
+                data.summaries
+                    .values()
+                    .filter(|s| !self.tombstones.contains(&(s.kind, s.id)))
+                    .cloned(),
+            );
+        }
+        rows
+    }
+
     /// Run `query` through the executor under a `store.query` span and
     /// return the matched runs in query order — sorted by the requested
     /// key with the `(id, kind)` tie-break, then offset/limit — plus the
@@ -849,7 +640,6 @@ impl Snapshot {
     fn select(
         &self,
         query: &Query,
-        force_scan: bool,
         deadline: &DeadlineToken,
     ) -> Result<(Vec<Arc<SegmentData>>, Vec<Matched>), DbError> {
         let obs = &self.obs;
@@ -858,30 +648,22 @@ impl Snapshot {
         let mut matched: Vec<Matched> = Vec::new();
         self.traced("store.query", &obs.cancelled, || {
             let mut stats = ScanStats::default();
-            self.scan(
-                &query.predicate,
-                force_scan,
-                deadline,
-                &mut stats,
-                |block, s| {
-                    if !blocks.last().is_some_and(|last| Arc::ptr_eq(last, block)) {
-                        blocks.push(Arc::clone(block));
-                    }
-                    matched.push(Matched {
-                        run: RunRef {
-                            kind: s.kind,
-                            id: s.id,
-                        },
-                        key: SortKey::of(s, query.order),
-                        block: blocks.len() - 1,
-                    });
-                },
-            )?;
-            if stats.any_index && !stats.any_scan {
-                obs.index_hits.inc();
-            } else {
-                obs.full_scans.inc();
-            }
+            let scanned = self.scan(&query.predicate, deadline, &mut stats, |block, s| {
+                if !blocks.last().is_some_and(|last| Arc::ptr_eq(last, block)) {
+                    blocks.push(Arc::clone(block));
+                }
+                matched.push(Matched {
+                    run: RunRef {
+                        kind: s.kind,
+                        id: s.id,
+                    },
+                    key: SortKey::of(s, query.order),
+                    block: blocks.len() - 1,
+                });
+            });
+            obs.segments_scanned.add(stats.segments_scanned);
+            obs.segments_pruned.add(stats.segments_pruned);
+            scanned?;
             obs.rows_pruned
                 .add(stats.total.saturating_sub(stats.examined) as u64);
             Ok(())
@@ -915,15 +697,7 @@ impl Snapshot {
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunRef>, DbError> {
-        let (_, matched) = self.select(query, false, deadline)?;
-        Ok(matched.into_iter().map(|m| m.run).collect())
-    }
-
-    /// The executor with index planning and segment pruning optionally
-    /// off — the equivalence oracle of the property tests.
-    #[cfg(test)]
-    pub(crate) fn execute(&self, query: &Query, force_scan: bool) -> Result<Vec<RunRef>, DbError> {
-        let (_, matched) = self.select(query, force_scan, &DeadlineToken::unbounded())?;
+        let (_, matched) = self.select(query, deadline)?;
         Ok(matched.into_iter().map(|m| m.run).collect())
     }
 
@@ -936,7 +710,7 @@ impl Snapshot {
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunSummary>, DbError> {
-        let (blocks, matched) = self.select(query, false, deadline)?;
+        let (blocks, matched) = self.select(query, deadline)?;
         Ok(matched
             .iter()
             .map(|m| blocks[m.block].summaries[&(m.run.kind, m.run.id)].clone())
@@ -947,7 +721,7 @@ impl Snapshot {
     /// explicit full projection. Use only when per-iteration results or
     /// system/filesystem details are genuinely needed.
     pub fn query_items(&self, query: &Query) -> Result<Vec<KnowledgeItem>, DbError> {
-        let (blocks, matched) = self.select(query, false, &DeadlineToken::unbounded())?;
+        let (blocks, matched) = self.select(query, &DeadlineToken::unbounded())?;
         let mut items = Vec::with_capacity(matched.len());
         for m in matched {
             self.obs.knowledge_deserialized.inc();
@@ -981,10 +755,7 @@ impl Snapshot {
             RunPredicate::Kind(kind) => of(*kind),
             _ => {
                 let query = Query::new(predicate.clone());
-                Ok(self
-                    .select(&query, false, &DeadlineToken::unbounded())?
-                    .1
-                    .len())
+                Ok(self.select(&query, &DeadlineToken::unbounded())?.1.len())
             }
         }
     }
@@ -1006,7 +777,7 @@ impl Snapshot {
                 .and(RunPredicate::HasOp(operation.to_owned()))
                 .and(predicate.clone()),
         );
-        let (blocks, matched) = self.select(&query, false, deadline)?;
+        let (blocks, matched) = self.select(&query, deadline)?;
         let mut out = Vec::with_capacity(matched.len());
         for (done, m) in matched.iter().enumerate() {
             if deadline.should_stop() {
@@ -1242,28 +1013,98 @@ mod tests {
         refs.iter().map(|r| (r.kind, r.id)).collect()
     }
 
+    /// The oracle: the query answered on the test's side — filter every
+    /// live summary of every block, sort by `(key, id, kind)`, page.
+    fn brute_force(snap: &Snapshot, q: &Query) -> Vec<RunSummary> {
+        let mut rows: Vec<RunSummary> = snap
+            .live_summaries()
+            .into_iter()
+            .filter(|s| q.predicate.matches_summary(s))
+            .collect();
+        rows.sort_by(|a, b| {
+            let key = match q.order {
+                RunOrder::Id => a.id.cmp(&b.id),
+                RunOrder::Tasks => a.tasks.cmp(&b.tasks),
+                RunOrder::Command => a.command.cmp(&b.command),
+                RunOrder::Bandwidth => a.bandwidth().total_cmp(&b.bandwidth()),
+            };
+            let key = if q.descending { key.reverse() } else { key };
+            key.then(a.id.cmp(&b.id)).then(a.kind.cmp(&b.kind))
+        });
+        rows.into_iter()
+            .skip(q.offset)
+            .take(q.limit.unwrap_or(usize::MAX))
+            .collect()
+    }
+
+    fn refs_of(rows: &[RunSummary]) -> Vec<RunRef> {
+        rows.iter()
+            .map(|s| RunRef {
+                kind: s.kind,
+                id: s.id,
+            })
+            .collect()
+    }
+
     #[test]
     fn api_filter_is_index_served_and_scan_equivalent() {
         let store = seeded();
         let q = Query::new(RunPredicate::ApiEq("POSIX".into()));
-        let indexed = store.execute(&q, false).unwrap();
-        let scanned = store.execute(&q, true).unwrap();
+        let found = store.query_ids(&q, &DeadlineToken::unbounded()).unwrap();
         assert_eq!(
-            ids(&indexed),
+            ids(&found),
             vec![(RunKind::Benchmark, 1), (RunKind::Benchmark, 3)]
         );
-        assert_eq!(indexed, scanned);
+        assert_eq!(found, refs_of(&brute_force(&store, &q)));
     }
 
     #[test]
     fn bandwidth_range_uses_sorted_index() {
         let store = seeded();
+        let open = DeadlineToken::unbounded();
         let q = Query::new(RunPredicate::BandwidthBetween(150.0, 250.0));
-        let refs = store.execute(&q, false).unwrap();
+        let refs = store.query_ids(&q, &open).unwrap();
         assert_eq!(ids(&refs), vec![(RunKind::Benchmark, 3)]);
         // Reversed range is empty, never a panic.
         let rev = Query::new(RunPredicate::BandwidthBetween(250.0, 150.0));
-        assert!(store.execute(&rev, false).unwrap().is_empty());
+        assert!(store.query_ids(&rev, &open).unwrap().is_empty());
+    }
+
+    #[test]
+    fn reversed_range_is_empty_without_loading_a_segment() {
+        use crate::vfs::{FaultVfs, Vfs};
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
+        let path = std::path::PathBuf::from("/kb.json");
+        {
+            let mut store = KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)).unwrap();
+            store.set_seal_threshold(2);
+            for (tasks, bw) in [(1, 100.0), (128, 900.0), (8, 300.0), (64, 500.0)] {
+                store
+                    .save_knowledge(&bench("ior", "POSIX", tasks, bw))
+                    .unwrap();
+            }
+            assert_eq!(store.segment_metas().len(), 2);
+        }
+        // Reopened, every segment body is cold; the bounds of each
+        // reversed range straddle both segments' ranges.
+        let mut store = KnowledgeStore::open_with_vfs(path, vfs).unwrap();
+        let recorder = Arc::new(Recorder::disabled());
+        store.attach_recorder(Arc::clone(&recorder));
+        let scanned = recorder.metrics().counter("store.query.segments_scanned");
+        let pruned = recorder.metrics().counter("store.query.segments_pruned");
+        let open = DeadlineToken::unbounded();
+        for reversed in [
+            RunPredicate::TasksBetween(64, 1),
+            RunPredicate::BandwidthBetween(900.0, 100.0),
+        ] {
+            let q = Query::new(reversed);
+            assert!(store.query_ids(&q, &open).unwrap().is_empty(), "{q}");
+        }
+        assert_eq!((scanned.get(), pruned.get()), (0, 4));
+        // The same bounds the right way round read both segments.
+        let q = Query::new(RunPredicate::TasksBetween(1, 64));
+        assert_eq!(store.query_ids(&q, &open).unwrap().len(), 3);
+        assert_eq!((scanned.get(), pruned.get()), (2, 4));
     }
 
     #[test]
@@ -1359,54 +1200,6 @@ mod tests {
             }
             other => panic!("expected benchmark, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn obs_counters_distinguish_index_hits_from_scans() {
-        let mut store = seeded();
-        let recorder = Arc::new(Recorder::disabled());
-        store.attach_recorder(Arc::clone(&recorder));
-        let hits = recorder.metrics().counter("store.query.index_hits");
-        let scans = recorder.metrics().counter("store.query.full_scans");
-        let pruned = recorder.metrics().counter("store.query.rows_pruned");
-        store
-            .query_ids(
-                &Query::new(
-                    RunPredicate::Kind(RunKind::Benchmark).and(RunPredicate::ApiEq("MPIIO".into())),
-                ),
-                &DeadlineToken::unbounded(),
-            )
-            .unwrap();
-        assert_eq!((hits.get(), scans.get()), (1, 0));
-        assert!(pruned.get() >= 3, "api index should prune non-MPIIO rows");
-        store
-            .query_ids(
-                &Query::new(RunPredicate::CommandContains("ior".into())),
-                &DeadlineToken::unbounded(),
-            )
-            .unwrap();
-        assert_eq!((hits.get(), scans.get()), (1, 1));
-    }
-
-    #[test]
-    fn indexes_rebuild_identically_on_open() {
-        use crate::vfs::{FaultVfs, Vfs};
-        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
-        let path = std::path::PathBuf::from("/knowledge.iokc.json");
-        let incremental = {
-            let mut store = KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)).unwrap();
-            store
-                .save_knowledge(&bench("a", "POSIX", 8, 100.0))
-                .unwrap();
-            store
-                .save_knowledge(&bench("b", "MPIIO", 16, 300.0))
-                .unwrap();
-            store.save_io500(&io500(16, 1.5)).unwrap();
-            store.delete_knowledge(1).unwrap();
-            format!("{:?}", store.indexes)
-        };
-        let reopened = KnowledgeStore::open_with_vfs(path, vfs).unwrap();
-        assert_eq!(format!("{:?}", reopened.indexes), incremental);
     }
 
     #[test]
@@ -1529,19 +1322,6 @@ mod tests {
                 })
         }
 
-        /// (api, tasks, bw) tuples for benchmark runs, (tasks, bw) for
-        /// io500 runs, and interleaved delete positions.
-        type StoreOps = (Vec<(u8, u32, f64)>, Vec<(u32, f64)>, Vec<u64>, Vec<u64>);
-
-        fn arb_store_ops() -> impl Strategy<Value = StoreOps> {
-            (
-                proptest::collection::vec((0u8..3, 1u32..64, 0.0f64..600.0), 1..10),
-                proptest::collection::vec((1u32..64, 0.0f64..10.0), 0..5),
-                proptest::collection::vec(1u64..12, 0..4),
-                proptest::collection::vec(1u64..6, 0..3),
-            )
-        }
-
         #[derive(Debug, Clone)]
         enum WriteOp {
             Bench(u8, u32, f64),
@@ -1646,39 +1426,89 @@ mod tests {
             }
         }
 
+        #[derive(Debug, Clone)]
+        enum Step {
+            Write(WriteOp),
+            Seal,
+            Compact,
+            Reopen,
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            // Mostly writes, so blocks fill between the structural steps.
+            prop_oneof![
+                arb_write_op().prop_map(Step::Write),
+                arb_write_op().prop_map(Step::Write),
+                arb_write_op().prop_map(Step::Write),
+                arb_write_op().prop_map(Step::Write),
+                arb_write_op().prop_map(Step::Write),
+                Just(Step::Seal),
+                Just(Step::Compact),
+                Just(Step::Reopen),
+            ]
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The one read path against a brute-force model: after any
+            /// interleaving of saves, deletes (of active and of sealed
+            /// runs), seals, compactions and reopens, the pruned,
+            /// ordered, paged executor returns what filtering and sorting
+            /// every live summary of every block returns, and the
+            /// pushed-down aggregate equals the reference accumulators
+            /// fed those same rows.
             #[test]
-            fn index_plan_equals_full_scan(
-                (benches, io500s, bench_dels, io500_dels) in arb_store_ops(),
+            fn pruned_scan_equals_brute_force_over_live_summaries(
+                steps in proptest::collection::vec(arb_step(), 1..40),
+                seal_threshold in 2usize..6,
                 queries in proptest::collection::vec(arb_query(), 1..4),
             ) {
-                let mut store = KnowledgeStore::in_memory();
-                let apis = ["POSIX", "MPIIO", "HDF5"];
-                for (api, tasks, bw) in &benches {
-                    let k = bench(
-                        &format!("ior -a {} -t {tasks}", apis[*api as usize]),
-                        apis[*api as usize],
-                        *tasks,
-                        *bw,
-                    );
-                    store.save_knowledge(&k).unwrap();
+                use crate::aggregate::tests::engine::assert_results_close;
+                use crate::aggregate::{AggregateQuery, Factor, GroupBy};
+                use crate::vfs::{FaultVfs, Vfs};
+                let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
+                let path = std::path::PathBuf::from("/kb.json");
+                let open = || {
+                    let mut store =
+                        KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs)).unwrap();
+                    store.set_seal_threshold(seal_threshold);
+                    store
+                };
+                let mut store = open();
+                for step in &steps {
+                    match step {
+                        Step::Write(op) => apply(&mut store, op),
+                        Step::Seal => store.seal_active().unwrap(),
+                        Step::Compact => {
+                            store.compact().unwrap();
+                        }
+                        Step::Reopen => store = open(),
+                    }
                 }
-                for (tasks, bw) in &io500s {
-                    store.save_io500(&io500(*tasks, *bw)).unwrap();
-                }
-                // Interleaved deletes of both kinds: the incremental
-                // index maintenance must stay equivalent to a scan.
-                for id in &bench_dels {
-                    store.delete_knowledge(*id).unwrap();
-                }
-                for id in &io500_dels {
-                    store.delete_io500(*id).unwrap();
-                }
+                let unbounded = DeadlineToken::unbounded();
                 for q in &queries {
-                    let indexed = store.execute(q, false).unwrap();
-                    let scanned = store.execute(q, true).unwrap();
-                    prop_assert_eq!(&indexed, &scanned, "query {} diverged", q);
+                    let expected = brute_force(&store, q);
+                    prop_assert_eq!(
+                        &store.query_ids(q, &unbounded).unwrap(),
+                        &refs_of(&expected),
+                        "query {} diverged",
+                        q
+                    );
+                    prop_assert_eq!(
+                        &store.query_summaries(q, &unbounded).unwrap(),
+                        &expected,
+                        "query {} diverged",
+                        q
+                    );
+                    let agg = AggregateQuery::new(GroupBy::Api, Factor::Bandwidth)
+                        .with_predicate(q.predicate.clone())
+                        .with_percentiles(&[0.1, 0.5, 0.9])
+                        .with_correlation(&[Factor::Tasks, Factor::Bandwidth, Factor::TotalScore]);
+                    assert_results_close(
+                        &store.aggregate(&agg, &unbounded).unwrap(),
+                        &agg.evaluate_rows(store.live_summaries().iter()),
+                    );
                 }
             }
         }

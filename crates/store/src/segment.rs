@@ -124,7 +124,7 @@ impl Bloom {
     }
 }
 
-/// The index block of one sealed segment — everything the query planner
+/// The index block of one sealed segment — everything the executor
 /// needs to *skip* a segment without reading its body. Lives in the
 /// store manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,12 +401,6 @@ impl Segment {
         *slot = Some(Arc::clone(&data));
         Ok(data)
     }
-
-    /// Load and cache the body now (compaction calls this before
-    /// unlinking input files).
-    pub fn preload_data(&self, vfs: &dyn Vfs) -> Result<(), DbError> {
-        self.data(vfs).map(|_| ())
-    }
 }
 
 /// Format tag of segment documents.
@@ -560,9 +554,12 @@ pub(crate) fn summary_from_json(json: &Json) -> Result<RunSummary, DbError> {
 /// one body read, never a wrong answer. `false` must be exact.
 #[must_use]
 pub fn may_match_segment(pred: &RunPredicate, meta: &SegmentMeta, kind: RunKind) -> bool {
-    let overlaps_u32 = |range: Option<(u32, u32)>, lo: u32, hi: u32| {
-        range.is_none_or(|(rlo, rhi)| lo <= rhi && rlo <= hi)
-    };
+    // Does `lo..=hi` overlap the segment's range? A reversed inclusive
+    // range matches no row anywhere: exact, not conservative, so the
+    // scan never loads a body for it.
+    fn overlaps<T: PartialOrd>(range: Option<(T, T)>, lo: T, hi: T) -> bool {
+        lo <= hi && range.is_none_or(|(rlo, rhi)| lo <= rhi && rlo <= hi)
+    }
     match pred {
         RunPredicate::True => true,
         RunPredicate::Kind(k) => *k == kind,
@@ -573,10 +570,8 @@ pub fn may_match_segment(pred: &RunPredicate, meta: &SegmentMeta, kind: RunKind)
             RunKind::Io500 => api.is_empty() && meta.apis.contains(""),
         },
         RunPredicate::HasOp(_) => kind == RunKind::Benchmark,
-        RunPredicate::TasksBetween(lo, hi) => overlaps_u32(meta.tasks, *lo, *hi),
-        RunPredicate::BandwidthBetween(lo, hi) => meta
-            .bandwidth
-            .is_none_or(|(blo, bhi)| *lo <= bhi && blo <= *hi),
+        RunPredicate::TasksBetween(lo, hi) => overlaps(meta.tasks, *lo, *hi),
+        RunPredicate::BandwidthBetween(lo, hi) => overlaps(meta.bandwidth, *lo, *hi),
         // Transfer sizes and command text are not summarized in the
         // index block; always load.
         RunPredicate::TransferBetween(..) | RunPredicate::CommandContains(_) => true,
@@ -756,6 +751,18 @@ mod tests {
         ));
         assert!(!may_match_segment(
             &RunPredicate::BandwidthBetween(3000.0, 4000.0),
+            &meta,
+            b
+        ));
+        // A reversed range is empty even where its bounds straddle the
+        // segment's range.
+        assert!(!may_match_segment(
+            &RunPredicate::TasksBetween(90, 50),
+            &meta,
+            b
+        ));
+        assert!(!may_match_segment(
+            &RunPredicate::BandwidthBetween(2500.0, 500.0),
             &meta,
             b
         ));

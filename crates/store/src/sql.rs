@@ -1,25 +1,23 @@
-//! A small SQL subset — the store's "DB-API 2.0" face.
+//! A small read-only SQL subset — the store's "DB-API 2.0" face.
 //!
 //! The paper's prototype talks to SQLite through DB-API; tooling built on
-//! this store can use the same idiom:
+//! this store can query it in the same idiom:
 //!
 //! ```
-//! use iokc_store::{Database, TableSchema, Column, ColumnType, sql};
+//! use iokc_store::{Database, TableSchema, Column, ColumnType, Value, sql};
 //!
 //! let mut db = Database::new();
 //! db.create_table(TableSchema::new("runs", vec![
 //!     Column::required("command", ColumnType::Text),
 //!     Column::new("bw", ColumnType::Real),
 //! ])).unwrap();
-//! sql::execute(&mut db, "INSERT INTO runs VALUES ('ior -b 4m', 2850.12)").unwrap();
+//! db.insert("runs", vec![Value::from("ior -b 4m"), Value::from(2850.12)]).unwrap();
 //! let rows = sql::query(&db, "SELECT * FROM runs WHERE bw > 1000 ORDER BY bw DESC LIMIT 5").unwrap();
 //! assert_eq!(rows.len(), 1);
 //! ```
 //!
 //! Supported statements:
 //! `SELECT *|cols FROM t [WHERE cond [AND|OR cond]…] [ORDER BY col [ASC|DESC]] [LIMIT n]`,
-//! `INSERT INTO t VALUES (…)`, `UPDATE t SET col = lit [WHERE …]`,
-//! `DELETE FROM t [WHERE …]`,
 //! `SELECT COUNT(*) FROM t [WHERE …]`. Conditions are
 //! `col (=|!=|<|<=|>|>=|LIKE) literal`; literals are numbers, `'strings'`
 //! (with `''` escaping) and `NULL`. `AND` binds tighter than `OR`.
@@ -426,46 +424,6 @@ pub fn select(db: &Database, statement: &str) -> Result<QueryResult, SqlError> {
     }
 }
 
-/// Execute a mutating statement (`INSERT`, `DELETE`). Returns the new
-/// rowid for inserts, the number of removed rows for deletes.
-pub fn execute(db: &mut Database, statement: &str) -> Result<i64, SqlError> {
-    let mut p = Parser {
-        tokens: tokenize(statement)?,
-        pos: 0,
-    };
-    if p.keyword("INSERT") {
-        p.expect_keyword("INTO")?;
-        let table = p.ident()?;
-        p.expect_keyword("VALUES")?;
-        p.expect_symbol("(")?;
-        let mut values = vec![p.literal()?];
-        while matches!(p.peek(), Some(Token::Symbol(s)) if s == ",") {
-            p.pos += 1;
-            values.push(p.literal()?);
-        }
-        p.expect_symbol(")")?;
-        if let Some(tok) = p.peek() {
-            return Err(SqlError::Syntax(format!("trailing tokens at {tok:?}")));
-        }
-        Ok(db.insert(&table, values)?)
-    } else if p.keyword("UPDATE") {
-        let table = p.ident()?;
-        p.expect_keyword("SET")?;
-        let column = p.ident()?;
-        p.expect_symbol("=")?;
-        let value = p.literal()?;
-        let (predicate, _, _) = p.tail()?;
-        Ok(db.update(&table, &column, value, &predicate)? as i64)
-    } else if p.keyword("DELETE") {
-        p.expect_keyword("FROM")?;
-        let table = p.ident()?;
-        let (predicate, _, _) = p.tail()?;
-        Ok(db.delete(&table, &predicate)? as i64)
-    } else {
-        Err(SqlError::Syntax("expected INSERT, UPDATE or DELETE".into()))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -559,32 +517,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_delete() {
-        let mut db = db();
-        let id = execute(&mut db, "INSERT INTO runs VALUES ('it''s ior', 99.5, NULL)").unwrap();
-        assert_eq!(id, 4);
-        let rows = query(&db, "SELECT * FROM runs WHERE command LIKE '%it''s%'").unwrap();
-        assert_eq!(rows.len(), 1);
-        let removed = execute(&mut db, "DELETE FROM runs WHERE bw < 100").unwrap();
-        assert_eq!(removed, 2, "mdtest row and the new row");
-        assert_eq!(db.row_count("runs").unwrap(), 2);
-    }
-
-    #[test]
-    fn update_statement() {
-        let mut db = db();
-        let changed = execute(&mut db, "UPDATE runs SET bw = 99.5 WHERE tasks = 80").unwrap();
-        assert_eq!(changed, 2);
-        let rows = query(&db, "SELECT * FROM runs WHERE bw = 99.5").unwrap();
-        assert_eq!(rows.len(), 2);
-        // Unconditional update touches everything.
-        let all = execute(&mut db, "UPDATE runs SET tasks = 1").unwrap();
-        assert_eq!(all, 3);
-    }
-
-    #[test]
     fn syntax_errors() {
-        let mut db = db();
+        let db = db();
         assert!(matches!(
             query(&db, "SELEC * FROM runs"),
             Err(SqlError::Syntax(_))
@@ -601,12 +535,9 @@ mod tests {
             query(&db, "SELECT * FROM runs junk"),
             Err(SqlError::Syntax(_))
         ));
+        // Only SELECT is a statement: nothing here mutates.
         assert!(matches!(
-            execute(&mut db, "CREATE TABLE x (y INTEGER)"),
-            Err(SqlError::Syntax(_))
-        ));
-        assert!(matches!(
-            execute(&mut db, "UPDATE runs SET"),
+            query(&db, "DELETE FROM runs"),
             Err(SqlError::Syntax(_))
         ));
         assert!(matches!(
@@ -640,21 +571,28 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
             #[test]
             fn sql_never_panics_on_noise(statement in ".{0,120}") {
-                let mut database = db();
+                let database = db();
                 let _ = query(&database, &statement);
                 let _ = select(&database, &statement);
-                let _ = execute(&mut database, &statement);
             }
 
             #[test]
-            fn inserted_strings_roundtrip(text in "[^']{0,40}") {
+            fn inserted_strings_roundtrip(text in ".{0,40}") {
                 let mut database = db();
+                let id = database
+                    .insert(
+                        "runs",
+                        vec![Value::from(text.as_str()), Value::from(1.0), Value::Int(1)],
+                    )
+                    .unwrap();
+                // The string literal — quotes doubled — finds exactly the
+                // row holding the text.
                 let escaped = text.replace('\'', "''");
-                let statement =
-                    format!("INSERT INTO runs VALUES ('{escaped}', 1.0, 1)");
-                let id = execute(&mut database, &statement).unwrap();
-                let row = database.get("runs", id).unwrap().unwrap();
-                prop_assert_eq!(row.values[0].as_text().unwrap(), text);
+                let statement = format!("SELECT * FROM runs WHERE command = '{escaped}'");
+                let rows = query(&database, &statement).unwrap();
+                prop_assert_eq!(rows.len(), 1);
+                prop_assert_eq!(rows[0].id, id);
+                prop_assert_eq!(rows[0].values[0].as_text().unwrap(), text);
             }
         }
     }
@@ -742,10 +680,20 @@ mod tests {
     #[test]
     fn numbers_parse_with_signs_and_exponents() {
         let mut db = db();
-        execute(&mut db, "INSERT INTO runs VALUES ('neg', -1.5e2, -3)").unwrap();
-        let rows = query(&db, "SELECT * FROM runs WHERE bw <= -100").unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values[1], Value::Real(-150.0));
-        assert_eq!(rows[0].values[2], Value::Int(-3));
+        db.insert(
+            "runs",
+            vec![Value::from("neg"), Value::from(-150.0), Value::Int(-3)],
+        )
+        .unwrap();
+        for statement in [
+            "SELECT * FROM runs WHERE bw <= -100",
+            "SELECT * FROM runs WHERE bw = -1.5e2",
+            "SELECT * FROM runs WHERE tasks = -3",
+        ] {
+            let rows = query(&db, statement).unwrap();
+            assert_eq!(rows.len(), 1, "{statement}");
+            assert_eq!(rows[0].values[1], Value::Real(-150.0));
+            assert_eq!(rows[0].values[2], Value::Int(-3));
+        }
     }
 }

@@ -244,28 +244,43 @@ impl FaultPlan {
     #[must_use]
     pub fn seeded_chaos(seed: u64, horizon: u64, faults: usize) -> FaultPlan {
         let mut plan = FaultPlan::default();
-        let mut state = seed | 1;
-        let mut next = move || {
-            // xorshift64* — deterministic, dependency-free.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let mut placed = 0usize;
-        while placed < faults && horizon > 0 {
-            let op = next() % horizon;
-            let bucket = next() % 3;
-            let inserted = match bucket {
-                0 => plan.enospc_ops.insert(op),
-                1 => plan.eio_ops.insert(op),
-                _ => plan.short_write_ops.insert(op),
-            };
-            if inserted {
-                placed += 1;
-            }
-        }
+        scatter_faults(seed, horizon, faults, 3, |op, bucket| match bucket {
+            0 => plan.enospc_ops.insert(op),
+            1 => plan.eio_ops.insert(op),
+            _ => plan.short_write_ops.insert(op),
+        });
         plan
+    }
+}
+
+/// The seeded scatter behind every chaos plan (this module's and
+/// explorerd's `NetFaultPlan`): draw `(op, bucket)` points — `op` in
+/// `0..horizon`, `bucket` in `0..buckets` — from a xorshift64* stream
+/// until `place` has accepted `faults` of them. `place` files a point
+/// under its bucket's fault kind and returns whether it was new there.
+/// The stream depends on the seed alone, so a failing seed prints in one
+/// number and replays exactly.
+pub fn scatter_faults(
+    seed: u64,
+    horizon: u64,
+    faults: usize,
+    buckets: u64,
+    mut place: impl FnMut(u64, u64) -> bool,
+) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        // xorshift64* — deterministic, dependency-free.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    };
+    let mut placed = 0usize;
+    while placed < faults && horizon > 0 {
+        let op = next() % horizon;
+        if place(op, next() % buckets) {
+            placed += 1;
+        }
     }
 }
 
@@ -826,6 +841,16 @@ mod tests {
         assert_ne!(a, c, "different seed, different plan");
         let total = a.enospc_ops.len() + a.eio_ops.len() + a.short_write_ops.len();
         assert_eq!(total, 5);
+        // Pinned: a recorded failing seed must keep replaying the plan
+        // it failed under.
+        let pinned = |enospc: [u64; 2], eio: u64, short: [u64; 2]| FaultPlan {
+            enospc_ops: BTreeSet::from(enospc),
+            eio_ops: BTreeSet::from([eio]),
+            short_write_ops: BTreeSet::from(short),
+            ..FaultPlan::default()
+        };
+        assert_eq!(a, pinned([11, 45], 58, [55, 99]));
+        assert_eq!(c, pinned([15, 27], 49, [22, 85]));
     }
 
     #[test]

@@ -60,8 +60,8 @@ cargo test -p iokc-integration --test explorerd_chaos -q
 
 # Bench smoke: the vendored criterion runs each bench body once under
 # `cargo test`, so regressions in the bench harnesses fail fast here.
-echo "==> query-engine bench smoke"
-cargo test -p iokc-bench --bench query_engine
+echo "==> query-engine + explorerd-requests bench smoke"
+cargo test -p iokc-bench --bench query_engine --bench explorerd_requests
 
 # Loadtest smoke: the reactor holds 100 keep-alive connections, streams
 # a full listing, and answers a timed phase under a generous p99 bound —
