@@ -222,13 +222,15 @@ fn percent_decode(text: &str) -> Option<String> {
 ///
 /// The reactor pulls one chunk at a time, only when the socket has
 /// drained the previous one — the backpressure that keeps a 100k-row
-/// listing from ever being buffered whole.
+/// listing from ever being buffered whole. A source owns everything it
+/// renders from (its query ran before the response was built), so
+/// producing a chunk cannot fail.
 pub trait BodySource: Send {
-    /// Append the next run of body bytes to `out`. `Ok(true)` means
-    /// more may follow (call again once `out` has drained); `Ok(false)`
-    /// means the body is complete. Appending nothing while returning
-    /// `Ok(true)` is not allowed — sources must make progress.
-    fn next_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<bool>;
+    /// Append the next run of body bytes to `out`, leaving what `out`
+    /// already holds alone. `true` means more follow (call again once
+    /// `out` has drained) and requires progress: at least one byte was
+    /// appended. `false` means the body is complete.
+    fn next_chunk(&mut self, out: &mut Vec<u8>) -> bool;
 }
 
 /// A response body: fully materialized (served with `Content-Length`,
@@ -244,15 +246,23 @@ pub enum Body {
 /// The chunked-encoding stream terminator.
 pub const CHUNK_TERMINATOR: &[u8] = b"0\r\n\r\n";
 
-/// Chunk-encode `data` onto `out`. Empty input encodes nothing (an
-/// empty chunk would terminate the stream).
-pub fn encode_chunk(data: &[u8], out: &mut Vec<u8>) {
-    if data.is_empty() {
-        return;
+/// Pull the next chunk of `source` onto `out`, framed where it lands —
+/// the payload is rendered straight behind whatever `out` holds and its
+/// size line slipped in front — and closed by [`CHUNK_TERMINATOR`] when
+/// it was the last. An empty payload frames nothing (an empty chunk
+/// would terminate the stream). Returns whether more chunks follow.
+pub fn pull_chunk(source: &mut dyn BodySource, out: &mut Vec<u8>) -> bool {
+    let start = out.len();
+    let more = source.next_chunk(out);
+    let size = out.len() - start;
+    if size > 0 {
+        out.splice(start..start, format!("{size:x}\r\n").into_bytes());
+        out.extend_from_slice(b"\r\n");
     }
-    let _ = write!(out, "{:x}\r\n", data.len());
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
+    if !more {
+        out.extend_from_slice(CHUNK_TERMINATOR);
+    }
+    more
 }
 
 /// An HTTP response ready to be written.
@@ -335,13 +345,16 @@ impl Response {
         resp
     }
 
-    /// Serialize the status line, headers, and framing (Content-Length
-    /// for [`Body::Full`], chunked for [`Body::Pull`]) through the
-    /// terminating blank line. The reactor appends body bytes behind
-    /// this and drains the whole buffer as the socket allows.
-    #[must_use]
-    pub fn head_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut head = format!(
+    /// Append this response to `out` as the bytes that go on the wire —
+    /// the one serialization the reactor and the blocking shed path both
+    /// send: status line, headers and framing, then everything of the
+    /// body that is ready. That is all of a [`Body::Full`]
+    /// (`Content-Length`), and the first chunk of a [`Body::Pull`]
+    /// (chunked) together with the terminator when it is also the last;
+    /// a source with chunks left comes back for [`pull_chunk`].
+    pub fn serialize(self, keep_alive: bool, out: &mut Vec<u8>) -> Option<Box<dyn BodySource>> {
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -349,44 +362,30 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" }
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            let _ = write!(out, "{name}: {value}\r\n");
         }
-        match &self.body {
+        match self.body {
             Body::Full(bytes) => {
-                head.push_str(&format!("Content-Length: {}\r\n\r\n", bytes.len()));
+                let _ = write!(out, "Content-Length: {}\r\n\r\n", bytes.len());
+                out.extend_from_slice(&bytes);
+                None
             }
-            Body::Pull(_) => head.push_str("Transfer-Encoding: chunked\r\n\r\n"),
+            Body::Pull(mut source) => {
+                out.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
+                pull_chunk(source.as_mut(), out).then_some(source)
+            }
         }
-        head.into_bytes()
     }
 
-    /// Blocking serialization onto `stream`, used only by the O(1) shed
-    /// path (the socket never joins the reactor) and by tests. All
-    /// served connections are written incrementally by the reactor.
+    /// Blocking write of a materialized response in one `write_all`,
+    /// used only by the O(1) shed path (the socket never joins the
+    /// reactor). All served connections are written incrementally by
+    /// the reactor.
     pub fn write(self, stream: &mut dyn Conn, keep_alive: bool) -> io::Result<()> {
-        let head = self.head_bytes(keep_alive);
-        stream.write_all(&head)?;
-        match self.body {
-            Body::Full(bytes) => stream.write_all(&bytes)?,
-            Body::Pull(mut source) => {
-                let mut raw = Vec::new();
-                let mut encoded = Vec::new();
-                loop {
-                    raw.clear();
-                    encoded.clear();
-                    let more = source.next_chunk(&mut raw)?;
-                    encode_chunk(&raw, &mut encoded);
-                    stream.write_all(&encoded)?;
-                    if !more {
-                        break;
-                    }
-                }
-                stream.write_all(CHUNK_TERMINATOR)?;
-            }
-        }
+        let mut bytes = Vec::new();
+        let rest = self.serialize(keep_alive, &mut bytes);
+        debug_assert!(rest.is_none(), "a pulled body needs the reactor");
+        stream.write_all(&bytes)?;
         stream.flush()
     }
 }
@@ -519,13 +518,26 @@ mod tests {
 
     #[test]
     fn chunk_encoding_round_trip() {
-        let mut out = Vec::new();
-        encode_chunk(b"hello", &mut out);
-        assert_eq!(out, b"5\r\nhello\r\n");
+        /// Yields each piece as one chunk.
+        struct Pieces(Vec<&'static [u8]>);
+        impl BodySource for Pieces {
+            fn next_chunk(&mut self, out: &mut Vec<u8>) -> bool {
+                out.extend_from_slice(self.0.remove(0));
+                !self.0.is_empty()
+            }
+        }
+        let mut source = Pieces(vec![b"hello", b"0123456789abcdef", b""]);
+        let mut out = b"head|".to_vec();
+        assert!(pull_chunk(&mut source, &mut out));
+        assert_eq!(out, b"head|5\r\nhello\r\n", "framed behind what was there");
+        assert!(pull_chunk(&mut source, &mut out));
+        assert!(out.ends_with(b"\r\n10\r\n0123456789abcdef\r\n"));
         let before = out.len();
-        encode_chunk(b"", &mut out);
-        assert_eq!(out.len(), before, "empty chunk encodes nothing");
-        out.extend_from_slice(CHUNK_TERMINATOR);
-        assert!(out.ends_with(b"0\r\n\r\n"));
+        assert!(!pull_chunk(&mut source, &mut out));
+        assert_eq!(
+            &out[before..],
+            CHUNK_TERMINATOR,
+            "empty chunk encodes nothing"
+        );
     }
 }

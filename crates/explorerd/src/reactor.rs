@@ -17,6 +17,11 @@
 //! write within one poll cycle. Writes are incremental: the loop
 //! drains a bounded `send_buf`, refilled from a [`BodySource`] one
 //! page at a time, so a 100k-row listing is never materialized whole.
+//! Each refill carries everything that is ready — the head with the
+//! first page, the terminator with the last — so a response of n pages
+//! is n `write`s when the socket keeps up, and sockets run with
+//! `TCP_NODELAY`: either alone still leaves a small segment waiting out
+//! the peer's delayed ACK (40 ms) somewhere in a response.
 //!
 //! Timers live on the loop too: `Reading` connections are bounded by
 //! the head read deadline (slow-loris → `408`), `Idle` keep-alive
@@ -38,12 +43,11 @@ use std::net::{IpAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iokc_obs::{CancelToken, Counter, Gauge, MetricsRegistry, Recorder};
+use iokc_obs::{CancelToken, Counter, DeadlineToken, Gauge, MetricsRegistry, Recorder};
 
 use crate::admission::{classify, Admission, AdmitDecision, ConnPermit};
 use crate::http::{
-    encode_chunk, parse_request, Body, BodySource, Limits, Parsed, RecvError, Request, Response,
-    CHUNK_TERMINATOR,
+    parse_request, pull_chunk, BodySource, Limits, Parsed, RecvError, Request, Response,
 };
 use crate::pool::HandlerPool;
 use crate::service::Explorer;
@@ -78,6 +82,10 @@ pub(crate) struct ReactorConfig {
     pub limits: Limits,
     pub idle_timeout: Duration,
     pub max_conns: usize,
+    /// Handler threads, their backlog bound, and each request's budget.
+    pub workers: usize,
+    pub queue: usize,
+    pub request_deadline: Duration,
 }
 
 /// Everything the reactor thread owns.
@@ -86,7 +94,6 @@ pub(crate) struct Reactor {
     pub transport: Arc<dyn Transport>,
     pub admission: Arc<Admission>,
     pub explorer: Arc<Explorer>,
-    pub pool: HandlerPool<Job, Completion>,
     pub waker: Arc<Waker>,
     pub cancel: CancelToken,
     pub recorder: Arc<Recorder>,
@@ -104,6 +111,10 @@ struct ConnObs {
     recv_io: Counter,
     recv_cancelled: Counter,
     write_failed: Counter,
+    /// Socket `write` calls that accepted bytes, and ones that found the
+    /// socket full: writes per response, readable from `/metrics`.
+    write_calls: Counter,
+    write_would_block: Counter,
 }
 
 impl ConnObs {
@@ -116,6 +127,8 @@ impl ConnObs {
             recv_io: metrics.counter("explorerd.recv.io"),
             recv_cancelled: metrics.counter("explorerd.recv.cancelled"),
             write_failed: metrics.counter("explorerd.write_failed"),
+            write_calls: metrics.counter("explorerd.write.calls"),
+            write_would_block: metrics.counter("explorerd.write.would_block"),
         }
     }
 }
@@ -202,7 +215,7 @@ enum WriteOutcome {
     Continue,
     /// Response fully written.
     Done,
-    /// The write (or the body source) failed; the response is torn.
+    /// The write failed; the response is torn.
     Failed,
 }
 
@@ -216,12 +229,40 @@ impl Reactor {
             transport,
             admission,
             explorer,
-            pool,
             waker,
             cancel,
             recorder,
             config,
         } = self;
+        // The loop thread starts the pool it later drains and joins. It
+        // is the last of the server's threads to exit and so the first
+        // to run when a process starts its next server, and glibc hands
+        // a new thread the allocator arena of the thread that exited
+        // before it: started from here, each handler thread inherits the
+        // arena the previous handler loaded segment bodies into, instead
+        // of trading arenas with the loop at every restart and leaving
+        // the process holding both.
+        let pool = {
+            let (admission, explorer) = (Arc::clone(&admission), Arc::clone(&explorer));
+            let (cancel, waker) = (cancel.clone(), Arc::clone(&waker));
+            let budget = config.request_deadline;
+            HandlerPool::new(
+                config.workers,
+                config.queue,
+                move || waker.wake(),
+                move |job: Job| {
+                    admission.note_dequeued();
+                    let class = classify(&job.request.path);
+                    let deadline = DeadlineToken::with_budget(cancel.clone(), budget);
+                    let response = explorer.handle(&job.request, &deadline);
+                    admission.record_outcome(class, response.status < 500);
+                    Completion {
+                        conn_id: job.conn_id,
+                        response,
+                    }
+                },
+            )
+        };
         let metrics = recorder.metrics();
         let ctx = Ctx {
             transport,
@@ -386,6 +427,9 @@ fn accept_ready(
         match listener.accept() {
             Ok((stream, peer)) => {
                 ctx.connections.inc();
+                // Responses leave in whole buffers; Nagle would only hold
+                // a buffer's last segment until the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let conn = ctx.transport.wrap(stream);
                 if ctx.max_conns > 0 && conns.len() >= ctx.max_conns {
                     ctx.shed.inc();
@@ -488,7 +532,7 @@ fn drive_conn(
                     // An admission refusal started a write; loop.
                 }
             },
-            Phase::Writing => match write_ready(conn) {
+            Phase::Writing => match write_ready(conn, &ctx.obs) {
                 WriteOutcome::Continue => return,
                 WriteOutcome::Failed => {
                     if conn.counted_write {
@@ -661,56 +705,45 @@ fn dispatch(
     }
 }
 
-/// Queue a response for incremental writing.
+/// Queue a response for incremental writing: everything of it that is
+/// ready goes into the first buffer.
 fn start_write(conn: &mut ConnState, response: Response, keep_alive: bool, counted: bool) {
     conn.keep_alive_after_write = keep_alive;
     conn.counted_write = counted;
-    conn.send_buf = response.head_bytes(keep_alive);
+    conn.send_buf.clear();
     conn.sent = 0;
-    conn.source = None;
-    match response.body {
-        Body::Full(bytes) => conn.send_buf.extend_from_slice(&bytes),
-        Body::Pull(source) => conn.source = Some(source),
-    }
+    conn.source = response.serialize(keep_alive, &mut conn.send_buf);
     conn.phase = Phase::Writing;
 }
 
-/// Drain the send buffer, refilling it from the body source one page
-/// at a time.
-fn write_ready(conn: &mut ConnState) -> WriteOutcome {
+/// Drain the send buffer; once it is empty — and only then, which is
+/// the backpressure — refill it with the body source's next page.
+fn write_ready(conn: &mut ConnState, obs: &ConnObs) -> WriteOutcome {
     loop {
-        if conn.sent < conn.send_buf.len() {
-            match conn.conn.write(&conn.send_buf[conn.sent..]) {
-                Ok(0) => return WriteOutcome::Failed,
-                Ok(n) => conn.sent += n,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return WriteOutcome::Continue;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return WriteOutcome::Failed,
-            }
-        } else if let Some(source) = conn.source.as_mut() {
+        if conn.sent == conn.send_buf.len() {
+            let Some(source) = conn.source.as_mut() else {
+                return WriteOutcome::Done;
+            };
             conn.send_buf.clear();
             conn.sent = 0;
-            let mut raw = Vec::new();
-            match source.next_chunk(&mut raw) {
-                Ok(more) => {
-                    encode_chunk(&raw, &mut conn.send_buf);
-                    if !more {
-                        conn.send_buf.extend_from_slice(CHUNK_TERMINATOR);
-                        conn.source = None;
-                    }
-                }
-                // A torn body (store error mid-stream): the chunked
-                // framing never terminates, so the client sees a
-                // truncated response, never a wrong one.
-                Err(_) => return WriteOutcome::Failed,
+            if !pull_chunk(source.as_mut(), &mut conn.send_buf) {
+                conn.source = None;
             }
-        } else {
-            return WriteOutcome::Done;
+        }
+        match conn.conn.write(&conn.send_buf[conn.sent..]) {
+            Ok(0) => return WriteOutcome::Failed,
+            Ok(n) => {
+                obs.write_calls.inc();
+                conn.sent += n;
+            }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                obs.write_would_block.inc();
+                return WriteOutcome::Continue;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return WriteOutcome::Failed,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! injector), enforces the global connection cap and the per-peer
 //! concurrency cap, and multiplexes all connections through `poll(2)`
 //! in non-blocking mode. Parsed requests are executed by a small
-//! [`HandlerPool`] off the loop; finished
+//! [`crate::pool::HandlerPool`] off the loop; finished
 //! responses come back through a completion queue and are written
 //! incrementally as each socket drains. When the pool's bounded
 //! backlog is full, new requests are answered `503 Retry-After`
@@ -16,7 +16,7 @@
 //!
 //! Each admitted request runs under a wall-clock deadline budget
 //! ([`ServerConfig::request_deadline`]) carried as an `iokc-obs`
-//! [`DeadlineToken`] into the store's query scans; a request that blows
+//! [`iokc_obs::DeadlineToken`] into the store's query scans; a request that blows
 //! its budget answers `504` with partial-progress counters instead of
 //! pinning a handler. The [`Admission`] controller layers per-peer
 //! rate limits, priority shedding, and a circuit breaker on top — see
@@ -35,14 +35,13 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use iokc_obs::{CancelToken, DeadlineToken, MetricsRegistry, Recorder};
+use iokc_obs::{CancelToken, MetricsRegistry, Recorder};
 use iokc_store::KnowledgeStore;
 
-use crate::admission::{classify, Admission, AdmissionConfig};
+use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::CacheStats;
 use crate::http::Limits;
-use crate::pool::HandlerPool;
-use crate::reactor::{Completion, Job, Reactor, ReactorConfig};
+use crate::reactor::{Reactor, ReactorConfig};
 use crate::service::Explorer;
 use crate::transport::{StdTransport, Transport, Waker};
 
@@ -143,36 +142,11 @@ impl Server {
         ));
         let waker = Arc::new(Waker::new()?);
 
-        let pool = {
-            let explorer = Arc::clone(&explorer);
-            let cancel = cancel.clone();
-            let admission = Arc::clone(&admission);
-            let request_deadline = config.request_deadline;
-            let wake = Arc::clone(&waker);
-            HandlerPool::new(
-                config.workers,
-                config.queue,
-                move || wake.wake(),
-                move |job: Job| {
-                    admission.note_dequeued();
-                    let class = classify(&job.request.path);
-                    let deadline = DeadlineToken::with_budget(cancel.clone(), request_deadline);
-                    let response = explorer.handle(&job.request, &deadline);
-                    admission.record_outcome(class, response.status < 500);
-                    Completion {
-                        conn_id: job.conn_id,
-                        response,
-                    }
-                },
-            )
-        };
-
         let reactor = Reactor {
             listener,
             transport: Arc::clone(&config.transport),
             admission,
             explorer: Arc::clone(&explorer),
-            pool,
             waker: Arc::clone(&waker),
             cancel: cancel.clone(),
             recorder: Arc::clone(&recorder),
@@ -180,6 +154,9 @@ impl Server {
                 limits: config.limits.clone(),
                 idle_timeout: config.idle_timeout,
                 max_conns: config.max_conns,
+                workers: config.workers,
+                queue: config.queue,
+                request_deadline: config.request_deadline,
             },
         };
         let reactor = std::thread::Builder::new()

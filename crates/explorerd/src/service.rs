@@ -4,8 +4,8 @@
 //!
 //! * `GET /api/runs` — run listing with `kind`, `api`, `command`,
 //!   `min_tasks`/`max_tasks`, `op` filters and `sort`/`order`/`limit`;
-//!   streamed with chunked encoding through the incremental JSON
-//!   serializer, teeing into the cache;
+//!   selected once, then streamed with chunked encoding a page of
+//!   directly encoded rows at a time, teeing into the cache;
 //! * `GET /api/runs/{id}` — one benchmark object with per-iteration
 //!   detail;
 //! * `GET /api/compare?x=..&y=..&op=..&ids=..` — the multi-object
@@ -36,7 +36,6 @@
 //! body-less `304 Not Modified` until the next store write bumps the
 //! generation.
 
-use std::io;
 use std::sync::{Arc, RwLock};
 
 use iokc_analysis::{
@@ -46,10 +45,10 @@ use iokc_analysis::{
 use iokc_core::model::Knowledge;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
 use iokc_store::{
-    AggregateQuery, AggregateResult, DbError, Factor, GroupBy, KnowledgeStore, Query, RunKind,
-    RunOrder, RunPredicate, RunSummary, Snapshot,
+    AggregateQuery, AggregateResult, DbError, Factor, GroupBy, KnowledgeStore, Query, RunCursor,
+    RunKind, RunOrder, RunPredicate, RunSummary, Snapshot,
 };
-use iokc_util::json::Json;
+use iokc_util::json::{Json, ObjectWriter};
 
 use crate::cache::{self, CacheStats, QueryCache};
 use crate::http::{BodySource, Request, Response};
@@ -432,165 +431,95 @@ impl Explorer {
     }
 
     /// `GET /api/runs`: the one endpoint whose body grows with the
-    /// store, so a cache miss *streams* — [`RunsStream`] pulls bounded
-    /// pages from the pinned snapshot as the socket drains, teeing the
-    /// bytes into the cache. The first page is fetched here, inside the
-    /// handler, so query and deadline errors (`400`, `504`) surface as
-    /// proper statuses before any body byte is committed.
+    /// store, so a cache miss *streams* — the query is selected once,
+    /// here, inside the handler, so query and deadline errors (`400`,
+    /// `504`) surface as proper statuses before any body byte is
+    /// committed; [`RunsStream`] then encodes bounded pages of the
+    /// matched rows as the socket drains, teeing the bytes into the
+    /// cache.
     fn api_runs(&self, req: &Request, deadline: &DeadlineToken) -> RouteResult {
-        let spec = RunsQuery::from_request(req)?;
+        let query = RunsQuery::from_request(req)?.to_query();
         // The cache keys on the *typed* query: `?api=X&sort=id` and
         // `?sort=id&api=X` (or an explicit `order=asc`) land on the
         // same entry.
-        let key = format!("/api/runs:{}", spec.to_query().cache_key());
+        let key = format!("/api/runs:{}", query.cache_key());
         let (snapshot, tag) = match self.fast_path(req, &key, "application/json")? {
             Ok(resp) => return Ok(resp),
             Err(miss) => miss,
         };
-        let stream = RunsStream::new(
-            snapshot,
-            spec,
-            deadline.clone(),
-            Arc::clone(&self.cache),
+        let stream = RunsStream {
+            rows: snapshot.select(&query, deadline)?,
+            generation: snapshot.generation(),
+            cache: Arc::clone(&self.cache),
             key,
-        )?;
+            started: false,
+            copy: Some(Vec::new()),
+        };
         let mut resp = Response::stream("application/json", Box::new(stream));
         resp.headers.push(("ETag", tag));
         Ok(resp)
     }
 }
 
-/// Rows per page pulled from the snapshot between socket writes: large
-/// enough to amortize the query, small enough that a 100k-row listing
-/// never holds more than one page of `Json` rows in memory.
+/// Rows per page encoded between socket writes: large enough to
+/// amortize the write, small enough that a 100k-row listing never holds
+/// more than one page of rendered rows in memory.
 const PAGE_ROWS: usize = 512;
 
 /// The `/api/runs` body source: serializes the JSON array one bounded
-/// page at a time against a pinned [`Snapshot`], so memory stays O(page)
-/// no matter how many rows match. Bytes are teed into the cache while
-/// the copy still fits the cache budget; the entry is committed only
-/// when the whole body has been produced, so the cache never holds a
-/// torn response.
+/// page at a time from a [`RunCursor`] over the pinned snapshot's
+/// blocks, so memory stays one rendered page plus the cursor's ≈24
+/// bytes per matched row no matter how many rows match. Bytes are teed
+/// into the cache while the copy still fits the cache budget; the entry
+/// is committed only when the whole body has been produced, so the
+/// cache never holds a torn response.
 struct RunsStream {
-    snapshot: Snapshot,
-    spec: RunsQuery,
-    deadline: DeadlineToken,
+    rows: RunCursor,
+    /// The generation the cursor was selected at, for the cache entry.
+    generation: u64,
     cache: Arc<QueryCache>,
     key: String,
-    /// Rows pulled from the snapshot so far (relative to `spec.offset`).
-    fetched: usize,
-    /// The next page, fetched but not yet serialized.
-    pending: Vec<Json>,
-    /// No more pages after `pending`.
-    finished_input: bool,
-    opened: bool,
-    first_row: bool,
+    /// Has the array been opened (so later rows lead with a comma)?
+    started: bool,
     /// The cache tee; dropped once the body outgrows the cache budget.
     copy: Option<Vec<u8>>,
 }
 
-impl RunsStream {
-    fn new(
-        snapshot: Snapshot,
-        spec: RunsQuery,
-        deadline: DeadlineToken,
-        cache: Arc<QueryCache>,
-        key: String,
-    ) -> Result<RunsStream, RouteError> {
-        let mut stream = RunsStream {
-            snapshot,
-            spec,
-            deadline,
-            cache,
-            key,
-            fetched: 0,
-            pending: Vec::new(),
-            finished_input: false,
-            opened: false,
-            first_row: true,
-            copy: Some(Vec::new()),
-        };
-        // The first page runs under the handler: a deadline that is
-        // already blown becomes a clean `504` instead of a torn stream.
-        stream.fetch_page()?;
-        Ok(stream)
-    }
-
-    fn fetch_page(&mut self) -> Result<(), RouteError> {
-        let remaining = self.spec.limit.saturating_sub(self.fetched);
-        let page = remaining.min(PAGE_ROWS);
-        if page == 0 {
-            self.finished_input = true;
-            return Ok(());
+impl BodySource for RunsStream {
+    fn next_chunk(&mut self, out: &mut Vec<u8>) -> bool {
+        let start = out.len();
+        for row in self.rows.next_page(PAGE_ROWS) {
+            out.push(if self.started { b',' } else { b'[' });
+            self.started = true;
+            encode_summary(row, out);
         }
-        let query = self
-            .spec
-            .page_query(self.spec.offset.saturating_add(self.fetched), page);
-        let rows = self.snapshot.query_summaries(&query, &self.deadline)?;
-        if rows.len() < page {
-            self.finished_input = true;
+        let more = self.rows.remaining() > 0;
+        if !more {
+            if !self.started {
+                out.push(b'[');
+            }
+            out.push(b']');
         }
-        self.fetched += rows.len();
-        self.pending = rows.iter().map(summary_row).collect();
-        Ok(())
-    }
-
-    fn tee(&mut self, bytes: &[u8]) {
+        let chunk = &out[start..];
         if let Some(copy) = self.copy.as_mut() {
-            if copy.len() + bytes.len() > self.cache.budget() {
+            if copy.len() + chunk.len() > self.cache.budget() {
                 // The full body can never be cached; stop copying.
                 self.copy = None;
             } else {
-                copy.extend_from_slice(bytes);
+                copy.extend_from_slice(chunk);
             }
         }
-    }
-}
-
-/// A mid-stream failure: the chunked framing is simply never
-/// terminated, so the client sees a truncated body, never a wrong one.
-fn stream_error(e: RouteError) -> io::Error {
-    let what = match e {
-        RouteError::Deadline { .. } => "deadline exceeded mid-stream".to_owned(),
-        RouteError::Store(err) => format!("store error: {err}"),
-        RouteError::NotFound(what) | RouteError::BadQuery(what) => what,
-    };
-    io::Error::other(what)
-}
-
-impl BodySource for RunsStream {
-    fn next_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<bool> {
-        if !self.opened {
-            self.opened = true;
-            out.push(b'[');
-        }
-        if self.pending.is_empty() && !self.finished_input {
-            self.fetch_page().map_err(stream_error)?;
-        }
-        for row in self.pending.drain(..) {
-            if self.first_row {
-                self.first_row = false;
-            } else {
-                out.push(b',');
-            }
-            out.extend_from_slice(row.to_compact().as_bytes());
-        }
-        let more = !self.finished_input;
-        if !more {
-            out.push(b']');
-        }
-        self.tee(out);
         if !more {
             if let Some(copy) = self.copy.take() {
                 self.cache.put(
                     &self.key,
-                    self.snapshot.generation(),
+                    self.generation,
                     "application/json",
                     Arc::new(copy),
                 );
             }
         }
-        Ok(more)
+        more
     }
 }
 
@@ -700,8 +629,8 @@ impl RunsQuery {
             .unwrap_or(RunPredicate::True)
     }
 
-    /// The full requested query — used only for the canonical cache
-    /// key; actual evaluation happens page by page.
+    /// The requested query: the canonical cache key and the one
+    /// selection the stream pages through.
     fn to_query(&self) -> Query {
         let mut query = Query::new(self.predicate())
             .order_by(self.sort)
@@ -711,19 +640,6 @@ impl RunsQuery {
         }
         if self.limit < usize::MAX {
             query = query.limit(self.limit);
-        }
-        query
-    }
-
-    /// One bounded window of the requested ordering, starting at the
-    /// absolute store offset `offset`.
-    fn page_query(&self, offset: usize, limit: usize) -> Query {
-        let mut query = Query::new(self.predicate())
-            .order_by(self.sort)
-            .offset(offset)
-            .limit(limit);
-        if self.descending {
-            query = query.descending();
         }
         query
     }
@@ -738,38 +654,36 @@ fn parse_num<T: std::str::FromStr>(req: &Request, name: &str, default: T) -> Res
     }
 }
 
-fn summary_row(row: &RunSummary) -> Json {
+/// One `/api/runs` row as compact JSON, encoded straight onto `out`.
+/// Fields go in ascending key order — the bytes a `Json::Obj` of the
+/// same fields serializes to (the tests hold it to that model).
+fn encode_summary(row: &RunSummary, out: &mut Vec<u8>) {
+    let mean_mib = |op: &str| row.op(op).map(|s| s.mean_mib);
+    let mut obj = ObjectWriter::new(out);
     match row.kind {
-        RunKind::Benchmark => Json::obj(vec![
-            ("kind", Json::from("benchmark")),
-            ("id", Json::from(row.id)),
-            ("command", Json::from(row.command.as_str())),
-            ("api", Json::from(row.api.as_str())),
-            ("tasks", Json::from(u64::from(row.tasks))),
-            ("block_size", Json::from(row.block_size)),
-            ("transfer_size", Json::from(row.transfer_size)),
-            (
-                "write_mean_mib",
-                row.op("write")
-                    .map_or(Json::Null, |s| Json::from(s.mean_mib)),
-            ),
-            (
-                "read_mean_mib",
-                row.op("read")
-                    .map_or(Json::Null, |s| Json::from(s.mean_mib)),
-            ),
-            ("warnings", Json::from(row.warning_count)),
-        ]),
-        RunKind::Io500 => Json::obj(vec![
-            ("kind", Json::from("io500")),
-            ("id", Json::from(row.id)),
-            ("tasks", Json::from(u64::from(row.tasks))),
-            ("bw_score", Json::from(row.bw_score)),
-            ("md_score", Json::from(row.md_score)),
-            ("total_score", Json::from(row.total_score)),
-            ("warnings", Json::from(row.warning_count)),
-        ]),
+        RunKind::Benchmark => {
+            obj.string("api", &row.api);
+            obj.number("block_size", row.block_size as f64);
+            obj.string("command", &row.command);
+            obj.number("id", row.id as f64);
+            obj.string("kind", "benchmark");
+            obj.number("read_mean_mib", mean_mib("read"));
+            obj.number("tasks", f64::from(row.tasks));
+            obj.number("transfer_size", row.transfer_size as f64);
+            obj.number("warnings", row.warning_count as f64);
+            obj.number("write_mean_mib", mean_mib("write"));
+        }
+        RunKind::Io500 => {
+            obj.number("bw_score", row.bw_score);
+            obj.number("id", row.id as f64);
+            obj.string("kind", "io500");
+            obj.number("md_score", row.md_score);
+            obj.number("tasks", f64::from(row.tasks));
+            obj.number("total_score", row.total_score);
+            obj.number("warnings", row.warning_count as f64);
+        }
     }
+    obj.finish();
 }
 
 // -------------------------------------------------------------- /api/compare

@@ -42,7 +42,7 @@ pub use journal::{
 };
 pub use knowledge_store::{KnowledgeStore, Snapshot, StoreHealth};
 pub use persist::{classify_io_error, export_csv, load, save};
-pub use query::{OpStat, Query, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
+pub use query::{OpStat, Query, RunCursor, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
 pub use segment::{Segment, SegmentMeta};
 pub use value::{ColumnType, Value};
 pub use vfs::{FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};

@@ -439,12 +439,39 @@ impl Default for QueryObs {
     }
 }
 
-/// One matched run: the sort key captured during evaluation, and which
-/// of the executor's blocks holds its summary and rows.
-pub(crate) struct Matched {
-    pub(crate) run: RunRef,
-    key: SortKey,
-    pub(crate) block: usize,
+/// The runs one [`Query`] matched, in query order, as a cursor over the
+/// pinned blocks that hold them: the query is evaluated once, when the
+/// cursor is opened, and what stays behind is a block index and a
+/// [`RunRef`] per row (≈24 bytes) — every projection, whole or page by
+/// page, borrows from the blocks without locating a row again.
+pub struct RunCursor {
+    blocks: Vec<Arc<SegmentData>>,
+    rows: Vec<(u32, RunRef)>,
+    next: usize,
+}
+
+impl RunCursor {
+    /// Rows not yet handed out.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.rows.len() - self.next
+    }
+
+    /// The [`RunSummary`] projection of the next `max` rows (fewer at
+    /// the end), borrowed from the pinned blocks.
+    pub fn next_page(&mut self, max: usize) -> impl Iterator<Item = &RunSummary> {
+        let page = &self.rows[self.next..][..max.min(self.remaining())];
+        self.next += page.len();
+        page.iter()
+            .map(|(block, run)| &self.blocks[*block as usize].summaries[&(run.kind, run.id)])
+    }
+
+    /// Every matched run with the block holding its rows.
+    fn runs(&self) -> impl Iterator<Item = (&SegmentData, RunRef)> {
+        self.rows
+            .iter()
+            .map(|(block, run)| (&*self.blocks[*block as usize], *run))
+    }
 }
 
 enum SortKey {
@@ -633,33 +660,33 @@ impl Snapshot {
     }
 
     /// Run `query` through the executor under a `store.query` span and
-    /// return the matched runs in query order — sorted by the requested
-    /// key with the `(id, kind)` tie-break, then offset/limit — plus the
-    /// blocks they live in, so every projection reads the rows the
-    /// executor already found instead of locating them again.
-    fn select(
-        &self,
-        query: &Query,
-        deadline: &DeadlineToken,
-    ) -> Result<(Vec<Arc<SegmentData>>, Vec<Matched>), DbError> {
+    /// open a cursor over the matched runs in query order — sorted by
+    /// the requested key with the `(id, kind)` tie-break, then
+    /// offset/limit. This is the one evaluation every projection below
+    /// reads from; a caller that renders page by page (the `/api/runs`
+    /// stream) holds the cursor and pays for the scan and the sort once.
+    ///
+    /// The scan polls `deadline` per candidate row and stops with
+    /// [`DbError::Cancelled`] (partial-progress counters included) the
+    /// moment the budget runs out or cancellation fires — counted in
+    /// `store.query_cancelled`. Pass [`DeadlineToken::unbounded`] when
+    /// there is no deadline to impose.
+    pub fn select(&self, query: &Query, deadline: &DeadlineToken) -> Result<RunCursor, DbError> {
         let obs = &self.obs;
         obs.queries.inc();
         let mut blocks: Vec<Arc<SegmentData>> = Vec::new();
-        let mut matched: Vec<Matched> = Vec::new();
+        let mut matched: Vec<(SortKey, u32, RunRef)> = Vec::new();
         self.traced("store.query", &obs.cancelled, || {
             let mut stats = ScanStats::default();
             let scanned = self.scan(&query.predicate, deadline, &mut stats, |block, s| {
                 if !blocks.last().is_some_and(|last| Arc::ptr_eq(last, block)) {
                     blocks.push(Arc::clone(block));
                 }
-                matched.push(Matched {
-                    run: RunRef {
-                        kind: s.kind,
-                        id: s.id,
-                    },
-                    key: SortKey::of(s, query.order),
-                    block: blocks.len() - 1,
-                });
+                let run = RunRef {
+                    kind: s.kind,
+                    id: s.id,
+                };
+                matched.push((SortKey::of(s, query.order), blocks.len() as u32 - 1, run));
             });
             obs.segments_scanned.add(stats.segments_scanned);
             obs.segments_pruned.add(stats.segments_pruned);
@@ -671,66 +698,63 @@ impl Snapshot {
         // Sort: the requested key (possibly reversed), then always the
         // (id, kind) tie-break ascending, so non-unique keys still give
         // one deterministic order across requests and pages.
-        matched.sort_by(|a, b| {
-            let key = a.key.cmp_key(&b.key);
+        matched.sort_by(|(a_key, _, a), (b_key, _, b)| {
+            let key = a_key.cmp_key(b_key);
             let key = if query.descending { key.reverse() } else { key };
-            key.then(a.run.id.cmp(&b.run.id))
-                .then(a.run.kind.cmp(&b.run.kind))
+            key.then(a.id.cmp(&b.id)).then(a.kind.cmp(&b.kind))
         });
-        let page = matched
+        let rows = matched
             .into_iter()
             .skip(query.offset)
             .take(query.limit.unwrap_or(usize::MAX))
+            .map(|(_, block, run)| (block, run))
             .collect();
-        Ok((blocks, page))
+        Ok(RunCursor {
+            blocks,
+            rows,
+            next: 0,
+        })
     }
 
     /// Execute a query, returning matched run refs in query order.
-    ///
-    /// The scan polls `deadline` per candidate row and stops with
-    /// [`DbError::Cancelled`] (partial-progress counters included) the
-    /// moment the budget runs out or cancellation fires — counted in
-    /// `store.query_cancelled`. Pass [`DeadlineToken::unbounded`] when
-    /// there is no deadline to impose.
     pub fn query_ids(
         &self,
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunRef>, DbError> {
-        let (_, matched) = self.select(query, deadline)?;
-        Ok(matched.into_iter().map(|m| m.run).collect())
+        Ok(self
+            .select(query, deadline)?
+            .runs()
+            .map(|(_, run)| run)
+            .collect())
     }
 
     /// Execute a query, returning the cheap [`RunSummary`] projection of
     /// each matched run (no `results`, `filesystems`, `systeminfos` or
-    /// full-`Knowledge` deserialization): a clone of the rows the
-    /// executor matched, in query order.
+    /// full-`Knowledge` deserialization): the cursor drained into owned
+    /// rows.
     pub fn query_summaries(
         &self,
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunSummary>, DbError> {
-        let (blocks, matched) = self.select(query, deadline)?;
-        Ok(matched
-            .iter()
-            .map(|m| blocks[m.block].summaries[&(m.run.kind, m.run.id)].clone())
-            .collect())
+        let mut cursor = self.select(query, deadline)?;
+        Ok(cursor.next_page(usize::MAX).cloned().collect())
     }
 
     /// Execute a query and *fully deserialize* every matched run — the
     /// explicit full projection. Use only when per-iteration results or
     /// system/filesystem details are genuinely needed.
     pub fn query_items(&self, query: &Query) -> Result<Vec<KnowledgeItem>, DbError> {
-        let (blocks, matched) = self.select(query, &DeadlineToken::unbounded())?;
-        let mut items = Vec::with_capacity(matched.len());
-        for m in matched {
+        let cursor = self.select(query, &DeadlineToken::unbounded())?;
+        let mut items = Vec::with_capacity(cursor.remaining());
+        for (block, run) in cursor.runs() {
             self.obs.knowledge_deserialized.inc();
-            let db = &blocks[m.block].db;
-            items.extend(match m.run.kind {
+            items.extend(match run.kind {
                 RunKind::Benchmark => {
-                    load_knowledge_from(db, m.run.id)?.map(KnowledgeItem::Benchmark)
+                    load_knowledge_from(&block.db, run.id)?.map(KnowledgeItem::Benchmark)
                 }
-                RunKind::Io500 => load_io500_from(db, m.run.id)?.map(KnowledgeItem::Io500),
+                RunKind::Io500 => load_io500_from(&block.db, run.id)?.map(KnowledgeItem::Io500),
             });
         }
         Ok(items)
@@ -755,7 +779,9 @@ impl Snapshot {
             RunPredicate::Kind(kind) => of(*kind),
             _ => {
                 let query = Query::new(predicate.clone());
-                Ok(self.select(&query, &DeadlineToken::unbounded())?.1.len())
+                Ok(self
+                    .select(&query, &DeadlineToken::unbounded())?
+                    .remaining())
             }
         }
     }
@@ -777,21 +803,20 @@ impl Snapshot {
                 .and(RunPredicate::HasOp(operation.to_owned()))
                 .and(predicate.clone()),
         );
-        let (blocks, matched) = self.select(&query, deadline)?;
-        let mut out = Vec::with_capacity(matched.len());
-        for (done, m) in matched.iter().enumerate() {
+        let cursor = self.select(&query, deadline)?;
+        let mut out = Vec::with_capacity(cursor.remaining());
+        for (done, (block, run)) in cursor.runs().enumerate() {
             if deadline.should_stop() {
                 self.obs.cancelled.inc();
                 return Err(DbError::Cancelled {
-                    examined: matched.len(),
+                    examined: cursor.remaining(),
                     matched: done,
                 });
             }
-            let block = &blocks[m.block];
             let mut series = Vec::new();
             for srow in block.db.select(
                 "summaries",
-                &Predicate::Eq("performance_id".into(), Value::Int(m.run.id as i64)),
+                &Predicate::Eq("performance_id".into(), Value::Int(run.id as i64)),
                 OrderBy::Id,
                 None,
             )? {
@@ -808,7 +833,7 @@ impl Snapshot {
                 }
             }
             if !series.is_empty() {
-                let command = block.summaries[&(m.run.kind, m.run.id)].command.clone();
+                let command = block.summaries[&(run.kind, run.id)].command.clone();
                 out.push((command, series));
             }
         }

@@ -209,45 +209,59 @@ impl<W: io::Write> fmt::Write for FmtToIo<'_, W> {
     }
 }
 
-/// An incremental JSON array serializer over an [`io::Write`].
-///
-/// `/api/runs`-style responses can hold thousands of elements; this
-/// writer emits `[`, a comma-separated element per [`ArrayWriter::push`],
-/// and `]` on [`ArrayWriter::finish`] — each element is serialized
-/// straight into the sink, so the whole body never exists as one
-/// `String` in memory.
-#[derive(Debug)]
-pub struct ArrayWriter<W: io::Write> {
-    out: W,
-    elements: usize,
+/// Serializes one compact JSON object field by field, straight onto an
+/// outgoing byte buffer — no [`Json`] tree and no intermediate `String`
+/// per element, which is what a streamed listing of thousands of rows
+/// is built from. The bytes equal `Json::obj(..).to_compact()` when the
+/// fields are pushed in ascending key order (the order a [`Json::Obj`]
+/// keeps them in): numbers and strings go through the same routines.
+pub struct ObjectWriter<'a> {
+    out: FmtToIo<'a, Vec<u8>>,
+    fields: usize,
 }
 
-impl<W: io::Write> ArrayWriter<W> {
-    /// Open the array (writes `[`).
-    pub fn new(mut out: W) -> io::Result<ArrayWriter<W>> {
-        out.write_all(b"[")?;
-        Ok(ArrayWriter { out, elements: 0 })
-    }
-
-    /// Append one element.
-    pub fn push(&mut self, value: &Json) -> io::Result<()> {
-        if self.elements > 0 {
-            self.out.write_all(b",")?;
+impl<'a> ObjectWriter<'a> {
+    /// Open the object (writes `{`).
+    pub fn new(out: &'a mut Vec<u8>) -> ObjectWriter<'a> {
+        out.push(b'{');
+        ObjectWriter {
+            out: FmtToIo {
+                inner: out,
+                error: None,
+            },
+            fields: 0,
         }
-        self.elements += 1;
-        value.write_compact_io(&mut self.out)
     }
 
-    /// Elements written so far.
-    #[must_use]
-    pub fn elements(&self) -> usize {
-        self.elements
+    // Appending to a `Vec` cannot fail, so the writes below drop their
+    // `fmt::Result`.
+    fn key(&mut self, key: &str) {
+        if self.fields > 0 {
+            self.out.inner.push(b',');
+        }
+        self.fields += 1;
+        let _ = write_escaped(&mut self.out, key);
+        self.out.inner.push(b':');
     }
 
-    /// Close the array (writes `]`) and hand the sink back.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.out.write_all(b"]")?;
-        Ok(self.out)
+    /// Append a string field.
+    pub fn string(&mut self, key: &str, value: &str) {
+        self.key(key);
+        let _ = write_escaped(&mut self.out, value);
+    }
+
+    /// Append a number field; `None` (like a non-finite value) is `null`.
+    pub fn number(&mut self, key: &str, value: impl Into<Option<f64>>) {
+        self.key(key);
+        let _ = match value.into() {
+            Some(n) => write_number(&mut self.out, n),
+            None => fmt::Write::write_str(&mut self.out, "null"),
+        };
+    }
+
+    /// Close the object (writes `}`).
+    pub fn finish(self) {
+        self.out.inner.push(b'}');
     }
 }
 
@@ -700,28 +714,6 @@ mod tests {
                 let _ = parse(&text);
             }
         }
-    }
-
-    #[test]
-    fn streaming_array_matches_batch_serialization() {
-        let items = vec![
-            Json::obj(vec![("id", Json::from(1u64)), ("bw", Json::from(2850.5))]),
-            Json::obj(vec![("id", Json::from(2u64)), ("cmd", Json::from("ior"))]),
-            Json::Null,
-        ];
-        let mut sink = Vec::new();
-        let mut writer = ArrayWriter::new(&mut sink).unwrap();
-        for item in &items {
-            writer.push(item).unwrap();
-        }
-        assert_eq!(writer.elements(), 3);
-        writer.finish().unwrap();
-        let streamed = String::from_utf8(sink).unwrap();
-        assert_eq!(streamed, Json::Arr(items).to_compact());
-
-        let mut empty = Vec::new();
-        ArrayWriter::new(&mut empty).unwrap().finish().unwrap();
-        assert_eq!(empty, b"[]");
     }
 
     #[test]

@@ -64,11 +64,15 @@ echo "==> query-engine + explorerd-requests bench smoke"
 cargo test -p iokc-bench --bench query_engine --bench explorerd_requests
 
 # Loadtest smoke: the reactor holds 100 keep-alive connections, streams
-# a full listing, and answers a timed phase under a generous p99 bound —
-# catches event-loop stalls (a missed waker alone costs a 25ms slice).
+# a full listing, and answers a timed phase whose p99 (well under 1 ms
+# on an idle box) must stay under 50 ms: slack for a loaded CI box, none
+# for a stall of two poll slices (25 ms each) or more on the tail. This
+# is a coarse net, not the guard against the 40 ms Nagle × delayed-ACK
+# stall of a response split over two writes — that fails on a count, not
+# a timing, in crates/explorerd/tests/stream.rs.
 echo "==> explorerd loadtest smoke (100 conns)"
 cargo run --release -q -p iokc-bench --bin explorerd_loadtest -- \
-  --conns 100 --requests 200 --rows 2000 --p99-max-ms 250 --out - >/dev/null
+  --conns 100 --requests 200 --rows 2000 --p99-max-ms 50 --out - >/dev/null
 
 # Corpus analytics end to end: deterministic corpus generation through
 # the extract path, aggregation pushdown counters, outlier detection.
