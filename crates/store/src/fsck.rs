@@ -1,45 +1,39 @@
 //! Offline verification and repair of a store's on-disk state.
 //!
 //! `iokc fsck [--repair]` runs these checks without bringing the store
-//! fully online. The store has two on-disk layouts — the segmented
-//! manifest layout ([`crate::knowledge_store`]: manifest at the nominal
-//! path, the active generation's log at `.wal-<epoch>`, sealed segments
-//! at `.seg-<id>`) and the legacy single-image layout — and fsck
-//! dispatches on the document's format tag:
+//! fully online. A store is the manifest at the nominal path (with its
+//! `.bak`), the active generation's log at `.wal-<epoch>` and the sealed
+//! segments at `.seg-<id>` ([`crate::knowledge_store`]); a document at
+//! the nominal path that is not a manifest is reported undecodable.
 //!
-//! 1. **Document generations** — the document at the nominal path and
-//!    its `.bak` rotation must verify their checksum footers. A corrupt
-//!    primary with a good backup (or the reverse) is repairable by
-//!    promoting or re-rotating the good generation; both corrupt is not.
-//! 2. **Active generation** (manifest layout) — the epoch's log must
-//!    replay onto the manifest's counters. A torn trailing record (a
-//!    crash mid-append) is reported and, on repair, truncated, exactly
-//!    like a campaign journal's (check 8); a record that verifies but
-//!    does not apply is unrepairable. Under a manifest written before
-//!    the active generation was journaled, the epoch's `.active-<epoch>`
-//!    image must load instead (its `.bak` may stand in; the next seal
-//!    retires both).
-//! 3. **Segments** (manifest layout) — every referenced segment must
-//!    read back; a corrupt one is dropped from the manifest on repair
-//!    (data loss, noted). Segment databases get the same
-//!    referential-integrity scan as the active one; repairing a segment
-//!    rewrites its file with recomputed summaries and index block. A
+//! 1. **Manifest generations** — the manifest and its `.bak` rotation
+//!    must verify their checksum footers. A corrupt primary with a good
+//!    backup (or the reverse) is repairable by promoting or re-rotating
+//!    the good generation; both corrupt is not.
+//! 2. **Active generation** — the epoch's log must replay onto the
+//!    manifest's counters. A torn trailing record (a crash mid-append)
+//!    is reported and, on repair, truncated, exactly like a campaign
+//!    journal's (check 8); a record that verifies but does not apply is
+//!    unrepairable.
+//! 3. **Segments** — every referenced segment must read back; a corrupt
+//!    one is dropped from the manifest on repair (data loss, noted). A
 //!    stale index block (metadata not matching the body) is recomputed.
-//! 4. **Tombstones** (manifest layout) — tombstones must reference runs
-//!    that exist in some segment; stale ones are dropped on repair.
+//! 4. **Tombstones** — tombstones must reference runs that exist in
+//!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
-//!    siblings, logs and active images of any epoch the manifest does
-//!    not read, segment files the manifest does not reference. Removed
-//!    on repair.
-//! 6. **Referential integrity** (segments, legacy single image) —
-//!    checksums only prove the image is the one that was written, not
-//!    that it is *sensible*: rows whose foreign keys point at deleted
-//!    parents (e.g. from a half-applied external import) are reported
-//!    and, on repair, deleted cascade-wise until the image is closed
-//!    under its foreign keys.
+//!    siblings, logs of any epoch the manifest does not read, segment
+//!    files the manifest does not reference. Removed on repair.
+//! 6. **Referential integrity** (segments) — checksums only prove the
+//!    file is the one that was written, not that it is *sensible*: rows
+//!    whose foreign keys point at deleted parents (e.g. from a
+//!    half-applied external import) are reported and, on repair, deleted
+//!    cascade-wise until the segment is closed under its foreign keys,
+//!    then the file is rewritten with recomputed summaries and index
+//!    block. The active generation gets no such scan: its log holds
+//!    what FK-checked inserts wrote.
 //! 7. **Summary shape** — the query engine's summary block must be
-//!    derivable from the active tables; an image missing the paper's
-//!    schema cannot serve queries and is reported as unrepairable.
+//!    derivable from the active tables; rows that do not summarize
+//!    cannot serve queries and are reported as unrepairable.
 //! 8. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
 //!    [`crate::journal::truncate_torn_tail_vfs`].
@@ -51,7 +45,7 @@
 
 use crate::database::{Database, OrderBy, Predicate};
 use crate::journal;
-use crate::knowledge_store::{load_active, Manifest, MANIFEST_FORMAT};
+use crate::knowledge_store::{load_active, Manifest};
 use crate::persist;
 use crate::query::{summarize_db, RunKind};
 use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentMeta};
@@ -126,18 +120,8 @@ pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
     let mut report = FsckReport::default();
     check_stray_tmp(path, vfs, opts, &mut report);
 
-    match resolve_document(path, vfs, opts, &mut report) {
-        Some(doc) if doc.get("format").and_then(Json::as_str) == Some(MANIFEST_FORMAT) => {
-            check_manifest_layout(&doc, path, vfs, opts, &mut report);
-        }
-        Some(doc) => match persist::from_json(&doc) {
-            Ok(mut db) => {
-                check_rows(&mut db, path, vfs, opts, &mut report);
-                check_summaries(&db, &mut report);
-            }
-            Err(e) => report.push(format!("image undecodable: {e}"), false),
-        },
-        None => {}
+    if let Some(doc) = resolve_document(path, vfs, opts, &mut report) {
+        check_layout(&doc, path, vfs, opts, &mut report);
     }
 
     if let Some(journal_path) = &opts.journal {
@@ -214,9 +198,9 @@ fn resolve_document(
     }
 }
 
-/// All checks specific to the segmented layout: active generation,
-/// segments, tombstones, strays, then the active-generation summary check.
-fn check_manifest_layout(
+/// Everything the manifest names: active generation, segments,
+/// tombstones, strays, then the active-generation summary check.
+fn check_layout(
     doc: &Json,
     path: &Path,
     vfs: &dyn Vfs,
@@ -233,27 +217,11 @@ fn check_manifest_layout(
     let mut manifest_changed = false;
 
     // Active generation: the epoch's log replays (a torn tail is
-    // truncated first, on repair); a manifest from before the log
-    // existed reads its epoch's image instead.
-    let journaled = manifest.next_ids.is_some();
-    let image = persist::active_path(path, manifest.active_epoch);
-    if journaled {
-        let log = persist::wal_path(path, manifest.active_epoch);
-        check_journal(&log, vfs, opts, report);
-    } else {
-        check_stray_tmp(&image, vfs, opts, report);
-    }
+    // truncated first, on repair).
+    let log = persist::wal_path(path, manifest.active_epoch);
+    check_journal(&log, vfs, opts, report);
     let active_db = match load_active(path, &manifest, vfs) {
-        Ok((db, _, recovery)) => {
-            if let Some(e) = recovery.primary_error {
-                report.note(format!(
-                    "active image {} unusable ({e}); its backup generation stands in until \
-                     the next seal retires both",
-                    image.display()
-                ));
-            }
-            Some(db)
-        }
+        Ok((db, _)) => Some(db),
         Err(e) => {
             report.push(format!("active generation unusable: {e}"), false);
             None
@@ -342,23 +310,13 @@ fn check_manifest_layout(
         );
     }
 
-    // Strays at deterministic names: logs and active images of epochs
-    // the manifest does not read, and unreferenced segment ids (a crash
-    // between a seal/compaction's file writes and its manifest commit,
-    // or between the commit and the cleanup, leaves exactly these).
+    // Strays at deterministic names: logs of epochs the manifest does
+    // not read, and unreferenced segment ids (a crash between a
+    // seal/compaction's file writes and its manifest commit, or between
+    // the commit and the cleanup, leaves exactly these).
     let referenced: BTreeSet<u64> = manifest.segments.iter().map(|m| m.id).collect();
     for epoch in 0..=manifest.active_epoch + 2 {
-        let current = epoch == manifest.active_epoch;
-        if !current || journaled {
-            check_stray_file(
-                &persist::active_path(path, epoch),
-                "active image the manifest does not read",
-                vfs,
-                opts,
-                report,
-            );
-        }
-        if !current {
+        if epoch != manifest.active_epoch {
             check_stray_file(
                 &persist::wal_path(path, epoch),
                 "log of a non-current epoch",
@@ -390,17 +348,17 @@ fn check_manifest_layout(
     }
 
     // Finally the active generation's summary check. Its rows get no
-    // referential scan: the log holds what FK-checked inserts wrote, and
-    // a pre-journal image becomes a segment — scanned above — at the
-    // next write.
+    // referential scan: the log holds what FK-checked inserts wrote.
     if let Some(db) = active_db {
         check_summaries(&db, report);
     }
 }
 
-/// Referential-integrity scan of one segment's database; deletes
-/// orphans on repair (the caller rewrites the file). Returns whether
-/// anything was deleted.
+/// Referential-integrity scan of one segment's database: every foreign
+/// key (and the polymorphic `warnings.owner_id`) must reference a live
+/// parent row. Repair deletes orphans to a fixpoint — removing an
+/// orphaned summary may orphan its results — and the caller rewrites the
+/// file. Returns whether anything was deleted.
 fn check_segment_rows(
     db: &mut Database,
     segment_id: u64,
@@ -469,45 +427,6 @@ fn check_stray_file(
         if vfs.exists(&stray) {
             let repaired = opts.repair && vfs.remove_file(&stray).is_ok();
             report.push(format!("stray file {} ({why})", stray.display()), repaired);
-        }
-    }
-}
-
-/// Referential-integrity scan: every foreign key (and the polymorphic
-/// `warnings.owner_id`) must reference a live parent row. Repair deletes
-/// orphans to a fixpoint — removing an orphaned summary may orphan its
-/// results — then rewrites the image.
-fn check_rows(
-    db: &mut Database,
-    path: &Path,
-    vfs: &dyn Vfs,
-    opts: &FsckOptions,
-    report: &mut FsckReport,
-) {
-    let mut deleted_any = false;
-    loop {
-        let orphans = find_orphans(db);
-        if orphans.is_empty() {
-            break;
-        }
-        for (table, id) in &orphans {
-            let repaired = opts.repair
-                && db
-                    .delete(table, &Predicate::Eq("id".into(), Value::Int(*id)))
-                    .is_ok();
-            report.push(
-                format!("{table} row {id} references a missing parent"),
-                repaired,
-            );
-            deleted_any |= repaired;
-        }
-        if !opts.repair {
-            break;
-        }
-    }
-    if deleted_any {
-        if let Err(e) = persist::save_vfs(db, path, vfs) {
-            report.push(format!("rewrite after orphan repair failed: {e}"), false);
         }
     }
 }
@@ -604,6 +523,7 @@ fn copy_file(vfs: &dyn Vfs, from: &Path, to: &Path) -> io::Result<()> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::database::DbError;
     use crate::knowledge_store::KnowledgeStore;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
@@ -657,9 +577,8 @@ mod tests {
         assert_eq!(repair.repaired(), 1, "{repair:?}");
         assert_eq!(repair.unrepaired(), 0);
         // Second pass is clean and the store opens healthy. Tearing the
-        // manifest loses no data in the segmented layout: the runs live
-        // in the (untouched) active image, and the backup manifest
-        // names the same epoch.
+        // manifest loses no data: the runs live in the (untouched) log,
+        // and the backup manifest names the same epoch.
         assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
         let store = KnowledgeStore::open_with_vfs(
             kb(),
@@ -715,26 +634,30 @@ mod tests {
         store
             .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "keeper"))
             .unwrap();
-        // A checksum-valid image can still contain rows whose parents
+        store.seal_active().unwrap();
+        drop(store);
+        // A checksum-valid segment can still contain rows whose parents
         // were deleted by a buggy external tool: forge one.
-        let mut db = store.database().clone();
-        db.insert_raw(
-            "summaries",
-            999,
-            vec![
-                Value::Int(12345), // no such performance
-                Value::from("write"),
-                Value::from("POSIX"),
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-            ],
-        )
-        .unwrap();
-        persist::save_vfs(&db, &kb(), vfs.as_ref()).unwrap();
+        let seg_path = persist::segment_path(&kb(), 0);
+        let mut data = read_segment_vfs(&seg_path, vfs.as_ref()).unwrap();
+        data.db
+            .insert_raw(
+                "summaries",
+                999,
+                vec![
+                    Value::Int(12345), // no such performance
+                    Value::from("write"),
+                    Value::from("POSIX"),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ],
+            )
+            .unwrap();
+        write_segment_vfs(&seg_path, vfs.as_ref(), 0, &data).unwrap();
 
         let check_vfs = FaultVfs::from_state(vfs.durable_state());
         let detect = fsck(&kb(), &check_vfs, &FsckOptions::default());
@@ -754,9 +677,37 @@ mod tests {
             Arc::new(FaultVfs::from_state(check_vfs.durable_state())),
         )
         .unwrap();
-        assert_eq!(store.database().row_count("summaries").unwrap(), 0);
-        assert_eq!(store.database().row_count("performances").unwrap(), 1);
+        let rows = store.snapshot().materialize().unwrap();
+        assert_eq!(rows.row_count("summaries").unwrap(), 0);
+        assert_eq!(rows.row_count("performances").unwrap(), 1);
         assert!(store.indexes_consistent().unwrap());
+    }
+
+    #[test]
+    fn a_document_that_is_not_a_manifest_is_corrupt_not_another_layout() {
+        let mut no_counters =
+            Manifest::from_json(&persist::read_document_vfs(&kb(), &two_generations()).unwrap())
+                .unwrap()
+                .to_json();
+        if let Json::Obj(fields) = &mut no_counters {
+            fields.remove("next_ids");
+        }
+        let single_image = persist::to_json(&Database::new());
+        for (doc, why) in [(no_counters, "next_ids"), (single_image, "format tag")] {
+            let vfs = Arc::new(FaultVfs::pristine());
+            persist::write_document_vfs(&kb(), vfs.as_ref(), &doc).unwrap();
+            let Err(err) = KnowledgeStore::open_with_vfs(kb(), vfs.clone()) else {
+                panic!("opened a store without {why}");
+            };
+            assert!(
+                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+                "{err}"
+            );
+            let report = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+            assert_eq!(report.unrepaired(), 1, "{report:?}");
+            assert!(report.findings[0].what.contains("manifest undecodable"));
+            assert!(KnowledgeStore::open_or_degraded_with_vfs(kb(), vfs).is_read_only());
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! A crash can only ever tear the *last* record. [`read_journal`]
 //! therefore salvages the longest valid prefix and reports the torn
-//! tail instead of failing, mirroring [`crate::persist::load_with_recovery`]'s
-//! "detect, then fall back to the last good generation" contract.
+//! tail instead of failing, mirroring
+//! [`crate::persist::read_document_with_recovery_vfs`]'s "detect, then
+//! fall back to the last good generation" contract.
 //! [`crate::persist::inject_torn_write`] works on journal files too, so
 //! tests can cut one at any byte offset.
 //!

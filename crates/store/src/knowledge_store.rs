@@ -30,11 +30,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Format tag of the manifest document at a segmented store's nominal
-/// path. The legacy single-image layout tagged the same file
-/// `iokc-store`; `load_state` accepts both, and the first write to a
-/// legacy layout seals its rows into a segment.
-pub(crate) const MANIFEST_FORMAT: &str = "iokc-manifest";
+/// Format tag of the manifest document at a store's nominal path. A
+/// store on disk is that manifest (with its `.bak`), the active
+/// generation's log `.wal-<epoch>` and the sealed segments `.seg-<id>`;
+/// a file at the nominal path that is anything else is `Corrupt`.
+const MANIFEST_FORMAT: &str = "iokc-manifest";
 
 /// Active generations seal into segments at this many logged operations
 /// (runs saved plus active runs deleted) unless
@@ -111,10 +111,8 @@ pub struct KnowledgeStore {
     /// bumped by every seal.
     pub(crate) active_epoch: u64,
     /// Every table's auto-increment counter when this epoch began: what
-    /// the log replays onto. `None` while the active block was loaded
-    /// from an image written before the active generation was journaled
-    /// — the next write seals that block first.
-    pub(crate) epoch_base: Option<Counters>,
+    /// the log replays onto.
+    pub(crate) epoch_base: Counters,
     /// Operations (runs saved, active runs deleted) applied to the active
     /// block this epoch: the length of the log a reopen replays, counted
     /// against the seal threshold.
@@ -155,7 +153,7 @@ impl KnowledgeStore {
             recovery: persist::RecoveryReport::default(),
             health,
             active_epoch: 0,
-            epoch_base: Some(Counters::new()),
+            epoch_base: Counters::new(),
             epoch_ops: 0,
             wal: Wal::default(),
             next_segment: 0,
@@ -402,8 +400,9 @@ impl KnowledgeStore {
 
     /// Append one record to this epoch's log. A failed append is rolled
     /// back before the error is reported; a log that cannot be rolled
-    /// back may hold bytes nobody acknowledged, so the store stops
-    /// writing to it.
+    /// back may hold the record whole, so the store stops writing to it
+    /// and — because the reload that follows may replay that record —
+    /// moves to a new write generation.
     fn append_to_log(&mut self, path: &Path, delta: &Delta) -> Result<(), std::io::Error> {
         let log = persist::wal_path(path, self.active_epoch);
         let vfs = Arc::clone(&self.state.vfs);
@@ -414,6 +413,7 @@ impl KnowledgeStore {
                     "{} not truncated after a failed append: {e}",
                     log.display()
                 ));
+                self.state.generation += 1;
             }
         }
         result
@@ -445,11 +445,11 @@ impl KnowledgeStore {
     }
 
     /// Reload the last durable layout after a failed flush or a failed
-    /// seal/compaction commit. Keeps the generation counter (caches over
-    /// a reverted write must still invalidate). If even the reload fails
-    /// (the disk is gone, or the failure tore the manifest with no
-    /// backup), the store degrades to read-only rather than serving rows
-    /// it cannot prove were persisted.
+    /// seal/compaction commit. Keeps the generation counter: a caller
+    /// whose failed write the reload can still show bumps it itself. If
+    /// even the reload fails (the disk is gone, or the failure tore the
+    /// manifest with no backup), the store degrades to read-only rather
+    /// than serving rows it cannot prove were persisted.
     ///
     /// What is read back is what the filesystem shows now; a manifest
     /// rename whose directory sync failed shows, yet is not durable. So
@@ -470,18 +470,6 @@ impl KnowledgeStore {
             .recorder
             .log(None, &format!("WARN store.open_degraded: {reason}"));
         self.health = StoreHealth::Degraded { reason };
-    }
-
-    /// Every write starts here: a degraded store refuses, and an active
-    /// block that was loaded from a pre-journal image is sealed first, so
-    /// that whatever the write logs replays onto counters the manifest
-    /// records.
-    fn begin_write(&mut self) -> Result<(), DbError> {
-        self.ensure_writable()?;
-        if self.epoch_base.is_none() {
-            self.seal_active()?;
-        }
-        Ok(())
     }
 
     /// Seal the active generation when its operations reached the
@@ -524,15 +512,14 @@ impl KnowledgeStore {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
-        let journaled = self.epoch_base.is_some();
-        if journaled && self.epoch_ops == 0 {
+        if self.epoch_ops == 0 {
             return Ok(());
         }
         let vfs = self.vfs.as_ref();
         let counters = self.active.db.next_ids();
         let mut manifest = self.manifest();
         manifest.active_epoch += 1;
-        manifest.next_ids = Some(counters.clone());
+        manifest.next_ids = counters.clone();
         let mut segment = None;
         if !self.active.summaries.is_empty() {
             let seg_id = self.next_segment;
@@ -570,21 +557,12 @@ impl KnowledgeStore {
                 .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
         }
         // Best-effort cleanup of the superseded epoch; a crash here
-        // leaves strays that fsck sweeps.
-        let mut stale = vec![persist::wal_path(&path, self.active_epoch)];
-        if !journaled {
-            let image = persist::active_path(&path, self.active_epoch);
-            stale.extend([
-                persist::backup_path(&image),
-                persist::temp_path(&image),
-                image,
-            ]);
-        }
-        for stale in &stale {
-            let _ = self.vfs.remove_file(stale);
-        }
+        // leaves a stray that fsck sweeps.
+        let _ = self
+            .vfs
+            .remove_file(&persist::wal_path(&path, self.active_epoch));
         self.active_epoch += 1;
-        self.epoch_base = Some(counters);
+        self.epoch_base = counters;
         self.epoch_ops = 0;
         self.wal.restart(&wal::Replay::default());
         self.next_segment = manifest.next_segment;
@@ -607,7 +585,7 @@ impl KnowledgeStore {
         kind: RunKind,
         insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
     ) -> Result<u64, DbError> {
-        self.begin_write()?;
+        self.ensure_writable()?;
         let mark = self.active.db.next_ids();
         let id = self.insert_rows(kind, insert)?;
         self.flush(self.inserted_since(&mark))?;
@@ -653,7 +631,7 @@ impl KnowledgeStore {
     }
 
     fn delete_run(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
-        self.begin_write()?;
+        self.ensure_writable()?;
         if !self.active.summaries.contains_key(&(kind, id)) {
             return self.tombstone_delete(kind, id);
         }
@@ -677,11 +655,16 @@ impl KnowledgeStore {
         }
         Arc::make_mut(&mut self.state.tombstones).insert((kind, id));
         self.manifest_dirty = true;
-        // A failed flush reloads from disk, which un-inserts the
-        // tombstone: the delete is only acknowledged once durable.
-        self.flush(None)?;
-        self.state.generation += 1;
-        Ok(true)
+        // A failed flush reloads from disk: the delete is only
+        // acknowledged once durable. The reload un-inserts the tombstone
+        // unless the manifest rename landed and only its directory sync
+        // failed — then reads changed although the delete is reported
+        // failed.
+        let flushed = self.flush(None);
+        if flushed.is_ok() || self.tombstones.contains(&(kind, id)) {
+            self.state.generation += 1;
+        }
+        flushed.map(|()| true)
     }
 
     /// Persist a batch of knowledge items with one durability point:
@@ -690,14 +673,20 @@ impl KnowledgeStore {
     /// record covers the tail that is still unsealed when the batch
     /// ends, and the write generation bumps once. Returns the assigned
     /// ids in input order. On error the store reloads the last durable
-    /// layout, so no unacknowledged row is ever visible.
+    /// layout: the only rows of a failed batch that stay visible are a
+    /// prefix that a seal inside it committed, and then the write
+    /// generation bumps.
     pub fn save_batch(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
-        self.begin_write()?;
+        self.ensure_writable()?;
+        let epoch = self.active_epoch;
         match self.save_batch_inner(items) {
             Ok(ids) => Ok(ids),
             Err(e) => {
                 if let Some(path) = self.path.clone() {
                     self.reload_from_disk(&path);
+                }
+                if self.active_epoch > epoch {
+                    self.state.generation += 1;
                 }
                 Err(e)
             }
@@ -936,10 +925,7 @@ impl Persister for KnowledgeStore {
 pub(crate) struct Manifest {
     pub(crate) active_epoch: u64,
     /// Every table's auto-increment counter when the epoch began.
-    /// `None` in a manifest written before the active generation was
-    /// journaled: its epoch's rows are the image at
-    /// [`persist::active_path`].
-    pub(crate) next_ids: Option<Counters>,
+    pub(crate) next_ids: Counters,
     pub(crate) next_segment: u64,
     pub(crate) tombstones: BTreeSet<(RunKind, u64)>,
     pub(crate) segments: Vec<SegmentMeta>,
@@ -956,7 +942,7 @@ impl Manifest {
                     .collect(),
             )
         };
-        let mut fields = vec![
+        Json::obj(vec![
             ("format", Json::from(MANIFEST_FORMAT)),
             ("version", Json::from(1u64)),
             ("active_epoch", Json::from(self.active_epoch)),
@@ -972,11 +958,8 @@ impl Manifest {
                 "segments",
                 Json::Arr(self.segments.iter().map(SegmentMeta::to_json).collect()),
             ),
-        ];
-        if let Some(next_ids) = &self.next_ids {
-            fields.push(("next_ids", persist::counters_to_json(next_ids)));
-        }
-        Json::obj(fields)
+            ("next_ids", persist::counters_to_json(&self.next_ids)),
+        ])
     }
 
     pub(crate) fn from_json(json: &Json) -> Result<Manifest, DbError> {
@@ -1014,7 +997,10 @@ impl Manifest {
         }
         Ok(Manifest {
             active_epoch: field("active_epoch")?,
-            next_ids: json.get("next_ids").map(persist::counters_from_json),
+            next_ids: json
+                .get("next_ids")
+                .map(persist::counters_from_json)
+                .ok_or_else(|| DbError::Corrupt("manifest missing next_ids".into()))?,
             next_segment: field("next_segment")?,
             tombstones,
             segments,
@@ -1024,13 +1010,13 @@ impl Manifest {
 
 /// What [`KnowledgeStore::open_with_vfs`] and
 /// [`KnowledgeStore::reload_from_disk`] install, loaded in one place —
-/// the single open path over every on-disk layout.
+/// the single open path.
 struct LoadedState {
     active: SegmentData,
     segments: Vec<Arc<Segment>>,
     tombstones: BTreeSet<(RunKind, u64)>,
     active_epoch: u64,
-    epoch_base: Option<Counters>,
+    epoch_base: Counters,
     replay: wal::Replay,
     next_segment: u64,
     manifest_dirty: bool,
@@ -1039,65 +1025,41 @@ struct LoadedState {
 
 /// The active generation a manifest names, rebuilt from disk: the
 /// epoch's log replayed onto an empty schema that starts at the
-/// manifest's counters — or, under a manifest written before the active
-/// generation was journaled, that layout's image (with its `.bak`
-/// fallback) and no log. Shared by the open path and `fsck`.
+/// manifest's counters. Shared by the open path and `fsck`.
 pub(crate) fn load_active(
     path: &Path,
     manifest: &Manifest,
     vfs: &dyn Vfs,
-) -> Result<(Database, wal::Replay, persist::RecoveryReport), DbError> {
-    let Some(next_ids) = &manifest.next_ids else {
-        let image = persist::active_path(path, manifest.active_epoch);
-        if !vfs.exists(&image) && !vfs.exists(&persist::backup_path(&image)) {
-            return Err(DbError::Corrupt(format!(
-                "manifest names epoch {} but {} is missing",
-                manifest.active_epoch,
-                image.display()
-            )));
-        }
-        let (db, recovery) = persist::load_with_recovery_vfs(&image, vfs)?;
-        return Ok((db, wal::Replay::default(), recovery));
-    };
+) -> Result<(Database, wal::Replay), DbError> {
     let mut db = build_schema();
-    db.bump_next_ids(next_ids);
+    db.bump_next_ids(&manifest.next_ids);
     let log = persist::wal_path(path, manifest.active_epoch);
     let replay = wal::replay(&log, vfs, &mut db)?;
-    Ok((db, replay, persist::RecoveryReport::default()))
+    Ok((db, replay))
 }
 
-/// Load a store's state from `path`: a fresh store (no file), the
-/// segmented layout (manifest + the active epoch's log + segment files,
-/// mapped lazily), or the legacy single-image layout (whose rows the
-/// first write seals into a segment). The active block's summaries are
-/// derived from the replayed rows here.
+/// Load a store's state from `path`: a fresh store when there is no
+/// file yet (its first flush writes the manifest), otherwise the
+/// manifest, the active epoch's log and the segment files, mapped
+/// lazily. The active block's summaries are derived from the replayed
+/// rows here.
 fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
-    // A store with no file yet and the legacy single-image layout (the
-    // whole corpus is the active block) both start at epoch 0 with no
-    // segments; only the fresh one is journaled from the start, and its
-    // first flush writes the manifest.
-    let unsegmented = |db, fresh: bool, recovery| -> Result<LoadedState, DbError> {
-        Ok(LoadedState {
-            active: SegmentData::from_db(db)?,
+    if !vfs.exists(path) && !vfs.exists(&persist::backup_path(path)) {
+        return Ok(LoadedState {
+            active: SegmentData::empty(build_schema()),
             segments: Vec::new(),
             tombstones: BTreeSet::new(),
             active_epoch: 0,
-            epoch_base: fresh.then(Counters::new),
+            epoch_base: Counters::new(),
             replay: wal::Replay::default(),
             next_segment: 0,
-            manifest_dirty: fresh,
-            recovery,
-        })
-    };
-    if !vfs.exists(path) && !vfs.exists(&persist::backup_path(path)) {
-        return unsegmented(build_schema(), true, persist::RecoveryReport::default());
+            manifest_dirty: true,
+            recovery: persist::RecoveryReport::default(),
+        });
     }
     let (doc, recovery) = persist::read_document_with_recovery_vfs(path, vfs)?;
-    if doc.get("format").and_then(Json::as_str) != Some(MANIFEST_FORMAT) {
-        return unsegmented(persist::from_json(&doc)?, false, recovery);
-    }
     let manifest = Manifest::from_json(&doc)?;
-    let (db, replay, active_recovery) = load_active(path, &manifest, vfs)?;
+    let (db, replay) = load_active(path, &manifest, vfs)?;
     Ok(LoadedState {
         active: SegmentData::from_db(db)?,
         segments: manifest
@@ -1114,11 +1076,7 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
         replay,
         next_segment: manifest.next_segment,
         manifest_dirty: false,
-        recovery: persist::RecoveryReport {
-            recovered_from_backup: recovery.recovered_from_backup
-                || active_recovery.recovered_from_backup,
-            primary_error: recovery.primary_error.or(active_recovery.primary_error),
-        },
+        recovery,
     })
 }
 
@@ -1914,9 +1872,8 @@ mod tests {
 
     #[test]
     fn file_backed_store_survives_reopen() {
-        // The segmented layout is several sibling files (manifest,
-        // `.bak`, `.active-<epoch>`): a directory of its own, removed
-        // whole.
+        // The layout is several sibling files (manifest, `.bak`,
+        // `.wal-<epoch>`): a directory of its own, removed whole.
         let dir = crate::persist::tests::scratch_dir("kstore-reopen");
         let path = dir.join("knowledge.iokc.json");
         {
@@ -2160,12 +2117,76 @@ mod tests {
             let mut store =
                 KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
             store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            let generation = store.generation();
             assert!(store.save_knowledge(&cmd_knowledge(1)).is_err());
             assert!(store.is_read_only());
             assert!(matches!(
                 store.save_knowledge(&cmd_knowledge(2)),
                 Err(DbError::ReadOnly(_))
             ));
+            // The log holds that record whole and the reload replayed it:
+            // reads changed under a save reported failed, so the
+            // generation moved with them.
+            assert_eq!(stored_commands(&store), vec!["cmd-0", "cmd-1"]);
+            assert!(store.generation() > generation);
+        }
+
+        fn open_sealing_every_two(vfs: &Arc<FaultVfs>) -> KnowledgeStore {
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
+            store.set_seal_threshold(2);
+            store
+        }
+
+        fn cmd_batch(n: usize) -> Vec<KnowledgeItem> {
+            (0..n)
+                .map(|i| KnowledgeItem::Benchmark(cmd_knowledge(i)))
+                .collect()
+        }
+
+        /// A batch that fails after a seal inside it committed a prefix
+        /// keeps that prefix visible — under a new generation.
+        #[test]
+        fn a_batch_failing_after_its_mid_batch_seal_bumps_the_generation() {
+            // A two-item batch ends with its seal, so the next operation
+            // of a three-item batch is the flush of the unsealed tail.
+            let probe = Arc::new(FaultVfs::pristine());
+            open_sealing_every_two(&probe)
+                .save_batch(&cmd_batch(2))
+                .unwrap();
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count())));
+            let mut store = open_sealing_every_two(&vfs);
+            let generation = store.generation();
+            assert!(store.save_batch(&cmd_batch(3)).is_err());
+            assert_eq!(store.knowledge_count(), 2);
+            assert!(store.generation() > generation);
+            assert!(!store.is_read_only());
+        }
+
+        /// A tombstone whose manifest rename landed and whose directory
+        /// sync failed hides the run after the reload — under a new
+        /// generation, although the delete is reported failed.
+        #[test]
+        fn a_tombstone_failing_at_its_directory_sync_bumps_the_generation() {
+            // The directory sync is the last operation of the delete.
+            let probe = Arc::new(FaultVfs::pristine());
+            let mut store = open_sealing_every_two(&probe);
+            store.save_batch(&cmd_batch(2)).unwrap();
+            assert!(store.delete_knowledge(1).unwrap());
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count() - 1)));
+            let mut store = open_sealing_every_two(&vfs);
+            store.save_batch(&cmd_batch(2)).unwrap();
+            let generation = store.generation();
+            assert!(store.delete_knowledge(1).is_err());
+            assert_eq!(store.knowledge_count(), 1);
+            assert!(store.generation() > generation);
+            // A delete that fails before the rename changes nothing.
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count() - 2)));
+            let mut store = open_sealing_every_two(&vfs);
+            store.save_batch(&cmd_batch(2)).unwrap();
+            assert!(store.delete_knowledge(1).is_err());
+            assert_eq!(store.knowledge_count(), 2);
+            assert_eq!(store.generation(), generation);
         }
 
         #[test]

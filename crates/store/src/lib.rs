@@ -3,7 +3,7 @@
 //! A from-scratch embedded relational engine standing in for SQLite:
 //! typed columns, auto-increment rowids, NOT NULL / foreign-key
 //! constraints, secondary indexes, predicate queries, a small SQL
-//! dialect (the DB-API 2.0 face), deterministic JSON images on disk, and
+//! dialect (the DB-API 2.0 face), deterministic JSON documents on disk, and
 //! CSV export. [`KnowledgeStore`] binds the paper's exact schema —
 //! `performances`, `summaries`, `results`, `filesystems` plus the IO500
 //! `IOFHs*` tables — and implements [`iokc_core::Persister`].
@@ -41,7 +41,7 @@ pub use journal::{
     JournalWriter,
 };
 pub use knowledge_store::{KnowledgeStore, Snapshot, StoreHealth};
-pub use persist::{classify_io_error, export_csv, load, save};
+pub use persist::{classify_io_error, export_csv};
 pub use query::{OpStat, Query, RunCursor, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
 pub use segment::{Segment, SegmentMeta};
 pub use value::{ColumnType, Value};

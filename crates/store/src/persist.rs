@@ -1,19 +1,24 @@
-//! Durable storage of a database.
+//! The checksummed-document writer and the row / segment-body codec.
 //!
 //! The paper stores knowledge "either directly as a local SQLite database
 //! or by specifying a SQL connection URL remotely" (§V-C). Here the
-//! local form is a deterministic JSON image on disk — schemas, rows and
-//! auto-increment counters. CSV export/import covers the paper's "saved
-//! e.g. as a CSV file" path.
+//! local form is a set of deterministic JSON documents next to each
+//! other (see [`crate::knowledge_store`]); this module holds what they
+//! share: [`to_json`] / [`from_json`] encode a block of tables — the
+//! body of a sealed segment — and the row encoding the log records
+//! reuse, and [`write_document_vfs`] is the one crash-safe way a
+//! document (manifest or segment) reaches the disk. CSV export covers
+//! the paper's "saved e.g. as a CSV file" path.
 //!
-//! Writes are crash-safe: the image is written to a temp file, fsynced,
-//! and renamed over the target, with the previous checksum-valid image
-//! rotated to a `.bak` generation first. Every image carries a trailing
-//! checksum footer (`#iokc-crc64:<hex>` over the JSON body, FNV-1a 64),
-//! so a torn or bit-flipped image is *detected* on load rather than
-//! silently yielding wrong data — [`load_with_recovery`] then falls back
-//! to the last good generation. [`inject_torn_write`] truncates an image
-//! at a byte offset so tests can exercise exactly that path.
+//! Writes are crash-safe: the document is written to a temp file,
+//! fsynced, and renamed over the target, with the previous
+//! checksum-valid generation rotated to `.bak` first. Every document
+//! carries a trailing checksum footer (`#iokc-crc64:<hex>` over the JSON
+//! body, FNV-1a 64), so a torn or bit-flipped file — or one that never
+//! had a footer — is *detected* on read rather than silently yielding
+//! wrong data; [`read_document_with_recovery_vfs`] then falls back to
+//! the last good generation. [`inject_torn_write`] truncates a file at a
+//! byte offset so tests can exercise exactly that path.
 
 use crate::database::{
     Column, Counters, Database, DbError, ForeignKey, OrderBy, Predicate, TableSchema,
@@ -24,7 +29,8 @@ use iokc_util::json::Json;
 use iokc_util::table::TextTable;
 use std::path::{Path, PathBuf};
 
-/// Serialize the whole database to a JSON document.
+/// Serialize a database — a segment's block of tables — to a JSON
+/// document.
 #[must_use]
 pub fn to_json(db: &Database) -> Json {
     let mut tables = Vec::new();
@@ -71,11 +77,9 @@ pub fn to_json(db: &Database) -> Json {
             ("rows", Json::Arr(row_json)),
         ]));
     }
-    // Auto-increment counters, so an image that holds only a slice of
-    // the corpus (the segmented store's active generation) still
-    // allocates ids after the highest ever issued, not after the highest
-    // it happens to contain. Images without the key (written before the
-    // segmented store) fall back to max(id)+1 per table.
+    // Auto-increment counters, so a block that holds only a slice of
+    // the corpus still allocates ids after the highest ever issued, not
+    // after the highest it happens to contain.
     Json::obj(vec![
         ("format", Json::from("iokc-store")),
         ("version", Json::from(1u64)),
@@ -174,18 +178,17 @@ pub fn from_json(json: &Json) -> Result<Database, DbError> {
             db.insert_raw(name, id, values)?;
         }
     }
-    // Restore auto-increment counters when the image carries them;
-    // `insert_raw` already advanced each to max(id)+1, so this only ever
-    // moves counters forward (segmented images allocate past ids that
-    // live in sealed segments, not in this image).
+    // Restore the auto-increment counters; `insert_raw` already advanced
+    // each to max(id)+1, so this only ever moves counters forward (past
+    // ids that live in other blocks).
     if let Some(next_ids) = json.get("next_ids") {
         db.bump_next_ids(&counters_from_json(next_ids));
     }
     Ok(db)
 }
 
-/// Auto-increment counters as the `next_ids` object of images and
-/// manifests.
+/// Auto-increment counters as the `next_ids` object of segment bodies
+/// and manifests.
 pub(crate) fn counters_to_json(counters: &Counters) -> Json {
     Json::Obj(
         counters
@@ -205,8 +208,8 @@ pub(crate) fn counters_from_json(json: &Json) -> Counters {
         .collect()
 }
 
-/// One row as it is written in images, segments and log records: the
-/// rowid followed by the cells.
+/// One row as it is written in segments and log records: the rowid
+/// followed by the cells.
 pub(crate) fn row_to_json(id: i64, values: &[Value]) -> Json {
     let mut cells = vec![Json::from(id)];
     cells.extend(values.iter().map(value_to_json));
@@ -253,7 +256,7 @@ fn json_to_value(json: &Json) -> Value {
 /// Marker introducing the checksum footer line.
 const FOOTER_MARKER: &str = "\n#iokc-crc64:";
 
-/// FNV-1a 64-bit checksum of the image body.
+/// FNV-1a 64-bit checksum of a document body.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -264,14 +267,12 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Split an image into its JSON body, verifying the checksum footer.
-///
-/// Images without a footer (written before checksumming existed) are
-/// accepted as-is; a present-but-wrong footer, or a malformed one, is
-/// corruption.
+/// Split a document into its JSON body, verifying the checksum footer.
+/// A missing, malformed or wrong footer is corruption: every file the
+/// store writes ends in one, so its absence is a torn write.
 pub fn verify_image(text: &str) -> Result<&str, DbError> {
     let Some(at) = text.rfind(FOOTER_MARKER) else {
-        return Ok(text);
+        return Err(DbError::Corrupt("no checksum footer (torn write?)".into()));
     };
     let body = &text[..at];
     let footer = text[at + FOOTER_MARKER.len()..].trim_end();
@@ -289,24 +290,17 @@ pub fn verify_image(text: &str) -> Result<&str, DbError> {
     Ok(body)
 }
 
-/// The sibling temp file a save writes before the atomic rename.
+/// The sibling temp file a document is written to before the atomic
+/// rename.
 #[must_use]
 pub fn temp_path(path: &Path) -> PathBuf {
     sibling(path, ".tmp")
 }
 
-/// The previous-generation backup kept next to the image.
+/// The previous-generation backup kept next to a document.
 #[must_use]
 pub fn backup_path(path: &Path) -> PathBuf {
     sibling(path, ".bak")
-}
-
-/// Where a store written before the active generation was journaled
-/// kept its active-generation image for `epoch`. Read (never written)
-/// when a manifest of that layout is opened; retired at the next seal.
-#[must_use]
-pub fn active_path(path: &Path, epoch: u64) -> PathBuf {
-    sibling(path, &format!(".active-{epoch}"))
 }
 
 /// The active generation's write-ahead log for `epoch`, kept next to
@@ -331,18 +325,6 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Save a database to a file, crash-safely: a database image is
-/// [`to_json`] written by [`write_document_vfs`].
-pub fn save(db: &Database, path: &Path) -> Result<(), std::io::Error> {
-    save_vfs(db, path, &StdVfs)
-}
-
-/// [`save`] over an explicit [`Vfs`] — the seam the fault-injection
-/// harness uses.
-pub fn save_vfs(db: &Database, path: &Path, vfs: &dyn Vfs) -> Result<(), std::io::Error> {
-    write_document_vfs(path, vfs, &to_json(db))
-}
-
 /// Classify an I/O failure from the persistence layer onto the store's
 /// error taxonomy: ENOSPC-like conditions (`StorageFull`, `WriteZero`)
 /// are transient — retryable once space is freed — while everything
@@ -358,45 +340,19 @@ pub fn classify_io_error(context: &str, e: &std::io::Error) -> DbError {
     }
 }
 
-/// What happened while loading an image.
+/// What happened while reading a document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// The primary image was unusable and the `.bak` generation was
-    /// loaded instead.
+    /// The primary file was unusable and the `.bak` generation was
+    /// read instead.
     pub recovered_from_backup: bool,
-    /// Why the primary image was rejected, when it was.
+    /// Why the primary file was rejected, when it was.
     pub primary_error: Option<String>,
 }
 
-/// Load a database from a file, verifying its checksum.
-pub fn load(path: &Path) -> Result<Database, DbError> {
-    load_vfs(path, &StdVfs)
-}
-
-/// [`load`] over an explicit [`Vfs`].
-pub fn load_vfs(path: &Path, vfs: &dyn Vfs) -> Result<Database, DbError> {
-    from_json(&read_document_vfs(path, vfs)?)
-}
-
-/// Load a database, falling back to the `.bak` generation when the
-/// primary image is missing, torn, corrupt, or verifies but does not
-/// decode. The report says which generation was used and why.
-pub fn load_with_recovery(path: &Path) -> Result<(Database, RecoveryReport), DbError> {
-    load_with_recovery_vfs(path, &StdVfs)
-}
-
-/// [`load_with_recovery`] over an explicit [`Vfs`].
-pub fn load_with_recovery_vfs(
-    path: &Path,
-    vfs: &dyn Vfs,
-) -> Result<(Database, RecoveryReport), DbError> {
-    read_with_recovery(path, vfs, load_vfs)
-}
-
-/// Render any JSON document the way every file of the store is
-/// rendered: pretty body plus the checksum footer, so database images,
-/// manifests and segments are all torn-write detectable by the same
-/// footer check.
+/// Render a JSON document the way every document of the store is
+/// rendered: pretty body plus the checksum footer, so manifests and
+/// segments are torn-write detectable by the same footer check.
 #[must_use]
 pub fn render_document(body: &Json) -> String {
     let text = body.to_pretty();
@@ -439,18 +395,9 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
 
 /// Whether a file may rotate into the `.bak` slot: its checksum footer
 /// verifies. The body is not parsed — the footer is the proof that these
-/// are the bytes that were written. Only a file without a footer (written
-/// before checksumming existed; also what a torn write leaves) has to
-/// parse instead.
+/// are the bytes that were written.
 fn rotatable(bytes: &[u8]) -> bool {
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return false;
-    };
-    if text.contains(FOOTER_MARKER) {
-        verify_image(text).is_ok()
-    } else {
-        iokc_util::json::parse(text).is_ok()
-    }
+    std::str::from_utf8(bytes).is_ok_and(|text| verify_image(text).is_ok())
 }
 
 /// Read a checksummed JSON document, verifying its footer.
@@ -472,29 +419,17 @@ pub fn read_document_with_recovery_vfs(
     path: &Path,
     vfs: &dyn Vfs,
 ) -> Result<(Json, RecoveryReport), DbError> {
-    read_with_recovery(path, vfs, read_document_vfs)
-}
-
-/// The one read-with-`.bak`-fallback, parameterised by how a file is
-/// read and decoded: whatever makes `read` fail on the primary — a
-/// missing file, a bad checksum, or a verified body that does not
-/// decode — falls back to the backup generation.
-fn read_with_recovery<T>(
-    path: &Path,
-    vfs: &dyn Vfs,
-    read: impl Fn(&Path, &dyn Vfs) -> Result<T, DbError>,
-) -> Result<(T, RecoveryReport), DbError> {
-    let primary_error = match read(path, vfs) {
-        Ok(value) => return Ok((value, RecoveryReport::default())),
+    let primary_error = match read_document_vfs(path, vfs) {
+        Ok(doc) => return Ok((doc, RecoveryReport::default())),
         Err(e) => e,
     };
     let backup = backup_path(path);
     if !vfs.exists(&backup) {
         return Err(primary_error);
     }
-    match read(&backup, vfs) {
-        Ok(value) => Ok((
-            value,
+    match read_document_vfs(&backup, vfs) {
+        Ok(doc) => Ok((
+            doc,
             RecoveryReport {
                 recovered_from_backup: true,
                 primary_error: Some(primary_error.to_string()),
@@ -506,7 +441,7 @@ fn read_with_recovery<T>(
     }
 }
 
-/// Fault-injection hook: truncate an on-disk image to `keep_bytes`,
+/// Fault-injection hook: truncate an on-disk file to `keep_bytes`,
 /// simulating a write torn by a crash or a full disk. Used by the
 /// resilience test harness; safe to call on any file.
 pub fn inject_torn_write(path: &Path, keep_bytes: u64) -> Result<(), std::io::Error> {
@@ -616,17 +551,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let dir = scratch_dir("roundtrip");
-        let path = dir.join("kb.iokc.json");
-        let db = sample_db();
-        save(&db, &path).unwrap();
-        let restored = load(&path).unwrap();
-        assert_eq!(restored.row_count("performances").unwrap(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn rejects_corrupt_images() {
         assert!(from_json(&Json::Null).is_err());
         assert!(from_json(&Json::obj(vec![("format", Json::from("wrong"))])).is_err());
@@ -662,73 +586,48 @@ pub(crate) mod tests {
             verify_image("{}\n#iokc-crc64:zz"),
             Err(DbError::Corrupt(_))
         ));
-        // Footer-less legacy images pass through unchanged.
-        assert_eq!(verify_image("{\"a\": 1}").unwrap(), "{\"a\": 1}");
+        // So is a missing one: nothing the store writes lacks it.
+        assert!(matches!(
+            verify_image("{\"a\": 1}"),
+            Err(DbError::Corrupt(_))
+        ));
+    }
+
+    fn generation(n: u64) -> Json {
+        Json::obj(vec![("gen", Json::from(n))])
     }
 
     #[test]
-    fn save_rotates_backup_generation() {
-        let dir = scratch_dir("rotate");
-        let path = dir.join("kb.json");
-        let mut db = sample_db();
-        save(&db, &path).unwrap();
+    fn documents_roundtrip_with_rotation_and_recovery() {
+        let dir = scratch_dir("doc");
+        let path = dir.join("manifest.json");
+        let vfs = StdVfs;
+        write_document_vfs(&path, &vfs, &generation(1)).unwrap();
+        assert_eq!(read_document_vfs(&path, &vfs).unwrap(), generation(1));
         assert!(
             !backup_path(&path).exists(),
-            "first save has nothing to rotate"
+            "first write has nothing to rotate"
         );
-        db.insert(
-            "performances",
-            vec![Value::from("ior -b 16m"), Value::Null, Value::Null],
-        )
-        .unwrap();
-        save(&db, &path).unwrap();
-        assert!(backup_path(&path).exists());
         // Backup holds the previous generation, primary the new one.
-        assert_eq!(load(&path).unwrap().row_count("performances").unwrap(), 3);
+        write_document_vfs(&path, &vfs, &generation(2)).unwrap();
+        assert_eq!(read_document_vfs(&path, &vfs).unwrap(), generation(2));
         assert_eq!(
-            load(&backup_path(&path))
-                .unwrap()
-                .row_count("performances")
-                .unwrap(),
-            2
+            read_document_vfs(&backup_path(&path), &vfs).unwrap(),
+            generation(1)
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_write_detected_and_recovered_from_backup() {
-        let dir = scratch_dir("torn");
-        let path = dir.join("kb.json");
-        let mut db = sample_db();
-        save(&db, &path).unwrap();
-        db.insert(
-            "performances",
-            vec![Value::from("ior -b 16m"), Value::Null, Value::Null],
-        )
-        .unwrap();
-        save(&db, &path).unwrap();
-
-        // Tear the primary image in half.
-        let full = std::fs::metadata(&path).unwrap().len();
-        inject_torn_write(&path, full / 2).unwrap();
-
-        // Plain load reports corruption; recovery falls back to the
-        // previous generation.
-        assert!(load(&path).is_err());
-        let (recovered, report) = load_with_recovery(&path).unwrap();
+        // Tear the primary: recovery falls back to generation 1.
+        let len = std::fs::metadata(&path).unwrap().len();
+        inject_torn_write(&path, len / 2).unwrap();
+        assert!(read_document_vfs(&path, &vfs).is_err());
+        let (doc, report) = read_document_with_recovery_vfs(&path, &vfs).unwrap();
         assert!(report.recovered_from_backup);
         assert!(report.primary_error.is_some());
-        assert_eq!(recovered.row_count("performances").unwrap(), 2);
-
-        // A save after recovery must not rotate the torn image over the
-        // good backup.
-        save(&recovered, &path).unwrap();
+        assert_eq!(doc, generation(1));
+        // A further write must not rotate the torn primary over the backup.
+        write_document_vfs(&path, &vfs, &generation(2)).unwrap();
         assert_eq!(
-            load(&backup_path(&path))
-                .unwrap()
-                .row_count("performances")
-                .unwrap(),
-            2
+            read_document_vfs(&backup_path(&path), &vfs).unwrap(),
+            generation(1)
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -737,10 +636,10 @@ pub(crate) mod tests {
     fn recovery_without_backup_reports_the_primary_error() {
         let dir = scratch_dir("nobak");
         let path = dir.join("kb.json");
-        save(&sample_db(), &path).unwrap();
+        write_document_vfs(&path, &StdVfs, &generation(1)).unwrap();
         inject_torn_write(&path, 10).unwrap();
         assert!(matches!(
-            load_with_recovery(&path),
+            read_document_with_recovery_vfs(&path, &StdVfs),
             Err(DbError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -750,51 +649,19 @@ pub(crate) mod tests {
     fn torn_backup_and_torn_primary_is_an_error() {
         let dir = scratch_dir("bothtorn");
         let path = dir.join("kb.json");
-        let db = sample_db();
-        save(&db, &path).unwrap();
-        save(&db, &path).unwrap();
+        write_document_vfs(&path, &StdVfs, &generation(1)).unwrap();
+        write_document_vfs(&path, &StdVfs, &generation(2)).unwrap();
         inject_torn_write(&path, 7).unwrap();
         inject_torn_write(&backup_path(&path), 7).unwrap();
-        let err = load_with_recovery(&path).unwrap_err();
+        let err = read_document_with_recovery_vfs(&path, &StdVfs).unwrap_err();
         assert!(err.to_string().contains("backup image unusable"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn documents_roundtrip_with_rotation_and_recovery() {
-        let dir = scratch_dir("doc");
-        let path = dir.join("manifest.json");
-        let vfs = StdVfs;
-        let gen1 = Json::obj(vec![("gen", Json::from(1u64))]);
-        let gen2 = Json::obj(vec![("gen", Json::from(2u64))]);
-        write_document_vfs(&path, &vfs, &gen1).unwrap();
-        assert_eq!(
-            read_document_vfs(&path, &vfs).unwrap().get("gen"),
-            Some(&Json::Num(1.0))
-        );
-        write_document_vfs(&path, &vfs, &gen2).unwrap();
-        // Tear the primary: recovery falls back to generation 1.
-        let len = std::fs::metadata(&path).unwrap().len();
-        inject_torn_write(&path, len / 2).unwrap();
-        assert!(read_document_vfs(&path, &vfs).is_err());
-        let (doc, report) = read_document_with_recovery_vfs(&path, &vfs).unwrap();
-        assert!(report.recovered_from_backup);
-        assert_eq!(doc.get("gen"), Some(&Json::Num(1.0)));
-        // A further write must not rotate the torn primary over the backup.
-        write_document_vfs(&path, &vfs, &gen2).unwrap();
-        assert_eq!(
-            read_document_vfs(&backup_path(&path), &vfs)
-                .unwrap()
-                .get("gen"),
-            Some(&Json::Num(1.0))
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn partial_image_restores_forwarded_counters() {
-        // A segmented active image holds a slice of the corpus but the
-        // full auto-increment state: ids must not be reissued.
+        // A block holds a slice of the corpus but the full
+        // auto-increment state: ids must not be reissued.
         let db = sample_db();
         let mut json = to_json(&db);
         if let Json::Obj(map) = &mut json {
@@ -859,14 +726,6 @@ pub(crate) mod tests {
             }
         }
 
-        fn stored_commands(db: &Database) -> Vec<String> {
-            db.select("performances", &Predicate::True, OrderBy::Id, None)
-                .unwrap()
-                .iter()
-                .map(|row| row.values[0].to_string())
-                .collect()
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -880,34 +739,26 @@ pub(crate) mod tests {
                 let path = dir.join("kb.json");
 
                 // Generation 1: the given rows. Generation 2: one more.
-                let mut db = Database::new();
-                db.create_table(TableSchema::new(
-                    "performances",
-                    vec![Column::required("command", ColumnType::Text)],
-                )).unwrap();
-                for c in &commands {
-                    db.insert("performances", vec![Value::from(c.as_str())]).unwrap();
-                }
-                save(&db, &path).unwrap();
-                let generation1 = stored_commands(&db);
-                db.insert("performances", vec![Value::from("generation-two-extra")]).unwrap();
-                save(&db, &path).unwrap();
-                let generation2 = stored_commands(&db);
+                let mut rows: Vec<Json> = commands.iter().map(|c| Json::from(c.as_str())).collect();
+                let generation1 = Json::Arr(rows.clone());
+                write_document_vfs(&path, &StdVfs, &generation1).unwrap();
+                rows.push(Json::from("generation-two-extra"));
+                let generation2 = Json::Arr(rows);
+                write_document_vfs(&path, &StdVfs, &generation2).unwrap();
 
-                // Tear the primary image at an arbitrary byte offset.
+                // Tear the primary at an arbitrary byte offset.
                 let len = std::fs::metadata(&path).unwrap().len();
                 let keep = ((len as f64) * fraction) as u64;
                 inject_torn_write(&path, keep).unwrap();
 
-                // Whatever happens, the loaded data must be *a* complete
+                // Whatever happens, what is read must be *a* complete
                 // generation — never a silently truncated mixture.
-                match load_with_recovery(&path) {
-                    Ok((loaded, report)) => {
-                        let rows = stored_commands(&loaded);
+                match read_document_with_recovery_vfs(&path, &StdVfs) {
+                    Ok((doc, report)) => {
                         if report.recovered_from_backup {
-                            prop_assert_eq!(rows, generation1);
+                            prop_assert_eq!(doc, generation1);
                         } else {
-                            prop_assert_eq!(rows, generation2);
+                            prop_assert_eq!(doc, generation2);
                         }
                     }
                     Err(DbError::Corrupt(_)) => {}

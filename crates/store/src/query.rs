@@ -1072,7 +1072,7 @@ mod tests {
     }
 
     #[test]
-    fn api_filter_is_index_served_and_scan_equivalent() {
+    fn api_filter_equals_the_brute_force_model() {
         let store = seeded();
         let q = Query::new(RunPredicate::ApiEq("POSIX".into()));
         let found = store.query_ids(&q, &DeadlineToken::unbounded()).unwrap();
@@ -1084,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_range_uses_sorted_index() {
+    fn bandwidth_range_selects_and_a_reversed_range_is_empty() {
         let store = seeded();
         let open = DeadlineToken::unbounded();
         let q = Query::new(RunPredicate::BandwidthBetween(150.0, 250.0));

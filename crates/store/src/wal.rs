@@ -4,8 +4,8 @@
 //! [`crate::journal`] record to `<path>.wal-<epoch>` — one `write_all`,
 //! one fsync (the first record of a log also syncs the directory) —
 //! holding only what the write changed: the rows it
-//! inserted (with their ids, in the same cell encoding images and
-//! segments use), or the `(kind, id)` of the run it deleted. A batch is
+//! inserted (with their ids, in the same cell encoding segments use),
+//! or the `(kind, id)` of the run it deleted. A batch is
 //! one record, so it is all-or-nothing. Opening replays the records, in
 //! order, onto an empty schema whose auto-increment counters come from
 //! the manifest; sealing writes the block as a segment, bumps the epoch

@@ -80,14 +80,18 @@ echo "==> corpus analytics suite"
 cargo test -p iokc-integration --test corpus_analytics -q
 
 # CLI smoke: generate a small corpus, resume it (everything journaled,
-# nothing regenerated), and run a group-by aggregate over the result.
-echo "==> corpus gen + agg CLI smoke"
+# nothing regenerated), check it offline — the only place fsck meets
+# files the CLI wrote through StdVfs, so it fails the day fsck and the
+# writer disagree about the layout — and run a group-by aggregate.
+echo "==> corpus gen + fsck + agg CLI smoke"
 corpus_dir="$(mktemp -d)"
 trap 'rm -rf "$corpus_dir"' EXIT
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 64"
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "skipped 64"
+cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
+  --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
 cargo run -q -p iokc-cli -- agg --db "$corpus_dir/corpus.iokc.json" \
   --group tasks --factor total_score --outliers | grep -q "2 run(s) outside their band"
 

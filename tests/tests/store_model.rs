@@ -1,7 +1,8 @@
 //! The store against a reference model (ROADMAP "code diet (c)", first
-//! slice), plus the two properties of the journaled active generation
-//! that no crash point shows: it opens what the previous layout wrote,
-//! and its log stays bounded under churn.
+//! slice), plus the properties of the journaled active generation that
+//! no crash point shows: the same history writes the same bytes, fsck
+//! sweeps what a crashed seal strands, and the log stays bounded under
+//! churn.
 //!
 //! The model is a `BTreeMap<(kind, id), label>` of *acknowledged*
 //! results. One proptest state machine drives saves, batches, deletes
@@ -17,7 +18,6 @@ use iokc_store::{
     fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
     Vfs,
 };
-use iokc_util::json::Json;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -244,7 +244,9 @@ fn apply(
 /// before it: nothing of it; all of it (the failure hit after the commit
 /// point — the directory sync that follows a manifest rename, the seal
 /// that follows a durable save — or could not be undone); or, for a
-/// batch, the prefix that a mid-batch seal made durable.
+/// batch, the prefix that a mid-batch seal made durable. Whichever it
+/// left, reads that changed did so under a new `generation()`: the
+/// caller asserts that, with no tolerance.
 fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[KnowledgeItem]) -> bool {
     if state == before {
         return true;
@@ -308,6 +310,12 @@ proptest! {
                             failed_op_may_leave(&before, &now, op, &items),
                             "failed {op:?} ({e}) left {now:?}, before it {before:?}"
                         );
+                        if now != before {
+                            prop_assert!(
+                                store.generation() > generation,
+                                "failed {op:?} changed reads under generation {generation}"
+                            );
+                        }
                         if now != before || store.is_read_only() {
                             // Memory follows the volatile disk, which may
                             // be ahead of the durable one; and a store
@@ -330,83 +338,47 @@ proptest! {
     }
 }
 
-/// A store directory as the commit before the log laid it out: a
-/// manifest without counters, the active generation as a checksummed
-/// image at `.active-<epoch>` with its `.bak` rotation, sealed segments
-/// beside it.
-fn previous_layout() -> (Disk, Model) {
+/// One scripted history touching every kind of file the store writes.
+fn scripted_history() -> Disk {
     let vfs = Arc::new(FaultVfs::pristine());
     let mut store = open(&vfs);
-    let mut model = Model::new();
-    for tag in 0..6 {
-        let id = store.save_knowledge(&bench(tag)).expect("save");
-        model.insert((RunKind::Benchmark, id), bench(tag).command);
-    }
-    // Four sealed, two active.
-    assert_eq!(store.segment_metas().len(), 1);
-    let active_rows = store.database().clone();
+    store.save_knowledge(&bench(1)).expect("save");
+    store.save_io500(&io500(2)).expect("save");
+    let batch: Vec<KnowledgeItem> = (3..3 + SEAL_THRESHOLD as u32)
+        .map(|tag| KnowledgeItem::Benchmark(bench(tag)))
+        .collect();
+    let ids = store.save_batch(&batch).expect("batch");
+    let (sealed, active) = (ids[0], ids[ids.len() - 1]);
+    assert!(!in_active(&store, (RunKind::Benchmark, sealed)));
+    assert!(in_active(&store, (RunKind::Benchmark, active)));
+    assert!(store.delete_knowledge(sealed).expect("sealed delete"));
+    assert!(store.delete_knowledge(active).expect("active delete"));
+    store.seal_active().expect("seal");
+    store.compact().expect("compact");
+    store.save_knowledge(&bench(100)).expect("save");
     drop(store);
-
-    let mut manifest = persist::read_document_vfs(&kb(), &*vfs).expect("manifest");
-    let epoch = manifest
-        .get("active_epoch")
-        .and_then(Json::as_u64)
-        .expect("epoch");
-    if let Json::Obj(fields) = &mut manifest {
-        assert!(fields.remove("next_ids").is_some());
-    }
-    persist::write_document_vfs(&kb(), &*vfs, &manifest).expect("manifest rewrite");
-    let image = persist::active_path(&kb(), epoch);
-    persist::save_vfs(&active_rows, &image, &*vfs).expect("image");
-    persist::save_vfs(&active_rows, &image, &*vfs).expect("image again: rotates a .bak");
-    vfs.remove_file(&persist::wal_path(&kb(), epoch))
-        .expect("log removed");
-    (vfs.durable_state(), model)
+    vfs.durable_state()
 }
 
 #[test]
-fn a_store_laid_out_by_the_previous_commit_opens_and_is_migrated_by_the_next_seal() {
-    let (disk, mut model) = previous_layout();
-    let image = persist::active_path(&kb(), 1);
-    assert!(disk.contains_key(&image) && disk.contains_key(&persist::backup_path(&image)));
-
-    let vfs = Arc::new(FaultVfs::from_state(disk.clone()));
-    assert!(fsck_pass(&vfs, false).clean());
-    let mut store = open(&vfs);
-    assert_eq!(contents(&store), model);
-    assert!(store.indexes_consistent().expect("index rebuild"));
-    assert_eq!(vfs.op_count(), 0, "opening writes nothing");
-
-    // The first write seals what the image held, then is logged.
-    let id = store.save_knowledge(&bench(100)).expect("save");
-    model.insert((RunKind::Benchmark, id), bench(100).command);
-    assert!(store.delete_knowledge(5).expect("delete"));
-    model.remove(&(RunKind::Benchmark, 5));
-    assert_eq!(contents(&store), model);
-    assert_eq!(store.segment_metas().len(), 2);
-    drop(store);
-    let after = vfs.durable_state();
-    assert!(
-        !after
-            .keys()
-            .any(|p| p.to_string_lossy().contains(".active-")),
-        "image not retired: {:?}",
-        after.keys()
+fn the_same_history_writes_the_same_bytes() {
+    let disk = scripted_history();
+    assert_eq!(disk, scripted_history());
+    // A manifest, its `.bak`, a segment and a log: every kind of file.
+    let names: Vec<_> = disk.keys().map(|p| p.to_string_lossy()).collect();
+    assert_eq!(
+        names,
+        [
+            "/kb.json",
+            "/kb.json.bak",
+            "/kb.json.seg-2",
+            "/kb.json.wal-2"
+        ]
     );
-    assert!(after.contains_key(&persist::wal_path(&kb(), 2)));
-    crash_and_check(&vfs, |found| *found == model);
-
-    // A torn primary image falls back to its `.bak`, as it always did.
-    let mut torn = disk;
-    torn.get_mut(&image).expect("image").truncate(40);
-    let vfs = Arc::new(FaultVfs::from_state(torn));
-    let store = open(&vfs);
-    assert!(store.recovery().recovered_from_backup);
-    assert_eq!(store.knowledge_count(), 6);
 }
 
 #[test]
-fn fsck_sweeps_images_and_logs_of_other_epochs_and_truncates_a_torn_log() {
+fn fsck_sweeps_logs_of_other_epochs_and_truncates_a_torn_log() {
     let vfs = Arc::new(FaultVfs::pristine());
     let mut store = open(&vfs);
     let mut model = Model::new();
@@ -421,13 +393,7 @@ fn fsck_sweeps_images_and_logs_of_other_epochs_and_truncates_a_torn_log() {
     vfs.set_len(&log, vfs.len(&log).expect("log") - 7)
         .expect("tear");
     model.remove(&(RunKind::Benchmark, 6));
-    for stray in [
-        persist::wal_path(&kb(), 0),
-        persist::wal_path(&kb(), 2),
-        persist::active_path(&kb(), 0),
-        persist::active_path(&kb(), 1),
-        persist::backup_path(&persist::active_path(&kb(), 1)),
-    ] {
+    for stray in [persist::wal_path(&kb(), 0), persist::wal_path(&kb(), 2)] {
         let mut file = vfs.create(&stray).expect("stray");
         file.write_all(b"left behind").expect("stray bytes");
         file.sync().expect("stray sync");
@@ -438,11 +404,11 @@ fn fsck_sweeps_images_and_logs_of_other_epochs_and_truncates_a_torn_log() {
     assert_eq!(contents(&open(&vfs)), model);
     assert_eq!(vfs.op_count(), 0);
     let detect = fsck_pass(&vfs, false);
-    assert_eq!(detect.unrepaired(), 6, "{:?}", detect.findings);
+    assert_eq!(detect.unrepaired(), 3, "{:?}", detect.findings);
     let repair = fsck_pass(&vfs, true);
     assert_eq!(
         (repair.repaired(), repair.unrepaired()),
-        (6, 0),
+        (3, 0),
         "{:?}",
         repair.findings
     );
@@ -451,7 +417,7 @@ fn fsck_sweeps_images_and_logs_of_other_epochs_and_truncates_a_torn_log() {
         .durable_state()
         .keys()
         .map(|p| p.to_string_lossy().into_owned())
-        .filter(|p| p.contains(".wal-") || p.contains(".active-"))
+        .filter(|p| p.contains(".wal-"))
         .collect();
     assert_eq!(names, vec!["/kb.json.wal-1".to_owned()]);
     assert_eq!(contents(&open(&vfs)), model);
