@@ -2,8 +2,8 @@
 //! pushdown and summary projection, DESIGN.md §"Query engine"), the
 //! same rows read unsealed and sealed, the corpus-scale tier, and the
 //! relational engine underneath (bulk insert, indexed-equality vs
-//! full-scan selection, the SQL front end, image round trip — ablation:
-//! per-table secondary indexes, DESIGN.md §6).
+//! full-scan selection, the SQL front end, segment round trip —
+//! ablation: per-table secondary indexes, DESIGN.md §6).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
@@ -15,6 +15,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use iokc_bench::synthetic_knowledge as knowledge;
 use iokc_core::model::KnowledgeItem;
+use iokc_store::persist::segment_path;
+use iokc_store::segment::{read_segment_vfs, write_segment_vfs};
 use iokc_store::{
     sql, AggregateQuery, Column, ColumnType, Database, DeadlineToken, Factor, FaultVfs, GroupBy,
     KnowledgeStore, OrderBy, Predicate, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value,
@@ -352,12 +354,27 @@ fn bench_relational(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("json_image_roundtrip_1k", |b| {
-        let small = relational(1_000);
+    // The seal/load codec: a 1 000-run block written as a segment
+    // document and read back (rows decoded, summaries derived).
+    group.bench_function("segment_roundtrip_1k", |b| {
+        let path = PathBuf::from("/bench-codec.json");
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store =
+            KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs) as Arc<dyn Vfs>).unwrap();
+        let batch: Vec<KnowledgeItem> = (0..1_000)
+            .map(|i| KnowledgeItem::Benchmark(knowledge(i)))
+            .collect();
+        store.save_batch(&batch).unwrap();
+        store.seal_active().unwrap();
+        let seg = segment_path(&path, 0);
+        let block = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
         b.iter(|| {
-            let image = iokc_store::persist::to_json(&small);
-            let restored = iokc_store::persist::from_json(&image).unwrap();
-            black_box(restored.row_count("performances").unwrap())
+            // A seal writes to a fresh name: nothing to rotate into `.bak`.
+            vfs.remove_file(&seg).unwrap();
+            write_segment_vfs(&seg, vfs.as_ref(), 0, &block).unwrap();
+            let restored = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
+            assert_eq!(restored.summaries.len(), 1_000);
+            black_box(restored.db.row_count("performances").unwrap())
         });
     });
 

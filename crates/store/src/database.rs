@@ -292,21 +292,6 @@ pub enum OrderBy {
     Desc(String),
 }
 
-/// What one [`Database::select_with_stats`] call actually did — the
-/// observable half of predicate and limit pushdown. `rows_examined`
-/// counts rows the engine touched (probed from an index or visited in a
-/// scan), so `rows_examined < table size` proves pruning happened and
-/// `rows_examined ≈ limit` proves the limit short-circuited iteration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectStats {
-    /// Rows probed or visited while answering the query.
-    pub rows_examined: usize,
-    /// Rows that matched (before the limit truncates them).
-    pub rows_matched: usize,
-    /// Whether a secondary index narrowed the candidate set.
-    pub index_used: bool,
-}
-
 /// A table: schema, rows, auto-increment counter, secondary indexes.
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
@@ -547,10 +532,12 @@ impl Database {
         Ok(id)
     }
 
-    /// Insert a row with an explicit id — the restore path used when
-    /// loading a persisted image. Validates arity and types but not
-    /// foreign keys (the image is loaded table by table, so parents may
-    /// arrive after children; the image was FK-consistent when written).
+    /// Insert a row with an explicit id — the restore path of every
+    /// block decode and block merge. Validates arity and types but not
+    /// foreign keys (a block is decoded table by table, so parents may
+    /// arrive after children; it was FK-consistent when written). An id
+    /// the table already holds is corruption: ids are unique across
+    /// blocks, so a second copy is a doubled record or a broken merge.
     pub(crate) fn insert_raw(
         &mut self,
         table: &str,
@@ -577,6 +564,9 @@ impl Database {
                 });
             }
         }
+        if t.rows.contains_key(&id) {
+            return Err(DbError::Corrupt(format!("{table}: row {id} occurs twice")));
+        }
         t.next_id = t.next_id.max(id + 1);
         t.index_insert(id, &values);
         t.rows.insert(id, values);
@@ -592,10 +582,9 @@ impl Database {
     }
 
     /// Raise a table's auto-increment counter to at least `next`. Counters
-    /// never move backwards, so replaying a persisted image over freshly
-    /// restored rows (whose `insert_raw` calls already advanced the
-    /// counter) is safe in either order. Unknown tables are ignored — an
-    /// image may carry counters for tables a newer schema dropped.
+    /// never move backwards, so applying a manifest's counters and
+    /// restoring rows (whose `insert_raw` calls advance the counter too)
+    /// is safe in either order. Unknown tables are ignored.
     pub(crate) fn bump_next_id(&mut self, table: &str, next: i64) {
         if let Some(t) = self.tables.get_mut(table) {
             t.next_id = t.next_id.max(next);
@@ -635,19 +624,6 @@ impl Database {
         order: OrderBy,
         limit: Option<usize>,
     ) -> Result<Vec<Row>, DbError> {
-        Ok(self.select_with_stats(table, predicate, order, limit)?.0)
-    }
-
-    /// [`Database::select`] plus the execution statistics: how many rows
-    /// were actually examined, how many matched, and whether a secondary
-    /// index pruned the candidate set.
-    pub fn select_with_stats(
-        &self,
-        table: &str,
-        predicate: &Predicate,
-        order: OrderBy,
-        limit: Option<usize>,
-    ) -> Result<(Vec<Row>, SelectStats), DbError> {
         let t = self
             .tables
             .get(table)
@@ -667,10 +643,6 @@ impl Database {
             ),
         };
 
-        let mut stats = SelectStats::default();
-        let candidate_ids = indexable_candidates(t, predicate);
-        stats.index_used = candidate_ids.is_some();
-
         // With id ordering the output order equals the iteration order,
         // so the limit short-circuits; ordered queries must see every
         // match before sorting.
@@ -679,44 +651,24 @@ impl Database {
             _ => usize::MAX,
         };
 
+        let by_index = indexable_candidates(t, predicate).map(|mut ids| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        });
+        let candidates: Box<dyn Iterator<Item = (i64, &Vec<Value>)>> = match &by_index {
+            Some(ids) => Box::new(ids.iter().filter_map(|id| Some((*id, t.rows.get(id)?)))),
+            None => Box::new(t.rows.iter().map(|(id, values)| (*id, values))),
+        };
         let mut rows: Vec<Row> = Vec::new();
-        match candidate_ids {
-            Some(mut ids) => {
-                ids.sort_unstable();
-                ids.dedup();
-                for id in ids {
-                    if rows.len() >= cap {
-                        break;
-                    }
-                    let Some(values) = t.rows.get(&id) else {
-                        continue;
-                    };
-                    stats.rows_examined += 1;
-                    let row = Row {
-                        id,
-                        values: values.clone(),
-                    };
-                    if predicate.eval(&t.schema, &row)? {
-                        stats.rows_matched += 1;
-                        rows.push(row);
-                    }
-                }
+        for (id, values) in candidates {
+            if rows.len() >= cap {
+                break;
             }
-            None => {
-                for (id, values) in &t.rows {
-                    if rows.len() >= cap {
-                        break;
-                    }
-                    stats.rows_examined += 1;
-                    let row = Row {
-                        id: *id,
-                        values: values.clone(),
-                    };
-                    if predicate.eval(&t.schema, &row)? {
-                        stats.rows_matched += 1;
-                        rows.push(row);
-                    }
-                }
+            let values = values.clone();
+            let row = Row { id, values };
+            if predicate.eval(&t.schema, &row)? {
+                rows.push(row);
             }
         }
 
@@ -729,7 +681,7 @@ impl Database {
         if let Some(n) = limit {
             rows.truncate(n);
         }
-        Ok((rows, stats))
+        Ok(rows)
     }
 
     /// Delete rows matching a predicate; returns the number removed.

@@ -11,30 +11,29 @@
 //!    backup (or the reverse) is repairable by promoting or re-rotating
 //!    the good generation; both corrupt is not.
 //! 2. **Active generation** — the epoch's log must replay onto the
-//!    manifest's counters. A torn trailing record (a crash mid-append)
-//!    is reported and, on repair, truncated, exactly like a campaign
-//!    journal's (check 8); a record that verifies but does not apply is
-//!    unrepairable.
-//! 3. **Segments** — every referenced segment must read back; a corrupt
-//!    one is dropped from the manifest on repair (data loss, noted). A
-//!    stale index block (metadata not matching the body) is recomputed.
+//!    manifest's counters and summarize, as `open` requires. A torn
+//!    trailing record (a crash mid-append) is reported and, on repair,
+//!    truncated, exactly like a campaign journal's (check 7); a record
+//!    that verifies but does not apply is unrepairable.
+//! 3. **Segments** — every referenced segment must read back — rows
+//!    decoded, summaries derived; one that does not is dropped from the
+//!    manifest on repair (data loss, noted). A stale index block
+//!    (metadata not matching the body) is recomputed.
 //! 4. **Tombstones** — tombstones must reference runs that exist in
 //!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
-//!    siblings, logs of any epoch the manifest does not read, segment
-//!    files the manifest does not reference. Removed on repair.
+//!    siblings of documents, logs of any epoch the manifest does not
+//!    read, segment files the manifest does not reference. Removed on
+//!    repair.
 //! 6. **Referential integrity** (segments) — checksums only prove the
 //!    file is the one that was written, not that it is *sensible*: rows
 //!    whose foreign keys point at deleted parents (e.g. from a
 //!    half-applied external import) are reported and, on repair, deleted
 //!    cascade-wise until the segment is closed under its foreign keys,
-//!    then the file is rewritten with recomputed summaries and index
-//!    block. The active generation gets no such scan: its log holds
-//!    what FK-checked inserts wrote.
-//! 7. **Summary shape** — the query engine's summary block must be
-//!    derivable from the active tables; rows that do not summarize
-//!    cannot serve queries and are reported as unrepairable.
-//! 8. **Journal tail** (with `--journal`) — a torn trailing record is
+//!    then the file is rewritten and its index block recomputed. The
+//!    active generation gets no such scan: its log holds what
+//!    FK-checked inserts wrote.
+//! 7. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
 //!    [`crate::journal::truncate_torn_tail_vfs`].
 //!
@@ -48,7 +47,7 @@ use crate::journal;
 use crate::knowledge_store::{load_active, Manifest};
 use crate::persist;
 use crate::query::{summarize_db, RunKind};
-use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentMeta};
+use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentData, SegmentMeta};
 use crate::value::Value;
 use crate::vfs::Vfs;
 use iokc_util::json::Json;
@@ -199,7 +198,7 @@ fn resolve_document(
 }
 
 /// Everything the manifest names: active generation, segments,
-/// tombstones, strays, then the active-generation summary check.
+/// tombstones, strays.
 fn check_layout(
     doc: &Json,
     path: &Path,
@@ -217,16 +216,14 @@ fn check_layout(
     let mut manifest_changed = false;
 
     // Active generation: the epoch's log replays (a torn tail is
-    // truncated first, on repair).
+    // truncated first, on repair). Its rows get no referential scan: the
+    // log holds what FK-checked inserts wrote.
     let log = persist::wal_path(path, manifest.active_epoch);
     check_journal(&log, vfs, opts, report);
-    let active_db = match load_active(path, &manifest, vfs) {
-        Ok((db, _)) => Some(db),
-        Err(e) => {
-            report.push(format!("active generation unusable: {e}"), false);
-            None
-        }
-    };
+    let active = load_active(path, &manifest, vfs).and_then(|(db, _)| SegmentData::from_db(db));
+    if let Err(e) = active {
+        report.push(format!("active generation unusable: {e}"), false);
+    }
 
     // Segments: each referenced segment must read back; its rows must be
     // closed under foreign keys; its index block must match its body.
@@ -234,7 +231,16 @@ fn check_layout(
     let mut live_runs: BTreeSet<(RunKind, u64)> = BTreeSet::new();
     for meta in std::mem::take(&mut manifest.segments) {
         let seg_path = persist::segment_path(path, meta.id);
-        match read_segment_vfs(&seg_path, vfs) {
+        // A body's summaries are derived from its rows on load; deleting
+        // orphans is the one thing here that changes the rows.
+        let loaded = read_segment_vfs(&seg_path, vfs).and_then(|mut data| {
+            let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
+            if dirty {
+                data.summaries = summarize_db(&data.db)?;
+            }
+            Ok((data, dirty))
+        });
+        match loaded {
             Err(e) => {
                 report.push(
                     format!("segment {} unusable: {e}", seg_path.display()),
@@ -251,20 +257,8 @@ fn check_layout(
                     kept.push(meta);
                 }
             }
-            Ok(mut data) => {
-                let mut dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
-                let recomputed = match summarize_db(&data.db) {
-                    Ok(summaries) => summaries,
-                    Err(e) => {
-                        report.push(
-                            format!("segment {} summaries unrecoverable: {e}", meta.id),
-                            false,
-                        );
-                        kept.push(meta);
-                        continue;
-                    }
-                };
-                let recomputed_meta = SegmentMeta::compute(meta.id, recomputed.values());
+            Ok((data, mut dirty)) => {
+                let recomputed_meta = SegmentMeta::compute(meta.id, data.summaries.values());
                 if !dirty && recomputed_meta != meta {
                     report.push(
                         format!("segment {} index block does not match its body", meta.id),
@@ -273,7 +267,6 @@ fn check_layout(
                     dirty = true;
                 }
                 if dirty && opts.repair {
-                    data.summaries = recomputed;
                     if let Err(e) = write_segment_vfs(&seg_path, vfs, meta.id, &data) {
                         report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
                         kept.push(meta);
@@ -331,13 +324,14 @@ fn check_layout(
         if referenced.contains(&id) {
             check_stray_tmp(&seg_path, vfs, opts, report);
         } else {
-            check_stray_file(
-                &seg_path,
-                "segment not referenced by the manifest",
-                vfs,
-                opts,
-                report,
-            );
+            // A document is written through `.tmp` and rotates to `.bak`;
+            // a log is appended in place and has neither.
+            let why = "segment not referenced by the manifest";
+            let bak = persist::backup_path(&seg_path);
+            let tmp = persist::temp_path(&seg_path);
+            for stray in [seg_path, bak, tmp] {
+                check_stray_file(&stray, why, vfs, opts, report);
+            }
         }
     }
 
@@ -345,12 +339,6 @@ fn check_layout(
         if let Err(e) = persist::write_document_vfs(path, vfs, &manifest.to_json()) {
             report.push(format!("manifest rewrite after repair failed: {e}"), false);
         }
-    }
-
-    // Finally the active generation's summary check. Its rows get no
-    // referential scan: the log holds what FK-checked inserts wrote.
-    if let Some(db) = active_db {
-        check_summaries(&db, report);
     }
 }
 
@@ -389,16 +377,6 @@ fn check_segment_rows(
     deleted_any
 }
 
-fn check_summaries(db: &Database, report: &mut FsckReport) {
-    match summarize_db(db) {
-        Ok(_) => report.note("run summaries derive cleanly from the tables"),
-        Err(e) => report.push(
-            format!("summary rebuild failed (schema damage?): {e}"),
-            false,
-        ),
-    }
-}
-
 fn check_stray_tmp(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions, report: &mut FsckReport) {
     let tmp = persist::temp_path(path);
     if vfs.exists(&tmp) {
@@ -410,8 +388,8 @@ fn check_stray_tmp(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions, report: &mut 
     }
 }
 
-/// Report (and on repair remove) a file — plus its `.bak`/`.tmp`
-/// siblings — that no current layout entry references.
+/// Report (and on repair remove) a file that no current layout entry
+/// references.
 fn check_stray_file(
     path: &Path,
     why: &str,
@@ -419,15 +397,9 @@ fn check_stray_file(
     opts: &FsckOptions,
     report: &mut FsckReport,
 ) {
-    for stray in [
-        path.to_path_buf(),
-        persist::backup_path(path),
-        persist::temp_path(path),
-    ] {
-        if vfs.exists(&stray) {
-            let repaired = opts.repair && vfs.remove_file(&stray).is_ok();
-            report.push(format!("stray file {} ({why})", stray.display()), repaired);
-        }
+    if vfs.exists(path) {
+        let repaired = opts.repair && vfs.remove_file(path).is_ok();
+        report.push(format!("stray file {} ({why})", path.display()), repaired);
     }
 }
 
@@ -550,6 +522,14 @@ mod tests {
         FaultVfs::from_state(vfs.durable_state())
     }
 
+    fn repair_pass(vfs: &FaultVfs) -> FsckReport {
+        let repair = FsckOptions {
+            repair: true,
+            journal: None,
+        };
+        fsck(&kb(), vfs, &repair)
+    }
+
     #[test]
     fn clean_store_reports_clean() {
         let vfs = two_generations();
@@ -566,14 +546,7 @@ mod tests {
         let detect = fsck(&kb(), &vfs, &FsckOptions::default());
         assert_eq!(detect.unrepaired(), 1, "{detect:?}");
 
-        let repair = fsck(
-            &kb(),
-            &vfs,
-            &FsckOptions {
-                repair: true,
-                journal: None,
-            },
-        );
+        let repair = repair_pass(&vfs);
         assert_eq!(repair.repaired(), 1, "{repair:?}");
         assert_eq!(repair.unrepaired(), 0);
         // Second pass is clean and the store opens healthy. Tearing the
@@ -595,14 +568,7 @@ mod tests {
         let bak = persist::backup_path(&kb());
         vfs.set_len(&bak, 5).unwrap();
 
-        let repair = fsck(
-            &kb(),
-            &vfs,
-            &FsckOptions {
-                repair: true,
-                journal: None,
-            },
-        );
+        let repair = repair_pass(&vfs);
         assert_eq!(repair.repaired(), 1, "{repair:?}");
         assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
         assert!(persist::read_document_vfs(&bak, &vfs).is_ok());
@@ -615,14 +581,7 @@ mod tests {
         file.write_all(b"half-written garbage").unwrap();
         file.sync().unwrap();
 
-        let repair = fsck(
-            &kb(),
-            &vfs,
-            &FsckOptions {
-                repair: true,
-                journal: None,
-            },
-        );
+        let repair = repair_pass(&vfs);
         assert_eq!(repair.repaired(), 1, "{repair:?}");
         assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
     }
@@ -640,36 +599,16 @@ mod tests {
         // were deleted by a buggy external tool: forge one.
         let seg_path = persist::segment_path(&kb(), 0);
         let mut data = read_segment_vfs(&seg_path, vfs.as_ref()).unwrap();
-        data.db
-            .insert_raw(
-                "summaries",
-                999,
-                vec![
-                    Value::Int(12345), // no such performance
-                    Value::from("write"),
-                    Value::from("POSIX"),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                ],
-            )
-            .unwrap();
+        let mut cells = vec![Value::Null; 9];
+        cells[0] = Value::Int(12345); // no such performance
+        cells[1] = Value::from("write");
+        data.db.insert_raw("summaries", 999, cells).unwrap();
         write_segment_vfs(&seg_path, vfs.as_ref(), 0, &data).unwrap();
 
         let check_vfs = FaultVfs::from_state(vfs.durable_state());
         let detect = fsck(&kb(), &check_vfs, &FsckOptions::default());
         assert_eq!(detect.unrepaired(), 1, "{detect:?}");
-        let repair = fsck(
-            &kb(),
-            &check_vfs,
-            &FsckOptions {
-                repair: true,
-                journal: None,
-            },
-        );
+        let repair = repair_pass(&check_vfs);
         assert!(repair.repaired() >= 1, "{repair:?}");
         assert!(fsck(&kb(), &check_vfs, &FsckOptions::default()).clean());
         let store = KnowledgeStore::open_with_vfs(
@@ -692,7 +631,7 @@ mod tests {
         if let Json::Obj(fields) = &mut no_counters {
             fields.remove("next_ids");
         }
-        let single_image = persist::to_json(&Database::new());
+        let single_image = Json::obj(vec![("format", Json::from("iokc-store"))]);
         for (doc, why) in [(no_counters, "next_ids"), (single_image, "format tag")] {
             let vfs = Arc::new(FaultVfs::pristine());
             persist::write_document_vfs(&kb(), vfs.as_ref(), &doc).unwrap();
@@ -710,20 +649,91 @@ mod tests {
         }
     }
 
+    /// A segment body the decoder rejects — the previous shape (a `db`
+    /// image and stored `summaries`, no `rows`), a row id that occurs
+    /// twice — under a valid manifest: corrupt to a query, one finding
+    /// for fsck, dropped (and said so) on repair. Never an empty block.
+    #[test]
+    fn a_segment_body_the_decoder_rejects_is_unusable_and_dropped_on_repair() {
+        for (fields, why) in [
+            (r#""summaries":[],"db":{}"#, "missing rows"),
+            (
+                r#""rows":{"IOFHsRuns":[[1,null,null],[1,null,null]]}"#,
+                "IOFHsRuns: row 1 occurs twice",
+            ),
+        ] {
+            let vfs = Arc::new(FaultVfs::pristine());
+            let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+            store
+                .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "sealed"))
+                .unwrap();
+            store.seal_active().unwrap();
+            let seg_path = persist::segment_path(&kb(), 0);
+            let body = format!(r#"{{"format":"iokc-segment",{fields}}}"#);
+            let body = iokc_util::json::parse(&body).unwrap();
+            vfs.remove_file(&seg_path).unwrap();
+            persist::write_document_vfs(&seg_path, vfs.as_ref(), &body).unwrap();
+
+            let store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+            let err = store.load_knowledge(1).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+                "{err}"
+            );
+            let detect = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+            assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+            let what = &detect.findings[0].what;
+            assert!(what.contains("unusable") && what.contains(why), "{what}");
+            let repair = repair_pass(&vfs);
+            assert_eq!(
+                (repair.repaired(), repair.unrepaired()),
+                (1, 0),
+                "{repair:?}"
+            );
+            assert!(repair
+                .notes
+                .iter()
+                .any(|n| n.contains("DATA LOSS: segment 0")));
+            assert!(fsck(&kb(), vfs.as_ref(), &FsckOptions::default()).clean());
+            assert_eq!(
+                KnowledgeStore::open_with_vfs(kb(), vfs)
+                    .unwrap()
+                    .knowledge_count(),
+                0
+            );
+        }
+    }
+
+    /// A valid record appended a second time re-inserts ids the block
+    /// already holds: corruption, not a silent overwrite.
+    #[test]
+    fn a_log_record_that_occurs_twice_is_corruption() {
+        let vfs = Arc::new(two_generations());
+        let log = persist::wal_path(&kb(), 0);
+        let records = vfs.read(&log).unwrap();
+        let mut file = vfs.create(&log).unwrap();
+        file.write_all(&records.repeat(2)).unwrap();
+        file.sync().unwrap();
+
+        let Err(err) = KnowledgeStore::open_with_vfs(kb(), vfs.clone()) else {
+            panic!("opened a log that inserts run 1 twice");
+        };
+        let named = |e: &str| e.contains("record 2") && e.contains("row 1 occurs twice");
+        assert!(matches!(&err, DbError::Corrupt(e) if named(e)), "{err}");
+        let report = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+        assert_eq!(report.unrepaired(), 1, "{report:?}");
+        assert!(report.findings[0]
+            .what
+            .contains("active generation unusable"));
+    }
+
     #[test]
     fn both_generations_corrupt_is_unrepairable_but_store_degrades() {
         let vfs = two_generations();
         vfs.set_len(&kb(), 7).unwrap();
         vfs.set_len(&persist::backup_path(&kb()), 7).unwrap();
 
-        let repair = fsck(
-            &kb(),
-            &vfs,
-            &FsckOptions {
-                repair: true,
-                journal: None,
-            },
-        );
+        let repair = repair_pass(&vfs);
         assert!(repair.unrepaired() >= 1, "{repair:?}");
 
         let store = KnowledgeStore::open_or_degraded_with_vfs(

@@ -1242,20 +1242,15 @@ fn delete_io500_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
     Ok(())
 }
 
-/// Warnings for one knowledge object in `db`. Images persisted before
-/// the `warnings` table existed simply have none.
-fn load_warnings_in(db: &Database, owner: &str, id: u64) -> Vec<String> {
-    db.select(
-        "warnings",
-        &Predicate::Eq("owner_id".into(), Value::Int(id as i64)),
-        OrderBy::Id,
-        None,
-    )
-    .unwrap_or_default()
-    .into_iter()
-    .filter(|row| row.values[0].as_text() == Some(owner))
-    .map(|row| row.values[2].as_text().unwrap_or("").to_owned())
-    .collect()
+/// Warnings for one knowledge object in `db`.
+fn load_warnings_in(db: &Database, owner: &str, id: u64) -> Result<Vec<String>, DbError> {
+    let by_owner = Predicate::Eq("owner_id".into(), Value::Int(id as i64));
+    Ok(db
+        .select("warnings", &by_owner, OrderBy::Id, None)?
+        .into_iter()
+        .filter(|row| row.values[0].as_text() == Some(owner))
+        .map(|row| row.values[2].as_text().unwrap_or("").to_owned())
+        .collect())
 }
 
 fn one_child_in(db: &Database, table: &str, performance_id: u64) -> Result<Option<Row>, DbError> {
@@ -1357,7 +1352,7 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
         cache_kib: srow.values[5].as_int().unwrap_or(0) as u64,
         mem_kib: srow.values[6].as_int().unwrap_or(0) as u64,
     });
-    k.warnings = load_warnings_in(db, "benchmark", id);
+    k.warnings = load_warnings_in(db, "benchmark", id)?;
     Ok(Some(k))
 }
 
@@ -1453,7 +1448,7 @@ pub(crate) fn load_io500_from(db: &Database, id: u64) -> Result<Option<Io500Know
         testcases,
         options,
         system,
-        warnings: load_warnings_in(db, "io500", id),
+        warnings: load_warnings_in(db, "io500", id)?,
     }))
 }
 
@@ -1885,6 +1880,30 @@ mod tests {
         let k = store.load_knowledge(1).unwrap().unwrap();
         assert_eq!(k.pattern.tasks, 80);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Counters travel in the manifest, not in the blocks: an id is not
+    /// reissued although the run that held it is gone from every block.
+    #[test]
+    fn ids_are_not_reissued_across_seal_delete_and_reopen() {
+        let vfs = Arc::new(crate::vfs::FaultVfs::pristine());
+        let open = || {
+            let mut store = KnowledgeStore::open_with_vfs("/kb.json".into(), vfs.clone()).unwrap();
+            store.set_seal_threshold(2);
+            store
+        };
+        let mut store = open();
+        for _ in 0..3 {
+            store.save_knowledge(&sample_knowledge()).unwrap();
+        }
+        // The delete is the epoch's second operation: it seals an empty
+        // block, leaving run 3's id in the manifest's counters only.
+        assert!(store.delete_knowledge(3).unwrap());
+        assert_eq!(store.active_epoch, 2);
+        drop(store);
+        let mut store = open();
+        assert_eq!(store.knowledge_count(), 2);
+        assert_eq!(store.save_knowledge(&sample_knowledge()).unwrap(), 4);
     }
 
     mod prop {

@@ -31,9 +31,7 @@ pub use aggregate::{
     DEFAULT_PERCENTILES,
 };
 pub use compaction::{CompactionPlan, CompactionReport};
-pub use database::{
-    Column, Database, DbError, ForeignKey, OrderBy, Predicate, Row, SelectStats, TableSchema,
-};
+pub use database::{Column, Database, DbError, ForeignKey, OrderBy, Predicate, Row, TableSchema};
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use iokc_obs::DeadlineToken;
 pub use journal::{

@@ -1,14 +1,14 @@
-//! The checksummed-document writer and the row / segment-body codec.
+//! The checksummed-document writer and the row-block codec.
 //!
 //! The paper stores knowledge "either directly as a local SQLite database
 //! or by specifying a SQL connection URL remotely" (§V-C). Here the
 //! local form is a set of deterministic JSON documents next to each
 //! other (see [`crate::knowledge_store`]); this module holds what they
-//! share: [`to_json`] / [`from_json`] encode a block of tables — the
-//! body of a sealed segment — and the row encoding the log records
-//! reuse, and [`write_document_vfs`] is the one crash-safe way a
-//! document (manifest or segment) reaches the disk. CSV export covers
-//! the paper's "saved e.g. as a CSV file" path.
+//! share: `rows_to_json` / `rows_from_json` are the one encoding of
+//! a block of rows — a log record and a sealed segment's body are both
+//! it — and [`write_document_vfs`] is the one crash-safe way a document
+//! (manifest or segment) reaches the disk. CSV export covers the
+//! paper's "saved e.g. as a CSV file" path.
 //!
 //! Writes are crash-safe: the document is written to a temp file,
 //! fsynced, and renamed over the target, with the previous
@@ -20,175 +20,60 @@
 //! the last good generation. [`inject_torn_write`] truncates a file at a
 //! byte offset so tests can exercise exactly that path.
 
-use crate::database::{
-    Column, Counters, Database, DbError, ForeignKey, OrderBy, Predicate, TableSchema,
-};
-use crate::value::{ColumnType, Value};
+use crate::database::{Counters, Database, DbError, OrderBy, Predicate};
+use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
 use iokc_util::json::Json;
 use iokc_util::table::TextTable;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Serialize a database — a segment's block of tables — to a JSON
-/// document.
-#[must_use]
-pub fn to_json(db: &Database) -> Json {
-    let mut tables = Vec::new();
-    for name in db.table_names() {
-        let schema = db.schema(name).expect("listed table exists");
-        let rows = db
-            .select(name, &Predicate::True, OrderBy::Id, None)
-            .expect("full scan of existing table");
-        let columns: Vec<Json> = schema
-            .columns
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("name", Json::from(c.name.as_str())),
-                    ("type", Json::from(c.ty.as_str())),
-                    ("not_null", Json::from(c.not_null)),
-                ])
-            })
+/// The rows of `db` at or past each table's id in `mark` — an empty
+/// `mark` means every row — as `{table: [[id, cell…]…]}`, tables with
+/// nothing to contribute left out. This is *the* encoding of a block of
+/// rows: a log record's `rows` and a segment's body are both it. The
+/// schema is not part of it; [`rows_from_json`] decodes onto
+/// [`crate::knowledge_store`]'s.
+pub(crate) fn rows_to_json(db: &Database, mark: &Counters) -> BTreeMap<String, Json> {
+    let mut tables = BTreeMap::new();
+    for (name, table) in &db.tables {
+        let from = mark.get(name).copied().unwrap_or(i64::MIN);
+        let rows: Vec<Json> = table
+            .rows
+            .range(from..)
+            .map(|(id, values)| row_to_json(*id, values))
             .collect();
-        let fks: Vec<Json> = schema
-            .foreign_keys
-            .iter()
-            .map(|fk| {
-                Json::obj(vec![
-                    ("column", Json::from(fk.column.as_str())),
-                    ("references", Json::from(fk.references_table.as_str())),
-                ])
-            })
-            .collect();
-        let indexes: Vec<Json> = schema
-            .indexes
-            .iter()
-            .map(|i| Json::from(i.as_str()))
-            .collect();
-        let row_json: Vec<Json> = rows
-            .iter()
-            .map(|row| row_to_json(row.id, &row.values))
-            .collect();
-        tables.push(Json::obj(vec![
-            ("name", Json::from(name)),
-            ("columns", Json::Arr(columns)),
-            ("foreign_keys", Json::Arr(fks)),
-            ("indexes", Json::Arr(indexes)),
-            ("rows", Json::Arr(row_json)),
-        ]));
+        if !rows.is_empty() {
+            tables.insert(name.clone(), Json::Arr(rows));
+        }
     }
-    // Auto-increment counters, so a block that holds only a slice of
-    // the corpus still allocates ids after the highest ever issued, not
-    // after the highest it happens to contain.
-    Json::obj(vec![
-        ("format", Json::from("iokc-store")),
-        ("version", Json::from(1u64)),
-        ("next_ids", counters_to_json(&db.next_ids())),
-        ("tables", Json::Arr(tables)),
-    ])
+    tables
 }
 
-/// Rebuild a database from its JSON image.
-pub fn from_json(json: &Json) -> Result<Database, DbError> {
-    if json.get("format").and_then(Json::as_str) != Some("iokc-store") {
-        return Err(DbError::Corrupt("missing iokc-store format tag".into()));
-    }
-    let mut db = Database::new();
-    let tables = json
-        .get("tables")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| DbError::Corrupt("missing tables array".into()))?;
-    for table in tables {
-        let name = table
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| DbError::Corrupt("table without name".into()))?;
-        let mut columns = Vec::new();
-        for col in table
-            .get("columns")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| DbError::Corrupt(format!("{name}: missing columns")))?
-        {
-            let cname = col
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| DbError::Corrupt(format!("{name}: column without name")))?;
-            let ty = match col.get("type").and_then(Json::as_str) {
-                Some("INTEGER") => ColumnType::Integer,
-                Some("REAL") => ColumnType::Real,
-                Some("TEXT") => ColumnType::Text,
-                other => {
-                    return Err(DbError::Corrupt(format!(
-                        "{name}.{cname}: bad type {other:?}"
-                    )))
-                }
-            };
-            let not_null = col.get("not_null").and_then(Json::as_bool).unwrap_or(false);
-            columns.push(Column {
-                name: cname.to_owned(),
-                ty,
-                not_null,
-            });
+/// Insert a [`rows_to_json`] block into `db`, ids preserved. What
+/// cannot be placed is corruption, never skipped: a block that is not
+/// an object, a table `db` does not have, a member that is not an array
+/// of rows, an id the table already holds.
+pub(crate) fn rows_from_json(db: &mut Database, rows: &Json) -> Result<(), DbError> {
+    let Json::Obj(tables) = rows else {
+        return Err(DbError::Corrupt("rows not an object".into()));
+    };
+    for (table, rows) in tables {
+        if !db.tables.contains_key(table) {
+            return Err(DbError::Corrupt(format!("rows of unknown table {table}")));
         }
-        let mut schema = TableSchema::new(name, columns);
-        if let Some(fks) = table.get("foreign_keys").and_then(Json::as_arr) {
-            for fk in fks {
-                schema.foreign_keys.push(ForeignKey {
-                    column: fk
-                        .get("column")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| DbError::Corrupt("fk without column".into()))?
-                        .to_owned(),
-                    references_table: fk
-                        .get("references")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| DbError::Corrupt("fk without references".into()))?
-                        .to_owned(),
-                });
-            }
-        }
-        if let Some(indexes) = table.get("indexes").and_then(Json::as_arr) {
-            for index in indexes {
-                schema.indexes.push(
-                    index
-                        .as_str()
-                        .ok_or_else(|| DbError::Corrupt("non-text index".into()))?
-                        .to_owned(),
-                );
-            }
-        }
-        db.create_table(schema)?;
-        // Rows: insert preserving original ids. FK checks hold because
-        // tables are serialized in name order but rows reference ids that
-        // may live in tables loaded later — so load rows in a second pass.
-    }
-    // Second pass: rows, FK-safe because parents are fully loaded in pass
-    // order only if tables happen to sort that way; instead insert raw.
-    for table in tables {
-        let name = table
-            .get("name")
-            .and_then(Json::as_str)
-            .expect("validated in first pass");
-        let rows = table
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| DbError::Corrupt(format!("{name}: missing rows")))?;
+        let rows = rows
+            .as_arr()
+            .ok_or_else(|| DbError::Corrupt(format!("{table}: rows not an array")))?;
         for row in rows {
-            let (id, values) = row_from_json(name, row)?;
-            db.insert_raw(name, id, values)?;
+            let (id, values) = row_from_json(table, row)?;
+            db.insert_raw(table, id, values)?;
         }
     }
-    // Restore the auto-increment counters; `insert_raw` already advanced
-    // each to max(id)+1, so this only ever moves counters forward (past
-    // ids that live in other blocks).
-    if let Some(next_ids) = json.get("next_ids") {
-        db.bump_next_ids(&counters_from_json(next_ids));
-    }
-    Ok(db)
+    Ok(())
 }
 
-/// Auto-increment counters as the `next_ids` object of segment bodies
-/// and manifests.
+/// Auto-increment counters as the manifest's `next_ids` object.
 pub(crate) fn counters_to_json(counters: &Counters) -> Json {
     Json::Obj(
         counters
@@ -208,16 +93,15 @@ pub(crate) fn counters_from_json(json: &Json) -> Counters {
         .collect()
 }
 
-/// One row as it is written in segments and log records: the rowid
-/// followed by the cells.
-pub(crate) fn row_to_json(id: i64, values: &[Value]) -> Json {
+/// One row: the rowid followed by the cells.
+fn row_to_json(id: i64, values: &[Value]) -> Json {
     let mut cells = vec![Json::from(id)];
     cells.extend(values.iter().map(value_to_json));
     Json::Arr(cells)
 }
 
 /// Decode a [`row_to_json`] row of `table`.
-pub(crate) fn row_from_json(table: &str, row: &Json) -> Result<(i64, Vec<Value>), DbError> {
+fn row_from_json(table: &str, row: &Json) -> Result<(i64, Vec<Value>), DbError> {
     let cells = row
         .as_arr()
         .ok_or_else(|| DbError::Corrupt(format!("{table}: row not an array")))?;
@@ -351,11 +235,11 @@ pub struct RecoveryReport {
 }
 
 /// Render a JSON document the way every document of the store is
-/// rendered: pretty body plus the checksum footer, so manifests and
+/// rendered: compact body plus the checksum footer, so manifests and
 /// segments are torn-write detectable by the same footer check.
 #[must_use]
 pub fn render_document(body: &Json) -> String {
-    let text = body.to_pretty();
+    let text = body.to_compact();
     let crc = checksum(text.as_bytes());
     format!("{text}{FOOTER_MARKER}{crc:016x}\n")
 }
@@ -470,8 +354,9 @@ pub fn export_csv(db: &Database, table: &str) -> Result<String, DbError> {
 pub(crate) mod tests {
     use super::*;
     use crate::database::{Column, TableSchema};
+    use crate::value::ColumnType;
 
-    fn sample_db() -> Database {
+    fn sample_schema() -> Database {
         let mut db = Database::new();
         db.create_table(
             TableSchema::new(
@@ -493,6 +378,11 @@ pub(crate) mod tests {
             .with_fk("performance_id", "performances"),
         )
         .unwrap();
+        db
+    }
+
+    fn sample_db() -> Database {
+        let mut db = sample_schema();
         let pid = db
             .insert(
                 "performances",
@@ -512,23 +402,25 @@ pub(crate) mod tests {
         db
     }
 
+    fn all_rows(db: &Database) -> Json {
+        Json::Obj(rows_to_json(db, &Counters::new()))
+    }
+
+    fn roundtrip(db: &Database, schema: Database) -> Database {
+        let mut restored = schema;
+        rows_from_json(&mut restored, &all_rows(db)).unwrap();
+        restored
+    }
+
     #[test]
     fn json_roundtrip_preserves_everything() {
         let db = sample_db();
-        let image = to_json(&db);
-        let restored = from_json(&image).unwrap();
-        assert_eq!(restored.table_names(), db.table_names());
-        for table in db.table_names() {
-            let a = db
-                .select(table, &Predicate::True, OrderBy::Id, None)
-                .unwrap();
-            let b = restored
-                .select(table, &Predicate::True, OrderBy::Id, None)
-                .unwrap();
-            assert_eq!(a, b, "table {table} differs");
+        let mut restored = roundtrip(&db, sample_schema());
+        for (name, table) in &db.tables {
+            assert_eq!(restored.tables[name].rows, table.rows, "table {name}");
+            assert_eq!(restored.tables[name].secondary, table.secondary);
         }
         // Auto-increment continues past restored ids.
-        let mut restored = restored;
         let next = restored
             .insert(
                 "performances",
@@ -541,29 +433,34 @@ pub(crate) mod tests {
     #[test]
     fn int_real_distinction_survives_roundtrip() {
         // Integers are tagged in JSON so Int(2) doesn't come back Real(2.0).
-        let db = sample_db();
-        let restored = from_json(&to_json(&db)).unwrap();
-        let rows = restored
-            .select("performances", &Predicate::True, OrderBy::Id, None)
-            .unwrap();
-        assert_eq!(rows[0].values[2], Value::Int(80));
-        assert_eq!(rows[0].values[1], Value::Real(2850.12));
+        let restored = roundtrip(&sample_db(), sample_schema());
+        let cells = &restored.tables["performances"].rows[&1];
+        assert_eq!(cells[2], Value::Int(80));
+        assert_eq!(cells[1], Value::Real(2850.12));
     }
 
+    /// One shape per case: each is `Corrupt`, none is skipped.
     #[test]
     fn rejects_corrupt_images() {
-        assert!(from_json(&Json::Null).is_err());
-        assert!(from_json(&Json::obj(vec![("format", Json::from("wrong"))])).is_err());
-        let mut good = to_json(&sample_db());
-        // Break a row.
-        if let Json::Obj(map) = &mut good {
-            if let Some(Json::Arr(tables)) = map.get_mut("tables") {
-                if let Some(Json::Obj(t)) = tables.first_mut() {
-                    t.insert("rows".into(), Json::Arr(vec![Json::Num(5.0)]));
-                }
-            }
+        for (rows, why) in [
+            ("null", "rows not an object"),
+            ("[]", "rows not an object"),
+            (r#"{"no_such_table":[]}"#, "unknown table no_such_table"),
+            (r#"{"summaries":7}"#, "summaries: rows not an array"),
+            (r#"{"summaries":[7]}"#, "summaries: row not an array"),
+            (r#"{"summaries":[[]]}"#, "summaries: empty row"),
+            (r#"{"summaries":[[1,null],[1,null]]}"#, "row 1 occurs twice"),
+        ] {
+            let rows = iokc_util::json::parse(rows).unwrap();
+            let err = rows_from_json(&mut sample_schema(), &rows).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+                "{err}"
+            );
         }
-        assert!(from_json(&good).is_err());
+        // Cells the schema cannot hold are refused too.
+        let short = iokc_util::json::parse(r#"{"summaries":[[1]]}"#).unwrap();
+        assert!(rows_from_json(&mut sample_schema(), &short).is_err());
     }
 
     pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -575,7 +472,7 @@ pub(crate) mod tests {
 
     #[test]
     fn image_carries_verifiable_checksum() {
-        let image = render_document(&to_json(&sample_db()));
+        let image = render_document(&all_rows(&sample_db()));
         let body = verify_image(&image).unwrap();
         assert!(!body.contains("#iokc-crc64"));
         // Flipping one byte in the body is detected.
@@ -659,27 +556,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn partial_image_restores_forwarded_counters() {
-        // A block holds a slice of the corpus but the full
-        // auto-increment state: ids must not be reissued.
-        let db = sample_db();
-        let mut json = to_json(&db);
-        if let Json::Obj(map) = &mut json {
-            if let Some(Json::Obj(next_ids)) = map.get_mut("next_ids") {
-                next_ids.insert("performances".into(), Json::from(100u64));
-            }
-        }
-        let mut restored = from_json(&json).unwrap();
-        let next = restored
-            .insert(
-                "performances",
-                vec![Value::from("new"), Value::Null, Value::Null],
-            )
-            .unwrap();
-        assert_eq!(next, 100);
-    }
-
-    #[test]
     fn csv_export_contains_rows() {
         let db = sample_db();
         let csv = export_csv(&db, "performances").unwrap();
@@ -703,8 +579,8 @@ pub(crate) mod tests {
                     0..30
                 )
             ) {
-                let mut db = Database::new();
-                db.create_table(TableSchema::new(
+                let mut schema = Database::new();
+                schema.create_table(TableSchema::new(
                     "t",
                     vec![
                         Column::new("a", ColumnType::Text),
@@ -712,6 +588,7 @@ pub(crate) mod tests {
                         Column::new("c", ColumnType::Integer),
                     ],
                 )).unwrap();
+                let mut db = schema.clone();
                 for (a, b, c) in &rows {
                     db.insert("t", vec![
                         Value::from(a.as_str()),
@@ -719,10 +596,8 @@ pub(crate) mod tests {
                         c.map(|v| Value::Int(i64::from(v))).unwrap_or(Value::Null),
                     ]).unwrap();
                 }
-                let restored = from_json(&to_json(&db)).unwrap();
-                let a = db.select("t", &Predicate::True, OrderBy::Id, None).unwrap();
-                let b = restored.select("t", &Predicate::True, OrderBy::Id, None).unwrap();
-                prop_assert_eq!(a, b);
+                let restored = roundtrip(&db, schema);
+                prop_assert_eq!(&restored.tables["t"].rows, &db.tables["t"].rows);
             }
         }
 

@@ -875,8 +875,9 @@ impl Snapshot {
 }
 
 /// The summary block of every run in `db`, keyed `(kind, id)` — how a
-/// block is built from rows: on open, by `fsck`, and as the from-rows
-/// side of [`KnowledgeStore::indexes_consistent`].
+/// block is built from rows: the replayed log on open, a segment body
+/// on load, and the from-rows side of
+/// [`KnowledgeStore::indexes_consistent`].
 pub(crate) fn summarize_db(db: &Database) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
     let mut summaries = BTreeMap::new();
     for kind in [RunKind::Benchmark, RunKind::Io500] {

@@ -1,22 +1,24 @@
 //! Immutable on-disk segments of the segmented store.
 //!
 //! When the active generation grows past its seal threshold, the store
-//! freezes it into a *segment*: a checksummed document holding the full
-//! database image of those runs plus their pre-computed
-//! [`RunSummary`] projections. Each segment carries a [`SegmentMeta`]
-//! index block — run counts, id/task/bandwidth ranges, the API set, and
-//! a bloom-style membership filter — which lives in the store manifest,
-//! so `open()` maps metadata only and never reads segment bodies until a
-//! query actually needs them.
+//! freezes it into a *segment*: a checksummed document holding those
+//! runs' rows, in the encoding the log records use. The [`RunSummary`]
+//! projections the executor scans are derived from the rows when a body
+//! is loaded, so they cannot disagree with them. Each segment has a
+//! [`SegmentMeta`] index block — run counts, id/task/bandwidth ranges,
+//! the API set, and a bloom-style membership filter — which lives in
+//! the store manifest, so `open()` maps metadata only and never reads
+//! segment bodies until a query actually needs them.
 //!
 //! Bloom sizing: 10 bits per entry with 7 probes gives a false-positive
 //! rate under 1% — a false positive costs one wasted segment body load,
 //! never a wrong answer, because the executor re-evaluates the full
 //! predicate against the summaries it loads.
 
-use crate::database::{Database, DbError};
+use crate::database::{Counters, Database, DbError};
+use crate::knowledge_store::build_schema;
 use crate::persist;
-use crate::query::{summarize_db, OpStat, RunKind, RunPredicate, RunSummary};
+use crate::query::{summarize_db, RunKind, RunPredicate, RunSummary};
 use crate::vfs::Vfs;
 use iokc_util::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -303,14 +305,14 @@ impl SegmentMeta {
     }
 }
 
-/// A block of runs: the projections the executor scans, and the full
-/// database image full deserialization joins against. A sealed segment's
+/// A block of runs: the rows full deserialization joins against, and
+/// the projections of them the executor scans. A sealed segment's
 /// body and the store's active generation are both one of these — the
 /// active block simply has not been written to a `.seg-` file yet.
 #[derive(Debug, Clone)]
 pub struct SegmentData {
-    /// Every run's projection row, keyed (and so iterated, and written
-    /// to segment files) in `(kind, id)` order.
+    /// Every run's projection row, keyed (and so iterated) in
+    /// `(kind, id)` order.
     pub summaries: BTreeMap<(RunKind, u64), RunSummary>,
     /// The runs' rows (ids preserved across sealing).
     pub db: Database,
@@ -406,7 +408,9 @@ impl Segment {
 /// Format tag of segment documents.
 const SEGMENT_FORMAT: &str = "iokc-segment";
 
-/// Write a segment document crash-safely.
+/// Write a segment document crash-safely: the block's rows, in the
+/// encoding the log records use. Summaries and the index block are not
+/// stored — both are derived from these rows.
 pub fn write_segment_vfs(
     path: &Path,
     vfs: &dyn Vfs,
@@ -415,136 +419,30 @@ pub fn write_segment_vfs(
 ) -> Result<(), std::io::Error> {
     let body = Json::obj(vec![
         ("format", Json::from(SEGMENT_FORMAT)),
-        ("version", Json::from(1u64)),
+        ("version", Json::from(2u64)),
         ("id", Json::from(id)),
         (
-            "summaries",
-            Json::Arr(data.summaries.values().map(summary_to_json).collect()),
+            "rows",
+            Json::Obj(persist::rows_to_json(&data.db, &Counters::new())),
         ),
-        ("db", persist::to_json(&data.db)),
     ]);
     persist::write_document_vfs(path, vfs, &body)
 }
 
-/// Read a segment body, verifying its checksum and format tag.
+/// Read a segment body — checksum, format tag, rows decoded onto the
+/// knowledge schema — and derive its summaries.
 pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbError> {
+    let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
     let doc = persist::read_document_vfs(path, vfs)?;
     if doc.get("format").and_then(Json::as_str) != Some(SEGMENT_FORMAT) {
-        return Err(DbError::Corrupt(format!(
-            "{}: missing {SEGMENT_FORMAT} format tag",
-            path.display()
-        )));
+        return Err(corrupt(format!("missing {SEGMENT_FORMAT} format tag")));
     }
-    let mut summaries = BTreeMap::new();
-    for s in doc
-        .get("summaries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| DbError::Corrupt(format!("{}: missing summaries", path.display())))?
-    {
-        let s = summary_from_json(s)?;
-        summaries.insert((s.kind, s.id), s);
-    }
-    let db = persist::from_json(
-        doc.get("db")
-            .ok_or_else(|| DbError::Corrupt(format!("{}: missing db image", path.display())))?,
-    )?;
-    Ok(SegmentData { summaries, db })
-}
-
-/// Serialize one projection row for a segment body.
-#[must_use]
-pub(crate) fn summary_to_json(s: &RunSummary) -> Json {
-    Json::obj(vec![
-        ("kind", Json::from(s.kind.as_str())),
-        ("id", Json::from(s.id)),
-        ("command", Json::from(s.command.as_str())),
-        ("api", Json::from(s.api.as_str())),
-        ("tasks", Json::from(u64::from(s.tasks))),
-        ("block_size", Json::from(s.block_size)),
-        ("transfer_size", Json::from(s.transfer_size)),
-        ("segments", Json::from(s.segments)),
-        (
-            "clients_per_node",
-            Json::from(u64::from(s.clients_per_node)),
-        ),
-        (
-            "ops",
-            Json::Arr(
-                s.ops
-                    .iter()
-                    .map(|o| {
-                        Json::obj(vec![
-                            ("operation", Json::from(o.operation.as_str())),
-                            ("mean_mib", Json::from(o.mean_mib)),
-                            ("max_mib", Json::from(o.max_mib)),
-                            ("mean_ops", Json::from(o.mean_ops)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("bw_score", Json::from(s.bw_score)),
-        ("md_score", Json::from(s.md_score)),
-        ("total_score", Json::from(s.total_score)),
-        ("warning_count", Json::from(s.warning_count)),
-    ])
-}
-
-/// Parse one projection row from a segment body.
-pub(crate) fn summary_from_json(json: &Json) -> Result<RunSummary, DbError> {
-    let corrupt = |what: &str| DbError::Corrupt(format!("segment summary: {what}"));
-    let kind = match json.get("kind").and_then(Json::as_str) {
-        Some("benchmark") => RunKind::Benchmark,
-        Some("io500") => RunKind::Io500,
-        other => return Err(corrupt(&format!("bad kind {other:?}"))),
-    };
-    let u64_field = |key: &str| -> Result<u64, DbError> {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| corrupt(&format!("missing {key}")))
-    };
-    let f64_field = |key: &str| -> Result<f64, DbError> {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| corrupt(&format!("missing {key}")))
-    };
-    let str_field = |key: &str| -> Result<String, DbError> {
-        json.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| corrupt(&format!("missing {key}")))
-    };
-    let mut ops = Vec::new();
-    if let Some(list) = json.get("ops").and_then(Json::as_arr) {
-        for o in list {
-            ops.push(OpStat {
-                operation: o
-                    .get("operation")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| corrupt("op without operation"))?
-                    .to_owned(),
-                mean_mib: o.get("mean_mib").and_then(Json::as_f64).unwrap_or(0.0),
-                max_mib: o.get("max_mib").and_then(Json::as_f64).unwrap_or(0.0),
-                mean_ops: o.get("mean_ops").and_then(Json::as_f64).unwrap_or(0.0),
-            });
-        }
-    }
-    Ok(RunSummary {
-        kind,
-        id: u64_field("id")?,
-        command: str_field("command")?,
-        api: str_field("api")?,
-        tasks: u64_field("tasks")? as u32,
-        block_size: u64_field("block_size")?,
-        transfer_size: u64_field("transfer_size")?,
-        segments: u64_field("segments")?,
-        clients_per_node: u64_field("clients_per_node")? as u32,
-        ops,
-        bw_score: f64_field("bw_score")?,
-        md_score: f64_field("md_score")?,
-        total_score: f64_field("total_score")?,
-        warning_count: u64_field("warning_count")? as usize,
-    })
+    let rows = doc
+        .get("rows")
+        .ok_or_else(|| corrupt("missing rows".into()))?;
+    let mut db = build_schema();
+    persist::rows_from_json(&mut db, rows).map_err(|e| corrupt(e.to_string()))?;
+    SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))
 }
 
 /// Can any run in a segment with this index block match the predicate?
@@ -600,6 +498,10 @@ pub fn may_match_segment(pred: &RunPredicate, meta: &SegmentMeta, kind: RunKind)
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::knowledge_store::KnowledgeStore;
+    use crate::query::OpStat;
+    use crate::vfs::FaultVfs;
+    use iokc_core::model::{Knowledge, KnowledgeSource};
 
     fn bench_summary(id: u64, api: &str, tasks: u32, bw: f64) -> RunSummary {
         RunSummary {
@@ -697,21 +599,9 @@ mod tests {
         let restored = SegmentMeta::from_json(&meta.to_json()).unwrap();
         assert_eq!(restored, meta);
         // And through a rendered document, the path the manifest takes.
-        let reparsed = iokc_util::json::parse(&meta.to_json().to_pretty()).unwrap();
+        let reparsed = iokc_util::json::parse(&meta.to_json().to_compact()).unwrap();
         assert_eq!(SegmentMeta::from_json(&reparsed).unwrap(), meta);
         assert!(SegmentMeta::from_json(&Json::Null).is_err());
-    }
-
-    #[test]
-    fn summaries_roundtrip_json() {
-        for s in [
-            bench_summary(1, "MPIIO", 80, 2850.5),
-            io500_summary(4, 40, 1.25),
-        ] {
-            let reparsed = iokc_util::json::parse(&summary_to_json(&s).to_pretty()).unwrap();
-            assert_eq!(summary_from_json(&reparsed).unwrap(), s);
-        }
-        assert!(summary_from_json(&Json::Null).is_err());
     }
 
     #[test]
@@ -806,47 +696,34 @@ mod tests {
 
     #[test]
     fn segment_files_roundtrip_and_lazy_load_once() {
-        use crate::vfs::FaultVfs;
         let vfs = FaultVfs::pristine();
         let path = PathBuf::from("/kb.json.seg-0");
-        let mut db = Database::new();
-        db.create_table(crate::database::TableSchema::new(
-            "performances",
-            vec![crate::database::Column::required(
-                "command",
-                crate::value::ColumnType::Text,
-            )],
-        ))
-        .unwrap();
-        db.insert("performances", vec![crate::value::Value::from("ior")])
-            .unwrap();
-        let summaries = BTreeMap::from([(
-            (RunKind::Benchmark, 1),
-            bench_summary(1, "MPIIO", 80, 2000.0),
-        )]);
-        let data = SegmentData { summaries, db };
+        let mut store = KnowledgeStore::in_memory();
+        let run = Knowledge::new(KnowledgeSource::Ior, "ior").with_warning("partial");
+        store.save_knowledge(&run).unwrap();
+        let data = store.snapshot().active;
+        assert_eq!(data.summaries[&(RunKind::Benchmark, 1)].warning_count, 1);
         write_segment_vfs(&path, &vfs, 0, &data).unwrap();
-        let summaries = data.summaries;
 
-        let meta = SegmentMeta::compute(0, summaries.values());
+        let meta = SegmentMeta::compute(0, data.summaries.values());
         let seg = Segment::new(meta, path.clone());
         let a = seg.data(&vfs).unwrap();
         let b = seg.data(&vfs).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "body cached, read once");
-        assert_eq!(a.summaries, summaries);
-        assert_eq!(a.db.row_count("performances").unwrap(), 1);
+        assert_eq!(a.summaries, data.summaries, "derived from the rows");
+        assert_eq!(a.db.row_count("warnings").unwrap(), 1);
 
-        // Wrong format tag is corruption.
-        persist::write_document_vfs(
-            &path,
-            &vfs,
-            &Json::obj(vec![("format", Json::from("wrong"))]),
-        )
-        .unwrap();
-        assert!(matches!(
-            read_segment_vfs(&path, &vfs),
-            Err(DbError::Corrupt(_))
-        ));
+        // A wrong format tag is corruption; so is a tagged body without
+        // `rows` (the previous shape) — never an empty block.
+        for (tag, why) in [("wrong", "format tag"), (SEGMENT_FORMAT, "missing rows")] {
+            let body = Json::obj(vec![("format", Json::from(tag)), ("db", Json::Null)]);
+            persist::write_document_vfs(&path, &vfs, &body).unwrap();
+            let err = read_segment_vfs(&path, &vfs).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+                "{err}"
+            );
+        }
         // A preloaded handle survives the file going away entirely.
         vfs.remove_file(&path).unwrap();
         let kept = Segment::preloaded(seg.meta.clone(), path, a);

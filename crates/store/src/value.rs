@@ -18,18 +18,6 @@ pub enum ColumnType {
     Text,
 }
 
-impl ColumnType {
-    /// SQL name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ColumnType::Integer => "INTEGER",
-            ColumnType::Real => "REAL",
-            ColumnType::Text => "TEXT",
-        }
-    }
-}
-
 /// A cell value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

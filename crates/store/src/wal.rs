@@ -3,10 +3,10 @@
 //! A file-backed store makes a write durable by appending ONE
 //! [`crate::journal`] record to `<path>.wal-<epoch>` — one `write_all`,
 //! one fsync (the first record of a log also syncs the directory) —
-//! holding only what the write changed: the rows it
-//! inserted (with their ids, in the same cell encoding segments use),
-//! or the `(kind, id)` of the run it deleted. A batch is
-//! one record, so it is all-or-nothing. Opening replays the records, in
+//! holding only what the write changed: the rows it inserted, as the
+//! row block a segment body also is (`persist::rows_to_json`), or the
+//! `(kind, id)` of the run it deleted. A batch is one record, so it is
+//! all-or-nothing. Opening replays the records, in
 //! order, onto an empty schema whose auto-increment counters come from
 //! the manifest; sealing writes the block as a segment, bumps the epoch
 //! in the manifest commit and retires the log, so neither the log nor
@@ -43,20 +43,8 @@ impl Delta {
     /// are none — a batch whose rows all sealed mid-batch logs nothing,
     /// the segment already holds them.
     pub(crate) fn rows_since(db: &Database, mark: &Counters) -> Option<Delta> {
-        let mut tables = std::collections::BTreeMap::new();
-        for (name, table) in &db.tables {
-            let from = mark.get(name).copied().unwrap_or(1);
-            let rows: Vec<Json> = table
-                .rows
-                .range(from..)
-                .map(|(id, values)| persist::row_to_json(*id, values))
-                .collect();
-            if !rows.is_empty() {
-                tables.insert(name.clone(), Json::Arr(rows));
-            }
-        }
-        (!tables.is_empty())
-            .then(|| Delta(Json::obj(vec![("rows", Json::Obj(tables))]).to_compact()))
+        let rows = persist::rows_to_json(db, mark);
+        (!rows.is_empty()).then(|| Delta(Json::obj(vec![("rows", Json::Obj(rows))]).to_compact()))
     }
 
     /// The delete of one active-generation run.
@@ -72,17 +60,13 @@ fn apply(db: &mut Database, payload: &str) -> Result<usize, DbError> {
     let corrupt = |what: &str| DbError::Corrupt(format!("log record: {what}"));
     let doc = iokc_util::json::parse(payload).map_err(|e| corrupt(&e.to_string()))?;
     let mut ops = 0;
-    if let Some(Json::Obj(tables)) = doc.get("rows") {
-        for (table, rows) in tables {
-            let rows = rows.as_arr().ok_or_else(|| corrupt("rows not an array"))?;
-            for row in rows {
-                let (id, values) = persist::row_from_json(table, row)?;
-                db.insert_raw(table, id, values)?;
-            }
-            if KINDS.iter().any(|kind| kind.table() == table) {
-                ops += rows.len();
-            }
-        }
+    if let Some(rows) = doc.get("rows") {
+        persist::rows_from_json(db, rows)?;
+        ops += KINDS
+            .iter()
+            .filter_map(|kind| rows.get(kind.table())?.as_arr())
+            .map(<[Json]>::len)
+            .sum::<usize>();
     }
     if let Some(run) = doc.get("delete") {
         let run = run.as_arr().unwrap_or(&[]);
@@ -387,14 +371,21 @@ mod tests {
 
     #[test]
     fn a_record_that_verifies_but_does_not_apply_is_corruption() {
-        let vfs = FaultVfs::pristine();
-        let mut writer = JournalWriter::open_vfs(log(), &vfs).unwrap();
-        writer
-            .append("{\"rows\":{\"no_such_table\":[[1]]}}")
-            .unwrap();
-        assert!(matches!(
-            replay(log(), &vfs, &mut build_schema()),
-            Err(DbError::Corrupt(_))
-        ));
+        for payload in [
+            "{\"rows\":{\"no_such_table\":[[1]]}}",
+            "{\"rows\":[]}",
+            "{\"rows\":{\"performances\":7}}",
+        ] {
+            let vfs = FaultVfs::pristine();
+            let mut writer = JournalWriter::open_vfs(log(), &vfs).unwrap();
+            writer.append(payload).unwrap();
+            assert!(
+                matches!(
+                    replay(log(), &vfs, &mut build_schema()),
+                    Err(DbError::Corrupt(_))
+                ),
+                "{payload}"
+            );
+        }
     }
 }

@@ -83,7 +83,7 @@ cargo test -p iokc-integration --test corpus_analytics -q
 # nothing regenerated), check it offline — the only place fsck meets
 # files the CLI wrote through StdVfs, so it fails the day fsck and the
 # writer disagree about the layout — and run a group-by aggregate.
-echo "==> corpus gen + fsck + agg CLI smoke"
+echo "==> corpus gen + fsck + agg + compact + sql CLI smoke"
 corpus_dir="$(mktemp -d)"
 trap 'rm -rf "$corpus_dir"' EXIT
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
@@ -94,6 +94,16 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
   --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
 cargo run -q -p iokc-cli -- agg --db "$corpus_dir/corpus.iokc.json" \
   --group tasks --factor total_score --outliers | grep -q "2 run(s) outside their band"
+# Then a second segment, merged: the only place a compacted segment
+# written through StdVfs is decoded by fsck and by `materialize()` (SQL).
+cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
+  --campaign "$corpus_dir/campaign" --runs 96 --seed 42 | grep -q "generated 32"
+cargo run -q -p iokc-cli -- compact --db "$corpus_dir/corpus.iokc.json" \
+  | grep -q "2 segment(s) -> segment 2, 96 run(s) rewritten"
+cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
+  --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
+cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
+  "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 96
 
 # Benchmark smoke: perfbench is a package of its own, compiled against
 # the crates' public API from outside the workspace, so a refactor that

@@ -460,3 +460,106 @@ fn save_and_delete_churn_cannot_grow_the_log_or_its_replay() {
     assert_eq!(reopened.knowledge_count(), 1);
     assert!(reopened.load_knowledge(keeper).expect("load").is_some());
 }
+
+/// The one row-block codec, checked differentially on real blocks. A log
+/// record (`save_batch`, replayed by the reopen) and a segment body
+/// (`seal_active`, decoded by `read_segment_vfs`) must both hold exactly
+/// the rows an in-memory store holds for the same items, and what is
+/// derived from the decoded segment — summaries, index block — must be
+/// what was derived from the source rows.
+mod codec {
+    use super::*;
+    use iokc_core::model::{Io500Testcase, OperationSummary};
+    use iokc_store::segment::{read_segment_vfs, SegmentMeta};
+    use iokc_store::{Database, OrderBy, Predicate, Row};
+
+    /// A run of either kind whose cells cover what the codec must carry:
+    /// non-ASCII text, a NULL (`derived_from`), integers up to 2⁵³, reals
+    /// across the exponent range, warnings.
+    fn arb_item() -> impl Strategy<Value = KnowledgeItem> {
+        (
+            any::<bool>(),
+            ".{1,16}",
+            0u64..(1 << 53) + 1,
+            (1.0f64..10.0, -300i32..300),
+            proptest::option::of(1u64..9),
+            proptest::collection::vec(".{0,8}", 0..3),
+        )
+            .prop_map(|(is_io500, text, int, (mantissa, exp), parent, warnings)| {
+                let real = mantissa * 10f64.powi(exp);
+                if is_io500 {
+                    return KnowledgeItem::Io500(Io500Knowledge {
+                        bw_score: real,
+                        total_score: real.sqrt(),
+                        testcases: vec![Io500Testcase {
+                            name: text.clone(),
+                            value: real,
+                            unit: text,
+                            time_s: 1.0,
+                        }],
+                        start_time: int,
+                        warnings,
+                        ..io500(4)
+                    });
+                }
+                let mut k = Knowledge::new(KnowledgeSource::Ior, &text);
+                k.pattern.block_size = int;
+                k.derived_from = parent;
+                k.warnings = warnings;
+                k.summaries.push(OperationSummary {
+                    operation: "write".into(),
+                    api: text,
+                    max_mib: real,
+                    min_mib: 0.0,
+                    mean_mib: real,
+                    stddev_mib: 0.0,
+                    mean_ops: real,
+                    iterations: 1,
+                });
+                KnowledgeItem::Benchmark(k)
+            })
+    }
+
+    fn rows(db: &Database) -> Vec<(String, Vec<Row>)> {
+        let scan = |table| db.select(table, &Predicate::True, OrderBy::Id, None);
+        db.table_names()
+            .into_iter()
+            .map(|table| (table.to_owned(), scan(table).expect("scan")))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn a_block_survives_the_log_and_the_segment_file_alike(
+            items in proptest::collection::vec(arb_item(), 1..8)
+        ) {
+            let mut source = KnowledgeStore::in_memory();
+            source.save_batch(&items).expect("save");
+            let summaries: BTreeMap<_, _> = source
+                .query_summaries(&Query::all(), &DeadlineToken::unbounded())
+                .expect("listing")
+                .into_iter()
+                .map(|s| ((s.kind, s.id), s))
+                .collect();
+
+            // The log: one record written by the batch, replayed by the
+            // reopen (default threshold, so nothing seals mid-batch).
+            let vfs = Arc::new(FaultVfs::pristine());
+            let reopen = || KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>);
+            reopen().expect("open").save_batch(&items).expect("save");
+            let mut store = reopen().expect("reopen");
+            prop_assert_eq!(rows(store.database()), rows(source.database()));
+
+            // The segment: the same block written by the seal.
+            store.seal_active().expect("seal");
+            let sealed = read_segment_vfs(&persist::segment_path(&kb(), 0), vfs.as_ref())
+                .expect("segment");
+            prop_assert_eq!(rows(&sealed.db), rows(source.database()));
+            prop_assert_eq!(&sealed.summaries, &summaries);
+            prop_assert_eq!(
+                vec![SegmentMeta::compute(0, sealed.summaries.values())],
+                store.segment_metas()
+            );
+        }
+    }
+}
