@@ -1,7 +1,11 @@
-//! Substrate benches: the max–min flow solver and the event engine —
-//! the ablation targets DESIGN.md §6 calls out.
+//! Substrate benches: the max–min flow solver, the event engine on the
+//! 4-node test cluster, and whole corpus points on clusters the size of
+//! the paper's (DESIGN.md §6). The 4-node tiers alone hide every cost
+//! that grows with the cluster: their capacity space has 13 entries
+//! where FUCHS-CSC has 211.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use iokc_benchmarks::CorpusSpec;
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::flow::{solve_rates, FlowPath};
@@ -73,5 +77,22 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_engine);
+/// Points 0..9 of a corpus: every cluster shape (198, 32 and 8 nodes) ×
+/// PFS variant once, each a full 12-phase IO500 run — what `cycle_corpus`
+/// spends its time in.
+fn bench_corpus(c: &mut Criterion) {
+    let mut group = c.benchmark_group("corpus");
+    group.sample_size(20);
+    let spec = CorpusSpec::new(9, 1);
+    group.bench_function("corpus_points_0_to_8", |b| {
+        b.iter(|| {
+            for index in 0..9 {
+                black_box(spec.execute(index).unwrap());
+            }
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_solver, bench_engine, bench_corpus);
 criterion_main!(benches);

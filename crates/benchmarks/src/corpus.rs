@@ -27,6 +27,7 @@
 use crate::io500::{run_io500, Io500Config, Io500Result};
 use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::faults::{Fault, FaultPlan, FaultTarget};
+use iokc_sim::metrics::EngineStats;
 use iokc_sim::prelude::{ClusterConfig, PfsConfig, SystemConfig};
 use std::collections::BTreeMap;
 
@@ -131,6 +132,7 @@ impl CorpusSpec {
             result,
             start_time: EPOCH + index as u64,
             point,
+            stats: world.stats(),
         })
     }
 }
@@ -269,6 +271,8 @@ pub struct CorpusRun {
     pub output: String,
     /// Simulated submission time (unix seconds).
     pub start_time: u64,
+    /// What simulating this point cost the engine, all phases together.
+    pub stats: EngineStats,
 }
 
 #[cfg(test)]

@@ -17,10 +17,22 @@ use iokc_core::ctx::PhaseCtx;
 use iokc_core::phases::{Artifact, ArtifactKind, CycleError, Generator, PhaseKind};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::CrashSchedule;
+use iokc_sim::metrics::EngineStats;
 use iokc_sim::sysinfo::ProcSnapshot;
 
 /// Unix-time base for simulated runs (the paper's submission era).
 const EPOCH: u64 = 1_656_590_400;
+
+/// Publish what the simulator did since `before` was read from `world`
+/// — one `generate` — into the cycle's metrics registry.
+fn publish_sim_stats(ctx: &PhaseCtx, world: &World, before: &EngineStats) {
+    let delta = world.stats().since(before);
+    ctx.counter("sim.events").add(delta.events());
+    ctx.counter("sim.rate_solves").add(delta.rate_solves);
+    ctx.counter("sim.flows_solved").add(delta.flows_solved);
+    ctx.counter("sim.resources_solved")
+        .add(delta.resources_solved);
+}
 
 /// An IOR run as a knowledge generator.
 pub struct IorGenerator {
@@ -91,6 +103,7 @@ impl Generator for IorGenerator {
         let run_tag = format!("ior-run-{}", self.runs);
         self.runs += 1;
         let start = self.world.now();
+        let sim_before = self.world.stats();
         let start_ns = start.nanos();
         let start_unix = EPOCH + start_ns / 1_000_000_000;
         let result = run_ior(
@@ -104,6 +117,7 @@ impl Generator for IorGenerator {
         // Report the benchmark's simulated duration on the cycle's
         // (virtual) timeline, so spans reflect what a real run costs.
         ctx.advance_virtual_ns(self.world.elapsed_ns_since(start));
+        publish_sim_stats(ctx, &self.world, &sim_before);
         let end_unix = EPOCH + end_ns / 1_000_000_000;
         let system_name = self.world.system().cluster.name.clone();
 
@@ -208,11 +222,13 @@ impl Generator for Io500Generator {
         let run_tag = format!("io500-run-{}", self.runs);
         self.runs += 1;
         let start = self.world.now();
+        let sim_before = self.world.stats();
         let start_ns = start.nanos();
         let start_unix = EPOCH + start_ns / 1_000_000_000;
         let result = run_io500(&mut self.world, self.layout, &self.config)
             .map_err(|e| CycleError::new(PhaseKind::Generation, "io500-generator", e))?;
         ctx.advance_virtual_ns(self.world.elapsed_ns_since(start));
+        publish_sim_stats(ctx, &self.world, &sim_before);
         let system_name = self.world.system().cluster.name.clone();
         let snapshot = ProcSnapshot::of(&self.world.system().cluster);
         let with_run_meta = |a: Artifact| {
@@ -280,12 +296,14 @@ impl Generator for MdtestGenerator {
         let run_tag = format!("mdtest-run-{}", self.runs);
         self.runs += 1;
         let start = self.world.now();
+        let sim_before = self.world.stats();
         let start_ns = start.nanos();
         let start_unix = EPOCH + start_ns / 1_000_000_000;
         let result = run_mdtest(&mut self.world, self.layout, &self.config)
             .map_err(|e| CycleError::new(PhaseKind::Generation, "mdtest-generator", e))?;
         let end_ns = self.world.now().nanos();
         ctx.advance_virtual_ns(self.world.elapsed_ns_since(start));
+        publish_sim_stats(ctx, &self.world, &sim_before);
         let end_unix = EPOCH + end_ns / 1_000_000_000;
         let system_name = self.world.system().cluster.name.clone();
         Ok(vec![Artifact::text(
@@ -332,6 +350,7 @@ impl Generator for HaccGenerator {
         let run_tag = format!("hacc-run-{}", self.runs);
         self.runs += 1;
         let start = self.world.now();
+        let sim_before = self.world.stats();
         let start_ns = start.nanos();
         let start_unix = EPOCH + start_ns / 1_000_000_000;
         // Fresh file set per run: HACC-IO overwrites its checkpoint; the
@@ -355,6 +374,7 @@ impl Generator for HaccGenerator {
             .map_err(|e| CycleError::new(PhaseKind::Generation, "hacc-generator", e))?;
         let end_ns = self.world.now().nanos();
         ctx.advance_virtual_ns(self.world.elapsed_ns_since(start));
+        publish_sim_stats(ctx, &self.world, &sim_before);
         let end_unix = EPOCH + end_ns / 1_000_000_000;
         let system_name = self.world.system().cluster.name.clone();
         Ok(vec![Artifact::text(
@@ -500,7 +520,14 @@ mod tests {
             JobLayout::new(2, 2),
             Io500Config::small("/scratch/gen500"),
         );
-        let artifacts = generator.generate(&mut ctx()).unwrap();
+        // The detached registry is process-wide, so only growth is exact.
+        let mut ctx = ctx();
+        let solves_before = ctx.counter("sim.rate_solves").get();
+        let artifacts = generator.generate(&mut ctx).unwrap();
+        assert!(
+            ctx.counter("sim.rate_solves").get() > solves_before,
+            "a generate publishes the engine's census"
+        );
         let output = artifacts
             .iter()
             .find(|a| a.kind == ArtifactKind::Io500Output)

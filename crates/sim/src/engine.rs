@@ -17,7 +17,7 @@
 use crate::config::SystemConfig;
 use crate::faults::{FaultPlan, FaultTarget};
 use crate::flow::{solve_rates, FlowPath};
-use crate::metrics::{OpRecord, PhaseResult};
+use crate::metrics::{EngineStats, OpRecord, PhaseResult};
 use crate::pfs::Namespace;
 use crate::rng::Rng;
 use crate::script::{Op, OpKind, OpenMode, PathId, Rank, ScriptSet};
@@ -190,6 +190,8 @@ pub struct World {
     shared_flag: BTreeSet<String>,
     /// Per-shared-file byte-range lock clock (unaligned writers serialize).
     file_lock_busy: BTreeMap<String, SimTime>,
+    /// What every phase so far cost the engine.
+    stats: EngineStats,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -222,6 +224,7 @@ impl World {
             shared_files: BTreeMap::new(),
             shared_flag: BTreeSet::new(),
             file_lock_busy: BTreeMap::new(),
+            stats: EngineStats::default(),
             namespace,
             system,
             faults,
@@ -253,6 +256,13 @@ impl World {
     #[must_use]
     pub fn namespace(&self) -> &Namespace {
         &self.namespace
+    }
+
+    /// What executing every phase so far cost the engine; the sum of the
+    /// [`PhaseResult::stats`] this world has returned.
+    #[must_use]
+    pub fn stats(&self) -> EngineStats {
+        self.stats
     }
 
     /// Advance the clock without doing work (gap between benchmark phases).
@@ -297,12 +307,15 @@ impl World {
         let records = std::mem::take(&mut exec.records);
         let finished = exec.world.now;
         let stonewalled: u64 = exec.stonewalled.iter().sum();
+        let (started, stats) = (exec.started, exec.stats);
+        self.stats += stats;
         Ok(PhaseResult {
             records,
-            started: exec.started,
+            started,
             finished,
             paths: scripts.paths().to_vec(),
             stonewalled_ops: stonewalled,
+            stats,
         })
     }
 }
@@ -329,6 +342,7 @@ struct Execution<'w> {
     records: Vec<OpRecord>,
     stonewalled: Vec<u64>,
     noise_active: bool,
+    stats: EngineStats,
 }
 
 impl<'w> Execution<'w> {
@@ -357,6 +371,7 @@ impl<'w> Execution<'w> {
             records: Vec::new(),
             stonewalled: vec![0; np],
             noise_active: false,
+            stats: EngineStats::default(),
         }
     }
 
@@ -391,6 +406,14 @@ impl<'w> Execution<'w> {
             let t = SimTime(t_ns);
             self.advance_flows(t);
             self.world.now = t;
+            *match event {
+                Event::RankReady(_) => &mut self.stats.rank_ready,
+                Event::OpFinish(_) => &mut self.stats.op_finish,
+                Event::FlowStart(_) => &mut self.stats.flow_start,
+                Event::FlowsDue(_) => &mut self.stats.flows_due,
+                Event::NoiseTick => &mut self.stats.noise_tick,
+                Event::FaultEdge => &mut self.stats.fault_edge,
+            } += 1;
             match event {
                 Event::RankReady(rank) => {
                     // A barrier release or initial start: if the rank was
@@ -496,7 +519,7 @@ impl<'w> Execution<'w> {
         let latency = SimDuration(self.world.system.cluster.network_latency_ns);
         match op {
             Op::Mkdir { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 self.world
                     .namespace
                     .mkdir(&name)
@@ -508,7 +531,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, &name, 1.2);
             }
             Op::Rmdir { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 self.world
                     .namespace
                     .rmdir(&name)
@@ -520,7 +543,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, &name, 1.0);
             }
             Op::Open { path, mode, hint } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 let mut cost = 1.0;
                 let exists = self.world.namespace.file(&name).is_some();
                 match (exists, mode) {
@@ -557,11 +580,11 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, &name, cost);
             }
             Op::Close { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 self.meta_op(rank, &name, 0.5);
             }
             Op::Stat { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 if self.world.namespace.file(&name).is_none() && !self.world.namespace.is_dir(&name)
                 {
                     return Err(SimError::Fs {
@@ -573,7 +596,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, &name, 0.7);
             }
             Op::Unlink { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 self.world
                     .namespace
                     .unlink(&name)
@@ -587,7 +610,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, &name, 1.1);
             }
             Op::Readdir { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 let entries = self.world.namespace.dir_entries(&name);
                 // One MDS request per 64 directory entries.
                 let cost = 1.0 + (entries as f64 / 64.0);
@@ -600,7 +623,7 @@ impl<'w> Execution<'w> {
                 self.data_op(rank, node, path, offset, len, false)?;
             }
             Op::Fsync { path } => {
-                let name = self.scripts.path(path).to_owned();
+                let name = self.resolve(path);
                 let overhead = SimDuration(self.world.system.pfs.target_op_overhead_ns);
                 let targets = self.world.dirty.remove(&name).unwrap_or_default();
                 let mut done = self.world.now + latency;
@@ -690,6 +713,12 @@ impl<'w> Execution<'w> {
         Ok(())
     }
 
+    /// The name an op's path id stands for (one resolution per op).
+    fn resolve(&mut self, path: PathId) -> String {
+        self.stats.paths_resolved += 1;
+        self.scripts.path(path).to_owned()
+    }
+
     /// Issue a write or read: resolve layout, acquire target slots, spawn
     /// flows (or serve from page cache).
     fn data_op(
@@ -701,7 +730,7 @@ impl<'w> Execution<'w> {
         len: u64,
         is_write: bool,
     ) -> Result<(), SimError> {
-        let name = self.scripts.path(path).to_owned();
+        let name = self.resolve(path);
         let kind = if is_write {
             OpKind::Write
         } else {
@@ -1077,10 +1106,14 @@ impl<'w> Execution<'w> {
     fn recompute_rates(&mut self) {
         self.flows_dirty = false;
         self.flow_gen += 1;
+        self.stats.rate_recomputes += 1;
         if self.flows.is_empty() {
             return;
         }
         let caps = self.capacities();
+        self.stats.rate_solves += 1;
+        self.stats.flows_solved += self.flows.len() as u64;
+        self.stats.resources_solved += caps.len() as u64;
         let paths: Vec<FlowPath> = self.flows.iter().map(|f| f.path.clone()).collect();
         let rates = solve_rates(&caps, &paths);
         let mut earliest = f64::INFINITY;
@@ -1255,6 +1288,44 @@ mod tests {
         let ends1: Vec<_> = r1.records.iter().map(|r| r.end).collect();
         let ends2: Vec<_> = r2.records.iter().map(|r| r.end).collect();
         assert_eq!(ends1, ends2);
+    }
+
+    #[test]
+    fn engine_stats_repeat_exactly_and_add_up() {
+        let run = || {
+            let system = SystemConfig::test_small().with_noise(0.1);
+            let mut w = World::new(system, FaultPlan::none(), 7);
+            let mut s = ScriptSet::new(2);
+            for r in 0..2 {
+                let path = format!("/scratch/s{r}");
+                s.rank(r)
+                    .open(&path, OpenMode::Write)
+                    .write(&path, 0, 2 * MIB)
+                    .close(&path)
+                    .barrier();
+            }
+            let first = w.run(layout(2, 1), &s).unwrap().stats;
+            let mut again = ScriptSet::new(2);
+            again.rank(0).stat("/scratch/s1").barrier();
+            again.rank(1).barrier();
+            let second = w.run(layout(2, 1), &again).unwrap().stats;
+            (first, second, w.stats())
+        };
+        let (first, second, total) = run();
+        assert_eq!((first, second, total), run());
+        let mut sum = first;
+        sum += second;
+        assert_eq!(sum, total);
+        assert_eq!(total.since(&first), second);
+        // 2 MiB over two 512 KiB-chunk targets is four stripe pieces a rank.
+        assert_eq!(first.flow_start, 8);
+        assert!(first.rate_solves >= 8 && first.flows_solved >= first.rate_solves);
+        assert!(first.resources_solved >= first.rate_solves);
+        assert_eq!(second.flow_start + second.rate_solves, 0);
+        assert!(second.paths_resolved >= 1);
+        // Two starts, two barrier releases; a stat and nothing else timed.
+        assert_eq!((second.rank_ready, second.op_finish), (4, 1));
+        assert_eq!(second.events(), 5 + second.noise_tick);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::config::{ClusterConfig, PfsConfig, RaidScheme, SystemConfig};
     pub use crate::engine::{JobLayout, SimError, World};
     pub use crate::faults::{CrashSchedule, Fault, FaultPlan, FaultTarget};
-    pub use crate::metrics::{OpRecord, PhaseResult};
+    pub use crate::metrics::{EngineStats, OpRecord, PhaseResult};
     pub use crate::pfs::Namespace;
     pub use crate::rng::Rng;
     pub use crate::script::{Op, OpKind, OpenMode, Rank, ScriptSet, StripeHint};

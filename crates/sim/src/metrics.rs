@@ -37,6 +37,82 @@ impl OpRecord {
     }
 }
 
+/// What the engine itself did to execute a phase — or, on
+/// [`crate::engine::World::stats`], every phase so far. Simulated numbers
+/// say what the modelled system did; these say what it cost the host to
+/// find out, so an engine change can be read ("same events, fewer
+/// resources per solve") instead of guessed at from wall time. All
+/// counts are deterministic per seed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// `RankReady` events popped (rank starts and barrier releases).
+    pub rank_ready: u64,
+    /// `OpFinish` events popped (metadata, compute, cache-hit and
+    /// intra-node message completions).
+    pub op_finish: u64,
+    /// `FlowStart` events popped (one per stripe piece or message).
+    pub flow_start: u64,
+    /// `FlowsDue` timers popped, stale ones included: a stale timer
+    /// still advances the flows, so it is part of the arithmetic.
+    pub flows_due: u64,
+    /// `NoiseTick` events popped.
+    pub noise_tick: u64,
+    /// `FaultEdge` events popped.
+    pub fault_edge: u64,
+    /// Times the flow rates were recomputed, with or without a flow in
+    /// flight.
+    pub rate_recomputes: u64,
+    /// Recomputations that reached the max–min solver (≥ 1 flow).
+    pub rate_solves: u64,
+    /// Σ flows in flight over solver calls.
+    pub flows_solved: u64,
+    /// Σ resources the solver filled over, over solver calls.
+    pub resources_solved: u64,
+    /// Path names resolved against the namespace.
+    pub paths_resolved: u64,
+}
+
+impl EngineStats {
+    /// Events popped, all kinds.
+    #[must_use]
+    pub fn events(&self) -> u64 {
+        self.rank_ready
+            + self.op_finish
+            + self.flow_start
+            + self.flows_due
+            + self.noise_tick
+            + self.fault_edge
+    }
+
+    /// What happened after `earlier` was read from the same world.
+    #[must_use]
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        self.zip(earlier, |now, then| now - then)
+    }
+
+    fn zip(&self, other: &EngineStats, f: fn(u64, u64) -> u64) -> EngineStats {
+        EngineStats {
+            rank_ready: f(self.rank_ready, other.rank_ready),
+            op_finish: f(self.op_finish, other.op_finish),
+            flow_start: f(self.flow_start, other.flow_start),
+            flows_due: f(self.flows_due, other.flows_due),
+            noise_tick: f(self.noise_tick, other.noise_tick),
+            fault_edge: f(self.fault_edge, other.fault_edge),
+            rate_recomputes: f(self.rate_recomputes, other.rate_recomputes),
+            rate_solves: f(self.rate_solves, other.rate_solves),
+            flows_solved: f(self.flows_solved, other.flows_solved),
+            resources_solved: f(self.resources_solved, other.resources_solved),
+            paths_resolved: f(self.paths_resolved, other.paths_resolved),
+        }
+    }
+}
+
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, other: EngineStats) {
+        *self = self.zip(&other, |a, b| a + b);
+    }
+}
+
 /// Result of executing one script set ("phase") against the world.
 #[derive(Debug, Clone)]
 pub struct PhaseResult {
@@ -50,6 +126,8 @@ pub struct PhaseResult {
     pub paths: Vec<String>,
     /// Data ops skipped because the stonewall deadline expired.
     pub stonewalled_ops: u64,
+    /// What executing this phase cost the engine.
+    pub stats: EngineStats,
 }
 
 impl PhaseResult {
@@ -185,6 +263,7 @@ mod tests {
             finished: SimTime::from_secs(1),
             paths: vec!["/scratch/f".to_owned()],
             stonewalled_ops: 0,
+            stats: EngineStats::default(),
         }
     }
 

@@ -60,8 +60,8 @@ cargo test -p iokc-integration --test explorerd_chaos -q
 
 # Bench smoke: the vendored criterion runs each bench body once under
 # `cargo test`, so regressions in the bench harnesses fail fast here.
-echo "==> query-engine + explorerd-requests bench smoke"
-cargo test -p iokc-bench --bench query_engine --bench explorerd_requests
+echo "==> query-engine + explorerd-requests + sim-substrate bench smoke"
+cargo test -p iokc-bench --bench query_engine --bench explorerd_requests --bench sim_substrate
 
 # Loadtest smoke: the reactor holds 100 keep-alive connections, streams
 # a full listing, and answers a timed phase whose p99 (well under 1 ms
@@ -121,5 +121,11 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The simulator's output is pinned byte for byte against the binary
+# before its last engine rewrite; float arithmetic that an optimizer may
+# contract or reorder must hold at both opt levels.
+echo "==> pinned simulator bytes, release"
+cargo test --release -p iokc-integration --test reproducibility -q
 
 echo "==> all checks passed"
