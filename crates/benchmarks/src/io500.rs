@@ -203,6 +203,10 @@ pub fn run_io500_with_faults(
     }
     setup.rank(0).mkdir(&format!("{mdh_dir}/shared"));
     world.run(layout, &setup)?;
+    // Each rank's mdtest files, named once for the seven phases that
+    // walk them.
+    let easy_tree = easy_tree_paths(config, &mde_dir, np);
+    let hard_tree = hard_tree_paths(config, &mdh_dir, np);
 
     // --- Phase 1: ior-easy-write -------------------------------------
     phase_faults(world, &base_faults, schedule, "ior-easy-write");
@@ -237,7 +241,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-easy-write",
         MdAction::Create { bytes: 0 },
-        &easy_tree_paths(config, &mde_dir, np),
+        &easy_tree,
     )?);
 
     // --- Phase 3: ior-hard-write --------------------------------------
@@ -273,7 +277,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-hard-write",
         MdAction::Create { bytes: 3901 },
-        &hard_tree_paths(config, &mdh_dir, np),
+        &hard_tree,
     )?);
 
     // --- Phase 5: find -------------------------------------------------
@@ -301,7 +305,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-easy-stat",
         MdAction::Stat,
-        &easy_tree_paths(config, &mde_dir, np),
+        &easy_tree,
     )?);
 
     // --- Phase 8: ior-hard-read -----------------------------------------
@@ -319,7 +323,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-hard-stat",
         MdAction::Stat,
-        &hard_tree_paths(config, &mdh_dir, np),
+        &hard_tree,
     )?);
 
     // --- Phase 10: mdtest-easy-delete -------------------------------------
@@ -329,7 +333,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-easy-delete",
         MdAction::Delete,
-        &easy_tree_paths(config, &mde_dir, np),
+        &easy_tree,
     )?);
 
     // --- Phase 11: mdtest-hard-read ----------------------------------------
@@ -342,7 +346,7 @@ pub fn run_io500_with_faults(
             bytes: 3901,
             peer_shift: layout.ppn,
         },
-        &hard_tree_paths(config, &mdh_dir, np),
+        &hard_tree,
     )?);
 
     // --- Phase 12: mdtest-hard-delete ----------------------------------------
@@ -352,7 +356,7 @@ pub fn run_io500_with_faults(
         layout,
         "mdtest-hard-delete",
         MdAction::Delete,
-        &hard_tree_paths(config, &mdh_dir, np),
+        &hard_tree,
     )?);
 
     // Cleanup of IOR files (IO500 removes its working set).

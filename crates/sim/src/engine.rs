@@ -8,21 +8,28 @@
 //!
 //! Data movement uses a fluid-flow model: between events every in-flight
 //! transfer progresses at its max–min fair rate (see [`crate::flow`]);
-//! rates are recomputed whenever the set of flows or a capacity changes
-//! (op start/finish, noise tick, fault window edge). Metadata operations
-//! are FIFO queues at the metadata servers; small-transfer IOPS limits are
-//! modelled as a serialized per-request overhead slot at each storage
-//! target.
+//! rates are re-solved in full whenever the set of flows or a capacity
+//! changes (flow start/finish, noise tick, fault window edge) — over the
+//! resources the in-flight flows cross, whose capacities are worked out
+//! on demand, never over the cluster. Metadata operations are FIFO queues
+//! at the metadata servers; small-transfer IOPS limits are modelled as a
+//! serialized per-request overhead slot at each storage target.
+//!
+//! What an op costs the host does not depend on how large the cluster is
+//! or how long its path: a phase resolves each script path to the
+//! namespace's id for it once, before the first event, and all per-file
+//! state (dirty targets, sharing, range locks, page caches) is keyed by
+//! that id.
 
 use crate::config::SystemConfig;
 use crate::faults::{FaultPlan, FaultTarget};
-use crate::flow::{solve_rates, FlowPath};
+use crate::flow::{FlowPath, RateSolver, ResourceId};
 use crate::metrics::{EngineStats, OpRecord, PhaseResult};
-use crate::pfs::Namespace;
+use crate::pfs::{FsError, NameId, Namespace};
 use crate::rng::Rng;
 use crate::script::{Op, OpKind, OpenMode, PathId, Rank, ScriptSet};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// How ranks are placed onto nodes: `ppn` consecutive ranks per node.
@@ -99,14 +106,14 @@ impl std::error::Error for SimError {}
 
 const FLOW_EPS: f64 = 0.5; // bytes: a flow with less remaining is complete
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Event {
     /// A rank may issue its next op.
     RankReady(Rank),
     /// A non-flow op (metadata, compute, cache read, fsync) finished.
     OpFinish(Rank),
     /// A data flow begins (after its target slot wait).
-    FlowStart(PendingFlow),
+    FlowStart(ActiveFlow),
     /// The earliest flow completion under current rates is due.
     FlowsDue(u64),
     /// Resample background-noise multipliers.
@@ -115,12 +122,35 @@ enum Event {
     FaultEdge,
 }
 
-#[derive(Debug, Clone)]
-struct PendingFlow {
-    resources: Vec<u32>,
-    bytes: f64,
-    outcome: FlowOutcome,
+/// A scheduled event. The queue pops the earliest time first and, within
+/// one instant, in scheduling order.
+#[derive(Debug)]
+struct Queued {
+    at: SimTime,
+    seq: u64,
+    event: Event,
 }
+
+impl Ord for Queued {
+    /// Reversed, because `BinaryHeap` pops its greatest element.
+    fn cmp(&self, other: &Queued) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Queued) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Queued) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FlowOutcome {
@@ -131,9 +161,10 @@ enum FlowOutcome {
     Message { from: Rank, to: Rank, tag: u32 },
 }
 
-#[derive(Debug, Clone)]
+/// Flows are kept in the order they started, which is the order
+/// simultaneous completions are delivered in.
+#[derive(Debug)]
 struct ActiveFlow {
-    id: u64,
     path: FlowPath,
     remaining: f64,
     rate: f64,
@@ -161,12 +192,6 @@ enum RankState {
     Done,
 }
 
-#[derive(Debug, Default)]
-struct Mailbox {
-    /// (to, from, tag) → delivery times of messages already delivered.
-    delivered: BTreeMap<(Rank, Rank, u32), VecDeque<SimTime>>,
-}
-
 /// Persistent simulated system state across phases.
 pub struct World {
     system: SystemConfig,
@@ -182,23 +207,36 @@ pub struct World {
     mds_busy: Vec<SimTime>,
     target_busy: Vec<SimTime>,
     /// Per-node page cache: file → cached byte extent, with LRU order.
+    /// Grown on demand, so it covers the nodes that ever cached
+    /// something rather than the cluster.
     cache: Vec<NodeCache>,
-    /// File → storage targets with unsynced dirty data.
-    dirty: BTreeMap<String, BTreeSet<u32>>,
-    /// Files opened by more than one distinct rank (lock-contention model).
-    shared_files: BTreeMap<String, Rank>,
-    shared_flag: BTreeSet<String>,
-    /// Per-shared-file byte-range lock clock (unaligned writers serialize).
-    file_lock_busy: BTreeMap<String, SimTime>,
+    /// Engine-side state of each name, indexed by the namespace's id.
+    files: Vec<FileState>,
     /// What every phase so far cost the engine.
     stats: EngineStats,
+}
+
+/// What the engine tracks per file name. It is state of the *name*: only
+/// `dirty` and `lock_busy` are reset by an unlink, so a file re-created
+/// under a name that was once shared is still treated as shared.
+#[derive(Debug, Clone, Default)]
+struct FileState {
+    /// Storage targets with unsynced dirty data.
+    dirty: BTreeSet<u32>,
+    /// First rank to open the name, and whether a different rank has
+    /// opened it since (lock-contention model).
+    first_opener: Option<Rank>,
+    shared: bool,
+    /// Byte-range lock clock (unaligned writers of a shared file
+    /// serialize).
+    lock_busy: SimTime,
 }
 
 #[derive(Debug, Clone, Default)]
 struct NodeCache {
     /// File → cached byte ranges (sorted, coalesced, non-overlapping).
-    files: BTreeMap<String, Vec<(u64, u64)>>,
-    order: VecDeque<String>,
+    files: BTreeMap<NameId, Vec<(u64, u64)>>,
+    order: VecDeque<NameId>,
     total: u64,
 }
 
@@ -208,7 +246,6 @@ impl World {
     /// bit-identical results.
     #[must_use]
     pub fn new(system: SystemConfig, faults: FaultPlan, seed: u64) -> World {
-        let nodes = system.cluster.nodes as usize;
         let targets = system.pfs.storage_targets as usize;
         let mds = system.pfs.metadata_servers as usize;
         let namespace = Namespace::new(system.pfs.clone());
@@ -219,11 +256,8 @@ impl World {
             fabric_noise: 1.0,
             mds_busy: vec![SimTime::ZERO; mds],
             target_busy: vec![SimTime::ZERO; targets],
-            cache: vec![NodeCache::default(); nodes],
-            dirty: BTreeMap::new(),
-            shared_files: BTreeMap::new(),
-            shared_flag: BTreeSet::new(),
-            file_lock_busy: BTreeMap::new(),
+            cache: Vec::new(),
+            files: Vec::new(),
             stats: EngineStats::default(),
             namespace,
             system,
@@ -302,20 +336,19 @@ impl World {
                 nodes_available: self.system.cluster.nodes,
             });
         }
+        let stats_before = self.stats;
         let mut exec = Execution::new(self, layout, scripts);
         exec.run()?;
         let records = std::mem::take(&mut exec.records);
-        let finished = exec.world.now;
+        let started = exec.started;
         let stonewalled: u64 = exec.stonewalled.iter().sum();
-        let (started, stats) = (exec.started, exec.stats);
-        self.stats += stats;
         Ok(PhaseResult {
             records,
             started,
-            finished,
+            finished: self.now,
             paths: scripts.paths().to_vec(),
             stonewalled_ops: stonewalled,
-            stats,
+            stats: self.stats.since(&stats_before),
         })
     }
 }
@@ -324,8 +357,9 @@ struct Execution<'w> {
     world: &'w mut World,
     layout: JobLayout,
     scripts: &'w ScriptSet,
-    events: BinaryHeap<Reverse<(u64, u64)>>,
-    payloads: BTreeMap<u64, Event>,
+    /// The namespace's id for each script path (index = `PathId`).
+    names: Vec<NameId>,
+    events: BinaryHeap<Queued>,
     seq: u64,
     started: SimTime,
     ranks: Vec<RankState>,
@@ -333,28 +367,38 @@ struct Execution<'w> {
     op_start: Vec<SimTime>,
     done_count: u32,
     flows: Vec<ActiveFlow>,
-    next_flow_id: u64,
+    solver: RateSolver,
     flow_gen: u64,
     flows_dirty: bool,
     last_advance: SimTime,
     barriers: BTreeMap<u32, Vec<Rank>>,
-    mailbox: Mailbox,
+    /// (to, from, tag) → delivery times of messages already delivered.
+    delivered: BTreeMap<(Rank, Rank, u32), VecDeque<SimTime>>,
     records: Vec<OpRecord>,
     stonewalled: Vec<u64>,
-    noise_active: bool,
-    stats: EngineStats,
 }
 
 impl<'w> Execution<'w> {
     fn new(world: &'w mut World, layout: JobLayout, scripts: &'w ScriptSet) -> Execution<'w> {
         let np = layout.np as usize;
         let started = world.now;
+        let names: Vec<NameId> = scripts
+            .paths()
+            .iter()
+            .map(|path| world.namespace.resolve(path))
+            .collect();
+        if world.files.len() < world.namespace.names() {
+            world
+                .files
+                .resize_with(world.namespace.names(), FileState::default);
+        }
+        world.stats.paths_resolved += names.len() as u64;
         Execution {
             world,
             layout,
             scripts,
+            names,
             events: BinaryHeap::new(),
-            payloads: BTreeMap::new(),
             seq: 0,
             started,
             ranks: vec![RankState::Ready; np],
@@ -362,24 +406,21 @@ impl<'w> Execution<'w> {
             op_start: vec![started; np],
             done_count: 0,
             flows: Vec::new(),
-            next_flow_id: 0,
+            solver: RateSolver::default(),
             flow_gen: 0,
             flows_dirty: false,
             last_advance: started,
             barriers: BTreeMap::new(),
-            mailbox: Mailbox::default(),
+            delivered: BTreeMap::new(),
             records: Vec::new(),
             stonewalled: vec![0; np],
-            noise_active: false,
-            stats: EngineStats::default(),
         }
     }
 
     fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.seq;
         self.seq += 1;
-        self.payloads.insert(seq, event);
-        self.events.push(Reverse((at.nanos(), seq)));
+        self.events.push(Queued { at, seq, event });
     }
 
     fn run(&mut self) -> Result<(), SimError> {
@@ -387,7 +428,6 @@ impl<'w> Execution<'w> {
             self.schedule(self.world.now, Event::RankReady(rank));
         }
         if self.world.system.noise_sigma > 0.0 {
-            self.noise_active = true;
             self.schedule(self.world.now, Event::NoiseTick);
         }
         for edge in self.world.faults.edges_after(self.world.now) {
@@ -395,57 +435,41 @@ impl<'w> Execution<'w> {
         }
 
         while self.done_count < self.layout.np {
-            let Some(Reverse((t_ns, seq))) = self.events.pop() else {
+            let Some(Queued { at, event, .. }) = self.events.pop() else {
                 let waiting = self.layout.np - self.done_count;
                 return Err(SimError::Deadlock { waiting });
             };
-            let event = self
-                .payloads
-                .remove(&seq)
-                .expect("event payload present for queued seq");
-            let t = SimTime(t_ns);
-            self.advance_flows(t);
-            self.world.now = t;
-            *match event {
-                Event::RankReady(_) => &mut self.stats.rank_ready,
-                Event::OpFinish(_) => &mut self.stats.op_finish,
-                Event::FlowStart(_) => &mut self.stats.flow_start,
-                Event::FlowsDue(_) => &mut self.stats.flows_due,
-                Event::NoiseTick => &mut self.stats.noise_tick,
-                Event::FaultEdge => &mut self.stats.fault_edge,
-            } += 1;
+            self.advance_flows(at);
+            self.world.now = at;
+            let stats = &mut self.world.stats;
             match event {
                 Event::RankReady(rank) => {
+                    stats.rank_ready += 1;
                     // A barrier release or initial start: if the rank was
                     // waiting at a barrier, finish the barrier op first.
                     if matches!(self.ranks[rank as usize], RankState::BarrierWait { .. }) {
-                        self.finish_op(rank, None, 0, 0, false)?;
+                        self.finish_op(rank)?;
                     } else {
                         self.issue_next(rank)?;
                     }
                 }
                 Event::OpFinish(rank) => {
-                    let (path, offset, len, hit) = self.current_data(rank);
-                    self.finish_op(rank, path, offset, len, hit)?;
+                    stats.op_finish += 1;
+                    self.finish_op(rank)?;
                 }
-                Event::FlowStart(pending) => {
-                    let id = self.next_flow_id;
-                    self.next_flow_id += 1;
-                    self.flows.push(ActiveFlow {
-                        id,
-                        path: FlowPath::new(pending.resources),
-                        remaining: pending.bytes.max(1.0),
-                        rate: 0.0,
-                        outcome: pending.outcome,
-                    });
+                Event::FlowStart(flow) => {
+                    stats.flow_start += 1;
+                    self.flows.push(flow);
                     self.flows_dirty = true;
                 }
                 Event::FlowsDue(gen) => {
+                    stats.flows_due += 1;
                     if gen == self.flow_gen {
                         self.flows_dirty = true;
                     }
                 }
                 Event::NoiseTick => {
+                    stats.noise_tick += 1;
                     if self.done_count < self.layout.np {
                         self.resample_noise();
                         let next = self.world.now
@@ -457,6 +481,7 @@ impl<'w> Execution<'w> {
                     }
                 }
                 Event::FaultEdge => {
+                    stats.fault_edge += 1;
                     if !self.flows.is_empty() {
                         self.flows_dirty = true;
                     }
@@ -470,30 +495,10 @@ impl<'w> Execution<'w> {
         Ok(())
     }
 
-    /// Data fields of the op a rank is currently executing (for records).
-    fn current_data(&self, rank: Rank) -> (Option<PathId>, u64, u64, bool) {
-        let pc = self.pcs[rank as usize];
-        match self.scripts.script(rank).get(pc) {
-            Some(Op::Write { path, offset, len }) => (Some(*path), *offset, *len, false),
-            Some(Op::Read { path, offset, len }) => (Some(*path), *offset, *len, true),
-            Some(
-                Op::Open { path, .. }
-                | Op::Close { path }
-                | Op::Fsync { path }
-                | Op::Stat { path }
-                | Op::Unlink { path }
-                | Op::Mkdir { path }
-                | Op::Rmdir { path }
-                | Op::Readdir { path },
-            ) => (Some(*path), 0, 0, false),
-            Some(Op::Send { bytes, .. }) => (None, 0, *bytes, false),
-            _ => (None, 0, 0, false),
-        }
-    }
-
     fn issue_next(&mut self, rank: Rank) -> Result<(), SimError> {
         let pc = self.pcs[rank as usize];
-        let script = self.scripts.script(rank);
+        let scripts = self.scripts;
+        let script = scripts.script(rank);
         if pc >= script.len() {
             if self.ranks[rank as usize] != RankState::Done {
                 self.ranks[rank as usize] = RankState::Done;
@@ -504,7 +509,7 @@ impl<'w> Execution<'w> {
         // Stonewalling: once the deadline has passed, data ops are
         // skipped (the rank "ran out of time" for further transfers) but
         // control ops still run so barriers and closes complete.
-        if let Some(deadline) = self.scripts.stonewall() {
+        if let Some(deadline) = scripts.stonewall() {
             if self.world.now - self.started >= deadline
                 && matches!(script[pc], Op::Write { .. } | Op::Read { .. })
             {
@@ -513,108 +518,83 @@ impl<'w> Execution<'w> {
                 return self.issue_next(rank);
             }
         }
-        let op = script[pc].clone();
         self.op_start[rank as usize] = self.world.now;
         let node = self.layout.node_of(rank);
         let latency = SimDuration(self.world.system.cluster.network_latency_ns);
-        match op {
+        // A namespace refusal, reported against the path as the script
+        // spelled it.
+        let fs_error = |op: OpKind, cause: FsError| SimError::Fs { rank, op, cause };
+        let not_found = |op: OpKind, path: PathId| {
+            fs_error(op, FsError::NotFound(scripts.path(path).to_owned()))
+        };
+        match script[pc] {
             Op::Mkdir { path } => {
-                let name = self.resolve(path);
+                let id = self.names[path.0 as usize];
                 self.world
                     .namespace
-                    .mkdir(&name)
-                    .map_err(|cause| SimError::Fs {
-                        rank,
-                        op: OpKind::Mkdir,
-                        cause,
-                    })?;
-                self.meta_op(rank, &name, 1.2);
+                    .mkdir_at(id)
+                    .map_err(|cause| fs_error(OpKind::Mkdir, cause))?;
+                self.meta_op(rank, id, 1.2);
             }
             Op::Rmdir { path } => {
-                let name = self.resolve(path);
+                let id = self.names[path.0 as usize];
                 self.world
                     .namespace
-                    .rmdir(&name)
-                    .map_err(|cause| SimError::Fs {
-                        rank,
-                        op: OpKind::Rmdir,
-                        cause,
-                    })?;
-                self.meta_op(rank, &name, 1.0);
+                    .rmdir_at(id)
+                    .map_err(|cause| fs_error(OpKind::Rmdir, cause))?;
+                self.meta_op(rank, id, 1.0);
             }
             Op::Open { path, mode, hint } => {
-                let name = self.resolve(path);
+                let id = self.names[path.0 as usize];
                 let mut cost = 1.0;
-                let exists = self.world.namespace.file(&name).is_some();
+                let exists = self.world.namespace.file_at(id).is_some();
                 match (exists, mode) {
                     (false, OpenMode::Write) => {
                         self.world
                             .namespace
-                            .create(&name, hint, self.world.now.nanos())
-                            .map_err(|cause| SimError::Fs {
-                                rank,
-                                op: OpKind::Open,
-                                cause,
-                            })?;
+                            .create_at(id, hint, self.world.now.nanos())
+                            .map_err(|cause| fs_error(OpKind::Open, cause))?;
                         cost = 1.3; // create + layout allocation
                     }
-                    (false, _) => {
-                        return Err(SimError::Fs {
-                            rank,
-                            op: OpKind::Open,
-                            cause: crate::pfs::FsError::NotFound(name),
-                        });
-                    }
+                    (false, _) => return Err(not_found(OpKind::Open, path)),
                     (true, _) => {}
                 }
                 // Shared-file tracking for the range-lock model.
-                match self.world.shared_files.get(&name) {
-                    None => {
-                        self.world.shared_files.insert(name.clone(), rank);
-                    }
-                    Some(first) if *first != rank => {
-                        self.world.shared_flag.insert(name.clone());
-                    }
+                let file = &mut self.world.files[id.index()];
+                match file.first_opener {
+                    None => file.first_opener = Some(rank),
+                    Some(first) if first != rank => file.shared = true,
                     Some(_) => {}
                 }
-                self.meta_op(rank, &name, cost);
+                self.meta_op(rank, id, cost);
             }
             Op::Close { path } => {
-                let name = self.resolve(path);
-                self.meta_op(rank, &name, 0.5);
+                self.meta_op(rank, self.names[path.0 as usize], 0.5);
             }
             Op::Stat { path } => {
-                let name = self.resolve(path);
-                if self.world.namespace.file(&name).is_none() && !self.world.namespace.is_dir(&name)
-                {
-                    return Err(SimError::Fs {
-                        rank,
-                        op: OpKind::Stat,
-                        cause: crate::pfs::FsError::NotFound(name),
-                    });
+                let id = self.names[path.0 as usize];
+                if !self.world.namespace.exists_at(id) {
+                    return Err(not_found(OpKind::Stat, path));
                 }
-                self.meta_op(rank, &name, 0.7);
+                self.meta_op(rank, id, 0.7);
             }
             Op::Unlink { path } => {
-                let name = self.resolve(path);
+                let id = self.names[path.0 as usize];
                 self.world
                     .namespace
-                    .unlink(&name)
-                    .map_err(|cause| SimError::Fs {
-                        rank,
-                        op: OpKind::Unlink,
-                        cause,
-                    })?;
-                self.world.dirty.remove(&name);
-                self.world.file_lock_busy.remove(&name);
-                self.meta_op(rank, &name, 1.1);
+                    .unlink_at(id)
+                    .map_err(|cause| fs_error(OpKind::Unlink, cause))?;
+                let file = &mut self.world.files[id.index()];
+                file.dirty.clear();
+                file.lock_busy = SimTime::ZERO;
+                self.meta_op(rank, id, 1.1);
             }
             Op::Readdir { path } => {
-                let name = self.resolve(path);
-                let entries = self.world.namespace.dir_entries(&name);
+                let id = self.names[path.0 as usize];
+                let entries = self.world.namespace.dir_entries_at(id);
                 // One MDS request per 64 directory entries.
                 let cost = 1.0 + (entries as f64 / 64.0);
-                self.meta_op(rank, &name, cost);
+                self.meta_op(rank, id, cost);
             }
             Op::Write { path, offset, len } => {
                 self.data_op(rank, node, path, offset, len, true)?;
@@ -623,9 +603,9 @@ impl<'w> Execution<'w> {
                 self.data_op(rank, node, path, offset, len, false)?;
             }
             Op::Fsync { path } => {
-                let name = self.resolve(path);
+                let id = self.names[path.0 as usize];
                 let overhead = SimDuration(self.world.system.pfs.target_op_overhead_ns);
-                let targets = self.world.dirty.remove(&name).unwrap_or_default();
+                let targets = std::mem::take(&mut self.world.files[id.index()].dirty);
                 let mut done = self.world.now + latency;
                 for t in targets {
                     let idx = t as usize;
@@ -638,7 +618,7 @@ impl<'w> Execution<'w> {
             }
             Op::Barrier { group } => {
                 self.ranks[rank as usize] = RankState::BarrierWait { group };
-                let members = self.scripts.group_size(group, self.layout.np);
+                let members = scripts.group_size(group, self.layout.np);
                 let arrived = self.barriers.entry(group).or_default();
                 arrived.push(rank);
                 if arrived.len() as u32 == members {
@@ -665,40 +645,29 @@ impl<'w> Execution<'w> {
                     self.ranks[rank as usize] = RankState::TimerWait;
                     self.schedule(self.world.now + dur + latency, Event::OpFinish(rank));
                     // Deliver at the same completion instant.
-                    self.mailbox
-                        .delivered
+                    self.delivered
                         .entry((to, rank, tag))
                         .or_default()
                         .push_back(self.world.now + dur + latency);
                     self.try_release_recv(to, rank, tag, self.world.now + dur + latency);
                 } else {
-                    let resources = vec![
+                    let across = [
                         self.res_nic(node),
                         self.res_fabric(),
                         self.res_nic(dst_node),
                     ];
+                    let outcome = FlowOutcome::Message {
+                        from: rank,
+                        to,
+                        tag,
+                    };
                     self.ranks[rank as usize] = RankState::DataWait { outstanding: 1 };
-                    self.schedule(
-                        self.world.now + latency,
-                        Event::FlowStart(PendingFlow {
-                            resources,
-                            bytes: bytes as f64,
-                            outcome: FlowOutcome::Message {
-                                from: rank,
-                                to,
-                                tag,
-                            },
-                        }),
-                    );
+                    self.start_flow(self.world.now + latency, across, bytes, outcome);
                 }
             }
             Op::Recv { from, tag } => {
                 let key = (rank, from, tag);
-                let ready = self
-                    .mailbox
-                    .delivered
-                    .get_mut(&key)
-                    .and_then(VecDeque::pop_front);
+                let ready = self.delivered.get_mut(&key).and_then(VecDeque::pop_front);
                 match ready {
                     Some(at) => {
                         self.ranks[rank as usize] = RankState::TimerWait;
@@ -713,12 +682,6 @@ impl<'w> Execution<'w> {
         Ok(())
     }
 
-    /// The name an op's path id stands for (one resolution per op).
-    fn resolve(&mut self, path: PathId) -> String {
-        self.stats.paths_resolved += 1;
-        self.scripts.path(path).to_owned()
-    }
-
     /// Issue a write or read: resolve layout, acquire target slots, spawn
     /// flows (or serve from page cache).
     fn data_op(
@@ -730,28 +693,29 @@ impl<'w> Execution<'w> {
         len: u64,
         is_write: bool,
     ) -> Result<(), SimError> {
-        let name = self.resolve(path);
+        let id = self.names[path.0 as usize];
         let kind = if is_write {
             OpKind::Write
         } else {
             OpKind::Read
         };
         let latency = SimDuration(self.world.system.cluster.network_latency_ns);
-        let meta = self
-            .world
-            .namespace
-            .file(&name)
-            .ok_or_else(|| SimError::Fs {
+        if self.world.cache.len() <= node as usize {
+            self.world
+                .cache
+                .resize_with(node as usize + 1, NodeCache::default);
+        }
+        let Some(meta) = self.world.namespace.file_at(id) else {
+            return Err(SimError::Fs {
                 rank,
                 op: kind,
-                cause: crate::pfs::FsError::NotFound(name.clone()),
-            })?
-            .clone();
+                cause: FsError::NotFound(self.scripts.path(path).to_owned()),
+            });
+        };
 
         if !is_write {
             // Page-cache check: this node previously wrote/read the range.
-            let cache = &mut self.world.cache[node as usize];
-            if cache.covers(&name, offset, offset + len) {
+            if self.world.cache[node as usize].covers(id, offset, offset + len) {
                 let dur = SimDuration::from_secs_f64(
                     len as f64 / self.world.system.cluster.memory_bandwidth,
                 );
@@ -772,8 +736,7 @@ impl<'w> Execution<'w> {
         // write penalty (the "ior-hard" effect): the lock round-trip
         // serializes all writers of the file, and the unaligned pieces
         // cost an extra service slot at the targets.
-        let shared = self.world.shared_flag.contains(&name);
-        let unaligned = shared && meta.is_unaligned(offset, len);
+        let unaligned = self.world.files[id.index()].shared && meta.is_unaligned(offset, len);
         let unaligned_penalty = if unaligned { 2.0 } else { 1.0 };
         let raid_penalty = if is_write {
             1.0 / self.world.system.pfs.raid.write_efficiency() - 1.0
@@ -787,11 +750,7 @@ impl<'w> Execution<'w> {
         // take turns holding the range lock for one overhead period.
         let mut earliest_start = self.world.now + latency;
         if unaligned && is_write {
-            let lock = self
-                .world
-                .file_lock_busy
-                .entry(name.clone())
-                .or_insert(SimTime::ZERO);
+            let lock = &mut self.world.files[id.index()].lock_busy;
             let granted = (*lock).max(earliest_start);
             *lock = granted + SimDuration(overhead as u64);
             earliest_start = granted;
@@ -800,7 +759,7 @@ impl<'w> Execution<'w> {
         let outstanding = segments.len() as u32;
         self.ranks[rank as usize] = RankState::DataWait { outstanding };
 
-        for (target, bytes) in segments {
+        for &(target, bytes) in &segments {
             let idx = target as usize;
             // Serialized per-request service slot at the target: fixed
             // overhead, scaled by lock penalty, plus RAID write
@@ -823,51 +782,56 @@ impl<'w> Execution<'w> {
             } else {
                 self.res_target_read(target)
             };
-            let resources = vec![self.res_nic(node), self.res_fabric(), target_res];
-            self.schedule(
-                slot,
-                Event::FlowStart(PendingFlow {
-                    resources,
-                    bytes: bytes as f64,
-                    outcome: FlowOutcome::OpPart(rank),
-                }),
-            );
+            let across = [self.res_nic(node), self.res_fabric(), target_res];
+            self.start_flow(slot, across, bytes, FlowOutcome::OpPart(rank));
         }
 
         if is_write {
             self.world
                 .namespace
-                .note_write(&name, offset, len)
+                .note_write_at(id, offset, len)
                 .map_err(|cause| SimError::Fs {
                     rank,
                     op: kind,
                     cause,
                 })?;
-            let dirty = self.world.dirty.entry(name.clone()).or_default();
-            for (target, _) in meta.layout(offset, len) {
-                dirty.insert(target);
-            }
+            let dirty = &mut self.world.files[id.index()].dirty;
+            dirty.extend(segments.iter().map(|(target, _)| *target));
             // Cache coherence: a write invalidates every *other* node's
             // cached copy of the file (close-to-open consistency on the
             // parallel FS revalidates pages against the new mtime).
             for (n, cache) in self.world.cache.iter_mut().enumerate() {
                 if n != node as usize {
-                    cache.remove(&name);
+                    cache.remove(id);
                 }
             }
-            let limit = (self.world.system.cluster.mem_per_node as f64 * 0.7) as u64;
-            self.world.cache[node as usize].insert(&name, offset, offset + len, limit);
-        } else {
-            // Reading populates the cache too.
-            let limit = (self.world.system.cluster.mem_per_node as f64 * 0.7) as u64;
-            self.world.cache[node as usize].insert(&name, offset, offset + len, limit);
         }
+        // Reading populates the cache too.
+        let limit = (self.world.system.cluster.mem_per_node as f64 * 0.7) as u64;
+        self.world.cache[node as usize].insert(id, offset, offset + len, limit);
         Ok(())
     }
 
-    /// Queue a metadata operation at the responsible MDS.
-    fn meta_op(&mut self, rank: Rank, path: &str, cost: f64) {
-        let mds = self.world.namespace.mds_for(path) as usize;
+    /// Schedule a flow of `bytes` across three resources to start at `at`.
+    fn start_flow(
+        &mut self,
+        at: SimTime,
+        across: [ResourceId; 3],
+        bytes: u64,
+        outcome: FlowOutcome,
+    ) {
+        let flow = ActiveFlow {
+            path: FlowPath::new(across.to_vec()),
+            remaining: (bytes as f64).max(1.0),
+            rate: 0.0,
+            outcome,
+        };
+        self.schedule(at, Event::FlowStart(flow));
+    }
+
+    /// Queue a metadata operation at the MDS responsible for the name.
+    fn meta_op(&mut self, rank: Rank, name: NameId, cost: f64) {
+        let mds = self.world.namespace.mds_at(name) as usize;
         let latency = SimDuration(self.world.system.cluster.network_latency_ns);
         let factor = self
             .world
@@ -884,21 +848,28 @@ impl<'w> Execution<'w> {
         self.schedule(done + latency, Event::OpFinish(rank));
     }
 
-    fn finish_op(
-        &mut self,
-        rank: Rank,
-        path: Option<PathId>,
-        offset: u64,
-        len: u64,
-        maybe_cached: bool,
-    ) -> Result<(), SimError> {
-        let pc = self.pcs[rank as usize];
-        let op = &self.scripts.script(rank)[pc];
+    /// Record the op `rank` was executing as complete now and issue its
+    /// next one.
+    fn finish_op(&mut self, rank: Rank) -> Result<(), SimError> {
+        let op = &self.scripts.script(rank)[self.pcs[rank as usize]];
+        let (path, offset, len) = match *op {
+            Op::Write { path, offset, len } | Op::Read { path, offset, len } => {
+                (Some(path), offset, len)
+            }
+            Op::Open { path, .. }
+            | Op::Close { path }
+            | Op::Fsync { path }
+            | Op::Stat { path }
+            | Op::Unlink { path }
+            | Op::Mkdir { path }
+            | Op::Rmdir { path }
+            | Op::Readdir { path } => (Some(path), 0, 0),
+            Op::Send { bytes, .. } => (None, 0, bytes),
+            _ => (None, 0, 0),
+        };
         let kind = op.kind();
         // A read that finished via timer (no flows) was a cache hit.
-        let cache_hit = maybe_cached
-            && kind == OpKind::Read
-            && matches!(self.ranks[rank as usize], RankState::TimerWait);
+        let cache_hit = kind == OpKind::Read && self.ranks[rank as usize] == RankState::TimerWait;
         self.records.push(OpRecord {
             rank,
             kind,
@@ -917,7 +888,7 @@ impl<'w> Execution<'w> {
     fn try_release_recv(&mut self, to: Rank, from: Rank, tag: u32, at: SimTime) {
         if self.ranks[to as usize] == (RankState::RecvWait { from, tag }) {
             // Consume the delivery we just enqueued.
-            if let Some(queue) = self.mailbox.delivered.get_mut(&(to, from, tag)) {
+            if let Some(queue) = self.delivered.get_mut(&(to, from, tag)) {
                 queue.pop_front();
             }
             self.ranks[to as usize] = RankState::TimerWait;
@@ -937,93 +908,42 @@ impl<'w> Execution<'w> {
 
     fn complete_due_flows(&mut self) -> Result<(), SimError> {
         loop {
-            let mut due: Vec<usize> = self
-                .flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.remaining <= FLOW_EPS)
-                .map(|(i, _)| i)
-                .collect();
-            if due.is_empty() {
+            // Simultaneous completions are delivered in start order, which
+            // is the order `flows` is kept in.
+            let mut outcomes = Vec::new();
+            self.flows.retain(|flow| {
+                let due = flow.remaining <= FLOW_EPS;
+                if due {
+                    outcomes.push(flow.outcome);
+                }
+                !due
+            });
+            if outcomes.is_empty() {
                 return Ok(());
             }
-            // Complete in flow-id order for determinism.
-            due.sort_by_key(|i| self.flows[*i].id);
-            // Remove from the active set first (indices shift, so collect
-            // the outcomes up front).
-            let mut outcomes = Vec::with_capacity(due.len());
-            for &i in &due {
-                outcomes.push(self.flows[i].outcome);
-            }
-            let mut removed = 0usize;
-            let due_set: BTreeSet<u64> = due.iter().map(|i| self.flows[*i].id).collect();
-            self.flows.retain(|f| {
-                let keep = !due_set.contains(&f.id);
-                if !keep {
-                    removed += 1;
-                }
-                keep
-            });
-            debug_assert_eq!(removed, due_set.len());
             self.flows_dirty = true;
             for outcome in outcomes {
-                match outcome {
-                    FlowOutcome::OpPart(rank) => {
-                        if let RankState::DataWait { outstanding } = &mut self.ranks[rank as usize]
-                        {
-                            *outstanding -= 1;
-                            if *outstanding == 0 {
-                                let (path, offset, len, _) = self.current_data(rank);
-                                // Data op completion; not a cache hit.
-                                self.ranks[rank as usize] = RankState::Ready;
-                                self.record_and_advance(rank, path, offset, len)?;
-                            }
-                        }
+                // The op (a data op's piece, or the sender's `Send`) is
+                // done once its last flow is.
+                let (rank, message) = match outcome {
+                    FlowOutcome::OpPart(rank) => (rank, None),
+                    FlowOutcome::Message { from, to, tag } => (from, Some((to, tag))),
+                };
+                if let RankState::DataWait { outstanding } = &mut self.ranks[rank as usize] {
+                    *outstanding -= 1;
+                    if *outstanding == 0 {
+                        self.finish_op(rank)?;
                     }
-                    FlowOutcome::Message { from, to, tag } => {
-                        // Sender's Send op completes.
-                        if let RankState::DataWait { outstanding } = &mut self.ranks[from as usize]
-                        {
-                            *outstanding -= 1;
-                            if *outstanding == 0 {
-                                let (path, offset, len, _) = self.current_data(from);
-                                self.ranks[from as usize] = RankState::Ready;
-                                self.record_and_advance(from, path, offset, len)?;
-                            }
-                        }
-                        self.mailbox
-                            .delivered
-                            .entry((to, from, tag))
-                            .or_default()
-                            .push_back(self.world.now);
-                        self.try_release_recv(to, from, tag, self.world.now);
-                    }
+                }
+                if let Some((to, tag)) = message {
+                    self.delivered
+                        .entry((to, rank, tag))
+                        .or_default()
+                        .push_back(self.world.now);
+                    self.try_release_recv(to, rank, tag, self.world.now);
                 }
             }
         }
-    }
-
-    fn record_and_advance(
-        &mut self,
-        rank: Rank,
-        path: Option<PathId>,
-        offset: u64,
-        len: u64,
-    ) -> Result<(), SimError> {
-        let pc = self.pcs[rank as usize];
-        let kind = self.scripts.script(rank)[pc].kind();
-        self.records.push(OpRecord {
-            rank,
-            kind,
-            path,
-            offset,
-            len,
-            start: self.op_start[rank as usize],
-            end: self.world.now,
-            cache_hit: false,
-        });
-        self.pcs[rank as usize] += 1;
-        self.issue_next(rank)
     }
 
     fn resample_noise(&mut self) {
@@ -1051,73 +971,36 @@ impl<'w> Execution<'w> {
     }
 
     // Resource index layout: [0..nodes) NICs, [nodes] fabric,
-    // [nodes+1..nodes+1+targets) storage targets.
-    fn res_nic(&self, node: u32) -> u32 {
+    // [nodes+1..nodes+1+targets) storage targets' write (disk) path, then
+    // as many again for their read (server cache) path.
+    fn res_nic(&self, node: u32) -> ResourceId {
         node
     }
 
-    fn res_fabric(&self) -> u32 {
+    fn res_fabric(&self) -> ResourceId {
         self.world.system.cluster.nodes
     }
 
-    fn res_target(&self, target: u32) -> u32 {
+    fn res_target(&self, target: u32) -> ResourceId {
         self.world.system.cluster.nodes + 1 + target
     }
 
-    fn res_target_read(&self, target: u32) -> u32 {
+    fn res_target_read(&self, target: u32) -> ResourceId {
         self.world.system.cluster.nodes + 1 + self.world.system.pfs.storage_targets + target
-    }
-
-    fn capacities(&self) -> Vec<f64> {
-        let cluster = &self.world.system.cluster;
-        let pfs = &self.world.system.pfs;
-        let now = self.world.now;
-        let nodes = cluster.nodes as usize;
-        let targets = pfs.storage_targets as usize;
-        let mut caps = Vec::with_capacity(nodes + 1 + targets);
-        for n in 0..nodes {
-            let f = self
-                .world
-                .faults
-                .factor(FaultTarget::NodeNic(n as u32), now);
-            caps.push(cluster.nic_bandwidth * f);
-        }
-        let fabric_fault = self.world.faults.factor(FaultTarget::Fabric, now);
-        caps.push(cluster.fabric_bandwidth * fabric_fault * self.world.fabric_noise);
-        for t in 0..targets {
-            let f = self
-                .world
-                .faults
-                .factor(FaultTarget::StorageTarget(t as u32), now);
-            caps.push(pfs.target_bandwidth * f * self.world.target_noise[t]);
-        }
-        // Read-path (server cache) resources: per-target, fault-affected,
-        // with only mild noise (reads are far stabler than disk writes).
-        for t in 0..targets {
-            let f = self
-                .world
-                .faults
-                .factor(FaultTarget::StorageTarget(t as u32), now);
-            caps.push(pfs.target_read_bandwidth * f * self.world.target_read_noise[t]);
-        }
-        caps
     }
 
     fn recompute_rates(&mut self) {
         self.flows_dirty = false;
         self.flow_gen += 1;
-        self.stats.rate_recomputes += 1;
+        self.world.stats.rate_recomputes += 1;
         if self.flows.is_empty() {
             return;
         }
-        let caps = self.capacities();
-        self.stats.rate_solves += 1;
-        self.stats.flows_solved += self.flows.len() as u64;
-        self.stats.resources_solved += caps.len() as u64;
-        let paths: Vec<FlowPath> = self.flows.iter().map(|f| f.path.clone()).collect();
-        let rates = solve_rates(&caps, &paths);
+        let world = &*self.world;
+        let paths = self.flows.iter().map(|flow| &flow.path);
+        let rates = self.solver.solve(paths, |res| world.capacity(res));
         let mut earliest = f64::INFINITY;
-        for (flow, rate) in self.flows.iter_mut().zip(rates) {
+        for (flow, &rate) in self.flows.iter_mut().zip(rates) {
             flow.rate = rate;
             if rate > 0.0 && rate.is_finite() {
                 earliest = earliest.min((flow.remaining - FLOW_EPS).max(0.0) / rate);
@@ -1125,6 +1008,9 @@ impl<'w> Execution<'w> {
                 earliest = 0.0;
             }
         }
+        self.world.stats.rate_solves += 1;
+        self.world.stats.flows_solved += self.flows.len() as u64;
+        self.world.stats.resources_solved += self.solver.resources() as u64;
         if earliest.is_finite() {
             let due = self.world.now + SimDuration::from_secs_f64(earliest.max(1e-9));
             self.schedule(due, Event::FlowsDue(self.flow_gen));
@@ -1132,36 +1018,62 @@ impl<'w> Execution<'w> {
     }
 }
 
+impl World {
+    /// Current capacity of one flow resource (see the index layout at
+    /// `Execution::res_nic`), bytes/s: nominal bandwidth × active faults ×
+    /// the noise process where it applies.
+    fn capacity(&self, res: ResourceId) -> f64 {
+        let cluster = &self.system.cluster;
+        let pfs = &self.system.pfs;
+        let fault = |target| self.faults.factor(target, self.now);
+        if res < cluster.nodes {
+            return cluster.nic_bandwidth * fault(FaultTarget::NodeNic(res));
+        }
+        if res == cluster.nodes {
+            return cluster.fabric_bandwidth * fault(FaultTarget::Fabric) * self.fabric_noise;
+        }
+        let t = res - cluster.nodes - 1;
+        if t < pfs.storage_targets {
+            let f = fault(FaultTarget::StorageTarget(t));
+            return pfs.target_bandwidth * f * self.target_noise[t as usize];
+        }
+        // Read-path (server cache) resources: per-target, fault-affected,
+        // with only mild noise (reads are far stabler than disk writes).
+        let t = t - pfs.storage_targets;
+        let f = fault(FaultTarget::StorageTarget(t));
+        pfs.target_read_bandwidth * f * self.target_read_noise[t as usize]
+    }
+}
+
 impl NodeCache {
     /// Is the byte range `[start, end)` fully cached?
-    fn covers(&self, file: &str, start: u64, end: u64) -> bool {
+    fn covers(&self, file: NameId, start: u64, end: u64) -> bool {
         if end <= start {
             return true;
         }
         self.files
-            .get(file)
+            .get(&file)
             .is_some_and(|ranges| ranges.iter().any(|(s, e)| *s <= start && end <= *e))
     }
 
-    fn remove(&mut self, file: &str) {
-        if let Some(ranges) = self.files.remove(file) {
+    fn remove(&mut self, file: NameId) {
+        if let Some(ranges) = self.files.remove(&file) {
             self.total -= ranges.iter().map(|(s, e)| e - s).sum::<u64>();
-            self.order.retain(|f| f != file);
+            self.order.retain(|f| *f != file);
         }
     }
 
     /// Cache the byte range `[start, end)` of a file, coalescing with
     /// existing ranges, and evict whole files (LRU by first touch) while
     /// over `limit`.
-    fn insert(&mut self, file: &str, start: u64, end: u64, limit: u64) {
+    fn insert(&mut self, file: NameId, start: u64, end: u64, limit: u64) {
         if end <= start {
             return;
         }
-        if !self.files.contains_key(file) {
-            self.order.push_back(file.to_owned());
-            self.files.insert(file.to_owned(), Vec::new());
-        }
-        let ranges = self.files.get_mut(file).expect("just inserted");
+        let ranges = self.files.entry(file).or_insert_with(|| {
+            self.order.push_back(file);
+            Vec::new()
+        });
         let before: u64 = ranges.iter().map(|(s, e)| e - s).sum();
         ranges.push((start, end));
         ranges.sort_unstable();
@@ -1313,10 +1225,9 @@ mod tests {
         };
         let (first, second, total) = run();
         assert_eq!((first, second, total), run());
-        let mut sum = first;
-        sum += second;
-        assert_eq!(sum, total);
+        // The world's census is the sum of its phases'.
         assert_eq!(total.since(&first), second);
+        assert_eq!(total.since(&second), first);
         // 2 MiB over two 512 KiB-chunk targets is four stripe pieces a rank.
         assert_eq!(first.flow_start, 8);
         assert!(first.rate_solves >= 8 && first.flows_solved >= first.rate_solves);

@@ -11,9 +11,14 @@
 //! fair-share queueing of an InfiniBand fabric plus file-server request
 //! schedulers.
 //!
+//! A solve costs `O(bottlenecks × flows × path length)` over the distinct
+//! resources the given flows cross — never the size of the cluster they
+//! run on (see [`RateSolver`]).
+//!
 //! This module is pure (no engine state) so its invariants can be checked
 //! by property tests: feasibility (no resource over capacity), work
-//! conservation, and the bottleneck characterisation of max–min fairness.
+//! conservation, the bottleneck characterisation of max–min fairness, and
+//! bit-equality with the dense-vector solver it replaced.
 
 /// Index of a resource in the capacity vector.
 pub type ResourceId = u32;
@@ -50,101 +55,177 @@ impl FlowPath {
 ///   resources stall flows without dividing by zero).
 /// * `flows[i]` — the path of flow `i`.
 ///
-/// Returns one rate per flow, in bytes/s. Runs in
-/// `O(bottlenecks × (flows + resources))`, with `bottlenecks ≤ resources`.
+/// Returns one rate per flow, in bytes/s. A one-shot call into
+/// [`RateSolver`], which is what the engine keeps between solves.
 #[must_use]
 pub fn solve_rates(capacities: &[f64], flows: &[FlowPath]) -> Vec<f64> {
-    const MIN_CAPACITY: f64 = 1.0; // 1 byte/s floor for faulted resources
+    let mut solver = RateSolver::default();
+    let capacity = |r: ResourceId| capacities[r as usize];
+    solver.solve(flows.iter(), capacity).to_vec()
+}
 
-    let nres = capacities.len();
-    let mut remaining: Vec<f64> = capacities
-        .iter()
-        .map(|c| if *c > MIN_CAPACITY { *c } else { MIN_CAPACITY })
-        .collect();
-    // Number of unfrozen flows crossing each resource.
-    let mut load = vec![0u32; nres];
-    for flow in flows {
-        for &r in flow.resources() {
-            load[r as usize] += 1;
+/// Progressive filling over the resources the given flows actually cross.
+///
+/// The engine re-solves on every change to the flow set with a handful of
+/// flows in flight on a cluster of hundreds of resources, so the solver
+/// never sees the cluster: it collects the distinct resource ids of the
+/// flows it is handed, asks for each one's capacity once, and fills in
+/// that compact space. Resources keep their id order and flows their
+/// given order, so every comparison and subtraction happens on the same
+/// operands in the same sequence as over a dense capacity vector — rates
+/// are equal bit for bit, not merely close. The buffers are kept between
+/// calls; a solve allocates only when it outgrows them.
+#[derive(Debug, Default)]
+pub struct RateSolver {
+    /// Distinct resources crossed, ascending.
+    ids: Vec<ResourceId>,
+    /// Unclaimed capacity per entry of `ids`.
+    remaining: Vec<f64>,
+    /// Unfrozen flows crossing each entry of `ids`.
+    load: Vec<u32>,
+    /// Every flow's resources, concatenated, as indices into `ids`.
+    crossed: Vec<u32>,
+    /// Flow `i` owns `crossed[ends[i - 1]..ends[i]]`.
+    ends: Vec<usize>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+}
+
+impl RateSolver {
+    /// Max–min fair rates, one per flow in the order given. `capacity`
+    /// is asked once per distinct resource; a capacity `<= 1.0` (or NaN)
+    /// is floored to 1 byte/s. A flow crossing nothing is unconstrained
+    /// and gets `f64::INFINITY`. Runs in
+    /// `O(bottlenecks × flows × path length)`, with `bottlenecks` at most
+    /// the number of distinct resources crossed.
+    pub fn solve<'a>(
+        &mut self,
+        flows: impl Iterator<Item = &'a FlowPath>,
+        mut capacity: impl FnMut(ResourceId) -> f64,
+    ) -> &[f64] {
+        const MIN_CAPACITY: f64 = 1.0; // 1 byte/s floor for faulted resources
+
+        self.crossed.clear();
+        self.ends.clear();
+        for flow in flows {
+            self.crossed.extend_from_slice(flow.resources());
+            self.ends.push(self.crossed.len());
         }
-    }
-
-    let mut rates = vec![0.0f64; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut level = 0.0f64; // current uniform fill level of unfrozen flows
-    let mut unfrozen = flows.iter().filter(|f| !f.resources().is_empty()).count();
-    // Flows with no resources are unconstrained; they never freeze via a
-    // bottleneck, so give them an effectively infinite rate up front.
-    for (i, flow) in flows.iter().enumerate() {
-        if flow.resources().is_empty() {
-            rates[i] = f64::INFINITY;
-            frozen[i] = true;
+        self.ids.clear();
+        self.ids.extend_from_slice(&self.crossed);
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        self.remaining.clear();
+        self.remaining.extend(self.ids.iter().map(|&r| {
+            let c = capacity(r);
+            if c > MIN_CAPACITY {
+                c
+            } else {
+                MIN_CAPACITY
+            }
+        }));
+        self.load.clear();
+        self.load.resize(self.ids.len(), 0);
+        for r in &mut self.crossed {
+            let at = self
+                .ids
+                .binary_search(r)
+                .expect("every crossed resource was collected");
+            self.load[at] += 1;
+            *r = at as u32;
         }
-    }
 
-    while unfrozen > 0 {
-        // Find the next bottleneck: the resource that saturates first as
-        // the uniform level grows. Constraint per resource r:
-        //   level ≤ remaining[r] / load[r]  (remaining excludes frozen usage)
-        let mut bottleneck_level = f64::INFINITY;
-        for r in 0..nres {
-            if load[r] > 0 {
-                let candidate = remaining[r] / f64::from(load[r]);
-                if candidate < bottleneck_level {
-                    bottleneck_level = candidate;
+        let nflows = self.ends.len();
+        // Flows with no resources are unconstrained; they never freeze via
+        // a bottleneck, so give them an effectively infinite rate up front.
+        self.rates.clear();
+        self.frozen.clear();
+        let mut unfrozen = 0;
+        let mut start = 0;
+        for &end in &self.ends {
+            let unconstrained = start == end;
+            self.rates
+                .push(if unconstrained { f64::INFINITY } else { 0.0 });
+            self.frozen.push(unconstrained);
+            unfrozen += usize::from(!unconstrained);
+            start = end;
+        }
+
+        let mut level = 0.0f64; // current uniform fill level of unfrozen flows
+        while unfrozen > 0 {
+            // Find the next bottleneck: the resource that saturates first as
+            // the uniform level grows. Constraint per resource r:
+            //   level ≤ remaining[r] / load[r]  (remaining excludes frozen usage)
+            let mut bottleneck_level = f64::INFINITY;
+            for (remaining, &load) in self.remaining.iter().zip(&self.load) {
+                if load > 0 {
+                    let candidate = remaining / f64::from(load);
+                    if candidate < bottleneck_level {
+                        bottleneck_level = candidate;
+                    }
                 }
             }
-        }
-        if !bottleneck_level.is_finite() {
-            // No loaded resources left; remaining flows are unconstrained.
-            for (i, f) in frozen.iter_mut().enumerate() {
-                if !*f {
-                    rates[i] = f64::INFINITY;
-                    *f = true;
-                }
+            if !bottleneck_level.is_finite() {
+                // No loaded resources left; remaining flows are unconstrained.
+                self.freeze_rest_at(f64::INFINITY);
+                break;
             }
-            break;
-        }
-        level = bottleneck_level.max(level);
+            level = bottleneck_level.max(level);
 
-        // Freeze every unfrozen flow that crosses a saturated resource.
-        let mut froze_any = false;
-        for (i, flow) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            let saturated = flow.resources().iter().any(|&r| {
-                let r = r as usize;
-                load[r] > 0 && remaining[r] / f64::from(load[r]) <= level * (1.0 + 1e-9) + 1e-6
-            });
-            if saturated {
-                rates[i] = level;
-                frozen[i] = true;
-                froze_any = true;
-                unfrozen -= 1;
-                for &r in flow.resources() {
+            // Freeze every unfrozen flow that crosses a saturated resource.
+            let mut froze_any = false;
+            let mut start = 0;
+            for i in 0..nflows {
+                let crossed = &self.crossed[start..self.ends[i]];
+                start = self.ends[i];
+                if self.frozen[i] {
+                    continue;
+                }
+                let saturated = crossed.iter().any(|&r| {
                     let r = r as usize;
-                    remaining[r] -= level;
-                    load[r] -= 1;
+                    self.load[r] > 0
+                        && self.remaining[r] / f64::from(self.load[r])
+                            <= level * (1.0 + 1e-9) + 1e-6
+                });
+                if saturated {
+                    self.rates[i] = level;
+                    self.frozen[i] = true;
+                    froze_any = true;
+                    unfrozen -= 1;
+                    for &r in crossed {
+                        let r = r as usize;
+                        self.remaining[r] -= level;
+                        self.load[r] -= 1;
+                    }
                 }
+            }
+            debug_assert!(
+                froze_any,
+                "progressive filling must freeze at least one flow"
+            );
+            if !froze_any {
+                // Numerical safety valve: freeze everything at the current level.
+                self.freeze_rest_at(level);
+                break;
             }
         }
-        debug_assert!(
-            froze_any,
-            "progressive filling must freeze at least one flow"
-        );
-        if !froze_any {
-            // Numerical safety valve: freeze everything at the current level.
-            for (i, f) in frozen.iter_mut().enumerate() {
-                if !*f {
-                    rates[i] = level;
-                    *f = true;
-                }
+        &self.rates
+    }
+
+    /// Distinct resources the last solve filled over.
+    #[must_use]
+    pub fn resources(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn freeze_rest_at(&mut self, rate: f64) {
+        for (frozen, slot) in self.frozen.iter_mut().zip(&mut self.rates) {
+            if !*frozen {
+                *slot = rate;
+                *frozen = true;
             }
-            break;
         }
     }
-    rates
 }
 
 #[cfg(test)]
@@ -154,6 +235,104 @@ mod tests {
 
     fn path(resources: &[u32]) -> FlowPath {
         FlowPath::new(resources.to_vec())
+    }
+
+    /// The solver this module shipped with until the engine stopped
+    /// handing it the whole cluster: progressive filling over a dense
+    /// capacity vector, `O(bottlenecks × (flows + resources))`. Kept as
+    /// the reference [`RateSolver`] must equal bit for bit.
+    fn dense_model(capacities: &[f64], flows: &[FlowPath]) -> Vec<f64> {
+        const MIN_CAPACITY: f64 = 1.0; // 1 byte/s floor for faulted resources
+
+        let nres = capacities.len();
+        let mut remaining: Vec<f64> = capacities
+            .iter()
+            .map(|c| if *c > MIN_CAPACITY { *c } else { MIN_CAPACITY })
+            .collect();
+        // Number of unfrozen flows crossing each resource.
+        let mut load = vec![0u32; nres];
+        for flow in flows {
+            for &r in flow.resources() {
+                load[r as usize] += 1;
+            }
+        }
+
+        let mut rates = vec![0.0f64; flows.len()];
+        let mut frozen = vec![false; flows.len()];
+        let mut level = 0.0f64; // current uniform fill level of unfrozen flows
+        let mut unfrozen = flows.iter().filter(|f| !f.resources().is_empty()).count();
+        // Flows with no resources are unconstrained; they never freeze via a
+        // bottleneck, so give them an effectively infinite rate up front.
+        for (i, flow) in flows.iter().enumerate() {
+            if flow.resources().is_empty() {
+                rates[i] = f64::INFINITY;
+                frozen[i] = true;
+            }
+        }
+
+        while unfrozen > 0 {
+            // Find the next bottleneck: the resource that saturates first as
+            // the uniform level grows. Constraint per resource r:
+            //   level ≤ remaining[r] / load[r]  (remaining excludes frozen usage)
+            let mut bottleneck_level = f64::INFINITY;
+            for r in 0..nres {
+                if load[r] > 0 {
+                    let candidate = remaining[r] / f64::from(load[r]);
+                    if candidate < bottleneck_level {
+                        bottleneck_level = candidate;
+                    }
+                }
+            }
+            if !bottleneck_level.is_finite() {
+                // No loaded resources left; remaining flows are unconstrained.
+                for (i, f) in frozen.iter_mut().enumerate() {
+                    if !*f {
+                        rates[i] = f64::INFINITY;
+                        *f = true;
+                    }
+                }
+                break;
+            }
+            level = bottleneck_level.max(level);
+
+            // Freeze every unfrozen flow that crosses a saturated resource.
+            let mut froze_any = false;
+            for (i, flow) in flows.iter().enumerate() {
+                if frozen[i] {
+                    continue;
+                }
+                let saturated = flow.resources().iter().any(|&r| {
+                    let r = r as usize;
+                    load[r] > 0 && remaining[r] / f64::from(load[r]) <= level * (1.0 + 1e-9) + 1e-6
+                });
+                if saturated {
+                    rates[i] = level;
+                    frozen[i] = true;
+                    froze_any = true;
+                    unfrozen -= 1;
+                    for &r in flow.resources() {
+                        let r = r as usize;
+                        remaining[r] -= level;
+                        load[r] -= 1;
+                    }
+                }
+            }
+            debug_assert!(
+                froze_any,
+                "progressive filling must freeze at least one flow"
+            );
+            if !froze_any {
+                // Numerical safety valve: freeze everything at the current level.
+                for (i, f) in frozen.iter_mut().enumerate() {
+                    if !*f {
+                        rates[i] = level;
+                        *f = true;
+                    }
+                }
+                break;
+            }
+        }
+        rates
     }
 
     #[test]
@@ -301,6 +480,57 @@ mod tests {
                 let rates = solve_rates(&caps, &flows);
                 prop_assert_eq!(rates.len(), flows.len());
                 check_invariants(&caps, &flows, &rates);
+            }
+
+            /// The production solver is the dense model, not an
+            /// approximation of it: over capacities that are zero,
+            /// negative or under the floor, resources no flow touches,
+            /// empty paths and repeated ids, every rate has the same
+            /// bits — and a solver that has solved before still does.
+            #[test]
+            fn solver_equals_dense_model_bit_for_bit(
+                caps in proptest::collection::vec(
+                    prop_oneof![
+                        1.0f64..1e10,
+                        1.0f64..1e10,
+                        1.0f64..100.0,
+                        -10.0f64..1.0,
+                        Just(0.0f64),
+                    ],
+                    1..64
+                ),
+                flow_specs in proptest::collection::vec(
+                    proptest::collection::vec(0u32..64, 0..5),
+                    0..24
+                ),
+                warm in proptest::collection::vec(
+                    proptest::collection::vec(0u32..64, 0..4),
+                    0..6
+                ),
+            ) {
+                let nres = caps.len() as u32;
+                let to_flows = |specs: Vec<Vec<u32>>| -> Vec<FlowPath> {
+                    specs
+                        .into_iter()
+                        .map(|spec| FlowPath::new(
+                            spec.into_iter().map(|r| r % nres).collect()
+                        ))
+                        .collect()
+                };
+                let flows = to_flows(flow_specs);
+                let bits = |rates: &[f64]| -> Vec<u64> {
+                    rates.iter().map(|r| r.to_bits()).collect()
+                };
+                let model = bits(&dense_model(&caps, &flows));
+                prop_assert_eq!(&bits(&solve_rates(&caps, &flows)), &model);
+                // Scratch left over from another flow set changes nothing.
+                let mut solver = RateSolver::default();
+                let capacity = |r: ResourceId| caps[r as usize];
+                solver.solve(to_flows(warm).iter(), capacity);
+                prop_assert_eq!(&bits(solver.solve(flows.iter(), capacity)), &model);
+                let crossed: std::collections::BTreeSet<u32> =
+                    flows.iter().flat_map(|f| f.resources().iter().copied()).collect();
+                prop_assert_eq!(solver.resources(), crossed.len());
             }
         }
     }

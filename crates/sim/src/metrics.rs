@@ -87,29 +87,19 @@ impl EngineStats {
     /// What happened after `earlier` was read from the same world.
     #[must_use]
     pub fn since(&self, earlier: &EngineStats) -> EngineStats {
-        self.zip(earlier, |now, then| now - then)
-    }
-
-    fn zip(&self, other: &EngineStats, f: fn(u64, u64) -> u64) -> EngineStats {
         EngineStats {
-            rank_ready: f(self.rank_ready, other.rank_ready),
-            op_finish: f(self.op_finish, other.op_finish),
-            flow_start: f(self.flow_start, other.flow_start),
-            flows_due: f(self.flows_due, other.flows_due),
-            noise_tick: f(self.noise_tick, other.noise_tick),
-            fault_edge: f(self.fault_edge, other.fault_edge),
-            rate_recomputes: f(self.rate_recomputes, other.rate_recomputes),
-            rate_solves: f(self.rate_solves, other.rate_solves),
-            flows_solved: f(self.flows_solved, other.flows_solved),
-            resources_solved: f(self.resources_solved, other.resources_solved),
-            paths_resolved: f(self.paths_resolved, other.paths_resolved),
+            rank_ready: self.rank_ready - earlier.rank_ready,
+            op_finish: self.op_finish - earlier.op_finish,
+            flow_start: self.flow_start - earlier.flow_start,
+            flows_due: self.flows_due - earlier.flows_due,
+            noise_tick: self.noise_tick - earlier.noise_tick,
+            fault_edge: self.fault_edge - earlier.fault_edge,
+            rate_recomputes: self.rate_recomputes - earlier.rate_recomputes,
+            rate_solves: self.rate_solves - earlier.rate_solves,
+            flows_solved: self.flows_solved - earlier.flows_solved,
+            resources_solved: self.resources_solved - earlier.resources_solved,
+            paths_resolved: self.paths_resolved - earlier.paths_resolved,
         }
-    }
-}
-
-impl std::ops::AddAssign for EngineStats {
-    fn add_assign(&mut self, other: EngineStats) {
-        *self = self.zip(&other, |a, b| a + b);
     }
 }
 

@@ -6,8 +6,10 @@
 //! BeeGFS's round-robin chunk distribution over the file's target set.
 
 use crate::config::PfsConfig;
-use crate::script::{parent_dir, PathId, StripeHint};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::script::{parent_dir, NameMap, StripeHint};
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// Per-file metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +75,6 @@ pub enum FsError {
     NotEmpty(String),
     /// Parent directory missing.
     NoParent(String),
-    /// Operation on the wrong entry type (file vs directory).
-    WrongType(String),
 }
 
 impl std::fmt::Display for FsError {
@@ -84,19 +84,60 @@ impl std::fmt::Display for FsError {
             FsError::AlreadyExists(p) => write!(f, "already exists: {p}"),
             FsError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             FsError::NoParent(p) => write!(f, "parent directory missing: {p}"),
-            FsError::WrongType(p) => write!(f, "wrong entry type: {p}"),
         }
     }
 }
 
 impl std::error::Error for FsError {}
 
+/// Dense id of a path name in a [`Namespace`]'s path table. Ids are an
+/// in-memory shortcut only: nothing observable (entry ids, placement, MDS
+/// choice, listing order) may depend on their values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct NameId(u32);
+
+impl NameId {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What a name currently refers to.
+#[derive(Debug, Clone)]
+enum Node {
+    Absent,
+    Dir,
+    File(FileMeta),
+}
+
+/// One row of the path table: everything about a *name* that is worked
+/// out once, plus what currently lives under it.
+#[derive(Debug, Clone)]
+struct Entry {
+    name: Arc<str>,
+    /// The table row of `parent_dir(name)` (`/` is its own parent).
+    parent: NameId,
+    /// `stable_hash(name)`: placement, entry ids and (through the parent's
+    /// row) MDS choice are defined by it.
+    hash: u64,
+    node: Node,
+}
+
 /// The namespace: directories, files, and placement state.
+///
+/// Every name ever resolved gets a row in the path table and keeps its
+/// [`NameId`] for the life of the namespace, so the engine resolves a
+/// script's paths once per phase and works on ids from there. The
+/// string-keyed methods are veneers over the id-keyed ones.
 #[derive(Debug, Clone)]
 pub struct Namespace {
     config: PfsConfig,
-    files: BTreeMap<String, FileMeta>,
-    dirs: BTreeSet<String>,
+    table: Vec<Entry>,
+    by_name: NameMap<Arc<str>, NameId>,
+    /// Names that currently exist, in name order: `list_dir` walks a key
+    /// range of it, and its order decides which rank `find` hands each
+    /// file to.
+    present: BTreeMap<Arc<str>, NameId>,
     created_count: u64,
 }
 
@@ -104,15 +145,18 @@ impl Namespace {
     /// A namespace containing only `/` and `/scratch`.
     #[must_use]
     pub fn new(config: PfsConfig) -> Namespace {
-        let mut dirs = BTreeSet::new();
-        dirs.insert("/".to_owned());
-        dirs.insert("/scratch".to_owned());
-        Namespace {
+        let mut ns = Namespace {
             config,
-            files: BTreeMap::new(),
-            dirs,
+            table: Vec::new(),
+            by_name: NameMap::default(),
+            present: BTreeMap::new(),
             created_count: 0,
+        };
+        for dir in ["/", "/scratch"] {
+            let id = ns.resolve(dir);
+            ns.place(id, Node::Dir);
         }
+        ns
     }
 
     /// Access the file system configuration.
@@ -124,49 +168,140 @@ impl Namespace {
     /// Number of files currently present.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        let is_file = |id: &NameId| self.file_at(*id).is_some();
+        self.present.values().filter(|id| is_file(id)).count()
+    }
+
+    /// The id of `name`, giving it (and its ancestors) a table row first
+    /// if it has none. Resolving a name creates nothing in the file
+    /// system.
+    pub(crate) fn resolve(&mut self, name: &str) -> NameId {
+        if let Some(id) = self.by_name.get(name) {
+            return *id;
+        }
+        // `/` is its own parent; any other name's ancestors get rows first.
+        let parent_name = parent_dir(name);
+        let parent = (parent_name != name).then(|| self.resolve(parent_name));
+        let id = NameId(self.table.len() as u32);
+        let name: Arc<str> = Arc::from(name);
+        self.table.push(Entry {
+            hash: stable_hash(&name),
+            name: Arc::clone(&name),
+            parent: parent.unwrap_or(id),
+            node: Node::Absent,
+        });
+        self.by_name.insert(name, id);
+        id
+    }
+
+    /// Rows in the path table (ids are `0..names()`).
+    pub(crate) fn names(&self) -> usize {
+        self.table.len()
+    }
+
+    fn lookup(&self, name: &str) -> Option<NameId> {
+        self.by_name.get(name).copied()
+    }
+
+    fn name(&self, id: NameId) -> String {
+        self.table[id.index()].name.as_ref().to_owned()
+    }
+
+    /// Put a file or directory under a vacant name.
+    fn place(&mut self, id: NameId, node: Node) {
+        let entry = &mut self.table[id.index()];
+        entry.node = node;
+        self.present.insert(Arc::clone(&entry.name), id);
+    }
+
+    /// Take away what lives under a name.
+    fn remove(&mut self, id: NameId) {
+        let entry = &mut self.table[id.index()];
+        entry.node = Node::Absent;
+        self.present.remove(&entry.name);
     }
 
     /// Look up a file.
     #[must_use]
     pub fn file(&self, path: &str) -> Option<&FileMeta> {
-        self.files.get(path)
+        self.file_at(self.lookup(path)?)
+    }
+
+    pub(crate) fn file_at(&self, id: NameId) -> Option<&FileMeta> {
+        match &self.table[id.index()].node {
+            Node::File(meta) => Some(meta),
+            _ => None,
+        }
     }
 
     /// True if `path` is a directory.
     #[must_use]
     pub fn is_dir(&self, path: &str) -> bool {
-        self.dirs.contains(path)
+        self.lookup(path).is_some_and(|id| self.is_dir_at(id))
+    }
+
+    fn is_dir_at(&self, id: NameId) -> bool {
+        matches!(self.table[id.index()].node, Node::Dir)
+    }
+
+    /// True if a file or directory lives under the name.
+    pub(crate) fn exists_at(&self, id: NameId) -> bool {
+        !matches!(self.table[id.index()].node, Node::Absent)
     }
 
     /// The metadata server responsible for `path` (by parent-dir hash, as
     /// BeeGFS assigns inode ownership).
     #[must_use]
     pub fn mds_for(&self, path: &str) -> u32 {
-        (stable_hash(parent_dir(path)) % u64::from(self.config.metadata_servers.max(1))) as u32
+        self.mds_by_hash(stable_hash(parent_dir(path)))
+    }
+
+    pub(crate) fn mds_at(&self, id: NameId) -> u32 {
+        let parent = self.table[id.index()].parent;
+        self.mds_by_hash(self.table[parent.index()].hash)
+    }
+
+    fn mds_by_hash(&self, parent_hash: u64) -> u32 {
+        (parent_hash % u64::from(self.config.metadata_servers.max(1))) as u32
     }
 
     /// Create a directory. Parents must exist.
     pub fn mkdir(&mut self, path: &str) -> Result<(), FsError> {
-        if self.dirs.contains(path) || self.files.contains_key(path) {
-            return Err(FsError::AlreadyExists(path.to_owned()));
+        let id = self.resolve(path);
+        self.mkdir_at(id)
+    }
+
+    pub(crate) fn mkdir_at(&mut self, id: NameId) -> Result<(), FsError> {
+        self.check_vacant(id)?;
+        self.place(id, Node::Dir);
+        Ok(())
+    }
+
+    /// A create or mkdir needs a free name under an existing directory.
+    fn check_vacant(&self, id: NameId) -> Result<(), FsError> {
+        if self.exists_at(id) {
+            return Err(FsError::AlreadyExists(self.name(id)));
         }
-        if !self.dirs.contains(parent_dir(path)) {
-            return Err(FsError::NoParent(path.to_owned()));
+        if !self.is_dir_at(self.table[id.index()].parent) {
+            return Err(FsError::NoParent(self.name(id)));
         }
-        self.dirs.insert(path.to_owned());
         Ok(())
     }
 
     /// Remove an empty directory.
     pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
-        if !self.dirs.contains(path) {
-            return Err(FsError::NotFound(path.to_owned()));
+        let id = self.resolve(path);
+        self.rmdir_at(id)
+    }
+
+    pub(crate) fn rmdir_at(&mut self, id: NameId) -> Result<(), FsError> {
+        if !self.is_dir_at(id) {
+            return Err(FsError::NotFound(self.name(id)));
         }
-        if self.list_dir(path).next().is_some() {
-            return Err(FsError::NotEmpty(path.to_owned()));
+        if self.dir_entries_at(id) > 0 {
+            return Err(FsError::NotEmpty(self.name(id)));
         }
-        self.dirs.remove(path);
+        self.remove(id);
         Ok(())
     }
 
@@ -177,12 +312,17 @@ impl Namespace {
         hint: StripeHint,
         now_ns: u64,
     ) -> Result<&FileMeta, FsError> {
-        if self.files.contains_key(path) || self.dirs.contains(path) {
-            return Err(FsError::AlreadyExists(path.to_owned()));
-        }
-        if !self.dirs.contains(parent_dir(path)) {
-            return Err(FsError::NoParent(path.to_owned()));
-        }
+        let id = self.resolve(path);
+        self.create_at(id, hint, now_ns)
+    }
+
+    pub(crate) fn create_at(
+        &mut self,
+        id: NameId,
+        hint: StripeHint,
+        now_ns: u64,
+    ) -> Result<&FileMeta, FsError> {
+        self.check_vacant(id)?;
         let chunk_size = hint
             .chunk_size
             .unwrap_or(self.config.default_chunk_size)
@@ -196,74 +336,87 @@ impl Namespace {
         // chooser); a stable path hash keeps the simulation deterministic
         // while avoiding the convoy effect of all files starting on the
         // same target.
-        let first = (stable_hash(path) % u64::from(ntargets)) as u32;
+        let hash = self.table[id.index()].hash;
+        let first = (hash % u64::from(ntargets)) as u32;
         let targets: Vec<u32> = (0..stripe_count).map(|i| (first + i) % ntargets).collect();
         self.created_count += 1;
-        let entry_id = format!(
-            "{:X}-{:08X}-1",
-            self.created_count,
-            stable_hash(path) as u32
-        );
-        let mds = self.mds_for(path);
+        let entry_id = format!("{:X}-{:08X}-1", self.created_count, hash as u32);
         let meta = FileMeta {
             entry_id,
-            mds,
+            mds: self.mds_at(id),
             chunk_size,
             targets,
             size: 0,
             created_ns: now_ns,
         };
-        self.files.insert(path.to_owned(), meta);
-        Ok(self.files.get(path).expect("just inserted"))
-    }
-
-    /// Look up a file for an open; errors if missing.
-    pub fn open_existing(&self, path: &str) -> Result<&FileMeta, FsError> {
-        if self.dirs.contains(path) {
-            return Err(FsError::WrongType(path.to_owned()));
-        }
-        self.files
-            .get(path)
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))
+        self.place(id, Node::File(meta));
+        Ok(self.file_at(id).expect("just created"))
     }
 
     /// Extend file size after a write.
     pub fn note_write(&mut self, path: &str, offset: u64, len: u64) -> Result<(), FsError> {
-        let meta = self
-            .files
-            .get_mut(path)
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))?;
-        meta.size = meta.size.max(offset + len);
-        Ok(())
+        let id = self.resolve(path);
+        self.note_write_at(id, offset, len)
+    }
+
+    pub(crate) fn note_write_at(
+        &mut self,
+        id: NameId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(), FsError> {
+        match &mut self.table[id.index()].node {
+            Node::File(meta) => {
+                meta.size = meta.size.max(offset + len);
+                Ok(())
+            }
+            _ => Err(FsError::NotFound(self.name(id))),
+        }
     }
 
     /// Remove a file.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        self.files
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))
+        let id = self.resolve(path);
+        self.unlink_at(id)
     }
 
-    /// Iterate over the immediate children (files and directories) of `dir`.
+    pub(crate) fn unlink_at(&mut self, id: NameId) -> Result<(), FsError> {
+        if self.file_at(id).is_none() {
+            return Err(FsError::NotFound(self.name(id)));
+        }
+        self.remove(id);
+        Ok(())
+    }
+
+    /// Iterate over the immediate children of `dir`: files in name order,
+    /// then directories in name order.
     pub fn list_dir<'a>(&'a self, dir: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        let prefix = if dir == "/" {
-            String::new()
-        } else {
-            dir.to_owned()
+        self.lookup(dir)
+            .into_iter()
+            .flat_map(|id| self.children(id))
+    }
+
+    /// The children of a directory, found in the key range that holds
+    /// exactly its descendants (`dir/` up to `dir0`, `0` being the byte
+    /// after `/`) rather than by testing every name in the namespace.
+    fn children(&self, dir: NameId) -> impl Iterator<Item = &str> + '_ {
+        let mut from = self.name(dir);
+        if !from.ends_with('/') {
+            from.push('/');
+        }
+        let mut to = from.clone();
+        to.pop();
+        to.push('0');
+        let bounds = (Bound::Included(from.as_str()), Bound::Excluded(to.as_str()));
+        let descendants = self.present.range::<str, _>(bounds);
+        let of_kind = move |dirs: bool| {
+            move |&(_, id): &(&Arc<str>, &NameId)| {
+                *id != dir && self.table[id.index()].parent == dir && self.is_dir_at(*id) == dirs
+            }
         };
-        let file_children = self
-            .files
-            .keys()
-            .map(String::as_str)
-            .filter(move |p| is_child(p, dir));
-        let dir_children = self
-            .dirs
-            .iter()
-            .map(String::as_str)
-            .filter(move |p| is_child(p, dir));
-        let _ = prefix;
-        file_children.chain(dir_children)
+        (descendants.clone().filter(of_kind(false)))
+            .chain(descendants.filter(of_kind(true)))
+            .map(|(name, _)| name.as_ref())
     }
 
     /// Number of entries directly inside `dir` (drives readdir cost).
@@ -272,11 +425,15 @@ impl Namespace {
         self.list_dir(dir).count()
     }
 
+    pub(crate) fn dir_entries_at(&self, dir: NameId) -> usize {
+        self.children(dir).count()
+    }
+
     /// Render BeeGFS-style `beegfs-ctl --getentryinfo` output for a path —
     /// the exact text the knowledge extractor parses.
     #[must_use]
     pub fn entry_info(&self, path: &str) -> Option<String> {
-        let meta = self.files.get(path)?;
+        let meta = self.file(path)?;
         let mut out = String::new();
         out.push_str("Entry type: file\n");
         out.push_str(&format!("EntryID: {}\n", meta.entry_id));
@@ -310,17 +467,6 @@ impl Namespace {
     }
 }
 
-fn is_child(path: &str, dir: &str) -> bool {
-    if dir == "/" {
-        path != "/" && path.rfind('/') == Some(0)
-    } else {
-        path.len() > dir.len()
-            && path.starts_with(dir)
-            && path.as_bytes()[dir.len()] == b'/'
-            && !path[dir.len() + 1..].contains('/')
-    }
-}
-
 fn format_chunk(bytes: u64) -> String {
     if bytes.is_multiple_of(1024 * 1024) {
         format!("{}M", bytes / (1024 * 1024))
@@ -337,7 +483,7 @@ impl Namespace {
     /// understands this format alongside the BeeGFS one.
     #[must_use]
     pub fn entry_info_lustre(&self, path: &str) -> Option<String> {
-        let meta = self.files.get(path)?;
+        let meta = self.file(path)?;
         let mut out = format!("{path}\n");
         out.push_str(&format!("lmm_stripe_count:  {}\n", meta.targets.len()));
         out.push_str(&format!("lmm_stripe_size:   {}\n", meta.chunk_size));
@@ -368,26 +514,6 @@ pub fn stable_hash(text: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Interned-path lookup table passed to the engine alongside scripts.
-#[derive(Debug, Clone, Default)]
-pub struct PathTable {
-    names: Vec<String>,
-}
-
-impl PathTable {
-    /// Build from a slice of interned names (index = `PathId`).
-    #[must_use]
-    pub fn new(names: Vec<String>) -> PathTable {
-        PathTable { names }
-    }
-
-    /// Resolve an id.
-    #[must_use]
-    pub fn name(&self, id: PathId) -> &str {
-        &self.names[id.0 as usize]
-    }
 }
 
 #[cfg(test)]
@@ -459,10 +585,6 @@ mod tests {
         ns.rmdir("/a/b").unwrap();
         ns.rmdir("/a").unwrap();
         assert!(matches!(ns.unlink("/nope"), Err(FsError::NotFound(_))));
-        assert!(matches!(
-            ns.open_existing("/nope"),
-            Err(FsError::NotFound(_))
-        ));
     }
 
     #[test]
