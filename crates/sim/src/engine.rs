@@ -104,6 +104,11 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A namespace refusal as the error of the op that met it.
+fn fs_error(rank: Rank, op: OpKind) -> impl Fn(FsError) -> SimError {
+    move |cause| SimError::Fs { rank, op, cause }
+}
+
 const FLOW_EPS: f64 = 0.5; // bytes: a flow with less remaining is complete
 
 #[derive(Debug)]
@@ -521,11 +526,8 @@ impl<'w> Execution<'w> {
         self.op_start[rank as usize] = self.world.now;
         let node = self.layout.node_of(rank);
         let latency = SimDuration(self.world.system.cluster.network_latency_ns);
-        // A namespace refusal, reported against the path as the script
-        // spelled it.
-        let fs_error = |op: OpKind, cause: FsError| SimError::Fs { rank, op, cause };
         let not_found = |op: OpKind, path: PathId| {
-            fs_error(op, FsError::NotFound(scripts.path(path).to_owned()))
+            fs_error(rank, op)(FsError::NotFound(scripts.path(path).to_owned()))
         };
         match script[pc] {
             Op::Mkdir { path } => {
@@ -533,7 +535,7 @@ impl<'w> Execution<'w> {
                 self.world
                     .namespace
                     .mkdir_at(id)
-                    .map_err(|cause| fs_error(OpKind::Mkdir, cause))?;
+                    .map_err(fs_error(rank, OpKind::Mkdir))?;
                 self.meta_op(rank, id, 1.2);
             }
             Op::Rmdir { path } => {
@@ -541,7 +543,7 @@ impl<'w> Execution<'w> {
                 self.world
                     .namespace
                     .rmdir_at(id)
-                    .map_err(|cause| fs_error(OpKind::Rmdir, cause))?;
+                    .map_err(fs_error(rank, OpKind::Rmdir))?;
                 self.meta_op(rank, id, 1.0);
             }
             Op::Open { path, mode, hint } => {
@@ -553,7 +555,7 @@ impl<'w> Execution<'w> {
                         self.world
                             .namespace
                             .create_at(id, hint, self.world.now.nanos())
-                            .map_err(|cause| fs_error(OpKind::Open, cause))?;
+                            .map_err(fs_error(rank, OpKind::Open))?;
                         cost = 1.3; // create + layout allocation
                     }
                     (false, _) => return Err(not_found(OpKind::Open, path)),
@@ -583,7 +585,7 @@ impl<'w> Execution<'w> {
                 self.world
                     .namespace
                     .unlink_at(id)
-                    .map_err(|cause| fs_error(OpKind::Unlink, cause))?;
+                    .map_err(fs_error(rank, OpKind::Unlink))?;
                 let file = &mut self.world.files[id.index()];
                 file.dirty.clear();
                 file.lock_busy = SimTime::ZERO;
@@ -706,11 +708,8 @@ impl<'w> Execution<'w> {
                 .resize_with(node as usize + 1, NodeCache::default);
         }
         let Some(meta) = self.world.namespace.file_at(id) else {
-            return Err(SimError::Fs {
-                rank,
-                op: kind,
-                cause: FsError::NotFound(self.scripts.path(path).to_owned()),
-            });
+            let name = self.scripts.path(path).to_owned();
+            return Err(fs_error(rank, kind)(FsError::NotFound(name)));
         };
 
         if !is_write {
@@ -790,11 +789,7 @@ impl<'w> Execution<'w> {
             self.world
                 .namespace
                 .note_write_at(id, offset, len)
-                .map_err(|cause| SimError::Fs {
-                    rank,
-                    op: kind,
-                    cause,
-                })?;
+                .map_err(fs_error(rank, kind))?;
             let dirty = &mut self.world.files[id.index()].dirty;
             dirty.extend(segments.iter().map(|(target, _)| *target));
             // Cache coherence: a write invalidates every *other* node's
@@ -1000,7 +995,7 @@ impl<'w> Execution<'w> {
         let paths = self.flows.iter().map(|flow| &flow.path);
         let rates = self.solver.solve(paths, |res| world.capacity(res));
         let mut earliest = f64::INFINITY;
-        for (flow, &rate) in self.flows.iter_mut().zip(rates) {
+        for (flow, rate) in self.flows.iter_mut().zip(rates) {
             flow.rate = rate;
             if rate > 0.0 && rate.is_finite() {
                 earliest = earliest.min((flow.remaining - FLOW_EPS).max(0.0) / rate);

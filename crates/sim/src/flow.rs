@@ -61,34 +61,48 @@ impl FlowPath {
 pub fn solve_rates(capacities: &[f64], flows: &[FlowPath]) -> Vec<f64> {
     let mut solver = RateSolver::default();
     let capacity = |r: ResourceId| capacities[r as usize];
-    solver.solve(flows.iter(), capacity).to_vec()
+    solver.solve(flows.iter(), capacity).collect()
 }
 
 /// Progressive filling over the resources the given flows actually cross.
 ///
 /// The engine re-solves on every change to the flow set with a handful of
 /// flows in flight on a cluster of hundreds of resources, so the solver
-/// never sees the cluster: it collects the distinct resource ids of the
-/// flows it is handed, asks for each one's capacity once, and fills in
-/// that compact space. Resources keep their id order and flows their
-/// given order, so every comparison and subtraction happens on the same
-/// operands in the same sequence as over a dense capacity vector — rates
-/// are equal bit for bit, not merely close. The buffers are kept between
-/// calls; a solve allocates only when it outgrows them.
+/// never sees the cluster: it numbers the distinct resources of the flows
+/// it is handed as it meets them, asks for each one's capacity once, and
+/// fills in that compact space. Flows keep their given order and every
+/// rate is built from the same divisions and subtractions as over a dense
+/// capacity vector, so rates are equal to that bit for bit, not merely
+/// close. The buffers are kept between calls; a solve allocates only when
+/// it outgrows them.
 #[derive(Debug, Default)]
 pub struct RateSolver {
-    /// Distinct resources crossed, ascending.
-    ids: Vec<ResourceId>,
-    /// Unclaimed capacity per entry of `ids`.
-    remaining: Vec<f64>,
-    /// Unfrozen flows crossing each entry of `ids`.
-    load: Vec<u32>,
-    /// Every flow's resources, concatenated, as indices into `ids`.
-    crossed: Vec<u32>,
-    /// Flow `i` owns `crossed[ends[i - 1]..ends[i]]`.
-    ends: Vec<usize>,
-    frozen: Vec<bool>,
-    rates: Vec<f64>,
+    /// Distinct resources crossed, in the order met.
+    resources: Vec<Crossed>,
+    /// `slot[r]` is one more than the position of resource `r` in
+    /// `resources`, or 0 while this solve has not met `r`. All zero
+    /// between solves.
+    slot: Vec<u32>,
+    /// Every flow's resources, concatenated, as positions in `resources`.
+    paths: Vec<u32>,
+    flows: Vec<Filling>,
+}
+
+#[derive(Debug)]
+struct Crossed {
+    id: ResourceId,
+    /// Unfrozen flows crossing the resource.
+    load: u32,
+    /// Capacity no frozen flow has claimed.
+    remaining: f64,
+}
+
+#[derive(Debug)]
+struct Filling {
+    /// The flow owns `paths[previous flow's end..end]`.
+    end: usize,
+    frozen: bool,
+    rate: f64,
 }
 
 impl RateSolver {
@@ -102,53 +116,48 @@ impl RateSolver {
         &mut self,
         flows: impl Iterator<Item = &'a FlowPath>,
         mut capacity: impl FnMut(ResourceId) -> f64,
-    ) -> &[f64] {
+    ) -> impl Iterator<Item = f64> + '_ {
         const MIN_CAPACITY: f64 = 1.0; // 1 byte/s floor for faulted resources
 
-        self.crossed.clear();
-        self.ends.clear();
-        for flow in flows {
-            self.crossed.extend_from_slice(flow.resources());
-            self.ends.push(self.crossed.len());
+        for resource in self.resources.drain(..) {
+            self.slot[resource.id as usize] = 0;
         }
-        self.ids.clear();
-        self.ids.extend_from_slice(&self.crossed);
-        self.ids.sort_unstable();
-        self.ids.dedup();
-        self.remaining.clear();
-        self.remaining.extend(self.ids.iter().map(|&r| {
-            let c = capacity(r);
-            if c > MIN_CAPACITY {
-                c
-            } else {
-                MIN_CAPACITY
-            }
-        }));
-        self.load.clear();
-        self.load.resize(self.ids.len(), 0);
-        for r in &mut self.crossed {
-            let at = self
-                .ids
-                .binary_search(r)
-                .expect("every crossed resource was collected");
-            self.load[at] += 1;
-            *r = at as u32;
-        }
-
-        let nflows = self.ends.len();
-        // Flows with no resources are unconstrained; they never freeze via
-        // a bottleneck, so give them an effectively infinite rate up front.
-        self.rates.clear();
-        self.frozen.clear();
+        self.paths.clear();
+        self.flows.clear();
+        // A first solve then grows each buffer once or twice, not by
+        // doubling from empty.
+        let expected = flows.size_hint().0;
+        self.flows.reserve(expected);
+        self.paths.reserve(expected);
+        self.resources.reserve(expected);
         let mut unfrozen = 0;
-        let mut start = 0;
-        for &end in &self.ends {
-            let unconstrained = start == end;
-            self.rates
-                .push(if unconstrained { f64::INFINITY } else { 0.0 });
-            self.frozen.push(unconstrained);
+        for flow in flows {
+            for &id in flow.resources() {
+                if self.slot.len() <= id as usize {
+                    self.slot.resize(id as usize + 1, 0);
+                }
+                if self.slot[id as usize] == 0 {
+                    let c = capacity(id);
+                    self.resources.push(Crossed {
+                        id,
+                        load: 0,
+                        remaining: if c > MIN_CAPACITY { c } else { MIN_CAPACITY },
+                    });
+                    self.slot[id as usize] = self.resources.len() as u32;
+                }
+                let at = self.slot[id as usize] - 1;
+                self.resources[at as usize].load += 1;
+                self.paths.push(at);
+            }
+            // Flows with no resources are unconstrained; they never freeze
+            // via a bottleneck, so give them an infinite rate up front.
+            let unconstrained = flow.resources().is_empty();
             unfrozen += usize::from(!unconstrained);
-            start = end;
+            self.flows.push(Filling {
+                end: self.paths.len(),
+                frozen: unconstrained,
+                rate: if unconstrained { f64::INFINITY } else { 0.0 },
+            });
         }
 
         let mut level = 0.0f64; // current uniform fill level of unfrozen flows
@@ -157,9 +166,9 @@ impl RateSolver {
             // the uniform level grows. Constraint per resource r:
             //   level ≤ remaining[r] / load[r]  (remaining excludes frozen usage)
             let mut bottleneck_level = f64::INFINITY;
-            for (remaining, &load) in self.remaining.iter().zip(&self.load) {
-                if load > 0 {
-                    let candidate = remaining / f64::from(load);
+            for r in &self.resources {
+                if r.load > 0 {
+                    let candidate = r.remaining / f64::from(r.load);
                     if candidate < bottleneck_level {
                         bottleneck_level = candidate;
                     }
@@ -175,27 +184,25 @@ impl RateSolver {
             // Freeze every unfrozen flow that crosses a saturated resource.
             let mut froze_any = false;
             let mut start = 0;
-            for i in 0..nflows {
-                let crossed = &self.crossed[start..self.ends[i]];
-                start = self.ends[i];
-                if self.frozen[i] {
+            for flow in &mut self.flows {
+                let path = &self.paths[start..flow.end];
+                start = flow.end;
+                if flow.frozen {
                     continue;
                 }
-                let saturated = crossed.iter().any(|&r| {
-                    let r = r as usize;
-                    self.load[r] > 0
-                        && self.remaining[r] / f64::from(self.load[r])
-                            <= level * (1.0 + 1e-9) + 1e-6
+                let saturated = path.iter().any(|&at| {
+                    let r = &self.resources[at as usize];
+                    r.load > 0 && r.remaining / f64::from(r.load) <= level * (1.0 + 1e-9) + 1e-6
                 });
                 if saturated {
-                    self.rates[i] = level;
-                    self.frozen[i] = true;
+                    flow.rate = level;
+                    flow.frozen = true;
                     froze_any = true;
                     unfrozen -= 1;
-                    for &r in crossed {
-                        let r = r as usize;
-                        self.remaining[r] -= level;
-                        self.load[r] -= 1;
+                    for &at in path {
+                        let r = &mut self.resources[at as usize];
+                        r.remaining -= level;
+                        r.load -= 1;
                     }
                 }
             }
@@ -209,21 +216,19 @@ impl RateSolver {
                 break;
             }
         }
-        &self.rates
+        self.flows.iter().map(|flow| flow.rate)
     }
 
     /// Distinct resources the last solve filled over.
     #[must_use]
     pub fn resources(&self) -> usize {
-        self.ids.len()
+        self.resources.len()
     }
 
     fn freeze_rest_at(&mut self, rate: f64) {
-        for (frozen, slot) in self.frozen.iter_mut().zip(&mut self.rates) {
-            if !*frozen {
-                *slot = rate;
-                *frozen = true;
-            }
+        for flow in self.flows.iter_mut().filter(|flow| !flow.frozen) {
+            flow.rate = rate;
+            flow.frozen = true;
         }
     }
 }
@@ -518,16 +523,17 @@ mod tests {
                         .collect()
                 };
                 let flows = to_flows(flow_specs);
-                let bits = |rates: &[f64]| -> Vec<u64> {
-                    rates.iter().map(|r| r.to_bits()).collect()
+                let bits = |rates: Vec<f64>| -> Vec<u64> {
+                    rates.into_iter().map(f64::to_bits).collect()
                 };
-                let model = bits(&dense_model(&caps, &flows));
-                prop_assert_eq!(&bits(&solve_rates(&caps, &flows)), &model);
+                let model = bits(dense_model(&caps, &flows));
+                prop_assert_eq!(&bits(solve_rates(&caps, &flows)), &model);
                 // Scratch left over from another flow set changes nothing.
                 let mut solver = RateSolver::default();
                 let capacity = |r: ResourceId| caps[r as usize];
-                solver.solve(to_flows(warm).iter(), capacity);
-                prop_assert_eq!(&bits(solver.solve(flows.iter(), capacity)), &model);
+                solver.solve(to_flows(warm).iter(), capacity).for_each(drop);
+                let again = solver.solve(flows.iter(), capacity).collect();
+                prop_assert_eq!(&bits(again), &model);
                 let crossed: std::collections::BTreeSet<u32> =
                     flows.iter().flat_map(|f| f.resources().iter().copied()).collect();
                 prop_assert_eq!(solver.resources(), crossed.len());

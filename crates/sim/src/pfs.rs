@@ -126,9 +126,9 @@ struct Entry {
 /// The namespace: directories, files, and placement state.
 ///
 /// Every name ever resolved gets a row in the path table and keeps its
-/// [`NameId`] for the life of the namespace, so the engine resolves a
-/// script's paths once per phase and works on ids from there. The
-/// string-keyed methods are veneers over the id-keyed ones.
+/// id for the life of the namespace, so the engine resolves a script's
+/// paths once per phase and works on ids from there. The string-keyed
+/// methods are veneers over the id-keyed ones.
 #[derive(Debug, Clone)]
 pub struct Namespace {
     config: PfsConfig,
@@ -168,8 +168,11 @@ impl Namespace {
     /// Number of files currently present.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        let is_file = |id: &NameId| self.file_at(*id).is_some();
-        self.present.values().filter(|id| is_file(id)).count()
+        let files = self
+            .present
+            .values()
+            .filter(|id| self.file_at(**id).is_some());
+        files.count()
     }
 
     /// The id of `name`, giving it (and its ancestors) a table row first
@@ -298,7 +301,7 @@ impl Namespace {
         if !self.is_dir_at(id) {
             return Err(FsError::NotFound(self.name(id)));
         }
-        if self.dir_entries_at(id) > 0 {
+        if self.children(id).next().is_some() {
             return Err(FsError::NotEmpty(self.name(id)));
         }
         self.remove(id);
