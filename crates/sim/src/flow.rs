@@ -59,7 +59,13 @@ impl FlowPath {
 /// [`RateSolver`], which is what the engine keeps between solves.
 #[must_use]
 pub fn solve_rates(capacities: &[f64], flows: &[FlowPath]) -> Vec<f64> {
-    let mut solver = RateSolver::default();
+    // A solver used once cannot grow into its buffers; size them here.
+    let mut solver = RateSolver {
+        resources: Vec::with_capacity(capacities.len()),
+        slot: vec![0; capacities.len()],
+        paths: Vec::with_capacity(flows.iter().map(|f| f.resources().len()).sum()),
+        flows: Vec::with_capacity(flows.len()),
+    };
     let capacity = |r: ResourceId| capacities[r as usize];
     solver.solve(flows.iter(), capacity).collect()
 }
@@ -95,6 +101,20 @@ struct Crossed {
     load: u32,
     /// Capacity no frozen flow has claimed.
     remaining: f64,
+    /// `remaining / load`: the level at which the resource saturates if
+    /// its unfrozen flows grow together. Divided out when `load` or
+    /// `remaining` changes, not each time a flow is tested against it.
+    share: f64,
+}
+
+impl Crossed {
+    fn divide(&mut self) {
+        self.share = if self.load > 0 {
+            self.remaining / f64::from(self.load)
+        } else {
+            f64::INFINITY // constrains nothing
+        };
+    }
 }
 
 #[derive(Debug)]
@@ -124,12 +144,6 @@ impl RateSolver {
         }
         self.paths.clear();
         self.flows.clear();
-        // A first solve then grows each buffer once or twice, not by
-        // doubling from empty.
-        let expected = flows.size_hint().0;
-        self.flows.reserve(expected);
-        self.paths.reserve(expected);
-        self.resources.reserve(expected);
         let mut unfrozen = 0;
         for flow in flows {
             for &id in flow.resources() {
@@ -142,6 +156,7 @@ impl RateSolver {
                         id,
                         load: 0,
                         remaining: if c > MIN_CAPACITY { c } else { MIN_CAPACITY },
+                        share: 0.0,
                     });
                     self.slot[id as usize] = self.resources.len() as u32;
                 }
@@ -160,6 +175,8 @@ impl RateSolver {
             });
         }
 
+        self.resources.iter_mut().for_each(Crossed::divide);
+
         let mut level = 0.0f64; // current uniform fill level of unfrozen flows
         while unfrozen > 0 {
             // Find the next bottleneck: the resource that saturates first as
@@ -167,11 +184,8 @@ impl RateSolver {
             //   level ≤ remaining[r] / load[r]  (remaining excludes frozen usage)
             let mut bottleneck_level = f64::INFINITY;
             for r in &self.resources {
-                if r.load > 0 {
-                    let candidate = r.remaining / f64::from(r.load);
-                    if candidate < bottleneck_level {
-                        bottleneck_level = candidate;
-                    }
+                if r.share < bottleneck_level {
+                    bottleneck_level = r.share;
                 }
             }
             if !bottleneck_level.is_finite() {
@@ -181,7 +195,9 @@ impl RateSolver {
             }
             level = bottleneck_level.max(level);
 
-            // Freeze every unfrozen flow that crosses a saturated resource.
+            // Freeze every unfrozen flow that crosses a saturated resource
+            // (one it crosses has `load > 0`: the flow itself).
+            let saturated_at = level * (1.0 + 1e-9) + 1e-6;
             let mut froze_any = false;
             let mut start = 0;
             for flow in &mut self.flows {
@@ -190,10 +206,9 @@ impl RateSolver {
                 if flow.frozen {
                     continue;
                 }
-                let saturated = path.iter().any(|&at| {
-                    let r = &self.resources[at as usize];
-                    r.load > 0 && r.remaining / f64::from(r.load) <= level * (1.0 + 1e-9) + 1e-6
-                });
+                let saturated = path
+                    .iter()
+                    .any(|&at| self.resources[at as usize].share <= saturated_at);
                 if saturated {
                     flow.rate = level;
                     flow.frozen = true;
@@ -203,6 +218,7 @@ impl RateSolver {
                         let r = &mut self.resources[at as usize];
                         r.remaining -= level;
                         r.load -= 1;
+                        r.divide();
                     }
                 }
             }

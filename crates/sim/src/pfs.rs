@@ -75,6 +75,8 @@ pub enum FsError {
     NotEmpty(String),
     /// Parent directory missing.
     NoParent(String),
+    /// Operation on the wrong entry type (file vs directory).
+    WrongType(String),
 }
 
 impl std::fmt::Display for FsError {
@@ -84,6 +86,7 @@ impl std::fmt::Display for FsError {
             FsError::AlreadyExists(p) => write!(f, "already exists: {p}"),
             FsError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             FsError::NoParent(p) => write!(f, "parent directory missing: {p}"),
+            FsError::WrongType(p) => write!(f, "wrong entry type: {p}"),
         }
     }
 }
@@ -206,6 +209,12 @@ impl Namespace {
         self.by_name.get(name).copied()
     }
 
+    /// The id of a name an op expects to exist; one never resolved cannot.
+    fn existing(&self, name: &str) -> Result<NameId, FsError> {
+        self.lookup(name)
+            .ok_or_else(|| FsError::NotFound(name.to_owned()))
+    }
+
     fn name(&self, id: NameId) -> String {
         self.table[id.index()].name.as_ref().to_owned()
     }
@@ -293,8 +302,7 @@ impl Namespace {
 
     /// Remove an empty directory.
     pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
-        let id = self.resolve(path);
-        self.rmdir_at(id)
+        self.rmdir_at(self.existing(path)?)
     }
 
     pub(crate) fn rmdir_at(&mut self, id: NameId) -> Result<(), FsError> {
@@ -356,10 +364,19 @@ impl Namespace {
         Ok(self.file_at(id).expect("just created"))
     }
 
+    /// Look up a file for an open; errors if missing.
+    pub fn open_existing(&self, path: &str) -> Result<&FileMeta, FsError> {
+        let id = self.existing(path)?;
+        if self.is_dir_at(id) {
+            return Err(FsError::WrongType(path.to_owned()));
+        }
+        self.file_at(id)
+            .ok_or_else(|| FsError::NotFound(path.to_owned()))
+    }
+
     /// Extend file size after a write.
     pub fn note_write(&mut self, path: &str, offset: u64, len: u64) -> Result<(), FsError> {
-        let id = self.resolve(path);
-        self.note_write_at(id, offset, len)
+        self.note_write_at(self.existing(path)?, offset, len)
     }
 
     pub(crate) fn note_write_at(
@@ -379,8 +396,7 @@ impl Namespace {
 
     /// Remove a file.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        let id = self.resolve(path);
-        self.unlink_at(id)
+        self.unlink_at(self.existing(path)?)
     }
 
     pub(crate) fn unlink_at(&mut self, id: NameId) -> Result<(), FsError> {
@@ -588,6 +604,25 @@ mod tests {
         ns.rmdir("/a/b").unwrap();
         ns.rmdir("/a").unwrap();
         assert!(matches!(ns.unlink("/nope"), Err(FsError::NotFound(_))));
+        assert!(matches!(
+            ns.open_existing("/nope"),
+            Err(FsError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn asking_after_a_missing_name_interns_nothing() {
+        let mut ns = ns();
+        let names = ns.names();
+        assert!(ns.rmdir("/nope/deeper").is_err());
+        assert!(ns.unlink("/nope").is_err());
+        assert!(ns.note_write("/nope", 0, 1).is_err());
+        assert!(ns.open_existing("/nope").is_err());
+        let dir = ns.open_existing("/scratch");
+        assert!(matches!(dir, Err(FsError::WrongType(_))));
+        assert!(ns.file("/nope").is_none() && !ns.is_dir("/nope"));
+        assert_eq!(ns.list_dir("/nope").count(), 0);
+        assert_eq!(ns.names(), names);
     }
 
     #[test]
