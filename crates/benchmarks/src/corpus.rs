@@ -9,8 +9,9 @@
 //! corpus-wide bounding box) has fleet-scale data to chew on. Every run
 //! is a full [`crate::io500::run_io500`] execution whose rendered
 //! official result block is meant to flow through the normal extract
-//! path (`iokc_extract::parse_io500_output`) into the store — the
-//! generator produces *submissions*, not knowledge objects.
+//! path (`iokc_extract::parse_io500_output`) into the store — a
+//! [`CorpusRun`] is a *submission*, not a knowledge object. [`generate`]
+//! is that flow for a whole spec, resumable: what `iokc corpus gen` runs.
 //!
 //! Determinism: point `i` of a spec with seed `s` always simulates the
 //! same world. The per-run seed is `s` mixed with the index by a
@@ -25,11 +26,18 @@
 //! expected to flag.
 
 use crate::io500::{run_io500, Io500Config, Io500Result};
+use iokc_core::model::{Io500Knowledge, KnowledgeItem};
+use iokc_core::phases::{Artifact, ArtifactKind, CycleError, Extractor, Persister, PhaseKind};
+use iokc_core::PhaseCtx;
+use iokc_jube::campaign::{journal_path, replay_vfs, CampaignError, Record};
 use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::faults::{Fault, FaultPlan, FaultTarget};
 use iokc_sim::metrics::EngineStats;
 use iokc_sim::prelude::{ClusterConfig, PfsConfig, SystemConfig};
+use iokc_store::journal::{truncate_torn_tail_vfs, JournalWriter};
+use iokc_store::{DeadlineToken, KnowledgeStore, Query, RunKind, RunPredicate};
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Unix-time base for simulated corpus runs (the paper's submission
 /// era; one second per index keeps start times unique and ordered).
@@ -273,6 +281,142 @@ pub struct CorpusRun {
     pub start_time: u64,
     /// What simulating this point cost the engine, all phases together.
     pub stats: EngineStats,
+}
+
+impl CorpusRun {
+    /// The submission as the extract phase takes it: the rendered result
+    /// block, with the point's provenance ([`CorpusPoint::params`]) as
+    /// metadata the extractor records in the knowledge object's options.
+    #[must_use]
+    pub fn artifact(&self) -> Artifact {
+        let index = self.point.index;
+        let mut artifact = Artifact::text(
+            ArtifactKind::Io500Output,
+            &format!("corpus-{index}.txt"),
+            self.output.clone(),
+        )
+        .with_meta("tasks", &self.point.tasks.to_string())
+        .with_meta("start_time", &self.start_time.to_string())
+        .with_meta("system", &format!("sim-{}", self.point.shape));
+        for (key, value) in self.point.params() {
+            artifact = artifact.with_meta(&key, &value);
+        }
+        artifact
+    }
+}
+
+/// Benchmark name in the header of a corpus campaign's journal.
+const CAMPAIGN: &str = "io500-corpus";
+
+/// The corpus points `store` holds, by index: every IO500 run whose
+/// options carry `corpus_index`, with its run id.
+fn stored_points(store: &KnowledgeStore) -> Result<BTreeMap<usize, u64>, CycleError> {
+    let rows = store.query_summaries(
+        &Query::new(RunPredicate::Kind(RunKind::Io500)),
+        &DeadlineToken::unbounded(),
+    )?;
+    let mut points = BTreeMap::new();
+    for row in &rows {
+        let run = store.load_io500(row.id)?;
+        let index = run.and_then(|k| k.options.get("corpus_index")?.parse::<usize>().ok());
+        points.extend(index.map(|index| (index, row.id)));
+    }
+    Ok(points)
+}
+
+/// Simulate point `index` of `spec` and extract its knowledge.
+fn extract_point(
+    spec: &CorpusSpec,
+    index: usize,
+    extractor: &dyn Extractor,
+    ctx: &mut PhaseCtx,
+) -> Result<Vec<KnowledgeItem>, CycleError> {
+    let run = spec.execute(index).map_err(|e| {
+        CycleError::permanent(
+            PhaseKind::Generation,
+            CAMPAIGN,
+            format!("corpus point {index}: {e}"),
+        )
+    })?;
+    extractor.extract(ctx, &[&run.artifact()])
+}
+
+/// Generate (or resume) the corpus `spec` describes into `store`:
+/// simulate every point the store does not hold yet, route it through
+/// `extractor`, persist `batch` points at a time and seal the tail.
+/// Returns how many points were generated and how many were skipped
+/// because the store already held them.
+///
+/// The store is the only record of which points exist — a point is a
+/// pure function of (seed, index) and every stored submission carries
+/// its `corpus_index` — so a crash at any instant resumes to exactly one
+/// row per index. The journal in `dir` (read and written through the
+/// store's [`iokc_store::Vfs`]) holds one record, the header carrying
+/// [`CorpusSpec::fingerprint`], which vouches that the store's points
+/// are this spec's; a header of another spec is a
+/// [`CampaignError::Mismatch`]. With no readable header (a fresh or
+/// damaged directory) the stored points have to vouch for themselves:
+/// the lowest one is generated again, and unless the store holds exactly
+/// that, the call is refused as [`CampaignError::ForeignResults`].
+pub fn generate(
+    spec: &CorpusSpec,
+    extractor: &dyn Extractor,
+    store: &mut KnowledgeStore,
+    dir: &Path,
+    batch: usize,
+) -> Result<(usize, usize), CampaignError> {
+    let journal = journal_path(dir);
+    let fingerprint = spec.fingerprint();
+    let mut ctx = PhaseCtx::detached(PhaseKind::Extraction, CAMPAIGN);
+    // Salvage before any append: a record written after a torn tail
+    // would fuse onto the torn bytes and be unreadable forever.
+    truncate_torn_tail_vfs(&journal, store.vfs())?;
+    let header = replay_vfs(&journal, store.vfs())?.header;
+    let stored = stored_points(store)?;
+    if let Some((benchmark, found, _)) = header {
+        if benchmark != CAMPAIGN || found != fingerprint {
+            return Err(CampaignError::Mismatch {
+                expected: fingerprint,
+                found,
+            });
+        }
+    } else {
+        if let Some((&index, &id)) = stored.first_key_value() {
+            let held = store.load_io500(id).map_err(CycleError::from)?;
+            let held = held.map(|k| KnowledgeItem::Io500(Io500Knowledge { id: None, ..k }));
+            if extract_point(spec, index, extractor, &mut ctx)? != Vec::from_iter(held) {
+                return Err(CampaignError::ForeignResults {
+                    found: stored.len(),
+                });
+            }
+        }
+        JournalWriter::open_vfs(&journal, store.vfs())?.append(
+            &Record::Campaign {
+                benchmark: CAMPAIGN.to_owned(),
+                fingerprint,
+                total: spec.runs,
+            }
+            .encode(),
+        )?;
+    }
+
+    let mut pending: Vec<KnowledgeItem> = Vec::new();
+    let mut generated = 0;
+    for index in (0..spec.runs).filter(|index| !stored.contains_key(index)) {
+        pending.extend(extract_point(spec, index, extractor, &mut ctx)?);
+        generated += 1;
+        if pending.len() >= batch {
+            store.persist(&mut ctx, &pending)?;
+            pending.clear();
+        }
+    }
+    if !pending.is_empty() {
+        store.persist(&mut ctx, &pending)?;
+    }
+    // Seal the tail so a freshly generated corpus is immediately in
+    // segmented (index-block pruned) form for aggregation.
+    store.seal_active().map_err(CycleError::from)?;
+    Ok((generated, spec.runs - generated))
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use iokc_benchmarks::{
 };
 use iokc_core::cycle::ModuleBox;
 use iokc_core::model::KnowledgeItem;
-use iokc_core::phases::{Analyzer, CycleError, ErrorClass, Extractor, Finding, PhaseKind};
+use iokc_core::phases::{Analyzer, CycleError, ErrorClass, Finding, PhaseKind};
 use iokc_core::resilience::{ResilienceConfig, RetryPolicy};
 use iokc_core::{KnowledgeCycle, Observability, PhaseCtx};
 use iokc_extract::{
@@ -142,15 +142,18 @@ fn store_err(e: DbError) -> CliError {
     }
 }
 
-/// Classify a cycle failure using the phase error taxonomy.
-fn cycle_err(e: CycleError) -> CliError {
-    let kind = match e.class {
+fn class_kind(class: ErrorClass) -> CliErrorKind {
+    match class {
         ErrorClass::Transient => CliErrorKind::Transient,
         ErrorClass::Permanent => CliErrorKind::Permanent,
         ErrorClass::Corrupt => CliErrorKind::Corrupt,
-    };
+    }
+}
+
+/// Classify a cycle failure using the phase error taxonomy.
+fn cycle_err(e: CycleError) -> CliError {
     CliError {
-        kind,
+        kind: class_kind(e.class),
         message: e.to_string(),
     }
 }
@@ -563,7 +566,7 @@ fn print_help() {
          \x20 sweep --resume <dir>  resume a killed campaign from its journal\n\
          \x20 corpus gen            generate a deterministic IO500 corpus: seeded sweep\n\
          \x20                       over cluster shapes, filesystems and fault mixes,\n\
-         \x20                       journaled + resumable (--runs <n>, --seed <n>,\n\
+         \x20                       resumable from the store (--runs <n>, --seed <n>,\n\
          \x20                       --campaign <dir>); every 32nd point is an outlier\n\
          \x20 agg                   aggregation pushdown over the store: group-by +\n\
          \x20                       percentiles/histograms inside the segments\n\
@@ -1446,15 +1449,13 @@ fn cmd_jube(opts: &Options) -> Result<(), CliError> {
     let tasks = opts.tasks;
     let ppn = opts.ppn.min(opts.tasks);
     let base_seed = opts.seed;
-    let workspace = iokc_jube::run_sweep_parallel(&config, || {
-        move |wp: usize, _step: &str, command: &str| -> Result<String, String> {
-            let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
-            let mut world = fuchs_world(base_seed ^ wp as u64);
-            ensure_dirs(&mut world, &ior.test_file)?;
-            let result = run_ior(&mut world, JobLayout::new(tasks, ppn), &ior, wp as u64)
-                .map_err(|e| e.to_string())?;
-            Ok(result.render())
-        }
+    let workspace = iokc_jube::run_sweep(&config, |wp, _step, command| {
+        let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
+        let mut world = fuchs_world(base_seed ^ wp as u64);
+        ensure_dirs(&mut world, &ior.test_file)?;
+        let result = run_ior(&mut world, JobLayout::new(tasks, ppn), &ior, wp as u64)
+            .map_err(|e| e.to_string())?;
+        Ok(result.render())
     })
     .map_err(|e| e.to_string())?;
     println!(
@@ -1468,14 +1469,17 @@ fn cmd_jube(opts: &Options) -> Result<(), CliError> {
 }
 
 /// Classify a campaign failure for the exit-code taxonomy: a journal
-/// that belongs to another configuration is a usage error, invalid
-/// parameter combinations and fatal step failures are permanent, and
-/// journal I/O trouble is unclassified.
+/// that belongs to another configuration, or a store holding another
+/// campaign's results, is a usage error; invalid parameter combinations
+/// and fatal step failures are permanent; a failed cycle phase keeps its
+/// own class; journal I/O trouble is unclassified.
 fn campaign_err(e: iokc_jube::CampaignError) -> CliError {
     let kind = match &e {
         iokc_jube::CampaignError::Io(_) => CliErrorKind::Other,
-        iokc_jube::CampaignError::Mismatch { .. } => CliErrorKind::Usage,
+        iokc_jube::CampaignError::Mismatch { .. }
+        | iokc_jube::CampaignError::ForeignResults { .. } => CliErrorKind::Usage,
         iokc_jube::CampaignError::Sweep(_) => CliErrorKind::Permanent,
+        iokc_jube::CampaignError::Phase(error) => class_kind(error.class),
     };
     CliError {
         kind,
@@ -1581,10 +1585,11 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
 /// `iokc corpus gen` — generate a fleet-scale IO500 corpus: a seeded
 /// deterministic sweep over cluster shapes, file-system variants and
 /// fault mixes, every rendered submission routed through the normal
-/// extract path into the store. The generation is a durable campaign:
-/// every submission is journaled like a sweep workpackage, so a killed
-/// generation resumes where it stopped and re-running a finished one is
-/// a no-op.
+/// extract path into the store. The store is the record of which
+/// submissions exist, so a killed generation resumes where it stopped and
+/// re-running a finished one is a no-op; the campaign directory's journal
+/// holds the spec's fingerprint, so a resume under another seed is
+/// refused.
 fn cmd_corpus(opts: &Options) -> Result<(), CliError> {
     match opts.positional.first().map(String::as_str) {
         Some("gen") => cmd_corpus_gen(opts),
@@ -1596,8 +1601,6 @@ fn cmd_corpus(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_gen(opts: &Options) -> Result<(), CliError> {
-    use iokc_jube::campaign::{replay, Record};
-
     let spec = iokc_benchmarks::CorpusSpec::new(opts.runs, opts.seed);
     let dir = opts.campaign.clone().unwrap_or_else(|| {
         let mut name = opts.db.as_os_str().to_owned();
@@ -1605,121 +1608,17 @@ fn cmd_corpus_gen(opts: &Options) -> Result<(), CliError> {
         PathBuf::from(name)
     });
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let journal = iokc_jube::journal_path(&dir);
-
-    // Replay a previous generation's journal: finished indexes are
-    // skipped, a changed spec is rejected (resuming onto different
-    // parameters would silently mix two corpora).
-    let state = if journal.exists() {
-        replay(&journal).map_err(|e| format!("replay {}: {e:?}", journal.display()))?
-    } else {
-        iokc_jube::CampaignState::default()
-    };
-    if let Some((benchmark, fingerprint, _)) = &state.header {
-        if benchmark != "io500-corpus" {
-            return Err(CliError::usage(format!(
-                "{} belongs to campaign `{benchmark}`, not a corpus generation",
-                dir.display()
-            )));
-        }
-        if *fingerprint != spec.fingerprint() {
-            return Err(CliError::usage(format!(
-                "{} was generated with different corpus parameters (seed/scale); \
-                 use a fresh --campaign directory or the original --seed",
-                dir.display()
-            )));
-        }
-    }
-    let mut writer = iokc_store::journal::JournalWriter::open(&journal)
-        .map_err(|e| format!("open {}: {e}", journal.display()))?;
-    if state.header.is_none() {
-        let header = Record::Campaign {
-            benchmark: "io500-corpus".to_owned(),
-            fingerprint: spec.fingerprint(),
-            total: spec.runs,
-        };
-        writer
-            .append(&header.encode())
-            .map_err(|e| format!("journal append: {e}"))?;
-    }
-
     let mut store = open_store(opts)?;
-    let mut ctx = PhaseCtx::detached(PhaseKind::Extraction, "iokc-corpus");
-    let extractor = Io500Extractor;
-    let skipped = (0..spec.runs).filter(|i| !state.is_pending(*i)).count();
-    let mut generated = 0usize;
-    let mut batch: Vec<KnowledgeItem> = Vec::new();
-    let mut batch_wps: Vec<usize> = Vec::new();
-    // Persist-then-journal in chunks: a `Done` record is only written
-    // after its knowledge hit the store, so a crash between the two at
-    // worst re-runs (deterministically identical) submissions.
-    let flush = |store: &mut KnowledgeStore,
-                 writer: &mut iokc_store::journal::JournalWriter,
-                 batch: &mut Vec<KnowledgeItem>,
-                 batch_wps: &mut Vec<usize>|
-     -> Result<(), CliError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        store.save_batch(batch).map_err(store_err)?;
-        for wp in batch_wps.iter() {
-            let done = Record::Done {
-                wp: *wp,
-                attempts: 1,
-                elapsed_ms: 0,
-                commands: Vec::new(),
-                outputs: Vec::new(),
-            };
-            writer
-                .append(&done.encode())
-                .map_err(|e| format!("journal append: {e}"))?;
-        }
-        batch.clear();
-        batch_wps.clear();
-        Ok(())
-    };
-    for index in 0..spec.runs {
-        if !state.is_pending(index) {
-            continue;
-        }
-        writer
-            .append(&Record::Start { wp: index }.encode())
-            .map_err(|e| format!("journal append: {e}"))?;
-        let run = spec
-            .execute(index)
-            .map_err(|e| format!("corpus point {index}: {e}"))?;
-        let mut artifact = iokc_core::phases::Artifact::text(
-            iokc_core::phases::ArtifactKind::Io500Output,
-            &format!("corpus-{index}.txt"),
-            run.output.clone(),
-        )
-        .with_meta("tasks", &run.point.tasks.to_string())
-        .with_meta("start_time", &run.start_time.to_string())
-        .with_meta("system", &format!("sim-{}", run.point.shape));
-        for (key, value) in run.point.params() {
-            artifact = artifact.with_meta(&key, &value);
-        }
-        let items = extractor
-            .extract(&mut ctx, &[&artifact])
-            .map_err(cycle_err)?;
-        batch.extend(items);
-        batch_wps.push(index);
-        generated += 1;
-        if batch.len() >= 512 {
-            flush(&mut store, &mut writer, &mut batch, &mut batch_wps)?;
-        }
-    }
-    flush(&mut store, &mut writer, &mut batch, &mut batch_wps)?;
-    // Seal the tail so a freshly generated corpus is immediately in
-    // segmented (index-block pruned) form for `iokc agg`.
-    store.seal_active().map_err(store_err)?;
+    let (generated, skipped) =
+        iokc_benchmarks::corpus::generate(&spec, &Io500Extractor, &mut store, &dir, 512)
+            .map_err(campaign_err)?;
     let total = store
         .count(&RunPredicate::Kind(RunKind::Io500))
         .map_err(store_err)?;
     println!(
-        "corpus: generated {generated} submission(s), skipped {skipped} already journaled; \
+        "corpus: generated {generated} submission(s), skipped {skipped} already stored; \
          store now holds {total} io500 run(s) (journal: {})",
-        journal.display()
+        iokc_jube::journal_path(&dir).display()
     );
     Ok(())
 }

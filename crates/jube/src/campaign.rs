@@ -17,7 +17,7 @@
 
 use crate::config::JubeConfig;
 use crate::sweep::Workpackage;
-use iokc_core::phases::ErrorClass;
+use iokc_core::phases::{CycleError, ErrorClass};
 use iokc_util::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -319,6 +319,16 @@ pub enum CampaignError {
     /// The sweep itself failed (invalid parameter combinations up
     /// front, or a fatal workpackage failure with quarantine disabled).
     Sweep(crate::sweep::SweepError),
+    /// The knowledge store already holds results that this directory
+    /// has no journal of and this configuration does not reproduce:
+    /// running on would mix two campaigns.
+    ForeignResults {
+        /// How many such results the store holds.
+        found: usize,
+    },
+    /// A cycle phase the campaign drives (generation, extraction,
+    /// persistence) failed; the phase error carries its own class.
+    Phase(CycleError),
 }
 
 impl fmt::Display for CampaignError {
@@ -331,6 +341,13 @@ impl fmt::Display for CampaignError {
                  (journal fingerprint {found:016x}, config fingerprint {expected:016x})"
             ),
             CampaignError::Sweep(error) => write!(f, "{error}"),
+            CampaignError::ForeignResults { found } => write!(
+                f,
+                "the store already holds {found} result(s) that this directory has no \
+                 journal of and this configuration does not reproduce; use the campaign \
+                 directory and parameters that generated them, or a fresh store"
+            ),
+            CampaignError::Phase(error) => write!(f, "{error}"),
         }
     }
 }
@@ -349,11 +366,22 @@ impl From<std::io::Error> for CampaignError {
     }
 }
 
+impl From<CycleError> for CampaignError {
+    fn from(error: CycleError) -> CampaignError {
+        CampaignError::Phase(error)
+    }
+}
+
 /// Replay a campaign journal into its current state. Records after a
 /// torn tail are dropped (the executor re-runs that work); undecodable
 /// records within the valid prefix are skipped.
 pub fn replay(path: &Path) -> Result<CampaignState, CampaignError> {
-    let report = iokc_store::journal::read_journal(path)?;
+    replay_vfs(path, &iokc_store::StdVfs)
+}
+
+/// [`replay`] over an explicit [`iokc_store::Vfs`].
+pub fn replay_vfs(path: &Path, vfs: &dyn iokc_store::Vfs) -> Result<CampaignState, CampaignError> {
+    let report = iokc_store::journal::read_journal_vfs(path, vfs)?;
     let mut state = CampaignState {
         torn_tail: report.torn_tail,
         ..CampaignState::default()

@@ -1,10 +1,9 @@
 //! The supervised campaign executor.
 //!
-//! [`crate::sweep::run_sweep_parallel`] fans workpackages out through
-//! Rayon and aborts the whole sweep on the first error — fine for a
-//! quick interactive study, wrong for an overnight campaign on flaky
-//! hardware. This executor replaces the bare fan-out with a supervised
-//! worker pool:
+//! [`crate::sweep::run_sweep`] runs workpackages one after the other and
+//! aborts the whole sweep on the first error — fine for a quick
+//! interactive study, wrong for an overnight campaign on flaky hardware.
+//! This executor replaces the bare loop with a supervised worker pool:
 //!
 //! * every state transition is journaled **before** the executor acts on
 //!   it ([`crate::campaign`]), so a killed campaign resumes from the

@@ -6,8 +6,7 @@
 //! concepts — parameter sets, Cartesian workpackage expansion, `$param`
 //! substitution, step dependencies, numbered run workspaces, and
 //! pattern-based result tables — behind a line-based configuration format
-//! that the usage phase can generate mechanically. Independent
-//! workpackages can execute in parallel through Rayon.
+//! that the usage phase can generate mechanically.
 
 //!
 //! ```
@@ -44,7 +43,4 @@ pub mod sweep;
 pub use campaign::{config_fingerprint, journal_path, CampaignError, CampaignState};
 pub use config::{substitute, ConfigError, JubeConfig, Step};
 pub use executor::{run_campaign, CampaignOptions, CampaignReport, StepFailure, StepOutcome};
-pub use sweep::{
-    run_sweep, run_sweep_parallel, validate_combos, InvalidCombo, SweepError, Workpackage,
-    Workspace,
-};
+pub use sweep::{run_sweep, validate_combos, InvalidCombo, SweepError, Workpackage, Workspace};

@@ -4,12 +4,10 @@
 //! the corresponding output" (§V-A). Here a [`Workspace`] holds the run
 //! tree — numbered workpackages with their parameter values, executed
 //! commands and captured outputs — and result tables are extracted with
-//! the declared patterns. Independent workpackages can run in parallel
-//! via Rayon (each gets its own simulated world from the runner factory).
+//! the declared patterns.
 
 use crate::config::{substitute, JubeConfig};
 use iokc_util::table::TextTable;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -301,9 +299,15 @@ impl Workspace {
     }
 }
 
-/// Execute a configuration sequentially. The runner receives the
-/// workpackage id, the step name and the concrete command, and returns
-/// the captured output.
+/// Execute a configuration, one workpackage after the other. The runner
+/// receives the workpackage id, the step name and the concrete command,
+/// and returns the captured output.
+///
+/// Every combination is validated up front: the runner is never invoked
+/// when any combination fails substitution, and *all* invalid
+/// combinations are reported at once. For parallel, durable, supervised
+/// execution (journal, retries, quarantine, resume) use
+/// [`crate::executor::run_campaign`] instead.
 pub fn run_sweep<F>(config: &JubeConfig, mut runner: F) -> Result<Workspace, SweepError>
 where
     F: FnMut(usize, &str, &str) -> Result<String, String>,
@@ -320,42 +324,6 @@ where
     Ok(Workspace {
         benchmark: config.name.clone(),
         workpackages,
-    })
-}
-
-/// Execute a configuration with workpackages in parallel (Rayon). The
-/// runner factory is called once per workpackage so each parallel lane
-/// owns its state (e.g. its own simulated world).
-///
-/// Every combination is validated up front: the runner factory is never
-/// invoked when any combination fails substitution, and *all* invalid
-/// combinations are reported at once. For durable, supervised execution
-/// (journal, retries, quarantine, resume) use
-/// [`crate::executor::run_campaign`] instead.
-pub fn run_sweep_parallel<F, R>(
-    config: &JubeConfig,
-    runner_factory: F,
-) -> Result<Workspace, SweepError>
-where
-    F: Fn() -> R + Sync,
-    R: FnMut(usize, &str, &str) -> Result<String, String>,
-{
-    let combos = config.expand();
-    let invalid = validate_combos(config, &combos);
-    if !invalid.is_empty() {
-        return Err(SweepError::InvalidParams(invalid));
-    }
-    let results: Result<Vec<Workpackage>, SweepError> = combos
-        .into_par_iter()
-        .enumerate()
-        .map(|(id, params)| {
-            let mut runner = runner_factory();
-            run_workpackage(config, id, params, &mut runner)
-        })
-        .collect();
-    Ok(Workspace {
-        benchmark: config.name.clone(),
-        workpackages: results?,
     })
 }
 
@@ -447,16 +415,6 @@ pattern value = result {v:f}
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential() {
-        let config = JubeConfig::parse(CONFIG).unwrap();
-        let sequential = run_sweep(&config, fake_runner).unwrap();
-        let parallel = run_sweep_parallel(&config, || fake_runner).unwrap();
-        let seq_series = sequential.metric_series(&config, "value");
-        let par_series = parallel.metric_series(&config, "value");
-        assert_eq!(seq_series, par_series);
-    }
-
-    #[test]
     fn step_failure_is_reported_with_location_and_params() {
         let config = JubeConfig::parse(CONFIG).unwrap();
         let err = run_sweep(&config, |id, _, _| {
@@ -482,18 +440,18 @@ pattern value = result {v:f}
     fn invalid_substitutions_are_reported_all_at_once() {
         // `$ghost` is never defined; `$m` only for some combos? No — all
         // combos miss both, so every combination is invalid. The runner
-        // factory must never run.
+        // must never run.
         let config = JubeConfig::parse(
             "benchmark bad\nparam n = 1, 2, 3\nstep run = work -n $n -x $ghost\n",
         )
         .unwrap();
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        let err = run_sweep_parallel(&config, || {
-            ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            |_: usize, _: &str, _: &str| Ok(String::new())
+        let mut ran = 0;
+        let err = run_sweep(&config, |_, _, _| {
+            ran += 1;
+            Ok(String::new())
         })
         .unwrap_err();
-        assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert_eq!(ran, 0);
         let SweepError::InvalidParams(combos) = &err else {
             panic!("expected InvalidParams, got {err:?}");
         };
@@ -503,11 +461,6 @@ pattern value = result {v:f}
         assert!(line.contains("3 parameter combination(s)"), "{line}");
         assert!(line.contains("$ghost"), "{line}");
         assert!(line.contains("n=2"), "{line}");
-        // Sequential sweeps validate identically.
-        assert!(matches!(
-            run_sweep(&config, |_, _, _| Ok(String::new())),
-            Err(SweepError::InvalidParams(_))
-        ));
     }
 
     #[test]

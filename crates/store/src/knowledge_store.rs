@@ -909,11 +909,11 @@ impl Persister for KnowledgeStore {
         _ctx: &mut PhaseCtx,
         items: &[KnowledgeItem],
     ) -> Result<Vec<u64>, CycleError> {
-        self.save_batch(items).map_err(db_to_cycle_error)
+        self.save_batch(items).map_err(CycleError::from)
     }
 
     fn load_all(&self, _ctx: &mut PhaseCtx) -> Result<Vec<KnowledgeItem>, CycleError> {
-        self.query_items(&Query::all()).map_err(db_to_cycle_error)
+        self.query_items(&Query::all()).map_err(CycleError::from)
     }
 }
 
@@ -1456,11 +1456,15 @@ pub(crate) fn load_io500_from(db: &Database, id: u64) -> Result<Option<Io500Know
 /// corruption is its own class (the CLI exits 5 on it and retries are
 /// pointless); a full disk is transient (retry after cleanup, exit
 /// code 3); everything else is a permanent logic/schema error.
-fn db_to_cycle_error(e: DbError) -> CycleError {
-    match &e {
-        DbError::Corrupt(_) => CycleError::corrupt(PhaseKind::Persistence, "knowledge-store", e),
-        DbError::Full(_) => CycleError::transient(PhaseKind::Persistence, "knowledge-store", e),
-        _ => CycleError::permanent(PhaseKind::Persistence, "knowledge-store", e),
+impl From<DbError> for CycleError {
+    fn from(e: DbError) -> CycleError {
+        match &e {
+            DbError::Corrupt(_) => {
+                CycleError::corrupt(PhaseKind::Persistence, "knowledge-store", e)
+            }
+            DbError::Full(_) => CycleError::transient(PhaseKind::Persistence, "knowledge-store", e),
+            _ => CycleError::permanent(PhaseKind::Persistence, "knowledge-store", e),
+        }
     }
 }
 

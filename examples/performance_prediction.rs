@@ -1,9 +1,9 @@
 //! I/O performance prediction (§VI outlook).
 //!
-//! Builds a training corpus with a JUBE-style parameter sweep (executed
-//! in parallel through Rayon, one simulated world per workpackage),
-//! trains the linear-regression predictor on the extracted knowledge, and
-//! evaluates it on a held-out configuration.
+//! Builds a training corpus with a JUBE-style parameter sweep (one
+//! simulated world per workpackage), trains the linear-regression
+//! predictor on the extracted knowledge, and evaluates it on a held-out
+//! configuration.
 //!
 //! ```text
 //! cargo run --release -p iokc-examples --bin performance_prediction
@@ -12,7 +12,7 @@
 use iokc_benchmarks::ior::{run_ior, IorConfig};
 use iokc_core::model::Knowledge;
 use iokc_extract::parse_ior_output;
-use iokc_jube::{run_sweep_parallel, JubeConfig};
+use iokc_jube::{run_sweep, JubeConfig};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
@@ -28,18 +28,16 @@ fn main() {
     )
     .expect("sweep config parses");
 
-    let workspace = run_sweep_parallel(&config, || {
-        |wp: usize, _step: &str, command: &str| -> Result<String, String> {
-            let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
-            let mut world = World::new(
-                SystemConfig::fuchs_csc().with_noise(0.01),
-                FaultPlan::none(),
-                4242 + wp as u64,
-            );
-            let result = run_ior(&mut world, JobLayout::new(40, 20), &ior, wp as u64)
-                .map_err(|e| e.to_string())?;
-            Ok(result.render())
-        }
+    let workspace = run_sweep(&config, |wp, _step, command| {
+        let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
+        let mut world = World::new(
+            SystemConfig::fuchs_csc().with_noise(0.01),
+            FaultPlan::none(),
+            4242 + wp as u64,
+        );
+        let result = run_ior(&mut world, JobLayout::new(40, 20), &ior, wp as u64)
+            .map_err(|e| e.to_string())?;
+        Ok(result.render())
     })
     .expect("sweep executes");
     println!(

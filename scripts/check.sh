@@ -79,10 +79,12 @@ cargo run --release -q -p iokc-bench --bin explorerd_loadtest -- \
 echo "==> corpus analytics suite"
 cargo test -p iokc-integration --test corpus_analytics -q
 
-# CLI smoke: generate a small corpus, resume it (everything journaled,
-# nothing regenerated), check it offline — the only place fsck meets
-# files the CLI wrote through StdVfs, so it fails the day fsck and the
-# writer disagree about the layout — and run a group-by aggregate.
+# CLI smoke: generate a small corpus, resume it (everything stored,
+# nothing regenerated) — also over a torn campaign journal and over one
+# cut down to its header, because the store, not the journal, says which
+# points exist — check it offline — the only place fsck meets files the
+# CLI wrote through StdVfs, so it fails the day fsck and the writer
+# disagree about the layout — and run a group-by aggregate.
 echo "==> corpus gen + fsck + agg + compact + sql CLI smoke"
 corpus_dir="$(mktemp -d)"
 trap 'rm -rf "$corpus_dir"' EXIT
@@ -90,6 +92,16 @@ cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 64"
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "skipped 64"
+truncate -s -5 "$corpus_dir/campaign/campaign.journal"
+for _ in 1 2; do
+  cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
+    --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 0"
+done
+sed -i '2,$d' "$corpus_dir/campaign/campaign.journal"
+cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
+  --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 0"
+cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
+  "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 64
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
   --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
 cargo run -q -p iokc-cli -- agg --db "$corpus_dir/corpus.iokc.json" \

@@ -14,16 +14,23 @@
 //! * the event journal salvages to a prefix of the acknowledged records;
 //! * `fsck --repair` fixes every finding the crash produced, and a
 //!   second pass comes back clean.
+//!
+//! The corpus generation (`iokc corpus gen`'s library call) runs through
+//! the same enumeration against a stronger contract: resumed from any
+//! post-crash image it ends in the run set of the uninterrupted run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use iokc_core::model::{Io500Knowledge, Io500Testcase, Knowledge, KnowledgeSource};
+use iokc_benchmarks::corpus::generate;
+use iokc_benchmarks::CorpusSpec;
+use iokc_core::model::{Io500Knowledge, Io500Testcase, Knowledge, KnowledgeItem, KnowledgeSource};
+use iokc_extract::Io500Extractor;
 use iokc_store::journal::{read_journal_vfs, truncate_torn_tail_vfs, JournalWriter};
 use iokc_store::{
     fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
-    Vfs,
+    RunPredicate, Vfs,
 };
 
 fn kb() -> PathBuf {
@@ -381,4 +388,159 @@ fn seeded_chaos_never_leaves_the_store_incoherent() {
             .unwrap_or_else(|e| panic!("seed {seed}: durable image does not reopen: {e}"));
         assert!(reopened.indexes_consistent().expect("index rebuild"));
     }
+}
+
+/// Corpus shape for the crash enumeration: three batches (3 + 3 + 2
+/// points) over a store that seals every second run, so the first two
+/// batches each commit a prefix through a seal before their own log
+/// record, and a crash between the two leaves a partial batch durable.
+const CORPUS_RUNS: usize = 8;
+const CORPUS_BATCH: usize = 3;
+
+fn campaign_dir() -> PathBuf {
+    PathBuf::from("/campaign")
+}
+
+/// Open the store on `vfs` and generate (or resume) the corpus.
+fn run_corpus(vfs: &Arc<FaultVfs>) -> Result<(KnowledgeStore, (usize, usize)), String> {
+    let mut store = KnowledgeStore::open_with_vfs(kb(), Arc::clone(vfs) as Arc<dyn Vfs>)
+        .map_err(|e| e.to_string())?;
+    store.set_seal_threshold(2);
+    let spec = CorpusSpec::new(CORPUS_RUNS, 42);
+    let done = generate(
+        &spec,
+        &Io500Extractor,
+        &mut store,
+        &campaign_dir(),
+        CORPUS_BATCH,
+    )
+    .map_err(|e| e.to_string())?;
+    Ok((store, done))
+}
+
+/// The corpus as a reader sees it: one line per IO500 run, in id order,
+/// with its id, its corpus index and its whole serialized item.
+fn corpus_runs(store: &KnowledgeStore) -> Vec<String> {
+    store
+        .query_summaries(
+            &Query::new(RunPredicate::Kind(RunKind::Io500)),
+            &DeadlineToken::unbounded(),
+        )
+        .expect("corpus query")
+        .iter()
+        .map(|row| {
+            let run = store
+                .load_io500(row.id)
+                .expect("run loads")
+                .expect("run exists");
+            let index = run.options["corpus_index"].clone();
+            let item = KnowledgeItem::Io500(run).to_json().to_compact();
+            format!("{} {index} {item}", row.id)
+        })
+        .collect()
+}
+
+#[test]
+fn corpus_generation_resumes_to_the_uninterrupted_run_set_from_every_crash_point() {
+    let probe_vfs = Arc::new(FaultVfs::pristine());
+    let (probe, done) = run_corpus(&probe_vfs).expect("fault-free generation");
+    assert_eq!(done, (CORPUS_RUNS, 0));
+    let expected = corpus_runs(&probe);
+    assert_eq!(expected.len(), CORPUS_RUNS);
+    let total_ops = probe_vfs.op_count();
+    assert!(total_ops > 40, "generation too small to be interesting");
+    let reference = probe_vfs.durable_state();
+
+    let mut images = 0;
+    let mut identical = 0;
+    for op in 0..total_ops {
+        let vfs = Arc::new(FaultVfs::new(FaultPlan::crash_at_op(op)));
+        // Ok only when the crash hit cleanup the store does not wait on.
+        let _ = run_corpus(&vfs);
+        assert!(vfs.crashed(), "crash op {op} never fired");
+
+        for state in vfs.crash_states() {
+            let svfs = Arc::new(FaultVfs::from_state(state));
+            let (resumed, (generated, skipped)) =
+                run_corpus(&svfs).unwrap_or_else(|e| panic!("crash op {op}: resume failed: {e}"));
+            assert_eq!(generated + skipped, CORPUS_RUNS, "crash op {op}");
+            assert_eq!(
+                corpus_runs(&resumed),
+                expected,
+                "crash op {op}: resumed run set differs from the uninterrupted one"
+            );
+            assert_eq!(resumed.io500_count(), CORPUS_RUNS, "crash op {op}");
+            drop(resumed);
+
+            // The journal is the header, whole; a second resume finds
+            // nothing to do.
+            let journal = iokc_jube::journal_path(&campaign_dir());
+            let report = read_journal_vfs(&journal, &*svfs).expect("journal read");
+            assert_eq!(
+                (report.records.len(), report.torn_tail),
+                (1, false),
+                "crash op {op}"
+            );
+            let (_, again) = run_corpus(&svfs).expect("second resume");
+            assert_eq!(again, (0, CORPUS_RUNS), "crash op {op}");
+
+            // Same seed, same bytes: every file of the uninterrupted run
+            // is there byte for byte. What else is there the crash
+            // stranded and no read looks at: the backup the document
+            // writer rotates out when a seal rewrites a segment the crash
+            // caught written but not yet committed, and a log of an epoch
+            // a seal had already moved past.
+            images += 1;
+            let durable = svfs.durable_state();
+            for (path, bytes) in &reference {
+                assert!(
+                    durable.get(path) == Some(bytes),
+                    "crash op {op}: {} differs from the uninterrupted run's",
+                    path.display()
+                );
+            }
+            let strays: Vec<&PathBuf> = durable
+                .keys()
+                .filter(|path| !reference.contains_key(*path))
+                .collect();
+            for path in &strays {
+                let name = path.to_string_lossy();
+                assert!(
+                    name.ends_with(".bak") || name.contains(".wal-"),
+                    "crash op {op}: unexpected file {name}"
+                );
+            }
+            identical += usize::from(strays.is_empty());
+        }
+    }
+    eprintln!(
+        "corpus crash enumeration: {total_ops} crash points, {images} images, \
+         {identical} end byte-identical to the uninterrupted run, the rest with strays only"
+    );
+}
+
+/// The campaign pays for durability per batch, not per point: 64 more
+/// points in one more batch add that batch's barriers (a `Start` and a
+/// `Done` record per point would add 128), and the journal stays one
+/// record long.
+#[test]
+fn corpus_generation_pays_no_barrier_per_point() {
+    let syncs = |runs: usize| {
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>)
+            .expect("open store");
+        let spec = CorpusSpec::new(runs, 42);
+        let done = generate(&spec, &Io500Extractor, &mut store, &campaign_dir(), 64);
+        assert_eq!(done, Ok((runs, 0)));
+        let journal = iokc_jube::journal_path(&campaign_dir());
+        let report = read_journal_vfs(&journal, &*vfs).expect("journal read");
+        assert_eq!(report.records.len(), 1, "{runs} points, one journal record");
+        vfs.sync_count()
+    };
+    let (small, large) = (syncs(64), syncs(128));
+    assert!(
+        large - small < 8,
+        "64 more points cost {} more barriers",
+        large - small
+    );
 }

@@ -5,7 +5,7 @@
 use iokc_benchmarks::ior::{run_ior, IorConfig};
 use iokc_core::model::Knowledge;
 use iokc_extract::parse_ior_output;
-use iokc_jube::{run_sweep, run_sweep_parallel, JubeConfig};
+use iokc_jube::{run_sweep, JubeConfig};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
@@ -53,18 +53,6 @@ fn sweep_extracts_metric_series() {
     assert!(table.contains("xfer"));
     assert!(table.contains("write_bw"));
     assert!(table.contains("64k"));
-}
-
-#[test]
-fn parallel_sweep_is_deterministic_and_equal_to_sequential() {
-    let config = JubeConfig::parse(SWEEP).unwrap();
-    let sequential = run_sweep(&config, runner).unwrap();
-    let parallel = run_sweep_parallel(&config, || runner).unwrap();
-    assert_eq!(
-        sequential.metric_series(&config, "write_bw"),
-        parallel.metric_series(&config, "write_bw"),
-        "per-workpackage worlds make parallel runs bit-identical"
-    );
 }
 
 #[test]
