@@ -369,7 +369,7 @@ fn bench_relational(c: &mut Criterion) {
         let seg = segment_path(&path, 0);
         let block = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
         b.iter(|| {
-            // A seal writes to a fresh name: nothing to rotate into `.bak`.
+            // A seal writes to a fresh name.
             vfs.remove_file(&seg).unwrap();
             write_segment_vfs(&seg, vfs.as_ref(), 0, &block).unwrap();
             let restored = read_segment_vfs(&seg, vfs.as_ref()).unwrap();

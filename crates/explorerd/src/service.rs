@@ -311,7 +311,7 @@ impl Explorer {
     }
 
     /// Mirror `/healthz` into gauges so `/metrics` alone tells the whole
-    /// story: `store.health.{ok,recovered,degraded}` are a one-hot
+    /// story: `store.health.{ok,degraded}` are a one-hot
     /// encoding of the store's health, and `store.read_only` flags
     /// read-only (degraded) operation.
     fn export_health_gauges(&self) {
@@ -323,9 +323,6 @@ impl Explorer {
         metrics
             .gauge("store.health.ok")
             .set(u64::from(status == "ok"));
-        metrics
-            .gauge("store.health.recovered")
-            .set(u64::from(status == "recovered"));
         metrics
             .gauge("store.health.degraded")
             .set(u64::from(status == "degraded"));

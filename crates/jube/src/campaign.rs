@@ -2,7 +2,7 @@
 //!
 //! A *campaign* is one sweep's worth of workpackages executed under the
 //! supervised executor ([`crate::executor`]). Every state transition —
-//! started, done (with captured outputs), failed, quarantined — is
+//! done (with captured outputs), failed, quarantined — is
 //! appended to a checksummed journal (`campaign.journal` in the campaign
 //! directory, via [`iokc_store::journal`]) *before* the executor acts on
 //! it. A crashed or killed campaign therefore loses at most the work in
@@ -19,7 +19,7 @@ use crate::config::JubeConfig;
 use crate::sweep::Workpackage;
 use iokc_core::phases::{CycleError, ErrorClass};
 use iokc_util::json::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -80,9 +80,10 @@ pub enum Record {
         /// Total workpackage count.
         total: usize,
     },
-    /// A worker claimed the workpackage. A `Start` without a later
-    /// terminal record marks work that was in flight when the process
-    /// died — it is re-enqueued on resume.
+    /// A worker claimed the workpackage. The executor no longer writes
+    /// it — a resume re-runs whatever has no terminal record, claimed or
+    /// not — and [`replay`] ignores it; journals of earlier binaries
+    /// carry it.
     Start {
         /// Workpackage id.
         wp: usize,
@@ -288,16 +289,15 @@ pub struct CampaignState {
     pub quarantined: BTreeMap<usize, String>,
     /// Cumulative failed attempts per workpackage.
     pub failures: BTreeMap<usize, u32>,
-    /// Workpackages with a `Start` record (in flight or finished).
-    pub started: BTreeSet<usize>,
     /// The journal ended in a torn record (the crash tore a write); the
     /// valid prefix was used.
     pub torn_tail: bool,
 }
 
 impl CampaignState {
-    /// Workpackages a resume must re-run: started (in flight at the
-    /// crash) or never started, and neither done nor quarantined.
+    /// Workpackages a resume must re-run: neither done nor quarantined.
+    /// In flight at the crash, failed and never claimed are all the same
+    /// to it.
     #[must_use]
     pub fn is_pending(&self, wp: usize) -> bool {
         !self.done.contains_key(&wp) && !self.quarantined.contains_key(&wp)
@@ -393,9 +393,7 @@ pub fn replay_vfs(path: &Path, vfs: &dyn iokc_store::Vfs) -> Result<CampaignStat
                 fingerprint,
                 total,
             }) => state.header = Some((benchmark, fingerprint, total)),
-            Some(Record::Start { wp }) => {
-                state.started.insert(wp);
-            }
+            Some(Record::Start { .. }) => {}
             Some(Record::Done {
                 wp,
                 attempts,

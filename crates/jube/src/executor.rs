@@ -5,9 +5,11 @@
 //! interactive study, wrong for an overnight campaign on flaky hardware.
 //! This executor replaces the bare loop with a supervised worker pool:
 //!
-//! * every state transition is journaled **before** the executor acts on
-//!   it ([`crate::campaign`]), so a killed campaign resumes from the
-//!   journal, re-running only unfinished workpackages;
+//! * every outcome — done, failed, quarantined — is journaled **before**
+//!   the executor acts on it ([`crate::campaign`]), so a killed campaign
+//!   resumes from the journal, re-running only unfinished workpackages
+//!   (claiming one is not journaled: in flight and never claimed resume
+//!   alike);
 //! * transient step failures are retried with the bounded, deterministic
 //!   backoff of [`iokc_core::resilience::RetryPolicy`];
 //! * repeatedly failing parameter combinations are quarantined instead
@@ -344,9 +346,6 @@ where
         let Some(id) = lock(&shared.queue).pop_front() else {
             return;
         };
-        if !shared.journal_append(&Record::Start { wp: id }) {
-            return;
-        }
         run_workpackage_supervised(shared, runner_factory, id);
     }
 }
@@ -705,6 +704,9 @@ pattern value = result {v:f}
         let series = report.workspace.metric_series(&config, "value");
         assert_eq!(series.len(), 4);
         assert_eq!(series[1].1, 20.0);
+        // One fsynced record per workpackage — its result — and the header.
+        let journal = iokc_store::journal::read_journal(&journal_path(&dir)).unwrap();
+        assert_eq!(journal.records.len(), 1 + 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

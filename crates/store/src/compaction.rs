@@ -200,11 +200,7 @@ impl KnowledgeStore {
             ),
         );
         for seg in old_segments.iter() {
-            for stale in [
-                seg.path().to_path_buf(),
-                persist::backup_path(seg.path()),
-                persist::temp_path(seg.path()),
-            ] {
+            for stale in [seg.path().to_path_buf(), persist::temp_path(seg.path())] {
                 let _ = self.vfs.remove_file(&stale);
             }
         }

@@ -1,15 +1,15 @@
 //! Offline verification and repair of a store's on-disk state.
 //!
 //! `iokc fsck [--repair]` runs these checks without bringing the store
-//! fully online. A store is the manifest at the nominal path (with its
-//! `.bak`), the active generation's log at `.wal-<epoch>` and the sealed
-//! segments at `.seg-<id>` ([`crate::knowledge_store`]); a document at
-//! the nominal path that is not a manifest is reported undecodable.
+//! fully online. A store is the manifest at the nominal path, the
+//! active generation's log at `.wal-<epoch>` and the sealed segments at
+//! `.seg-<id>` ([`crate::knowledge_store`]).
 //!
-//! 1. **Manifest generations** — the manifest and its `.bak` rotation
-//!    must verify their checksum footers. A corrupt primary with a good
-//!    backup (or the reverse) is repairable by promoting or re-rotating
-//!    the good generation; both corrupt is not.
+//! 1. **Manifest** — the document at the nominal path must verify its
+//!    checksum footer and decode as a manifest. One that does not is one
+//!    unrepairable finding, and nothing else is checked, swept or
+//!    rewritten: the manifest is what says which log and which segments
+//!    are the store, so without it no file can be called a stray.
 //! 2. **Active generation** — the epoch's log must replay onto the
 //!    manifest's counters and summarize, as `open` requires. A torn
 //!    trailing record (a crash mid-append) is reported and, on repair,
@@ -23,8 +23,9 @@
 //!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
 //!    siblings of documents, logs of any epoch the manifest does not
-//!    read, segment files the manifest does not reference. Removed on
-//!    repair.
+//!    read, segment files the manifest does not reference, and the
+//!    `.bak` copies of documents that earlier binaries kept and nothing
+//!    reads. Removed on repair.
 //! 6. **Referential integrity** (segments) — checksums only prove the
 //!    file is the one that was written, not that it is *sensible*: rows
 //!    whose foreign keys point at deleted parents (e.g. from a
@@ -50,9 +51,7 @@ use crate::query::{summarize_db, RunKind};
 use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentData, SegmentMeta};
 use crate::value::Value;
 use crate::vfs::Vfs;
-use iokc_util::json::Json;
 use std::collections::BTreeSet;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// What `fsck` should do.
@@ -117,10 +116,22 @@ impl FsckReport {
 #[must_use]
 pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
     let mut report = FsckReport::default();
-    check_stray_tmp(path, vfs, opts, &mut report);
-
-    if let Some(doc) = resolve_document(path, vfs, opts, &mut report) {
-        check_layout(&doc, path, vfs, opts, &mut report);
+    if vfs.exists(path) {
+        let manifest = persist::read_document_vfs(path, vfs)
+            .map_err(|e| format!("manifest unusable: {e}"))
+            .and_then(|doc| {
+                Manifest::from_json(&doc).map_err(|e| format!("manifest undecodable: {e}"))
+            });
+        match manifest {
+            Ok(manifest) => check_layout(manifest, path, vfs, opts, &mut report),
+            Err(what) => {
+                report.push(what, false);
+                report.note("without a manifest nothing else was checked, swept or rewritten");
+            }
+        }
+    } else {
+        check_stray_tmp(path, vfs, opts, &mut report);
+        report.note("no manifest on disk: nothing to check");
     }
 
     if let Some(journal_path) = &opts.journal {
@@ -130,89 +141,24 @@ pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
     report
 }
 
-/// Resolve the checksummed document at `path` from its two generations
-/// (primary + `.bak`), repairing whichever side is unusable from the
-/// other. `None` means nothing usable (or nothing at all) is on disk.
-fn resolve_document(
-    path: &Path,
-    vfs: &dyn Vfs,
-    opts: &FsckOptions,
-    report: &mut FsckReport,
-) -> Option<Json> {
-    let backup = persist::backup_path(path);
-    let primary = vfs
-        .exists(path)
-        .then(|| persist::read_document_vfs(path, vfs));
-    let backup_doc = vfs
-        .exists(&backup)
-        .then(|| persist::read_document_vfs(&backup, vfs));
-
-    match (primary, backup_doc) {
-        (None, None) => {
-            report.note("no image on disk: nothing to check");
-            None
-        }
-        (Some(Ok(doc)), None) => Some(doc),
-        (Some(Ok(doc)), Some(Ok(_))) => Some(doc),
-        (Some(Ok(doc)), Some(Err(e))) => {
-            // The backup is the safety net for the *next* torn save;
-            // refresh it from the healthy primary.
-            let repaired = opts.repair && copy_file(vfs, path, &backup).is_ok();
-            report.push(format!("backup image unusable: {e}"), repaired);
-            Some(doc)
-        }
-        (None, Some(Ok(doc))) => {
-            let repaired = opts.repair && persist::write_document_vfs(path, vfs, &doc).is_ok();
-            report.push("primary image missing; backup generation present", repaired);
-            Some(doc)
-        }
-        (Some(Err(e)), Some(Ok(doc))) => {
-            // `write_document_vfs` refuses to rotate a non-verifying
-            // primary into the backup slot, so promoting is safe.
-            let repaired = opts.repair && persist::write_document_vfs(path, vfs, &doc).is_ok();
-            report.push(
-                format!("primary image unusable ({e}); promoting backup generation"),
-                repaired,
-            );
-            Some(doc)
-        }
-        (Some(Err(e)), None) => {
-            report.push(format!("primary image unusable and no backup: {e}"), false);
-            None
-        }
-        (None, Some(Err(e))) => {
-            report.push(
-                format!("primary image missing and backup unusable: {e}"),
-                false,
-            );
-            None
-        }
-        (Some(Err(pe)), Some(Err(be))) => {
-            report.push(
-                format!("both image generations unusable (primary: {pe}; backup: {be})"),
-                false,
-            );
-            None
-        }
-    }
+/// Where earlier binaries kept the previous copy of a document. Nothing
+/// reads it: a stray.
+fn backup_path(path: &Path) -> PathBuf {
+    persist::sibling(path, ".bak")
 }
 
 /// Everything the manifest names: active generation, segments,
 /// tombstones, strays.
 fn check_layout(
-    doc: &Json,
+    mut manifest: Manifest,
     path: &Path,
     vfs: &dyn Vfs,
     opts: &FsckOptions,
     report: &mut FsckReport,
 ) {
-    let mut manifest = match Manifest::from_json(doc) {
-        Ok(manifest) => manifest,
-        Err(e) => {
-            report.push(format!("manifest undecodable: {e}"), false);
-            return;
-        }
-    };
+    let unread = "previous copy of a document, which nothing reads";
+    check_stray_tmp(path, vfs, opts, report);
+    check_stray_file(&backup_path(path), unread, vfs, opts, report);
     let mut manifest_changed = false;
 
     // Active generation: the epoch's log replays (a torn tail is
@@ -321,15 +267,15 @@ fn check_layout(
     }
     for id in 0..=manifest.next_segment {
         let seg_path = persist::segment_path(path, id);
+        check_stray_file(&backup_path(&seg_path), unread, vfs, opts, report);
         if referenced.contains(&id) {
             check_stray_tmp(&seg_path, vfs, opts, report);
         } else {
-            // A document is written through `.tmp` and rotates to `.bak`;
-            // a log is appended in place and has neither.
+            // A document is written through `.tmp`; a log is appended
+            // in place and has none.
             let why = "segment not referenced by the manifest";
-            let bak = persist::backup_path(&seg_path);
             let tmp = persist::temp_path(&seg_path);
-            for stray in [seg_path, bak, tmp] {
+            for stray in [seg_path, tmp] {
                 check_stray_file(&stray, why, vfs, opts, report);
             }
         }
@@ -484,13 +430,6 @@ fn check_journal(journal_path: &Path, vfs: &dyn Vfs, opts: &FsckOptions, report:
     }
 }
 
-fn copy_file(vfs: &dyn Vfs, from: &Path, to: &Path) -> io::Result<()> {
-    let bytes = vfs.read(from)?;
-    let mut file = vfs.create(to)?;
-    file.write_all(&bytes)?;
-    file.sync()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -499,14 +438,15 @@ mod tests {
     use crate::knowledge_store::KnowledgeStore;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
+    use iokc_util::json::Json;
     use std::sync::Arc;
 
     fn kb() -> PathBuf {
         PathBuf::from("/kb.json")
     }
 
-    /// A disk holding a store with two saved generations (primary +
-    /// `.bak`), returned as a fresh fault-free filesystem.
+    /// A disk holding a store with two saved runs, returned as a fresh
+    /// fault-free filesystem.
     fn two_generations() -> FaultVfs {
         let vfs = Arc::new(FaultVfs::pristine());
         {
@@ -537,41 +477,38 @@ mod tests {
         assert!(report.clean(), "{report:?}");
     }
 
+    /// What a binary that rotated documents to `.bak` left behind is
+    /// swept under a good manifest, and only there.
     #[test]
-    fn torn_primary_is_repaired_from_backup() {
-        let vfs = two_generations();
-        let len = vfs.len(&kb()).unwrap();
-        vfs.set_len(&kb(), len / 2).unwrap();
-
-        let detect = fsck(&kb(), &vfs, &FsckOptions::default());
-        assert_eq!(detect.unrepaired(), 1, "{detect:?}");
-
+    fn backup_copies_an_earlier_binary_left_are_strays() {
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        store
+            .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "sealed"))
+            .unwrap();
+        store.seal_active().unwrap();
+        drop(store);
+        let strays = [
+            backup_path(&kb()),
+            backup_path(&persist::segment_path(&kb(), 0)),
+        ];
+        for stray in &strays {
+            let mut file = vfs.create(stray).unwrap();
+            file.write_all(b"{}").unwrap();
+            file.sync().unwrap();
+        }
+        let detect = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+        assert_eq!(detect.unrepaired(), 2, "{detect:?}");
         let repair = repair_pass(&vfs);
-        assert_eq!(repair.repaired(), 1, "{repair:?}");
-        assert_eq!(repair.unrepaired(), 0);
-        // Second pass is clean and the store opens healthy. Tearing the
-        // manifest loses no data: the runs live in the (untouched) log,
-        // and the backup manifest names the same epoch.
-        assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
-        let store = KnowledgeStore::open_with_vfs(
-            kb(),
-            Arc::new(FaultVfs::from_state(vfs.durable_state())),
-        )
-        .unwrap();
-        assert!(!store.is_read_only());
-        assert_eq!(store.knowledge_count(), 2);
-    }
-
-    #[test]
-    fn corrupt_backup_is_refreshed_from_primary() {
-        let vfs = two_generations();
-        let bak = persist::backup_path(&kb());
-        vfs.set_len(&bak, 5).unwrap();
-
-        let repair = repair_pass(&vfs);
-        assert_eq!(repair.repaired(), 1, "{repair:?}");
-        assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
-        assert!(persist::read_document_vfs(&bak, &vfs).is_ok());
+        assert_eq!(
+            (repair.repaired(), repair.unrepaired()),
+            (2, 0),
+            "{repair:?}"
+        );
+        assert!(strays.iter().all(|stray| !vfs.exists(stray)));
+        assert!(fsck(&kb(), vfs.as_ref(), &FsckOptions::default()).clean());
+        let store = KnowledgeStore::open_with_vfs(kb(), vfs).unwrap();
+        assert_eq!(store.knowledge_count(), 1);
     }
 
     #[test]
@@ -728,13 +665,30 @@ mod tests {
     }
 
     #[test]
-    fn both_generations_corrupt_is_unrepairable_but_store_degrades() {
+    fn corrupt_manifest_is_unrepairable_moves_nothing_and_the_store_degrades() {
         let vfs = two_generations();
         vfs.set_len(&kb(), 7).unwrap();
-        vfs.set_len(&persist::backup_path(&kb()), 7).unwrap();
+        // Files a repair would sweep under a good manifest — the copy an
+        // earlier binary would have promoted among them.
+        for stray in [
+            persist::temp_path(&kb()),
+            persist::wal_path(&kb(), 1),
+            backup_path(&kb()),
+        ] {
+            let mut file = vfs.create(&stray).unwrap();
+            file.write_all(b"stray").unwrap();
+            file.sync().unwrap();
+        }
+        let before = vfs.durable_state();
 
         let repair = repair_pass(&vfs);
-        assert!(repair.unrepaired() >= 1, "{repair:?}");
+        assert_eq!(
+            (repair.repaired(), repair.unrepaired()),
+            (0, 1),
+            "{repair:?}"
+        );
+        assert!(repair.findings[0].what.contains("manifest unusable"));
+        assert_eq!(vfs.durable_state(), before);
 
         let store = KnowledgeStore::open_or_degraded_with_vfs(
             kb(),

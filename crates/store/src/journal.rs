@@ -11,9 +11,7 @@
 //!
 //! A crash can only ever tear the *last* record. [`read_journal`]
 //! therefore salvages the longest valid prefix and reports the torn
-//! tail instead of failing, mirroring
-//! [`crate::persist::read_document_with_recovery_vfs`]'s "detect, then
-//! fall back to the last good generation" contract.
+//! tail instead of failing.
 //! [`crate::persist::inject_torn_write`] works on journal files too, so
 //! tests can cut one at any byte offset.
 //!
@@ -64,186 +62,19 @@ impl JournalWriter {
         })
     }
 
-    /// Append one record and fsync it. The payload must not contain a
-    /// newline — records are line-framed.
+    /// Append one record — one buffer write, one fsync. The payload
+    /// must not contain a newline: records are line-framed.
     pub fn append(&mut self, payload: &str) -> Result<(), std::io::Error> {
-        self.append_batch(&[payload])
-    }
-
-    /// Append a batch of records with ONE buffer write and ONE fsync —
-    /// the group-commit primitive. Durability is all-or-torn-tail: a
-    /// crash mid-batch tears at most the framing of the last records
-    /// written, and [`read_journal`] salvages the valid prefix exactly
-    /// as for single appends.
-    pub fn append_batch(&mut self, payloads: &[&str]) -> Result<(), std::io::Error> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
-        let mut buf = String::new();
-        for payload in payloads {
-            if payload.contains('\n') || payload.contains('\r') {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "journal payloads must be single-line",
-                ));
-            }
-            let crc = checksum(payload.as_bytes());
-            buf.push_str(RECORD_MAGIC);
-            buf.push(' ');
-            buf.push_str(&format!("{crc:016x}"));
-            buf.push(' ');
-            buf.push_str(payload);
-            buf.push('\n');
-        }
-        self.file.write_all(buf.as_bytes())?;
-        self.file.sync()
-    }
-}
-
-/// A group-committing front over a [`JournalWriter`]: concurrent
-/// appenders share one fsync.
-///
-/// Each caller of [`GroupJournal::append`] enqueues its record and
-/// blocks until the record is durable. The first thread to find no
-/// flush in flight becomes the *leader*: it drains everything queued so
-/// far (its own record and any followers'), writes the whole batch with
-/// [`JournalWriter::append_batch`] — one buffer write, one fsync — and
-/// wakes the followers with the outcome. Under contention `n` appends
-/// cost far fewer than `n` fsyncs while every append still returns only
-/// once its record is on disk; uncontended appends degrade to exactly
-/// the single-record protocol.
-///
-/// Failure is reported to precisely the records that were in the failed
-/// batch: the leader stamps the batch's last sequence number on the
-/// error, and a waiter whose record is covered gets the error while
-/// later appends proceed against a fresh batch.
-pub struct GroupJournal {
-    writer: std::sync::Mutex<JournalWriter>,
-    state: std::sync::Mutex<GroupState>,
-    cond: std::sync::Condvar,
-}
-
-struct GroupState {
-    /// Records queued for the next batch, with their sequence numbers
-    /// (assigned from 1 upward).
-    pending: Vec<(u64, String)>,
-    /// A leader is currently writing a batch.
-    flushing: bool,
-    /// Sequence number assigned to the next enqueued record.
-    next_seq: u64,
-    /// Every record with `seq <= processed_through` has had its batch
-    /// completed — durably written unless a range below covers it.
-    processed_through: u64,
-    /// Seq ranges `(from, through)` of batches whose write failed, with
-    /// the error to report to exactly those waiters.
-    failed: Vec<(u64, u64, String)>,
-}
-
-impl Default for GroupState {
-    fn default() -> GroupState {
-        GroupState {
-            pending: Vec::new(),
-            flushing: false,
-            next_seq: 1,
-            processed_through: 0,
-            failed: Vec::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for GroupJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupJournal").finish_non_exhaustive()
-    }
-}
-
-impl GroupJournal {
-    /// Open (creating if absent) a group-committing journal.
-    pub fn open(path: &Path) -> Result<GroupJournal, std::io::Error> {
-        GroupJournal::open_vfs(path, &StdVfs)
-    }
-
-    /// [`GroupJournal::open`] over an explicit [`Vfs`].
-    pub fn open_vfs(path: &Path, vfs: &dyn Vfs) -> Result<GroupJournal, std::io::Error> {
-        Ok(GroupJournal::from_writer(JournalWriter::open_vfs(
-            path, vfs,
-        )?))
-    }
-
-    /// Wrap an already-open [`JournalWriter`].
-    #[must_use]
-    pub fn from_writer(writer: JournalWriter) -> GroupJournal {
-        GroupJournal {
-            writer: std::sync::Mutex::new(writer),
-            state: std::sync::Mutex::new(GroupState::default()),
-            cond: std::sync::Condvar::new(),
-        }
-    }
-
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, GroupState> {
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Append one record, returning once it is durable. Takes `&self`:
-    /// any number of threads may append concurrently, and concurrent
-    /// appends are batched under one fsync.
-    pub fn append(&self, payload: &str) -> Result<(), std::io::Error> {
         if payload.contains('\n') || payload.contains('\r') {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "journal payloads must be single-line",
             ));
         }
-        let mut state = self.lock_state();
-        let my_seq = state.next_seq;
-        state.next_seq += 1;
-        state.pending.push((my_seq, payload.to_owned()));
-        loop {
-            if let Some((_, _, msg)) = state
-                .failed
-                .iter()
-                .find(|(from, through, _)| (*from..=*through).contains(&my_seq))
-            {
-                return Err(std::io::Error::other(msg.clone()));
-            }
-            if state.processed_through >= my_seq {
-                return Ok(());
-            }
-            if !state.flushing {
-                // Become the leader: take the whole queue, write it
-                // outside the state lock, publish the outcome. Batches
-                // are taken in seq order and only one flush runs at a
-                // time, so `processed_through` advances contiguously.
-                state.flushing = true;
-                let batch = std::mem::take(&mut state.pending);
-                let from = batch.iter().map(|(s, _)| *s).min().unwrap_or(my_seq);
-                let through = batch.iter().map(|(s, _)| *s).max().unwrap_or(my_seq);
-                drop(state);
-                let payloads: Vec<&str> = batch.iter().map(|(_, p)| p.as_str()).collect();
-                let result = {
-                    let mut writer = match self.writer.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    writer.append_batch(&payloads)
-                };
-                state = self.lock_state();
-                state.flushing = false;
-                state.processed_through = state.processed_through.max(through);
-                if let Err(e) = result {
-                    state.failed.push((from, through, e.to_string()));
-                }
-                self.cond.notify_all();
-                continue;
-            }
-            state = match self.cond.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        let crc = checksum(payload.as_bytes());
+        let record = format!("{RECORD_MAGIC} {crc:016x} {payload}\n");
+        self.file.write_all(record.as_bytes())?;
+        self.file.sync()
     }
 }
 
@@ -342,13 +173,9 @@ pub fn truncate_torn_tail_vfs(
 /// Sinks are infallible by contract; an I/O error stops further writes
 /// and is reported through [`JournalEventSink::error`] instead of
 /// panicking inside instrumented code.
-///
-/// Writes go through a [`GroupJournal`]: when several instrumented
-/// threads emit at once, their records share one fsync instead of
-/// queuing one fsync each behind a writer lock.
 #[derive(Debug)]
 pub struct JournalEventSink {
-    journal: GroupJournal,
+    journal: std::sync::Mutex<JournalWriter>,
     failed: std::sync::atomic::AtomicBool,
     error: std::sync::Mutex<Option<String>>,
 }
@@ -359,7 +186,7 @@ impl JournalEventSink {
     pub fn open(path: &Path) -> Result<JournalEventSink, std::io::Error> {
         truncate_torn_tail(path)?;
         Ok(JournalEventSink {
-            journal: GroupJournal::open(path)?,
+            journal: std::sync::Mutex::new(JournalWriter::open(path)?),
             failed: std::sync::atomic::AtomicBool::new(false),
             error: std::sync::Mutex::new(None),
         })
@@ -382,7 +209,12 @@ impl iokc_obs::EventSink for JournalEventSink {
             return;
         }
         let record = event.to_record();
-        if let Err(e) = self.journal.append(&record) {
+        let appended = self
+            .journal
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .append(&record);
+        if let Err(e) = appended {
             self.failed.store(true, Ordering::Relaxed);
             let mut slot = match self.error.lock() {
                 Ok(guard) => guard,
@@ -583,149 +415,6 @@ mod tests {
         let again = truncate_torn_tail_vfs(path, &retry).unwrap();
         assert!(!again.torn_tail);
         assert_eq!(again.dropped_bytes, 0);
-    }
-
-    #[test]
-    fn append_batch_costs_one_sync() {
-        use crate::vfs::FaultVfs;
-        let path = Path::new("/j");
-        let vfs = FaultVfs::pristine();
-        {
-            let mut writer = JournalWriter::open_vfs(path, &vfs).unwrap();
-            writer
-                .append_batch(&["alpha", "beta", "gamma", "delta"])
-                .unwrap();
-        }
-        assert_eq!(vfs.sync_count(), 1);
-        let report = read_journal_vfs(path, &vfs).unwrap();
-        assert_eq!(report.records, vec!["alpha", "beta", "gamma", "delta"]);
-        assert!(!report.torn_tail);
-    }
-
-    #[test]
-    fn append_batch_rejects_newlines_before_writing() {
-        use crate::vfs::FaultVfs;
-        let path = Path::new("/j");
-        let vfs = FaultVfs::pristine();
-        let mut writer = JournalWriter::open_vfs(path, &vfs).unwrap();
-        assert!(writer.append_batch(&["ok", "two\nlines"]).is_err());
-        // Nothing was written: the batch is validated up front.
-        assert_eq!(read_journal_vfs(path, &vfs).unwrap().records.len(), 0);
-    }
-
-    #[test]
-    fn group_journal_uncontended_appends_are_durable_per_record() {
-        use crate::vfs::FaultVfs;
-        let path = Path::new("/j");
-        let vfs = FaultVfs::pristine();
-        let journal = GroupJournal::open_vfs(path, &vfs).unwrap();
-        journal.append("alpha").unwrap();
-        journal.append("beta").unwrap();
-        assert_eq!(vfs.sync_count(), 2);
-        let report = read_journal_vfs(path, &vfs).unwrap();
-        assert_eq!(report.records, vec!["alpha", "beta"]);
-    }
-
-    #[test]
-    fn concurrent_group_appends_all_land_with_shared_syncs() {
-        let dir = scratch("group-commit");
-        let path = dir.join("j");
-        let journal = std::sync::Arc::new(GroupJournal::open(&path).unwrap());
-        const THREADS: usize = 8;
-        const PER_THREAD: usize = 25;
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let journal = std::sync::Arc::clone(&journal);
-                let barrier = std::sync::Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..PER_THREAD {
-                        journal.append(&format!("t{t}-r{i}")).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let report = read_journal(&path).unwrap();
-        assert_eq!(report.records.len(), THREADS * PER_THREAD);
-        assert!(!report.torn_tail);
-        // Every thread's own records appear in its append order.
-        for t in 0..THREADS {
-            let mine: Vec<&String> = report
-                .records
-                .iter()
-                .filter(|r| r.starts_with(&format!("t{t}-")))
-                .collect();
-            let expected: Vec<String> = (0..PER_THREAD).map(|i| format!("t{t}-r{i}")).collect();
-            assert_eq!(mine.len(), PER_THREAD);
-            assert!(mine.iter().zip(&expected).all(|(a, b)| *a == b));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_appends_share_fsyncs_under_contention() {
-        use crate::vfs::FaultVfs;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // A slow VFS would show batching naturally; the in-memory one is
-        // fast, so force a batch by pre-loading the queue: spawn writers
-        // that all enqueue before the leader drains. Run a few rounds
-        // and assert the sync count never exceeds the record count (it
-        // is usually far below under real contention).
-        let path = Path::new("/j");
-        let vfs = std::sync::Arc::new(FaultVfs::pristine());
-        let writer = JournalWriter::open_vfs(path, vfs.as_ref()).unwrap();
-        let journal = std::sync::Arc::new(GroupJournal::from_writer(writer));
-        const THREADS: usize = 6;
-        let done = std::sync::Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let journal = std::sync::Arc::clone(&journal);
-                let done = std::sync::Arc::clone(&done);
-                std::thread::spawn(move || {
-                    for i in 0..10 {
-                        journal.append(&format!("t{t}-r{i}")).unwrap();
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let records = done.load(Ordering::Relaxed);
-        assert_eq!(records, (THREADS * 10) as u64);
-        assert!(
-            vfs.sync_count() <= records,
-            "group commit must never need more syncs than records \
-             (got {} syncs for {records} records)",
-            vfs.sync_count()
-        );
-        let report = read_journal_vfs(path, vfs.as_ref()).unwrap();
-        assert_eq!(report.records.len(), records as usize);
-    }
-
-    #[test]
-    fn group_journal_failure_reaches_the_covered_appender() {
-        use crate::vfs::{FaultPlan, FaultVfs};
-        let path = Path::new("/j");
-        // First sync fails; later syncs succeed.
-        let vfs = FaultVfs::new(FaultPlan {
-            fail_syncs: std::collections::BTreeSet::from([0]),
-            ..FaultPlan::default()
-        });
-        let writer = JournalWriter::open_vfs(path, &vfs).unwrap();
-        let journal = GroupJournal::from_writer(writer);
-        assert!(journal.append("alpha").is_err());
-        // The journal keeps accepting later appends against new batches.
-        journal.append("beta").unwrap();
-        let report = read_journal_vfs(path, &vfs).unwrap();
-        // `alpha`'s bytes may or may not have landed (the write happened,
-        // the sync failed) but `beta` is durable.
-        assert!(report.records.iter().any(|r| r == "beta"));
     }
 
     #[test]

@@ -31,9 +31,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Format tag of the manifest document at a store's nominal path. A
-/// store on disk is that manifest (with its `.bak`), the active
-/// generation's log `.wal-<epoch>` and the sealed segments `.seg-<id>`;
-/// a file at the nominal path that is anything else is `Corrupt`.
+/// store on disk is that manifest, the active generation's log
+/// `.wal-<epoch>` and the sealed segments `.seg-<id>`; a file at the
+/// nominal path that is anything else is `Corrupt`.
 const MANIFEST_FORMAT: &str = "iokc-manifest";
 
 /// Active generations seal into segments at this many logged operations
@@ -46,13 +46,8 @@ const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 pub enum StoreHealth {
     /// The files loaded cleanly (or the store is fresh/in-memory).
     Ok,
-    /// A primary document was unusable; its `.bak` generation stood in.
-    Recovered {
-        /// Why the primary image was rejected.
-        primary_error: String,
-    },
-    /// Unrecoverable corruption (or an unreadable disk): the store is
-    /// serving an empty schema read-only rather than refusing to open.
+    /// Corruption (or an unreadable disk): the store is serving an
+    /// empty schema read-only rather than refusing to open.
     Degraded {
         /// What went wrong.
         reason: String,
@@ -66,23 +61,21 @@ impl StoreHealth {
         matches!(self, StoreHealth::Degraded { .. })
     }
 
-    /// The health as a stable lowercase token (`ok` / `recovered` /
-    /// `degraded`) for health endpoints and logs.
+    /// The health as a stable lowercase token (`ok` / `degraded`) for
+    /// health endpoints and logs.
     #[must_use]
     pub fn status(&self) -> &'static str {
         match self {
             StoreHealth::Ok => "ok",
-            StoreHealth::Recovered { .. } => "recovered",
             StoreHealth::Degraded { .. } => "degraded",
         }
     }
 
-    /// Human-readable detail for the non-`Ok` states.
+    /// Human-readable detail when not `Ok`.
     #[must_use]
     pub fn detail(&self) -> Option<&str> {
         match self {
             StoreHealth::Ok => None,
-            StoreHealth::Recovered { primary_error } => Some(primary_error),
             StoreHealth::Degraded { reason } => Some(reason),
         }
     }
@@ -103,8 +96,6 @@ pub struct KnowledgeStore {
     pub(crate) state: Snapshot,
     /// When set, every write is made durable under this path.
     pub(crate) path: Option<PathBuf>,
-    /// Which documents were recovered from `.bak` at open time, if any.
-    recovery: persist::RecoveryReport,
     /// Health at and since open: `Degraded` stores reject writes.
     health: StoreHealth,
     /// Epoch of the active generation's log (`<path>.wal-<epoch>`);
@@ -150,7 +141,6 @@ impl KnowledgeStore {
                 generation: 0,
             },
             path,
-            recovery: persist::RecoveryReport::default(),
             health,
             active_epoch: 0,
             epoch_base: Counters::new(),
@@ -169,13 +159,11 @@ impl KnowledgeStore {
         KnowledgeStore::empty(None, Arc::new(StdVfs), StoreHealth::Ok)
     }
 
-    /// A file-backed store: loads what is on disk when the manifest (or
-    /// its `.bak` generation) exists, otherwise starts fresh; every write
-    /// is durable when it returns. A torn or corrupt manifest falls back
-    /// to its last good generation — check [`KnowledgeStore::recovery`]
-    /// to see whether that happened. Opening writes nothing: a log tail
-    /// torn by a crash is salvaged in memory and truncated by the first
-    /// write.
+    /// A file-backed store: loads what is on disk when the manifest
+    /// exists, otherwise starts fresh; every write is durable when it
+    /// returns. A manifest that does not verify is [`DbError::Corrupt`].
+    /// Opening writes nothing: a log tail torn by a crash is salvaged in
+    /// memory and truncated by the first write.
     pub fn open(path: PathBuf) -> Result<KnowledgeStore, DbError> {
         KnowledgeStore::open_with_vfs(path, Arc::new(StdVfs))
     }
@@ -188,25 +176,18 @@ impl KnowledgeStore {
     /// from its log, summarized and indexed. Open cost is proportional
     /// to the active generation, not the corpus.
     pub fn open_with_vfs(path: PathBuf, vfs: Arc<dyn Vfs>) -> Result<KnowledgeStore, DbError> {
-        let mut loaded = load_state(&path, vfs.as_ref())?;
-        let recovery = std::mem::take(&mut loaded.recovery);
-        let health = match &recovery.primary_error {
-            Some(primary_error) if recovery.recovered_from_backup => StoreHealth::Recovered {
-                primary_error: primary_error.clone(),
-            },
-            _ => StoreHealth::Ok,
-        };
-        let mut store = KnowledgeStore::empty(Some(path), vfs, health);
-        store.recovery = recovery;
+        let loaded = load_state(&path, vfs.as_ref())?;
+        let mut store = KnowledgeStore::empty(Some(path), vfs, StoreHealth::Ok);
+        store.state.generation = loaded.identity;
         store.install(loaded);
         Ok(store)
     }
 
     /// Open a file-backed store, degrading instead of failing: when the
-    /// files are unrecoverably corrupt, the store comes
-    /// up read-only over an empty schema with
-    /// [`KnowledgeStore::health`] reporting `Degraded`, so a serving
-    /// layer stays up (answering `/healthz` honestly) rather than dying.
+    /// files are corrupt, the store comes up read-only over an empty
+    /// schema with [`KnowledgeStore::health`] reporting `Degraded`, so a
+    /// serving layer stays up (answering `/healthz` honestly) rather
+    /// than dying.
     #[must_use]
     pub fn open_or_degraded(path: PathBuf) -> KnowledgeStore {
         KnowledgeStore::open_or_degraded_with_vfs(path, Arc::new(StdVfs))
@@ -236,15 +217,8 @@ impl KnowledgeStore {
         }
     }
 
-    /// How the on-disk documents were loaded: whether a `.bak`
-    /// generation had to stand in for a torn or corrupt primary.
-    #[must_use]
-    pub fn recovery(&self) -> &persist::RecoveryReport {
-        &self.recovery
-    }
-
-    /// The store's health: `Ok`, `Recovered` (backup generation stood in
-    /// at open), or `Degraded` (read-only over an empty schema).
+    /// The store's health: `Ok`, or `Degraded` (read-only over an empty
+    /// schema).
     #[must_use]
     pub fn health(&self) -> &StoreHealth {
         &self.health
@@ -358,12 +332,14 @@ impl KnowledgeStore {
         let Some(path) = self.path.clone() else {
             return Ok(());
         };
-        let result = self
-            .write_dirty_manifest(&path)
-            .and_then(|()| match &delta {
-                Some(delta) => self.append_to_log(&path, delta),
-                None => Ok(()),
-            });
+        let manifest = match self.manifest_dirty {
+            true => persist::write_document_vfs(&path, self.vfs(), &self.manifest().to_json()),
+            false => Ok(()),
+        };
+        let result = manifest.and_then(|()| match &delta {
+            Some(delta) => self.append_to_log(&path, delta),
+            None => Ok(()),
+        });
         match result {
             Ok(()) => {
                 self.manifest_dirty = false;
@@ -376,26 +352,6 @@ impl KnowledgeStore {
                 Err(classified)
             }
         }
-    }
-
-    fn write_dirty_manifest(&self, path: &Path) -> Result<(), std::io::Error> {
-        if !self.manifest_dirty {
-            return Ok(());
-        }
-        let vfs = self.vfs.as_ref();
-        persist::write_document_vfs(path, vfs, &self.manifest().to_json())?;
-        // The very first manifest write has nothing to rotate into
-        // `.bak`; seed the backup generation explicitly so a torn
-        // manifest is *always* repairable from `.bak`, like every other
-        // document in the layout.
-        let bak = persist::backup_path(path);
-        if !vfs.exists(&bak) {
-            let bytes = vfs.read(path)?;
-            let mut file = vfs.create(&bak)?;
-            file.write_all(&bytes)?;
-            file.sync()?;
-        }
-        Ok(())
     }
 
     /// Append one record to this epoch's log. A failed append is rolled
@@ -447,9 +403,9 @@ impl KnowledgeStore {
     /// Reload the last durable layout after a failed flush or a failed
     /// seal/compaction commit. Keeps the generation counter: a caller
     /// whose failed write the reload can still show bumps it itself. If
-    /// even the reload fails (the disk is gone, or the failure tore the
-    /// manifest with no backup), the store degrades to read-only rather
-    /// than serving rows it cannot prove were persisted.
+    /// even the reload fails (the disk is gone), the store degrades to
+    /// read-only rather than serving rows it cannot prove were
+    /// persisted.
     ///
     /// What is read back is what the filesystem shows now; a manifest
     /// rename whose directory sync failed shows, yet is not durable. So
@@ -1020,7 +976,10 @@ struct LoadedState {
     replay: wal::Replay,
     next_segment: u64,
     manifest_dirty: bool,
-    recovery: persist::RecoveryReport,
+    /// An identity of the files loaded — the manifest's checksum mixed
+    /// with the log's valid length — which is where this open's write
+    /// generations start. See [`Snapshot::generation`].
+    identity: u64,
 }
 
 /// The active generation a manifest names, rebuilt from disk: the
@@ -1044,7 +1003,7 @@ pub(crate) fn load_active(
 /// lazily. The active block's summaries are derived from the replayed
 /// rows here.
 fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
-    if !vfs.exists(path) && !vfs.exists(&persist::backup_path(path)) {
+    if !vfs.exists(path) {
         return Ok(LoadedState {
             active: SegmentData::empty(build_schema()),
             segments: Vec::new(),
@@ -1054,10 +1013,10 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
             replay: wal::Replay::default(),
             next_segment: 0,
             manifest_dirty: true,
-            recovery: persist::RecoveryReport::default(),
+            identity: 0,
         });
     }
-    let (doc, recovery) = persist::read_document_with_recovery_vfs(path, vfs)?;
+    let (doc, checksum) = persist::read_document_and_checksum(path, vfs)?;
     let manifest = Manifest::from_json(&doc)?;
     let (db, replay) = load_active(path, &manifest, vfs)?;
     Ok(LoadedState {
@@ -1073,10 +1032,12 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
         tombstones: manifest.tombstones,
         active_epoch: manifest.active_epoch,
         epoch_base: manifest.next_ids,
-        replay,
         next_segment: manifest.next_segment,
         manifest_dirty: false,
-        recovery,
+        // Kept below 2^52: a generation counts up from here, and
+        // `/healthz` prints it as a JSON number.
+        identity: (checksum ^ replay.len.wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 12,
+        replay,
     })
 }
 
@@ -1113,8 +1074,9 @@ pub struct Snapshot {
     pub(crate) vfs: Arc<dyn Vfs>,
     /// Query-engine observability: recorder + counter handles.
     pub(crate) obs: Arc<QueryObs>,
-    /// Monotonic write generation: bumped on every successful persist or
-    /// delete.
+    /// Write generation: starts at an identity of the files opened (0
+    /// for a fresh or in-memory store), bumped on every successful
+    /// persist or delete.
     pub(crate) generation: u64,
 }
 
@@ -1123,7 +1085,10 @@ impl Snapshot {
     /// taken: a monotonic counter bumped on every successful persist or
     /// delete. Two reads returning the same value bracket a window in
     /// which no knowledge changed, so read-through caches (the explorer
-    /// service) key entries on it.
+    /// service) key entries on it. It starts at an identity of the files
+    /// opened (0 when there were none), not at 0: a value handed out by
+    /// one process — an ETag — means the same rows to the next process
+    /// over the same files and nothing over different ones.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1871,7 +1836,7 @@ mod tests {
 
     #[test]
     fn file_backed_store_survives_reopen() {
-        // The layout is several sibling files (manifest, `.bak`,
+        // The layout is several sibling files (manifest,
         // `.wal-<epoch>`): a directory of its own, removed whole.
         let dir = crate::persist::tests::scratch_dir("kstore-reopen");
         let path = dir.join("knowledge.iokc.json");
@@ -2077,6 +2042,36 @@ mod tests {
             }
         }
 
+        /// What each kind of write asks of the filesystem, as (operations,
+        /// of which fsyncs). A document — manifest or segment — is create,
+        /// write, fsync, ONE rename, directory fsync.
+        #[test]
+        fn what_a_write_costs_the_filesystem() {
+            let vfs = Arc::new(FaultVfs::pristine());
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
+            let counts = || (vfs.op_count(), vfs.sync_count());
+            let since =
+                |before: (u64, u64)| (vfs.op_count() - before.0, vfs.sync_count() - before.1);
+            // A fresh store: the manifest, then the log's open, write,
+            // fsync and directory fsync.
+            let before = counts();
+            store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            assert_eq!(since(before), (9, 4));
+            // Ever after: the record's write and its fsync.
+            let before = counts();
+            store.save_knowledge(&cmd_knowledge(1)).unwrap();
+            assert_eq!(since(before), (2, 1));
+            // A seal: the segment, the manifest, the old log's unlink.
+            let before = counts();
+            store.seal_active().unwrap();
+            assert_eq!(since(before), (11, 4));
+            // A tombstone: the manifest.
+            let before = counts();
+            assert!(store.delete_knowledge(1).unwrap());
+            assert_eq!(since(before), (5, 2));
+        }
+
         /// A save whose log append fails — torn by a short write, refused
         /// outright, or written whole and then failing its fsync — is
         /// not visible, and nothing acknowledged later makes it durable.
@@ -2255,10 +2250,7 @@ mod tests {
                 store.save_knowledge(&cmd_knowledge(0)).unwrap();
             }
             let vfs = FaultVfs::from_state(disk.durable_state());
-            // Both manifest generations must be unusable: a corrupt
-            // primary alone now recovers from the seeded `.bak`.
             vfs.set_len(&kb(), 9).unwrap();
-            vfs.set_len(&persist::backup_path(&kb()), 9).unwrap();
             let mut store = KnowledgeStore::open_or_degraded_with_vfs(
                 kb(),
                 Arc::new(FaultVfs::from_state(vfs.durable_state())),
@@ -2291,7 +2283,6 @@ mod tests {
             }
             let vfs = FaultVfs::from_state(disk.durable_state());
             vfs.set_len(&kb(), 9).unwrap();
-            vfs.set_len(&persist::backup_path(&kb()), 9).unwrap();
             let serving = Arc::new(FaultVfs::from_state(vfs.durable_state()));
             let mut store = KnowledgeStore::open_or_degraded_with_vfs(kb(), serving);
             let recorder = Arc::new(iokc_obs::Recorder::disabled());
@@ -2353,20 +2344,20 @@ mod tests {
     #[test]
     fn generation_bumps_on_writes_and_deletes_only() {
         let mut store = KnowledgeStore::in_memory();
-        assert_eq!(store.generation(), 0);
+        let opened = store.generation();
         let id = store.save_knowledge(&sample_knowledge()).unwrap();
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.generation(), opened + 1);
         store.save_io500(&sample_io500()).unwrap();
-        assert_eq!(store.generation(), 2);
+        assert_eq!(store.generation(), opened + 2);
         // Reads do not invalidate.
         store.load_knowledge(id).unwrap();
         store.query_items(&Query::all()).unwrap();
-        assert_eq!(store.generation(), 2);
+        assert_eq!(store.generation(), opened + 2);
         // Deleting an absent object is a no-op for the generation.
         assert!(!store.delete_knowledge(999).unwrap());
-        assert_eq!(store.generation(), 2);
+        assert_eq!(store.generation(), opened + 2);
         assert!(store.delete_knowledge(id).unwrap());
-        assert_eq!(store.generation(), 3);
+        assert_eq!(store.generation(), opened + 3);
     }
 
     #[test]

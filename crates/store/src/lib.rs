@@ -35,8 +35,7 @@ pub use database::{Column, Database, DbError, ForeignKey, OrderBy, Predicate, Ro
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use iokc_obs::DeadlineToken;
 pub use journal::{
-    read_journal, truncate_torn_tail, GroupJournal, JournalEventSink, JournalReadReport,
-    JournalWriter,
+    read_journal, truncate_torn_tail, JournalEventSink, JournalReadReport, JournalWriter,
 };
 pub use knowledge_store::{KnowledgeStore, Snapshot, StoreHealth};
 pub use persist::{classify_io_error, export_csv};

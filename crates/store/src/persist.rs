@@ -11,14 +11,12 @@
 //! paper's "saved e.g. as a CSV file" path.
 //!
 //! Writes are crash-safe: the document is written to a temp file,
-//! fsynced, and renamed over the target, with the previous
-//! checksum-valid generation rotated to `.bak` first. Every document
-//! carries a trailing checksum footer (`#iokc-crc64:<hex>` over the JSON
-//! body, FNV-1a 64), so a torn or bit-flipped file — or one that never
-//! had a footer — is *detected* on read rather than silently yielding
-//! wrong data; [`read_document_with_recovery_vfs`] then falls back to
-//! the last good generation. [`inject_torn_write`] truncates a file at a
-//! byte offset so tests can exercise exactly that path.
+//! fsynced, and renamed over the target. Every document carries a
+//! trailing checksum footer (`#iokc-crc64:<hex>` over the JSON body,
+//! FNV-1a 64), so a torn or bit-flipped file — or one that never had a
+//! footer — is *detected* on read ([`DbError::Corrupt`]) rather than
+//! silently yielding wrong data. [`inject_torn_write`] truncates a file
+//! at a byte offset so tests can exercise exactly that path.
 
 use crate::database::{Counters, Database, DbError, OrderBy, Predicate};
 use crate::value::Value;
@@ -151,10 +149,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Split a document into its JSON body, verifying the checksum footer.
-/// A missing, malformed or wrong footer is corruption: every file the
-/// store writes ends in one, so its absence is a torn write.
-pub fn verify_image(text: &str) -> Result<&str, DbError> {
+/// Split a document into its JSON body and the checksum its footer
+/// records, verifying the one against the other. A missing, malformed or
+/// wrong footer is corruption: every file the store writes ends in one,
+/// so its absence is a torn write.
+pub fn verify_image(text: &str) -> Result<(&str, u64), DbError> {
     let Some(at) = text.rfind(FOOTER_MARKER) else {
         return Err(DbError::Corrupt("no checksum footer (torn write?)".into()));
     };
@@ -171,7 +170,7 @@ pub fn verify_image(text: &str) -> Result<&str, DbError> {
             "checksum mismatch: image records {recorded:016x}, body hashes to {actual:016x}"
         )));
     }
-    Ok(body)
+    Ok((body, recorded))
 }
 
 /// The sibling temp file a document is written to before the atomic
@@ -179,12 +178,6 @@ pub fn verify_image(text: &str) -> Result<&str, DbError> {
 #[must_use]
 pub fn temp_path(path: &Path) -> PathBuf {
     sibling(path, ".tmp")
-}
-
-/// The previous-generation backup kept next to a document.
-#[must_use]
-pub fn backup_path(path: &Path) -> PathBuf {
-    sibling(path, ".bak")
 }
 
 /// The active generation's write-ahead log for `epoch`, kept next to
@@ -200,7 +193,7 @@ pub fn segment_path(path: &Path, id: u64) -> PathBuf {
     sibling(path, &format!(".seg-{id}"))
 }
 
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -224,16 +217,6 @@ pub fn classify_io_error(context: &str, e: &std::io::Error) -> DbError {
     }
 }
 
-/// What happened while reading a document.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// The primary file was unusable and the `.bak` generation was
-    /// read instead.
-    pub recovered_from_backup: bool,
-    /// Why the primary file was rejected, when it was.
-    pub primary_error: Option<String>,
-}
-
 /// Render a JSON document the way every document of the store is
 /// rendered: compact body plus the checksum footer, so manifests and
 /// segments are torn-write detectable by the same footer check.
@@ -246,15 +229,13 @@ pub fn render_document(body: &Json) -> String {
 
 /// Write a checksummed JSON document crash-safely — the one write
 /// protocol of the store. The document (with checksum footer) is
-/// written to a temp file and fsynced; the current file — if it
-/// verifies — is rotated to the `.bak` generation; then the temp file is
-/// renamed into place and the directory synced. A crash at any point
-/// leaves either the old file, the old file plus a stray temp file, or
-/// the new file — never one that loads as wrong data. An error at any
-/// step (including the final directory sync, whose renames a crash
-/// could otherwise revert) means the write is *not acknowledged*; the
-/// caller must treat the on-disk state as whatever the previous
-/// generation was.
+/// written to a temp file and fsynced, the temp file is renamed over
+/// the target, and the directory is synced. A crash at any point leaves
+/// either the old file, the old file plus a stray temp file, or the new
+/// file — never one that loads as wrong data. An error at any step
+/// (including the final directory sync, whose rename a crash could
+/// otherwise revert) means the write is *not acknowledged*; the caller
+/// must not assume which of the two documents the disk holds.
 pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(), std::io::Error> {
     let image = render_document(body);
     let tmp = temp_path(path);
@@ -263,13 +244,8 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
         file.write_all(image.as_bytes())?;
         file.sync()?;
     }
-    // Rotate only a valid current file into the backup slot; rotating a
-    // torn one would evict the last good generation.
-    if vfs.exists(path) && vfs.read(path).is_ok_and(|bytes| rotatable(&bytes)) {
-        vfs.rename(path, &backup_path(path))?;
-    }
     vfs.rename(&tmp, path)?;
-    // Make the renames durable. `StdVfs` treats this as best-effort
+    // Make the rename durable. `StdVfs` treats this as best-effort
     // (not all platforms allow opening a directory for sync);
     // fault-injecting VFS implementations fail it for real so the
     // rename-uncertainty window is exercised.
@@ -277,52 +253,26 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
     Ok(())
 }
 
-/// Whether a file may rotate into the `.bak` slot: its checksum footer
-/// verifies. The body is not parsed — the footer is the proof that these
-/// are the bytes that were written.
-fn rotatable(bytes: &[u8]) -> bool {
-    std::str::from_utf8(bytes).is_ok_and(|text| verify_image(text).is_ok())
-}
-
 /// Read a checksummed JSON document, verifying its footer.
 pub fn read_document_vfs(path: &Path, vfs: &dyn Vfs) -> Result<Json, DbError> {
+    read_document_and_checksum(path, vfs).map(|(doc, _)| doc)
+}
+
+/// [`read_document_vfs`], also returning the checksum its footer
+/// records: an identity of the document's bytes.
+pub(crate) fn read_document_and_checksum(
+    path: &Path,
+    vfs: &dyn Vfs,
+) -> Result<(Json, u64), DbError> {
     let bytes = vfs
         .read(path)
         .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
     let text = String::from_utf8(bytes)
         .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let body = verify_image(&text)?;
-    iokc_util::json::parse(body)
-        .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))
-}
-
-/// [`read_document_vfs`] with the `.bak` fallback: a missing, torn, or
-/// corrupt primary falls back to the previous generation when one
-/// survives.
-pub fn read_document_with_recovery_vfs(
-    path: &Path,
-    vfs: &dyn Vfs,
-) -> Result<(Json, RecoveryReport), DbError> {
-    let primary_error = match read_document_vfs(path, vfs) {
-        Ok(doc) => return Ok((doc, RecoveryReport::default())),
-        Err(e) => e,
-    };
-    let backup = backup_path(path);
-    if !vfs.exists(&backup) {
-        return Err(primary_error);
-    }
-    match read_document_vfs(&backup, vfs) {
-        Ok(doc) => Ok((
-            doc,
-            RecoveryReport {
-                recovered_from_backup: true,
-                primary_error: Some(primary_error.to_string()),
-            },
-        )),
-        Err(backup_error) => Err(DbError::Corrupt(format!(
-            "primary image unusable ({primary_error}) and backup image unusable ({backup_error})"
-        ))),
-    }
+    let (body, checksum) = verify_image(&text)?;
+    let doc = iokc_util::json::parse(body)
+        .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))?;
+    Ok((doc, checksum))
 }
 
 /// Fault-injection hook: truncate an on-disk file to `keep_bytes`,
@@ -473,7 +423,7 @@ pub(crate) mod tests {
     #[test]
     fn image_carries_verifiable_checksum() {
         let image = render_document(&all_rows(&sample_db()));
-        let body = verify_image(&image).unwrap();
+        let (body, _) = verify_image(&image).unwrap();
         assert!(!body.contains("#iokc-crc64"));
         // Flipping one byte in the body is detected.
         let tampered = image.replacen("performances", "perform4nces", 1);
@@ -495,63 +445,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn documents_roundtrip_with_rotation_and_recovery() {
+    fn documents_roundtrip_and_a_cut_one_is_corrupt() {
         let dir = scratch_dir("doc");
         let path = dir.join("manifest.json");
         let vfs = StdVfs;
         write_document_vfs(&path, &vfs, &generation(1)).unwrap();
         assert_eq!(read_document_vfs(&path, &vfs).unwrap(), generation(1));
-        assert!(
-            !backup_path(&path).exists(),
-            "first write has nothing to rotate"
-        );
-        // Backup holds the previous generation, primary the new one.
         write_document_vfs(&path, &vfs, &generation(2)).unwrap();
         assert_eq!(read_document_vfs(&path, &vfs).unwrap(), generation(2));
-        assert_eq!(
-            read_document_vfs(&backup_path(&path), &vfs).unwrap(),
-            generation(1)
-        );
-        // Tear the primary: recovery falls back to generation 1.
+        // A commit leaves the document and nothing beside it.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["manifest.json"]);
         let len = std::fs::metadata(&path).unwrap().len();
         inject_torn_write(&path, len / 2).unwrap();
-        assert!(read_document_vfs(&path, &vfs).is_err());
-        let (doc, report) = read_document_with_recovery_vfs(&path, &vfs).unwrap();
-        assert!(report.recovered_from_backup);
-        assert!(report.primary_error.is_some());
-        assert_eq!(doc, generation(1));
-        // A further write must not rotate the torn primary over the backup.
-        write_document_vfs(&path, &vfs, &generation(2)).unwrap();
-        assert_eq!(
-            read_document_vfs(&backup_path(&path), &vfs).unwrap(),
-            generation(1)
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_without_backup_reports_the_primary_error() {
-        let dir = scratch_dir("nobak");
-        let path = dir.join("kb.json");
-        write_document_vfs(&path, &StdVfs, &generation(1)).unwrap();
-        inject_torn_write(&path, 10).unwrap();
         assert!(matches!(
-            read_document_with_recovery_vfs(&path, &StdVfs),
+            read_document_vfs(&path, &vfs),
             Err(DbError::Corrupt(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_backup_and_torn_primary_is_an_error() {
-        let dir = scratch_dir("bothtorn");
-        let path = dir.join("kb.json");
-        write_document_vfs(&path, &StdVfs, &generation(1)).unwrap();
-        write_document_vfs(&path, &StdVfs, &generation(2)).unwrap();
-        inject_torn_write(&path, 7).unwrap();
-        inject_torn_write(&backup_path(&path), 7).unwrap();
-        let err = read_document_with_recovery_vfs(&path, &StdVfs).unwrap_err();
-        assert!(err.to_string().contains("backup image unusable"), "{err}");
+        // The next write replaces the torn file whole.
+        write_document_vfs(&path, &vfs, &generation(3)).unwrap();
+        assert_eq!(read_document_vfs(&path, &vfs).unwrap(), generation(3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -612,29 +528,20 @@ pub(crate) mod tests {
                 static CASE: AtomicU32 = AtomicU32::new(0);
                 let dir = scratch_dir(&format!("prop-torn-{}", CASE.fetch_add(1, Ordering::Relaxed)));
                 let path = dir.join("kb.json");
+                let written = Json::Arr(commands.iter().map(|c| Json::from(c.as_str())).collect());
+                write_document_vfs(&path, &StdVfs, &written).unwrap();
 
-                // Generation 1: the given rows. Generation 2: one more.
-                let mut rows: Vec<Json> = commands.iter().map(|c| Json::from(c.as_str())).collect();
-                let generation1 = Json::Arr(rows.clone());
-                write_document_vfs(&path, &StdVfs, &generation1).unwrap();
-                rows.push(Json::from("generation-two-extra"));
-                let generation2 = Json::Arr(rows);
-                write_document_vfs(&path, &StdVfs, &generation2).unwrap();
-
-                // Tear the primary at an arbitrary byte offset.
+                // Cut the document at an arbitrary byte offset: what is
+                // read is the whole document or `Corrupt` — never a
+                // silently truncated one.
                 let len = std::fs::metadata(&path).unwrap().len();
                 let keep = ((len as f64) * fraction) as u64;
                 inject_torn_write(&path, keep).unwrap();
-
-                // Whatever happens, what is read must be *a* complete
-                // generation — never a silently truncated mixture.
-                match read_document_with_recovery_vfs(&path, &StdVfs) {
-                    Ok((doc, report)) => {
-                        if report.recovered_from_backup {
-                            prop_assert_eq!(doc, generation1);
-                        } else {
-                            prop_assert_eq!(doc, generation2);
-                        }
+                match read_document_vfs(&path, &StdVfs) {
+                    // The footer's trailing newline is not load-bearing.
+                    Ok(doc) => {
+                        prop_assert!(keep + 1 >= len, "kept {keep} of {len}");
+                        prop_assert_eq!(doc, written);
                     }
                     Err(DbError::Corrupt(_)) => {}
                     Err(other) => prop_assert!(false, "unexpected error {other:?}"),

@@ -117,6 +117,42 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
 cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
   "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 96
 
+# One generation of every document: nothing the CLI wrote has a `.bak`.
+# And the manifest is what says which files are the store, so one that
+# does not verify is refused whole — no command answers from a subset of
+# the runs, and `fsck --repair` changes no byte (it cannot tell a
+# segment from a stray) — until its bytes are back, and with them every
+# run. One more seal first: the previous manifest names a different set
+# of segments than the current one.
+echo "==> one generation + cut manifest CLI smoke"
+if compgen -G "$corpus_dir/*.bak" >/dev/null; then
+  echo "a .bak beside the store" >&2
+  exit 1
+fi
+exits_with() {
+  local want="$1" rc=0
+  shift
+  "$@" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq "$want" ]
+}
+cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
+  --campaign "$corpus_dir/campaign" --runs 128 --seed 42 | grep -q "generated 32"
+cp "$corpus_dir/corpus.iokc.json" "$corpus_dir/manifest.saved"
+truncate -s 100 "$corpus_dir/corpus.iokc.json"
+(cd "$corpus_dir" && sha256sum corpus.iokc.json*) >"$corpus_dir/store.sha256"
+exits_with 5 cargo run -q -p iokc-cli -- list --db "$corpus_dir/corpus.iokc.json"
+exits_with 5 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" --repair
+(cd "$corpus_dir" && sha256sum --quiet -c store.sha256)
+cp "$corpus_dir/manifest.saved" "$corpus_dir/corpus.iokc.json"
+cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
+  "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 128
+cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "clean"
+
+# What this repository deleted stays deleted.
+echo "==> no second durability mechanism"
+! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered" \
+  crates/ tests/ examples/
+
 # Benchmark smoke: perfbench is a package of its own, compiled against
 # the crates' public API from outside the workspace, so a refactor that
 # breaks it would otherwise be noticed only by the acceptance driver.

@@ -13,7 +13,10 @@
 //! * the incremental secondary indexes equal a bulk rebuild;
 //! * the event journal salvages to a prefix of the acknowledged records;
 //! * `fsck --repair` fixes every finding the crash produced, and a
-//!   second pass comes back clean.
+//!   second pass comes back clean;
+//! * a document is committed by one rename, so once a manifest was
+//!   acknowledged every image holds one that verifies, and none holds a
+//!   second generation of anything.
 //!
 //! The corpus generation (`iokc corpus gen`'s library call) runs through
 //! the same enumeration against a stronger contract: resumed from any
@@ -28,6 +31,7 @@ use iokc_benchmarks::CorpusSpec;
 use iokc_core::model::{Io500Knowledge, Io500Testcase, Knowledge, KnowledgeItem, KnowledgeSource};
 use iokc_extract::Io500Extractor;
 use iokc_store::journal::{read_journal_vfs, truncate_torn_tail_vfs, JournalWriter};
+use iokc_store::persist::read_document_vfs;
 use iokc_store::{
     fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
     RunPredicate, Vfs,
@@ -78,6 +82,22 @@ fn fingerprint(store: &KnowledgeStore) -> Vec<String> {
         .collect();
     rows.sort();
     rows
+}
+
+/// One generation: with `acked` store operations acknowledged before
+/// the crash, the manifest at the store's path verifies in this image
+/// (the first acknowledged operation committed it, and a rename replaces
+/// it whole ever after), and no image holds a `.bak` of anything.
+fn assert_one_generation(op: u64, acked: usize, image: &FaultVfs) {
+    if acked > 0 {
+        if let Err(e) = read_document_vfs(&kb(), image) {
+            panic!("crash op {op} (acked {acked}): no manifest that verifies: {e}");
+        }
+    }
+    for path in image.durable_state().keys() {
+        let name = path.to_string_lossy();
+        assert!(!name.ends_with(".bak"), "crash op {op}: {name}");
+    }
 }
 
 struct WorkloadRun {
@@ -154,10 +174,11 @@ fn every_crash_point_recovers_an_acknowledged_prefix() {
 
         for state in vfs.crash_states() {
             let svfs = Arc::new(FaultVfs::from_state(state));
+            assert_one_generation(op, j, &svfs);
 
-            // Reopen: every exposable disk image must load (possibly
-            // via backup recovery) to an acknowledged-prefix state with
-            // indexes that match a bulk rebuild.
+            // Reopen: every exposable disk image must load to an
+            // acknowledged-prefix state with indexes that match a bulk
+            // rebuild.
             let reopened = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&svfs) as Arc<dyn Vfs>)
                 .unwrap_or_else(|e| panic!("crash op {op}: reopen failed: {e}"));
             let fp = fingerprint(&reopened);
@@ -293,6 +314,7 @@ fn every_crash_point_during_seal_and_compaction_recovers() {
 
         for state in vfs.crash_states() {
             let svfs = Arc::new(FaultVfs::from_state(state));
+            assert_one_generation(op, j, &svfs);
 
             // Reopen: mid-seal and mid-compaction crash images must load
             // to an acknowledged-prefix state — strays (half-written
@@ -381,8 +403,8 @@ fn seeded_chaos_never_leaves_the_store_incoherent() {
                 "seed {seed}: indexes diverged after op {i}"
             );
         }
-        // Whatever the chaos did, the durable image still opens (possibly
-        // via backup recovery) with consistent indexes.
+        // Whatever the chaos did, the durable image still opens with
+        // consistent indexes.
         let survivor = Arc::new(FaultVfs::from_state(vfs.durable_state()));
         let reopened = KnowledgeStore::open_with_vfs(kb(), survivor as Arc<dyn Vfs>)
             .unwrap_or_else(|e| panic!("seed {seed}: durable image does not reopen: {e}"));
@@ -486,10 +508,8 @@ fn corpus_generation_resumes_to_the_uninterrupted_run_set_from_every_crash_point
 
             // Same seed, same bytes: every file of the uninterrupted run
             // is there byte for byte. What else is there the crash
-            // stranded and no read looks at: the backup the document
-            // writer rotates out when a seal rewrites a segment the crash
-            // caught written but not yet committed, and a log of an epoch
-            // a seal had already moved past.
+            // stranded and no read looks at: a log of an epoch a seal had
+            // already moved past.
             images += 1;
             let durable = svfs.durable_state();
             for (path, bytes) in &reference {
@@ -506,7 +526,7 @@ fn corpus_generation_resumes_to_the_uninterrupted_run_set_from_every_crash_point
             for path in &strays {
                 let name = path.to_string_lossy();
                 assert!(
-                    name.ends_with(".bak") || name.contains(".wal-"),
+                    name.contains(".wal-"),
                     "crash op {op}: unexpected file {name}"
                 );
             }

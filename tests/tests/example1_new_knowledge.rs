@@ -16,9 +16,8 @@ use iokc_usage::{CommandBuilder, RegenerateUsage};
 
 #[test]
 fn iterative_cycle_grows_the_corpus() {
-    // Clear the whole scratch dir: the store recovers from a leftover
-    // `.bak` image when the primary is missing, so removing only the
-    // primary would resurrect a previous run's corpus.
+    // Clear the whole scratch dir: a store is its manifest plus the log
+    // and segment files beside it.
     let dir = std::env::temp_dir().join("iokc-integration-e1");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

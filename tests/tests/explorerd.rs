@@ -379,6 +379,54 @@ fn read_framed(stream: &mut TcpStream) -> (u16, Vec<u8>) {
     }
 }
 
+/// `GET /api/runs`, optionally conditional on `if_none_match`. Returns
+/// `(status, body, etag)`.
+fn get_runs_if_none_match(
+    addr: std::net::SocketAddr,
+    if_none_match: Option<&str>,
+) -> (u16, Vec<u8>, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let conditional = if_none_match
+        .map(|tag| format!("If-None-Match: {tag}\r\n"))
+        .unwrap_or_default();
+    write!(
+        stream,
+        "GET /api/runs HTTP/1.1\r\nHost: t\r\n{conditional}Connection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+    let split = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+    let head = String::from_utf8_lossy(&raw[..split]).to_string();
+    let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let etag = head
+        .lines()
+        .find(|l| l.to_ascii_lowercase().starts_with("etag:"))
+        .map(|l| l[5..].trim().to_owned())
+        .unwrap_or_default();
+    let body = raw[split + 4..].to_vec();
+    let body = if head
+        .to_ascii_lowercase()
+        .contains("transfer-encoding: chunked")
+    {
+        dechunk(&body)
+    } else {
+        body
+    };
+    (status, body, etag)
+}
+
 /// The full conditional-GET cycle: a 200 carries a strong ETag, a
 /// request presenting it gets a body-less 304, a store write bumps the
 /// generation so the same validator yields a fresh 200 with a new tag.
@@ -387,48 +435,7 @@ fn etag_round_trip_revalidates_until_a_store_write() {
     let server = start_server(ServerConfig::default());
     let addr = server.local_addr();
 
-    let get_with = |if_none_match: Option<&str>| -> (u16, Vec<u8>, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let conditional = if_none_match
-            .map(|tag| format!("If-None-Match: {tag}\r\n"))
-            .unwrap_or_default();
-        write!(
-            stream,
-            "GET /api/runs HTTP/1.1\r\nHost: t\r\n{conditional}Connection: close\r\n\r\n"
-        )
-        .unwrap();
-        let mut raw = Vec::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-        let split = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
-        let head = String::from_utf8_lossy(&raw[..split]).to_string();
-        let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let etag = head
-            .lines()
-            .find(|l| l.to_ascii_lowercase().starts_with("etag:"))
-            .map(|l| l[5..].trim().to_owned())
-            .unwrap_or_default();
-        let body = raw[split + 4..].to_vec();
-        let body = if head
-            .to_ascii_lowercase()
-            .contains("transfer-encoding: chunked")
-        {
-            dechunk(&body)
-        } else {
-            body
-        };
-        (status, body, etag)
-    };
+    let get_with = |tag: Option<&str>| get_runs_if_none_match(addr, tag);
 
     // Cold: 200 with a strong validator.
     let (status, body, tag) = get_with(None);
@@ -457,6 +464,49 @@ fn etag_round_trip_revalidates_until_a_store_write() {
     assert_ne!(new_tag, tag, "generation bump changes the validator");
 
     server.shutdown();
+}
+
+/// A validator does not outlive the rows it validated. The store's
+/// generation starts at an identity of the files it opened, so the next
+/// process over the same files revalidates the tag, and the next process
+/// over files one run longer answers with the new listing.
+#[test]
+fn etags_validate_across_a_restart_only_over_the_same_files() {
+    let dir = std::env::temp_dir().join(format!("iokc-etag-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("kb.json");
+    KnowledgeStore::open(path.clone())
+        .unwrap()
+        .save_knowledge(&knowledge_for("16k", 21))
+        .unwrap();
+    let serve = || {
+        let recorder = Arc::new(Recorder::new(Clock::wall(), Arc::new(NullSink)));
+        let store = KnowledgeStore::open(path.clone()).unwrap();
+        Server::start(ServerConfig::default(), store, recorder).unwrap()
+    };
+
+    let server = serve();
+    let (status, body, tag) = get_runs_if_none_match(server.local_addr(), None);
+    assert_eq!(status, 200);
+    server.shutdown();
+
+    let server = serve();
+    let (status, _, _) = get_runs_if_none_match(server.local_addr(), Some(&tag));
+    assert_eq!(status, 304, "same files, same validator");
+    server.shutdown();
+
+    KnowledgeStore::open(path.clone())
+        .unwrap()
+        .save_knowledge(&knowledge_for("64k", 22))
+        .unwrap();
+    let server = serve();
+    let (status, body_fresh, new_tag) = get_runs_if_none_match(server.local_addr(), Some(&tag));
+    assert_eq!(status, 200, "a tag of other files validates nothing");
+    assert!(body_fresh.len() > body.len(), "new run is in the listing");
+    assert_ne!(new_tag, tag);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -852,8 +902,7 @@ fn parse_level_errors_close_the_connection_explicitly() {
 
 #[test]
 fn degraded_store_serves_reads_and_healthz_says_so() {
-    // An unrecoverably damaged image (garbage primary, no backup) must
-    // not keep the explorer down: the store opens read-only over the
+    // A manifest that does not verify must not keep the explorer down: the store opens read-only over the
     // empty schema and /healthz reports the degradation while the read
     // endpoints keep answering.
     let dir = std::env::temp_dir().join(format!("iokc-degraded-{}", std::process::id()));

@@ -23,9 +23,8 @@ fn two_generators_two_extractors_two_databases() {
     let ior_config =
         IorConfig::parse_command("ior -a mpiio -b 512k -t 256k -s 1 -F -i 1 -o /scratch/m1 -k")
             .unwrap();
-    // Clear the whole scratch dir: the store recovers from a leftover
-    // `.bak` image when the primary is missing, so removing only the
-    // primaries would resurrect a previous run's corpus.
+    // Clear the whole scratch dir: a store is its manifest plus the log
+    // and segment files beside it.
     let dir = std::env::temp_dir().join("iokc-integration-registry");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

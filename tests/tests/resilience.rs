@@ -21,7 +21,7 @@ use iokc_extract::{DarshanExtractor, IorExtractor};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::{CrashSchedule, FaultPlan};
 use iokc_sim::prelude::SystemConfig;
-use iokc_store::{persist, KnowledgeStore, Query};
+use iokc_store::{persist, DbError, KnowledgeStore, Query};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static CASE: AtomicU32 = AtomicU32::new(0);
@@ -171,43 +171,56 @@ fn sample_knowledge(tag: &str) -> Knowledge {
     k
 }
 
+/// The two ways a crash or a bad disk can cut a store file short. A
+/// cut manifest is corruption — the CLI's exit-5 class — and is never
+/// answered from a subset of the runs; restored, every run is back. A
+/// cut log tail is what a crash mid-append leaves: the acknowledged
+/// prefix opens.
 #[test]
-fn torn_store_write_recovers_the_previous_generation() {
+fn torn_manifest_is_corrupt_and_a_torn_log_tail_keeps_the_acknowledged_prefix() {
     let dir = scratch_dir("torn");
     let path = dir.join("knowledge.json");
+    let commands = |store: &KnowledgeStore| -> Vec<String> {
+        let items = store.query_items(&Query::all()).unwrap();
+        let command = |item: &KnowledgeItem| match item {
+            KnowledgeItem::Benchmark(k) => k.command.clone(),
+            KnowledgeItem::Io500(_) => panic!("wrong kind"),
+        };
+        items.iter().map(command).collect()
+    };
 
+    // Five runs: three sealed into a segment, two in the log.
+    let tags = ["gen1", "gen2", "gen3", "gen4", "gen5"];
     let mut store = KnowledgeStore::open(path.clone()).unwrap();
-    store.save_knowledge(&sample_knowledge("gen1")).unwrap();
-    store.save_knowledge(&sample_knowledge("gen2")).unwrap();
+    store.set_seal_threshold(3);
+    for tag in tags {
+        store.save_knowledge(&sample_knowledge(tag)).unwrap();
+    }
     drop(store);
 
-    // Crash mid-write: the manifest document is torn.
-    let len = std::fs::metadata(&path).unwrap().len();
-    persist::inject_torn_write(&path, len / 2).unwrap();
+    let manifest = std::fs::read(&path).unwrap();
+    persist::inject_torn_write(&path, manifest.len() as u64 / 2).unwrap();
+    let Err(err) = KnowledgeStore::open(path.clone()) else {
+        panic!("opened a store whose manifest does not verify");
+    };
+    assert!(matches!(err, DbError::Corrupt(_)), "{err}");
+    let degraded = KnowledgeStore::open_or_degraded(path.clone());
+    assert!(degraded.is_read_only());
+    assert_eq!(degraded.health().status(), "degraded");
+    std::fs::write(&path, &manifest).unwrap();
+    assert_eq!(
+        commands(&KnowledgeStore::open(path.clone()).unwrap()).len(),
+        5
+    );
 
+    let log = persist::wal_path(&path, 1);
+    let len = std::fs::metadata(&log).unwrap().len();
+    persist::inject_torn_write(&log, len - 3).unwrap();
     let store = KnowledgeStore::open(path).unwrap();
-    assert!(store.recovery().recovered_from_backup);
-    assert!(store
-        .recovery()
-        .primary_error
-        .as_deref()
-        .is_some_and(|e| !e.is_empty()));
-    // In the segmented layout the runs live in the *active image*, not
-    // the manifest, so recovering the manifest from its backup loses no
-    // acknowledged data: both saves survive the torn write.
-    let items = store.query_items(&Query::all()).unwrap();
-    assert_eq!(items.len(), 2);
-    let commands: Vec<&str> = items
-        .iter()
-        .map(|item| {
-            let KnowledgeItem::Benchmark(k) = item else {
-                panic!("wrong kind")
-            };
-            k.command.as_str()
-        })
-        .collect();
-    assert!(commands.iter().any(|c| c.ends_with("gen1")));
-    assert!(commands.iter().any(|c| c.ends_with("gen2")));
+    assert!(!store.is_read_only());
+    let survivors = commands(&store);
+    assert_eq!(survivors.len(), 4, "{survivors:?}");
+    assert!(survivors.iter().zip(tags).all(|(c, tag)| c.ends_with(tag)));
 
     std::fs::remove_dir_all(dir).ok();
 }

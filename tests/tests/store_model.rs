@@ -6,10 +6,13 @@
 //!
 //! The model is a `BTreeMap<(kind, id), label>` of *acknowledged*
 //! results. One proptest state machine drives saves, batches, deletes
-//! of active and of sealed runs, explicit seals, injected I/O faults and
-//! crash-and-reopen, and after every reopen the store must read back
-//! exactly the model — same ids, same rows — with consistent indexes and
-//! a disk that one `fsck --repair` pass leaves clean.
+//! of active and of sealed runs, explicit seals, compactions, injected
+//! I/O faults and crash-and-reopen, and after every reopen the store
+//! must read back exactly the model — same ids, same rows — with
+//! consistent indexes and a disk that one `fsck --repair` pass leaves
+//! clean. Every crashed disk is also tried with its manifest damaged:
+//! the model's answer to that is the smallest there is — nothing opens
+//! for writing, nothing is repaired, nothing moves.
 
 use iokc_core::model::{Io500Knowledge, Knowledge, KnowledgeItem, KnowledgeSource};
 use iokc_obs::Recorder;
@@ -99,17 +102,85 @@ fn fsck_pass(vfs: &FaultVfs, repair: bool) -> iokc_store::FsckReport {
     fsck(&kb(), vfs, &opts)
 }
 
+/// How a session ends up damaging the manifest: cut short at a byte, or
+/// one bit of a byte flipped.
+#[derive(Debug, Clone)]
+struct Damage {
+    flip: bool,
+    at: usize,
+}
+
+impl Damage {
+    /// `manifest`, no longer verifying. The final newline is spared: the
+    /// footer verifies without it.
+    fn apply(&self, manifest: &[u8]) -> Vec<u8> {
+        let at = self.at % (manifest.len() - 1);
+        let mut bytes = manifest.to_vec();
+        match self.flip {
+            true => bytes[at] ^= 1,
+            false => bytes.truncate(at),
+        }
+        bytes
+    }
+}
+
+/// `image` with its manifest damaged. The manifest is what says which
+/// log and which segments are the store, so nothing may be answered,
+/// acknowledged or swept without it: `open` is `Corrupt`, the degraded
+/// store refuses writes, `fsck --repair` reports one finding it cannot
+/// repair and changes no byte — and with the manifest's bytes back,
+/// every run in `acknowledged` is.
+fn check_damaged_manifest(image: &Disk, damage: &Damage, acknowledged: &Model) {
+    let Some(manifest) = image.get(&kb()) else {
+        return;
+    };
+    let mut broken = image.clone();
+    broken.insert(kb(), damage.apply(manifest));
+    let vfs = Arc::new(FaultVfs::from_state(broken.clone()));
+    let disk = || Arc::clone(&vfs) as Arc<dyn Vfs>;
+    assert!(matches!(
+        KnowledgeStore::open_with_vfs(kb(), disk()),
+        Err(DbError::Corrupt(_))
+    ));
+    let mut degraded = KnowledgeStore::open_or_degraded_with_vfs(kb(), disk());
+    assert!(degraded.is_read_only());
+    assert!(contents(&degraded).is_empty());
+    assert!(matches!(
+        degraded.save_knowledge(&bench(0)),
+        Err(DbError::ReadOnly(_))
+    ));
+    drop(degraded);
+    let repair = fsck_pass(&vfs, true);
+    assert_eq!(
+        (repair.repaired(), repair.unrepaired()),
+        (0, 1),
+        "{:?}",
+        repair.findings
+    );
+    assert_eq!(vfs.durable_state(), broken, "fsck --repair moved bytes");
+
+    let mut restored = vfs.durable_state();
+    restored.insert(kb(), manifest.clone());
+    let restored = Arc::new(FaultVfs::from_state(restored));
+    assert_eq!(&contents(&open(&restored)), acknowledged);
+}
+
 /// Power loss now: reboot into what the disk guarantees, and check it
 /// with `acknowledged` (equal to the model — or, after a failed
 /// operation, one of the states that operation may have left). Returns
 /// the store's contents and the disk after one `fsck --repair` pass.
-fn crash_and_check(vfs: &FaultVfs, acknowledged: impl Fn(&Model) -> bool) -> (Model, Disk) {
+fn crash_and_check(
+    vfs: &FaultVfs,
+    damage: &Damage,
+    acknowledged: impl Fn(&Model) -> bool,
+) -> (Model, Disk) {
     let disk = Arc::new(FaultVfs::from_state(vfs.durable_state()));
     let reopened = open(&disk);
     let found = contents(&reopened);
     assert!(acknowledged(&found), "reopened to unacknowledged {found:?}");
     assert!(reopened.indexes_consistent().expect("index rebuild"));
     drop(reopened);
+    check_damaged_manifest(&disk.durable_state(), damage, &found);
     let repair = fsck_pass(&disk, true);
     assert_eq!(repair.unrepaired(), 0, "{:?}", repair.findings);
     let second = fsck_pass(&disk, false);
@@ -127,17 +198,20 @@ enum Op {
     DeleteActive(usize),
     DeleteSealed(usize),
     Seal,
+    Compact,
 }
 
 /// One mount of the disk: the faults its filesystem injects (by
 /// mutating-operation index and by fsync index, both counted from the
-/// mount), the operations run on it, then power loss.
+/// mount), the operations run on it, then power loss — and what then
+/// happens to the manifest.
 #[derive(Debug, Clone)]
 struct Session {
     eio_at: Vec<u64>,
     short_write_at: Vec<u64>,
     fail_fsync: Vec<u64>,
     ops: Vec<Op>,
+    damage: Damage,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -149,6 +223,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(Op::DeleteActive),
         (0usize..64).prop_map(Op::DeleteSealed),
         Just(Op::Seal),
+        Just(Op::Compact),
     ]
 }
 
@@ -158,13 +233,17 @@ fn arb_session() -> impl Strategy<Value = Session> {
         proptest::collection::vec(0u64..60, 0..3),
         proptest::collection::vec(0u64..20, 0..2),
         proptest::collection::vec(arb_op(), 1..12),
+        (any::<bool>(), 0usize..4096),
     )
-        .prop_map(|(eio_at, short_write_at, fail_fsync, ops)| Session {
-            eio_at,
-            short_write_at,
-            fail_fsync,
-            ops,
-        })
+        .prop_map(
+            |(eio_at, short_write_at, fail_fsync, ops, (flip, at))| Session {
+                eio_at,
+                short_write_at,
+                fail_fsync,
+                ops,
+                damage: Damage { flip, at },
+            },
+        )
 }
 
 /// Run `op`; on success the model moves with it. Returns what the
@@ -237,6 +316,7 @@ fn apply(
             (result, Vec::new())
         }
         Op::Seal => (store.seal_active(), Vec::new()),
+        Op::Compact => (store.compact().map(drop), Vec::new()),
     }
 }
 
@@ -252,7 +332,7 @@ fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[Knowledg
         return true;
     }
     match op {
-        Op::Seal => false,
+        Op::Seal | Op::Compact => false,
         Op::DeleteActive(_) | Op::DeleteSealed(_) => {
             state.len() + 1 == before.len() && state.iter().all(|(k, l)| before.get(k) == Some(l))
         }
@@ -330,7 +410,7 @@ proptest! {
                 }
             }
             drop(store);
-            (model, disk) = crash_and_check(&vfs, |found| match &unsettled {
+            (model, disk) = crash_and_check(&vfs, &session.damage, |found| match &unsettled {
                 Some((op, items)) => failed_op_may_leave(&model, found, op, items),
                 None => *found == model,
             });
@@ -364,17 +444,9 @@ fn scripted_history() -> Disk {
 fn the_same_history_writes_the_same_bytes() {
     let disk = scripted_history();
     assert_eq!(disk, scripted_history());
-    // A manifest, its `.bak`, a segment and a log: every kind of file.
+    // A manifest, a segment and a log: every kind of file.
     let names: Vec<_> = disk.keys().map(|p| p.to_string_lossy()).collect();
-    assert_eq!(
-        names,
-        [
-            "/kb.json",
-            "/kb.json.bak",
-            "/kb.json.seg-2",
-            "/kb.json.wal-2"
-        ]
-    );
+    assert_eq!(names, ["/kb.json", "/kb.json.seg-2", "/kb.json.wal-2"]);
 }
 
 #[test]
