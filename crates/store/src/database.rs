@@ -538,12 +538,7 @@ impl Database {
     /// arrive after children; it was FK-consistent when written). An id
     /// the table already holds is corruption: ids are unique across
     /// blocks, so a second copy is a doubled record or a broken merge.
-    pub(crate) fn insert_raw(
-        &mut self,
-        table: &str,
-        id: i64,
-        values: Vec<Value>,
-    ) -> Result<(), DbError> {
+    pub fn insert_raw(&mut self, table: &str, id: i64, values: Vec<Value>) -> Result<(), DbError> {
         let t = self
             .tables
             .get_mut(table)
@@ -567,7 +562,7 @@ impl Database {
         if t.rows.contains_key(&id) {
             return Err(DbError::Corrupt(format!("{table}: row {id} occurs twice")));
         }
-        t.next_id = t.next_id.max(id + 1);
+        t.next_id = t.next_id.max(id.saturating_add(1));
         t.index_insert(id, &values);
         t.rows.insert(id, values);
         Ok(())

@@ -1124,7 +1124,7 @@ impl Snapshot {
     pub fn materialize(&self) -> Result<Database, DbError> {
         let mut merged = self.active.db.clone();
         for seg in self.segments.iter() {
-            let data = seg.data(self.vfs.as_ref())?;
+            let data = self.body(seg)?;
             copy_all_rows(&data.db, &mut merged)?;
         }
         for (kind, id) in self.tombstones.iter() {

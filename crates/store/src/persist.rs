@@ -4,10 +4,11 @@
 //! or by specifying a SQL connection URL remotely" (§V-C). Here the
 //! local form is a set of deterministic JSON documents next to each
 //! other (see [`crate::knowledge_store`]); this module holds what they
-//! share: `rows_to_json` / `rows_from_json` are the one encoding of
-//! a block of rows — a log record and a sealed segment's body are both
-//! it — and [`write_document_vfs`] is the one crash-safe way a document
-//! (manifest or segment) reaches the disk. CSV export covers the
+//! share: [`write_rows`] / [`read_rows`] are the one encoding of a block
+//! of rows — a log record and a sealed segment's body are both it,
+//! streamed to and from the text with no `Json` tree between — and
+//! `write_image` is the one crash-safe way a document (manifest
+//! or segment) reaches the disk. CSV export covers the
 //! paper's "saved e.g. as a CSV file" path.
 //!
 //! Writes are crash-safe: the document is written to a temp file,
@@ -21,54 +22,139 @@
 use crate::database::{Counters, Database, DbError, OrderBy, Predicate};
 use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
-use iokc_util::json::Json;
+use iokc_util::json::{self, Json, ParseError, Reader, Token};
 use iokc_util::table::TextTable;
-use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 
-/// The rows of `db` at or past each table's id in `mark` — an empty
-/// `mark` means every row — as `{table: [[id, cell…]…]}`, tables with
-/// nothing to contribute left out. This is *the* encoding of a block of
-/// rows: a log record's `rows` and a segment's body are both it. The
-/// schema is not part of it; [`rows_from_json`] decodes onto
-/// [`crate::knowledge_store`]'s.
-pub(crate) fn rows_to_json(db: &Database, mark: &Counters) -> BTreeMap<String, Json> {
-    let mut tables = BTreeMap::new();
+/// Append to `out` the rows of `db` at or past each table's id in
+/// `mark` (an empty `mark` means every row) as `{table: [[id, cell…]…]}`,
+/// tables with nothing to contribute left out; returns whether any
+/// contributed. This is *the* encoding of a block of rows: a log
+/// record's `rows` and a segment's body are both it. A cell is `null`, a
+/// bare number (REAL; non-finite as `null`), `{"i":N}` (INTEGER) or a
+/// string. The schema is not part of it: [`read_rows`] decodes onto the
+/// reader's.
+pub fn write_rows(out: &mut String, db: &Database, mark: &Counters) -> bool {
+    // Writing into a `String` cannot fail.
+    out.push('{');
+    let mut tables = 0;
     for (name, table) in &db.tables {
         let from = mark.get(name).copied().unwrap_or(i64::MIN);
-        let rows: Vec<Json> = table
-            .rows
-            .range(from..)
-            .map(|(id, values)| row_to_json(*id, values))
-            .collect();
-        if !rows.is_empty() {
-            tables.insert(name.clone(), Json::Arr(rows));
+        let mut rows = table.rows.range(from..).peekable();
+        if rows.peek().is_none() {
+            continue;
         }
+        out.push_str(if tables == 0 { "" } else { "," });
+        tables += 1;
+        let _ = json::write_escaped(out, name);
+        out.push_str(":[");
+        for (nth, (id, values)) in rows.enumerate() {
+            let _ = write!(out, "{}[{id}", if nth == 0 { "" } else { "," });
+            for value in values {
+                let _ = match value {
+                    Value::Null => out.write_str(",null"),
+                    Value::Int(i) => write!(out, ",{{\"i\":{i}}}"),
+                    Value::Real(r) => out.write_char(',').and(json::write_number(out, *r)),
+                    Value::Text(t) => out.write_char(',').and(json::write_escaped(out, t)),
+                };
+            }
+            out.push(']');
+        }
+        out.push(']');
     }
-    tables
+    out.push('}');
+    tables > 0
 }
 
-/// Insert a [`rows_to_json`] block into `db`, ids preserved. What
-/// cannot be placed is corruption, never skipped: a block that is not
-/// an object, a table `db` does not have, a member that is not an array
-/// of rows, an id the table already holds.
-pub(crate) fn rows_from_json(db: &mut Database, rows: &Json) -> Result<(), DbError> {
-    let Json::Obj(tables) = rows else {
-        return Err(DbError::Corrupt("rows not an object".into()));
-    };
-    for (table, rows) in tables {
-        if !db.tables.contains_key(table) {
-            return Err(DbError::Corrupt(format!("rows of unknown table {table}")));
+/// Insert the [`write_rows`] block `reader` stands before into `db`, ids
+/// preserved, cells going from the text straight into the rows. What
+/// cannot be placed is corruption, never skipped: a block that is not an
+/// object, a table `db` does not have or the block gives twice, a member
+/// that is not an array of rows, a cell that is none of the four shapes,
+/// an id the table already holds.
+pub fn read_rows(reader: &mut Reader<'_>, db: &mut Database) -> Result<(), DbError> {
+    let corrupt = |what: String| Err(DbError::Corrupt(what));
+    if reader.begin()? != Token::Obj {
+        return corrupt("rows not an object".into());
+    }
+    let mut seen = Vec::new();
+    while let Some(table) = reader.next_key()? {
+        let Some(width) = db.tables.get(&*table).map(|t| t.schema.columns.len()) else {
+            return corrupt(format!("rows of unknown table {table}"));
+        };
+        if seen.contains(&table) {
+            return corrupt(format!("{table}: rows given twice"));
         }
-        let rows = rows
-            .as_arr()
-            .ok_or_else(|| DbError::Corrupt(format!("{table}: rows not an array")))?;
-        for row in rows {
-            let (id, values) = row_from_json(table, row)?;
-            db.insert_raw(table, id, values)?;
+        if reader.begin()? != Token::Arr {
+            return corrupt(format!("{table}: rows not an array"));
         }
+        while reader.next_element()? {
+            if reader.begin()? != Token::Arr || !reader.next_element()? {
+                return corrupt(format!("{table}: row not an array of id and cells"));
+            }
+            let Some(id) = int_of(&reader.begin()?) else {
+                return corrupt(format!("{table}: row without id"));
+            };
+            let mut values = Vec::with_capacity(width);
+            while reader.next_element()? {
+                let Some(value) = read_cell(reader)? else {
+                    let nth = values.len();
+                    return corrupt(format!("{table}: row {id}: cell {nth} is not a value"));
+                };
+                values.push(value);
+            }
+            db.insert_raw(&table, id, values)?;
+        }
+        seen.push(table);
     }
     Ok(())
+}
+
+/// Walk the object document `text` — a log record, a segment body —
+/// handing each member's key to `member`, which reads or skips its value.
+pub(crate) fn read_object(
+    text: &str,
+    mut member: impl FnMut(&str, &mut Reader<'_>) -> Result<(), DbError>,
+) -> Result<(), DbError> {
+    let mut reader = Reader::new(text);
+    if reader.begin()? != Token::Obj {
+        return Err(DbError::Corrupt("document not an object".into()));
+    }
+    while let Some(key) = reader.next_key()? {
+        member(&key, &mut reader)?;
+    }
+    Ok(reader.finish()?)
+}
+
+/// The integer a token is: an integer literal as its own `i64`; any
+/// other integral number (what the tree codec wrote past 2^53, as the
+/// `f64` it went through) as that codec read it.
+fn int_of(token: &Token<'_>) -> Option<i64> {
+    let Token::Num(text) = token else { return None };
+    let wide = || text.parse::<f64>().ok().filter(|f| f.fract() == 0.0);
+    text.parse().ok().or_else(|| wide().map(|f| f as i64))
+}
+
+/// The cell `reader` stands before; `None` (with the reader anywhere
+/// inside it) when it is none of the four shapes.
+fn read_cell(reader: &mut Reader<'_>) -> Result<Option<Value>, DbError> {
+    Ok(match reader.begin()? {
+        Token::Null => Some(Value::Null),
+        Token::Num(text) => text.parse().ok().map(Value::Real),
+        Token::Str(text) => Some(Value::Text(text.into_owned())),
+        Token::Obj if reader.next_key()?.as_deref() == Some("i") => {
+            let int = int_of(&reader.begin()?);
+            reader.next_key()?.map_or(int.map(Value::Int), |_| None)
+        }
+        _ => None,
+    })
+}
+
+impl From<ParseError> for DbError {
+    fn from(e: ParseError) -> DbError {
+        DbError::Corrupt(e.to_string())
+    }
 }
 
 /// Auto-increment counters as the manifest's `next_ids` object.
@@ -89,50 +175,6 @@ pub(crate) fn counters_from_json(json: &Json) -> Counters {
     map.iter()
         .filter_map(|(table, next)| Some((table.clone(), next.as_u64()? as i64)))
         .collect()
-}
-
-/// One row: the rowid followed by the cells.
-fn row_to_json(id: i64, values: &[Value]) -> Json {
-    let mut cells = vec![Json::from(id)];
-    cells.extend(values.iter().map(value_to_json));
-    Json::Arr(cells)
-}
-
-/// Decode a [`row_to_json`] row of `table`.
-fn row_from_json(table: &str, row: &Json) -> Result<(i64, Vec<Value>), DbError> {
-    let cells = row
-        .as_arr()
-        .ok_or_else(|| DbError::Corrupt(format!("{table}: row not an array")))?;
-    let id = cells
-        .first()
-        .ok_or_else(|| DbError::Corrupt(format!("{table}: empty row")))?
-        .as_f64()
-        .map(|f| f as i64)
-        .ok_or_else(|| DbError::Corrupt(format!("{table}: row without id")))?;
-    Ok((id, cells[1..].iter().map(json_to_value).collect()))
-}
-
-fn value_to_json(value: &Value) -> Json {
-    match value {
-        Value::Null => Json::Null,
-        Value::Int(i) => Json::obj(vec![("i", Json::from(*i))]),
-        Value::Real(r) => Json::Num(*r),
-        Value::Text(t) => Json::from(t.as_str()),
-    }
-}
-
-fn json_to_value(json: &Json) -> Value {
-    match json {
-        Json::Null => Value::Null,
-        Json::Obj(map) => map
-            .get("i")
-            .and_then(Json::as_f64)
-            .map(|f| Value::Int(f as i64))
-            .unwrap_or(Value::Null),
-        Json::Num(n) => Value::Real(*n),
-        Json::Str(s) => Value::Text(s.clone()),
-        _ => Value::Null,
-    }
 }
 
 /// Marker introducing the checksum footer line.
@@ -217,18 +259,24 @@ pub fn classify_io_error(context: &str, e: &std::io::Error) -> DbError {
     }
 }
 
-/// Render a JSON document the way every document of the store is
-/// rendered: compact body plus the checksum footer, so manifests and
+/// Render a document the way every document of the store is rendered:
+/// the compact JSON `body` plus the checksum footer, so manifests and
 /// segments are torn-write detectable by the same footer check.
 #[must_use]
-pub fn render_document(body: &Json) -> String {
-    let text = body.to_compact();
-    let crc = checksum(text.as_bytes());
-    format!("{text}{FOOTER_MARKER}{crc:016x}\n")
+pub fn render_document(mut body: String) -> String {
+    let crc = checksum(body.as_bytes());
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(body, "{FOOTER_MARKER}{crc:016x}");
+    body
 }
 
-/// Write a checksummed JSON document crash-safely — the one write
-/// protocol of the store. The document (with checksum footer) is
+/// Render `body` and write it crash-safely, as every document is.
+pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(), std::io::Error> {
+    write_image(path, vfs, &render_document(body.to_compact()))
+}
+
+/// Write a [`render_document`] image crash-safely — the one
+/// write protocol of the store. The document is
 /// written to a temp file and fsynced, the temp file is renamed over
 /// the target, and the directory is synced. A crash at any point leaves
 /// either the old file, the old file plus a stray temp file, or the new
@@ -236,8 +284,7 @@ pub fn render_document(body: &Json) -> String {
 /// (including the final directory sync, whose rename a crash could
 /// otherwise revert) means the write is *not acknowledged*; the caller
 /// must not assume which of the two documents the disk holds.
-pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(), std::io::Error> {
-    let image = render_document(body);
+pub(crate) fn write_image(path: &Path, vfs: &dyn Vfs, image: &str) -> Result<(), std::io::Error> {
     let tmp = temp_path(path);
     {
         let mut file = vfs.create(&tmp)?;
@@ -264,15 +311,19 @@ pub(crate) fn read_document_and_checksum(
     path: &Path,
     vfs: &dyn Vfs,
 ) -> Result<(Json, u64), DbError> {
-    let bytes = vfs
-        .read(path)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let text = String::from_utf8(bytes)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
+    let text = read_image(path, vfs)?;
     let (body, checksum) = verify_image(&text)?;
-    let doc = iokc_util::json::parse(body)
+    let doc = json::parse(body)
         .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))?;
     Ok((doc, checksum))
+}
+
+/// The text of the document at `path`, footer not yet verified.
+pub(crate) fn read_image(path: &Path, vfs: &dyn Vfs) -> Result<String, DbError> {
+    let unreadable =
+        |e: &dyn std::fmt::Display| DbError::Corrupt(format!("read {}: {e}", path.display()));
+    let bytes = vfs.read(path).map_err(|e| unreadable(&e))?;
+    String::from_utf8(bytes).map_err(|e| unreadable(&e))
 }
 
 /// Fault-injection hook: truncate an on-disk file to `keep_bytes`,
@@ -352,13 +403,21 @@ pub(crate) mod tests {
         db
     }
 
-    fn all_rows(db: &Database) -> Json {
-        Json::Obj(rows_to_json(db, &Counters::new()))
+    fn all_rows(db: &Database) -> String {
+        let mut out = String::new();
+        write_rows(&mut out, db, &Counters::new());
+        out
+    }
+
+    fn decode(db: &mut Database, text: &str) -> Result<(), DbError> {
+        let mut reader = Reader::new(text);
+        read_rows(&mut reader, db)?;
+        Ok(reader.finish()?)
     }
 
     fn roundtrip(db: &Database, schema: Database) -> Database {
         let mut restored = schema;
-        rows_from_json(&mut restored, &all_rows(db)).unwrap();
+        decode(&mut restored, &all_rows(db)).unwrap();
         restored
     }
 
@@ -398,19 +457,27 @@ pub(crate) mod tests {
             (r#"{"no_such_table":[]}"#, "unknown table no_such_table"),
             (r#"{"summaries":7}"#, "summaries: rows not an array"),
             (r#"{"summaries":[7]}"#, "summaries: row not an array"),
-            (r#"{"summaries":[[]]}"#, "summaries: empty row"),
+            (r#"{"summaries":[[]]}"#, "summaries: row not an array"),
+            (r#"{"summaries":[["1",null]]}"#, "summaries: row without id"),
             (r#"{"summaries":[[1,null],[1,null]]}"#, "row 1 occurs twice"),
+            (r#"{"summaries":[[4,true]]}"#, "row 4: cell 0"),
+            (r#"{"summaries":[[4,[1]]]}"#, "row 4: cell 0"),
+            (r#"{"summaries":[[4,{"j":1}]]}"#, "row 4: cell 0"),
+            (r#"{"summaries":[[4,{"i":"x"}]]}"#, "row 4: cell 0"),
+            (r#"{"summaries":[[4,{"i":1,"j":2}]]}"#, "row 4: cell 0"),
+            (r#"{"summaries":[],"summaries":[]}"#, "rows given twice"),
+            (r#"{"summaries":[[1,{"i":1}"#, "expected ',' or ']'"),
+            (r#"{"summaries":[[1,null],]}"#, "unexpected character"),
+            (r#"{"summaries":[[1,null]]} {"#, "trailing data"),
         ] {
-            let rows = iokc_util::json::parse(rows).unwrap();
-            let err = rows_from_json(&mut sample_schema(), &rows).unwrap_err();
+            let err = decode(&mut sample_schema(), rows).unwrap_err();
             assert!(
                 matches!(&err, DbError::Corrupt(e) if e.contains(why)),
-                "{err}"
+                "{rows}: {err}"
             );
         }
         // Cells the schema cannot hold are refused too.
-        let short = iokc_util::json::parse(r#"{"summaries":[[1]]}"#).unwrap();
-        assert!(rows_from_json(&mut sample_schema(), &short).is_err());
+        assert!(decode(&mut sample_schema(), r#"{"summaries":[[1]]}"#).is_err());
     }
 
     pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -422,7 +489,7 @@ pub(crate) mod tests {
 
     #[test]
     fn image_carries_verifiable_checksum() {
-        let image = render_document(&all_rows(&sample_db()));
+        let image = render_document(all_rows(&sample_db()));
         let (body, _) = verify_image(&image).unwrap();
         assert!(!body.contains("#iokc-crc64"));
         // Flipping one byte in the body is detected.

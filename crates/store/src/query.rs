@@ -29,7 +29,7 @@
 
 use crate::database::{Database, DbError, OrderBy, Predicate, Row};
 use crate::knowledge_store::{load_io500_from, load_knowledge_from, KnowledgeStore, Snapshot};
-use crate::segment::{may_match_segment, SegmentData};
+use crate::segment::{may_match_segment, Segment, SegmentData};
 use crate::value::Value;
 use iokc_core::model::KnowledgeItem;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
@@ -414,6 +414,8 @@ pub(crate) struct QueryObs {
     pub(crate) rows_pruned: Counter,
     pub(crate) knowledge_deserialized: Counter,
     pub(crate) cancelled: Counter,
+    bodies_loaded: Counter,
+    bytes_decoded: Counter,
     pub(crate) agg: crate::aggregate::AggObs,
 }
 
@@ -427,6 +429,8 @@ impl QueryObs {
             rows_pruned: metrics.counter("store.query.rows_pruned"),
             knowledge_deserialized: metrics.counter("store.query.knowledge_deserialized"),
             cancelled: metrics.counter("store.query_cancelled"),
+            bodies_loaded: metrics.counter("store.segment.bodies_loaded"),
+            bytes_decoded: metrics.counter("store.segment.bytes_decoded"),
             agg: crate::aggregate::AggObs::new(&metrics),
             recorder,
         }
@@ -546,6 +550,18 @@ pub(crate) struct ScanStats {
 }
 
 impl Snapshot {
+    /// A pinned segment's body — the one place a read reaches it, so a
+    /// cold load (the file read and decoded, not the cached `Arc`) is
+    /// counted: `store.segment.bodies_loaded`, `.bytes_decoded`.
+    pub(crate) fn body(&self, seg: &Segment) -> Result<Arc<SegmentData>, DbError> {
+        let (data, bytes) = seg.load(self.vfs.as_ref())?;
+        if bytes > 0 {
+            self.obs.bodies_loaded.inc();
+            self.obs.bytes_decoded.add(bytes);
+        }
+        Ok(data)
+    }
+
     /// Run one engine call under its span, counting a cancellation.
     pub(crate) fn traced<T>(
         &self,
@@ -629,7 +645,7 @@ impl Snapshot {
                     continue;
                 }
                 stats.segments_scanned += 1;
-                let data = seg.data(self.vfs.as_ref())?;
+                let data = self.body(seg)?;
                 for s in data.of_kind(kind) {
                     poll(stats)?;
                     if !self.tombstones.contains(&(kind, s.id)) {
@@ -648,7 +664,7 @@ impl Snapshot {
     pub(crate) fn live_summaries(&self) -> Vec<RunSummary> {
         let mut rows: Vec<RunSummary> = self.active.summaries.values().cloned().collect();
         for seg in self.segments.iter() {
-            let data = seg.data(self.vfs.as_ref()).expect("segment body loads");
+            let data = self.body(seg).expect("segment body loads");
             rows.extend(
                 data.summaries
                     .values()
@@ -865,7 +881,7 @@ impl Snapshot {
             {
                 continue;
             }
-            let data = seg.data(self.vfs.as_ref())?;
+            let data = self.body(seg)?;
             if data.summaries.contains_key(&(kind, id)) {
                 return Ok(Some(data));
             }

@@ -68,7 +68,7 @@ impl Bloom {
         }
     }
 
-    fn positions(&self, kind: RunKind, id: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn positions(&self, kind: RunKind, id: u64) -> impl Iterator<Item = (usize, u64)> {
         let key = run_key_bytes(kind, id);
         let h1 = fnv1a_seeded(0xcbf2_9ce4_8422_2325, &key);
         let h2 = fnv1a_seeded(0x6c62_272e_07bb_0142, &key) | 1;
@@ -81,7 +81,7 @@ impl Bloom {
 
     /// Record a run key.
     pub(crate) fn insert(&mut self, kind: RunKind, id: u64) {
-        for (word, mask) in self.positions(kind, id).collect::<Vec<_>>() {
+        for (word, mask) in self.positions(kind, id) {
             self.bits[word] |= mask;
         }
     }
@@ -90,8 +90,6 @@ impl Bloom {
     #[must_use]
     pub(crate) fn may_contain(&self, kind: RunKind, id: u64) -> bool {
         self.positions(kind, id)
-            .collect::<Vec<_>>()
-            .into_iter()
             .all(|(word, mask)| self.bits[word] & mask != 0)
     }
 
@@ -392,16 +390,23 @@ impl Segment {
     /// the handle (snapshot lifetime rule: a `Snapshot` holding this
     /// segment stays readable even after compaction unlinks the file).
     pub fn data(&self, vfs: &dyn Vfs) -> Result<Arc<SegmentData>, DbError> {
+        self.load(vfs).map(|(data, _)| data)
+    }
+
+    /// [`Segment::data`], also returning the bytes this call decoded:
+    /// the file's length when it read the body, 0 when it was cached.
+    pub(crate) fn load(&self, vfs: &dyn Vfs) -> Result<(Arc<SegmentData>, u64), DbError> {
         let mut slot = self
             .data
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(data) = &*slot {
-            return Ok(Arc::clone(data));
+            return Ok((Arc::clone(data), 0));
         }
-        let data = Arc::new(read_segment_vfs(&self.path, vfs)?);
+        let (data, bytes) = read_segment(&self.path, vfs)?;
+        let data = Arc::new(data);
         *slot = Some(Arc::clone(&data));
-        Ok(data)
+        Ok((data, bytes))
     }
 }
 
@@ -409,40 +414,54 @@ impl Segment {
 const SEGMENT_FORMAT: &str = "iokc-segment";
 
 /// Write a segment document crash-safely: the block's rows, in the
-/// encoding the log records use. Summaries and the index block are not
-/// stored — both are derived from these rows.
+/// encoding the log records use, streamed into the one rendered body.
+/// Summaries and the index block are not stored — both are derived from
+/// these rows.
 pub fn write_segment_vfs(
     path: &Path,
     vfs: &dyn Vfs,
     id: u64,
     data: &SegmentData,
 ) -> Result<(), std::io::Error> {
-    let body = Json::obj(vec![
-        ("format", Json::from(SEGMENT_FORMAT)),
-        ("version", Json::from(2u64)),
-        ("id", Json::from(id)),
-        (
-            "rows",
-            Json::Obj(persist::rows_to_json(&data.db, &Counters::new())),
-        ),
-    ]);
-    persist::write_document_vfs(path, vfs, &body)
+    let mut body = format!("{{\"format\":\"{SEGMENT_FORMAT}\",\"id\":{id},\"rows\":");
+    persist::write_rows(&mut body, &data.db, &Counters::new());
+    body.push_str(",\"version\":2}");
+    persist::write_image(path, vfs, &persist::render_document(body))
 }
 
 /// Read a segment body — checksum, format tag, rows decoded onto the
 /// knowledge schema — and derive its summaries.
 pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbError> {
+    read_segment(path, vfs).map(|(data, _)| data)
+}
+
+/// [`read_segment_vfs`], also returning how many bytes were decoded.
+fn read_segment(path: &Path, vfs: &dyn Vfs) -> Result<(SegmentData, u64), DbError> {
     let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
-    let doc = persist::read_document_vfs(path, vfs)?;
-    if doc.get("format").and_then(Json::as_str) != Some(SEGMENT_FORMAT) {
+    let text = persist::read_image(path, vfs)?;
+    let (body, _) = persist::verify_image(&text)?;
+    let mut db = build_schema();
+    let (mut tagged, mut has_rows) = (false, false);
+    persist::read_object(body, |key, reader| match key {
+        "format" => {
+            tagged = reader.value()?.as_str() == Some(SEGMENT_FORMAT);
+            Ok(())
+        }
+        "rows" => {
+            has_rows = true;
+            persist::read_rows(reader, &mut db)
+        }
+        _ => Ok(reader.skip_value()?),
+    })
+    .map_err(|e| corrupt(e.to_string()))?;
+    if !tagged {
         return Err(corrupt(format!("missing {SEGMENT_FORMAT} format tag")));
     }
-    let rows = doc
-        .get("rows")
-        .ok_or_else(|| corrupt("missing rows".into()))?;
-    let mut db = build_schema();
-    persist::rows_from_json(&mut db, rows).map_err(|e| corrupt(e.to_string()))?;
-    SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))
+    if !has_rows {
+        return Err(corrupt("missing rows".into()));
+    }
+    let data = SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))?;
+    Ok((data, text.len() as u64))
 }
 
 /// Can any run in a segment with this index block match the predicate?

@@ -4,7 +4,7 @@
 //! [`crate::journal`] record to `<path>.wal-<epoch>` — one `write_all`,
 //! one fsync (the first record of a log also syncs the directory) —
 //! holding only what the write changed: the rows it inserted, as the
-//! row block a segment body also is (`persist::rows_to_json`), or the
+//! row block a segment body also is (`persist::write_rows`), or the
 //! `(kind, id)` of the run it deleted. A batch is one record, so it is
 //! all-or-nothing. Opening replays the records, in
 //! order, onto an empty schema whose auto-increment counters come from
@@ -43,8 +43,10 @@ impl Delta {
     /// are none — a batch whose rows all sealed mid-batch logs nothing,
     /// the segment already holds them.
     pub(crate) fn rows_since(db: &Database, mark: &Counters) -> Option<Delta> {
-        let rows = persist::rows_to_json(db, mark);
-        (!rows.is_empty()).then(|| Delta(Json::obj(vec![("rows", Json::Obj(rows))]).to_compact()))
+        let mut record = String::from("{\"rows\":");
+        let any = persist::write_rows(&mut record, db, mark);
+        record.push('}');
+        any.then_some(Delta(record))
     }
 
     /// The delete of one active-generation run.
@@ -55,27 +57,30 @@ impl Delta {
 }
 
 /// Apply one record to `db`; returns the operations (runs saved or
-/// deleted) it stood for.
+/// deleted) it stood for. Rows first, then the delete, whichever order
+/// the record names them in.
 fn apply(db: &mut Database, payload: &str) -> Result<usize, DbError> {
-    let corrupt = |what: &str| DbError::Corrupt(format!("log record: {what}"));
-    let doc = iokc_util::json::parse(payload).map_err(|e| corrupt(&e.to_string()))?;
-    let mut ops = 0;
-    if let Some(rows) = doc.get("rows") {
-        persist::rows_from_json(db, rows)?;
-        ops += KINDS
-            .iter()
-            .filter_map(|kind| rows.get(kind.table())?.as_arr())
-            .map(<[Json]>::len)
-            .sum::<usize>();
-    }
-    if let Some(run) = doc.get("delete") {
-        let run = run.as_arr().unwrap_or(&[]);
-        let kind = run.first().and_then(Json::as_str);
-        let kind = KINDS.into_iter().find(|k| Some(k.as_str()) == kind);
-        match (kind, run.get(1).and_then(Json::as_u64)) {
-            (Some(kind), Some(id)) => delete_run_rows(db, kind, id)?,
-            _ => return Err(corrupt("bad delete")),
+    let runs = |db: &Database| -> usize {
+        let count = |kind: &RunKind| db.row_count(kind.table()).unwrap_or(0);
+        KINDS.iter().map(count).sum()
+    };
+    let before = runs(db);
+    let mut delete = None;
+    persist::read_object(payload, |key, reader| match key {
+        "rows" => persist::read_rows(reader, db),
+        "delete" => {
+            let run = reader.value()?;
+            let kind = run.at(0).and_then(Json::as_str);
+            let kind = KINDS.into_iter().find(|k| Some(k.as_str()) == kind);
+            let run = kind.zip(run.at(1).and_then(Json::as_u64));
+            delete = Some(run.ok_or_else(|| DbError::Corrupt("bad delete".into()))?);
+            Ok(())
         }
+        _ => Ok(reader.skip_value()?),
+    })?;
+    let mut ops = runs(db) - before;
+    if let Some((kind, id)) = delete {
+        delete_run_rows(db, kind, id)?;
         ops += 1;
     }
     Ok(ops)
@@ -289,6 +294,33 @@ mod tests {
         assert_eq!(replayed.next_ids(), db.next_ids());
         // Nothing inserted, nothing to log.
         assert!(Delta::rows_since(&db, &db.next_ids()).is_none());
+    }
+
+    /// An INTEGER is its own digits, as a cell and as an id, past what
+    /// an `f64` holds — through a log record and through a segment.
+    #[test]
+    fn extreme_integers_survive_a_log_record_and_a_segment() {
+        use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentData};
+        let mut db = build_schema();
+        for n in [
+            i64::MIN,
+            i64::MAX,
+            (1 << 53) + 1,
+            (1 << 53) - 1,
+            -(1 << 53) - 1,
+        ] {
+            let mut cells = vec![Value::Null; 9];
+            (cells[0], cells[1]) = (Value::Int(n), Value::from("write"));
+            db.insert_raw("summaries", n, cells).unwrap();
+        }
+        let rows = |db: &Database| db.tables["summaries"].rows.clone();
+        let record = Delta::rows_since(&db, &Counters::new()).unwrap();
+        let mut replayed = build_schema();
+        apply(&mut replayed, &record.0).unwrap();
+        assert_eq!(rows(&replayed), rows(&db));
+        let vfs = FaultVfs::pristine();
+        write_segment_vfs(log(), &vfs, 0, &SegmentData::empty(db.clone())).unwrap();
+        assert_eq!(rows(&read_segment_vfs(log(), &vfs).unwrap().db), rows(&db));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! the paper's prototype, between machines (generation on the cluster,
 //! analysis on a workstation). JSON is the interchange format. Rather than
 //! pulling in `serde`, this module implements the small subset of JSON the
-//! workspace needs: a value model, a recursive-descent parser and a writer
-//! with stable key ordering (so serialized knowledge is diffable and
-//! reproducible).
+//! workspace needs: a value model, a pull reader (the one tokenizer; the
+//! parser is a fold over it) and a writer with stable key ordering (so
+//! serialized knowledge is diffable and reproducible).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -275,7 +276,9 @@ fn newline_indent<W: fmt::Write>(out: &mut W, indent: Option<usize>, depth: usiz
     Ok(())
 }
 
-fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+/// Write a number the way every document does: non-finite as `null`,
+/// integral below 2^53 without a fraction, anything else as Rust prints it.
+pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; the knowledge model never produces them, but
         // be defensive instead of emitting invalid documents.
@@ -287,7 +290,8 @@ fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     }
 }
 
-fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+/// Write a quoted, escaped string the way every document does.
+pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {
@@ -327,25 +331,50 @@ impl std::error::Error for ParseError {}
 /// Parse a JSON document. The entire input must be consumed (trailing
 /// whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing data after document"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// What [`Reader::begin`] found: a scalar, consumed whole, or a container
+/// just opened. `Num` is the number's text, which `str::parse::<f64>`
+/// accepts and which is an integer literal when it has no `.`, `e` or
+/// `E`; `Str` is borrowed from the input unless it had escapes.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)] // the variants are the six kinds of JSON value
+pub enum Token<'a> {
+    Null,
+    Bool(bool),
+    Num(&'a str),
+    Str(Cow<'a, str>),
+    Arr,
+    Obj,
 }
 
-impl<'a> Parser<'a> {
+/// A pull reader over a JSON text — the one tokenizer; [`parse`] is a
+/// fold over it. The caller walks the document ([`Reader::begin`] per
+/// value, then `next_element` / `next_key` through a container, or
+/// [`Reader::skip_value`]) and takes each scalar as it passes, so
+/// decoding allocates what the caller keeps and nothing else.
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The innermost open container has no member yet, so the next one
+    /// follows no comma. One flag serves every depth: opening a container
+    /// sets it and completing any value, a nested container's closing
+    /// bracket included, clears it.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Reader<'a> {
+        let (pos, fresh) = (0, false);
+        Reader { text, pos, fresh }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -354,14 +383,12 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
         let byte = self.peek();
-        if byte.is_some() {
-            self.pos += 1;
-        }
+        self.pos += usize::from(byte.is_some());
         byte
     }
 
@@ -371,180 +398,201 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected literal '{text}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn expect(&mut self, text: &str) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        if !self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            return Err(self.err(&format!("expected '{text}'")));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.pos += text.len();
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// Begin the next value: a scalar is consumed whole; of a container
+    /// only the opening bracket, `next_element` / `next_key` step through it.
+    pub fn begin(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        let token = match self.peek() {
+            Some(b'n') => self.expect("null").map(|()| Token::Null)?,
+            Some(b't') => self.expect("true").map(|()| Token::Bool(true))?,
+            Some(b'f') => self.expect("false").map(|()| Token::Bool(false))?,
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => Token::Num(self.number()?),
+            Some(b'[') => Token::Arr,
+            Some(b'{') => Token::Obj,
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.fresh = matches!(token, Token::Arr | Token::Obj);
+        self.pos += usize::from(self.fresh); // past the opening bracket
+        Ok(token)
+    }
+
+    fn number(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        self.pos += usize::from(self.peek() == Some(b'-'));
+        let mut mantissa = self.digits();
+        if self.peek() == Some(b'.') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            mantissa += self.digits();
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
+        let mut valid = mantissa > 0;
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            valid &= self.digits() > 0;
+        }
+        match valid {
+            true => Ok(&self.text[start..self.pos]),
+            false => Err(self.err("invalid number")),
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect("\"")?;
+        let mut out = Cow::Borrowed("");
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
+            // Take a run of plain bytes at once. It ends before an ASCII
+            // byte, so it is cut on character boundaries.
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?,
-            );
-            match self.bump() {
+            let run = &self.text[start..self.pos];
+            match &mut out {
+                // Nothing unescaped yet: this is the first run.
+                Cow::Borrowed(_) => out = Cow::Borrowed(run),
+                Cow::Owned(text) => text.push_str(run),
+            }
+            let unescaped = match self.bump() {
                 Some(b'"') => return Ok(out),
                 Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let code = self.hex4()?;
-                        // Handle surrogate pairs for completeness.
-                        let c = if (0xd800..0xdc00).contains(&code) {
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate"));
-                            }
-                            let low = self.hex4()?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                            char::from_u32(combined)
-                                .ok_or_else(|| self.err("invalid surrogate pair"))?
-                        } else {
-                            char::from_u32(code)
-                                .ok_or_else(|| self.err("invalid unicode escape"))?
-                        };
-                        out.push(c);
-                    }
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'b') => '\u{0008}',
+                    Some(b'f') => '\u{000c}',
+                    Some(b'u') => self.unicode_escape()?,
                     _ => return Err(self.err("invalid escape sequence")),
                 },
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
-            }
+            };
+            out.to_mut().push(unescaped);
         }
+    }
+
+    /// The character of a `\u` escape past its `\u`, surrogate pairs
+    /// included.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let code = self.hex4()?;
+        if !(0xd800..0xdc00).contains(&code) {
+            return char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"));
+        }
+        if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+            return Err(self.err("unpaired surrogate"));
+        }
+        let low = self.hex4()?;
+        if !(0xdc00..0xe000).contains(&low) {
+            return Err(self.err("invalid low surrogate"));
+        }
+        char::from_u32(0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00))
+            .ok_or_else(|| self.err("invalid surrogate pair"))
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let mut code = 0u32;
         for _ in 0..4 {
-            let digit = match self.bump() {
-                Some(b @ b'0'..=b'9') => u32::from(b - b'0'),
-                Some(b @ b'a'..=b'f') => u32::from(b - b'a') + 10,
-                Some(b @ b'A'..=b'F') => u32::from(b - b'A') + 10,
-                _ => return Err(self.err("invalid hex digit")),
-            };
-            code = code * 16 + digit;
+            let digit = self.bump().and_then(|b| (b as char).to_digit(16));
+            code = code * 16 + digit.ok_or_else(|| self.err("invalid hex digit"))?;
         }
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// Is there another element in the open array? `false` consumes its `]`.
+    pub fn next_element(&mut self) -> Result<bool, ParseError> {
+        self.next_member(b']', "expected ',' or ']' in array")
+    }
+
+    /// The next member's key in the open object, its value left to be
+    /// read; `None` consumes the object's `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let key = self.string()?;
+        self.expect(":")?;
+        Ok(Some(key))
+    }
+
+    fn next_member(&mut self, close: u8, expected: &str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b) if b == close && fresh => self.pos += 1,
+            _ if fresh => return Ok(true),
+            Some(b',') => {
                 self.pos += 1;
+                return Ok(true);
             }
+            Some(b) if b == close => self.pos += 1,
+            _ => return Err(self.err(expected)),
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        Ok(false)
+    }
+
+    /// Consume one value of any kind, tokenized like every other.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        let token = self.begin()?;
+        while match token {
+            Token::Arr => self.next_element()?,
+            Token::Obj => self.next_key()?.is_some(),
+            _ => false,
+        } {
+            self.skip_value()?;
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        Ok(())
+    }
+
+    /// Consume one value of any kind as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        Ok(match self.begin()? {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(text) => Json::Num(text.parse().map_err(|_| self.err("invalid number"))?),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Arr => {
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Json::Arr(items)
+            }
+            Token::Obj => {
+                let mut map = BTreeMap::new();
+                while let Some(key) = self.next_key()? {
+                    map.insert(key.into_owned(), self.value()?);
+                }
+                Json::Obj(map)
+            }
+        })
+    }
+
+    /// Nothing but whitespace may follow the document.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        let trailing = |_| Err(self.err("trailing data after document"));
+        self.peek().map_or(Ok(()), trailing)
     }
 }
 
@@ -642,6 +690,26 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn reader_skips_what_it_is_not_asked_for_and_borrows_plain_strings() {
+        let mut r = Reader::new(r#" {"skip":[1,{"a":"\n"},null],"plain":"text","esc":"a\tb"} "#);
+        assert_eq!(r.begin().unwrap(), Token::Obj);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("plain"));
+        assert!(matches!(
+            r.begin().unwrap(),
+            Token::Str(Cow::Borrowed("text"))
+        ));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("esc"));
+        assert!(matches!(r.begin().unwrap(), Token::Str(Cow::Owned(s)) if s == "a\tb"));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+        // What is skipped is tokenized like what is taken.
+        assert!(Reader::new("[1,-]").skip_value().is_err());
+        assert!(Reader::new(r#"{"a":"\q"}"#).skip_value().is_err());
     }
 
     #[test]

@@ -176,4 +176,11 @@ cargo test -q
 echo "==> pinned simulator bytes, release"
 cargo test --release -p iokc-integration --test reproducibility -q
 
+# So are the store's files, against the binary before the row codec went
+# streaming: the on-disk format is a compatibility surface, and number
+# formatting must not depend on the opt level either. The codec's
+# differential suite against its tree oracle rides along.
+echo "==> pinned store bytes + codec differential, release"
+cargo test --release -p iokc-integration --test store_model -q -- store_bytes_are_pinned codec::
+
 echo "==> all checks passed"

@@ -449,6 +449,33 @@ fn the_same_history_writes_the_same_bytes() {
     assert_eq!(names, ["/kb.json", "/kb.json.seg-2", "/kb.json.wal-2"]);
 }
 
+/// The on-disk format is a compatibility surface, so same-binary
+/// determinism is not enough: these are the checksums of the files
+/// `scripted_history()` leaves, and of the segment that sealing and
+/// compacting that disk writes, taken from the binary of PR 23 — the
+/// last one whose row codec went through a `Json` tree.
+#[test]
+fn store_bytes_are_pinned() {
+    const PINNED: [(&str, u64); 4] = [
+        ("/kb.json", 0x7626_6ace_7c79_8a1c),
+        ("/kb.json.seg-2", 0xe830_8154_3ba4_e1de),
+        ("/kb.json.wal-2", 0x8f14_2a56_abd6_9206),
+        ("/kb.json.seg-4", 0x6fdf_65e4_aee1_2b86),
+    ];
+    let mut disk = scripted_history();
+    let vfs = Arc::new(FaultVfs::from_state(disk.clone()));
+    let mut store = open(&vfs);
+    store.seal_active().expect("seal");
+    store.compact().expect("compact");
+    let compacted = persist::segment_path(&kb(), 4);
+    disk.insert(compacted.clone(), vfs.durable_state()[&compacted].clone());
+    for (name, pinned) in PINNED {
+        let got = persist::checksum(&disk[&PathBuf::from(name)]);
+        assert_eq!(got, pinned, "{name} moved: {got:#018x}");
+    }
+    assert_eq!(disk.len(), PINNED.len());
+}
+
 #[test]
 fn fsck_sweeps_logs_of_other_epochs_and_truncates_a_torn_log() {
     let vfs = Arc::new(FaultVfs::pristine());
@@ -533,6 +560,39 @@ fn save_and_delete_churn_cannot_grow_the_log_or_its_replay() {
     assert!(reopened.load_knowledge(keeper).expect("load").is_some());
 }
 
+/// A cold body load is visible: the first unfiltered scan of a reopened
+/// store reads and decodes every segment, the second none.
+#[test]
+fn a_cold_body_load_is_counted_once() {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store = open(&vfs);
+    for tag in 0..3 * SEAL_THRESHOLD as u32 {
+        store.save_knowledge(&bench(tag)).expect("save");
+    }
+    let segments = store.segment_metas().len() as u64;
+    assert!(segments >= 2, "{segments} segment(s)");
+    drop(store);
+    let on_disk: u64 = (0..segments)
+        .map(|id| vfs.len(&persist::segment_path(&kb(), id)).expect("segment"))
+        .sum();
+
+    let mut reopened = open(&vfs);
+    let recorder = Arc::new(Recorder::disabled());
+    reopened.attach_recorder(Arc::clone(&recorder));
+    let loaded = || {
+        let counter = |name: &str| recorder.metrics().counter(name).get();
+        (
+            counter("store.segment.bodies_loaded"),
+            counter("store.segment.bytes_decoded"),
+        )
+    };
+    assert_eq!(loaded(), (0, 0), "open maps index blocks only");
+    assert_eq!(contents(&reopened).len(), 3 * SEAL_THRESHOLD);
+    assert_eq!(loaded(), (segments, on_disk));
+    assert_eq!(contents(&reopened).len(), 3 * SEAL_THRESHOLD);
+    assert_eq!(loaded(), (segments, on_disk), "bodies stay resident");
+}
+
 /// The one row-block codec, checked differentially on real blocks. A log
 /// record (`save_batch`, replayed by the reopen) and a segment body
 /// (`seal_active`, decoded by `read_segment_vfs`) must both hold exactly
@@ -543,7 +603,8 @@ mod codec {
     use super::*;
     use iokc_core::model::{Io500Testcase, OperationSummary};
     use iokc_store::segment::{read_segment_vfs, SegmentMeta};
-    use iokc_store::{Database, OrderBy, Predicate, Row};
+    use iokc_store::{Column, ColumnType, Database, OrderBy, Predicate, Row, TableSchema, Value};
+    use iokc_util::json::{self, Json, Reader};
 
     /// A run of either kind whose cells cover what the codec must carry:
     /// non-ASCII text, a NULL (`derived_from`), integers up to 2⁵³, reals
@@ -598,6 +659,209 @@ mod codec {
             .into_iter()
             .map(|table| (table.to_owned(), scan(table).expect("scan")))
             .collect()
+    }
+
+    /// The tree codec the streaming one replaced (`persist::rows_to_json`
+    /// and `rows_from_json` until PR 24), kept as its oracle: the same
+    /// bytes through a `Json` tree. It holds integers as `f64` and cannot
+    /// see a table given twice (the tree keeps one).
+    fn rows_to_json(db: &Database, mark: &BTreeMap<String, i64>) -> Json {
+        let cell = |value: &Value| match value {
+            Value::Null => Json::Null,
+            Value::Int(i) => Json::obj(vec![("i", Json::from(*i))]),
+            Value::Real(r) => Json::Num(*r),
+            Value::Text(t) => Json::from(t.as_str()),
+        };
+        let mut tables = BTreeMap::new();
+        for (table, rows) in rows(db) {
+            let from = mark.get(&table).copied().unwrap_or(i64::MIN);
+            let row = |row: &Row| {
+                let id = std::iter::once(Json::from(row.id));
+                Json::Arr(id.chain(row.values.iter().map(cell)).collect())
+            };
+            let rows: Vec<Json> = rows.iter().filter(|r| r.id >= from).map(row).collect();
+            if !rows.is_empty() {
+                tables.insert(table, Json::Arr(rows));
+            }
+        }
+        Json::Obj(tables)
+    }
+
+    fn rows_from_json(db: &mut Database, rows: &Json) -> Result<(), DbError> {
+        let bad = |what: String| DbError::Corrupt(what);
+        let int = |json: &Json| json.as_f64().filter(|f| f.fract() == 0.0).map(|f| f as i64);
+        let Json::Obj(tables) = rows else {
+            return Err(bad("rows not an object".into()));
+        };
+        for (table, rows) in tables {
+            db.schema(table).map_err(|e| bad(e.to_string()))?;
+            let rows = rows.as_arr();
+            for row in rows.ok_or_else(|| bad(format!("{table}: rows not an array")))? {
+                let cells = row.as_arr().unwrap_or(&[]);
+                let id = cells.first().and_then(int);
+                let id = id.ok_or_else(|| bad(format!("{table}: not a row with an id")))?;
+                let cell = |cell: &Json| {
+                    match cell {
+                        Json::Null => Some(Value::Null),
+                        Json::Num(n) => Some(Value::Real(*n)),
+                        Json::Str(s) => Some(Value::Text(s.clone())),
+                        Json::Obj(map) if map.len() == 1 => {
+                            map.get("i").and_then(int).map(Value::Int)
+                        }
+                        _ => None,
+                    }
+                    .ok_or_else(|| bad(format!("{table}: row {id}: a cell is not a value")))
+                };
+                let values = cells[1..].iter().map(cell).collect::<Result<_, _>>()?;
+                db.insert_raw(table, id, values)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode a whole text as one block with the streaming reader.
+    fn decode(db: &mut Database, text: &str) -> Result<(), DbError> {
+        let mut reader = Reader::new(text);
+        persist::read_rows(&mut reader, db)?;
+        Ok(reader.finish()?)
+    }
+
+    fn two_tables() -> Database {
+        let mut schema = Database::new();
+        for table in ["t", "u"] {
+            let columns = [
+                ("a", ColumnType::Text),
+                ("b", ColumnType::Real),
+                ("c", ColumnType::Integer),
+            ];
+            let columns = columns
+                .iter()
+                .map(|(name, ty)| Column::new(name, *ty))
+                .collect();
+            schema
+                .create_table(TableSchema::new(table, columns))
+                .expect("schema");
+        }
+        schema
+    }
+
+    /// What neither codec may skip: both are `Corrupt`, for every shape
+    /// the tree can hold the difference of.
+    #[test]
+    fn what_cannot_be_placed_is_corrupt_to_the_codec_and_to_its_oracle() {
+        for doc in [
+            "[]",
+            r#"{"v":[]}"#,
+            r#"{"t":7}"#,
+            r#"{"t":[7]}"#,
+            r#"{"t":[[]]}"#,
+            r#"{"t":[["1","a",null,null]]}"#,
+            r#"{"t":[[1.5,"a",null,null]]}"#,
+            r#"{"t":[[1,"a",null,null],[1,"a",null,null]]}"#,
+            r#"{"t":[[1,true,null,null]]}"#,
+            r#"{"t":[[1,"a",[1],null]]}"#,
+            r#"{"t":[[1,"a",null,{"j":1}]]}"#,
+            r#"{"t":[[1,"a",null,{"i":"x"}]]}"#,
+            r#"{"t":[[1,"a",null,{"i":1.5}]]}"#,
+            r#"{"t":[[1,"a",null,{"i":1,"j":2}]]}"#,
+            r#"{"t":[[1,"a",null,{"i":1}"#,
+            r#"{"t":[[1,"a",null,null],]}"#,
+            r#"{"t":[[1,"a",null,null]]} {"#,
+        ] {
+            let direct = decode(&mut two_tables(), doc);
+            assert!(
+                matches!(direct, Err(DbError::Corrupt(_))),
+                "{doc}: {direct:?}"
+            );
+            let tree = json::parse(doc).map_err(|e| DbError::Corrupt(e.to_string()));
+            let tree = tree.and_then(|rows| rows_from_json(&mut two_tables(), &rows));
+            assert!(matches!(tree, Err(DbError::Corrupt(_))), "{doc}: {tree:?}");
+        }
+        // A table given twice: the tree keeps the last, the reader refuses.
+        let twice = r#"{"t":[[1,"a",null,null]],"t":[[2,"a",null,null]]}"#;
+        assert!(matches!(
+            decode(&mut two_tables(), twice),
+            Err(DbError::Corrupt(_))
+        ));
+    }
+
+    /// The envelope is read member by member in whatever order it comes:
+    /// a segment body the tree would have rendered with other keys first
+    /// (and whitespace) holds the same block.
+    #[test]
+    fn a_reordered_envelope_reads_the_same() {
+        let disk = scripted_history();
+        let seg = persist::segment_path(&kb(), 2);
+        let text = String::from_utf8(disk[&seg].clone()).expect("utf-8");
+        let (body, _) = persist::verify_image(&text).expect("footer");
+        let doc = json::parse(body).expect("body");
+        let block = doc.get("rows").expect("rows").to_compact();
+        let reordered = format!(
+            " {{\"version\": 2, \"rows\": {block},\n \"id\": 2, \"extra\": [{{}}], \"format\": \"iokc-segment\"}} "
+        );
+        let vfs = FaultVfs::from_state(disk);
+        let sealed = read_segment_vfs(&seg, &vfs).expect("segment");
+        let mut file = vfs.create(&seg).expect("create");
+        file.write_all(persist::render_document(reordered).as_bytes())
+            .expect("write");
+        drop(file);
+        let again = read_segment_vfs(&seg, &vfs).expect("reordered segment");
+        assert_eq!(rows(&again.db), rows(&sealed.db));
+        assert_eq!(again.summaries, sealed.summaries);
+    }
+
+    proptest! {
+        /// The streaming codec against the tree codec over generated
+        /// databases (text with quotes, backslashes, control and non-BMP
+        /// characters; reals across the range, `-0.0`, non-finite;
+        /// integers within ±2⁵³; negative and sparse ids; an empty table;
+        /// any mark): the same bytes, the same rows from them and from
+        /// what only the tree would write (whitespace, `\u` escapes,
+        /// surrogate pairs), and decode∘encode the identity on what the
+        /// mark selects, a non-finite REAL reading back NULL.
+        #[test]
+        fn the_streaming_codec_equals_the_tree_codec(
+            generated in proptest::collection::vec((
+                any::<bool>(),
+                -50i64..50,
+                "[a-c \"\\\\\u{1}\n\té😀]{0,6}",
+                proptest::option::of(prop_oneof![
+                    any::<f64>(), Just(-0.0), Just(5e-324), Just(1e300), Just(f64::NAN), Just(f64::INFINITY)
+                ]),
+                proptest::option::of(-(1i64 << 53)..(1 << 53) + 1),
+            ), 0..24),
+            mark in proptest::option::of(-50i64..50),
+        ) {
+            let (mut db, mut expected) = (two_tables(), two_tables());
+            let from = |table: &str| mark.filter(|_| table == "t").unwrap_or(i64::MIN);
+            for (in_u, id, a, b, c) in generated {
+                let table = if in_u { "u" } else { "t" };
+                let (a, c) = (Value::from(a), c.map_or(Value::Null, Value::Int));
+                let cells = |b: Option<f64>| vec![a.clone(), b.map_or(Value::Null, Value::Real), c.clone()];
+                // An id the table already holds is refused.
+                if db.insert_raw(table, id, cells(b)).is_ok() && id >= from(table) {
+                    expected.insert_raw(table, id, cells(b.filter(|b| b.is_finite()))).expect("fresh id");
+                }
+            }
+            let mark: BTreeMap<String, i64> = mark.map(|from| ("t".to_owned(), from)).into_iter().collect();
+            let mut text = String::new();
+            let any = persist::write_rows(&mut text, &db, &mark);
+            let tree = rows_to_json(&db, &mark);
+            prop_assert_eq!(&text, &tree.to_compact());
+            prop_assert_eq!(any, text != "{}");
+            let escape = |c: char| match c.is_ascii() {
+                true => c.to_string(),
+                false => c.encode_utf16(&mut [0; 2]).iter().map(|u| format!("\\u{u:04x}")).collect(),
+            };
+            let escaped = text.chars().map(escape).collect();
+            for doc in [text, tree.to_pretty(), escaped] {
+                let (mut direct, mut oracle) = (two_tables(), two_tables());
+                decode(&mut direct, &doc).expect("streaming decode");
+                rows_from_json(&mut oracle, &json::parse(&doc).expect("parse")).expect("tree decode");
+                prop_assert_eq!(rows(&direct), rows(&expected), "{}", doc);
+                prop_assert_eq!(rows(&oracle), rows(&expected), "{}", doc);
+            }
+        }
     }
 
     proptest! {
