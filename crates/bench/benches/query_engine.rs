@@ -1,9 +1,8 @@
 //! Store benches: the typed query engine (ablation: predicate
 //! pushdown and summary projection, DESIGN.md §"Query engine"), the
 //! same rows read unsealed and sealed, the corpus-scale tier, and the
-//! relational engine underneath (bulk insert, indexed-equality vs
-//! full-scan selection, the SQL front end, segment round trip —
-//! ablation: per-table secondary indexes, DESIGN.md §6).
+//! tables underneath (bulk insert, the SQL front end, segment round
+//! trip).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
@@ -19,8 +18,7 @@ use iokc_store::persist::segment_path;
 use iokc_store::segment::{read_segment_vfs, write_segment_vfs};
 use iokc_store::{
     sql, AggregateQuery, Column, ColumnType, Database, DeadlineToken, Factor, FaultVfs, GroupBy,
-    KnowledgeStore, OrderBy, Predicate, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value,
-    Vfs,
+    KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value, Vfs,
 };
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -278,18 +276,15 @@ fn bench_store_scale(c: &mut Criterion) {
 /// A bare relational table, below the knowledge schema.
 fn relational(rows: usize) -> Database {
     let mut db = Database::new();
-    db.create_table(
-        TableSchema::new(
-            "performances",
-            vec![
-                Column::required("command", ColumnType::Text),
-                Column::required("api", ColumnType::Text),
-                Column::new("tasks", ColumnType::Integer),
-                Column::new("bw", ColumnType::Real),
-            ],
-        )
-        .with_index("api"),
-    )
+    db.create_table(TableSchema::new(
+        "performances",
+        vec![
+            Column::required("command", ColumnType::Text),
+            Column::required("api", ColumnType::Text),
+            Column::new("tasks", ColumnType::Integer),
+            Column::new("bw", ColumnType::Real),
+        ],
+    ))
     .unwrap();
     for i in 0..rows {
         let api = ["POSIX", "MPIIO", "HDF5"][i % 3];
@@ -313,34 +308,6 @@ fn bench_relational(c: &mut Criterion) {
 
     group.bench_function("insert_10k_rows", |b| {
         b.iter(|| black_box(relational(10_000).row_count("performances").unwrap()));
-    });
-
-    group.bench_function("select_eq_indexed", |b| {
-        b.iter(|| {
-            let rows = db
-                .select(
-                    "performances",
-                    &Predicate::Eq("api".into(), Value::from("MPIIO")),
-                    OrderBy::Id,
-                    None,
-                )
-                .unwrap();
-            black_box(rows.len())
-        });
-    });
-
-    group.bench_function("select_scan_equivalent", |b| {
-        b.iter(|| {
-            let rows = db
-                .select(
-                    "performances",
-                    &Predicate::Contains("api".into(), "MPIIO".into()),
-                    OrderBy::Id,
-                    None,
-                )
-                .unwrap();
-            black_box(rows.len())
-        });
     });
 
     group.bench_function("sql_parse_and_select", |b| {

@@ -1274,9 +1274,9 @@ fn cmd_sql(opts: &Options) -> Result<(), CliError> {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("sql needs a query string"))?;
-    // SQL queries the whole corpus, so materialize a snapshot: the
-    // active generation plus every sealed segment, minus tombstones,
-    // merged into one relational image.
+    // SQL queries the whole corpus, so materialize a snapshot: every
+    // sealed segment plus the active generation, minus tombstones,
+    // merged into one database.
     let db = store.snapshot().materialize().map_err(store_err)?;
     match iokc_store::sql::select(&db, query).map_err(|e| e.to_string())? {
         iokc_store::sql::QueryResult::Count(n) => println!("{n}"),

@@ -27,7 +27,7 @@
 
 use crate::database::DbError;
 use crate::knowledge_store::{
-    build_schema, copy_all_rows, delete_run_rows, KnowledgeStore, Manifest, Snapshot,
+    build_schema, copy_all_rows, delete_runs, KnowledgeStore, Manifest, Snapshot,
 };
 use crate::persist;
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
@@ -129,8 +129,10 @@ impl KnowledgeStore {
         }
 
         // Merge in memory: ids are globally unique across generations
-        // (sealing forwards every auto-increment counter), so the merge
-        // is a plain row copy followed by cascade deletes.
+        // and grow from segment to segment (sealing forwards every
+        // auto-increment counter), so the merge is a plain row copy,
+        // oldest first, followed by one cascade delete of every
+        // tombstone.
         let mut merged = SegmentData::empty(build_schema());
         for data in &inputs {
             copy_all_rows(&data.db, &mut merged.db)?;
@@ -141,9 +143,7 @@ impl KnowledgeStore {
                     .map(|(key, s)| (*key, s.clone())),
             );
         }
-        for (kind, id) in self.tombstones.iter() {
-            delete_run_rows(&mut merged.db, *kind, *id)?;
-        }
+        delete_runs(&mut merged.db, &self.tombstones)?;
 
         // Write the output segment (if anything survived), then commit
         // with one manifest write.

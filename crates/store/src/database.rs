@@ -1,11 +1,18 @@
-//! The embedded relational engine: schemas, tables, constraints, indexes
-//! and queries.
+//! The store's tables: schemas, constraints, and rows kept in id order.
 //!
 //! This plays the role SQLite plays in the paper's prototype (§V-C). It
 //! supports exactly what the knowledge cycle needs — typed columns,
-//! auto-increment rowids, primary/foreign keys, secondary indexes,
-//! predicate queries with ordering and limits — with a deterministic
+//! auto-increment rowids, primary/foreign keys — with a deterministic
 //! on-disk representation (see [`crate::persist`]).
+//!
+//! A table's rows are a `Vec` in ascending id order: the order every
+//! writer appends them in and the order a block stores them in. Every
+//! foreign-key column is non-decreasing in that order too, because a
+//! run's child rows are inserted right after their parent. So a row is
+//! found by binary search on its id and a parent's children by binary
+//! search on the foreign key ([`Database::children`]); there is no index
+//! to build or keep consistent. An insert that would break either order
+//! is refused.
 
 use crate::value::{ColumnType, Value};
 use std::collections::BTreeMap;
@@ -63,8 +70,6 @@ pub struct TableSchema {
     pub columns: Vec<Column>,
     /// Foreign keys.
     pub foreign_keys: Vec<ForeignKey>,
-    /// Columns with secondary indexes.
-    pub indexes: Vec<String>,
 }
 
 impl TableSchema {
@@ -75,7 +80,6 @@ impl TableSchema {
             name: name.to_owned(),
             columns,
             foreign_keys: Vec::new(),
-            indexes: Vec::new(),
         }
     }
 
@@ -89,17 +93,19 @@ impl TableSchema {
         self
     }
 
-    /// Add a secondary index (builder style).
-    #[must_use]
-    pub fn with_index(mut self, column: &str) -> TableSchema {
-        self.indexes.push(column.to_owned());
-        self
-    }
-
     /// Index of a named column.
     #[must_use]
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
+    }
+
+    /// Index of a named column, or [`DbError::NoSuchColumn`].
+    pub(crate) fn column(&self, name: &str) -> Result<usize, DbError> {
+        self.column_index(name)
+            .ok_or_else(|| DbError::NoSuchColumn {
+                table: self.name.clone(),
+                column: name.to_owned(),
+            })
     }
 }
 
@@ -212,205 +218,52 @@ pub struct Row {
     pub values: Vec<Value>,
 }
 
-/// A filter predicate over rows.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// Always true.
-    True,
-    /// `column = value`.
-    Eq(String, Value),
-    /// `column != value`.
-    Ne(String, Value),
-    /// `column < value`.
-    Lt(String, Value),
-    /// `column <= value`.
-    Le(String, Value),
-    /// `column > value`.
-    Gt(String, Value),
-    /// `column >= value`.
-    Ge(String, Value),
-    /// `column LIKE '%text%'` (substring containment).
-    Contains(String, String),
-    /// Conjunction.
-    And(Box<Predicate>, Box<Predicate>),
-    /// Disjunction.
-    Or(Box<Predicate>, Box<Predicate>),
-}
-
-impl Predicate {
-    /// Conjunction helper.
-    #[must_use]
-    pub fn and(self, other: Predicate) -> Predicate {
-        Predicate::And(Box::new(self), Box::new(other))
-    }
-
-    /// Disjunction helper.
-    #[must_use]
-    pub fn or(self, other: Predicate) -> Predicate {
-        Predicate::Or(Box::new(self), Box::new(other))
-    }
-
-    fn eval(&self, schema: &TableSchema, row: &Row) -> Result<bool, DbError> {
-        let cell = |name: &str| -> Result<Value, DbError> {
-            if name == "id" {
-                return Ok(Value::Int(row.id));
-            }
-            let idx = schema
-                .column_index(name)
-                .ok_or_else(|| DbError::NoSuchColumn {
-                    table: schema.name.clone(),
-                    column: name.to_owned(),
-                })?;
-            Ok(row.values[idx].clone())
-        };
-        Ok(match self {
-            Predicate::True => true,
-            Predicate::Eq(c, v) => cell(c)?.total_cmp(v).is_eq(),
-            Predicate::Ne(c, v) => !cell(c)?.total_cmp(v).is_eq(),
-            Predicate::Lt(c, v) => cell(c)?.total_cmp(v).is_lt(),
-            Predicate::Le(c, v) => cell(c)?.total_cmp(v).is_le(),
-            Predicate::Gt(c, v) => cell(c)?.total_cmp(v).is_gt(),
-            Predicate::Ge(c, v) => cell(c)?.total_cmp(v).is_ge(),
-            Predicate::Contains(c, text) => cell(c)?
-                .as_text()
-                .map(|t| t.contains(text.as_str()))
-                .unwrap_or(false),
-            Predicate::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
-            Predicate::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
-        })
-    }
-}
-
-/// Sort order for queries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OrderBy {
-    /// Rowid ascending (insertion order).
-    Id,
-    /// A column ascending.
-    Asc(String),
-    /// A column descending.
-    Desc(String),
-}
-
-/// A table: schema, rows, auto-increment counter, secondary indexes.
+/// A table: schema, rows, auto-increment counter.
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
     pub(crate) schema: TableSchema,
-    pub(crate) rows: BTreeMap<i64, Vec<Value>>,
+    /// Ascending ids; every foreign-key column non-decreasing.
+    pub(crate) rows: Vec<Row>,
     pub(crate) next_id: i64,
-    /// column name → value → rowids.
-    pub(crate) secondary: BTreeMap<String, BTreeMap<Value, Vec<i64>>>,
 }
 
 impl Table {
-    fn new(schema: TableSchema) -> Table {
-        let secondary = schema
-            .indexes
-            .iter()
-            .map(|c| (c.clone(), BTreeMap::new()))
-            .collect();
-        Table {
-            schema,
-            rows: BTreeMap::new(),
-            next_id: 1,
-            secondary,
-        }
+    /// Where row `id` is (`Ok`) or would go (`Err`).
+    fn find(&self, id: i64) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&id, |row| row.id)
     }
 
-    fn index_insert(&mut self, id: i64, values: &[Value]) {
-        for (column, index) in &mut self.secondary {
-            if let Some(ci) = self.schema.column_index(column) {
-                index.entry(values[ci].clone()).or_default().push(id);
+    /// Append a row. An id at or below the last row's, or a foreign key
+    /// below the last row's, would break the order every look-up relies
+    /// on: corruption, naming the table and the row.
+    fn push(&mut self, id: i64, values: Vec<Value>) -> Result<(), DbError> {
+        if let Some(last) = self.rows.last() {
+            let name = &self.schema.name;
+            if id <= last.id {
+                let why = match self.find(id) {
+                    Ok(_) => "occurs twice".to_owned(),
+                    Err(_) => format!("comes after row {}", last.id),
+                };
+                return Err(DbError::Corrupt(format!("{name}: row {id} {why}")));
             }
-        }
-    }
-
-    fn index_remove(&mut self, id: i64, values: &[Value]) {
-        for (column, index) in &mut self.secondary {
-            if let Some(ci) = self.schema.column_index(column) {
-                if let Some(ids) = index.get_mut(&values[ci]) {
-                    ids.retain(|x| *x != id);
-                    if ids.is_empty() {
-                        index.remove(&values[ci]);
-                    }
+            let schema = &self.schema;
+            for ci in schema
+                .foreign_keys
+                .iter()
+                .filter_map(|fk| schema.column_index(&fk.column))
+            {
+                let (now, before) = (&values[ci], &last.values[ci]);
+                if now.total_cmp(before).is_lt() {
+                    let column = &schema.columns[ci].name;
+                    return Err(DbError::Corrupt(format!(
+                        "{name}: row {id}: {column} {now} decreases from {before}"
+                    )));
                 }
             }
         }
-    }
-}
-
-/// Find one indexable conjunct in the predicate's top-level `AND` chain
-/// and return the candidate rowids it selects. Equality wins over a
-/// range bound (it is more selective); `Or`/`Not`-shaped predicates and
-/// non-indexed columns fall back to a scan (`None`). Because `Value`'s
-/// `Ord` is exactly the comparison `Predicate::eval` uses, a range over
-/// the index's key space selects precisely the rows the conjunct
-/// accepts, so the full predicate re-evaluated on candidates stays the
-/// single source of truth.
-fn indexable_candidates(t: &Table, predicate: &Predicate) -> Option<Vec<i64>> {
-    use std::ops::Bound;
-
-    let mut conjuncts = Vec::new();
-    let mut stack = vec![predicate];
-    while let Some(p) = stack.pop() {
-        if let Predicate::And(a, b) = p {
-            stack.push(a);
-            stack.push(b);
-        } else {
-            conjuncts.push(p);
-        }
-    }
-
-    for conjunct in &conjuncts {
-        if let Predicate::Eq(column, value) = conjunct {
-            if let Some(index) = t.secondary.get(column) {
-                return Some(index.get(value).cloned().unwrap_or_default());
-            }
-        }
-    }
-    for conjunct in &conjuncts {
-        let (column, bounds) = match conjunct {
-            Predicate::Lt(c, v) => (c, (Bound::Unbounded, Bound::Excluded(v.clone()))),
-            Predicate::Le(c, v) => (c, (Bound::Unbounded, Bound::Included(v.clone()))),
-            Predicate::Gt(c, v) => (c, (Bound::Excluded(v.clone()), Bound::Unbounded)),
-            Predicate::Ge(c, v) => (c, (Bound::Included(v.clone()), Bound::Unbounded)),
-            _ => continue,
-        };
-        if let Some(index) = t.secondary.get(column) {
-            let mut ids = Vec::new();
-            for entry in index.range(bounds) {
-                ids.extend_from_slice(entry.1);
-            }
-            return Some(ids);
-        }
-    }
-    None
-}
-
-fn validate_predicate_columns(schema: &TableSchema, predicate: &Predicate) -> Result<(), DbError> {
-    let check = |column: &str| -> Result<(), DbError> {
-        if column == "id" || schema.column_index(column).is_some() {
-            Ok(())
-        } else {
-            Err(DbError::NoSuchColumn {
-                table: schema.name.clone(),
-                column: column.to_owned(),
-            })
-        }
-    };
-    match predicate {
-        Predicate::True => Ok(()),
-        Predicate::Eq(c, _)
-        | Predicate::Ne(c, _)
-        | Predicate::Lt(c, _)
-        | Predicate::Le(c, _)
-        | Predicate::Gt(c, _)
-        | Predicate::Ge(c, _)
-        | Predicate::Contains(c, _) => check(c),
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            validate_predicate_columns(schema, a)?;
-            validate_predicate_columns(schema, b)
-        }
+        self.next_id = self.next_id.max(id.saturating_add(1));
+        self.rows.push(Row { id, values });
+        Ok(())
     }
 }
 
@@ -436,8 +289,26 @@ impl Database {
         if self.tables.contains_key(&schema.name) {
             return Err(DbError::TableExists(schema.name));
         }
-        self.tables.insert(schema.name.clone(), Table::new(schema));
+        let name = schema.name.clone();
+        let table = Table {
+            schema,
+            rows: Vec::new(),
+            next_id: 1,
+        };
+        self.tables.insert(name, table);
         Ok(())
+    }
+
+    fn table(&self, table: &str) -> Result<&Table, DbError> {
+        self.tables
+            .get(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
+    }
+
+    fn table_mut(&mut self, table: &str) -> Result<&mut Table, DbError> {
+        self.tables
+            .get_mut(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
     }
 
     /// Table names in deterministic order.
@@ -448,124 +319,55 @@ impl Database {
 
     /// A table's schema.
     pub fn schema(&self, table: &str) -> Result<&TableSchema, DbError> {
-        self.tables
-            .get(table)
-            .map(|t| &t.schema)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
+        self.table(table).map(|t| &t.schema)
     }
 
     /// Number of rows in a table.
     pub fn row_count(&self, table: &str) -> Result<usize, DbError> {
-        Ok(self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?
-            .rows
-            .len())
+        Ok(self.table(table)?.rows.len())
     }
 
     /// Insert a row (values in schema column order); returns the rowid.
-    /// Enforces arity, types, NOT NULL and foreign keys.
+    /// Enforces arity, types, NOT NULL and foreign keys, and refuses a
+    /// foreign key below the previous row's.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<i64, DbError> {
-        // Validate against an immutable borrow first.
-        {
-            let t = self
-                .tables
-                .get(table)
-                .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-            if values.len() != t.schema.columns.len() {
-                return Err(DbError::Arity {
+        let t = self.table(table)?;
+        check_cells(&t.schema, &values, true)?;
+        for fk in &t.schema.foreign_keys {
+            let value = &values[t.schema.column(&fk.column)?];
+            if let Some(refid) = value.as_int() {
+                if self.table(&fk.references_table)?.find(refid).is_err() {
+                    return Err(DbError::ForeignKey {
+                        table: table.to_owned(),
+                        column: fk.column.clone(),
+                        missing_id: refid,
+                    });
+                }
+            } else if !value.is_null() {
+                return Err(DbError::TypeMismatch {
                     table: table.to_owned(),
-                    expected: t.schema.columns.len(),
-                    got: values.len(),
+                    column: fk.column.clone(),
+                    value: value.to_string(),
                 });
             }
-            for (column, value) in t.schema.columns.iter().zip(&values) {
-                if value.is_null() && column.not_null {
-                    return Err(DbError::NotNull {
-                        table: table.to_owned(),
-                        column: column.name.clone(),
-                    });
-                }
-                if !value.fits(column.ty) {
-                    return Err(DbError::TypeMismatch {
-                        table: table.to_owned(),
-                        column: column.name.clone(),
-                        value: value.to_string(),
-                    });
-                }
-            }
-            for fk in t.schema.foreign_keys.clone() {
-                let ci =
-                    t.schema
-                        .column_index(&fk.column)
-                        .ok_or_else(|| DbError::NoSuchColumn {
-                            table: table.to_owned(),
-                            column: fk.column.clone(),
-                        })?;
-                if let Some(refid) = values[ci].as_int() {
-                    let target = self
-                        .tables
-                        .get(&fk.references_table)
-                        .ok_or_else(|| DbError::NoSuchTable(fk.references_table.clone()))?;
-                    if !target.rows.contains_key(&refid) {
-                        return Err(DbError::ForeignKey {
-                            table: table.to_owned(),
-                            column: fk.column,
-                            missing_id: refid,
-                        });
-                    }
-                } else if !values[ci].is_null() {
-                    return Err(DbError::TypeMismatch {
-                        table: table.to_owned(),
-                        column: fk.column,
-                        value: values[ci].to_string(),
-                    });
-                }
-            }
         }
-        let t = self.tables.get_mut(table).expect("validated above");
+        let t = self.table_mut(table)?;
         let id = t.next_id;
-        t.next_id += 1;
-        t.index_insert(id, &values);
-        t.rows.insert(id, values);
+        t.push(id, values)?;
         Ok(id)
     }
 
     /// Insert a row with an explicit id — the restore path of every
     /// block decode and block merge. Validates arity and types but not
-    /// foreign keys (a block is decoded table by table, so parents may
-    /// arrive after children; it was FK-consistent when written). An id
-    /// the table already holds is corruption: ids are unique across
-    /// blocks, so a second copy is a doubled record or a broken merge.
+    /// that foreign keys resolve (a block is decoded table by table, so
+    /// parents may arrive after children; it was FK-consistent when
+    /// written). The row must come after the table's last one, in id and
+    /// in every foreign key: anything else — an id the table already
+    /// holds among them — is [`DbError::Corrupt`].
     pub fn insert_raw(&mut self, table: &str, id: i64, values: Vec<Value>) -> Result<(), DbError> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        if values.len() != t.schema.columns.len() {
-            return Err(DbError::Arity {
-                table: table.to_owned(),
-                expected: t.schema.columns.len(),
-                got: values.len(),
-            });
-        }
-        for (column, value) in t.schema.columns.iter().zip(&values) {
-            if !value.fits(column.ty) {
-                return Err(DbError::TypeMismatch {
-                    table: table.to_owned(),
-                    column: column.name.clone(),
-                    value: value.to_string(),
-                });
-            }
-        }
-        if t.rows.contains_key(&id) {
-            return Err(DbError::Corrupt(format!("{table}: row {id} occurs twice")));
-        }
-        t.next_id = t.next_id.max(id.saturating_add(1));
-        t.index_insert(id, &values);
-        t.rows.insert(id, values);
-        Ok(())
+        let t = self.table_mut(table)?;
+        check_cells(&t.schema, &values, false)?;
+        t.push(id, values)
     }
 
     /// Every table's auto-increment counter.
@@ -593,122 +395,78 @@ impl Database {
         }
     }
 
-    /// Fetch one row by id.
-    pub fn get(&self, table: &str, id: i64) -> Result<Option<Row>, DbError> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        Ok(t.rows.get(&id).map(|values| Row {
-            id,
-            values: values.clone(),
-        }))
+    /// Fetch one row by id: a binary search.
+    pub fn get(&self, table: &str, id: i64) -> Result<Option<&Row>, DbError> {
+        let t = self.table(table)?;
+        Ok(t.find(id).ok().map(|at| &t.rows[at]))
     }
 
-    /// Query rows matching `predicate`, ordered and limited.
-    ///
-    /// Indexable conjuncts of the predicate (equality or a single range
-    /// bound on an indexed column, anywhere in the top-level `AND` chain)
-    /// are served from the secondary index; everything else scans. With
-    /// `OrderBy::Id` the limit is pushed into the iteration, so the scan
-    /// stops as soon as enough rows matched.
-    pub fn select(
-        &self,
-        table: &str,
-        predicate: &Predicate,
-        order: OrderBy,
-        limit: Option<usize>,
-    ) -> Result<Vec<Row>, DbError> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        validate_predicate_columns(&t.schema, predicate)?;
-        // Resolve the ORDER BY column before doing any work, so an
-        // unknown column errors even on an empty result set.
-        let order_ci = match &order {
-            OrderBy::Id => None,
-            OrderBy::Asc(column) | OrderBy::Desc(column) => Some(
-                t.schema
-                    .column_index(column)
-                    .ok_or_else(|| DbError::NoSuchColumn {
-                        table: table.to_owned(),
-                        column: column.clone(),
-                    })?,
-            ),
-        };
-
-        // With id ordering the output order equals the iteration order,
-        // so the limit short-circuits; ordered queries must see every
-        // match before sorting.
-        let cap = match (order_ci, limit) {
-            (None, Some(n)) => n,
-            _ => usize::MAX,
-        };
-
-        let by_index = indexable_candidates(t, predicate).map(|mut ids| {
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        });
-        let candidates: Box<dyn Iterator<Item = (i64, &Vec<Value>)>> = match &by_index {
-            Some(ids) => Box::new(ids.iter().filter_map(|id| Some((*id, t.rows.get(id)?)))),
-            None => Box::new(t.rows.iter().map(|(id, values)| (*id, values))),
-        };
-        let mut rows: Vec<Row> = Vec::new();
-        for (id, values) in candidates {
-            if rows.len() >= cap {
-                break;
-            }
-            let values = values.clone();
-            let row = Row { id, values };
-            if predicate.eval(&t.schema, &row)? {
-                rows.push(row);
-            }
-        }
-
-        if let Some(ci) = order_ci {
-            rows.sort_by(|a, b| a.values[ci].total_cmp(&b.values[ci]).then(a.id.cmp(&b.id)));
-            if matches!(order, OrderBy::Desc(_)) {
-                rows.reverse();
-            }
-        }
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-        Ok(rows)
+    /// Every row of a table, in ascending id order.
+    pub fn rows(&self, table: &str) -> Result<&[Row], DbError> {
+        Ok(&self.table(table)?.rows)
     }
 
-    /// Delete rows matching a predicate; returns the number removed.
-    pub fn delete(&mut self, table: &str, predicate: &Predicate) -> Result<usize, DbError> {
-        let victims: Vec<i64> = self
-            .select(table, predicate, OrderBy::Id, None)?
-            .into_iter()
-            .map(|r| r.id)
-            .collect();
-        let t = self.tables.get_mut(table).expect("select verified table");
-        for id in &victims {
-            if let Some(values) = t.rows.remove(id) {
-                t.index_remove(*id, &values);
-            }
-        }
-        Ok(victims.len())
-    }
-
-    /// Read one named cell of a row.
-    pub fn cell(&self, table: &str, row: &Row, column: &str) -> Result<Value, DbError> {
-        if column == "id" {
-            return Ok(Value::Int(row.id));
-        }
-        let schema = self.schema(table)?;
-        let ci = schema
-            .column_index(column)
+    /// The rows of `table` whose foreign key `fk` references `parent`, in
+    /// id order: a binary search, since the column is non-decreasing. A
+    /// column that is not one of the table's declared foreign keys is
+    /// [`DbError::NoSuchColumn`].
+    pub fn children(&self, table: &str, fk: &str, parent: i64) -> Result<&[Row], DbError> {
+        let t = self.table(table)?;
+        let ci = t
+            .schema
+            .foreign_keys
+            .iter()
+            .find(|key| key.column == fk)
+            .and_then(|key| t.schema.column_index(&key.column))
             .ok_or_else(|| DbError::NoSuchColumn {
                 table: table.to_owned(),
-                column: column.to_owned(),
+                column: fk.to_owned(),
             })?;
-        Ok(row.values[ci].clone())
+        let parent = Value::Int(parent);
+        let key = |row: &Row| row.values[ci].total_cmp(&parent);
+        let from = t.rows.partition_point(|row| key(row).is_lt());
+        let len = t.rows[from..].partition_point(|row| key(row).is_eq());
+        Ok(&t.rows[from..from + len])
     }
+
+    /// Keep only the rows of `table` that `keep` accepts: one pass, the
+    /// order of what stays unchanged.
+    pub(crate) fn retain(
+        &mut self,
+        table: &str,
+        keep: impl FnMut(&Row) -> bool,
+    ) -> Result<(), DbError> {
+        self.table_mut(table)?.rows.retain(keep);
+        Ok(())
+    }
+}
+
+/// Arity, NOT NULL (when `not_null`) and types of a row's cells against
+/// `schema`.
+fn check_cells(schema: &TableSchema, values: &[Value], not_null: bool) -> Result<(), DbError> {
+    if values.len() != schema.columns.len() {
+        return Err(DbError::Arity {
+            table: schema.name.clone(),
+            expected: schema.columns.len(),
+            got: values.len(),
+        });
+    }
+    for (column, value) in schema.columns.iter().zip(values) {
+        if not_null && column.not_null && value.is_null() {
+            return Err(DbError::NotNull {
+                table: schema.name.clone(),
+                column: column.name.clone(),
+            });
+        }
+        if !value.fits(column.ty) {
+            return Err(DbError::TypeMismatch {
+                table: schema.name.clone(),
+                column: column.name.clone(),
+                value: value.to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -718,17 +476,14 @@ mod tests {
 
     fn db_with_perf() -> Database {
         let mut db = Database::new();
-        db.create_table(
-            TableSchema::new(
-                "performances",
-                vec![
-                    Column::required("command", ColumnType::Text),
-                    Column::required("api", ColumnType::Text),
-                    Column::new("tasks", ColumnType::Integer),
-                ],
-            )
-            .with_index("api"),
-        )
+        db.create_table(TableSchema::new(
+            "performances",
+            vec![
+                Column::required("command", ColumnType::Text),
+                Column::required("api", ColumnType::Text),
+                Column::new("tasks", ColumnType::Integer),
+            ],
+        ))
         .unwrap();
         db.create_table(
             TableSchema::new(
@@ -739,11 +494,22 @@ mod tests {
                     Column::new("mean_mib", ColumnType::Real),
                 ],
             )
-            .with_fk("performance_id", "performances")
-            .with_index("performance_id"),
+            .with_fk("performance_id", "performances"),
         )
         .unwrap();
         db
+    }
+
+    fn perf(db: &mut Database, tasks: i64) -> i64 {
+        let cells = vec![Value::from("ior"), Value::from("POSIX"), Value::Int(tasks)];
+        db.insert("performances", cells).unwrap()
+    }
+
+    fn summary(db: &mut Database, pid: i64) -> Result<i64, DbError> {
+        db.insert(
+            "summaries",
+            vec![Value::from(pid), Value::from("write"), Value::from(2850.12)],
+        )
     }
 
     #[test]
@@ -822,8 +588,11 @@ mod tests {
         assert_eq!(sid, 1);
     }
 
+    /// Selection goes through the SQL layer: equality, a range with
+    /// ORDER BY DESC and LIMIT, LIKE, and an AND chain over one table.
     #[test]
     fn select_with_predicates_order_limit() {
+        use crate::sql::query;
         let mut db = db_with_perf();
         for (cmd, api, tasks) in [
             ("ior -b 4m", "MPIIO", 80i64),
@@ -836,156 +605,120 @@ mod tests {
             )
             .unwrap();
         }
-        let mpiio = db
-            .select(
-                "performances",
-                &Predicate::Eq("api".into(), Value::from("MPIIO")),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
+        let mpiio = query(&db, "SELECT * FROM performances WHERE api = 'MPIIO'").unwrap();
         assert_eq!(mpiio.len(), 2);
 
-        let big = db
-            .select(
-                "performances",
-                &Predicate::Gt("tasks".into(), Value::Int(30)),
-                OrderBy::Desc("tasks".into()),
-                Some(1),
-            )
-            .unwrap();
+        let big = query(
+            &db,
+            "SELECT * FROM performances WHERE tasks > 30 ORDER BY tasks DESC LIMIT 1",
+        )
+        .unwrap();
         assert_eq!(big.len(), 1);
         assert_eq!(big[0].values[2], Value::Int(80));
 
-        let like = db
-            .select(
-                "performances",
-                &Predicate::Contains("command".into(), "8m".into()),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
+        let like = query(&db, "SELECT * FROM performances WHERE command LIKE '%8m%'").unwrap();
         assert_eq!(like.len(), 1);
 
-        let compound = db
-            .select(
-                "performances",
-                &Predicate::Eq("api".into(), Value::from("MPIIO"))
-                    .and(Predicate::Lt("tasks".into(), Value::Int(50))),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
+        let compound = query(
+            &db,
+            "SELECT * FROM performances WHERE api = 'MPIIO' AND tasks < 50",
+        )
+        .unwrap();
         assert_eq!(compound.len(), 1);
         assert_eq!(compound[0].values[0], Value::from("ior -b 16m"));
     }
 
     #[test]
-    fn indexed_eq_matches_scan() {
-        let mut db = db_with_perf();
-        for i in 0..50 {
-            let api = if i % 3 == 0 { "MPIIO" } else { "POSIX" };
-            db.insert(
-                "performances",
-                vec![
-                    Value::from(format!("c{i}")),
-                    Value::from(api),
-                    Value::Int(i),
-                ],
-            )
-            .unwrap();
-        }
-        let via_index = db
-            .select(
-                "performances",
-                &Predicate::Eq("api".into(), Value::from("MPIIO")),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
-        // Force a scan with an equivalent non-indexable predicate.
-        let via_scan = db
-            .select(
-                "performances",
-                &Predicate::Contains("api".into(), "MPIIO".into()),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
-        assert_eq!(via_index, via_scan);
-        assert_eq!(via_index.len(), 17);
-    }
-
-    #[test]
-    fn delete_removes_and_updates_index() {
-        let mut db = db_with_perf();
-        for i in 0..10 {
-            db.insert(
-                "performances",
-                vec![
-                    Value::from(format!("c{i}")),
-                    Value::from("MPIIO"),
-                    Value::Int(i),
-                ],
-            )
-            .unwrap();
-        }
-        let removed = db
-            .delete(
-                "performances",
-                &Predicate::Lt("tasks".into(), Value::Int(5)),
-            )
-            .unwrap();
-        assert_eq!(removed, 5);
-        assert_eq!(db.row_count("performances").unwrap(), 5);
-        let rest = db
-            .select(
-                "performances",
-                &Predicate::Eq("api".into(), Value::from("MPIIO")),
-                OrderBy::Id,
-                None,
-            )
-            .unwrap();
-        assert_eq!(rest.len(), 5);
-    }
-
-    #[test]
     fn select_on_unknown_column_errors() {
+        use crate::sql::{query, SqlError};
         let db = db_with_perf();
         assert!(matches!(
-            db.select(
-                "performances",
-                &Predicate::Eq("ghost".into(), Value::Null),
-                OrderBy::Id,
-                None
-            ),
+            query(&db, "SELECT * FROM performances WHERE ghost = NULL"),
+            Err(SqlError::Db(DbError::NoSuchColumn { .. }))
+        ));
+    }
+
+    /// Rows arrive in id order and every foreign key in non-decreasing
+    /// order; what would break either is refused, whichever way it comes.
+    #[test]
+    fn rows_stay_in_id_and_foreign_key_order() {
+        let mut db = db_with_perf();
+        let (first, second) = (perf(&mut db, 1), perf(&mut db, 2));
+        summary(&mut db, second).unwrap();
+        let refused = summary(&mut db, first).unwrap_err();
+        assert!(
+            matches!(&refused, DbError::Corrupt(e) if e == "summaries: row 2: performance_id 1 decreases from 2"),
+            "{refused}"
+        );
+        let cells = || vec![Value::from("ior"), Value::from("POSIX"), Value::Null];
+        for (id, why) in [(2, "row 2 occurs twice"), (0, "row 0 comes after row 2")] {
+            let refused = db.insert_raw("performances", id, cells()).unwrap_err();
+            assert!(
+                matches!(&refused, DbError::Corrupt(e) if e.ends_with(why)),
+                "{refused}"
+            );
+        }
+        db.insert_raw("performances", 9, cells()).unwrap();
+        assert_eq!(perf(&mut db, 3), 10, "the counter follows restored ids");
+        let ids: Vec<i64> = db
+            .rows("performances")
+            .unwrap()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, [1, 2, 9, 10]);
+    }
+
+    #[test]
+    fn children_are_the_run_of_rows_their_key_selects() {
+        let mut db = db_with_perf();
+        let parents: Vec<i64> = (0..4).map(|tasks| perf(&mut db, tasks)).collect();
+        for (n, pid) in parents.iter().enumerate() {
+            for _ in 0..n % 3 {
+                summary(&mut db, *pid).unwrap();
+            }
+        }
+        for parent in 0..=5 {
+            let filtered: Vec<&Row> = db
+                .rows("summaries")
+                .unwrap()
+                .iter()
+                .filter(|r| r.values[0] == Value::Int(parent))
+                .collect();
+            let children = db.children("summaries", "performance_id", parent).unwrap();
+            assert_eq!(
+                children.iter().collect::<Vec<_>>(),
+                filtered,
+                "parent {parent}"
+            );
+        }
+        // Only a declared foreign key is a range.
+        assert!(matches!(
+            db.children("summaries", "operation", 1),
             Err(DbError::NoSuchColumn { .. })
         ));
     }
 
     #[test]
-    fn id_pseudocolumn_in_predicates() {
+    fn retain_deletes_rows_and_keeps_the_order_of_the_rest() {
         let mut db = db_with_perf();
-        for i in 0..3 {
-            db.insert(
-                "performances",
-                vec![
-                    Value::from(format!("c{i}")),
-                    Value::from("POSIX"),
-                    Value::Int(i),
-                ],
-            )
-            .unwrap();
+        for tasks in 0..10 {
+            perf(&mut db, tasks);
         }
-        let rows = db
-            .select(
-                "performances",
-                &Predicate::Eq("id".into(), Value::Int(2)),
-                OrderBy::Id,
-                None,
-            )
+        db.retain("performances", |row| row.values[2].as_int() > Some(4))
             .unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].id, 2);
+        let ids: Vec<i64> = db
+            .rows("performances")
+            .unwrap()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, [6, 7, 8, 9, 10]);
+        // Appending continues past the deleted ids.
+        assert_eq!(perf(&mut db, 0), 11);
+        assert!(matches!(
+            db.retain("nope", |_| true),
+            Err(DbError::NoSuchTable(_))
+        ));
     }
 }

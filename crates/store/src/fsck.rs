@@ -43,13 +43,12 @@
 //! unrepairable and the store should be served via
 //! [`crate::KnowledgeStore::open_or_degraded`].
 
-use crate::database::{Database, OrderBy, Predicate};
+use crate::database::Database;
 use crate::journal;
-use crate::knowledge_store::{load_active, Manifest};
+use crate::knowledge_store::{load_active, warning_owner, Manifest};
 use crate::persist;
 use crate::query::{summarize_db, RunKind};
 use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentData, SegmentMeta};
-use crate::value::Value;
 use crate::vfs::Vfs;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -306,10 +305,7 @@ fn check_segment_rows(
             break;
         }
         for (table, id) in &orphans {
-            let repaired = opts.repair
-                && db
-                    .delete(table, &Predicate::Eq("id".into(), Value::Int(*id)))
-                    .is_ok();
+            let repaired = opts.repair && db.retain(table, |row| row.id != *id).is_ok();
             report.push(
                 format!("segment {segment_id}: {table} row {id} references a missing parent"),
                 repaired,
@@ -354,40 +350,24 @@ fn check_stray_file(
 fn find_orphans(db: &Database) -> Vec<(String, i64)> {
     let mut orphans = Vec::new();
     for table in db.table_names() {
-        let Ok(schema) = db.schema(table) else {
+        let (Ok(schema), Ok(rows)) = (db.schema(table), db.rows(table)) else {
             continue;
         };
         if schema.foreign_keys.is_empty() && table != "warnings" {
             continue;
         }
-        let Ok(rows) = db.select(table, &Predicate::True, OrderBy::Id, None) else {
-            continue;
+        let missing = |parent_table: &str, parent_id: i64| {
+            !matches!(db.get(parent_table, parent_id), Ok(Some(_)))
         };
         for row in rows {
-            let mut orphan = false;
-            for fk in &schema.foreign_keys {
-                let Some(ci) = schema.column_index(&fk.column) else {
-                    continue;
-                };
-                if let Some(parent_id) = row.values.get(ci).and_then(Value::as_int) {
-                    if !matches!(db.get(&fk.references_table, parent_id), Ok(Some(_))) {
-                        orphan = true;
-                    }
-                }
-            }
+            let mut orphan = schema.foreign_keys.iter().any(|fk| {
+                let parent = schema.column_index(&fk.column);
+                let parent = parent.and_then(|ci| row.values.get(ci)?.as_int());
+                parent.is_some_and(|id| missing(&fk.references_table, id))
+            });
             if table == "warnings" {
-                let parent_table = match row.values.first().and_then(Value::as_text) {
-                    Some("benchmark") => Some("performances"),
-                    Some("io500") => Some("IOFHsRuns"),
-                    _ => None,
-                };
-                if let (Some(parent_table), Some(owner_id)) =
-                    (parent_table, row.values.get(1).and_then(Value::as_int))
-                {
-                    if !matches!(db.get(parent_table, owner_id), Ok(Some(_))) {
-                        orphan = true;
-                    }
-                }
+                let owner = warning_owner(row);
+                orphan |= owner.is_some_and(|(kind, id)| missing(kind.table(), id as i64));
             }
             if orphan {
                 orphans.push((table.to_owned(), row.id));
@@ -436,6 +416,7 @@ mod tests {
     use super::*;
     use crate::database::DbError;
     use crate::knowledge_store::KnowledgeStore;
+    use crate::value::Value;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
     use iokc_util::json::Json;

@@ -1,4 +1,4 @@
-//! The paper's knowledge schema bound onto the relational engine.
+//! The paper's knowledge schema bound onto the store's tables.
 //!
 //! §V-C: benchmark knowledge lives in four tables — `performances`
 //! (pattern + command, one row per knowledge object), `summaries`
@@ -7,12 +7,17 @@
 //! plus `systeminfos` for the `/proc` statistics. IO500 knowledge is kept
 //! in its own tables: `IOFHsRuns`, `IOFHsScores`, `IOFHsTestcases`,
 //! `IOFHsOptions`, `IOFHsResults` and `IOFHsSystem`, keyed by `IOFH_id`.
+//! A run's rows are inserted parent first, each child right after its
+//! parent, so every foreign key is non-decreasing in id order and a run
+//! is loaded by binary searches ([`Database::children`]). `warnings`
+//! serves both kinds, so its `owner_id` is ordered per owner only: it is
+//! read by a filter.
 //!
 //! [`KnowledgeStore`] implements [`iokc_core::Persister`], optionally
 //! file-backed (the "local database" of Fig. 4; a second store instance
 //! models the "global database").
 
-use crate::database::{Column, Counters, Database, DbError, OrderBy, Predicate, Row, TableSchema};
+use crate::database::{Column, Counters, Database, DbError, Row, TableSchema};
 use crate::persist;
 use crate::query::{summarize_db, summarize_in_db, Query, QueryObs, RunKind, RunPredicate, RunRef};
 use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
@@ -26,7 +31,7 @@ use iokc_core::model::{
 };
 use iokc_core::phases::{CycleError, Persister, PhaseKind};
 use iokc_util::json::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -173,7 +178,7 @@ impl KnowledgeStore {
     /// Opening a segmented store maps the manifest's segment metadata —
     /// id ranges, counts, membership filters — without loading any
     /// segment body; only the (bounded) active generation is replayed
-    /// from its log, summarized and indexed. Open cost is proportional
+    /// from its log and summarized. Open cost is proportional
     /// to the active generation, not the corpus.
     pub fn open_with_vfs(path: PathBuf, vfs: Arc<dyn Vfs>) -> Result<KnowledgeStore, DbError> {
         let loaded = load_state(&path, vfs.as_ref())?;
@@ -252,8 +257,8 @@ impl KnowledgeStore {
     }
 
     /// Access the *active generation's* database. Sealed segments are
-    /// not visible here — whole-corpus relational access (the SQL
-    /// surface) goes through [`Snapshot::materialize`].
+    /// not visible here — whole-corpus access (the SQL surface) goes
+    /// through [`Snapshot::materialize`].
     #[must_use]
     pub fn database(&self) -> &Database {
         &self.active.db
@@ -593,7 +598,7 @@ impl KnowledgeStore {
         }
         let active = Arc::make_mut(&mut self.state.active);
         active.summaries.remove(&(kind, id));
-        delete_run_rows(&mut active.db, kind, id)?;
+        delete_runs(&mut active.db, &BTreeSet::from([(kind, id)]))?;
         self.epoch_ops += 1;
         // A failed flush reloads the block from disk.
         self.flush(Some(Delta::delete(kind, id)))?;
@@ -1116,118 +1121,112 @@ impl Snapshot {
         load_io500_from(&block.db, id)
     }
 
-    /// Merge the pinned state into one relational database: the active
-    /// generation plus every segment's rows, minus tombstoned runs.
-    /// This is the whole-corpus surface the SQL layer queries — O(corpus)
-    /// by construction, which is exactly why the query engine, not SQL,
-    /// is the hot read path.
+    /// Merge the pinned state into one database: every segment's rows,
+    /// oldest first, then the active generation's, minus tombstoned
+    /// runs. Ids grow from block to block in that order, so every table
+    /// keeps its rows in id order. This is the whole-corpus surface the
+    /// SQL layer queries — O(corpus) by construction, which is exactly
+    /// why the query engine, not SQL, is the hot read path.
     pub fn materialize(&self) -> Result<Database, DbError> {
-        let mut merged = self.active.db.clone();
+        let mut merged = build_schema();
         for seg in self.segments.iter() {
-            let data = self.body(seg)?;
-            copy_all_rows(&data.db, &mut merged)?;
+            copy_all_rows(&self.body(seg)?.db, &mut merged)?;
         }
-        for (kind, id) in self.tombstones.iter() {
-            delete_run_rows(&mut merged, *kind, *id)?;
-        }
+        copy_all_rows(&self.active.db, &mut merged)?;
+        delete_runs(&mut merged, &self.tombstones)?;
         Ok(merged)
     }
 }
 
-/// Copy every row of every table from `src` into `dst` with ids
+/// Append every row of every table of `src` to `dst` with ids
 /// preserved. Sound because sealed generations forward auto-increment
 /// counters: no two generations ever hold the same id in the same
-/// table.
+/// table, and a later one holds only higher ids.
 pub(crate) fn copy_all_rows(src: &Database, dst: &mut Database) -> Result<(), DbError> {
-    for table in src.table_names() {
-        for row in src.select(table, &Predicate::True, OrderBy::Id, None)? {
-            dst.insert_raw(table, row.id, row.values)?;
+    for (name, table) in &src.tables {
+        for row in &table.rows {
+            dst.insert_raw(name, row.id, row.values.clone())?;
         }
     }
     Ok(())
 }
 
-/// Cascade-delete one run's rows from `db`.
-pub(crate) fn delete_run_rows(db: &mut Database, kind: RunKind, id: u64) -> Result<(), DbError> {
-    match kind {
-        RunKind::Benchmark => delete_benchmark_rows(db, id),
-        RunKind::Io500 => delete_io500_rows(db, id),
+/// Cascade-delete `runs` from `db`: the runs' rows, then, through every
+/// declared foreign key, the rows that depended on them, and their
+/// warnings — one pass over each table, however many runs.
+pub(crate) fn delete_runs(
+    db: &mut Database,
+    runs: &BTreeSet<(RunKind, u64)>,
+) -> Result<(), DbError> {
+    if runs.is_empty() {
+        return Ok(());
     }
-}
-
-/// Cascade-delete one benchmark run's rows from `db` (summaries,
-/// results, filesystem, system info, warnings, then the performance
-/// row itself).
-fn delete_benchmark_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
-    let by_perf = Predicate::Eq("performance_id".into(), Value::Int(id as i64));
-    for srow in db.select("summaries", &by_perf, OrderBy::Id, None)? {
-        db.delete(
-            "results",
-            &Predicate::Eq("summary_id".into(), Value::Int(srow.id)),
-        )?;
+    db.retain("warnings", |w| {
+        !warning_owner(w).is_some_and(|run| runs.contains(&run))
+    })?;
+    for kind in [RunKind::Benchmark, RunKind::Io500] {
+        let of_kind = runs.iter().filter(|(k, _)| *k == kind);
+        let ids = of_kind.map(|(_, id)| *id as i64).collect();
+        cascade(db, kind.table(), None, &ids)?;
     }
-    db.delete("summaries", &by_perf)?;
-    db.delete("filesystems", &by_perf)?;
-    db.delete("systeminfos", &by_perf)?;
-    db.delete(
-        "warnings",
-        &Predicate::Eq("owner".into(), Value::from("benchmark"))
-            .and(Predicate::Eq("owner_id".into(), Value::Int(id as i64))),
-    )?;
-    db.delete(
-        "performances",
-        &Predicate::Eq("id".into(), Value::Int(id as i64)),
-    )?;
     Ok(())
 }
 
-/// Cascade-delete one IO500 run's rows from `db` (scores, testcases +
-/// their results, options, system info, warnings, then the run row).
-fn delete_io500_rows(db: &mut Database, id: u64) -> Result<(), DbError> {
-    let by_iofh = Predicate::Eq("IOFH_id".into(), Value::Int(id as i64));
-    for tc in db.select("IOFHsTestcases", &by_iofh, OrderBy::Id, None)? {
-        db.delete(
-            "IOFHsResults",
-            &Predicate::Eq("testcase_id".into(), Value::Int(tc.id)),
-        )?;
+/// Delete the rows of `table` whose `fk` column (the rowid when `None`)
+/// holds one of `keys`, then the rows whose foreign keys referenced
+/// them, down to the leaves.
+fn cascade(
+    db: &mut Database,
+    table: &str,
+    fk: Option<&str>,
+    keys: &BTreeSet<i64>,
+) -> Result<(), DbError> {
+    if keys.is_empty() {
+        return Ok(());
     }
-    db.delete("IOFHsTestcases", &by_iofh)?;
-    db.delete("IOFHsScores", &by_iofh)?;
-    db.delete("IOFHsOptions", &by_iofh)?;
-    db.delete("IOFHsSystem", &by_iofh)?;
-    db.delete(
-        "warnings",
-        &Predicate::Eq("owner".into(), Value::from("io500"))
-            .and(Predicate::Eq("owner_id".into(), Value::Int(id as i64))),
-    )?;
-    db.delete(
-        "IOFHsRuns",
-        &Predicate::Eq("id".into(), Value::Int(id as i64)),
-    )?;
+    let ci = fk.map(|fk| db.schema(table)?.column(fk)).transpose()?;
+    let mut deleted = BTreeSet::new();
+    db.retain(table, |row| {
+        let key = ci.map_or(Some(row.id), |ci| row.values[ci].as_int());
+        let doomed = key.is_some_and(|key| keys.contains(&key));
+        if doomed {
+            deleted.insert(row.id);
+        }
+        !doomed
+    })?;
+    let children: Vec<(String, String)> = db
+        .tables
+        .values()
+        .flat_map(|t| t.schema.foreign_keys.iter().map(|fk| (&t.schema.name, fk)))
+        .filter(|(_, fk)| fk.references_table == table)
+        .map(|(child, fk)| (child.clone(), fk.column.clone()))
+        .collect();
+    for (child, fk) in children {
+        cascade(db, &child, Some(&fk), &deleted)?;
+    }
     Ok(())
 }
 
-/// Warnings for one knowledge object in `db`.
-fn load_warnings_in(db: &Database, owner: &str, id: u64) -> Result<Vec<String>, DbError> {
-    let by_owner = Predicate::Eq("owner_id".into(), Value::Int(id as i64));
-    Ok(db
-        .select("warnings", &by_owner, OrderBy::Id, None)?
-        .into_iter()
-        .filter(|row| row.values[0].as_text() == Some(owner))
-        .map(|row| row.values[2].as_text().unwrap_or("").to_owned())
-        .collect())
+/// The run a `warnings` row belongs to.
+pub(crate) fn warning_owner(row: &Row) -> Option<(RunKind, u64)> {
+    let kind = match row.values[0].as_text()? {
+        "benchmark" => RunKind::Benchmark,
+        "io500" => RunKind::Io500,
+        _ => return None,
+    };
+    Some((kind, row.values[1].as_int()? as u64))
 }
 
-fn one_child_in(db: &Database, table: &str, performance_id: u64) -> Result<Option<Row>, DbError> {
-    Ok(db
-        .select(
-            table,
-            &Predicate::Eq("performance_id".into(), Value::Int(performance_id as i64)),
-            OrderBy::Id,
-            Some(1),
-        )?
-        .into_iter()
-        .next())
+/// The warnings of one run in `db`, in id order.
+pub(crate) fn warnings_of(
+    db: &Database,
+    kind: RunKind,
+    id: u64,
+) -> Result<impl Iterator<Item = &Row>, DbError> {
+    let rows = db.rows("warnings")?;
+    Ok(rows
+        .iter()
+        .filter(move |w| warning_owner(w) == Some((kind, id))))
 }
 
 /// The full benchmark multi-table join against an explicit database —
@@ -1259,13 +1258,8 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
     k.end_time = int(15) as u64;
     k.derived_from = row.values[16].as_int().map(|v| v as u64);
 
-    let summaries = db.select(
-        "summaries",
-        &Predicate::Eq("performance_id".into(), Value::Int(id as i64)),
-        OrderBy::Id,
-        None,
-    )?;
-    for srow in &summaries {
+    let child = |table: &str| db.children(table, "performance_id", id as i64);
+    for srow in child("summaries")? {
         k.summaries.push(OperationSummary {
             operation: srow.values[1].as_text().unwrap_or("").to_owned(),
             api: srow.values[2].as_text().unwrap_or("").to_owned(),
@@ -1276,16 +1270,10 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
             mean_ops: srow.values[7].as_real().unwrap_or(0.0),
             iterations: srow.values[8].as_int().unwrap_or(0) as u32,
         });
-        let operation = srow.values[1].as_text().unwrap_or("").to_owned();
-        let results = db.select(
-            "results",
-            &Predicate::Eq("summary_id".into(), Value::Int(srow.id)),
-            OrderBy::Id,
-            None,
-        )?;
-        for rrow in results {
+        let operation = srow.values[1].as_text().unwrap_or("");
+        for rrow in db.children("results", "summary_id", srow.id)? {
             k.results.push(IterationResult {
-                operation: operation.clone(),
+                operation: operation.to_owned(),
                 iteration: rrow.values[1].as_int().unwrap_or(0) as u32,
                 bw_mib: rrow.values[2].as_real().unwrap_or(0.0),
                 ops: rrow.values[3].as_int().unwrap_or(0) as u64,
@@ -1299,7 +1287,7 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
         }
     }
 
-    k.filesystem = one_child_in(db, "filesystems", id)?.map(|frow| FilesystemInfo {
+    k.filesystem = child("filesystems")?.first().map(|frow| FilesystemInfo {
         fs_type: frow.values[1].as_text().unwrap_or("").to_owned(),
         entry_type: frow.values[2].as_text().unwrap_or("").to_owned(),
         entry_id: frow.values[3].as_text().unwrap_or("").to_owned(),
@@ -1309,16 +1297,26 @@ pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowl
         raid: frow.values[7].as_text().unwrap_or("").to_owned(),
         storage_pool: frow.values[8].as_text().unwrap_or("").to_owned(),
     });
-    k.system = one_child_in(db, "systeminfos", id)?.map(|srow| SystemInfo {
-        system: srow.values[1].as_text().unwrap_or("").to_owned(),
-        cpu_model: srow.values[2].as_text().unwrap_or("").to_owned(),
-        cores: srow.values[3].as_int().unwrap_or(0) as u32,
-        cpu_mhz: srow.values[4].as_real().unwrap_or(0.0),
-        cache_kib: srow.values[5].as_int().unwrap_or(0) as u64,
-        mem_kib: srow.values[6].as_int().unwrap_or(0) as u64,
-    });
-    k.warnings = load_warnings_in(db, "benchmark", id)?;
+    k.system = child("systeminfos")?.first().map(system_info);
+    k.warnings = warning_texts(db, RunKind::Benchmark, id)?;
     Ok(Some(k))
+}
+
+/// A `systeminfos` or `IOFHsSystem` row.
+fn system_info(row: &Row) -> SystemInfo {
+    SystemInfo {
+        system: row.values[1].as_text().unwrap_or("").to_owned(),
+        cpu_model: row.values[2].as_text().unwrap_or("").to_owned(),
+        cores: row.values[3].as_int().unwrap_or(0) as u32,
+        cpu_mhz: row.values[4].as_real().unwrap_or(0.0),
+        cache_kib: row.values[5].as_int().unwrap_or(0) as u64,
+        mem_kib: row.values[6].as_int().unwrap_or(0) as u64,
+    }
+}
+
+fn warning_texts(db: &Database, kind: RunKind, id: u64) -> Result<Vec<String>, DbError> {
+    let texts = warnings_of(db, kind, id)?.map(|w| w.values[2].as_text().unwrap_or(""));
+    Ok(texts.map(str::to_owned).collect())
 }
 
 /// The full IO500 multi-table join against an explicit database — the
@@ -1327,93 +1325,38 @@ pub(crate) fn load_io500_from(db: &Database, id: u64) -> Result<Option<Io500Know
     let Some(run) = db.get("IOFHsRuns", id as i64)? else {
         return Ok(None);
     };
-    let scores = db
-        .select(
-            "IOFHsScores",
-            &Predicate::Eq("IOFH_id".into(), Value::Int(id as i64)),
-            OrderBy::Id,
-            Some(1),
-        )?
-        .into_iter()
-        .next();
+    let child = |table: &str| db.children(table, "IOFH_id", id as i64);
     let mut testcases = Vec::new();
-    for tc in db.select(
-        "IOFHsTestcases",
-        &Predicate::Eq("IOFH_id".into(), Value::Int(id as i64)),
-        OrderBy::Id,
-        None,
-    )? {
-        let result = db
-            .select(
-                "IOFHsResults",
-                &Predicate::Eq("testcase_id".into(), Value::Int(tc.id)),
-                OrderBy::Id,
-                Some(1),
-            )?
-            .into_iter()
-            .next();
+    for tc in child("IOFHsTestcases")? {
+        let result = db.children("IOFHsResults", "testcase_id", tc.id)?.first();
+        let cell = |i: usize| result.and_then(|r| r.values[i].as_real()).unwrap_or(0.0);
         testcases.push(Io500Testcase {
             name: tc.values[1].as_text().unwrap_or("").to_owned(),
             unit: tc.values[2].as_text().unwrap_or("").to_owned(),
-            value: result
-                .as_ref()
-                .and_then(|r| r.values[1].as_real())
-                .unwrap_or(0.0),
-            time_s: result
-                .as_ref()
-                .and_then(|r| r.values[2].as_real())
-                .unwrap_or(0.0),
+            value: cell(1),
+            time_s: cell(2),
         });
     }
-    let mut options = BTreeMap::new();
-    for opt in db.select(
-        "IOFHsOptions",
-        &Predicate::Eq("IOFH_id".into(), Value::Int(id as i64)),
-        OrderBy::Id,
-        None,
-    )? {
-        options.insert(
-            opt.values[1].as_text().unwrap_or("").to_owned(),
-            opt.values[2].as_text().unwrap_or("").to_owned(),
-        );
-    }
-    let system = db
-        .select(
-            "IOFHsSystem",
-            &Predicate::Eq("IOFH_id".into(), Value::Int(id as i64)),
-            OrderBy::Id,
-            Some(1),
-        )?
-        .into_iter()
-        .next()
-        .map(|srow| SystemInfo {
-            system: srow.values[1].as_text().unwrap_or("").to_owned(),
-            cpu_model: srow.values[2].as_text().unwrap_or("").to_owned(),
-            cores: srow.values[3].as_int().unwrap_or(0) as u32,
-            cpu_mhz: srow.values[4].as_real().unwrap_or(0.0),
-            cache_kib: srow.values[5].as_int().unwrap_or(0) as u64,
-            mem_kib: srow.values[6].as_int().unwrap_or(0) as u64,
-        });
+    let options = child("IOFHsOptions")?
+        .iter()
+        .map(|opt| {
+            let text = |i: usize| opt.values[i].as_text().unwrap_or("").to_owned();
+            (text(1), text(2))
+        })
+        .collect();
+    let scores = child("IOFHsScores")?.first();
+    let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
     Ok(Some(Io500Knowledge {
         id: Some(id),
         tasks: run.values[0].as_int().unwrap_or(0) as u32,
         start_time: run.values[1].as_int().unwrap_or(0) as u64,
-        bw_score: scores
-            .as_ref()
-            .and_then(|s| s.values[1].as_real())
-            .unwrap_or(0.0),
-        md_score: scores
-            .as_ref()
-            .and_then(|s| s.values[2].as_real())
-            .unwrap_or(0.0),
-        total_score: scores
-            .as_ref()
-            .and_then(|s| s.values[3].as_real())
-            .unwrap_or(0.0),
+        bw_score: score(1),
+        md_score: score(2),
+        total_score: score(3),
         testcases,
         options,
-        system,
-        warnings: load_warnings_in(db, "io500", id)?,
+        system: child("IOFHsSystem")?.first().map(system_info),
+        warnings: warning_texts(db, RunKind::Io500, id)?,
     }))
 }
 
@@ -1436,32 +1379,28 @@ impl From<DbError> for CycleError {
 /// Build the paper's schema.
 pub(crate) fn build_schema() -> Database {
     let mut db = Database::new();
-    db.create_table(
-        TableSchema::new(
-            "performances",
-            vec![
-                Column::required("command", ColumnType::Text),
-                Column::required("source", ColumnType::Text),
-                Column::new("api", ColumnType::Text),
-                Column::new("testFileName", ColumnType::Text),
-                Column::new("block_size", ColumnType::Integer),
-                Column::new("transfer_size", ColumnType::Integer),
-                Column::new("segments", ColumnType::Integer),
-                Column::new("filePerProc", ColumnType::Integer),
-                Column::new("reorderTasks", ColumnType::Integer),
-                Column::new("fsync", ColumnType::Integer),
-                Column::new("collective", ColumnType::Integer),
-                Column::new("iterations", ColumnType::Integer),
-                Column::new("tasks", ColumnType::Integer),
-                Column::new("clientsPerNode", ColumnType::Integer),
-                Column::new("start_time", ColumnType::Integer),
-                Column::new("end_time", ColumnType::Integer),
-                Column::new("derived_from", ColumnType::Integer),
-            ],
-        )
-        .with_index("api")
-        .with_index("command"),
-    )
+    db.create_table(TableSchema::new(
+        "performances",
+        vec![
+            Column::required("command", ColumnType::Text),
+            Column::required("source", ColumnType::Text),
+            Column::new("api", ColumnType::Text),
+            Column::new("testFileName", ColumnType::Text),
+            Column::new("block_size", ColumnType::Integer),
+            Column::new("transfer_size", ColumnType::Integer),
+            Column::new("segments", ColumnType::Integer),
+            Column::new("filePerProc", ColumnType::Integer),
+            Column::new("reorderTasks", ColumnType::Integer),
+            Column::new("fsync", ColumnType::Integer),
+            Column::new("collective", ColumnType::Integer),
+            Column::new("iterations", ColumnType::Integer),
+            Column::new("tasks", ColumnType::Integer),
+            Column::new("clientsPerNode", ColumnType::Integer),
+            Column::new("start_time", ColumnType::Integer),
+            Column::new("end_time", ColumnType::Integer),
+            Column::new("derived_from", ColumnType::Integer),
+        ],
+    ))
     .expect("fresh database accepts schema");
     db.create_table(
         TableSchema::new(
@@ -1478,8 +1417,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("iterations", ColumnType::Integer),
             ],
         )
-        .with_fk("performance_id", "performances")
-        .with_index("performance_id"),
+        .with_fk("performance_id", "performances"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1498,8 +1436,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("total_s", ColumnType::Real),
             ],
         )
-        .with_fk("summary_id", "summaries")
-        .with_index("summary_id"),
+        .with_fk("summary_id", "summaries"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1517,8 +1454,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("storage_pool", ColumnType::Text),
             ],
         )
-        .with_fk("performance_id", "performances")
-        .with_index("performance_id"),
+        .with_fk("performance_id", "performances"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1534,8 +1470,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("mem_kib", ColumnType::Integer),
             ],
         )
-        .with_fk("performance_id", "performances")
-        .with_index("performance_id"),
+        .with_fk("performance_id", "performances"),
     )
     .expect("fresh database accepts schema");
 
@@ -1557,8 +1492,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("total_score", ColumnType::Real),
             ],
         )
-        .with_fk("IOFH_id", "IOFHsRuns")
-        .with_index("IOFH_id"),
+        .with_fk("IOFH_id", "IOFHsRuns"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1570,8 +1504,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("unit", ColumnType::Text),
             ],
         )
-        .with_fk("IOFH_id", "IOFHsRuns")
-        .with_index("IOFH_id"),
+        .with_fk("IOFH_id", "IOFHsRuns"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1583,8 +1516,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("time_s", ColumnType::Real),
             ],
         )
-        .with_fk("testcase_id", "IOFHsTestcases")
-        .with_index("testcase_id"),
+        .with_fk("testcase_id", "IOFHsTestcases"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1596,8 +1528,7 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("value", ColumnType::Text),
             ],
         )
-        .with_fk("IOFH_id", "IOFHsRuns")
-        .with_index("IOFH_id"),
+        .with_fk("IOFH_id", "IOFHsRuns"),
     )
     .expect("fresh database accepts schema");
     db.create_table(
@@ -1613,24 +1544,20 @@ pub(crate) fn build_schema() -> Database {
                 Column::new("mem_kib", ColumnType::Integer),
             ],
         )
-        .with_fk("IOFH_id", "IOFHsRuns")
-        .with_index("IOFH_id"),
+        .with_fk("IOFH_id", "IOFHsRuns"),
     )
     .expect("fresh database accepts schema");
     // Extraction warnings for either knowledge kind ("benchmark" rows
     // key off performances ids, "io500" rows off IOFHsRuns ids) — the
     // partiality of a salvaged run must survive persistence.
-    db.create_table(
-        TableSchema::new(
-            "warnings",
-            vec![
-                Column::required("owner", ColumnType::Text),
-                Column::required("owner_id", ColumnType::Integer),
-                Column::required("message", ColumnType::Text),
-            ],
-        )
-        .with_index("owner_id"),
-    )
+    db.create_table(TableSchema::new(
+        "warnings",
+        vec![
+            Column::required("owner", ColumnType::Text),
+            Column::required("owner_id", ColumnType::Integer),
+            Column::required("message", ColumnType::Text),
+        ],
+    ))
     .expect("fresh database accepts schema");
     db
 }
@@ -1639,6 +1566,7 @@ pub(crate) fn build_schema() -> Database {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample_knowledge() -> Knowledge {
         let mut k = Knowledge::new(KnowledgeSource::Ior, "ior -a mpiio -b 4m -t 2m -s 40");
@@ -1990,7 +1918,7 @@ mod tests {
         fn stored_commands(store: &KnowledgeStore) -> Vec<String> {
             store
                 .database()
-                .select("performances", &Predicate::True, OrderBy::Id, None)
+                .rows("performances")
                 .unwrap()
                 .iter()
                 .map(|row| row.values[0].as_text().unwrap_or("").to_owned())

@@ -1,10 +1,10 @@
 //! `iokc-store` — the knowledge persistence phase (§V-C).
 //!
-//! A from-scratch embedded relational engine standing in for SQLite:
-//! typed columns, auto-increment rowids, NOT NULL / foreign-key
-//! constraints, secondary indexes, predicate queries, a small SQL
-//! dialect (the DB-API 2.0 face), deterministic JSON documents on disk, and
-//! CSV export. [`KnowledgeStore`] binds the paper's exact schema —
+//! Tables standing in for SQLite's: typed columns, auto-increment rowids,
+//! NOT NULL / foreign-key constraints, rows kept in id order, a small
+//! read-only SQL dialect (the DB-API 2.0 face), deterministic JSON
+//! documents on disk, and CSV export. [`KnowledgeStore`] binds the
+//! paper's exact schema —
 //! `performances`, `summaries`, `results`, `filesystems` plus the IO500
 //! `IOFHs*` tables — and implements [`iokc_core::Persister`].
 
@@ -31,7 +31,7 @@ pub use aggregate::{
     DEFAULT_PERCENTILES,
 };
 pub use compaction::{CompactionPlan, CompactionReport};
-pub use database::{Column, Database, DbError, ForeignKey, OrderBy, Predicate, Row, TableSchema};
+pub use database::{Column, Database, DbError, ForeignKey, Row, TableSchema};
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use iokc_obs::DeadlineToken;
 pub use journal::{

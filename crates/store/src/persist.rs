@@ -19,7 +19,7 @@
 //! silently yielding wrong data. [`inject_torn_write`] truncates a file
 //! at a byte offset so tests can exercise exactly that path.
 
-use crate::database::{Counters, Database, DbError, OrderBy, Predicate};
+use crate::database::{Counters, Database, DbError};
 use crate::value::Value;
 use crate::vfs::{StdVfs, Vfs};
 use iokc_util::json::{self, Json, ParseError, Reader, Token};
@@ -41,17 +41,17 @@ pub fn write_rows(out: &mut String, db: &Database, mark: &Counters) -> bool {
     let mut tables = 0;
     for (name, table) in &db.tables {
         let from = mark.get(name).copied().unwrap_or(i64::MIN);
-        let mut rows = table.rows.range(from..).peekable();
-        if rows.peek().is_none() {
+        let rows = &table.rows[table.rows.partition_point(|row| row.id < from)..];
+        if rows.is_empty() {
             continue;
         }
         out.push_str(if tables == 0 { "" } else { "," });
         tables += 1;
         let _ = json::write_escaped(out, name);
         out.push_str(":[");
-        for (nth, (id, values)) in rows.enumerate() {
-            let _ = write!(out, "{}[{id}", if nth == 0 { "" } else { "," });
-            for value in values {
+        for (nth, row) in rows.iter().enumerate() {
+            let _ = write!(out, "{}[{}", if nth == 0 { "" } else { "," }, row.id);
+            for value in &row.values {
                 let _ = match value {
                     Value::Null => out.write_str(",null"),
                     Value::Int(i) => write!(out, ",{{\"i\":{i}}}"),
@@ -339,7 +339,7 @@ pub fn export_csv(db: &Database, table: &str) -> Result<String, DbError> {
     let mut header = vec!["id".to_owned()];
     header.extend(schema.columns.iter().map(|c| c.name.clone()));
     let mut text_table = TextTable::new(header);
-    for row in db.select(table, &Predicate::True, OrderBy::Id, None)? {
+    for row in db.rows(table)? {
         let mut cells = vec![row.id.to_string()];
         cells.extend(row.values.iter().map(|v| match v {
             Value::Null => String::new(),
@@ -359,17 +359,14 @@ pub(crate) mod tests {
 
     fn sample_schema() -> Database {
         let mut db = Database::new();
-        db.create_table(
-            TableSchema::new(
-                "performances",
-                vec![
-                    Column::required("command", ColumnType::Text),
-                    Column::new("mean", ColumnType::Real),
-                    Column::new("tasks", ColumnType::Integer),
-                ],
-            )
-            .with_index("command"),
-        )
+        db.create_table(TableSchema::new(
+            "performances",
+            vec![
+                Column::required("command", ColumnType::Text),
+                Column::new("mean", ColumnType::Real),
+                Column::new("tasks", ColumnType::Integer),
+            ],
+        ))
         .unwrap();
         db.create_table(
             TableSchema::new(
@@ -427,7 +424,6 @@ pub(crate) mod tests {
         let mut restored = roundtrip(&db, sample_schema());
         for (name, table) in &db.tables {
             assert_eq!(restored.tables[name].rows, table.rows, "table {name}");
-            assert_eq!(restored.tables[name].secondary, table.secondary);
         }
         // Auto-increment continues past restored ids.
         let next = restored
@@ -443,7 +439,7 @@ pub(crate) mod tests {
     fn int_real_distinction_survives_roundtrip() {
         // Integers are tagged in JSON so Int(2) doesn't come back Real(2.0).
         let restored = roundtrip(&sample_db(), sample_schema());
-        let cells = &restored.tables["performances"].rows[&1];
+        let cells = &restored.tables["performances"].rows[0].values;
         assert_eq!(cells[2], Value::Int(80));
         assert_eq!(cells[1], Value::Real(2850.12));
     }
@@ -460,6 +456,10 @@ pub(crate) mod tests {
             (r#"{"summaries":[[]]}"#, "summaries: row not an array"),
             (r#"{"summaries":[["1",null]]}"#, "summaries: row without id"),
             (r#"{"summaries":[[1,null],[1,null]]}"#, "row 1 occurs twice"),
+            (
+                r#"{"summaries":[[1,{"i":2}],[2,{"i":1}]]}"#,
+                "summaries: row 2: performance_id 1 decreases from 2",
+            ),
             (r#"{"summaries":[[4,true]]}"#, "row 4: cell 0"),
             (r#"{"summaries":[[4,[1]]]}"#, "row 4: cell 0"),
             (r#"{"summaries":[[4,{"j":1}]]}"#, "row 4: cell 0"),

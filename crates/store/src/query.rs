@@ -27,10 +27,11 @@
 //! results equal a brute-force filter over every live summary
 //! (property-tested in this module).
 
-use crate::database::{Database, DbError, OrderBy, Predicate, Row};
-use crate::knowledge_store::{load_io500_from, load_knowledge_from, KnowledgeStore, Snapshot};
+use crate::database::{Database, DbError, Row};
+use crate::knowledge_store::{
+    load_io500_from, load_knowledge_from, warning_owner, warnings_of, KnowledgeStore, Snapshot,
+};
 use crate::segment::{may_match_segment, Segment, SegmentData};
-use crate::value::Value;
 use iokc_core::model::KnowledgeItem;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
 use std::collections::BTreeMap;
@@ -804,10 +805,11 @@ impl Snapshot {
 
     /// The per-run bandwidth series for one operation across every
     /// matching benchmark run — the box-plot projection. Reads only the
-    /// matched runs' `summaries` and `results` rows (both index-backed),
-    /// not the full `Knowledge` objects. Returns `(command, series)`
-    /// pairs in query order. `deadline` is polled between runs too,
-    /// since each run fans out into `summaries` and `results` selects.
+    /// matched runs' `summaries` and `results` rows (each a binary search
+    /// on its foreign key), not the full `Knowledge` objects. Returns
+    /// `(command, series)` pairs in query order. `deadline` is polled
+    /// between runs too, since each run fans out into `summaries` and
+    /// `results` look-ups.
     pub fn boxplot_series(
         &self,
         predicate: &RunPredicate,
@@ -830,21 +832,14 @@ impl Snapshot {
                 });
             }
             let mut series = Vec::new();
-            for srow in block.db.select(
-                "summaries",
-                &Predicate::Eq("performance_id".into(), Value::Int(run.id as i64)),
-                OrderBy::Id,
-                None,
-            )? {
+            for srow in block
+                .db
+                .children("summaries", "performance_id", run.id as i64)?
+            {
                 if srow.values[1].as_text() != Some(operation) {
                     continue;
                 }
-                for rrow in block.db.select(
-                    "results",
-                    &Predicate::Eq("summary_id".into(), Value::Int(srow.id)),
-                    OrderBy::Id,
-                    None,
-                )? {
+                for rrow in block.db.children("results", "summary_id", srow.id)? {
                     series.push(rrow.values[2].as_real().unwrap_or(0.0));
                 }
             }
@@ -893,12 +888,19 @@ impl Snapshot {
 /// The summary block of every run in `db`, keyed `(kind, id)` — how a
 /// block is built from rows: the replayed log on open, a segment body
 /// on load, and the from-rows side of
-/// [`KnowledgeStore::indexes_consistent`].
+/// [`KnowledgeStore::indexes_consistent`]. The warnings are counted in
+/// one pass over the block.
 pub(crate) fn summarize_db(db: &Database) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
+    let mut warnings: BTreeMap<(RunKind, u64), usize> = BTreeMap::new();
+    for run in db.rows("warnings")?.iter().filter_map(warning_owner) {
+        *warnings.entry(run).or_default() += 1;
+    }
     let mut summaries = BTreeMap::new();
     for kind in [RunKind::Benchmark, RunKind::Io500] {
-        for row in db.select(kind.table(), &Predicate::True, OrderBy::Id, None)? {
-            summaries.insert((kind, row.id as u64), summarize_row(db, kind, &row)?);
+        for row in db.rows(kind.table())? {
+            let run = (kind, row.id as u64);
+            let warning_count = warnings.get(&run).copied().unwrap_or(0);
+            summaries.insert(run, summarize_row(db, kind, row, warning_count)?);
         }
     }
     Ok(summaries)
@@ -910,23 +912,16 @@ pub(crate) fn summarize_in_db(db: &Database, r: RunRef) -> Result<RunSummary, Db
     let row = db
         .get(r.kind.table(), r.id as i64)?
         .ok_or_else(|| DbError::Corrupt(format!("{} run {} has no row", r.kind.as_str(), r.id)))?;
-    summarize_row(db, r.kind, &row)
+    summarize_row(db, r.kind, row, warnings_of(db, r.kind, r.id)?.count())
 }
 
-fn summarize_row(db: &Database, kind: RunKind, row: &Row) -> Result<RunSummary, DbError> {
+fn summarize_row(
+    db: &Database,
+    kind: RunKind,
+    row: &Row,
+    warning_count: usize,
+) -> Result<RunSummary, DbError> {
     let id = row.id as u64;
-    let children = |table: &str, column: &str| {
-        db.select(
-            table,
-            &Predicate::Eq(column.into(), Value::Int(row.id)),
-            OrderBy::Id,
-            None,
-        )
-    };
-    let warning_count = children("warnings", "owner_id")?
-        .iter()
-        .filter(|w| w.values[0].as_text() == Some(kind.as_str()))
-        .count();
     let int = |i: usize| row.values[i].as_int().unwrap_or(0);
     Ok(match kind {
         RunKind::Benchmark => RunSummary {
@@ -939,7 +934,8 @@ fn summarize_row(db: &Database, kind: RunKind, row: &Row) -> Result<RunSummary, 
             transfer_size: int(5) as u64,
             segments: int(6) as u64,
             clients_per_node: int(13) as u32,
-            ops: children("summaries", "performance_id")?
+            ops: db
+                .children("summaries", "performance_id", row.id)?
                 .iter()
                 .map(|srow| OpStat {
                     operation: srow.values[1].as_text().unwrap_or("").to_owned(),
@@ -954,13 +950,8 @@ fn summarize_row(db: &Database, kind: RunKind, row: &Row) -> Result<RunSummary, 
             warning_count,
         },
         RunKind::Io500 => {
-            let scores = children("IOFHsScores", "IOFH_id")?.into_iter().next();
-            let score = |i: usize| {
-                scores
-                    .as_ref()
-                    .and_then(|s| s.values[i].as_real())
-                    .unwrap_or(0.0)
-            };
+            let scores = db.children("IOFHsScores", "IOFH_id", row.id)?.first();
+            let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
             RunSummary {
                 kind,
                 id,

@@ -20,10 +20,18 @@
 //! `SELECT *|cols FROM t [WHERE cond [AND|OR cond]…] [ORDER BY col [ASC|DESC]] [LIMIT n]`,
 //! `SELECT COUNT(*) FROM t [WHERE …]`. Conditions are
 //! `col (=|!=|<|<=|>|>=|LIKE) literal`; literals are numbers, `'strings'`
-//! (with `''` escaping) and `NULL`. `AND` binds tighter than `OR`.
+//! (with `''` escaping) and `NULL`. `AND` binds tighter than `OR`. An
+//! integer literal is an INTEGER, every digit kept, unless it overflows
+//! an `i64`; then it is REAL, as a literal with a decimal point or an
+//! exponent is.
+//!
+//! A statement is parsed into this module's own small AST and evaluated
+//! by one scan over the table's rows ([`Database::rows`]).
 
-use crate::database::{Database, DbError, OrderBy, Predicate, Row};
+use crate::database::{Database, DbError, Row, TableSchema};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A SQL error.
@@ -55,9 +63,9 @@ impl From<DbError> for SqlError {
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
     Ident(String),
-    /// A numeric literal; the flag records whether the source text was an
-    /// integer (no decimal point or exponent), so `-1.5e2` stays REAL.
-    Number(f64, bool),
+    /// A numeric literal: `Int` when the source text is an integer (no
+    /// decimal point or exponent) that fits an `i64`, `Real` otherwise.
+    Number(Value),
     Str(String),
     Symbol(String),
 }
@@ -119,11 +127,14 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 i += 1;
             }
             let text = &input[start..i];
-            let n: f64 = text
-                .parse()
-                .map_err(|_| SqlError::Syntax(format!("bad number {text}")))?;
-            let is_int = !text.contains(['.', 'e', 'E']);
-            tokens.push(Token::Number(n, is_int));
+            let number = match text.parse() {
+                Ok(int) => Value::Int(int),
+                Err(_) => Value::Real(
+                    text.parse()
+                        .map_err(|_| SqlError::Syntax(format!("bad number {text}")))?,
+                ),
+            };
+            tokens.push(Token::Number(number));
         } else if c.is_ascii_alphabetic() || c == '_' {
             let start = i;
             while i < bytes.len()
@@ -155,6 +166,110 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
         }
     }
     Ok(tokens)
+}
+
+/// A `WHERE` expression.
+enum Predicate {
+    /// No `WHERE`.
+    True,
+    /// `column op literal`: true when `Value::total_cmp` of the cell
+    /// against the literal is an ordering `op` accepts.
+    Compare(String, fn(Ordering) -> bool, Value),
+    /// `column LIKE '%text%'` (substring containment).
+    Contains(String, String),
+    And(Box<Predicate>, Box<Predicate>),
+    Or(Box<Predicate>, Box<Predicate>),
+}
+
+impl Predicate {
+    /// Every column the expression names exists (`id` always does).
+    fn check_columns(&self, schema: &TableSchema) -> Result<(), DbError> {
+        match self {
+            Predicate::True => Ok(()),
+            Predicate::Compare(column, ..) | Predicate::Contains(column, _) => {
+                match column.as_str() {
+                    "id" => Ok(()),
+                    column => schema.column(column).map(drop),
+                }
+            }
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                a.check_columns(schema)?;
+                b.check_columns(schema)
+            }
+        }
+    }
+
+    fn eval(&self, schema: &TableSchema, row: &Row) -> Result<bool, DbError> {
+        Ok(match self {
+            Predicate::True => true,
+            Predicate::Compare(column, accepts, value) => {
+                accepts(cell(schema, row, column)?.total_cmp(value))
+            }
+            Predicate::Contains(column, text) => cell(schema, row, column)?
+                .as_text()
+                .is_some_and(|t| t.contains(text.as_str())),
+            Predicate::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
+            Predicate::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
+        })
+    }
+}
+
+/// An `ORDER BY`.
+enum OrderBy {
+    /// None: rowid ascending (insertion order).
+    Id,
+    Asc(String),
+    Desc(String),
+}
+
+/// The named cell of `row`; `id` is the rowid.
+fn cell<'r>(schema: &TableSchema, row: &'r Row, column: &str) -> Result<Cow<'r, Value>, DbError> {
+    Ok(match column {
+        "id" => Cow::Owned(Value::Int(row.id)),
+        column => Cow::Borrowed(&row.values[schema.column(column)?]),
+    })
+}
+
+/// The rows of `table` that `predicate` accepts, ordered and limited.
+/// Unknown columns are errors before any row is read. In id order the
+/// limit stops the scan; ordered by a column, every match is sorted —
+/// ties by id — and reversed for `DESC` before the limit applies.
+fn matching<'d>(
+    db: &'d Database,
+    table: &str,
+    predicate: &Predicate,
+    order: &OrderBy,
+    limit: Option<usize>,
+) -> Result<Vec<&'d Row>, DbError> {
+    let schema = db.schema(table)?;
+    predicate.check_columns(schema)?;
+    let order_ci = match order {
+        OrderBy::Id => None,
+        OrderBy::Asc(column) | OrderBy::Desc(column) => Some(schema.column(column)?),
+    };
+    let cap = match (order_ci, limit) {
+        (None, Some(n)) => n,
+        _ => usize::MAX,
+    };
+    let mut rows = Vec::new();
+    for row in db.rows(table)? {
+        if rows.len() >= cap {
+            break;
+        }
+        if predicate.eval(schema, row)? {
+            rows.push(row);
+        }
+    }
+    if let Some(ci) = order_ci {
+        rows.sort_by(|a, b| a.values[ci].total_cmp(&b.values[ci]).then(a.id.cmp(&b.id)));
+        if matches!(order, OrderBy::Desc(_)) {
+            rows.reverse();
+        }
+    }
+    if let Some(n) = limit {
+        rows.truncate(n);
+    }
+    Ok(rows)
 }
 
 struct Parser {
@@ -213,13 +328,7 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Value, SqlError> {
         match self.next() {
-            Some(Token::Number(n, is_int)) => {
-                if is_int && n.fract() == 0.0 && n.abs() < 9e15 {
-                    Ok(Value::Int(n as i64))
-                } else {
-                    Ok(Value::Real(n))
-                }
-            }
+            Some(Token::Number(n)) => Ok(n),
             Some(Token::Str(s)) => Ok(Value::Text(s)),
             Some(Token::Ident(id)) if id.eq_ignore_ascii_case("null") => Ok(Value::Null),
             other => Err(SqlError::Syntax(format!(
@@ -232,7 +341,7 @@ impl Parser {
     fn conjunction(&mut self) -> Result<Predicate, SqlError> {
         let mut pred = self.condition()?;
         while self.keyword("AND") {
-            pred = pred.and(self.condition()?);
+            pred = Predicate::And(Box::new(pred), Box::new(self.condition()?));
         }
         Ok(pred)
     }
@@ -241,7 +350,7 @@ impl Parser {
     fn where_expr(&mut self) -> Result<Predicate, SqlError> {
         let mut pred = self.conjunction()?;
         while self.keyword("OR") {
-            pred = pred.or(self.conjunction()?);
+            pred = Predicate::Or(Box::new(pred), Box::new(self.conjunction()?));
         }
         Ok(pred)
     }
@@ -266,15 +375,16 @@ impl Parser {
             }
         };
         let value = self.literal()?;
-        Ok(match op.as_str() {
-            "=" => Predicate::Eq(column, value),
-            "!=" | "<>" => Predicate::Ne(column, value),
-            "<" => Predicate::Lt(column, value),
-            "<=" => Predicate::Le(column, value),
-            ">" => Predicate::Gt(column, value),
-            ">=" => Predicate::Ge(column, value),
+        let accepts: fn(Ordering) -> bool = match op.as_str() {
+            "=" => Ordering::is_eq,
+            "!=" | "<>" => Ordering::is_ne,
+            "<" => Ordering::is_lt,
+            "<=" => Ordering::is_le,
+            ">" => Ordering::is_gt,
+            ">=" => Ordering::is_ge,
             other => return Err(SqlError::Syntax(format!("unknown operator {other}"))),
-        })
+        };
+        Ok(Predicate::Compare(column, accepts, value))
     }
 
     fn tail(&mut self) -> Result<(Predicate, OrderBy, Option<usize>), SqlError> {
@@ -297,7 +407,12 @@ impl Parser {
         };
         let limit = if self.keyword("LIMIT") {
             match self.next() {
-                Some(Token::Number(n, _)) if n >= 0.0 && n.fract() == 0.0 => Some(n as usize),
+                Some(Token::Number(Value::Int(n))) if n >= 0 => {
+                    Some(usize::try_from(n).unwrap_or(usize::MAX))
+                }
+                Some(Token::Number(Value::Real(n))) if n >= 0.0 && n.fract() == 0.0 => {
+                    Some(n as usize)
+                }
                 other => return Err(SqlError::Syntax(format!("bad LIMIT {other:?}"))),
             }
         } else {
@@ -370,7 +485,7 @@ pub fn select(db: &Database, statement: &str) -> Result<QueryResult, SqlError> {
             p.expect_keyword("FROM")?;
             let table = p.ident()?;
             let (predicate, _, _) = p.tail()?;
-            let rows = db.select(&table, &predicate, OrderBy::Id, None)?;
+            let rows = matching(db, &table, &predicate, &OrderBy::Id, None)?;
             return Ok(QueryResult::Count(rows.len()));
         }
     }
@@ -389,7 +504,7 @@ pub fn select(db: &Database, statement: &str) -> Result<QueryResult, SqlError> {
     p.expect_keyword("FROM")?;
     let table = p.ident()?;
     let (predicate, order, limit) = p.tail()?;
-    let rows = db.select(&table, &predicate, order, limit)?;
+    let rows = matching(db, &table, &predicate, &order, limit)?;
     let schema = db.schema(&table)?;
     match projection {
         None => {
@@ -401,7 +516,7 @@ pub fn select(db: &Database, statement: &str) -> Result<QueryResult, SqlError> {
                     .into_iter()
                     .map(|r| {
                         let mut cells = vec![Value::Int(r.id)];
-                        cells.extend(r.values);
+                        cells.extend_from_slice(&r.values);
                         cells
                     })
                     .collect(),
@@ -409,10 +524,10 @@ pub fn select(db: &Database, statement: &str) -> Result<QueryResult, SqlError> {
         }
         Some(columns) => {
             let mut projected = Vec::with_capacity(rows.len());
-            for row in &rows {
+            for row in rows {
                 let mut cells = Vec::with_capacity(columns.len());
                 for column in &columns {
-                    cells.push(db.cell(&table, row, column)?);
+                    cells.push(cell(schema, row, column)?.into_owned());
                 }
                 projected.push(cells);
             }
@@ -652,25 +767,58 @@ mod tests {
 
     #[test]
     fn limit_pushdown_short_circuits_row_iteration() {
-        use crate::database::{OrderBy, Predicate};
         let db = db();
         // In id order the limit is pushed into the scan.
-        let rows = db
-            .select("runs", &Predicate::True, OrderBy::Id, Some(1))
-            .unwrap();
+        let QueryResult::Rows { rows, .. } = select(&db, "SELECT * FROM runs LIMIT 1").unwrap()
+        else {
+            panic!("expected rows")
+        };
         assert_eq!(rows.len(), 1);
         // Ordering by a column needs the full match set before the
         // limit truncates it.
-        let rows = db
-            .select(
-                "runs",
-                &Predicate::True,
-                OrderBy::Desc("bw".to_owned()),
-                Some(1),
-            )
-            .unwrap();
+        let QueryResult::Rows { rows, .. } =
+            select(&db, "SELECT * FROM runs ORDER BY bw DESC LIMIT 1").unwrap()
+        else {
+            panic!("expected rows")
+        };
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values[1], Value::Real(2850.12));
+        assert_eq!(rows[0][2], Value::Real(2850.12));
+    }
+
+    /// An integer literal keeps every digit, as ids do: `2^53 + 1` is not
+    /// `2^53`, and the `id` pseudo-column compares exactly. Past `i64` a
+    /// literal is REAL and compares as a float.
+    #[test]
+    fn integer_literals_keep_every_digit() {
+        let mut db = db();
+        for id in [1 << 53, (1 << 53) + 1, i64::MAX] {
+            let cells = vec![Value::from("big"), Value::Null, Value::Int(id)];
+            db.insert_raw("runs", id, cells).unwrap();
+        }
+        let ids = |statement: &str| -> Vec<i64> {
+            query(&db, statement)
+                .unwrap()
+                .iter()
+                .map(|r| r.id)
+                .collect()
+        };
+        assert_eq!(ids("SELECT * FROM runs WHERE id = 2"), [2]);
+        assert_eq!(
+            ids("SELECT * FROM runs WHERE id = 9007199254740993"),
+            [(1 << 53) + 1]
+        );
+        assert_eq!(
+            ids("SELECT * FROM runs WHERE tasks = 9007199254740992"),
+            [1 << 53]
+        );
+        assert_eq!(
+            ids("SELECT * FROM runs WHERE id >= 9223372036854775807"),
+            [i64::MAX]
+        );
+        assert_eq!(
+            ids("SELECT * FROM runs WHERE id < 9223372036854775808"),
+            [1, 2, 3, 1 << 53, (1 << 53) + 1]
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Cell values and column types.
 //!
 //! The store speaks a deliberately SQLite-like type system: `NULL`,
-//! `INTEGER`, `REAL`, `TEXT`. Values carry a total order (reals via
-//! `total_cmp`) so they can key B-tree indexes.
+//! `INTEGER`, `REAL`, `TEXT`. [`Value::total_cmp`] orders them totally
+//! (reals via `f64::total_cmp`): SQL comparisons and `ORDER BY`, and the
+//! foreign-key order of a table's rows.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -116,20 +117,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl Eq for Value {}
-
-impl Ord for Value {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.total_cmp(other)
-    }
-}
-
-impl PartialOrd for Value {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl From<i64> for Value {
     fn from(v: i64) -> Value {
         Value::Int(v)
@@ -208,7 +195,7 @@ mod tests {
             Value::Text("a".into()),
             Value::Int(1),
         ];
-        values.sort();
+        values.sort_by(Value::total_cmp);
         assert_eq!(
             values,
             vec![

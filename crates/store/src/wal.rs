@@ -23,12 +23,13 @@
 
 use crate::database::{Counters, Database, DbError};
 use crate::journal::{self, JournalWriter};
-use crate::knowledge_store::delete_run_rows;
+use crate::knowledge_store::delete_runs;
 use crate::persist;
 use crate::query::RunKind;
 use crate::vfs::Vfs;
 use iokc_obs::{Counter, MetricsRegistry};
 use iokc_util::json::Json;
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
@@ -79,8 +80,8 @@ fn apply(db: &mut Database, payload: &str) -> Result<usize, DbError> {
         _ => Ok(reader.skip_value()?),
     })?;
     let mut ops = runs(db) - before;
-    if let Some((kind, id)) = delete {
-        delete_run_rows(db, kind, id)?;
+    if let Some(run) = delete {
+        delete_runs(db, &BTreeSet::from([run]))?;
         ops += 1;
     }
     Ok(ops)
@@ -260,8 +261,8 @@ mod tests {
     fn commands(db: &Database) -> Vec<String> {
         db.tables["performances"]
             .rows
-            .values()
-            .map(|cells| cells[0].to_string())
+            .iter()
+            .map(|row| row.values[0].to_string())
             .collect()
     }
 
@@ -278,7 +279,7 @@ mod tests {
             wal.append(log(), &vfs, &Delta::rows_since(&db, &mark).unwrap())
                 .unwrap();
         }
-        delete_run_rows(&mut db, RunKind::Benchmark, 41).unwrap();
+        delete_runs(&mut db, &BTreeSet::from([(RunKind::Benchmark, 41)])).unwrap();
         wal.append(log(), &vfs, &Delta::delete(RunKind::Benchmark, 41))
             .unwrap();
         assert_eq!(vfs.len(log()).unwrap(), wal.len);
@@ -304,10 +305,10 @@ mod tests {
         let mut db = build_schema();
         for n in [
             i64::MIN,
-            i64::MAX,
-            (1 << 53) + 1,
-            (1 << 53) - 1,
             -(1 << 53) - 1,
+            (1 << 53) - 1,
+            (1 << 53) + 1,
+            i64::MAX,
         ] {
             let mut cells = vec![Value::Null; 9];
             (cells[0], cells[1]) = (Value::Int(n), Value::from("write"));

@@ -116,6 +116,16 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
   --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
 cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
   "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 96
+# WHERE, ORDER BY … DESC and LIMIT over the merged segment's rows: the
+# seed's three best runs past id 32, best first.
+diff <(cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
+  "SELECT IOFH_id, total_score FROM IOFHsScores WHERE IOFH_id > 32 ORDER BY total_score DESC LIMIT 3") - <<'TOP3'
+IOFH_id | total_score
+--------+------------
+61      | 17.581212
+89      | 17.576109
+62      | 17.523537
+TOP3
 
 # One generation of every document: nothing the CLI wrote has a `.bak`.
 # And the manifest is what says which files are the store, so one that
@@ -148,9 +158,10 @@ cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
   "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 128
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "clean"
 
-# What this repository deleted stays deleted.
-echo "==> no second durability mechanism"
-! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered" \
+# What this repository deleted stays deleted: a second durability
+# mechanism, and secondary indexes over a block's rows.
+echo "==> no second durability mechanism, no secondary indexes"
+! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered\|with_index\|indexable_candidates\|index_insert\|secondary:" \
   crates/ tests/ examples/
 
 # Benchmark smoke: perfbench is a package of its own, compiled against

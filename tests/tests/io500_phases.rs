@@ -10,7 +10,7 @@ use iokc_extract::{parse_io500_output, Io500Extractor};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
-use iokc_store::{KnowledgeStore, OrderBy, Predicate};
+use iokc_store::KnowledgeStore;
 
 #[test]
 fn twelve_phases_parse_and_persist() {
@@ -55,14 +55,7 @@ fn io500_tables_follow_paper_schema() {
     assert!(db.row_count("IOFHsOptions").unwrap() >= 1);
 
     // Foreign keys resolve: every testcase row references the run.
-    let testcases = db
-        .select(
-            "IOFHsTestcases",
-            &Predicate::Eq("IOFH_id".into(), iokc_store::Value::Int(id as i64)),
-            OrderBy::Id,
-            None,
-        )
-        .unwrap();
+    let testcases = db.children("IOFHsTestcases", "IOFH_id", id as i64).unwrap();
     assert_eq!(testcases.len(), 12);
 
     // Reload matches.

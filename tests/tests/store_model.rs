@@ -603,7 +603,7 @@ mod codec {
     use super::*;
     use iokc_core::model::{Io500Testcase, OperationSummary};
     use iokc_store::segment::{read_segment_vfs, SegmentMeta};
-    use iokc_store::{Column, ColumnType, Database, OrderBy, Predicate, Row, TableSchema, Value};
+    use iokc_store::{Column, ColumnType, Database, Row, TableSchema, Value};
     use iokc_util::json::{self, Json, Reader};
 
     /// A run of either kind whose cells cover what the codec must carry:
@@ -654,10 +654,10 @@ mod codec {
     }
 
     fn rows(db: &Database) -> Vec<(String, Vec<Row>)> {
-        let scan = |table| db.select(table, &Predicate::True, OrderBy::Id, None);
+        let scan = |table| db.rows(table).expect("scan").to_vec();
         db.table_names()
             .into_iter()
-            .map(|table| (table.to_owned(), scan(table).expect("scan")))
+            .map(|table| (table.to_owned(), scan(table)))
             .collect()
     }
 
@@ -896,6 +896,234 @@ mod codec {
                 vec![SegmentMeta::compute(0, sealed.summaries.values())],
                 store.segment_metas()
             );
+        }
+    }
+}
+
+/// The look-ups against their linear definitions. Over histories of
+/// saves, deletes, seals, compactions and reopens that mix benchmark and
+/// IO500 runs with warnings, every block — the active one and each
+/// segment body — keeps its rows in id order and each foreign-key column
+/// non-decreasing, `children` is exactly the linear filter of `rows`,
+/// and every live run loads back as the item that was saved.
+mod lookups {
+    use super::*;
+    use iokc_core::model::{
+        FilesystemInfo, Io500Testcase, IterationResult, OperationSummary, SystemInfo,
+    };
+    use iokc_store::segment::read_segment_vfs;
+    use iokc_store::{Database, Row, Value};
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Save(Vec<KnowledgeItem>),
+        Delete(usize),
+        Seal,
+        Compact,
+        Reopen,
+    }
+
+    fn system(tag: u32) -> SystemInfo {
+        SystemInfo {
+            system: format!("node-{tag}"),
+            cpu_model: "E5-2670v2".into(),
+            cores: tag,
+            cpu_mhz: 2500.5,
+            cache_kib: 25_600,
+            mem_kib: u64::from(tag) << 20,
+        }
+    }
+
+    /// A run with every child table in play: summaries with their
+    /// results, file system, system, options, testcases, warnings.
+    fn arb_item() -> impl Strategy<Value = KnowledgeItem> {
+        (
+            any::<bool>(),
+            1u32..64,
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+            0usize..3,
+            (any::<bool>(), any::<bool>()),
+            proptest::collection::vec("[a-z ]{1,12}", 0..3),
+        )
+            .prop_map(
+                |(is_io500, tag, (write, read, stat), per_op, (fs, sys), warnings)| {
+                    let picked = [(write, "write"), (read, "read"), (stat, "stat")];
+                    let ops = picked.into_iter().filter(|(on, _)| *on).map(|(_, op)| op);
+                    let real = f64::from(tag) * 1.25;
+                    if is_io500 {
+                        return KnowledgeItem::Io500(Io500Knowledge {
+                            testcases: ops
+                                .map(|op| Io500Testcase {
+                                    name: format!("ior-easy-{op}"),
+                                    value: real,
+                                    unit: "GiB/s".into(),
+                                    time_s: 30.5,
+                                })
+                                .collect(),
+                            options: (0..per_op)
+                                .map(|n| (format!("key{n}"), format!("value{tag}")))
+                                .collect(),
+                            system: sys.then(|| system(tag)),
+                            warnings,
+                            ..io500(tag)
+                        });
+                    }
+                    let mut k = bench(tag);
+                    k.pattern.tasks = tag;
+                    k.derived_from = fs.then_some(u64::from(tag));
+                    for op in ops {
+                        k.summaries.push(OperationSummary {
+                            operation: op.into(),
+                            api: "POSIX".into(),
+                            max_mib: real + 1.0,
+                            min_mib: real - 1.0,
+                            mean_mib: real,
+                            stddev_mib: 0.5,
+                            mean_ops: real / 2.0,
+                            iterations: per_op as u32,
+                        });
+                        for iteration in 0..per_op as u32 {
+                            k.results.push(IterationResult {
+                                operation: op.into(),
+                                iteration,
+                                bw_mib: real + f64::from(iteration),
+                                ops: 64,
+                                ops_per_sec: real,
+                                latency_s: 0.001,
+                                open_s: 0.002,
+                                wrrd_s: 1.5,
+                                close_s: 0.003,
+                                total_s: 1.75,
+                            });
+                        }
+                    }
+                    k.filesystem = fs.then(|| FilesystemInfo {
+                        fs_type: "BeeGFS".into(),
+                        entry_type: "file".into(),
+                        entry_id: format!("A-{tag}"),
+                        metadata_node: "meta01".into(),
+                        chunk_size: 512 << 10,
+                        storage_targets: tag,
+                        raid: "RAID0".into(),
+                        storage_pool: "Default".into(),
+                    });
+                    k.system = sys.then(|| system(tag));
+                    k.warnings = warnings;
+                    KnowledgeItem::Benchmark(k)
+                },
+            )
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let save = || proptest::collection::vec(arb_item(), 1..4).prop_map(Step::Save);
+        prop_oneof![
+            save(),
+            save(),
+            (0usize..64).prop_map(Step::Delete),
+            Just(Step::Seal),
+            Just(Step::Compact),
+            Just(Step::Reopen),
+        ]
+    }
+
+    /// Ids ascend, every foreign key is non-decreasing, and `children`
+    /// equals the linear filter for every parent id and its neighbours.
+    fn check_block(db: &Database) {
+        for table in db.table_names() {
+            let rows = db.rows(table).expect("rows");
+            prop_assert!(rows.windows(2).all(|w| w[0].id < w[1].id), "{}", table);
+            for fk in &db.schema(table).expect("schema").foreign_keys {
+                let ci = db.schema(table).expect("schema").column_index(&fk.column);
+                let ci = ci.expect("fk column");
+                let keys: Vec<i64> = rows.iter().filter_map(|r| r.values[ci].as_int()).collect();
+                prop_assert_eq!(keys.len(), rows.len());
+                prop_assert!(
+                    keys.windows(2).all(|w| w[0] <= w[1]),
+                    "{}.{}",
+                    table,
+                    fk.column
+                );
+                let parents = db.rows(&fk.references_table).expect("parents");
+                let probes = parents.iter().map(|r| r.id).chain(keys.iter().copied());
+                for parent in probes.flat_map(|id| [id - 1, id, id + 1]) {
+                    let linear: Vec<&Row> = rows
+                        .iter()
+                        .filter(|r| r.values[ci] == Value::Int(parent))
+                        .collect();
+                    let found = db.children(table, &fk.column, parent).expect("children");
+                    prop_assert_eq!(found.iter().collect::<Vec<_>>(), linear);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn children_equal_a_linear_filter_and_runs_load_as_saved(
+            steps in proptest::collection::vec(arb_step(), 1..16)
+        ) {
+            let vfs = Arc::new(FaultVfs::pristine());
+            let mut store = open(&vfs);
+            let mut saved: BTreeMap<(RunKind, u64), KnowledgeItem> = BTreeMap::new();
+            for step in steps {
+                match step {
+                    Step::Save(items) => {
+                        let ids = store.save_batch(&items).expect("save");
+                        for (mut item, id) in items.into_iter().zip(ids) {
+                            let kind = match &mut item {
+                                KnowledgeItem::Benchmark(k) => {
+                                    k.id = Some(id);
+                                    RunKind::Benchmark
+                                }
+                                KnowledgeItem::Io500(k) => {
+                                    k.id = Some(id);
+                                    RunKind::Io500
+                                }
+                            };
+                            saved.insert((kind, id), item);
+                        }
+                    }
+                    Step::Delete(n) if !saved.is_empty() => {
+                        let (kind, id) = *saved.keys().nth(n % saved.len()).expect("key");
+                        let existed = match kind {
+                            RunKind::Benchmark => store.delete_knowledge(id),
+                            RunKind::Io500 => store.delete_io500(id),
+                        };
+                        prop_assert!(existed.expect("delete"));
+                        saved.remove(&(kind, id));
+                    }
+                    Step::Delete(_) => {}
+                    Step::Seal => store.seal_active().expect("seal"),
+                    Step::Compact => drop(store.compact().expect("compact")),
+                    Step::Reopen => {
+                        drop(store);
+                        store = open(&vfs);
+                    }
+                }
+                check_block(store.database());
+                for meta in store.segment_metas() {
+                    let path = persist::segment_path(&kb(), meta.id);
+                    check_block(&read_segment_vfs(&path, vfs.as_ref()).expect("segment").db);
+                }
+                // The SQL surface's merge of every block is one more.
+                let merged = store.snapshot().materialize().expect("materialize");
+                check_block(&merged);
+                let runs = |table| merged.row_count(table).expect("count");
+                prop_assert_eq!(runs("performances") + runs("IOFHsRuns"), saved.len());
+                prop_assert_eq!(contents(&store).len(), saved.len());
+                for ((kind, id), item) in &saved {
+                    let loaded = match kind {
+                        RunKind::Benchmark => {
+                            store.load_knowledge(*id).expect("load").map(KnowledgeItem::Benchmark)
+                        }
+                        RunKind::Io500 => {
+                            store.load_io500(*id).expect("load").map(KnowledgeItem::Io500)
+                        }
+                    };
+                    prop_assert_eq!(loaded.as_ref(), Some(item));
+                }
+            }
         }
     }
 }
