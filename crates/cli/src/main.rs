@@ -583,9 +583,9 @@ fn print_help() {
          \x20                       --idle-timeout-ms <n> keep-alive idle reaping,\n\
          \x20                       --serve-ms <n> to stop after a fixed window); a\n\
          \x20                       damaged store serves read-only, /healthz reports it\n\
-         \x20 fsck                  check the knowledge base image and its backup\n\
-         \x20                       (--repair to fix, --journal <path> to also salvage\n\
-         \x20                       a torn event-journal tail)\n\
+         \x20 fsck                  check the manifest, the log and the segments of the\n\
+         \x20                       knowledge base (--repair to fix, --journal <path>\n\
+         \x20                       to also salvage a torn event-journal tail)\n\
          \x20 compact               merge small sealed segments and drop deleted runs\n\
          \x20                       from the segmented store (prints the plan and the\n\
          \x20                       resulting report)\n\
@@ -665,17 +665,14 @@ fn finish_observability(opts: &Options, obs: &Observability) -> Result<(), CliEr
     Ok(())
 }
 
-/// `iokc serve` — run the embedded HTTP knowledge-explorer service over
-/// the store. Unlike the cycle commands this is a live server, so the
-/// recorder runs on the wall clock; `--serve-ms <n>` bounds the serving
-/// window (useful for scripted smoke tests), otherwise the server runs
-/// until the process is killed.
 /// `iokc fsck [--repair]` — offline integrity check of the knowledge
-/// base image, its backup generation, and (with `--journal <path>`) an
-/// event journal's tail. Reports findings on stdout; with `--repair` it
-/// fixes what it can (restore a generation, drop orphan rows, salvage a
-/// torn journal tail). Exits 5 (corrupt) while unrepaired damage
-/// remains, so scripts can gate on the exit code.
+/// base: its manifest, the active generation's log, the sealed segments
+/// and (with `--journal <path>`) an event journal's tail. Reports
+/// findings on stdout; with `--repair` it fixes what it can (truncate a
+/// torn log or journal tail, drop orphan rows, sweep stray files) and
+/// never touches a store whose manifest does not verify. Exits 5
+/// (corrupt) while unrepaired damage remains, so scripts can gate on the
+/// exit code.
 fn cmd_fsck(opts: &Options) -> Result<(), CliError> {
     let fsck_opts = iokc_store::FsckOptions {
         repair: opts.repair,
@@ -762,6 +759,11 @@ fn cmd_compact(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `iokc serve` — run the embedded HTTP knowledge-explorer service over
+/// the store. Unlike the cycle commands this is a live server, so the
+/// recorder runs on the wall clock; `--serve-ms <n>` bounds the serving
+/// window (useful for scripted smoke tests), otherwise the server runs
+/// until the process is killed.
 fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     // Serving must survive a damaged image: fall back to a read-only
     // store over the empty schema rather than refusing to start, and let

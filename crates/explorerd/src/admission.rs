@@ -27,7 +27,6 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -151,7 +150,6 @@ pub struct Admission {
     config: AdmissionConfig,
     peers: PeerTable,
     breaker: Mutex<BreakerState>,
-    queue_depth: AtomicUsize,
     queue_capacity: usize,
     peer_capped: Counter,
     rate_limited: Counter,
@@ -177,7 +175,6 @@ impl Admission {
             config,
             peers: Arc::new(Mutex::new(HashMap::new())),
             breaker: Mutex::new(BreakerState::Closed { failures: 0 }),
-            queue_depth: AtomicUsize::new(0),
             queue_capacity: queue_capacity.max(1),
             peer_capped: metrics.counter("explorerd.admission.peer_capped"),
             rate_limited: metrics.counter("explorerd.admission.rate_limited"),
@@ -217,35 +214,17 @@ impl Admission {
         })
     }
 
-    /// One connection left the accept queue for a worker.
-    pub fn note_dequeued(&self) {
-        // Saturating: a shed path may never have queued.
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
-                Some(d.saturating_sub(1))
-            });
-    }
-
-    /// One connection entered the accept queue.
-    pub fn note_queued(&self) {
-        self.queue_depth.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Connections currently waiting in the accept queue (mirror).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::SeqCst)
-    }
-
     /// Decide one parsed request. `degraded` is the store's current
     /// health (a degraded store forces the breaker open for expensive
-    /// endpoints).
+    /// endpoints); `queued` is the handler pool's backlog right now
+    /// ([`HandlerPool::queued`](crate::HandlerPool::queued)), read from
+    /// the queue itself so that no mirror of it can drift.
     pub fn admit_request(
         &self,
         peer: Option<IpAddr>,
         class: EndpointClass,
         degraded: bool,
+        queued: usize,
     ) -> AdmitDecision {
         if class == EndpointClass::Critical {
             return AdmitDecision::Admit;
@@ -260,7 +239,7 @@ impl Admission {
             // Priority shedding: a backlogged queue (over half full)
             // means workers are saturated — stop paying for fan-out
             // renders before touching cheap requests.
-            if self.queue_depth() * 2 > self.queue_capacity {
+            if queued * 2 > self.queue_capacity {
                 self.shed_expensive.inc();
                 return AdmitDecision::ShedExpensive {
                     retry_after_secs: 1,
@@ -428,6 +407,7 @@ impl Drop for ConnPermit {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::HandlerPool;
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::from([127, 0, 0, last])
@@ -480,14 +460,14 @@ mod tests {
         );
         let peer = Some(ip(1));
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Normal, false),
+            admission.admit_request(peer, EndpointClass::Normal, false, 0),
             AdmitDecision::Admit
         );
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Normal, false),
+            admission.admit_request(peer, EndpointClass::Normal, false, 0),
             AdmitDecision::Admit
         );
-        let refused = admission.admit_request(peer, EndpointClass::Normal, false);
+        let refused = admission.admit_request(peer, EndpointClass::Normal, false, 0);
         assert!(
             matches!(refused, AdmitDecision::RateLimited { .. }),
             "burst of 2 exhausted, got {refused:?}"
@@ -499,7 +479,7 @@ mod tests {
         );
         // Critical endpoints bypass the bucket entirely.
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Critical, false),
+            admission.admit_request(peer, EndpointClass::Critical, false, 0),
             AdmitDecision::Admit
         );
     }
@@ -507,31 +487,53 @@ mod tests {
     #[test]
     fn backlog_sheds_expensive_first() {
         let admission = controller(AdmissionConfig::default(), 4);
-        for _ in 0..3 {
-            admission.note_queued();
-        }
         assert!(matches!(
-            admission.admit_request(Some(ip(1)), EndpointClass::Expensive, false),
+            admission.admit_request(Some(ip(1)), EndpointClass::Expensive, false, 3),
             AdmitDecision::ShedExpensive { .. }
         ));
         assert_eq!(
-            admission.admit_request(Some(ip(1)), EndpointClass::Normal, false),
+            admission.admit_request(Some(ip(1)), EndpointClass::Normal, false, 3),
             AdmitDecision::Admit,
             "cheap endpoints still served"
         );
-        admission.note_dequeued();
-        admission.note_dequeued();
         assert_eq!(
-            admission.admit_request(Some(ip(1)), EndpointClass::Expensive, false),
+            admission.admit_request(Some(ip(1)), EndpointClass::Expensive, false, 1),
             AdmitDecision::Admit,
             "backlog cleared"
         );
     }
 
+    /// A handler may take a job before `try_submit` has returned to the
+    /// reactor. The backlog is read from the queue, so such a job leaves
+    /// nothing behind, and an idle server with a one-slot queue still
+    /// admits expensive requests.
+    #[test]
+    fn a_job_taken_before_its_submit_returns_leaves_no_backlog() {
+        let admission = controller(AdmissionConfig::default(), 1);
+        let pool: HandlerPool<u32, u32> = HandlerPool::new(1, 1, || {}, |n| n);
+        for n in 0..3 {
+            pool.try_submit(n).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while pool.drain_completions().is_empty() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                admission.admit_request(
+                    Some(ip(1)),
+                    EndpointClass::Expensive,
+                    false,
+                    pool.queued()
+                ),
+                AdmitDecision::Admit
+            );
+        }
+        pool.shutdown();
+    }
+
     #[test]
     fn degraded_store_forces_breaker_for_expensive_only() {
         let admission = controller(AdmissionConfig::default(), 8);
-        let refused = admission.admit_request(Some(ip(1)), EndpointClass::Expensive, true);
+        let refused = admission.admit_request(Some(ip(1)), EndpointClass::Expensive, true, 0);
         assert!(matches!(refused, AdmitDecision::BreakerOpen { .. }));
         assert_eq!(
             refused.retry_after_secs(),
@@ -539,11 +541,11 @@ mod tests {
             "degraded store with a closed breaker hints one full cooldown"
         );
         assert_eq!(
-            admission.admit_request(Some(ip(1)), EndpointClass::Normal, true),
+            admission.admit_request(Some(ip(1)), EndpointClass::Normal, true, 0),
             AdmitDecision::Admit
         );
         assert_eq!(
-            admission.admit_request(Some(ip(1)), EndpointClass::Critical, true),
+            admission.admit_request(Some(ip(1)), EndpointClass::Critical, true, 0),
             AdmitDecision::Admit
         );
     }
@@ -569,7 +571,7 @@ mod tests {
             admission.record_outcome(EndpointClass::Expensive, false);
         }
         assert!(admission.breaker_open());
-        let refused = admission.admit_request(peer, EndpointClass::Expensive, false);
+        let refused = admission.admit_request(peer, EndpointClass::Expensive, false, 0);
         assert!(matches!(refused, AdmitDecision::BreakerOpen { .. }));
         assert_eq!(
             refused.retry_after_secs(),
@@ -578,13 +580,13 @@ mod tests {
         );
         // Normal traffic is untouched by the breaker.
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Normal, false),
+            admission.admit_request(peer, EndpointClass::Normal, false, 0),
             AdmitDecision::Admit
         );
         std::thread::sleep(Duration::from_millis(25));
         // Cooldown over: a probe is admitted; its success closes.
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Expensive, false),
+            admission.admit_request(peer, EndpointClass::Expensive, false, 0),
             AdmitDecision::Admit
         );
         admission.record_outcome(EndpointClass::Expensive, true);
@@ -604,10 +606,10 @@ mod tests {
         );
         let peer = Some(ip(9));
         assert_eq!(
-            admission.admit_request(peer, EndpointClass::Normal, false),
+            admission.admit_request(peer, EndpointClass::Normal, false, 0),
             AdmitDecision::Admit
         );
-        let refused = admission.admit_request(peer, EndpointClass::Normal, false);
+        let refused = admission.admit_request(peer, EndpointClass::Normal, false, 0);
         let Some(secs) = refused.retry_after_secs() else {
             panic!("empty bucket must refuse, got {refused:?}");
         };
@@ -627,7 +629,7 @@ mod tests {
         let _a = admission.admit_conn(None).unwrap();
         let _b = admission.admit_conn(None).unwrap();
         assert_eq!(
-            admission.admit_request(None, EndpointClass::Normal, false),
+            admission.admit_request(None, EndpointClass::Normal, false, 0),
             AdmitDecision::Admit
         );
     }

@@ -67,5 +67,5 @@ pub use pool::HandlerPool;
 pub use server::{Server, ServerConfig};
 pub use service::Explorer;
 pub use transport::{
-    Conn, FaultTransport, NetFaultPlan, PollSlot, Poller, StdTransport, Transport, Waker,
+    Conn, FaultTransport, NetFault, PollSlot, Poller, StdTransport, Transport, Waker,
 };

@@ -251,7 +251,6 @@ impl Reactor {
                 config.queue,
                 move || waker.wake(),
                 move |job: Job| {
-                    admission.note_dequeued();
                     let class = classify(&job.request.path);
                     let deadline = DeadlineToken::with_budget(cancel.clone(), budget);
                     let response = explorer.handle(&job.request, &deadline);
@@ -665,9 +664,10 @@ fn dispatch(
 ) -> bool {
     let keep_alive = req.keep_alive && !ctx.cancel.is_cancelled();
     let class = classify(&req.path);
+    let degraded = ctx.explorer.store_degraded();
     match ctx
         .admission
-        .admit_request(conn.peer, class, ctx.explorer.store_degraded())
+        .admit_request(conn.peer, class, degraded, pool.queued())
     {
         AdmitDecision::Admit => {
             conn.keep_alive_after_write = keep_alive;
@@ -676,7 +676,6 @@ fn dispatch(
                 request: req,
             }) {
                 Ok(()) => {
-                    ctx.admission.note_queued();
                     conn.phase = Phase::Dispatched;
                     false
                 }

@@ -8,24 +8,23 @@
 //! tested exhaustively, every byte the server reads from or writes to a
 //! client flows through a [`Conn`] produced by the server's
 //! [`Transport`]. Production wraps raw [`TcpStream`]s unchanged; the
-//! chaos suite substitutes a [`FaultTransport`] whose [`NetFaultPlan`]
-//! injects short reads/writes, RST-style resets, mid-response stalls,
-//! slow-trickle bodies and connection drops at *op-indexed* points —
-//! the op counter is global across every connection the transport
-//! wraps, so one seeded plan exercises an entire mixed workload
-//! reproducibly. Injected faults are counted and surface as
+//! chaos suite substitutes a [`FaultTransport`] whose [`FaultPlan`] (the
+//! plan type `FaultVfs` runs) injects short reads/writes, RST-style
+//! resets, mid-response stalls, slow-trickle bodies and connection drops
+//! at *op-indexed* points — the op counter is global across every
+//! connection the transport wraps, so one seeded plan exercises an
+//! entire mixed workload reproducibly. Injected faults are counted and surface as
 //! `explorerd.faults_injected` once a counter is attached.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use iokc_obs::Counter;
-use iokc_store::vfs::scatter_faults;
+use iokc_store::FaultPlan;
 
 /// One bidirectional client connection, as the server sees it.
 ///
@@ -107,183 +106,80 @@ impl Transport for StdTransport {
     }
 }
 
-/// A deterministic plan of socket faults, keyed by the transport's
-/// global op counter (each `read` and `write` call is one op, across
-/// all connections in acceptance order).
-#[derive(Debug, Clone, Default)]
-pub struct NetFaultPlan {
-    /// Ops at which a read delivers at most one byte.
-    pub short_read_ops: BTreeSet<u64>,
-    /// Ops at which a write persists only half the buffer, then fails —
-    /// the torn-response case.
-    pub short_write_ops: BTreeSet<u64>,
-    /// Ops at which a read fails with `ECONNRESET` (peer sent RST).
-    pub reset_read_ops: BTreeSet<u64>,
-    /// Ops at which a write fails with `ECONNRESET`.
-    pub reset_write_ops: BTreeSet<u64>,
-    /// Ops that stall for [`NetFaultPlan::stall`] before proceeding —
-    /// a mid-response hiccup, not a failure.
-    pub stall_ops: BTreeSet<u64>,
-    /// Ops at which a write delivers a single byte (slow-trickle body;
-    /// the caller's `write_all` loop continues with later ops).
-    pub trickle_ops: BTreeSet<u64>,
-    /// Ops at which the connection drops entirely: both directions are
-    /// shut down and every later op on that connection fails.
-    pub drop_ops: BTreeSet<u64>,
-    /// How long a stalled op sleeps (zero by default; tests pick tens
-    /// of milliseconds so suites stay fast).
-    pub stall: Duration,
+/// What a [`FaultPlan`] can make a socket under [`FaultTransport`] do,
+/// keyed by the transport's global op counter (each `read` and `write`
+/// call is one op, across all connections in acceptance order). On one
+/// op a stall comes first (the op then proceeds), then a drop, then a
+/// reset, then a short read, or a short write before a trickle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum NetFault {
+    /// A read delivers at most one byte.
+    ShortRead,
+    /// A write persists only half the buffer, then fails — the
+    /// torn-response case.
+    ShortWrite,
+    /// A read fails with `ECONNRESET` (peer sent RST).
+    ResetRead,
+    /// A write fails with `ECONNRESET`.
+    ResetWrite,
+    /// The op sleeps 10 ms before proceeding — a mid-response hiccup,
+    /// not a failure.
+    Stall,
+    /// A write delivers a single byte (slow-trickle body; the caller's
+    /// `write_all` loop continues with later ops).
+    Trickle,
+    /// The connection drops entirely: both directions are shut down and
+    /// every later op on that connection fails.
+    Drop,
 }
 
-impl NetFaultPlan {
-    /// No faults: behaves exactly like [`StdTransport`].
-    #[must_use]
-    pub fn none() -> NetFaultPlan {
-        NetFaultPlan::default()
-    }
-
-    /// A short read at op `op`.
-    #[must_use]
-    pub fn short_read_at(op: u64) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        plan.short_read_ops.insert(op);
-        plan
-    }
-
-    /// A torn (half-then-fail) write at op `op`.
-    #[must_use]
-    pub fn short_write_at(op: u64) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        plan.short_write_ops.insert(op);
-        plan
-    }
-
-    /// A connection reset on read at op `op`.
-    #[must_use]
-    pub fn reset_read_at(op: u64) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        plan.reset_read_ops.insert(op);
-        plan
-    }
-
-    /// A connection reset on write at op `op`.
-    #[must_use]
-    pub fn reset_write_at(op: u64) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        plan.reset_write_ops.insert(op);
-        plan
-    }
-
-    /// A stall of `stall` at op `op`.
-    #[must_use]
-    pub fn stall_at(op: u64, stall: Duration) -> NetFaultPlan {
-        let mut plan = NetFaultPlan {
-            stall,
-            ..NetFaultPlan::default()
-        };
-        plan.stall_ops.insert(op);
-        plan
-    }
-
-    /// A full connection drop at op `op`.
-    #[must_use]
-    pub fn drop_at(op: u64) -> NetFaultPlan {
-        let mut plan = NetFaultPlan::default();
-        plan.drop_ops.insert(op);
-        plan
-    }
-
-    /// A reproducible chaos plan: scatter `faults` fault points over the
-    /// op range `0..horizon`, drawn from the seeded stream `store::vfs`
-    /// uses ([`scatter_faults`]), so a failing seed prints in one number
-    /// and replays exactly.
-    #[must_use]
-    pub fn seeded_chaos(seed: u64, horizon: u64, faults: usize) -> NetFaultPlan {
-        let mut plan = NetFaultPlan {
-            stall: Duration::from_millis(30),
-            ..NetFaultPlan::default()
-        };
-        scatter_faults(seed, horizon, faults, 7, |op, bucket| match bucket {
-            0 => plan.short_read_ops.insert(op),
-            1 => plan.short_write_ops.insert(op),
-            2 => plan.reset_read_ops.insert(op),
-            3 => plan.reset_write_ops.insert(op),
-            4 => plan.stall_ops.insert(op),
-            5 => plan.trickle_ops.insert(op),
-            _ => plan.drop_ops.insert(op),
-        });
-        plan
-    }
+impl NetFault {
+    /// Every kind, in the order a seeded chaos plan's seed draws them.
+    pub const ALL: [NetFault; 7] = [
+        NetFault::ShortRead,
+        NetFault::ShortWrite,
+        NetFault::ResetRead,
+        NetFault::ResetWrite,
+        NetFault::Stall,
+        NetFault::Trickle,
+        NetFault::Drop,
+    ];
 }
 
-/// Shared transport state: the global op counter, the injected-fault
-/// tally, and the optional obs counter the tally mirrors into.
-#[derive(Debug, Default)]
-struct FaultState {
-    ops: AtomicU64,
-    faults: AtomicU64,
-    counter: Mutex<Option<Counter>>,
-}
-
-impl FaultState {
-    fn next_op(&self) -> u64 {
-        self.ops.fetch_add(1, Ordering::SeqCst)
-    }
-
-    fn fault(&self) {
-        self.faults.fetch_add(1, Ordering::SeqCst);
-        if let Ok(counter) = self.counter.lock() {
-            if let Some(counter) = counter.as_ref() {
-                counter.inc();
-            }
-        }
-    }
-}
+/// How long a [`NetFault::Stall`] sleeps.
+const STALL: Duration = Duration::from_millis(10);
 
 /// The fault-injecting transport: wraps every accepted socket in a
-/// [`Conn`] that consults the shared [`NetFaultPlan`] on each op.
+/// [`Conn`] that consults the shared [`FaultPlan`] on each op.
 ///
 /// Clones share state, so a test can keep one handle for assertions
 /// while the server owns another.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTransport {
-    plan: Arc<NetFaultPlan>,
-    state: Arc<FaultState>,
+    plan: Arc<FaultPlan<NetFault>>,
+    ops: Arc<AtomicU64>,
 }
 
 impl FaultTransport {
     /// A transport executing `plan`.
     #[must_use]
-    pub fn new(plan: NetFaultPlan) -> FaultTransport {
+    pub fn new(plan: FaultPlan<NetFault>) -> FaultTransport {
         FaultTransport {
             plan: Arc::new(plan),
-            state: Arc::new(FaultState::default()),
+            ops: Arc::default(),
         }
     }
 
     /// Socket ops performed so far (reads + writes, all connections).
     #[must_use]
     pub fn op_count(&self) -> u64 {
-        self.state.ops.load(Ordering::SeqCst)
+        self.ops.load(Ordering::SeqCst)
     }
 
     /// Faults injected so far.
     #[must_use]
     pub fn faults_injected(&self) -> u64 {
-        self.state.faults.load(Ordering::SeqCst)
-    }
-
-    /// Mirror the fault tally into `counter` (`explorerd.faults_injected`
-    /// when the server attaches it). Faults injected before attachment
-    /// are backfilled, so the counter never under-reports.
-    pub fn attach_fault_counter(&self, counter: Counter) {
-        let already = self.state.faults.load(Ordering::SeqCst);
-        if already > counter.get() {
-            counter.add(already - counter.get());
-        }
-        if let Ok(mut slot) = self.state.counter.lock() {
-            *slot = Some(counter);
-        }
+        self.plan.fired()
     }
 }
 
@@ -292,25 +188,36 @@ impl Transport for FaultTransport {
         Box::new(FaultConn {
             stream,
             plan: Arc::clone(&self.plan),
-            state: Arc::clone(&self.state),
+            ops: Arc::clone(&self.ops),
             dropped: false,
         })
     }
 
+    /// Faults injected before attachment are backfilled, so the counter
+    /// never under-reports.
     fn attach_fault_counter(&self, counter: Counter) {
-        FaultTransport::attach_fault_counter(self, counter);
+        self.plan.attach_counter(counter);
     }
 }
 
 /// One fault-wrapped connection.
 struct FaultConn {
     stream: TcpStream,
-    plan: Arc<NetFaultPlan>,
-    state: Arc<FaultState>,
+    plan: Arc<FaultPlan<NetFault>>,
+    ops: Arc<AtomicU64>,
     dropped: bool,
 }
 
 impl FaultConn {
+    /// Count one op, and serve a stall planned at it.
+    fn next_op(&self) -> u64 {
+        let op = self.ops.fetch_add(1, Ordering::SeqCst);
+        if self.plan.fires(op, NetFault::Stall) {
+            std::thread::sleep(STALL);
+        }
+        op
+    }
+
     /// Drop the connection: shut both directions and poison every
     /// later op.
     fn drop_conn(&mut self) -> io::Error {
@@ -328,25 +235,18 @@ impl Read for FaultConn {
                 "connection already dropped",
             ));
         }
-        let op = self.state.next_op();
-        if self.plan.stall_ops.contains(&op) {
-            self.state.fault();
-            std::thread::sleep(self.plan.stall);
-        }
-        if self.plan.drop_ops.contains(&op) {
-            self.state.fault();
+        let op = self.next_op();
+        if self.plan.fires(op, NetFault::Drop) {
             return Err(self.drop_conn());
         }
-        if self.plan.reset_read_ops.contains(&op) {
-            self.state.fault();
+        if self.plan.fires(op, NetFault::ResetRead) {
             let _ = self.stream.shutdown(Shutdown::Both);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "injected reset on read",
             ));
         }
-        if self.plan.short_read_ops.contains(&op) && buf.len() > 1 {
-            self.state.fault();
+        if buf.len() > 1 && self.plan.fires(op, NetFault::ShortRead) {
             return self.stream.read(&mut buf[..1]);
         }
         self.stream.read(buf)
@@ -361,28 +261,21 @@ impl Write for FaultConn {
                 "connection already dropped",
             ));
         }
-        let op = self.state.next_op();
-        if self.plan.stall_ops.contains(&op) {
-            self.state.fault();
-            std::thread::sleep(self.plan.stall);
-        }
-        if self.plan.drop_ops.contains(&op) {
-            self.state.fault();
+        let op = self.next_op();
+        if self.plan.fires(op, NetFault::Drop) {
             return Err(self.drop_conn());
         }
-        if self.plan.reset_write_ops.contains(&op) {
-            self.state.fault();
+        if self.plan.fires(op, NetFault::ResetWrite) {
             let _ = self.stream.shutdown(Shutdown::Both);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "injected reset on write",
             ));
         }
-        if self.plan.short_write_ops.contains(&op) && data.len() > 1 {
+        if data.len() > 1 && self.plan.fires(op, NetFault::ShortWrite) {
             // The torn write: half the bytes reach the wire, then the
             // call fails — the caller must treat the response as
             // unsalvageable and close.
-            self.state.fault();
             let half = data.len() / 2;
             self.stream.write_all(&data[..half])?;
             return Err(io::Error::new(
@@ -390,10 +283,9 @@ impl Write for FaultConn {
                 "injected short write",
             ));
         }
-        if self.plan.trickle_ops.contains(&op) && data.len() > 1 {
+        if data.len() > 1 && self.plan.fires(op, NetFault::Trickle) {
             // Slow trickle: deliver one byte; the caller's write_all
             // loop continues, each continuation being a fresh op.
-            self.state.fault();
             return self.stream.write(&data[..1]);
         }
         self.stream.write(data)
@@ -730,7 +622,7 @@ mod tests {
     #[test]
     fn short_read_delivers_one_byte_and_counts() {
         let (server, mut client) = pair();
-        let transport = FaultTransport::new(NetFaultPlan::short_read_at(0));
+        let transport = FaultTransport::new(FaultPlan::at(0, NetFault::ShortRead));
         let mut conn = transport.wrap(server);
         client.write_all(b"abcdef").unwrap();
         let mut buf = [0u8; 6];
@@ -744,7 +636,7 @@ mod tests {
     #[test]
     fn torn_write_sends_half_then_fails() {
         let (server, mut client) = pair();
-        let transport = FaultTransport::new(NetFaultPlan::short_write_at(0));
+        let transport = FaultTransport::new(FaultPlan::at(0, NetFault::ShortWrite));
         let mut conn = transport.wrap(server);
         let err = conn.write(b"0123456789").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
@@ -758,7 +650,7 @@ mod tests {
     #[test]
     fn reset_and_drop_poison_the_connection() {
         let (server, _client) = pair();
-        let transport = FaultTransport::new(NetFaultPlan::drop_at(0));
+        let transport = FaultTransport::new(FaultPlan::at(0, NetFault::Drop));
         let mut conn = transport.wrap(server);
         let err = conn.write(b"xx").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
@@ -770,7 +662,7 @@ mod tests {
         assert_eq!(transport.faults_injected(), 1);
 
         let (server, _client2) = pair();
-        let transport = FaultTransport::new(NetFaultPlan::reset_read_at(0));
+        let transport = FaultTransport::new(FaultPlan::at(0, NetFault::ResetRead));
         let mut conn = transport.wrap(server);
         let err = conn.read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
@@ -779,10 +671,8 @@ mod tests {
     #[test]
     fn trickle_delivers_one_byte_per_op() {
         let (server, mut client) = pair();
-        let mut plan = NetFaultPlan::default();
-        plan.trickle_ops.insert(0);
-        plan.trickle_ops.insert(1);
-        let transport = FaultTransport::new(plan);
+        let plan = [(0, NetFault::Trickle), (1, NetFault::Trickle)];
+        let transport = FaultTransport::new(FaultPlan::from_iter(plan));
         let mut conn = transport.wrap(server);
         conn.write_all(b"abc").unwrap();
         drop(conn);
@@ -825,44 +715,59 @@ mod tests {
 
     #[test]
     fn seeded_chaos_is_reproducible_and_counter_backfills() {
-        let a = NetFaultPlan::seeded_chaos(42, 100, 12);
-        let b = NetFaultPlan::seeded_chaos(42, 100, 12);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        // Not 43: the generator ors the low bit in, so 42 and 43 are
-        // the same seed stream.
-        let c = NetFaultPlan::seeded_chaos(1234, 100, 12);
-        assert_ne!(format!("{a:?}"), format!("{c:?}"));
-        let total = a.short_read_ops.len()
-            + a.short_write_ops.len()
-            + a.reset_read_ops.len()
-            + a.reset_write_ops.len()
-            + a.stall_ops.len()
-            + a.trickle_ops.len()
-            + a.drop_ops.len();
-        assert_eq!(total, 12);
+        let plan = |seed| {
+            let plan = FaultPlan::seeded(seed, 100, 12, &NetFault::ALL);
+            plan.points().collect::<Vec<_>>()
+        };
+        assert_eq!(plan(42), plan(42));
         // Pinned: a recorded failing seed must keep replaying the plan
-        // it failed under.
+        // it failed under. The second seed is not 43: the generator ors
+        // the low bit in, so 42 and 43 are the same seed stream.
+        use NetFault::{ResetRead, ResetWrite, ShortRead, ShortWrite, Stall, Trickle};
         assert_eq!(
-            format!("{a:?}"),
-            "NetFaultPlan { short_read_ops: {}, short_write_ops: {51, 99}, reset_read_ops: {73}, \
-             reset_write_ops: {76, 87}, stall_ops: {19, 27, 33, 53, 99}, trickle_ops: {10, 46}, \
-             drop_ops: {}, stall: 30ms }"
+            plan(42),
+            [
+                (10, Trickle),
+                (19, Stall),
+                (27, Stall),
+                (33, Stall),
+                (46, Trickle),
+                (51, ShortWrite),
+                (53, Stall),
+                (73, ResetRead),
+                (76, ResetWrite),
+                (87, ResetWrite),
+                (99, ShortWrite),
+                (99, Stall),
+            ]
         );
         assert_eq!(
-            format!("{c:?}"),
-            "NetFaultPlan { short_read_ops: {18, 74}, short_write_ops: {10, 96}, \
-             reset_read_ops: {70}, reset_write_ops: {5, 16, 23, 61}, stall_ops: {67}, \
-             trickle_ops: {5, 48}, drop_ops: {}, stall: 30ms }"
+            plan(1234),
+            [
+                (5, ResetWrite),
+                (5, Trickle),
+                (10, ShortWrite),
+                (16, ResetWrite),
+                (18, ShortRead),
+                (23, ResetWrite),
+                (48, Trickle),
+                (61, ResetWrite),
+                (67, Stall),
+                (70, ResetRead),
+                (74, ShortRead),
+                (96, ShortWrite),
+            ]
         );
 
         // Counter attach backfills faults injected before attachment.
         let (server, _client) = pair();
-        let transport = FaultTransport::new(NetFaultPlan::drop_at(0));
+        let transport = FaultTransport::new(FaultPlan::at(0, NetFault::Drop));
         let mut conn = transport.wrap(server);
         let _ = conn.write(b"xx");
         assert_eq!(transport.faults_injected(), 1);
         let counter = Counter::default();
         transport.attach_fault_counter(counter.clone());
-        assert_eq!(counter.get(), 1);
+        transport.attach_fault_counter(counter.clone());
+        assert_eq!(counter.get(), 1, "backfilled exactly once");
     }
 }

@@ -390,7 +390,8 @@ mod tests {
 
     #[test]
     fn torn_tail_repair_survives_a_failed_truncate() {
-        use crate::vfs::{FaultPlan, FaultVfs};
+        use crate::vfs::{DiskFault, FaultVfs};
+        use crate::FaultPlan;
         let path = Path::new("/j");
         // Build a torn journal image under the in-memory vfs.
         let pristine = FaultVfs::pristine();
@@ -404,7 +405,8 @@ mod tests {
         let image = pristine.durable_state();
         // First repair attempt dies on the truncating set_len (reads are
         // not mutating ops, so the set_len is op 0)...
-        let failing = FaultVfs::from_state_with_plan(image.clone(), FaultPlan::eio_at(0));
+        let failing =
+            FaultVfs::from_state_with_plan(image.clone(), FaultPlan::at(0, DiskFault::Eio));
         assert!(truncate_torn_tail_vfs(path, &failing).is_err());
         // ...and a clean retry over the same disk state succeeds, after
         // which a further invocation is a no-op.

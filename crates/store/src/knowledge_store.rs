@@ -1903,7 +1903,8 @@ mod tests {
 
     mod robustness {
         use super::*;
-        use crate::vfs::{FaultPlan, FaultVfs, Vfs};
+        use crate::vfs::{DiskFault, FaultVfs, Vfs};
+        use crate::FaultPlan;
         use std::path::PathBuf;
         use std::sync::Arc;
 
@@ -1938,7 +1939,7 @@ mod tests {
             assert!(end > start);
 
             for op in start..end {
-                let vfs = Arc::new(FaultVfs::new(FaultPlan::enospc_at(op)));
+                let vfs = Arc::new(FaultVfs::new(FaultPlan::at(op, DiskFault::Enospc)));
                 let mut store =
                     KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
                 store.save_knowledge(&cmd_knowledge(0)).unwrap();
@@ -2016,12 +2017,12 @@ mod tests {
             assert_eq!(probe.op_count(), write + 2);
 
             for plan in [
-                FaultPlan::short_write_at(write),
-                FaultPlan::eio_at(write),
-                FaultPlan::eio_at(write + 1),
-                FaultPlan::fail_fsync(fsync),
+                (write, DiskFault::ShortWrite),
+                (write, DiskFault::Eio),
+                (write + 1, DiskFault::Eio),
+                (fsync, DiskFault::FailSync),
             ] {
-                let vfs = Arc::new(FaultVfs::new(plan.clone()));
+                let vfs = Arc::new(FaultVfs::new(FaultPlan::from_iter([plan])));
                 let mut store =
                     KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
                 store.save_knowledge(&cmd_knowledge(0)).unwrap();
@@ -2056,10 +2057,10 @@ mod tests {
             store.save_knowledge(&cmd_knowledge(0)).unwrap();
             let write = probe.op_count();
             // The fsync fails, and so does the truncate that follows it.
-            let vfs = Arc::new(FaultVfs::new(FaultPlan {
-                eio_ops: BTreeSet::from([write + 1, write + 2]),
-                ..FaultPlan::default()
-            }));
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::from_iter([
+                (write + 1, DiskFault::Eio),
+                (write + 2, DiskFault::Eio),
+            ])));
             let mut store =
                 KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
             store.save_knowledge(&cmd_knowledge(0)).unwrap();
@@ -2100,7 +2101,10 @@ mod tests {
             open_sealing_every_two(&probe)
                 .save_batch(&cmd_batch(2))
                 .unwrap();
-            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count())));
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::at(
+                probe.op_count(),
+                DiskFault::Eio,
+            )));
             let mut store = open_sealing_every_two(&vfs);
             let generation = store.generation();
             assert!(store.save_batch(&cmd_batch(3)).is_err());
@@ -2119,7 +2123,10 @@ mod tests {
             let mut store = open_sealing_every_two(&probe);
             store.save_batch(&cmd_batch(2)).unwrap();
             assert!(store.delete_knowledge(1).unwrap());
-            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count() - 1)));
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::at(
+                probe.op_count() - 1,
+                DiskFault::Eio,
+            )));
             let mut store = open_sealing_every_two(&vfs);
             store.save_batch(&cmd_batch(2)).unwrap();
             let generation = store.generation();
@@ -2127,7 +2134,10 @@ mod tests {
             assert_eq!(store.knowledge_count(), 1);
             assert!(store.generation() > generation);
             // A delete that fails before the rename changes nothing.
-            let vfs = Arc::new(FaultVfs::new(FaultPlan::eio_at(probe.op_count() - 2)));
+            let vfs = Arc::new(FaultVfs::new(FaultPlan::at(
+                probe.op_count() - 2,
+                DiskFault::Eio,
+            )));
             let mut store = open_sealing_every_two(&vfs);
             store.save_batch(&cmd_batch(2)).unwrap();
             assert!(store.delete_knowledge(1).is_err());
@@ -2233,7 +2243,7 @@ mod tests {
                 #![proptest_config(ProptestConfig::with_cases(24))]
                 #[test]
                 fn crash_at_any_fsync_recovers_an_acknowledged_prefix(crash_sync in 0u64..24) {
-                    let vfs = Arc::new(FaultVfs::new(FaultPlan::crash_at_fsync(crash_sync)));
+                    let vfs = Arc::new(FaultVfs::new(FaultPlan::at(crash_sync, DiskFault::CrashSync)));
                     let mut store =
                         KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
                     let mut acked = 0usize;

@@ -15,6 +15,7 @@
 pub mod aggregate;
 pub mod compaction;
 pub mod database;
+pub mod fault;
 pub mod fsck;
 pub mod journal;
 pub mod knowledge_store;
@@ -32,6 +33,7 @@ pub use aggregate::{
 };
 pub use compaction::{CompactionPlan, CompactionReport};
 pub use database::{Column, Database, DbError, ForeignKey, Row, TableSchema};
+pub use fault::FaultPlan;
 pub use fsck::{fsck, FsckFinding, FsckOptions, FsckReport};
 pub use iokc_obs::DeadlineToken;
 pub use journal::{
@@ -42,4 +44,4 @@ pub use persist::{classify_io_error, export_csv};
 pub use query::{OpStat, Query, RunCursor, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
 pub use segment::{Segment, SegmentMeta};
 pub use value::{ColumnType, Value};
-pub use vfs::{FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
+pub use vfs::{DiskFault, FaultVfs, StdVfs, Vfs, VfsFile};

@@ -38,7 +38,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use crate::fault::FaultPlan;
 
 /// An open writable file handle, abstracted over the backing store.
 pub trait VfsFile: Send {
@@ -147,141 +149,35 @@ impl Vfs for StdVfs {
     }
 }
 
-/// A reproducible fault schedule for [`FaultVfs`].
-///
-/// Faults are keyed by the VFS's global *operation counter* — every
+/// What a [`FaultPlan`] can make the disk under [`FaultVfs`] do. The
+/// first four kinds are keyed by the *operation counter* — every
 /// mutating call (create, write, sync, rename, truncate, remove,
-/// directory sync) increments it by one — and by the *sync counter*,
-/// which counts only durability barriers. Keying by position makes a
-/// plan deterministic: the same plan over the same workload injects the
-/// same faults at the same instants, every run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Operations that fail with `ErrorKind::StorageFull` (ENOSPC).
-    pub enospc_ops: BTreeSet<u64>,
-    /// Operations that fail with an EIO-style error.
-    pub eio_ops: BTreeSet<u64>,
-    /// Write operations that tear: half the payload lands, then the
-    /// write reports `ErrorKind::WriteZero`.
-    pub short_write_ops: BTreeSet<u64>,
-    /// Sync operations (by sync counter) that fail with EIO without
-    /// advancing durability.
-    pub fail_syncs: BTreeSet<u64>,
-    /// Power loss when the operation counter reaches this value; every
-    /// operation from there on fails.
-    pub crash_at_op: Option<u64>,
-    /// Power loss at the nth durability barrier (file or directory
-    /// sync), counted from zero.
-    pub crash_at_sync: Option<u64>,
+/// directory sync) counts one — and the last two by the *sync counter*,
+/// which counts only durability barriers. On one operation a crash wins
+/// over EIO, and EIO over ENOSPC; on one sync, a crash wins over a
+/// failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum DiskFault {
+    /// The operation fails with `ErrorKind::StorageFull`.
+    Enospc,
+    /// The operation fails with an EIO-style error.
+    Eio,
+    /// The write tears: half the payload lands, then the write reports
+    /// `ErrorKind::WriteZero`.
+    ShortWrite,
+    /// Power loss at this operation; every operation from there on
+    /// fails.
+    Crash,
+    /// The fsync fails with EIO without advancing durability.
+    FailSync,
+    /// Power loss at this durability barrier (file or directory sync).
+    CrashSync,
 }
 
-impl FaultPlan {
-    /// A plan that injects nothing — [`FaultVfs`] degenerates to a
-    /// faithful in-memory filesystem.
-    #[must_use]
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Power loss when the global operation counter reaches `op`.
-    #[must_use]
-    pub fn crash_at_op(op: u64) -> FaultPlan {
-        FaultPlan {
-            crash_at_op: Some(op),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Power loss at the nth fsync/dir-sync boundary.
-    #[must_use]
-    pub fn crash_at_fsync(n: u64) -> FaultPlan {
-        FaultPlan {
-            crash_at_sync: Some(n),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// ENOSPC on operation `op`.
-    #[must_use]
-    pub fn enospc_at(op: u64) -> FaultPlan {
-        FaultPlan {
-            enospc_ops: BTreeSet::from([op]),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// EIO on operation `op`.
-    #[must_use]
-    pub fn eio_at(op: u64) -> FaultPlan {
-        FaultPlan {
-            eio_ops: BTreeSet::from([op]),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Short (torn) write on operation `op`.
-    #[must_use]
-    pub fn short_write_at(op: u64) -> FaultPlan {
-        FaultPlan {
-            short_write_ops: BTreeSet::from([op]),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Failed fsync at sync counter `n` (durability does not advance).
-    #[must_use]
-    pub fn fail_fsync(n: u64) -> FaultPlan {
-        FaultPlan {
-            fail_syncs: BTreeSet::from([n]),
-            ..FaultPlan::default()
-        }
-    }
-
-    /// A seeded chaos plan: `faults` distinct ENOSPC/EIO/short-write
-    /// injections spread deterministically over the first `horizon`
-    /// operations. The same seed always yields the same plan, so a
-    /// failing chaos run reproduces from its seed alone.
-    #[must_use]
-    pub fn seeded_chaos(seed: u64, horizon: u64, faults: usize) -> FaultPlan {
-        let mut plan = FaultPlan::default();
-        scatter_faults(seed, horizon, faults, 3, |op, bucket| match bucket {
-            0 => plan.enospc_ops.insert(op),
-            1 => plan.eio_ops.insert(op),
-            _ => plan.short_write_ops.insert(op),
-        });
-        plan
-    }
-}
-
-/// The seeded scatter behind every chaos plan (this module's and
-/// explorerd's `NetFaultPlan`): draw `(op, bucket)` points — `op` in
-/// `0..horizon`, `bucket` in `0..buckets` — from a xorshift64* stream
-/// until `place` has accepted `faults` of them. `place` files a point
-/// under its bucket's fault kind and returns whether it was new there.
-/// The stream depends on the seed alone, so a failing seed prints in one
-/// number and replays exactly.
-pub fn scatter_faults(
-    seed: u64,
-    horizon: u64,
-    faults: usize,
-    buckets: u64,
-    mut place: impl FnMut(u64, u64) -> bool,
-) {
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift64* — deterministic, dependency-free.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
-    let mut placed = 0usize;
-    while placed < faults && horizon > 0 {
-        let op = next() % horizon;
-        if place(op, next() % buckets) {
-            placed += 1;
-        }
-    }
+impl DiskFault {
+    /// What a seeded chaos plan scatters over a disk, in the order its
+    /// seed draws them.
+    pub const CHAOS: [DiskFault; 3] = [DiskFault::Enospc, DiskFault::Eio, DiskFault::ShortWrite];
 }
 
 /// The volatile image of one file: its current bytes plus how many of
@@ -318,38 +214,26 @@ struct Inner {
     syncs: u64,
     /// Power has been lost: every further operation fails.
     crashed: bool,
-    /// Faults injected so far.
-    faults: u64,
-    /// Observability handle for `store.faults_injected`.
-    counter: Option<Counter>,
+    /// The faults to inject, and the tally of those injected.
+    plan: FaultPlan<DiskFault>,
 }
 
 impl Inner {
-    fn fault(&mut self) {
-        self.faults += 1;
-        if let Some(counter) = &self.counter {
-            counter.inc();
-        }
-    }
-
     /// Account one mutating operation and apply any op-keyed fault.
-    fn begin_op(&mut self, plan: &FaultPlan) -> Result<u64, io::Error> {
+    fn begin_op(&mut self) -> Result<u64, io::Error> {
         if self.crashed {
             return Err(crash_error());
         }
         let op = self.ops;
         self.ops += 1;
-        if plan.crash_at_op == Some(op) {
+        if self.plan.fires(op, DiskFault::Crash) {
             self.crashed = true;
-            self.fault();
             return Err(crash_error());
         }
-        if plan.eio_ops.contains(&op) {
-            self.fault();
+        if self.plan.fires(op, DiskFault::Eio) {
             return Err(io::Error::other("injected EIO"));
         }
-        if plan.enospc_ops.contains(&op) {
-            self.fault();
+        if self.plan.fires(op, DiskFault::Enospc) {
             return Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 "injected ENOSPC",
@@ -386,20 +270,22 @@ impl Inner {
     }
 
     /// Account one durability barrier and apply any sync-keyed fault.
-    fn begin_sync(&mut self, plan: &FaultPlan) -> Result<(), io::Error> {
+    fn begin_sync(&mut self) -> Result<(), io::Error> {
         let sync = self.syncs;
         self.syncs += 1;
-        if plan.crash_at_sync == Some(sync) {
+        if self.plan.fires(sync, DiskFault::CrashSync) {
             self.crashed = true;
-            self.fault();
             return Err(crash_error());
         }
-        if plan.fail_syncs.contains(&sync) {
-            self.fault();
+        if self.plan.fires(sync, DiskFault::FailSync) {
             return Err(io::Error::other("injected fsync failure"));
         }
         Ok(())
     }
+}
+
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn crash_error() -> io::Error {
@@ -417,24 +303,20 @@ fn not_found(path: &Path) -> io::Error {
 /// crash-state tracking. See the module docs for the durability model.
 #[derive(Debug)]
 pub struct FaultVfs {
-    plan: FaultPlan,
     inner: Arc<Mutex<Inner>>,
 }
 
 impl FaultVfs {
     /// An empty filesystem executing `plan`.
     #[must_use]
-    pub fn new(plan: FaultPlan) -> FaultVfs {
-        FaultVfs {
-            plan,
-            inner: Arc::new(Mutex::new(Inner::default())),
-        }
+    pub fn new(plan: FaultPlan<DiskFault>) -> FaultVfs {
+        FaultVfs::from_state_with_plan(BTreeMap::new(), plan)
     }
 
     /// An empty filesystem with no faults — a faithful in-memory FS.
     #[must_use]
     pub fn pristine() -> FaultVfs {
-        FaultVfs::new(FaultPlan::none())
+        FaultVfs::new(FaultPlan::default())
     }
 
     /// A filesystem booted from a post-crash disk image (as produced by
@@ -442,40 +324,41 @@ impl FaultVfs {
     /// durable views start identical, like a freshly mounted disk.
     #[must_use]
     pub fn from_state(state: BTreeMap<PathBuf, Vec<u8>>) -> FaultVfs {
-        let vfs = FaultVfs::pristine();
-        {
-            let mut inner = vfs.lock();
-            inner.volatile = state
-                .iter()
-                .map(|(path, bytes)| {
-                    (
-                        path.clone(),
-                        FileNode {
-                            bytes: bytes.clone(),
-                            synced_len: bytes.len(),
-                        },
-                    )
-                })
-                .collect();
-            inner.durable = state;
-        }
-        vfs
+        FaultVfs::from_state_with_plan(state, FaultPlan::default())
     }
 
     /// [`FaultVfs::from_state`], but executing `plan` — for
     /// retry-after-failure scenarios over a recovered disk image.
     #[must_use]
-    pub fn from_state_with_plan(state: BTreeMap<PathBuf, Vec<u8>>, plan: FaultPlan) -> FaultVfs {
-        let mut vfs = FaultVfs::from_state(state);
-        vfs.plan = plan;
-        vfs
+    pub fn from_state_with_plan(
+        state: BTreeMap<PathBuf, Vec<u8>>,
+        plan: FaultPlan<DiskFault>,
+    ) -> FaultVfs {
+        let volatile = state
+            .iter()
+            .map(|(path, bytes)| {
+                (
+                    path.clone(),
+                    FileNode {
+                        bytes: bytes.clone(),
+                        synced_len: bytes.len(),
+                    },
+                )
+            })
+            .collect();
+        let inner = Inner {
+            volatile,
+            durable: state,
+            plan,
+            ..Inner::default()
+        };
+        FaultVfs {
+            inner: Arc::new(Mutex::new(inner)),
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.inner)
     }
 
     /// Total mutating operations performed so far.
@@ -550,28 +433,17 @@ impl FaultVfs {
 /// volatile image; `sync` promotes it to durable.
 struct FaultFile {
     path: PathBuf,
-    plan: FaultPlan,
     inner: Arc<Mutex<Inner>>,
-}
-
-impl FaultFile {
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 }
 
 impl VfsFile for FaultFile {
     fn write_all(&mut self, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.lock();
-        let op = inner.begin_op(&self.plan)?;
-        if self.plan.short_write_ops.contains(&op) {
+        let mut inner = lock(&self.inner);
+        let op = inner.begin_op()?;
+        if inner.plan.fires(op, DiskFault::ShortWrite) {
             let half = &data[..data.len() / 2];
             let node = inner.volatile.entry(self.path.clone()).or_default();
             node.bytes.extend_from_slice(half);
-            inner.fault();
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
                 "injected short write",
@@ -587,9 +459,9 @@ impl VfsFile for FaultFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
-        inner.begin_sync(&self.plan)?;
+        let mut inner = lock(&self.inner);
+        inner.begin_op()?;
+        inner.begin_sync()?;
         let bytes = match inner.volatile.get_mut(&self.path) {
             Some(node) => {
                 node.synced_len = node.bytes.len();
@@ -617,21 +489,20 @@ impl Vfs for FaultVfs {
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
+        inner.begin_op()?;
         inner.settle_renames_of(path);
         inner
             .volatile
             .insert(path.to_path_buf(), FileNode::default());
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
-            plan: self.plan.clone(),
             inner: Arc::clone(&self.inner),
         }))
     }
 
     fn append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
+        inner.begin_op()?;
         if !inner.volatile.contains_key(path) {
             inner.settle_renames_of(path);
             inner
@@ -640,7 +511,6 @@ impl Vfs for FaultVfs {
         }
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
-            plan: self.plan.clone(),
             inner: Arc::clone(&self.inner),
         }))
     }
@@ -664,13 +534,13 @@ impl Vfs for FaultVfs {
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
+        inner.begin_op()?;
         let Some(node) = inner.volatile.get_mut(path) else {
             return Err(not_found(path));
         };
         node.bytes.truncate(len as usize);
         // `StdVfs::set_len` syncs the truncation; mirror that.
-        inner.begin_sync(&self.plan)?;
+        inner.begin_sync()?;
         let bytes = match inner.volatile.get_mut(path) {
             Some(node) => {
                 node.synced_len = node.bytes.len();
@@ -684,7 +554,7 @@ impl Vfs for FaultVfs {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
+        inner.begin_op()?;
         let Some(node) = inner.volatile.remove(from) else {
             return Err(not_found(from));
         };
@@ -697,7 +567,7 @@ impl Vfs for FaultVfs {
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
+        inner.begin_op()?;
         if inner.volatile.remove(path).is_none() {
             return Err(not_found(path));
         }
@@ -710,25 +580,19 @@ impl Vfs for FaultVfs {
 
     fn sync_parent_dir(&self, _path: &Path) -> io::Result<()> {
         let mut inner = self.lock();
-        inner.begin_op(&self.plan)?;
-        inner.begin_sync(&self.plan)?;
+        inner.begin_op()?;
+        inner.begin_sync()?;
         let all = inner.pending_renames.len();
         inner.commit_renames(all);
         Ok(())
     }
 
     fn attach_fault_counter(&self, counter: Counter) {
-        let mut inner = self.lock();
-        // Backfill faults injected before the recorder was attached.
-        let seen = counter.get();
-        if inner.faults > seen {
-            counter.add(inner.faults - seen);
-        }
-        inner.counter = Some(counter);
+        self.lock().plan.attach_counter(counter);
     }
 
     fn faults_injected(&self) -> u64 {
-        self.lock().faults
+        self.lock().plan.fired()
     }
 }
 
@@ -775,22 +639,43 @@ mod tests {
     #[test]
     fn enospc_and_short_writes_inject_their_error_kinds() {
         // Op 0 is the create; op 1 the first write.
-        let vfs = FaultVfs::new(FaultPlan::enospc_at(1));
+        let vfs = FaultVfs::new(FaultPlan::at(1, DiskFault::Enospc));
         let mut file = vfs.create(&p("a")).unwrap();
         let err = file.write_all(b"data").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(vfs.faults_injected(), 1);
+        // A fault injected before the counter is attached is backfilled
+        // once, however often the counter is attached.
+        let counter = Counter::default();
+        vfs.attach_fault_counter(counter.clone());
+        vfs.attach_fault_counter(counter.clone());
+        assert_eq!(counter.get(), 1);
 
-        let vfs = FaultVfs::new(FaultPlan::short_write_at(1));
+        let vfs = FaultVfs::new(FaultPlan::at(1, DiskFault::ShortWrite));
+        vfs.attach_fault_counter(counter.clone());
         let mut file = vfs.create(&p("a")).unwrap();
         let err = file.write_all(b"data").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         assert_eq!(vfs.read(&p("a")).unwrap(), b"da", "half landed");
+        assert_eq!(counter.get(), 2);
+
+        // On one operation EIO wins over ENOSPC, and a crash over both.
+        let plan = [(0, DiskFault::Enospc), (0, DiskFault::Eio)];
+        let vfs = FaultVfs::new(FaultPlan::from_iter(plan));
+        assert_eq!(
+            vfs.create(&p("a")).err().unwrap().to_string(),
+            "injected EIO"
+        );
+        let crash = plan.into_iter().chain([(0, DiskFault::Crash)]);
+        let vfs = FaultVfs::new(FaultPlan::from_iter(crash));
+        assert!(vfs.create(&p("a")).is_err());
+        assert!(vfs.crashed());
+        assert_eq!(vfs.faults_injected(), 1);
     }
 
     #[test]
     fn failed_fsync_does_not_advance_durability() {
-        let vfs = FaultVfs::new(FaultPlan::fail_fsync(0));
+        let vfs = FaultVfs::new(FaultPlan::at(0, DiskFault::FailSync));
         let mut file = vfs.create(&p("a")).unwrap();
         file.write_all(b"hello").unwrap();
         assert!(file.sync().is_err());
@@ -802,7 +687,7 @@ mod tests {
 
     #[test]
     fn crash_fails_every_later_operation() {
-        let vfs = FaultVfs::new(FaultPlan::crash_at_op(2));
+        let vfs = FaultVfs::new(FaultPlan::at(2, DiskFault::Crash));
         let mut file = vfs.create(&p("a")).unwrap(); // op 0
         file.write_all(b"x").unwrap(); // op 1
         assert!(file.write_all(b"y").is_err()); // op 2: crash
@@ -834,23 +719,34 @@ mod tests {
 
     #[test]
     fn seeded_chaos_plans_are_reproducible() {
-        let a = FaultPlan::seeded_chaos(7, 100, 5);
-        let b = FaultPlan::seeded_chaos(7, 100, 5);
-        assert_eq!(a, b);
-        let c = FaultPlan::seeded_chaos(8, 100, 5);
-        assert_ne!(a, c, "different seed, different plan");
-        let total = a.enospc_ops.len() + a.eio_ops.len() + a.short_write_ops.len();
-        assert_eq!(total, 5);
+        let plan = |seed| {
+            let plan = FaultPlan::seeded(seed, 100, 5, &DiskFault::CHAOS);
+            plan.points().collect::<Vec<_>>()
+        };
+        assert_eq!(plan(7), plan(7));
         // Pinned: a recorded failing seed must keep replaying the plan
         // it failed under.
-        let pinned = |enospc: [u64; 2], eio: u64, short: [u64; 2]| FaultPlan {
-            enospc_ops: BTreeSet::from(enospc),
-            eio_ops: BTreeSet::from([eio]),
-            short_write_ops: BTreeSet::from(short),
-            ..FaultPlan::default()
-        };
-        assert_eq!(a, pinned([11, 45], 58, [55, 99]));
-        assert_eq!(c, pinned([15, 27], 49, [22, 85]));
+        use DiskFault::{Eio, Enospc, ShortWrite};
+        assert_eq!(
+            plan(7),
+            [
+                (11, Enospc),
+                (45, Enospc),
+                (55, ShortWrite),
+                (58, Eio),
+                (99, ShortWrite)
+            ]
+        );
+        assert_eq!(
+            plan(8),
+            [
+                (15, Enospc),
+                (22, ShortWrite),
+                (27, Enospc),
+                (49, Eio),
+                (85, ShortWrite)
+            ]
+        );
     }
 
     #[test]

@@ -239,7 +239,8 @@ mod tests {
     use super::*;
     use crate::knowledge_store::build_schema;
     use crate::value::Value;
-    use crate::vfs::{FaultPlan, FaultVfs};
+    use crate::vfs::{DiskFault, FaultVfs};
+    use crate::FaultPlan;
 
     fn log() -> &'static Path {
         Path::new("/kb.json.wal-0")
@@ -370,12 +371,12 @@ mod tests {
         // Ops: 0 open, 1 write, 2 fsync, 3 dir sync (first record);
         // 4 write, 5 fsync (second record).
         for plan in [
-            FaultPlan::short_write_at(4),
-            FaultPlan::eio_at(4),
-            FaultPlan::eio_at(5),
-            FaultPlan::fail_fsync(2),
+            (4, DiskFault::ShortWrite),
+            (4, DiskFault::Eio),
+            (5, DiskFault::Eio),
+            (2, DiskFault::FailSync),
         ] {
-            let vfs = FaultVfs::new(plan.clone());
+            let vfs = FaultVfs::new(FaultPlan::from_iter([plan]));
             let mut wal = Wal::default();
             let mut db = build_schema();
             let mark = db.next_ids();

@@ -159,9 +159,13 @@ cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "clean"
 
 # What this repository deleted stays deleted: a second durability
-# mechanism, and secondary indexes over a block's rows.
-echo "==> no second durability mechanism, no secondary indexes"
+# mechanism, secondary indexes over a block's rows, a second fault
+# planner (or the per-kind constructors of the one left), and a
+# queue-depth mirror beside the handler pool's queue.
+echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror"
 ! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered\|with_index\|indexable_candidates\|index_insert\|secondary:" \
+  crates/ tests/ examples/
+! grep -rn "NetFaultPlan\|FaultState\|scatter_faults\|stall_at\|note_queued\|note_dequeued\|seeded_chaos(\|crash_at_op(\|crash_at_fsync(\|enospc_at(\|eio_at(\|short_write_at(\|fail_fsync(\|short_read_at(\|reset_read_at(\|reset_write_at(\|drop_at(" \
   crates/ tests/ examples/
 
 # Benchmark smoke: perfbench is a package of its own, compiled against

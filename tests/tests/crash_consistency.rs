@@ -33,8 +33,8 @@ use iokc_extract::Io500Extractor;
 use iokc_store::journal::{read_journal_vfs, truncate_torn_tail_vfs, JournalWriter};
 use iokc_store::persist::read_document_vfs;
 use iokc_store::{
-    fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
-    RunPredicate, Vfs,
+    fsck, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore,
+    Query, RunKind, RunPredicate, Vfs,
 };
 
 fn kb() -> PathBuf {
@@ -165,7 +165,7 @@ fn every_crash_point_recovers_an_acknowledged_prefix() {
     assert!(total_ops > 20, "workload too small to be interesting");
 
     for op in 0..total_ops {
-        let vfs = Arc::new(FaultVfs::new(FaultPlan::crash_at_op(op)));
+        let vfs = Arc::new(FaultVfs::new(FaultPlan::at(op, DiskFault::Crash)));
         let run = run_workload(Arc::clone(&vfs));
         assert!(vfs.crashed(), "crash op {op} never fired");
         let j = run.acked;
@@ -305,7 +305,7 @@ fn every_crash_point_during_seal_and_compaction_recovers() {
     );
 
     for op in 0..total_ops {
-        let vfs = Arc::new(FaultVfs::new(FaultPlan::crash_at_op(op)));
+        let vfs = Arc::new(FaultVfs::new(FaultPlan::at(op, DiskFault::Crash)));
         let run = run_segmented_workload(Arc::clone(&vfs));
         assert!(vfs.crashed(), "crash op {op} never fired");
         let j = run.acked;
@@ -372,7 +372,8 @@ fn every_crash_point_during_seal_and_compaction_recovers() {
 #[test]
 fn seeded_chaos_never_leaves_the_store_incoherent() {
     for seed in 0..12u64 {
-        let vfs = Arc::new(FaultVfs::new(FaultPlan::seeded_chaos(seed, 200, 5)));
+        let plan = FaultPlan::seeded(seed, 200, 5, &DiskFault::CHAOS);
+        let vfs = Arc::new(FaultVfs::new(plan));
         let Ok(mut store) = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>)
         else {
             continue;
@@ -476,7 +477,7 @@ fn corpus_generation_resumes_to_the_uninterrupted_run_set_from_every_crash_point
     let mut images = 0;
     let mut identical = 0;
     for op in 0..total_ops {
-        let vfs = Arc::new(FaultVfs::new(FaultPlan::crash_at_op(op)));
+        let vfs = Arc::new(FaultVfs::new(FaultPlan::at(op, DiskFault::Crash)));
         // Ok only when the crash hit cleanup the store does not wait on.
         let _ = run_corpus(&vfs);
         assert!(vfs.crashed(), "crash op {op} never fired");

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use iokc_benchmarks::ior::{run_ior, IorConfig};
 use iokc_core::model::Knowledge;
-use iokc_explorerd::{FaultTransport, NetFaultPlan, Server, ServerConfig};
+use iokc_explorerd::{FaultTransport, NetFault, Server, ServerConfig};
 use iokc_extract::parse_ior_output;
 use iokc_obs::{Clock, NullSink, Recorder};
 use iokc_sim::engine::{JobLayout, World};
@@ -146,9 +146,8 @@ fn seeded_chaos_workload_accounts_for_every_connection() {
     // ended as a shed, a parsed request, or one classified receive
     // error. Nothing vanishes.
     for seed in [7u64, 99, 20260809] {
-        let mut plan = NetFaultPlan::seeded_chaos(seed, 400, 24);
-        plan.stall = Duration::from_millis(10);
-        let transport = FaultTransport::new(plan);
+        let transport =
+            FaultTransport::new(iokc_store::FaultPlan::seeded(seed, 400, 24, &NetFault::ALL));
         let server = start_server(ServerConfig {
             workers: 4,
             queue: 16,
@@ -250,7 +249,7 @@ fn torn_writes_never_poison_the_cache() {
     // byte-identical to the baseline: the cache may only ever hold
     // fully written bodies.
     for op in 0..24u64 {
-        let transport = FaultTransport::new(NetFaultPlan::short_write_at(op));
+        let transport = FaultTransport::new(iokc_store::FaultPlan::at(op, NetFault::ShortWrite));
         let server = start_server(ServerConfig {
             transport: Arc::new(transport),
             ..ServerConfig::default()

@@ -12,17 +12,24 @@
 //! consistent indexes and a disk that one `fsck --repair` pass leaves
 //! clean. Every crashed disk is also tried with its manifest damaged:
 //! the model's answer to that is the smallest there is — nothing opens
-//! for writing, nothing is repaired, nothing moves.
+//! for writing, nothing is repaired, nothing moves. The runs it saves
+//! fill every child table, and after every step the look-ups are held
+//! to their linear definitions and every live run must load back as it
+//! was saved.
 
-use iokc_core::model::{Io500Knowledge, Knowledge, KnowledgeItem, KnowledgeSource};
+use iokc_core::model::{
+    FilesystemInfo, Io500Knowledge, Io500Testcase, IterationResult, Knowledge, KnowledgeItem,
+    KnowledgeSource, OperationSummary, SystemInfo,
+};
 use iokc_obs::Recorder;
 use iokc_store::persist;
+use iokc_store::segment::read_segment_vfs;
 use iokc_store::{
-    fsck, DbError, DeadlineToken, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore, Query, RunKind,
-    Vfs,
+    fsck, Database, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions,
+    KnowledgeStore, Query, RunKind, Vfs,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -61,6 +68,108 @@ fn label(item: &KnowledgeItem) -> String {
         KnowledgeItem::Benchmark(k) => k.command.clone(),
         KnowledgeItem::Io500(k) => format!("io500 tasks={}", k.tasks),
     }
+}
+
+/// `item`, relabelled by `tag`: a history gives every item it saves a
+/// fresh tag, so no two share a label.
+fn tagged(item: &KnowledgeItem, tag: u32) -> KnowledgeItem {
+    let mut item = item.clone();
+    match &mut item {
+        KnowledgeItem::Benchmark(k) => k.command = bench(tag).command,
+        KnowledgeItem::Io500(k) => k.tasks = tag,
+    }
+    item
+}
+
+fn system(tag: u32) -> SystemInfo {
+    SystemInfo {
+        system: format!("node-{tag}"),
+        cpu_model: "E5-2670v2".into(),
+        cores: tag,
+        cpu_mhz: 2500.5,
+        cache_kib: 25_600,
+        mem_kib: u64::from(tag) << 20,
+    }
+}
+
+/// A run with every child table in play: summaries with their
+/// results, file system, system, options, testcases, warnings.
+fn arb_item() -> impl Strategy<Value = KnowledgeItem> {
+    (
+        any::<bool>(),
+        1u32..64,
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        0usize..3,
+        (any::<bool>(), any::<bool>()),
+        proptest::collection::vec("[a-z ]{1,12}", 0..3),
+    )
+        .prop_map(
+            |(is_io500, tag, (write, read, stat), per_op, (fs, sys), warnings)| {
+                let picked = [(write, "write"), (read, "read"), (stat, "stat")];
+                let ops = picked.into_iter().filter(|(on, _)| *on).map(|(_, op)| op);
+                let real = f64::from(tag) * 1.25;
+                if is_io500 {
+                    return KnowledgeItem::Io500(Io500Knowledge {
+                        testcases: ops
+                            .map(|op| Io500Testcase {
+                                name: format!("ior-easy-{op}"),
+                                value: real,
+                                unit: "GiB/s".into(),
+                                time_s: 30.5,
+                            })
+                            .collect(),
+                        options: (0..per_op)
+                            .map(|n| (format!("key{n}"), format!("value{tag}")))
+                            .collect(),
+                        system: sys.then(|| system(tag)),
+                        warnings,
+                        ..io500(tag)
+                    });
+                }
+                let mut k = bench(tag);
+                k.pattern.tasks = tag;
+                k.derived_from = fs.then_some(u64::from(tag));
+                for op in ops {
+                    k.summaries.push(OperationSummary {
+                        operation: op.into(),
+                        api: "POSIX".into(),
+                        max_mib: real + 1.0,
+                        min_mib: real - 1.0,
+                        mean_mib: real,
+                        stddev_mib: 0.5,
+                        mean_ops: real / 2.0,
+                        iterations: per_op as u32,
+                    });
+                    for iteration in 0..per_op as u32 {
+                        k.results.push(IterationResult {
+                            operation: op.into(),
+                            iteration,
+                            bw_mib: real + f64::from(iteration),
+                            ops: 64,
+                            ops_per_sec: real,
+                            latency_s: 0.001,
+                            open_s: 0.002,
+                            wrrd_s: 1.5,
+                            close_s: 0.003,
+                            total_s: 1.75,
+                        });
+                    }
+                }
+                k.filesystem = fs.then(|| FilesystemInfo {
+                    fs_type: "BeeGFS".into(),
+                    entry_type: "file".into(),
+                    entry_id: format!("A-{tag}"),
+                    metadata_node: "meta01".into(),
+                    chunk_size: 512 << 10,
+                    storage_targets: tag,
+                    raid: "RAID0".into(),
+                    storage_pool: "Default".into(),
+                });
+                k.system = sys.then(|| system(tag));
+                k.warnings = warnings;
+                KnowledgeItem::Benchmark(k)
+            },
+        )
 }
 
 fn open(vfs: &Arc<FaultVfs>) -> KnowledgeStore {
@@ -191,10 +300,9 @@ fn crash_and_check(
 
 #[derive(Debug, Clone)]
 enum Op {
-    SaveKnowledge,
-    SaveIo500,
-    /// `true` items are benchmark runs, `false` IO500 runs.
-    SaveBatch(Vec<bool>),
+    /// Saved under a fresh tag, as are a batch's items.
+    Save(Box<KnowledgeItem>),
+    SaveBatch(Vec<KnowledgeItem>),
     DeleteActive(usize),
     DeleteSealed(usize),
     Seal,
@@ -207,19 +315,18 @@ enum Op {
 /// happens to the manifest.
 #[derive(Debug, Clone)]
 struct Session {
-    eio_at: Vec<u64>,
-    short_write_at: Vec<u64>,
-    fail_fsync: Vec<u64>,
+    faults: Vec<(u64, DiskFault)>,
     ops: Vec<Op>,
     damage: Damage,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let save = || arb_item().prop_map(|item| Op::Save(Box::new(item)));
     prop_oneof![
-        Just(Op::SaveKnowledge),
-        Just(Op::SaveKnowledge),
-        Just(Op::SaveIo500),
-        proptest::collection::vec(any::<bool>(), 0..7).prop_map(Op::SaveBatch),
+        save(),
+        save(),
+        save(),
+        proptest::collection::vec(arb_item(), 0..7).prop_map(Op::SaveBatch),
         (0usize..64).prop_map(Op::DeleteActive),
         (0usize..64).prop_map(Op::DeleteSealed),
         Just(Op::Seal),
@@ -235,15 +342,17 @@ fn arb_session() -> impl Strategy<Value = Session> {
         proptest::collection::vec(arb_op(), 1..12),
         (any::<bool>(), 0usize..4096),
     )
-        .prop_map(
-            |(eio_at, short_write_at, fail_fsync, ops, (flip, at))| Session {
-                eio_at,
-                short_write_at,
-                fail_fsync,
+        .prop_map(|(eio, short_write, fail_sync, ops, (flip, at))| {
+            let at_each = |ops: Vec<u64>, kind| ops.into_iter().map(move |op| (op, kind));
+            Session {
+                faults: at_each(eio, DiskFault::Eio)
+                    .chain(at_each(short_write, DiskFault::ShortWrite))
+                    .chain(at_each(fail_sync, DiskFault::FailSync))
+                    .collect(),
                 ops,
                 damage: Damage { flip, at },
-            },
-        )
+            }
+        })
 }
 
 /// Run `op`; on success the model moves with it. Returns what the
@@ -254,13 +363,9 @@ fn apply(
     op: &Op,
     next_tag: &mut u32,
 ) -> (Result<(), DbError>, Vec<KnowledgeItem>) {
-    let mut fresh = |benchmark: bool| {
+    let mut fresh = |item: &KnowledgeItem| {
         *next_tag += 1;
-        if benchmark {
-            KnowledgeItem::Benchmark(bench(*next_tag))
-        } else {
-            KnowledgeItem::Io500(io500(*next_tag))
-        }
+        tagged(item, *next_tag)
     };
     let pick = |store: &KnowledgeStore, model: &Model, active: bool, n: usize| {
         let keys: Vec<(RunKind, u64)> = model
@@ -271,8 +376,8 @@ fn apply(
         (!keys.is_empty()).then(|| keys[n % keys.len()])
     };
     match op {
-        Op::SaveKnowledge | Op::SaveIo500 => {
-            let item = fresh(matches!(op, Op::SaveKnowledge));
+        Op::Save(item) => {
+            let item = fresh(item);
             let saved = match &item {
                 KnowledgeItem::Benchmark(k) => {
                     store.save_knowledge(k).map(|id| (RunKind::Benchmark, id))
@@ -287,8 +392,8 @@ fn apply(
             });
             (result, vec![item])
         }
-        Op::SaveBatch(kinds) => {
-            let items: Vec<KnowledgeItem> = kinds.iter().map(|b| fresh(*b)).collect();
+        Op::SaveBatch(items) => {
+            let items: Vec<KnowledgeItem> = items.iter().map(fresh).collect();
             let result = store.save_batch(&items).map(|ids| {
                 assert_eq!(ids.len(), items.len());
                 for (item, id) in items.iter().zip(ids) {
@@ -355,31 +460,111 @@ fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[Knowledg
     }
 }
 
+/// Ids ascend, every foreign key is non-decreasing, and `children` is
+/// what a linear sweep finds under every parent id and its neighbours.
+fn check_block(db: &Database) {
+    for table in db.table_names() {
+        let rows = db.rows(table).expect("rows");
+        prop_assert!(rows.windows(2).all(|w| w[0].id < w[1].id), "{}", table);
+        let schema = db.schema(table).expect("schema");
+        for fk in &schema.foreign_keys {
+            let ci = schema.column_index(&fk.column).expect("fk column");
+            let keys: Vec<i64> = rows.iter().filter_map(|r| r.values[ci].as_int()).collect();
+            prop_assert_eq!(keys.len(), rows.len());
+            prop_assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "{}.{}",
+                table,
+                fk.column
+            );
+            let parents = db.rows(&fk.references_table).expect("parents");
+            let probes = parents.iter().map(|r| r.id).chain(keys.iter().copied());
+            let probes: BTreeSet<i64> = probes.flat_map(|id| [id - 1, id, id + 1]).collect();
+            // Every key is a probe, so one sweep in probe order meets each
+            // row under its key.
+            let mut at = 0;
+            for parent in probes {
+                let n = keys[at..].iter().take_while(|&&key| key == parent).count();
+                let found = db.children(table, &fk.column, parent).expect("children");
+                prop_assert_eq!(found, &rows[at..at + n]);
+                at += n;
+            }
+            prop_assert_eq!(at, rows.len());
+        }
+    }
+}
+
+/// What the look-up checks remember of a history: every item it tried
+/// to save, by label, and the segment bodies already checked (a body's
+/// bytes decide its check).
+#[derive(Default)]
+struct Saved {
+    items: BTreeMap<String, KnowledgeItem>,
+    bodies: BTreeSet<Vec<u8>>,
+}
+
+/// The look-ups against their linear definitions, and the live runs
+/// against what was saved: every block — the active one, each segment
+/// body and the SQL surface's merge of them all — passes `check_block`,
+/// and every run in `model` loads back as the item saved under its
+/// label.
+fn check_lookups(store: &KnowledgeStore, vfs: &FaultVfs, model: &Model, saved: &mut Saved) {
+    check_block(store.database());
+    for meta in store.segment_metas() {
+        let path = persist::segment_path(&kb(), meta.id);
+        if saved.bodies.insert(vfs.read(&path).expect("segment")) {
+            check_block(&read_segment_vfs(&path, vfs).expect("segment").db);
+        }
+    }
+    let merged = store.snapshot().materialize().expect("materialize");
+    check_block(&merged);
+    let runs = |table| merged.row_count(table).expect("count");
+    assert_eq!(runs("performances") + runs("IOFHsRuns"), model.len());
+    for (&(kind, id), label) in model {
+        let mut item = saved.items[label].clone();
+        let loaded = match &mut item {
+            KnowledgeItem::Benchmark(k) => {
+                k.id = Some(id);
+                store
+                    .load_knowledge(id)
+                    .expect("load")
+                    .map(KnowledgeItem::Benchmark)
+            }
+            KnowledgeItem::Io500(k) => {
+                k.id = Some(id);
+                store
+                    .load_io500(id)
+                    .expect("load")
+                    .map(KnowledgeItem::Io500)
+            }
+        };
+        assert_eq!(loaded, Some(item), "{kind:?} {id}");
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
     fn the_store_equals_a_map_of_acknowledged_results(
         sessions in proptest::collection::vec(arb_session(), 1..5)
     ) {
         let mut disk = Disk::new();
         let mut model = Model::new();
+        let mut saved = Saved::default();
         let mut next_tag = 0u32;
         for session in &sessions {
-            let plan = FaultPlan {
-                eio_ops: session.eio_at.iter().copied().collect(),
-                short_write_ops: session.short_write_at.iter().copied().collect(),
-                fail_syncs: session.fail_fsync.iter().copied().collect(),
-                ..FaultPlan::default()
-            };
+            let plan = FaultPlan::from_iter(session.faults.iter().copied());
             let vfs = Arc::new(FaultVfs::from_state_with_plan(disk, plan));
             let mut store = open(&vfs);
             prop_assert_eq!(&contents(&store), &model);
+            check_lookups(&store, &vfs, &model, &mut saved);
             // Set by a failed operation that may have reached the disk.
             let mut unsettled = None;
             for op in &session.ops {
                 let before = model.clone();
                 let generation = store.generation();
                 let (result, items) = apply(&mut store, &mut model, op, &mut next_tag);
+                saved.items.extend(items.iter().map(|item| (label(item), item.clone())));
                 let now = contents(&store);
                 prop_assert!(store.indexes_consistent().expect("index rebuild"));
                 match result {
@@ -408,6 +593,7 @@ proptest! {
                         prop_assert_eq!(store.generation(), generation);
                     }
                 }
+                check_lookups(&store, &vfs, &model, &mut saved);
             }
             drop(store);
             (model, disk) = crash_and_check(&vfs, &session.damage, |found| match &unsettled {
@@ -896,234 +1082,6 @@ mod codec {
                 vec![SegmentMeta::compute(0, sealed.summaries.values())],
                 store.segment_metas()
             );
-        }
-    }
-}
-
-/// The look-ups against their linear definitions. Over histories of
-/// saves, deletes, seals, compactions and reopens that mix benchmark and
-/// IO500 runs with warnings, every block — the active one and each
-/// segment body — keeps its rows in id order and each foreign-key column
-/// non-decreasing, `children` is exactly the linear filter of `rows`,
-/// and every live run loads back as the item that was saved.
-mod lookups {
-    use super::*;
-    use iokc_core::model::{
-        FilesystemInfo, Io500Testcase, IterationResult, OperationSummary, SystemInfo,
-    };
-    use iokc_store::segment::read_segment_vfs;
-    use iokc_store::{Database, Row, Value};
-
-    #[derive(Debug, Clone)]
-    enum Step {
-        Save(Vec<KnowledgeItem>),
-        Delete(usize),
-        Seal,
-        Compact,
-        Reopen,
-    }
-
-    fn system(tag: u32) -> SystemInfo {
-        SystemInfo {
-            system: format!("node-{tag}"),
-            cpu_model: "E5-2670v2".into(),
-            cores: tag,
-            cpu_mhz: 2500.5,
-            cache_kib: 25_600,
-            mem_kib: u64::from(tag) << 20,
-        }
-    }
-
-    /// A run with every child table in play: summaries with their
-    /// results, file system, system, options, testcases, warnings.
-    fn arb_item() -> impl Strategy<Value = KnowledgeItem> {
-        (
-            any::<bool>(),
-            1u32..64,
-            (any::<bool>(), any::<bool>(), any::<bool>()),
-            0usize..3,
-            (any::<bool>(), any::<bool>()),
-            proptest::collection::vec("[a-z ]{1,12}", 0..3),
-        )
-            .prop_map(
-                |(is_io500, tag, (write, read, stat), per_op, (fs, sys), warnings)| {
-                    let picked = [(write, "write"), (read, "read"), (stat, "stat")];
-                    let ops = picked.into_iter().filter(|(on, _)| *on).map(|(_, op)| op);
-                    let real = f64::from(tag) * 1.25;
-                    if is_io500 {
-                        return KnowledgeItem::Io500(Io500Knowledge {
-                            testcases: ops
-                                .map(|op| Io500Testcase {
-                                    name: format!("ior-easy-{op}"),
-                                    value: real,
-                                    unit: "GiB/s".into(),
-                                    time_s: 30.5,
-                                })
-                                .collect(),
-                            options: (0..per_op)
-                                .map(|n| (format!("key{n}"), format!("value{tag}")))
-                                .collect(),
-                            system: sys.then(|| system(tag)),
-                            warnings,
-                            ..io500(tag)
-                        });
-                    }
-                    let mut k = bench(tag);
-                    k.pattern.tasks = tag;
-                    k.derived_from = fs.then_some(u64::from(tag));
-                    for op in ops {
-                        k.summaries.push(OperationSummary {
-                            operation: op.into(),
-                            api: "POSIX".into(),
-                            max_mib: real + 1.0,
-                            min_mib: real - 1.0,
-                            mean_mib: real,
-                            stddev_mib: 0.5,
-                            mean_ops: real / 2.0,
-                            iterations: per_op as u32,
-                        });
-                        for iteration in 0..per_op as u32 {
-                            k.results.push(IterationResult {
-                                operation: op.into(),
-                                iteration,
-                                bw_mib: real + f64::from(iteration),
-                                ops: 64,
-                                ops_per_sec: real,
-                                latency_s: 0.001,
-                                open_s: 0.002,
-                                wrrd_s: 1.5,
-                                close_s: 0.003,
-                                total_s: 1.75,
-                            });
-                        }
-                    }
-                    k.filesystem = fs.then(|| FilesystemInfo {
-                        fs_type: "BeeGFS".into(),
-                        entry_type: "file".into(),
-                        entry_id: format!("A-{tag}"),
-                        metadata_node: "meta01".into(),
-                        chunk_size: 512 << 10,
-                        storage_targets: tag,
-                        raid: "RAID0".into(),
-                        storage_pool: "Default".into(),
-                    });
-                    k.system = sys.then(|| system(tag));
-                    k.warnings = warnings;
-                    KnowledgeItem::Benchmark(k)
-                },
-            )
-    }
-
-    fn arb_step() -> impl Strategy<Value = Step> {
-        let save = || proptest::collection::vec(arb_item(), 1..4).prop_map(Step::Save);
-        prop_oneof![
-            save(),
-            save(),
-            (0usize..64).prop_map(Step::Delete),
-            Just(Step::Seal),
-            Just(Step::Compact),
-            Just(Step::Reopen),
-        ]
-    }
-
-    /// Ids ascend, every foreign key is non-decreasing, and `children`
-    /// equals the linear filter for every parent id and its neighbours.
-    fn check_block(db: &Database) {
-        for table in db.table_names() {
-            let rows = db.rows(table).expect("rows");
-            prop_assert!(rows.windows(2).all(|w| w[0].id < w[1].id), "{}", table);
-            for fk in &db.schema(table).expect("schema").foreign_keys {
-                let ci = db.schema(table).expect("schema").column_index(&fk.column);
-                let ci = ci.expect("fk column");
-                let keys: Vec<i64> = rows.iter().filter_map(|r| r.values[ci].as_int()).collect();
-                prop_assert_eq!(keys.len(), rows.len());
-                prop_assert!(
-                    keys.windows(2).all(|w| w[0] <= w[1]),
-                    "{}.{}",
-                    table,
-                    fk.column
-                );
-                let parents = db.rows(&fk.references_table).expect("parents");
-                let probes = parents.iter().map(|r| r.id).chain(keys.iter().copied());
-                for parent in probes.flat_map(|id| [id - 1, id, id + 1]) {
-                    let linear: Vec<&Row> = rows
-                        .iter()
-                        .filter(|r| r.values[ci] == Value::Int(parent))
-                        .collect();
-                    let found = db.children(table, &fk.column, parent).expect("children");
-                    prop_assert_eq!(found.iter().collect::<Vec<_>>(), linear);
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn children_equal_a_linear_filter_and_runs_load_as_saved(
-            steps in proptest::collection::vec(arb_step(), 1..16)
-        ) {
-            let vfs = Arc::new(FaultVfs::pristine());
-            let mut store = open(&vfs);
-            let mut saved: BTreeMap<(RunKind, u64), KnowledgeItem> = BTreeMap::new();
-            for step in steps {
-                match step {
-                    Step::Save(items) => {
-                        let ids = store.save_batch(&items).expect("save");
-                        for (mut item, id) in items.into_iter().zip(ids) {
-                            let kind = match &mut item {
-                                KnowledgeItem::Benchmark(k) => {
-                                    k.id = Some(id);
-                                    RunKind::Benchmark
-                                }
-                                KnowledgeItem::Io500(k) => {
-                                    k.id = Some(id);
-                                    RunKind::Io500
-                                }
-                            };
-                            saved.insert((kind, id), item);
-                        }
-                    }
-                    Step::Delete(n) if !saved.is_empty() => {
-                        let (kind, id) = *saved.keys().nth(n % saved.len()).expect("key");
-                        let existed = match kind {
-                            RunKind::Benchmark => store.delete_knowledge(id),
-                            RunKind::Io500 => store.delete_io500(id),
-                        };
-                        prop_assert!(existed.expect("delete"));
-                        saved.remove(&(kind, id));
-                    }
-                    Step::Delete(_) => {}
-                    Step::Seal => store.seal_active().expect("seal"),
-                    Step::Compact => drop(store.compact().expect("compact")),
-                    Step::Reopen => {
-                        drop(store);
-                        store = open(&vfs);
-                    }
-                }
-                check_block(store.database());
-                for meta in store.segment_metas() {
-                    let path = persist::segment_path(&kb(), meta.id);
-                    check_block(&read_segment_vfs(&path, vfs.as_ref()).expect("segment").db);
-                }
-                // The SQL surface's merge of every block is one more.
-                let merged = store.snapshot().materialize().expect("materialize");
-                check_block(&merged);
-                let runs = |table| merged.row_count(table).expect("count");
-                prop_assert_eq!(runs("performances") + runs("IOFHsRuns"), saved.len());
-                prop_assert_eq!(contents(&store).len(), saved.len());
-                for ((kind, id), item) in &saved {
-                    let loaded = match kind {
-                        RunKind::Benchmark => {
-                            store.load_knowledge(*id).expect("load").map(KnowledgeItem::Benchmark)
-                        }
-                        RunKind::Io500 => {
-                            store.load_io500(*id).expect("load").map(KnowledgeItem::Io500)
-                        }
-                    };
-                    prop_assert_eq!(loaded.as_ref(), Some(item));
-                }
-            }
         }
     }
 }
