@@ -125,7 +125,7 @@ pub fn write_line_chart<W: fmt::Write>(
             "<text x=\"{:.1}\" y=\"{:.1}\" fill=\"{color}\" font-size=\"12\">{}</text>",
             w - MARGIN - 150.0,
             MARGIN + 16.0 * (i as f64 + 1.0),
-            escape(&s.label)
+            escape_html(&s.label)
         )?;
     }
     writeln!(out, "</svg>")
@@ -180,7 +180,7 @@ pub fn write_bar_chart<W: fmt::Write>(
             "<text x=\"{:.1}\" y=\"{:.1}\" fill=\"{color}\" font-size=\"12\">{}</text>",
             w - MARGIN - 150.0,
             MARGIN + 16.0 * (si as f64 + 1.0),
-            escape(&s.label)
+            escape_html(&s.label)
         )?;
     }
     for (ci, category) in categories.iter().enumerate() {
@@ -189,7 +189,7 @@ pub fn write_bar_chart<W: fmt::Write>(
             "<text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" text-anchor=\"middle\">{}</text>",
             MARGIN + (ci as f64 + 0.5) * group_w,
             h - MARGIN + 16.0,
-            escape(category)
+            escape_html(category)
         )?;
     }
     writeln!(out, "</svg>")
@@ -258,7 +258,7 @@ pub fn write_box_plot<W: fmt::Write>(
             out,
             "<text x=\"{cx:.1}\" y=\"{:.1}\" font-size=\"11\" text-anchor=\"middle\">{}</text>",
             h - MARGIN + 16.0,
-            escape(label)
+            escape_html(label)
         )?;
     }
     writeln!(out, "</svg>")
@@ -292,7 +292,7 @@ fn write_svg_header<W: fmt::Write>(
         out,
         "<text x=\"{:.1}\" y=\"24\" font-size=\"16\" text-anchor=\"middle\">{}</text>",
         w / 2.0,
-        escape(&opts.title)
+        escape_html(&opts.title)
     )?;
     // Axes.
     writeln!(
@@ -312,14 +312,14 @@ fn write_svg_header<W: fmt::Write>(
         "<text x=\"{:.1}\" y=\"{:.1}\" font-size=\"12\" text-anchor=\"middle\">{}</text>",
         w / 2.0,
         h - 12.0,
-        escape(&opts.x_label)
+        escape_html(&opts.x_label)
     )?;
     writeln!(
         out,
         "<text x=\"16\" y=\"{:.1}\" font-size=\"12\" text-anchor=\"middle\" transform=\"rotate(-90 16 {:.1})\">{}</text>",
         h / 2.0,
         h / 2.0,
-        escape(&opts.y_label)
+        escape_html(&opts.y_label)
     )?;
     // Min/max tick labels.
     writeln!(
@@ -374,7 +374,7 @@ pub fn write_heat_map<W: fmt::Write>(
         opts.width,
         opts.height,
         w / 2.0,
-        escape(&opts.title)
+        escape_html(&opts.title)
     )?;
     for (r, row) in matrix.iter().enumerate() {
         let y = MARGIN + r as f64 * cell_h;
@@ -384,7 +384,7 @@ pub fn write_heat_map<W: fmt::Write>(
                 "<text x=\"{:.1}\" y=\"{:.1}\" font-size=\"10\" text-anchor=\"end\">{}</text>",
                 MARGIN - 6.0,
                 y + cell_h * 0.7,
-                escape(label)
+                escape_html(label)
             )?;
         }
         for (c, value) in row.iter().enumerate() {
@@ -407,7 +407,7 @@ pub fn write_heat_map<W: fmt::Write>(
         "<text x=\"{:.0}\" y=\"{:.0}\" font-size=\"12\" text-anchor=\"middle\">{}</text>",
         w / 2.0,
         h - 12.0,
-        escape(&opts.x_label)
+        escape_html(&opts.x_label)
     )?;
     writeln!(out, "</svg>")
 }
@@ -420,7 +420,10 @@ pub fn heat_map(matrix: &[Vec<f64>], row_labels: &[String], opts: &ChartOptions)
     svg
 }
 
-fn escape(text: &str) -> String {
+/// Escape `&`, `<` and `>` for HTML text and SVG labels — the one
+/// escaper behind every chart, report and explorer page.
+#[must_use]
+pub fn escape_html(text: &str) -> String {
     text.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

@@ -4,12 +4,12 @@
 //! and compares them based on defined metrics. … the user can select the
 //! axes of the chart at runtime" — the x-axis is an applied option
 //! ([`OptionAxis`]), the y-axis a focused metric ([`MetricAxis`]). The
-//! overview is a box-plot summary per knowledge object; filtering and
-//! sorting narrow the selection.
+//! overview is a box-plot summary per run. Both views read the store's
+//! per-run summary rows; filtering and sorting happen in the store's
+//! query engine before they see a row.
 
 use crate::describe::Describe;
-use iokc_core::model::Knowledge;
-use iokc_store::RunSummary;
+use iokc_store::{RunSummary, UnknownName};
 
 /// Selectable x-axes: the option whose effect is being studied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +27,23 @@ pub enum OptionAxis {
 }
 
 impl OptionAxis {
+    /// Parse an axis name as used by the CLI (`--axis`) and the HTTP
+    /// API (`x=`); both spellings of the size axes are accepted.
+    pub fn parse(name: &str) -> Result<OptionAxis, UnknownName> {
+        match name {
+            "transfer" | "transfer_size" => Ok(OptionAxis::TransferSize),
+            "block" | "block_size" => Ok(OptionAxis::BlockSize),
+            "tasks" => Ok(OptionAxis::Tasks),
+            "segments" => Ok(OptionAxis::Segments),
+            "clients_per_node" => Ok(OptionAxis::ClientsPerNode),
+            _ => Err(UnknownName::new(
+                "axis",
+                name,
+                "transfer|transfer_size|block|block_size|tasks|segments|clients_per_node",
+            )),
+        }
+    }
+
     /// Axis label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -39,21 +56,9 @@ impl OptionAxis {
         }
     }
 
-    /// Extract the option value from a knowledge object.
+    /// The option value of one run.
     #[must_use]
-    pub fn value(self, k: &Knowledge) -> f64 {
-        match self {
-            OptionAxis::TransferSize => k.pattern.transfer_size as f64,
-            OptionAxis::BlockSize => k.pattern.block_size as f64,
-            OptionAxis::Tasks => f64::from(k.pattern.tasks),
-            OptionAxis::Segments => k.pattern.segments as f64,
-            OptionAxis::ClientsPerNode => f64::from(k.pattern.clients_per_node),
-        }
-    }
-
-    /// Extract the option value from a query-engine projection row.
-    #[must_use]
-    pub fn value_of_summary(self, row: &RunSummary) -> f64 {
+    pub fn value(self, row: &RunSummary) -> f64 {
         match self {
             OptionAxis::TransferSize => row.transfer_size as f64,
             OptionAxis::BlockSize => row.block_size as f64,
@@ -86,51 +91,13 @@ impl MetricAxis {
         }
     }
 
-    /// Extract the metric from a knowledge object (absent operation →
-    /// `None`).
+    /// The metric of one run (absent operation → `None`).
     #[must_use]
-    pub fn value(&self, k: &Knowledge) -> Option<f64> {
-        match self {
-            MetricAxis::MeanBandwidth(op) => k.summary(op).map(|s| s.mean_mib),
-            MetricAxis::MaxBandwidth(op) => k.summary(op).map(|s| s.max_mib),
-            MetricAxis::MeanOps(op) => k.summary(op).map(|s| s.mean_ops),
-        }
-    }
-
-    /// Extract the metric from a query-engine projection row (absent
-    /// operation → `None`).
-    #[must_use]
-    pub fn value_of_summary(&self, row: &RunSummary) -> Option<f64> {
+    pub fn value(&self, row: &RunSummary) -> Option<f64> {
         match self {
             MetricAxis::MeanBandwidth(op) => row.op(op).map(|s| s.mean_mib),
             MetricAxis::MaxBandwidth(op) => row.op(op).map(|s| s.max_mib),
             MetricAxis::MeanOps(op) => row.op(op).map(|s| s.mean_ops),
-        }
-    }
-}
-
-/// Filters over knowledge objects.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KnowledgeFilter {
-    /// Command contains a substring.
-    CommandContains(String),
-    /// Exact API match.
-    Api(String),
-    /// Task count in an inclusive range.
-    TasksBetween(u32, u32),
-    /// Has a summary for this operation.
-    HasOperation(String),
-}
-
-impl KnowledgeFilter {
-    /// Apply the filter.
-    #[must_use]
-    pub fn matches(&self, k: &Knowledge) -> bool {
-        match self {
-            KnowledgeFilter::CommandContains(text) => k.command.contains(text.as_str()),
-            KnowledgeFilter::Api(api) => k.pattern.api == *api,
-            KnowledgeFilter::TasksBetween(lo, hi) => (*lo..=*hi).contains(&k.pattern.tasks),
-            KnowledgeFilter::HasOperation(op) => k.summary(op).is_some(),
         }
     }
 }
@@ -148,46 +115,18 @@ pub struct ComparisonPoint {
     pub y: f64,
 }
 
-/// Build the comparison series: filter, extract both axes, sort by x.
+/// Build the comparison series from summary rows the store has already
+/// filtered: extract both axes, drop runs without the metric, sort by x
+/// (then y).
 #[must_use]
-pub fn compare(
-    items: &[&Knowledge],
-    filters: &[KnowledgeFilter],
-    x: OptionAxis,
-    y: &MetricAxis,
-) -> Vec<ComparisonPoint> {
-    let mut points: Vec<ComparisonPoint> = items
-        .iter()
-        .filter(|k| filters.iter().all(|f| f.matches(k)))
-        .filter_map(|k| {
-            y.value(k).map(|yv| ComparisonPoint {
-                knowledge_id: k.id,
-                command: k.command.clone(),
-                x: x.value(k),
-                y: yv,
-            })
-        })
-        .collect();
-    points.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
-    points
-}
-
-/// Build the comparison series from query-engine projection rows:
-/// filtering has already been pushed down into the store, so this only
-/// extracts the axes and sorts by x (then y), exactly like [`compare`].
-#[must_use]
-pub fn compare_summaries(
-    rows: &[RunSummary],
-    x: OptionAxis,
-    y: &MetricAxis,
-) -> Vec<ComparisonPoint> {
+pub fn compare(rows: &[RunSummary], x: OptionAxis, y: &MetricAxis) -> Vec<ComparisonPoint> {
     let mut points: Vec<ComparisonPoint> = rows
         .iter()
         .filter_map(|row| {
-            y.value_of_summary(row).map(|yv| ComparisonPoint {
+            y.value(row).map(|yv| ComparisonPoint {
                 knowledge_id: Some(row.id),
                 command: row.command.clone(),
-                x: x.value_of_summary(row),
+                x: x.value(row),
                 y: yv,
             })
         })
@@ -196,11 +135,11 @@ pub fn compare_summaries(
     points
 }
 
-/// Box-plot overview from pre-extracted per-iteration series (the query
-/// engine's `boxplot_series` projection): one box per run, labelled by
-/// command, matching [`overview`]'s output shape.
+/// Box-plot overview (§V-D's automatic overview chart) from per-run
+/// iteration series — the store's `boxplot_series` projection: one box
+/// per run with values, labelled by command.
 #[must_use]
-pub fn overview_series(series: &[(String, Vec<f64>)]) -> Vec<(String, Describe)> {
+pub fn overview(series: &[(String, Vec<f64>)]) -> Vec<(String, Describe)> {
     series
         .iter()
         .filter(|(_, values)| !values.is_empty())
@@ -208,33 +147,12 @@ pub fn overview_series(series: &[(String, Vec<f64>)]) -> Vec<(String, Describe)>
         .collect()
 }
 
-/// Box-plot overview per knowledge object: the per-iteration throughput
-/// distribution of one operation (§V-D's automatic overview chart).
-#[must_use]
-pub fn overview(items: &[&Knowledge], operation: &str) -> Vec<(String, Describe)> {
-    items
-        .iter()
-        .filter_map(|k| {
-            let series: Vec<f64> = k
-                .results
-                .iter()
-                .filter(|r| r.operation == operation)
-                .map(|r| r.bw_mib)
-                .collect();
-            if series.is_empty() {
-                None
-            } else {
-                Some((k.command.clone(), Describe::of(&series)))
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use iokc_core::model::{IterationResult, KnowledgeSource, OperationSummary};
+    use iokc_core::model::{IterationResult, Knowledge, KnowledgeSource, OperationSummary};
+    use iokc_store::{DeadlineToken, KnowledgeStore, Query, RunFilter};
 
     fn knowledge(command: &str, api: &str, tasks: u32, xfer: u64, mean_bw: f64) -> Knowledge {
         let mut k = Knowledge::new(KnowledgeSource::Ior, command);
@@ -268,14 +186,31 @@ mod tests {
         k
     }
 
+    fn store_of(items: &[Knowledge]) -> KnowledgeStore {
+        let mut store = KnowledgeStore::in_memory();
+        for k in items {
+            store.save_knowledge(k).unwrap();
+        }
+        store
+    }
+
+    /// The summary rows `filter` selects, as a user's filters would.
+    fn rows(store: &KnowledgeStore, filter: RunFilter) -> Vec<RunSummary> {
+        let query = Query::new(filter.predicate());
+        store
+            .query_summaries(&query, &DeadlineToken::unbounded())
+            .unwrap()
+    }
+
     #[test]
     fn compare_sorts_by_x() {
-        let a = knowledge("ior -t 2m", "MPIIO", 80, 2 << 20, 2800.0);
-        let b = knowledge("ior -t 512k", "MPIIO", 80, 512 << 10, 1900.0);
-        let c = knowledge("ior -t 1m", "MPIIO", 80, 1 << 20, 2400.0);
+        let store = store_of(&[
+            knowledge("ior -t 2m", "MPIIO", 80, 2 << 20, 2800.0),
+            knowledge("ior -t 512k", "MPIIO", 80, 512 << 10, 1900.0),
+            knowledge("ior -t 1m", "MPIIO", 80, 1 << 20, 2400.0),
+        ]);
         let points = compare(
-            &[&a, &b, &c],
-            &[],
+            &rows(&store, RunFilter::default()),
             OptionAxis::TransferSize,
             &MetricAxis::MeanBandwidth("write".into()),
         );
@@ -289,29 +224,41 @@ mod tests {
 
     #[test]
     fn filters_narrow_selection() {
-        let a = knowledge("ior -a mpiio", "MPIIO", 80, 1 << 20, 2800.0);
-        let b = knowledge("ior -a posix", "POSIX", 40, 1 << 20, 2000.0);
+        let store = store_of(&[
+            knowledge("ior -a mpiio", "MPIIO", 80, 1 << 20, 2800.0),
+            knowledge("ior -a posix", "POSIX", 40, 1 << 20, 2000.0),
+        ]);
+        let api = RunFilter {
+            api: Some("MPIIO".into()),
+            ..RunFilter::default()
+        };
         let points = compare(
-            &[&a, &b],
-            &[KnowledgeFilter::Api("MPIIO".into())],
+            &rows(&store, api),
             OptionAxis::Tasks,
             &MetricAxis::MeanBandwidth("write".into()),
         );
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].command, "ior -a mpiio");
 
+        let tasks = RunFilter {
+            min_tasks: Some(30),
+            max_tasks: Some(50),
+            ..RunFilter::default()
+        };
         let points = compare(
-            &[&a, &b],
-            &[KnowledgeFilter::TasksBetween(30, 50)],
+            &rows(&store, tasks),
             OptionAxis::Tasks,
             &MetricAxis::MeanBandwidth("write".into()),
         );
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].x, 40.0);
 
+        let command = RunFilter {
+            command: Some("posix".into()),
+            ..RunFilter::default()
+        };
         let points = compare(
-            &[&a, &b],
-            &[KnowledgeFilter::CommandContains("posix".into())],
+            &rows(&store, command),
             OptionAxis::Tasks,
             &MetricAxis::MaxBandwidth("write".into()),
         );
@@ -321,28 +268,39 @@ mod tests {
 
     #[test]
     fn missing_operation_is_dropped() {
-        let a = knowledge("ior", "MPIIO", 80, 1 << 20, 2800.0);
+        let store = store_of(&[knowledge("ior", "MPIIO", 80, 1 << 20, 2800.0)]);
         let points = compare(
-            &[&a],
-            &[],
+            &rows(&store, RunFilter::default()),
             OptionAxis::Tasks,
             &MetricAxis::MeanBandwidth("read".into()),
         );
         assert!(points.is_empty());
-        assert!(!KnowledgeFilter::HasOperation("read".into()).matches(&a));
-        assert!(KnowledgeFilter::HasOperation("write".into()).matches(&a));
+        let has_op = |op: &str| RunFilter {
+            op: Some(op.into()),
+            ..RunFilter::default()
+        };
+        assert!(rows(&store, has_op("read")).is_empty());
+        assert_eq!(rows(&store, has_op("write")).len(), 1);
     }
 
     #[test]
     fn overview_builds_boxplots() {
-        let a = knowledge("ior A", "MPIIO", 80, 1 << 20, 2800.0);
-        let b = knowledge("ior B", "MPIIO", 80, 1 << 20, 1000.0);
-        let boxes = overview(&[&a, &b], "write");
+        let store = store_of(&[
+            knowledge("ior A", "MPIIO", 80, 1 << 20, 2800.0),
+            knowledge("ior B", "MPIIO", 80, 1 << 20, 1000.0),
+        ]);
+        let series = |op: &str| {
+            let predicate = RunFilter::default().predicate();
+            store
+                .boxplot_series(&predicate, op, &DeadlineToken::unbounded())
+                .unwrap()
+        };
+        let boxes = overview(&series("write"));
         assert_eq!(boxes.len(), 2);
         assert_eq!(boxes[0].0, "ior A");
         assert_eq!(boxes[0].1.n, 3);
         assert!((boxes[0].1.mean - 2810.0).abs() < 1e-9);
-        assert!(overview(&[&a], "read").is_empty());
+        assert!(overview(&series("read")).is_empty());
     }
 
     #[test]
@@ -351,6 +309,22 @@ mod tests {
         assert_eq!(
             MetricAxis::MeanOps("stat".into()).label(),
             "mean stat ops/s"
+        );
+    }
+
+    #[test]
+    fn axis_names_of_the_cli_and_the_http_api_both_parse() {
+        for (cli, http) in [("transfer", "transfer_size"), ("block", "block_size")] {
+            assert_eq!(OptionAxis::parse(cli), OptionAxis::parse(http));
+        }
+        assert_eq!(
+            OptionAxis::parse("clients_per_node"),
+            Ok(OptionAxis::ClientsPerNode)
+        );
+        let err = OptionAxis::parse("latency").unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown axis `latency`"),
+            "{err}"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! terminal/SVG front ends:
 //!
 //! * [`viewer`] — single-run knowledge viewer and the IO500 viewer;
-//! * [`mod@compare`] — multi-object comparison with runtime-selectable axes,
-//!   filtering/sorting, and the box-plot overview;
+//! * [`mod@compare`] — multi-object comparison with runtime-selectable axes
+//!   and the box-plot overview, over the store's summary rows;
 //! * [`describe`] — descriptive statistics backing the views;
 //! * [`anomaly`] — per-iteration variance anomaly detection with
 //!   supporting-metric corroboration (Example II);
@@ -35,13 +35,10 @@ pub mod viewer;
 pub use anomaly::{IterationAnomaly, IterationVarianceDetector};
 pub use bounding_box::{Bound, BoundingBox, BoundingBoxDetector, ExpectationBox2D, Verdict};
 pub use charts::{
-    ascii_bars, bar_chart, box_plot, heat_map, line_chart, write_ascii_bars, write_bar_chart,
-    write_box_plot, write_heat_map, write_line_chart, ChartOptions, Series,
+    ascii_bars, bar_chart, box_plot, escape_html, heat_map, line_chart, write_ascii_bars,
+    write_bar_chart, write_box_plot, write_heat_map, write_line_chart, ChartOptions, Series,
 };
-pub use compare::{
-    compare, compare_summaries, overview, overview_series, ComparisonPoint, KnowledgeFilter,
-    MetricAxis, OptionAxis,
-};
+pub use compare::{compare, overview, ComparisonPoint, MetricAxis, OptionAxis};
 pub use corpus::{CorpusBoxes, CorpusOutlier, DEFAULT_HIGH_Q, DEFAULT_LOW_Q, DEFAULT_MARGIN};
 pub use describe::{mad_scores, Describe};
 pub use dxt_explorer::{DxtTimeline, RankActivity};

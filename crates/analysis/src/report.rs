@@ -7,11 +7,11 @@
 //! summary table, the IO500 runs with their scores, the comparison chart
 //! and every analysis finding.
 
-use crate::charts::{box_plot, line_chart, ChartOptions, Series};
+use crate::charts::{box_plot, escape_html, line_chart, ChartOptions, Series};
 use crate::compare::{compare, MetricAxis, OptionAxis};
 use crate::describe::Describe;
-use iokc_core::model::{Knowledge, KnowledgeItem};
 use iokc_core::phases::Finding;
+use iokc_store::{RunKind, RunSummary};
 
 const STYLE: &str = "\
 body{font-family:sans-serif;margin:2em;color:#222;max-width:1000px}\
@@ -22,29 +22,16 @@ th{background:#eef3f8}tr:nth-child(even){background:#fafafa}\
 .ok{background:#edf7ee;border-left:4px solid #2ca02c;padding:8px 12px;margin:6px 0}\
 figure{margin:1em 0}";
 
-fn escape(text: &str) -> String {
-    text.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
-/// Render the knowledge-base report.
+/// Render the knowledge-base report from the store's summary rows (in
+/// query order), the write-throughput overview boxes and the findings.
 #[must_use]
-pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
-    let benchmarks: Vec<&Knowledge> = items
-        .iter()
-        .filter_map(|item| match item {
-            KnowledgeItem::Benchmark(k) => Some(k),
-            KnowledgeItem::Io500(_) => None,
-        })
-        .collect();
-    let io500s: Vec<&iokc_core::model::Io500Knowledge> = items
-        .iter()
-        .filter_map(|item| match item {
-            KnowledgeItem::Io500(k) => Some(k),
-            KnowledgeItem::Benchmark(_) => None,
-        })
-        .collect();
+pub fn render_html(
+    rows: &[RunSummary],
+    boxes: &[(String, Describe)],
+    findings: &[Finding],
+) -> String {
+    let (benchmarks, io500s): (Vec<&RunSummary>, Vec<&RunSummary>) =
+        rows.iter().partition(|row| row.kind == RunKind::Benchmark);
 
     let mut html = String::with_capacity(16 * 1024);
     html.push_str("<!DOCTYPE html><html><head><meta charset=\"utf-8\">");
@@ -66,8 +53,8 @@ pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
     for finding in findings {
         html.push_str(&format!(
             "<div class=\"finding\"><b>[{}]</b> {}</div>",
-            escape(&finding.tag),
-            escape(&finding.message)
+            escape_html(&finding.tag),
+            escape_html(&finding.message)
         ));
     }
 
@@ -76,47 +63,31 @@ pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
         html.push_str(
             "<h2>Benchmark knowledge</h2><table><tr>\
             <th>id</th><th>command</th><th>api</th><th>tasks</th>\
-            <th>write mean (MiB/s)</th><th>read mean (MiB/s)</th><th>iters</th></tr>",
+            <th>write mean (MiB/s)</th><th>read mean (MiB/s)</th></tr>",
         );
-        for k in &benchmarks {
+        for row in &benchmarks {
             let fmt_bw = |operation: &str| {
-                k.summary(operation)
+                row.op(operation)
                     .map(|s| format!("{:.1}", s.mean_mib))
                     .unwrap_or_else(|| "—".to_owned())
             };
             html.push_str(&format!(
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                k.id.map(|i| i.to_string()).unwrap_or_default(),
-                escape(&k.command),
-                escape(&k.pattern.api),
-                k.pattern.tasks,
+                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+                row.id,
+                escape_html(&row.command),
+                escape_html(&row.api),
+                row.tasks,
                 fmt_bw("write"),
                 fmt_bw("read"),
-                k.pattern.iterations
             ));
         }
         html.push_str("</table>");
 
         // Overview box plot by throughput (§V-D's automatic overview).
-        let boxes: Vec<(String, Describe)> = benchmarks
-            .iter()
-            .filter_map(|k| {
-                let series: Vec<f64> = k
-                    .results
-                    .iter()
-                    .filter(|r| r.operation == "write")
-                    .map(|r| r.bw_mib)
-                    .collect();
-                (!series.is_empty()).then(|| {
-                    let label = k.id.map(|i| format!("#{i}")).unwrap_or_else(|| "?".into());
-                    (label, Describe::of(&series))
-                })
-            })
-            .collect();
         if !boxes.is_empty() {
             html.push_str("<h2>Throughput overview</h2><figure>");
             html.push_str(&box_plot(
-                &boxes,
+                boxes,
                 &ChartOptions {
                     title: "write throughput per knowledge object".into(),
                     y_label: "MiB/s".into(),
@@ -126,10 +97,10 @@ pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
             html.push_str("</figure>");
         }
 
-        // Comparison: write bandwidth vs transfer size.
+        // Comparison: write bandwidth vs transfer size (an IO500 row has
+        // no operations, so only benchmarks chart).
         let points = compare(
-            &benchmarks,
-            &[],
+            rows,
             OptionAxis::TransferSize,
             &MetricAxis::MeanBandwidth("write".into()),
         );
@@ -158,14 +129,10 @@ pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
             <th>id</th><th>tasks</th><th>bandwidth (GiB/s)</th>\
             <th>metadata (kIOPS)</th><th>total score</th></tr>",
         );
-        for k in &io500s {
+        for row in &io500s {
             html.push_str(&format!(
                 "<tr><td>{}</td><td>{}</td><td>{:.4}</td><td>{:.4}</td><td>{:.4}</td></tr>",
-                k.id.map(|i| i.to_string()).unwrap_or_default(),
-                k.tasks,
-                k.bw_score,
-                k.md_score,
-                k.total_score
+                row.id, row.tasks, row.bw_score, row.md_score, row.total_score
             ));
         }
         html.push_str("</table>");
@@ -179,7 +146,11 @@ pub fn render_html(items: &[KnowledgeItem], findings: &[Finding]) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use iokc_core::model::{IterationResult, KnowledgeSource, OperationSummary};
+    use crate::compare::overview;
+    use iokc_core::model::{
+        IterationResult, Knowledge, KnowledgeItem, KnowledgeSource, OperationSummary,
+    };
+    use iokc_store::{DeadlineToken, KnowledgeStore, Query, RunPredicate};
 
     fn knowledge(id: u64, xfer: u64, bw: f64) -> KnowledgeItem {
         let mut k = Knowledge::new(KnowledgeSource::Ior, &format!("ior -t {xfer}"));
@@ -215,6 +186,24 @@ mod tests {
         KnowledgeItem::Benchmark(k)
     }
 
+    /// The report as `iokc report` renders it: `items` saved to a store,
+    /// then read back as summary rows and write-throughput boxes.
+    fn render(items: &[KnowledgeItem], findings: &[Finding]) -> String {
+        let mut store = KnowledgeStore::in_memory();
+        for item in items {
+            match item {
+                KnowledgeItem::Benchmark(k) => store.save_knowledge(k).unwrap(),
+                KnowledgeItem::Io500(k) => store.save_io500(k).unwrap(),
+            };
+        }
+        let open = DeadlineToken::unbounded();
+        let rows = store.query_summaries(&Query::all(), &open).unwrap();
+        let series = store
+            .boxplot_series(&RunPredicate::True, "write", &open)
+            .unwrap();
+        render_html(&rows, &overview(&series), findings)
+    }
+
     #[test]
     fn report_contains_all_sections() {
         let items = vec![
@@ -239,7 +228,7 @@ mod tests {
             message: "write iteration 1 dipped <b>badly</b>".into(),
             values: vec![],
         }];
-        let html = render_html(&items, &findings);
+        let html = render(&items, &findings);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("2 benchmark knowledge object(s), 1 IO500 run(s)"));
         assert!(html.contains("<h2>Findings</h2>"));
@@ -256,7 +245,7 @@ mod tests {
 
     #[test]
     fn empty_base_reports_cleanly() {
-        let html = render_html(&[], &[]);
+        let html = render(&[], &[]);
         assert!(html.contains("no anomalies detected"));
         assert!(!html.contains("<h2>Benchmark knowledge</h2>"));
     }

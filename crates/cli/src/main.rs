@@ -26,7 +26,7 @@
 #![warn(clippy::unwrap_used)]
 
 use iokc_analysis::{
-    compare_summaries, render_io500, render_knowledge, BoundingBoxDetector,
+    compare, overview, render_io500, render_knowledge, BoundingBoxDetector,
     IterationVarianceDetector, MetricAxis, OptionAxis, TrendDetector,
 };
 use iokc_benchmarks::instrument::{darshan_from_phases, InstrumentOptions};
@@ -46,7 +46,10 @@ use iokc_obs::{trace as obs_trace, Clock, Event, NullSink, Recorder, VirtualCloc
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
-use iokc_store::{DbError, DeadlineToken, KnowledgeStore, Query, RunKind, RunOrder, RunPredicate};
+use iokc_store::{
+    DbError, DeadlineToken, KnowledgeStore, Query, RunFilter, RunKind, RunOrder, RunPredicate,
+    UnknownName,
+};
 use iokc_usage::{recommend, RegenerateUsage};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,6 +111,15 @@ impl CliError {
             kind: CliErrorKind::Usage,
             message: message.to_string(),
         }
+    }
+
+    /// A flag value outside its vocabulary, named as the flag it came
+    /// from: "unknown --sort `x` (expected …)".
+    fn flag(e: UnknownName) -> CliError {
+        CliError::usage(format!(
+            "unknown --{} `{}` (expected {})",
+            e.what, e.name, e.expected
+        ))
     }
 }
 
@@ -194,14 +206,10 @@ struct Options {
     idle_timeout_ms: u64,
     metric: String,
     axis: String,
-    filter_api: Option<String>,
-    filter_contains: Option<String>,
+    /// `--kind`, checked by the commands that filter on it.
     filter_kind: Option<String>,
-    filter_op: Option<String>,
-    min_tasks: Option<u32>,
-    max_tasks: Option<u32>,
-    min_bw: Option<f64>,
-    max_bw: Option<f64>,
+    /// Every other run filter flag.
+    filter: RunFilter,
     sort: String,
     order_desc: bool,
     limit: Option<usize>,
@@ -230,6 +238,17 @@ impl Options {
     }
 }
 
+/// The value of the flag at `args[*i]` — the next argument, which `i`
+/// steps onto — as a `T`: text and paths as given, numbers parsed.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let raw = args
+        .get(*i)
+        .ok_or_else(|| format!("missing value for {flag}"))?;
+    raw.parse().map_err(|_| format!("bad {flag}"))
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         db: PathBuf::from("knowledge.iokc.json"),
@@ -256,14 +275,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         idle_timeout_ms: 5000,
         metric: "write".to_owned(),
         axis: "transfer".to_owned(),
-        filter_api: None,
-        filter_contains: None,
         filter_kind: None,
-        filter_op: None,
-        min_tasks: None,
-        max_tasks: None,
-        min_bw: None,
-        max_bw: None,
+        filter: RunFilter::default(),
         sort: "id".to_owned(),
         order_desc: false,
         limit: None,
@@ -281,202 +294,94 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         positional: Vec::new(),
     };
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {flag}"))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--db" => opts.db = PathBuf::from(value(&mut i, "--db")?),
-            "--tasks" => {
-                opts.tasks = value(&mut i, "--tasks")?
-                    .parse()
-                    .map_err(|_| "bad --tasks".to_owned())?;
-            }
-            "--ppn" => {
-                opts.ppn = value(&mut i, "--ppn")?
-                    .parse()
-                    .map_err(|_| "bad --ppn".to_owned())?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut i, "--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_owned())?;
-            }
-            "--iterations" => {
-                opts.iterations = value(&mut i, "--iterations")?
-                    .parse()
-                    .map_err(|_| "bad --iterations".to_owned())?;
-            }
-            "--retries" => {
-                opts.retries = value(&mut i, "--retries")?
-                    .parse()
-                    .map_err(|_| "bad --retries".to_owned())?;
-            }
-            "--phase-deadline" => {
-                opts.phase_deadline_ms = Some(
-                    value(&mut i, "--phase-deadline")?
-                        .parse()
-                        .map_err(|_| "bad --phase-deadline".to_owned())?,
-                );
-            }
-            "--campaign" => opts.campaign = Some(PathBuf::from(value(&mut i, "--campaign")?)),
-            "--resume" => opts.resume = Some(PathBuf::from(value(&mut i, "--resume")?)),
+            "--db" => opts.db = flag_value(args, &mut i)?,
+            "--tasks" => opts.tasks = flag_value(args, &mut i)?,
+            "--ppn" => opts.ppn = flag_value(args, &mut i)?,
+            "--seed" => opts.seed = flag_value(args, &mut i)?,
+            "--iterations" => opts.iterations = flag_value(args, &mut i)?,
+            "--retries" => opts.retries = flag_value(args, &mut i)?,
+            "--phase-deadline" => opts.phase_deadline_ms = Some(flag_value(args, &mut i)?),
+            "--campaign" => opts.campaign = Some(flag_value(args, &mut i)?),
+            "--resume" => opts.resume = Some(flag_value(args, &mut i)?),
             "--max-parallel" => {
-                opts.max_parallel = value(&mut i, "--max-parallel")?
-                    .parse()
-                    .map_err(|_| "bad --max-parallel".to_owned())?;
+                opts.max_parallel = flag_value(args, &mut i)?;
                 if opts.max_parallel == 0 {
                     return Err("--max-parallel must be non-zero".to_owned());
                 }
             }
-            "--wp-deadline" => {
-                opts.wp_deadline_ms = Some(
-                    value(&mut i, "--wp-deadline")?
-                        .parse()
-                        .map_err(|_| "bad --wp-deadline".to_owned())?,
-                );
-            }
-            "--quarantine" => {
-                opts.quarantine = value(&mut i, "--quarantine")?
-                    .parse()
-                    .map_err(|_| "bad --quarantine".to_owned())?;
-            }
-            "--addr" => opts.serve_addr = value(&mut i, "--addr")?,
+            "--wp-deadline" => opts.wp_deadline_ms = Some(flag_value(args, &mut i)?),
+            "--quarantine" => opts.quarantine = flag_value(args, &mut i)?,
+            "--addr" => opts.serve_addr = flag_value(args, &mut i)?,
             "--workers" => {
-                opts.serve_workers = value(&mut i, "--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers".to_owned())?;
+                opts.serve_workers = flag_value(args, &mut i)?;
                 if opts.serve_workers == 0 {
                     return Err("--workers must be non-zero".to_owned());
                 }
             }
             "--queue" => {
-                opts.serve_queue = value(&mut i, "--queue")?
-                    .parse()
-                    .map_err(|_| "bad --queue".to_owned())?;
+                opts.serve_queue = flag_value(args, &mut i)?;
                 if opts.serve_queue == 0 {
                     return Err("--queue must be non-zero".to_owned());
                 }
             }
-            "--cache-bytes" => {
-                opts.serve_cache_bytes = value(&mut i, "--cache-bytes")?
-                    .parse()
-                    .map_err(|_| "bad --cache-bytes".to_owned())?;
-            }
-            "--serve-ms" => {
-                opts.serve_ms = Some(
-                    value(&mut i, "--serve-ms")?
-                        .parse()
-                        .map_err(|_| "bad --serve-ms".to_owned())?,
-                );
-            }
+            "--cache-bytes" => opts.serve_cache_bytes = flag_value(args, &mut i)?,
+            "--serve-ms" => opts.serve_ms = Some(flag_value(args, &mut i)?),
             "--request-deadline-ms" => {
-                opts.request_deadline_ms = value(&mut i, "--request-deadline-ms")?
-                    .parse()
-                    .map_err(|_| "bad --request-deadline-ms".to_owned())?;
+                opts.request_deadline_ms = flag_value(args, &mut i)?;
                 if opts.request_deadline_ms == 0 {
                     return Err("--request-deadline-ms must be non-zero".to_owned());
                 }
             }
-            "--max-per-peer" => {
-                opts.max_per_peer = value(&mut i, "--max-per-peer")?
-                    .parse()
-                    .map_err(|_| "bad --max-per-peer".to_owned())?;
-            }
+            "--max-per-peer" => opts.max_per_peer = flag_value(args, &mut i)?,
             "--rate" => {
-                opts.rate_per_peer = value(&mut i, "--rate")?
-                    .parse()
-                    .map_err(|_| "bad --rate".to_owned())?;
+                opts.rate_per_peer = flag_value(args, &mut i)?;
                 if opts.rate_per_peer < 0.0 || !opts.rate_per_peer.is_finite() {
                     return Err("--rate must be a non-negative number".to_owned());
                 }
             }
-            "--max-conns" => {
-                opts.max_conns = value(&mut i, "--max-conns")?
-                    .parse()
-                    .map_err(|_| "bad --max-conns".to_owned())?;
-            }
+            "--max-conns" => opts.max_conns = flag_value(args, &mut i)?,
             "--idle-timeout-ms" => {
-                opts.idle_timeout_ms = value(&mut i, "--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "bad --idle-timeout-ms".to_owned())?;
+                opts.idle_timeout_ms = flag_value(args, &mut i)?;
                 if opts.idle_timeout_ms == 0 {
                     return Err("--idle-timeout-ms must be non-zero".to_owned());
                 }
             }
-            "--metric" => opts.metric = value(&mut i, "--metric")?,
-            "--axis" => opts.axis = value(&mut i, "--axis")?,
-            "--api" => opts.filter_api = Some(value(&mut i, "--api")?),
-            "--kind" => opts.filter_kind = Some(value(&mut i, "--kind")?),
-            "--op" => opts.filter_op = Some(value(&mut i, "--op")?),
-            "--min-tasks" => {
-                opts.min_tasks = Some(
-                    value(&mut i, "--min-tasks")?
-                        .parse()
-                        .map_err(|_| "bad --min-tasks".to_owned())?,
-                );
-            }
-            "--max-tasks" => {
-                opts.max_tasks = Some(
-                    value(&mut i, "--max-tasks")?
-                        .parse()
-                        .map_err(|_| "bad --max-tasks".to_owned())?,
-                );
-            }
-            "--min-bw" => {
-                opts.min_bw = Some(
-                    value(&mut i, "--min-bw")?
-                        .parse()
-                        .map_err(|_| "bad --min-bw".to_owned())?,
-                );
-            }
-            "--max-bw" => {
-                opts.max_bw = Some(
-                    value(&mut i, "--max-bw")?
-                        .parse()
-                        .map_err(|_| "bad --max-bw".to_owned())?,
-                );
-            }
-            "--sort" => opts.sort = value(&mut i, "--sort")?,
+            "--metric" => opts.metric = flag_value(args, &mut i)?,
+            "--axis" => opts.axis = flag_value(args, &mut i)?,
+            "--api" => opts.filter.api = Some(flag_value(args, &mut i)?),
+            "--kind" => opts.filter_kind = Some(flag_value(args, &mut i)?),
+            "--op" => opts.filter.op = Some(flag_value(args, &mut i)?),
+            "--min-tasks" => opts.filter.min_tasks = Some(flag_value(args, &mut i)?),
+            "--max-tasks" => opts.filter.max_tasks = Some(flag_value(args, &mut i)?),
+            "--min-bw" => opts.filter.min_bw = Some(flag_value(args, &mut i)?),
+            "--max-bw" => opts.filter.max_bw = Some(flag_value(args, &mut i)?),
+            "--sort" => opts.sort = flag_value(args, &mut i)?,
             "--order" => {
-                opts.order_desc = match value(&mut i, "--order")?.as_str() {
+                opts.order_desc = match flag_value::<String>(args, &mut i)?.as_str() {
                     "asc" => false,
                     "desc" => true,
                     other => return Err(format!("unknown --order `{other}` (expected asc|desc)")),
                 };
             }
-            "--limit" => {
-                opts.limit = Some(
-                    value(&mut i, "--limit")?
-                        .parse()
-                        .map_err(|_| "bad --limit".to_owned())?,
-                );
-            }
-            "--offset" => {
-                opts.offset = value(&mut i, "--offset")?
-                    .parse()
-                    .map_err(|_| "bad --offset".to_owned())?;
-            }
+            "--limit" => opts.limit = Some(flag_value(args, &mut i)?),
+            "--offset" => opts.offset = flag_value(args, &mut i)?,
             "--count" => opts.count_only = true,
-            "--metrics" => opts.metrics_out = Some(PathBuf::from(value(&mut i, "--metrics")?)),
-            "--trace" => opts.trace_out = Some(PathBuf::from(value(&mut i, "--trace")?)),
+            "--metrics" => opts.metrics_out = Some(flag_value(args, &mut i)?),
+            "--trace" => opts.trace_out = Some(flag_value(args, &mut i)?),
             "--repair" => opts.repair = true,
-            "--journal" => opts.journal = Some(PathBuf::from(value(&mut i, "--journal")?)),
-            "--contains" => opts.filter_contains = Some(value(&mut i, "--contains")?),
+            "--journal" => opts.journal = Some(flag_value(args, &mut i)?),
+            "--contains" => opts.filter.command = Some(flag_value(args, &mut i)?),
             "--runs" => {
-                opts.runs = value(&mut i, "--runs")?
-                    .parse()
-                    .map_err(|_| "bad --runs".to_owned())?;
+                opts.runs = flag_value(args, &mut i)?;
                 if opts.runs == 0 {
                     return Err("--runs must be non-zero".to_owned());
                 }
             }
-            "--group" => opts.group = value(&mut i, "--group")?,
-            "--factor" => opts.factor = value(&mut i, "--factor")?,
-            "--correlate" => opts.correlate = Some(value(&mut i, "--correlate")?),
+            "--group" => opts.group = flag_value(args, &mut i)?,
+            "--factor" => opts.factor = flag_value(args, &mut i)?,
+            "--correlate" => opts.correlate = Some(flag_value(args, &mut i)?),
             "--outliers" => opts.outliers = true,
             other => opts.positional.push(other.to_owned()),
         }
@@ -550,7 +455,9 @@ fn print_help() {
          \x20                       --sort id|tasks|command|bw, --order asc|desc,\n\
          \x20                       --limit <n>, --offset <n>, --count)\n\
          \x20 view <id>             knowledge viewer for one object\n\
-         \x20 compare               comparison view (--axis transfer|block|tasks, --metric <op>)\n\
+         \x20 compare               comparison view of benchmark runs (--axis transfer|\n\
+         \x20                       block|tasks|segments|clients_per_node, --metric <op>,\n\
+         \x20                       and every query filter flag)\n\
          \x20 detect                run the anomaly detectors over the store\n\
          \x20 recommend <id>        tuning recommendations for one object\n\
          \x20 sql \"<query>\"         query the store's tables directly\n\
@@ -594,8 +501,6 @@ fn print_help() {
          OPTIONS: --db <path> --tasks <n> --ppn <n> --seed <n> --iterations <n>\n\
          \x20        --retries <n> --phase-deadline <ms>   (resilience: retry transient\n\
          \x20        phase failures with seeded backoff; budget per phase)\n\
-         \x20        --metric <operation> --axis <transfer|block|tasks|segments>\n\
-         \x20        --api <API> --contains <text>   (comparison filters)\n\
          \x20        --metrics <path>   dump the run's metrics registry as JSON\n\
          \x20        --trace <path>     stream span/log events to a checksummed journal\n\n\
          EXIT CODES: 0 ok, 1 error, 2 usage, 3 transient phase failure,\n\
@@ -1066,49 +971,14 @@ fn cmd_list(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Build the `iokc query` predicate from filter flags. As in the HTTP
-/// API, `--api` and `--contains` pin the benchmark kind: IO500 runs have
-/// no API and a synthetic command, so matching them there would only
-/// surprise.
-fn query_predicate(opts: &Options) -> Result<RunPredicate, CliError> {
-    let mut conjuncts = Vec::new();
-    match opts.filter_kind.as_deref() {
-        Some("benchmark") => conjuncts.push(RunPredicate::Kind(RunKind::Benchmark)),
-        Some("io500") => conjuncts.push(RunPredicate::Kind(RunKind::Io500)),
-        Some(other) => {
-            return Err(CliError::usage(format!(
-                "unknown --kind `{other}` (expected benchmark|io500)"
-            )))
-        }
-        None => {}
-    }
-    if let Some(api) = &opts.filter_api {
-        conjuncts.push(RunPredicate::Kind(RunKind::Benchmark));
-        conjuncts.push(RunPredicate::ApiEq(api.clone()));
-    }
-    if let Some(text) = &opts.filter_contains {
-        conjuncts.push(RunPredicate::Kind(RunKind::Benchmark));
-        conjuncts.push(RunPredicate::CommandContains(text.clone()));
-    }
-    if let Some(op) = &opts.filter_op {
-        conjuncts.push(RunPredicate::HasOp(op.clone()));
-    }
-    if opts.min_tasks.is_some() || opts.max_tasks.is_some() {
-        conjuncts.push(RunPredicate::TasksBetween(
-            opts.min_tasks.unwrap_or(0),
-            opts.max_tasks.unwrap_or(u32::MAX),
-        ));
-    }
-    if opts.min_bw.is_some() || opts.max_bw.is_some() {
-        conjuncts.push(RunPredicate::BandwidthBetween(
-            opts.min_bw.unwrap_or(f64::NEG_INFINITY),
-            opts.max_bw.unwrap_or(f64::INFINITY),
-        ));
-    }
-    Ok(conjuncts
-        .into_iter()
-        .reduce(RunPredicate::and)
-        .unwrap_or(RunPredicate::True))
+/// The run filter the flags state: `--kind` plus every flag kept in
+/// [`Options::filter`].
+fn run_filter(opts: &Options) -> Result<RunFilter, CliError> {
+    let kind = opts.filter_kind.as_deref().map(str::parse).transpose();
+    Ok(RunFilter {
+        kind: kind.map_err(CliError::flag)?,
+        ..opts.filter.clone()
+    })
 }
 
 /// `iokc query` — the typed query engine from the shell: filters are
@@ -1116,22 +986,12 @@ fn query_predicate(opts: &Options) -> Result<RunPredicate, CliError> {
 /// never full knowledge objects.
 fn cmd_query(opts: &Options) -> Result<(), CliError> {
     let store = open_store(opts)?;
-    let predicate = query_predicate(opts)?;
+    let predicate = run_filter(opts)?.predicate();
     if opts.count_only {
         println!("{}", store.count(&predicate).map_err(store_err)?);
         return Ok(());
     }
-    let order = match opts.sort.as_str() {
-        "id" => RunOrder::Id,
-        "tasks" => RunOrder::Tasks,
-        "command" => RunOrder::Command,
-        "bw" => RunOrder::Bandwidth,
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown --sort `{other}` (expected id|tasks|command|bw)"
-            )))
-        }
-    };
+    let order: RunOrder = opts.sort.parse().map_err(CliError::flag)?;
     let mut query = Query::new(predicate).order_by(order).offset(opts.offset);
     if opts.order_desc {
         query = query.descending();
@@ -1192,27 +1052,24 @@ fn cmd_view(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     let store = open_store(opts)?;
-    let axis = match opts.axis.as_str() {
-        "transfer" => OptionAxis::TransferSize,
-        "block" => OptionAxis::BlockSize,
-        "tasks" => OptionAxis::Tasks,
-        "segments" => OptionAxis::Segments,
-        other => return Err(CliError::usage(format!("unknown axis `{other}`"))),
-    };
+    let axis = OptionAxis::parse(&opts.axis).map_err(CliError::flag)?;
     let metric = MetricAxis::MeanBandwidth(opts.metric.clone());
-    // The `--api`/`--contains` filters are pushed down into the store;
-    // the comparison runs over summary projections.
-    let mut predicate = RunPredicate::Kind(RunKind::Benchmark);
-    if let Some(api) = &opts.filter_api {
-        predicate = predicate.and(RunPredicate::ApiEq(api.clone()));
+    // Every filter flag is pushed down into the store; the comparison
+    // charts benchmark runs, over their summary projections.
+    let filter = run_filter(opts)?;
+    if filter.kind == Some(RunKind::Io500) {
+        return Err(CliError::usage(
+            "compare charts benchmark runs; --kind io500 selects none",
+        ));
     }
-    if let Some(text) = &opts.filter_contains {
-        predicate = predicate.and(RunPredicate::CommandContains(text.clone()));
-    }
+    let filter = RunFilter {
+        kind: Some(RunKind::Benchmark),
+        ..filter
+    };
     let rows = store
-        .query_summaries(&Query::new(predicate), &DeadlineToken::unbounded())
+        .query_summaries(&Query::new(filter.predicate()), &DeadlineToken::unbounded())
         .map_err(store_err)?;
-    let points = compare_summaries(&rows, axis, &metric);
+    let points = compare(&rows, axis, &metric);
     if points.is_empty() {
         println!("no comparable knowledge for metric `{}`", opts.metric);
         return Ok(());
@@ -1330,11 +1187,19 @@ fn cmd_cycle(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_report(opts: &Options) -> Result<(), CliError> {
     let store = open_store(opts)?;
-    // The HTML report renders per-iteration detail, so it needs the full
-    // projection, not summaries.
+    // The detectors read per-iteration results, so they take the full
+    // projection; the report itself is drawn from summary rows and the
+    // box-plot projection.
     let items = store.query_items(&Query::all()).map_err(store_err)?;
     let findings = run_detectors(&items)?;
-    let html = iokc_analysis::render_html(&items, &findings);
+    let open = DeadlineToken::unbounded();
+    let rows = store
+        .query_summaries(&Query::all(), &open)
+        .map_err(store_err)?;
+    let series = store
+        .boxplot_series(&RunPredicate::True, "write", &open)
+        .map_err(store_err)?;
+    let html = iokc_analysis::render_html(&rows, &overview(&series), &findings);
     let path = opts
         .positional
         .first()
@@ -1343,7 +1208,7 @@ fn cmd_report(opts: &Options) -> Result<(), CliError> {
     std::fs::write(path, html).map_err(|e| format!("write {path}: {e}"))?;
     println!(
         "wrote {path} ({} knowledge objects, {} findings)",
-        items.len(),
+        rows.len(),
         findings.len()
     );
     Ok(())
@@ -1632,27 +1497,16 @@ fn cmd_corpus_gen(opts: &Options) -> Result<(), CliError> {
 fn cmd_agg(opts: &Options) -> Result<(), CliError> {
     use iokc_store::{AggregateQuery, Factor, GroupBy};
 
-    let group = GroupBy::parse(&opts.group).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown --group `{}` (expected all|kind|api|tasks|xfer)",
-            opts.group
-        ))
-    })?;
-    let factor = Factor::parse(&opts.factor).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown --factor `{}` (expected bw|bw_score|md_score|total_score|tasks|xfer|block|warnings)",
-            opts.factor
-        ))
-    })?;
-    let mut query = AggregateQuery::new(group, factor).with_predicate(query_predicate(opts)?);
+    let group = GroupBy::parse(&opts.group).map_err(CliError::flag)?;
+    let factor = Factor::parse(&opts.factor).map_err(CliError::flag)?;
+    let predicate = run_filter(opts)?.predicate();
+    let mut query = AggregateQuery::new(group, factor).with_predicate(predicate.clone());
     if let Some(list) = &opts.correlate {
         let factors = list
             .split(',')
-            .map(|name| {
-                Factor::parse(name.trim())
-                    .ok_or_else(|| CliError::usage(format!("unknown correlation factor `{name}`")))
-            })
-            .collect::<Result<Vec<Factor>, CliError>>()?;
+            .map(|name| Factor::parse(name.trim()))
+            .collect::<Result<Vec<Factor>, UnknownName>>()
+            .map_err(CliError::usage)?;
         query = query.with_correlation(&factors);
     }
 
@@ -1712,10 +1566,7 @@ fn cmd_agg(opts: &Options) -> Result<(), CliError> {
             iokc_analysis::DEFAULT_MARGIN,
         );
         let rows = store
-            .query_summaries(
-                &Query::new(query_predicate(opts)?),
-                &DeadlineToken::unbounded(),
-            )
+            .query_summaries(&Query::new(predicate), &DeadlineToken::unbounded())
             .map_err(store_err)?;
         println!();
         print!("{}", boxes.render(&boxes.flag(rows.iter())));

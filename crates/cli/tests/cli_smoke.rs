@@ -200,6 +200,36 @@ fn query_filters_and_counts_from_the_shell() {
 }
 
 #[test]
+fn compare_honours_every_filter_flag() {
+    let dir = tempdir("compare");
+    let mut args: Vec<&str> = RUN_ARGS.to_vec();
+    args.push("kb.json");
+    stdout(&iokc(&dir, &args));
+
+    let all = stdout(&iokc(&dir, &["compare", "--db", "kb.json"]));
+    assert!(all.contains("transfer size (bytes)"), "{all}");
+
+    // Every run here has 8 tasks, so `query` counts none above 8 and
+    // `compare` charts none.
+    for (flag, value) in [
+        ("--min-tasks", "9"),
+        ("--max-tasks", "7"),
+        ("--min-bw", "1e12"),
+        ("--max-bw", "-1"),
+        ("--op", "stat"),
+    ] {
+        let none = stdout(&iokc(&dir, &["compare", flag, value, "--db", "kb.json"]));
+        assert!(none.contains("no comparable knowledge"), "{flag}: {none}");
+    }
+
+    let io500 = iokc(&dir, &["compare", "--kind", "io500", "--db", "kb.json"]);
+    assert_eq!(io500.status.code(), Some(2));
+    let axis = iokc(&dir, &["compare", "--axis", "latency", "--db", "kb.json"]);
+    assert_eq!(axis.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&axis.stderr).contains("unknown --axis"));
+}
+
+#[test]
 fn help_lists_every_command() {
     let dir = tempdir("help");
     let help = stdout(&iokc(&dir, &["help"]));

@@ -36,17 +36,19 @@
 //! body-less `304 Not Modified` until the next store write bumps the
 //! generation.
 
+use std::fmt;
+use std::str::FromStr;
 use std::sync::{Arc, RwLock};
 
 use iokc_analysis::{
-    compare_summaries, overview_series, write_bar_chart, write_box_plot, write_heat_map,
-    write_io500, write_knowledge, write_line_chart, ChartOptions, MetricAxis, OptionAxis, Series,
+    compare, escape_html, overview, write_bar_chart, write_box_plot, write_heat_map, write_io500,
+    write_knowledge, write_line_chart, ChartOptions, MetricAxis, OptionAxis, Series,
 };
 use iokc_core::model::Knowledge;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
 use iokc_store::{
     AggregateQuery, AggregateResult, DbError, Factor, GroupBy, KnowledgeStore, Query, RunCursor,
-    RunKind, RunOrder, RunPredicate, RunSummary, Snapshot,
+    RunFilter, RunKind, RunOrder, RunPredicate, RunSummary, Snapshot, UnknownName,
 };
 use iokc_util::json::{Json, ObjectWriter};
 
@@ -82,6 +84,12 @@ impl From<DbError> for RouteError {
             DbError::Cancelled { examined, matched } => RouteError::Deadline { examined, matched },
             other => RouteError::Store(other),
         }
+    }
+}
+
+impl From<UnknownName> for RouteError {
+    fn from(e: UnknownName) -> RouteError {
+        RouteError::BadQuery(e.to_string())
     }
 }
 
@@ -435,7 +443,7 @@ impl Explorer {
     /// matched rows as the socket drains, teeing the bytes into the
     /// cache.
     fn api_runs(&self, req: &Request, deadline: &DeadlineToken) -> RouteResult {
-        let query = RunsQuery::from_request(req)?.to_query();
+        let query = runs_query(req)?;
         // The cache keys on the *typed* query: `?api=X&sort=id` and
         // `?sort=id&api=X` (or an explicit `order=asc`) land on the
         // same entry.
@@ -537,118 +545,47 @@ fn load_benchmark(store: &Snapshot, id: u64) -> Result<Knowledge, RouteError> {
 
 // ---------------------------------------------------------------- /api/runs
 
-/// Parsed `/api/runs` query parameters; [`RunsQuery::to_query`] lowers
-/// them onto the store's typed query engine.
-struct RunsQuery {
-    kind: Option<String>,
-    api: Option<String>,
-    command: Option<String>,
-    op: Option<String>,
-    min_tasks: u32,
-    max_tasks: u32,
-    sort: RunOrder,
-    descending: bool,
-    offset: usize,
-    limit: usize,
+/// The `/api/runs` query: the run filter its parameters state, then
+/// `sort`, `order`, `offset` and `limit` — the canonical cache key and
+/// the one selection the stream pages through.
+fn runs_query(req: &Request) -> Result<Query, RouteError> {
+    let filter = RunFilter {
+        kind: param(req, "kind")?,
+        api: param(req, "api")?,
+        command: param(req, "command")?,
+        op: param(req, "op")?,
+        min_tasks: param(req, "min_tasks")?,
+        max_tasks: param(req, "max_tasks")?,
+        ..RunFilter::default()
+    };
+    let mut query = Query::new(filter.predicate())
+        .order_by(param(req, "sort")?.unwrap_or(RunOrder::Id))
+        .offset(param(req, "offset")?.unwrap_or(0));
+    query.descending = match req.param("order").unwrap_or("asc") {
+        "asc" => false,
+        "desc" => true,
+        other => {
+            return Err(RouteError::BadQuery(format!(
+                "unknown order `{other}` (expected asc|desc)"
+            )))
+        }
+    };
+    query.limit = param(req, "limit")?;
+    Ok(query)
 }
 
-impl RunsQuery {
-    fn from_request(req: &Request) -> Result<RunsQuery, RouteError> {
-        let sort = match req.param("sort").unwrap_or("id") {
-            "id" => RunOrder::Id,
-            "tasks" => RunOrder::Tasks,
-            "command" => RunOrder::Command,
-            "bw" => RunOrder::Bandwidth,
-            other => {
-                return Err(RouteError::BadQuery(format!(
-                    "unknown sort `{other}` (expected id|tasks|command|bw)"
-                )))
-            }
-        };
-        let descending = match req.param("order").unwrap_or("asc") {
-            "asc" => false,
-            "desc" => true,
-            other => {
-                return Err(RouteError::BadQuery(format!(
-                    "unknown order `{other}` (expected asc|desc)"
-                )))
-            }
-        };
-        if let Some(kind) = req.param("kind") {
-            if kind != "benchmark" && kind != "io500" {
-                return Err(RouteError::BadQuery(format!(
-                    "unknown kind `{kind}` (expected benchmark|io500)"
-                )));
-            }
-        }
-        Ok(RunsQuery {
-            kind: req.param("kind").map(str::to_owned),
-            api: req.param("api").map(str::to_owned),
-            command: req.param("command").map(str::to_owned),
-            op: req.param("op").map(str::to_owned),
-            min_tasks: parse_num(req, "min_tasks", 0)?,
-            max_tasks: parse_num(req, "max_tasks", u32::MAX)?,
-            sort,
-            descending,
-            offset: parse_num(req, "offset", 0)?,
-            limit: parse_num(req, "limit", usize::MAX)?,
+/// The parameter `name` parsed as a `T`, `None` when absent; a value
+/// that does not parse answers `400` naming it.
+fn param<T: FromStr>(req: &Request, name: &str) -> Result<Option<T>, RouteError>
+where
+    T::Err: fmt::Display,
+{
+    req.param(name)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|e| RouteError::BadQuery(format!("`{name}={raw}`: {e}")))
         })
-    }
-
-    /// The typed predicate. The api, command and op filters pin the
-    /// benchmark kind — IO500 runs carry none of those fields, matching
-    /// the endpoint's long-standing behavior of excluding them once
-    /// such a filter is present.
-    fn predicate(&self) -> RunPredicate {
-        let mut conjuncts = Vec::new();
-        match self.kind.as_deref() {
-            Some("io500") => conjuncts.push(RunPredicate::Kind(RunKind::Io500)),
-            Some(_) => conjuncts.push(RunPredicate::Kind(RunKind::Benchmark)),
-            None => {}
-        }
-        if let Some(api) = &self.api {
-            conjuncts.push(RunPredicate::Kind(RunKind::Benchmark));
-            conjuncts.push(RunPredicate::ApiEq(api.clone()));
-        }
-        if let Some(text) = &self.command {
-            conjuncts.push(RunPredicate::Kind(RunKind::Benchmark));
-            conjuncts.push(RunPredicate::CommandContains(text.clone()));
-        }
-        if let Some(op) = &self.op {
-            conjuncts.push(RunPredicate::HasOp(op.clone()));
-        }
-        if self.min_tasks > 0 || self.max_tasks < u32::MAX {
-            conjuncts.push(RunPredicate::TasksBetween(self.min_tasks, self.max_tasks));
-        }
-        conjuncts
-            .into_iter()
-            .reduce(RunPredicate::and)
-            .unwrap_or(RunPredicate::True)
-    }
-
-    /// The requested query: the canonical cache key and the one
-    /// selection the stream pages through.
-    fn to_query(&self) -> Query {
-        let mut query = Query::new(self.predicate())
-            .order_by(self.sort)
-            .offset(self.offset);
-        if self.descending {
-            query = query.descending();
-        }
-        if self.limit < usize::MAX {
-            query = query.limit(self.limit);
-        }
-        query
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(req: &Request, name: &str, default: T) -> Result<T, RouteError> {
-    match req.param(name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| RouteError::BadQuery(format!("bad number for `{name}`: `{raw}`"))),
-    }
+        .transpose()
 }
 
 /// One `/api/runs` row as compact JSON, encoded straight onto `out`.
@@ -697,18 +634,7 @@ struct CompareSpec {
 impl CompareSpec {
     fn from_request(req: &Request) -> Result<CompareSpec, RouteError> {
         let op = req.param("op").unwrap_or("write").to_owned();
-        let x = match req.param("x").unwrap_or("transfer_size") {
-            "transfer_size" => OptionAxis::TransferSize,
-            "block_size" => OptionAxis::BlockSize,
-            "tasks" => OptionAxis::Tasks,
-            "segments" => OptionAxis::Segments,
-            "clients_per_node" => OptionAxis::ClientsPerNode,
-            other => {
-                return Err(RouteError::BadQuery(format!(
-                    "unknown x axis `{other}` (expected transfer_size|block_size|tasks|segments|clients_per_node)"
-                )))
-            }
-        };
+        let x = OptionAxis::parse(req.param("x").unwrap_or("transfer_size"))?;
         let y = match req.param("y").unwrap_or("mean_bw") {
             "mean_bw" => MetricAxis::MeanBandwidth(op.clone()),
             "max_bw" => MetricAxis::MaxBandwidth(op.clone()),
@@ -719,31 +645,31 @@ impl CompareSpec {
                 )))
             }
         };
-        let mut conjuncts = vec![RunPredicate::Kind(RunKind::Benchmark)];
-        if let Some(raw) = req.param("ids") {
-            let mut ids = Vec::new();
-            for piece in raw.split(',').filter(|p| !p.is_empty()) {
-                ids.push(piece.parse().map_err(|_| {
-                    RouteError::BadQuery(format!("`{piece}` in ids is not a run id"))
-                })?);
-            }
-            conjuncts.push(RunPredicate::IdIn(ids));
-        }
-        if let Some(api) = req.param("api") {
-            conjuncts.push(RunPredicate::ApiEq(api.to_owned()));
-        }
-        if let Some(text) = req.param("command") {
-            conjuncts.push(RunPredicate::CommandContains(text.to_owned()));
-        }
-        let predicate = conjuncts
-            .into_iter()
-            .reduce(RunPredicate::and)
-            .unwrap_or(RunPredicate::True);
+        let ids = req
+            .param("ids")
+            .map(|raw| {
+                raw.split(',')
+                    .filter(|p| !p.is_empty())
+                    .map(|piece| {
+                        piece.parse().map_err(|_| {
+                            RouteError::BadQuery(format!("`{piece}` in ids is not a run id"))
+                        })
+                    })
+                    .collect::<Result<Vec<u64>, RouteError>>()
+            })
+            .transpose()?;
+        let filter = RunFilter {
+            kind: Some(RunKind::Benchmark),
+            ids,
+            api: param(req, "api")?,
+            command: param(req, "command")?,
+            ..RunFilter::default()
+        };
         Ok(CompareSpec {
             x,
             y,
             op,
-            predicate,
+            predicate: filter.predicate(),
         })
     }
 
@@ -763,7 +689,7 @@ impl CompareSpec {
         deadline: &DeadlineToken,
     ) -> Result<Vec<iokc_analysis::ComparisonPoint>, RouteError> {
         let rows = store.query_summaries(&Query::new(self.predicate.clone()), deadline)?;
-        Ok(compare_summaries(&rows, self.x, &self.y))
+        Ok(compare(&rows, self.x, &self.y))
     }
 }
 
@@ -799,7 +725,7 @@ fn compare_json(
 // -------------------------------------------------------------- /api/boxplot
 
 fn boxplot_json(store: &Snapshot, op: &str, deadline: &DeadlineToken) -> Result<Json, RouteError> {
-    let boxes = overview_series(&store.boxplot_series(&RunPredicate::True, op, deadline)?);
+    let boxes = overview(&store.boxplot_series(&RunPredicate::True, op, deadline)?);
     Ok(Json::obj(vec![
         ("operation", Json::from(op)),
         (
@@ -840,32 +766,13 @@ struct AggSpec {
 
 impl AggSpec {
     fn from_request(req: &Request) -> Result<AggSpec, RouteError> {
-        let group_raw = req.param("group").unwrap_or("api");
-        let group = GroupBy::parse(group_raw).ok_or_else(|| {
-            RouteError::BadQuery(format!(
-                "unknown group `{group_raw}` (expected all|kind|api|tasks|xfer)"
-            ))
-        })?;
-        let factor_raw = req.param("factor").unwrap_or("bw");
-        let factor = Factor::parse(factor_raw).ok_or_else(|| {
-            RouteError::BadQuery(format!(
-                "unknown factor `{factor_raw}` \
-                 (expected bw|bw_score|md_score|total_score|tasks|xfer|block|warnings)"
-            ))
-        })?;
-        let mut query = AggregateQuery::new(group, factor);
-        match req.param("kind") {
-            Some("benchmark") => {
-                query = query.with_predicate(RunPredicate::Kind(RunKind::Benchmark));
-            }
-            Some("io500") => query = query.with_predicate(RunPredicate::Kind(RunKind::Io500)),
-            Some(other) => {
-                return Err(RouteError::BadQuery(format!(
-                    "unknown kind `{other}` (expected benchmark|io500)"
-                )))
-            }
-            None => {}
-        }
+        let group = GroupBy::parse(req.param("group").unwrap_or("api"))?;
+        let factor = Factor::parse(req.param("factor").unwrap_or("bw"))?;
+        let filter = RunFilter {
+            kind: param(req, "kind")?,
+            ..RunFilter::default()
+        };
+        let mut query = AggregateQuery::new(group, factor).with_predicate(filter.predicate());
         // `/api/corr` defaults to the IO500 score factors; the others
         // correlate only on request.
         let correlate_raw = req.param("correlate").or(match req.path.as_str() {
@@ -873,12 +780,11 @@ impl AggSpec {
             _ => None,
         });
         if let Some(raw) = correlate_raw {
-            let mut factors = Vec::new();
-            for name in raw.split(',').filter(|n| !n.is_empty()) {
-                factors.push(Factor::parse(name.trim()).ok_or_else(|| {
-                    RouteError::BadQuery(format!("unknown correlation factor `{name}`"))
-                })?);
-            }
+            let factors = raw
+                .split(',')
+                .filter(|n| !n.is_empty())
+                .map(|name| Factor::parse(name.trim()))
+                .collect::<Result<Vec<Factor>, UnknownName>>()?;
             query = query.with_correlation(&factors);
         }
         Ok(AggSpec {
@@ -1019,20 +925,14 @@ fn corr_json(result: &AggregateResult) -> Result<Json, RouteError> {
 
 // ----------------------------------------------------------------- HTML pages
 
-fn html_escape(text: &str) -> String {
-    text.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
 fn page_open(title: &str, out: &mut String) {
     out.push_str("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>");
-    out.push_str(&html_escape(title));
+    out.push_str(&escape_html(title));
     out.push_str(
         "</title><style>body{font-family:monospace;margin:2em}table{border-collapse:collapse}\
          td,th{border:1px solid #ccc;padding:4px 8px}</style></head><body>\n",
     );
-    out.push_str(&format!("<h1>{}</h1>\n", html_escape(title)));
+    out.push_str(&format!("<h1>{}</h1>\n", escape_html(title)));
 }
 
 fn page_close(out: &mut String) {
@@ -1059,7 +959,7 @@ fn index_page(
             RunKind::Benchmark => {
                 out.push_str(&format!(
                     "<tr><td>benchmark</td><td><a href=\"/runs/{id}\">{id}</a></td><td>{}</td></tr>\n",
-                    html_escape(&row.command)
+                    escape_html(&row.command)
                 ));
             }
             RunKind::Io500 => {
@@ -1082,7 +982,7 @@ fn run_page(store: &Snapshot, id: u64, out: &mut String) -> Result<(), RouteErro
     let mut text = String::new();
     let _ = write_knowledge(&k, &mut text);
     out.push_str("<pre>");
-    out.push_str(&html_escape(&text));
+    out.push_str(&escape_html(&text));
     out.push_str("</pre>\n");
     // Per-iteration bandwidth, one series per operation (Fig. 5 layout).
     let mut operations: Vec<&str> = Vec::new();
@@ -1130,7 +1030,7 @@ fn io500_page(store: &Snapshot, id: u64, out: &mut String) -> Result<(), RouteEr
     let mut text = String::new();
     let _ = write_io500(&k, &mut text);
     out.push_str("<pre>");
-    out.push_str(&html_escape(&text));
+    out.push_str(&escape_html(&text));
     out.push_str("</pre>\n");
     page_close(out);
     Ok(())
@@ -1237,7 +1137,7 @@ fn dist_page(
         out.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td>\
              <td>{:.3}</td><td>{:.3}</td><td>{:.3}</td><td>{:.3}</td></tr>\n",
-            html_escape(&g.key),
+            escape_html(&g.key),
             g.count,
             g.min,
             g.percentile(0.5).unwrap_or(f64::NAN),
@@ -1276,7 +1176,7 @@ fn corr_page(
             );
             out.push_str(&format!(
                 "<p>factors: {}</p>\n",
-                html_escape(&corr.factors.join(", "))
+                escape_html(&corr.factors.join(", "))
             ));
         }
     }
@@ -1290,7 +1190,7 @@ fn boxplot_page(
     deadline: &DeadlineToken,
     out: &mut String,
 ) -> Result<(), RouteError> {
-    let boxes = overview_series(&store.boxplot_series(&RunPredicate::True, op, deadline)?);
+    let boxes = overview(&store.boxplot_series(&RunPredicate::True, op, deadline)?);
     page_open(&format!("throughput overview — {op}"), out);
     if boxes.is_empty() {
         out.push_str("<p>no runs with this operation</p>\n");

@@ -37,7 +37,7 @@
 
 use crate::database::DbError;
 use crate::knowledge_store::Snapshot;
-use crate::query::{RunPredicate, RunSummary, ScanStats};
+use crate::query::{RunPredicate, RunSummary, ScanStats, UnknownName};
 use iokc_obs::{Counter, DeadlineToken, MetricsRegistry};
 use iokc_util::stats;
 use std::collections::BTreeMap;
@@ -72,15 +72,14 @@ impl GroupBy {
     }
 
     /// Parse a grouping name as used by the CLI and HTTP endpoints.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<GroupBy> {
+    pub fn parse(name: &str) -> Result<GroupBy, UnknownName> {
         match name {
-            "all" => Some(GroupBy::All),
-            "kind" => Some(GroupBy::Kind),
-            "api" => Some(GroupBy::Api),
-            "tasks" => Some(GroupBy::TasksLog2),
-            "xfer" | "transfer" => Some(GroupBy::TransferLog2),
-            _ => None,
+            "all" => Ok(GroupBy::All),
+            "kind" => Ok(GroupBy::Kind),
+            "api" => Ok(GroupBy::Api),
+            "tasks" => Ok(GroupBy::TasksLog2),
+            "xfer" | "transfer" => Ok(GroupBy::TransferLog2),
+            _ => Err(UnknownName::new("group", name, "all|kind|api|tasks|xfer")),
         }
     }
 
@@ -154,18 +153,21 @@ impl Factor {
     }
 
     /// Parse a factor name as used by the CLI and HTTP endpoints.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Factor> {
+    pub fn parse(name: &str) -> Result<Factor, UnknownName> {
         match name {
-            "bw" | "bandwidth" => Some(Factor::Bandwidth),
-            "bw_score" => Some(Factor::BwScore),
-            "md_score" => Some(Factor::MdScore),
-            "total_score" | "score" => Some(Factor::TotalScore),
-            "tasks" => Some(Factor::Tasks),
-            "xfer" | "transfer" => Some(Factor::TransferSize),
-            "block" => Some(Factor::BlockSize),
-            "warnings" => Some(Factor::Warnings),
-            _ => None,
+            "bw" | "bandwidth" => Ok(Factor::Bandwidth),
+            "bw_score" => Ok(Factor::BwScore),
+            "md_score" => Ok(Factor::MdScore),
+            "total_score" | "score" => Ok(Factor::TotalScore),
+            "tasks" => Ok(Factor::Tasks),
+            "xfer" | "transfer" => Ok(Factor::TransferSize),
+            "block" => Ok(Factor::BlockSize),
+            "warnings" => Ok(Factor::Warnings),
+            _ => Err(UnknownName::new(
+                "factor",
+                name,
+                "bw|bw_score|md_score|total_score|tasks|xfer|block|warnings",
+            )),
         }
     }
 

@@ -41,7 +41,10 @@ pub use journal::{
 };
 pub use knowledge_store::{KnowledgeStore, Snapshot, StoreHealth};
 pub use persist::{classify_io_error, export_csv};
-pub use query::{OpStat, Query, RunCursor, RunKind, RunOrder, RunPredicate, RunRef, RunSummary};
+pub use query::{
+    OpStat, Query, RunCursor, RunFilter, RunKind, RunOrder, RunPredicate, RunRef, RunSummary,
+    UnknownName,
+};
 pub use segment::{Segment, SegmentMeta};
 pub use value::{ColumnType, Value};
 pub use vfs::{DiskFault, FaultVfs, StdVfs, Vfs, VfsFile};

@@ -10,6 +10,8 @@
 //! * [`RunPredicate`] — the filter algebra (kind, api/op equality,
 //!   tasks/transfer-size/bandwidth ranges, command substring, id sets,
 //!   `And`/`Or`/`Not`);
+//! * [`RunFilter`] — the filters a user states (CLI flags, HTTP
+//!   parameters) and the one rule that lowers them to a predicate;
 //! * [`Query`] — predicate + order + offset/limit, with a canonical
 //!   [`Query::cache_key`] read-through caches can key on;
 //! * [`RunSummary`] — the projection row answering list/compare/boxplot
@@ -36,7 +38,45 @@ use iokc_core::model::KnowledgeItem;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
+
+/// A name outside one of the query vocabularies (a kind, a sort key, a
+/// grouping, a factor, an axis): what it named, the name, and every
+/// accepted value, so the CLI and the HTTP API reject it alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownName {
+    /// What the name was for (`kind`, `sort`, `group`, …).
+    pub what: &'static str,
+    /// The rejected name.
+    pub name: String,
+    /// The accepted names, `|`-separated.
+    pub expected: &'static str,
+}
+
+impl UnknownName {
+    /// Reject `name` as a `what` that must be one of `expected`.
+    #[must_use]
+    pub fn new(what: &'static str, name: &str, expected: &'static str) -> UnknownName {
+        UnknownName {
+            what,
+            name: name.to_owned(),
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for UnknownName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown {} `{}` (expected {})",
+            self.what, self.name, self.expected
+        )
+    }
+}
+
+impl std::error::Error for UnknownName {}
 
 /// Which id space a run lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,6 +102,18 @@ impl RunKind {
         match self {
             RunKind::Benchmark => "performances",
             RunKind::Io500 => "IOFHsRuns",
+        }
+    }
+}
+
+impl FromStr for RunKind {
+    type Err = UnknownName;
+
+    fn from_str(name: &str) -> Result<RunKind, UnknownName> {
+        match name {
+            "benchmark" => Ok(RunKind::Benchmark),
+            "io500" => Ok(RunKind::Io500),
+            _ => Err(UnknownName::new("kind", name, "benchmark|io500")),
         }
     }
 }
@@ -218,6 +270,68 @@ impl RunPredicate {
     }
 }
 
+/// The run filters a user states — `iokc` flags or explorerd query
+/// parameters — each left `None` when not given; [`RunFilter::predicate`]
+/// is the one mapping from them to a [`RunPredicate`]. `Default`
+/// matches everything.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunFilter {
+    /// Runs of one kind.
+    pub kind: Option<RunKind>,
+    /// Exact API.
+    pub api: Option<String>,
+    /// Command substring.
+    pub command: Option<String>,
+    /// Has a summary for this operation.
+    pub op: Option<String>,
+    /// Lower task-count bound, inclusive.
+    pub min_tasks: Option<u32>,
+    /// Upper task-count bound, inclusive.
+    pub max_tasks: Option<u32>,
+    /// Lower bandwidth bound, inclusive ([`RunSummary::bandwidth`]).
+    pub min_bw: Option<f64>,
+    /// Upper bandwidth bound, inclusive.
+    pub max_bw: Option<f64>,
+    /// Run ids (within the kind's id space).
+    pub ids: Option<Vec<u64>>,
+}
+
+impl RunFilter {
+    /// The conjunction of the given filters. `api` and `command`
+    /// restrict to benchmark runs: an IO500 run has no API and a
+    /// synthetic command, so matching it there would only surprise. A
+    /// range is added only when one of its bounds is given, the other
+    /// side left open.
+    #[must_use]
+    pub fn predicate(&self) -> RunPredicate {
+        let mut conjuncts: Vec<RunPredicate> =
+            self.kind.map(RunPredicate::Kind).into_iter().collect();
+        if (self.api.is_some() || self.command.is_some()) && self.kind != Some(RunKind::Benchmark) {
+            conjuncts.push(RunPredicate::Kind(RunKind::Benchmark));
+        }
+        conjuncts.extend(self.ids.clone().map(RunPredicate::IdIn));
+        conjuncts.extend(self.api.clone().map(RunPredicate::ApiEq));
+        conjuncts.extend(self.command.clone().map(RunPredicate::CommandContains));
+        conjuncts.extend(self.op.clone().map(RunPredicate::HasOp));
+        if self.min_tasks.is_some() || self.max_tasks.is_some() {
+            conjuncts.push(RunPredicate::TasksBetween(
+                self.min_tasks.unwrap_or(0),
+                self.max_tasks.unwrap_or(u32::MAX),
+            ));
+        }
+        if self.min_bw.is_some() || self.max_bw.is_some() {
+            conjuncts.push(RunPredicate::BandwidthBetween(
+                self.min_bw.unwrap_or(f64::NEG_INFINITY),
+                self.max_bw.unwrap_or(f64::INFINITY),
+            ));
+        }
+        conjuncts
+            .into_iter()
+            .reduce(RunPredicate::and)
+            .unwrap_or(RunPredicate::True)
+    }
+}
+
 /// Sort key for query results. Every order breaks ties by `(id, kind)`,
 /// so paginated or limited results are deterministic across requests
 /// even when the sort key (tasks, bandwidth) is not unique.
@@ -240,6 +354,20 @@ impl RunOrder {
             RunOrder::Tasks => "tasks",
             RunOrder::Command => "command",
             RunOrder::Bandwidth => "bw",
+        }
+    }
+}
+
+impl FromStr for RunOrder {
+    type Err = UnknownName;
+
+    fn from_str(name: &str) -> Result<RunOrder, UnknownName> {
+        match name {
+            "id" => Ok(RunOrder::Id),
+            "tasks" => Ok(RunOrder::Tasks),
+            "command" => Ok(RunOrder::Command),
+            "bw" => Ok(RunOrder::Bandwidth),
+            _ => Err(UnknownName::new("sort", name, "id|tasks|command|bw")),
         }
     }
 }
@@ -1300,6 +1428,84 @@ mod tests {
         assert_eq!(a.cache_key(), b.cache_key());
         let c = Query::new(RunPredicate::ApiEq("MPIIO".into())).limit(5);
         assert_ne!(a.cache_key(), c.cache_key());
+    }
+
+    /// What the default filter, edited, lowers to and the runs it
+    /// selects from the seeded store.
+    fn filtered(edit: impl FnOnce(&mut RunFilter)) -> (RunPredicate, Vec<(RunKind, u64)>) {
+        let mut filter = RunFilter::default();
+        edit(&mut filter);
+        let q = Query::new(filter.predicate());
+        let found = seeded().query_ids(&q, &DeadlineToken::unbounded()).unwrap();
+        (q.predicate, ids(&found))
+    }
+
+    #[test]
+    fn an_empty_filter_matches_everything() {
+        let (predicate, found) = filtered(|_| {});
+        assert_eq!((predicate, found.len()), (RunPredicate::True, 4));
+    }
+
+    #[test]
+    fn api_and_command_each_restrict_to_benchmark_runs() {
+        // The IO500 run's api is "" and its command "io500".
+        assert!(filtered(|f| f.api = Some(String::new())).1.is_empty());
+        let (_, found) = filtered(|f| f.command = Some("io".into()));
+        assert_eq!(found, [1, 2, 3].map(|id| (RunKind::Benchmark, id)));
+    }
+
+    #[test]
+    fn op_alone_adds_no_kind_restriction_and_matches_no_io500_run() {
+        let (predicate, found) = filtered(|f| f.op = Some("write".into()));
+        assert_eq!(predicate, RunPredicate::HasOp("write".into()));
+        assert_eq!(found, [1, 2, 3].map(|id| (RunKind::Benchmark, id)));
+    }
+
+    #[test]
+    fn a_single_bound_leaves_the_other_side_open() {
+        let (predicate, found) = filtered(|f| f.min_tasks = Some(16));
+        assert_eq!(predicate, RunPredicate::TasksBetween(16, u32::MAX));
+        let io500 = (RunKind::Io500, 1);
+        assert_eq!(
+            found,
+            [io500, (RunKind::Benchmark, 2), (RunKind::Benchmark, 3)]
+        );
+        let (predicate, found) = filtered(|f| f.max_bw = Some(150.0));
+        let open_below = RunPredicate::BandwidthBetween(f64::NEG_INFINITY, 150.0);
+        assert_eq!(predicate, open_below);
+        assert_eq!(found, [(RunKind::Benchmark, 1), io500]);
+    }
+
+    #[test]
+    fn kind_io500_with_api_selects_nothing() {
+        let (_, found) = filtered(|f| {
+            f.kind = Some(RunKind::Io500);
+            f.api = Some(String::new());
+        });
+        assert!(found.is_empty());
+    }
+
+    #[test]
+    fn ids_combine_with_kind() {
+        for kind in [RunKind::Benchmark, RunKind::Io500] {
+            let (_, found) = filtered(|f| {
+                f.kind = Some(kind);
+                f.ids = Some(vec![1]);
+            });
+            assert_eq!(found, [(kind, 1)]);
+        }
+    }
+
+    #[test]
+    fn names_parse_or_list_what_is_accepted() {
+        assert_eq!("io500".parse(), Ok(RunKind::Io500));
+        assert_eq!("bw".parse(), Ok(RunOrder::Bandwidth));
+        let err = "latency".parse::<RunOrder>().unwrap_err().to_string();
+        assert_eq!(err, "unknown sort `latency` (expected id|tasks|command|bw)");
+        assert_eq!(
+            "x".parse::<RunKind>().unwrap_err().expected,
+            "benchmark|io500"
+        );
     }
 
     mod prop {

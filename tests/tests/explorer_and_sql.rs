@@ -11,7 +11,7 @@ use iokc_extract::parse_ior_output;
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
-use iokc_store::{export_csv, sql, KnowledgeStore};
+use iokc_store::{export_csv, sql, DeadlineToken, KnowledgeStore, Query, RunFilter, RunSummary};
 
 fn knowledge_for(xfer: &str, seed: u64) -> Knowledge {
     let command =
@@ -20,6 +20,21 @@ fn knowledge_for(xfer: &str, seed: u64) -> Knowledge {
     let mut world = World::new(SystemConfig::test_small(), FaultPlan::none(), seed);
     let result = run_ior(&mut world, JobLayout::new(4, 2), &config, seed).unwrap();
     parse_ior_output(&result.render()).unwrap()
+}
+
+fn store_of(corpus: &[Knowledge]) -> KnowledgeStore {
+    let mut store = KnowledgeStore::in_memory();
+    for k in corpus {
+        store.save_knowledge(k).unwrap();
+    }
+    store
+}
+
+/// The summary rows `filter` selects, as a user's filters would.
+fn rows(store: &KnowledgeStore, filter: &RunFilter) -> Vec<RunSummary> {
+    store
+        .query_summaries(&Query::new(filter.predicate()), &DeadlineToken::unbounded())
+        .unwrap()
 }
 
 #[test]
@@ -37,10 +52,10 @@ fn explorer_views_and_comparison() {
     }
 
     // Comparison: x = transfer size, y = mean write bandwidth.
-    let refs: Vec<&Knowledge> = corpus.iter().collect();
+    let store = store_of(&corpus);
+    let all = RunFilter::default();
     let points = compare(
-        &refs,
-        &[],
+        &rows(&store, &all),
         OptionAxis::TransferSize,
         &MetricAxis::MeanBandwidth("write".into()),
     );
@@ -51,7 +66,10 @@ fn explorer_views_and_comparison() {
     );
 
     // Overview box plots.
-    let boxes = overview(&refs, "write");
+    let series = store
+        .boxplot_series(&all.predicate(), "write", &DeadlineToken::unbounded())
+        .unwrap();
+    let boxes = overview(&series);
     assert_eq!(boxes.len(), 3);
     for (_, describe) in &boxes {
         assert_eq!(describe.n, 2, "two iterations per run");
@@ -105,12 +123,13 @@ fn filtering_and_sorting_narrow_the_comparison() {
         .iter()
         .map(|(x, s)| knowledge_for(x, *s))
         .collect();
-    let refs: Vec<&Knowledge> = corpus.iter().collect();
+    let store = store_of(&corpus);
+    let filter = RunFilter {
+        command: Some("64k".into()),
+        ..RunFilter::default()
+    };
     let filtered = compare(
-        &refs,
-        &[iokc_analysis::KnowledgeFilter::CommandContains(
-            "64k".into(),
-        )],
+        &rows(&store, &filter),
         OptionAxis::TransferSize,
         &MetricAxis::MaxBandwidth("write".into()),
     );
