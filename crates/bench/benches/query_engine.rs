@@ -333,11 +333,12 @@ fn bench_relational(c: &mut Criterion) {
             .collect();
         store.save_batch(&batch).unwrap();
         store.seal_active().unwrap();
+        let sealed = store.segment_metas()[0].file(&path);
+        let block = read_segment_vfs(&sealed, vfs.as_ref()).unwrap();
         let seg = segment_path(&path, 0);
-        let block = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
         b.iter(|| {
-            // A seal writes to a fresh name.
-            vfs.remove_file(&seg).unwrap();
+            // A document is written to a fresh name.
+            let _ = vfs.remove_file(&seg);
             write_segment_vfs(&seg, vfs.as_ref(), 0, &block).unwrap();
             let restored = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
             assert_eq!(restored.summaries.len(), 1_000);

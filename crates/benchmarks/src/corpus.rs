@@ -343,7 +343,8 @@ fn extract_point(
 
 /// Generate (or resume) the corpus `spec` describes into `store`:
 /// simulate every point the store does not hold yet, route it through
-/// `extractor`, persist `batch` points at a time and seal the tail.
+/// `extractor`, persist the points of each aligned block of `batch`
+/// indices together and seal the tail.
 /// Returns how many points were generated and how many were skipped
 /// because the store already held them.
 ///
@@ -402,10 +403,14 @@ pub fn generate(
 
     let mut pending: Vec<KnowledgeItem> = Vec::new();
     let mut generated = 0;
+    let batch = batch.max(1);
     for index in (0..spec.runs).filter(|index| !stored.contains_key(index)) {
         pending.extend(extract_point(spec, index, extractor, &mut ctx)?);
         generated += 1;
-        if pending.len() >= batch {
+        // Batches end at the same indices wherever the generation
+        // resumed, so the store logs — and its seals adopt — the records
+        // of an uninterrupted run.
+        if (index + 1) % batch == 0 {
             store.persist(&mut ctx, &pending)?;
             pending.clear();
         }

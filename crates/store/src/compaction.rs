@@ -1,12 +1,15 @@
 //! Background compaction for the segmented store.
 //!
 //! Sealing ([`KnowledgeStore::seal_active`]) produces many small,
-//! immutable segments, and deleting a segment-resident run only hides
-//! it behind a tombstone. Compaction is the maintenance pass that folds
-//! both back: it merges every sealed segment into one, physically drops
+//! immutable segments — each the log of the epoch it sealed — and
+//! deleting a segment-resident run only hides it behind a tombstone.
+//! Compaction is the maintenance pass that folds both back: it merges
+//! every sealed segment into one segment document, physically drops
 //! tombstoned runs, rewrites the merged segment's index block
 //! ([`crate::SegmentMeta`]) and publishes the result with a single
-//! manifest write — the commit point, exactly like sealing.
+//! manifest write — the commit point, exactly like sealing — after
+//! which the input files, adopted logs and documents alike, are
+//! unlinked.
 //!
 //! Compaction never touches the active generation and never changes the
 //! store's write [`Snapshot::generation`]: it moves rows between

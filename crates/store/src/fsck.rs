@@ -2,8 +2,9 @@
 //!
 //! `iokc fsck [--repair]` runs these checks without bringing the store
 //! fully online. A store is the manifest at the nominal path, the
-//! active generation's log at `.wal-<epoch>` and the sealed segments at
-//! `.seg-<id>` ([`crate::knowledge_store`]).
+//! active generation's log at `.wal-<epoch>` and the sealed segments:
+//! logs of earlier epochs a seal adopted, and `.seg-<id>` documents
+//! ([`crate::knowledge_store`]).
 //!
 //! 1. **Manifest** — the document at the nominal path must verify its
 //!    checksum footer and decode as a manifest. One that does not is one
@@ -16,24 +17,27 @@
 //!    truncated, exactly like a campaign journal's (check 7); a record
 //!    that verifies but does not apply is unrepairable.
 //! 3. **Segments** — every referenced segment must read back — rows
-//!    decoded, summaries derived; one that does not is dropped from the
-//!    manifest on repair (data loss, noted). A stale index block
-//!    (metadata not matching the body) is recomputed.
+//!    decoded, summaries derived; an adopted log must be exactly the
+//!    records of the length the manifest recorded, since it was whole
+//!    when adopted. One that does not is dropped from the manifest on
+//!    repair (data loss, noted), never salvaged as a torn tail. A stale
+//!    index block (metadata not matching the body) is recomputed.
 //! 4. **Tombstones** — tombstones must reference runs that exist in
 //!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
-//!    siblings of documents, logs of any epoch the manifest does not
-//!    read, segment files the manifest does not reference, and the
-//!    `.bak` copies of documents that earlier binaries kept and nothing
-//!    reads. Removed on repair.
+//!    siblings of documents, logs of any epoch the manifest neither
+//!    reads nor adopted, segment files the manifest does not reference,
+//!    and the `.bak` copies of documents that earlier binaries kept and
+//!    nothing reads. Removed on repair.
 //! 6. **Referential integrity** (segments) — checksums only prove the
 //!    file is the one that was written, not that it is *sensible*: rows
 //!    whose foreign keys point at deleted parents (e.g. from a
 //!    half-applied external import) are reported and, on repair, deleted
 //!    cascade-wise until the segment is closed under its foreign keys,
-//!    then the file is rewritten and its index block recomputed. The
-//!    active generation gets no such scan: its log holds what
-//!    FK-checked inserts wrote.
+//!    then the body is rewritten as a document (an adopted log is
+//!    retired once the manifest names the document) and its index block
+//!    recomputed. The active generation gets no such scan: its log holds
+//!    what FK-checked inserts wrote.
 //! 7. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
 //!    [`crate::journal::truncate_torn_tail_vfs`].
@@ -48,7 +52,7 @@ use crate::journal;
 use crate::knowledge_store::{load_active, warning_owner, Manifest};
 use crate::persist;
 use crate::query::{summarize_db, RunKind};
-use crate::segment::{read_segment_vfs, write_segment_vfs, SegmentData, SegmentMeta};
+use crate::segment::{read_segment, write_segment_vfs, SegmentData, SegmentMeta};
 use crate::vfs::Vfs;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -172,19 +176,28 @@ fn check_layout(
 
     // Segments: each referenced segment must read back; its rows must be
     // closed under foreign keys; its index block must match its body.
+    let adopted: BTreeSet<u64> = manifest
+        .segments
+        .iter()
+        .filter_map(|meta| meta.log.map(|log| log.epoch))
+        .collect();
     let mut kept: Vec<SegmentMeta> = Vec::new();
     let mut live_runs: BTreeSet<(RunKind, u64)> = BTreeSet::new();
+    // Adopted logs whose repaired body became a document: unlinked once
+    // the manifest names the document instead.
+    let mut retired = Vec::new();
     for meta in std::mem::take(&mut manifest.segments) {
-        let seg_path = persist::segment_path(path, meta.id);
+        let seg_path = meta.file(path);
         // A body's summaries are derived from its rows on load; deleting
         // orphans is the one thing here that changes the rows.
-        let loaded = read_segment_vfs(&seg_path, vfs).and_then(|mut data| {
-            let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
-            if dirty {
-                data.summaries = summarize_db(&data.db)?;
-            }
-            Ok((data, dirty))
-        });
+        let loaded =
+            read_segment(&seg_path, vfs, meta.log.map(|log| log.len)).and_then(|(mut data, _)| {
+                let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
+                if dirty {
+                    data.summaries = summarize_db(&data.db)?;
+                }
+                Ok((data, dirty))
+            });
         match loaded {
             Err(e) => {
                 report.push(
@@ -212,12 +225,18 @@ fn check_layout(
                     dirty = true;
                 }
                 if dirty && opts.repair {
-                    if let Err(e) = write_segment_vfs(&seg_path, vfs, meta.id, &data) {
+                    // A log is only ever appended to: a repaired body is
+                    // written as a document.
+                    let document = persist::segment_path(path, meta.id);
+                    if let Err(e) = write_segment_vfs(&document, vfs, meta.id, &data) {
                         report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
                         kept.push(meta);
                     } else {
                         manifest_changed = true;
                         live_runs.extend(data.summaries.keys());
+                        if meta.log.is_some() {
+                            retired.push(seg_path);
+                        }
                         kept.push(recomputed_meta);
                     }
                 } else {
@@ -248,16 +267,22 @@ fn check_layout(
         );
     }
 
-    // Strays at deterministic names: logs of epochs the manifest does
-    // not read, and unreferenced segment ids (a crash between a
-    // seal/compaction's file writes and its manifest commit, or between
-    // the commit and the cleanup, leaves exactly these).
-    let referenced: BTreeSet<u64> = manifest.segments.iter().map(|m| m.id).collect();
+    // Strays at deterministic names: logs of epochs the manifest
+    // neither reads nor adopted, and segment documents it does not name
+    // (a crash between a seal/compaction's file writes and its manifest
+    // commit, or between the commit and the cleanup, leaves exactly
+    // these).
+    let documents: BTreeSet<u64> = manifest
+        .segments
+        .iter()
+        .filter(|meta| meta.log.is_none())
+        .map(|meta| meta.id)
+        .collect();
     for epoch in 0..=manifest.active_epoch + 2 {
-        if epoch != manifest.active_epoch {
+        if epoch != manifest.active_epoch && !adopted.contains(&epoch) {
             check_stray_file(
                 &persist::wal_path(path, epoch),
-                "log of a non-current epoch",
+                "log neither current nor adopted by a segment",
                 vfs,
                 opts,
                 report,
@@ -267,7 +292,7 @@ fn check_layout(
     for id in 0..=manifest.next_segment {
         let seg_path = persist::segment_path(path, id);
         check_stray_file(&backup_path(&seg_path), unread, vfs, opts, report);
-        if referenced.contains(&id) {
+        if documents.contains(&id) {
             check_stray_tmp(&seg_path, vfs, opts, report);
         } else {
             // A document is written through `.tmp`; a log is appended
@@ -281,8 +306,9 @@ fn check_layout(
     }
 
     if manifest_changed && opts.repair {
-        if let Err(e) = persist::write_document_vfs(path, vfs, &manifest.to_json()) {
-            report.push(format!("manifest rewrite after repair failed: {e}"), false);
+        match persist::write_document_vfs(path, vfs, &manifest.to_json()) {
+            Ok(()) => retired.iter().for_each(|log| drop(vfs.remove_file(log))),
+            Err(e) => report.push(format!("manifest rewrite after repair failed: {e}"), false),
         }
     }
 }
@@ -416,7 +442,7 @@ mod tests {
     use super::*;
     use crate::database::DbError;
     use crate::knowledge_store::KnowledgeStore;
-    use crate::value::Value;
+    use crate::segment::AdoptedLog;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
     use iokc_util::json::Json;
@@ -504,6 +530,11 @@ mod tests {
         assert!(fsck(&kb(), &vfs, &FsckOptions::default()).clean());
     }
 
+    /// The manifest at `/kb.json` on `vfs`, decoded.
+    fn manifest_of(vfs: &dyn Vfs) -> Manifest {
+        Manifest::from_json(&persist::read_document_vfs(&kb(), vfs).unwrap()).unwrap()
+    }
+
     #[test]
     fn orphan_rows_are_detected_and_deleted() {
         let vfs = Arc::new(FaultVfs::pristine());
@@ -514,14 +545,19 @@ mod tests {
         store.seal_active().unwrap();
         drop(store);
         // A checksum-valid segment can still contain rows whose parents
-        // were deleted by a buggy external tool: forge one.
-        let seg_path = persist::segment_path(&kb(), 0);
-        let mut data = read_segment_vfs(&seg_path, vfs.as_ref()).unwrap();
-        let mut cells = vec![Value::Null; 9];
-        cells[0] = Value::Int(12345); // no such performance
-        cells[1] = Value::from("write");
-        data.db.insert_raw("summaries", 999, cells).unwrap();
-        write_segment_vfs(&seg_path, vfs.as_ref(), 0, &data).unwrap();
+        // were deleted by a buggy external tool: forge one, as a record
+        // of the adopted log that the manifest's length covers (no such
+        // performance 12345).
+        let mut manifest = manifest_of(vfs.as_ref());
+        let seg_path = manifest.segments[0].file(&kb());
+        let orphan = r#"{"rows":{"summaries":[[999,{"i":12345},"write",null,null,null,null,null,null,null]]}}"#;
+        journal::JournalWriter::open_vfs(&seg_path, vfs.as_ref())
+            .unwrap()
+            .append(orphan)
+            .unwrap();
+        let len = vfs.len(&seg_path).unwrap();
+        manifest.segments[0].log = Some(AdoptedLog { epoch: 0, len });
+        persist::write_document_vfs(&kb(), vfs.as_ref(), &manifest.to_json()).unwrap();
 
         let check_vfs = FaultVfs::from_state(vfs.durable_state());
         let detect = fsck(&kb(), &check_vfs, &FsckOptions::default());
@@ -529,6 +565,9 @@ mod tests {
         let repair = repair_pass(&check_vfs);
         assert!(repair.repaired() >= 1, "{repair:?}");
         assert!(fsck(&kb(), &check_vfs, &FsckOptions::default()).clean());
+        // The repaired body is a document; the log it replaces is gone.
+        assert_eq!(manifest_of(&check_vfs).segments[0].log, None);
+        assert!(!check_vfs.exists(&seg_path));
         let store = KnowledgeStore::open_with_vfs(
             kb(),
             Arc::new(FaultVfs::from_state(check_vfs.durable_state())),
@@ -538,6 +577,80 @@ mod tests {
         assert_eq!(rows.row_count("summaries").unwrap(), 0);
         assert_eq!(rows.row_count("performances").unwrap(), 1);
         assert!(store.indexes_consistent().unwrap());
+    }
+
+    /// An adopted log was whole when the manifest named it: a record
+    /// inside the length it recorded that no longer verifies, a byte past
+    /// that length, or a byte short of it make the segment unusable —
+    /// never a torn tail whose prefix is salvaged.
+    #[test]
+    fn an_adopted_log_is_whole_or_unusable() {
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        for command in ["first", "second"] {
+            store
+                .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, command))
+                .unwrap();
+        }
+        store.seal_active().unwrap();
+        drop(store);
+        let log = persist::wal_path(&kb(), 0);
+        let sealed = vfs.read(&log).unwrap();
+        let mut flipped = sealed.clone();
+        let in_last_record = flipped.len() - 3;
+        flipped[in_last_record] ^= 1;
+        let longer = [sealed.as_slice(), b"\n"].concat();
+        let shorter = sealed[..sealed.len() - 1].to_vec();
+        for bytes in [flipped, longer, shorter] {
+            let mut image = vfs.durable_state();
+            image.insert(log.clone(), bytes);
+            let damaged = Arc::new(FaultVfs::from_state(image));
+            // Run 1 is in the first record, which still verifies.
+            let store = KnowledgeStore::open_with_vfs(kb(), damaged.clone()).unwrap();
+            let err = store.load_knowledge(1).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Corrupt(e) if e.contains("sealed at")),
+                "{err}"
+            );
+            let detect = fsck(&kb(), damaged.as_ref(), &FsckOptions::default());
+            assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+            assert!(detect.findings[0].what.contains("unusable"), "{detect:?}");
+        }
+    }
+
+    /// A crash can cut a record inside a multi-byte character: that line
+    /// is a torn tail like any other, not a log that cannot be read.
+    #[test]
+    fn a_log_torn_inside_a_character_keeps_its_acknowledged_prefix() {
+        let vfs = Arc::new(FaultVfs::pristine());
+        let run = Knowledge::new(KnowledgeSource::Ior, "ior -o /scratch/müller/x");
+        let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        for _ in 0..2 {
+            store.save_knowledge(&run).unwrap();
+        }
+        drop(store);
+        let log = persist::wal_path(&kb(), 0);
+        let bytes = vfs.read(&log).unwrap();
+        let u_umlaut = bytes.windows(2).rposition(|w| w == "ü".as_bytes()).unwrap();
+        vfs.set_len(&log, u_umlaut as u64 + 1).unwrap();
+
+        let store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        assert_eq!(store.knowledge_count(), 1);
+        drop(store);
+        let detect = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+        assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+        let repair = repair_pass(&vfs);
+        assert_eq!(
+            (repair.repaired(), repair.unrepaired()),
+            (1, 0),
+            "{repair:?}"
+        );
+        assert!(fsck(&kb(), vfs.as_ref(), &FsckOptions::default()).clean());
+        let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        store.save_knowledge(&run).unwrap();
+        drop(store);
+        let store = KnowledgeStore::open_with_vfs(kb(), vfs).unwrap();
+        assert_eq!(store.knowledge_count(), 2);
     }
 
     #[test]
@@ -586,10 +699,15 @@ mod tests {
                 .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "sealed"))
                 .unwrap();
             store.seal_active().unwrap();
-            let seg_path = persist::segment_path(&kb(), 0);
+            // Name segment 0 by a document, as a store an earlier binary
+            // sealed does, and forge the body there.
+            let mut manifest = manifest_of(vfs.as_ref());
+            vfs.remove_file(&manifest.segments[0].file(&kb())).unwrap();
+            manifest.segments[0].log = None;
+            persist::write_document_vfs(&kb(), vfs.as_ref(), &manifest.to_json()).unwrap();
+            let seg_path = manifest.segments[0].file(&kb());
             let body = format!(r#"{{"format":"iokc-segment",{fields}}}"#);
             let body = iokc_util::json::parse(&body).unwrap();
-            vfs.remove_file(&seg_path).unwrap();
             persist::write_document_vfs(&seg_path, vfs.as_ref(), &body).unwrap();
 
             let store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();

@@ -30,7 +30,7 @@ use crate::vfs::{StdVfs, Vfs, VfsFile};
 use std::path::Path;
 
 /// Version/magic prefix of every record line.
-const RECORD_MAGIC: &str = "j1";
+pub(crate) const RECORD_MAGIC: &str = "j1";
 
 /// Bytes one record carrying `payload` occupies in the file: magic,
 /// 16-digit checksum, two separating spaces, payload, newline.
@@ -111,26 +111,30 @@ pub fn read_journal_vfs(path: &Path, vfs: &dyn Vfs) -> Result<JournalReadReport,
         }
         Err(e) => return Err(e),
     };
-    let text = String::from_utf8(bytes).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("journal: {e}"))
-    })?;
-    let mut report = JournalReadReport::default();
-    let mut consumed = 0usize;
-    for line in text.split_inclusive('\n') {
-        let Some(payload) = decode_record(line) else {
-            report.torn_tail = true;
+    let (records, consumed) = valid_records(&bytes);
+    let dropped_bytes = bytes.len() - consumed;
+    Ok(JournalReadReport {
+        records: records.into_iter().map(str::to_owned).collect(),
+        torn_tail: dropped_bytes > 0,
+        dropped_bytes,
+    })
+}
+
+/// The valid record prefix of a journal's bytes: every record's payload,
+/// borrowed in place, and how many bytes those records span. It ends at
+/// the first line that is torn (no newline), not UTF-8 — a crash can cut
+/// a character in two — malformed, or checksum-invalid.
+pub(crate) fn valid_records(bytes: &[u8]) -> (Vec<&str>, usize) {
+    let mut records = Vec::new();
+    let mut consumed = 0;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some(payload) = std::str::from_utf8(line).ok().and_then(decode_record) else {
             break;
         };
-        report.records.push(payload.to_owned());
+        records.push(payload);
         consumed += line.len();
     }
-    report.dropped_bytes = text.len() - consumed;
-    // A trailing partial line with no newline is also a torn tail even
-    // when every complete line verified.
-    if report.dropped_bytes > 0 {
-        report.torn_tail = true;
-    }
-    Ok(report)
+    (records, consumed)
 }
 
 /// Truncate a journal to its longest valid prefix, dropping any torn or

@@ -20,7 +20,7 @@
 use crate::database::{Column, Counters, Database, DbError, Row, TableSchema};
 use crate::persist;
 use crate::query::{summarize_db, summarize_in_db, Query, QueryObs, RunKind, RunPredicate, RunRef};
-use crate::segment::{write_segment_vfs, Segment, SegmentData, SegmentMeta};
+use crate::segment::{AdoptedLog, Segment, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{self, Delta, Wal};
@@ -37,8 +37,9 @@ use std::sync::Arc;
 
 /// Format tag of the manifest document at a store's nominal path. A
 /// store on disk is that manifest, the active generation's log
-/// `.wal-<epoch>` and the sealed segments `.seg-<id>`; a file at the
-/// nominal path that is anything else is `Corrupt`.
+/// `.wal-<epoch>` and the sealed segments — logs of earlier epochs a
+/// seal adopted, and `.seg-<id>` documents compaction wrote; a file at
+/// the nominal path that is anything else is `Corrupt`.
 const MANIFEST_FORMAT: &str = "iokc-manifest";
 
 /// Active generations seal into segments at this many logged operations
@@ -437,37 +438,46 @@ impl KnowledgeStore {
     /// threshold. Operations, not live runs: saves and deletes that
     /// cancel out still lengthen the log and its replay.
     fn maybe_seal(&mut self) -> Result<(), DbError> {
-        if self.path.is_none() || self.health.is_degraded() || self.epoch_ops < self.seal_threshold
-        {
-            return Ok(());
+        if self.seal_due() {
+            self.seal_active()
+        } else {
+            Ok(())
         }
-        self.seal_active()
     }
 
-    /// Seal the active generation into an immutable on-disk segment and
-    /// start a fresh, empty active generation with an empty log.
+    fn seal_due(&self) -> bool {
+        self.path.is_some() && !self.health.is_degraded() && self.epoch_ops >= self.seal_threshold
+    }
+
+    /// Seal the active generation into an immutable segment and start a
+    /// fresh, empty active generation with an empty log.
     ///
-    /// Protocol (disk first, memory only after the commit point):
+    /// The epoch's log already holds every row of the generation, in the
+    /// encoding a segment body uses, so the seal *adopts* it: the
+    /// segment's body is `<path>.wal-<epoch>`, and only the manifest is
+    /// written. Protocol (disk first, memory only after the commit
+    /// point):
     ///
-    /// 1. compute the segment's index block ([`SegmentMeta`]) from the
-    ///    active block's summaries and write the block as the segment
-    ///    file `<path>.seg-<id>` — the only whole-block write there is
-    ///    (skipped when every run of the generation was deleted again);
+    /// 1. truncate a tail torn before the epoch was reopened, so the log
+    ///    holds exactly its acknowledged records, and compute the
+    ///    segment's index block ([`SegmentMeta`]) from the active block's
+    ///    summaries, with the epoch and the log's length;
     /// 2. remove any file stranded at the next epoch's log name, then
     ///    write the new manifest (the commit point): it names the new
     ///    segment, the *next* epoch, and every table's auto-increment
     ///    counter, which the next epoch's log replays onto — ids stay
     ///    globally unique across all segments, which is what lets
     ///    compaction merge segment databases by plain row copy;
-    /// 3. remove the superseded epoch's log.
+    /// 3. when every run of the generation was deleted again there is no
+    ///    segment: remove the superseded log instead.
     ///
     /// A failure before step 2 leaves memory, the old manifest and the
-    /// log untouched — the segment file is a stray for `fsck` to sweep.
-    /// A failure *in* step 2 reloads from disk, because either manifest
-    /// generation may have become durable. A crash before step 3 leaves
-    /// the old log as a stray. The write generation does not change:
-    /// sealing moves rows between layers without changing what any read
-    /// returns.
+    /// log's records untouched. A failure *in* step 2 reloads from disk,
+    /// because either manifest generation may have become durable. A
+    /// crash before step 3 leaves the old log as a stray. The write
+    /// generation does not change: sealing moves rows between layers
+    /// without changing what any read returns. Each adoption is counted
+    /// in `store.seal.adopted`.
     pub fn seal_active(&mut self) -> Result<(), DbError> {
         self.ensure_writable()?;
         let Some(path) = self.path.clone() else {
@@ -476,22 +486,25 @@ impl KnowledgeStore {
         if self.epoch_ops == 0 {
             return Ok(());
         }
-        let vfs = self.vfs.as_ref();
+        let vfs = Arc::clone(&self.state.vfs);
+        let log = persist::wal_path(&path, self.active_epoch);
         let counters = self.active.db.next_ids();
         let mut manifest = self.manifest();
         manifest.active_epoch += 1;
         manifest.next_ids = counters.clone();
-        let mut segment = None;
+        let mut adopted = None;
         if !self.active.summaries.is_empty() {
-            let seg_id = self.next_segment;
-            let meta = SegmentMeta::compute(seg_id, self.active.summaries.values());
-            let seg_path = persist::segment_path(&path, seg_id);
-            write_segment_vfs(&seg_path, vfs, seg_id, &self.active).map_err(|e| {
-                persist::classify_io_error(&format!("seal segment {}", seg_path.display()), &e)
-            })?;
+            self.wal
+                .truncate_torn_tail(&log, vfs.as_ref())
+                .map_err(|e| persist::classify_io_error(&format!("seal {}", log.display()), &e))?;
+            let mut meta = SegmentMeta::compute(self.next_segment, self.active.summaries.values());
+            meta.log = Some(AdoptedLog {
+                epoch: self.active_epoch,
+                len: self.wal.len(),
+            });
             manifest.next_segment += 1;
             manifest.segments.push(meta.clone());
-            segment = Some((meta, seg_path));
+            adopted = Some(meta);
         }
         // A file already at the next log's name (a crash can strand one)
         // would replay into the new generation.
@@ -500,7 +513,7 @@ impl KnowledgeStore {
             true => vfs.remove_file(&next_log),
             false => Ok(()),
         }
-        .and_then(|()| persist::write_document_vfs(&path, vfs, &manifest.to_json()));
+        .and_then(|()| persist::write_document_vfs(&path, vfs.as_ref(), &manifest.to_json()));
         if let Err(e) = commit {
             let classified =
                 persist::classify_io_error(&format!("seal manifest {}", path.display()), &e);
@@ -509,19 +522,20 @@ impl KnowledgeStore {
         }
         // Commit point passed: swap memory. The block the store already
         // holds becomes the segment's preloaded body, so open snapshots
-        // and the next queries keep working without re-reading the file.
+        // and the next queries keep working without reading the log back.
         let mut fresh = build_schema();
         fresh.bump_next_ids(&counters);
         let sealed = std::mem::replace(&mut self.state.active, Arc::new(SegmentData::empty(fresh)));
-        if let Some((meta, seg_path)) = segment {
-            Arc::make_mut(&mut self.state.segments)
-                .push(Arc::new(Segment::preloaded(meta, seg_path, sealed)));
+        match adopted {
+            Some(meta) => {
+                Arc::make_mut(&mut self.state.segments)
+                    .push(Arc::new(Segment::preloaded(meta, log, sealed)));
+                self.obs.recorder.counter("store.seal.adopted").inc();
+            }
+            // Best-effort cleanup of the superseded epoch; a crash here
+            // leaves a stray that fsck sweeps.
+            None => drop(vfs.remove_file(&log)),
         }
-        // Best-effort cleanup of the superseded epoch; a crash here
-        // leaves a stray that fsck sweeps.
-        let _ = self
-            .vfs
-            .remove_file(&persist::wal_path(&path, self.active_epoch));
         self.active_epoch += 1;
         self.epoch_base = counters;
         self.epoch_ops = 0;
@@ -547,6 +561,9 @@ impl KnowledgeStore {
         insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
     ) -> Result<u64, DbError> {
         self.ensure_writable()?;
+        // A generation reopened at its threshold seals before it takes
+        // another run, as it would have had the process lived on.
+        self.maybe_seal()?;
         let mark = self.active.db.next_ids();
         let id = self.insert_rows(kind, insert)?;
         self.flush(self.inserted_since(&mark))?;
@@ -628,25 +645,28 @@ impl KnowledgeStore {
         flushed.map(|()| true)
     }
 
-    /// Persist a batch of knowledge items with one durability point:
-    /// rows accumulate in the active generation (sealing into segments
-    /// at the threshold, which is itself a durability point), one log
-    /// record covers the tail that is still unsealed when the batch
-    /// ends, and the write generation bumps once. Returns the assigned
-    /// ids in input order. On error the store reloads the last durable
-    /// layout: the only rows of a failed batch that stay visible are a
-    /// prefix that a seal inside it committed, and then the write
-    /// generation bumps.
+    /// Persist a batch of knowledge items with one durability point: the
+    /// rows accumulate in the active generation, one log record covers
+    /// what the batch added when it ends, and the write generation bumps
+    /// once. A seal inside the batch first logs the batch's rows so far
+    /// as one record, so the log it adopts holds its whole generation.
+    /// Returns the assigned ids in input order. On error the store
+    /// reloads the last durable layout: the only rows of a failed batch
+    /// that stay visible are a prefix that a seal inside it logged, and
+    /// then the write generation bumps.
     pub fn save_batch(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
         self.ensure_writable()?;
-        let epoch = self.active_epoch;
+        // As in `save_one`: a generation reopened at its threshold seals
+        // before it takes another run.
+        self.maybe_seal()?;
+        let before = (self.active_epoch, self.epoch_ops);
         match self.save_batch_inner(items) {
             Ok(ids) => Ok(ids),
             Err(e) => {
                 if let Some(path) = self.path.clone() {
                     self.reload_from_disk(&path);
                 }
-                if self.active_epoch > epoch {
+                if (self.active_epoch, self.epoch_ops) != before {
                     self.state.generation += 1;
                 }
                 Err(e)
@@ -655,8 +675,8 @@ impl KnowledgeStore {
     }
 
     fn save_batch_inner(&mut self, items: &[KnowledgeItem]) -> Result<Vec<u64>, DbError> {
-        // Rows that seal mid-batch leave the active database, so what is
-        // at or past this mark at the end is exactly the unsealed tail.
+        // A seal moves the rows it logged out of the active database, so
+        // what is at or past this mark is always what is not logged yet.
         let mark = self.active.db.next_ids();
         let mut ids = Vec::with_capacity(items.len());
         for item in items {
@@ -668,10 +688,13 @@ impl KnowledgeStore {
                     self.insert_rows(RunKind::Io500, |db| insert_io500_rows(db, k))?
                 }
             });
-            // Sealing writes the rows inserted so far into an immutable
-            // segment, so the batch never holds more than one
-            // generation's worth of unflushed rows in memory.
-            self.maybe_seal()?;
+            // Sealing inside the batch keeps it from holding more than one
+            // generation's worth of rows in memory. The rows it added so
+            // far join the log first: the seal adopts the log whole.
+            if self.seal_due() {
+                self.flush(self.inserted_since(&mark))?;
+                self.seal_active()?;
+            }
         }
         self.flush(self.inserted_since(&mark))?;
         self.state.generation += 1;
@@ -1030,8 +1053,8 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
             .segments
             .into_iter()
             .map(|meta| {
-                let seg_path = persist::segment_path(path, meta.id);
-                Arc::new(Segment::new(meta, seg_path))
+                let file = meta.file(path);
+                Arc::new(Segment::new(meta, file))
             })
             .collect(),
         tombstones: manifest.tombstones,
@@ -1064,8 +1087,7 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
 /// to request threads and renders without holding the store lock.
 #[derive(Clone)]
 pub struct Snapshot {
-    /// The active generation: a segment-shaped block not yet written to
-    /// a `.seg-` file.
+    /// The active generation: a segment-shaped block not yet sealed.
     pub(crate) active: Arc<SegmentData>,
     /// Sealed, immutable segments, oldest first.
     pub(crate) segments: Arc<Vec<Arc<Segment>>>,
@@ -1991,10 +2013,10 @@ mod tests {
             let before = counts();
             store.save_knowledge(&cmd_knowledge(1)).unwrap();
             assert_eq!(since(before), (2, 1));
-            // A seal: the segment, the manifest, the old log's unlink.
+            // A seal: the manifest, which adopts the log as the segment.
             let before = counts();
             store.seal_active().unwrap();
-            assert_eq!(since(before), (11, 4));
+            assert_eq!(since(before), (5, 2));
             // A tombstone: the manifest.
             let before = counts();
             assert!(store.delete_knowledge(1).unwrap());
@@ -2171,6 +2193,79 @@ mod tests {
             store.save_knowledge(&cmd_knowledge(2)).unwrap();
             assert_eq!(counter("store.wal.torn_tails_truncated"), 1);
             assert_eq!(stored_commands(&store), vec!["cmd-0", "cmd-2"]);
+        }
+
+        /// A seal adopts the epoch's log as the segment — the manifest is
+        /// all it writes — after cutting a tail a crash tore before the
+        /// reopen; that cut, and the one a first append makes, each log
+        /// what was cut and why.
+        #[test]
+        fn a_seal_adopts_its_log_and_every_torn_tail_cut_is_logged() {
+            let disk = Arc::new(FaultVfs::pristine());
+            let sink = Arc::new(iokc_obs::MemorySink::new());
+            let recorder = Arc::new(iokc_obs::Recorder::new(
+                iokc_obs::Clock::wall(),
+                Arc::clone(&sink) as Arc<dyn iokc_obs::EventSink>,
+            ));
+            let open = || {
+                let mut store =
+                    KnowledgeStore::open_with_vfs(kb(), disk.clone() as Arc<dyn Vfs>).unwrap();
+                store.attach_recorder(Arc::clone(&recorder));
+                store
+            };
+            // Save `runs`, then tear the last record: the bytes a reopen
+            // drops with it.
+            let save_and_tear = |store: &mut KnowledgeStore, log: &Path, runs: &[usize]| {
+                let mut acked = 0;
+                for &i in runs {
+                    acked = disk.len(log).unwrap_or(0);
+                    store.save_knowledge(&cmd_knowledge(i)).unwrap();
+                }
+                let torn = disk.len(log).unwrap() - 3;
+                disk.set_len(log, torn).unwrap();
+                torn - acked
+            };
+            let (sealed, active) = (persist::wal_path(&kb(), 0), persist::wal_path(&kb(), 1));
+            let cut_sealed = save_and_tear(&mut open(), &sealed, &[0, 1, 2]);
+            let mut store = open();
+            store.seal_active().unwrap();
+            let len = disk.len(&sealed).unwrap();
+            assert_eq!(
+                store.segment_metas()[0].log,
+                Some(AdoptedLog { epoch: 0, len })
+            );
+            assert!(!disk.exists(&persist::segment_path(&kb(), 0)));
+            let cut_active = save_and_tear(&mut store, &active, &[3, 4]);
+            drop(store);
+            let mut store = open();
+            store.save_knowledge(&cmd_knowledge(5)).unwrap();
+            assert_eq!(stored_commands(&store), vec!["cmd-3", "cmd-5"]);
+            assert_eq!(store.knowledge_count(), 4);
+
+            let logged: Vec<String> = sink
+                .snapshot()
+                .into_iter()
+                .filter_map(|event| match event.kind {
+                    iokc_obs::EventKind::Log { message, .. } => Some(message),
+                    _ => None,
+                })
+                .collect();
+            let warning = |log: &Path, cut: u64, records: usize| {
+                format!(
+                    "WARN store.wal.torn_tail_truncated {}: {cut} bytes after {records} records",
+                    log.display()
+                )
+            };
+            assert_eq!(
+                logged,
+                vec![
+                    warning(&sealed, cut_sealed, 2),
+                    warning(&active, cut_active, 1)
+                ]
+            );
+            let counter = |name: &str| recorder.metrics().counter(name).get();
+            assert_eq!(counter("store.seal.adopted"), 1);
+            assert_eq!(counter("store.wal.torn_tails_truncated"), 2);
         }
 
         #[test]

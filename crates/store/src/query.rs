@@ -659,7 +659,7 @@ impl KnowledgeStore {
                 recorder.log(None, &format!("WARN store.open_degraded: {detail}"));
             }
         }
-        self.wal.obs.rebind(&metrics);
+        self.wal.obs.rebind(&recorder);
         self.state.obs = Arc::new(QueryObs::new(recorder));
     }
 }

@@ -1,14 +1,19 @@
-//! Immutable on-disk segments of the segmented store.
+//! Immutable sealed segments of the segmented store.
 //!
-//! When the active generation grows past its seal threshold, the store
-//! freezes it into a *segment*: a checksummed document holding those
-//! runs' rows, in the encoding the log records use. The [`RunSummary`]
-//! projections the executor scans are derived from the rows when a body
-//! is loaded, so they cannot disagree with them. Each segment has a
-//! [`SegmentMeta`] index block — run counts, id/task/bandwidth ranges,
-//! the API set, and a bloom-style membership filter — which lives in
-//! the store manifest, so `open()` maps metadata only and never reads
-//! segment bodies until a query actually needs them.
+//! When the active generation reaches its seal threshold, the store
+//! freezes it into a *segment*. The generation's log already holds its
+//! rows, in the encoding a segment body uses, so the seal *adopts* that
+//! log as the body: the manifest names `<path>.wal-<epoch>` and the
+//! length of its records, and the rows are never written a second time.
+//! Compaction writes its output as a checksummed document
+//! `<path>.seg-<id>`, the one shape segments had before adoption. The
+//! [`RunSummary`] projections the executor scans are derived from the
+//! rows when a body is loaded, so they cannot disagree with them. Each
+//! segment has a [`SegmentMeta`] index block — run counts,
+//! id/task/bandwidth ranges, the API set, and a bloom-style membership
+//! filter — which lives in the store manifest, so `open()` maps metadata
+//! only and never reads segment bodies until a query actually needs
+//! them.
 //!
 //! Bloom sizing: 10 bits per entry with 7 probes gives a false-positive
 //! rate under 1% — a false positive costs one wasted segment body load,
@@ -16,10 +21,12 @@
 //! predicate against the summaries it loads.
 
 use crate::database::{Counters, Database, DbError};
+use crate::journal::RECORD_MAGIC;
 use crate::knowledge_store::build_schema;
 use crate::persist;
 use crate::query::{summarize_db, RunKind, RunPredicate, RunSummary};
 use crate::vfs::Vfs;
+use crate::wal;
 use iokc_util::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -124,10 +131,20 @@ impl Bloom {
     }
 }
 
+/// Where an adopted segment's body lives: the log of the epoch it
+/// sealed, holding exactly `len` bytes of records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdoptedLog {
+    /// The epoch whose log `<path>.wal-<epoch>` is the body.
+    pub epoch: u64,
+    /// Bytes of records the log held when the seal adopted it.
+    pub len: u64,
+}
+
 /// The index block of one sealed segment — everything the executor
 /// needs to *skip* a segment without reading its body. Lives in the
 /// store manifest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SegmentMeta {
     /// Segment id (file name suffix; monotonically assigned).
     pub id: u64,
@@ -147,6 +164,21 @@ pub struct SegmentMeta {
     pub apis: BTreeSet<String>,
     /// Membership filter over `(kind, id)` keys.
     pub(crate) bloom: Bloom,
+    /// Where the body lives: the log a seal adopted, or `None` for a
+    /// segment document `<path>.seg-<id>`.
+    pub log: Option<AdoptedLog>,
+}
+
+/// Index blocks are equal when they say the same about the runs; where
+/// the body lives (`log`) is not part of that.
+impl PartialEq for SegmentMeta {
+    fn eq(&self, other: &SegmentMeta) -> bool {
+        let ranges = |m: &SegmentMeta| (m.bench_ids, m.io500_ids, m.tasks, m.bandwidth);
+        let counts = |m: &SegmentMeta| (m.id, m.bench_count, m.io500_count);
+        counts(self) == counts(other)
+            && ranges(self) == ranges(other)
+            && (&self.apis, &self.bloom) == (&other.apis, &other.bloom)
+    }
 }
 
 impl SegmentMeta {
@@ -166,6 +198,7 @@ impl SegmentMeta {
             bandwidth: None,
             apis: BTreeSet::new(),
             bloom: Bloom::with_capacity(summaries.len()),
+            log: None,
         };
         fn widen<T: Copy + PartialOrd>(range: &mut Option<(T, T)>, v: T) {
             *range = Some(match *range {
@@ -201,6 +234,16 @@ impl SegmentMeta {
         }
     }
 
+    /// The file holding the body of a segment of the store at `store`:
+    /// the adopted log, or the segment document.
+    #[must_use]
+    pub fn file(&self, store: &Path) -> PathBuf {
+        match self.log {
+            Some(log) => persist::wal_path(store, log.epoch),
+            None => persist::segment_path(store, self.id),
+        }
+    }
+
     /// Manifest-block JSON form.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -208,7 +251,7 @@ impl SegmentMeta {
             Some((lo, hi)) => Json::Arr(vec![Json::from(lo), Json::from(hi)]),
             None => Json::Null,
         };
-        Json::obj(vec![
+        let mut fields = vec![
             ("id", Json::from(self.id)),
             ("bench_count", Json::from(self.bench_count)),
             ("io500_count", Json::from(self.io500_count)),
@@ -235,7 +278,12 @@ impl SegmentMeta {
                 Json::Arr(self.apis.iter().map(|a| Json::from(a.as_str())).collect()),
             ),
             ("bloom", Json::from(self.bloom.to_hex())),
-        ])
+        ];
+        if let Some(log) = self.log {
+            fields.push(("epoch", Json::from(log.epoch)));
+            fields.push(("len", Json::from(log.len)));
+        }
+        Json::obj(fields)
     }
 
     /// Parse a manifest block back into an index block.
@@ -289,6 +337,14 @@ impl SegmentMeta {
                 .ok_or_else(|| corrupt("missing bloom"))?,
         )?;
         let tasks = range_u64("tasks")?.map(|(lo, hi)| (lo as u32, hi as u32));
+        let log = match (json.get("epoch"), json.get("len")) {
+            (None, None) => None,
+            (Some(epoch), Some(len)) => Some(AdoptedLog {
+                epoch: epoch.as_u64().ok_or_else(|| corrupt("bad epoch"))?,
+                len: len.as_u64().ok_or_else(|| corrupt("bad len"))?,
+            }),
+            _ => return Err(corrupt("an adopted log needs both epoch and len")),
+        };
         Ok(SegmentMeta {
             id,
             bench_count: count("bench_count")?,
@@ -299,6 +355,7 @@ impl SegmentMeta {
             bandwidth,
             apis,
             bloom,
+            log,
         })
     }
 }
@@ -306,7 +363,7 @@ impl SegmentMeta {
 /// A block of runs: the rows full deserialization joins against, and
 /// the projections of them the executor scans. A sealed segment's
 /// body and the store's active generation are both one of these — the
-/// active block simply has not been written to a `.seg-` file yet.
+/// active block simply has not been sealed yet.
 #[derive(Debug, Clone)]
 pub struct SegmentData {
     /// Every run's projection row, keyed (and so iterated) in
@@ -403,7 +460,7 @@ impl Segment {
         if let Some(data) = &*slot {
             return Ok((Arc::clone(data), 0));
         }
-        let (data, bytes) = read_segment(&self.path, vfs)?;
+        let (data, bytes) = read_segment(&self.path, vfs, self.meta.log.map(|log| log.len))?;
         let data = Arc::new(data);
         *slot = Some(Arc::clone(&data));
         Ok((data, bytes))
@@ -429,18 +486,42 @@ pub fn write_segment_vfs(
     persist::write_image(path, vfs, &persist::render_document(body))
 }
 
-/// Read a segment body — checksum, format tag, rows decoded onto the
-/// knowledge schema — and derive its summaries.
+/// Read a segment body from its file — a segment document, or an
+/// adopted log every byte of which is a record that verifies — and
+/// derive its summaries.
 pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbError> {
-    read_segment(path, vfs).map(|(data, _)| data)
+    read_segment(path, vfs, None).map(|(data, _)| data)
 }
 
-/// [`read_segment_vfs`], also returning how many bytes were decoded.
-fn read_segment(path: &Path, vfs: &dyn Vfs) -> Result<(SegmentData, u64), DbError> {
+/// [`read_segment_vfs`], given the length a seal adopted the log at
+/// when the manifest names one, also returning how many bytes were
+/// decoded.
+pub(crate) fn read_segment(
+    path: &Path,
+    vfs: &dyn Vfs,
+    sealed_len: Option<u64>,
+) -> Result<(SegmentData, u64), DbError> {
     let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
-    let text = persist::read_image(path, vfs)?;
-    let (body, _) = persist::verify_image(&text)?;
+    let bytes = vfs
+        .read(path)
+        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
     let mut db = build_schema();
+    let is_log = bytes.starts_with(RECORD_MAGIC.as_bytes());
+    match sealed_len.or(is_log.then_some(bytes.len() as u64)) {
+        Some(len) => wal::replay_sealed(path, &bytes, len, &mut db)?,
+        None => read_document(path, &bytes, &mut db)?,
+    }
+    let data = SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))?;
+    Ok((data, bytes.len() as u64))
+}
+
+/// Decode a segment document's rows onto `db`: checksum, format tag,
+/// then the block.
+fn read_document(path: &Path, bytes: &[u8], db: &mut Database) -> Result<(), DbError> {
+    let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
+    let (body, _) = persist::verify_image(text)?;
     let (mut tagged, mut has_rows) = (false, false);
     persist::read_object(body, |key, reader| match key {
         "format" => {
@@ -449,7 +530,7 @@ fn read_segment(path: &Path, vfs: &dyn Vfs) -> Result<(SegmentData, u64), DbErro
         }
         "rows" => {
             has_rows = true;
-            persist::read_rows(reader, &mut db)
+            persist::read_rows(reader, db)
         }
         _ => Ok(reader.skip_value()?),
     })
@@ -460,8 +541,7 @@ fn read_segment(path: &Path, vfs: &dyn Vfs) -> Result<(SegmentData, u64), DbErro
     if !has_rows {
         return Err(corrupt("missing rows".into()));
     }
-    let data = SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))?;
-    Ok((data, text.len() as u64))
+    Ok(())
 }
 
 /// Can any run in a segment with this index block match the predicate?
@@ -621,6 +701,14 @@ mod tests {
         let reparsed = iokc_util::json::parse(&meta.to_json().to_compact()).unwrap();
         assert_eq!(SegmentMeta::from_json(&reparsed).unwrap(), meta);
         assert!(SegmentMeta::from_json(&Json::Null).is_err());
+        // Where an adopted body lives travels with its index block.
+        let log = Some(AdoptedLog { epoch: 3, len: 99 });
+        let adopted = SegmentMeta {
+            log,
+            ..meta.clone()
+        };
+        assert_eq!(SegmentMeta::from_json(&adopted.to_json()).unwrap().log, log);
+        assert_eq!(adopted, meta, "not part of the index block");
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! `(kind, id)` of the run it deleted. A batch is one record, so it is
 //! all-or-nothing. Opening replays the records, in
 //! order, onto an empty schema whose auto-increment counters come from
-//! the manifest; sealing writes the block as a segment, bumps the epoch
-//! in the manifest commit and retires the log, so neither the log nor
-//! the replay ever outgrows one generation.
+//! the manifest; sealing *adopts* the log as the segment's body in the
+//! manifest commit that bumps the epoch, so neither the active log nor
+//! its replay ever outgrows one generation, and a sealed generation is
+//! never written twice. A cold load of an adopted log replays exactly
+//! the length the manifest recorded ([`replay_sealed`]).
 //!
 //! A crash can tear only the last record, and [`replay`] salvages the
 //! valid prefix. Reading never changes the file: the torn tail is
-//! truncated by the first append after the open, so a new record is
-//! never fused onto torn bytes. A *failed* append is undone the same
+//! truncated by the first append after the open, or by the seal that
+//! adopts the log, and logged as `WARN store.wal.torn_tail_truncated`,
+//! so a new record is never fused onto torn bytes and an adopted log is
+//! exactly its records. A *failed* append is undone the same
 //! way ([`Wal::rollback`]): the file goes back to its acknowledged
 //! length before anything else is appended, because bytes of an
 //! unacknowledged record that a later fsync made durable would replay
@@ -27,11 +31,11 @@ use crate::knowledge_store::delete_runs;
 use crate::persist;
 use crate::query::RunKind;
 use crate::vfs::Vfs;
-use iokc_obs::{Counter, MetricsRegistry};
+use iokc_obs::{Counter, Recorder};
 use iokc_util::json::Json;
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 const KINDS: [RunKind; 2] = [RunKind::Benchmark, RunKind::Io500];
 
@@ -41,8 +45,8 @@ pub(crate) struct Delta(String);
 impl Delta {
     /// The rows inserted into `db` since its counters read `mark`: every
     /// row whose id is at or past its table's mark. `None` when there
-    /// are none — a batch whose rows all sealed mid-batch logs nothing,
-    /// the segment already holds them.
+    /// are none — a batch whose rows a seal inside it already logged
+    /// logs nothing more.
     pub(crate) fn rows_since(db: &Database, mark: &Counters) -> Option<Delta> {
         let mut record = String::from("{\"rows\":");
         let any = persist::write_rows(&mut record, db, mark);
@@ -105,44 +109,78 @@ pub(crate) struct Replay {
 /// A missing file is an empty log. A record that verifies but does not
 /// apply is corruption, not a torn tail.
 pub(crate) fn replay(path: &Path, vfs: &dyn Vfs, db: &mut Database) -> Result<Replay, DbError> {
-    let report = journal::read_journal_vfs(path, vfs)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let mut replay = Replay {
-        records: report.records.len(),
-        torn: report.torn_tail,
-        ..Replay::default()
+    let bytes = match vfs.read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(DbError::Corrupt(format!("read {}: {e}", path.display()))),
     };
-    for (n, record) in report.records.iter().enumerate() {
-        replay.ops += apply(db, record)
-            .map_err(|e| DbError::Corrupt(format!("{} record {n}: {e}", path.display())))?;
-        replay.len += journal::framed_len(record);
-    }
-    Ok(replay)
+    let (records, len) = journal::valid_records(&bytes);
+    Ok(Replay {
+        records: records.len(),
+        len: len as u64,
+        torn: len < bytes.len(),
+        ops: apply_records(path, records, db)?,
+    })
 }
 
-/// The `store.wal.*` counters.
+/// Apply a log a seal adopted as a segment body: exactly `len` bytes,
+/// every record of which verifies. The log was whole when the manifest
+/// named it, so nothing in it is a torn tail — a file shorter than
+/// that, a bad record inside it or any byte past it is corruption.
+pub(crate) fn replay_sealed(
+    path: &Path,
+    bytes: &[u8],
+    len: u64,
+    db: &mut Database,
+) -> Result<(), DbError> {
+    let (records, valid) = journal::valid_records(bytes);
+    if valid != bytes.len() || bytes.len() as u64 != len {
+        return Err(DbError::Corrupt(format!(
+            "{}: sealed at {len} bytes, holds {} of which {valid} are records that verify",
+            path.display(),
+            bytes.len()
+        )));
+    }
+    apply_records(path, records, db).map(drop)
+}
+
+/// Apply `records` in order, each parsed where it lies; returns the
+/// operations they stood for.
+fn apply_records(path: &Path, records: Vec<&str>, db: &mut Database) -> Result<usize, DbError> {
+    let mut ops = 0;
+    for (n, record) in records.into_iter().enumerate() {
+        ops += apply(db, record)
+            .map_err(|e| DbError::Corrupt(format!("{} record {n}: {e}", path.display())))?;
+    }
+    Ok(ops)
+}
+
+/// The `store.wal.*` counters, and the recorder the log's warnings go to.
 #[derive(Clone)]
 pub(crate) struct WalObs {
     appends: Counter,
     bytes: Counter,
     pub(crate) replayed_records: Counter,
     torn_tails_truncated: Counter,
+    recorder: Arc<Recorder>,
 }
 
 impl WalObs {
-    pub(crate) fn new(metrics: &MetricsRegistry) -> WalObs {
+    pub(crate) fn new(recorder: Arc<Recorder>) -> WalObs {
+        let metrics = recorder.metrics();
         WalObs {
             appends: metrics.counter("store.wal.appends"),
             bytes: metrics.counter("store.wal.bytes"),
             replayed_records: metrics.counter("store.wal.replayed_records"),
             torn_tails_truncated: metrics.counter("store.wal.torn_tails_truncated"),
+            recorder,
         }
     }
 
-    /// Count into `metrics` from here on, carrying over what was counted
-    /// before a recorder was attached (the replay at open, notably).
-    pub(crate) fn rebind(&mut self, metrics: &MetricsRegistry) {
-        let next = WalObs::new(metrics);
+    /// Report to `recorder` from here on, carrying over what was counted
+    /// before it was attached (the replay at open, notably).
+    pub(crate) fn rebind(&mut self, recorder: &Arc<Recorder>) {
+        let next = WalObs::new(Arc::clone(recorder));
         next.appends.add(self.appends.get());
         next.bytes.add(self.bytes.get());
         next.replayed_records.add(self.replayed_records.get());
@@ -154,7 +192,7 @@ impl WalObs {
 
 impl Default for WalObs {
     fn default() -> WalObs {
-        WalObs::new(&MetricsRegistry::default())
+        WalObs::new(Arc::new(Recorder::disabled()))
     }
 }
 
@@ -166,8 +204,10 @@ pub(crate) struct Wal {
     /// (a [`crate::VfsFile`] is `Send`); every use holds `&mut self`.
     writer: Mutex<Option<JournalWriter>>,
     /// Length of the acknowledged records: what a failed append is
-    /// truncated back to.
+    /// truncated back to, and what a seal adopts.
     len: u64,
+    /// How many records that length holds.
+    records: usize,
     /// Torn bytes follow the acknowledged records; truncate them before
     /// appending.
     torn: bool,
@@ -183,7 +223,40 @@ impl Wal {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner) = None;
         self.len = replay.len;
+        self.records = replay.records;
         self.torn = replay.torn;
+    }
+
+    /// Bytes of acknowledged records.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Cut the torn bytes a crash left after the acknowledged records
+    /// before this epoch was reopened, so the log holds exactly its
+    /// records again; counted, and logged through the store's recorder
+    /// with what was cut. A no-op when nothing is torn.
+    pub(crate) fn truncate_torn_tail(
+        &mut self,
+        path: &Path,
+        vfs: &dyn Vfs,
+    ) -> Result<(), std::io::Error> {
+        if !self.torn {
+            return Ok(());
+        }
+        let dropped = vfs.len(path)?.saturating_sub(self.len);
+        vfs.set_len(path, self.len)?;
+        self.torn = false;
+        self.obs.torn_tails_truncated.inc();
+        self.obs.recorder.log(
+            None,
+            &format!(
+                "WARN store.wal.torn_tail_truncated {}: {dropped} bytes after {} records",
+                path.display(),
+                self.records
+            ),
+        );
+        Ok(())
     }
 
     /// Append `delta` as one record and fsync it. On error the caller
@@ -194,20 +267,14 @@ impl Wal {
         vfs: &dyn Vfs,
         delta: &Delta,
     ) -> Result<(), std::io::Error> {
+        self.truncate_torn_tail(path, vfs)?;
         let slot = self
             .writer
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         let writer = match slot {
             Some(writer) => writer,
-            None => {
-                if self.torn {
-                    journal::truncate_torn_tail_vfs(path, vfs)?;
-                    self.torn = false;
-                    self.obs.torn_tails_truncated.inc();
-                }
-                slot.insert(JournalWriter::open_vfs(path, vfs)?)
-            }
+            None => slot.insert(JournalWriter::open_vfs(path, vfs)?),
         };
         writer.append(&delta.0)?;
         if self.len == 0 {
@@ -217,6 +284,7 @@ impl Wal {
         }
         let bytes = journal::framed_len(&delta.0);
         self.len += bytes;
+        self.records += 1;
         self.obs.appends.inc();
         self.obs.bytes.add(bytes);
         Ok(())

@@ -90,6 +90,11 @@ corpus_dir="$(mktemp -d)"
 trap 'rm -rf "$corpus_dir"' EXIT
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 64"
+# The sealed generation is its adopted log: a seal writes no segment file.
+if compgen -G "$corpus_dir/corpus.iokc.json.seg-*" >/dev/null; then
+  echo "a seal wrote a segment document" >&2
+  exit 1
+fi
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "skipped 64"
 truncate -s -5 "$corpus_dir/campaign/campaign.journal"
@@ -112,6 +117,8 @@ cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 96 --seed 42 | grep -q "generated 32"
 cargo run -q -p iokc-cli -- compact --db "$corpus_dir/corpus.iokc.json" \
   | grep -q "2 segment(s) -> segment 2, 96 run(s) rewritten"
+# Compaction writes the one segment document there is.
+[ "$(cd "$corpus_dir" && echo corpus.iokc.json.seg-*)" = "corpus.iokc.json.seg-2" ]
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
   --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"
 cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \

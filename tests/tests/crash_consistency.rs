@@ -31,7 +31,7 @@ use iokc_benchmarks::CorpusSpec;
 use iokc_core::model::{Io500Knowledge, Io500Testcase, Knowledge, KnowledgeItem, KnowledgeSource};
 use iokc_extract::Io500Extractor;
 use iokc_store::journal::{read_journal_vfs, truncate_torn_tail_vfs, JournalWriter};
-use iokc_store::persist::read_document_vfs;
+use iokc_store::persist::{read_document_vfs, wal_path};
 use iokc_store::{
     fsck, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions, KnowledgeStore,
     Query, RunKind, RunPredicate, Vfs,
@@ -357,6 +357,143 @@ fn every_crash_point_during_seal_and_compaction_recovers() {
                     journal: None,
                 },
             );
+            assert!(
+                second.clean(),
+                "crash op {op}: fsck not clean after repair: {:?}",
+                second.findings
+            );
+            let after = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&svfs) as Arc<dyn Vfs>)
+                .unwrap_or_else(|e| panic!("crash op {op}: reopen after fsck failed: {e}"));
+            assert!(allowed.contains(&fingerprint(&after)));
+        }
+    }
+}
+
+/// A disk whose log a crash tore mid-record when it held a seal
+/// threshold's worth (2) of acknowledged saves.
+fn torn_at_threshold() -> BTreeMap<PathBuf, Vec<u8>> {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store =
+        KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>).expect("open");
+    for i in 0..3 {
+        store.save_knowledge(&bench(i)).expect("save");
+    }
+    drop(store);
+    let log = wal_path(&kb(), 0);
+    vfs.set_len(&log, vfs.len(&log).expect("log") - 7)
+        .expect("tear");
+    vfs.durable_state()
+}
+
+/// The runs of the adoption workload's batch.
+const ADOPTION_BATCH: [usize; 4] = [11, 12, 13, 14];
+
+/// Every adoption point, over `torn_at_threshold`: the first save seals
+/// the reopened generation at once (its torn tail truncated, then its
+/// log adopted); a batch seals twice inside itself, each time logging
+/// its rows so far before adopting, and logs its tail; an explicit seal
+/// adopts that; a compaction merges the adopted logs into a document.
+fn run_adoption_workload(vfs: Arc<FaultVfs>) -> WorkloadRun {
+    let mut out = WorkloadRun {
+        acked: 0,
+        journal_records: Vec::new(),
+        states: Vec::new(),
+    };
+    let Ok(mut store) = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>)
+    else {
+        return out;
+    };
+    store.set_seal_threshold(2);
+    out.states.push(fingerprint(&store));
+    for step in 0..4 {
+        let result: Result<(), DbError> = (|| {
+            match step {
+                0 => drop(store.save_knowledge(&bench(10))?),
+                1 => drop(
+                    store
+                        .save_batch(&ADOPTION_BATCH.map(|i| KnowledgeItem::Benchmark(bench(i))))?,
+                ),
+                2 => store.seal_active()?,
+                _ => {
+                    store.compact()?;
+                }
+            }
+            Ok(())
+        })();
+        if result.is_err() {
+            return out;
+        }
+        out.acked += 1;
+        out.states.push(fingerprint(&store));
+    }
+    out
+}
+
+#[test]
+fn every_crash_point_while_adopting_a_log_recovers() {
+    let image = torn_at_threshold();
+    let probe_vfs = Arc::new(FaultVfs::from_state(image.clone()));
+    let probe = run_adoption_workload(Arc::clone(&probe_vfs));
+    assert_eq!(probe.acked, 4, "fault-free adoption workload must succeed");
+    assert_eq!(probe.states[0].len(), 2, "the reopen salvages two runs");
+    let total_ops = probe_vfs.op_count();
+    // Besides its endpoints, a crash inside the batch may leave the
+    // prefix of it that a seal inside it logged.
+    let (before, after) = (&probe.states[1], &probe.states[2]);
+    let prefixes: Vec<Vec<String>> = (1..ADOPTION_BATCH.len())
+        .map(|k| {
+            let logged: Vec<String> = ADOPTION_BATCH[..k]
+                .iter()
+                .map(|&i| format!(":{}", bench(i).command))
+                .collect();
+            after
+                .iter()
+                .filter(|line| before.contains(line) || logged.iter().any(|c| line.ends_with(c)))
+                .cloned()
+                .collect()
+        })
+        .collect();
+
+    for op in 0..total_ops {
+        let plan = FaultPlan::at(op, DiskFault::Crash);
+        let vfs = Arc::new(FaultVfs::from_state_with_plan(image.clone(), plan));
+        let run = run_adoption_workload(Arc::clone(&vfs));
+        assert!(vfs.crashed(), "crash op {op} never fired");
+        let j = run.acked;
+        let mut allowed = probe.states[j..=(j + 1).min(probe.acked)].to_vec();
+        if j == 1 {
+            allowed.extend(prefixes.iter().cloned());
+        }
+
+        for state in vfs.crash_states() {
+            let svfs = Arc::new(FaultVfs::from_state(state));
+            assert_one_generation(op, j, &svfs);
+            let reopened = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&svfs) as Arc<dyn Vfs>)
+                .unwrap_or_else(|e| panic!("crash op {op}: reopen failed: {e}"));
+            let fp = fingerprint(&reopened);
+            assert!(
+                allowed.contains(&fp),
+                "crash op {op} (acked {j}): recovered state {fp:?} is not an acknowledged prefix"
+            );
+            assert!(
+                reopened.indexes_consistent().expect("index rebuild"),
+                "crash op {op}: incremental indexes diverge from bulk rebuild"
+            );
+            let pass = |repair| {
+                let opts = FsckOptions {
+                    repair,
+                    journal: None,
+                };
+                fsck(&kb(), &*svfs, &opts)
+            };
+            let repair = pass(true);
+            assert_eq!(
+                repair.unrepaired(),
+                0,
+                "crash op {op}: unrepaired findings {:?}",
+                repair.findings
+            );
+            let second = pass(false);
             assert!(
                 second.clean(),
                 "crash op {op}: fsck not clean after repair: {:?}",

@@ -511,7 +511,7 @@ struct Saved {
 fn check_lookups(store: &KnowledgeStore, vfs: &FaultVfs, model: &Model, saved: &mut Saved) {
     check_block(store.database());
     for meta in store.segment_metas() {
-        let path = persist::segment_path(&kb(), meta.id);
+        let path = meta.file(&kb());
         if saved.bodies.insert(vfs.read(&path).expect("segment")) {
             check_block(&read_segment_vfs(&path, vfs).expect("segment").db);
         }
@@ -672,13 +672,14 @@ fn fsck_sweeps_logs_of_other_epochs_and_truncates_a_torn_log() {
         model.insert((RunKind::Benchmark, id), bench(tag).command);
     }
     drop(store);
-    // Epoch 1 is current. Tear its log mid-record (the sixth save is
-    // lost with it) and plant files a crashed seal could have left.
+    // Epoch 1 is current; segment 0 adopted epoch 0's log. Tear the
+    // current log mid-record (the sixth save is lost with it) and plant
+    // files a crashed seal could have left at epochs no segment adopted.
     let log = persist::wal_path(&kb(), 1);
     vfs.set_len(&log, vfs.len(&log).expect("log") - 7)
         .expect("tear");
     model.remove(&(RunKind::Benchmark, 6));
-    for stray in [persist::wal_path(&kb(), 0), persist::wal_path(&kb(), 2)] {
+    for stray in [persist::wal_path(&kb(), 2), persist::wal_path(&kb(), 3)] {
         let mut file = vfs.create(&stray).expect("stray");
         file.write_all(b"left behind").expect("stray bytes");
         file.sync().expect("stray sync");
@@ -704,7 +705,7 @@ fn fsck_sweeps_logs_of_other_epochs_and_truncates_a_torn_log() {
         .map(|p| p.to_string_lossy().into_owned())
         .filter(|p| p.contains(".wal-"))
         .collect();
-    assert_eq!(names, vec!["/kb.json.wal-1".to_owned()]);
+    assert_eq!(names, vec!["/kb.json.wal-0", "/kb.json.wal-1"]);
     assert_eq!(contents(&open(&vfs)), model);
 }
 
@@ -717,10 +718,16 @@ fn save_and_delete_churn_cannot_grow_the_log_or_its_replay() {
     for tag in 1..=10 * SEAL_THRESHOLD as u32 {
         let id = store.save_knowledge(&bench(tag)).expect("save");
         assert!(store.delete_knowledge(id).expect("delete"));
+        // A log a segment adopted is that segment, not a log left behind.
+        let adopted: Vec<PathBuf> = store
+            .segment_metas()
+            .iter()
+            .map(|m| m.file(&kb()))
+            .collect();
         let logs: Vec<usize> = vfs
             .durable_state()
             .iter()
-            .filter(|(path, _)| path.to_string_lossy().contains(".wal-"))
+            .filter(|(path, _)| path.to_string_lossy().contains(".wal-") && !adopted.contains(path))
             .map(|(_, bytes)| bytes.len())
             .collect();
         assert!(logs.len() <= 1, "a retired log was left behind");
@@ -757,9 +764,15 @@ fn a_cold_body_load_is_counted_once() {
     }
     let segments = store.segment_metas().len() as u64;
     assert!(segments >= 2, "{segments} segment(s)");
+    let files: Vec<PathBuf> = store
+        .segment_metas()
+        .iter()
+        .map(|m| m.file(&kb()))
+        .collect();
     drop(store);
-    let on_disk: u64 = (0..segments)
-        .map(|id| vfs.len(&persist::segment_path(&kb(), id)).expect("segment"))
+    let on_disk: u64 = files
+        .iter()
+        .map(|file| vfs.len(file).expect("segment"))
         .sum();
 
     let mut reopened = open(&vfs);
@@ -1074,7 +1087,7 @@ mod codec {
 
             // The segment: the same block written by the seal.
             store.seal_active().expect("seal");
-            let sealed = read_segment_vfs(&persist::segment_path(&kb(), 0), vfs.as_ref())
+            let sealed = read_segment_vfs(&store.segment_metas()[0].file(&kb()), vfs.as_ref())
                 .expect("segment");
             prop_assert_eq!(rows(&sealed.db), rows(source.database()));
             prop_assert_eq!(&sealed.summaries, &summaries);
