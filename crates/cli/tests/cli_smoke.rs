@@ -199,6 +199,90 @@ fn query_filters_and_counts_from_the_shell() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown --sort"));
 }
 
+/// `(kind, id, bandwidth)` of every row an `iokc query` table prints.
+fn query_rows(table: &str) -> Vec<(String, u64, f64)> {
+    table
+        .lines()
+        .skip(2)
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            (
+                cells[0].to_owned(),
+                cells[1].parse().expect("id cell"),
+                cells[4].parse().expect("bandwidth cell"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn runs_endpoint_filters_bandwidth_like_query() {
+    use iokc_explorerd::{Body, Explorer, Request};
+    use iokc_obs::{Clock, DeadlineToken, NullSink, Recorder};
+    use std::sync::{Arc, RwLock};
+
+    let dir = tempdir("bw-filter");
+    for xfer in ["64k", "256k", "1m"] {
+        let command = format!("ior -a posix -b 1m -t {xfer} -s 2 -F -i 2 -o /scratch/bw -k");
+        stdout(&iokc(
+            &dir,
+            &["run", &command, "--tasks", "4", "--db", "kb.json"],
+        ));
+    }
+    let all = query_rows(&stdout(&iokc(&dir, &["query", "--db", "kb.json"])));
+    let mut bws: Vec<f64> = all.iter().map(|(_, _, bw)| *bw).collect();
+    bws.sort_by(f64::total_cmp);
+    bws.dedup();
+    assert!(bws.len() >= 3, "test premise: three distinct bandwidths");
+    // Bounds between printed values, so the filter drops the slowest
+    // and the fastest run whatever the rounding.
+    let min = format!("{}", (bws[0] + bws[1]) / 2.0);
+    let max = format!("{}", (bws[bws.len() - 2] + bws[bws.len() - 1]) / 2.0);
+    let args = [
+        "query", "--min-bw", &min, "--max-bw", &max, "--db", "kb.json",
+    ];
+    let from_cli: Vec<(String, u64)> = query_rows(&stdout(&iokc(&dir, &args)))
+        .into_iter()
+        .map(|(kind, id, _)| (kind, id))
+        .collect();
+    assert!(!from_cli.is_empty() && from_cli.len() < all.len());
+
+    let store = iokc_store::KnowledgeStore::open(dir.join("kb.json")).expect("store opens");
+    let recorder = Arc::new(Recorder::new(Clock::wall(), Arc::new(NullSink)));
+    let explorer = Explorer::new(Arc::new(RwLock::new(store)), 1 << 20, recorder);
+    let request = Request {
+        method: "GET".to_owned(),
+        path: "/api/runs".to_owned(),
+        query: vec![("min_bw".to_owned(), min), ("max_bw".to_owned(), max)],
+        keep_alive: false,
+        if_none_match: None,
+    };
+    let response = explorer.handle(&request, &DeadlineToken::unbounded());
+    assert_eq!(response.status, 200);
+    let Body::Pull(mut source) = response.body else {
+        panic!("a listing streams");
+    };
+    let mut body = Vec::new();
+    while source.next_chunk(&mut body) {}
+    let listing =
+        iokc_util::json::parse(std::str::from_utf8(&body).expect("utf-8")).expect("listing parses");
+    let from_http: Vec<(String, u64)> = listing
+        .as_arr()
+        .expect("an array")
+        .iter()
+        .map(|row| {
+            (
+                row.get("kind")
+                    .and_then(|k| k.as_str())
+                    .expect("kind")
+                    .to_owned(),
+                row.get("id").and_then(|id| id.as_u64()).expect("id"),
+            )
+        })
+        .collect();
+    assert_eq!(from_http, from_cli);
+}
+
 #[test]
 fn compare_honours_every_filter_flag() {
     let dir = tempdir("compare");

@@ -3,7 +3,8 @@
 //! JSON API (mirroring §V-D's views):
 //!
 //! * `GET /api/runs` — run listing with `kind`, `api`, `command`,
-//!   `min_tasks`/`max_tasks`, `op` filters and `sort`/`order`/`limit`;
+//!   `min_tasks`/`max_tasks`, `min_bw`/`max_bw` (MiB/s), `op` filters
+//!   and `sort`/`order`/`offset`/`limit`;
 //!   selected once, then streamed with chunked encoding a page of
 //!   directly encoded rows at a time, teeing into the cache;
 //! * `GET /api/runs/{id}` — one benchmark object with per-iteration
@@ -42,7 +43,8 @@ use std::sync::{Arc, RwLock};
 
 use iokc_analysis::{
     compare, escape_html, overview, write_bar_chart, write_box_plot, write_heat_map, write_io500,
-    write_knowledge, write_line_chart, ChartOptions, MetricAxis, OptionAxis, Series,
+    write_knowledge, write_line_chart, ChartOptions, ComparisonPoint, Describe, MetricAxis,
+    OptionAxis, Series,
 };
 use iokc_core::model::Knowledge;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
@@ -66,6 +68,7 @@ pub struct Explorer {
 }
 
 /// A handler failure that maps onto an HTTP status.
+#[derive(Debug)]
 enum RouteError {
     NotFound(String),
     BadQuery(String),
@@ -216,16 +219,21 @@ impl Explorer {
             }
             ["api", "compare"] => {
                 let spec = CompareSpec::from_request(req)?;
-                let deadline = deadline.clone();
-                self.cached_json(req, spec.cache_key("/api/compare"), move |store| {
-                    compare_json(store, &spec, &deadline)
+                let key = spec.cache_key("/api/compare");
+                self.cached(req, &key, "application/json", |store| {
+                    let mut body = Vec::new();
+                    write_compare(&spec, &spec.points(store, deadline)?, &mut body);
+                    Ok(body)
                 })
             }
             ["api", "boxplot"] => {
-                let op = req.param("op").unwrap_or("write").to_owned();
-                let deadline = deadline.clone();
-                self.cached_json(req, format!("/api/boxplot:op={op}"), move |store| {
-                    boxplot_json(store, &op, &deadline)
+                let op = req.param("op").unwrap_or("write");
+                let key = format!("/api/boxplot:op={op}");
+                self.cached(req, &key, "application/json", |store| {
+                    let series = store.boxplot_series(&RunPredicate::True, op, deadline)?;
+                    let mut body = Vec::new();
+                    write_boxplot(op, &series, &mut body);
+                    Ok(body)
                 })
             }
             ["api", "agg"] => {
@@ -556,7 +564,9 @@ fn runs_query(req: &Request) -> Result<Query, RouteError> {
         op: param(req, "op")?,
         min_tasks: param(req, "min_tasks")?,
         max_tasks: param(req, "max_tasks")?,
-        ..RunFilter::default()
+        min_bw: param(req, "min_bw")?,
+        max_bw: param(req, "max_bw")?,
+        ids: None,
     };
     let mut query = Query::new(filter.predicate())
         .order_by(param(req, "sort")?.unwrap_or(RunOrder::Id))
@@ -687,68 +697,50 @@ impl CompareSpec {
         &self,
         store: &Snapshot,
         deadline: &DeadlineToken,
-    ) -> Result<Vec<iokc_analysis::ComparisonPoint>, RouteError> {
+    ) -> Result<Vec<ComparisonPoint>, RouteError> {
         let rows = store.query_summaries(&Query::new(self.predicate.clone()), deadline)?;
         Ok(compare(&rows, self.x, &self.y))
     }
 }
 
-fn compare_json(
-    store: &Snapshot,
-    spec: &CompareSpec,
-    deadline: &DeadlineToken,
-) -> Result<Json, RouteError> {
-    let points = spec.points(store, deadline)?;
-    Ok(Json::obj(vec![
-        ("x_label", Json::from(spec.x.label())),
-        ("y_label", Json::from(spec.y.label())),
-        ("operation", Json::from(spec.op.as_str())),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("id", p.knowledge_id.map_or(Json::Null, Json::from)),
-                            ("command", Json::from(p.command.as_str())),
-                            ("x", Json::from(p.x)),
-                            ("y", Json::from(p.y)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]))
+/// The `/api/compare` body, written field by field: the bytes of the
+/// `Json::obj(..).to_compact()` tree the tests keep as its model, keys
+/// in ascending order.
+fn write_compare(spec: &CompareSpec, points: &[ComparisonPoint], out: &mut Vec<u8>) {
+    let mut body = ObjectWriter::new(out);
+    body.string("operation", &spec.op);
+    body.objects("points", points, |point, p| {
+        point.string("command", &p.command);
+        point.number("id", p.knowledge_id.map(|id| id as f64));
+        point.number("x", p.x);
+        point.number("y", p.y);
+    });
+    body.string("x_label", spec.x.label());
+    body.string("y_label", &spec.y.label());
+    body.finish();
 }
 
 // -------------------------------------------------------------- /api/boxplot
 
-fn boxplot_json(store: &Snapshot, op: &str, deadline: &DeadlineToken) -> Result<Json, RouteError> {
-    let boxes = overview(&store.boxplot_series(&RunPredicate::True, op, deadline)?);
-    Ok(Json::obj(vec![
-        ("operation", Json::from(op)),
-        (
-            "boxes",
-            Json::Arr(
-                boxes
-                    .iter()
-                    .map(|(label, d)| {
-                        Json::obj(vec![
-                            ("label", Json::from(label.as_str())),
-                            ("n", Json::from(d.n)),
-                            ("min", Json::from(d.min)),
-                            ("q1", Json::from(d.q1)),
-                            ("median", Json::from(d.median)),
-                            ("q3", Json::from(d.q3)),
-                            ("max", Json::from(d.max)),
-                            ("mean", Json::from(d.mean)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]))
+/// The `/api/boxplot` body — one box per run with values (the
+/// [`overview`] of `series`), written field by field like
+/// [`write_compare`].
+fn write_boxplot(op: &str, series: &[(String, Vec<f64>)], out: &mut Vec<u8>) {
+    let mut body = ObjectWriter::new(out);
+    let runs = series.iter().filter(|(_, values)| !values.is_empty());
+    body.objects("boxes", runs, |run, (label, values)| {
+        let d = Describe::of(values);
+        run.string("label", label);
+        run.number("max", d.max);
+        run.number("mean", d.mean);
+        run.number("median", d.median);
+        run.number("min", d.min);
+        run.number("n", d.n as f64);
+        run.number("q1", d.q1);
+        run.number("q3", d.q3);
+    });
+    body.string("operation", op);
+    body.finish();
 }
 
 // ------------------------------------------------- /api/agg /api/dist /api/corr
@@ -1207,4 +1199,245 @@ fn boxplot_page(
     }
     page_close(out);
     Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use iokc_core::model::{Io500Knowledge, IterationResult, KnowledgeSource, OperationSummary};
+
+    /// The `/api/compare` body as a `Json` tree: the model
+    /// [`write_compare`] is held to byte for byte.
+    fn compare_tree(spec: &CompareSpec, points: &[ComparisonPoint]) -> Json {
+        Json::obj(vec![
+            ("x_label", Json::from(spec.x.label())),
+            ("y_label", Json::from(spec.y.label())),
+            ("operation", Json::from(spec.op.as_str())),
+            (
+                "points",
+                Json::Arr(
+                    points
+                        .iter()
+                        .map(|p| {
+                            Json::obj(vec![
+                                ("id", p.knowledge_id.map_or(Json::Null, Json::from)),
+                                ("command", Json::from(p.command.as_str())),
+                                ("x", Json::from(p.x)),
+                                ("y", Json::from(p.y)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// The `/api/boxplot` body as a `Json` tree over [`overview`]: the
+    /// model [`write_boxplot`] is held to byte for byte.
+    fn boxplot_tree(op: &str, series: &[(String, Vec<f64>)]) -> Json {
+        Json::obj(vec![
+            ("operation", Json::from(op)),
+            (
+                "boxes",
+                Json::Arr(
+                    overview(series)
+                        .iter()
+                        .map(|(label, d)| {
+                            Json::obj(vec![
+                                ("label", Json::from(label.as_str())),
+                                ("n", Json::from(d.n)),
+                                ("min", Json::from(d.min)),
+                                ("q1", Json::from(d.q1)),
+                                ("median", Json::from(d.median)),
+                                ("q3", Json::from(d.q3)),
+                                ("max", Json::from(d.max)),
+                                ("mean", Json::from(d.mean)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    fn assert_boxplot_matches(op: &str, series: &[(String, Vec<f64>)]) {
+        let mut written = Vec::new();
+        write_boxplot(op, series, &mut written);
+        assert_eq!(
+            String::from_utf8(written).unwrap(),
+            boxplot_tree(op, series).to_compact()
+        );
+    }
+
+    fn assert_compare_matches(spec: &CompareSpec, points: &[ComparisonPoint]) {
+        let mut written = Vec::new();
+        write_compare(spec, points, &mut written);
+        assert_eq!(
+            String::from_utf8(written).unwrap(),
+            compare_tree(spec, points).to_compact()
+        );
+    }
+
+    fn request(path: &str, query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".to_owned(),
+            path: path.to_owned(),
+            query: query
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                .collect(),
+            keep_alive: true,
+            if_none_match: None,
+        }
+    }
+
+    /// The compare requests the writer is checked on: the default
+    /// view, an id list, and other axes over another operation.
+    fn compare_specs() -> Vec<CompareSpec> {
+        [
+            request("/api/compare", &[]),
+            request("/api/compare", &[("ids", "1,2,3")]),
+            request(
+                "/api/compare",
+                &[("x", "tasks"), ("y", "max_bw"), ("op", "read")],
+            ),
+        ]
+        .iter()
+        .map(|req| CompareSpec::from_request(req).unwrap())
+        .collect()
+    }
+
+    /// A benchmark run with `bw` per iteration of each of `ops`.
+    fn run(command: &str, tasks: u32, ops: &[&str], bw: &[f64]) -> Knowledge {
+        let mut k = Knowledge::new(KnowledgeSource::Ior, command);
+        k.pattern.api = "POSIX".to_owned();
+        k.pattern.tasks = tasks;
+        k.pattern.transfer_size = u64::from(tasks) << 16;
+        for op in ops {
+            k.summaries.push(OperationSummary {
+                operation: (*op).to_owned(),
+                api: "POSIX".to_owned(),
+                max_mib: bw.iter().copied().fold(0.0, f64::max),
+                min_mib: bw.iter().copied().fold(f64::MAX, f64::min),
+                mean_mib: bw.iter().sum::<f64>() / bw.len() as f64,
+                stddev_mib: 0.5,
+                mean_ops: 7.25,
+                iterations: bw.len() as u32,
+            });
+            for (iteration, bw_mib) in bw.iter().enumerate() {
+                k.results.push(IterationResult {
+                    operation: (*op).to_owned(),
+                    iteration: iteration as u32,
+                    bw_mib: *bw_mib,
+                    ops: 10,
+                    ops_per_sec: 5.0,
+                    latency_s: 0.001,
+                    open_s: 0.002,
+                    wrrd_s: 1.0,
+                    close_s: 0.003,
+                    total_s: 1.1,
+                });
+            }
+        }
+        k
+    }
+
+    fn io500(tasks: u32) -> Io500Knowledge {
+        Io500Knowledge {
+            id: None,
+            tasks,
+            bw_score: 1.5,
+            md_score: 3.0,
+            total_score: 2.25,
+            testcases: Vec::new(),
+            options: std::collections::BTreeMap::new(),
+            system: None,
+            start_time: 1,
+            warnings: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn writers_equal_the_tree_over_a_seeded_store() {
+        let mut store = KnowledgeStore::in_memory();
+        store.save_io500(&io500(16)).unwrap();
+        let runs = [
+            run(
+                "ior -a posix -o \"/scratch/q\"",
+                4,
+                &["write", "read"],
+                &[100.0, 101.5],
+            ),
+            run(
+                "ior -o C:\\scratch\\ü",
+                8,
+                &["write"],
+                &[1e-7, 3.0e12, 42.0],
+            ),
+            // No results at all: a summary row without iterations.
+            run("ior -a posix -t 1k — ø", 16, &[], &[]),
+            run("ior\t-b 2m", 0, &["read"], &[0.0, 0.1 + 0.2]),
+        ];
+        for k in &runs {
+            store.save_knowledge(k).unwrap();
+        }
+        store.save_io500(&io500(32)).unwrap();
+        let snapshot = store.snapshot();
+        let open = DeadlineToken::unbounded();
+        for (op, boxes) in [("write", 2), ("read", 2), ("stat", 0)] {
+            let series = snapshot
+                .boxplot_series(&RunPredicate::True, op, &open)
+                .unwrap();
+            assert_eq!(series.len(), boxes, "{op}");
+            assert_boxplot_matches(op, &series);
+        }
+        for spec in compare_specs() {
+            let points = spec.points(&snapshot, &open).unwrap();
+            assert_compare_matches(&spec, &points);
+        }
+    }
+
+    #[test]
+    fn writers_equal_the_tree_on_non_finite_values_and_odd_labels() {
+        let labels = ["quote \" in", "back\\slash", "grüße ✓", "ctl \u{1} \n", ""];
+        let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 2.5e300];
+        let series: Vec<(String, Vec<f64>)> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, label)| ((*label).to_owned(), values[..i].to_vec()))
+            .collect();
+        assert_boxplot_matches("wr\"ite", &series);
+        assert_boxplot_matches("write", &[("nan".to_owned(), vec![f64::NAN; 3])]);
+        let points: Vec<ComparisonPoint> = labels
+            .iter()
+            .zip(values)
+            .enumerate()
+            .map(|(i, (label, v))| ComparisonPoint {
+                knowledge_id: (i % 2 == 0).then_some(i as u64),
+                command: (*label).to_owned(),
+                x: v,
+                y: -v,
+            })
+            .collect();
+        for spec in compare_specs() {
+            assert_compare_matches(&spec, &points);
+        }
+    }
+
+    #[test]
+    fn writers_equal_the_tree_over_an_empty_store() {
+        let store = KnowledgeStore::in_memory();
+        let open = DeadlineToken::unbounded();
+        let series = store
+            .boxplot_series(&RunPredicate::True, "write", &open)
+            .unwrap();
+        assert!(series.is_empty());
+        assert_boxplot_matches("write", &series);
+        for spec in compare_specs() {
+            let points = spec.points(&store.snapshot(), &open).unwrap();
+            assert!(points.is_empty());
+            assert_compare_matches(&spec, &points);
+        }
+    }
 }

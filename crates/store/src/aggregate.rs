@@ -41,7 +41,7 @@ use crate::query::{RunPredicate, RunSummary, ScanStats, UnknownName};
 use iokc_obs::{Counter, DeadlineToken, MetricsRegistry};
 use iokc_util::stats;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Grouping key for an [`AggregateQuery`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,32 +85,37 @@ impl GroupBy {
 
     /// The group key for one summary row — public so downstream
     /// detectors can map an individual run onto the group whose
-    /// statistics it was aggregated into.
+    /// statistics it was aggregated into. Spelled by
+    /// [`GroupBy::write_key`], as the aggregate engine spells it.
+    #[must_use]
     pub fn key(self, s: &RunSummary) -> String {
-        match self {
-            GroupBy::All => "all".to_owned(),
-            GroupBy::Kind => s.kind.as_str().to_owned(),
-            GroupBy::Api => {
-                if s.api.is_empty() {
-                    "io500".to_owned()
-                } else {
-                    s.api.clone()
-                }
-            }
-            GroupBy::TasksLog2 => log2_bucket_label("tasks", u64::from(s.tasks)),
-            GroupBy::TransferLog2 => log2_bucket_label("xfer", s.transfer_size),
-        }
+        let mut key = String::new();
+        self.write_key(s, &mut key);
+        key
     }
-}
 
-/// `"name 2^k"` for `v > 0` (k = floor(log2 v)), `"name 0"` for zero —
-/// an exact integer computation, so bucketing never depends on float
-/// rounding.
-fn log2_bucket_label(name: &str, v: u64) -> String {
-    if v == 0 {
-        format!("{name} 0")
-    } else {
-        format!("{name} 2^{}", 63 - v.leading_zeros())
+    /// Replace `out` with the group key for one summary row: the one
+    /// spelling of every label, written into a buffer the caller
+    /// reuses, so a fold over many rows allocates nothing per row.
+    /// `"name 2^k"` for a log2 bucket of `v > 0` (k = floor(log2 v)),
+    /// `"name 0"` for zero — an exact integer computation, so bucketing
+    /// never depends on float rounding.
+    pub fn write_key(self, s: &RunSummary, out: &mut String) {
+        out.clear();
+        let (name, v) = match self {
+            GroupBy::All => return out.push_str("all"),
+            GroupBy::Kind => return out.push_str(s.kind.as_str()),
+            GroupBy::Api if s.api.is_empty() => return out.push_str("io500"),
+            GroupBy::Api => return out.push_str(&s.api),
+            GroupBy::TasksLog2 => ("tasks", u64::from(s.tasks)),
+            GroupBy::TransferLog2 => ("xfer", s.transfer_size),
+        };
+        out.push_str(name);
+        if v == 0 {
+            out.push_str(" 0");
+        } else {
+            let _ = write!(out, " 2^{}", 63 - v.leading_zeros());
+        }
     }
 }
 
@@ -472,11 +477,15 @@ impl CorrAcc {
 }
 
 /// The full accumulator state for one query: `BTreeMap` keyed groups
-/// (deterministic output order) plus the correlation sums.
+/// (deterministic output order) plus the correlation sums, and the two
+/// buffers a row is staged in — its group label and its correlation
+/// row — so a row allocates only when it opens a new group.
 struct AggState {
     groups: BTreeMap<String, GroupAcc>,
     corr: CorrAcc,
     rows: u64,
+    label: String,
+    factors: Vec<f64>,
 }
 
 impl AggState {
@@ -485,18 +494,28 @@ impl AggState {
             groups: BTreeMap::new(),
             corr: CorrAcc::new(q.correlate.len()),
             rows: 0,
+            label: String::new(),
+            factors: Vec::with_capacity(q.correlate.len()),
         }
     }
 
     fn push(&mut self, q: &AggregateQuery, s: &RunSummary) {
         self.rows += 1;
-        self.groups
-            .entry(q.group_by.key(s))
-            .or_default()
-            .push(q.metric.extract(s));
+        let x = q.metric.extract(s);
+        q.group_by.write_key(s, &mut self.label);
+        match self.groups.get_mut(self.label.as_str()) {
+            Some(group) => group.push(x),
+            None => {
+                let mut group = GroupAcc::default();
+                group.push(x);
+                self.groups.insert(self.label.clone(), group);
+            }
+        }
         if !q.correlate.is_empty() {
-            let xs: Vec<f64> = q.correlate.iter().map(|f| f.extract(s)).collect();
-            self.corr.push(&xs);
+            self.factors.clear();
+            self.factors
+                .extend(q.correlate.iter().map(|f| f.extract(s)));
+            self.corr.push(&self.factors);
         }
     }
 
@@ -560,8 +579,9 @@ impl Snapshot {
     /// (`Snapshot::scan`) matches, in its order — per kind, active ids
     /// ascending, then segments oldest first — so repeated evaluations
     /// are bit-identical. Segments are pruned by their index blocks, no
-    /// `Knowledge` is deserialized, and `deadline` is polled per row: a
-    /// blown budget aborts with [`DbError::Cancelled`] carrying partial
+    /// `Knowledge` is deserialized, and `deadline` is polled before the
+    /// first row and then every 64: a blown budget aborts at most 63
+    /// rows past expiry with [`DbError::Cancelled`] carrying partial
     /// progress.
     pub fn aggregate(
         &self,
@@ -905,6 +925,71 @@ pub(crate) mod tests {
             for q in &queries {
                 let pushed = store.aggregate(q, &DeadlineToken::unbounded()).unwrap();
                 assert_results_close(&pushed, &oracle(&store, q));
+            }
+        }
+
+        /// The engine's reused label buffer spells every group as
+        /// `GroupBy::key` and the oracle do — the zero buckets and an
+        /// empty API (grouped as `io500`) included — over sealed and
+        /// active blocks, with correlations folded from the reused row.
+        #[test]
+        fn zero_buckets_and_empty_api_spell_alike() {
+            let mut store = vfs_store("agg-labels");
+            store.set_seal_threshold(3);
+            let mut zeros = bench("", 0, 10.0);
+            zeros.pattern.transfer_size = 0;
+            store.save_knowledge(&zeros).unwrap();
+            store.save_knowledge(&bench("POSIX", 1, 20.0)).unwrap();
+            store.save_io500(&io500(0, 1.0)).unwrap();
+            store.save_knowledge(&bench("MPIIO", 3, 30.0)).unwrap();
+            let mut tiny = bench("POSIX", 64, 40.0);
+            tiny.pattern.transfer_size = 1;
+            store.save_knowledge(&tiny).unwrap();
+            store.save_io500(&io500(16, 2.0)).unwrap();
+            assert!(
+                !store.segment_metas().is_empty(),
+                "test premise: some rows are sealed"
+            );
+            let expected: [(GroupBy, &[(&str, u64)]); 5] = [
+                (GroupBy::All, &[("all", 6)]),
+                (GroupBy::Kind, &[("benchmark", 4), ("io500", 2)]),
+                (GroupBy::Api, &[("MPIIO", 1), ("POSIX", 2), ("io500", 3)]),
+                (
+                    GroupBy::TasksLog2,
+                    &[
+                        ("tasks 0", 2),
+                        ("tasks 2^0", 1),
+                        ("tasks 2^1", 1),
+                        ("tasks 2^4", 1),
+                        ("tasks 2^6", 1),
+                    ],
+                ),
+                (
+                    GroupBy::TransferLog2,
+                    &[("xfer 0", 3), ("xfer 2^0", 1), ("xfer 2^20", 2)],
+                ),
+            ];
+            let rows = store.live_summaries();
+            for (group_by, groups) in expected {
+                let q = AggregateQuery::new(group_by, Factor::Bandwidth).with_correlation(&[
+                    Factor::Tasks,
+                    Factor::TransferSize,
+                    Factor::Bandwidth,
+                    Factor::TotalScore,
+                ]);
+                let pushed = store.aggregate(&q, &DeadlineToken::unbounded()).unwrap();
+                assert_results_close(&pushed, &oracle(&store, &q));
+                let found: Vec<(&str, u64)> = pushed
+                    .groups
+                    .iter()
+                    .map(|g| (g.key.as_str(), g.count))
+                    .collect();
+                assert_eq!(found, groups, "{group_by:?}");
+                for s in &rows {
+                    assert!(pushed.group(&group_by.key(s)).is_some(), "{group_by:?}");
+                }
+                let corr = pushed.correlation.unwrap();
+                assert!((corr.matrix[0][0] - 1.0).abs() < 1e-9);
             }
         }
 

@@ -267,6 +267,27 @@ impl Table {
     }
 }
 
+/// A table's rows together with one foreign-key column
+/// ([`Database::foreign_key`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ForeignKeyRows<'a> {
+    rows: &'a [Row],
+    column: usize,
+}
+
+impl<'a> ForeignKeyRows<'a> {
+    /// The rows referencing `parent`, in id order: a binary search,
+    /// since the column is non-decreasing.
+    #[must_use]
+    pub fn children(self, parent: i64) -> &'a [Row] {
+        let parent = Value::Int(parent);
+        let key = |row: &Row| row.values[self.column].total_cmp(&parent);
+        let from = self.rows.partition_point(|row| key(row).is_lt());
+        let len = self.rows[from..].partition_point(|row| key(row).is_eq());
+        &self.rows[from..from + len]
+    }
+}
+
 /// Auto-increment counters by table name: the id each table's next
 /// [`Database::insert`] would assign.
 pub(crate) type Counters = BTreeMap<String, i64>;
@@ -411,8 +432,15 @@ impl Database {
     /// column that is not one of the table's declared foreign keys is
     /// [`DbError::NoSuchColumn`].
     pub fn children(&self, table: &str, fk: &str, parent: i64) -> Result<&[Row], DbError> {
+        Ok(self.foreign_key(table, fk)?.children(parent))
+    }
+
+    /// `table`'s foreign key `fk`, resolved once: a caller that looks up
+    /// the children of many parents names the table and column once,
+    /// not once per parent.
+    pub fn foreign_key(&self, table: &str, fk: &str) -> Result<ForeignKeyRows<'_>, DbError> {
         let t = self.table(table)?;
-        let ci = t
+        let column = t
             .schema
             .foreign_keys
             .iter()
@@ -422,11 +450,10 @@ impl Database {
                 table: table.to_owned(),
                 column: fk.to_owned(),
             })?;
-        let parent = Value::Int(parent);
-        let key = |row: &Row| row.values[ci].total_cmp(&parent);
-        let from = t.rows.partition_point(|row| key(row).is_lt());
-        let len = t.rows[from..].partition_point(|row| key(row).is_eq());
-        Ok(&t.rows[from..from + len])
+        Ok(ForeignKeyRows {
+            rows: &t.rows,
+            column,
+        })
     }
 
     /// Keep only the rows of `table` that `keep` accepts: one pass, the

@@ -678,6 +678,12 @@ pub(crate) struct ScanStats {
     pub(crate) segments_pruned: u64,
 }
 
+/// Candidate rows per deadline poll: the clock is read before row 0 and
+/// then once per this many rows, so an expired budget stops a scan at
+/// most `POLL_EVERY - 1` rows late while a 30 s budget adds no clock read
+/// to most rows.
+pub(crate) const POLL_EVERY: usize = 64;
+
 impl Snapshot {
     /// A pinned segment's body — the one place a read reaches it, so a
     /// cold load (the file read and decoded, not the cached `Arc`) is
@@ -724,9 +730,10 @@ impl Snapshot {
     /// file-backed store is bounded by the seal threshold, so it needs no
     /// index of its own. The full predicate is evaluated on each
     /// candidate's summary and `on_match` sees every accepted row
-    /// together with the block that holds it. `deadline` is polled per
-    /// candidate row; a blown budget stops the scan within one row with
-    /// [`DbError::Cancelled`] carrying the progress so far.
+    /// together with the block that holds it. `deadline` is polled
+    /// before the first candidate row and then every [`POLL_EVERY`]
+    /// rows; a blown budget stops the scan at most 63 rows past expiry
+    /// with [`DbError::Cancelled`] carrying the progress so far.
     pub(crate) fn scan(
         &self,
         predicate: &RunPredicate,
@@ -741,8 +748,11 @@ impl Snapshot {
                 on_match(block, s);
             }
         };
-        let poll = |stats: &ScanStats| {
-            if deadline.should_stop() {
+        let mut candidates = 0usize;
+        let mut poll = |stats: &ScanStats| {
+            let due = candidates.is_multiple_of(POLL_EVERY);
+            candidates += 1;
+            if due && deadline.should_stop() {
                 Err(DbError::Cancelled {
                     examined: stats.examined,
                     matched: stats.matched,
@@ -811,9 +821,10 @@ impl Snapshot {
     /// reads from; a caller that renders page by page (the `/api/runs`
     /// stream) holds the cursor and pays for the scan and the sort once.
     ///
-    /// The scan polls `deadline` per candidate row and stops with
-    /// [`DbError::Cancelled`] (partial-progress counters included) the
-    /// moment the budget runs out or cancellation fires — counted in
+    /// The scan polls `deadline` every 64 candidate rows, the first
+    /// time before row 0, and stops with [`DbError::Cancelled`]
+    /// (partial-progress counters included) at most 63 rows after the
+    /// budget runs out or cancellation fires — counted in
     /// `store.query_cancelled`. Pass [`DeadlineToken::unbounded`] when
     /// there is no deadline to impose.
     pub fn select(&self, query: &Query, deadline: &DeadlineToken) -> Result<RunCursor, DbError> {
@@ -935,9 +946,11 @@ impl Snapshot {
     /// matching benchmark run — the box-plot projection. Reads only the
     /// matched runs' `summaries` and `results` rows (each a binary search
     /// on its foreign key), not the full `Knowledge` objects. Returns
-    /// `(command, series)` pairs in query order. `deadline` is polled
-    /// between runs too, since each run fans out into `summaries` and
-    /// `results` look-ups.
+    /// `(command, series)` pairs in query order. Each matched block's
+    /// two foreign keys are resolved once, not per run.
+    /// `deadline` is polled between runs too (every 64, from the
+    /// first), since each run fans out into `summaries` and `results`
+    /// look-ups.
     pub fn boxplot_series(
         &self,
         predicate: &RunPredicate,
@@ -950,29 +963,39 @@ impl Snapshot {
                 .and(predicate.clone()),
         );
         let cursor = self.select(&query, deadline)?;
+        let keys = cursor
+            .blocks
+            .iter()
+            .map(|block| {
+                Ok((
+                    block.db.foreign_key("summaries", "performance_id")?,
+                    block.db.foreign_key("results", "summary_id")?,
+                ))
+            })
+            .collect::<Result<Vec<_>, DbError>>()?;
         let mut out = Vec::with_capacity(cursor.remaining());
-        for (done, (block, run)) in cursor.runs().enumerate() {
-            if deadline.should_stop() {
+        for (done, &(block, run)) in cursor.rows.iter().enumerate() {
+            if done.is_multiple_of(POLL_EVERY) && deadline.should_stop() {
                 self.obs.cancelled.inc();
                 return Err(DbError::Cancelled {
                     examined: cursor.remaining(),
                     matched: done,
                 });
             }
+            let (summaries, results) = keys[block as usize];
             let mut series = Vec::new();
-            for srow in block
-                .db
-                .children("summaries", "performance_id", run.id as i64)?
-            {
+            for srow in summaries.children(run.id as i64) {
                 if srow.values[1].as_text() != Some(operation) {
                     continue;
                 }
-                for rrow in block.db.children("results", "summary_id", srow.id)? {
+                for rrow in results.children(srow.id) {
                     series.push(rrow.values[2].as_real().unwrap_or(0.0));
                 }
             }
             if !series.is_empty() {
-                let command = block.summaries[&(run.kind, run.id)].command.clone();
+                let command = cursor.blocks[block as usize].summaries[&(run.kind, run.id)]
+                    .command
+                    .clone();
                 out.push((command, series));
             }
         }
@@ -1419,6 +1442,69 @@ mod tests {
             4
         );
         assert_eq!(cancelled.get(), 4);
+    }
+
+    #[test]
+    fn a_token_cancelled_before_the_call_stops_every_engine_at_row_zero() {
+        use crate::aggregate::{AggregateQuery, Factor, GroupBy};
+        use iokc_obs::CancelToken;
+        let store = seeded();
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = DeadlineToken::cancellable(token);
+        let at_row_zero = |result: Result<(), DbError>| match result {
+            Err(DbError::Cancelled { examined, matched }) => {
+                assert_eq!((examined, matched), (0, 0));
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        };
+        at_row_zero(store.select(&Query::all(), &cancelled).map(drop));
+        let q = AggregateQuery::new(GroupBy::TasksLog2, Factor::Bandwidth)
+            .with_correlation(&[Factor::Tasks, Factor::Bandwidth]);
+        at_row_zero(store.aggregate(&q, &cancelled).map(drop));
+        at_row_zero(
+            store
+                .boxplot_series(&RunPredicate::True, "write", &cancelled)
+                .map(drop),
+        );
+    }
+
+    #[test]
+    fn a_scan_sees_cancellation_at_the_next_poll() {
+        use iokc_obs::CancelToken;
+        let mut store = KnowledgeStore::in_memory();
+        for i in 0..3 * POLL_EVERY {
+            store
+                .save_knowledge(&bench("ior", "POSIX", 1, i as f64))
+                .unwrap();
+        }
+        let snapshot = store.snapshot();
+        for cancel_at in [1, POLL_EVERY - 1, POLL_EVERY, POLL_EVERY + 1] {
+            let token = CancelToken::new();
+            let deadline = DeadlineToken::cancellable(token.clone());
+            let mut stats = ScanStats::default();
+            let mut seen = 0;
+            let result = snapshot.scan(&RunPredicate::True, &deadline, &mut stats, |_, _| {
+                seen += 1;
+                if seen == cancel_at {
+                    token.cancel();
+                }
+            });
+            // Cancelled while visiting row `cancel_at - 1`: the next
+            // multiple of the poll interval is where the scan stops.
+            let stop = cancel_at.div_ceil(POLL_EVERY) * POLL_EVERY;
+            assert!(stop - cancel_at < POLL_EVERY);
+            match result {
+                Err(DbError::Cancelled { examined, matched }) => {
+                    assert_eq!(
+                        (examined, matched),
+                        (stop, stop),
+                        "cancelled at {cancel_at}"
+                    );
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -260,6 +260,28 @@ impl<'a> ObjectWriter<'a> {
         };
     }
 
+    /// Append an array field holding one object per item, each written
+    /// field by field by `write` — a nested list rendered as directly as
+    /// the fields around it.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut ObjectWriter<'_>, T),
+    ) {
+        self.key(key);
+        self.out.inner.push(b'[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.inner.push(b',');
+            }
+            let mut obj = ObjectWriter::new(self.out.inner);
+            write(&mut obj, item);
+            obj.finish();
+        }
+        self.out.inner.push(b']');
+    }
+
     /// Close the object (writes `}`).
     pub fn finish(self) {
         self.out.inner.push(b'}');
@@ -814,5 +836,34 @@ mod tests {
         let v = Json::Str("a\u{0001}b".into());
         assert_eq!(v.to_compact(), "\"a\\u0001b\"");
         assert_eq!(parse(&v.to_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn object_writer_nests_arrays_of_objects_like_the_tree() {
+        let rows: [(&str, f64); 3] = [("a\"q\\", 1.5), ("ü\n", f64::NAN), ("", f64::INFINITY)];
+        let mut out = Vec::new();
+        let mut obj = ObjectWriter::new(&mut out);
+        obj.objects("empty", std::iter::empty::<()>(), |_, ()| {});
+        obj.objects("rows", rows, |row, (name, x)| {
+            row.string("name", name);
+            row.number("x", x);
+        });
+        obj.number("z", None);
+        obj.finish();
+        let tree = Json::obj(vec![
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "rows",
+                Json::Arr(
+                    rows.iter()
+                        .map(|(name, x)| {
+                            Json::obj(vec![("name", Json::from(*name)), ("x", Json::from(*x))])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("z", Json::Null),
+        ]);
+        assert_eq!(String::from_utf8(out).unwrap(), tree.to_compact());
     }
 }
