@@ -154,7 +154,8 @@ fn bench_query_engine(c: &mut Criterion) {
 }
 
 /// Corpus-scale tier (DESIGN.md §6b): `open()`, point lookup, the
-/// selective filter, and batched ingest against a *segmented* on-disk
+/// selective filter, aggregation, the full and box-plot projections,
+/// and batched ingest against a *segmented* on-disk
 /// corpus (in-memory VFS — identical code path to a real disk without
 /// timing the kernel). The default 2 000-run corpus keeps the CI smoke
 /// fast; `IOKC_BENCH_SCALE=100000` reproduces the tier recorded in
@@ -251,6 +252,28 @@ fn bench_store_scale(c: &mut Criterion) {
             let res = agg_q.evaluate_rows(rows.iter());
             assert_eq!(res.rows_aggregated as usize, runs);
             black_box(res.groups.len())
+        });
+    });
+
+    // The full projection a cycle iteration's analysis reads: every run
+    // deserialized, each block's child tables walked in id order…
+    group.bench_function(format!("full_projection_{runs}"), |b| {
+        b.iter(|| {
+            let items = store.query_items(&Query::all()).unwrap();
+            assert_eq!(items.len(), runs);
+            black_box(items.len())
+        });
+    });
+
+    // …and the box-plot projection: every run's write series, read from
+    // `summaries` and `results` alone.
+    group.bench_function(format!("boxplot_series_{runs}"), |b| {
+        b.iter(|| {
+            let series = store
+                .boxplot_series(&RunPredicate::True, "write", &DeadlineToken::unbounded())
+                .unwrap();
+            assert_eq!(series.len(), runs);
+            black_box(series.len())
         });
     });
     drop(store);

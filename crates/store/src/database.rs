@@ -9,14 +9,16 @@
 //! writer appends them in and the order a block stores them in. Every
 //! foreign-key column is non-decreasing in that order too, because a
 //! run's child rows are inserted right after their parent. So a row is
-//! found by binary search on its id and a parent's children by binary
-//! search on the foreign key ([`Database::children`]); there is no index
-//! to build or keep consistent. An insert that would break either order
-//! is refused.
+//! found by binary search on its id, and a parent's children by binary
+//! search on the foreign key ([`ForeignKeyRows::children`]) or, for a
+//! reader visiting parents in ascending order, by one forward walk
+//! ([`ForeignKeyRows::walk`]); there is no index to build or keep
+//! consistent. An insert that would break either order is refused.
 
 use crate::value::{ColumnType, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,11 +282,71 @@ impl<'a> ForeignKeyRows<'a> {
     /// since the column is non-decreasing.
     #[must_use]
     pub fn children(self, parent: i64) -> &'a [Row] {
+        &self.rows[self.children_from(None, parent)]
+    }
+
+    /// A cursor over the children of many parents ([`ForeignKeyWalk`]).
+    #[must_use]
+    pub fn walk(self) -> ForeignKeyWalk<'a> {
+        ForeignKeyWalk {
+            rows: self,
+            last: None,
+        }
+    }
+
+    /// Where the children of `parent` are. With `at`, given that no row
+    /// before it references `parent` or anything above, their start is
+    /// found by an exponential search forward from `at`: a few
+    /// comparisons when it is near, however long the table. Without, by
+    /// a binary search over the whole table.
+    fn children_from(self, at: Option<usize>, parent: i64) -> Range<usize> {
         let parent = Value::Int(parent);
         let key = |row: &Row| row.values[self.column].total_cmp(&parent);
-        let from = self.rows.partition_point(|row| key(row).is_lt());
-        let len = self.rows[from..].partition_point(|row| key(row).is_eq());
-        &self.rows[from..from + len]
+        let from = match at {
+            Some(at) => at + gallop(&self.rows[at..], |row| key(row).is_lt()),
+            None => self.rows.partition_point(|row| key(row).is_lt()),
+        };
+        from..from + gallop(&self.rows[from..], |row| key(row).is_eq())
+    }
+}
+
+/// The length of the prefix of `rows` that `before` accepts (`before`
+/// holds for a prefix and then never again), found by doubling a probe
+/// from the front and then a binary search in the last doubling: O(log
+/// n) in the answer, not in `rows`.
+fn gallop(rows: &[Row], before: impl Fn(&Row) -> bool) -> usize {
+    let mut end = 1;
+    while end <= rows.len() && before(&rows[end - 1]) {
+        end *= 2;
+    }
+    let lo = end / 2;
+    let hi = end.min(rows.len() + 1) - 1;
+    lo + rows[lo..hi].partition_point(before)
+}
+
+/// A forward cursor over one foreign key ([`ForeignKeyRows::walk`]):
+/// `children(parent)` answers exactly what
+/// [`ForeignKeyRows::children`] does, for any sequence of parents. A
+/// parent at or above the previous one is searched for forward from
+/// where the previous one's children start, so a reader that asks for
+/// parents in ascending order steps through the table once; the first
+/// parent, and one below the previous, are found by the binary search
+/// over the whole table.
+#[derive(Debug, Clone)]
+pub struct ForeignKeyWalk<'a> {
+    rows: ForeignKeyRows<'a>,
+    /// The previous parent and where its children start: no row before
+    /// that references it or anything above it.
+    last: Option<(i64, usize)>,
+}
+
+impl<'a> ForeignKeyWalk<'a> {
+    /// The rows referencing `parent`, in id order.
+    pub fn children(&mut self, parent: i64) -> &'a [Row] {
+        let at = self.last.filter(|&(last, _)| parent >= last);
+        let children = self.rows.children_from(at.map(|(_, from)| from), parent);
+        self.last = Some((parent, children.start));
+        &self.rows.rows[children]
     }
 }
 
@@ -427,17 +489,10 @@ impl Database {
         Ok(&self.table(table)?.rows)
     }
 
-    /// The rows of `table` whose foreign key `fk` references `parent`, in
-    /// id order: a binary search, since the column is non-decreasing. A
-    /// column that is not one of the table's declared foreign keys is
-    /// [`DbError::NoSuchColumn`].
-    pub fn children(&self, table: &str, fk: &str, parent: i64) -> Result<&[Row], DbError> {
-        Ok(self.foreign_key(table, fk)?.children(parent))
-    }
-
     /// `table`'s foreign key `fk`, resolved once: a caller that looks up
     /// the children of many parents names the table and column once,
-    /// not once per parent.
+    /// not once per parent. A column that is not one of the table's
+    /// declared foreign keys is [`DbError::NoSuchColumn`].
     pub fn foreign_key(&self, table: &str, fk: &str) -> Result<ForeignKeyRows<'_>, DbError> {
         let t = self.table(table)?;
         let column = t
@@ -712,7 +767,10 @@ mod tests {
                 .iter()
                 .filter(|r| r.values[0] == Value::Int(parent))
                 .collect();
-            let children = db.children("summaries", "performance_id", parent).unwrap();
+            let children = db
+                .foreign_key("summaries", "performance_id")
+                .unwrap()
+                .children(parent);
             assert_eq!(
                 children.iter().collect::<Vec<_>>(),
                 filtered,
@@ -721,9 +779,70 @@ mod tests {
         }
         // Only a declared foreign key is a range.
         assert!(matches!(
-            db.children("summaries", "operation", 1),
+            db.foreign_key("summaries", "operation"),
             Err(DbError::NoSuchColumn { .. })
         ));
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One foreign-key column as a table's rows: NULL keys first (they
+        /// order below every number), then non-decreasing keys with gaps
+        /// and repeats, some stored as integral REALs.
+        fn fk_rows() -> impl Strategy<Value = Vec<Row>> {
+            let steps = proptest::collection::vec((0i64..3, any::<bool>(), 0usize..3), 0..40);
+            (0usize..3, steps).prop_map(|(nulls, steps)| {
+                let mut keys = vec![Value::Null; nulls];
+                let mut key = 0;
+                for (gap, real, copies) in steps {
+                    key += gap;
+                    let cell = if real {
+                        Value::Real(key as f64)
+                    } else {
+                        Value::Int(key)
+                    };
+                    keys.extend(std::iter::repeat_n(cell, copies));
+                }
+                let rows = keys.into_iter().enumerate();
+                rows.map(|(i, key)| Row {
+                    id: i as i64 + 1,
+                    values: vec![key],
+                })
+                .collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// A walk answers what the binary search answers, and that is
+            /// what a linear filter finds, for parents asked in any order:
+            /// random, ascending, descending, each twice in a row, and
+            /// parents no row references.
+            #[test]
+            fn a_walk_answers_what_the_binary_search_answers(
+                rows in fk_rows(),
+                parents in proptest::collection::vec(-2i64..90, 0..30),
+            ) {
+                let fk = ForeignKeyRows { rows: &rows, column: 0 };
+                let mut ascending = parents.clone();
+                ascending.sort_unstable();
+                let descending: Vec<i64> = ascending.iter().rev().copied().collect();
+                let repeated: Vec<i64> = parents.iter().flat_map(|&p| [p, p]).collect();
+                for sequence in [parents, ascending, descending, repeated] {
+                    let mut walk = fk.walk();
+                    for parent in sequence {
+                        let linear: Vec<&Row> = rows
+                            .iter()
+                            .filter(|r| r.values[0].total_cmp(&Value::Int(parent)).is_eq())
+                            .collect();
+                        prop_assert_eq!(fk.children(parent).iter().collect::<Vec<_>>(), linear);
+                        prop_assert_eq!(walk.children(parent), fk.children(parent));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

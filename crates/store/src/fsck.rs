@@ -49,9 +49,9 @@
 
 use crate::database::Database;
 use crate::journal;
-use crate::knowledge_store::{load_active, warning_owner, Manifest};
+use crate::knowledge_store::{load_active, warning_owner, BlockReader, Manifest};
 use crate::persist;
-use crate::query::{summarize_db, RunKind};
+use crate::query::RunKind;
 use crate::segment::{read_segment, write_segment_vfs, SegmentData, SegmentMeta};
 use crate::vfs::Vfs;
 use std::collections::BTreeSet;
@@ -194,7 +194,7 @@ fn check_layout(
             read_segment(&seg_path, vfs, meta.log.map(|log| log.len)).and_then(|(mut data, _)| {
                 let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
                 if dirty {
-                    data.summaries = summarize_db(&data.db)?;
+                    data.summaries = BlockReader::many(&data.db).summaries()?;
                 }
                 Ok((data, dirty))
             });

@@ -8,18 +8,19 @@
 //! in its own tables: `IOFHsRuns`, `IOFHsScores`, `IOFHsTestcases`,
 //! `IOFHsOptions`, `IOFHsResults` and `IOFHsSystem`, keyed by `IOFH_id`.
 //! A run's rows are inserted parent first, each child right after its
-//! parent, so every foreign key is non-decreasing in id order and a run
-//! is loaded by binary searches ([`Database::children`]). `warnings`
-//! serves both kinds, so its `owner_id` is ordered per owner only: it is
-//! read by a filter.
+//! parent, so every foreign key is non-decreasing in id order and
+//! `BlockReader` joins a block's runs back together by walking each
+//! child table forward ([`ForeignKeyRows::walk`](crate::database::ForeignKeyRows::walk)).
+//! `warnings` serves both kinds, so its `owner_id` is ordered per owner
+//! only: a reader filters it for one run or groups it for many.
 //!
 //! [`KnowledgeStore`] implements [`iokc_core::Persister`], optionally
 //! file-backed (the "local database" of Fig. 4; a second store instance
 //! models the "global database").
 
-use crate::database::{Column, Counters, Database, DbError, Row, TableSchema};
+use crate::database::{Column, Counters, Database, DbError, ForeignKeyWalk, Row, TableSchema};
 use crate::persist;
-use crate::query::{summarize_db, summarize_in_db, Query, QueryObs, RunKind, RunPredicate, RunRef};
+use crate::query::{OpStat, Query, QueryObs, RunKind, RunPredicate, RunRef, RunSummary};
 use crate::segment::{AdoptedLog, Segment, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
@@ -31,7 +32,7 @@ use iokc_core::model::{
 };
 use iokc_core::phases::{CycleError, Persister, PhaseKind};
 use iokc_util::json::Json;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -247,7 +248,7 @@ impl KnowledgeStore {
     /// rebuild from the active generation's rows: the crash-consistency
     /// checker's invariant.
     pub fn indexes_consistent(&self) -> Result<bool, DbError> {
-        Ok(summarize_db(&self.active.db)? == self.active.summaries)
+        Ok(BlockReader::many(&self.active.db).summaries()? == self.active.summaries)
     }
 
     pub(crate) fn ensure_writable(&self) -> Result<(), DbError> {
@@ -558,7 +559,7 @@ impl KnowledgeStore {
     fn save_one(
         &mut self,
         kind: RunKind,
-        insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
+        insert: impl FnOnce(&mut Database) -> Result<(i64, usize), DbError>,
     ) -> Result<u64, DbError> {
         self.ensure_writable()?;
         // A generation reopened at its threshold seals before it takes
@@ -574,15 +575,18 @@ impl KnowledgeStore {
 
     /// Insert one run's rows into the active block (copy-on-write) and
     /// derive its summary from those rows — without flushing: the shared
-    /// body of the `save_*` methods.
+    /// body of the `save_*` methods. `insert` returns the run's id and
+    /// how many warnings it wrote, so no save reads the block's
+    /// `warnings` table.
     fn insert_rows(
         &mut self,
         kind: RunKind,
-        insert: impl FnOnce(&mut Database) -> Result<i64, DbError>,
+        insert: impl FnOnce(&mut Database) -> Result<(i64, usize), DbError>,
     ) -> Result<u64, DbError> {
         let active = Arc::make_mut(&mut self.state.active);
-        let id = insert(&mut active.db)? as u64;
-        let summary = summarize_in_db(&active.db, RunRef { kind, id })?;
+        let (id, warnings) = insert(&mut active.db)?;
+        let id = id as u64;
+        let summary = BlockReader::one(&active.db).run_summary(RunRef { kind, id }, warnings)?;
         active.summaries.insert((kind, id), summary);
         self.epoch_ops += 1;
         Ok(id)
@@ -703,8 +707,8 @@ impl KnowledgeStore {
 }
 
 /// Insert a benchmark knowledge object's rows; returns its
-/// `performances` id.
-fn insert_knowledge_rows(db: &mut Database, k: &Knowledge) -> Result<i64, DbError> {
+/// `performances` id and its number of warnings.
+fn insert_knowledge_rows(db: &mut Database, k: &Knowledge) -> Result<(i64, usize), DbError> {
     let p = &k.pattern;
     let performance_id = db.insert(
         "performances",
@@ -795,16 +799,17 @@ fn insert_knowledge_rows(db: &mut Database, k: &Knowledge) -> Result<i64, DbErro
             ],
         )?;
     }
-    insert_warnings(db, RunKind::Benchmark, performance_id, &k.warnings)?;
-    Ok(performance_id)
+    let warnings = insert_warnings(db, RunKind::Benchmark, performance_id, &k.warnings)?;
+    Ok((performance_id, warnings))
 }
 
+/// Insert a run's warnings; returns how many rows that wrote.
 fn insert_warnings(
     db: &mut Database,
     owner: RunKind,
     owner_id: i64,
     warnings: &[String],
-) -> Result<(), DbError> {
+) -> Result<usize, DbError> {
     for warning in warnings {
         db.insert(
             "warnings",
@@ -815,11 +820,12 @@ fn insert_warnings(
             ],
         )?;
     }
-    Ok(())
+    Ok(warnings.len())
 }
 
-/// Insert an IO500 knowledge object's rows; returns its `IOFH_id`.
-fn insert_io500_rows(db: &mut Database, k: &Io500Knowledge) -> Result<i64, DbError> {
+/// Insert an IO500 knowledge object's rows; returns its `IOFH_id` and
+/// its number of warnings.
+fn insert_io500_rows(db: &mut Database, k: &Io500Knowledge) -> Result<(i64, usize), DbError> {
     let iofh_id = db.insert(
         "IOFHsRuns",
         vec![Value::from(k.tasks), Value::from(k.start_time)],
@@ -875,8 +881,8 @@ fn insert_io500_rows(db: &mut Database, k: &Io500Knowledge) -> Result<i64, DbErr
             ],
         )?;
     }
-    insert_warnings(db, RunKind::Io500, iofh_id, &k.warnings)?;
-    Ok(iofh_id)
+    let warnings = insert_warnings(db, RunKind::Io500, iofh_id, &k.warnings)?;
+    Ok((iofh_id, warnings))
 }
 
 impl Persister for KnowledgeStore {
@@ -1130,7 +1136,7 @@ impl Snapshot {
             return Ok(None);
         };
         self.obs.knowledge_deserialized.inc();
-        load_knowledge_from(&block.db, id)
+        BlockReader::one(&block.db).knowledge(id)
     }
 
     /// Load an IO500 knowledge object by `IOFH_id`, resolved to
@@ -1140,7 +1146,7 @@ impl Snapshot {
             return Ok(None);
         };
         self.obs.knowledge_deserialized.inc();
-        load_io500_from(&block.db, id)
+        BlockReader::one(&block.db).io500_knowledge(id)
     }
 
     /// Merge the pinned state into one database: every segment's rows,
@@ -1239,89 +1245,350 @@ pub(crate) fn warning_owner(row: &Row) -> Option<(RunKind, u64)> {
     Some((kind, row.values[1].as_int()? as u64))
 }
 
-/// The warnings of one run in `db`, in id order.
-pub(crate) fn warnings_of(
-    db: &Database,
-    kind: RunKind,
-    id: u64,
-) -> Result<impl Iterator<Item = &Row>, DbError> {
-    let rows = db.rows("warnings")?;
-    Ok(rows
-        .iter()
-        .filter(move |w| warning_owner(w) == Some((kind, id))))
+/// One block's tables joined back into runs: the one place that knows
+/// how a run's rows spread over the schema. Each foreign key is resolved
+/// once per reader (per kind, on first use) and read through a
+/// [`ForeignKeyWalk`], so a reader that visits a block's runs in id
+/// order steps through every child table once; a run out of order costs
+/// a binary search. A reader over one run filters `warnings` for it; a
+/// reader over many groups the table by owner in one pass on first use.
+pub(crate) struct BlockReader<'a> {
+    db: &'a Database,
+    bench: Option<BenchJoin<'a>>,
+    io500: Option<Io500Join<'a>>,
+    warnings: Warnings<'a>,
 }
 
-/// The full benchmark multi-table join against an explicit database —
-/// the body of [`Snapshot::load_knowledge`] and of full-projection
-/// queries, so active and sealed blocks load identically.
-pub(crate) fn load_knowledge_from(db: &Database, id: u64) -> Result<Option<Knowledge>, DbError> {
-    let Some(row) = db.get("performances", id as i64)? else {
-        return Ok(None);
-    };
-    let text = |i: usize| row.values[i].as_text().unwrap_or("").to_owned();
-    let int = |i: usize| row.values[i].as_int().unwrap_or(0);
-    let mut k = Knowledge::new(KnowledgeSource::parse(&text(1)), &text(0));
-    k.id = Some(id);
-    k.pattern = IoPattern {
-        api: text(2),
-        test_file: text(3),
-        block_size: int(4) as u64,
-        transfer_size: int(5) as u64,
-        segments: int(6) as u64,
-        file_per_proc: int(7) != 0,
-        reorder_tasks: int(8) != 0,
-        fsync: int(9) != 0,
-        collective: int(10) != 0,
-        iterations: int(11) as u32,
-        tasks: int(12) as u32,
-        clients_per_node: int(13) as u32,
-    };
-    k.start_time = int(14) as u64;
-    k.end_time = int(15) as u64;
-    k.derived_from = row.values[16].as_int().map(|v| v as u64);
+/// How a [`BlockReader`] finds a run's warnings.
+enum Warnings<'a> {
+    /// Filter the table: a reader over one run.
+    Filter,
+    /// The texts by run, grouped in one pass when first asked for: a
+    /// reader over many runs.
+    Grouped(Option<BTreeMap<(RunKind, u64), Vec<&'a str>>>),
+}
 
-    let child = |table: &str| db.children(table, "performance_id", id as i64);
-    for srow in child("summaries")? {
-        k.summaries.push(OperationSummary {
-            operation: srow.values[1].as_text().unwrap_or("").to_owned(),
-            api: srow.values[2].as_text().unwrap_or("").to_owned(),
-            max_mib: srow.values[3].as_real().unwrap_or(0.0),
-            min_mib: srow.values[4].as_real().unwrap_or(0.0),
-            mean_mib: srow.values[5].as_real().unwrap_or(0.0),
-            stddev_mib: srow.values[6].as_real().unwrap_or(0.0),
-            mean_ops: srow.values[7].as_real().unwrap_or(0.0),
-            iterations: srow.values[8].as_int().unwrap_or(0) as u32,
-        });
-        let operation = srow.values[1].as_text().unwrap_or("");
-        for rrow in db.children("results", "summary_id", srow.id)? {
-            k.results.push(IterationResult {
-                operation: operation.to_owned(),
-                iteration: rrow.values[1].as_int().unwrap_or(0) as u32,
-                bw_mib: rrow.values[2].as_real().unwrap_or(0.0),
-                ops: rrow.values[3].as_int().unwrap_or(0) as u64,
-                ops_per_sec: rrow.values[4].as_real().unwrap_or(0.0),
-                latency_s: rrow.values[5].as_real().unwrap_or(0.0),
-                open_s: rrow.values[6].as_real().unwrap_or(0.0),
-                wrrd_s: rrow.values[7].as_real().unwrap_or(0.0),
-                close_s: rrow.values[8].as_real().unwrap_or(0.0),
-                total_s: rrow.values[9].as_real().unwrap_or(0.0),
-            });
+/// The benchmark tables: `performances` and the walks below it.
+struct BenchJoin<'a> {
+    runs: &'a [Row],
+    summaries: ForeignKeyWalk<'a>,
+    results: ForeignKeyWalk<'a>,
+    filesystems: ForeignKeyWalk<'a>,
+    systeminfos: ForeignKeyWalk<'a>,
+}
+
+/// The IO500 tables: `IOFHsRuns` and the walks below it.
+struct Io500Join<'a> {
+    runs: &'a [Row],
+    scores: ForeignKeyWalk<'a>,
+    testcases: ForeignKeyWalk<'a>,
+    results: ForeignKeyWalk<'a>,
+    options: ForeignKeyWalk<'a>,
+    system: ForeignKeyWalk<'a>,
+}
+
+/// Row `id` of a table's rows, if present.
+fn row_of(runs: &[Row], id: u64) -> Option<&Row> {
+    let at = runs.binary_search_by_key(&(id as i64), |row| row.id);
+    at.ok().map(|at| &runs[at])
+}
+
+impl<'a> BlockReader<'a> {
+    /// A reader for one run of `db`.
+    pub(crate) fn one(db: &'a Database) -> BlockReader<'a> {
+        BlockReader {
+            db,
+            bench: None,
+            io500: None,
+            warnings: Warnings::Filter,
         }
     }
 
-    k.filesystem = child("filesystems")?.first().map(|frow| FilesystemInfo {
-        fs_type: frow.values[1].as_text().unwrap_or("").to_owned(),
-        entry_type: frow.values[2].as_text().unwrap_or("").to_owned(),
-        entry_id: frow.values[3].as_text().unwrap_or("").to_owned(),
-        metadata_node: frow.values[4].as_text().unwrap_or("").to_owned(),
-        chunk_size: frow.values[5].as_int().unwrap_or(0) as u64,
-        storage_targets: frow.values[6].as_int().unwrap_or(0) as u32,
-        raid: frow.values[7].as_text().unwrap_or("").to_owned(),
-        storage_pool: frow.values[8].as_text().unwrap_or("").to_owned(),
-    });
-    k.system = child("systeminfos")?.first().map(system_info);
-    k.warnings = warning_texts(db, RunKind::Benchmark, id)?;
-    Ok(Some(k))
+    /// A reader for many runs of `db`.
+    pub(crate) fn many(db: &'a Database) -> BlockReader<'a> {
+        BlockReader {
+            warnings: Warnings::Grouped(None),
+            ..BlockReader::one(db)
+        }
+    }
+
+    fn bench(&mut self) -> Result<&mut BenchJoin<'a>, DbError> {
+        let db = self.db;
+        let walk = |table: &str, fk: &str| Ok::<_, DbError>(db.foreign_key(table, fk)?.walk());
+        Ok(match &mut self.bench {
+            Some(join) => join,
+            slot => slot.insert(BenchJoin {
+                runs: db.rows("performances")?,
+                summaries: walk("summaries", "performance_id")?,
+                results: walk("results", "summary_id")?,
+                filesystems: walk("filesystems", "performance_id")?,
+                systeminfos: walk("systeminfos", "performance_id")?,
+            }),
+        })
+    }
+
+    fn io500(&mut self) -> Result<&mut Io500Join<'a>, DbError> {
+        let db = self.db;
+        let walk = |table: &str, fk: &str| Ok::<_, DbError>(db.foreign_key(table, fk)?.walk());
+        Ok(match &mut self.io500 {
+            Some(join) => join,
+            slot => slot.insert(Io500Join {
+                runs: db.rows("IOFHsRuns")?,
+                scores: walk("IOFHsScores", "IOFH_id")?,
+                testcases: walk("IOFHsTestcases", "IOFH_id")?,
+                results: walk("IOFHsResults", "testcase_id")?,
+                options: walk("IOFHsOptions", "IOFH_id")?,
+                system: walk("IOFHsSystem", "IOFH_id")?,
+            }),
+        })
+    }
+
+    /// The warning texts of one run, in id order.
+    fn warnings(&mut self, run: (RunKind, u64)) -> Result<Vec<&'a str>, DbError> {
+        let text = |w: &'a Row| w.values[2].as_text().unwrap_or("");
+        let grouped = match &mut self.warnings {
+            Warnings::Grouped(Some(grouped)) => grouped,
+            Warnings::Grouped(slot) => {
+                let mut grouped: BTreeMap<_, Vec<_>> = BTreeMap::new();
+                for w in self.db.rows("warnings")? {
+                    if let Some(owner) = warning_owner(w) {
+                        grouped.entry(owner).or_default().push(text(w));
+                    }
+                }
+                slot.insert(grouped)
+            }
+            Warnings::Filter => {
+                let rows = self.db.rows("warnings")?.iter();
+                let of_run = rows.filter(|w| warning_owner(w) == Some(run));
+                return Ok(of_run.map(text).collect());
+            }
+        };
+        Ok(grouped.get(&run).cloned().unwrap_or_default())
+    }
+
+    /// The full benchmark knowledge object `id` — the body of
+    /// [`Snapshot::load_knowledge`] and of full-projection queries, so
+    /// active and sealed blocks load identically.
+    pub(crate) fn knowledge(&mut self, id: u64) -> Result<Option<Knowledge>, DbError> {
+        let join = self.bench()?;
+        let Some(row) = row_of(join.runs, id) else {
+            return Ok(None);
+        };
+        let text = |i: usize| row.values[i].as_text().unwrap_or("");
+        let int = |i: usize| row.values[i].as_int().unwrap_or(0);
+        let mut k = Knowledge::new(KnowledgeSource::parse(text(1)), text(0));
+        k.id = Some(id);
+        k.pattern = IoPattern {
+            api: text(2).to_owned(),
+            test_file: text(3).to_owned(),
+            block_size: int(4) as u64,
+            transfer_size: int(5) as u64,
+            segments: int(6) as u64,
+            file_per_proc: int(7) != 0,
+            reorder_tasks: int(8) != 0,
+            fsync: int(9) != 0,
+            collective: int(10) != 0,
+            iterations: int(11) as u32,
+            tasks: int(12) as u32,
+            clients_per_node: int(13) as u32,
+        };
+        k.start_time = int(14) as u64;
+        k.end_time = int(15) as u64;
+        k.derived_from = row.values[16].as_int().map(|v| v as u64);
+
+        for srow in join.summaries.children(id as i64) {
+            k.summaries.push(OperationSummary {
+                operation: srow.values[1].as_text().unwrap_or("").to_owned(),
+                api: srow.values[2].as_text().unwrap_or("").to_owned(),
+                max_mib: srow.values[3].as_real().unwrap_or(0.0),
+                min_mib: srow.values[4].as_real().unwrap_or(0.0),
+                mean_mib: srow.values[5].as_real().unwrap_or(0.0),
+                stddev_mib: srow.values[6].as_real().unwrap_or(0.0),
+                mean_ops: srow.values[7].as_real().unwrap_or(0.0),
+                iterations: srow.values[8].as_int().unwrap_or(0) as u32,
+            });
+            let operation = srow.values[1].as_text().unwrap_or("");
+            for rrow in join.results.children(srow.id) {
+                k.results.push(IterationResult {
+                    operation: operation.to_owned(),
+                    iteration: rrow.values[1].as_int().unwrap_or(0) as u32,
+                    bw_mib: rrow.values[2].as_real().unwrap_or(0.0),
+                    ops: rrow.values[3].as_int().unwrap_or(0) as u64,
+                    ops_per_sec: rrow.values[4].as_real().unwrap_or(0.0),
+                    latency_s: rrow.values[5].as_real().unwrap_or(0.0),
+                    open_s: rrow.values[6].as_real().unwrap_or(0.0),
+                    wrrd_s: rrow.values[7].as_real().unwrap_or(0.0),
+                    close_s: rrow.values[8].as_real().unwrap_or(0.0),
+                    total_s: rrow.values[9].as_real().unwrap_or(0.0),
+                });
+            }
+        }
+
+        let fs = join.filesystems.children(id as i64).first();
+        k.filesystem = fs.map(|frow| FilesystemInfo {
+            fs_type: frow.values[1].as_text().unwrap_or("").to_owned(),
+            entry_type: frow.values[2].as_text().unwrap_or("").to_owned(),
+            entry_id: frow.values[3].as_text().unwrap_or("").to_owned(),
+            metadata_node: frow.values[4].as_text().unwrap_or("").to_owned(),
+            chunk_size: frow.values[5].as_int().unwrap_or(0) as u64,
+            storage_targets: frow.values[6].as_int().unwrap_or(0) as u32,
+            raid: frow.values[7].as_text().unwrap_or("").to_owned(),
+            storage_pool: frow.values[8].as_text().unwrap_or("").to_owned(),
+        });
+        k.system = join
+            .systeminfos
+            .children(id as i64)
+            .first()
+            .map(system_info);
+        let warnings = self.warnings((RunKind::Benchmark, id))?;
+        k.warnings = warnings.into_iter().map(str::to_owned).collect();
+        Ok(Some(k))
+    }
+
+    /// The full IO500 knowledge object `id` — the IO500 twin of
+    /// [`BlockReader::knowledge`].
+    pub(crate) fn io500_knowledge(&mut self, id: u64) -> Result<Option<Io500Knowledge>, DbError> {
+        let join = self.io500()?;
+        let Some(run) = row_of(join.runs, id) else {
+            return Ok(None);
+        };
+        let mut testcases = Vec::new();
+        for tc in join.testcases.children(id as i64) {
+            let result = join.results.children(tc.id).first();
+            let cell = |i: usize| result.and_then(|r| r.values[i].as_real()).unwrap_or(0.0);
+            testcases.push(Io500Testcase {
+                name: tc.values[1].as_text().unwrap_or("").to_owned(),
+                unit: tc.values[2].as_text().unwrap_or("").to_owned(),
+                value: cell(1),
+                time_s: cell(2),
+            });
+        }
+        let options = join.options.children(id as i64).iter();
+        let options = options
+            .map(|opt| {
+                let text = |i: usize| opt.values[i].as_text().unwrap_or("").to_owned();
+                (text(1), text(2))
+            })
+            .collect();
+        let scores = join.scores.children(id as i64).first();
+        let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
+        let system = join.system.children(id as i64).first().map(system_info);
+        let mut k = Io500Knowledge {
+            id: Some(id),
+            tasks: run.values[0].as_int().unwrap_or(0) as u32,
+            start_time: run.values[1].as_int().unwrap_or(0) as u64,
+            bw_score: score(1),
+            md_score: score(2),
+            total_score: score(3),
+            testcases,
+            options,
+            system,
+            warnings: Vec::new(),
+        };
+        let warnings = self.warnings((RunKind::Io500, id))?;
+        k.warnings = warnings.into_iter().map(str::to_owned).collect();
+        Ok(Some(k))
+    }
+
+    /// The [`RunSummary`] of every run in the block, keyed `(kind, id)` —
+    /// how a block's summaries are built from its rows: the replayed log
+    /// on open, a segment body on load, and the from-rows side of
+    /// [`KnowledgeStore::indexes_consistent`].
+    pub(crate) fn summaries(&mut self) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
+        let mut summaries = BTreeMap::new();
+        for kind in [RunKind::Benchmark, RunKind::Io500] {
+            for row in self.db.rows(kind.table())? {
+                let warnings = self.warnings((kind, row.id as u64))?.len();
+                summaries.insert((kind, row.id as u64), self.summary_of(kind, row, warnings)?);
+            }
+        }
+        Ok(summaries)
+    }
+
+    /// The [`RunSummary`] of `run`, which has `warning_count` warnings:
+    /// what a save derives from the rows it just inserted.
+    pub(crate) fn run_summary(
+        &mut self,
+        run: RunRef,
+        warning_count: usize,
+    ) -> Result<RunSummary, DbError> {
+        let row = self.db.get(run.kind.table(), run.id as i64)?;
+        let row = row.ok_or_else(|| {
+            DbError::Corrupt(format!("{} run {} has no row", run.kind.as_str(), run.id))
+        })?;
+        self.summary_of(run.kind, row, warning_count)
+    }
+
+    /// The [`RunSummary`] projection of a run's row — the single
+    /// definition every block's summaries are derived by.
+    fn summary_of(
+        &mut self,
+        kind: RunKind,
+        row: &Row,
+        warning_count: usize,
+    ) -> Result<RunSummary, DbError> {
+        let id = row.id as u64;
+        let int = |i: usize| row.values[i].as_int().unwrap_or(0);
+        Ok(match kind {
+            RunKind::Benchmark => RunSummary {
+                kind,
+                id,
+                command: row.values[0].as_text().unwrap_or("").to_owned(),
+                api: row.values[2].as_text().unwrap_or("").to_owned(),
+                tasks: int(12) as u32,
+                block_size: int(4) as u64,
+                transfer_size: int(5) as u64,
+                segments: int(6) as u64,
+                clients_per_node: int(13) as u32,
+                ops: (self.bench()?.summaries.children(row.id).iter())
+                    .map(|srow| OpStat {
+                        operation: srow.values[1].as_text().unwrap_or("").to_owned(),
+                        max_mib: srow.values[3].as_real().unwrap_or(0.0),
+                        mean_mib: srow.values[5].as_real().unwrap_or(0.0),
+                        mean_ops: srow.values[7].as_real().unwrap_or(0.0),
+                    })
+                    .collect(),
+                bw_score: 0.0,
+                md_score: 0.0,
+                total_score: 0.0,
+                warning_count,
+            },
+            RunKind::Io500 => {
+                let scores = self.io500()?.scores.children(row.id).first();
+                let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
+                RunSummary {
+                    kind,
+                    id,
+                    command: "io500".to_owned(),
+                    api: String::new(),
+                    tasks: int(0) as u32,
+                    block_size: 0,
+                    transfer_size: 0,
+                    segments: 0,
+                    clients_per_node: 0,
+                    ops: Vec::new(),
+                    bw_score: score(1),
+                    md_score: score(2),
+                    total_score: score(3),
+                    warning_count,
+                }
+            }
+        })
+    }
+
+    /// The per-iteration bandwidths of benchmark run `id` for one
+    /// operation, in id order — a box-plot series.
+    pub(crate) fn series(&mut self, id: u64, operation: &str) -> Result<Vec<f64>, DbError> {
+        let join = self.bench()?;
+        let mut series = Vec::new();
+        for srow in join.summaries.children(id as i64) {
+            if srow.values[1].as_text() == Some(operation) {
+                let results = join.results.children(srow.id).iter();
+                series.extend(results.map(|rrow| rrow.values[2].as_real().unwrap_or(0.0)));
+            }
+        }
+        Ok(series)
+    }
 }
 
 /// A `systeminfos` or `IOFHsSystem` row.
@@ -1334,52 +1601,6 @@ fn system_info(row: &Row) -> SystemInfo {
         cache_kib: row.values[5].as_int().unwrap_or(0) as u64,
         mem_kib: row.values[6].as_int().unwrap_or(0) as u64,
     }
-}
-
-fn warning_texts(db: &Database, kind: RunKind, id: u64) -> Result<Vec<String>, DbError> {
-    let texts = warnings_of(db, kind, id)?.map(|w| w.values[2].as_text().unwrap_or(""));
-    Ok(texts.map(str::to_owned).collect())
-}
-
-/// The full IO500 multi-table join against an explicit database — the
-/// IO500 twin of [`load_knowledge_from`].
-pub(crate) fn load_io500_from(db: &Database, id: u64) -> Result<Option<Io500Knowledge>, DbError> {
-    let Some(run) = db.get("IOFHsRuns", id as i64)? else {
-        return Ok(None);
-    };
-    let child = |table: &str| db.children(table, "IOFH_id", id as i64);
-    let mut testcases = Vec::new();
-    for tc in child("IOFHsTestcases")? {
-        let result = db.children("IOFHsResults", "testcase_id", tc.id)?.first();
-        let cell = |i: usize| result.and_then(|r| r.values[i].as_real()).unwrap_or(0.0);
-        testcases.push(Io500Testcase {
-            name: tc.values[1].as_text().unwrap_or("").to_owned(),
-            unit: tc.values[2].as_text().unwrap_or("").to_owned(),
-            value: cell(1),
-            time_s: cell(2),
-        });
-    }
-    let options = child("IOFHsOptions")?
-        .iter()
-        .map(|opt| {
-            let text = |i: usize| opt.values[i].as_text().unwrap_or("").to_owned();
-            (text(1), text(2))
-        })
-        .collect();
-    let scores = child("IOFHsScores")?.first();
-    let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
-    Ok(Some(Io500Knowledge {
-        id: Some(id),
-        tasks: run.values[0].as_int().unwrap_or(0) as u32,
-        start_time: run.values[1].as_int().unwrap_or(0) as u64,
-        bw_score: score(1),
-        md_score: score(2),
-        total_score: score(3),
-        testcases,
-        options,
-        system: child("IOFHsSystem")?.first().map(system_info),
-        warnings: warning_texts(db, RunKind::Io500, id)?,
-    }))
 }
 
 /// Map a database error onto the cycle's error taxonomy: on-disk

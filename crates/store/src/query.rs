@@ -29,14 +29,11 @@
 //! results equal a brute-force filter over every live summary
 //! (property-tested in this module).
 
-use crate::database::{Database, DbError, Row};
-use crate::knowledge_store::{
-    load_io500_from, load_knowledge_from, warning_owner, warnings_of, KnowledgeStore, Snapshot,
-};
+use crate::database::DbError;
+use crate::knowledge_store::{BlockReader, KnowledgeStore, Snapshot};
 use crate::segment::{may_match_segment, Segment, SegmentData};
 use iokc_core::model::KnowledgeItem;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -599,11 +596,15 @@ impl RunCursor {
             .map(|(block, run)| &self.blocks[*block as usize].summaries[&(run.kind, run.id)])
     }
 
-    /// Every matched run with the block holding its rows.
-    fn runs(&self) -> impl Iterator<Item = (&SegmentData, RunRef)> {
-        self.rows
-            .iter()
-            .map(|(block, run)| (&*self.blocks[*block as usize], *run))
+    /// Every matched run.
+    fn runs(&self) -> impl Iterator<Item = RunRef> + '_ {
+        self.rows.iter().map(|(_, run)| *run)
+    }
+
+    /// One reader over many runs per cursor block, by block index.
+    fn readers(&self) -> Vec<BlockReader<'_>> {
+        let blocks = self.blocks.iter();
+        blocks.map(|block| BlockReader::many(&block.db)).collect()
     }
 }
 
@@ -878,11 +879,7 @@ impl Snapshot {
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunRef>, DbError> {
-        Ok(self
-            .select(query, deadline)?
-            .runs()
-            .map(|(_, run)| run)
-            .collect())
+        Ok(self.select(query, deadline)?.runs().collect())
     }
 
     /// Execute a query, returning the cheap [`RunSummary`] projection of
@@ -900,17 +897,19 @@ impl Snapshot {
 
     /// Execute a query and *fully deserialize* every matched run — the
     /// explicit full projection. Use only when per-iteration results or
-    /// system/filesystem details are genuinely needed.
+    /// system/filesystem details are genuinely needed. Runs are read in
+    /// cursor order through one `BlockReader` per cursor block, so an
+    /// id-ordered query walks each child table once.
     pub fn query_items(&self, query: &Query) -> Result<Vec<KnowledgeItem>, DbError> {
         let cursor = self.select(query, &DeadlineToken::unbounded())?;
+        let mut readers = cursor.readers();
         let mut items = Vec::with_capacity(cursor.remaining());
-        for (block, run) in cursor.runs() {
+        for &(block, run) in &cursor.rows {
             self.obs.knowledge_deserialized.inc();
+            let reader = &mut readers[block as usize];
             items.extend(match run.kind {
-                RunKind::Benchmark => {
-                    load_knowledge_from(&block.db, run.id)?.map(KnowledgeItem::Benchmark)
-                }
-                RunKind::Io500 => load_io500_from(&block.db, run.id)?.map(KnowledgeItem::Io500),
+                RunKind::Benchmark => reader.knowledge(run.id)?.map(KnowledgeItem::Benchmark),
+                RunKind::Io500 => reader.io500_knowledge(run.id)?.map(KnowledgeItem::Io500),
             });
         }
         Ok(items)
@@ -944,11 +943,10 @@ impl Snapshot {
 
     /// The per-run bandwidth series for one operation across every
     /// matching benchmark run — the box-plot projection. Reads only the
-    /// matched runs' `summaries` and `results` rows (each a binary search
-    /// on its foreign key), not the full `Knowledge` objects. Returns
-    /// `(command, series)` pairs in query order. Each matched block's
-    /// two foreign keys are resolved once, not per run.
-    /// `deadline` is polled between runs too (every 64, from the
+    /// matched runs' `summaries` and `results` rows, walked in id order
+    /// through one `BlockReader` per cursor block, not the full
+    /// `Knowledge` objects. Returns `(command, series)` pairs in query
+    /// order. `deadline` is polled between runs too (every 64, from the
     /// first), since each run fans out into `summaries` and `results`
     /// look-ups.
     pub fn boxplot_series(
@@ -963,16 +961,7 @@ impl Snapshot {
                 .and(predicate.clone()),
         );
         let cursor = self.select(&query, deadline)?;
-        let keys = cursor
-            .blocks
-            .iter()
-            .map(|block| {
-                Ok((
-                    block.db.foreign_key("summaries", "performance_id")?,
-                    block.db.foreign_key("results", "summary_id")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, DbError>>()?;
+        let mut readers = cursor.readers();
         let mut out = Vec::with_capacity(cursor.remaining());
         for (done, &(block, run)) in cursor.rows.iter().enumerate() {
             if done.is_multiple_of(POLL_EVERY) && deadline.should_stop() {
@@ -982,16 +971,7 @@ impl Snapshot {
                     matched: done,
                 });
             }
-            let (summaries, results) = keys[block as usize];
-            let mut series = Vec::new();
-            for srow in summaries.children(run.id as i64) {
-                if srow.values[1].as_text() != Some(operation) {
-                    continue;
-                }
-                for rrow in results.children(srow.id) {
-                    series.push(rrow.values[2].as_real().unwrap_or(0.0));
-                }
-            }
+            let series = readers[block as usize].series(run.id, operation)?;
             if !series.is_empty() {
                 let command = cursor.blocks[block as usize].summaries[&(run.kind, run.id)]
                     .command
@@ -1034,93 +1014,6 @@ impl Snapshot {
         }
         Ok(None)
     }
-}
-
-/// The summary block of every run in `db`, keyed `(kind, id)` — how a
-/// block is built from rows: the replayed log on open, a segment body
-/// on load, and the from-rows side of
-/// [`KnowledgeStore::indexes_consistent`]. The warnings are counted in
-/// one pass over the block.
-pub(crate) fn summarize_db(db: &Database) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
-    let mut warnings: BTreeMap<(RunKind, u64), usize> = BTreeMap::new();
-    for run in db.rows("warnings")?.iter().filter_map(warning_owner) {
-        *warnings.entry(run).or_default() += 1;
-    }
-    let mut summaries = BTreeMap::new();
-    for kind in [RunKind::Benchmark, RunKind::Io500] {
-        for row in db.rows(kind.table())? {
-            let run = (kind, row.id as u64);
-            let warning_count = warnings.get(&run).copied().unwrap_or(0);
-            summaries.insert(run, summarize_row(db, kind, row, warning_count)?);
-        }
-    }
-    Ok(summaries)
-}
-
-/// The [`RunSummary`] projection of one run in `db` — the single
-/// definition every block's summaries are derived by.
-pub(crate) fn summarize_in_db(db: &Database, r: RunRef) -> Result<RunSummary, DbError> {
-    let row = db
-        .get(r.kind.table(), r.id as i64)?
-        .ok_or_else(|| DbError::Corrupt(format!("{} run {} has no row", r.kind.as_str(), r.id)))?;
-    summarize_row(db, r.kind, row, warnings_of(db, r.kind, r.id)?.count())
-}
-
-fn summarize_row(
-    db: &Database,
-    kind: RunKind,
-    row: &Row,
-    warning_count: usize,
-) -> Result<RunSummary, DbError> {
-    let id = row.id as u64;
-    let int = |i: usize| row.values[i].as_int().unwrap_or(0);
-    Ok(match kind {
-        RunKind::Benchmark => RunSummary {
-            kind,
-            id,
-            command: row.values[0].as_text().unwrap_or("").to_owned(),
-            api: row.values[2].as_text().unwrap_or("").to_owned(),
-            tasks: int(12) as u32,
-            block_size: int(4) as u64,
-            transfer_size: int(5) as u64,
-            segments: int(6) as u64,
-            clients_per_node: int(13) as u32,
-            ops: db
-                .children("summaries", "performance_id", row.id)?
-                .iter()
-                .map(|srow| OpStat {
-                    operation: srow.values[1].as_text().unwrap_or("").to_owned(),
-                    max_mib: srow.values[3].as_real().unwrap_or(0.0),
-                    mean_mib: srow.values[5].as_real().unwrap_or(0.0),
-                    mean_ops: srow.values[7].as_real().unwrap_or(0.0),
-                })
-                .collect(),
-            bw_score: 0.0,
-            md_score: 0.0,
-            total_score: 0.0,
-            warning_count,
-        },
-        RunKind::Io500 => {
-            let scores = db.children("IOFHsScores", "IOFH_id", row.id)?.first();
-            let score = |i: usize| scores.and_then(|s| s.values[i].as_real()).unwrap_or(0.0);
-            RunSummary {
-                kind,
-                id,
-                command: "io500".to_owned(),
-                api: String::new(),
-                tasks: int(0) as u32,
-                block_size: 0,
-                transfer_size: 0,
-                segments: 0,
-                clients_per_node: 0,
-                ops: Vec::new(),
-                bw_score: score(1),
-                md_score: score(2),
-                total_score: score(3),
-                warning_count,
-            }
-        }
-    })
 }
 
 #[cfg(test)]

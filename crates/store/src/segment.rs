@@ -22,9 +22,9 @@
 
 use crate::database::{Counters, Database, DbError};
 use crate::journal::RECORD_MAGIC;
-use crate::knowledge_store::build_schema;
+use crate::knowledge_store::{build_schema, BlockReader};
 use crate::persist;
-use crate::query::{summarize_db, RunKind, RunPredicate, RunSummary};
+use crate::query::{RunKind, RunPredicate, RunSummary};
 use crate::vfs::Vfs;
 use crate::wal;
 use iokc_util::json::Json;
@@ -385,7 +385,7 @@ impl SegmentData {
     /// The block over `db`'s rows, every summary derived from them.
     pub(crate) fn from_db(db: Database) -> Result<SegmentData, DbError> {
         Ok(SegmentData {
-            summaries: summarize_db(&db)?,
+            summaries: BlockReader::many(&db).summaries()?,
             db,
         })
     }

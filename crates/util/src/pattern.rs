@@ -148,16 +148,40 @@ impl Pattern {
             return self.match_at(input, 0);
         }
         // Try every start offset; patterns begin with literals in practice,
-        // so use the first literal text (if any) to jump between candidates.
+        // so use the first literal text (if any) to jump between candidates:
+        // an offset it skips would fail that literal anyway.
+        let first = match self.parts.first() {
+            Some(Part::Lit(atoms)) => match atoms.first() {
+                Some(LitAtom::Text(text)) => Some(text.as_str()),
+                _ => None,
+            },
+            _ => None,
+        };
+        let mut start = 0;
+        loop {
+            if let Some(text) = first {
+                start += input[start..].find(text)?;
+            }
+            if let Some(caps) = self.match_at(input, start) {
+                return Some(caps);
+            }
+            start = next_char_boundary(input, start)?;
+        }
+    }
+
+    /// [`Pattern::captures`] without the jump: `match_at` at every char
+    /// boundary — the model the jump is tested against.
+    #[cfg(test)]
+    fn captures_scanning(&self, input: &str) -> Option<Captures> {
+        if self.anchored_start {
+            return self.match_at(input, 0);
+        }
         let mut start = 0;
         loop {
             if let Some(caps) = self.match_at(input, start) {
                 return Some(caps);
             }
-            match next_start(input, start) {
-                Some(next) => start = next,
-                None => return None,
-            }
+            start = next_char_boundary(input, start)?;
         }
     }
 
@@ -272,10 +296,6 @@ fn flush_lit(parts: &mut Vec<Part>, lit: &mut Vec<LitAtom>) {
     if !lit.is_empty() {
         parts.push(Part::Lit(std::mem::take(lit)));
     }
-}
-
-fn next_start(input: &str, start: usize) -> Option<usize> {
-    next_char_boundary(input, start)
 }
 
 fn next_char_boundary(input: &str, pos: usize) -> Option<usize> {
@@ -504,6 +524,49 @@ mod tests {
                 let caps = p.captures(&text).unwrap();
                 let parsed: f64 = caps["v"].parse().unwrap();
                 prop_assert!((parsed - value).abs() <= value.abs() * 1e-12 + 1e-9);
+            }
+
+            /// Jumping to the first literal's occurrences finds what
+            /// trying every offset finds, whatever the pattern starts with
+            /// (text, a capture, whitespace) and over multi-byte input in
+            /// which the pattern's literals occur several times.
+            #[test]
+            fn the_literal_jump_equals_the_exhaustive_scan(
+                anchors in (any::<bool>(), any::<bool>()),
+                pieces in proptest::collection::vec(
+                    prop_oneof![
+                        "[xé€:=.-]{1,2}",
+                        Just(" ".to_owned()),
+                        Just("{a}".to_owned()),
+                        Just("{b:f}".to_owned()),
+                        Just("{c:d}".to_owned()),
+                        Just("{d:*}".to_owned()),
+                        Just("{}".to_owned()),
+                    ],
+                    1..5,
+                ),
+                chunks in proptest::collection::vec((0usize..8, "[ xé€:=.0-9a-z-]{0,3}"), 0..12),
+            ) {
+                let (start, end) = anchors;
+                let source = format!(
+                    "{}{}{}",
+                    if start { "^" } else { "" },
+                    pieces.concat(),
+                    if end { "$" } else { "" },
+                );
+                // Each chunk of the input follows one of the pattern's
+                // literal pieces, so candidates recur.
+                let input: String = chunks
+                    .iter()
+                    .map(|(i, text)| {
+                        let piece = &pieces[i % pieces.len()];
+                        let literal = if piece.starts_with('{') { "" } else { piece };
+                        format!("{literal}{text}")
+                    })
+                    .collect();
+                if let Ok(pattern) = Pattern::compile(&source) {
+                    prop_assert_eq!(pattern.captures(&input), pattern.captures_scanning(&input));
+                }
             }
 
             #[test]

@@ -55,7 +55,8 @@ fn io500_tables_follow_paper_schema() {
     assert!(db.row_count("IOFHsOptions").unwrap() >= 1);
 
     // Foreign keys resolve: every testcase row references the run.
-    let testcases = db.children("IOFHsTestcases", "IOFH_id", id as i64).unwrap();
+    let testcases = db.foreign_key("IOFHsTestcases", "IOFH_id").unwrap();
+    let testcases = testcases.children(id as i64);
     assert_eq!(testcases.len(), 12);
 
     // Reload matches.

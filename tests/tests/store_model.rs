@@ -15,7 +15,8 @@
 //! for writing, nothing is repaired, nothing moves. The runs it saves
 //! fill every child table, and after every step the look-ups are held
 //! to their linear definitions and every live run must load back as it
-//! was saved.
+//! was saved; the readers that walk a block's child tables for many
+//! runs at once are held to loading those runs one by one.
 
 use iokc_core::model::{
     FilesystemInfo, Io500Knowledge, Io500Testcase, IterationResult, Knowledge, KnowledgeItem,
@@ -26,7 +27,7 @@ use iokc_store::persist;
 use iokc_store::segment::read_segment_vfs;
 use iokc_store::{
     fsck, Database, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions,
-    KnowledgeStore, Query, RunKind, Vfs,
+    KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, RunRef, Vfs,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -460,8 +461,9 @@ fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[Knowledg
     }
 }
 
-/// Ids ascend, every foreign key is non-decreasing, and `children` is
-/// what a linear sweep finds under every parent id and its neighbours.
+/// Ids ascend, every foreign key is non-decreasing, and `children` — by
+/// binary search and by a forward walk — is what a linear sweep finds
+/// under every parent id and its neighbours.
 fn check_block(db: &Database) {
     for table in db.table_names() {
         let rows = db.rows(table).expect("rows");
@@ -483,10 +485,12 @@ fn check_block(db: &Database) {
             // Every key is a probe, so one sweep in probe order meets each
             // row under its key.
             let mut at = 0;
+            let key = db.foreign_key(table, &fk.column).expect("foreign key");
+            let mut walk = key.walk();
             for parent in probes {
                 let n = keys[at..].iter().take_while(|&&key| key == parent).count();
-                let found = db.children(table, &fk.column, parent).expect("children");
-                prop_assert_eq!(found, &rows[at..at + n]);
+                prop_assert_eq!(key.children(parent), &rows[at..at + n]);
+                prop_assert_eq!(walk.children(parent), &rows[at..at + n]);
                 at += n;
             }
             prop_assert_eq!(at, rows.len());
@@ -790,6 +794,79 @@ fn a_cold_body_load_is_counted_once() {
     assert_eq!(loaded(), (segments, on_disk));
     assert_eq!(contents(&reopened).len(), 3 * SEAL_THRESHOLD);
     assert_eq!(loaded(), (segments, on_disk), "bodies stay resident");
+}
+
+/// Every run of `query`'s cursor, each loaded on its own.
+fn loaded_one_by_one(store: &KnowledgeStore, query: &Query) -> Vec<KnowledgeItem> {
+    let refs = store.query_ids(query, &DeadlineToken::unbounded());
+    let load = |r: &RunRef| match r.kind {
+        RunKind::Benchmark => store
+            .load_knowledge(r.id)
+            .map(|k| k.map(KnowledgeItem::Benchmark)),
+        RunKind::Io500 => store.load_io500(r.id).map(|k| k.map(KnowledgeItem::Io500)),
+    };
+    let items = refs
+        .expect("ids")
+        .iter()
+        .map(load)
+        .collect::<Result<Vec<_>, _>>();
+    items
+        .expect("load")
+        .into_iter()
+        .map(|item| item.expect("live"))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// The readers that walk a block's child tables against their
+    /// run-by-run models, over runs that fill every child table and carry
+    /// warnings, after any history of saves, batches, deletes of active
+    /// and of sealed runs, seals and compactions: a full projection is
+    /// each run of its cursor loaded on its own (the whole store, a
+    /// selective query, bandwidth descending); a box-plot series is the
+    /// results of each matched run's knowledge object; and the summaries
+    /// a reopen derives block by block are those each save derived from
+    /// its own rows.
+    #[test]
+    fn walked_readers_equal_their_run_by_run_models(
+        ops in proptest::collection::vec(arb_op(), 1..16)
+    ) {
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store = open(&vfs);
+        let (mut model, mut next_tag) = (Model::new(), 0);
+        for op in &ops {
+            apply(&mut store, &mut model, op, &mut next_tag).0.expect("no fault is injected");
+        }
+        let open_ended = DeadlineToken::unbounded();
+        for query in [
+            Query::all(),
+            Query::new(RunPredicate::TasksBetween(1, 32)),
+            Query::all().order_by(RunOrder::Bandwidth).descending(),
+        ] {
+            let items = store.query_items(&query).expect("items");
+            prop_assert_eq!(items, loaded_one_by_one(&store, &query), "{}", query);
+        }
+        for op in ["write", "read", "stat"] {
+            let matched = RunPredicate::Kind(RunKind::Benchmark).and(RunPredicate::HasOp(op.into()));
+            let series: Vec<(String, Vec<f64>)> = loaded_one_by_one(&store, &Query::new(matched))
+                .into_iter()
+                .filter_map(|item| match item {
+                    KnowledgeItem::Benchmark(k) => {
+                        let of_op = k.results.iter().filter(|r| r.operation == op);
+                        let series: Vec<f64> = of_op.map(|r| r.bw_mib).collect();
+                        (!series.is_empty()).then_some((k.command, series))
+                    }
+                    KnowledgeItem::Io500(_) => None,
+                })
+                .collect();
+            let walked = store.boxplot_series(&RunPredicate::True, op, &open_ended);
+            prop_assert_eq!(walked.expect("series"), series, "{}", op);
+        }
+        let summaries = store.query_summaries(&Query::all(), &open_ended).expect("summaries");
+        let reopened = open(&vfs).query_summaries(&Query::all(), &open_ended);
+        prop_assert_eq!(reopened.expect("summaries"), summaries);
+    }
 }
 
 /// The one row-block codec, checked differentially on real blocks. A log
