@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iokc_benchmarks::CorpusSpec;
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
-use iokc_sim::flow::{solve_rates, FlowPath};
+use iokc_sim::flow::{FlowPath, RateSolver};
 use iokc_sim::prelude::{OpenMode, ScriptSet, SystemConfig};
 use iokc_sim::rng::Rng;
 use std::hint::black_box;
@@ -28,8 +28,11 @@ fn bench_solver(c: &mut Criterion) {
                 ])
             })
             .collect();
+        // One solver across solves, its buffers kept, as the engine runs it.
+        let mut solver = RateSolver::default();
+        let capacity = |r: u32| capacities[r as usize];
         group.bench_with_input(BenchmarkId::new("maxmin", nflows), &nflows, |b, _| {
-            b.iter(|| black_box(solve_rates(&capacities, &flows)));
+            b.iter(|| black_box(solver.solve(flows.iter(), capacity).sum::<f64>()));
         });
     }
     group.finish();
@@ -77,16 +80,16 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Points 0..9 of a corpus: every cluster shape (198, 32 and 8 nodes) ×
-/// PFS variant once, each a full 12-phase IO500 run — what `cycle_corpus`
-/// spends its time in.
+/// Points 0..27 of a corpus: every cluster shape (198, 32 and 8 nodes) ×
+/// PFS variant once at each rank count (4, 8 and 16), each a full
+/// 12-phase IO500 run — what `cycle_corpus` spends its time in.
 fn bench_corpus(c: &mut Criterion) {
     let mut group = c.benchmark_group("corpus");
     group.sample_size(20);
-    let spec = CorpusSpec::new(9, 1);
-    group.bench_function("corpus_points_0_to_8", |b| {
+    let spec = CorpusSpec::new(27, 1);
+    group.bench_function("corpus_points_0_to_26", |b| {
         b.iter(|| {
-            for index in 0..9 {
+            for index in 0..27 {
                 black_box(spec.execute(index).unwrap());
             }
         });

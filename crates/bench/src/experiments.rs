@@ -46,7 +46,7 @@ pub fn ensure_parent_dirs(world: &mut World, path: &str) {
     if missing.is_empty() {
         return;
     }
-    let mut scripts = iokc_sim::script::ScriptSet::new(1);
+    let mut scripts = world.scripts(1);
     for dir in missing.iter().rev() {
         scripts.rank(0).mkdir(dir);
     }

@@ -485,6 +485,45 @@ mod tests {
         );
     }
 
+    /// A run resolves each of its names once, however many phases name
+    /// it, and that changes nothing the engine does: the event counts by
+    /// kind are the ones it had when every phase resolved its own paths.
+    #[test]
+    fn a_point_resolves_each_name_once() {
+        let spec = CorpusSpec::new(27, 1);
+        let scale = &spec.scale;
+        // (index, rank_ready, op_finish, flow_start, flows_due, noise_tick,
+        // rate_solves); no point of these has a fault edge.
+        let pinned = [
+            (0, 124, 606, 70, 117, 14, 117),
+            (9, 248, 1062, 282, 543, 14, 543),
+            (18, 496, 2110, 566, 1174, 14, 1174),
+        ];
+        for (index, ready, finish, flow_start, due, noise, solves) in pinned {
+            let run = spec.execute(index).unwrap();
+            let np = u64::from(run.point.tasks);
+            // Five working directories, a tree per rank and the shared
+            // one; an ior-easy file per rank and the ior-hard file; the
+            // mdtest files of both trees.
+            let files_per_rank =
+                scale.mdtest_easy_files_per_rank + scale.mdtest_hard_files_per_rank;
+            let names = 5 + np + 1 + np + 1 + np * files_per_rank;
+            let stats = run.stats;
+            assert_eq!(stats.paths_resolved, names, "point {index} ({np} ranks)");
+            let events = (
+                stats.rank_ready,
+                stats.op_finish,
+                stats.flow_start,
+                stats.flows_due,
+                stats.noise_tick,
+                stats.fault_edge,
+                stats.rate_solves,
+            );
+            let want = (ready, finish, flow_start, due, noise, 0, solves);
+            assert_eq!(events, want, "point {index}");
+        }
+    }
+
     #[test]
     fn fingerprint_tracks_spec_shape_but_not_run_count() {
         let a = CorpusSpec::new(64, 42);

@@ -6,7 +6,6 @@
 //! candidate, partitioned across ranks.
 
 use iokc_sim::engine::{JobLayout, SimError, World};
-use iokc_sim::script::ScriptSet;
 
 /// Result of the find phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,18 +30,14 @@ pub fn run_find(
 ) -> Result<FindResult, SimError> {
     // Snapshot the tree up front (a real find discovers it incrementally;
     // the op cost of the discovery is the readdirs below).
-    let mut dirs = vec![root.to_owned()];
+    let namespace = world.namespace();
+    let mut dirs = vec![root];
     let mut files = Vec::new();
-    let mut frontier = vec![root.to_owned()];
+    let mut frontier = vec![root];
     while let Some(dir) = frontier.pop() {
-        let children: Vec<String> = world
-            .namespace()
-            .list_dir(&dir)
-            .map(str::to_owned)
-            .collect();
-        for child in children {
-            if world.namespace().is_dir(&child) {
-                dirs.push(child.clone());
+        for child in namespace.list_dir(dir) {
+            if namespace.is_dir(child) {
+                dirs.push(child);
                 frontier.push(child);
             } else if name_filter.is_empty() || child.contains(name_filter) {
                 files.push(child);
@@ -51,7 +46,7 @@ pub fn run_find(
     }
 
     let np = layout.np;
-    let mut set = ScriptSet::new(np);
+    let mut set = world.scripts(np);
     // Readdir work: directories round-robin across ranks.
     for (i, dir) in dirs.iter().enumerate() {
         let rank = (i as u32) % np;
@@ -65,12 +60,13 @@ pub fn run_find(
     for rank in 0..np {
         set.rank(rank).barrier();
     }
+    let (matched, dirs) = (files.len() as u64, dirs.len() as u64);
     let result = world.run(layout, &set)?;
     let elapsed_s = result.wall().as_secs_f64().max(1e-9);
     Ok(FindResult {
-        matched: files.len() as u64,
-        dirs: dirs.len() as u64,
-        rate: files.len() as f64 / elapsed_s,
+        matched,
+        dirs,
+        rate: matched as f64 / elapsed_s,
         elapsed_s,
     })
 }

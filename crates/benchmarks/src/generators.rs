@@ -18,7 +18,9 @@ use iokc_core::phases::{Artifact, ArtifactKind, CycleError, Generator, PhaseKind
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::CrashSchedule;
 use iokc_sim::metrics::EngineStats;
+use iokc_sim::script::ScriptSet;
 use iokc_sim::sysinfo::ProcSnapshot;
+use std::collections::BTreeSet;
 
 /// Unix-time base for simulated runs (the paper's submission era).
 const EPOCH: u64 = 1_656_590_400;
@@ -339,6 +341,20 @@ impl HaccGenerator {
             runs: 0,
         }
     }
+
+    /// Unlink the checkpoint files that exist, each by the first rank
+    /// that writes it.
+    fn cleanup(&self) -> ScriptSet {
+        let mut cleanup = self.world.scripts(self.layout.np);
+        let mut seen = BTreeSet::new();
+        for rank in 0..self.layout.np {
+            let (file, _) = hacc_file_of(&self.config, rank);
+            if self.world.namespace().file(&file).is_some() && seen.insert(file.clone()) {
+                cleanup.rank(rank).unlink(&file);
+            }
+        }
+        cleanup
+    }
 }
 
 impl Generator for HaccGenerator {
@@ -356,14 +372,7 @@ impl Generator for HaccGenerator {
         // Fresh file set per run: HACC-IO overwrites its checkpoint; the
         // simulated namespace keeps files, so unlink the previous set.
         if self.runs > 1 {
-            let mut cleanup = iokc_sim::script::ScriptSet::new(self.layout.np);
-            for rank in 0..self.layout.np {
-                let (file, _) = hacc_file_of(&self.config, rank);
-                if self.world.namespace().file(&file).is_some() && !cleanup.paths().contains(&file)
-                {
-                    cleanup.rank(rank % self.layout.np).unlink(&file);
-                }
-            }
+            let cleanup = self.cleanup();
             if cleanup.total_ops() > 0 {
                 self.world
                     .run(self.layout, &cleanup)
@@ -511,6 +520,32 @@ mod tests {
         // Second run must clean up the previous checkpoint files first.
         let second = generator.generate(&mut ctx()).unwrap();
         assert_eq!(second[0].meta["run"], "hacc-run-1");
+    }
+
+    /// The second run's cleanup unlinks the first run's checkpoint and
+    /// nothing else, whatever other names the world's table holds.
+    #[test]
+    fn a_rerun_unlinks_exactly_the_previous_checkpoint() {
+        use crate::hacc::FileMode;
+        use iokc_sim::api::IoApi;
+        use iokc_sim::script::OpKind;
+        let modes = [
+            (FileMode::FilePerProcess, 4),
+            (FileMode::FilePerGroup { group_size: 2 }, 2),
+        ];
+        for (mode, files) in modes {
+            let config = HaccConfig::new(10_000, mode, IoApi::Posix, "/scratch/haccgen");
+            let mut generator = HaccGenerator::new(small_world(8), JobLayout::new(4, 2), config);
+            generator.generate(&mut ctx()).unwrap();
+            assert_eq!(generator.world.namespace().file_count(), files);
+            let cleanup = generator.cleanup();
+            assert_eq!(cleanup.total_ops(), files, "{mode:?}");
+            let result = generator.world.run(generator.layout, &cleanup).unwrap();
+            assert_eq!(result.ops(OpKind::Unlink), files as u64);
+            assert_eq!(generator.world.namespace().file_count(), 0);
+            generator.generate(&mut ctx()).unwrap();
+            assert_eq!(generator.world.namespace().file_count(), files);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::metrics::PhaseResult;
 #[cfg(test)]
 use iokc_sim::script::OpKind;
-use iokc_sim::script::{OpenMode, ScriptSet, StripeHint};
+use iokc_sim::script::{OpenMode, StripeHint};
 
 /// Bytes per particle record (xx,yy,zz,vx,vy,vz,phi as f32; pid as i64;
 /// mask as u16).
@@ -164,7 +164,7 @@ pub fn run_hacc(
     const PIECE: u64 = 8 << 20;
 
     // Checkpoint phase.
-    let mut write_set = ScriptSet::new(np);
+    let mut write_set = world.scripts(np);
     for rank in 0..np {
         let (file, base) = config.file_of(rank);
         open_file(
@@ -200,7 +200,7 @@ pub fn run_hacc(
     // (restart after re-balancing never aligns with the writer), which
     // also defeats the page cache as on a real restart from a fresh job.
     let (restart, restart_bw_mib) = if config.restart {
-        let mut read_set = ScriptSet::new(np);
+        let mut read_set = world.scripts(np);
         for rank in 0..np {
             let peer = (rank + layout.ppn) % np;
             let (file, base) = config.file_of(peer);

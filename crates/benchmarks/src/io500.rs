@@ -13,7 +13,7 @@ use crate::ior::{run_ior, Access, IorConfig};
 use iokc_sim::api::IoApi;
 use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::faults::FaultPlan;
-use iokc_sim::script::{OpenMode, ScriptSet, StripeHint};
+use iokc_sim::script::{OpenMode, StripeHint};
 use iokc_util::stats::geometric_mean;
 use std::collections::BTreeMap;
 
@@ -187,7 +187,7 @@ pub fn run_io500_with_faults(
     let hard_dir = format!("{}/ior-hard", config.dir);
     let mde_dir = format!("{}/mdtest-easy", config.dir);
     let mdh_dir = format!("{}/mdtest-hard", config.dir);
-    let mut setup = ScriptSet::new(np);
+    let mut setup = world.scripts(np);
     setup
         .rank(0)
         .mkdir(&config.dir)
@@ -361,7 +361,7 @@ pub fn run_io500_with_faults(
 
     // Cleanup of IOR files (IO500 removes its working set).
     world.set_faults(base_faults.clone());
-    let mut cleanup = ScriptSet::new(np);
+    let mut cleanup = world.scripts(np);
     for rank in 0..np {
         cleanup
             .rank(rank)
@@ -444,7 +444,7 @@ fn md_phase(
     paths: &[Vec<String>],
 ) -> Result<Io500Phase, SimError> {
     let np = layout.np;
-    let mut set = ScriptSet::new(np);
+    let mut set = world.scripts(np);
     let mut total_ops = 0u64;
     for rank in 0..np {
         let rank_paths: &[String] = match &action {

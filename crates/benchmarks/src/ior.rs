@@ -356,20 +356,20 @@ pub fn run_ior(
     let mut phases = Vec::new();
     for iter in 0..config.iterations {
         if config.write {
-            let scripts = build_phase(config, layout, Access::Write, &mut rng);
+            let scripts = build_phase(world, config, layout, Access::Write, &mut rng);
             let result = world.run(layout, &scripts)?;
             samples.push(sample_from(config, layout, Access::Write, iter, &result));
             phases.push((Access::Write, iter, result));
         }
         if config.read {
-            let scripts = build_phase(config, layout, Access::Read, &mut rng);
+            let scripts = build_phase(world, config, layout, Access::Read, &mut rng);
             let result = world.run(layout, &scripts)?;
             samples.push(sample_from(config, layout, Access::Read, iter, &result));
             phases.push((Access::Read, iter, result));
         }
         if !config.keep_file && iter + 1 == config.iterations {
             // Remove test files at the end of the run (rank 0 cleans up).
-            let mut cleanup = ScriptSet::new(layout.np);
+            let mut cleanup = world.scripts(layout.np);
             if config.file_per_proc {
                 for rank in 0..layout.np {
                     let file = config.file_for(rank);
@@ -412,9 +412,15 @@ fn xfer_offset(config: &IorConfig, np: u32, rank: u32, segment: u64, xfer: u64) 
     }
 }
 
-fn build_phase(config: &IorConfig, layout: JobLayout, access: Access, rng: &mut Rng) -> ScriptSet {
+fn build_phase(
+    world: &World,
+    config: &IorConfig,
+    layout: JobLayout,
+    access: Access,
+    rng: &mut Rng,
+) -> ScriptSet {
     let np = layout.np;
-    let mut set = ScriptSet::new(np);
+    let mut set = world.scripts(np);
     if config.deadline_secs > 0 {
         set.set_stonewall(iokc_sim::time::SimDuration::from_secs(u64::from(
             config.deadline_secs,

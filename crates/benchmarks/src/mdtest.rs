@@ -14,7 +14,7 @@ use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::metrics::PhaseResult;
 #[cfg(test)]
 use iokc_sim::script::OpKind;
-use iokc_sim::script::{OpenMode, ScriptSet};
+use iokc_sim::script::OpenMode;
 use iokc_util::stats;
 
 /// mdtest variant.
@@ -337,7 +337,7 @@ pub fn run_mdtest(
     for _iter in 0..config.iterations {
         // Setup: create the working tree (rank 0 makes the root; each rank
         // its own dir under easy, rank 0 the shared dir under hard).
-        let mut setup = ScriptSet::new(np);
+        let mut setup = world.scripts(np);
         if config.workload.unique_dirs() {
             for rank in 0..np {
                 setup.rank(rank).mkdir(&config.rank_dir(rank));
@@ -356,7 +356,7 @@ pub fn run_mdtest(
                 // mdtest skips the read phase for 0-byte files... it still
                 // opens+closes; model it as stat-equivalent opens.
             }
-            let mut set = ScriptSet::new(np);
+            let mut set = world.scripts(np);
             for rank in 0..np {
                 let mut rs = set.rank(rank);
                 for index in 0..config.files_per_rank {
@@ -399,7 +399,7 @@ pub fn run_mdtest(
         }
 
         // Teardown the tree.
-        let mut teardown = ScriptSet::new(np);
+        let mut teardown = world.scripts(np);
         if config.workload.unique_dirs() {
             for rank in 0..np {
                 teardown.rank(rank).rmdir(&config.rank_dir(rank));

@@ -785,7 +785,7 @@ fn ensure_dirs(world: &mut World, path: &str) -> Result<(), String> {
     if missing.is_empty() {
         return Ok(());
     }
-    let mut scripts = iokc_sim::script::ScriptSet::new(1);
+    let mut scripts = world.scripts(1);
     for dir in missing.iter().rev() {
         scripts.rank(0).mkdir(dir);
     }

@@ -16,10 +16,10 @@
 //! serialized per-request overhead slot at each storage target.
 //!
 //! What an op costs the host does not depend on how large the cluster is
-//! or how long its path: a phase resolves each script path to the
-//! namespace's id for it once, before the first event, and all per-file
-//! state (dirty targets, sharing, range locks, page caches) is keyed by
-//! that id.
+//! or how long its path: a world resolves each name of a run to the
+//! namespace's id for it once, when the first phase that names it starts,
+//! and all per-file state (dirty targets, sharing, range locks, page
+//! caches) is keyed by that id.
 
 use crate::config::SystemConfig;
 use crate::faults::{FaultPlan, FaultTarget};
@@ -27,10 +27,11 @@ use crate::flow::{FlowPath, RateSolver, ResourceId};
 use crate::metrics::{EngineStats, OpRecord, PhaseResult};
 use crate::pfs::{FsError, NameId, Namespace};
 use crate::rng::Rng;
-use crate::script::{Op, OpKind, OpenMode, PathId, Rank, ScriptSet};
+use crate::script::{Op, OpKind, OpenMode, PathId, PathTable, Rank, ScriptSet};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// How ranks are placed onto nodes: `ppn` consecutive ranks per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +218,10 @@ pub struct World {
     cache: Vec<NodeCache>,
     /// Engine-side state of each name, indexed by the namespace's id.
     files: Vec<FileState>,
+    /// The path table of the last set run, and the namespace's id of each
+    /// of its names.
+    paths: Arc<PathTable>,
+    path_ids: Vec<NameId>,
     /// What every phase so far cost the engine.
     stats: EngineStats,
 }
@@ -263,6 +268,8 @@ impl World {
             target_busy: vec![SimTime::ZERO; targets],
             cache: Vec::new(),
             files: Vec::new(),
+            paths: Arc::default(),
+            path_ids: Vec::new(),
             stats: EngineStats::default(),
             namespace,
             system,
@@ -327,6 +334,47 @@ impl World {
         self.faults.push(fault);
     }
 
+    /// An empty script set for `np` ranks over the path table of the set
+    /// this world ran last, so that the phases of a run resolve each name
+    /// once: run after that one, it resolves only the names it adds.
+    #[must_use]
+    pub fn scripts(&self, np: u32) -> ScriptSet {
+        ScriptSet::over(Arc::clone(&self.paths), np)
+    }
+
+    /// Take `table` as the run's path table, resolving only what it adds
+    /// to the adopted one. A table extends that one exactly when it holds
+    /// the same allocation at the adopted one's last index (see
+    /// [`crate::script::PathName`]); any other is resolved in full.
+    fn adopt(&mut self, table: &Arc<PathTable>) {
+        let known = self.path_ids.len();
+        let extends = known == 0
+            || table
+                .get(known - 1)
+                .is_some_and(|name| name.same(&self.paths[known - 1]));
+        if !extends {
+            self.path_ids.clear();
+        }
+        let fresh = &table[self.path_ids.len()..];
+        for name in fresh {
+            self.path_ids.push(self.namespace.resolve(name));
+        }
+        self.stats.paths_resolved += fresh.len() as u64;
+        self.paths = Arc::clone(table);
+        let names = self.namespace.names();
+        if self.files.len() < names {
+            self.files.resize_with(names, FileState::default);
+        }
+    }
+
+    /// Drop the adopted table, so that the next set is resolved in full
+    /// whatever it extends: every phase as its own run.
+    #[cfg(test)]
+    fn forget_paths(&mut self) {
+        self.paths = Arc::default();
+        self.path_ids.clear();
+    }
+
     /// Execute a script set to completion and return what happened.
     pub fn run(&mut self, layout: JobLayout, scripts: &ScriptSet) -> Result<PhaseResult, SimError> {
         assert_eq!(
@@ -342,6 +390,7 @@ impl World {
             });
         }
         let stats_before = self.stats;
+        self.adopt(scripts.table());
         let mut exec = Execution::new(self, layout, scripts);
         exec.run()?;
         let records = std::mem::take(&mut exec.records);
@@ -351,7 +400,7 @@ impl World {
             records,
             started,
             finished: self.now,
-            paths: scripts.paths().to_vec(),
+            paths: Arc::clone(scripts.table()),
             stonewalled_ops: stonewalled,
             stats: self.stats.since(&stats_before),
         })
@@ -362,8 +411,6 @@ struct Execution<'w> {
     world: &'w mut World,
     layout: JobLayout,
     scripts: &'w ScriptSet,
-    /// The namespace's id for each script path (index = `PathId`).
-    names: Vec<NameId>,
     events: BinaryHeap<Queued>,
     seq: u64,
     started: SimTime,
@@ -387,22 +434,10 @@ impl<'w> Execution<'w> {
     fn new(world: &'w mut World, layout: JobLayout, scripts: &'w ScriptSet) -> Execution<'w> {
         let np = layout.np as usize;
         let started = world.now;
-        let names: Vec<NameId> = scripts
-            .paths()
-            .iter()
-            .map(|path| world.namespace.resolve(path))
-            .collect();
-        if world.files.len() < world.namespace.names() {
-            world
-                .files
-                .resize_with(world.namespace.names(), FileState::default);
-        }
-        world.stats.paths_resolved += names.len() as u64;
         Execution {
             world,
             layout,
             scripts,
-            names,
             events: BinaryHeap::new(),
             seq: 0,
             started,
@@ -531,7 +566,7 @@ impl<'w> Execution<'w> {
         };
         match script[pc] {
             Op::Mkdir { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 self.world
                     .namespace
                     .mkdir_at(id)
@@ -539,7 +574,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, id, 1.2);
             }
             Op::Rmdir { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 self.world
                     .namespace
                     .rmdir_at(id)
@@ -547,7 +582,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, id, 1.0);
             }
             Op::Open { path, mode, hint } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 let mut cost = 1.0;
                 let exists = self.world.namespace.file_at(id).is_some();
                 match (exists, mode) {
@@ -571,17 +606,17 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, id, cost);
             }
             Op::Close { path } => {
-                self.meta_op(rank, self.names[path.0 as usize], 0.5);
+                self.meta_op(rank, self.world.path_ids[path.0 as usize], 0.5);
             }
             Op::Stat { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 if !self.world.namespace.exists_at(id) {
                     return Err(not_found(OpKind::Stat, path));
                 }
                 self.meta_op(rank, id, 0.7);
             }
             Op::Unlink { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 self.world
                     .namespace
                     .unlink_at(id)
@@ -592,7 +627,7 @@ impl<'w> Execution<'w> {
                 self.meta_op(rank, id, 1.1);
             }
             Op::Readdir { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 let entries = self.world.namespace.dir_entries_at(id);
                 // One MDS request per 64 directory entries.
                 let cost = 1.0 + (entries as f64 / 64.0);
@@ -605,7 +640,7 @@ impl<'w> Execution<'w> {
                 self.data_op(rank, node, path, offset, len, false)?;
             }
             Op::Fsync { path } => {
-                let id = self.names[path.0 as usize];
+                let id = self.world.path_ids[path.0 as usize];
                 let overhead = SimDuration(self.world.system.pfs.target_op_overhead_ns);
                 let targets = std::mem::take(&mut self.world.files[id.index()].dirty);
                 let mut done = self.world.now + latency;
@@ -695,7 +730,7 @@ impl<'w> Execution<'w> {
         len: u64,
         is_write: bool,
     ) -> Result<(), SimError> {
-        let id = self.names[path.0 as usize];
+        let id = self.world.path_ids[path.0 as usize];
         let kind = if is_write {
             OpKind::Write
         } else {
@@ -1556,6 +1591,90 @@ mod tests {
                         world.namespace().file(&path).unwrap().size,
                         blocks * MIB
                     );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            /// A world whose sets share one table does what a twin does
+            /// that forgets its table and runs every set over a private
+            /// copy of its own, resolving it in full: the same records,
+            /// trace and files, never more names resolved. Sets come
+            /// fresh, from the world, or as forks of an earlier world
+            /// set; a phase's own names make a fork append other names
+            /// at the rows the set it was forked beside filled.
+            #[test]
+            fn a_shared_table_resolves_like_a_fresh_one(
+                seed in any::<u64>(),
+                phases in proptest::collection::vec(
+                    (
+                        0u8..3,
+                        0usize..4,
+                        proptest::collection::vec((0u8..10, 0usize..8), 1..12),
+                    ),
+                    1..8,
+                ),
+            ) {
+                let trace = |phase: &PhaseResult| -> Vec<String> {
+                    let line = |r: &OpRecord| {
+                        let path = r.path.map_or("-", |id| phase.paths[id.0 as usize].as_str());
+                        format!("{} {} {path} {} {}", r.rank, r.kind.as_str(), r.offset, r.len)
+                    };
+                    phase.records.iter().map(line).collect()
+                };
+                let files = |world: &World| -> Vec<(String, Option<u64>)> {
+                    let ns = world.namespace();
+                    let size = |name: &str| ns.file(name).map(|meta| meta.size);
+                    ns.list_dir("/scratch").map(|name| (name.to_owned(), size(name))).collect()
+                };
+                let system = SystemConfig::test_small().with_noise(0.1);
+                let mut world = World::new(system.clone(), FaultPlan::none(), seed);
+                let mut twin = World::new(system, FaultPlan::none(), seed);
+                let mut forks: Vec<ScriptSet> = Vec::new();
+                for (phase, (source, fork, ops)) in phases.into_iter().enumerate() {
+                    let mut set = match source {
+                        0 => ScriptSet::new(2),
+                        1 if !forks.is_empty() => forks[fork % forks.len()].clone(),
+                        _ => {
+                            let set = world.scripts(2);
+                            forks.push(set.clone());
+                            set
+                        }
+                    };
+                    for (i, (op, pick)) in ops.into_iter().enumerate() {
+                        let path = match pick {
+                            0..4 => format!("/scratch/f{pick}"),
+                            _ => format!("/scratch/p{phase}.{pick}"),
+                        };
+                        let path = path.as_str();
+                        let len = 64 << (10 + pick);
+                        let mut rank = set.rank((i % 2) as u32);
+                        match op {
+                            0..5 => {
+                                rank.open(path, OpenMode::Write).write(path, 0, len).close(path)
+                            }
+                            5 => rank.stat(path),
+                            6 => rank.unlink(path),
+                            7 => rank.readdir("/scratch"),
+                            8 => rank.mkdir(path),
+                            _ => rank.rmdir(path),
+                        };
+                    }
+                    let got = world.run(layout(2, 2), &set);
+                    twin.forget_paths();
+                    let want = twin.run(layout(2, 2), &set.with_private_table());
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            prop_assert_eq!(&got.records, &want.records);
+                            prop_assert_eq!(trace(&got), trace(&want));
+                            prop_assert_eq!(got.stats.events(), want.stats.events());
+                            prop_assert!(got.stats.paths_resolved <= want.stats.paths_resolved);
+                        }
+                        (got, want) => prop_assert_eq!(got.err(), want.err()),
+                    }
+                    prop_assert_eq!(world.now(), twin.now());
+                    prop_assert_eq!(files(&world), files(&twin));
                 }
             }
         }

@@ -5,8 +5,9 @@
 //! Darshan writer turns them into characterization logs. The record is the
 //! simulator's equivalent of "what actually happened on the system".
 
-use crate::script::{OpKind, PathId, Rank};
+use crate::script::{OpKind, PathId, PathTable, Rank};
 use crate::time::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// One completed operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +69,8 @@ pub struct EngineStats {
     pub flows_solved: u64,
     /// Σ resources the solver filled over, over solver calls.
     pub resources_solved: u64,
-    /// Path names resolved against the namespace.
+    /// Path names resolved against the namespace: each name of a run
+    /// once, as long as every set extends the table the world last ran.
     pub paths_resolved: u64,
 }
 
@@ -112,8 +114,9 @@ pub struct PhaseResult {
     pub started: SimTime,
     /// Simulated time when the last rank finished.
     pub finished: SimTime,
-    /// Interned path names (index = `PathId`).
-    pub paths: Vec<String>,
+    /// Interned path names (index = `PathId`): the run's table as this
+    /// phase left it, shared, so it holds earlier phases' names too.
+    pub paths: Arc<PathTable>,
     /// Data ops skipped because the stonewall deadline expired.
     pub stonewalled_ops: u64,
     /// What executing this phase cost the engine.
@@ -251,7 +254,11 @@ mod tests {
             records,
             started: SimTime::ZERO,
             finished: SimTime::from_secs(1),
-            paths: vec!["/scratch/f".to_owned()],
+            paths: {
+                let mut set = crate::script::ScriptSet::new(1);
+                set.intern("/scratch/f");
+                Arc::clone(set.table())
+            },
             stonewalled_ops: 0,
             stats: EngineStats::default(),
         }

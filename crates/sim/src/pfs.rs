@@ -7,15 +7,15 @@
 
 use crate::config::PfsConfig;
 use crate::script::{parent_dir, NameMap, StripeHint};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// Per-file metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileMeta {
-    /// BeeGFS-style entry id (hex string derived from a stable hash).
-    pub entry_id: String,
+    /// Creation serial: the BeeGFS-style entry id's first field.
+    pub serial: u64,
+    /// The name's stable hash, truncated: the entry id's second field.
+    pub name_hash: u32,
     /// Owning metadata server index.
     pub mds: u32,
     /// Stripe chunk size, bytes.
@@ -123,24 +123,23 @@ struct Entry {
     /// `stable_hash(name)`: placement, entry ids and (through the parent's
     /// row) MDS choice are defined by it.
     hash: u64,
+    /// The rows whose parent this is, present or not.
+    children: Vec<NameId>,
     node: Node,
 }
 
 /// The namespace: directories, files, and placement state.
 ///
 /// Every name ever resolved gets a row in the path table and keeps its
-/// id for the life of the namespace, so the engine resolves a script's
-/// paths once per phase and works on ids from there. The string-keyed
-/// methods are veneers over the id-keyed ones.
+/// id for the life of the namespace, so the engine resolves a run's
+/// names once and works on ids from there. A directory lists from its
+/// row's child list. The string-keyed methods are veneers over the
+/// id-keyed ones.
 #[derive(Debug, Clone)]
 pub struct Namespace {
     config: PfsConfig,
     table: Vec<Entry>,
     by_name: NameMap<Arc<str>, NameId>,
-    /// Names that currently exist, in name order: `list_dir` walks a key
-    /// range of it, and its order decides which rank `find` hands each
-    /// file to.
-    present: BTreeMap<Arc<str>, NameId>,
     created_count: u64,
 }
 
@@ -152,12 +151,11 @@ impl Namespace {
             config,
             table: Vec::new(),
             by_name: NameMap::default(),
-            present: BTreeMap::new(),
             created_count: 0,
         };
         for dir in ["/", "/scratch"] {
             let id = ns.resolve(dir);
-            ns.place(id, Node::Dir);
+            ns.table[id.index()].node = Node::Dir;
         }
         ns
     }
@@ -172,9 +170,9 @@ impl Namespace {
     #[must_use]
     pub fn file_count(&self) -> usize {
         let files = self
-            .present
-            .values()
-            .filter(|id| self.file_at(**id).is_some());
+            .table
+            .iter()
+            .filter(|e| matches!(e.node, Node::File(_)));
         files.count()
     }
 
@@ -194,8 +192,12 @@ impl Namespace {
             hash: stable_hash(&name),
             name: Arc::clone(&name),
             parent: parent.unwrap_or(id),
+            children: Vec::new(),
             node: Node::Absent,
         });
+        if let Some(parent) = parent {
+            self.table[parent.index()].children.push(id);
+        }
         self.by_name.insert(name, id);
         id
     }
@@ -217,20 +219,6 @@ impl Namespace {
 
     fn name(&self, id: NameId) -> String {
         self.table[id.index()].name.as_ref().to_owned()
-    }
-
-    /// Put a file or directory under a vacant name.
-    fn place(&mut self, id: NameId, node: Node) {
-        let entry = &mut self.table[id.index()];
-        entry.node = node;
-        self.present.insert(Arc::clone(&entry.name), id);
-    }
-
-    /// Take away what lives under a name.
-    fn remove(&mut self, id: NameId) {
-        let entry = &mut self.table[id.index()];
-        entry.node = Node::Absent;
-        self.present.remove(&entry.name);
     }
 
     /// Look up a file.
@@ -285,7 +273,7 @@ impl Namespace {
 
     pub(crate) fn mkdir_at(&mut self, id: NameId) -> Result<(), FsError> {
         self.check_vacant(id)?;
-        self.place(id, Node::Dir);
+        self.table[id.index()].node = Node::Dir;
         Ok(())
     }
 
@@ -309,10 +297,10 @@ impl Namespace {
         if !self.is_dir_at(id) {
             return Err(FsError::NotFound(self.name(id)));
         }
-        if self.children(id).next().is_some() {
+        if self.dir_entries_at(id) > 0 {
             return Err(FsError::NotEmpty(self.name(id)));
         }
-        self.remove(id);
+        self.table[id.index()].node = Node::Absent;
         Ok(())
     }
 
@@ -351,16 +339,16 @@ impl Namespace {
         let first = (hash % u64::from(ntargets)) as u32;
         let targets: Vec<u32> = (0..stripe_count).map(|i| (first + i) % ntargets).collect();
         self.created_count += 1;
-        let entry_id = format!("{:X}-{:08X}-1", self.created_count, hash as u32);
         let meta = FileMeta {
-            entry_id,
+            serial: self.created_count,
+            name_hash: hash as u32,
             mds: self.mds_at(id),
             chunk_size,
             targets,
             size: 0,
             created_ns: now_ns,
         };
-        self.place(id, Node::File(meta));
+        self.table[id.index()].node = Node::File(meta);
         Ok(self.file_at(id).expect("just created"))
     }
 
@@ -403,49 +391,35 @@ impl Namespace {
         if self.file_at(id).is_none() {
             return Err(FsError::NotFound(self.name(id)));
         }
-        self.remove(id);
+        self.table[id.index()].node = Node::Absent;
         Ok(())
     }
 
     /// Iterate over the immediate children of `dir`: files in name order,
     /// then directories in name order.
     pub fn list_dir<'a>(&'a self, dir: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.lookup(dir)
-            .into_iter()
-            .flat_map(|id| self.children(id))
+        let children = self.lookup(dir).map(|id| self.children(id));
+        let names = children.into_iter().flatten();
+        names.map(|id| self.table[id.index()].name.as_ref())
     }
 
-    /// The children of a directory, found in the key range that holds
-    /// exactly its descendants (`dir/` up to `dir0`, `0` being the byte
-    /// after `/`) rather than by testing every name in the namespace.
-    fn children(&self, dir: NameId) -> impl Iterator<Item = &str> + '_ {
-        let mut from = self.name(dir);
-        if !from.ends_with('/') {
-            from.push('/');
-        }
-        let mut to = from.clone();
-        to.pop();
-        to.push('0');
-        let bounds = (Bound::Included(from.as_str()), Bound::Excluded(to.as_str()));
-        let descendants = self.present.range::<str, _>(bounds);
-        let of_kind = move |dirs: bool| {
-            move |&(_, id): &(&Arc<str>, &NameId)| {
-                *id != dir && self.table[id.index()].parent == dir && self.is_dir_at(*id) == dirs
-            }
-        };
-        (descendants.clone().filter(of_kind(false)))
-            .chain(descendants.filter(of_kind(true)))
-            .map(|(name, _)| name.as_ref())
+    /// The names under a directory that exist, in listing order.
+    fn children(&self, dir: NameId) -> Vec<NameId> {
+        let mut ids = self.table[dir.index()].children.clone();
+        ids.retain(|id| self.exists_at(*id));
+        ids.sort_unstable_by_key(|id| (self.is_dir_at(*id), &*self.table[id.index()].name));
+        ids
     }
 
     /// Number of entries directly inside `dir` (drives readdir cost).
     #[must_use]
     pub fn dir_entries(&self, dir: &str) -> usize {
-        self.list_dir(dir).count()
+        self.lookup(dir).map_or(0, |id| self.dir_entries_at(id))
     }
 
     pub(crate) fn dir_entries_at(&self, dir: NameId) -> usize {
-        self.children(dir).count()
+        let children = self.table[dir.index()].children.iter();
+        children.filter(|id| self.exists_at(**id)).count()
     }
 
     /// Render BeeGFS-style `beegfs-ctl --getentryinfo` output for a path —
@@ -455,7 +429,10 @@ impl Namespace {
         let meta = self.file(path)?;
         let mut out = String::new();
         out.push_str("Entry type: file\n");
-        out.push_str(&format!("EntryID: {}\n", meta.entry_id));
+        out.push_str(&format!(
+            "EntryID: {:X}-{:08X}-1\n",
+            meta.serial, meta.name_hash
+        ));
         out.push_str(&format!(
             "Metadata node: meta{:02} [ID: {}]\n",
             meta.mds + 1,
@@ -715,5 +692,136 @@ mod tests {
             .unwrap();
             ns2.file("/scratch/spread0").unwrap().targets.clone()
         });
+    }
+
+    /// The index the child lists replaced: every name that exists, in
+    /// name order, a directory listed from the key range `dir/`..`dir0`
+    /// (`0` being the byte after `/`) that holds exactly its descendants.
+    struct RangeIndex {
+        /// Name → whether it is a directory.
+        present: std::collections::BTreeMap<String, bool>,
+    }
+
+    impl RangeIndex {
+        fn new() -> RangeIndex {
+            let present = [("/".to_owned(), true), ("/scratch".to_owned(), true)];
+            RangeIndex {
+                present: present.into_iter().collect(),
+            }
+        }
+
+        fn list(&self, dir: &str) -> Vec<String> {
+            use std::ops::Bound;
+            let mut from = dir.to_owned();
+            if !from.ends_with('/') {
+                from.push('/');
+            }
+            let mut to = from.clone();
+            to.pop();
+            to.push('0');
+            let bounds = (Bound::Included(from.as_str()), Bound::Excluded(to.as_str()));
+            let descendants = self.present.range::<str, _>(bounds);
+            let of_kind = |dirs: bool| {
+                let children = descendants.clone().filter(move |(name, is_dir)| {
+                    name.as_str() != dir && parent_dir(name) == dir && **is_dir == dirs
+                });
+                children.map(|(name, _)| name.clone())
+            };
+            of_kind(false).chain(of_kind(true)).collect()
+        }
+
+        fn place(&mut self, path: &str, dir: bool) -> Result<(), FsError> {
+            if self.present.contains_key(path) {
+                return Err(FsError::AlreadyExists(path.to_owned()));
+            }
+            if self.present.get(parent_dir(path)) != Some(&true) {
+                return Err(FsError::NoParent(path.to_owned()));
+            }
+            self.present.insert(path.to_owned(), dir);
+            Ok(())
+        }
+
+        fn unlink(&mut self, path: &str) -> Result<(), FsError> {
+            if self.present.get(path) != Some(&false) {
+                return Err(FsError::NotFound(path.to_owned()));
+            }
+            self.present.remove(path);
+            Ok(())
+        }
+
+        fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
+            if self.present.get(path) != Some(&true) {
+                return Err(FsError::NotFound(path.to_owned()));
+            }
+            if !self.list(path).is_empty() {
+                return Err(FsError::NotEmpty(path.to_owned()));
+            }
+            self.present.remove(path);
+            Ok(())
+        }
+
+        fn file_count(&self) -> usize {
+            self.present.values().filter(|dir| !**dir).count()
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Names around the edges of a key range: siblings that sort
+        /// just before (`a.`) and just after (`a0`) a directory's `a/`
+        /// prefix, a trailing slash, and names under the root.
+        const NAMES: [&str; 14] = [
+            "/scratch/a",
+            "/scratch/b",
+            "/scratch/a/x",
+            "/scratch/a/y",
+            "/scratch/a/x/f",
+            "/scratch/b/a",
+            "/scratch/a0",
+            "/scratch/a.",
+            "/scratch/ab",
+            "/scratch/a/",
+            "/scratch/a//g",
+            "/a",
+            "/a/x",
+            "/scratch",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Child lists answer every listing, count and verdict as the
+            /// range index did, names never resolved included.
+            #[test]
+            fn child_lists_equal_the_range_index(
+                ops in proptest::collection::vec((0u8..6, 0usize..14), 1..60),
+            ) {
+                let mut ns = ns();
+                let mut model = RangeIndex::new();
+                for (op, pick) in ops {
+                    let name = NAMES[pick];
+                    let ghost = format!("/ghost{pick}/x");
+                    let (got, want) = match op {
+                        0 => (ns.mkdir(name), model.place(name, true)),
+                        1 => (
+                            ns.create(name, StripeHint::default(), 0).map(|_| ()),
+                            model.place(name, false),
+                        ),
+                        2 => (ns.unlink(name), model.unlink(name)),
+                        3 => (ns.rmdir(name), model.rmdir(name)),
+                        4 => (ns.unlink(&ghost), model.unlink(&ghost)),
+                        _ => (ns.rmdir(&ghost), model.rmdir(&ghost)),
+                    };
+                    prop_assert_eq!(got, want);
+                    for dir in NAMES.iter().copied().chain(["/", ghost.as_str()]) {
+                        let listed: Vec<&str> = ns.list_dir(dir).collect();
+                        prop_assert_eq!(listed, model.list(dir));
+                        prop_assert_eq!(ns.dir_entries(dir), model.list(dir).len());
+                    }
+                    prop_assert_eq!(ns.file_count(), model.file_count());
+                }
+            }
+        }
     }
 }

@@ -7,14 +7,18 @@
 //! MPI-IO.
 
 use crate::time::SimDuration;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// An MPI-style rank index.
 pub type Rank = u32;
 
-/// An interned path handle. Paths are interned per [`ScriptSet`] so ops
-/// stay small and comparisons are integer comparisons.
+/// An interned path handle: the row of the name in its set's
+/// [`PathTable`], so ops stay small and comparisons are integer
+/// comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(pub u32);
 
@@ -143,8 +147,8 @@ impl OpKind {
     }
 }
 
-/// A map keyed by path names, as both name interners (a [`ScriptSet`]'s
-/// and the namespace's path table) keep one.
+/// A map keyed by path names, as both name interners (a [`PathTable`]
+/// and the namespace's) keep one.
 ///
 /// It does not use the standard library's DoS-resistant SipHash: a driver
 /// interns a few hundred ~45-byte names per phase and SipHash was a
@@ -190,11 +194,68 @@ impl Hasher for WordHasher {
     }
 }
 
-/// A set of per-rank scripts plus the path interner they reference.
+/// One row of a [`PathTable`]. Clones share the string, so copying a
+/// table costs a reference-count bump per name.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PathName(Arc<str>);
+
+impl PathName {
+    /// The name as text.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// True if both are one allocation. Every interned name is allocated
+    /// afresh and tables only grow, so two tables holding the same
+    /// allocation at an index agree on every row up to it.
+    pub(crate) fn same(&self, other: &PathName) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for PathName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for PathName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<str> for PathName {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+/// The names a run's scripts refer to, in [`PathId`] order (it derefs to
+/// that slice). Rows are only ever appended: the sets of a run and the
+/// results of its phases share one table by reference count, and a set
+/// copies it on the first name it adds.
+#[derive(Debug, Clone, Default)]
+pub struct PathTable {
+    names: Vec<PathName>,
+    index: NameMap<PathName, PathId>,
+}
+
+impl Deref for PathTable {
+    type Target = [PathName];
+
+    fn deref(&self) -> &[PathName] {
+        &self.names
+    }
+}
+
+/// A set of per-rank scripts plus the path table they reference.
 #[derive(Debug, Clone, Default)]
 pub struct ScriptSet {
-    paths: Vec<String>,
-    path_index: NameMap<String, PathId>,
+    table: Arc<PathTable>,
     scripts: Vec<Vec<Op>>,
     /// Declared sizes of barrier groups other than group 0 (which always
     /// spans all ranks).
@@ -205,12 +266,19 @@ pub struct ScriptSet {
 }
 
 impl ScriptSet {
-    /// Create an empty script set for `nranks` ranks.
+    /// Create an empty script set for `nranks` ranks over a table of its
+    /// own. A driver builds its phases with
+    /// [`crate::engine::World::scripts`] instead, so that a run resolves
+    /// each name once.
     #[must_use]
     pub fn new(nranks: u32) -> ScriptSet {
+        ScriptSet::over(Arc::default(), nranks)
+    }
+
+    /// An empty script set for `nranks` ranks that extends `table`.
+    pub(crate) fn over(table: Arc<PathTable>, nranks: u32) -> ScriptSet {
         ScriptSet {
-            paths: Vec::new(),
-            path_index: NameMap::default(),
+            table,
             scripts: vec![Vec::new(); nranks as usize],
             group_sizes: HashMap::new(),
             stonewall: None,
@@ -258,25 +326,48 @@ impl ScriptSet {
 
     /// Intern a path, returning its id.
     pub fn intern(&mut self, path: &str) -> PathId {
-        if let Some(id) = self.path_index.get(path) {
+        if let Some(id) = self.table.index.get(path) {
             return *id;
         }
-        let id = PathId(self.paths.len() as u32);
-        self.paths.push(path.to_owned());
-        self.path_index.insert(path.to_owned(), id);
+        let table = Arc::make_mut(&mut self.table);
+        let id = PathId(table.names.len() as u32);
+        let name = PathName(Arc::from(path));
+        table.names.push(name.clone());
+        table.index.insert(name, id);
         id
     }
 
     /// Resolve a path id back to its string.
     #[must_use]
     pub fn path(&self, id: PathId) -> &str {
-        &self.paths[id.0 as usize]
+        &self.table[id.0 as usize]
     }
 
-    /// All interned paths in id order.
+    /// Every name of the table in id order — for a set built by
+    /// [`crate::engine::World::scripts`], the names of the run's earlier
+    /// phases too, not only those this set's ops touch.
     #[must_use]
-    pub fn paths(&self) -> &[String] {
-        &self.paths
+    pub fn paths(&self) -> &[PathName] {
+        &self.table
+    }
+
+    /// The table, shared.
+    pub(crate) fn table(&self) -> &Arc<PathTable> {
+        &self.table
+    }
+
+    /// This set over a private copy of its table, as every set was before
+    /// a run's phases shared one.
+    #[cfg(test)]
+    pub(crate) fn with_private_table(&self) -> ScriptSet {
+        let mut copy = ScriptSet {
+            table: Arc::default(),
+            ..self.clone()
+        };
+        for name in self.paths() {
+            copy.intern(name);
+        }
+        copy
     }
 
     /// Append an op to a rank's script.
