@@ -1,8 +1,8 @@
 //! Store benches: the typed query engine (ablation: predicate
 //! pushdown and summary projection, DESIGN.md §"Query engine"), the
-//! same rows read unsealed and sealed, the corpus-scale tier, and the
-//! tables underneath (bulk insert, the SQL front end, segment round
-//! trip).
+//! same rows read unsealed and sealed, the corpus-scale tier and its
+//! compaction, and the tables underneath (bulk insert, the SQL front
+//! end, segment round trip).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
@@ -293,7 +293,51 @@ fn bench_store_scale(c: &mut Criterion) {
         });
     });
 
+    // Compaction of a corpus grown by whole batches: eight resident
+    // one-record blocks of 1 024 runs, 16 runs deleted from the newest.
+    // Each sample compacts a store of its own, built beforehand.
+    let samples = if std::env::args().any(|a| a == "--bench") {
+        5
+    } else {
+        1
+    };
+    let mut ready: Vec<KnowledgeStore> = (0..samples).map(|_| eight_blocks()).collect();
+    let mut compacted = Vec::with_capacity(samples);
+    group.sample_size(samples);
+    group.bench_function("compact_8x1024", |b| {
+        b.iter(|| {
+            let mut store = ready.pop().unwrap();
+            let report = store.compact().unwrap();
+            assert_eq!(report.runs_rewritten, 8 * 1_024 - 16);
+            // Dropped after the timing, not inside it.
+            compacted.push(store);
+            report.runs_rewritten
+        });
+    });
+
     group.finish();
+}
+
+/// Eight sealed blocks of 1 024 runs, each one batch, with 16 runs
+/// deleted from the newest, every body resident.
+fn eight_blocks() -> KnowledgeStore {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let path = PathBuf::from("/bench-compact.json");
+    let mut store = KnowledgeStore::open_with_vfs(path, vfs as Arc<dyn Vfs>).unwrap();
+    store.set_seal_threshold(usize::MAX);
+    for block in 0..8 {
+        let batch: Vec<KnowledgeItem> = (block * 1_024..(block + 1) * 1_024)
+            .map(|i| KnowledgeItem::Benchmark(knowledge(i)))
+            .collect();
+        store.save_batch(&batch).unwrap();
+        store.seal_active().unwrap();
+    }
+    for id in 8 * 1_024 - 15..=8 * 1_024 {
+        assert!(store.delete_knowledge(id).unwrap());
+    }
+    let all = store.query_summaries(&Query::all(), &DeadlineToken::unbounded());
+    assert_eq!(all.unwrap().len(), 8 * 1_024 - 16);
+    store
 }
 
 /// A bare relational table, below the knowledge schema.
@@ -345,7 +389,7 @@ fn bench_relational(c: &mut Criterion) {
     });
 
     // The seal/load codec: a 1 000-run block written as a segment
-    // document and read back (rows decoded, summaries derived).
+    // file and read back (rows decoded, summaries derived).
     group.bench_function("segment_roundtrip_1k", |b| {
         let path = PathBuf::from("/bench-codec.json");
         let vfs = Arc::new(FaultVfs::pristine());
@@ -360,9 +404,9 @@ fn bench_relational(c: &mut Criterion) {
         let block = read_segment_vfs(&sealed, vfs.as_ref()).unwrap();
         let seg = segment_path(&path, 0);
         b.iter(|| {
-            // A document is written to a fresh name.
+            // A segment file is written to a fresh name.
             let _ = vfs.remove_file(&seg);
-            write_segment_vfs(&seg, vfs.as_ref(), 0, &block).unwrap();
+            write_segment_vfs(&seg, vfs.as_ref(), &block).unwrap();
             let restored = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
             assert_eq!(restored.summaries.len(), 1_000);
             black_box(restored.db.row_count("performances").unwrap())

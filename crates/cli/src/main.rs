@@ -661,6 +661,10 @@ fn cmd_compact(opts: &Options) -> Result<(), CliError> {
             report.segments_merged, report.tombstones_dropped
         ),
     }
+    println!(
+        "compact: {} byte(s) copied, {} byte(s) encoded",
+        report.bytes_copied, report.bytes_encoded
+    );
     Ok(())
 }
 

@@ -239,6 +239,14 @@ impl Table {
     /// below the last row's, would break the order every look-up relies
     /// on: corruption, naming the table and the row.
     fn push(&mut self, id: i64, values: Vec<Value>) -> Result<(), DbError> {
+        self.check_follows(id, &values)?;
+        self.next_id = self.next_id.max(id.saturating_add(1));
+        self.rows.push(Row { id, values });
+        Ok(())
+    }
+
+    /// Whether row `id` holding `values` may follow the last row.
+    fn check_follows(&self, id: i64, values: &[Value]) -> Result<(), DbError> {
         if let Some(last) = self.rows.last() {
             let name = &self.schema.name;
             if id <= last.id {
@@ -263,8 +271,6 @@ impl Table {
                 }
             }
         }
-        self.next_id = self.next_id.max(id.saturating_add(1));
-        self.rows.push(Row { id, values });
         Ok(())
     }
 }
@@ -451,6 +457,25 @@ impl Database {
         let t = self.table_mut(table)?;
         check_cells(&t.schema, &values, false)?;
         t.push(id, values)
+    }
+
+    /// Move every row of `other` to the end of the same table here:
+    /// how compaction joins blocks. Each side is in order already, so
+    /// only the seam is checked — `other`'s first row must follow this
+    /// table's last, as [`Database::insert_raw`] requires — and every
+    /// seam before anything moves, so a refused append changes neither.
+    pub(crate) fn append(&mut self, other: &mut Database) -> Result<(), DbError> {
+        for (name, theirs) in &other.tables {
+            if let Some(first) = theirs.rows.first() {
+                self.table(name)?.check_follows(first.id, &first.values)?;
+            }
+        }
+        for (name, theirs) in &mut other.tables {
+            let ours = self.table_mut(name)?;
+            ours.next_id = ours.next_id.max(theirs.next_id);
+            ours.rows.append(&mut theirs.rows);
+        }
+        Ok(())
     }
 
     /// Every table's auto-increment counter.

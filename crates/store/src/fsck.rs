@@ -3,8 +3,8 @@
 //! `iokc fsck [--repair]` runs these checks without bringing the store
 //! fully online. A store is the manifest at the nominal path, the
 //! active generation's log at `.wal-<epoch>` and the sealed segments:
-//! logs of earlier epochs a seal adopted, and `.seg-<id>` documents
-//! ([`crate::knowledge_store`]).
+//! logs of earlier epochs a seal adopted, and `.seg-<id>` logs that
+//! compaction or repair wrote ([`crate::knowledge_store`]).
 //!
 //! 1. **Manifest** — the document at the nominal path must verify its
 //!    checksum footer and decode as a manifest. One that does not is one
@@ -25,18 +25,18 @@
 //! 4. **Tombstones** — tombstones must reference runs that exist in
 //!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
-//!    siblings of documents, logs of any epoch the manifest neither
-//!    reads nor adopted, segment files the manifest does not reference,
-//!    and the `.bak` copies of documents that earlier binaries kept and
-//!    nothing reads. Removed on repair.
+//!    siblings of files written whole, logs of any epoch the manifest
+//!    neither reads nor adopted, segment files the manifest does not
+//!    reference, and the `.bak` copies of documents that earlier
+//!    binaries kept and nothing reads. Removed on repair.
 //! 6. **Referential integrity** (segments) — checksums only prove the
 //!    file is the one that was written, not that it is *sensible*: rows
 //!    whose foreign keys point at deleted parents (e.g. from a
 //!    half-applied external import) are reported and, on repair, deleted
 //!    cascade-wise until the segment is closed under its foreign keys,
-//!    then the body is rewritten as a document (an adopted log is
-//!    retired once the manifest names the document) and its index block
-//!    recomputed. The active generation gets no such scan: its log holds
+//!    then the body is rewritten as a `.seg-<id>` log of one record (an
+//!    adopted log is retired once the manifest names it) and its index
+//!    block recomputed. The active generation gets no such scan: its log holds
 //!    what FK-checked inserts wrote.
 //! 7. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
@@ -183,8 +183,8 @@ fn check_layout(
         .collect();
     let mut kept: Vec<SegmentMeta> = Vec::new();
     let mut live_runs: BTreeSet<(RunKind, u64)> = BTreeSet::new();
-    // Adopted logs whose repaired body became a document: unlinked once
-    // the manifest names the document instead.
+    // Adopted logs whose repaired body was rewritten: unlinked once the
+    // manifest names the `.seg-<id>` file instead.
     let mut retired = Vec::new();
     for meta in std::mem::take(&mut manifest.segments) {
         let seg_path = meta.file(path);
@@ -225,10 +225,10 @@ fn check_layout(
                     dirty = true;
                 }
                 if dirty && opts.repair {
-                    // A log is only ever appended to: a repaired body is
-                    // written as a document.
-                    let document = persist::segment_path(path, meta.id);
-                    if let Err(e) = write_segment_vfs(&document, vfs, meta.id, &data) {
+                    // An adopted log is only ever appended to: a repaired
+                    // body is written whole, to the segment's own file.
+                    let rewritten = persist::segment_path(path, meta.id);
+                    if let Err(e) = write_segment_vfs(&rewritten, vfs, &data) {
                         report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
                         kept.push(meta);
                     } else {
@@ -268,11 +268,11 @@ fn check_layout(
     }
 
     // Strays at deterministic names: logs of epochs the manifest
-    // neither reads nor adopted, and segment documents it does not name
+    // neither reads nor adopted, and `.seg-<id>` files it does not name
     // (a crash between a seal/compaction's file writes and its manifest
     // commit, or between the commit and the cleanup, leaves exactly
     // these).
-    let documents: BTreeSet<u64> = manifest
+    let seg_files: BTreeSet<u64> = manifest
         .segments
         .iter()
         .filter(|meta| meta.log.is_none())
@@ -292,11 +292,11 @@ fn check_layout(
     for id in 0..=manifest.next_segment {
         let seg_path = persist::segment_path(path, id);
         check_stray_file(&backup_path(&seg_path), unread, vfs, opts, report);
-        if documents.contains(&id) {
+        if seg_files.contains(&id) {
             check_stray_tmp(&seg_path, vfs, opts, report);
         } else {
-            // A document is written through `.tmp`; a log is appended
-            // in place and has none.
+            // A `.seg-<id>` file is written through `.tmp`; an adopted
+            // log is appended in place and has none.
             let why = "segment not referenced by the manifest";
             let tmp = persist::temp_path(&seg_path);
             for stray in [seg_path, tmp] {
@@ -565,7 +565,8 @@ mod tests {
         let repair = repair_pass(&check_vfs);
         assert!(repair.repaired() >= 1, "{repair:?}");
         assert!(fsck(&kb(), &check_vfs, &FsckOptions::default()).clean());
-        // The repaired body is a document; the log it replaces is gone.
+        // The repaired body is the segment's own file; the log it
+        // replaces is gone.
         assert_eq!(manifest_of(&check_vfs).segments[0].log, None);
         assert!(!check_vfs.exists(&seg_path));
         let store = KnowledgeStore::open_with_vfs(

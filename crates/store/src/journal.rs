@@ -78,6 +78,13 @@ impl JournalWriter {
     }
 }
 
+/// `payload`, which holds no newline, framed as one record, as
+/// [`JournalWriter::append`] writes it.
+pub(crate) fn record(payload: &str) -> String {
+    let crc = checksum(payload.as_bytes());
+    format!("{RECORD_MAGIC} {crc:016x} {payload}\n")
+}
+
 /// The result of replaying a journal file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalReadReport {
@@ -125,10 +132,14 @@ pub fn read_journal_vfs(path: &Path, vfs: &dyn Vfs) -> Result<JournalReadReport,
 /// the first line that is torn (no newline), not UTF-8 — a crash can cut
 /// a character in two — malformed, or checksum-invalid.
 pub(crate) fn valid_records(bytes: &[u8]) -> (Vec<&str>, usize) {
+    // Only the UTF-8 prefix can hold records: the line it cuts short
+    // has no newline there, so it ends the prefix as a torn line would.
+    let text = std::str::from_utf8(bytes)
+        .unwrap_or_else(|e| std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default());
     let mut records = Vec::new();
     let mut consumed = 0;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(payload) = std::str::from_utf8(line).ok().and_then(decode_record) else {
+    for line in text.split_inclusive('\n') {
+        let Some(payload) = decode_record(line) else {
             break;
         };
         records.push(payload);

@@ -7,9 +7,9 @@
 //! share: [`write_rows`] / [`read_rows`] are the one encoding of a block
 //! of rows — a log record and a sealed segment's body are both it,
 //! streamed to and from the text with no `Json` tree between — and
-//! `write_image` is the one crash-safe way a document (manifest
-//! or segment) reaches the disk. CSV export covers the
-//! paper's "saved e.g. as a CSV file" path.
+//! `write_image` is the one crash-safe way a whole file (the manifest,
+//! or a segment log compaction or repair wrote) reaches the disk. CSV
+//! export covers the paper's "saved e.g. as a CSV file" path.
 //!
 //! Writes are crash-safe: the document is written to a temp file,
 //! fsynced, and renamed over the target. Every document carries a
@@ -36,32 +36,43 @@ use std::path::{Path, PathBuf};
 /// string. The schema is not part of it: [`read_rows`] decodes onto the
 /// reader's.
 pub fn write_rows(out: &mut String, db: &Database, mark: &Counters) -> bool {
+    write_blocks(out, &[db], mark)
+}
+
+/// [`write_rows`] over several blocks of one schema whose ids ascend
+/// from each block to the next, as ONE block: every table's rows from
+/// each block in turn, so that a table's ids still ascend.
+pub(crate) fn write_blocks(out: &mut String, blocks: &[&Database], mark: &Counters) -> bool {
     // Writing into a `String` cannot fail.
     out.push('{');
     let mut tables = 0;
-    for (name, table) in &db.tables {
+    for name in blocks.iter().take(1).flat_map(|db| db.tables.keys()) {
         let from = mark.get(name).copied().unwrap_or(i64::MIN);
-        let rows = &table.rows[table.rows.partition_point(|row| row.id < from)..];
-        if rows.is_empty() {
-            continue;
-        }
-        out.push_str(if tables == 0 { "" } else { "," });
-        tables += 1;
-        let _ = json::write_escaped(out, name);
-        out.push_str(":[");
-        for (nth, row) in rows.iter().enumerate() {
-            let _ = write!(out, "{}[{}", if nth == 0 { "" } else { "," }, row.id);
-            for value in &row.values {
-                let _ = match value {
-                    Value::Null => out.write_str(",null"),
-                    Value::Int(i) => write!(out, ",{{\"i\":{i}}}"),
-                    Value::Real(r) => out.write_char(',').and(json::write_number(out, *r)),
-                    Value::Text(t) => out.write_char(',').and(json::write_escaped(out, t)),
-                };
+        let mut nth = 0;
+        for table in blocks.iter().filter_map(|db| db.tables.get(name)) {
+            for row in &table.rows[table.rows.partition_point(|row| row.id < from)..] {
+                if nth == 0 {
+                    out.push_str(if tables == 0 { "" } else { "," });
+                    tables += 1;
+                    let _ = json::write_escaped(out, name);
+                    out.push_str(":[");
+                }
+                let _ = write!(out, "{}[{}", if nth == 0 { "" } else { "," }, row.id);
+                nth += 1;
+                for value in &row.values {
+                    let _ = match value {
+                        Value::Null => out.write_str(",null"),
+                        Value::Int(i) => write!(out, ",{{\"i\":{i}}}"),
+                        Value::Real(r) => out.write_char(',').and(json::write_number(out, *r)),
+                        Value::Text(t) => out.write_char(',').and(json::write_escaped(out, t)),
+                    };
+                }
+                out.push(']');
             }
+        }
+        if nth > 0 {
             out.push(']');
         }
-        out.push(']');
     }
     out.push('}');
     tables > 0
@@ -272,11 +283,11 @@ pub fn render_document(mut body: String) -> String {
 
 /// Render `body` and write it crash-safely, as every document is.
 pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(), std::io::Error> {
-    write_image(path, vfs, &render_document(body.to_compact()))
+    write_image(path, vfs, render_document(body.to_compact()).as_bytes())
 }
 
-/// Write a [`render_document`] image crash-safely — the one
-/// write protocol of the store. The document is
+/// Write a whole file — a [`render_document`] image, or a segment
+/// log — crash-safely: the one write protocol of the store. It is
 /// written to a temp file and fsynced, the temp file is renamed over
 /// the target, and the directory is synced. A crash at any point leaves
 /// either the old file, the old file plus a stray temp file, or the new
@@ -284,11 +295,11 @@ pub fn write_document_vfs(path: &Path, vfs: &dyn Vfs, body: &Json) -> Result<(),
 /// (including the final directory sync, whose rename a crash could
 /// otherwise revert) means the write is *not acknowledged*; the caller
 /// must not assume which of the two documents the disk holds.
-pub(crate) fn write_image(path: &Path, vfs: &dyn Vfs, image: &str) -> Result<(), std::io::Error> {
+pub(crate) fn write_image(path: &Path, vfs: &dyn Vfs, image: &[u8]) -> Result<(), std::io::Error> {
     let tmp = temp_path(path);
     {
         let mut file = vfs.create(&tmp)?;
-        file.write_all(image.as_bytes())?;
+        file.write_all(image)?;
         file.sync()?;
     }
     vfs.rename(&tmp, path)?;

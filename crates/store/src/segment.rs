@@ -5,8 +5,8 @@
 //! rows, in the encoding a segment body uses, so the seal *adopts* that
 //! log as the body: the manifest names `<path>.wal-<epoch>` and the
 //! length of its records, and the rows are never written a second time.
-//! Compaction writes its output as a checksummed document
-//! `<path>.seg-<id>`, the one shape segments had before adoption. The
+//! Compaction writes its output as a log too, `<path>.seg-<id>`: one
+//! record per block, read whole like any log. The
 //! [`RunSummary`] projections the executor scans are derived from the
 //! rows when a body is loaded, so they cannot disagree with them. Each
 //! segment has a [`SegmentMeta`] index block — run counts,
@@ -21,7 +21,7 @@
 //! predicate against the summaries it loads.
 
 use crate::database::{Counters, Database, DbError};
-use crate::journal::RECORD_MAGIC;
+use crate::journal::{self, RECORD_MAGIC};
 use crate::knowledge_store::{build_schema, BlockReader};
 use crate::persist;
 use crate::query::{RunKind, RunPredicate, RunSummary};
@@ -164,8 +164,8 @@ pub struct SegmentMeta {
     pub apis: BTreeSet<String>,
     /// Membership filter over `(kind, id)` keys.
     pub(crate) bloom: Bloom,
-    /// Where the body lives: the log a seal adopted, or `None` for a
-    /// segment document `<path>.seg-<id>`.
+    /// Where the body lives: the log a seal adopted, or `None` for the
+    /// file `<path>.seg-<id>` compaction or repair wrote.
     pub log: Option<AdoptedLog>,
 }
 
@@ -219,7 +219,9 @@ impl SegmentMeta {
             }
             widen(&mut meta.tasks, s.tasks);
             widen(&mut meta.bandwidth, s.bandwidth());
-            meta.apis.insert(s.api.clone());
+            if !meta.apis.contains(&s.api) {
+                meta.apis.insert(s.api.clone());
+            }
             meta.bloom.insert(s.kind, s.id);
         }
         meta
@@ -235,7 +237,7 @@ impl SegmentMeta {
     }
 
     /// The file holding the body of a segment of the store at `store`:
-    /// the adopted log, or the segment document.
+    /// the adopted log, or the `.seg-<id>` file.
     #[must_use]
     pub fn file(&self, store: &Path) -> PathBuf {
         match self.log {
@@ -390,6 +392,21 @@ impl SegmentData {
         })
     }
 
+    /// One block of the runs of `blocks`, whose ids ascend from each
+    /// block to the next, moved out of them ([`Database::append`]).
+    pub(crate) fn concat(blocks: Vec<SegmentData>) -> Result<SegmentData, DbError> {
+        let mut db = build_schema();
+        let (mut bench, mut io500) = (Vec::new(), Vec::new());
+        for mut block in blocks {
+            db.append(&mut block.db)?;
+            io500.push(block.summaries.split_off(&(RunKind::Io500, 0)));
+            bench.push(block.summaries);
+        }
+        // Already in key order, so the collect sorts in one pass.
+        let summaries = bench.into_iter().chain(io500).flatten().collect();
+        Ok(SegmentData { summaries, db })
+    }
+
     /// The projection rows of one kind, ids ascending.
     pub(crate) fn of_kind(&self, kind: RunKind) -> impl Iterator<Item = &RunSummary> {
         self.summaries
@@ -467,27 +484,29 @@ impl Segment {
     }
 }
 
-/// Format tag of segment documents.
-const SEGMENT_FORMAT: &str = "iokc-segment";
-
-/// Write a segment document crash-safely: the block's rows, in the
-/// encoding the log records use, streamed into the one rendered body.
-/// Summaries and the index block are not stored — both are derived from
-/// these rows.
-pub fn write_segment_vfs(
-    path: &Path,
-    vfs: &dyn Vfs,
-    id: u64,
-    data: &SegmentData,
-) -> Result<(), std::io::Error> {
-    let mut body = format!("{{\"format\":\"{SEGMENT_FORMAT}\",\"id\":{id},\"rows\":");
-    persist::write_rows(&mut body, &data.db, &Counters::new());
-    body.push_str(",\"version\":2}");
-    persist::write_image(path, vfs, &persist::render_document(body))
+/// Write a segment body crash-safely as a log of one record holding its
+/// rows, as `fsck --repair` rewrites a repaired body. The summaries and
+/// the index block are not stored — both are derived from these rows.
+pub fn write_segment_vfs(path: &Path, vfs: &dyn Vfs, data: &SegmentData) -> std::io::Result<()> {
+    let mut image = Vec::new();
+    push_rows_record(&mut image, &[&data.db]);
+    persist::write_image(path, vfs, &image)
 }
 
-/// Read a segment body from its file — a segment document, or an
-/// adopted log every byte of which is a record that verifies — and
+/// Append to `image` one `{"rows":…}` log record holding the rows of
+/// `blocks`, table-major ([`persist::write_blocks`]); returns its
+/// length.
+pub(crate) fn push_rows_record(image: &mut Vec<u8>, blocks: &[&Database]) -> u64 {
+    let mut payload = String::from("{\"rows\":");
+    persist::write_blocks(&mut payload, blocks, &Counters::new());
+    payload.push('}');
+    let record = journal::record(&payload);
+    image.extend_from_slice(record.as_bytes());
+    record.len() as u64
+}
+
+/// Read a segment body from its file — a log every byte of which is a
+/// record that verifies, or a document an earlier binary wrote — and
 /// derive its summaries.
 pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbError> {
     read_segment(path, vfs, None).map(|(data, _)| data)
@@ -515,8 +534,24 @@ pub(crate) fn read_segment(
     Ok((data, bytes.len() as u64))
 }
 
+/// Format tag of the segment documents earlier binaries wrote.
+const SEGMENT_FORMAT: &str = "iokc-segment";
+
+/// The document an earlier binary wrote for segment `id` holding `db`'s
+/// rows, byte for byte: what [`read_document`] still reads.
+#[cfg(test)]
+pub(crate) fn legacy_document(id: u64, db: &Database) -> String {
+    let mut body = format!("{{\"format\":\"{SEGMENT_FORMAT}\",\"id\":{id},\"rows\":");
+    persist::write_rows(&mut body, db, &Counters::new());
+    body.push_str(",\"version\":2}");
+    persist::render_document(body)
+}
+
 /// Decode a segment document's rows onto `db`: checksum, format tag,
-/// then the block.
+/// then the block. Read-only: every segment is written as a log now,
+/// so only a store that an earlier binary compacted or repaired holds
+/// a document, and its first compaction (or a repair that changes the
+/// body) rewrites it as a log.
 fn read_document(path: &Path, bytes: &[u8], db: &mut Database) -> Result<(), DbError> {
     let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
     let text = std::str::from_utf8(bytes)
@@ -810,7 +845,7 @@ mod tests {
         store.save_knowledge(&run).unwrap();
         let data = store.snapshot().active;
         assert_eq!(data.summaries[&(RunKind::Benchmark, 1)].warning_count, 1);
-        write_segment_vfs(&path, &vfs, 0, &data).unwrap();
+        write_segment_vfs(&path, &vfs, &data).unwrap();
 
         let meta = SegmentMeta::compute(0, data.summaries.values());
         let seg = Segment::new(meta, path.clone());

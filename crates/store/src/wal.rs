@@ -389,7 +389,7 @@ mod tests {
         apply(&mut replayed, &record.0).unwrap();
         assert_eq!(rows(&replayed), rows(&db));
         let vfs = FaultVfs::pristine();
-        write_segment_vfs(log(), &vfs, 0, &SegmentData::empty(db.clone())).unwrap();
+        write_segment_vfs(log(), &vfs, &SegmentData::empty(db.clone())).unwrap();
         assert_eq!(rows(&read_segment_vfs(log(), &vfs).unwrap().db), rows(&db));
     }
 

@@ -117,7 +117,7 @@ cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 96 --seed 42 | grep -q "generated 32"
 cargo run -q -p iokc-cli -- compact --db "$corpus_dir/corpus.iokc.json" \
   | grep -q "2 segment(s) -> segment 2, 96 run(s) rewritten"
-# Compaction writes the one segment document there is.
+# Compaction writes the one `.seg-` file there is: a log of block records.
 [ "$(cd "$corpus_dir" && echo corpus.iokc.json.seg-*)" = "corpus.iokc.json.seg-2" ]
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" \
   --journal "$corpus_dir/campaign/campaign.journal" | grep -q "clean"

@@ -643,14 +643,17 @@ fn the_same_history_writes_the_same_bytes() {
 /// determinism is not enough: these are the checksums of the files
 /// `scripted_history()` leaves, and of the segment that sealing and
 /// compacting that disk writes, taken from the binary of PR 23 — the
-/// last one whose row codec went through a `Json` tree.
+/// last one whose row codec went through a `Json` tree. The two
+/// compaction outputs are pinned as the logs compaction writes now;
+/// `a_segment_document_reads_like_its_log_and_compacts_to_one` holds
+/// their rows to the documents of the old pins.
 #[test]
 fn store_bytes_are_pinned() {
     const PINNED: [(&str, u64); 4] = [
         ("/kb.json", 0x7626_6ace_7c79_8a1c),
-        ("/kb.json.seg-2", 0xe830_8154_3ba4_e1de),
+        ("/kb.json.seg-2", 0xb0fb_cbda_1e6c_aff7),
         ("/kb.json.wal-2", 0x8f14_2a56_abd6_9206),
-        ("/kb.json.seg-4", 0x6fdf_65e4_aee1_2b86),
+        ("/kb.json.seg-4", 0xa4ab_10f8_d6a9_7b38),
     ];
     let mut disk = scripted_history();
     let vfs = Arc::new(FaultVfs::from_state(disk.clone()));
@@ -664,6 +667,68 @@ fn store_bytes_are_pinned() {
         assert_eq!(got, pinned, "{name} moved: {got:#018x}");
     }
     assert_eq!(disk.len(), PINNED.len());
+}
+
+/// The segment document binaries before compaction wrote logs wrote
+/// for segment `id` holding `db`'s rows, byte for byte.
+fn legacy_document(id: u64, db: &Database) -> Vec<u8> {
+    let mut body = format!("{{\"format\":\"iokc-segment\",\"id\":{id},\"rows\":");
+    persist::write_rows(&mut body, db, &BTreeMap::new());
+    body.push_str(",\"version\":2}");
+    persist::render_document(body).into_bytes()
+}
+
+/// Every summary and every loaded run a store answers.
+type View = (Vec<iokc_store::RunSummary>, Vec<KnowledgeItem>);
+
+fn view(store: &KnowledgeStore) -> View {
+    let summaries = store
+        .query_summaries(&Query::all(), &DeadlineToken::unbounded())
+        .expect("listing");
+    let runs = summaries
+        .iter()
+        .map(|r| match r.kind {
+            RunKind::Benchmark => {
+                KnowledgeItem::Benchmark(store.load_knowledge(r.id).expect("load").expect("run"))
+            }
+            RunKind::Io500 => {
+                KnowledgeItem::Io500(store.load_io500(r.id).expect("load").expect("run"))
+            }
+        })
+        .collect();
+    (summaries, runs)
+}
+
+/// A store whose compacted segment is still the document an earlier
+/// binary wrote — the rows of today's log, in the old envelope that
+/// hashes to the old pin — reads exactly like today's, and its next
+/// compaction rewrites it as the same log today's store writes.
+#[test]
+fn a_segment_document_reads_like_its_log_and_compacts_to_one() {
+    let disk = scripted_history();
+    let seg = persist::segment_path(&kb(), 2);
+    let body = read_segment_vfs(&seg, &FaultVfs::from_state(disk.clone())).expect("segment");
+    let document = legacy_document(2, &body.db);
+    assert_eq!(persist::checksum(&document), 0xe830_8154_3ba4_e1de);
+    let mut legacy = disk.clone();
+    legacy.insert(seg, document);
+    let logs = Arc::new(FaultVfs::from_state(disk));
+    let documents = Arc::new(FaultVfs::from_state(legacy));
+    let (mut new, mut old) = (open(&logs), open(&documents));
+    assert_eq!(view(&old), view(&new));
+    for store in [&mut new, &mut old] {
+        store.seal_active().expect("seal");
+        store.compact().expect("compact");
+    }
+    assert_eq!(view(&old), view(&new));
+    let output = persist::segment_path(&kb(), 4);
+    let (from_logs, from_documents) = (logs.durable_state(), documents.durable_state());
+    assert!(from_documents[&output].starts_with(b"j1 "));
+    assert_eq!(from_documents, from_logs);
+    // The output holds the rows the old binary's output document held.
+    let merged = read_segment_vfs(&output, logs.as_ref()).expect("output");
+    let document = legacy_document(4, &merged.db);
+    assert_eq!(persist::checksum(&document), 0x6fdf_65e4_aee1_2b86);
 }
 
 #[test]
@@ -1068,9 +1133,9 @@ mod codec {
     fn a_reordered_envelope_reads_the_same() {
         let disk = scripted_history();
         let seg = persist::segment_path(&kb(), 2);
-        let text = String::from_utf8(disk[&seg].clone()).expect("utf-8");
-        let (body, _) = persist::verify_image(&text).expect("footer");
-        let doc = json::parse(body).expect("body");
+        let vfs = FaultVfs::from_state(disk.clone());
+        let record = iokc_store::journal::read_journal_vfs(&seg, &vfs).expect("log");
+        let doc = json::parse(&record.records[0]).expect("record");
         let block = doc.get("rows").expect("rows").to_compact();
         let reordered = format!(
             " {{\"version\": 2, \"rows\": {block},\n \"id\": 2, \"extra\": [{{}}], \"format\": \"iokc-segment\"}} "
