@@ -32,8 +32,9 @@
 //! from disk, because either manifest generation may be durable). The
 //! whole pass runs under a `store.compact` span with
 //! `store.compaction.*` counters, and every I/O goes through the
-//! store's [`crate::Vfs`] — the crash-consistency harness drives
-//! `FaultVfs::crash_states()` straight through it.
+//! store's [`crate::Vfs`]: `crash_at_every` in `tests/tests/store_model.rs`
+//! replays seal and compaction with a power loss at every operation and
+//! reopens every image `FaultVfs::crash_states()` exposes.
 
 use crate::database::DbError;
 use crate::journal::{self, RECORD_MAGIC};

@@ -1102,8 +1102,8 @@ pub struct Snapshot {
     /// deletes remove rows directly and never tombstone.
     pub(crate) tombstones: Arc<BTreeSet<(RunKind, u64)>>,
     /// The filesystem under every flush, reload and segment-body load —
-    /// [`StdVfs`] in production, a fault-injecting VFS in the
-    /// crash-consistency harness.
+    /// [`StdVfs`] in production, a fault-injecting VFS in the crash
+    /// tests.
     pub(crate) vfs: Arc<dyn Vfs>,
     /// Query-engine observability: recorder + counter handles.
     pub(crate) obs: Arc<QueryObs>,
@@ -2549,49 +2549,6 @@ mod tests {
             let recorder2 = Arc::new(iokc_obs::Recorder::disabled());
             healthy.attach_recorder(Arc::clone(&recorder2));
             assert_eq!(recorder2.metrics().counter("store.open_degraded").get(), 0);
-        }
-
-        mod prop {
-            use super::*;
-            use proptest::prelude::*;
-
-            proptest! {
-                #![proptest_config(ProptestConfig::with_cases(24))]
-                #[test]
-                fn crash_at_any_fsync_recovers_an_acknowledged_prefix(crash_sync in 0u64..24) {
-                    let vfs = Arc::new(FaultVfs::new(FaultPlan::at(crash_sync, DiskFault::CrashSync)));
-                    let mut store =
-                        KnowledgeStore::open_with_vfs(kb(), vfs.clone() as Arc<dyn Vfs>).unwrap();
-                    let mut acked = 0usize;
-                    for i in 0..6 {
-                        match store.save_knowledge(&cmd_knowledge(i)) {
-                            Ok(_) => acked += 1,
-                            Err(_) => break,
-                        }
-                    }
-                    // Every disk image the crash could expose must reopen
-                    // to an acknowledged prefix — never a torn mixture.
-                    // One extra run is allowed: an in-flight save whose
-                    // bytes all reached disk before the failure was
-                    // reported is durable even though unacknowledged.
-                    for state in vfs.crash_states() {
-                        let reopened = KnowledgeStore::open_with_vfs(
-                            kb(),
-                            Arc::new(FaultVfs::from_state(state)),
-                        )
-                        .unwrap();
-                        let commands = stored_commands(&reopened);
-                        prop_assert!(
-                            commands.len() >= acked && commands.len() <= acked + 1,
-                            "acked {acked}, recovered {commands:?}"
-                        );
-                        let expected: Vec<String> =
-                            (0..commands.len()).map(|i| format!("cmd-{i}")).collect();
-                        prop_assert_eq!(&commands, &expected);
-                        prop_assert!(reopened.indexes_consistent().unwrap());
-                    }
-                }
-            }
         }
     }
 

@@ -41,10 +41,11 @@ cargo clippy -p iokc-benchmarks --all-targets -- -D warnings -D clippy::unwrap_u
 echo "==> cargo clippy -p iokc-util -p iokc-core -p iokc-darshan (unwraps are errors)"
 cargo clippy -p iokc-util -p iokc-core -p iokc-darshan --all-targets -- -D warnings -D clippy::unwrap_used
 
-# Crash-consistency: enumerate every crash point of the mixed workload
-# and verify each post-crash disk image recovers an acknowledged prefix;
-# then any history of writes, injected faults and reboots against a
-# map of acknowledged results.
+# Crash consistency: one store model checks every disk a power loss can
+# leave. It replays fixed op lists with a crash at every operation (and
+# one at every fsync), and runs random histories of writes, injected
+# faults and reboots, each against a map of acknowledged results. The
+# corpus generation resumes from every crash point of its own.
 echo "==> crash-consistency suite + store-vs-model proptest"
 cargo test -p iokc-integration --test crash_consistency --test store_model -q
 
@@ -168,14 +169,17 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "
 # What this repository deleted stays deleted: a second durability
 # mechanism, secondary indexes over a block's rows, a second fault
 # planner (or the per-kind constructors of the one left), a
-# queue-depth mirror beside the handler pool's queue, and a second
-# filter language, view input or HTML escaper.
-echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary"
+# queue-depth mirror beside the handler pool's queue, a second
+# filter language, view input or HTML escaper, and a crash harness
+# beside the store model.
+echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model"
 ! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered\|with_index\|indexable_candidates\|index_insert\|secondary:" \
   crates/ tests/ examples/
 ! grep -rn "NetFaultPlan\|FaultState\|scatter_faults\|stall_at\|note_queued\|note_dequeued\|seeded_chaos(\|crash_at_op(\|crash_at_fsync(\|enospc_at(\|eio_at(\|short_write_at(\|fail_fsync(\|short_read_at(\|reset_read_at(\|reset_write_at(\|drop_at(" \
   crates/ tests/ examples/
 ! grep -rnE "KnowledgeFilter|value_of_summary|compare_summaries|overview_series|fn query_predicate|struct RunsQuery|fn html_escape" \
+  crates/ tests/ examples/
+! grep -rn "run_workload\|run_segmented_workload\|run_adoption_workload\|assert_one_generation\|crash_at_any_fsync" \
   crates/ tests/ examples/
 
 # Benchmark smoke: perfbench is a package of its own, compiled against

@@ -1,28 +1,37 @@
-//! The store against a reference model (ROADMAP "code diet (c)", first
-//! slice), plus the properties of the journaled active generation that
-//! no crash point shows: the same history writes the same bytes, fsck
-//! sweeps what a crashed seal strands, and the log stays bounded under
-//! churn.
+//! The store against a reference model, plus the properties of the
+//! journaled active generation that no crash point shows: the same
+//! history writes the same bytes, fsck sweeps what a crashed seal
+//! strands, and the log stays bounded under churn.
 //!
 //! The model is a `BTreeMap<(kind, id), label>` of *acknowledged*
-//! results. One proptest state machine drives saves, batches, deletes
-//! of active and of sealed runs, explicit seals, compactions, injected
-//! I/O faults and crash-and-reopen, and after every reopen the store
-//! must read back exactly the model — same ids, same rows — with
-//! consistent indexes and a disk that one `fsck --repair` pass leaves
-//! clean. Every crashed disk is also tried with its manifest damaged:
-//! the model's answer to that is the smallest there is — nothing opens
-//! for writing, nothing is repaired, nothing moves. The runs it saves
-//! fill every child table, and after every step the look-ups are held
-//! to their linear definitions and every live run must load back as it
-//! was saved; the readers that walk a block's child tables for many
-//! runs at once are held to loading those runs one by one.
+//! results, and `apply` moves it with every operation (`Op`) the store
+//! acknowledges: saves, batches, deletes of active and of sealed runs,
+//! seals, compactions, event-journal appends. One checker,
+//! `crash_and_check`, judges every disk a power loss can leave, in two
+//! loops:
+//!
+//! * a proptest state machine runs random histories under injected
+//!   ENOSPC, EIO, torn writes and failed fsyncs, loses power after every
+//!   session, and tries each crashed disk with its manifest damaged too.
+//!   After every step the store reads back the model with consistent
+//!   indexes, its generation advanced if reads changed and held if a
+//!   failed operation left them alone, its look-ups equal their linear
+//!   definitions, and every live run loads back as it was saved;
+//! * `crash_at_every` replays a fixed op list with a power loss at every
+//!   operation (or fsync) and checks every image a real disk could
+//!   expose: saves, deletes and journal appends; seals mid-history, a
+//!   tombstone and compaction; and the adoption of a torn log.
+//!
+//! The runs a random history saves fill every child table, and the
+//! readers that walk a block's child tables for many runs at once are
+//! held to loading those runs one by one.
 
 use iokc_core::model::{
     FilesystemInfo, Io500Knowledge, Io500Testcase, IterationResult, Knowledge, KnowledgeItem,
     KnowledgeSource, OperationSummary, SystemInfo,
 };
 use iokc_obs::Recorder;
+use iokc_store::journal::{read_journal_vfs, JournalWriter};
 use iokc_store::persist;
 use iokc_store::segment::read_segment_vfs;
 use iokc_store::{
@@ -40,8 +49,21 @@ type Model = BTreeMap<(RunKind, u64), String>;
 /// Low enough that seals happen every few operations, mid-batch too.
 const SEAL_THRESHOLD: usize = 4;
 
+/// A threshold no replay reaches: nothing seals unless asked to.
+const NO_AUTO_SEAL: usize = usize::MAX;
+
 fn kb() -> PathBuf {
     PathBuf::from("/kb.json")
+}
+
+/// The event journal beside the store, on the same disk.
+fn journal_path() -> PathBuf {
+    PathBuf::from("/events.j")
+}
+
+/// The payload of a history's `n`th event-journal record.
+fn event(n: usize) -> String {
+    format!("event {n}")
 }
 
 fn bench(tag: u32) -> Knowledge {
@@ -275,26 +297,74 @@ fn check_damaged_manifest(image: &Disk, damage: &Damage, acknowledged: &Model) {
     assert_eq!(&contents(&open(&restored)), acknowledged);
 }
 
-/// Power loss now: reboot into what the disk guarantees, and check it
-/// with `acknowledged` (equal to the model — or, after a failed
-/// operation, one of the states that operation may have left). Returns
-/// the store's contents and the disk after one `fsck --repair` pass.
+/// What a history has acknowledged besides the model, and what it
+/// carries from one operation to the next: the last tag it gave out,
+/// whether a write was acknowledged (from then on every disk it can
+/// leave holds a manifest), and how many event-journal records were —
+/// `event(0)`, `event(1)`, … in order.
+#[derive(Debug, Default)]
+struct History {
+    next_tag: u32,
+    committed: bool,
+    journal: usize,
+}
+
+/// Power loss: reboot into `image`, a disk the history can have left,
+/// and check it with `history` and `acknowledged` (equal to the model —
+/// or, after a failed operation, one of the states that operation may
+/// have left):
+///
+/// * one generation: once a write was acknowledged, a manifest that
+///   verifies is there (a document is committed by one rename), and no
+///   file is a second generation (`.bak`) of anything;
+/// * the store reopens to an acknowledged state with consistent indexes,
+///   and with its manifest damaged as `check_damaged_manifest` expects;
+/// * the event journal salvages to the acknowledged records, plus at
+///   most the one in flight;
+/// * one `fsck --repair` pass, the journal included, fixes every
+///   finding — a torn log or journal tail, a stray — the second pass is
+///   clean, and neither the rows nor the salvaged records move.
+///
+/// Returns the store's contents and the disk after the repair.
 fn crash_and_check(
-    vfs: &FaultVfs,
+    image: &Disk,
     damage: &Damage,
+    history: &History,
     acknowledged: impl Fn(&Model) -> bool,
 ) -> (Model, Disk) {
-    let disk = Arc::new(FaultVfs::from_state(vfs.durable_state()));
+    let disk = Arc::new(FaultVfs::from_state(image.clone()));
+    if history.committed {
+        if let Err(e) = persist::read_document_vfs(&kb(), disk.as_ref()) {
+            panic!("no manifest that verifies: {e}");
+        }
+    }
+    let bak = image.keys().find(|p| p.to_string_lossy().ends_with(".bak"));
+    assert!(bak.is_none(), "{bak:?}");
     let reopened = open(&disk);
     let found = contents(&reopened);
     assert!(acknowledged(&found), "reopened to unacknowledged {found:?}");
     assert!(reopened.indexes_consistent().expect("index rebuild"));
     drop(reopened);
-    check_damaged_manifest(&disk.durable_state(), damage, &found);
-    let repair = fsck_pass(&disk, true);
+    check_damaged_manifest(image, damage, &found);
+
+    let read = read_journal_vfs(&journal_path(), disk.as_ref()).expect("journal");
+    let salvaged = read.records;
+    let appended: Vec<String> = (0..salvaged.len()).map(event).collect();
+    let acked = history.journal;
+    assert!(
+        salvaged == appended && (acked..=acked + 1).contains(&salvaged.len()),
+        "{acked} journal record(s) acknowledged, {salvaged:?} salvaged"
+    );
+    let pass = |repair| {
+        let journal = Some(journal_path());
+        fsck(&kb(), disk.as_ref(), &FsckOptions { repair, journal })
+    };
+    let repair = pass(true);
     assert_eq!(repair.unrepaired(), 0, "{:?}", repair.findings);
-    let second = fsck_pass(&disk, false);
+    let second = pass(false);
     assert!(second.clean(), "{:?}", second.findings);
+    let repaired = read_journal_vfs(&journal_path(), disk.as_ref()).expect("journal");
+    assert_eq!((repaired.records, repaired.torn_tail), (salvaged, false));
     assert_eq!(contents(&open(&disk)), found, "fsck --repair changed rows");
     (found, disk.durable_state())
 }
@@ -308,6 +378,8 @@ enum Op {
     DeleteSealed(usize),
     Seal,
     Compact,
+    /// Append the history's next record to the event journal.
+    Journal,
 }
 
 /// One mount of the disk: the faults its filesystem injects (by
@@ -336,17 +408,17 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn arb_session() -> impl Strategy<Value = Session> {
+    let at = |horizon, most| proptest::collection::vec(0u64..horizon, 0..most);
     (
-        proptest::collection::vec(0u64..60, 0..3),
-        proptest::collection::vec(0u64..60, 0..3),
-        proptest::collection::vec(0u64..20, 0..2),
+        (at(60, 3), at(60, 3), at(60, 3), at(20, 2)),
         proptest::collection::vec(arb_op(), 1..12),
         (any::<bool>(), 0usize..4096),
     )
-        .prop_map(|(eio, short_write, fail_sync, ops, (flip, at))| {
+        .prop_map(|((enospc, eio, short_write, fail_sync), ops, (flip, at))| {
             let at_each = |ops: Vec<u64>, kind| ops.into_iter().map(move |op| (op, kind));
             Session {
-                faults: at_each(eio, DiskFault::Eio)
+                faults: at_each(enospc, DiskFault::Enospc)
+                    .chain(at_each(eio, DiskFault::Eio))
                     .chain(at_each(short_write, DiskFault::ShortWrite))
                     .chain(at_each(fail_sync, DiskFault::FailSync))
                     .collect(),
@@ -356,17 +428,37 @@ fn arb_session() -> impl Strategy<Value = Session> {
         })
 }
 
-/// Run `op`; on success the model moves with it. Returns what the
-/// operation reported, and the items it tried to add, in order.
+/// What an operation tried to change.
+#[derive(Debug)]
+enum Attempt {
+    /// Save these items, in order.
+    Save(Vec<KnowledgeItem>),
+    Delete(RunKind, u64),
+    Nothing,
+}
+
+impl Attempt {
+    fn saved(&self) -> &[KnowledgeItem] {
+        match self {
+            Attempt::Save(items) => items,
+            _ => &[],
+        }
+    }
+}
+
+/// Run `op`; on success the model and `history` move with it, and a
+/// write that changed the model advanced the store's generation.
+/// Returns what the operation reported, and what it tried.
 fn apply(
     store: &mut KnowledgeStore,
     model: &mut Model,
     op: &Op,
-    next_tag: &mut u32,
-) -> (Result<(), DbError>, Vec<KnowledgeItem>) {
+    history: &mut History,
+) -> (Result<(), DbError>, Attempt) {
+    let (generation, runs) = (store.generation(), model.len());
     let mut fresh = |item: &KnowledgeItem| {
-        *next_tag += 1;
-        tagged(item, *next_tag)
+        history.next_tag += 1;
+        tagged(item, history.next_tag)
     };
     let pick = |store: &KnowledgeStore, model: &Model, active: bool, n: usize| {
         let keys: Vec<(RunKind, u64)> = model
@@ -376,7 +468,7 @@ fn apply(
             .collect();
         (!keys.is_empty()).then(|| keys[n % keys.len()])
     };
-    match op {
+    let (result, attempt) = match op {
         Op::Save(item) => {
             let item = fresh(item);
             let saved = match &item {
@@ -391,7 +483,7 @@ fn apply(
                     "{key:?} reissued"
                 );
             });
-            (result, vec![item])
+            (result, Attempt::Save(vec![item]))
         }
         Op::SaveBatch(items) => {
             let items: Vec<KnowledgeItem> = items.iter().map(fresh).collect();
@@ -405,11 +497,11 @@ fn apply(
                     assert!(model.insert((kind, id), label(item)).is_none());
                 }
             });
-            (result, items)
+            (result, Attempt::Save(items))
         }
         Op::DeleteActive(n) | Op::DeleteSealed(n) => {
             let Some((kind, id)) = pick(store, model, matches!(op, Op::DeleteActive(_)), *n) else {
-                return (Ok(()), Vec::new());
+                return (Ok(()), Attempt::Nothing);
             };
             let deleted = match kind {
                 RunKind::Benchmark => store.delete_knowledge(id),
@@ -419,11 +511,27 @@ fn apply(
                 assert!(existed, "{kind:?} {id} is acknowledged but was not there");
                 model.remove(&(kind, id));
             });
-            (result, Vec::new())
+            (result, Attempt::Delete(kind, id))
         }
-        Op::Seal => (store.seal_active(), Vec::new()),
-        Op::Compact => (store.compact().map(drop), Vec::new()),
+        Op::Seal => (store.seal_active(), Attempt::Nothing),
+        Op::Compact => (store.compact().map(drop), Attempt::Nothing),
+        Op::Journal => {
+            let record = event(history.journal);
+            let appended = JournalWriter::open_vfs(&journal_path(), store.vfs())
+                .and_then(|mut journal| journal.append(&record));
+            history.journal += usize::from(appended.is_ok());
+            let result = appended.map_err(|e| DbError::Io(e.to_string()));
+            (result, Attempt::Nothing)
+        }
+    };
+    if model.len() != runs {
+        assert!(
+            store.generation() > generation,
+            "acknowledged {op:?} did not advance the generation"
+        );
+        history.committed = true;
     }
+    (result, attempt)
 }
 
 /// Whether a *failed* `op` may have left `state`, given the model
@@ -433,14 +541,18 @@ fn apply(
 /// batch, the prefix that a mid-batch seal made durable. Whichever it
 /// left, reads that changed did so under a new `generation()`: the
 /// caller asserts that, with no tolerance.
-fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[KnowledgeItem]) -> bool {
+fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, attempt: &Attempt) -> bool {
     if state == before {
         return true;
     }
     match op {
-        Op::Seal | Op::Compact => false,
+        Op::Seal | Op::Compact | Op::Journal => false,
         Op::DeleteActive(_) | Op::DeleteSealed(_) => {
-            state.len() + 1 == before.len() && state.iter().all(|(k, l)| before.get(k) == Some(l))
+            let Attempt::Delete(kind, id) = attempt else {
+                return false;
+            };
+            let mut after = before.clone();
+            after.remove(&(*kind, *id)).is_some() && *state == after
         }
         _ => {
             // The new rows carry the items' labels, in order, under keys
@@ -452,6 +564,7 @@ fn failed_op_may_leave(before: &Model, state: &Model, op: &Op, items: &[Knowledg
                 .collect();
             added.sort();
             let kept = before.iter().all(|(k, l)| state.get(k) == Some(l));
+            let items = attempt.saved();
             kept && (1..=items.len()).any(|k| {
                 let mut want: Vec<String> = items[..k].iter().map(label).collect();
                 want.sort();
@@ -555,7 +668,7 @@ proptest! {
         let mut disk = Disk::new();
         let mut model = Model::new();
         let mut saved = Saved::default();
-        let mut next_tag = 0u32;
+        let mut history = History::default();
         for session in &sessions {
             let plan = FaultPlan::from_iter(session.faults.iter().copied());
             let vfs = Arc::new(FaultVfs::from_state_with_plan(disk, plan));
@@ -567,8 +680,8 @@ proptest! {
             for op in &session.ops {
                 let before = model.clone();
                 let generation = store.generation();
-                let (result, items) = apply(&mut store, &mut model, op, &mut next_tag);
-                saved.items.extend(items.iter().map(|item| (label(item), item.clone())));
+                let (result, items) = apply(&mut store, &mut model, op, &mut history);
+                saved.items.extend(items.saved().iter().map(|item| (label(item), item.clone())));
                 let now = contents(&store);
                 prop_assert!(store.indexes_consistent().expect("index rebuild"));
                 match result {
@@ -600,12 +713,159 @@ proptest! {
                 check_lookups(&store, &vfs, &model, &mut saved);
             }
             drop(store);
-            (model, disk) = crash_and_check(&vfs, &session.damage, |found| match &unsettled {
+            let (image, damage) = (vfs.durable_state(), &session.damage);
+            (model, disk) = crash_and_check(&image, damage, &history, |found| match &unsettled {
                 Some((op, items)) => failed_op_may_leave(&model, found, op, items),
                 None => *found == model,
             });
         }
     }
+}
+
+/// One replay of a fixed op list: its disk, and what it acknowledged
+/// before the operation that failed, if one did.
+struct Replay {
+    vfs: Arc<FaultVfs>,
+    model: Model,
+    history: History,
+    failed: Option<(Op, Attempt)>,
+}
+
+/// Replay `ops` from `start` at seal `threshold` on a disk executing
+/// `plan`, up to the first operation that fails. After every
+/// acknowledged one the store reads back the model, with consistent
+/// indexes.
+fn replay(start: &Disk, plan: FaultPlan<DiskFault>, ops: &[Op], threshold: usize) -> Replay {
+    let vfs = Arc::new(FaultVfs::from_state_with_plan(start.clone(), plan));
+    let mut store = open(&vfs);
+    store.set_seal_threshold(threshold);
+    let mut model = contents(&store);
+    let mut history = History {
+        committed: !model.is_empty(),
+        ..History::default()
+    };
+    let mut failed = None;
+    for op in ops {
+        let (result, attempt) = apply(&mut store, &mut model, op, &mut history);
+        if result.is_err() {
+            failed = Some((op.clone(), attempt));
+            break;
+        }
+        assert_eq!(contents(&store), model, "after acknowledged {op:?}");
+        assert!(store.indexes_consistent().expect("index rebuild"));
+    }
+    Replay {
+        vfs,
+        model,
+        history,
+        failed,
+    }
+}
+
+/// Replay `ops` with `fault` at every point of its fault-free replay —
+/// every mutating operation, or every fsync for `DiskFault::CrashSync` —
+/// and check every disk image each power loss can leave with
+/// `crash_and_check`, its manifest damaged at a byte that moves from
+/// image to image. Prints the number of crash points and of images, and
+/// returns the first.
+fn crash_at_every(
+    workload: &str,
+    start: &Disk,
+    ops: &[Op],
+    threshold: usize,
+    fault: DiskFault,
+) -> u64 {
+    let probe = replay(start, FaultPlan::default(), ops, threshold);
+    assert!(probe.failed.is_none(), "{workload}: a fault-free op failed");
+    let points = match fault {
+        DiskFault::CrashSync => probe.vfs.sync_count(),
+        _ => probe.vfs.op_count(),
+    };
+    let mut images = 0;
+    for at in 0..points {
+        let run = replay(start, FaultPlan::at(at, fault), ops, threshold);
+        assert!(run.vfs.crashed(), "{workload}: crash {at} never fired");
+        let acknowledged = |found: &Model| match &run.failed {
+            Some((op, attempt)) => failed_op_may_leave(&run.model, found, op, attempt),
+            None => *found == run.model,
+        };
+        for image in run.vfs.crash_states() {
+            let flip = images % 2 == 0;
+            let damage = Damage { flip, at: images };
+            crash_and_check(&image, &damage, &run.history, acknowledged);
+            images += 1;
+        }
+    }
+    eprintln!("{workload} crash enumeration: {points} crash points, {images} images");
+    points
+}
+
+fn save_bench() -> Op {
+    Op::Save(Box::new(KnowledgeItem::Benchmark(bench(0))))
+}
+
+fn save_io500() -> Op {
+    Op::Save(Box::new(KnowledgeItem::Io500(io500(0))))
+}
+
+/// Two benchmark saves, two IO500 saves and a delete of each kind, each
+/// followed by an event-journal append, with nothing sealing.
+fn basic_history() -> Vec<Op> {
+    let ops = [
+        save_bench(),
+        save_io500(),
+        save_bench(),
+        Op::DeleteActive(0),
+        save_io500(),
+        Op::DeleteActive(1),
+    ];
+    ops.into_iter().flat_map(|op| [op, Op::Journal]).collect()
+}
+
+#[test]
+fn every_crash_point_recovers_an_acknowledged_prefix() {
+    let ops = basic_history();
+    let points = crash_at_every("basic", &Disk::new(), &ops, NO_AUTO_SEAL, DiskFault::Crash);
+    assert!(points > 20, "history too small to be interesting");
+}
+
+#[test]
+fn every_fsync_crash_recovers_an_acknowledged_prefix() {
+    let (ops, fault) = (basic_history(), DiskFault::CrashSync);
+    crash_at_every("basic, at fsyncs", &Disk::new(), &ops, NO_AUTO_SEAL, fault);
+}
+
+/// Saves that trip the seal threshold (2), so segments seal
+/// mid-history; a delete that lands a tombstone on a sealed run; an
+/// explicit seal; a full compaction.
+#[test]
+fn every_crash_point_during_seal_and_compaction_recovers() {
+    let mut ops = vec![save_bench(), save_bench(), save_bench(), save_bench()];
+    ops.extend([Op::DeleteSealed(0), save_io500(), Op::Seal, Op::Compact]);
+    let points = crash_at_every("segmented", &Disk::new(), &ops, 2, DiskFault::Crash);
+    assert!(points > 30, "too small to exercise seal and compaction");
+}
+
+/// Every adoption point, over a log a crash tore mid-record when it held
+/// a seal threshold's worth (2) of acknowledged saves: the first save
+/// seals the reopened generation at once (its torn tail truncated, then
+/// its log adopted); a batch seals twice inside itself, each time
+/// logging its rows so far before adopting, and logs its tail; an
+/// explicit seal adopts that; a compaction merges the adopted logs.
+#[test]
+fn every_crash_point_while_adopting_a_log_recovers() {
+    let saves = [save_bench(), save_bench(), save_bench()];
+    let mut start = replay(&Disk::new(), FaultPlan::default(), &saves, NO_AUTO_SEAL)
+        .vfs
+        .durable_state();
+    let log = start.get_mut(&persist::wal_path(&kb(), 0)).expect("log");
+    log.truncate(log.len() - 7);
+    let torn = Arc::new(FaultVfs::from_state(start.clone()));
+    let salvaged = contents(&open(&torn));
+    assert_eq!(salvaged.len(), 2, "the reopen salvages two runs");
+    let batch = vec![KnowledgeItem::Benchmark(bench(0)); 4];
+    let ops = [save_bench(), Op::SaveBatch(batch), Op::Seal, Op::Compact];
+    crash_at_every("adoption", &start, &ops, 2, DiskFault::Crash);
 }
 
 /// One scripted history touching every kind of file the store writes.
@@ -899,9 +1159,9 @@ proptest! {
     ) {
         let vfs = Arc::new(FaultVfs::pristine());
         let mut store = open(&vfs);
-        let (mut model, mut next_tag) = (Model::new(), 0);
+        let (mut model, mut history) = (Model::new(), History::default());
         for op in &ops {
-            apply(&mut store, &mut model, op, &mut next_tag).0.expect("no fault is injected");
+            apply(&mut store, &mut model, op, &mut history).0.expect("no fault is injected");
         }
         let open_ended = DeadlineToken::unbounded();
         for query in [
