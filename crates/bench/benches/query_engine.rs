@@ -2,7 +2,7 @@
 //! pushdown and summary projection, DESIGN.md §"Query engine"), the
 //! same rows read unsealed and sealed, the corpus-scale tier and its
 //! compaction, and the tables underneath (bulk insert, the SQL front
-//! end, segment round trip).
+//! end, segment round trip, the row codec each way).
 //!
 //! Each pair contrasts the typed query engine against the pattern it
 //! replaced: deserialize every knowledge object out of the store, then
@@ -14,12 +14,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use iokc_bench::synthetic_knowledge as knowledge;
 use iokc_core::model::KnowledgeItem;
-use iokc_store::persist::segment_path;
+use iokc_store::persist::{self, segment_path};
 use iokc_store::segment::{read_segment_vfs, write_segment_vfs};
 use iokc_store::{
     sql, AggregateQuery, Column, ColumnType, Database, DeadlineToken, Factor, FaultVfs, GroupBy,
     KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, TableSchema, Value, Vfs,
 };
+use iokc_util::json::Reader;
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -413,7 +415,50 @@ fn bench_relational(c: &mut Criterion) {
         });
     });
 
+    // The row codec alone: a sealed 1 024-run block encoded as the text
+    // of a log record or segment body, and that text decoded into an
+    // empty schema. The byte length makes either tier a rate.
+    let block = sealed_block(1_024);
+    let mut text = String::new();
+    persist::write_rows(&mut text, &block, &BTreeMap::new());
+    println!("  codec block_1k: {} bytes", text.len());
+    group.bench_function("encode_block_1k", |b| {
+        let mut out = String::with_capacity(text.len());
+        b.iter(|| {
+            out.clear();
+            persist::write_rows(&mut out, &block, &BTreeMap::new());
+            black_box(out.len())
+        });
+        assert_eq!(out, text);
+    });
+    group.bench_function("decode_block_1k", |b| {
+        b.iter(|| {
+            let mut db = Database::new();
+            for table in block.table_names() {
+                db.create_table(block.schema(table).unwrap().clone())
+                    .unwrap();
+            }
+            persist::read_rows(&mut Reader::new(&text), &mut db).unwrap();
+            black_box(db.row_count("performances").unwrap())
+        });
+    });
+
     group.finish();
+}
+
+/// The rows of one sealed block of `runs` runs, saved as one batch.
+fn sealed_block(runs: usize) -> Database {
+    let path = PathBuf::from("/bench-block.json");
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store =
+        KnowledgeStore::open_with_vfs(path.clone(), Arc::clone(&vfs) as Arc<dyn Vfs>).unwrap();
+    let batch: Vec<KnowledgeItem> = (0..runs)
+        .map(|i| KnowledgeItem::Benchmark(knowledge(i)))
+        .collect();
+    store.save_batch(&batch).unwrap();
+    store.seal_active().unwrap();
+    let sealed = store.segment_metas()[0].file(&path);
+    read_segment_vfs(&sealed, vfs.as_ref()).unwrap().db
 }
 
 criterion_group!(

@@ -55,11 +55,15 @@ impl JournalWriter {
         JournalWriter::open_vfs(path, &StdVfs)
     }
 
-    /// [`JournalWriter::open`] over an explicit [`Vfs`].
+    /// [`JournalWriter::open`] over an explicit [`Vfs`]. A journal it
+    /// creates has its directory synced, or no record in it is durable.
     pub fn open_vfs(path: &Path, vfs: &dyn Vfs) -> Result<JournalWriter, std::io::Error> {
-        Ok(JournalWriter {
-            file: vfs.append(path)?,
-        })
+        let created = !vfs.exists(path);
+        let file = vfs.append(path)?;
+        if created {
+            vfs.sync_parent_dir(path)?;
+        }
+        Ok(JournalWriter { file })
     }
 
     /// Append one record — one buffer write, one fsync. The payload
@@ -451,5 +455,65 @@ mod tests {
         assert!(report.torn_tail);
         assert!(report.dropped_bytes > 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A disk that counts directory syncs and forwards everything else.
+    #[derive(Debug)]
+    struct DirSyncs {
+        disk: crate::vfs::FaultVfs,
+        syncs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Vfs for DirSyncs {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.disk.read(path)
+        }
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            self.disk.create(path)
+        }
+        fn append(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            self.disk.append(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.disk.exists(path)
+        }
+        fn len(&self, path: &Path) -> std::io::Result<u64> {
+            self.disk.len(path)
+        }
+        fn set_len(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.disk.set_len(path, len)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.disk.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.disk.remove_file(path)
+        }
+        fn sync_parent_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.syncs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.disk.sync_parent_dir(path)
+        }
+    }
+
+    #[test]
+    fn a_new_journal_syncs_its_directory_once_and_a_reopened_one_never() {
+        let vfs = DirSyncs {
+            disk: crate::vfs::FaultVfs::pristine(),
+            syncs: Default::default(),
+        };
+        let syncs = || vfs.syncs.load(std::sync::atomic::Ordering::Relaxed);
+        let path = Path::new("/campaign.journal");
+        let mut writer = JournalWriter::open_vfs(path, &vfs).unwrap();
+        assert_eq!(syncs(), 1, "creating the journal");
+        writer.append("alpha").unwrap();
+        writer.append("beta").unwrap();
+        assert_eq!(syncs(), 1, "appending to it");
+        JournalWriter::open_vfs(path, &vfs)
+            .unwrap()
+            .append("gamma")
+            .unwrap();
+        assert_eq!(syncs(), 1, "reopening it");
+        assert_eq!(read_journal_vfs(path, &vfs).unwrap().records.len(), 3);
     }
 }

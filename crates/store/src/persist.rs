@@ -57,14 +57,19 @@ pub(crate) fn write_blocks(out: &mut String, blocks: &[&Database], mark: &Counte
                     let _ = json::write_escaped(out, name);
                     out.push_str(":[");
                 }
-                let _ = write!(out, "{}[{}", if nth == 0 { "" } else { "," }, row.id);
+                out.push_str(if nth == 0 { "[" } else { ",[" });
+                let _ = json::write_int(out, row.id);
                 nth += 1;
                 for value in &row.values {
+                    out.push(',');
                     let _ = match value {
-                        Value::Null => out.write_str(",null"),
-                        Value::Int(i) => write!(out, ",{{\"i\":{i}}}"),
-                        Value::Real(r) => out.write_char(',').and(json::write_number(out, *r)),
-                        Value::Text(t) => out.write_char(',').and(json::write_escaped(out, t)),
+                        Value::Null => out.write_str("null"),
+                        Value::Int(i) => out
+                            .write_str("{\"i\":")
+                            .and(json::write_int(out, *i))
+                            .and(out.write_str("}")),
+                        Value::Real(r) => json::write_number(out, *r),
+                        Value::Text(t) => json::write_escaped(out, t),
                     };
                 }
                 out.push(']');

@@ -2,10 +2,10 @@
 //!
 //! A file-backed store makes a write durable by appending ONE
 //! [`crate::journal`] record to `<path>.wal-<epoch>` — one `write_all`,
-//! one fsync (the first record of a log also syncs the directory) —
-//! holding only what the write changed: the rows it inserted, as the
-//! row block a segment body also is (`persist::write_rows`), or the
-//! `(kind, id)` of the run it deleted. A batch is one record, so it is
+//! one fsync (the journal writer syncs the directory once, when it
+//! creates the log) — holding only what the write changed: the rows
+//! it inserted, as the row block a segment body also is
+//! (`persist::write_rows`), or the `(kind, id)` of the run it deleted. A batch is one record, so it is
 //! all-or-nothing. Opening replays the records, in
 //! order, onto an empty schema whose auto-increment counters come from
 //! the manifest; sealing *adopts* the log as the segment's body in the
@@ -277,11 +277,6 @@ impl Wal {
             None => slot.insert(JournalWriter::open_vfs(path, vfs)?),
         };
         writer.append(&delta.0)?;
-        if self.len == 0 {
-            // Nothing acknowledged yet: the file may have just been
-            // created, so its directory entry has to become durable too.
-            vfs.sync_parent_dir(path)?;
-        }
         let bytes = journal::framed_len(&delta.0);
         self.len += bytes;
         self.records += 1;
@@ -436,8 +431,8 @@ mod tests {
     /// exactly the acknowledged records and keeps accepting appends.
     #[test]
     fn a_failed_append_leaves_no_bytes_behind() {
-        // Ops: 0 open, 1 write, 2 fsync, 3 dir sync (first record);
-        // 4 write, 5 fsync (second record).
+        // Ops: 0 open, 1 dir sync (a new log); 2 write, 3 fsync (first
+        // record); 4 write, 5 fsync (second record).
         for plan in [
             (4, DiskFault::ShortWrite),
             (4, DiskFault::Eio),

@@ -121,11 +121,6 @@ impl Json {
         out
     }
 
-    /// Serialize compactly into any [`fmt::Write`] target.
-    pub fn write_compact<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        self.write(out, None, 0)
-    }
-
     /// Serialize compactly into any [`io::Write`] target without
     /// materializing the document as an intermediate `String` — the
     /// streaming entry point large responses are built on.
@@ -299,33 +294,113 @@ fn newline_indent<W: fmt::Write>(out: &mut W, indent: Option<usize>, depth: usiz
 }
 
 /// Write a number the way every document does: non-finite as `null`,
-/// integral below 2^53 without a fraction, anything else as Rust prints it.
+/// integral below 2^53 without a fraction, any other in `Display`'s
+/// shortest round-trip digits ([`shortest_fraction`], else `fmt`).
 pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; the knowledge model never produces them, but
         // be defensive instead of emitting invalid documents.
         out.write_str("null")
-    } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        write!(out, "{}", n as i64)
+    } else if n.fract() == 0.0 && n.abs() < 2.0 * TWO_52 {
+        write_int(out, n as i64)
     } else {
-        write!(out, "{n}")
+        let mut buf = [0; 40];
+        match shortest_fraction(n.abs(), &mut buf) {
+            Some(at) if n < 0.0 => out.write_char('-').and(write_ascii(out, &buf[at..])),
+            Some(at) => write_ascii(out, &buf[at..]),
+            None => write!(out, "{n}"),
+        }
     }
 }
 
-/// Write a quoted, escaped string the way every document does.
-pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// The digits of a non-integral finite `x > 0`, written to the end of
+/// `buf`, and where they start: those of the smallest `d ≥ 1` with
+/// `x·10^d < 2^52` at which `c = floor(x·10^d)` or `c + 1` passes the
+/// exact check `c / 10^d == x` (both operands exact, so the quotient
+/// rounds as parsing `c·10^-d` would). Below that bound `10^-d` exceeds
+/// `ulp(x)`, so the `c` found is the one shortest decimal that reads back
+/// as `x`: `Display`'s. A candidate more than `x·10^d·2^-50` from the
+/// computed product cannot pass, so it skips the division.
+fn shortest_fraction(x: f64, buf: &mut [u8; 40]) -> Option<usize> {
+    let mut scale = 1.0;
+    for d in 1..=22 {
+        // 10^d is exact up to 10^22.
+        scale *= 10.0;
+        let product = x * scale;
+        if product >= TWO_52 {
+            return None;
+        }
+        let floor = product as u64;
+        for c in [floor, floor + 1] {
+            if (c as f64 - product).abs() < product / TWO_52 * 4.0 && c as f64 / scale == x {
+                // `c`, at least one integer digit, a `.` before the last `d`.
+                let end = buf.len() - 1;
+                let at = push_digits(&mut buf[..end], c, d + 1);
+                buf.copy_within(end - d..end, end - d + 1);
+                buf[end - d] = b'.';
+                return Some(at);
+            }
         }
     }
+    None
+}
+
+/// Write the digits of `v`, zero-padded to at least `width`, to the end
+/// of `buf`, and return where they start.
+fn push_digits(buf: &mut [u8], mut v: u64, width: usize) -> usize {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 && buf.len() - at >= width {
+            return at;
+        }
+    }
+}
+
+/// Write `i` in decimal, the bytes `Display` prints, from a stack buffer.
+pub fn write_int<W: fmt::Write>(out: &mut W, i: i64) -> fmt::Result {
+    let mut buf = [0; 20];
+    if i < 0 {
+        out.write_char('-')?;
+    }
+    let at = push_digits(&mut buf, i.unsigned_abs(), 1);
+    write_ascii(out, &buf[at..])
+}
+
+fn write_ascii<W: fmt::Write>(out: &mut W, ascii: &[u8]) -> fmt::Result {
+    out.write_str(std::str::from_utf8(ascii).map_err(|_| fmt::Error)?)
+}
+
+/// Write a quoted, escaped string the way every document does, each run
+/// of bytes that needs no escape pushed whole.
+pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // An escaped byte is ASCII, so `i` is a char boundary.
+        out.write_str(&s[clean..i])?;
+        if escape.is_empty() {
+            let hex = |n: u8| b"0123456789abcdef"[usize::from(n)];
+            write_ascii(out, &[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)])?;
+        } else {
+            out.write_str(escape)?;
+        }
+        clean = i + 1;
+    }
+    out.write_str(&s[clean..])?;
     out.write_char('"')
 }
 
@@ -803,6 +878,159 @@ mod tests {
             fn parser_never_panics(text in ".{0,80}") {
                 let _ = parse(&text);
             }
+        }
+
+        /// Every `f64` bit pattern and the short decimals the corpus
+        /// holds, with the doubles on either side of each.
+        fn arb_number() -> impl Strategy<Value = f64> {
+            let short = (
+                0u64..100_000_000_000_000_000,
+                0u32..19,
+                any::<bool>(),
+                0u64..3,
+            )
+                .prop_map(|(m, k, negative, side)| {
+                    let digits = m % 10u64.pow(1 + (m % 17) as u32);
+                    let x: f64 = format!("{}{digits}e-{k}", if negative { "-" } else { "" })
+                        .parse()
+                        .unwrap();
+                    match side {
+                        0 => x,
+                        1 => x.next_up(),
+                        _ => x.next_down(),
+                    }
+                });
+            prop_oneof![any::<u64>().prop_map(f64::from_bits), short]
+        }
+
+        fn arb_text() -> impl Strategy<Value = String> {
+            let char = prop_oneof![0u32..0x80, 0u32..0x800, 0u32..0x11_0000]
+                .prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}'));
+            proptest::collection::vec(char, 0..24).prop_map(|chars| chars.into_iter().collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+            #[test]
+            fn numbers_print_as_display_prints_them(n in arb_number()) {
+                prop_assert_eq!(number(n), model_number(n), "{:?}", n.to_bits());
+            }
+
+            #[test]
+            fn integers_print_as_display_prints_them(i in any::<i64>()) {
+                let mut out = String::new();
+                write_int(&mut out, i).unwrap();
+                prop_assert_eq!(out, i.to_string());
+            }
+
+            #[test]
+            fn strings_escape_as_char_by_char(s in arb_text()) {
+                let mut out = String::new();
+                write_escaped(&mut out, &s).unwrap();
+                prop_assert_eq!(out, model_escaped(&s));
+            }
+        }
+    }
+
+    fn number(n: f64) -> String {
+        let mut out = String::new();
+        write_number(&mut out, n).unwrap();
+        out
+    }
+
+    /// The number writer as it was before its fast paths: the bytes
+    /// every document held, which the fast paths must keep.
+    fn model_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_owned()
+        } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    /// The string writer as it was before it pushed clean runs whole.
+    fn model_escaped(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn edge_numbers_print_as_display_prints_them() {
+        let two_52 = 2f64.powi(52);
+        let two_53 = 2f64.powi(53);
+        let edges = [
+            i64::MIN as f64,
+            i64::MAX as f64,
+            0.0,
+            -0.0,
+            two_52 - 0.5,
+            two_52 + 0.5,
+            two_52 - 1.5,
+            -(two_52 - 0.5),
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1 + 0.2,
+            1e-7,
+            -1e-7,
+            0.1,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1e22 + 0.5,
+            123.456,
+            1e15 + 0.125,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for n in edges {
+            for x in [n, n.next_up(), n.next_down()] {
+                assert_eq!(number(x), model_number(x), "{x:?}");
+            }
+        }
+        for i in [i64::MIN, i64::MIN + 1, -1, 0, 1, 9, 10, i64::MAX] {
+            let mut out = String::new();
+            write_int(&mut out, i).unwrap();
+            assert_eq!(out, i.to_string());
+        }
+    }
+
+    #[test]
+    fn edge_strings_escape_as_char_by_char() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c",
+            &controls,
+            "\u{7f}",
+            "é€😀 mixed\twith\u{1}escapes\u{1f}",
+            "😀",
+        ] {
+            let mut out = String::new();
+            write_escaped(&mut out, s).unwrap();
+            assert_eq!(out, model_escaped(s), "{s:?}");
         }
     }
 
