@@ -402,14 +402,14 @@ fn bench_relational(c: &mut Criterion) {
             .collect();
         store.save_batch(&batch).unwrap();
         store.seal_active().unwrap();
-        let sealed = store.segment_metas()[0].file(&path);
-        let block = read_segment_vfs(&sealed, vfs.as_ref()).unwrap();
+        let meta = &store.segment_metas()[0];
+        let block = read_segment_vfs(&meta.file(&path), vfs.as_ref(), meta.body.len).unwrap();
         let seg = segment_path(&path, 0);
         b.iter(|| {
             // A segment file is written to a fresh name.
             let _ = vfs.remove_file(&seg);
-            write_segment_vfs(&seg, vfs.as_ref(), &block).unwrap();
-            let restored = read_segment_vfs(&seg, vfs.as_ref()).unwrap();
+            let len = write_segment_vfs(&seg, vfs.as_ref(), &block).unwrap();
+            let restored = read_segment_vfs(&seg, vfs.as_ref(), len).unwrap();
             assert_eq!(restored.summaries.len(), 1_000);
             black_box(restored.db.row_count("performances").unwrap())
         });
@@ -457,8 +457,10 @@ fn sealed_block(runs: usize) -> Database {
         .collect();
     store.save_batch(&batch).unwrap();
     store.seal_active().unwrap();
-    let sealed = store.segment_metas()[0].file(&path);
-    read_segment_vfs(&sealed, vfs.as_ref()).unwrap().db
+    let meta = &store.segment_metas()[0];
+    read_segment_vfs(&meta.file(&path), vfs.as_ref(), meta.body.len)
+        .unwrap()
+        .db
 }
 
 criterion_group!(

@@ -37,11 +37,11 @@
 //! reopens every image `FaultVfs::crash_states()` exposes.
 
 use crate::database::DbError;
-use crate::journal::{self, RECORD_MAGIC};
+use crate::journal;
 use crate::knowledge_store::{delete_runs, KnowledgeStore, Manifest, Snapshot};
 use crate::persist;
 use crate::query::RunKind;
-use crate::segment::{push_rows_record, Segment, SegmentData, SegmentMeta};
+use crate::segment::{push_rows_record, BodyFile, Segment, SegmentBody, SegmentData, SegmentMeta};
 use crate::vfs::Vfs;
 use iokc_obs::SpanStatus;
 use std::collections::BTreeSet;
@@ -152,11 +152,7 @@ impl KnowledgeStore {
         // table-major record. Re-encoding does not lengthen a block, so
         // the inputs' lengths are the output's capacity.
         let vfs = self.vfs.as_ref();
-        let bound: u64 = self
-            .segments
-            .iter()
-            .map(|s| vfs.len(s.path()).unwrap_or(0))
-            .sum();
+        let bound: u64 = self.segments.iter().map(|s| s.meta.body.len).sum();
         let mut image = Vec::with_capacity(bound.try_into().unwrap_or(0));
         let (mut inputs, mut pending, mut bytes_copied, mut bytes_encoded) = (vec![], 0..0, 0, 0);
         for (at, seg) in self.segments.iter().enumerate() {
@@ -201,7 +197,11 @@ impl KnowledgeStore {
                 .into_iter()
                 .flat_map(|kind| inputs.iter().flat_map(move |i| i.of_kind(kind)))
                 .collect();
-            let meta = SegmentMeta::compute(seg_id, runs.into_iter());
+            let body = SegmentBody {
+                file: BodyFile::Written,
+                len: image.len() as u64,
+            };
+            let meta = SegmentMeta::compute(seg_id, runs.into_iter(), body);
             Some((seg_path, meta))
         };
         drop(image);
@@ -287,21 +287,15 @@ fn encode(image: &mut Vec<u8>, inputs: &[Arc<SegmentData>]) -> u64 {
 /// The file of `seg` when it can be spliced into a compaction's output
 /// as it is — a log that is one record, of rows — its checksum and
 /// framing verified; `None` when the body must be re-encoded instead (a
-/// log of several records, a delete record, a document). A log of the
-/// wrong length or whose one record does not verify is corrupt.
+/// log of several records, a delete record). A file of another length
+/// than its manifest recorded, or whose one record does not verify, is
+/// corrupt.
 fn spliceable(seg: &Segment, vfs: &dyn Vfs) -> Result<Option<Vec<u8>>, DbError> {
     let path = seg.path();
     let corrupt = |what: &str| DbError::Corrupt(format!("{}: {what}", path.display()));
     let bytes = vfs.read(path).map_err(|e| corrupt(&e.to_string()))?;
-    if !bytes.starts_with(RECORD_MAGIC.as_bytes()) {
-        return Ok(None);
-    }
-    if seg
-        .meta
-        .log
-        .is_some_and(|log| log.len != bytes.len() as u64)
-    {
-        return Err(corrupt("not the length it was sealed at"));
+    if seg.meta.body.len != bytes.len() as u64 {
+        return Err(corrupt("not the length its manifest recorded"));
     }
     match bytes.split_last() {
         Some((b'\n', first)) if first.contains(&b'\n') => return Ok(None),
@@ -504,8 +498,8 @@ mod tests {
         assert_eq!(vfs.durable_state(), disk, "no file written or removed");
         assert_eq!(store.segment_metas(), metas);
         assert_eq!(commands(&store), before);
-        let manifest = persist::read_document_vfs(&path, vfs.as_ref()).unwrap();
-        assert_eq!(Manifest::from_json(&manifest).unwrap().segments, metas);
+        let (manifest, _) = Manifest::read(&path, vfs.as_ref()).unwrap();
+        assert_eq!(manifest.segments, metas);
     }
 
     #[test]
@@ -559,7 +553,6 @@ mod tests {
         use crate::database::Row;
         use crate::knowledge_store::{build_schema, copy_all_rows};
         use crate::query::RunKind;
-        use crate::segment::legacy_document;
         use iokc_core::model::Io500Knowledge;
         use proptest::prelude::*;
 
@@ -632,18 +625,14 @@ mod tests {
             Delete(u16),
             Seal,
             Compact,
-            /// Rewrite the first `.seg-` segment as the document an
-            /// earlier binary wrote, and reopen.
-            PlantDocument,
         }
 
         fn arb_step() -> impl Strategy<Value = Step> {
-            (0u8..12, 1usize..41, any::<u16>()).prop_map(|(kind, n, pick)| match kind {
+            (0u8..11, 1usize..41, any::<u16>()).prop_map(|(kind, n, pick)| match kind {
                 0..=3 => Step::Save(n),
                 4..=6 => Step::Delete(pick),
                 7 | 8 => Step::Seal,
-                9 | 10 => Step::Compact,
-                _ => Step::PlantDocument,
+                _ => Step::Compact,
             })
         }
 
@@ -701,8 +690,8 @@ mod tests {
 
             /// Compaction against the merge it replaced, over histories of
             /// batches of 1–40 runs of both kinds, deletes of active and
-            /// sealed runs, seals, repeated compactions (whose outputs
-            /// become inputs) and segments that are still documents.
+            /// sealed runs, seals and repeated compactions (whose outputs
+            /// become inputs).
             #[test]
             fn compaction_equals_the_copying_merge(
                 steps in proptest::collection::vec(arb_step(), 1..24),
@@ -732,19 +721,6 @@ mod tests {
                         }
                         Step::Seal => store.seal_active().unwrap(),
                         Step::Compact => compact_and_check(&mut store, &vfs, &path),
-                        Step::PlantDocument => {
-                            let Some(seg) = store.segments.iter().find(|s| s.meta.log.is_none()) else {
-                                continue;
-                            };
-                            let data = seg.data(vfs.as_ref()).unwrap();
-                            let document = legacy_document(seg.meta.id, &data.db);
-                            let mut file = vfs.create(seg.path()).unwrap();
-                            file.write_all(document.as_bytes()).unwrap();
-                            file.sync().unwrap();
-                            drop(file);
-                            store = KnowledgeStore::open_with_vfs(path.clone(), Arc::<FaultVfs>::clone(&vfs)).unwrap();
-                            store.set_seal_threshold(seal_every);
-                        }
                     }
                 }
             }

@@ -7,21 +7,23 @@
 //! compaction or repair wrote ([`crate::knowledge_store`]).
 //!
 //! 1. **Manifest** — the document at the nominal path must verify its
-//!    checksum footer and decode as a manifest. One that does not is one
-//!    unrepairable finding, and nothing else is checked, swept or
-//!    rewritten: the manifest is what says which log and which segments
-//!    are the store, so without it no file can be called a stray.
+//!    checksum footer and decode as a manifest, read the one way `open`
+//!    reads it. One that does not — a `.seg-` segment document an older
+//!    binary wrote included — is one unrepairable finding, and nothing
+//!    else is checked, swept or rewritten: the manifest is what says
+//!    which log and which segments are the store, so without it no file
+//!    can be called a stray.
 //! 2. **Active generation** — the epoch's log must replay onto the
 //!    manifest's counters and summarize, as `open` requires. A torn
 //!    trailing record (a crash mid-append) is reported and, on repair,
 //!    truncated, exactly like a campaign journal's (check 7); a record
 //!    that verifies but does not apply is unrepairable.
 //! 3. **Segments** — every referenced segment must read back — rows
-//!    decoded, summaries derived; an adopted log must be exactly the
-//!    records of the length the manifest recorded, since it was whole
-//!    when adopted. One that does not is dropped from the manifest on
-//!    repair (data loss, noted), never salvaged as a torn tail. A stale
-//!    index block (metadata not matching the body) is recomputed.
+//!    decoded, summaries derived; its file must be exactly the records
+//!    of the length the manifest recorded, since it was whole when the
+//!    manifest named it. One that does not is dropped from the manifest
+//!    on repair (data loss, noted), never salvaged as a torn tail. A
+//!    stale index block (metadata not matching the body) is recomputed.
 //! 4. **Tombstones** — tombstones must reference runs that exist in
 //!    some segment; stale ones are dropped on repair.
 //! 5. **Strays** — crash-orphaned files at deterministic names: `.tmp`
@@ -34,10 +36,11 @@
 //!    whose foreign keys point at deleted parents (e.g. from a
 //!    half-applied external import) are reported and, on repair, deleted
 //!    cascade-wise until the segment is closed under its foreign keys,
-//!    then the body is rewritten as a `.seg-<id>` log of one record (an
-//!    adopted log is retired once the manifest names it) and its index
-//!    block recomputed. The active generation gets no such scan: its log holds
-//!    what FK-checked inserts wrote.
+//!    then the body is written as a log of one record to a fresh
+//!    `.seg-<id>`, with its index block recomputed; the body it replaces
+//!    is unlinked only once the manifest names the new one. The active
+//!    generation gets no such scan: its log holds what FK-checked
+//!    inserts wrote.
 //! 7. **Journal tail** (with `--journal`) — a torn trailing record is
 //!    reported and, on repair, truncated (idempotently) via
 //!    [`crate::journal::truncate_torn_tail_vfs`].
@@ -52,7 +55,9 @@ use crate::journal;
 use crate::knowledge_store::{load_active, warning_owner, BlockReader, Manifest};
 use crate::persist;
 use crate::query::RunKind;
-use crate::segment::{read_segment, write_segment_vfs, SegmentData, SegmentMeta};
+use crate::segment::{
+    read_segment_vfs, write_segment_vfs, BodyFile, SegmentBody, SegmentData, SegmentMeta,
+};
 use crate::vfs::Vfs;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -120,15 +125,10 @@ impl FsckReport {
 pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
     let mut report = FsckReport::default();
     if vfs.exists(path) {
-        let manifest = persist::read_document_vfs(path, vfs)
-            .map_err(|e| format!("manifest unusable: {e}"))
-            .and_then(|doc| {
-                Manifest::from_json(&doc).map_err(|e| format!("manifest undecodable: {e}"))
-            });
-        match manifest {
-            Ok(manifest) => check_layout(manifest, path, vfs, opts, &mut report),
-            Err(what) => {
-                report.push(what, false);
+        match Manifest::read(path, vfs) {
+            Ok((manifest, _)) => check_layout(manifest, path, vfs, opts, &mut report),
+            Err(e) => {
+                report.push(e.to_string(), false);
                 report.note("without a manifest nothing else was checked, swept or rewritten");
             }
         }
@@ -176,28 +176,27 @@ fn check_layout(
 
     // Segments: each referenced segment must read back; its rows must be
     // closed under foreign keys; its index block must match its body.
-    let adopted: BTreeSet<u64> = manifest
-        .segments
-        .iter()
-        .filter_map(|meta| meta.log.map(|log| log.epoch))
-        .collect();
+    // The files of the bodies, before the repair and after it: a body
+    // that a repair retires is unlinked after the manifest commit, not
+    // swept as a stray.
+    let mut bodies: BTreeSet<PathBuf> = manifest.segments.iter().map(|m| m.file(path)).collect();
     let mut kept: Vec<SegmentMeta> = Vec::new();
     let mut live_runs: BTreeSet<(RunKind, u64)> = BTreeSet::new();
-    // Adopted logs whose repaired body was rewritten: unlinked once the
-    // manifest names the `.seg-<id>` file instead.
+    // Bodies the repair dropped or replaced: the manifest on disk names
+    // them until the repaired one is committed, so they are unlinked
+    // only then.
     let mut retired = Vec::new();
     for meta in std::mem::take(&mut manifest.segments) {
         let seg_path = meta.file(path);
         // A body's summaries are derived from its rows on load; deleting
         // orphans is the one thing here that changes the rows.
-        let loaded =
-            read_segment(&seg_path, vfs, meta.log.map(|log| log.len)).and_then(|(mut data, _)| {
-                let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
-                if dirty {
-                    data.summaries = BlockReader::many(&data.db).summaries()?;
-                }
-                Ok((data, dirty))
-            });
+        let loaded = read_segment_vfs(&seg_path, vfs, meta.body.len).and_then(|mut data| {
+            let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
+            if dirty {
+                data.summaries = BlockReader::many(&data.db).summaries()?;
+            }
+            Ok((data, dirty))
+        });
         match loaded {
             Err(e) => {
                 report.push(
@@ -210,14 +209,14 @@ fn check_layout(
                         meta.id
                     ));
                     manifest_changed = true;
-                    let _ = vfs.remove_file(&seg_path);
+                    retired.push(seg_path);
                 } else {
                     kept.push(meta);
                 }
             }
             Ok((data, mut dirty)) => {
-                let recomputed_meta = SegmentMeta::compute(meta.id, data.summaries.values());
-                if !dirty && recomputed_meta != meta {
+                let recomputed = SegmentMeta::compute(meta.id, data.summaries.values(), meta.body);
+                if !dirty && recomputed != meta {
                     report.push(
                         format!("segment {} index block does not match its body", meta.id),
                         opts.repair,
@@ -225,19 +224,26 @@ fn check_layout(
                     dirty = true;
                 }
                 if dirty && opts.repair {
-                    // An adopted log is only ever appended to: a repaired
-                    // body is written whole, to the segment's own file.
-                    let rewritten = persist::segment_path(path, meta.id);
-                    if let Err(e) = write_segment_vfs(&rewritten, vfs, &data) {
-                        report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
-                        kept.push(meta);
-                    } else {
-                        manifest_changed = true;
-                        live_runs.extend(data.summaries.keys());
-                        if meta.log.is_some() {
-                            retired.push(seg_path);
+                    // A repaired body is written whole to a fresh
+                    // `.seg-<id>`, as compaction writes its output: the
+                    // body the manifest on disk names keeps its bytes.
+                    let id = manifest.next_segment;
+                    match write_segment_vfs(&persist::segment_path(path, id), vfs, &data) {
+                        Err(e) => {
+                            report.push(format!("segment {} rewrite failed: {e}", meta.id), false);
+                            kept.push(meta);
                         }
-                        kept.push(recomputed_meta);
+                        Ok(len) => {
+                            manifest.next_segment += 1;
+                            manifest_changed = true;
+                            live_runs.extend(data.summaries.keys());
+                            retired.push(seg_path);
+                            let body = SegmentBody {
+                                file: BodyFile::Written,
+                                len,
+                            };
+                            kept.push(SegmentMeta::compute(id, data.summaries.values(), body));
+                        }
                     }
                 } else {
                     live_runs.extend(data.summaries.keys());
@@ -247,6 +253,7 @@ fn check_layout(
         }
     }
     manifest.segments = kept;
+    bodies.extend(manifest.segments.iter().map(|meta| meta.file(path)));
 
     // Tombstones must shadow a run that exists in some segment.
     let stale: Vec<(RunKind, u64)> = manifest
@@ -272,27 +279,17 @@ fn check_layout(
     // (a crash between a seal/compaction's file writes and its manifest
     // commit, or between the commit and the cleanup, leaves exactly
     // these).
-    let seg_files: BTreeSet<u64> = manifest
-        .segments
-        .iter()
-        .filter(|meta| meta.log.is_none())
-        .map(|meta| meta.id)
-        .collect();
     for epoch in 0..=manifest.active_epoch + 2 {
-        if epoch != manifest.active_epoch && !adopted.contains(&epoch) {
-            check_stray_file(
-                &persist::wal_path(path, epoch),
-                "log neither current nor adopted by a segment",
-                vfs,
-                opts,
-                report,
-            );
+        let log = persist::wal_path(path, epoch);
+        if epoch != manifest.active_epoch && !bodies.contains(&log) {
+            let why = "log neither current nor adopted by a segment";
+            check_stray_file(&log, why, vfs, opts, report);
         }
     }
     for id in 0..=manifest.next_segment {
         let seg_path = persist::segment_path(path, id);
         check_stray_file(&backup_path(&seg_path), unread, vfs, opts, report);
-        if seg_files.contains(&id) {
+        if bodies.contains(&seg_path) {
             check_stray_tmp(&seg_path, vfs, opts, report);
         } else {
             // A `.seg-<id>` file is written through `.tmp`; an adopted
@@ -307,7 +304,7 @@ fn check_layout(
 
     if manifest_changed && opts.repair {
         match persist::write_document_vfs(path, vfs, &manifest.to_json()) {
-            Ok(()) => retired.iter().for_each(|log| drop(vfs.remove_file(log))),
+            Ok(()) => retired.iter().for_each(|body| drop(vfs.remove_file(body))),
             Err(e) => report.push(format!("manifest rewrite after repair failed: {e}"), false),
         }
     }
@@ -442,7 +439,6 @@ mod tests {
     use super::*;
     use crate::database::DbError;
     use crate::knowledge_store::KnowledgeStore;
-    use crate::segment::AdoptedLog;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
     use iokc_util::json::Json;
@@ -532,7 +528,7 @@ mod tests {
 
     /// The manifest at `/kb.json` on `vfs`, decoded.
     fn manifest_of(vfs: &dyn Vfs) -> Manifest {
-        Manifest::from_json(&persist::read_document_vfs(&kb(), vfs).unwrap()).unwrap()
+        Manifest::read(&kb(), vfs).unwrap().0
     }
 
     #[test]
@@ -555,8 +551,7 @@ mod tests {
             .unwrap()
             .append(orphan)
             .unwrap();
-        let len = vfs.len(&seg_path).unwrap();
-        manifest.segments[0].log = Some(AdoptedLog { epoch: 0, len });
+        manifest.segments[0].body.len = vfs.len(&seg_path).unwrap();
         persist::write_document_vfs(&kb(), vfs.as_ref(), &manifest.to_json()).unwrap();
 
         let check_vfs = FaultVfs::from_state(vfs.durable_state());
@@ -565,9 +560,12 @@ mod tests {
         let repair = repair_pass(&check_vfs);
         assert!(repair.repaired() >= 1, "{repair:?}");
         assert!(fsck(&kb(), &check_vfs, &FsckOptions::default()).clean());
-        // The repaired body is the segment's own file; the log it
+        // The repaired body is a fresh segment's own file; the log it
         // replaces is gone.
-        assert_eq!(manifest_of(&check_vfs).segments[0].log, None);
+        let repaired = &manifest_of(&check_vfs).segments[0];
+        assert_eq!((repaired.id, repaired.body.file), (1, BodyFile::Written));
+        let written = persist::segment_path(&kb(), 1);
+        assert_eq!(repaired.body.len, check_vfs.len(&written).unwrap());
         assert!(!check_vfs.exists(&seg_path));
         let store = KnowledgeStore::open_with_vfs(
             kb(),
@@ -656,10 +654,7 @@ mod tests {
 
     #[test]
     fn a_document_that_is_not_a_manifest_is_corrupt_not_another_layout() {
-        let mut no_counters =
-            Manifest::from_json(&persist::read_document_vfs(&kb(), &two_generations()).unwrap())
-                .unwrap()
-                .to_json();
+        let mut no_counters = manifest_of(&two_generations()).to_json();
         if let Json::Obj(fields) = &mut no_counters {
             fields.remove("next_ids");
         }
@@ -681,64 +676,59 @@ mod tests {
         }
     }
 
-    /// A segment body the decoder rejects — the previous shape (a `db`
-    /// image and stored `summaries`, no `rows`), a row id that occurs
-    /// twice — under a valid manifest: corrupt to a query, one finding
-    /// for fsck, dropped (and said so) on repair. Never an empty block.
+    /// A segment body the decoder rejects — a log record, framed and
+    /// checksummed, in which a row id occurs twice — under a valid
+    /// manifest: corrupt to a query, one finding for fsck, dropped (and
+    /// said so) on repair. Never an empty block.
     #[test]
     fn a_segment_body_the_decoder_rejects_is_unusable_and_dropped_on_repair() {
-        for (fields, why) in [
-            (r#""summaries":[],"db":{}"#, "missing rows"),
-            (
-                r#""rows":{"IOFHsRuns":[[1,null,null],[1,null,null]]}"#,
-                "IOFHsRuns: row 1 occurs twice",
-            ),
-        ] {
-            let vfs = Arc::new(FaultVfs::pristine());
-            let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
-            store
-                .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "sealed"))
-                .unwrap();
-            store.seal_active().unwrap();
-            // Name segment 0 by a document, as a store an earlier binary
-            // sealed does, and forge the body there.
-            let mut manifest = manifest_of(vfs.as_ref());
-            vfs.remove_file(&manifest.segments[0].file(&kb())).unwrap();
-            manifest.segments[0].log = None;
-            persist::write_document_vfs(&kb(), vfs.as_ref(), &manifest.to_json()).unwrap();
-            let seg_path = manifest.segments[0].file(&kb());
-            let body = format!(r#"{{"format":"iokc-segment",{fields}}}"#);
-            let body = iokc_util::json::parse(&body).unwrap();
-            persist::write_document_vfs(&seg_path, vfs.as_ref(), &body).unwrap();
+        let why = "IOFHsRuns: row 1 occurs twice";
+        let vfs = Arc::new(FaultVfs::pristine());
+        let mut store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        store
+            .save_knowledge(&Knowledge::new(KnowledgeSource::Ior, "sealed"))
+            .unwrap();
+        store.seal_active().unwrap();
+        // Name segment 0 by its own `.seg-` log, as compaction does, and
+        // forge the body there.
+        let mut manifest = manifest_of(vfs.as_ref());
+        vfs.remove_file(&manifest.segments[0].file(&kb())).unwrap();
+        manifest.segments[0].body.file = BodyFile::Written;
+        let seg_path = manifest.segments[0].file(&kb());
+        journal::JournalWriter::open_vfs(&seg_path, vfs.as_ref())
+            .unwrap()
+            .append(r#"{"rows":{"IOFHsRuns":[[1,null,null],[1,null,null]]}}"#)
+            .unwrap();
+        manifest.segments[0].body.len = vfs.len(&seg_path).unwrap();
+        persist::write_document_vfs(&kb(), vfs.as_ref(), &manifest.to_json()).unwrap();
 
-            let store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
-            let err = store.load_knowledge(1).unwrap_err();
-            assert!(
-                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
-                "{err}"
-            );
-            let detect = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
-            assert_eq!(detect.unrepaired(), 1, "{detect:?}");
-            let what = &detect.findings[0].what;
-            assert!(what.contains("unusable") && what.contains(why), "{what}");
-            let repair = repair_pass(&vfs);
-            assert_eq!(
-                (repair.repaired(), repair.unrepaired()),
-                (1, 0),
-                "{repair:?}"
-            );
-            assert!(repair
-                .notes
-                .iter()
-                .any(|n| n.contains("DATA LOSS: segment 0")));
-            assert!(fsck(&kb(), vfs.as_ref(), &FsckOptions::default()).clean());
-            assert_eq!(
-                KnowledgeStore::open_with_vfs(kb(), vfs)
-                    .unwrap()
-                    .knowledge_count(),
-                0
-            );
-        }
+        let store = KnowledgeStore::open_with_vfs(kb(), vfs.clone()).unwrap();
+        let err = store.load_knowledge(1).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+            "{err}"
+        );
+        let detect = fsck(&kb(), vfs.as_ref(), &FsckOptions::default());
+        assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+        let what = &detect.findings[0].what;
+        assert!(what.contains("unusable") && what.contains(why), "{what}");
+        let repair = repair_pass(&vfs);
+        assert_eq!(
+            (repair.repaired(), repair.unrepaired()),
+            (1, 0),
+            "{repair:?}"
+        );
+        assert!(repair
+            .notes
+            .iter()
+            .any(|n| n.contains("DATA LOSS: segment 0")));
+        assert!(fsck(&kb(), vfs.as_ref(), &FsckOptions::default()).clean());
+        assert_eq!(
+            KnowledgeStore::open_with_vfs(kb(), vfs)
+                .unwrap()
+                .knowledge_count(),
+            0
+        );
     }
 
     /// A valid record appended a second time re-inserts ids the block

@@ -21,7 +21,7 @@
 use crate::database::{Column, Counters, Database, DbError, ForeignKeyWalk, Row, TableSchema};
 use crate::persist;
 use crate::query::{OpStat, Query, QueryObs, RunKind, RunPredicate, RunRef, RunSummary};
-use crate::segment::{AdoptedLog, Segment, SegmentData, SegmentMeta};
+use crate::segment::{BodyFile, Segment, SegmentBody, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{self, Delta, Wal};
@@ -39,8 +39,9 @@ use std::sync::Arc;
 /// Format tag of the manifest document at a store's nominal path. A
 /// store on disk is that manifest, the active generation's log
 /// `.wal-<epoch>` and the sealed segments — logs of earlier epochs a
-/// seal adopted, and `.seg-<id>` documents compaction wrote; a file at
-/// the nominal path that is anything else is `Corrupt`.
+/// seal adopted, and `.seg-<id>` logs compaction or repair wrote, each
+/// of the length the manifest records; a file at the nominal path that
+/// is anything else is `Corrupt`.
 const MANIFEST_FORMAT: &str = "iokc-manifest";
 
 /// Active generations seal into segments at this many logged operations
@@ -498,11 +499,12 @@ impl KnowledgeStore {
             self.wal
                 .truncate_torn_tail(&log, vfs.as_ref())
                 .map_err(|e| persist::classify_io_error(&format!("seal {}", log.display()), &e))?;
-            let mut meta = SegmentMeta::compute(self.next_segment, self.active.summaries.values());
-            meta.log = Some(AdoptedLog {
-                epoch: self.active_epoch,
+            let body = SegmentBody {
+                file: BodyFile::Adopted(self.active_epoch),
                 len: self.wal.len(),
-            });
+            };
+            let meta =
+                SegmentMeta::compute(self.next_segment, self.active.summaries.values(), body);
             manifest.next_segment += 1;
             manifest.segments.push(meta.clone());
             adopted = Some(meta);
@@ -952,7 +954,45 @@ impl Manifest {
         ])
     }
 
-    pub(crate) fn from_json(json: &Json) -> Result<Manifest, DbError> {
+    /// Read the manifest at `path`, the one way `open` and `fsck` do,
+    /// with the checksum its footer records. A `.seg-` block written
+    /// before segment lengths were recorded takes its file's length here
+    /// (the next manifest commit records it), so a damaged or missing
+    /// file is an unusable segment at its body load, as it was before; a
+    /// segment document is refused, never decoded. Until that commit,
+    /// every open reads such a file once here and again at its load.
+    pub(crate) fn read(path: &Path, vfs: &dyn Vfs) -> Result<(Manifest, u64), DbError> {
+        let context = |what: &str, e: DbError| match e {
+            DbError::Corrupt(e) => DbError::Corrupt(format!("manifest {what}: {e}")),
+            e => e,
+        };
+        let (doc, checksum) =
+            persist::read_document_and_checksum(path, vfs).map_err(|e| context("unusable", e))?;
+        let unrecorded = |id| {
+            let file = persist::segment_path(path, id);
+            match vfs.read(&file) {
+                Ok(bytes) if bytes.first() == Some(&b'{') => Err(DbError::Corrupt(format!(
+                    "{} is a segment document, which is not read: rewrite it as a log \
+                     with the previous binary's `iokc compact`",
+                    file.display()
+                ))),
+                Ok(bytes) => Ok(bytes.len() as u64),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+                Err(e) => Err(persist::classify_io_error(
+                    &format!("read {}", file.display()),
+                    &e,
+                )),
+            }
+        };
+        let manifest =
+            Manifest::from_json(&doc, unrecorded).map_err(|e| context("undecodable", e))?;
+        Ok((manifest, checksum))
+    }
+
+    fn from_json(
+        json: &Json,
+        unrecorded: impl Fn(u64) -> Result<u64, DbError>,
+    ) -> Result<Manifest, DbError> {
         if json.get("format").and_then(Json::as_str) != Some(MANIFEST_FORMAT) {
             return Err(DbError::Corrupt(format!(
                 "manifest missing {MANIFEST_FORMAT} format tag"
@@ -983,7 +1023,7 @@ impl Manifest {
             .and_then(Json::as_arr)
             .ok_or_else(|| DbError::Corrupt("manifest missing segments".into()))?
         {
-            segments.push(SegmentMeta::from_json(seg)?);
+            segments.push(SegmentMeta::from_json(seg, &unrecorded)?);
         }
         Ok(Manifest {
             active_epoch: field("active_epoch")?,
@@ -1050,8 +1090,7 @@ fn load_state(path: &Path, vfs: &dyn Vfs) -> Result<LoadedState, DbError> {
             identity: 0,
         });
     }
-    let (doc, checksum) = persist::read_document_and_checksum(path, vfs)?;
-    let manifest = Manifest::from_json(&doc)?;
+    let (manifest, checksum) = Manifest::read(path, vfs)?;
     let (db, replay) = load_active(path, &manifest, vfs)?;
     Ok(LoadedState {
         active: SegmentData::from_db(db)?,
@@ -2421,7 +2460,7 @@ mod tests {
         /// reopen; that cut, and the one a first append makes, each log
         /// what was cut and why.
         #[test]
-        fn a_seal_adopts_its_log_and_every_torn_tail_cut_is_logged() {
+        fn a_seal_adopts_its_log_and_logs_every_torn_tail_cut() {
             let disk = Arc::new(FaultVfs::pristine());
             let sink = Arc::new(iokc_obs::MemorySink::new());
             let recorder = Arc::new(iokc_obs::Recorder::new(
@@ -2452,8 +2491,11 @@ mod tests {
             store.seal_active().unwrap();
             let len = disk.len(&sealed).unwrap();
             assert_eq!(
-                store.segment_metas()[0].log,
-                Some(AdoptedLog { epoch: 0, len })
+                store.segment_metas()[0].body,
+                SegmentBody {
+                    file: BodyFile::Adopted(0),
+                    len
+                }
             );
             assert!(!disk.exists(&persist::segment_path(&kb(), 0)));
             let cut_active = save_and_tear(&mut store, &active, &[3, 4]);

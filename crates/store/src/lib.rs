@@ -2,8 +2,8 @@
 //!
 //! Tables standing in for SQLite's: typed columns, auto-increment rowids,
 //! NOT NULL / foreign-key constraints, rows kept in id order, a small
-//! read-only SQL dialect (the DB-API 2.0 face), deterministic JSON
-//! documents on disk, and CSV export. [`KnowledgeStore`] binds the
+//! read-only SQL dialect (the DB-API 2.0 face), a deterministic JSON
+//! manifest and checksummed logs on disk, and CSV export. [`KnowledgeStore`] binds the
 //! paper's exact schema —
 //! `performances`, `summaries`, `results`, `filesystems` plus the IO500
 //! `IOFHs*` tables — and implements [`iokc_core::Persister`].

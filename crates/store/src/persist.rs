@@ -2,22 +2,25 @@
 //!
 //! The paper stores knowledge "either directly as a local SQLite database
 //! or by specifying a SQL connection URL remotely" (§V-C). Here the
-//! local form is a set of deterministic JSON documents next to each
-//! other (see [`crate::knowledge_store`]); this module holds what they
-//! share: [`write_rows`] / [`read_rows`] are the one encoding of a block
-//! of rows — a log record and a sealed segment's body are both it,
-//! streamed to and from the text with no `Json` tree between — and
-//! `write_image` is the one crash-safe way a whole file (the manifest,
-//! or a segment log compaction or repair wrote) reaches the disk. CSV
-//! export covers the paper's "saved e.g. as a CSV file" path.
+//! local form is one deterministic JSON document, the manifest, next to
+//! the logs it names: the active generation's, and one per sealed
+//! segment, each a run of checksummed records (see
+//! [`crate::knowledge_store`]). This module holds what they share:
+//! [`write_rows`] / [`read_rows`] are the one encoding of a block of
+//! rows — a log record and so every segment's body is it, streamed to
+//! and from the text with no `Json` tree between — and `write_image` is
+//! the one crash-safe way a whole file (the manifest, or a segment log
+//! compaction or repair wrote) reaches the disk. CSV export covers the
+//! paper's "saved e.g. as a CSV file" path.
 //!
-//! Writes are crash-safe: the document is written to a temp file,
-//! fsynced, and renamed over the target. Every document carries a
-//! trailing checksum footer (`#iokc-crc64:<hex>` over the JSON body,
-//! FNV-1a 64), so a torn or bit-flipped file — or one that never had a
-//! footer — is *detected* on read ([`DbError::Corrupt`]) rather than
-//! silently yielding wrong data. [`inject_torn_write`] truncates a file
-//! at a byte offset so tests can exercise exactly that path.
+//! Writes are crash-safe: the file is written to a temp file, fsynced,
+//! and renamed over the target. The manifest carries a trailing
+//! checksum footer (`#iokc-crc64:<hex>` over the JSON body, FNV-1a 64),
+//! so a torn or bit-flipped manifest — or one that never had a footer —
+//! is *detected* on read ([`DbError::Corrupt`]) rather than silently
+//! yielding wrong data, as every log record's own checksum is.
+//! [`inject_torn_write`] truncates a file at a byte offset so tests can
+//! exercise exactly that path.
 
 use crate::database::{Counters, Database, DbError};
 use crate::value::Value;
@@ -127,8 +130,7 @@ pub fn read_rows(reader: &mut Reader<'_>, db: &mut Database) -> Result<(), DbErr
     Ok(())
 }
 
-/// Walk the object document `text` — a log record, a segment body —
-/// handing each member's key to `member`, which reads or skips its value.
+/// Walk the object `text` — a log record's payload — handing each member's key to `member`, which reads or skips its value.
 pub(crate) fn read_object(
     text: &str,
     mut member: impl FnMut(&str, &mut Reader<'_>) -> Result<(), DbError>,
@@ -275,9 +277,9 @@ pub fn classify_io_error(context: &str, e: &std::io::Error) -> DbError {
     }
 }
 
-/// Render a document the way every document of the store is rendered:
-/// the compact JSON `body` plus the checksum footer, so manifests and
-/// segments are torn-write detectable by the same footer check.
+/// Render a document the way the store renders its manifest: the
+/// compact JSON `body` plus the checksum footer, so a torn write is
+/// detectable.
 #[must_use]
 pub fn render_document(mut body: String) -> String {
     let crc = checksum(body.as_bytes());
@@ -327,19 +329,14 @@ pub(crate) fn read_document_and_checksum(
     path: &Path,
     vfs: &dyn Vfs,
 ) -> Result<(Json, u64), DbError> {
-    let text = read_image(path, vfs)?;
+    let unreadable =
+        |e: &dyn std::fmt::Display| DbError::Corrupt(format!("read {}: {e}", path.display()));
+    let bytes = vfs.read(path).map_err(|e| unreadable(&e))?;
+    let text = String::from_utf8(bytes).map_err(|e| unreadable(&e))?;
     let (body, checksum) = verify_image(&text)?;
     let doc = json::parse(body)
         .map_err(|e| DbError::Corrupt(format!("parse {}: {e}", path.display())))?;
     Ok((doc, checksum))
-}
-
-/// The text of the document at `path`, footer not yet verified.
-pub(crate) fn read_image(path: &Path, vfs: &dyn Vfs) -> Result<String, DbError> {
-    let unreadable =
-        |e: &dyn std::fmt::Display| DbError::Corrupt(format!("read {}: {e}", path.display()));
-    let bytes = vfs.read(path).map_err(|e| unreadable(&e))?;
-    String::from_utf8(bytes).map_err(|e| unreadable(&e))
 }
 
 /// Fault-injection hook: truncate an on-disk file to `keep_bytes`,

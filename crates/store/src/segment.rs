@@ -5,8 +5,10 @@
 //! rows, in the encoding a segment body uses, so the seal *adopts* that
 //! log as the body: the manifest names `<path>.wal-<epoch>` and the
 //! length of its records, and the rows are never written a second time.
-//! Compaction writes its output as a log too, `<path>.seg-<id>`: one
-//! record per block, read whole like any log. The
+//! Compaction and repair write their output as a log too,
+//! `<path>.seg-<id>`, and the manifest commit naming it records its
+//! length the same way. Every body is read one way: exactly that many
+//! bytes of records ([`read_segment_vfs`]). The
 //! [`RunSummary`] projections the executor scans are derived from the
 //! rows when a body is loaded, so they cannot disagree with them. Each
 //! segment has a [`SegmentMeta`] index block — run counts,
@@ -21,7 +23,7 @@
 //! predicate against the summaries it loads.
 
 use crate::database::{Counters, Database, DbError};
-use crate::journal::{self, RECORD_MAGIC};
+use crate::journal;
 use crate::knowledge_store::{build_schema, BlockReader};
 use crate::persist;
 use crate::query::{RunKind, RunPredicate, RunSummary};
@@ -131,13 +133,22 @@ impl Bloom {
     }
 }
 
-/// Where an adopted segment's body lives: the log of the epoch it
-/// sealed, holding exactly `len` bytes of records.
+/// Which file holds a segment's body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdoptedLog {
-    /// The epoch whose log `<path>.wal-<epoch>` is the body.
-    pub epoch: u64,
-    /// Bytes of records the log held when the seal adopted it.
+pub enum BodyFile {
+    /// `<path>.wal-<epoch>`: the log of the epoch a seal adopted.
+    Adopted(u64),
+    /// `<path>.seg-<id>`: the log compaction or repair wrote.
+    Written,
+}
+
+/// Where a segment's body lives: a log of exactly `len` bytes of
+/// records, the length the manifest commit naming it recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentBody {
+    /// The file.
+    pub file: BodyFile,
+    /// Bytes of records the file held when the manifest named it.
     pub len: u64,
 }
 
@@ -164,13 +175,12 @@ pub struct SegmentMeta {
     pub apis: BTreeSet<String>,
     /// Membership filter over `(kind, id)` keys.
     pub(crate) bloom: Bloom,
-    /// Where the body lives: the log a seal adopted, or `None` for the
-    /// file `<path>.seg-<id>` compaction or repair wrote.
-    pub log: Option<AdoptedLog>,
+    /// Where the body lives.
+    pub body: SegmentBody,
 }
 
 /// Index blocks are equal when they say the same about the runs; where
-/// the body lives (`log`) is not part of that.
+/// the body lives (`body`) is not part of that.
 impl PartialEq for SegmentMeta {
     fn eq(&self, other: &SegmentMeta) -> bool {
         let ranges = |m: &SegmentMeta| (m.bench_ids, m.io500_ids, m.tasks, m.bandwidth);
@@ -182,11 +192,13 @@ impl PartialEq for SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Compute the index block for the runs in `summaries`.
+    /// Compute the index block for the runs in `summaries`, whose body
+    /// is `body`.
     #[must_use]
     pub fn compute<'a>(
         id: u64,
         summaries: impl ExactSizeIterator<Item = &'a RunSummary>,
+        body: SegmentBody,
     ) -> SegmentMeta {
         let mut meta = SegmentMeta {
             id,
@@ -198,7 +210,7 @@ impl SegmentMeta {
             bandwidth: None,
             apis: BTreeSet::new(),
             bloom: Bloom::with_capacity(summaries.len()),
-            log: None,
+            body,
         };
         fn widen<T: Copy + PartialOrd>(range: &mut Option<(T, T)>, v: T) {
             *range = Some(match *range {
@@ -240,9 +252,9 @@ impl SegmentMeta {
     /// the adopted log, or the `.seg-<id>` file.
     #[must_use]
     pub fn file(&self, store: &Path) -> PathBuf {
-        match self.log {
-            Some(log) => persist::wal_path(store, log.epoch),
-            None => persist::segment_path(store, self.id),
+        match self.body.file {
+            BodyFile::Adopted(epoch) => persist::wal_path(store, epoch),
+            BodyFile::Written => persist::segment_path(store, self.id),
         }
     }
 
@@ -280,16 +292,21 @@ impl SegmentMeta {
                 Json::Arr(self.apis.iter().map(|a| Json::from(a.as_str())).collect()),
             ),
             ("bloom", Json::from(self.bloom.to_hex())),
+            ("len", Json::from(self.body.len)),
         ];
-        if let Some(log) = self.log {
-            fields.push(("epoch", Json::from(log.epoch)));
-            fields.push(("len", Json::from(log.len)));
+        if let BodyFile::Adopted(epoch) = self.body.file {
+            fields.push(("epoch", Json::from(epoch)));
         }
         Json::obj(fields)
     }
 
-    /// Parse a manifest block back into an index block.
-    pub fn from_json(json: &Json) -> Result<SegmentMeta, DbError> {
+    /// Parse a manifest block back into an index block. `unrecorded`
+    /// gives the length of the `.seg-<id>` file of a block that recorded
+    /// none, as binaries before lengths were recorded wrote it.
+    pub(crate) fn from_json(
+        json: &Json,
+        unrecorded: impl FnOnce(u64) -> Result<u64, DbError>,
+    ) -> Result<SegmentMeta, DbError> {
         let corrupt = |what: &str| DbError::Corrupt(format!("segment meta: {what}"));
         let id = json
             .get("id")
@@ -339,13 +356,14 @@ impl SegmentMeta {
                 .ok_or_else(|| corrupt("missing bloom"))?,
         )?;
         let tasks = range_u64("tasks")?.map(|(lo, hi)| (lo as u32, hi as u32));
-        let log = match (json.get("epoch"), json.get("len")) {
-            (None, None) => None,
-            (Some(epoch), Some(len)) => Some(AdoptedLog {
-                epoch: epoch.as_u64().ok_or_else(|| corrupt("bad epoch"))?,
-                len: len.as_u64().ok_or_else(|| corrupt("bad len"))?,
-            }),
-            _ => return Err(corrupt("an adopted log needs both epoch and len")),
+        let file = match json.get("epoch") {
+            None => BodyFile::Written,
+            Some(epoch) => BodyFile::Adopted(epoch.as_u64().ok_or_else(|| corrupt("bad epoch"))?),
+        };
+        let len = match (json.get("len"), file) {
+            (Some(len), _) => len.as_u64().ok_or_else(|| corrupt("bad len"))?,
+            (None, BodyFile::Written) => unrecorded(id)?,
+            (None, BodyFile::Adopted(_)) => return Err(corrupt("an adopted log needs its len")),
         };
         Ok(SegmentMeta {
             id,
@@ -357,7 +375,7 @@ impl SegmentMeta {
             bandwidth,
             apis,
             bloom,
-            log,
+            body: SegmentBody { file, len },
         })
     }
 }
@@ -477,20 +495,21 @@ impl Segment {
         if let Some(data) = &*slot {
             return Ok((Arc::clone(data), 0));
         }
-        let (data, bytes) = read_segment(&self.path, vfs, self.meta.log.map(|log| log.len))?;
-        let data = Arc::new(data);
+        let data = Arc::new(read_segment_vfs(&self.path, vfs, self.meta.body.len)?);
         *slot = Some(Arc::clone(&data));
-        Ok((data, bytes))
+        Ok((data, self.meta.body.len))
     }
 }
 
 /// Write a segment body crash-safely as a log of one record holding its
-/// rows, as `fsck --repair` rewrites a repaired body. The summaries and
-/// the index block are not stored — both are derived from these rows.
-pub fn write_segment_vfs(path: &Path, vfs: &dyn Vfs, data: &SegmentData) -> std::io::Result<()> {
+/// rows, as `fsck --repair` rewrites a repaired body; returns the length
+/// written, which the manifest records. The summaries and the index
+/// block are not stored — both are derived from these rows.
+pub fn write_segment_vfs(path: &Path, vfs: &dyn Vfs, data: &SegmentData) -> std::io::Result<u64> {
     let mut image = Vec::new();
-    push_rows_record(&mut image, &[&data.db]);
-    persist::write_image(path, vfs, &image)
+    let len = push_rows_record(&mut image, &[&data.db]);
+    persist::write_image(path, vfs, &image)?;
+    Ok(len)
 }
 
 /// Append to `image` one `{"rows":…}` log record holding the rows of
@@ -505,78 +524,18 @@ pub(crate) fn push_rows_record(image: &mut Vec<u8>, blocks: &[&Database]) -> u64
     record.len() as u64
 }
 
-/// Read a segment body from its file — a log every byte of which is a
-/// record that verifies, or a document an earlier binary wrote — and
-/// derive its summaries.
-pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs) -> Result<SegmentData, DbError> {
-    read_segment(path, vfs, None).map(|(data, _)| data)
-}
-
-/// [`read_segment_vfs`], given the length a seal adopted the log at
-/// when the manifest names one, also returning how many bytes were
-/// decoded.
-pub(crate) fn read_segment(
-    path: &Path,
-    vfs: &dyn Vfs,
-    sealed_len: Option<u64>,
-) -> Result<(SegmentData, u64), DbError> {
-    let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
+/// Read a segment body from its file — a log of exactly `len` bytes,
+/// every one of them in a record that verifies, where `len` is what the
+/// manifest commit naming the file recorded — and derive its summaries.
+/// A file shorter or longer than that, or holding a record that does not
+/// verify or apply, is [`DbError::Corrupt`]: a body is never salvaged.
+pub fn read_segment_vfs(path: &Path, vfs: &dyn Vfs, len: u64) -> Result<SegmentData, DbError> {
     let bytes = vfs
         .read(path)
         .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
     let mut db = build_schema();
-    let is_log = bytes.starts_with(RECORD_MAGIC.as_bytes());
-    match sealed_len.or(is_log.then_some(bytes.len() as u64)) {
-        Some(len) => wal::replay_sealed(path, &bytes, len, &mut db)?,
-        None => read_document(path, &bytes, &mut db)?,
-    }
-    let data = SegmentData::from_db(db).map_err(|e| corrupt(e.to_string()))?;
-    Ok((data, bytes.len() as u64))
-}
-
-/// Format tag of the segment documents earlier binaries wrote.
-const SEGMENT_FORMAT: &str = "iokc-segment";
-
-/// The document an earlier binary wrote for segment `id` holding `db`'s
-/// rows, byte for byte: what [`read_document`] still reads.
-#[cfg(test)]
-pub(crate) fn legacy_document(id: u64, db: &Database) -> String {
-    let mut body = format!("{{\"format\":\"{SEGMENT_FORMAT}\",\"id\":{id},\"rows\":");
-    persist::write_rows(&mut body, db, &Counters::new());
-    body.push_str(",\"version\":2}");
-    persist::render_document(body)
-}
-
-/// Decode a segment document's rows onto `db`: checksum, format tag,
-/// then the block. Read-only: every segment is written as a log now,
-/// so only a store that an earlier binary compacted or repaired holds
-/// a document, and its first compaction (or a repair that changes the
-/// body) rewrites it as a log.
-fn read_document(path: &Path, bytes: &[u8], db: &mut Database) -> Result<(), DbError> {
-    let corrupt = |what: String| DbError::Corrupt(format!("{}: {what}", path.display()));
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| DbError::Corrupt(format!("read {}: {e}", path.display())))?;
-    let (body, _) = persist::verify_image(text)?;
-    let (mut tagged, mut has_rows) = (false, false);
-    persist::read_object(body, |key, reader| match key {
-        "format" => {
-            tagged = reader.value()?.as_str() == Some(SEGMENT_FORMAT);
-            Ok(())
-        }
-        "rows" => {
-            has_rows = true;
-            persist::read_rows(reader, db)
-        }
-        _ => Ok(reader.skip_value()?),
-    })
-    .map_err(|e| corrupt(e.to_string()))?;
-    if !tagged {
-        return Err(corrupt(format!("missing {SEGMENT_FORMAT} format tag")));
-    }
-    if !has_rows {
-        return Err(corrupt("missing rows".into()));
-    }
-    Ok(())
+    wal::replay_sealed(path, &bytes, len, &mut db)?;
+    SegmentData::from_db(db).map_err(|e| DbError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 /// Can any run in a segment with this index block match the predicate?
@@ -636,6 +595,12 @@ mod tests {
     use crate::query::OpStat;
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
+
+    /// The body of an index block these tests never load.
+    const WRITTEN: SegmentBody = SegmentBody {
+        file: BodyFile::Written,
+        len: 0,
+    };
 
     fn bench_summary(id: u64, api: &str, tasks: u32, bw: f64) -> RunSummary {
         RunSummary {
@@ -719,7 +684,7 @@ mod tests {
             bench_summary(9, "POSIX", 40, 900.0),
             io500_summary(2, 160, 1.5),
         ];
-        let meta = SegmentMeta::compute(4, summaries.iter());
+        let meta = SegmentMeta::compute(4, summaries.iter(), WRITTEN);
         assert_eq!(meta.id, 4);
         assert_eq!(meta.bench_count, 2);
         assert_eq!(meta.io500_count, 1);
@@ -730,20 +695,24 @@ mod tests {
         assert!(meta.apis.contains("MPIIO"));
         assert!(meta.apis.contains(""));
 
-        let restored = SegmentMeta::from_json(&meta.to_json()).unwrap();
+        let recorded = |_| panic!("every block records its len");
+        let restored = SegmentMeta::from_json(&meta.to_json(), recorded).unwrap();
         assert_eq!(restored, meta);
         // And through a rendered document, the path the manifest takes.
         let reparsed = iokc_util::json::parse(&meta.to_json().to_compact()).unwrap();
-        assert_eq!(SegmentMeta::from_json(&reparsed).unwrap(), meta);
-        assert!(SegmentMeta::from_json(&Json::Null).is_err());
-        // Where an adopted body lives travels with its index block.
-        let log = Some(AdoptedLog { epoch: 3, len: 99 });
-        let adopted = SegmentMeta {
-            log,
-            ..meta.clone()
-        };
-        assert_eq!(SegmentMeta::from_json(&adopted.to_json()).unwrap().log, log);
-        assert_eq!(adopted, meta, "not part of the index block");
+        assert_eq!(SegmentMeta::from_json(&reparsed, recorded).unwrap(), meta);
+        assert!(SegmentMeta::from_json(&Json::Null, recorded).is_err());
+        // Where a body lives, and its length, travel with the index block.
+        for file in [BodyFile::Adopted(3), BodyFile::Written] {
+            let body = SegmentBody { file, len: 99 };
+            let placed = SegmentMeta {
+                body,
+                ..meta.clone()
+            };
+            let restored = SegmentMeta::from_json(&placed.to_json(), recorded).unwrap();
+            assert_eq!(restored.body, body);
+            assert_eq!(placed, meta, "not part of the index block");
+        }
     }
 
     #[test]
@@ -752,7 +721,7 @@ mod tests {
             bench_summary(3, "MPIIO", 80, 2000.0),
             bench_summary(9, "POSIX", 40, 900.0),
         ];
-        let meta = SegmentMeta::compute(0, summaries.iter());
+        let meta = SegmentMeta::compute(0, summaries.iter(), WRITTEN);
         let b = RunKind::Benchmark;
         assert!(may_match_segment(&RunPredicate::True, &meta, b));
         assert!(may_match_segment(&RunPredicate::Kind(b), &meta, b));
@@ -845,9 +814,14 @@ mod tests {
         store.save_knowledge(&run).unwrap();
         let data = store.snapshot().active;
         assert_eq!(data.summaries[&(RunKind::Benchmark, 1)].warning_count, 1);
-        write_segment_vfs(&path, &vfs, &data).unwrap();
+        let len = write_segment_vfs(&path, &vfs, &data).unwrap();
+        assert_eq!(len, vfs.len(&path).unwrap());
 
-        let meta = SegmentMeta::compute(0, data.summaries.values());
+        let body = SegmentBody {
+            file: BodyFile::Written,
+            len,
+        };
+        let meta = SegmentMeta::compute(0, data.summaries.values(), body);
         let seg = Segment::new(meta, path.clone());
         let a = seg.data(&vfs).unwrap();
         let b = seg.data(&vfs).unwrap();
@@ -855,14 +829,13 @@ mod tests {
         assert_eq!(a.summaries, data.summaries, "derived from the rows");
         assert_eq!(a.db.row_count("warnings").unwrap(), 1);
 
-        // A wrong format tag is corruption; so is a tagged body without
-        // `rows` (the previous shape) — never an empty block.
-        for (tag, why) in [("wrong", "format tag"), (SEGMENT_FORMAT, "missing rows")] {
-            let body = Json::obj(vec![("format", Json::from(tag)), ("db", Json::Null)]);
-            persist::write_document_vfs(&path, &vfs, &body).unwrap();
-            let err = read_segment_vfs(&path, &vfs).unwrap_err();
+        // A length other than the one recorded is corruption, whatever
+        // the file holds.
+        for recorded in [len - 1, len + 1] {
+            let err = read_segment_vfs(&path, &vfs, recorded).unwrap_err();
+            let why = format!("sealed at {recorded} bytes, holds {len}");
             assert!(
-                matches!(&err, DbError::Corrupt(e) if e.contains(why)),
+                matches!(&err, DbError::Corrupt(e) if e.contains(&why)),
                 "{err}"
             );
         }

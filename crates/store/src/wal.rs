@@ -11,7 +11,8 @@
 //! the manifest; sealing *adopts* the log as the segment's body in the
 //! manifest commit that bumps the epoch, so neither the active log nor
 //! its replay ever outgrows one generation, and a sealed generation is
-//! never written twice. A cold load of an adopted log replays exactly
+//! never written twice. A cold load of any segment body — an adopted
+//! log, or a `.seg-` log compaction or repair wrote — replays exactly
 //! the length the manifest recorded ([`replay_sealed`]).
 //!
 //! A crash can tear only the last record, and [`replay`] salvages the
@@ -123,10 +124,11 @@ pub(crate) fn replay(path: &Path, vfs: &dyn Vfs, db: &mut Database) -> Result<Re
     })
 }
 
-/// Apply a log a seal adopted as a segment body: exactly `len` bytes,
-/// every record of which verifies. The log was whole when the manifest
-/// named it, so nothing in it is a torn tail — a file shorter than
-/// that, a bad record inside it or any byte past it is corruption.
+/// Apply a segment body: exactly `len` bytes, every record of which
+/// verifies. The log was whole when the manifest named it, so nothing
+/// in it is a torn tail — a file shorter than that, a bad record inside
+/// it or any byte past it is corruption, and so is an empty one: every
+/// writer of a body writes a record.
 pub(crate) fn replay_sealed(
     path: &Path,
     bytes: &[u8],
@@ -134,7 +136,7 @@ pub(crate) fn replay_sealed(
     db: &mut Database,
 ) -> Result<(), DbError> {
     let (records, valid) = journal::valid_records(bytes);
-    if valid != bytes.len() || bytes.len() as u64 != len {
+    if records.is_empty() || valid != bytes.len() || bytes.len() as u64 != len {
         return Err(DbError::Corrupt(format!(
             "{}: sealed at {len} bytes, holds {} of which {valid} are records that verify",
             path.display(),
@@ -384,8 +386,11 @@ mod tests {
         apply(&mut replayed, &record.0).unwrap();
         assert_eq!(rows(&replayed), rows(&db));
         let vfs = FaultVfs::pristine();
-        write_segment_vfs(log(), &vfs, &SegmentData::empty(db.clone())).unwrap();
-        assert_eq!(rows(&read_segment_vfs(log(), &vfs).unwrap().db), rows(&db));
+        let len = write_segment_vfs(log(), &vfs, &SegmentData::empty(db.clone())).unwrap();
+        assert_eq!(
+            rows(&read_segment_vfs(log(), &vfs, len).unwrap().db),
+            rows(&db)
+        );
     }
 
     #[test]

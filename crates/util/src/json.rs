@@ -121,22 +121,6 @@ impl Json {
         out
     }
 
-    /// Serialize compactly into any [`io::Write`] target without
-    /// materializing the document as an intermediate `String` — the
-    /// streaming entry point large responses are built on.
-    pub fn write_compact_io<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
-        let mut adapter = FmtToIo {
-            inner: out,
-            error: None,
-        };
-        match self.write(&mut adapter, None, 0) {
-            Ok(()) => Ok(()),
-            Err(_) => Err(adapter
-                .error
-                .unwrap_or_else(|| io::Error::other("formatting failed"))),
-        }
-    }
-
     fn write<W: fmt::Write>(
         &self,
         out: &mut W,
@@ -189,19 +173,14 @@ impl Json {
     }
 }
 
-/// Bridge [`fmt::Write`] onto an [`io::Write`], parking the first I/O
-/// error so the caller can surface it instead of the opaque `fmt::Error`.
+/// Bridge [`fmt::Write`] onto an [`io::Write`].
 struct FmtToIo<'a, W: io::Write> {
     inner: &'a mut W,
-    error: Option<io::Error>,
 }
 
 impl<W: io::Write> fmt::Write for FmtToIo<'_, W> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.inner.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
+        self.inner.write_all(s.as_bytes()).map_err(|_| fmt::Error)
     }
 }
 
@@ -221,10 +200,7 @@ impl<'a> ObjectWriter<'a> {
     pub fn new(out: &'a mut Vec<u8>) -> ObjectWriter<'a> {
         out.push(b'{');
         ObjectWriter {
-            out: FmtToIo {
-                inner: out,
-                error: None,
-            },
+            out: FmtToIo { inner: out },
             fields: 0,
         }
     }
@@ -295,7 +271,7 @@ fn newline_indent<W: fmt::Write>(out: &mut W, indent: Option<usize>, depth: usiz
 
 /// Write a number the way every document does: non-finite as `null`,
 /// integral below 2^53 without a fraction, any other in `Display`'s
-/// shortest round-trip digits ([`shortest_fraction`], else `fmt`).
+/// shortest round-trip digits (`shortest_fraction`, else `fmt`).
 pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; the knowledge model never produces them, but
@@ -1032,31 +1008,6 @@ mod tests {
             write_escaped(&mut out, s).unwrap();
             assert_eq!(out, model_escaped(s), "{s:?}");
         }
-    }
-
-    #[test]
-    fn write_compact_io_matches_to_compact() {
-        let v = parse(r#"{"a":[1,2.5,"x\ny"],"b":null,"c":true}"#).unwrap();
-        let mut sink = Vec::new();
-        v.write_compact_io(&mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), v.to_compact());
-    }
-
-    #[test]
-    fn write_compact_io_surfaces_io_errors() {
-        struct Broken;
-        impl std::io::Write for Broken {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("sink closed"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let err = Json::from("payload")
-            .write_compact_io(&mut Broken)
-            .unwrap_err();
-        assert_eq!(err.to_string(), "sink closed");
     }
 
     #[test]

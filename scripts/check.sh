@@ -7,6 +7,24 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Line-count ratchet: every crate's `crates/<c>/src`, inline tests
+# included, stays at or under its ceiling in scripts/src-lines.txt. A
+# change that raises a ceiling says by how much and why in CHANGES.md;
+# one that falls below a ceiling lowers it.
+echo "==> src line ceilings"
+for dir in crates/*/; do
+  crate="$(basename "$dir")"
+  ceiling="$(awk -v c="$crate" '$1 == c { print $2 }' scripts/src-lines.txt)"
+  lines="$(find "$dir/src" -name '*.rs' -exec cat {} + | wc -l)"
+  if [ -z "$ceiling" ] || [ "$lines" -gt "$ceiling" ]; then
+    echo "crates/$crate/src: $lines lines, ceiling ${ceiling:-missing}" >&2
+    exit 1
+  fi
+  if [ "$lines" -lt "$ceiling" ]; then
+    echo "crates/$crate/src: $lines lines, under its ceiling $ceiling: lower it"
+  fi
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -93,7 +111,7 @@ cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 64 --seed 42 | grep -q "generated 64"
 # The sealed generation is its adopted log: a seal writes no segment file.
 if compgen -G "$corpus_dir/corpus.iokc.json.seg-*" >/dev/null; then
-  echo "a seal wrote a segment document" >&2
+  echo "a seal wrote a segment file" >&2
   exit 1
 fi
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
@@ -170,17 +188,23 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "
 # mechanism, secondary indexes over a block's rows, a second fault
 # planner (or the per-kind constructors of the one left), a
 # queue-depth mirror beside the handler pool's queue, a second
-# filter language, view input or HTML escaper, and a crash harness
-# beside the store model.
-echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model"
-! grep -rn "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered\|with_index\|indexable_candidates\|index_insert\|secondary:" \
-  crates/ tests/ examples/
-! grep -rn "NetFaultPlan\|FaultState\|scatter_faults\|stall_at\|note_queued\|note_dequeued\|seeded_chaos(\|crash_at_op(\|crash_at_fsync(\|enospc_at(\|eio_at(\|short_write_at(\|fail_fsync(\|short_read_at(\|reset_read_at(\|reset_write_at(\|drop_at(" \
-  crates/ tests/ examples/
-! grep -rnE "KnowledgeFilter|value_of_summary|compare_summaries|overview_series|fn query_predicate|struct RunsQuery|fn html_escape" \
-  crates/ tests/ examples/
-! grep -rn "run_workload\|run_segmented_workload\|run_adoption_workload\|assert_one_generation\|crash_at_any_fsync" \
-  crates/ tests/ examples/
+# filter language, view input or HTML escaper, a crash harness
+# beside the store model, and a second segment reader (the segment
+# document decoder, or a body location that may be absent).
+echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model, one segment reader"
+# `! grep` alone would not stop the script: `set -e` ignores a negated
+# command's failure.
+stays_deleted() {
+  if grep -rn "$1" crates/ tests/ examples/; then
+    echo "deleted code is back: $1" >&2
+    exit 1
+  fi
+}
+stays_deleted "GroupJournal\|RecoveryReport\|read_document_with_recovery\|recovered_from_backup\|StoreHealth::Recovered\|with_index\|indexable_candidates\|index_insert\|secondary:"
+stays_deleted "NetFaultPlan\|FaultState\|scatter_faults\|stall_at\|note_queued\|note_dequeued\|seeded_chaos(\|crash_at_op(\|crash_at_fsync(\|enospc_at(\|eio_at(\|short_write_at(\|fail_fsync(\|short_read_at(\|reset_read_at(\|reset_write_at(\|drop_at("
+stays_deleted "KnowledgeFilter\|value_of_summary\|compare_summaries\|overview_series\|fn query_predicate\|struct RunsQuery\|fn html_escape"
+stays_deleted "run_workload\|run_segmented_workload\|run_adoption_workload\|assert_one_generation\|crash_at_any_fsync"
+stays_deleted "fn read_document(\|legacy_document\|SEGMENT_FORMAT\|AdoptedLog\|write_compact_io\|is_log"
 
 # Benchmark smoke: perfbench is a package of its own, compiled against
 # the crates' public API from outside the workspace, so a refactor that

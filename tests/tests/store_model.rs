@@ -38,6 +38,7 @@ use iokc_store::{
     fsck, Database, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions,
     KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, RunRef, Vfs,
 };
+use iokc_util::json::Json;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -630,7 +631,8 @@ fn check_lookups(store: &KnowledgeStore, vfs: &FaultVfs, model: &Model, saved: &
     for meta in store.segment_metas() {
         let path = meta.file(&kb());
         if saved.bodies.insert(vfs.read(&path).expect("segment")) {
-            check_block(&read_segment_vfs(&path, vfs).expect("segment").db);
+            let body = read_segment_vfs(&path, vfs, meta.body.len).expect("segment");
+            check_block(&body.db);
         }
     }
     let merged = store.snapshot().materialize().expect("materialize");
@@ -902,15 +904,16 @@ fn the_same_history_writes_the_same_bytes() {
 /// The on-disk format is a compatibility surface, so same-binary
 /// determinism is not enough: these are the checksums of the files
 /// `scripted_history()` leaves, and of the segment that sealing and
-/// compacting that disk writes, taken from the binary of PR 23 — the
-/// last one whose row codec went through a `Json` tree. The two
-/// compaction outputs are pinned as the logs compaction writes now;
-/// `a_segment_document_reads_like_its_log_and_compacts_to_one` holds
-/// their rows to the documents of the old pins.
+/// compacting that disk writes. The logs are pinned against the binary
+/// whose row codec last went through a `Json` tree, and the two
+/// compaction outputs as the logs compaction writes since it splices
+/// blocks. The manifest is pinned as it records every segment's length;
+/// without those lengths it is the previous binary's byte for byte
+/// (`a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused`).
 #[test]
 fn store_bytes_are_pinned() {
     const PINNED: [(&str, u64); 4] = [
-        ("/kb.json", 0x7626_6ace_7c79_8a1c),
+        ("/kb.json", 0x96c1_9074_0a70_453e),
         ("/kb.json.seg-2", 0xb0fb_cbda_1e6c_aff7),
         ("/kb.json.wal-2", 0x8f14_2a56_abd6_9206),
         ("/kb.json.seg-4", 0xa4ab_10f8_d6a9_7b38),
@@ -927,15 +930,6 @@ fn store_bytes_are_pinned() {
         assert_eq!(got, pinned, "{name} moved: {got:#018x}");
     }
     assert_eq!(disk.len(), PINNED.len());
-}
-
-/// The segment document binaries before compaction wrote logs wrote
-/// for segment `id` holding `db`'s rows, byte for byte.
-fn legacy_document(id: u64, db: &Database) -> Vec<u8> {
-    let mut body = format!("{{\"format\":\"iokc-segment\",\"id\":{id},\"rows\":");
-    persist::write_rows(&mut body, db, &BTreeMap::new());
-    body.push_str(",\"version\":2}");
-    persist::render_document(body).into_bytes()
 }
 
 /// Every summary and every loaded run a store answers.
@@ -959,36 +953,238 @@ fn view(store: &KnowledgeStore) -> View {
     (summaries, runs)
 }
 
-/// A store whose compacted segment is still the document an earlier
-/// binary wrote — the rows of today's log, in the old envelope that
-/// hashes to the old pin — reads exactly like today's, and its next
-/// compaction rewrites it as the same log today's store writes.
+/// `disk` with `edit` applied to every segment block of its manifest.
+fn with_segment_blocks(disk: Disk, edit: impl Fn(&mut BTreeMap<String, Json>)) -> Disk {
+    let vfs = FaultVfs::from_state(disk);
+    let mut manifest = persist::read_document_vfs(&kb(), &vfs).expect("manifest");
+    if let Json::Obj(fields) = &mut manifest {
+        if let Some(Json::Arr(segments)) = fields.get_mut("segments") {
+            for segment in segments {
+                if let Json::Obj(block) = segment {
+                    edit(block);
+                }
+            }
+        }
+    }
+    persist::write_document_vfs(&kb(), &vfs, &manifest).expect("manifest");
+    vfs.durable_state()
+}
+
+/// `disk` with its manifest rewritten as binaries before segment lengths
+/// were recorded wrote it: no `len` in a `.seg-` segment's block.
+fn without_recorded_lengths(disk: Disk) -> Disk {
+    with_segment_blocks(disk, |block| {
+        if !block.contains_key("epoch") {
+            block.remove("len");
+        }
+    })
+}
+
+/// A manifest written before segment lengths were recorded names each
+/// `.seg-` log without one: every such segment takes its file's length,
+/// the store opens to the same view, and its next manifest commit
+/// records the lengths, so the disk becomes the one today's binary
+/// writes; a missing, torn or empty file is one unusable segment, as
+/// any damaged body is. A segment document an older binary wrote is
+/// never decoded: planted at `.seg-2`, it is refused with a message
+/// that names the way back, and `fsck --repair` leaves every byte where
+/// it was.
 #[test]
-fn a_segment_document_reads_like_its_log_and_compacts_to_one() {
+fn a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused() {
     let disk = scripted_history();
+    let legacy = without_recorded_lengths(disk.clone());
+    // The previous binary's manifest of this history, byte for byte.
+    assert_eq!(persist::checksum(&legacy[&kb()]), 0x7626_6ace_7c79_8a1c);
+    // The rows of `.seg-2` in the envelope binaries before compaction
+    // wrote logs gave a segment: the old pin's bytes.
     let seg = persist::segment_path(&kb(), 2);
-    let body = read_segment_vfs(&seg, &FaultVfs::from_state(disk.clone())).expect("segment");
-    let document = legacy_document(2, &body.db);
+    let today = Arc::new(FaultVfs::from_state(disk.clone()));
+    let block = read_segment_vfs(&seg, today.as_ref(), disk[&seg].len() as u64).expect("segment");
+    let mut body = String::from("{\"format\":\"iokc-segment\",\"id\":2,\"rows\":");
+    persist::write_rows(&mut body, &block.db, &BTreeMap::new());
+    body.push_str(",\"version\":2}");
+    let document = persist::render_document(body).into_bytes();
     assert_eq!(persist::checksum(&document), 0xe830_8154_3ba4_e1de);
-    let mut legacy = disk.clone();
-    legacy.insert(seg, document);
-    let logs = Arc::new(FaultVfs::from_state(disk));
-    let documents = Arc::new(FaultVfs::from_state(legacy));
-    let (mut new, mut old) = (open(&logs), open(&documents));
+
+    let earlier = Arc::new(FaultVfs::from_state(legacy.clone()));
+    let (mut new, mut old) = (open(&today), open(&earlier));
     assert_eq!(view(&old), view(&new));
+    assert_eq!(old.segment_metas()[0].body, new.segment_metas()[0].body);
     for store in [&mut new, &mut old] {
         store.seal_active().expect("seal");
-        store.compact().expect("compact");
     }
-    assert_eq!(view(&old), view(&new));
-    let output = persist::segment_path(&kb(), 4);
-    let (from_logs, from_documents) = (logs.durable_state(), documents.durable_state());
-    assert!(from_documents[&output].starts_with(b"j1 "));
-    assert_eq!(from_documents, from_logs);
-    // The output holds the rows the old binary's output document held.
-    let merged = read_segment_vfs(&output, logs.as_ref()).expect("output");
-    let document = legacy_document(4, &merged.db);
-    assert_eq!(persist::checksum(&document), 0x6fdf_65e4_aee1_2b86);
+    assert_eq!(earlier.durable_state(), today.durable_state());
+
+    // A `.seg-` log that is gone, torn or empty is one unusable segment,
+    // as any damaged body is: fsck names it and `--repair` drops it alone.
+    let torn = legacy[&seg][..legacy[&seg].len() - 7].to_vec();
+    for body in [None, Some(torn), Some(Vec::new())] {
+        let mut damaged = legacy.clone();
+        match body {
+            Some(bytes) => damaged.insert(seg.clone(), bytes),
+            None => damaged.remove(&seg),
+        };
+        let vfs = Arc::new(FaultVfs::from_state(damaged));
+        let detect = fsck_pass(&vfs, false);
+        assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+        let what = &detect.findings[0].what;
+        assert!(
+            what.starts_with("segment /kb.json.seg-2 unusable"),
+            "{what}"
+        );
+        let repair = fsck_pass(&vfs, true);
+        let dropped = repair
+            .notes
+            .iter()
+            .any(|n| n.contains("DATA LOSS: segment 2"));
+        assert!(dropped && repair.unrepaired() == 0, "{repair:?}");
+        assert!(fsck_pass(&vfs, false).clean());
+    }
+
+    let mut planted = legacy;
+    planted.insert(seg, document);
+    let vfs = Arc::new(FaultVfs::from_state(planted.clone()));
+    let Err(err) = KnowledgeStore::open_with_vfs(kb(), Arc::clone(&vfs) as Arc<dyn Vfs>) else {
+        panic!("opened a store whose segment is a document");
+    };
+    let named = |e: &str| e.contains(".seg-2") && e.contains("previous binary's `iokc compact`");
+    assert!(matches!(&err, DbError::Corrupt(e) if named(e)), "{err}");
+    let repair = fsck_pass(&vfs, true);
+    assert_eq!(
+        (repair.repaired(), repair.unrepaired()),
+        (0, 1),
+        "{repair:?}"
+    );
+    assert!(named(&repair.findings[0].what), "{repair:?}");
+    assert!(!repair.notes.iter().any(|n| n.contains("DATA LOSS")));
+    assert_eq!(vfs.durable_state(), planted);
+    assert!(KnowledgeStore::open_or_degraded_with_vfs(kb(), vfs).is_read_only());
+}
+
+/// A `.seg-` log is the length its manifest recorded, as an adopted log
+/// is: one valid record appended past the committed bytes makes the
+/// segment corrupt to every reader — the body load, the SQL surface,
+/// fsck and compaction — and never part of the store.
+#[test]
+fn a_record_appended_past_a_segments_recorded_length_is_corruption() {
+    let disk = scripted_history();
+    let seg = persist::segment_path(&kb(), 2);
+    let recorded = disk[&seg].len() as u64;
+    // A store that had the body resident before the append, and one
+    // that reads it cold after.
+    let (hot, vfs) = (
+        Arc::new(FaultVfs::from_state(disk.clone())),
+        Arc::new(FaultVfs::from_state(disk)),
+    );
+    let mut warm = open(&hot);
+    warm.snapshot().materialize().expect("rows");
+    for disk in [&hot, &vfs] {
+        JournalWriter::open_vfs(&seg, disk.as_ref())
+            .expect("open")
+            .append(r#"{"rows":{"IOFHsRuns":[[999,null,null]]}}"#)
+            .expect("append");
+    }
+    let actual = vfs.len(&seg).expect("segment");
+    let mut cold = open(&vfs);
+    let meta = &cold.segment_metas()[0];
+    assert_eq!((meta.file(&kb()), meta.body.len), (seg.clone(), recorded));
+
+    let err = read_segment_vfs(&seg, vfs.as_ref(), recorded).expect_err("body");
+    let lengths = format!("sealed at {recorded} bytes, holds {actual}");
+    assert!(
+        matches!(&err, DbError::Corrupt(e) if e.contains(&lengths)),
+        "{err}"
+    );
+    let err = cold.snapshot().materialize().expect_err("SQL view");
+    assert!(
+        matches!(&err, DbError::Corrupt(e) if e.contains(&lengths)),
+        "{err}"
+    );
+    let detect = fsck_pass(&vfs, false);
+    assert_eq!(detect.unrepaired(), 1, "{detect:?}");
+    assert!(detect.findings[0].what.contains("unusable"), "{detect:?}");
+    for (store, disk) in [(&mut warm, &hot), (&mut cold, &vfs)] {
+        store.seal_active().expect("seal");
+        let before = disk.durable_state();
+        let err = store.compact().expect_err("compact");
+        assert!(
+            matches!(&err, DbError::Corrupt(e) if e.contains(".seg-2")),
+            "{err}"
+        );
+        assert_eq!(disk.durable_state(), before, "nothing written");
+    }
+}
+
+/// `scripted_history()` with a row appended to its one segment, `.seg-2`,
+/// that references a missing parent (no performance 12345), and the
+/// manifest recording the longer length: a body that verifies and that
+/// `fsck --repair` rewrites.
+fn with_an_orphan_row() -> Disk {
+    let vfs = FaultVfs::from_state(scripted_history());
+    let seg = persist::segment_path(&kb(), 2);
+    let orphan =
+        r#"{"rows":{"summaries":[[999,{"i":12345},"write",null,null,null,null,null,null,null]]}}"#;
+    JournalWriter::open_vfs(&seg, &vfs)
+        .expect("open")
+        .append(orphan)
+        .expect("append");
+    let len = vfs.len(&seg).expect("segment");
+    with_segment_blocks(vfs.durable_state(), |block| {
+        block.insert("len".into(), Json::from(len));
+    })
+}
+
+/// `fsck --repair` writes a repaired body to a fresh `.seg-<id>` and
+/// unlinks the old one only after the manifest commit that names the new
+/// one. So a power loss at any point of the repair, or any one of its
+/// operations failing — the manifest commit among them — leaves a disk
+/// that reads the same runs, and the next repair finishes the job
+/// without dropping the segment.
+#[test]
+fn every_crash_point_of_a_repair_keeps_the_segment() {
+    let start = with_an_orphan_row();
+    let model = contents(&open(&Arc::new(FaultVfs::from_state(start.clone()))));
+    assert!(!model.is_empty());
+    let repair = |plan| {
+        let vfs = Arc::new(FaultVfs::from_state_with_plan(start.clone(), plan));
+        let report = fsck_pass(&vfs, true);
+        (vfs, report)
+    };
+    let recovers = |vfs: Arc<FaultVfs>, when: &str| {
+        assert_eq!(contents(&open(&vfs)), model, "{when}");
+        let again = fsck_pass(&vfs, true);
+        assert_eq!(again.unrepaired(), 0, "{when}: {again:?}");
+        let lost = again.notes.iter().any(|n| n.contains("DATA LOSS"));
+        assert!(!lost, "{when}: {again:?}");
+        assert!(fsck_pass(&vfs, false).clean(), "{when}");
+        assert_eq!(contents(&open(&vfs)), model, "{when}");
+    };
+    let (probe, report) = repair(FaultPlan::default());
+    assert!(
+        report.repaired() > 0 && report.unrepaired() == 0,
+        "{report:?}"
+    );
+    let (mut images, mut failed_commits) = (0, 0);
+    for at in 0..probe.op_count() {
+        let (crashed, _) = repair(FaultPlan::at(at, DiskFault::Crash));
+        assert!(crashed.crashed(), "crash {at} never fired");
+        for image in crashed.crash_states() {
+            recovers(
+                Arc::new(FaultVfs::from_state(image)),
+                &format!("crash at {at}"),
+            );
+            images += 1;
+        }
+        for fault in [DiskFault::Enospc, DiskFault::Eio] {
+            let (vfs, report) = repair(FaultPlan::at(at, fault));
+            let commit = "manifest rewrite after repair failed";
+            failed_commits += usize::from(report.findings.iter().any(|f| f.what.contains(commit)));
+            recovers(vfs, &format!("{fault:?} at {at}"));
+        }
+    }
+    assert!(failed_commits > 0, "no fault hit the manifest commit");
+    let points = probe.op_count();
+    eprintln!("repair crash enumeration: {points} crash points, {images} images");
 }
 
 #[test]
@@ -1387,26 +1583,26 @@ mod codec {
     }
 
     /// The envelope is read member by member in whatever order it comes:
-    /// a segment body the tree would have rendered with other keys first
-    /// (and whitespace) holds the same block.
+    /// a segment's record the tree would have rendered with other keys
+    /// first (and whitespace) holds the same block.
     #[test]
     fn a_reordered_envelope_reads_the_same() {
-        let disk = scripted_history();
         let seg = persist::segment_path(&kb(), 2);
-        let vfs = FaultVfs::from_state(disk.clone());
+        let vfs = FaultVfs::from_state(scripted_history());
         let record = iokc_store::journal::read_journal_vfs(&seg, &vfs).expect("log");
         let doc = json::parse(&record.records[0]).expect("record");
         let block = doc.get("rows").expect("rows").to_compact();
         let reordered = format!(
-            " {{\"version\": 2, \"rows\": {block},\n \"id\": 2, \"extra\": [{{}}], \"format\": \"iokc-segment\"}} "
+            " {{\"version\": 2, \"rows\": {block},\t \"id\": 2, \"extra\": [{{}}], \"format\": \"iokc-segment\"}} "
         );
-        let vfs = FaultVfs::from_state(disk);
-        let sealed = read_segment_vfs(&seg, &vfs).expect("segment");
-        let mut file = vfs.create(&seg).expect("create");
-        file.write_all(persist::render_document(reordered).as_bytes())
-            .expect("write");
-        drop(file);
-        let again = read_segment_vfs(&seg, &vfs).expect("reordered segment");
+        let sealed = read_segment_vfs(&seg, &vfs, vfs.len(&seg).expect("len")).expect("segment");
+        vfs.remove_file(&seg).expect("remove");
+        JournalWriter::open_vfs(&seg, &vfs)
+            .expect("open")
+            .append(&reordered)
+            .expect("append");
+        let len = vfs.len(&seg).expect("len");
+        let again = read_segment_vfs(&seg, &vfs, len).expect("reordered segment");
         assert_eq!(rows(&again.db), rows(&sealed.db));
         assert_eq!(again.summaries, sealed.summaries);
     }
@@ -1489,12 +1685,13 @@ mod codec {
 
             // The segment: the same block written by the seal.
             store.seal_active().expect("seal");
-            let sealed = read_segment_vfs(&store.segment_metas()[0].file(&kb()), vfs.as_ref())
+            let meta = &store.segment_metas()[0];
+            let sealed = read_segment_vfs(&meta.file(&kb()), vfs.as_ref(), meta.body.len)
                 .expect("segment");
             prop_assert_eq!(rows(&sealed.db), rows(source.database()));
             prop_assert_eq!(&sealed.summaries, &summaries);
             prop_assert_eq!(
-                vec![SegmentMeta::compute(0, sealed.summaries.values())],
+                vec![SegmentMeta::compute(0, sealed.summaries.values(), meta.body)],
                 store.segment_metas()
             );
         }
