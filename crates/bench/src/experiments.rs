@@ -6,6 +6,7 @@
 
 use iokc_benchmarks::io500::{run_io500_with_faults, Io500Config, Io500Result, PhaseFaults};
 use iokc_benchmarks::ior::{run_ior, Access, IorConfig, IorRunResult};
+use iokc_benchmarks::mkdir_p;
 use iokc_core::model::Knowledge;
 use iokc_extract::parse_ior_output;
 use iokc_sim::engine::{JobLayout, World};
@@ -34,27 +35,6 @@ pub struct Fig5Data {
     pub knowledge: Knowledge,
 }
 
-/// Create every missing ancestor directory of `path` (like `mkdir -p`
-/// before launching the benchmark job).
-pub fn ensure_parent_dirs(world: &mut World, path: &str) {
-    let mut missing = Vec::new();
-    let mut dir = iokc_sim::script::parent_dir(path).to_owned();
-    while dir != "/" && !world.namespace().is_dir(&dir) {
-        missing.push(dir.clone());
-        dir = iokc_sim::script::parent_dir(&dir).to_owned();
-    }
-    if missing.is_empty() {
-        return;
-    }
-    let mut scripts = world.scripts(1);
-    for dir in missing.iter().rev() {
-        scripts.rank(0).mkdir(dir);
-    }
-    world
-        .run(JobLayout::new(1, 1), &scripts)
-        .expect("mkdir -p of benchmark directories");
-}
-
 /// Run the Figure 5 experiment. `seed` controls all randomness.
 ///
 /// The injected cause is background interference on every storage target
@@ -67,7 +47,7 @@ pub fn run_fig5(seed: u64) -> Fig5Data {
     let mut world = World::new(system, FaultPlan::none(), seed);
     let layout = paper_layout();
     let base = IorConfig::parse_command(PAPER_COMMAND).expect("paper command parses");
-    ensure_parent_dirs(&mut world, &base.test_file);
+    mkdir_p(&mut world, &base.test_file).expect("mkdir -p of benchmark directories");
 
     let mut write_cfg = base.clone();
     write_cfg.iterations = 1;

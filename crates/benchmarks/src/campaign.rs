@@ -16,6 +16,7 @@
 
 use crate::ior::{run_ior, IorConfig};
 use crate::mdtest::{run_mdtest, MdtestConfig};
+use crate::mkdir_p;
 use iokc_jube::{StepFailure, StepOutcome};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::{CrashSchedule, FaultPlan};
@@ -104,14 +105,16 @@ fn run_sim_step(
     let output = if command.trim_start().starts_with("mdtest") {
         let config = MdtestConfig::parse_command(command)
             .map_err(|e| StepFailure::permanent(e.to_string()))?;
-        ensure_dirs(&mut world, &format!("{}/x", config.dir))?;
+        mkdir_p(&mut world, &format!("{}/x", config.dir))
+            .map_err(|e| StepFailure::transient(e.to_string()))?;
         run_mdtest(&mut world, layout, &config)
             .map_err(|e| StepFailure::transient(e.to_string()))?
             .render()
     } else {
         let config =
             IorConfig::parse_command(command).map_err(|e| StepFailure::permanent(e.to_string()))?;
-        ensure_dirs(&mut world, &config.test_file)?;
+        mkdir_p(&mut world, &config.test_file)
+            .map_err(|e| StepFailure::transient(e.to_string()))?;
         run_ior(&mut world, layout, &config, seed)
             .map_err(|e| StepFailure::transient(e.to_string()))?
             .render()
@@ -122,33 +125,12 @@ fn run_sim_step(
     })
 }
 
-/// Create every missing parent directory of `path` in the simulated
-/// namespace.
-fn ensure_dirs(world: &mut World, path: &str) -> Result<(), StepFailure> {
-    let mut missing = Vec::new();
-    let mut dir = iokc_sim::script::parent_dir(path).to_owned();
-    while dir != "/" && !world.namespace().is_dir(&dir) {
-        missing.push(dir.clone());
-        dir = iokc_sim::script::parent_dir(&dir).to_owned();
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let mut scripts = world.scripts(1);
-    for dir in missing.iter().rev() {
-        scripts.rank(0).mkdir(dir);
-    }
-    world
-        .run(JobLayout::new(1, 1), &scripts)
-        .map(|_| ())
-        .map_err(|e| StepFailure::transient(e.to_string()))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use iokc_jube::{run_campaign, CampaignOptions, JubeConfig};
+    use iokc_store::StdVfs;
 
     const CONFIG: &str = "\
 benchmark ior-campaign
@@ -161,6 +143,7 @@ pattern write_bw = Max Write: {bw:f} MiB/sec
         let dir =
             std::env::temp_dir().join(format!("iokc-bench-camp-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("campaign dir");
         dir
     }
 
@@ -169,7 +152,7 @@ pattern write_bw = Max Write: {bw:f} MiB/sec
         let config = JubeConfig::parse(CONFIG).expect("valid config");
         let hooks = SimCampaignRunner::new(42, 8, 4);
         let dir = scratch("ok");
-        let report = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let report = run_campaign(&config, &dir, &StdVfs, &CampaignOptions::default(), || {
             hooks.runner()
         })
         .expect("campaign");
@@ -198,7 +181,8 @@ pattern write_bw = Max Write: {bw:f} MiB/sec
             retry: iokc_core::resilience::RetryPolicy::with_retries(3),
             ..CampaignOptions::default()
         };
-        let report = run_campaign(&config, &dir, &options, || hooks.runner()).expect("campaign");
+        let report =
+            run_campaign(&config, &dir, &StdVfs, &options, || hooks.runner()).expect("campaign");
         assert!(report.summary.is_complete(), "{}", report.summary);
         assert_eq!(report.summary.retried, 1, "wp 1 needed retries");
         let ticks = crashes.lock().expect("schedule lock").worker_calls(1);
@@ -206,9 +190,13 @@ pattern write_bw = Max Write: {bw:f} MiB/sec
         // The crash-free result is identical to a crash-free campaign:
         // retries re-run in fresh worlds with the same per-wp seed.
         let clean_dir = scratch("clean");
-        let clean = run_campaign(&config, &clean_dir, &CampaignOptions::default(), || {
-            SimCampaignRunner::new(42, 8, 4).runner()
-        })
+        let clean = run_campaign(
+            &config,
+            &clean_dir,
+            &StdVfs,
+            &CampaignOptions::default(),
+            || SimCampaignRunner::new(42, 8, 4).runner(),
+        )
         .expect("clean campaign");
         assert_eq!(
             report.workspace.result_table(&config).render(),
@@ -227,7 +215,7 @@ pattern write_bw = Max Write: {bw:f} MiB/sec
         .expect("valid config");
         let hooks = SimCampaignRunner::new(7, 4, 4);
         let dir = scratch("mdtest");
-        let report = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let report = run_campaign(&config, &dir, &StdVfs, &CampaignOptions::default(), || {
             hooks.runner()
         })
         .expect("campaign");

@@ -29,12 +29,11 @@ use crate::io500::{run_io500, Io500Config, Io500Result};
 use iokc_core::model::{Io500Knowledge, KnowledgeItem};
 use iokc_core::phases::{Artifact, ArtifactKind, CycleError, Extractor, Persister, PhaseKind};
 use iokc_core::PhaseCtx;
-use iokc_jube::campaign::{journal_path, replay_vfs, CampaignError, Record};
+use iokc_jube::campaign::{open_journal, CampaignError};
 use iokc_sim::engine::{JobLayout, SimError, World};
 use iokc_sim::faults::{Fault, FaultPlan, FaultTarget};
 use iokc_sim::metrics::EngineStats;
 use iokc_sim::prelude::{ClusterConfig, PfsConfig, SystemConfig};
-use iokc_store::journal::{truncate_torn_tail_vfs, JournalWriter};
 use iokc_store::{DeadlineToken, KnowledgeStore, Query, RunKind, RunPredicate};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -366,40 +365,29 @@ pub fn generate(
     dir: &Path,
     batch: usize,
 ) -> Result<(usize, usize), CampaignError> {
-    let journal = journal_path(dir);
-    let fingerprint = spec.fingerprint();
     let mut ctx = PhaseCtx::detached(PhaseKind::Extraction, CAMPAIGN);
-    // Salvage before any append: a record written after a torn tail
-    // would fuse onto the torn bytes and be unreadable forever.
-    truncate_torn_tail_vfs(&journal, store.vfs())?;
-    let header = replay_vfs(&journal, store.vfs())?.header;
     let stored = stored_points(store)?;
-    if let Some((benchmark, found, _)) = header {
-        if benchmark != CAMPAIGN || found != fingerprint {
-            return Err(CampaignError::Mismatch {
-                expected: fingerprint,
-                found,
+    let vouch = || {
+        let Some((&index, &id)) = stored.first_key_value() else {
+            return Ok(());
+        };
+        let held = store.load_io500(id).map_err(CycleError::from)?;
+        let held = held.map(|k| KnowledgeItem::Io500(Io500Knowledge { id: None, ..k }));
+        if extract_point(spec, index, extractor, &mut ctx)? != Vec::from_iter(held) {
+            return Err(CampaignError::ForeignResults {
+                found: stored.len(),
             });
         }
-    } else {
-        if let Some((&index, &id)) = stored.first_key_value() {
-            let held = store.load_io500(id).map_err(CycleError::from)?;
-            let held = held.map(|k| KnowledgeItem::Io500(Io500Knowledge { id: None, ..k }));
-            if extract_point(spec, index, extractor, &mut ctx)? != Vec::from_iter(held) {
-                return Err(CampaignError::ForeignResults {
-                    found: stored.len(),
-                });
-            }
-        }
-        JournalWriter::open_vfs(&journal, store.vfs())?.append(
-            &Record::Campaign {
-                benchmark: CAMPAIGN.to_owned(),
-                fingerprint,
-                total: spec.runs,
-            }
-            .encode(),
-        )?;
-    }
+        Ok(())
+    };
+    open_journal(
+        store.vfs(),
+        dir,
+        CAMPAIGN,
+        spec.fingerprint(),
+        spec.runs,
+        vouch,
+    )?;
 
     let mut pending: Vec<KnowledgeItem> = Vec::new();
     let mut generated = 0;

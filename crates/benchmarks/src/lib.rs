@@ -35,3 +35,24 @@ pub use io500::{
 pub use ior::{run_ior, Access, IorConfig, IorParseError, IorRunResult};
 pub use ior_output::IorSample;
 pub use mdtest::{run_mdtest, MdPhase, MdWorkload, MdtestConfig, MdtestParseError, MdtestResult};
+
+use iokc_sim::engine::{JobLayout, SimError, World};
+
+/// Create every missing ancestor directory of `path` in the simulated
+/// namespace, as `mkdir -p` does before a benchmark job launches.
+pub fn mkdir_p(world: &mut World, path: &str) -> Result<(), SimError> {
+    let mut missing = Vec::new();
+    let mut dir = iokc_sim::script::parent_dir(path);
+    while dir != "/" && !world.namespace().is_dir(dir) {
+        missing.push(dir.to_owned());
+        dir = iokc_sim::script::parent_dir(dir);
+    }
+    if missing.is_empty() {
+        return Ok(());
+    }
+    let mut scripts = world.scripts(1);
+    for dir in missing.iter().rev() {
+        scripts.rank(0).mkdir(dir);
+    }
+    world.run(JobLayout::new(1, 1), &scripts).map(|_| ())
+}

@@ -260,16 +260,6 @@ impl MdtestResult {
             .unwrap_or(0.0)
     }
 
-    /// Max rate of a phase over iterations, ops/s.
-    #[must_use]
-    pub fn max_rate(&self, phase: MdPhase) -> f64 {
-        self.rates
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|(_, rates)| stats::max(rates))
-            .unwrap_or(0.0)
-    }
-
     /// Render mdtest's native `SUMMARY rate` table.
     #[must_use]
     pub fn render(&self) -> String {

@@ -21,7 +21,8 @@
 //! `iokc sweep` runs parameter sweeps as *durable campaigns*: every
 //! workpackage state transition is journaled, so a killed campaign
 //! resumes with `iokc sweep --resume <dir>`, re-running only unfinished
-//! workpackages.
+//! workpackages. `iokc jube` runs the same campaign with its journal in
+//! memory.
 
 #![warn(clippy::unwrap_used)]
 
@@ -31,8 +32,8 @@ use iokc_analysis::{
 };
 use iokc_benchmarks::instrument::{darshan_from_phases, InstrumentOptions};
 use iokc_benchmarks::{
-    run_ior, HaccConfig, HaccGenerator, Io500Config, Io500Generator, IorConfig, IorGenerator,
-    MdtestConfig, MdtestGenerator,
+    mkdir_p, run_ior, HaccConfig, HaccGenerator, Io500Config, Io500Generator, IorConfig,
+    IorGenerator, MdtestConfig, MdtestGenerator,
 };
 use iokc_core::cycle::ModuleBox;
 use iokc_core::model::KnowledgeItem;
@@ -47,11 +48,11 @@ use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
 use iokc_store::{
-    DbError, DeadlineToken, KnowledgeStore, Query, RunFilter, RunKind, RunOrder, RunPredicate,
-    UnknownName,
+    DbError, DeadlineToken, FaultVfs, KnowledgeStore, Query, RunFilter, RunKind, RunOrder,
+    RunPredicate, StdVfs, UnknownName, Vfs,
 };
 use iokc_usage::{recommend, RegenerateUsage};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// How a CLI failure maps to the process exit code — one code per error
@@ -466,7 +467,8 @@ fn print_help() {
          \x20 export <id> [file]    share a knowledge object as JSON (stdout by default)\n\
          \x20 report [file]         write the HTML knowledge-explorer report (report.html)\n\
          \x20 import <file>         add a shared JSON knowledge object to the store\n\
-         \x20 jube <config file>    run a JUBE-style sweep on the simulated system\n\
+         \x20 jube <config file>    quick sweep: `sweep` with its journal in memory\n\
+         \x20                       (same options; no campaign directory, no resume)\n\
          \x20 sweep <config file>   durable sweep campaign: journaled state, retries,\n\
          \x20                       quarantine (--campaign <dir>, --max-parallel <n>,\n\
          \x20                       --wp-deadline <ms>, --quarantine <n>)\n\
@@ -775,28 +777,12 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn fuchs_world(seed: u64) -> World {
-    World::new(SystemConfig::fuchs_csc(), FaultPlan::none(), seed)
-}
-
-fn ensure_dirs(world: &mut World, path: &str) -> Result<(), String> {
-    let mut missing = Vec::new();
-    let mut dir = iokc_sim::script::parent_dir(path).to_owned();
-    while dir != "/" && !world.namespace().is_dir(&dir) {
-        missing.push(dir.clone());
-        dir = iokc_sim::script::parent_dir(&dir).to_owned();
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let mut scripts = world.scripts(1);
-    for dir in missing.iter().rev() {
-        scripts.rank(0).mkdir(dir);
-    }
-    world
-        .run(JobLayout::new(1, 1), &scripts)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+/// A simulated FUCHS-CSC world seeded `seed`, with every ancestor
+/// directory of `path` already made.
+fn fuchs_world(seed: u64, path: &str) -> Result<World, String> {
+    let mut world = World::new(SystemConfig::fuchs_csc(), FaultPlan::none(), seed);
+    mkdir_p(&mut world, path).map_err(|e| e.to_string())?;
+    Ok(world)
 }
 
 fn cmd_run(opts: &Options) -> Result<(), CliError> {
@@ -805,8 +791,7 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| CliError::usage("run needs an ior command string"))?;
     let config = IorConfig::parse_command(command).map_err(CliError::usage)?;
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, &config.test_file)?;
+    let world = fuchs_world(opts.seed, &config.test_file)?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let mut generator = IorGenerator::new(world, layout, config, opts.seed);
     generator.with_darshan = true;
@@ -840,8 +825,7 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_io500(opts: &Options) -> Result<(), CliError> {
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, "/scratch/io500/x")?;
+    let world = fuchs_world(opts.seed, "/scratch/io500/x")?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let generator = Io500Generator::new(world, layout, Io500Config::standard("/scratch/io500"));
     let mut cycle = KnowledgeCycle::new();
@@ -875,8 +859,7 @@ fn cmd_mdtest(opts: &Options) -> Result<(), CliError> {
         .map(String::as_str)
         .unwrap_or("mdtest -n 200 -d /scratch/md -u");
     let config = MdtestConfig::parse_command(command).map_err(CliError::usage)?;
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, &format!("{}/x", config.dir))?;
+    let world = fuchs_world(opts.seed, &format!("{}/x", config.dir))?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let generator = MdtestGenerator::new(world, layout, config);
     let mut cycle = KnowledgeCycle::new();
@@ -907,8 +890,7 @@ fn cmd_hacc(opts: &Options) -> Result<(), CliError> {
         .map(|v| v.parse().map_err(|_| CliError::usage("bad particle count")))
         .transpose()?
         .unwrap_or(2_000_000);
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, "/scratch/hacc/x")?;
+    let world = fuchs_world(opts.seed, "/scratch/hacc/x")?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let config = HaccConfig::new(
         particles,
@@ -1160,8 +1142,7 @@ fn cmd_cycle(opts: &Options) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| CliError::usage("cycle needs an ior command string"))?;
     let config = IorConfig::parse_command(command).map_err(CliError::usage)?;
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, &config.test_file)?;
+    let world = fuchs_world(opts.seed, &config.test_file)?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let generator = IorGenerator::new(world, layout, config, opts.seed);
     let mut cycle = KnowledgeCycle::new();
@@ -1262,8 +1243,7 @@ fn cmd_dxt(opts: &Options) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| CliError::usage("dxt needs an ior command string"))?;
     let config = IorConfig::parse_command(command).map_err(CliError::usage)?;
-    let mut world = fuchs_world(opts.seed);
-    ensure_dirs(&mut world, &config.test_file)?;
+    let mut world = fuchs_world(opts.seed, &config.test_file)?;
     let layout = JobLayout::new(opts.tasks, opts.ppn.min(opts.tasks));
     let result = run_ior(&mut world, layout, &config, opts.seed).map_err(|e| e.to_string())?;
     let phases: Vec<&iokc_sim::metrics::PhaseResult> =
@@ -1310,33 +1290,17 @@ wrote figures/dxt_timeline.svg and figures/dxt_heatmap.svg"
     Ok(())
 }
 
+/// `iokc jube` — `iokc sweep` without durability: the same campaign,
+/// journaled to an in-memory disk, so it leaves no file behind and no
+/// earlier campaign directory can refuse an edited config.
 fn cmd_jube(opts: &Options) -> Result<(), CliError> {
     let path = opts
         .positional
         .first()
         .ok_or_else(|| CliError::usage("jube needs a config file path"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let config = iokc_jube::JubeConfig::parse(&text).map_err(|e| e.to_string())?;
-    let tasks = opts.tasks;
-    let ppn = opts.ppn.min(opts.tasks);
-    let base_seed = opts.seed;
-    let workspace = iokc_jube::run_sweep(&config, |wp, _step, command| {
-        let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
-        let mut world = fuchs_world(base_seed ^ wp as u64);
-        ensure_dirs(&mut world, &ior.test_file)?;
-        let result = run_ior(&mut world, JobLayout::new(tasks, ppn), &ior, wp as u64)
-            .map_err(|e| e.to_string())?;
-        Ok(result.render())
-    })
-    .map_err(|e| e.to_string())?;
-    println!(
-        "sweep `{}` complete: {} workpackages
-",
-        workspace.benchmark,
-        workspace.workpackages.len()
-    );
-    print!("{}", workspace.result_table(&config).render());
-    Ok(())
+    let config = iokc_jube::JubeConfig::parse(&text).map_err(|e| CliError::usage(e.to_string()))?;
+    sweep_campaign(opts, &config, None)
 }
 
 /// Classify a campaign failure for the exit-code taxonomy: a journal
@@ -1394,7 +1358,23 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         std::fs::write(&config_copy, &text)
             .map_err(|e| format!("write {}: {e}", config_copy.display()))?;
     }
+    sweep_campaign(opts, &config, Some(&dir))
+}
 
+/// Run `config` as a campaign on the simulated system and print its
+/// report. Its journal lives in `dir` on the real disk (`iokc sweep`),
+/// or, with no `dir` (`iokc jube`), on an in-memory disk that is gone
+/// when the command returns.
+fn sweep_campaign(
+    opts: &Options,
+    config: &iokc_jube::JubeConfig,
+    dir: Option<&Path>,
+) -> Result<(), CliError> {
+    let memory = FaultVfs::pristine();
+    let (disk, journal_dir): (&dyn Vfs, &Path) = match dir {
+        Some(dir) => (&StdVfs, dir),
+        None => (&memory, Path::new("memory")),
+    };
     let obs = setup_observability(opts)?;
     let options = iokc_jube::CampaignOptions {
         max_parallel: opts.max_parallel,
@@ -1406,14 +1386,14 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     };
     let hooks =
         iokc_benchmarks::SimCampaignRunner::new(opts.seed, opts.tasks, opts.ppn.min(opts.tasks));
-    let result = iokc_jube::run_campaign(&config, &dir, &options, || hooks.runner());
+    let result = iokc_jube::run_campaign(config, journal_dir, disk, &options, || hooks.runner());
     finish_observability(opts, &obs)?;
     let report = result.map_err(campaign_err)?;
 
     println!(
         "campaign `{}` in {}: {}",
         config.name,
-        dir.display(),
+        journal_dir.display(),
         report.summary
     );
     if report.torn_tail {
@@ -1436,17 +1416,20 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     for straggler in &report.stragglers {
         println!("straggler: {straggler}");
     }
-    print!("{}", report.workspace.result_table(&config).render());
+    print!("{}", report.workspace.result_table(config).render());
     // Quarantined combinations do not fail the sweep: the campaign is
     // complete when every workpackage reached a terminal state. Anything
     // still re-runnable exits transient so schedulers re-invoke us.
     if !report.summary.is_complete() {
+        let rerun = match dir {
+            Some(dir) => format!("resume with `iokc sweep --resume {}`", dir.display()),
+            None => "run it again (`iokc sweep` keeps a journal to resume from)".to_owned(),
+        };
         return Err(CliError {
             kind: CliErrorKind::Transient,
             message: format!(
-                "campaign incomplete ({} workpackage(s) remaining) — resume with `iokc sweep --resume {}`",
+                "campaign incomplete ({} workpackage(s) remaining) — {rerun}",
                 report.summary.remaining(),
-                dir.display()
             ),
         });
     }

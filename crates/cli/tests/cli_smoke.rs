@@ -340,3 +340,56 @@ fn help_lists_every_command() {
         assert!(help.contains(command), "help missing `{command}`");
     }
 }
+
+/// The files in `dir`, by name.
+fn listing(dir: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn jube_is_a_sweep_that_leaves_no_file_behind() {
+    let dir = tempdir("jube");
+    std::fs::write(
+        dir.join("sweep.jube"),
+        "benchmark cli-sweep\n\
+         param xfer = 1m, 2m\n\
+         step run = ior -a mpiio -t $xfer -b 4m -s 2 -i 1 -o /scratch/c$wp/t -k\n\
+         step meta = mdtest -n 20 -d /scratch/md$wp -u\n\
+         pattern write_bw = Max Write: {bw:f} MiB/sec\n\
+         pattern create = File creation : {rate:f}\n",
+    )
+    .expect("write config");
+    let args = ["sweep.jube", "--tasks", "8", "--ppn", "4", "--seed", "7"];
+    let before = listing(&dir);
+    let jube = stdout(&iokc(&dir, &[&["jube"], &args[..]].concat()));
+    assert_eq!(listing(&dir), before, "jube wrote a file");
+    let sweep = stdout(&iokc(&dir, &[&["sweep"], &args[..]].concat()));
+    assert!(dir.join("sweep.jube.campaign").is_dir());
+
+    let (jube_head, jube_table) = jube.split_once('\n').expect("jube output");
+    let (sweep_head, sweep_table) = sweep.split_once('\n').expect("sweep output");
+    assert_eq!(jube_table, sweep_table, "the two commands disagree");
+    // Both steps ran: IOR's bandwidth and mdtest's rate are in the table.
+    let row = jube_table.lines().nth(2).expect("first row");
+    assert_eq!(
+        row.split('|')
+            .filter(|cell| !cell.trim().is_empty())
+            .count(),
+        4,
+        "{row}"
+    );
+    let summary = |head: &str| head.split_once(": ").map(|(_, s)| s.to_owned());
+    assert_eq!(summary(jube_head), summary(sweep_head));
+    assert!(jube_head.contains("2/2 done"), "{jube_head}");
+}

@@ -18,10 +18,7 @@
 //! * the [`resilience`] layer — an error taxonomy (transient vs.
 //!   permanent), deterministic seeded retry with virtual-time backoff,
 //!   per-phase deadlines, and quarantine of repeatedly failing modules,
-//!   so long sweeps degrade instead of aborting;
-//! * the [`campaign`] vocabulary — the per-item state machine and the
-//!   summary/straggler report types that batch drivers (the jube sweep
-//!   executor) use to account for durable, resumable campaigns.
+//!   so long sweeps degrade instead of aborting.
 //!
 //! Everything concrete — benchmark generators over the cluster simulator,
 //! output parsers, the relational store, the knowledge explorer, the
@@ -75,14 +72,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
-pub mod campaign;
 pub mod ctx;
 pub mod cycle;
 pub mod model;
 pub mod phases;
 pub mod resilience;
 
-pub use campaign::{CampaignSummary, StragglerReport, WorkState};
 pub use ctx::{Observability, PhaseCtx};
 pub use cycle::{CycleReport, KnowledgeCycle, ModuleBox, PhaseModule};
 pub use model::{

@@ -13,11 +13,16 @@
 //! The journal opens with a header naming the benchmark and a
 //! fingerprint of the configuration (parameters, steps, patterns), so a
 //! resume against a *different* configuration is rejected instead of
-//! silently mixing two campaigns' results.
+//! silently mixing two campaigns' results. [`open_journal`] is the one
+//! place that salvages, replays and checks a journal, over any
+//! [`iokc_store::Vfs`]: the executor and the corpus generator
+//! (`iokc_benchmarks::corpus::generate`) both open theirs with it.
 
 use crate::config::JubeConfig;
 use crate::sweep::Workpackage;
 use iokc_core::phases::{CycleError, ErrorClass};
+use iokc_store::journal::{truncate_torn_tail_vfs, JournalWriter};
+use iokc_store::Vfs;
 use iokc_util::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -372,6 +377,52 @@ impl From<CycleError> for CampaignError {
     }
 }
 
+/// Open the campaign journal in `dir` on `vfs` for appending, with the
+/// state it replays to.
+///
+/// A crash can tear the last record, and a torn tail has no newline: a
+/// record appended after it would fuse onto the torn bytes and be
+/// unreadable forever, so the tail is salvaged first. A header naming
+/// another benchmark or fingerprint is a [`CampaignError::Mismatch`]. A
+/// journal without one (a fresh or damaged directory) gets one appended,
+/// once `vouch` has accepted whatever results already exist outside the
+/// journal.
+pub fn open_journal(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    benchmark: &str,
+    fingerprint: u64,
+    total: usize,
+    vouch: impl FnOnce() -> Result<(), CampaignError>,
+) -> Result<(CampaignState, JournalWriter), CampaignError> {
+    let path = journal_path(dir);
+    let salvaged = truncate_torn_tail_vfs(&path, vfs)?;
+    let mut state = replay_vfs(&path, vfs)?;
+    state.torn_tail = salvaged.torn_tail;
+    let header = match &state.header {
+        Some((journaled, found, _)) if journaled != benchmark || *found != fingerprint => {
+            return Err(CampaignError::Mismatch {
+                expected: fingerprint,
+                found: *found,
+            });
+        }
+        Some(_) => None,
+        None => {
+            vouch()?;
+            Some(Record::Campaign {
+                benchmark: benchmark.to_owned(),
+                fingerprint,
+                total,
+            })
+        }
+    };
+    let mut writer = JournalWriter::open_vfs(&path, vfs)?;
+    if let Some(header) = header {
+        writer.append(&header.encode())?;
+    }
+    Ok((state, writer))
+}
+
 /// Replay a campaign journal into its current state. Records after a
 /// torn tail are dropped (the executor re-runs that work); undecodable
 /// records within the valid prefix are skipped.
@@ -380,7 +431,7 @@ pub fn replay(path: &Path) -> Result<CampaignState, CampaignError> {
 }
 
 /// [`replay`] over an explicit [`iokc_store::Vfs`].
-pub fn replay_vfs(path: &Path, vfs: &dyn iokc_store::Vfs) -> Result<CampaignState, CampaignError> {
+pub fn replay_vfs(path: &Path, vfs: &dyn Vfs) -> Result<CampaignState, CampaignError> {
     let report = iokc_store::journal::read_journal_vfs(path, vfs)?;
     let mut state = CampaignState {
         torn_tail: report.torn_tail,

@@ -1,9 +1,7 @@
-//! The supervised campaign executor.
+//! The campaign executor: the one way a sweep runs.
 //!
-//! [`crate::sweep::run_sweep`] runs workpackages one after the other and
-//! aborts the whole sweep on the first error — fine for a quick
-//! interactive study, wrong for an overnight campaign on flaky hardware.
-//! This executor replaces the bare loop with a supervised worker pool:
+//! It expands a configuration into workpackages and runs them under a
+//! supervised worker pool:
 //!
 //! * every outcome — done, failed, quarantined — is journaled **before**
 //!   the executor acts on it ([`crate::campaign`]), so a killed campaign
@@ -20,18 +18,21 @@
 //!   otherwise;
 //! * completed workpackages whose elapsed time exceeds the p95 of their
 //!   completed peers are reported as stragglers.
+//!
+//! The journal goes through an [`iokc_store::Vfs`]: the real disk for a
+//! campaign that must survive its process (`iokc sweep`), an in-memory
+//! one for a quick study that leaves no file behind (`iokc jube`).
 
-use crate::campaign::{
-    config_fingerprint, journal_path, replay, CampaignError, CampaignState, Record,
-};
+use crate::campaign::{config_fingerprint, open_journal, CampaignError, CampaignState, Record};
 use crate::config::{substitute, JubeConfig};
 use crate::sweep::{validate_combos, SweepError, Workpackage, Workspace};
-use iokc_core::campaign::{CampaignSummary, StragglerReport};
 use iokc_core::phases::{ErrorClass, PhaseKind};
 use iokc_core::resilience::{retryable, RetryPolicy};
 use iokc_obs::{Recorder, SpanHandle, SpanId, SpanStatus};
 use iokc_store::journal::JournalWriter;
+use iokc_store::Vfs;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -141,6 +142,85 @@ impl Default for CampaignOptions {
     }
 }
 
+/// A workpackage that took conspicuously longer than its completed peers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StragglerReport {
+    /// Workpackage id.
+    pub id: usize,
+    /// Its elapsed time, in milliseconds (virtual or wall — whichever
+    /// clock the campaign ran under).
+    pub elapsed_ms: u64,
+    /// The p95 elapsed time of all completed peers, in milliseconds.
+    pub p95_ms: u64,
+}
+
+impl fmt::Display for StragglerReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "workpackage {:06} took {} ms (p95 of completed peers: {} ms)",
+            self.id, self.elapsed_ms, self.p95_ms
+        )
+    }
+}
+
+/// Aggregate outcome of one campaign run (fresh or resumed).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CampaignSummary {
+    /// Total workpackages in the campaign.
+    pub total: usize,
+    /// Workpackages completed, including previously journaled
+    /// completions.
+    pub completed: usize,
+    /// Workpackages skipped because the journal already recorded them
+    /// done.
+    pub replayed: usize,
+    /// Workpackages that needed more than one attempt before completing.
+    pub retried: usize,
+    /// Workpackages quarantined (this run or previously journaled).
+    pub quarantined: usize,
+    /// Workpackages that failed past their retry budget but remain
+    /// re-runnable.
+    pub failed: usize,
+    /// Workpackages never attempted because the campaign was cancelled.
+    pub cancelled: usize,
+}
+
+impl CampaignSummary {
+    /// Did every workpackage reach a terminal state with nothing left to
+    /// rerun?
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.completed + self.quarantined == self.total
+    }
+
+    /// Workpackages a resumed campaign would still run.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.total
+            .saturating_sub(self.completed)
+            .saturating_sub(self.quarantined)
+    }
+}
+
+impl fmt::Display for CampaignSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{} done ({} replayed from journal, {} retried), {} quarantined, \
+             {} failed, {} cancelled, {} remaining",
+            self.completed,
+            self.total,
+            self.replayed,
+            self.retried,
+            self.quarantined,
+            self.failed,
+            self.cancelled,
+            self.remaining()
+        )
+    }
+}
+
 /// The outcome of one campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
@@ -224,19 +304,21 @@ impl Shared<'_> {
     }
 }
 
-/// Run (or resume) a campaign in `dir`.
+/// Run (or resume) a campaign in `dir` on `vfs`.
 ///
 /// The runner factory is invoked once per workpackage *attempt*, so each
 /// attempt owns fresh state (e.g. its own simulated world) and a retry
 /// never observes a crashed predecessor's half-mutated world. Campaign
 /// state is journaled to `dir/campaign.journal`; calling `run_campaign`
-/// again with the same directory and configuration resumes, replaying
-/// completed workpackages from the journal instead of re-running them.
-/// A journal written by a *different* configuration is rejected via
-/// [`config_fingerprint`].
+/// again with the same disk, directory and configuration resumes,
+/// replaying completed workpackages from the journal instead of
+/// re-running them. A journal written by a *different* configuration is
+/// rejected via [`config_fingerprint`]. The caller owns `dir`: it must
+/// exist on `vfs`.
 pub fn run_campaign<F, R>(
     config: &JubeConfig,
     dir: &Path,
+    vfs: &dyn Vfs,
     options: &CampaignOptions,
     runner_factory: F,
 ) -> Result<CampaignReport, CampaignError>
@@ -249,36 +331,9 @@ where
     if !invalid.is_empty() {
         return Err(CampaignError::Sweep(SweepError::InvalidParams(invalid)));
     }
-
-    std::fs::create_dir_all(dir)?;
-    let path = journal_path(dir);
-    // Salvage first: a crash can tear the last record, and the torn tail
-    // has no newline — appending without truncating it would fuse the
-    // next record onto the torn bytes and corrupt the rest of the file.
-    let salvaged = iokc_store::journal::truncate_torn_tail(&path)?;
-    let mut state = replay(&path)?;
-    state.torn_tail = salvaged.torn_tail;
     let fingerprint = config_fingerprint(config);
-    if let Some((_, journaled, _)) = &state.header {
-        if *journaled != fingerprint {
-            return Err(CampaignError::Mismatch {
-                expected: fingerprint,
-                found: *journaled,
-            });
-        }
-    }
-
-    let mut writer = JournalWriter::open(&path)?;
-    if state.header.is_none() {
-        writer.append(
-            &Record::Campaign {
-                benchmark: config.name.clone(),
-                fingerprint,
-                total: combos.len(),
-            }
-            .encode(),
-        )?;
-    }
+    let (state, writer) =
+        open_journal(vfs, dir, &config.name, fingerprint, combos.len(), || Ok(()))?;
 
     let pending: VecDeque<usize> = (0..combos.len())
         .filter(|wp| state.is_pending(*wp))
@@ -663,6 +718,8 @@ fn assemble_report(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::campaign::journal_path;
+    use iokc_store::FaultVfs;
     use std::sync::atomic::AtomicU64;
 
     const CONFIG: &str = "\
@@ -672,10 +729,9 @@ step run = work -n $n -o out$wp
 pattern value = result {v:f}
 ";
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("iokc-exec-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// The campaign directory on each test's in-memory disk.
+    fn dir() -> &'static Path {
+        Path::new("/campaign")
     }
 
     fn ok_runner() -> impl FnMut(usize, &str, &str) -> Result<StepOutcome, StepFailure> {
@@ -695,8 +751,9 @@ pattern value = result {v:f}
     #[test]
     fn fresh_campaign_completes_and_matches_sweep() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("fresh");
-        let report = run_campaign(&config, &dir, &CampaignOptions::default(), ok_runner).unwrap();
+        let vfs = FaultVfs::pristine();
+        let report =
+            run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), ok_runner).unwrap();
         assert!(report.summary.is_complete());
         assert_eq!(report.summary.completed, 4);
         assert_eq!(report.summary.replayed, 0);
@@ -705,18 +762,18 @@ pattern value = result {v:f}
         assert_eq!(series.len(), 4);
         assert_eq!(series[1].1, 20.0);
         // One fsynced record per workpackage — its result — and the header.
-        let journal = iokc_store::journal::read_journal(&journal_path(&dir)).unwrap();
+        let journal = iokc_store::journal::read_journal_vfs(&journal_path(dir()), &vfs).unwrap();
         assert_eq!(journal.records.len(), 1 + 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_replays_done_work_without_rerunning() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("resume");
-        let first = run_campaign(&config, &dir, &CampaignOptions::default(), ok_runner).unwrap();
+        let vfs = FaultVfs::pristine();
+        let first =
+            run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), ok_runner).unwrap();
         let ran = AtomicUsize::new(0);
-        let second = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let second = run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), || {
             ran.fetch_add(1, Ordering::SeqCst);
             ok_runner()
         })
@@ -727,34 +784,33 @@ pattern value = result {v:f}
             second.workspace.result_table(&config).render(),
             first.workspace.result_table(&config).render()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn mismatched_config_is_rejected() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("mismatch");
-        run_campaign(&config, &dir, &CampaignOptions::default(), ok_runner).unwrap();
+        let vfs = FaultVfs::pristine();
+        run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), ok_runner).unwrap();
         let other =
             JubeConfig::parse("benchmark demo\nparam n = 9\nstep run = work -n $n -o out$wp\n")
                 .unwrap();
-        let err = run_campaign(&other, &dir, &CampaignOptions::default(), ok_runner).unwrap_err();
+        let err =
+            run_campaign(&other, dir(), &vfs, &CampaignOptions::default(), ok_runner).unwrap_err();
         assert!(matches!(err, CampaignError::Mismatch { .. }), "{err}");
         assert!(err.to_string().contains("different configuration"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn transient_failures_are_retried_then_succeed() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("retry");
+        let vfs = FaultVfs::pristine();
         // Workpackage 2 fails its first two attempts, then succeeds.
         let crashes = Mutex::new(BTreeMap::<usize, u32>::new());
         let options = CampaignOptions {
             retry: RetryPolicy::with_retries(3),
             ..CampaignOptions::default()
         };
-        let report = run_campaign(&config, &dir, &options, || {
+        let report = run_campaign(&config, dir(), &vfs, &options, || {
             |id: usize, step: &str, command: &str| {
                 if id == 2 && step == "run" {
                     let mut crashes = lock(&crashes);
@@ -771,14 +827,13 @@ pattern value = result {v:f}
         assert!(report.summary.is_complete());
         assert_eq!(report.summary.retried, 1);
         assert_eq!(report.workspace.metric_series(&config, "value").len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn permanent_failure_is_quarantined_not_fatal() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("quarantine");
-        let report = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let vfs = FaultVfs::pristine();
+        let report = run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), || {
             |id: usize, step: &str, command: &str| {
                 if id == 1 {
                     return Err(StepFailure::permanent("unparseable flags"));
@@ -794,20 +849,19 @@ pattern value = result {v:f}
         assert_eq!(report.workspace.workpackages.len(), 3);
         // Resume keeps the quarantine decision.
         let ran = AtomicUsize::new(0);
-        let resumed = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let resumed = run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), || {
             ran.fetch_add(1, Ordering::SeqCst);
             ok_runner()
         })
         .unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(resumed.summary.quarantined, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn repeated_transient_failures_hit_the_quarantine_threshold() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("threshold");
+        let vfs = FaultVfs::pristine();
         let options = CampaignOptions {
             retry: RetryPolicy::with_retries(1),
             quarantine_threshold: 3,
@@ -824,26 +878,25 @@ pattern value = result {v:f}
                 ok_runner()(id, step, command)
             }
         };
-        let first = run_campaign(&config, &dir, &options, always_fail).unwrap();
+        let first = run_campaign(&config, dir(), &vfs, &options, always_fail).unwrap();
         assert_eq!(first.summary.failed, 1);
         assert_eq!(first.summary.quarantined, 0);
         assert!(!first.summary.is_complete());
-        let second = run_campaign(&config, &dir, &options, always_fail).unwrap();
+        let second = run_campaign(&config, dir(), &vfs, &options, always_fail).unwrap();
         assert_eq!(second.summary.quarantined, 1, "{}", second.summary);
         assert!(second.summary.is_complete(), "quarantine is terminal");
         assert!(second.quarantined[0].1.contains("3 attempt(s)"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn quarantine_disabled_makes_permanent_failures_fatal() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("fatal");
+        let vfs = FaultVfs::pristine();
         let options = CampaignOptions {
             quarantine_threshold: 0,
             ..CampaignOptions::default()
         };
-        let err = run_campaign(&config, &dir, &options, || {
+        let err = run_campaign(&config, dir(), &vfs, &options, || {
             |id: usize, step: &str, command: &str| {
                 if id == 3 {
                     return Err(StepFailure::permanent("bad combination"));
@@ -860,16 +913,15 @@ pattern value = result {v:f}
         // The journal still holds the completed work: a resume with
         // quarantine enabled finishes the campaign.
         let recovered =
-            run_campaign(&config, &dir, &CampaignOptions::default(), ok_runner).unwrap();
+            run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), ok_runner).unwrap();
         assert!(recovered.summary.is_complete());
         assert!(recovered.summary.replayed >= 1, "{}", recovered.summary);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn virtual_deadline_fails_slow_workpackages() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let dir = scratch("deadline");
+        let vfs = FaultVfs::pristine();
         let options = CampaignOptions {
             wp_deadline_ms: Some(500),
             quarantine_threshold: 0,
@@ -877,7 +929,7 @@ pattern value = result {v:f}
             ..CampaignOptions::default()
         };
         // Workpackage 2 reports 10x the virtual time of its peers.
-        let report = run_campaign(&config, &dir, &options, || {
+        let report = run_campaign(&config, dir(), &vfs, &options, || {
             |id: usize, step: &str, command: &str| {
                 let mut outcome = ok_runner()(id, step, command)?;
                 if id == 2 {
@@ -890,7 +942,6 @@ pattern value = result {v:f}
         assert_eq!(report.summary.failed, 1, "{}", report.summary);
         assert_eq!(report.summary.completed, 3);
         assert!(!report.summary.is_complete());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -899,8 +950,8 @@ pattern value = result {v:f}
             "benchmark wide\nparam n = 1,2,3,4,5,6,7,8,9,10,11,12\nstep run = work -n $n\n",
         )
         .unwrap();
-        let dir = scratch("straggler");
-        let report = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let vfs = FaultVfs::pristine();
+        let report = run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), || {
             |id: usize, _: &str, _: &str| {
                 Ok(StepOutcome {
                     output: String::new(),
@@ -913,7 +964,6 @@ pattern value = result {v:f}
         assert_eq!(report.stragglers[0].id, 7);
         assert_eq!(report.stragglers[0].elapsed_ms, 5_000);
         assert!(report.stragglers[0].p95_ms < 5_000);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -921,7 +971,7 @@ pattern value = result {v:f}
         let config =
             JubeConfig::parse("benchmark wide\nparam n = 1,2,3,4,5,6,7,8\nstep run = work -n $n\n")
                 .unwrap();
-        let dir = scratch("abort");
+        let vfs = FaultVfs::pristine();
         let abort = Arc::new(AtomicBool::new(false));
         let done_before_abort = AtomicU64::new(0);
         let options = CampaignOptions {
@@ -929,7 +979,7 @@ pattern value = result {v:f}
             abort: Some(Arc::clone(&abort)),
             ..CampaignOptions::default()
         };
-        let report = run_campaign(&config, &dir, &options, || {
+        let report = run_campaign(&config, dir(), &vfs, &options, || {
             let abort = Arc::clone(&abort);
             let done = &done_before_abort;
             move |_: usize, _: &str, _: &str| {
@@ -942,12 +992,48 @@ pattern value = result {v:f}
         .unwrap();
         assert!(report.aborted);
         assert!(!report.summary.is_complete());
-        let finished = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let finished = run_campaign(&config, dir(), &vfs, &CampaignOptions::default(), || {
             |_: usize, _: &str, _: &str| Ok(StepOutcome::wall("out".to_owned()))
         })
         .unwrap();
         assert!(finished.summary.is_complete(), "{}", finished.summary);
         assert_eq!(finished.summary.total, 8);
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn summary_accounting() {
+        let summary = CampaignSummary {
+            total: 16,
+            completed: 12,
+            replayed: 5,
+            retried: 2,
+            quarantined: 4,
+            failed: 0,
+            cancelled: 0,
+        };
+        assert!(summary.is_complete());
+        assert_eq!(summary.remaining(), 0);
+        let text = summary.to_string();
+        assert!(text.contains("12/16 done"));
+        assert!(text.contains("4 quarantined"));
+
+        let partial = CampaignSummary {
+            total: 16,
+            completed: 6,
+            ..CampaignSummary::default()
+        };
+        assert!(!partial.is_complete());
+        assert_eq!(partial.remaining(), 10);
+    }
+
+    #[test]
+    fn straggler_display() {
+        let s = StragglerReport {
+            id: 7,
+            elapsed_ms: 900,
+            p95_ms: 300,
+        };
+        assert!(s.to_string().contains("000007"));
+        assert!(s.to_string().contains("900 ms"));
     }
 }

@@ -1,10 +1,11 @@
-//! Workpackage execution and result tables.
+//! Workpackages and result tables.
 //!
 //! JUBE "creates a subdirectory for each benchmark iteration and stores
-//! the corresponding output" (§V-A). Here a [`Workspace`] holds the run
-//! tree — numbered workpackages with their parameter values, executed
-//! commands and captured outputs — and result tables are extracted with
-//! the declared patterns.
+//! the corresponding output" (§V-A). Here a [`Workspace`] holds what a
+//! campaign ([`crate::executor::run_campaign`]) completed — numbered
+//! workpackages with their parameter values, executed commands and
+//! captured outputs — and result tables are extracted with the declared
+//! patterns.
 
 use crate::config::{substitute, JubeConfig};
 use iokc_util::table::TextTable;
@@ -200,42 +201,6 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// JUBE-style run-tree listing (`<bench>/000000/run_stdout` …).
-    #[must_use]
-    pub fn tree(&self) -> Vec<String> {
-        let mut paths = Vec::new();
-        for wp in &self.workpackages {
-            for (step, _) in &wp.outputs {
-                paths.push(format!("{}/{:06}/{step}_stdout", self.benchmark, wp.id));
-            }
-        }
-        paths
-    }
-
-    /// Write the run tree to disk exactly as JUBE does: one numbered
-    /// directory per workpackage holding a `<step>_stdout` file per step
-    /// plus a `configuration.txt` with the parameter values and the
-    /// executed commands. Returns the created root directory.
-    pub fn materialize(&self, root: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let bench_root = root.join(&self.benchmark);
-        for wp in &self.workpackages {
-            let dir = bench_root.join(format!("{:06}", wp.id));
-            std::fs::create_dir_all(&dir)?;
-            let mut configuration = String::new();
-            for (name, value) in &wp.params {
-                configuration.push_str(&format!("{name} = {value}\n"));
-            }
-            for (step, command) in &wp.commands {
-                configuration.push_str(&format!("step {step}: {command}\n"));
-            }
-            std::fs::write(dir.join("configuration.txt"), configuration)?;
-            for (step, output) in &wp.outputs {
-                std::fs::write(dir.join(format!("{step}_stdout")), output)?;
-            }
-        }
-        Ok(bench_root)
-    }
-
     /// Extract the declared patterns from every workpackage's outputs and
     /// build the result table: one row per workpackage, parameter columns
     /// first, then one column per metric (first match wins; empty when a
@@ -299,71 +264,17 @@ impl Workspace {
     }
 }
 
-/// Execute a configuration, one workpackage after the other. The runner
-/// receives the workpackage id, the step name and the concrete command,
-/// and returns the captured output.
-///
-/// Every combination is validated up front: the runner is never invoked
-/// when any combination fails substitution, and *all* invalid
-/// combinations are reported at once. For parallel, durable, supervised
-/// execution (journal, retries, quarantine, resume) use
-/// [`crate::executor::run_campaign`] instead.
-pub fn run_sweep<F>(config: &JubeConfig, mut runner: F) -> Result<Workspace, SweepError>
-where
-    F: FnMut(usize, &str, &str) -> Result<String, String>,
-{
-    let combos = config.expand();
-    let invalid = validate_combos(config, &combos);
-    if !invalid.is_empty() {
-        return Err(SweepError::InvalidParams(invalid));
-    }
-    let mut workpackages = Vec::with_capacity(combos.len());
-    for (id, params) in combos.into_iter().enumerate() {
-        workpackages.push(run_workpackage(config, id, params, &mut runner)?);
-    }
-    Ok(Workspace {
-        benchmark: config.name.clone(),
-        workpackages,
-    })
-}
-
-fn run_workpackage<F>(
-    config: &JubeConfig,
-    id: usize,
-    params: BTreeMap<String, String>,
-    runner: &mut F,
-) -> Result<Workpackage, SweepError>
-where
-    F: FnMut(usize, &str, &str) -> Result<String, String>,
-{
-    let mut wp = Workpackage {
-        id,
-        params,
-        commands: Vec::new(),
-        outputs: Vec::new(),
-    };
-    // Make the workpackage id available for substitution (unique paths).
-    let mut values = wp.params.clone();
-    values.insert("wp".to_owned(), format!("{id:06}"));
-    for step in &config.steps {
-        let command = substitute(&step.template, &values);
-        let output = runner(id, &step.name, &command).map_err(|message| SweepError::Step {
-            workpackage: id,
-            params: wp.params.clone(),
-            step: step.name.clone(),
-            message,
-        })?;
-        wp.commands.push((step.name.clone(), command));
-        wp.outputs.push((step.name.clone(), output));
-    }
-    Ok(wp)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignError;
     use crate::config::JubeConfig;
+    use crate::executor::{run_campaign, CampaignOptions, StepFailure, StepOutcome};
+    use iokc_core::resilience::RetryPolicy;
+    use iokc_store::FaultVfs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     const CONFIG: &str = "\
 benchmark demo
@@ -372,20 +283,40 @@ step run = work -n $n -o out$wp
 pattern value = result {v:f}
 ";
 
-    fn fake_runner(_: usize, _: &str, command: &str) -> Result<String, String> {
+    /// Run `config` one workpackage after the other on an in-memory
+    /// disk, a failing step ending the sweep.
+    fn sweep<F, R>(config: &JubeConfig, runner_factory: F) -> Result<Workspace, CampaignError>
+    where
+        F: Fn() -> R + Sync,
+        R: FnMut(usize, &str, &str) -> Result<StepOutcome, StepFailure>,
+    {
+        let options = CampaignOptions {
+            max_parallel: 1,
+            retry: RetryPolicy::none(),
+            quarantine_threshold: 0,
+            ..CampaignOptions::default()
+        };
+        let dir = std::path::Path::new("/campaign");
+        run_campaign(config, dir, &FaultVfs::pristine(), &options, runner_factory)
+            .map(|report| report.workspace)
+    }
+
+    fn fake_runner() -> impl FnMut(usize, &str, &str) -> Result<StepOutcome, StepFailure> {
         // "work -n K ..." → result K*10
-        let n: f64 = command
-            .split_whitespace()
-            .nth(2)
-            .and_then(|v| v.parse().ok())
-            .ok_or("bad command")?;
-        Ok(format!("header\nresult {}\n", n * 10.0))
+        |_, _, command: &str| {
+            let n: f64 = command
+                .split_whitespace()
+                .nth(2)
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| StepFailure::permanent("bad command"))?;
+            Ok(StepOutcome::wall(format!("header\nresult {}\n", n * 10.0)))
+        }
     }
 
     #[test]
     fn sequential_sweep_runs_all_workpackages() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let workspace = run_sweep(&config, fake_runner).unwrap();
+        let workspace = sweep(&config, fake_runner).unwrap();
         assert_eq!(workspace.workpackages.len(), 3);
         assert_eq!(
             workspace.workpackages[0].commands[0].1,
@@ -395,14 +326,13 @@ pattern value = result {v:f}
             workspace.workpackages[2].commands[0].1,
             "work -n 3 -o out000002"
         );
-        let tree = workspace.tree();
-        assert_eq!(tree[0], "demo/000000/run_stdout");
+        assert_eq!(workspace.workpackages[0].outputs[0].0, "run");
     }
 
     #[test]
     fn result_table_extracts_metrics() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let workspace = run_sweep(&config, fake_runner).unwrap();
+        let workspace = sweep(&config, fake_runner).unwrap();
         let table = workspace.result_table(&config);
         let rendered = table.render();
         assert!(rendered.contains("wp"));
@@ -417,14 +347,19 @@ pattern value = result {v:f}
     #[test]
     fn step_failure_is_reported_with_location_and_params() {
         let config = JubeConfig::parse(CONFIG).unwrap();
-        let err = run_sweep(&config, |id, _, _| {
-            if id == 1 {
-                Err("boom".to_owned())
-            } else {
-                Ok("result 1\n".to_owned())
+        let err = sweep(&config, || {
+            |id: usize, _: &str, _: &str| {
+                if id == 1 {
+                    Err(StepFailure::permanent("boom"))
+                } else {
+                    Ok(StepOutcome::wall("result 1\n".to_owned()))
+                }
             }
         })
         .unwrap_err();
+        let CampaignError::Sweep(err) = err else {
+            panic!("expected a sweep error, got {err:?}");
+        };
         assert_eq!(err.workpackage(), Some(1));
         assert_eq!(err.step(), Some("run"));
         let line = err.to_string();
@@ -438,21 +373,20 @@ pattern value = result {v:f}
 
     #[test]
     fn invalid_substitutions_are_reported_all_at_once() {
-        // `$ghost` is never defined; `$m` only for some combos? No — all
-        // combos miss both, so every combination is invalid. The runner
-        // must never run.
+        // `$ghost` is never defined, so every combination is invalid.
+        // No runner may be built.
         let config = JubeConfig::parse(
             "benchmark bad\nparam n = 1, 2, 3\nstep run = work -n $n -x $ghost\n",
         )
         .unwrap();
-        let mut ran = 0;
-        let err = run_sweep(&config, |_, _, _| {
-            ran += 1;
-            Ok(String::new())
+        let ran = AtomicUsize::new(0);
+        let err = sweep(&config, || {
+            ran.fetch_add(1, Ordering::SeqCst);
+            fake_runner()
         })
         .unwrap_err();
-        assert_eq!(ran, 0);
-        let SweepError::InvalidParams(combos) = &err else {
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        let CampaignError::Sweep(SweepError::InvalidParams(combos)) = &err else {
             panic!("expected InvalidParams, got {err:?}");
         };
         assert_eq!(combos.len(), 3, "every invalid combination is listed");
@@ -475,35 +409,18 @@ pattern value = result {v:f}
     }
 
     #[test]
-    fn materialize_writes_the_jube_tree() {
-        let config = JubeConfig::parse(CONFIG).unwrap();
-        let workspace = run_sweep(&config, fake_runner).unwrap();
-        let root = std::env::temp_dir().join("iokc-jube-materialize");
-        let _ = std::fs::remove_dir_all(&root);
-        let bench_root = workspace.materialize(&root).unwrap();
-        assert!(bench_root.ends_with("demo"));
-        for wp in 0..3 {
-            let dir = bench_root.join(format!("{wp:06}"));
-            let stdout = std::fs::read_to_string(dir.join("run_stdout")).unwrap();
-            assert!(stdout.contains("result"));
-            let configuration = std::fs::read_to_string(dir.join("configuration.txt")).unwrap();
-            assert!(configuration.contains("n = "));
-            assert!(configuration.contains("step run: work -n"));
-        }
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn dependent_steps_execute_in_order() {
         let config =
             JubeConfig::parse("step first = alpha\nstep second after first = beta\n").unwrap();
-        let mut order = Vec::new();
-        let workspace = run_sweep(&config, |_, step, _| {
-            order.push(step.to_owned());
-            Ok(String::new())
+        let order = Mutex::new(Vec::new());
+        let workspace = sweep(&config, || {
+            |_: usize, step: &str, _: &str| {
+                order.lock().unwrap().push(step.to_owned());
+                Ok(StepOutcome::wall(String::new()))
+            }
         })
         .unwrap();
-        assert_eq!(order, vec!["first", "second"]);
+        assert_eq!(order.into_inner().unwrap(), vec!["first", "second"]);
         assert_eq!(workspace.workpackages[0].outputs.len(), 2);
     }
 }

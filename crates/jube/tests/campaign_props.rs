@@ -14,6 +14,7 @@ use iokc_jube::campaign::replay;
 use iokc_jube::{
     journal_path, run_campaign, CampaignOptions, JubeConfig, StepFailure, StepOutcome,
 };
+use iokc_store::StdVfs;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -31,6 +32,7 @@ pattern v = value {v:f}
 fn scratch(tag: &str, case: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iokc-props-{tag}-{case}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("campaign dir");
     dir
 }
 
@@ -62,7 +64,7 @@ proptest! {
 
         // Reference: an uninterrupted campaign and its journal bytes.
         let reference =
-            run_campaign(&config, &dir, &CampaignOptions::default(), runner).expect("reference");
+            run_campaign(&config, &dir, &StdVfs, &CampaignOptions::default(), runner).expect("reference");
         let reference_table = reference.workspace.result_table(&config).render();
         let path = journal_path(&dir);
         let full = std::fs::metadata(&path).expect("journal metadata").len();
@@ -75,7 +77,7 @@ proptest! {
 
         // Resume: only workpackages whose completion was lost re-run.
         let executed = Mutex::new(BTreeSet::new());
-        let resumed = run_campaign(&config, &dir, &CampaignOptions::default(), || {
+        let resumed = run_campaign(&config, &dir, &StdVfs, &CampaignOptions::default(), || {
             let executed = &executed;
             move |wp: usize, step: &str, command: &str| {
                 executed
@@ -108,7 +110,7 @@ proptest! {
 
         // Uninterrupted run.
         let dir_fresh = scratch("fresh", case);
-        let fresh = run_campaign(&config, &dir_fresh, &CampaignOptions::default(), runner)
+        let fresh = run_campaign(&config, &dir_fresh, &StdVfs, &CampaignOptions::default(), runner)
             .expect("fresh");
         let fresh_table = fresh.workspace.result_table(&config).render();
 
@@ -121,7 +123,7 @@ proptest! {
             abort: Some(Arc::clone(&abort)),
             ..CampaignOptions::default()
         };
-        let crashed = run_campaign(&config, &dir_crash, &options, || {
+        let crashed = run_campaign(&config, &dir_crash, &StdVfs, &options, || {
             let abort = Arc::clone(&abort);
             let completed = &completed;
             move |wp: usize, step: &str, command: &str| {
@@ -135,7 +137,7 @@ proptest! {
         .expect("crashed run");
         prop_assert!(crashed.aborted || crashed.summary.is_complete());
 
-        let resumed = run_campaign(&config, &dir_crash, &CampaignOptions::default(), runner)
+        let resumed = run_campaign(&config, &dir_crash, &StdVfs, &CampaignOptions::default(), runner)
             .expect("resume");
         prop_assert!(resumed.summary.is_complete());
         prop_assert_eq!(

@@ -68,12 +68,6 @@ impl Clock {
         }
     }
 
-    /// A fresh virtual clock starting at zero.
-    #[must_use]
-    pub fn virtual_clock() -> Clock {
-        Clock::Virtual(VirtualClock::new())
-    }
-
     /// Nanoseconds since this clock's epoch.
     #[must_use]
     pub fn now_ns(&self) -> u64 {

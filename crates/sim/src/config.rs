@@ -245,17 +245,6 @@ impl SystemConfig {
     }
 }
 
-/// How many bytes per 4 MiB block a file of this config stores on each of
-/// its stripe targets — a helper used in capacity sanity checks.
-#[must_use]
-pub fn bytes_per_target(block: u64, chunk: u64, stripe: u32) -> u64 {
-    if stripe == 0 {
-        return 0;
-    }
-    let chunks = block / chunk;
-    (chunks / u64::from(stripe)) * chunk + block % chunk
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {

@@ -329,11 +329,6 @@ impl World {
         self.faults = faults;
     }
 
-    /// Add a fault to the active plan.
-    pub fn add_fault(&mut self, fault: crate::faults::Fault) {
-        self.faults.push(fault);
-    }
-
     /// An empty script set for `np` ranks over the path table of the set
     /// this world ran last, so that the phases of a run resolve each name
     /// once: run after that one, it resolves only the names it adds.

@@ -249,13 +249,6 @@ impl Namespace {
         !matches!(self.table[id.index()].node, Node::Absent)
     }
 
-    /// The metadata server responsible for `path` (by parent-dir hash, as
-    /// BeeGFS assigns inode ownership).
-    #[must_use]
-    pub fn mds_for(&self, path: &str) -> u32 {
-        self.mds_by_hash(stable_hash(parent_dir(path)))
-    }
-
     pub(crate) fn mds_at(&self, id: NameId) -> u32 {
         let parent = self.table[id.index()].parent;
         self.mds_by_hash(self.table[parent.index()].hash)

@@ -12,14 +12,16 @@
 use iokc_benchmarks::ior::{run_ior, IorConfig};
 use iokc_core::model::Knowledge;
 use iokc_extract::parse_ior_output;
-use iokc_jube::{run_sweep, JubeConfig};
+use iokc_jube::{run_campaign, CampaignOptions, JubeConfig, StepFailure, StepOutcome};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
+use iokc_store::FaultVfs;
 use iokc_usage::predict::{pattern_features, train_bandwidth_model};
+use std::path::Path;
 
 fn main() {
-    // The sweep: transfer size × block size, executed by the JUBE engine.
+    // The sweep: transfer size × block size, run as a JUBE campaign.
     let config = JubeConfig::parse(
         "benchmark prediction-corpus\n\
          param xfer = 256k, 512k, 1m, 2m\n\
@@ -28,22 +30,30 @@ fn main() {
     )
     .expect("sweep config parses");
 
-    let workspace = run_sweep(&config, |wp, _step, command| {
-        let ior = IorConfig::parse_command(command).map_err(|e| e.to_string())?;
-        let mut world = World::new(
-            SystemConfig::fuchs_csc().with_noise(0.01),
-            FaultPlan::none(),
-            4242 + wp as u64,
-        );
-        let result = run_ior(&mut world, JobLayout::new(40, 20), &ior, wp as u64)
-            .map_err(|e| e.to_string())?;
-        Ok(result.render())
-    })
+    // An in-memory disk holds the campaign journal: nothing to resume.
+    let report = run_campaign(
+        &config,
+        Path::new("prediction-corpus"),
+        &FaultVfs::pristine(),
+        &CampaignOptions::default(),
+        || {
+            |wp: usize, _step: &str, command: &str| {
+                let ior = IorConfig::parse_command(command)
+                    .map_err(|e| StepFailure::permanent(e.to_string()))?;
+                let mut world = World::new(
+                    SystemConfig::fuchs_csc().with_noise(0.01),
+                    FaultPlan::none(),
+                    4242 + wp as u64,
+                );
+                let result = run_ior(&mut world, JobLayout::new(40, 20), &ior, wp as u64)
+                    .map_err(|e| StepFailure::transient(e.to_string()))?;
+                Ok(StepOutcome::wall(result.render()))
+            }
+        },
+    )
     .expect("sweep executes");
-    println!(
-        "sweep complete: {} workpackages\n",
-        workspace.workpackages.len()
-    );
+    let workspace = report.workspace;
+    println!("sweep complete: {}\n", report.summary);
 
     // Extract a knowledge object per workpackage.
     let corpus: Vec<Knowledge> = workspace

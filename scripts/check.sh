@@ -189,9 +189,12 @@ cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "
 # planner (or the per-kind constructors of the one left), a
 # queue-depth mirror beside the handler pool's queue, a second
 # filter language, view input or HTML escaper, a crash harness
-# beside the store model, and a second segment reader (the segment
-# document decoder, or a body location that may be absent).
-echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model, one segment reader"
+# beside the store model, a second segment reader (the segment
+# document decoder, or a body location that may be absent), a second
+# sweep executor (the sequential `run_sweep` loop and the campaign
+# vocabulary it needed in core), a second simulated `mkdir -p`, and
+# functions deleted for having no caller.
+echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model, one segment reader, one sweep executor"
 # `! grep` alone would not stop the script: `set -e` ignores a negated
 # command's failure.
 stays_deleted() {
@@ -205,6 +208,9 @@ stays_deleted "NetFaultPlan\|FaultState\|scatter_faults\|stall_at\|note_queued\|
 stays_deleted "KnowledgeFilter\|value_of_summary\|compare_summaries\|overview_series\|fn query_predicate\|struct RunsQuery\|fn html_escape"
 stays_deleted "run_workload\|run_segmented_workload\|run_adoption_workload\|assert_one_generation\|crash_at_any_fsync"
 stays_deleted "fn read_document(\|legacy_document\|SEGMENT_FORMAT\|AdoptedLog\|write_compact_io\|is_log"
+stays_deleted "run_sweep\|fn run_workpackage<\|WorkState"
+stays_deleted "fn ensure_dirs\|ensure_parent_dirs"
+stays_deleted "fn add_fault\|fn bytes_per_target\|fn mds_for\|fn max_rate(\|fn virtual_clock("
 
 # Benchmark smoke: perfbench is a package of its own, compiled against
 # the crates' public API from outside the workspace, so a refactor that

@@ -13,6 +13,7 @@ use iokc_core::resilience::RetryPolicy;
 use iokc_jube::campaign::replay;
 use iokc_jube::{journal_path, run_campaign, CampaignOptions, JubeConfig};
 use iokc_sim::faults::CrashSchedule;
+use iokc_store::StdVfs;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,6 +36,7 @@ const POISONED: usize = 4; // the xfer=bogus block, wp ids 12..=15
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iokc-e2e-campaign-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("campaign dir");
     dir
 }
 
@@ -55,8 +57,8 @@ fn campaign_survives_worker_crash_process_death_and_poisoned_params() {
     // ---- Phase A: uninterrupted reference run -------------------------
     let dir_a = scratch("reference");
     let hooks = SimCampaignRunner::new(42, 8, 4);
-    let reference =
-        run_campaign(&config, &dir_a, &options(), || hooks.runner()).expect("reference campaign");
+    let reference = run_campaign(&config, &dir_a, &StdVfs, &options(), || hooks.runner())
+        .expect("reference campaign");
     assert!(
         reference.summary.is_complete(),
         "quarantined combinations must not fail the sweep: {}",
@@ -88,7 +90,7 @@ fn campaign_survives_worker_crash_process_death_and_poisoned_params() {
         abort: Some(Arc::clone(&abort)),
         ..options()
     };
-    let crashed = run_campaign(&config, &dir_b, &crash_options, || {
+    let crashed = run_campaign(&config, &dir_b, &StdVfs, &crash_options, || {
         let mut inner = hooks.runner();
         let abort = Arc::clone(&abort);
         let completions = &completions;
@@ -120,7 +122,7 @@ fn campaign_survives_worker_crash_process_death_and_poisoned_params() {
 
     let executed = Mutex::new(BTreeSet::new());
     let hooks = SimCampaignRunner::new(42, 8, 4);
-    let resumed = run_campaign(&config, &dir_b, &options(), || {
+    let resumed = run_campaign(&config, &dir_b, &StdVfs, &options(), || {
         let mut inner = hooks.runner();
         let executed = &executed;
         move |wp: usize, step: &str, command: &str| {
@@ -164,12 +166,12 @@ fn resume_rejects_a_different_configuration() {
     let config = JubeConfig::parse(CONFIG).expect("valid config");
     let dir = scratch("mismatch");
     let hooks = SimCampaignRunner::new(42, 4, 4);
-    run_campaign(&config, &dir, &options(), || hooks.runner()).expect("campaign");
+    run_campaign(&config, &dir, &StdVfs, &options(), || hooks.runner()).expect("campaign");
     let other = JubeConfig::parse(
         "benchmark other\nparam xfer = 1m\nstep run = ior -a mpiio -t $xfer -b 4m -s 1 -i 1 -o /scratch/m$wp/t -k\n",
     )
     .expect("valid config");
-    let err = run_campaign(&other, &dir, &options(), || hooks.runner())
+    let err = run_campaign(&other, &dir, &StdVfs, &options(), || hooks.runner())
         .expect_err("fingerprint mismatch");
     assert!(
         matches!(err, iokc_jube::CampaignError::Mismatch { .. }),

@@ -10,14 +10,25 @@
 //! end in the run set of the uninterrupted run, byte for byte, with the
 //! campaign journal its one header record. And the campaign pays for
 //! durability per batch, not per point.
+//!
+//! A sweep campaign (`iokc sweep`'s executor) is crashed the same way,
+//! at every operation and at every barrier of its journal: every image
+//! resumes to the result table of the uninterrupted run, and no
+//! workpackage whose result was durable runs again.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use iokc_benchmarks::corpus::generate;
 use iokc_benchmarks::CorpusSpec;
 use iokc_core::model::{Knowledge, KnowledgeItem, KnowledgeSource};
 use iokc_extract::Io500Extractor;
+use iokc_jube::campaign::replay_vfs;
+use iokc_jube::{
+    run_campaign, CampaignError, CampaignOptions, CampaignReport, JubeConfig, StepFailure,
+    StepOutcome,
+};
 use iokc_store::journal::read_journal_vfs;
 use iokc_store::{
     DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, KnowledgeStore, Query, RunKind,
@@ -226,5 +237,108 @@ fn corpus_generation_pays_no_barrier_per_point() {
         large - small < 8,
         "64 more points cost {} more barriers",
         large - small
+    );
+}
+
+const SWEEP: &str = "\
+benchmark power-loss
+param n = 1, 2, 3, 4
+step run = work -n $n -o out$wp
+pattern value = result {v:f}
+";
+
+/// Run (or resume) the four-workpackage sweep on `vfs`, one workpackage
+/// at a time, noting in `ran` every workpackage a step ran for.
+fn power_loss_sweep(
+    vfs: &FaultVfs,
+    ran: &Mutex<Vec<usize>>,
+) -> Result<CampaignReport, CampaignError> {
+    let config = JubeConfig::parse(SWEEP).expect("config parses");
+    let options = CampaignOptions {
+        max_parallel: 1,
+        ..CampaignOptions::default()
+    };
+    run_campaign(&config, &campaign_dir(), vfs, &options, || {
+        |wp: usize, _: &str, command: &str| -> Result<StepOutcome, StepFailure> {
+            ran.lock().expect("ran lock").push(wp);
+            let n: f64 = command
+                .split_whitespace()
+                .nth(2)
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| StepFailure::permanent("bad command"))?;
+            Ok(StepOutcome {
+                output: format!("result {}\n", n * 10.0),
+                virtual_ms: 10,
+            })
+        }
+    })
+}
+
+#[test]
+fn a_campaign_resumes_to_the_uninterrupted_table_from_every_power_loss() {
+    let config = JubeConfig::parse(SWEEP).expect("config parses");
+    let probe = FaultVfs::pristine();
+    let reference = power_loss_sweep(&probe, &Mutex::new(Vec::new()))
+        .expect("fault-free campaign")
+        .workspace
+        .result_table(&config)
+        .render();
+    let crash_points: Vec<(u64, DiskFault)> = (0..probe.op_count())
+        .map(|op| (op, DiskFault::Crash))
+        .chain((0..probe.sync_count()).map(|sync| (sync, DiskFault::CrashSync)))
+        .collect();
+
+    let mut images = 0;
+    for &(at, kind) in &crash_points {
+        let vfs = FaultVfs::new(FaultPlan::at(at, kind));
+        let crashed = power_loss_sweep(&vfs, &Mutex::new(Vec::new()));
+        assert!(vfs.crashed(), "{kind:?} at {at} never fired");
+        assert!(
+            crashed.is_err(),
+            "{kind:?} at {at}: a lost journal write is an error"
+        );
+        for state in vfs.crash_states() {
+            let svfs = FaultVfs::from_state(state);
+            let journal = iokc_jube::journal_path(&campaign_dir());
+            let durable: BTreeSet<usize> = replay_vfs(&journal, &svfs)
+                .expect("image replays")
+                .done
+                .into_keys()
+                .collect();
+            let ran = Mutex::new(Vec::new());
+            let resumed = power_loss_sweep(&svfs, &ran)
+                .unwrap_or_else(|e| panic!("{kind:?} at {at}: resume failed: {e}"));
+            assert!(
+                resumed.summary.is_complete(),
+                "{kind:?} at {at}: {}",
+                resumed.summary
+            );
+            assert_eq!(
+                resumed.workspace.result_table(&config).render(),
+                reference,
+                "{kind:?} at {at}: resumed table differs from the uninterrupted one"
+            );
+            let ran = ran.into_inner().expect("ran lock");
+            assert!(
+                ran.iter().all(|wp| !durable.contains(wp)),
+                "{kind:?} at {at}: durable workpackages {durable:?} ran again: {ran:?}"
+            );
+            assert_eq!(resumed.summary.replayed, durable.len(), "{kind:?} at {at}");
+            // What the resume journaled is readable: a second one runs
+            // nothing.
+            let ran = Mutex::new(Vec::new());
+            let again = power_loss_sweep(&svfs, &ran).expect("second resume");
+            let ran = ran.into_inner().expect("ran lock");
+            assert!(
+                ran.is_empty(),
+                "{kind:?} at {at}: a second resume ran {ran:?}"
+            );
+            assert_eq!(again.summary.replayed, 4, "{kind:?} at {at}");
+            images += 1;
+        }
+    }
+    eprintln!(
+        "campaign power-loss enumeration: {} crash points, {images} images",
+        crash_points.len()
     );
 }

@@ -16,7 +16,7 @@ use iokc_obs::{build_span_tree, Clock, Event, MemorySink, Recorder, SpanStatus, 
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
-use iokc_store::{JournalEventSink, KnowledgeStore};
+use iokc_store::{JournalEventSink, KnowledgeStore, StdVfs};
 use iokc_usage::RegenerateUsage;
 
 fn sim_cycle(seed: u64) -> KnowledgeCycle {
@@ -160,7 +160,7 @@ fn crash_at_workpackage_k_leaves_a_salvageable_event_log() {
             recorder: Some(Arc::clone(&recorder)),
             ..CampaignOptions::default()
         };
-        let report = run_campaign(&config, &dir, &options, || {
+        let report = run_campaign(&config, &dir, &StdVfs, &options, || {
             let abort = Arc::clone(&abort);
             let completed = Arc::clone(&completed);
             move |_wp: usize, _step: &str, _command: &str| -> Result<StepOutcome, StepFailure> {

@@ -5,12 +5,14 @@
 use iokc_benchmarks::ior::{run_ior, IorConfig};
 use iokc_core::model::Knowledge;
 use iokc_extract::parse_ior_output;
-use iokc_jube::{run_sweep, JubeConfig};
+use iokc_jube::{run_campaign, CampaignOptions, JubeConfig, StepFailure, StepOutcome, Workspace};
 use iokc_sim::engine::{JobLayout, World};
 use iokc_sim::faults::FaultPlan;
 use iokc_sim::prelude::SystemConfig;
+use iokc_store::FaultVfs;
 use iokc_usage::predict::{pattern_features, train_bandwidth_model};
 use iokc_usage::{derive_workload, generate_jube_config};
+use std::path::Path;
 
 const SWEEP: &str = "\
 benchmark xfer-sweep
@@ -31,10 +33,30 @@ fn runner(wp: usize, _step: &str, command: &str) -> Result<String, String> {
     Ok(result.render())
 }
 
+/// Run `config` as a campaign of [`runner`] steps on an in-memory disk.
+fn campaign(config: &JubeConfig) -> Workspace {
+    let options = CampaignOptions::default();
+    run_campaign(
+        config,
+        Path::new("/sweep"),
+        &FaultVfs::pristine(),
+        &options,
+        || {
+            |wp: usize, step: &str, command: &str| {
+                runner(wp, step, command)
+                    .map(StepOutcome::wall)
+                    .map_err(StepFailure::permanent)
+            }
+        },
+    )
+    .unwrap()
+    .workspace
+}
+
 #[test]
 fn sweep_extracts_metric_series() {
     let config = JubeConfig::parse(SWEEP).unwrap();
-    let workspace = run_sweep(&config, runner).unwrap();
+    let workspace = campaign(&config);
     assert_eq!(workspace.workpackages.len(), 6);
     let series = workspace.metric_series(&config, "write_bw");
     assert_eq!(series.len(), 6);
@@ -58,7 +80,7 @@ fn sweep_extracts_metric_series() {
 #[test]
 fn corpus_trains_a_useful_predictor() {
     let config = JubeConfig::parse(SWEEP).unwrap();
-    let workspace = run_sweep(&config, runner).unwrap();
+    let workspace = campaign(&config);
     let corpus: Vec<Knowledge> = workspace
         .workpackages
         .iter()
@@ -95,7 +117,7 @@ fn workload_generation_closes_the_loop() {
     // commands, and run one of them — generated configurations must be
     // executable (§IV, workload generation use case).
     let config = JubeConfig::parse(SWEEP).unwrap();
-    let workspace = run_sweep(&config, runner).unwrap();
+    let workspace = campaign(&config);
     let corpus: Vec<Knowledge> = workspace
         .workpackages
         .iter()
@@ -126,6 +148,6 @@ fn usage_generated_jube_config_parses_and_runs() {
         &sweeps,
     );
     let config = JubeConfig::parse(&text).expect("generated config parses");
-    let workspace = run_sweep(&config, runner).unwrap();
+    let workspace = campaign(&config);
     assert_eq!(workspace.workpackages.len(), 2);
 }
