@@ -121,7 +121,7 @@ fn run_sim_step(
     };
     Ok(StepOutcome {
         output,
-        virtual_ms: world.now().nanos() / 1_000_000,
+        virtual_ns: Some(world.now().nanos()),
     })
 }
 

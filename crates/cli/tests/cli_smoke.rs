@@ -393,3 +393,32 @@ fn jube_is_a_sweep_that_leaves_no_file_behind() {
     assert_eq!(summary(jube_head), summary(sweep_head));
     assert!(jube_head.contains("2/2 done"), "{jube_head}");
 }
+
+#[test]
+fn jube_prints_the_same_bytes_every_run() {
+    // 500 workpackages of 64 KiB IOR steps: each simulates in well
+    // under a millisecond, so the table, straggler lines included,
+    // holds only if elapsed times come from the virtual clock.
+    let dir = tempdir("jube-repeat");
+    let values = |n: u32| {
+        (1..=n)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let config = format!(
+        "benchmark repeat\nparam a = {}\nparam b = {}\n\
+         step run = ior -a posix -t 64k -b 64k -s 1 -i 1 -o /scratch/w$wp/f -k\n\
+         pattern bw = Max Write: {{bw:f}} MiB/sec\n",
+        values(20),
+        values(25)
+    );
+    std::fs::write(dir.join("repeat.jube"), config).expect("write config");
+    let args = ["jube", "repeat.jube", "--tasks", "1", "--seed", "7"];
+    let first = stdout(&iokc(&dir, &args));
+    assert!(
+        first.starts_with("campaign `repeat` in memory: 500/500 done"),
+        "{first}"
+    );
+    assert_eq!(stdout(&iokc(&dir, &args)), first);
+}

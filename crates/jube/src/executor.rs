@@ -47,10 +47,10 @@ const STRAGGLER_MIN_PEERS: usize = 8;
 pub struct StepOutcome {
     /// Captured stdout.
     pub output: String,
-    /// Virtual milliseconds the step consumed in its simulated world
-    /// (`0` when the runner has no virtual clock — the executor then
-    /// falls back to wall time for deadlines).
-    pub virtual_ms: u64,
+    /// Virtual nanoseconds the step consumed in its simulated world
+    /// (`None` when the runner has no virtual clock — the executor then
+    /// falls back to wall time for deadlines and stragglers).
+    pub virtual_ns: Option<u64>,
 }
 
 impl StepOutcome {
@@ -59,7 +59,7 @@ impl StepOutcome {
     pub fn wall(output: String) -> StepOutcome {
         StepOutcome {
             output,
-            virtual_ms: 0,
+            virtual_ns: None,
         }
     }
 }
@@ -421,20 +421,15 @@ where
     R: FnMut(usize, &str, &str) -> Result<StepOutcome, StepFailure>,
 {
     let options = shared.options;
-    let span = shared.recorder().map(|recorder| {
-        recorder.start_span(
-            &format!("wp{id:06}"),
-            shared.root_span,
-            None,
-            Some("workpackage"),
-        )
-    });
+    let name = format!("wp{id:06}");
+    let span = (shared.recorder())
+        .map(|recorder| recorder.start_span(&name, shared.root_span, None, Some("workpackage")));
     let start = Instant::now();
-    let mut virtual_ms = 0u64;
+    let mut virtual_ns = None;
     let mut attempts_this_run = 0u32;
     let status = loop {
         attempts_this_run += 1;
-        let attempt = run_one_attempt(shared, runner_factory, id, start, &mut virtual_ms);
+        let attempt = run_one_attempt(shared, runner_factory, id, start, &mut virtual_ns);
         match attempt {
             Attempt::Discarded => break SpanStatus::Cancelled,
             Attempt::Done(wp) => {
@@ -444,7 +439,7 @@ where
                 if shared.aborted() {
                     break SpanStatus::Cancelled;
                 }
-                let elapsed_ms = effective_elapsed(virtual_ms, start);
+                let elapsed_ms = effective_elapsed(virtual_ns, start);
                 let done = Record::Done {
                     wp: id,
                     attempts: attempts_this_run,
@@ -523,16 +518,14 @@ where
                 }
                 if retryable(ErrorClass::Transient, attempts_this_run, &options.retry) {
                     // Backoff advances the virtual clock; deadlines see it.
-                    virtual_ms += options.retry.delay_ms(
-                        PhaseKind::Generation,
-                        &format!("wp{id:06}"),
-                        attempts_this_run + 1,
-                    );
+                    let next = attempts_this_run + 1;
+                    let backoff_ms = options.retry.delay_ms(PhaseKind::Generation, &name, next);
+                    *virtual_ns.get_or_insert(0) += backoff_ms * 1_000_000;
                     if let Some(recorder) = shared.recorder() {
                         recorder.counter("iokc.campaign.retries").inc();
                         recorder.log(
                             span.as_ref().map(|handle| handle.id),
-                            &format!("wp{id:06} retrying after: {}", failure.message),
+                            &format!("{name} retrying after: {}", failure.message),
                         );
                     }
                     continue;
@@ -551,15 +544,15 @@ where
             }
         }
     };
-    end_wp_span(shared, span, virtual_ms, status);
+    end_wp_span(shared, span, virtual_ns.unwrap_or(0), status);
 }
 
 /// Close a workpackage span: advance the recorder's virtual clock by the
 /// workpackage's simulated time (so span durations are virtual whenever
 /// the runner reports a virtual clock) and record the latency histogram.
-fn end_wp_span(shared: &Shared<'_>, span: Option<SpanHandle>, virtual_ms: u64, status: SpanStatus) {
+fn end_wp_span(shared: &Shared<'_>, span: Option<SpanHandle>, virtual_ns: u64, status: SpanStatus) {
     if let (Some(recorder), Some(handle)) = (shared.recorder(), span) {
-        recorder.advance_ns(virtual_ms.saturating_mul(1_000_000));
+        recorder.advance_ns(virtual_ns);
         let dur_ns = recorder.end_span(&handle, status);
         recorder.observe("iokc.campaign.wp.ms", dur_ns as f64 / 1e6);
         if status == SpanStatus::Failed {
@@ -574,7 +567,7 @@ fn run_one_attempt<F, R>(
     runner_factory: &F,
     id: usize,
     start: Instant,
-    virtual_ms: &mut u64,
+    clock: &mut Option<u64>,
 ) -> Attempt
 where
     F: Fn() -> R + Sync,
@@ -596,10 +589,12 @@ where
         let command = substitute(&step.template, &values);
         match runner(id, &step.name, &command) {
             Ok(outcome) => {
-                *virtual_ms += outcome.virtual_ms;
+                if let Some(ns) = outcome.virtual_ns {
+                    *clock = Some(clock.unwrap_or(0) + ns);
+                }
                 wp.commands.push((step.name.clone(), command));
                 wp.outputs.push((step.name.clone(), outcome.output));
-                let elapsed_ms = effective_elapsed(*virtual_ms, start);
+                let elapsed_ms = effective_elapsed(*clock, start);
                 if let Some(deadline) = shared.options.wp_deadline_ms {
                     if elapsed_ms > deadline {
                         return Attempt::DeadlineExceeded {
@@ -620,14 +615,13 @@ where
     Attempt::Done(wp)
 }
 
-/// Elapsed time of a workpackage: the virtual clock when the runner
-/// reports one, wall time otherwise.
-fn effective_elapsed(virtual_ms: u64, start: Instant) -> u64 {
-    if virtual_ms > 0 {
-        virtual_ms
-    } else {
-        u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
+/// Elapsed milliseconds of a workpackage: its virtual clock when it has
+/// one (however little it shows), wall time otherwise.
+fn effective_elapsed(virtual_ns: Option<u64>, start: Instant) -> u64 {
+    virtual_ns.map_or_else(
+        || u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
+        |ns| ns / 1_000_000,
+    )
 }
 
 fn bump_failures(shared: &Shared<'_>, id: usize) -> u32 {
@@ -743,7 +737,7 @@ pattern value = result {v:f}
                 .ok_or_else(|| StepFailure::permanent("bad command"))?;
             Ok(StepOutcome {
                 output: format!("result {}\n", n * 10.0),
-                virtual_ms: 100,
+                virtual_ns: Some(100_000_000),
             })
         }
     }
@@ -933,7 +927,7 @@ pattern value = result {v:f}
             |id: usize, step: &str, command: &str| {
                 let mut outcome = ok_runner()(id, step, command)?;
                 if id == 2 {
-                    outcome.virtual_ms = 1_000;
+                    outcome.virtual_ns = Some(1_000_000_000);
                 }
                 Ok(outcome)
             }
@@ -955,7 +949,7 @@ pattern value = result {v:f}
             |id: usize, _: &str, _: &str| {
                 Ok(StepOutcome {
                     output: String::new(),
-                    virtual_ms: if id == 7 { 5_000 } else { 100 },
+                    virtual_ns: Some(if id == 7 { 5_000 } else { 100 } * 1_000_000),
                 })
             }
         })

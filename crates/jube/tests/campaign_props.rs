@@ -49,7 +49,7 @@ fn runner() -> impl FnMut(usize, &str, &str) -> Result<StepOutcome, StepFailure>
         };
         Ok(StepOutcome {
             output: format!("value {}\n", field("-a") * 100.0 + field("-b")),
-            virtual_ms: 10,
+            virtual_ns: Some(10_000_000),
         })
     }
 }

@@ -75,9 +75,7 @@ impl JournalWriter {
                 "journal payloads must be single-line",
             ));
         }
-        let crc = checksum(payload.as_bytes());
-        let record = format!("{RECORD_MAGIC} {crc:016x} {payload}\n");
-        self.file.write_all(record.as_bytes())?;
+        self.file.write_all(record(payload).as_bytes())?;
         self.file.sync()
     }
 }
@@ -457,63 +455,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A disk that counts directory syncs and forwards everything else.
-    #[derive(Debug)]
-    struct DirSyncs {
-        disk: crate::vfs::FaultVfs,
-        syncs: std::sync::atomic::AtomicUsize,
-    }
-
-    impl Vfs for DirSyncs {
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.disk.read(path)
-        }
-        fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
-            self.disk.create(path)
-        }
-        fn append(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
-            self.disk.append(path)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            self.disk.exists(path)
-        }
-        fn len(&self, path: &Path) -> std::io::Result<u64> {
-            self.disk.len(path)
-        }
-        fn set_len(&self, path: &Path, len: u64) -> std::io::Result<()> {
-            self.disk.set_len(path, len)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.disk.rename(from, to)
-        }
-        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
-            self.disk.remove_file(path)
-        }
-        fn sync_parent_dir(&self, path: &Path) -> std::io::Result<()> {
-            self.syncs
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.disk.sync_parent_dir(path)
-        }
-    }
-
     #[test]
     fn a_new_journal_syncs_its_directory_once_and_a_reopened_one_never() {
-        let vfs = DirSyncs {
-            disk: crate::vfs::FaultVfs::pristine(),
-            syncs: Default::default(),
-        };
-        let syncs = || vfs.syncs.load(std::sync::atomic::Ordering::Relaxed);
+        // An append is one file fsync; every other barrier is a
+        // directory sync.
+        let vfs = crate::vfs::FaultVfs::pristine();
         let path = Path::new("/campaign.journal");
         let mut writer = JournalWriter::open_vfs(path, &vfs).unwrap();
-        assert_eq!(syncs(), 1, "creating the journal");
+        assert_eq!(vfs.sync_count(), 1, "creating the journal");
         writer.append("alpha").unwrap();
         writer.append("beta").unwrap();
-        assert_eq!(syncs(), 1, "appending to it");
+        assert_eq!(vfs.sync_count(), 1 + 2, "appending to it");
         JournalWriter::open_vfs(path, &vfs)
             .unwrap()
             .append("gamma")
             .unwrap();
-        assert_eq!(syncs(), 1, "reopening it");
+        assert_eq!(vfs.sync_count(), 1 + 3, "reopening it");
         assert_eq!(read_journal_vfs(path, &vfs).unwrap().records.len(), 3);
     }
 }

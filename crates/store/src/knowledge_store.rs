@@ -973,7 +973,9 @@ impl Manifest {
             match vfs.read(&file) {
                 Ok(bytes) if bytes.first() == Some(&b'{') => Err(DbError::Corrupt(format!(
                     "{} is a segment document, which is not read: rewrite it as a log \
-                     with the previous binary's `iokc compact`",
+                     with the previous binary's `iokc compact`, after a second seal with \
+                     that binary (its `compact` does nothing on one segment and no \
+                     tombstone; an `iokc corpus gen` that adds a run seals)",
                     file.display()
                 ))),
                 Ok(bytes) => Ok(bytes.len() as u64),

@@ -13,25 +13,29 @@
 //!
 //! # The durability model
 //!
-//! [`FaultVfs`] keeps two images of every file: the *volatile* content
-//! (what the running process observes) and the *durable* content (what
-//! the disk promises to still hold after power loss). Writes land in
-//! the volatile image only; a successful `sync` on a file handle
-//! promotes that file's volatile content to durable. Renames apply to
-//! the volatile namespace immediately but are queued as *pending
-//! metadata operations* until [`Vfs::sync_parent_dir`] commits them —
-//! exactly the window in which a crashed POSIX system may expose either
-//! the old or the new directory entry.
+//! [`FaultVfs`] holds every file once, as an *inode*: bytes that only
+//! grow by appends (or shrink by a truncate), and `synced_len`, how many
+//! of them the last successful fsync covered. The *volatile* namespace
+//! maps a path to an inode: what the running process observes. The
+//! *durable* namespace maps a path to an inode and a length: what the
+//! disk promises to still hold after power loss. A successful `sync` on
+//! a file handle records the file's length under its name as durable —
+//! a length, not a copy: appends keep every recorded prefix intact, and
+//! a truncate first copies out any durable name it would cut. Renames
+//! apply to the volatile namespace immediately but are queued as
+//! *pending metadata operations* until [`Vfs::sync_parent_dir`] commits
+//! them — exactly the window in which a crashed POSIX system may expose
+//! either the old or the new directory entry.
 //!
 //! After a simulated crash, [`FaultVfs::crash_states`] enumerates the
-//! disk images a real machine could reboot into: the durable map with
-//! any *prefix* of the pending renames applied (journaling filesystems
-//! preserve metadata ordering), and — for each file written since its
-//! last successful fsync — variants where that file surfaces with its
-//! durable content, a torn prefix, or its full unsynced content (the
-//! page cache may have flushed it anyway). Enumeration varies one dirty
-//! file at a time and is capped, which bounds the state count while
-//! still covering every single-fault outcome.
+//! disk images a real machine could reboot into: the durable namespace
+//! with any *prefix* of the pending renames applied (journaling
+//! filesystems preserve metadata ordering), and — for each file written
+//! since its last successful fsync — variants where that file surfaces
+//! with its durable content, a torn prefix, or its full unsynced content
+//! (the page cache may have flushed it anyway). Enumeration varies one
+//! dirty file at a time and is capped, which bounds the state count
+//! while still covering every single-fault outcome.
 
 use iokc_obs::Counter;
 use std::collections::{BTreeMap, BTreeSet};
@@ -180,31 +184,26 @@ impl DiskFault {
     pub const CHAOS: [DiskFault; 3] = [DiskFault::Enospc, DiskFault::Eio, DiskFault::ShortWrite];
 }
 
-/// The volatile image of one file: its current bytes plus how many of
-/// them were covered by the last successful fsync. Bytes past
+/// One file's bytes, held once whatever names it. Bytes past
 /// `synced_len` are the ones a crash may tear or lose; bytes before it
 /// are pinned (the store only ever appends between fsyncs, never
 /// overwrites in place).
-#[derive(Debug, Default, Clone)]
-struct FileNode {
+#[derive(Debug, Default)]
+struct Inode {
     bytes: Vec<u8>,
     synced_len: usize,
 }
 
-impl FileNode {
-    fn dirty(&self) -> bool {
-        self.bytes.len() != self.synced_len
-    }
-}
-
-/// One file in the simulated filesystem is described by two byte
-/// images; `Inner` keys both by path.
+/// The simulated filesystem: an inode table and two namespaces over it.
 #[derive(Debug, Default)]
 struct Inner {
-    /// What the running process observes.
-    volatile: BTreeMap<PathBuf, FileNode>,
-    /// What the disk guarantees to still hold after power loss.
-    durable: BTreeMap<PathBuf, Vec<u8>>,
+    /// Every file's bytes, by inode number; dropped once unnamed.
+    inodes: BTreeMap<u64, Inode>,
+    /// What the running process observes: each name's inode.
+    volatile: BTreeMap<PathBuf, u64>,
+    /// What the disk guarantees to still hold after power loss: each
+    /// name's inode and how many of its bytes.
+    durable: BTreeMap<PathBuf, (u64, usize)>,
     /// Renames applied to the volatile namespace but not yet committed
     /// by a directory sync, in application order.
     pending_renames: Vec<(PathBuf, PathBuf)>,
@@ -245,12 +244,56 @@ impl Inner {
     /// Make the first `count` pending renames durable.
     fn commit_renames(&mut self, count: usize) {
         for (from, to) in self.pending_renames.drain(..count).collect::<Vec<_>>() {
-            if let Some(bytes) = self.durable.remove(&from) {
-                self.durable.insert(to, bytes);
+            if let Some(entry) = self.durable.remove(&from) {
+                self.durable.insert(to, entry);
             } else {
                 self.durable.remove(&to);
             }
         }
+        self.drop_unnamed();
+    }
+
+    /// A new inode holding `bytes`, all of them synced.
+    fn new_inode(&mut self, bytes: Vec<u8>) -> u64 {
+        let ino = self.inodes.last_key_value().map_or(0, |(last, _)| last + 1);
+        let synced_len = bytes.len();
+        self.inodes.insert(ino, Inode { bytes, synced_len });
+        ino
+    }
+
+    /// Point `path` at a new empty inode, dropping whatever it named.
+    fn name_new_file(&mut self, path: &Path) -> u64 {
+        let ino = self.new_inode(Vec::new());
+        self.volatile.insert(path.to_path_buf(), ino);
+        self.drop_unnamed();
+        ino
+    }
+
+    /// Record `path` as durable: all of the file it names now, or an
+    /// empty file if it names none.
+    fn make_durable(&mut self, path: &Path) {
+        let named = self.volatile.get(path).copied();
+        let ino = named.unwrap_or_else(|| self.new_inode(Vec::new()));
+        let node = self.inodes.entry(ino).or_default();
+        node.synced_len = node.bytes.len();
+        let entry = (ino, node.synced_len);
+        self.durable.insert(path.to_path_buf(), entry);
+        self.drop_unnamed();
+    }
+
+    /// Free every inode that neither namespace names.
+    fn drop_unnamed(&mut self) {
+        let named: BTreeSet<u64> = (self.volatile.values().copied())
+            .chain(self.durable.values().map(|&(ino, _)| ino))
+            .collect();
+        self.inodes.retain(|ino, _| named.contains(ino));
+    }
+
+    /// What the durable namespace holds, copied out.
+    fn durable_images(&self) -> BTreeMap<PathBuf, Vec<u8>> {
+        (self.durable.iter())
+            .map(|(path, &(ino, len))| (path.clone(), self.inodes[&ino].bytes[..len].to_vec()))
+            .collect()
     }
 
     /// `path` is about to name a different file (created anew, or
@@ -334,24 +377,16 @@ impl FaultVfs {
         state: BTreeMap<PathBuf, Vec<u8>>,
         plan: FaultPlan<DiskFault>,
     ) -> FaultVfs {
-        let volatile = state
-            .iter()
-            .map(|(path, bytes)| {
-                (
-                    path.clone(),
-                    FileNode {
-                        bytes: bytes.clone(),
-                        synced_len: bytes.len(),
-                    },
-                )
-            })
-            .collect();
-        let inner = Inner {
-            volatile,
-            durable: state,
+        let mut inner = Inner {
             plan,
             ..Inner::default()
         };
+        for (path, bytes) in state {
+            let len = bytes.len();
+            let ino = inner.new_inode(bytes);
+            inner.volatile.insert(path.clone(), ino);
+            inner.durable.insert(path, (ino, len));
+        }
         FaultVfs {
             inner: Arc::new(Mutex::new(inner)),
         }
@@ -383,7 +418,7 @@ impl FaultVfs {
     /// last successful fsync, with no pending rename committed.
     #[must_use]
     pub fn durable_state(&self) -> BTreeMap<PathBuf, Vec<u8>> {
-        self.lock().durable.clone()
+        self.lock().durable_images()
     }
 
     /// Every disk image a reboot could expose, bounded: each prefix of
@@ -393,9 +428,10 @@ impl FaultVfs {
     pub fn crash_states(&self) -> Vec<BTreeMap<PathBuf, Vec<u8>>> {
         const MAX_STATES: usize = 64;
         let inner = self.lock();
+        let durable = inner.durable_images();
         let mut states = BTreeSet::new();
         for applied in 0..=inner.pending_renames.len() {
-            let mut base = inner.durable.clone();
+            let mut base = durable.clone();
             for (from, to) in &inner.pending_renames[..applied] {
                 if let Some(bytes) = base.remove(from) {
                     base.insert(to.clone(), bytes);
@@ -406,8 +442,9 @@ impl FaultVfs {
             // torn in half or fully flushed. (The base state already
             // covers "fully lost"; bytes under `synced_len` are pinned,
             // the store never overwrites them between fsyncs.)
-            for (path, node) in &inner.volatile {
-                if !node.dirty() {
+            for (path, ino) in &inner.volatile {
+                let node = &inner.inodes[ino];
+                if node.bytes.len() == node.synced_len {
                     continue;
                 }
                 let suffix = node.bytes.len() - node.synced_len;
@@ -429,8 +466,9 @@ impl FaultVfs {
     }
 }
 
-/// A handle into the simulated filesystem. Writes append to the file's
-/// volatile image; `sync` promotes it to durable.
+/// A handle into the simulated filesystem, by name. Writes append to
+/// the file its name holds now; `sync` records that file's length as
+/// durable.
 struct FaultFile {
     path: PathBuf,
     inner: Arc<Mutex<Inner>>,
@@ -440,21 +478,17 @@ impl VfsFile for FaultFile {
     fn write_all(&mut self, data: &[u8]) -> io::Result<()> {
         let mut inner = lock(&self.inner);
         let op = inner.begin_op()?;
-        if inner.plan.fires(op, DiskFault::ShortWrite) {
-            let half = &data[..data.len() / 2];
-            let node = inner.volatile.entry(self.path.clone()).or_default();
-            node.bytes.extend_from_slice(half);
+        let short = inner.plan.fires(op, DiskFault::ShortWrite);
+        let landed = if short { &data[..data.len() / 2] } else { data };
+        let named = inner.volatile.get(&self.path).copied();
+        let ino = named.unwrap_or_else(|| inner.name_new_file(&self.path));
+        (inner.inodes.entry(ino).or_default().bytes).extend_from_slice(landed);
+        if short {
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
                 "injected short write",
             ));
         }
-        inner
-            .volatile
-            .entry(self.path.clone())
-            .or_default()
-            .bytes
-            .extend_from_slice(data);
         Ok(())
     }
 
@@ -462,14 +496,7 @@ impl VfsFile for FaultFile {
         let mut inner = lock(&self.inner);
         inner.begin_op()?;
         inner.begin_sync()?;
-        let bytes = match inner.volatile.get_mut(&self.path) {
-            Some(node) => {
-                node.synced_len = node.bytes.len();
-                node.bytes.clone()
-            }
-            None => Vec::new(),
-        };
-        inner.durable.insert(self.path.clone(), bytes);
+        inner.make_durable(&self.path);
         Ok(())
     }
 }
@@ -480,20 +507,15 @@ impl Vfs for FaultVfs {
         if inner.crashed {
             return Err(crash_error());
         }
-        inner
-            .volatile
-            .get(path)
-            .map(|node| node.bytes.clone())
-            .ok_or_else(|| not_found(path))
+        let ino = inner.volatile.get(path).ok_or_else(|| not_found(path))?;
+        Ok(inner.inodes[ino].bytes.clone())
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
         inner.begin_op()?;
         inner.settle_renames_of(path);
-        inner
-            .volatile
-            .insert(path.to_path_buf(), FileNode::default());
+        inner.name_new_file(path);
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
             inner: Arc::clone(&self.inner),
@@ -505,9 +527,7 @@ impl Vfs for FaultVfs {
         inner.begin_op()?;
         if !inner.volatile.contains_key(path) {
             inner.settle_renames_of(path);
-            inner
-                .volatile
-                .insert(path.to_path_buf(), FileNode::default());
+            inner.name_new_file(path);
         }
         Ok(Box::new(FaultFile {
             path: path.to_path_buf(),
@@ -525,40 +545,43 @@ impl Vfs for FaultVfs {
         if inner.crashed {
             return Err(crash_error());
         }
-        inner
-            .volatile
-            .get(path)
-            .map(|node| node.bytes.len() as u64)
-            .ok_or_else(|| not_found(path))
+        let ino = inner.volatile.get(path).ok_or_else(|| not_found(path))?;
+        Ok(inner.inodes[ino].bytes.len() as u64)
     }
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
         let mut inner = self.lock();
         inner.begin_op()?;
-        let Some(node) = inner.volatile.get_mut(path) else {
+        let Some(&ino) = inner.volatile.get(path) else {
             return Err(not_found(path));
         };
-        node.bytes.truncate(len as usize);
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        // Appends leave every durable prefix intact; a truncate does
+        // not, so a durable name holding more than survives gets a copy.
+        for (name, (held, kept)) in inner.durable.clone() {
+            if held == ino && kept > len {
+                let copy = inner.inodes[&ino].bytes[..kept].to_vec();
+                let private = inner.new_inode(copy);
+                inner.durable.insert(name, (private, kept));
+            }
+        }
+        let node = inner.inodes.entry(ino).or_default();
+        node.bytes.truncate(len);
+        node.synced_len = node.synced_len.min(node.bytes.len());
         // `StdVfs::set_len` syncs the truncation; mirror that.
         inner.begin_sync()?;
-        let bytes = match inner.volatile.get_mut(path) {
-            Some(node) => {
-                node.synced_len = node.bytes.len();
-                node.bytes.clone()
-            }
-            None => Vec::new(),
-        };
-        inner.durable.insert(path.to_path_buf(), bytes);
+        inner.make_durable(path);
         Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut inner = self.lock();
         inner.begin_op()?;
-        let Some(node) = inner.volatile.remove(from) else {
+        let Some(ino) = inner.volatile.remove(from) else {
             return Err(not_found(from));
         };
-        inner.volatile.insert(to.to_path_buf(), node);
+        inner.volatile.insert(to.to_path_buf(), ino);
+        inner.drop_unnamed();
         inner
             .pending_renames
             .push((from.to_path_buf(), to.to_path_buf()));
@@ -575,6 +598,7 @@ impl Vfs for FaultVfs {
         // fsck-repair flows that use it; nothing in the save path does).
         inner.settle_renames_of(path);
         inner.durable.remove(path);
+        inner.drop_unnamed();
         Ok(())
     }
 
@@ -747,6 +771,37 @@ mod tests {
                 (85, ShortWrite)
             ]
         );
+    }
+
+    #[test]
+    fn a_synced_file_is_held_once() {
+        let vfs = FaultVfs::pristine();
+        let mut file = vfs.append(&p("log")).unwrap();
+        for round in 0..1_000u32 {
+            file.write_all(&round.to_le_bytes()).unwrap();
+            file.sync().unwrap();
+        }
+        let held = |vfs: &FaultVfs| -> Vec<usize> {
+            vfs.lock()
+                .inodes
+                .values()
+                .map(|node| node.bytes.len())
+                .collect()
+        };
+        assert_eq!(held(&vfs), [4_000], "one buffer, no durable copy");
+        // A truncate below what the pending rename's old name keeps
+        // gives that name a copy; a re-create settles the rename.
+        vfs.rename(&p("log"), &p("old")).unwrap();
+        vfs.set_len(&p("old"), 8).unwrap();
+        let log: Vec<u8> = (0..1_000u32).flat_map(u32::to_le_bytes).collect();
+        let want = BTreeMap::from([(p("log"), log.clone()), (p("old"), log[..8].to_vec())]);
+        assert_eq!(vfs.durable_state(), want);
+        vfs.create(&p("log")).unwrap().write_all(b"new").unwrap();
+        assert_eq!(vfs.read(&p("old")).unwrap(), log[..8]);
+        assert_eq!(vfs.durable_state(), BTreeMap::from([(p("old"), log)]));
+        assert_eq!(held(&vfs), [8, 4_000, 3]);
+        vfs.remove_file(&p("old")).unwrap();
+        assert_eq!(held(&vfs), [3], "an unnamed file's buffers are freed");
     }
 
     #[test]

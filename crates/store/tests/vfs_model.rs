@@ -1,0 +1,455 @@
+//! `FaultVfs` against the disk it models, op by op.
+//!
+//! The model below is the two-image disk `FaultVfs` was before it held
+//! each file once: every path keeps a volatile byte image and a durable
+//! copy, and an fsync clones one into the other. It is slow and plain,
+//! which is what an oracle should be. Random op lists — creates,
+//! appends, writes in several calls, file and directory syncs, renames,
+//! unlinks, truncates and reboots into a crash image — run through both
+//! under the same seeded fault plan, and after every op each observable
+//! answer must agree.
+
+use iokc_store::{DiskFault, FaultPlan, FaultVfs, Vfs, VfsFile};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
+use std::path::{Path, PathBuf};
+
+type Image = BTreeMap<PathBuf, Vec<u8>>;
+
+const NAMES: [&str; 4] = ["kb.json", "kb.json.tmp", "kb.json.wal-0", "journal"];
+const KINDS: [DiskFault; 6] = [
+    DiskFault::Enospc,
+    DiskFault::Eio,
+    DiskFault::ShortWrite,
+    DiskFault::Crash,
+    DiskFault::FailSync,
+    DiskFault::CrashSync,
+];
+
+#[derive(Debug, Default)]
+struct Node {
+    bytes: Vec<u8>,
+    synced_len: usize,
+}
+
+/// The two-image disk.
+#[derive(Debug, Default)]
+struct Model {
+    volatile: BTreeMap<PathBuf, Node>,
+    durable: Image,
+    pending_renames: Vec<(PathBuf, PathBuf)>,
+    ops: u64,
+    syncs: u64,
+    crashed: bool,
+    plan: FaultPlan<DiskFault>,
+}
+
+fn crash_error() -> io::Error {
+    io::Error::other("simulated power loss")
+}
+
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("{}: no such file", path.display()),
+    )
+}
+
+impl Model {
+    fn from_state(state: Image, plan: FaultPlan<DiskFault>) -> Model {
+        let volatile = (state.iter())
+            .map(|(path, bytes)| {
+                let node = Node {
+                    bytes: bytes.clone(),
+                    synced_len: bytes.len(),
+                };
+                (path.clone(), node)
+            })
+            .collect();
+        Model {
+            volatile,
+            durable: state,
+            plan,
+            ..Model::default()
+        }
+    }
+
+    fn begin_op(&mut self) -> io::Result<u64> {
+        if self.crashed {
+            return Err(crash_error());
+        }
+        let op = self.ops;
+        self.ops += 1;
+        if self.plan.fires(op, DiskFault::Crash) {
+            self.crashed = true;
+            return Err(crash_error());
+        }
+        if self.plan.fires(op, DiskFault::Eio) {
+            return Err(io::Error::other("injected EIO"));
+        }
+        if self.plan.fires(op, DiskFault::Enospc) {
+            return Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "injected ENOSPC",
+            ));
+        }
+        Ok(op)
+    }
+
+    fn begin_sync(&mut self) -> io::Result<()> {
+        let sync = self.syncs;
+        self.syncs += 1;
+        if self.plan.fires(sync, DiskFault::CrashSync) {
+            self.crashed = true;
+            return Err(crash_error());
+        }
+        if self.plan.fires(sync, DiskFault::FailSync) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        Ok(())
+    }
+
+    fn commit_renames(&mut self, count: usize) {
+        for (from, to) in self.pending_renames.drain(..count).collect::<Vec<_>>() {
+            if let Some(bytes) = self.durable.remove(&from) {
+                self.durable.insert(to, bytes);
+            } else {
+                self.durable.remove(&to);
+            }
+        }
+    }
+
+    fn settle_renames_of(&mut self, path: &Path) {
+        let last = (self.pending_renames.iter()).rposition(|(from, to)| from == path || to == path);
+        if let Some(last) = last {
+            self.commit_renames(last + 1);
+        }
+    }
+
+    /// A file sync: the durable copy becomes a clone of the volatile.
+    fn promote(&mut self, path: &Path) {
+        let bytes = match self.volatile.get_mut(path) {
+            Some(node) => {
+                node.synced_len = node.bytes.len();
+                node.bytes.clone()
+            }
+            None => Vec::new(),
+        };
+        self.durable.insert(path.to_path_buf(), bytes);
+    }
+
+    fn write_all(&mut self, path: &Path, data: &[u8]) -> io::Result<()> {
+        let op = self.begin_op()?;
+        let node = self.volatile.entry(path.to_path_buf()).or_default();
+        if self.plan.fires(op, DiskFault::ShortWrite) {
+            node.bytes.extend_from_slice(&data[..data.len() / 2]);
+            return Err(io::Error::new(
+                io::ErrorKind::WriteZero,
+                "injected short write",
+            ));
+        }
+        node.bytes.extend_from_slice(data);
+        Ok(())
+    }
+
+    fn sync(&mut self, path: &Path) -> io::Result<()> {
+        self.begin_op()?;
+        self.begin_sync()?;
+        self.promote(path);
+        Ok(())
+    }
+
+    fn create(&mut self, path: &Path) -> io::Result<()> {
+        self.begin_op()?;
+        self.settle_renames_of(path);
+        self.volatile.insert(path.to_path_buf(), Node::default());
+        Ok(())
+    }
+
+    fn append(&mut self, path: &Path) -> io::Result<()> {
+        self.begin_op()?;
+        if !self.volatile.contains_key(path) {
+            self.settle_renames_of(path);
+            self.volatile.insert(path.to_path_buf(), Node::default());
+        }
+        Ok(())
+    }
+
+    fn set_len(&mut self, path: &Path, len: u64) -> io::Result<()> {
+        self.begin_op()?;
+        let Some(node) = self.volatile.get_mut(path) else {
+            return Err(not_found(path));
+        };
+        node.bytes.truncate(len as usize);
+        node.synced_len = node.synced_len.min(node.bytes.len());
+        self.begin_sync()?;
+        self.promote(path);
+        Ok(())
+    }
+
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        self.begin_op()?;
+        let Some(node) = self.volatile.remove(from) else {
+            return Err(not_found(from));
+        };
+        self.volatile.insert(to.to_path_buf(), node);
+        (self.pending_renames).push((from.to_path_buf(), to.to_path_buf()));
+        Ok(())
+    }
+
+    fn remove_file(&mut self, path: &Path) -> io::Result<()> {
+        self.begin_op()?;
+        if self.volatile.remove(path).is_none() {
+            return Err(not_found(path));
+        }
+        self.settle_renames_of(path);
+        self.durable.remove(path);
+        Ok(())
+    }
+
+    fn sync_parent_dir(&mut self) -> io::Result<()> {
+        self.begin_op()?;
+        self.begin_sync()?;
+        let all = self.pending_renames.len();
+        self.commit_renames(all);
+        Ok(())
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        if self.crashed {
+            return Err(crash_error());
+        }
+        let node = self.volatile.get(path).ok_or_else(|| not_found(path))?;
+        Ok(node.bytes.clone())
+    }
+
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.read(path).map(|bytes| bytes.len() as u64)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        !self.crashed && self.volatile.contains_key(path)
+    }
+
+    fn crash_states(&self) -> Vec<Image> {
+        const MAX_STATES: usize = 64;
+        let mut states = BTreeSet::new();
+        for applied in 0..=self.pending_renames.len() {
+            let mut base = self.durable.clone();
+            for (from, to) in &self.pending_renames[..applied] {
+                if let Some(bytes) = base.remove(from) {
+                    base.insert(to.clone(), bytes);
+                }
+            }
+            states.insert(base.clone());
+            for (path, node) in &self.volatile {
+                if node.bytes.len() == node.synced_len {
+                    continue;
+                }
+                let suffix = node.bytes.len() - node.synced_len;
+                let mut torn = base.clone();
+                let kept = node.synced_len + suffix / 2;
+                torn.insert(path.clone(), node.bytes[..kept].to_vec());
+                states.insert(torn);
+                let mut full = base.clone();
+                full.insert(path.clone(), node.bytes.clone());
+                states.insert(full);
+                if states.len() >= MAX_STATES {
+                    return states.into_iter().collect();
+                }
+            }
+        }
+        states.into_iter().collect()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Create(usize),
+    Append(usize),
+    /// Write through an open handle, in one call per chunk length.
+    Write(usize, Vec<usize>),
+    Sync(usize),
+    Rename(usize, usize),
+    Remove(usize),
+    SetLen(usize, u64),
+    SyncDir,
+    /// Boot both disks from one of their crash images.
+    Reboot(usize),
+}
+
+/// Writes and syncs are listed twice: they weigh double.
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..NAMES.len()).prop_map(Op::Create),
+        (0..NAMES.len()).prop_map(Op::Append),
+        (0..8usize, prop::collection::vec(0..40usize, 1..4)).prop_map(|(h, c)| Op::Write(h, c)),
+        (0..8usize, prop::collection::vec(0..40usize, 1..4)).prop_map(|(h, c)| Op::Write(h, c)),
+        (0..8usize).prop_map(Op::Sync),
+        (0..8usize).prop_map(Op::Sync),
+        (0..NAMES.len(), 0..NAMES.len()).prop_map(|(from, to)| Op::Rename(from, to)),
+        (0..NAMES.len()).prop_map(Op::Remove),
+        (0..NAMES.len(), 0..60u64).prop_map(|(name, len)| Op::SetLen(name, len)),
+        Just(Op::SyncDir),
+        (0..64usize).prop_map(Op::Reboot),
+    ]
+}
+
+fn path(name: usize) -> PathBuf {
+    PathBuf::from(NAMES[name])
+}
+
+/// What an operation answered, comparable across the two disks.
+fn outcome<T>(result: io::Result<T>) -> Result<T, (io::ErrorKind, String)> {
+    result.map_err(|error| (error.kind(), error.to_string()))
+}
+
+/// Both disks, and the handles opened on each (a model handle is the
+/// name it writes to).
+struct Pair {
+    vfs: FaultVfs,
+    handles: Vec<Box<dyn VfsFile>>,
+    model: Model,
+    model_handles: Vec<PathBuf>,
+}
+
+impl Pair {
+    fn new(plan: impl Fn() -> FaultPlan<DiskFault>, state: Image) -> Pair {
+        Pair {
+            vfs: FaultVfs::from_state_with_plan(state.clone(), plan()),
+            handles: Vec::new(),
+            model: Model::from_state(state, plan()),
+            model_handles: Vec::new(),
+        }
+    }
+
+    fn open(&mut self, name: usize, append: bool) {
+        let path = path(name);
+        let (real, model) = if append {
+            (self.vfs.append(&path), self.model.append(&path))
+        } else {
+            (self.vfs.create(&path), self.model.create(&path))
+        };
+        if model.is_ok() {
+            self.model_handles.push(path);
+        }
+        let real = real.map(|handle| self.handles.push(handle));
+        assert_eq!(outcome(real), outcome(model));
+    }
+
+    fn apply(&mut self, op: &Op, fill: &mut u8) {
+        match op {
+            Op::Create(name) => self.open(*name, false),
+            Op::Append(name) => self.open(*name, true),
+            Op::Write(handle, chunks) if !self.handles.is_empty() => {
+                let at = handle % self.handles.len();
+                for &len in chunks {
+                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    *fill = fill.wrapping_add(7);
+                    let real = self.handles[at].write_all(&data);
+                    let model = self.model.write_all(&self.model_handles[at], &data);
+                    assert_eq!(outcome(real), outcome(model), "{op:?}");
+                }
+            }
+            Op::Sync(handle) if !self.handles.is_empty() => {
+                let at = handle % self.handles.len();
+                let real = self.handles[at].sync();
+                let model = self.model.sync(&self.model_handles[at]);
+                assert_eq!(outcome(real), outcome(model), "{op:?}");
+            }
+            Op::Write(..) | Op::Sync(_) => {}
+            Op::Rename(from, to) => {
+                let real = self.vfs.rename(&path(*from), &path(*to));
+                let model = self.model.rename(&path(*from), &path(*to));
+                assert_eq!(outcome(real), outcome(model), "{op:?}");
+            }
+            Op::Remove(name) => {
+                let real = self.vfs.remove_file(&path(*name));
+                let model = self.model.remove_file(&path(*name));
+                assert_eq!(outcome(real), outcome(model), "{op:?}");
+            }
+            Op::SetLen(name, len) => {
+                let real = self.vfs.set_len(&path(*name), *len);
+                let model = self.model.set_len(&path(*name), *len);
+                assert_eq!(outcome(real), outcome(model), "{op:?}");
+            }
+            Op::SyncDir => {
+                let real = self.vfs.sync_parent_dir(&path(0));
+                assert_eq!(outcome(real), outcome(self.model.sync_parent_dir()));
+            }
+            Op::Reboot(_) => unreachable!("a reboot replaces the pair"),
+        }
+    }
+
+    fn check(&self, step: usize) {
+        let (vfs, model) = (&self.vfs, &self.model);
+        for name in 0..NAMES.len() {
+            let path = path(name);
+            assert_eq!(
+                outcome(vfs.read(&path)),
+                outcome(model.read(&path)),
+                "{step}"
+            );
+            assert_eq!(outcome(vfs.len(&path)), outcome(model.len(&path)), "{step}");
+            assert_eq!(vfs.exists(&path), model.exists(&path), "{step}");
+        }
+        assert_eq!(vfs.durable_state(), model.durable, "step {step}");
+        assert_eq!(vfs.crash_states(), model.crash_states(), "step {step}");
+        assert_eq!(vfs.op_count(), model.ops, "step {step}");
+        assert_eq!(vfs.sync_count(), model.syncs, "step {step}");
+        assert_eq!(vfs.crashed(), model.crashed, "step {step}");
+        assert_eq!(vfs.faults_injected(), model.plan.fired(), "step {step}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn fault_vfs_answers_as_the_two_image_disk(
+        ops in prop::collection::vec(op(), 1..80),
+        seed in any::<u64>(),
+        faults in 0..6usize,
+    ) {
+        let plan = |boot: u64| move || FaultPlan::seeded(seed ^ boot, 100, faults, &KINDS);
+        let mut pair = Pair::new(plan(0), Image::new());
+        let mut fill = 0u8;
+        for (step, op) in ops.iter().enumerate() {
+            if let Op::Reboot(pick) = op {
+                let states = pair.vfs.crash_states();
+                let state = states[pick % states.len()].clone();
+                pair = Pair::new(plan(step as u64 + 1), state);
+            } else {
+                pair.apply(op, &mut fill);
+            }
+            pair.check(step);
+        }
+    }
+}
+
+/// Write 11 bytes, sync, then truncate to 5 under `fault` at the
+/// truncate's barrier: every crash image keeps all 11.
+fn truncate_under(fault: DiskFault) -> FaultVfs {
+    let vfs = FaultVfs::new(FaultPlan::at(1, fault));
+    let mut file = vfs.create(Path::new("a")).expect("create");
+    file.write_all(b"hello world").expect("write");
+    file.sync().expect("sync");
+    assert!(vfs.set_len(Path::new("a"), 5).is_err());
+    for state in vfs.crash_states() {
+        assert_eq!(state[Path::new("a")], b"hello world");
+    }
+    vfs
+}
+
+#[test]
+fn a_truncate_whose_fsync_fails_is_not_durable() {
+    let vfs = truncate_under(DiskFault::FailSync);
+    assert_eq!(vfs.read(Path::new("a")).expect("read"), b"hello");
+    vfs.set_len(Path::new("a"), 5).expect("retried truncate");
+    assert_eq!(vfs.durable_state()[Path::new("a")], b"hello");
+}
+
+#[test]
+fn a_truncate_whose_fsync_crashes_is_not_durable() {
+    assert!(truncate_under(DiskFault::CrashSync).crashed());
+}

@@ -226,6 +226,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
+# The in-memory disk under `iokc jube` holds each file once and an fsync
+# records a length, so a sweep journaled record by record costs time
+# linear in its journal: 8 000 workpackages take well under a second
+# (a disk that copies the file at every fsync takes ~40 s).
+echo "==> iokc jube: 8 000 workpackages, linear"
+jube_dir="$(mktemp -d)"
+trap 'rm -rf "$corpus_dir" "$jube_dir"' EXIT
+{
+  echo "benchmark linear"
+  echo "param a = $(seq -s ', ' 1 40)"
+  echo "param b = $(seq -s ', ' 1 200)"
+  echo 'step run = ior -a posix -t 64k -b 64k -s 1 -i 1 -o /scratch/w$wp/f -k'
+  echo 'pattern bw = Max Write: {bw:f} MiB/sec'
+} >"$jube_dir/linear.jube"
+timeout 15 target/release/iokc jube "$jube_dir/linear.jube" --tasks 1 --seed 7 >"$jube_dir/table.txt"
+[ "$(grep -cE '^[0-9]{6} +\|' "$jube_dir/table.txt")" -eq 8000 ]
+
 echo "==> cargo test -q"
 cargo test -q
 

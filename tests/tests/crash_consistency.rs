@@ -268,7 +268,7 @@ fn power_loss_sweep(
                 .ok_or_else(|| StepFailure::permanent("bad command"))?;
             Ok(StepOutcome {
                 output: format!("result {}\n", n * 10.0),
-                virtual_ms: 10,
+                virtual_ns: Some(10_000_000),
             })
         }
     })

@@ -170,7 +170,7 @@ fn crash_at_workpackage_k_leaves_a_salvageable_event_log() {
                 }
                 Ok(StepOutcome {
                     output: "result 1\n".to_owned(),
-                    virtual_ms: 50,
+                    virtual_ns: Some(50_000_000),
                 })
             }
         })
