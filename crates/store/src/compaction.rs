@@ -589,9 +589,10 @@ mod tests {
                 .iter()
                 .any(|run| data.summaries.contains_key(run));
             let records = bytes.iter().filter(|&&b| b == b'\n').count();
-            // `j1 `, 16 checksum digits and a space frame the payload.
+            // A magic (`j2 `, or the legacy `j1 `), 16 checksum digits
+            // and a space frame the payload.
             clean
-                && bytes.starts_with(b"j1 ")
+                && (bytes.starts_with(b"j2 ") || bytes.starts_with(b"j1 "))
                 && records == 1
                 && bytes[20..].starts_with(b"{\"rows\":")
         }

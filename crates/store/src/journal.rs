@@ -6,7 +6,7 @@
 //! checksummed documents in [`crate::persist`] are the wrong shape for
 //! that — they rewrite the whole file per save — so this module provides
 //! the complementary primitive: an append-only line journal where every
-//! record carries its own FNV-1a 64 checksum (the same checksum the
+//! record carries its own XXH64 checksum (the same checksum the
 //! document footer uses) and is fsynced before the writer proceeds.
 //!
 //! A crash can only ever tear the *last* record. [`read_journal`]
@@ -18,19 +18,23 @@
 //! Record format, one record per line:
 //!
 //! ```text
-//! j1 <crc64:016x> <payload>
+//! j2 <xxh64:016x> <payload>
 //! ```
 //!
-//! Payloads must be single-line (the campaign layer writes compact
-//! JSON); the writer rejects embedded newlines rather than corrupting
-//! the frame.
+//! Older binaries wrote `j1` records, the same length with an FNV-1a 64
+//! in place of the XXH64: they are verified as such and never written,
+//! so a log may hold `j1` records before `j2` ones (appended to, or
+//! spliced by compaction). Payloads must be single-line (the campaign
+//! layer writes compact JSON); the writer rejects embedded newlines
+//! rather than corrupting the frame.
 
-use crate::persist::checksum;
+use crate::persist::{checksum, legacy_checksum};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
-/// Version/magic prefix of every record line.
-pub(crate) const RECORD_MAGIC: &str = "j1";
+/// Version/magic prefix of every record line written; `j1` is read too.
+pub(crate) const RECORD_MAGIC: &str = "j2";
 
 /// Bytes one record carrying `payload` occupies in the file: magic,
 /// 16-digit checksum, two separating spaces, payload, newline.
@@ -83,8 +87,8 @@ impl JournalWriter {
 /// `payload`, which holds no newline, framed as one record, as
 /// [`JournalWriter::append`] writes it.
 pub(crate) fn record(payload: &str) -> String {
-    let crc = checksum(payload.as_bytes());
-    format!("{RECORD_MAGIC} {crc:016x} {payload}\n")
+    let hash = checksum(payload.as_bytes());
+    format!("{RECORD_MAGIC} {hash:016x} {payload}\n")
 }
 
 /// The result of replaying a journal file.
@@ -192,9 +196,8 @@ pub fn truncate_torn_tail_vfs(
 /// panicking inside instrumented code.
 #[derive(Debug)]
 pub struct JournalEventSink {
-    journal: std::sync::Mutex<JournalWriter>,
-    failed: std::sync::atomic::AtomicBool,
-    error: std::sync::Mutex<Option<String>>,
+    /// The journal, and the first write error: the sink has gone dark.
+    state: Mutex<(JournalWriter, Option<String>)>,
 }
 
 impl JournalEventSink {
@@ -202,55 +205,49 @@ impl JournalEventSink {
     /// torn tail first so appends never fuse onto torn bytes.
     pub fn open(path: &Path) -> Result<JournalEventSink, std::io::Error> {
         truncate_torn_tail(path)?;
-        Ok(JournalEventSink {
-            journal: std::sync::Mutex::new(JournalWriter::open(path)?),
-            failed: std::sync::atomic::AtomicBool::new(false),
-            error: std::sync::Mutex::new(None),
-        })
+        let state = Mutex::new((JournalWriter::open(path)?, None));
+        Ok(JournalEventSink { state })
     }
 
     /// The first write error, if the sink has gone dark.
     #[must_use]
     pub fn error(&self) -> Option<String> {
-        match self.error.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1
+            .clone()
     }
 }
 
 impl iokc_obs::EventSink for JournalEventSink {
     fn emit(&self, event: &iokc_obs::Event) {
-        use std::sync::atomic::Ordering;
-        if self.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let record = event.to_record();
-        let appended = self
-            .journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(&record);
-        if let Err(e) = appended {
-            self.failed.store(true, Ordering::Relaxed);
-            let mut slot = match self.error.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            slot.get_or_insert_with(|| e.to_string());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (journal, error) = &mut *state;
+        if error.is_none() {
+            *error = journal
+                .append(&event.to_record())
+                .err()
+                .map(|e| e.to_string());
         }
     }
 }
 
-/// Decode one framed line into its payload, verifying the checksum.
-/// Returns `None` for torn (unterminated), malformed, or corrupt lines.
+/// Decode one framed line into its payload, verifying it with the
+/// checksum its magic names. Returns `None` for torn (unterminated),
+/// malformed, or corrupt lines.
 fn decode_record(line: &str) -> Option<&str> {
     let body = line.strip_suffix('\n')?;
     let body = body.strip_suffix('\r').unwrap_or(body);
-    let rest = body.strip_prefix(RECORD_MAGIC)?.strip_prefix(' ')?;
-    let (crc_hex, payload) = rest.split_once(' ')?;
-    let recorded = u64::from_str_radix(crc_hex, 16).ok()?;
-    if checksum(payload.as_bytes()) != recorded {
+    let (magic, rest) = body.split_once(' ')?;
+    let hash = match magic {
+        RECORD_MAGIC => checksum,
+        "j1" => legacy_checksum,
+        _ => return None,
+    };
+    let (hex, payload) = rest.split_once(' ')?;
+    let recorded = u64::from_str_radix(hex, 16).ok()?;
+    if hash(payload.as_bytes()) != recorded {
         return None;
     }
     Some(payload)

@@ -15,7 +15,7 @@
 //!
 //! Writes are crash-safe: the file is written to a temp file, fsynced,
 //! and renamed over the target. The manifest carries a trailing
-//! checksum footer (`#iokc-crc64:<hex>` over the JSON body, FNV-1a 64),
+//! checksum footer (`#iokc-xxh64:<hex>` over the JSON body, XXH64),
 //! so a torn or bit-flipped manifest — or one that never had a footer —
 //! is *detected* on read ([`DbError::Corrupt`]) rather than silently
 //! yielding wrong data, as every log record's own checksum is.
@@ -195,36 +195,92 @@ pub(crate) fn counters_from_json(json: &Json) -> Counters {
         .collect()
 }
 
-/// Marker introducing the checksum footer line.
-const FOOTER_MARKER: &str = "\n#iokc-crc64:";
+/// Marker introducing the checksum footer line. Older binaries wrote
+/// `#iokc-crc64:` over the body's FNV-1a 64: read, never written.
+const FOOTER_MARKER: &str = "\n#iokc-xxh64:";
 
-/// FNV-1a 64-bit checksum of a document body.
+/// The checksum of every frame the store writes, each log record and
+/// the manifest footer: XXH64 with seed 0.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    let round = |acc: u64, lane: u64| {
+        let acc = acc.wrapping_add(lane.wrapping_mul(P2));
+        acc.rotate_left(31).wrapping_mul(P1)
+    };
+    // Every call has eight bytes at `at`.
+    let word = |at: &[u8]| at.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut hash = P5;
+    if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = round(*acc, word(lane));
+            }
+        }
+        hash = (v.iter().zip([1, 7, 12, 18]))
+            .fold(0, |h, (acc, r)| h.wrapping_add(acc.rotate_left(r)));
+        for acc in v {
+            hash = (hash ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+        }
     }
-    hash
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut lanes = rest.chunks_exact(8);
+    for lane in &mut lanes {
+        hash ^= round(0, word(lane));
+        hash = hash.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    rest = lanes.remainder();
+    if let Some((half, tail)) = rest.split_first_chunk() {
+        hash ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1);
+        hash = hash.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = tail;
+    }
+    for &byte in rest {
+        hash ^= u64::from(byte).wrapping_mul(P5);
+        hash = hash.rotate_left(11).wrapping_mul(P1);
+    }
+    let hash = (hash ^ (hash >> 33)).wrapping_mul(P2);
+    let hash = (hash ^ (hash >> 29)).wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
+/// FNV-1a 64, the checksum of the frames older binaries wrote.
+pub(crate) fn legacy_checksum(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Split a document into its JSON body and the checksum its footer
-/// records, verifying the one against the other. A missing, malformed or
-/// wrong footer is corruption: every file the store writes ends in one,
-/// so its absence is a torn write.
+/// records, verifying the one against the other with the checksum its
+/// marker names. A missing, malformed or wrong footer is corruption:
+/// every file the store writes ends in one, so its absence is a torn
+/// write.
 pub fn verify_image(text: &str) -> Result<(&str, u64), DbError> {
-    let Some(at) = text.rfind(FOOTER_MARKER) else {
+    let footers = [
+        (FOOTER_MARKER, checksum as fn(&[u8]) -> u64),
+        ("\n#iokc-crc64:", legacy_checksum),
+    ];
+    let found =
+        (footers.iter()).find_map(|&(marker, hash)| Some((text.rfind(marker)?, marker, hash)));
+    let Some((at, marker, hash)) = found else {
         return Err(DbError::Corrupt("no checksum footer (torn write?)".into()));
     };
     let body = &text[..at];
-    let footer = text[at + FOOTER_MARKER.len()..].trim_end();
+    let footer = text[at + marker.len()..].trim_end();
     let Ok(recorded) = u64::from_str_radix(footer, 16) else {
         return Err(DbError::Corrupt(format!(
             "malformed checksum footer {footer:?} (torn write?)"
         )));
     };
-    let actual = checksum(body.as_bytes());
+    let actual = hash(body.as_bytes());
     if actual != recorded {
         return Err(DbError::Corrupt(format!(
             "checksum mismatch: image records {recorded:016x}, body hashes to {actual:016x}"
@@ -282,9 +338,9 @@ pub fn classify_io_error(context: &str, e: &std::io::Error) -> DbError {
 /// detectable.
 #[must_use]
 pub fn render_document(mut body: String) -> String {
-    let crc = checksum(body.as_bytes());
+    let hash = checksum(body.as_bytes());
     // Writing into a `String` cannot fail.
-    let _ = writeln!(body, "{FOOTER_MARKER}{crc:016x}");
+    let _ = writeln!(body, "{FOOTER_MARKER}{hash:016x}");
     body
 }
 
@@ -504,13 +560,13 @@ pub(crate) mod tests {
     fn image_carries_verifiable_checksum() {
         let image = render_document(all_rows(&sample_db()));
         let (body, _) = verify_image(&image).unwrap();
-        assert!(!body.contains("#iokc-crc64"));
+        assert!(!body.contains("#iokc-xxh64"));
         // Flipping one byte in the body is detected.
         let tampered = image.replacen("performances", "perform4nces", 1);
         assert!(matches!(verify_image(&tampered), Err(DbError::Corrupt(_))));
         // A malformed footer is detected.
         assert!(matches!(
-            verify_image("{}\n#iokc-crc64:zz"),
+            verify_image("{}\n#iokc-xxh64:zz"),
             Err(DbError::Corrupt(_))
         ));
         // So is a missing one: nothing the store writes lacks it.

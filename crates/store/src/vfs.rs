@@ -33,9 +33,11 @@
 //! filesystems preserve metadata ordering), and — for each file written
 //! since its last successful fsync — variants where that file surfaces
 //! with its durable content, a torn prefix, or its full unsynced content
-//! (the page cache may have flushed it anyway). Enumeration varies one
-//! dirty file at a time and is capped, which bounds the state count
-//! while still covering every single-fault outcome.
+//! (the page cache may have flushed it anyway), and — for a file whose
+//! truncate's barrier failed, which may have reached the disk anyway —
+//! the truncated file. Enumeration varies one file at a time and is
+//! capped, which bounds the state count while still covering every
+//! single-fault outcome.
 
 use iokc_obs::Counter;
 use std::collections::{BTreeMap, BTreeSet};
@@ -207,6 +209,8 @@ struct Inner {
     /// Renames applied to the volatile namespace but not yet committed
     /// by a directory sync, in application order.
     pending_renames: Vec<(PathBuf, PathBuf)>,
+    /// Inodes whose last truncate's barrier failed, and the length it cut.
+    cuts: BTreeMap<u64, usize>,
     /// Global mutating-operation counter.
     ops: u64,
     /// Durability-barrier counter.
@@ -276,6 +280,7 @@ impl Inner {
         let ino = named.unwrap_or_else(|| self.new_inode(Vec::new()));
         let node = self.inodes.entry(ino).or_default();
         node.synced_len = node.bytes.len();
+        self.cuts.remove(&ino);
         let entry = (ino, node.synced_len);
         self.durable.insert(path.to_path_buf(), entry);
         self.drop_unnamed();
@@ -287,6 +292,7 @@ impl Inner {
             .chain(self.durable.values().map(|&(ino, _)| ino))
             .collect();
         self.inodes.retain(|ino, _| named.contains(ino));
+        self.cuts.retain(|ino, _| named.contains(ino));
     }
 
     /// What the durable namespace holds, copied out.
@@ -422,8 +428,8 @@ impl FaultVfs {
     }
 
     /// Every disk image a reboot could expose, bounded: each prefix of
-    /// the pending renames, optionally combined with one dirty file
-    /// surfacing as a torn half-prefix or as its full unsynced content.
+    /// the pending renames, optionally combined with one file surfacing
+    /// cut by a failed truncate, torn in its unsynced half, or whole.
     #[must_use]
     pub fn crash_states(&self) -> Vec<BTreeMap<PathBuf, Vec<u8>>> {
         const MAX_STATES: usize = 64;
@@ -444,6 +450,11 @@ impl FaultVfs {
             // the store never overwrites them between fsyncs.)
             for (path, ino) in &inner.volatile {
                 let node = &inner.inodes[ino];
+                if let Some(&cut) = inner.cuts.get(ino) {
+                    let mut truncated = base.clone();
+                    truncated.insert(path.clone(), node.bytes[..cut].to_vec());
+                    states.insert(truncated);
+                }
                 if node.bytes.len() == node.synced_len {
                     continue;
                 }
@@ -568,7 +579,10 @@ impl Vfs for FaultVfs {
         let node = inner.inodes.entry(ino).or_default();
         node.bytes.truncate(len);
         node.synced_len = node.synced_len.min(node.bytes.len());
-        // `StdVfs::set_len` syncs the truncation; mirror that.
+        let cut = node.bytes.len();
+        // `StdVfs::set_len` syncs the truncation; mirror that. A failed
+        // barrier may have reached the disk: a crash may expose the cut.
+        inner.cuts.insert(ino, cut);
         inner.begin_sync()?;
         inner.make_durable(path);
         Ok(())

@@ -31,6 +31,8 @@ const KINDS: [DiskFault; 6] = [
 struct Node {
     bytes: Vec<u8>,
     synced_len: usize,
+    /// The length a truncate whose barrier failed cut the file to.
+    cut: Option<usize>,
 }
 
 /// The two-image disk.
@@ -63,6 +65,7 @@ impl Model {
                 let node = Node {
                     bytes: bytes.clone(),
                     synced_len: bytes.len(),
+                    cut: None,
                 };
                 (path.clone(), node)
             })
@@ -132,6 +135,7 @@ impl Model {
         let bytes = match self.volatile.get_mut(path) {
             Some(node) => {
                 node.synced_len = node.bytes.len();
+                node.cut = None;
                 node.bytes.clone()
             }
             None => Vec::new(),
@@ -183,6 +187,8 @@ impl Model {
         };
         node.bytes.truncate(len as usize);
         node.synced_len = node.synced_len.min(node.bytes.len());
+        // A barrier that fails may have reached the disk anyway.
+        node.cut = Some(node.bytes.len());
         self.begin_sync()?;
         self.promote(path);
         Ok(())
@@ -244,6 +250,11 @@ impl Model {
             }
             states.insert(base.clone());
             for (path, node) in &self.volatile {
+                if let Some(cut) = node.cut {
+                    let mut truncated = base.clone();
+                    truncated.insert(path.clone(), node.bytes[..cut].to_vec());
+                    states.insert(truncated);
+                }
                 if node.bytes.len() == node.synced_len {
                     continue;
                 }
@@ -428,16 +439,19 @@ proptest! {
 }
 
 /// Write 11 bytes, sync, then truncate to 5 under `fault` at the
-/// truncate's barrier: every crash image keeps all 11.
+/// truncate's barrier: a barrier that fails may still have reached the
+/// disk, so a crash image holds all 11 bytes or the first 5, and both
+/// are offered.
 fn truncate_under(fault: DiskFault) -> FaultVfs {
     let vfs = FaultVfs::new(FaultPlan::at(1, fault));
     let mut file = vfs.create(Path::new("a")).expect("create");
     file.write_all(b"hello world").expect("write");
     file.sync().expect("sync");
     assert!(vfs.set_len(Path::new("a"), 5).is_err());
-    for state in vfs.crash_states() {
-        assert_eq!(state[Path::new("a")], b"hello world");
-    }
+    let images: Vec<Vec<u8>> = (vfs.crash_states().iter())
+        .map(|state| state[Path::new("a")].clone())
+        .collect();
+    assert_eq!(images, [&b"hello"[..], b"hello world"]);
     vfs
 }
 
@@ -447,9 +461,24 @@ fn a_truncate_whose_fsync_fails_is_not_durable() {
     assert_eq!(vfs.read(Path::new("a")).expect("read"), b"hello");
     vfs.set_len(Path::new("a"), 5).expect("retried truncate");
     assert_eq!(vfs.durable_state()[Path::new("a")], b"hello");
+    assert_eq!(vfs.crash_states(), [vfs.durable_state()]);
 }
 
 #[test]
 fn a_truncate_whose_fsync_crashes_is_not_durable() {
     assert!(truncate_under(DiskFault::CrashSync).crashed());
+}
+
+/// A cut is forgotten with its file: a file created after the cut one
+/// was unlinked (which may reuse its inode) surfaces only as written.
+#[test]
+fn a_cut_is_forgotten_with_its_file() {
+    let vfs = truncate_under(DiskFault::FailSync);
+    vfs.remove_file(Path::new("a")).expect("unlink");
+    let mut file = vfs.create(Path::new("b")).expect("create");
+    file.write_all(b"hi").expect("write");
+    let images: Vec<Option<Vec<u8>>> = (vfs.crash_states().iter())
+        .map(|state| state.get(Path::new("b")).cloned())
+        .collect();
+    assert_eq!(images, [None, Some(b"h".to_vec()), Some(b"hi".to_vec())]);
 }

@@ -173,6 +173,20 @@ exits_with() {
 }
 cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/corpus.iokc.json" \
   --campaign "$corpus_dir/campaign" --runs 128 --seed 42 | grep -q "generated 32"
+# The frames the CLI wrote through StdVfs: every line of the campaign
+# journal, of the logs and of the compacted segment is an XXH64 (`j2`)
+# record, and the manifest ends in the XXH64 footer.
+for f in "$corpus_dir/campaign/campaign.journal" "$corpus_dir"/corpus.iokc.json.wal-* \
+  "$corpus_dir"/corpus.iokc.json.seg-*; do
+  if [ ! -s "$f" ] || grep -qv '^j2 ' "$f"; then
+    echo "$f: missing, or a line that is not a j2 record" >&2
+    exit 1
+  fi
+done
+if [[ "$(tail -n 1 "$corpus_dir/corpus.iokc.json")" != '#iokc-xxh64:'* ]]; then
+  echo "the manifest does not end in an XXH64 footer" >&2
+  exit 1
+fi
 cp "$corpus_dir/corpus.iokc.json" "$corpus_dir/manifest.saved"
 truncate -s 100 "$corpus_dir/corpus.iokc.json"
 (cd "$corpus_dir" && sha256sum corpus.iokc.json*) >"$corpus_dir/store.sha256"
@@ -183,6 +197,20 @@ cp "$corpus_dir/manifest.saved" "$corpus_dir/corpus.iokc.json"
 cargo run -q -p iokc-cli -- sql --db "$corpus_dir/corpus.iokc.json" \
   "SELECT COUNT(*) FROM IOFHsRuns" | grep -qx 128
 cargo run -q -p iokc-cli -- fsck --db "$corpus_dir/corpus.iokc.json" | grep -q "clean"
+
+# The CLI writes the same bytes twice: the same corpus generated into
+# two fresh directories is the same files, byte for byte.
+echo "==> corpus gen writes the same bytes twice"
+for run in first second; do
+  mkdir "$corpus_dir/$run"
+  cargo run -q -p iokc-cli -- corpus gen --db "$corpus_dir/$run/corpus.iokc.json" \
+    --campaign "$corpus_dir/$run/campaign" --runs 64 --seed 42 | grep -q "generated 64"
+done
+diff <(cd "$corpus_dir/first" && find . -type f | sort) \
+  <(cd "$corpus_dir/second" && find . -type f | sort)
+(cd "$corpus_dir/first" && find . -type f) | while read -r f; do
+  cmp "$corpus_dir/first/$f" "$corpus_dir/second/$f" || exit 1
+done
 
 # What this repository deleted stays deleted: a second durability
 # mechanism, secondary indexes over a block's rows, a second fault

@@ -901,22 +901,74 @@ fn the_same_history_writes_the_same_bytes() {
     assert_eq!(names, ["/kb.json", "/kb.json.seg-2", "/kb.json.wal-2"]);
 }
 
+/// FNV-1a 64: what the pins below hash with, whatever checksum the
+/// store frames its files with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A file framed as binaries before XXH64 framed it: every `j2` record
+/// a `j1` record carrying the FNV-1a 64 of its payload, or a document's
+/// footer `#iokc-crc64:` over the FNV-1a 64 of its body. Nothing else
+/// moves: both frames are the same length.
+fn legacy_frame(bytes: Vec<u8>) -> Vec<u8> {
+    let text = String::from_utf8(bytes).expect("utf-8");
+    if let Some((body, _)) = text.split_once("\n#iokc-xxh64:") {
+        let footer = fnv1a(body.as_bytes());
+        return format!("{body}\n#iokc-crc64:{footer:016x}\n").into_bytes();
+    }
+    let line = |line: &str| match line.strip_prefix("j2 ").map(|l| l.split_at(17)) {
+        Some((_, payload)) => {
+            let hash = fnv1a(payload.trim_end().as_bytes());
+            format!("j1 {hash:016x} {payload}")
+        }
+        None => line.to_owned(),
+    };
+    text.split_inclusive('\n')
+        .map(line)
+        .collect::<String>()
+        .into_bytes()
+}
+
+/// Every file of `disk` [`legacy_frame`]d.
+fn legacy_framed(disk: Disk) -> Disk {
+    disk.into_iter()
+        .map(|(path, bytes)| (path, legacy_frame(bytes)))
+        .collect()
+}
+
 /// The on-disk format is a compatibility surface, so same-binary
 /// determinism is not enough: these are the checksums of the files
 /// `scripted_history()` leaves, and of the segment that sealing and
-/// compacting that disk writes. The logs are pinned against the binary
-/// whose row codec last went through a `Json` tree, and the two
-/// compaction outputs as the logs compaction writes since it splices
-/// blocks. The manifest is pinned as it records every segment's length;
-/// without those lengths it is the previous binary's byte for byte
+/// compacting that disk writes. Framed as older binaries framed them,
+/// they are the bytes pinned against the binary whose row codec last
+/// went through a `Json` tree (the logs), as the logs compaction writes
+/// since it splices blocks (the two compaction outputs), and as the
+/// manifest that records every segment's length; without those lengths
+/// that manifest is the previous binary's byte for byte
 /// (`a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused`).
+/// Framed as this binary frames them, they are pinned beside those.
 #[test]
 fn store_bytes_are_pinned() {
-    const PINNED: [(&str, u64); 4] = [
-        ("/kb.json", 0x96c1_9074_0a70_453e),
-        ("/kb.json.seg-2", 0xb0fb_cbda_1e6c_aff7),
-        ("/kb.json.wal-2", 0x8f14_2a56_abd6_9206),
-        ("/kb.json.seg-4", 0xa4ab_10f8_d6a9_7b38),
+    const PINNED: [(&str, u64, u64); 4] = [
+        ("/kb.json", 0x96c1_9074_0a70_453e, 0xb247_6d81_3362_4e61),
+        (
+            "/kb.json.seg-2",
+            0xb0fb_cbda_1e6c_aff7,
+            0xc472_810e_bd72_d6bc,
+        ),
+        (
+            "/kb.json.wal-2",
+            0x8f14_2a56_abd6_9206,
+            0xdb78_624a_7d7f_39e9,
+        ),
+        (
+            "/kb.json.seg-4",
+            0xa4ab_10f8_d6a9_7b38,
+            0x9eb2_7c07_2eae_bea0,
+        ),
     ];
     let mut disk = scripted_history();
     let vfs = Arc::new(FaultVfs::from_state(disk.clone()));
@@ -925,9 +977,11 @@ fn store_bytes_are_pinned() {
     store.compact().expect("compact");
     let compacted = persist::segment_path(&kb(), 4);
     disk.insert(compacted.clone(), vfs.durable_state()[&compacted].clone());
-    for (name, pinned) in PINNED {
-        let got = persist::checksum(&disk[&PathBuf::from(name)]);
-        assert_eq!(got, pinned, "{name} moved: {got:#018x}");
+    let legacy = legacy_framed(disk.clone());
+    for (name, pinned, framed) in PINNED {
+        let path = PathBuf::from(name);
+        let got = (fnv1a(&legacy[&path]), fnv1a(&disk[&path]));
+        assert_eq!(got, (pinned, framed), "{name} moved: {got:#018x?}");
     }
     assert_eq!(disk.len(), PINNED.len());
 }
@@ -984,17 +1038,17 @@ fn without_recorded_lengths(disk: Disk) -> Disk {
 /// `.seg-` log without one: every such segment takes its file's length,
 /// the store opens to the same view, and its next manifest commit
 /// records the lengths, so the disk becomes the one today's binary
-/// writes; a missing, torn or empty file is one unusable segment, as
-/// any damaged body is. A segment document an older binary wrote is
+/// writes, but for the frames of the logs it keeps; a missing, torn or
+/// empty file is one unusable segment, as any damaged body is. A segment document an older binary wrote is
 /// never decoded: planted at `.seg-2`, it is refused with a message
 /// that names the way back, and `fsck --repair` leaves every byte where
 /// it was.
 #[test]
 fn a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused() {
     let disk = scripted_history();
-    let legacy = without_recorded_lengths(disk.clone());
+    let legacy = legacy_framed(without_recorded_lengths(disk.clone()));
     // The previous binary's manifest of this history, byte for byte.
-    assert_eq!(persist::checksum(&legacy[&kb()]), 0x7626_6ace_7c79_8a1c);
+    assert_eq!(fnv1a(&legacy[&kb()]), 0x7626_6ace_7c79_8a1c);
     // The rows of `.seg-2` in the envelope binaries before compaction
     // wrote logs gave a segment: the old pin's bytes.
     let seg = persist::segment_path(&kb(), 2);
@@ -1003,8 +1057,8 @@ fn a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused
     let mut body = String::from("{\"format\":\"iokc-segment\",\"id\":2,\"rows\":");
     persist::write_rows(&mut body, &block.db, &BTreeMap::new());
     body.push_str(",\"version\":2}");
-    let document = persist::render_document(body).into_bytes();
-    assert_eq!(persist::checksum(&document), 0xe830_8154_3ba4_e1de);
+    let document = legacy_frame(persist::render_document(body).into_bytes());
+    assert_eq!(fnv1a(&document), 0xe830_8154_3ba4_e1de);
 
     let earlier = Arc::new(FaultVfs::from_state(legacy.clone()));
     let (mut new, mut old) = (open(&today), open(&earlier));
@@ -1013,7 +1067,9 @@ fn a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused
     for store in [&mut new, &mut old] {
         store.seal_active().expect("seal");
     }
-    assert_eq!(earlier.durable_state(), today.durable_state());
+    let (sealed, sealed_today) = (earlier.durable_state(), today.durable_state());
+    assert_eq!(sealed[&kb()], sealed_today[&kb()]);
+    assert_eq!(legacy_framed(sealed), legacy_framed(sealed_today));
 
     // A `.seg-` log that is gone, torn or empty is one unusable segment,
     // as any damaged body is: fsck names it and `--repair` drops it alone.
@@ -1059,6 +1115,149 @@ fn a_segment_without_a_recorded_length_takes_its_files_and_a_document_is_refused
     assert!(!repair.notes.iter().any(|n| n.contains("DATA LOSS")));
     assert_eq!(vfs.durable_state(), planted);
     assert!(KnowledgeStore::open_or_degraded_with_vfs(kb(), vfs).is_read_only());
+}
+
+/// A disk an older binary framed (`j1` records, `#iokc-crc64:` footer)
+/// opens to the view the same disk framed today opens to, and fsck
+/// finds it clean. It seals and compacts: the blocks compaction splices
+/// keep their `j1` frames inside the log it writes, every record of
+/// which verifies, and the store reads back the same runs.
+#[test]
+fn a_disk_an_older_binary_framed_opens_seals_and_compacts() {
+    let disk = scripted_history();
+    let legacy = legacy_framed(disk.clone());
+    assert_ne!(legacy, disk);
+    let (earlier, today) = (
+        Arc::new(FaultVfs::from_state(legacy)),
+        Arc::new(FaultVfs::from_state(disk)),
+    );
+    let (mut old, mut new) = (open(&earlier), open(&today));
+    let before = view(&new);
+    assert_eq!(view(&old), before);
+    assert!(fsck_pass(&earlier, false).clean());
+    for store in [&mut old, &mut new] {
+        store.seal_active().expect("seal");
+        store.compact().expect("compact");
+        assert_eq!(view(store), before);
+    }
+    let seg = persist::segment_path(&kb(), 4);
+    let compacted = earlier.read(&seg).expect("compacted");
+    let spliced = compacted
+        .split(|&b| b == b'\n')
+        .filter(|l| l.starts_with(b"j1 "));
+    assert!(spliced.count() > 0, "no legacy block spliced");
+    let log = read_journal_vfs(&seg, earlier.as_ref()).expect("log");
+    assert!(!log.torn_tail && log.dropped_bytes == 0);
+    assert_eq!(
+        legacy_frame(compacted),
+        legacy_frame(today.read(&seg).expect("seg"))
+    );
+    drop(old);
+    assert!(fsck_pass(&earlier, false).clean());
+    assert_eq!(view(&open(&earlier)), before);
+}
+
+/// An active log an older binary wrote takes this binary's appends: its
+/// `j1` records, then the `j2` records after them, replay in order.
+#[test]
+fn a_legacy_log_takes_appends_and_replays_in_order() {
+    let vfs = Arc::new(FaultVfs::pristine());
+    let mut store = open(&vfs);
+    let mut model = Model::new();
+    let mut save = |store: &mut KnowledgeStore, tag: u32| {
+        let id = store.save_knowledge(&bench(tag)).expect("save");
+        model.insert((RunKind::Benchmark, id), bench(tag).command);
+    };
+    save(&mut store, 1);
+    save(&mut store, 2);
+    drop(store);
+    let vfs = Arc::new(FaultVfs::from_state(legacy_framed(vfs.durable_state())));
+    let mut store = open(&vfs);
+    save(&mut store, 3);
+    save(&mut store, 4);
+    drop(store);
+    let log = vfs.read(&persist::wal_path(&kb(), 0)).expect("log");
+    let magics: Vec<&[u8]> = log
+        .split_inclusive(|&b| b == b'\n')
+        .map(|l| &l[..2])
+        .collect();
+    assert_eq!(magics, [b"j1", b"j1", b"j2", b"j2"]);
+    let ids: Vec<u64> = model.keys().map(|&(_, id)| id).collect();
+    assert_eq!(ids, [1, 2, 3, 4]);
+    assert_eq!(contents(&open(&vfs)), model);
+}
+
+/// A crash tore the log's last record. The torn bytes are cut by the
+/// first append after the open, or by `fsck --repair`, with a truncate
+/// whose barrier may fail or lose power and still reach the disk: a
+/// power loss there offers the log torn and cut, and each image reopens
+/// to the acknowledged prefix — as does every image of every other
+/// crash point of either path.
+#[test]
+fn every_crash_of_a_torn_log_truncate_reopens_to_the_acknowledged_prefix() {
+    let saves = [save_bench(), save_bench(), save_bench()];
+    let mut start = replay(&Disk::new(), FaultPlan::default(), &saves, NO_AUTO_SEAL)
+        .vfs
+        .durable_state();
+    let log = persist::wal_path(&kb(), 0);
+    let torn = start.get_mut(&log).expect("log");
+    torn.truncate(torn.len() - 7);
+    let torn_len = torn.len();
+    let boot = |plan| Arc::new(FaultVfs::from_state_with_plan(start.clone(), plan));
+    let dropped = read_journal_vfs(&log, boot(FaultPlan::default()).as_ref())
+        .expect("log")
+        .dropped_bytes;
+    let acknowledged = contents(&open(&boot(FaultPlan::default())));
+    assert_eq!(acknowledged.len(), 2);
+
+    let ops = [save_bench()];
+    for fault in [DiskFault::Crash, DiskFault::CrashSync] {
+        crash_at_every("torn log, first append", &start, &ops, NO_AUTO_SEAL, fault);
+    }
+    // The truncate's barrier is the first after the open.
+    let cut = replay(
+        &start,
+        FaultPlan::at(0, DiskFault::CrashSync),
+        &ops,
+        NO_AUTO_SEAL,
+    );
+    let lengths: BTreeSet<usize> = cut
+        .vfs
+        .crash_states()
+        .iter()
+        .map(|s| s[&log].len())
+        .collect();
+    assert_eq!(lengths, BTreeSet::from([torn_len - dropped, torn_len]));
+
+    let repair = |plan| {
+        let vfs = boot(plan);
+        fsck_pass(&vfs, true);
+        vfs
+    };
+    let probe = repair(FaultPlan::default());
+    let (mut points, mut images, mut lengths) = (0, 0, BTreeSet::new());
+    for (fault, count) in [
+        (DiskFault::Crash, probe.op_count()),
+        (DiskFault::CrashSync, probe.sync_count()),
+    ] {
+        for at in 0..count {
+            let crashed = repair(FaultPlan::at(at, fault));
+            assert!(crashed.crashed(), "{fault:?} at {at} never fired");
+            for image in crashed.crash_states() {
+                lengths.insert(image[&log].len());
+                let vfs = Arc::new(FaultVfs::from_state(image));
+                assert_eq!(contents(&open(&vfs)), acknowledged, "{fault:?} at {at}");
+                let again = fsck_pass(&vfs, true);
+                assert_eq!(again.unrepaired(), 0, "{fault:?} at {at}: {again:?}");
+                assert!(fsck_pass(&vfs, false).clean(), "{fault:?} at {at}");
+                assert_eq!(contents(&open(&vfs)), acknowledged, "{fault:?} at {at}");
+                images += 1;
+            }
+            points += 1;
+        }
+    }
+    assert_eq!(lengths, BTreeSet::from([torn_len - dropped, torn_len]));
+    eprintln!("torn log, fsck --repair crash enumeration: {points} crash points, {images} images");
 }
 
 /// A `.seg-` log is the length its manifest recorded, as an adopted log
