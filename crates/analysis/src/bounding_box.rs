@@ -190,54 +190,6 @@ impl ExpectationBox2D {
         };
         (axis(&self.bw, bw), axis(&self.md, md))
     }
-
-    /// Render the rectangle with the subject point as ASCII art — the
-    /// "visual representation of the bounding box" of §II-B, terminal
-    /// edition. The plot spans [0, 1.3 × max] on both axes.
-    #[must_use]
-    pub fn render_with_point(&self, bw: f64, md: f64) -> String {
-        const W: usize = 48;
-        const H: usize = 14;
-        let x_span = (self.bw.max.max(bw) * 1.3).max(1e-9);
-        let y_span = (self.md.max.max(md) * 1.3).max(1e-9);
-        let to_col = |value: f64| ((value / x_span) * (W - 1) as f64).round() as usize;
-        let to_row = |value: f64| H - 1 - ((value / y_span) * (H - 1) as f64).round() as usize;
-        let mut grid = vec![vec![' '; W]; H];
-        let (left, right) = (to_col(self.bw.min), to_col(self.bw.max));
-        let (bottom, top) = (to_row(self.md.min), to_row(self.md.max));
-        let right_edge = right.min(W - 1);
-        for cell in &mut grid[top][left..=right_edge] {
-            *cell = '-';
-        }
-        for cell in &mut grid[bottom][left..=right_edge] {
-            *cell = '-';
-        }
-        for row in grid.iter_mut().take(bottom + 1).skip(top) {
-            if row[left] == ' ' {
-                row[left] = '|';
-            }
-            if row[right_edge] == ' ' {
-                row[right_edge] = '|';
-            }
-        }
-        let (pc, pr) = (to_col(bw).min(W - 1), to_row(md).min(H - 1));
-        grid[pr][pc] = '*';
-        let mut out = String::new();
-        out.push_str(&format!(
-            "metadata (kIOPS) up to {y_span:.2}; bandwidth (GiB/s) up to {x_span:.2}
-"
-        ));
-        for row in grid {
-            out.push_str(&row.into_iter().collect::<String>());
-            out.push('\n');
-        }
-        let (vb, vm) = self.check_point(bw, md);
-        out.push_str(&format!(
-            "point * = ({bw:.3} GiB/s, {md:.3} kIOPS): bandwidth {vb:?}, metadata {vm:?}
-"
-        ));
-        out
-    }
 }
 
 /// An [`Analyzer`] that fits a box on all but the newest IO500 run and
@@ -355,17 +307,6 @@ mod tests2d {
             (Verdict::Above, Verdict::Inside)
         );
         assert!(ExpectationBox2D::fit(&[], 0.1).is_none());
-    }
-
-    #[test]
-    fn ascii_rendering_places_the_point() {
-        let refs = [scored(1.0, 10.0), scored(1.4, 14.0)];
-        let ref_refs: Vec<&Io500Knowledge> = refs.iter().collect();
-        let bbox = ExpectationBox2D::fit(&ref_refs, 0.1).unwrap();
-        let art = bbox.render_with_point(0.3, 5.0);
-        assert!(art.contains('*'));
-        assert!(art.contains('|') && art.contains('-'));
-        assert!(art.contains("bandwidth Below"));
     }
 }
 

@@ -121,11 +121,7 @@ fn bench_query_engine(c: &mut Criterion) {
     // One executor, two blocks: the same 1 000 rows listed and
     // aggregated while they are the unsealed active generation, then
     // again once `seal_active` has made them a segment.
-    let mut store = KnowledgeStore::open_with_vfs(
-        PathBuf::from("/bench-seal.json"),
-        Arc::new(FaultVfs::pristine()) as Arc<dyn Vfs>,
-    )
-    .unwrap();
+    let mut store = KnowledgeStore::in_memory();
     let batch: Vec<KnowledgeItem> = (0..1_000)
         .map(|i| KnowledgeItem::Benchmark(knowledge(i)))
         .collect();
@@ -323,9 +319,7 @@ fn bench_store_scale(c: &mut Criterion) {
 /// Eight sealed blocks of 1 024 runs, each one batch, with 16 runs
 /// deleted from the newest, every body resident.
 fn eight_blocks() -> KnowledgeStore {
-    let vfs = Arc::new(FaultVfs::pristine());
-    let path = PathBuf::from("/bench-compact.json");
-    let mut store = KnowledgeStore::open_with_vfs(path, vfs as Arc<dyn Vfs>).unwrap();
+    let mut store = KnowledgeStore::in_memory();
     store.set_seal_threshold(usize::MAX);
     for block in 0..8 {
         let batch: Vec<KnowledgeItem> = (block * 1_024..(block + 1) * 1_024)

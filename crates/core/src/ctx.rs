@@ -179,12 +179,6 @@ impl PhaseCtx {
         self.max_attempts
     }
 
-    /// Is this a retry (attempt 2 or later)?
-    #[must_use]
-    pub fn is_retry(&self) -> bool {
-        self.attempt > 1
-    }
-
     /// The module invocation's open span — pass as the parent when
     /// opening sub-spans on the recorder.
     #[must_use]
@@ -266,7 +260,6 @@ mod tests {
         assert_eq!(ctx.phase(), PhaseKind::Analysis);
         assert_eq!(ctx.module(), "variance");
         assert_eq!(ctx.attempt(), 1);
-        assert!(!ctx.is_retry());
         assert!(!ctx.is_cancelled());
 
         let e = ctx.transient_error("node lost");

@@ -125,79 +125,6 @@ impl DarshanLog {
         };
         self.records(module).iter().map(|r| r.fcounters[idx]).sum()
     }
-
-    /// DXT segments touching one file.
-    #[must_use]
-    pub fn dxt_for(&self, record_id: u64) -> Vec<&DxtSegment> {
-        self.dxt
-            .iter()
-            .filter(|s| s.record_id == record_id)
-            .collect()
-    }
-}
-
-impl DarshanLog {
-    /// Reduce per-rank records of files touched by every rank into one
-    /// shared record with `rank == -1`, exactly as Darshan's shared-file
-    /// reduction does at `MPI_Finalize`: integer counters sum; `MAX_BYTE`
-    /// counters take the maximum; timestamps take min (open start) / max
-    /// (close end); cumulative times sum; max-times take the maximum.
-    /// Files not touched by all ranks keep their per-rank records.
-    #[must_use]
-    pub fn reduce_shared(mut self) -> DarshanLog {
-        let nprocs = i64::from(self.job.nprocs);
-        for (&module, records) in &mut self.modules {
-            // Group record indices by record id.
-            let mut by_id: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-            for (i, rec) in records.iter().enumerate() {
-                by_id.entry(rec.record_id).or_default().push(i);
-            }
-            let mut reduced: Vec<FileRecord> = Vec::with_capacity(records.len());
-            let mut consumed = vec![false; records.len()];
-            for (record_id, indices) in by_id {
-                let distinct_ranks: std::collections::BTreeSet<i32> =
-                    indices.iter().map(|i| records[*i].rank).collect();
-                if (distinct_ranks.len() as i64) < nprocs || distinct_ranks.contains(&-1) {
-                    continue; // not shared by every rank (or already reduced)
-                }
-                let mut shared = FileRecord::zeroed(module, record_id, -1);
-                for &i in &indices {
-                    consumed[i] = true;
-                    let rec = &records[i];
-                    for (ci, name) in module.counter_names().iter().enumerate() {
-                        if name.contains("MAX_BYTE") {
-                            shared.counters[ci] = shared.counters[ci].max(rec.counters[ci]);
-                        } else {
-                            shared.counters[ci] += rec.counters[ci];
-                        }
-                    }
-                    for (ci, name) in module.fcounter_names().iter().enumerate() {
-                        if name.contains("OPEN_START") {
-                            if shared.fcounters[ci] == 0.0
-                                || rec.fcounters[ci] < shared.fcounters[ci]
-                            {
-                                shared.fcounters[ci] = rec.fcounters[ci];
-                            }
-                        } else if name.contains("CLOSE_END") || name.contains("MAX") {
-                            shared.fcounters[ci] = shared.fcounters[ci].max(rec.fcounters[ci]);
-                        } else {
-                            shared.fcounters[ci] += rec.fcounters[ci];
-                        }
-                    }
-                }
-                reduced.push(shared);
-            }
-            let mut kept: Vec<FileRecord> = records
-                .iter()
-                .zip(&consumed)
-                .filter(|(_, used)| !**used)
-                .map(|(rec, _)| rec.clone())
-                .collect();
-            kept.extend(reduced);
-            *records = kept;
-        }
-        self
-    }
 }
 
 /// Darshan hashes paths into 64-bit record ids; this implementation uses
@@ -551,7 +478,7 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.dxt.len(), 6);
         let id = record_id("/scratch/t");
-        assert_eq!(log.dxt_for(id).len(), 6);
+        assert!(log.dxt.iter().all(|s| s.record_id == id));
         let writes = log.dxt.iter().filter(|s| s.is_write).count();
         assert_eq!(writes, 4);
     }
@@ -594,80 +521,6 @@ mod tests {
         assert_eq!(
             log.total_counter(Module::Mpiio, "MPIIO_BYTES_WRITTEN"),
             1024
-        );
-    }
-
-    #[test]
-    fn shared_reduction_merges_per_rank_records() {
-        let mut b = LogBuilder::new(1, 2, "ior", false);
-        // A shared file touched by both ranks, and a private file.
-        for rank in 0..2 {
-            b.open(
-                Module::Posix,
-                "/scratch/shared",
-                rank,
-                0.1 + f64::from(rank),
-                0.2,
-            );
-            b.transfer(
-                "/scratch/shared",
-                rank,
-                true,
-                u64::from(rank as u32) << 20,
-                1 << 20,
-                0.2,
-                0.4,
-                None,
-            );
-            b.close(
-                Module::Posix,
-                "/scratch/shared",
-                rank,
-                0.5,
-                0.6 + f64::from(rank),
-            );
-        }
-        b.open(Module::Posix, "/scratch/private", 0, 0.0, 0.1);
-        b.transfer("/scratch/private", 0, true, 0, 4096, 0.1, 0.2, None);
-        let log = b.finish().reduce_shared();
-
-        let records = log.records(Module::Posix);
-        // Shared file: one rank=-1 record; private file keeps rank 0.
-        let shared: Vec<&FileRecord> = records
-            .iter()
-            .filter(|r| r.record_id == record_id("/scratch/shared"))
-            .collect();
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared[0].rank, -1);
-        assert_eq!(shared[0].counter(Module::Posix, "POSIX_OPENS"), Some(2));
-        assert_eq!(
-            shared[0].counter(Module::Posix, "POSIX_BYTES_WRITTEN"),
-            Some(2 << 20)
-        );
-        // MAX_BYTE is a max, not a sum.
-        assert_eq!(
-            shared[0].counter(Module::Posix, "POSIX_MAX_BYTE_WRITTEN"),
-            Some((2 << 20) - 1)
-        );
-        // Open start = min, close end = max.
-        assert_eq!(
-            shared[0].fcounter(Module::Posix, "POSIX_F_OPEN_START_TIMESTAMP"),
-            Some(0.1)
-        );
-        assert_eq!(
-            shared[0].fcounter(Module::Posix, "POSIX_F_CLOSE_END_TIMESTAMP"),
-            Some(1.6)
-        );
-        let private: Vec<&FileRecord> = records
-            .iter()
-            .filter(|r| r.record_id == record_id("/scratch/private"))
-            .collect();
-        assert_eq!(private.len(), 1);
-        assert_eq!(private[0].rank, 0);
-        // Totals survive the reduction.
-        assert_eq!(
-            log.total_counter(Module::Posix, "POSIX_BYTES_WRITTEN"),
-            (2 << 20) + 4096
         );
     }
 

@@ -83,25 +83,6 @@ impl LogSummary {
             read_size_histogram,
         }
     }
-
-    /// Average POSIX write bandwidth over cumulative write time, MiB/s.
-    /// Zero when no time was recorded.
-    #[must_use]
-    pub fn write_bandwidth_mib(&self) -> f64 {
-        if self.write_time <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_written as f64 / (1024.0 * 1024.0) / self.write_time
-    }
-
-    /// Average POSIX read bandwidth over cumulative read time, MiB/s.
-    #[must_use]
-    pub fn read_bandwidth_mib(&self) -> f64 {
-        if self.read_time <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_read as f64 / (1024.0 * 1024.0) / self.read_time
-    }
 }
 
 /// Render `darshan-parser`-style text output for a log.
@@ -201,8 +182,7 @@ mod tests {
         assert_eq!(s.per_file_written["/scratch/a"], 2 * 1024 * 1024);
         assert_eq!(s.write_size_histogram["1M-4M"], 1);
         assert_eq!(s.read_size_histogram["100-1K"], 1);
-        // 2 MiB over 1.0 s of write time.
-        assert!((s.write_bandwidth_mib() - 2.0).abs() < 1e-9);
+        assert!((s.write_time - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -218,8 +198,8 @@ mod tests {
     fn empty_summary_has_zero_bandwidth() {
         let log = LogBuilder::new(1, 1, "x", false).finish();
         let s = LogSummary::from_log(&log);
-        assert_eq!(s.write_bandwidth_mib(), 0.0);
-        assert_eq!(s.read_bandwidth_mib(), 0.0);
+        assert_eq!((s.write_time, s.read_time), (0.0, 0.0));
+        assert_eq!((s.bytes_written, s.bytes_read), (0, 0));
         assert_eq!(s.files, 0);
     }
 }

@@ -7,7 +7,6 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
@@ -17,7 +16,6 @@ use iokc_core::model::{
 use iokc_explorerd::http::pull_chunk;
 use iokc_explorerd::{Body, Conn, Explorer, Request, Response, Server, ServerConfig, Transport};
 use iokc_obs::{DeadlineToken, Recorder};
-use iokc_store::vfs::{FaultVfs, Vfs};
 use iokc_store::{KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, RunSummary};
 use iokc_util::json::Json;
 use proptest::prelude::*;
@@ -68,8 +66,7 @@ fn io500(tasks: u32, bw_score: f64, total_score: f64) -> Io500Knowledge {
 /// wrong: no `read` mean, no means at all, a command needing every kind
 /// of escape, non-finite scores.
 fn corpus() -> KnowledgeStore {
-    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::pristine());
-    let mut store = KnowledgeStore::open_with_vfs(PathBuf::from("/kb.json"), vfs).expect("open");
+    let mut store = KnowledgeStore::in_memory();
     store.set_seal_threshold(300);
     let apis = ["POSIX", "MPIIO", "HDF5"];
     let items: Vec<KnowledgeItem> = (0..1200u32)

@@ -5,7 +5,7 @@
 //! the job header populates the pattern fields.
 
 use iokc_core::model::{Knowledge, KnowledgeSource, OperationSummary};
-use iokc_darshan::{decode, decode_salvage, DarshanLog, DecodeError, LogSummary};
+use iokc_darshan::{decode, decode_salvage, DarshanLog, DecodeError, JobHeader, LogSummary};
 
 /// Error ingesting a Darshan log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,43 +67,55 @@ pub fn ingest_darshan_lenient(bytes: &[u8]) -> Knowledge {
 }
 
 fn knowledge_from_log(log: &DarshanLog, summary: &LogSummary) -> Knowledge {
+    let write = Transfers {
+        ops: summary.writes as f64,
+        bytes: summary.bytes_written as f64,
+        time: summary.write_time,
+    };
+    let read = Transfers {
+        ops: summary.reads as f64,
+        bytes: summary.bytes_read as f64,
+        time: summary.read_time,
+    };
+    knowledge_from(&log.job, write, read)
+}
+
+/// A job's POSIX totals in one direction: calls, bytes, and the time
+/// spent in them summed over ranks, seconds.
+#[derive(Clone, Copy)]
+pub(crate) struct Transfers {
+    pub(crate) ops: f64,
+    pub(crate) bytes: f64,
+    pub(crate) time: f64,
+}
+
+/// The one Darshan → knowledge mapping, for a binary log and a
+/// `darshan-parser` dump alike: the job header names the run and gives
+/// its tasks and times, and each direction with calls becomes a
+/// `write`/`read` summary of its bandwidth and rate over its time.
+pub(crate) fn knowledge_from(job: &JobHeader, write: Transfers, read: Transfers) -> Knowledge {
     let mut k = Knowledge::new(
         KnowledgeSource::Darshan,
-        &format!("darshan:{} (job {})", log.job.exe, log.job.job_id),
+        &format!("darshan:{} (job {})", job.exe, job.job_id),
     );
     k.pattern.api = "POSIX".to_owned();
-    k.pattern.tasks = summary.nprocs;
-    k.start_time = log.job.start_time;
-    k.end_time = log.job.end_time;
-    if summary.writes > 0 {
+    k.pattern.tasks = job.nprocs;
+    k.start_time = job.start_time;
+    k.end_time = job.end_time;
+    for (operation, t) in [("write", write), ("read", read)] {
+        if t.ops <= 0.0 {
+            continue;
+        }
+        let per_sec = |amount: f64| if t.time > 0.0 { amount / t.time } else { 0.0 };
+        let bw = per_sec(t.bytes / (1024.0 * 1024.0));
         k.summaries.push(OperationSummary {
-            operation: "write".to_owned(),
+            operation: operation.to_owned(),
             api: "POSIX".to_owned(),
-            max_mib: summary.write_bandwidth_mib(),
-            min_mib: summary.write_bandwidth_mib(),
-            mean_mib: summary.write_bandwidth_mib(),
+            max_mib: bw,
+            min_mib: bw,
+            mean_mib: bw,
             stddev_mib: 0.0,
-            mean_ops: if summary.write_time > 0.0 {
-                summary.writes as f64 / summary.write_time
-            } else {
-                0.0
-            },
-            iterations: 1,
-        });
-    }
-    if summary.reads > 0 {
-        k.summaries.push(OperationSummary {
-            operation: "read".to_owned(),
-            api: "POSIX".to_owned(),
-            max_mib: summary.read_bandwidth_mib(),
-            min_mib: summary.read_bandwidth_mib(),
-            mean_mib: summary.read_bandwidth_mib(),
-            stddev_mib: 0.0,
-            mean_ops: if summary.read_time > 0.0 {
-                summary.reads as f64 / summary.read_time
-            } else {
-                0.0
-            },
+            mean_ops: per_sec(t.ops),
             iterations: 1,
         });
     }

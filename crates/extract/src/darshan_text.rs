@@ -9,7 +9,9 @@
 //! POSIX\t0\t12345\tPOSIX_BYTES_WRITTEN\t1048576\t/scratch/f
 //! ```
 
-use iokc_core::model::{Knowledge, KnowledgeSource, OperationSummary};
+use crate::darshan_ingest::{knowledge_from, Transfers};
+use iokc_core::model::Knowledge;
+use iokc_darshan::JobHeader;
 use std::collections::BTreeMap;
 
 /// Error from parsing darshan-parser text.
@@ -24,29 +26,32 @@ impl std::fmt::Display for DarshanTextError {
 
 impl std::error::Error for DarshanTextError {}
 
-/// Totals accumulated from the counter lines.
-#[derive(Debug, Default, Clone)]
-struct Totals {
-    counters: BTreeMap<String, f64>,
-    files: std::collections::BTreeSet<String>,
-    nprocs: u32,
-    job_id: u64,
-    exe: String,
-    runtime: u64,
-}
-
-fn parse_lines(text: &str) -> Result<Totals, DarshanTextError> {
-    let mut totals = Totals::default();
+/// The job header and the counter totals a dump holds.
+fn parse_lines(text: &str) -> Result<(JobHeader, BTreeMap<String, f64>), DarshanTextError> {
+    let mut job = JobHeader {
+        job_id: 0,
+        nprocs: 0,
+        start_time: 0,
+        end_time: 0,
+        exe: String::new(),
+    };
+    let (mut end_time, mut runtime) = (None, 0);
+    let mut counters = BTreeMap::new();
     for line in text.lines() {
         let line = line.trim_end();
-        if let Some(rest) = line.strip_prefix("# nprocs:") {
-            totals.nprocs = rest.trim().parse().unwrap_or(0);
-        } else if let Some(rest) = line.strip_prefix("# jobid:") {
-            totals.job_id = rest.trim().parse().unwrap_or(0);
-        } else if let Some(rest) = line.strip_prefix("# exe:") {
-            totals.exe = rest.trim().to_owned();
-        } else if let Some(rest) = line.strip_prefix("# run time:") {
-            totals.runtime = rest.trim().parse().unwrap_or(0);
+        let header = |key: &str| line.strip_prefix(key).map(str::trim);
+        if let Some(rest) = header("# nprocs:") {
+            job.nprocs = rest.parse().unwrap_or(0);
+        } else if let Some(rest) = header("# jobid:") {
+            job.job_id = rest.parse().unwrap_or(0);
+        } else if let Some(rest) = header("# exe:") {
+            rest.clone_into(&mut job.exe);
+        } else if let Some(rest) = header("# start_time:") {
+            job.start_time = rest.parse().unwrap_or(0);
+        } else if let Some(rest) = header("# end_time:") {
+            end_time = rest.parse().ok();
+        } else if let Some(rest) = header("# run time:") {
+            runtime = rest.parse().unwrap_or(0);
         }
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -61,60 +66,33 @@ fn parse_lines(text: &str) -> Result<Totals, DarshanTextError> {
             continue;
         };
         if counter.starts_with("POSIX_") || counter.starts_with("MPIIO_") {
-            *totals.counters.entry(counter.to_owned()).or_insert(0.0) += value;
-            totals.files.insert(fields[5].to_owned());
+            *counters.entry(counter.to_owned()).or_insert(0.0) += value;
         }
     }
-    if totals.counters.is_empty() {
+    if counters.is_empty() {
         return Err(DarshanTextError("no counter lines found".into()));
     }
-    Ok(totals)
+    // A dump without an end time (an older darshan-parser's) ends its
+    // run time after its start.
+    job.end_time = end_time.unwrap_or(job.start_time.saturating_add(runtime));
+    Ok((job, counters))
 }
 
-/// Parse a `darshan-parser` dump into a benchmark knowledge object (the
-/// same shape the binary-log ingester produces).
+/// Parse a `darshan-parser` dump into a benchmark knowledge object: the
+/// same mapping the binary-log ingester applies
+/// ([`crate::ingest_darshan`]).
 pub fn parse_darshan_text(text: &str) -> Result<Knowledge, DarshanTextError> {
-    let totals = parse_lines(text)?;
-    let get = |name: &str| totals.counters.get(name).copied().unwrap_or(0.0);
-    let mut k = Knowledge::new(
-        KnowledgeSource::Darshan,
-        &format!("darshan:{} (job {})", totals.exe, totals.job_id),
-    );
-    k.pattern.api = "POSIX".to_owned();
-    k.pattern.tasks = totals.nprocs;
-    k.end_time = totals.runtime;
-
-    let mut push = |operation: &str, bytes: f64, ops: f64, time: f64| {
-        if ops <= 0.0 {
-            return;
-        }
-        let bw = if time > 0.0 {
-            bytes / (1024.0 * 1024.0) / time
-        } else {
-            0.0
-        };
-        k.summaries.push(OperationSummary {
-            operation: operation.to_owned(),
-            api: "POSIX".to_owned(),
-            max_mib: bw,
-            min_mib: bw,
-            mean_mib: bw,
-            stddev_mib: 0.0,
-            mean_ops: if time > 0.0 { ops / time } else { 0.0 },
-            iterations: 1,
-        });
+    let (job, counters) = parse_lines(text)?;
+    let total = |name: &str| counters.get(name).copied().unwrap_or(0.0);
+    let transfers = |what: &str, bytes: &str| Transfers {
+        ops: total(&format!("POSIX_{what}S")),
+        bytes: total(bytes),
+        time: total(&format!("POSIX_F_{what}_TIME")),
     };
-    push(
-        "write",
-        get("POSIX_BYTES_WRITTEN"),
-        get("POSIX_WRITES"),
-        get("POSIX_F_WRITE_TIME"),
-    );
-    push(
-        "read",
-        get("POSIX_BYTES_READ"),
-        get("POSIX_READS"),
-        get("POSIX_F_READ_TIME"),
+    let k = knowledge_from(
+        &job,
+        transfers("WRITE", "POSIX_BYTES_WRITTEN"),
+        transfers("READ", "POSIX_BYTES_READ"),
     );
     if k.summaries.is_empty() {
         return Err(DarshanTextError("no read or write activity".into()));
@@ -143,12 +121,10 @@ mod tests {
 
         let from_text = parse_darshan_text(&text).unwrap();
         let from_binary = crate::ingest_darshan(&iokc_darshan::encode(&log)).unwrap();
-        assert_eq!(from_text.pattern.tasks, from_binary.pattern.tasks);
-        let text_write = from_text.summary("write").unwrap();
-        let binary_write = from_binary.summary("write").unwrap();
-        assert!((text_write.mean_mib - binary_write.mean_mib).abs() < 0.01);
+        assert_eq!(from_text, from_binary);
+        assert_eq!((from_text.start_time, from_text.end_time), (1000, 1120));
         // 256 MiB over 2.0 s of write time.
-        assert!((text_write.mean_mib - 128.0).abs() < 0.01);
+        assert!((from_text.summary("write").unwrap().mean_mib - 128.0).abs() < 0.01);
         let text_read = from_text.summary("read").unwrap();
         assert!((text_read.mean_mib - 128.0).abs() < 0.01);
     }
@@ -176,6 +152,14 @@ POSIX\t-1\t42\tPOSIX_F_WRITE_TIME\t25.5\t/scratch/out
         // 6400 MiB over 25.5 s ≈ 251 MiB/s.
         assert!((write.mean_mib - 6400.0 / 25.5).abs() < 0.01);
         assert!(k.summary("read").is_none());
+    }
+
+    #[test]
+    fn a_direction_without_time_has_zero_rates() {
+        let dump = "POSIX\t0\t1\tPOSIX_WRITES\t5\t/f\n";
+        let write = parse_darshan_text(dump).unwrap().summaries.remove(0);
+        let rates = (write.operation.as_str(), write.mean_mib, write.mean_ops);
+        assert_eq!(rates, ("write", 0.0, 0.0));
     }
 
     #[test]

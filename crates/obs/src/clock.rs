@@ -84,15 +84,6 @@ impl Clock {
             v.advance_ns(delta_ns);
         }
     }
-
-    /// The shared virtual clock handle, when this clock is virtual.
-    #[must_use]
-    pub fn virtual_handle(&self) -> Option<VirtualClock> {
-        match self {
-            Clock::Wall { .. } => None,
-            Clock::Virtual(v) => Some(v.clone()),
-        }
-    }
 }
 
 /// A cooperative cancellation token.
@@ -231,7 +222,6 @@ mod tests {
         // The advance did not leap the clock forward by the requested
         // twenty minutes.
         assert!(b - a < 10_000_000_000);
-        assert!(clock.virtual_handle().is_none());
     }
 
     #[test]

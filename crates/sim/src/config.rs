@@ -69,12 +69,6 @@ impl ClusterConfig {
             cpu_mhz: 2000.0,
         }
     }
-
-    /// Total core count.
-    #[must_use]
-    pub fn total_cores(&self) -> u32 {
-        self.nodes * self.cores_per_node
-    }
 }
 
 /// RAID scheme of a storage pool, reported in the `filesystems` knowledge
@@ -255,7 +249,6 @@ mod tests {
         let c = ClusterConfig::fuchs_csc();
         assert_eq!(c.nodes, 198);
         assert_eq!(c.cores_per_node, 20);
-        assert_eq!(c.total_cores(), 3960);
         assert_eq!(c.mem_per_node, 128 * GIB);
         assert!((c.fabric_bandwidth - 27e9).abs() < 1.0);
     }

@@ -196,18 +196,6 @@ impl PhaseResult {
             .collect()
     }
 
-    /// Summed time spent in ops of `kind` across ranks, seconds (IOR's
-    /// per-phase open/close/wr-rd accounting uses max-over-ranks; that is
-    /// [`PhaseResult::span_secs`]).
-    #[must_use]
-    pub fn total_op_secs(&self, kind: OpKind) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .map(|r| r.duration().as_secs_f64())
-            .sum()
-    }
-
     /// First-issue to last-completion span for `kind`, seconds.
     #[must_use]
     pub fn span_secs(&self, kind: OpKind) -> f64 {
@@ -277,7 +265,6 @@ mod tests {
         assert!((p.bandwidth_mib(OpKind::Write) - 200.0).abs() < 1e-9);
         assert!((p.op_rate(OpKind::Write) - 2.0).abs() < 1e-9);
         assert_eq!(p.latencies_secs(OpKind::Write).len(), 2);
-        assert!((p.total_op_secs(OpKind::Write) - 1.4).abs() < 1e-9);
         assert!((p.span_secs(OpKind::Write) - 1.0).abs() < 1e-9);
     }
 

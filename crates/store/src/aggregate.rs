@@ -878,19 +878,8 @@ pub(crate) mod tests {
             q.evaluate_rows(store.live_summaries().iter())
         }
 
-        pub(super) fn vfs_store(name: &str) -> KnowledgeStore {
-            use crate::vfs::{FaultVfs, Vfs};
-            use std::sync::Arc;
-            let vfs = Arc::new(FaultVfs::pristine());
-            KnowledgeStore::open_with_vfs(
-                std::path::PathBuf::from(format!("/{name}.json")),
-                vfs as Arc<dyn Vfs>,
-            )
-            .unwrap()
-        }
-
         fn segmented_store() -> KnowledgeStore {
-            let mut store = vfs_store("agg-corpus");
+            let mut store = KnowledgeStore::in_memory();
             store.set_seal_threshold(4);
             for i in 0..10u32 {
                 let api = if i % 2 == 0 { "POSIX" } else { "MPIIO" };
@@ -934,7 +923,7 @@ pub(crate) mod tests {
         /// active blocks, with correlations folded from the reused row.
         #[test]
         fn zero_buckets_and_empty_api_spell_alike() {
-            let mut store = vfs_store("agg-labels");
+            let mut store = KnowledgeStore::in_memory();
             store.set_seal_threshold(3);
             let mut zeros = bench("", 0, 10.0);
             zeros.pattern.transfer_size = 0;
@@ -1065,7 +1054,7 @@ pub(crate) mod tests {
     }
 
     mod prop {
-        use super::engine::{assert_results_close, bench, io500, oracle, vfs_store};
+        use super::engine::{assert_results_close, bench, io500, oracle};
         use super::*;
         use crate::knowledge_store::KnowledgeStore;
         use iokc_obs::DeadlineToken;
@@ -1153,7 +1142,7 @@ pub(crate) mod tests {
                 pin_at in 0usize..28,
                 seal_threshold in 2usize..6,
             ) {
-                let mut store = vfs_store("agg-prop");
+                let mut store = KnowledgeStore::in_memory();
                 store.set_seal_threshold(seal_threshold);
                 let mut pinned = None;
                 for (i, op) in ops.iter().enumerate() {

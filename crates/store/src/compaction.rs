@@ -19,8 +19,8 @@
 //! takes the inputs' rows by move, copying only what a snapshot holds.
 //!
 //! Compaction never touches the active generation and never changes the
-//! store's write [`Snapshot::generation`]: it moves rows between
-//! layers without changing what any read returns. Open [`Snapshot`]s
+//! store's write [`crate::Snapshot::generation`]: it moves rows between
+//! layers without changing what any read returns. Open snapshots
 //! are immune — the bodies of every input segment are preloaded into
 //! their shared [`crate::Segment`] handles *before* the old files are
 //! unlinked, so a snapshot taken before the compaction keeps answering
@@ -38,7 +38,7 @@
 
 use crate::database::DbError;
 use crate::journal;
-use crate::knowledge_store::{delete_runs, KnowledgeStore, Manifest, Snapshot};
+use crate::knowledge_store::{delete_runs, KnowledgeStore, Manifest};
 use crate::persist;
 use crate::query::RunKind;
 use crate::segment::{push_rows_record, BodyFile, Segment, SegmentBody, SegmentData, SegmentMeta};
@@ -97,21 +97,18 @@ impl KnowledgeStore {
     }
 
     /// Merge all sealed segments into one, dropping tombstoned runs and
-    /// rewriting the index block. No-op for in-memory stores, stores
-    /// with nothing to merge, and a [`DbError::ReadOnly`] for degraded
-    /// ones. See the module docs for the crash and snapshot contracts.
+    /// rewriting the index block. No-op for stores with nothing to
+    /// merge, and a [`DbError::ReadOnly`] for degraded ones. See the
+    /// module docs for the crash and snapshot contracts.
     pub fn compact(&mut self) -> Result<CompactionReport, DbError> {
         self.ensure_writable()?;
         let plan = self.compaction_plan();
-        let Some(path) = self.path.clone() else {
-            return Ok(CompactionReport::default());
-        };
         if plan.is_noop() {
             return Ok(CompactionReport::default());
         }
         let recorder = Arc::clone(&self.obs.recorder);
         let span = recorder.start_span("store.compact", None, Some("analysis"), Some("store"));
-        let result = self.compact_inner(&path, &plan);
+        let result = self.compact_inner(&plan);
         let metrics = recorder.metrics();
         metrics.counter("store.compaction.runs").inc();
         match &result {
@@ -138,11 +135,7 @@ impl KnowledgeStore {
         result
     }
 
-    fn compact_inner(
-        &mut self,
-        path: &std::path::Path,
-        plan: &CompactionPlan,
-    ) -> Result<CompactionReport, DbError> {
+    fn compact_inner(&mut self, plan: &CompactionPlan) -> Result<CompactionReport, DbError> {
         // Preload every input body through the *shared* handles before
         // anything is unlinked: open snapshots hold the same `Arc`s and
         // keep reading the pre-compaction layout from memory. Build the
@@ -187,7 +180,7 @@ impl KnowledgeStore {
             None
         } else {
             let seg_id = self.next_segment;
-            let seg_path = persist::segment_path(path, seg_id);
+            let seg_path = persist::segment_path(&self.path, seg_id);
             persist::write_image(&seg_path, vfs, &image).map_err(|e| {
                 persist::classify_io_error(&format!("compact segment {}", seg_path.display()), &e)
             })?;
@@ -217,10 +210,12 @@ impl KnowledgeStore {
                 .map(|(_, meta)| vec![meta.clone()])
                 .unwrap_or_default(),
         };
-        if let Err(e) = persist::write_document_vfs(path, vfs, &manifest.to_json()) {
-            let classified =
-                persist::classify_io_error(&format!("compact manifest {}", path.display()), &e);
-            self.reload_from_disk(path);
+        if let Err(e) = persist::write_document_vfs(&self.path, vfs, &manifest.to_json()) {
+            let classified = persist::classify_io_error(
+                &format!("compact manifest {}", self.path.display()),
+                &e,
+            );
+            self.reload_from_disk();
             return Err(classified);
         }
 
@@ -262,15 +257,6 @@ impl KnowledgeStore {
             }
         }
         Ok(report)
-    }
-
-    /// [`KnowledgeStore::compact`], then report against the snapshot
-    /// taken *before* the pass — a convenience for tests asserting
-    /// snapshot immunity.
-    pub fn compact_with_snapshot(&mut self) -> Result<(Snapshot, CompactionReport), DbError> {
-        let snapshot = self.snapshot();
-        let report = self.compact()?;
-        Ok((snapshot, report))
     }
 }
 
@@ -315,6 +301,7 @@ fn spliceable(seg: &Segment, vfs: &dyn Vfs) -> Result<Option<Vec<u8>>, DbError> 
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::knowledge_store::Snapshot;
     use crate::query::{Query, RunKind, RunPredicate};
     use crate::value::Value;
     use crate::vfs::FaultVfs;
@@ -413,7 +400,8 @@ mod tests {
     fn snapshot_survives_compaction_and_file_removal() {
         let (mut store, _vfs, _path) = store_with_segments(2, 6);
         assert!(store.delete_knowledge(3).unwrap());
-        let (snapshot, report) = store.compact_with_snapshot().unwrap();
+        let snapshot = store.snapshot();
+        let report = store.compact().unwrap();
         assert!(report.output_segment.is_some());
         // The snapshot still sees the pre-compaction state: 5 live runs
         // (the tombstone was already hiding run 3) served from the
@@ -444,13 +432,6 @@ mod tests {
         };
         assert_eq!(get("store.compaction.runs"), 1);
         assert_eq!(get("store.compaction.segments_merged"), 2);
-    }
-
-    #[test]
-    fn in_memory_compaction_is_a_noop() {
-        let mut store = KnowledgeStore::in_memory();
-        store.save_knowledge(&knowledge(0)).unwrap();
-        assert_eq!(store.compact().unwrap(), CompactionReport::default());
     }
 
     /// Two one-batch blocks of 10 runs each, their bodies resident: both

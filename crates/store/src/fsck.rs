@@ -9,10 +9,11 @@
 //! 1. **Manifest** — the document at the nominal path must verify its
 //!    checksum footer and decode as a manifest, read the one way `open`
 //!    reads it. One that does not — a `.seg-` segment document an older
-//!    binary wrote included — is one unrepairable finding, and nothing
-//!    else is checked, swept or rewritten: the manifest is what says
-//!    which log and which segments are the store, so without it no file
-//!    can be called a stray.
+//!    binary wrote included — is one unrepairable finding, and no other
+//!    file of the store is checked, swept or rewritten: the manifest is
+//!    what says which log and which segments are the store, so without
+//!    it no file can be called a stray. A `--journal` is not the
+//!    store's: it is checked (and repaired) all the same.
 //! 2. **Active generation** — the epoch's log must replay onto the
 //!    manifest's counters and summarize, as `open` requires. A torn
 //!    trailing record (a crash mid-append) is reported and, on repair,
@@ -129,7 +130,9 @@ pub fn fsck(path: &Path, vfs: &dyn Vfs, opts: &FsckOptions) -> FsckReport {
             Ok((manifest, _)) => check_layout(manifest, path, vfs, opts, &mut report),
             Err(e) => {
                 report.push(e.to_string(), false);
-                report.note("without a manifest nothing else was checked, swept or rewritten");
+                report.note(
+                    "without a manifest no other file of the store was checked, swept or rewritten",
+                );
             }
         }
     } else {
@@ -813,5 +816,37 @@ mod tests {
         assert!(after.clean(), "{after:?}");
         let report = journal::read_journal_vfs(&journal_path, &vfs).unwrap();
         assert_eq!(report.records, vec!["alpha".to_owned()]);
+    }
+
+    /// A `--journal` is not one of the store's files: beside an unusable
+    /// manifest it is still checked and repaired, and the note says so.
+    #[test]
+    fn a_torn_journal_is_repaired_beside_an_unusable_manifest() {
+        let vfs = two_generations();
+        vfs.set_len(&kb(), 100).unwrap();
+        let store_files = vfs.durable_state();
+        let journal_path = PathBuf::from("/campaign.journal");
+        let mut writer = journal::JournalWriter::open_vfs(&journal_path, &vfs).unwrap();
+        writer.append("alpha").unwrap();
+        writer.append("beta").unwrap();
+        vfs.set_len(&journal_path, vfs.len(&journal_path).unwrap() - 5)
+            .unwrap();
+        let opts = FsckOptions {
+            repair: true,
+            journal: Some(journal_path.clone()),
+        };
+        let repair = fsck(&kb(), &vfs, &opts);
+        let found: Vec<_> = (repair.findings.iter())
+            .map(|f| (f.what.contains("manifest unusable"), f.repaired))
+            .collect();
+        assert_eq!(found, [(true, false), (false, true)], "{repair:?}");
+        assert!(repair.findings[1].what.contains("torn tail"));
+        let note = "without a manifest no other file of the store was checked, swept or rewritten";
+        assert_eq!(repair.notes, [note]);
+        let report = journal::read_journal_vfs(&journal_path, &vfs).unwrap();
+        assert_eq!((report.records.len(), report.torn_tail), (1, false));
+        let mut after = vfs.durable_state();
+        after.remove(&journal_path);
+        assert_eq!(after, store_files);
     }
 }

@@ -14,16 +14,18 @@
 //! `warnings` serves both kinds, so its `owner_id` is ordered per owner
 //! only: a reader filters it for one run or groups it for many.
 //!
-//! [`KnowledgeStore`] implements [`iokc_core::Persister`], optionally
-//! file-backed (the "local database" of Fig. 4; a second store instance
-//! models the "global database").
+//! [`KnowledgeStore`] implements [`iokc_core::Persister`] (the "local
+//! database" of Fig. 4; a second store instance models the "global
+//! database"). There is one kind of store: an in-memory one is a store
+//! whose files live on a private [`FaultVfs`], as SQLite's `:memory:` is
+//! the same engine on another pager.
 
 use crate::database::{Column, Counters, Database, DbError, ForeignKeyWalk, Row, TableSchema};
 use crate::persist;
 use crate::query::{OpStat, Query, QueryObs, RunKind, RunPredicate, RunRef, RunSummary};
 use crate::segment::{BodyFile, Segment, SegmentBody, SegmentData, SegmentMeta};
 use crate::value::{ColumnType, Value};
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::{FaultVfs, StdVfs, Vfs};
 use crate::wal::{self, Delta, Wal};
 use iokc_core::ctx::PhaseCtx;
 use iokc_core::model::{
@@ -52,7 +54,7 @@ const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 /// How healthy a store is, from the perspective of anything serving it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreHealth {
-    /// The files loaded cleanly (or the store is fresh/in-memory).
+    /// The files loaded cleanly (or the store is fresh).
     Ok,
     /// Corruption (or an unreadable disk): the store is serving an
     /// empty schema read-only rather than refusing to open.
@@ -102,8 +104,8 @@ pub struct KnowledgeStore {
     /// mutate the parts copy-on-write (`Arc::make_mut`), so a part is
     /// copied only while a pin on it is outstanding.
     pub(crate) state: Snapshot,
-    /// When set, every write is made durable under this path.
-    pub(crate) path: Option<PathBuf>,
+    /// The manifest's path: every write is made durable under it.
+    pub(crate) path: PathBuf,
     /// Health at and since open: `Degraded` stores reject writes.
     health: StoreHealth,
     /// Epoch of the active generation's log (`<path>.wal-<epoch>`);
@@ -137,8 +139,9 @@ impl std::ops::Deref for KnowledgeStore {
 }
 
 impl KnowledgeStore {
-    /// A store over an empty schema.
-    fn empty(path: Option<PathBuf>, vfs: Arc<dyn Vfs>, health: StoreHealth) -> KnowledgeStore {
+    /// A store over an empty schema, whose first write commits its
+    /// manifest.
+    fn empty(path: PathBuf, vfs: Arc<dyn Vfs>, health: StoreHealth) -> KnowledgeStore {
         KnowledgeStore {
             state: Snapshot {
                 active: Arc::new(SegmentData::empty(build_schema())),
@@ -156,15 +159,18 @@ impl KnowledgeStore {
             wal: Wal::default(),
             next_segment: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
-            manifest_dirty: false,
+            manifest_dirty: true,
         }
     }
 
-    /// An in-memory store with the paper's schema. In-memory stores
-    /// never seal: everything stays in the active generation.
+    /// A fresh store whose files live on its own
+    /// [`FaultVfs::pristine`] disk, at the nominal path `:memory:`: it
+    /// logs, seals and compacts like any other store, and nothing
+    /// outlives it.
     #[must_use]
     pub fn in_memory() -> KnowledgeStore {
-        KnowledgeStore::empty(None, Arc::new(StdVfs), StoreHealth::Ok)
+        let vfs = Arc::new(FaultVfs::pristine());
+        KnowledgeStore::empty(":memory:".into(), vfs, StoreHealth::Ok)
     }
 
     /// A file-backed store: loads what is on disk when the manifest
@@ -185,7 +191,7 @@ impl KnowledgeStore {
     /// to the active generation, not the corpus.
     pub fn open_with_vfs(path: PathBuf, vfs: Arc<dyn Vfs>) -> Result<KnowledgeStore, DbError> {
         let loaded = load_state(&path, vfs.as_ref())?;
-        let mut store = KnowledgeStore::empty(Some(path), vfs, StoreHealth::Ok);
+        let mut store = KnowledgeStore::empty(path, vfs, StoreHealth::Ok);
         store.state.generation = loaded.identity;
         store.install(loaded);
         Ok(store)
@@ -208,7 +214,7 @@ impl KnowledgeStore {
             Ok(store) => store,
             Err(e) => {
                 let store = KnowledgeStore::empty(
-                    Some(path),
+                    path,
                     vfs,
                     StoreHealth::Degraded {
                         reason: e.to_string(),
@@ -337,15 +343,12 @@ impl KnowledgeStore {
     /// visible to later reads nor replayed by a later open: memory and
     /// disk stay in agreement.
     fn flush(&mut self, delta: Option<Delta>) -> Result<(), DbError> {
-        let Some(path) = self.path.clone() else {
-            return Ok(());
-        };
         let manifest = match self.manifest_dirty {
-            true => persist::write_document_vfs(&path, self.vfs(), &self.manifest().to_json()),
+            true => persist::write_document_vfs(&self.path, self.vfs(), &self.manifest().to_json()),
             false => Ok(()),
         };
         let result = manifest.and_then(|()| match &delta {
-            Some(delta) => self.append_to_log(&path, delta),
+            Some(delta) => self.append_to_log(delta),
             None => Ok(()),
         });
         match result {
@@ -355,8 +358,8 @@ impl KnowledgeStore {
             }
             Err(e) => {
                 let classified =
-                    persist::classify_io_error(&format!("flush {}", path.display()), &e);
-                self.reload_from_disk(&path);
+                    persist::classify_io_error(&format!("flush {}", self.path.display()), &e);
+                self.reload_from_disk();
                 Err(classified)
             }
         }
@@ -367,8 +370,8 @@ impl KnowledgeStore {
     /// back may hold the record whole, so the store stops writing to it
     /// and — because the reload that follows may replay that record —
     /// moves to a new write generation.
-    fn append_to_log(&mut self, path: &Path, delta: &Delta) -> Result<(), std::io::Error> {
-        let log = persist::wal_path(path, self.active_epoch);
+    fn append_to_log(&mut self, delta: &Delta) -> Result<(), std::io::Error> {
+        let log = persist::wal_path(&self.path, self.active_epoch);
         let vfs = Arc::clone(&self.state.vfs);
         let result = self.wal.append(&log, vfs.as_ref(), delta);
         if result.is_err() {
@@ -381,14 +384,6 @@ impl KnowledgeStore {
             }
         }
         result
-    }
-
-    /// The log record for the rows inserted since the active database's
-    /// counters read `mark`. In-memory stores have no log: skip encoding
-    /// what `flush` would drop.
-    fn inserted_since(&self, mark: &Counters) -> Option<Delta> {
-        self.path.as_ref()?;
-        Delta::rows_since(&self.active.db, mark)
     }
 
     /// Make loaded on-disk state this store's state.
@@ -419,8 +414,8 @@ impl KnowledgeStore {
     /// rename whose directory sync failed shows, yet is not durable. So
     /// the next flush commits the manifest again before it acknowledges
     /// anything logged under it.
-    pub(crate) fn reload_from_disk(&mut self, path: &Path) {
-        match load_state(path, self.vfs.as_ref()) {
+    pub(crate) fn reload_from_disk(&mut self) {
+        match load_state(&self.path, self.vfs.as_ref()) {
             Ok(loaded) => {
                 self.install(loaded);
                 self.manifest_dirty = true;
@@ -448,7 +443,7 @@ impl KnowledgeStore {
     }
 
     fn seal_due(&self) -> bool {
-        self.path.is_some() && !self.health.is_degraded() && self.epoch_ops >= self.seal_threshold
+        !self.health.is_degraded() && self.epoch_ops >= self.seal_threshold
     }
 
     /// Seal the active generation into an immutable segment and start a
@@ -482,13 +477,10 @@ impl KnowledgeStore {
     /// in `store.seal.adopted`.
     pub fn seal_active(&mut self) -> Result<(), DbError> {
         self.ensure_writable()?;
-        let Some(path) = self.path.clone() else {
-            return Ok(());
-        };
         if self.epoch_ops == 0 {
             return Ok(());
         }
-        let vfs = Arc::clone(&self.state.vfs);
+        let (path, vfs) = (self.path.clone(), Arc::clone(&self.state.vfs));
         let log = persist::wal_path(&path, self.active_epoch);
         let counters = self.active.db.next_ids();
         let mut manifest = self.manifest();
@@ -520,7 +512,7 @@ impl KnowledgeStore {
         if let Err(e) = commit {
             let classified =
                 persist::classify_io_error(&format!("seal manifest {}", path.display()), &e);
-            self.reload_from_disk(&path);
+            self.reload_from_disk();
             return Err(classified);
         }
         // Commit point passed: swap memory. The block the store already
@@ -569,7 +561,7 @@ impl KnowledgeStore {
         self.maybe_seal()?;
         let mark = self.active.db.next_ids();
         let id = self.insert_rows(kind, insert)?;
-        self.flush(self.inserted_since(&mark))?;
+        self.flush(Delta::rows_since(&self.active.db, &mark))?;
         self.state.generation += 1;
         self.maybe_seal()?;
         Ok(id)
@@ -669,9 +661,7 @@ impl KnowledgeStore {
         match self.save_batch_inner(items) {
             Ok(ids) => Ok(ids),
             Err(e) => {
-                if let Some(path) = self.path.clone() {
-                    self.reload_from_disk(&path);
-                }
+                self.reload_from_disk();
                 if (self.active_epoch, self.epoch_ops) != before {
                     self.state.generation += 1;
                 }
@@ -698,11 +688,11 @@ impl KnowledgeStore {
             // generation's worth of rows in memory. The rows it added so
             // far join the log first: the seal adopts the log whole.
             if self.seal_due() {
-                self.flush(self.inserted_since(&mark))?;
+                self.flush(Delta::rows_since(&self.active.db, &mark))?;
                 self.seal_active()?;
             }
         }
-        self.flush(self.inserted_since(&mark))?;
+        self.flush(Delta::rows_since(&self.active.db, &mark))?;
         self.state.generation += 1;
         Ok(ids)
     }
@@ -889,11 +879,7 @@ fn insert_io500_rows(db: &mut Database, k: &Io500Knowledge) -> Result<(i64, usiz
 
 impl Persister for KnowledgeStore {
     fn name(&self) -> &str {
-        if self.path.is_some() {
-            "knowledge-store(file)"
-        } else {
-            "knowledge-store(memory)"
-        }
+        "knowledge-store"
     }
 
     fn persist(
@@ -1143,13 +1129,13 @@ pub struct Snapshot {
     /// deletes remove rows directly and never tombstone.
     pub(crate) tombstones: Arc<BTreeSet<(RunKind, u64)>>,
     /// The filesystem under every flush, reload and segment-body load —
-    /// [`StdVfs`] in production, a fault-injecting VFS in the crash
-    /// tests.
+    /// [`StdVfs`] for a store on disk, a [`FaultVfs`] for an in-memory
+    /// one and in the crash tests.
     pub(crate) vfs: Arc<dyn Vfs>,
     /// Query-engine observability: recorder + counter handles.
     pub(crate) obs: Arc<QueryObs>,
     /// Write generation: starts at an identity of the files opened (0
-    /// for a fresh or in-memory store), bumped on every successful
+    /// for a fresh store), bumped on every successful
     /// persist or delete.
     pub(crate) generation: u64,
 }
@@ -2539,20 +2525,20 @@ mod tests {
             assert_send_sync::<KnowledgeStore>();
         }
 
+        /// A store holding one run whose manifest was then cut short,
+        /// opened degraded.
+        fn degraded() -> KnowledgeStore {
+            let disk = Arc::new(FaultVfs::pristine());
+            let mut store =
+                KnowledgeStore::open_with_vfs(kb(), disk.clone() as Arc<dyn Vfs>).unwrap();
+            store.save_knowledge(&cmd_knowledge(0)).unwrap();
+            disk.set_len(&kb(), 9).unwrap();
+            KnowledgeStore::open_or_degraded_with_vfs(kb(), disk)
+        }
+
         #[test]
         fn degraded_store_rejects_writes_with_read_only() {
-            let disk = Arc::new(FaultVfs::pristine());
-            {
-                let mut store =
-                    KnowledgeStore::open_with_vfs(kb(), disk.clone() as Arc<dyn Vfs>).unwrap();
-                store.save_knowledge(&cmd_knowledge(0)).unwrap();
-            }
-            let vfs = FaultVfs::from_state(disk.durable_state());
-            vfs.set_len(&kb(), 9).unwrap();
-            let mut store = KnowledgeStore::open_or_degraded_with_vfs(
-                kb(),
-                Arc::new(FaultVfs::from_state(vfs.durable_state())),
-            );
+            let mut store = degraded();
             assert!(store.is_read_only());
             assert!(matches!(
                 store.save_knowledge(&cmd_knowledge(1)),
@@ -2573,16 +2559,7 @@ mod tests {
 
         #[test]
         fn robustness_counters_register_on_attach() {
-            let disk = Arc::new(FaultVfs::pristine());
-            {
-                let mut store =
-                    KnowledgeStore::open_with_vfs(kb(), disk.clone() as Arc<dyn Vfs>).unwrap();
-                store.save_knowledge(&cmd_knowledge(0)).unwrap();
-            }
-            let vfs = FaultVfs::from_state(disk.durable_state());
-            vfs.set_len(&kb(), 9).unwrap();
-            let serving = Arc::new(FaultVfs::from_state(vfs.durable_state()));
-            let mut store = KnowledgeStore::open_or_degraded_with_vfs(kb(), serving);
+            let mut store = degraded();
             let recorder = Arc::new(iokc_obs::Recorder::disabled());
             store.attach_recorder(Arc::clone(&recorder));
             let metrics = recorder.metrics();

@@ -18,10 +18,13 @@
 //! of them the last successful fsync covered. The *volatile* namespace
 //! maps a path to an inode: what the running process observes. The
 //! *durable* namespace maps a path to an inode and a length: what the
-//! disk promises to still hold after power loss. A successful `sync` on
-//! a file handle records the file's length under its name as durable —
-//! a length, not a copy: appends keep every recorded prefix intact, and
-//! a truncate first copies out any durable name it would cut. Renames
+//! disk promises to still hold after power loss. A file handle holds its
+//! inode, as a POSIX descriptor does: after a rename it writes to the
+//! renamed file, after an unlink to a file nothing names. A successful
+//! `sync` records the file's length as durable under the name that
+//! points at it now, if any — a length, not a copy: appends keep every
+//! recorded prefix intact, and a truncate first copies out any durable
+//! name it would cut. Renames
 //! apply to the volatile namespace immediately but are queued as
 //! *pending metadata operations* until [`Vfs::sync_parent_dir`] commits
 //! them — exactly the window in which a crashed POSIX system may expose
@@ -201,6 +204,9 @@ struct Inode {
 struct Inner {
     /// Every file's bytes, by inode number; dropped once unnamed.
     inodes: BTreeMap<u64, Inode>,
+    /// The number the next inode takes. Never reused: a handle may hold
+    /// the number of a file dropped since.
+    next_ino: u64,
     /// What the running process observes: each name's inode.
     volatile: BTreeMap<PathBuf, u64>,
     /// What the disk guarantees to still hold after power loss: each
@@ -259,7 +265,8 @@ impl Inner {
 
     /// A new inode holding `bytes`, all of them synced.
     fn new_inode(&mut self, bytes: Vec<u8>) -> u64 {
-        let ino = self.inodes.last_key_value().map_or(0, |(last, _)| last + 1);
+        let ino = self.next_ino;
+        self.next_ino += 1;
         let synced_len = bytes.len();
         self.inodes.insert(ino, Inode { bytes, synced_len });
         ino
@@ -273,16 +280,17 @@ impl Inner {
         ino
     }
 
-    /// Record `path` as durable: all of the file it names now, or an
-    /// empty file if it names none.
-    fn make_durable(&mut self, path: &Path) {
-        let named = self.volatile.get(path).copied();
-        let ino = named.unwrap_or_else(|| self.new_inode(Vec::new()));
-        let node = self.inodes.entry(ino).or_default();
+    /// Record all of file `ino` as durable, under the name that points
+    /// at it now; a file nothing names (or that is gone) stays unnamed.
+    fn make_durable(&mut self, ino: u64) {
+        let Some(node) = self.inodes.get_mut(&ino) else {
+            return;
+        };
         node.synced_len = node.bytes.len();
         self.cuts.remove(&ino);
-        let entry = (ino, node.synced_len);
-        self.durable.insert(path.to_path_buf(), entry);
+        if let Some((path, _)) = self.volatile.iter().find(|&(_, &named)| named == ino) {
+            self.durable.insert(path.clone(), (ino, node.synced_len));
+        }
         self.drop_unnamed();
     }
 
@@ -402,6 +410,11 @@ impl FaultVfs {
         lock(&self.inner)
     }
 
+    fn handle(&self, ino: u64) -> Box<dyn VfsFile> {
+        let inner = Arc::clone(&self.inner);
+        Box::new(FaultFile { ino, inner })
+    }
+
     /// Total mutating operations performed so far.
     #[must_use]
     pub fn op_count(&self) -> u64 {
@@ -477,11 +490,12 @@ impl FaultVfs {
     }
 }
 
-/// A handle into the simulated filesystem, by name. Writes append to
-/// the file its name holds now; `sync` records that file's length as
-/// durable.
+/// A handle into the simulated filesystem: the inode `create` or
+/// `append` opened, whatever names it since. Writes append to it (and
+/// are lost with it once nothing names it); `sync` records its length
+/// as durable under its current name.
 struct FaultFile {
-    path: PathBuf,
+    ino: u64,
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -491,9 +505,9 @@ impl VfsFile for FaultFile {
         let op = inner.begin_op()?;
         let short = inner.plan.fires(op, DiskFault::ShortWrite);
         let landed = if short { &data[..data.len() / 2] } else { data };
-        let named = inner.volatile.get(&self.path).copied();
-        let ino = named.unwrap_or_else(|| inner.name_new_file(&self.path));
-        (inner.inodes.entry(ino).or_default().bytes).extend_from_slice(landed);
+        if let Some(node) = inner.inodes.get_mut(&self.ino) {
+            node.bytes.extend_from_slice(landed);
+        }
         if short {
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
@@ -507,7 +521,7 @@ impl VfsFile for FaultFile {
         let mut inner = lock(&self.inner);
         inner.begin_op()?;
         inner.begin_sync()?;
-        inner.make_durable(&self.path);
+        inner.make_durable(self.ino);
         Ok(())
     }
 }
@@ -526,24 +540,17 @@ impl Vfs for FaultVfs {
         let mut inner = self.lock();
         inner.begin_op()?;
         inner.settle_renames_of(path);
-        inner.name_new_file(path);
-        Ok(Box::new(FaultFile {
-            path: path.to_path_buf(),
-            inner: Arc::clone(&self.inner),
-        }))
+        Ok(self.handle(inner.name_new_file(path)))
     }
 
     fn append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let mut inner = self.lock();
         inner.begin_op()?;
-        if !inner.volatile.contains_key(path) {
-            inner.settle_renames_of(path);
-            inner.name_new_file(path);
+        if let Some(&ino) = inner.volatile.get(path) {
+            return Ok(self.handle(ino));
         }
-        Ok(Box::new(FaultFile {
-            path: path.to_path_buf(),
-            inner: Arc::clone(&self.inner),
-        }))
+        inner.settle_renames_of(path);
+        Ok(self.handle(inner.name_new_file(path)))
     }
 
     fn exists(&self, path: &Path) -> bool {
@@ -584,7 +591,7 @@ impl Vfs for FaultVfs {
         // barrier may have reached the disk: a crash may expose the cut.
         inner.cuts.insert(ino, cut);
         inner.begin_sync()?;
-        inner.make_durable(path);
+        inner.make_durable(ino);
         Ok(())
     }
 

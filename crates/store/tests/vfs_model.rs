@@ -2,8 +2,11 @@
 //!
 //! The model below is the two-image disk `FaultVfs` was before it held
 //! each file once: every path keeps a volatile byte image and a durable
-//! copy, and an fsync clones one into the other. It is slow and plain,
-//! which is what an oracle should be. Random op lists — creates,
+//! copy, and an fsync clones one into the other. A handle is the file it
+//! opened, not its name: after a rename it writes to the renamed file,
+//! after an unlink to a file nothing names, and its fsync clones into
+//! the durable copy of whatever name points at that file now. It is
+//! slow and plain, which is what an oracle should be. Random op lists — creates,
 //! appends, writes in several calls, file and directory syncs, renames,
 //! unlinks, truncates and reboots into a crash image — run through both
 //! under the same seeded fault plan, and after every op each observable
@@ -38,7 +41,10 @@ struct Node {
 /// The two-image disk.
 #[derive(Debug, Default)]
 struct Model {
-    volatile: BTreeMap<PathBuf, Node>,
+    /// Every file ever opened, by handle number; never freed.
+    files: Vec<Node>,
+    /// Each name's file.
+    volatile: BTreeMap<PathBuf, usize>,
     durable: Image,
     pending_renames: Vec<(PathBuf, PathBuf)>,
     ops: u64,
@@ -60,22 +66,28 @@ fn not_found(path: &Path) -> io::Error {
 
 impl Model {
     fn from_state(state: Image, plan: FaultPlan<DiskFault>) -> Model {
-        let volatile = (state.iter())
-            .map(|(path, bytes)| {
-                let node = Node {
-                    bytes: bytes.clone(),
-                    synced_len: bytes.len(),
-                    cut: None,
-                };
-                (path.clone(), node)
-            })
-            .collect();
-        Model {
-            volatile,
-            durable: state,
+        let mut model = Model {
+            durable: state.clone(),
             plan,
             ..Model::default()
+        };
+        for (path, bytes) in state {
+            let file = model.new_file(&path);
+            model.files[file] = Node {
+                synced_len: bytes.len(),
+                bytes,
+                cut: None,
+            };
         }
+        model
+    }
+
+    /// Point `path` at a new empty file; returns its number.
+    fn new_file(&mut self, path: &Path) -> usize {
+        self.files.push(Node::default());
+        let file = self.files.len() - 1;
+        self.volatile.insert(path.to_path_buf(), file);
+        file
     }
 
     fn begin_op(&mut self) -> io::Result<u64> {
@@ -130,22 +142,20 @@ impl Model {
         }
     }
 
-    /// A file sync: the durable copy becomes a clone of the volatile.
-    fn promote(&mut self, path: &Path) {
-        let bytes = match self.volatile.get_mut(path) {
-            Some(node) => {
-                node.synced_len = node.bytes.len();
-                node.cut = None;
-                node.bytes.clone()
-            }
-            None => Vec::new(),
-        };
-        self.durable.insert(path.to_path_buf(), bytes);
+    /// A file sync: the durable copy of the name pointing at `file`
+    /// becomes a clone of it.
+    fn promote(&mut self, file: usize) {
+        let node = &mut self.files[file];
+        node.synced_len = node.bytes.len();
+        node.cut = None;
+        for (path, _) in self.volatile.iter().filter(|&(_, &named)| named == file) {
+            self.durable.insert(path.clone(), node.bytes.clone());
+        }
     }
 
-    fn write_all(&mut self, path: &Path, data: &[u8]) -> io::Result<()> {
+    fn write_all(&mut self, file: usize, data: &[u8]) -> io::Result<()> {
         let op = self.begin_op()?;
-        let node = self.volatile.entry(path.to_path_buf()).or_default();
+        let node = &mut self.files[file];
         if self.plan.fires(op, DiskFault::ShortWrite) {
             node.bytes.extend_from_slice(&data[..data.len() / 2]);
             return Err(io::Error::new(
@@ -157,49 +167,49 @@ impl Model {
         Ok(())
     }
 
-    fn sync(&mut self, path: &Path) -> io::Result<()> {
+    fn sync(&mut self, file: usize) -> io::Result<()> {
         self.begin_op()?;
         self.begin_sync()?;
-        self.promote(path);
+        self.promote(file);
         Ok(())
     }
 
-    fn create(&mut self, path: &Path) -> io::Result<()> {
+    fn create(&mut self, path: &Path) -> io::Result<usize> {
         self.begin_op()?;
         self.settle_renames_of(path);
-        self.volatile.insert(path.to_path_buf(), Node::default());
-        Ok(())
+        Ok(self.new_file(path))
     }
 
-    fn append(&mut self, path: &Path) -> io::Result<()> {
+    fn append(&mut self, path: &Path) -> io::Result<usize> {
         self.begin_op()?;
-        if !self.volatile.contains_key(path) {
-            self.settle_renames_of(path);
-            self.volatile.insert(path.to_path_buf(), Node::default());
+        if let Some(&file) = self.volatile.get(path) {
+            return Ok(file);
         }
-        Ok(())
+        self.settle_renames_of(path);
+        Ok(self.new_file(path))
     }
 
     fn set_len(&mut self, path: &Path, len: u64) -> io::Result<()> {
         self.begin_op()?;
-        let Some(node) = self.volatile.get_mut(path) else {
+        let Some(&file) = self.volatile.get(path) else {
             return Err(not_found(path));
         };
+        let node = &mut self.files[file];
         node.bytes.truncate(len as usize);
         node.synced_len = node.synced_len.min(node.bytes.len());
         // A barrier that fails may have reached the disk anyway.
         node.cut = Some(node.bytes.len());
         self.begin_sync()?;
-        self.promote(path);
+        self.promote(file);
         Ok(())
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
         self.begin_op()?;
-        let Some(node) = self.volatile.remove(from) else {
+        let Some(file) = self.volatile.remove(from) else {
             return Err(not_found(from));
         };
-        self.volatile.insert(to.to_path_buf(), node);
+        self.volatile.insert(to.to_path_buf(), file);
         (self.pending_renames).push((from.to_path_buf(), to.to_path_buf()));
         Ok(())
     }
@@ -226,8 +236,8 @@ impl Model {
         if self.crashed {
             return Err(crash_error());
         }
-        let node = self.volatile.get(path).ok_or_else(|| not_found(path))?;
-        Ok(node.bytes.clone())
+        let &file = self.volatile.get(path).ok_or_else(|| not_found(path))?;
+        Ok(self.files[file].bytes.clone())
     }
 
     fn len(&self, path: &Path) -> io::Result<u64> {
@@ -249,7 +259,8 @@ impl Model {
                 }
             }
             states.insert(base.clone());
-            for (path, node) in &self.volatile {
+            for (path, &file) in &self.volatile {
+                let node = &self.files[file];
                 if let Some(cut) = node.cut {
                     let mut truncated = base.clone();
                     truncated.insert(path.clone(), node.bytes[..cut].to_vec());
@@ -317,12 +328,12 @@ fn outcome<T>(result: io::Result<T>) -> Result<T, (io::ErrorKind, String)> {
 }
 
 /// Both disks, and the handles opened on each (a model handle is the
-/// name it writes to).
+/// number of the file it writes to).
 struct Pair {
     vfs: FaultVfs,
     handles: Vec<Box<dyn VfsFile>>,
     model: Model,
-    model_handles: Vec<PathBuf>,
+    model_handles: Vec<usize>,
 }
 
 impl Pair {
@@ -342,9 +353,7 @@ impl Pair {
         } else {
             (self.vfs.create(&path), self.model.create(&path))
         };
-        if model.is_ok() {
-            self.model_handles.push(path);
-        }
+        let model = model.map(|file| self.model_handles.push(file));
         let real = real.map(|handle| self.handles.push(handle));
         assert_eq!(outcome(real), outcome(model));
     }
@@ -359,14 +368,14 @@ impl Pair {
                     let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
                     *fill = fill.wrapping_add(7);
                     let real = self.handles[at].write_all(&data);
-                    let model = self.model.write_all(&self.model_handles[at], &data);
+                    let model = self.model.write_all(self.model_handles[at], &data);
                     assert_eq!(outcome(real), outcome(model), "{op:?}");
                 }
             }
             Op::Sync(handle) if !self.handles.is_empty() => {
                 let at = handle % self.handles.len();
                 let real = self.handles[at].sync();
-                let model = self.model.sync(&self.model_handles[at]);
+                let model = self.model.sync(self.model_handles[at]);
                 assert_eq!(outcome(real), outcome(model), "{op:?}");
             }
             Op::Write(..) | Op::Sync(_) => {}
@@ -481,4 +490,32 @@ fn a_cut_is_forgotten_with_its_file() {
         .map(|state| state.get(Path::new("b")).cloned())
         .collect();
     assert_eq!(images, [None, Some(b"h".to_vec()), Some(b"hi".to_vec())]);
+}
+
+/// A handle writes to and syncs the file it opened, whatever names it
+/// now: after a rename, the renamed file; after an unlink, a file no
+/// name reaches, whose sync makes no name durable.
+#[test]
+fn a_handle_follows_its_file_across_a_rename_and_an_unlink() {
+    let mut pair = Pair::new(FaultPlan::default, Image::new());
+    let ops = [
+        Op::Create(0),
+        Op::Write(0, vec![3]),
+        Op::Rename(0, 3),
+        Op::Write(0, vec![2]),
+        Op::Sync(0),
+        Op::Create(2),
+        Op::Remove(2),
+        Op::Write(1, vec![4]),
+        Op::Sync(1),
+    ];
+    let mut fill = 0u8;
+    for (step, op) in ops.iter().enumerate() {
+        pair.apply(op, &mut fill);
+        pair.check(step);
+    }
+    let journal = pair.vfs.read(&path(3)).expect("read");
+    assert_eq!(journal.len(), 5, "both writes land in the renamed file");
+    assert!(!pair.vfs.exists(&path(0)) && !pair.vfs.exists(&path(2)));
+    assert_eq!(pair.vfs.durable_state(), Image::from([(path(3), journal)]));
 }

@@ -185,12 +185,6 @@ impl Pattern {
         }
     }
 
-    /// True if the pattern matches `input`.
-    #[must_use]
-    pub fn is_match(&self, input: &str) -> bool {
-        self.captures(input).is_some()
-    }
-
     /// Scan a multi-line text and return captures from the first matching line.
     #[must_use]
     pub fn first_match(&self, text: &str) -> Option<(usize, Captures)> {
@@ -385,14 +379,6 @@ fn scan_int(bytes: &[u8], start: usize) -> Option<usize> {
     (pos > digits_start).then_some(pos)
 }
 
-/// Convenience: compile and match in one call, returning the named capture
-/// parsed as `f64`.
-pub fn extract_f64(pattern: &str, text: &str, name: &str) -> Option<f64> {
-    let compiled = Pattern::compile(pattern).ok()?;
-    let (_, caps) = compiled.first_match(text)?;
-    caps.get(name)?.parse().ok()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -469,7 +455,7 @@ mod tests {
     #[test]
     fn escaped_brace() {
         let p = Pattern::compile(r"\{literal\}").unwrap();
-        assert!(p.is_match("{literal}"));
+        assert!(p.captures("{literal}").is_some());
     }
 
     #[test]
@@ -577,17 +563,5 @@ mod tests {
                 prop_assert_eq!(&caps["t"], &token);
             }
         }
-    }
-
-    #[test]
-    fn extract_f64_helper() {
-        assert_eq!(
-            extract_f64(
-                "Max Read: {bw:f} MiB/sec",
-                "x\nMax Read:  99.5 MiB/sec",
-                "bw"
-            ),
-            Some(99.5)
-        );
     }
 }

@@ -117,12 +117,6 @@ pub fn ops_per_sec(ops: u64, nanos: u64) -> f64 {
     ops as f64 / (nanos as f64 / 1e9)
 }
 
-/// Nanoseconds → fractional seconds (benchmark outputs report seconds).
-#[must_use]
-pub fn to_secs(nanos: u64) -> f64 {
-    nanos as f64 / 1e9
-}
-
 /// Fractional seconds → nanoseconds, saturating at `u64::MAX`.
 #[must_use]
 pub fn secs_to_nanos(secs: f64) -> u64 {
@@ -217,6 +211,5 @@ mod tests {
     fn seconds_roundtrip() {
         assert_eq!(secs_to_nanos(1.5), 1_500_000_000);
         assert_eq!(secs_to_nanos(-1.0), 0);
-        assert!((to_secs(2_500_000_000) - 2.5).abs() < 1e-12);
     }
 }

@@ -30,13 +30,15 @@ use iokc_core::model::{
     FilesystemInfo, Io500Knowledge, Io500Testcase, IterationResult, Knowledge, KnowledgeItem,
     KnowledgeSource, OperationSummary, SystemInfo,
 };
+use iokc_core::phases::Persister;
 use iokc_obs::Recorder;
 use iokc_store::journal::{read_journal_vfs, JournalWriter};
 use iokc_store::persist;
 use iokc_store::segment::read_segment_vfs;
 use iokc_store::{
-    fsck, Database, DbError, DeadlineToken, DiskFault, FaultPlan, FaultVfs, FsckOptions,
-    KnowledgeStore, Query, RunKind, RunOrder, RunPredicate, RunRef, Vfs,
+    fsck, AggregateQuery, AggregateResult, Database, DbError, DeadlineToken, DiskFault, Factor,
+    FaultPlan, FaultVfs, FsckOptions, GroupBy, KnowledgeStore, Query, RunKind, RunOrder,
+    RunPredicate, RunRef, RunSummary, SegmentMeta, Vfs,
 };
 use iokc_util::json::Json;
 use proptest::prelude::*;
@@ -1587,6 +1589,93 @@ proptest! {
         let reopened = open(&vfs).query_summaries(&Query::all(), &open_ended);
         prop_assert_eq!(reopened.expect("summaries"), summaries);
     }
+}
+
+/// What a store answers, as one comparable value: the listing, every
+/// run of `keys` loaded (live or deleted), an aggregate, the write
+/// generation, and the sealed layout.
+type Answers = (
+    Vec<RunSummary>,
+    Vec<Option<KnowledgeItem>>,
+    AggregateResult,
+    u64,
+    Vec<SegmentMeta>,
+    usize,
+);
+
+fn answers(store: &KnowledgeStore, keys: &BTreeSet<(RunKind, u64)>) -> Answers {
+    let open_ended = DeadlineToken::unbounded();
+    let loaded = keys.iter().map(|&(kind, id)| match kind {
+        RunKind::Benchmark => store
+            .load_knowledge(id)
+            .map(|k| k.map(KnowledgeItem::Benchmark)),
+        RunKind::Io500 => store.load_io500(id).map(|k| k.map(KnowledgeItem::Io500)),
+    });
+    let aggregate = AggregateQuery::new(GroupBy::Kind, Factor::Bandwidth)
+        .with_correlation(&[Factor::Tasks, Factor::Bandwidth]);
+    (
+        store
+            .query_summaries(&Query::all(), &open_ended)
+            .expect("listing"),
+        loaded.collect::<Result<_, _>>().expect("load"),
+        store.aggregate(&aggregate, &open_ended).expect("aggregate"),
+        store.generation(),
+        store.segment_metas(),
+        store.tombstone_count(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// An in-memory store is a store: one history of saves, batches,
+    /// deletes of active and of sealed runs, seals and compactions, run
+    /// on `KnowledgeStore::in_memory()` and on a store opened over a
+    /// fresh in-memory disk under the same low seal threshold, answers
+    /// the same after every operation.
+    #[test]
+    fn an_in_memory_store_answers_as_a_store_on_an_in_memory_disk(
+        threshold in 2usize..5,
+        ops in proptest::collection::vec(arb_op(), 1..16),
+    ) {
+        let on_disk = Arc::new(FaultVfs::pristine()) as Arc<dyn Vfs>;
+        let mut stores = [
+            KnowledgeStore::in_memory(),
+            KnowledgeStore::open_with_vfs(kb(), on_disk).expect("open"),
+        ]
+        .map(|mut store| {
+            store.set_seal_threshold(threshold);
+            (store, Model::new(), History::default())
+        });
+        let mut keys = BTreeSet::new();
+        for op in &ops {
+            for (store, model, history) in &mut stores {
+                apply(store, model, op, history).0.expect("no fault is injected");
+            }
+            let [(memory, in_memory, _), (file, on_file, _)] = &stores;
+            prop_assert_eq!(in_memory, on_file, "{:?}", op);
+            keys.extend(in_memory.keys().copied());
+            prop_assert_eq!(answers(memory, &keys), answers(file, &keys), "{:?}", op);
+        }
+    }
+}
+
+/// An in-memory store seals at its threshold and compacts, as any
+/// store does, and it persists under the one persister name.
+#[test]
+fn an_in_memory_store_seals_and_compacts() {
+    let mut store = KnowledgeStore::in_memory();
+    store.set_seal_threshold(2);
+    for tag in 0..3 {
+        store.save_knowledge(&bench(tag)).expect("save");
+    }
+    assert_eq!(store.segment_metas().len(), 1);
+    store.save_knowledge(&bench(3)).expect("save");
+    assert_eq!(store.segment_metas().len(), 2);
+    assert!(store.delete_knowledge(1).expect("delete"));
+    let report = store.compact().expect("compact");
+    assert_eq!((report.segments_merged, report.runs_rewritten), (2, 3));
+    assert_eq!(contents(&store).len(), 3);
+    assert_eq!(Persister::name(&store), "knowledge-store");
 }
 
 /// The one row-block codec, checked differentially on real blocks. A log
