@@ -50,7 +50,7 @@ use iokc_core::model::Knowledge;
 use iokc_obs::{Counter, DeadlineToken, Recorder, SpanStatus};
 use iokc_store::{
     AggregateQuery, AggregateResult, DbError, Factor, GroupBy, KnowledgeStore, Query, RunCursor,
-    RunFilter, RunKind, RunOrder, RunPredicate, RunSummary, Snapshot, UnknownName,
+    RunFilter, RunKind, RunOrder, RunPredicate, RunRow, Snapshot, UnknownName,
 };
 use iokc_util::json::{Json, ObjectWriter};
 
@@ -598,33 +598,33 @@ where
         .transpose()
 }
 
-/// One `/api/runs` row as compact JSON, encoded straight onto `out`.
-/// Fields go in ascending key order — the bytes a `Json::Obj` of the
-/// same fields serializes to (the tests hold it to that model).
-fn encode_summary(row: &RunSummary, out: &mut Vec<u8>) {
-    let mean_mib = |op: &str| row.op(op).map(|s| s.mean_mib);
+/// One `/api/runs` row as compact JSON, encoded straight onto `out`
+/// from the row's columns. Fields go in ascending key order — the bytes
+/// a `Json::Obj` of the same fields serializes to (the tests hold it to
+/// that model).
+fn encode_summary(row: RunRow<'_>, out: &mut Vec<u8>) {
     let mut obj = ObjectWriter::new(out);
-    match row.kind {
+    match row.kind() {
         RunKind::Benchmark => {
-            obj.string("api", &row.api);
-            obj.number("block_size", row.block_size as f64);
-            obj.string("command", &row.command);
-            obj.number("id", row.id as f64);
+            obj.string("api", row.api());
+            obj.number("block_size", row.block_size() as f64);
+            obj.string("command", row.command());
+            obj.number("id", row.id() as f64);
             obj.string("kind", "benchmark");
-            obj.number("read_mean_mib", mean_mib("read"));
-            obj.number("tasks", f64::from(row.tasks));
-            obj.number("transfer_size", row.transfer_size as f64);
-            obj.number("warnings", row.warning_count as f64);
-            obj.number("write_mean_mib", mean_mib("write"));
+            obj.number("read_mean_mib", row.op_mean_mib("read"));
+            obj.number("tasks", f64::from(row.tasks()));
+            obj.number("transfer_size", row.transfer_size() as f64);
+            obj.number("warnings", row.warning_count() as f64);
+            obj.number("write_mean_mib", row.op_mean_mib("write"));
         }
         RunKind::Io500 => {
-            obj.number("bw_score", row.bw_score);
-            obj.number("id", row.id as f64);
+            obj.number("bw_score", row.bw_score());
+            obj.number("id", row.id() as f64);
             obj.string("kind", "io500");
-            obj.number("md_score", row.md_score);
-            obj.number("tasks", f64::from(row.tasks));
-            obj.number("total_score", row.total_score);
-            obj.number("warnings", row.warning_count as f64);
+            obj.number("md_score", row.md_score());
+            obj.number("tasks", f64::from(row.tasks()));
+            obj.number("total_score", row.total_score());
+            obj.number("warnings", row.warning_count() as f64);
         }
     }
     obj.finish();

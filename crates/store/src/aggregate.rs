@@ -14,30 +14,37 @@
 //!   for a pairwise correlation matrix;
 //! * streaming accumulators — count/min/max via simple folds, mean and
 //!   variance via Welford's one-pass recurrence, log2 histograms as
-//!   fixed integer bins, correlations as co-moment sums — all O(1)
-//!   per row and O(groups) in memory. Percentiles are the one
-//!   exception: each group buffers its metric values and sorts once at
-//!   finalize (the sorted-merge strategy), trading O(matched rows) of
-//!   `f64`s for exact quantiles that are independent of scan order;
+//!   integer bins, correlations as co-moment sums — all O(1) per row
+//!   and O(groups) in memory. Percentiles are the one exception: each
+//!   group buffers its metric values (only when percentile points are
+//!   asked for) and, at finalize, selects just the ranks those points
+//!   read, trading O(matched rows) of `f64`s for exact quantiles that
+//!   are independent of scan order;
 //! * one executor — the fold runs over the same `Snapshot::scan` the
 //!   query engine uses, so sealed segments whose index block
 //!   ([`crate::segment::may_match_segment`]) rules out the predicate
 //!   are skipped without loading their bodies, counted in
-//!   `store.aggregate.segments_pruned`;
+//!   `store.aggregate.segments_pruned`. A row finds its group by a
+//!   small integer key (its kind, api code or log2 bucket); a label is
+//!   spelled only for a key with no group yet — once per group, and
+//!   once per block for api codes, which are the block's own;
 //! * no `Knowledge` deserialization, ever — the scan reads only the
-//!   `RunSummary` projections every block (active or sealed) holds. The
+//!   summary columns every block (active or sealed) holds. The
 //!   `store.aggregate.knowledge_deserialized` counter exists precisely
 //!   so tests can assert it stays zero.
 //!
 //! [`AggregateQuery::evaluate_rows`] is the reference implementation:
-//! the same accumulators fed from a caller-supplied row slice. The
-//! segmented executor is property-tested equal to it (including under
-//! interleaved saves/deletes/seals/compactions against a pinned
-//! snapshot), so pruning and pushdown are purely optimizations.
+//! the same accumulators fed, one [`RunSummary`] at a time, from a
+//! caller-supplied row slice, grouped by [`GroupBy::key`] and measured
+//! by [`Factor::extract`]. The segmented executor is property-tested
+//! equal to it (including under interleaved saves/deletes/seals/
+//! compactions against a pinned snapshot), so pruning and pushdown are
+//! purely optimizations.
 
+use crate::columns::{RunRow, SummaryColumns};
 use crate::database::DbError;
 use crate::knowledge_store::Snapshot;
-use crate::query::{RunPredicate, RunSummary, ScanStats, UnknownName};
+use crate::query::{RunKind, RunPredicate, RunSummary, ScanStats, UnknownName};
 use iokc_obs::{Counter, DeadlineToken, MetricsRegistry};
 use iokc_util::stats;
 use std::collections::BTreeMap;
@@ -95,26 +102,71 @@ impl GroupBy {
     }
 
     /// Replace `out` with the group key for one summary row: the one
-    /// spelling of every label, written into a buffer the caller
-    /// reuses, so a fold over many rows allocates nothing per row.
-    /// `"name 2^k"` for a log2 bucket of `v > 0` (k = floor(log2 v)),
-    /// `"name 0"` for zero — an exact integer computation, so bucketing
-    /// never depends on float rounding.
+    /// spelling of every label — the aggregate engine spells its groups
+    /// through the same function — written into a buffer the caller
+    /// reuses. `"name 2^k"` for a log2 bucket of `v > 0`
+    /// (k = floor(log2 v)), `"name 0"` for zero.
     pub fn write_key(self, s: &RunSummary, out: &mut String) {
+        self.label(s.kind, &s.api, s.tasks, s.transfer_size)
+            .spell(out);
+    }
+
+    /// The group of a run of `kind` with this `api`, task count and
+    /// transfer size: a fixed name, the api (`io500` for an empty one),
+    /// or a log2 bucket ([`log2_bucket`]).
+    fn label(self, kind: RunKind, api: &str, tasks: u32, transfer_size: u64) -> Label<'_> {
+        match self {
+            GroupBy::All => Label::Name("all"),
+            GroupBy::Kind => Label::Name(kind.as_str()),
+            GroupBy::Api if api.is_empty() => Label::Name("io500"),
+            GroupBy::Api => Label::Name(api),
+            GroupBy::TasksLog2 => Label::Bucket("tasks", log2_bucket(u64::from(tasks))),
+            GroupBy::TransferLog2 => Label::Bucket("xfer", log2_bucket(transfer_size)),
+        }
+    }
+
+    /// A row's small integer key: equal keys of rows of one block's
+    /// columns mean one group. `0` for `all`, the kind, the api's
+    /// dictionary code (so only within one block), or the log2 bucket.
+    fn slot(self, row: RunRow<'_>) -> usize {
+        match self {
+            GroupBy::All => 0,
+            GroupBy::Kind => row.kind() as usize,
+            GroupBy::Api => row.api_code() as usize,
+            GroupBy::TasksLog2 => log2_bucket(u64::from(row.tasks())) as usize,
+            GroupBy::TransferLog2 => log2_bucket(row.transfer_size()) as usize,
+        }
+    }
+}
+
+/// `floor(log2 v) + 1`, and `0` for `v == 0`: the integer bucket a log2
+/// grouping keys on — an exact integer computation, so bucketing never
+/// depends on float rounding.
+fn log2_bucket(v: u64) -> u32 {
+    64 - v.leading_zeros()
+}
+
+/// A group label before it is spelled.
+enum Label<'a> {
+    /// Spelled as it is.
+    Name(&'a str),
+    /// `"name 2^k"` for bucket `k + 1` (values in `[2^k, 2^(k+1))`),
+    /// `"name 0"` for bucket 0.
+    Bucket(&'static str, u32),
+}
+
+impl Label<'_> {
+    /// Replace `out` with the label.
+    fn spell(self, out: &mut String) {
         out.clear();
-        let (name, v) = match self {
-            GroupBy::All => return out.push_str("all"),
-            GroupBy::Kind => return out.push_str(s.kind.as_str()),
-            GroupBy::Api if s.api.is_empty() => return out.push_str("io500"),
-            GroupBy::Api => return out.push_str(&s.api),
-            GroupBy::TasksLog2 => ("tasks", u64::from(s.tasks)),
-            GroupBy::TransferLog2 => ("xfer", s.transfer_size),
-        };
-        out.push_str(name);
-        if v == 0 {
-            out.push_str(" 0");
-        } else {
-            let _ = write!(out, " 2^{}", 63 - v.leading_zeros());
+        match self {
+            Label::Name(name) => out.push_str(name),
+            Label::Bucket(name, 0) => {
+                let _ = write!(out, "{name} 0");
+            }
+            Label::Bucket(name, bucket) => {
+                let _ = write!(out, "{name} 2^{}", bucket - 1);
+            }
         }
     }
 }
@@ -173,6 +225,21 @@ impl Factor {
                 name,
                 "bw|bw_score|md_score|total_score|tasks|xfer|block|warnings",
             )),
+        }
+    }
+
+    /// This factor's value of a row of a block's columns, as
+    /// [`Factor::extract`] gives it of the row's summary.
+    fn of(self, row: RunRow<'_>) -> f64 {
+        match self {
+            Factor::Bandwidth => row.bandwidth(),
+            Factor::BwScore => row.bw_score(),
+            Factor::MdScore => row.md_score(),
+            Factor::TotalScore => row.total_score(),
+            Factor::Tasks => f64::from(row.tasks()),
+            Factor::TransferSize => row.transfer_size() as f64,
+            Factor::BlockSize => row.block_size() as f64,
+            Factor::Warnings => row.warning_count() as f64,
         }
     }
 
@@ -267,7 +334,7 @@ impl AggregateQuery {
         let mut state = AggState::new(self);
         for s in rows {
             if self.predicate.matches_summary(s) {
-                state.push(self, s);
+                state.push_summary(self, s);
             }
         }
         state.finish(self)
@@ -381,15 +448,67 @@ impl Welford {
     }
 }
 
-/// The log2 histogram bucket for one value (`i32::MIN` = `<= 0`).
+/// A normal `f64` whose mantissa bits are below this is more than
+/// 2^-30 below the next power of two: `log2` of it rounds below the
+/// next integer by far more than its error, so its floor is the
+/// exponent.
+const BELOW_NEXT_POWER: u64 = (1 << 52) - (1 << 22);
+
+/// The log2 histogram bucket for one value (`i32::MIN` = `<= 0`):
+/// `x.log2().floor()`, read off the exponent bits where that is exact
+/// — a normal value not within 2^-30 of the next power of two — and
+/// computed that way everywhere else (near the next power of two,
+/// where `log2` may round up to it, and for subnormals, infinities
+/// and NaN).
 fn log2_bin(x: f64) -> i32 {
     if x <= 0.0 {
-        i32::MIN
+        return i32::MIN;
+    }
+    let bits = x.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as i32;
+    if exponent != 0 && exponent != 0x7ff && bits & ((1 << 52) - 1) < BELOW_NEXT_POWER {
+        exponent - 1023
     } else {
         // Bounded by f64's exponent range, so the cast never saturates
         // in a way that loses ordering.
         x.log2().floor() as i32
     }
+}
+
+/// Put the value of each rank in `ranks` (absolute, ascending, distinct)
+/// at its index of `values`, a slice of the buffer that starts at
+/// `offset` and holds exactly the ranks `offset..offset + len`: the
+/// order statistics a sort by `total_cmp` would put there.
+fn select_ranks(values: &mut [f64], offset: usize, ranks: &[usize]) {
+    if ranks.is_empty() {
+        return;
+    }
+    let mid = ranks.len() / 2;
+    let rank = ranks[mid];
+    let (below, _, above) = values.select_nth_unstable_by(rank - offset, f64::total_cmp);
+    select_ranks(below, offset, &ranks[..mid]);
+    select_ranks(above, rank + 1, &ranks[mid + 1..]);
+}
+
+/// The `(q, value)` of every point of `qs` over `values`, as
+/// [`stats::percentile_sorted`] gives it over a sorted copy: the ranks
+/// each point reads are selected in place, then the same function reads
+/// them.
+fn percentiles(values: &mut [f64], qs: &[f64]) -> Vec<(f64, f64)> {
+    if let Some(last) = values.len().checked_sub(1) {
+        let mut ranks: Vec<usize> = Vec::with_capacity(2 * qs.len());
+        for &q in qs {
+            // The ranks `percentile_sorted` interpolates between.
+            let rank = q.clamp(0.0, 1.0) * last as f64;
+            ranks.extend([rank.floor() as usize, rank.ceil() as usize]);
+        }
+        ranks.sort_unstable();
+        ranks.dedup();
+        select_ranks(values, 0, &ranks);
+    }
+    qs.iter()
+        .map(|&q| (q, stats::percentile_sorted(values, q)))
+        .collect()
 }
 
 /// One group's streaming state.
@@ -398,15 +517,16 @@ struct GroupAcc {
     welford: Welford,
     min: f64,
     max: f64,
-    histogram: BTreeMap<i32, u64>,
-    /// Buffered metric values for exact percentiles — sorted once at
-    /// finalize (the sorted-merge strategy; see the module docs for the
-    /// memory trade).
+    /// `(bin, count)` in the order the bins first occurred.
+    histogram: Vec<(i32, u64)>,
+    /// Buffered metric values for exact percentiles, when any are asked
+    /// for — their ranks are selected once at finalize (see the module
+    /// docs for the memory trade).
     values: Vec<f64>,
 }
 
 impl GroupAcc {
-    fn push(&mut self, x: f64) {
+    fn push(&mut self, x: f64, keep: bool) {
         if self.welford.n == 0 {
             self.min = x;
             self.max = x;
@@ -415,8 +535,14 @@ impl GroupAcc {
             self.max = self.max.max(x);
         }
         self.welford.push(x);
-        *self.histogram.entry(log2_bin(x)).or_insert(0) += 1;
-        self.values.push(x);
+        let bin = log2_bin(x);
+        match self.histogram.iter_mut().find(|(b, _)| *b == bin) {
+            Some((_, count)) => *count += 1,
+            None => self.histogram.push((bin, 1)),
+        }
+        if keep {
+            self.values.push(x);
+        }
     }
 }
 
@@ -476,12 +602,19 @@ impl CorrAcc {
     }
 }
 
-/// The full accumulator state for one query: `BTreeMap` keyed groups
-/// (deterministic output order) plus the correlation sums, and the two
-/// buffers a row is staged in — its group label and its correlation
-/// row — so a row allocates only when it opens a new group.
+/// The full accumulator state for one query: the groups, found by
+/// label ([`AggState::push_summary`]) or by a row's slot
+/// ([`AggState::push_row`]); the correlation sums; and the two buffers a
+/// row is staged in — a label and its correlation row — so a row
+/// allocates only when it opens a new group.
 struct AggState {
-    groups: BTreeMap<String, GroupAcc>,
+    groups: Vec<GroupAcc>,
+    /// Each group's index in `groups`, by label (deterministic output
+    /// order).
+    by_label: BTreeMap<String, usize>,
+    /// The group of each slot ([`GroupBy::slot`]) seen in the current
+    /// block — for the slots that are not api codes, in any block.
+    slots: Vec<Option<usize>>,
     corr: CorrAcc,
     rows: u64,
     label: String,
@@ -491,7 +624,9 @@ struct AggState {
 impl AggState {
     fn new(q: &AggregateQuery) -> AggState {
         AggState {
-            groups: BTreeMap::new(),
+            groups: Vec::new(),
+            by_label: BTreeMap::new(),
+            slots: Vec::new(),
             corr: CorrAcc::new(q.correlate.len()),
             rows: 0,
             label: String::new(),
@@ -499,37 +634,73 @@ impl AggState {
         }
     }
 
-    fn push(&mut self, q: &AggregateQuery, s: &RunSummary) {
-        self.rows += 1;
-        let x = q.metric.extract(s);
-        q.group_by.write_key(s, &mut self.label);
-        match self.groups.get_mut(self.label.as_str()) {
-            Some(group) => group.push(x),
-            None => {
-                let mut group = GroupAcc::default();
-                group.push(x);
-                self.groups.insert(self.label.clone(), group);
-            }
+    /// The group labelled as `self.label` is, opened if new.
+    fn group_of_label(&mut self) -> usize {
+        if let Some(&group) = self.by_label.get(self.label.as_str()) {
+            return group;
         }
+        self.groups.push(GroupAcc::default());
+        self.by_label
+            .insert(self.label.clone(), self.groups.len() - 1);
+        self.groups.len() - 1
+    }
+
+    /// Fold one [`RunSummary`] in: the row-at-a-time model.
+    fn push_summary(&mut self, q: &AggregateQuery, s: &RunSummary) {
+        q.group_by.write_key(s, &mut self.label);
+        let group = self.group_of_label();
+        self.factors.clear();
+        self.factors
+            .extend(q.correlate.iter().map(|f| f.extract(s)));
+        self.fold(q, group, q.metric.extract(s));
+    }
+
+    /// The next rows come from another block's columns: forget the
+    /// slots that were api codes of the last one.
+    fn enter(&mut self, q: &AggregateQuery) {
+        if q.group_by == GroupBy::Api {
+            self.slots.clear();
+        }
+    }
+
+    /// Fold one row of a block's columns in.
+    fn push_row(&mut self, q: &AggregateQuery, row: RunRow<'_>) {
+        let slot = q.group_by.slot(row);
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, None);
+        }
+        let group = match self.slots[slot] {
+            Some(group) => group,
+            None => {
+                let label =
+                    q.group_by
+                        .label(row.kind(), row.api(), row.tasks(), row.transfer_size());
+                label.spell(&mut self.label);
+                let group = self.group_of_label();
+                self.slots[slot] = Some(group);
+                group
+            }
+        };
+        self.factors.clear();
+        self.factors.extend(q.correlate.iter().map(|f| f.of(row)));
+        self.fold(q, group, q.metric.of(row));
+    }
+
+    /// Fold metric value `x` into `group`, and the staged correlation
+    /// row into the sums.
+    fn fold(&mut self, q: &AggregateQuery, group: usize, x: f64) {
+        self.rows += 1;
+        self.groups[group].push(x, !q.percentiles.is_empty());
         if !q.correlate.is_empty() {
-            self.factors.clear();
-            self.factors
-                .extend(q.correlate.iter().map(|f| f.extract(s)));
             self.corr.push(&self.factors);
         }
     }
 
-    fn finish(self, q: &AggregateQuery) -> AggregateResult {
-        let groups = self
-            .groups
-            .into_iter()
-            .map(|(key, mut acc)| {
-                acc.values.sort_by(f64::total_cmp);
-                let percentiles = q
-                    .percentiles
-                    .iter()
-                    .map(|&p| (p, stats::percentile_sorted(&acc.values, p)))
-                    .collect();
+    fn finish(mut self, q: &AggregateQuery) -> AggregateResult {
+        let groups = (self.by_label.into_iter())
+            .map(|(key, at)| {
+                let mut acc = std::mem::take(&mut self.groups[at]);
+                acc.histogram.sort_unstable_by_key(|&(bin, _)| bin);
                 GroupStats {
                     key,
                     count: acc.welford.n,
@@ -537,8 +708,8 @@ impl AggState {
                     max: acc.max,
                     mean: acc.welford.mean,
                     stddev: acc.welford.stddev(),
-                    percentiles,
-                    histogram: acc.histogram.into_iter().collect(),
+                    percentiles: percentiles(&mut acc.values, &q.percentiles),
+                    histogram: acc.histogram,
                 }
             })
             .collect();
@@ -593,8 +764,13 @@ impl Snapshot {
         self.traced("store.aggregate", &obs.cancelled, || {
             let mut state = AggState::new(q);
             let mut stats = ScanStats::default();
-            let scanned = self.scan(&q.predicate, deadline, &mut stats, |_, s| {
-                state.push(q, s);
+            let mut block: *const SummaryColumns = std::ptr::null();
+            let scanned = self.scan(&q.predicate, deadline, &mut stats, |_, row| {
+                if !std::ptr::eq(block, row.columns()) {
+                    block = row.columns();
+                    state.enter(q);
+                }
+                state.push_row(q, row);
             });
             obs.segments_scanned.add(stats.segments_scanned);
             obs.segments_pruned.add(stats.segments_pruned);
@@ -757,6 +933,132 @@ pub(crate) mod tests {
         assert_ne!(a.cache_key(), b.cache_key());
         assert_ne!(a.cache_key(), c.cache_key());
         assert_eq!(a.cache_key(), a.clone().cache_key());
+    }
+
+    /// The bin as it was computed before the exponent read: the model
+    /// [`log2_bin`] is held to.
+    fn log2_bin_model(x: f64) -> i32 {
+        if x <= 0.0 {
+            i32::MIN
+        } else {
+            x.log2().floor() as i32
+        }
+    }
+
+    /// Percentiles as they were computed before selection: a full sort
+    /// by `total_cmp`, then `percentile_sorted`.
+    fn percentiles_model(values: &[f64], qs: &[f64]) -> Vec<(f64, f64)> {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        (qs.iter())
+            .map(|&q| (q, stats::percentile_sorted(&sorted, q)))
+            .collect()
+    }
+
+    /// Bit for bit, so a NaN equals itself and -0.0 is not 0.0.
+    fn bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        (points.iter())
+            .map(|(q, v)| (q.to_bits(), v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn log2_bins_equal_the_float_model_at_every_edge() {
+        let mut xs = vec![0.0, -0.0, -1.0, -1e-300, f64::MAX, -f64::MAX];
+        xs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN]);
+        // Every power of two, normal and subnormal, its neighbours one
+        // ulp either side, and the mantissas either side of the point
+        // where the exponent read hands over to `log2`.
+        let powers = (0..52).map(|k| 1u64 << k);
+        let powers = powers.chain((1..2047).map(|e| e << 52));
+        for bits in powers {
+            let near_top = (bits & !((1 << 52) - 1)) | BELOW_NEXT_POWER;
+            for b in [bits - 1, bits, bits + 1, near_top - 1, near_top] {
+                xs.extend([f64::from_bits(b), -f64::from_bits(b)]);
+            }
+        }
+        for x in xs {
+            assert_eq!(log2_bin(x), log2_bin_model(x), "{x:e} ({:#x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn selected_percentiles_equal_the_full_sort() {
+        let qs = [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+        let nan = f64::NAN;
+        let inputs: [&[f64]; 6] = [
+            &[],
+            &[7.0],
+            &[3.0, 1.0, 2.0, 2.0, 1.0, 3.0],
+            &[0.0, -0.0, 0.0, -0.0, 1.0, -1.0],
+            &[nan, 1.0, -nan, f64::INFINITY, 0.0, f64::NEG_INFINITY, nan],
+            &[5.0; 9],
+        ];
+        for values in inputs {
+            let mut selected = values.to_vec();
+            let found = percentiles(&mut selected, &qs);
+            assert_eq!(
+                bits(&found),
+                bits(&percentiles_model(values, &qs)),
+                "{values:?}"
+            );
+        }
+    }
+
+    mod accumulators {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Values drawn to collide: duplicates, both zeros, NaNs of
+        /// both signs, infinities, subnormals and powers of two with
+        /// their neighbours, among arbitrary bit patterns.
+        fn arb_value() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                (0u64..4).prop_map(f64::from_bits),
+                (-40i32..40, -1i64..2).prop_map(|(e, ulp)| {
+                    f64::from_bits((2f64.powi(e).to_bits() as i64 + ulp) as u64)
+                }),
+                (-3i32..4).prop_map(f64::from),
+                any::<u64>().prop_map(f64::from_bits),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn bins_equal_the_float_model(x in arb_value()) {
+                prop_assert_eq!(log2_bin(x), log2_bin_model(x));
+            }
+
+            /// A group fed any values holds the histogram a `BTreeMap`
+            /// of model bins holds, and selects the percentiles a full
+            /// sort reads.
+            #[test]
+            fn a_group_equals_the_sorting_models(
+                values in proptest::collection::vec(arb_value(), 0..64),
+                qs in proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 0..8),
+            ) {
+                let mut acc = GroupAcc::default();
+                for &x in &values {
+                    acc.push(x, true);
+                }
+                let mut model: BTreeMap<i32, u64> = BTreeMap::new();
+                for &x in &values {
+                    *model.entry(log2_bin_model(x)).or_insert(0) += 1;
+                }
+                acc.histogram.sort_unstable_by_key(|&(bin, _)| bin);
+                prop_assert_eq!(acc.histogram, model.into_iter().collect::<Vec<_>>());
+                let found = percentiles(&mut acc.values, &qs);
+                prop_assert_eq!(bits(&found), bits(&percentiles_model(&values, &qs)));
+            }
+        }
     }
 
     pub(crate) mod engine {

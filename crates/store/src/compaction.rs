@@ -153,11 +153,13 @@ impl KnowledgeStore {
             let tombstones = self.tombstones.as_ref();
             let spliced = if tombstones
                 .iter()
-                .any(|run| data.summaries.contains_key(run))
+                .any(|&(kind, id)| data.summaries.contains(kind, id))
             {
                 let mut trimmed = SegmentData::clone(&data);
                 delete_runs(&mut trimmed.db, tombstones)?;
-                trimmed.summaries.retain(|run, _| !tombstones.contains(run));
+                for &(kind, id) in tombstones {
+                    trimmed.summaries.remove(kind, id);
+                }
                 inputs.push(Arc::new(trimmed));
                 None
             } else {
@@ -186,15 +188,14 @@ impl KnowledgeStore {
             })?;
             // The index block sees the runs kind by kind, ids ascending,
             // as it would over the merged body.
-            let runs: Vec<_> = [RunKind::Benchmark, RunKind::Io500]
-                .into_iter()
-                .flat_map(|kind| inputs.iter().flat_map(move |i| i.of_kind(kind)))
-                .collect();
+            let runs = RunKind::ALL.into_iter().flat_map(|kind| {
+                (inputs.iter()).flat_map(move |input| input.summaries.of(kind).rows())
+            });
             let body = SegmentBody {
                 file: BodyFile::Written,
                 len: image.len() as u64,
             };
-            let meta = SegmentMeta::compute(seg_id, runs.into_iter(), body);
+            let meta = SegmentMeta::compute(seg_id, runs, body);
             Some((seg_path, meta))
         };
         drop(image);
@@ -532,29 +533,23 @@ mod tests {
     mod properties {
         use super::*;
         use crate::database::Row;
-        use crate::knowledge_store::{build_schema, copy_all_rows};
-        use crate::query::RunKind;
+        use crate::knowledge_store::{build_schema, copy_all_rows, BlockReader};
+        use crate::query::{RunKind, RunSummary};
         use iokc_core::model::Io500Knowledge;
         use proptest::prelude::*;
 
         /// The merge compaction did before it spliced blocks: every
         /// input's rows copied, oldest first, then one cascade delete of
-        /// every tombstone.
-        fn model_merge(store: &KnowledgeStore) -> SegmentData {
-            let mut merged = SegmentData::empty(build_schema());
+        /// every tombstone; and the summaries of the merged rows.
+        fn model_merge(store: &KnowledgeStore) -> (Database, Vec<RunSummary>) {
+            let mut merged = build_schema();
             for seg in store.segments.iter() {
                 let data = seg.data(store.vfs()).unwrap();
-                copy_all_rows(&data.db, &mut merged.db).unwrap();
-                let live = data
-                    .summaries
-                    .iter()
-                    .filter(|(run, _)| !store.tombstones.contains(run));
-                merged
-                    .summaries
-                    .extend(live.map(|(run, s)| (*run, s.clone())));
+                copy_all_rows(&data.db, &mut merged).unwrap();
             }
-            delete_runs(&mut merged.db, &store.tombstones).unwrap();
-            merged
+            delete_runs(&mut merged, &store.tombstones).unwrap();
+            let summaries = BlockReader::many(&merged).summaries().unwrap();
+            (merged, summaries.into_values().collect())
         }
 
         fn tables(db: &Database) -> Vec<(&String, &Vec<Row>)> {
@@ -568,7 +563,7 @@ mod tests {
             let clean = !store
                 .tombstones
                 .iter()
-                .any(|run| data.summaries.contains_key(run));
+                .any(|&(kind, id)| data.summaries.contains(kind, id));
             let records = bytes.iter().filter(|&&b| b == b'\n').count();
             // A magic (`j2 `, or the legacy `j1 `), 16 checksum digits
             // and a space frame the payload.
@@ -631,7 +626,7 @@ mod tests {
                 prop_assert_eq!(store.compact().unwrap(), CompactionReport::default());
                 return;
             }
-            let model = model_merge(store);
+            let (model, summaries) = model_merge(store);
             let mut spliced = Vec::new();
             for seg in store.segments.iter() {
                 let bytes = vfs.read(seg.path()).unwrap();
@@ -640,20 +635,20 @@ mod tests {
                 }
             }
             let report = store.compact().unwrap();
-            prop_assert_eq!(report.runs_rewritten, model.summaries.len());
+            prop_assert_eq!(report.runs_rewritten, summaries.len());
             let Some(seg) = store.segments.first() else {
-                prop_assert!(model.summaries.is_empty());
+                prop_assert!(summaries.is_empty());
                 return;
             };
             let body = seg.data(vfs.as_ref()).unwrap();
-            prop_assert_eq!(tables(&body.db), tables(&model.db));
-            prop_assert_eq!(&body.summaries, &model.summaries);
+            prop_assert_eq!(tables(&body.db), tables(&model));
+            prop_assert_eq!(&body.summaries.to_rows(), &summaries);
             let reopened =
                 KnowledgeStore::open_with_vfs(path.to_path_buf(), Arc::<FaultVfs>::clone(vfs))
                     .unwrap();
             let again = reopened.segments[0].data(vfs.as_ref()).unwrap();
-            prop_assert_eq!(tables(&again.db), tables(&model.db));
-            prop_assert_eq!(&again.summaries, &model.summaries);
+            prop_assert_eq!(tables(&again.db), tables(&model));
+            prop_assert_eq!(&again.summaries.to_rows(), &summaries);
             let file = vfs.read(seg.path()).unwrap();
             prop_assert_eq!(
                 report.bytes_copied + report.bytes_encoded,

@@ -53,7 +53,7 @@
 
 use crate::database::Database;
 use crate::journal;
-use crate::knowledge_store::{load_active, warning_owner, BlockReader, Manifest};
+use crate::knowledge_store::{load_active, warning_owner, Manifest};
 use crate::persist;
 use crate::query::RunKind;
 use crate::segment::{
@@ -196,7 +196,7 @@ fn check_layout(
         let loaded = read_segment_vfs(&seg_path, vfs, meta.body.len).and_then(|mut data| {
             let dirty = check_segment_rows(&mut data.db, meta.id, opts, report);
             if dirty {
-                data.summaries = BlockReader::many(&data.db).summaries()?;
+                data = SegmentData::from_db(data.db)?;
             }
             Ok((data, dirty))
         });

@@ -250,12 +250,20 @@ impl KnowledgeStore {
         self.vfs.as_ref()
     }
 
-    /// Whether the incrementally-maintained active summary block — the
-    /// only derived structure a read consults — agrees with a bulk
-    /// rebuild from the active generation's rows: the crash-consistency
-    /// checker's invariant.
+    /// Whether the summary columns of every block in memory — the
+    /// active one, and each sealed body already resident (none is
+    /// loaded for this) — are exactly the summaries a bulk derivation
+    /// from that block's own rows gives: the crash-consistency checker's
+    /// invariant.
     pub fn indexes_consistent(&self) -> Result<bool, DbError> {
-        Ok(BlockReader::many(&self.active.db).summaries()? == self.active.summaries)
+        let resident = self.segments.iter().filter_map(|seg| seg.resident());
+        for block in std::iter::once(Arc::clone(&self.active)).chain(resident) {
+            let rows = BlockReader::many(&block.db).summaries()?;
+            if block.summaries != rows {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     pub(crate) fn ensure_writable(&self) -> Result<(), DbError> {
@@ -581,7 +589,7 @@ impl KnowledgeStore {
         let (id, warnings) = insert(&mut active.db)?;
         let id = id as u64;
         let summary = BlockReader::one(&active.db).run_summary(RunRef { kind, id }, warnings)?;
-        active.summaries.insert((kind, id), summary);
+        active.summaries.push(&summary);
         self.epoch_ops += 1;
         Ok(id)
     }
@@ -608,11 +616,11 @@ impl KnowledgeStore {
 
     fn delete_run(&mut self, kind: RunKind, id: u64) -> Result<bool, DbError> {
         self.ensure_writable()?;
-        if !self.active.summaries.contains_key(&(kind, id)) {
+        if !self.active.summaries.contains(kind, id) {
             return self.tombstone_delete(kind, id);
         }
         let active = Arc::make_mut(&mut self.state.active);
-        active.summaries.remove(&(kind, id));
+        active.summaries.remove(kind, id);
         delete_runs(&mut active.db, &BTreeSet::from([(kind, id)]))?;
         self.epoch_ops += 1;
         // A failed flush reloads the block from disk.
@@ -1517,18 +1525,27 @@ impl<'a> BlockReader<'a> {
         Ok(Some(k))
     }
 
-    /// The [`RunSummary`] of every run in the block, keyed `(kind, id)` —
-    /// how a block's summaries are built from its rows: the replayed log
-    /// on open, a segment body on load, and the from-rows side of
-    /// [`KnowledgeStore::indexes_consistent`].
-    pub(crate) fn summaries(&mut self) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
-        let mut summaries = BTreeMap::new();
-        for kind in [RunKind::Benchmark, RunKind::Io500] {
+    /// The [`RunSummary`] of every run in the block, kind by kind, ids
+    /// ascending — how a block's summary columns are built from its
+    /// rows: the replayed log on open, a segment body on load.
+    pub(crate) fn for_each_summary(
+        &mut self,
+        mut each: impl FnMut(RunSummary),
+    ) -> Result<(), DbError> {
+        for kind in RunKind::ALL {
             for row in self.db.rows(kind.table())? {
                 let warnings = self.warnings((kind, row.id as u64))?.len();
-                summaries.insert((kind, row.id as u64), self.summary_of(kind, row, warnings)?);
+                each(self.summary_of(kind, row, warnings)?);
             }
         }
+        Ok(())
+    }
+
+    /// [`BlockReader::for_each_summary`] keyed `(kind, id)`: the
+    /// from-rows side of [`KnowledgeStore::indexes_consistent`].
+    pub(crate) fn summaries(&mut self) -> Result<BTreeMap<(RunKind, u64), RunSummary>, DbError> {
+        let mut summaries = BTreeMap::new();
+        self.for_each_summary(|s| drop(summaries.insert((s.kind, s.id), s)))?;
         Ok(summaries)
     }
 

@@ -13,6 +13,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod aggregate;
+pub mod columns;
 pub mod compaction;
 pub mod database;
 pub mod fault;
@@ -31,6 +32,7 @@ pub use aggregate::{
     AggregateQuery, AggregateResult, CorrelationMatrix, Factor, GroupBy, GroupStats,
     DEFAULT_PERCENTILES,
 };
+pub use columns::RunRow;
 pub use compaction::{CompactionPlan, CompactionReport};
 pub use database::{Column, Database, DbError, ForeignKey, Row, TableSchema};
 pub use fault::FaultPlan;

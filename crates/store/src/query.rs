@@ -20,15 +20,17 @@
 //!   scanned and pruned, rows pruned by pushdown, and full `Knowledge`
 //!   deserializations.
 //!
-//! There is one executor (`Snapshot::scan`), one row shape and one way
-//! to read a block: every run, unsealed or sealed, is evaluated as a
-//! [`RunSummary`] out of a segment-shaped block, walked front to back
-//! (the active one is bounded by the seal threshold). The only pruning
-//! is of whole sealed segments by their index block; the complete
-//! predicate is evaluated on every row of every admitted block, so
-//! results equal a brute-force filter over every live summary
-//! (property-tested in this module).
+//! There is one executor (`Snapshot::scan`) and one way to read a
+//! block: every run, unsealed or sealed, is a row of a segment-shaped
+//! block's summary columns ([`crate::columns`]), walked front to back
+//! (the active one is bounded by the seal threshold) with the predicate
+//! bound to those columns. A [`RunSummary`] is built only for a row a
+//! caller keeps. The only pruning is of whole sealed segments by their
+//! index block; the complete predicate is evaluated on every row of
+//! every admitted block, so results equal a brute-force filter over
+//! every live summary (property-tested in this module).
 
+use crate::columns::{RunRow, SummaryColumns};
 use crate::database::DbError;
 use crate::knowledge_store::{BlockReader, KnowledgeStore, Snapshot};
 use crate::segment::{may_match_segment, Segment, SegmentData};
@@ -75,7 +77,8 @@ impl fmt::Display for UnknownName {
 
 impl std::error::Error for UnknownName {}
 
-/// Which id space a run lives in.
+/// Which id space a run lives in. The discriminant (`kind as usize`)
+/// indexes per-kind arrays such as a block's summary columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunKind {
     /// Benchmark knowledge (`performances` tables).
@@ -85,6 +88,9 @@ pub enum RunKind {
 }
 
 impl RunKind {
+    /// Both kinds, in order.
+    pub const ALL: [RunKind; 2] = [RunKind::Benchmark, RunKind::Io500];
+
     /// Stable lowercase name (JSON/cache-key form).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -193,9 +199,8 @@ impl RunPredicate {
         }
     }
 
-    /// Evaluate against a projection row — the only predicate evaluator
-    /// over runs: active and sealed blocks alike hold every run's
-    /// [`RunSummary`] in memory.
+    /// Evaluate against a projection row, one row at a time: the model
+    /// the column evaluator ([`RunPredicate::bind`]) is tested against.
     pub(crate) fn matches_summary(&self, s: &RunSummary) -> bool {
         match self {
             RunPredicate::True => true,
@@ -213,6 +218,41 @@ impl RunPredicate {
             RunPredicate::And(a, b) => a.matches_summary(s) && b.matches_summary(s),
             RunPredicate::Or(a, b) => a.matches_summary(s) || b.matches_summary(s),
             RunPredicate::Not(inner) => !inner.matches_summary(s),
+        }
+    }
+
+    /// Bind the predicate to one block's columns: the kind is decided,
+    /// and an api or operation name becomes the block's dictionary code
+    /// — one the block lacks matches none of its rows. Constant parts
+    /// fold away.
+    pub(crate) fn bind(&self, cols: &SummaryColumns) -> Bound<'_> {
+        let code = |name: &str, bound: fn(u32) -> Bound<'static>| {
+            cols.code(name).map_or(Bound::Const(false), bound)
+        };
+        match self {
+            RunPredicate::True => Bound::Const(true),
+            RunPredicate::Kind(kind) => Bound::Const(*kind == cols.kind()),
+            RunPredicate::ApiEq(api) => code(api, Bound::ApiEq),
+            RunPredicate::HasOp(op) => code(op, Bound::HasOp),
+            RunPredicate::TasksBetween(lo, hi) => Bound::Tasks(*lo, *hi),
+            RunPredicate::TransferBetween(lo, hi) => Bound::Transfer(*lo, *hi),
+            RunPredicate::BandwidthBetween(lo, hi) => Bound::Bandwidth(*lo, *hi),
+            RunPredicate::CommandContains(text) => Bound::Command(text),
+            RunPredicate::IdIn(ids) => Bound::IdIn(ids),
+            RunPredicate::And(a, b) => match (a.bind(cols), b.bind(cols)) {
+                (Bound::Const(false), _) | (_, Bound::Const(false)) => Bound::Const(false),
+                (Bound::Const(true), x) | (x, Bound::Const(true)) => x,
+                (a, b) => Bound::And(Box::new(a), Box::new(b)),
+            },
+            RunPredicate::Or(a, b) => match (a.bind(cols), b.bind(cols)) {
+                (Bound::Const(true), _) | (_, Bound::Const(true)) => Bound::Const(true),
+                (Bound::Const(false), x) | (x, Bound::Const(false)) => x,
+                (a, b) => Bound::Or(Box::new(a), Box::new(b)),
+            },
+            RunPredicate::Not(inner) => match inner.bind(cols) {
+                Bound::Const(v) => Bound::Const(!v),
+                inner => Bound::Not(Box::new(inner)),
+            },
         }
     }
 
@@ -263,6 +303,44 @@ impl RunPredicate {
                 inner.write_key(out);
                 out.push(')');
             }
+        }
+    }
+}
+
+/// A [`RunPredicate`] bound to one block's columns
+/// ([`RunPredicate::bind`]), evaluated row by row over them.
+pub(crate) enum Bound<'p> {
+    Const(bool),
+    ApiEq(u32),
+    HasOp(u32),
+    Tasks(u32, u32),
+    Transfer(u64, u64),
+    Bandwidth(f64, f64),
+    Command(&'p str),
+    IdIn(&'p [u64]),
+    And(Box<Bound<'p>>, Box<Bound<'p>>),
+    Or(Box<Bound<'p>>, Box<Bound<'p>>),
+    Not(Box<Bound<'p>>),
+}
+
+impl Bound<'_> {
+    /// Does `row`, of the columns this was bound to, match?
+    pub(crate) fn matches(&self, row: RunRow<'_>) -> bool {
+        match self {
+            Bound::Const(v) => *v,
+            Bound::ApiEq(code) => row.api_code() == *code,
+            Bound::HasOp(code) => row.has_op(*code),
+            Bound::Tasks(lo, hi) => (*lo..=*hi).contains(&row.tasks()),
+            Bound::Transfer(lo, hi) => (*lo..=*hi).contains(&row.transfer_size()),
+            Bound::Bandwidth(lo, hi) => {
+                let bw = row.bandwidth();
+                *lo <= bw && bw <= *hi
+            }
+            Bound::Command(text) => row.command().contains(text),
+            Bound::IdIn(ids) => ids.contains(&row.id()),
+            Bound::And(a, b) => a.matches(row) && b.matches(row),
+            Bound::Or(a, b) => a.matches(row) || b.matches(row),
+            Bound::Not(inner) => !inner.matches(row),
         }
     }
 }
@@ -569,14 +647,24 @@ impl Default for QueryObs {
     }
 }
 
+/// One matched row: which cursor block holds it, where in that block's
+/// columns of its kind, and which run it is.
+#[derive(Clone, Copy)]
+struct Hit {
+    block: u32,
+    at: u32,
+    run: RunRef,
+}
+
 /// The runs one [`Query`] matched, in query order, as a cursor over the
 /// pinned blocks that hold them: the query is evaluated once, when the
-/// cursor is opened, and what stays behind is a block index and a
-/// [`RunRef`] per row (≈24 bytes) — every projection, whole or page by
-/// page, borrows from the blocks without locating a row again.
+/// cursor is opened, and what stays behind is a block index, a row
+/// index and a [`RunRef`] per row (≈24 bytes) — every projection, whole
+/// or page by page, borrows from the blocks without locating a row
+/// again.
 pub struct RunCursor {
     blocks: Vec<Arc<SegmentData>>,
-    rows: Vec<(u32, RunRef)>,
+    rows: Vec<Hit>,
     next: usize,
 }
 
@@ -587,18 +675,18 @@ impl RunCursor {
         self.rows.len() - self.next
     }
 
-    /// The [`RunSummary`] projection of the next `max` rows (fewer at
-    /// the end), borrowed from the pinned blocks.
-    pub fn next_page(&mut self, max: usize) -> impl Iterator<Item = &RunSummary> {
+    /// The next `max` rows (fewer at the end), borrowed from the pinned
+    /// blocks.
+    pub fn next_page(&mut self, max: usize) -> impl Iterator<Item = RunRow<'_>> {
         let page = &self.rows[self.next..][..max.min(self.remaining())];
         self.next += page.len();
-        page.iter()
-            .map(|(block, run)| &self.blocks[*block as usize].summaries[&(run.kind, run.id)])
+        let blocks = &self.blocks;
+        page.iter().map(move |hit| row_of(blocks, hit))
     }
 
     /// Every matched run.
     fn runs(&self) -> impl Iterator<Item = RunRef> + '_ {
-        self.rows.iter().map(|(_, run)| *run)
+        self.rows.iter().map(|hit| hit.run)
     }
 
     /// One reader over many runs per cursor block, by block index.
@@ -608,29 +696,28 @@ impl RunCursor {
     }
 }
 
+/// The row a hit names among `blocks`.
+fn row_of<'a>(blocks: &'a [Arc<SegmentData>], hit: &Hit) -> RunRow<'a> {
+    let block = &blocks[hit.block as usize];
+    block.summaries.of(hit.run.kind).row(hit.at as usize)
+}
+
+/// A matched row's sort key. A command is not copied: it is compared
+/// where it sits in its block.
 enum SortKey {
     Int(u64),
-    Text(String),
     Bw(f64),
+    Command,
 }
 
 impl SortKey {
     /// The one run sort-key function.
-    fn of(s: &RunSummary, order: RunOrder) -> SortKey {
+    fn of(row: RunRow<'_>, order: RunOrder) -> SortKey {
         match order {
-            RunOrder::Id => SortKey::Int(s.id),
-            RunOrder::Tasks => SortKey::Int(u64::from(s.tasks)),
-            RunOrder::Command => SortKey::Text(s.command.clone()),
-            RunOrder::Bandwidth => SortKey::Bw(s.bandwidth()),
-        }
-    }
-
-    fn cmp_key(&self, other: &SortKey) -> std::cmp::Ordering {
-        match (self, other) {
-            (SortKey::Int(a), SortKey::Int(b)) => a.cmp(b),
-            (SortKey::Text(a), SortKey::Text(b)) => a.cmp(b),
-            (SortKey::Bw(a), SortKey::Bw(b)) => a.total_cmp(b),
-            _ => std::cmp::Ordering::Equal,
+            RunOrder::Id => SortKey::Int(row.id()),
+            RunOrder::Tasks => SortKey::Int(u64::from(row.tasks())),
+            RunOrder::Command => SortKey::Command,
+            RunOrder::Bandwidth => SortKey::Bw(row.bandwidth()),
         }
     }
 }
@@ -727,28 +814,30 @@ impl Snapshot {
     /// segment whose index block admits the predicate
     /// ([`may_match_segment`]; a pruned segment's body is never loaded),
     /// oldest first, minus tombstoned rows. Every block is read the same
-    /// way — a pass over its in-memory summaries; the active block of a
-    /// file-backed store is bounded by the seal threshold, so it needs no
-    /// index of its own. The full predicate is evaluated on each
-    /// candidate's summary and `on_match` sees every accepted row
-    /// together with the block that holds it. `deadline` is polled
-    /// before the first candidate row and then every [`POLL_EVERY`]
-    /// rows; a blown budget stops the scan at most 63 rows past expiry
-    /// with [`DbError::Cancelled`] carrying the progress so far.
+    /// way — the predicate is bound to its summary columns of the kind
+    /// ([`RunPredicate::bind`]) and evaluated row by row over them; the
+    /// active block of a file-backed store is bounded by the seal
+    /// threshold, so it needs no index of its own. `on_match` sees every
+    /// accepted row together with the block that holds it. `deadline`
+    /// is polled before the first candidate row and then every
+    /// [`POLL_EVERY`] rows; a blown budget stops the scan at most 63 rows
+    /// past expiry with [`DbError::Cancelled`] carrying the progress so
+    /// far.
     pub(crate) fn scan(
         &self,
         predicate: &RunPredicate,
         deadline: &DeadlineToken,
         stats: &mut ScanStats,
-        mut on_match: impl FnMut(&Arc<SegmentData>, &RunSummary),
+        mut on_match: impl FnMut(&Arc<SegmentData>, RunRow<'_>),
     ) -> Result<(), DbError> {
-        let mut visit = |block: &Arc<SegmentData>, s: &RunSummary, stats: &mut ScanStats| {
-            stats.examined += 1;
-            if predicate.matches_summary(s) {
-                stats.matched += 1;
-                on_match(block, s);
-            }
-        };
+        let mut visit =
+            |block: &Arc<SegmentData>, bound: &Bound, row: RunRow<'_>, stats: &mut ScanStats| {
+                stats.examined += 1;
+                if bound.matches(row) {
+                    stats.matched += 1;
+                    on_match(block, row);
+                }
+            };
         let mut candidates = 0usize;
         let mut poll = |stats: &ScanStats| {
             let due = candidates.is_multiple_of(POLL_EVERY);
@@ -762,8 +851,8 @@ impl Snapshot {
                 Ok(())
             }
         };
-        for kind in [RunKind::Benchmark, RunKind::Io500] {
-            stats.total += self.active.count(kind)?
+        for kind in RunKind::ALL {
+            stats.total += self.active.summaries.of(kind).len()
                 + self
                     .segments
                     .iter()
@@ -772,9 +861,11 @@ impl Snapshot {
             if !predicate.may_match_kind(kind) {
                 continue;
             }
-            for s in self.active.of_kind(kind) {
+            let cols = self.active.summaries.of(kind);
+            let bound = predicate.bind(cols);
+            for row in cols.rows() {
                 poll(stats)?;
-                visit(&self.active, s, stats);
+                visit(&self.active, &bound, row, stats);
             }
             for seg in self.segments.iter() {
                 if seg.meta.count(kind) == 0 {
@@ -786,10 +877,12 @@ impl Snapshot {
                 }
                 stats.segments_scanned += 1;
                 let data = self.body(seg)?;
-                for s in data.of_kind(kind) {
+                let cols = data.summaries.of(kind);
+                let bound = predicate.bind(cols);
+                for row in cols.rows() {
                     poll(stats)?;
-                    if !self.tombstones.contains(&(kind, s.id)) {
-                        visit(&data, s, stats);
+                    if !self.tombstones.contains(&(kind, row.id())) {
+                        visit(&data, &bound, row, stats);
                     }
                 }
             }
@@ -802,15 +895,11 @@ impl Snapshot {
     /// own side.
     #[cfg(test)]
     pub(crate) fn live_summaries(&self) -> Vec<RunSummary> {
-        let mut rows: Vec<RunSummary> = self.active.summaries.values().cloned().collect();
+        let mut rows = self.active.summaries.to_rows();
         for seg in self.segments.iter() {
             let data = self.body(seg).expect("segment body loads");
-            rows.extend(
-                data.summaries
-                    .values()
-                    .filter(|s| !self.tombstones.contains(&(s.kind, s.id)))
-                    .cloned(),
-            );
+            let live = data.summaries.to_rows().into_iter();
+            rows.extend(live.filter(|s| !self.tombstones.contains(&(s.kind, s.id))));
         }
         rows
     }
@@ -832,18 +921,22 @@ impl Snapshot {
         let obs = &self.obs;
         obs.queries.inc();
         let mut blocks: Vec<Arc<SegmentData>> = Vec::new();
-        let mut matched: Vec<(SortKey, u32, RunRef)> = Vec::new();
+        let mut matched: Vec<(SortKey, Hit)> = Vec::new();
         self.traced("store.query", &obs.cancelled, || {
             let mut stats = ScanStats::default();
-            let scanned = self.scan(&query.predicate, deadline, &mut stats, |block, s| {
+            let scanned = self.scan(&query.predicate, deadline, &mut stats, |block, row| {
                 if !blocks.last().is_some_and(|last| Arc::ptr_eq(last, block)) {
                     blocks.push(Arc::clone(block));
                 }
-                let run = RunRef {
-                    kind: s.kind,
-                    id: s.id,
+                let hit = Hit {
+                    block: blocks.len() as u32 - 1,
+                    at: row.at() as u32,
+                    run: RunRef {
+                        kind: row.kind(),
+                        id: row.id(),
+                    },
                 };
-                matched.push((SortKey::of(s, query.order), blocks.len() as u32 - 1, run));
+                matched.push((SortKey::of(row, query.order), hit));
             });
             obs.segments_scanned.add(stats.segments_scanned);
             obs.segments_pruned.add(stats.segments_pruned);
@@ -855,16 +948,23 @@ impl Snapshot {
         // Sort: the requested key (possibly reversed), then always the
         // (id, kind) tie-break ascending, so non-unique keys still give
         // one deterministic order across requests and pages.
-        matched.sort_by(|(a_key, _, a), (b_key, _, b)| {
-            let key = a_key.cmp_key(b_key);
+        matched.sort_by(|(a_key, a), (b_key, b)| {
+            let key = match (a_key, b_key) {
+                (SortKey::Int(x), SortKey::Int(y)) => x.cmp(y),
+                (SortKey::Bw(x), SortKey::Bw(y)) => x.total_cmp(y),
+                _ => row_of(&blocks, a)
+                    .command()
+                    .cmp(row_of(&blocks, b).command()),
+            };
             let key = if query.descending { key.reverse() } else { key };
-            key.then(a.id.cmp(&b.id)).then(a.kind.cmp(&b.kind))
+            key.then(a.run.id.cmp(&b.run.id))
+                .then(a.run.kind.cmp(&b.run.kind))
         });
         let rows = matched
             .into_iter()
             .skip(query.offset)
             .take(query.limit.unwrap_or(usize::MAX))
-            .map(|(_, block, run)| (block, run))
+            .map(|(_, hit)| hit)
             .collect();
         Ok(RunCursor {
             blocks,
@@ -885,14 +985,17 @@ impl Snapshot {
     /// Execute a query, returning the cheap [`RunSummary`] projection of
     /// each matched run (no `results`, `filesystems`, `systeminfos` or
     /// full-`Knowledge` deserialization): the cursor drained into owned
-    /// rows.
+    /// rows, each built from the columns only once it is kept.
     pub fn query_summaries(
         &self,
         query: &Query,
         deadline: &DeadlineToken,
     ) -> Result<Vec<RunSummary>, DbError> {
         let mut cursor = self.select(query, deadline)?;
-        Ok(cursor.next_page(usize::MAX).cloned().collect())
+        Ok(cursor
+            .next_page(usize::MAX)
+            .map(RunRow::to_summary)
+            .collect())
     }
 
     /// Execute a query and *fully deserialize* every matched run — the
@@ -904,7 +1007,7 @@ impl Snapshot {
         let cursor = self.select(query, &DeadlineToken::unbounded())?;
         let mut readers = cursor.readers();
         let mut items = Vec::with_capacity(cursor.remaining());
-        for &(block, run) in &cursor.rows {
+        for &Hit { block, run, .. } in &cursor.rows {
             self.obs.knowledge_deserialized.inc();
             let reader = &mut readers[block as usize];
             items.extend(match run.kind {
@@ -917,21 +1020,21 @@ impl Snapshot {
 
     /// Count matching runs without materializing any row projection.
     /// Kind-only predicates are answered straight from the active
-    /// block's table sizes plus the sealed segments' metadata counts
+    /// block's column lengths plus the sealed segments' metadata counts
     /// (minus tombstones); everything else runs the executor (never a
     /// `Knowledge` deserialization).
     pub fn count(&self, predicate: &RunPredicate) -> Result<usize, DbError> {
-        let of = |kind: RunKind| -> Result<usize, DbError> {
+        let of = |kind: RunKind| {
             let sealed: usize = self.segments.iter().map(|s| s.meta.count(kind)).sum();
             // Tombstones only ever reference segment-resident runs, so
             // this subtraction is exact (saturating defends a corrupt
             // manifest, not a normal state).
             let dead = self.tombstones.iter().filter(|(k, _)| *k == kind).count();
-            Ok(self.active.count(kind)? + sealed.saturating_sub(dead))
+            self.active.summaries.of(kind).len() + sealed.saturating_sub(dead)
         };
         match predicate {
-            RunPredicate::True => Ok(of(RunKind::Benchmark)? + of(RunKind::Io500)?),
-            RunPredicate::Kind(kind) => of(*kind),
+            RunPredicate::True => Ok(of(RunKind::Benchmark) + of(RunKind::Io500)),
+            RunPredicate::Kind(kind) => Ok(of(*kind)),
             _ => {
                 let query = Query::new(predicate.clone());
                 Ok(self
@@ -963,7 +1066,7 @@ impl Snapshot {
         let cursor = self.select(&query, deadline)?;
         let mut readers = cursor.readers();
         let mut out = Vec::with_capacity(cursor.remaining());
-        for (done, &(block, run)) in cursor.rows.iter().enumerate() {
+        for (done, hit) in cursor.rows.iter().enumerate() {
             if done.is_multiple_of(POLL_EVERY) && deadline.should_stop() {
                 self.obs.cancelled.inc();
                 return Err(DbError::Cancelled {
@@ -971,11 +1074,9 @@ impl Snapshot {
                     matched: done,
                 });
             }
-            let series = readers[block as usize].series(run.id, operation)?;
+            let series = readers[hit.block as usize].series(hit.run.id, operation)?;
             if !series.is_empty() {
-                let command = cursor.blocks[block as usize].summaries[&(run.kind, run.id)]
-                    .command
-                    .clone();
+                let command = row_of(&cursor.blocks, hit).command().to_owned();
                 out.push((command, series));
             }
         }
@@ -991,7 +1092,7 @@ impl Snapshot {
         kind: RunKind,
         id: u64,
     ) -> Result<Option<Arc<SegmentData>>, DbError> {
-        if self.active.summaries.contains_key(&(kind, id)) {
+        if self.active.summaries.contains(kind, id) {
             return Ok(Some(Arc::clone(&self.active)));
         }
         if self.tombstones.contains(&(kind, id)) {
@@ -1008,7 +1109,7 @@ impl Snapshot {
                 continue;
             }
             let data = self.body(seg)?;
-            if data.summaries.contains_key(&(kind, id)) {
+            if data.summaries.contains(kind, id) {
                 return Ok(Some(data));
             }
         }

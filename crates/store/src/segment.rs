@@ -8,9 +8,9 @@
 //! Compaction and repair write their output as a log too,
 //! `<path>.seg-<id>`, and the manifest commit naming it records its
 //! length the same way. Every body is read one way: exactly that many
-//! bytes of records ([`read_segment_vfs`]). The
-//! [`RunSummary`] projections the executor scans are derived from the
-//! rows when a body is loaded, so they cannot disagree with them. Each
+//! bytes of records ([`read_segment_vfs`]). The summary columns the
+//! executor scans ([`Summaries`]) are derived from the rows when a body
+//! is loaded, so they cannot disagree with them. Each
 //! segment has a [`SegmentMeta`] index block — run counts,
 //! id/task/bandwidth ranges, the API set, and a bloom-style membership
 //! filter — which lives in the store manifest, so `open()` maps metadata
@@ -22,15 +22,16 @@
 //! never a wrong answer, because the executor re-evaluates the full
 //! predicate against the summaries it loads.
 
+use crate::columns::{RunRow, Summaries};
 use crate::database::{Counters, Database, DbError};
 use crate::journal;
 use crate::knowledge_store::{build_schema, BlockReader};
 use crate::persist;
-use crate::query::{RunKind, RunPredicate, RunSummary};
+use crate::query::{RunKind, RunPredicate};
 use crate::vfs::Vfs;
 use crate::wal;
 use iokc_util::json::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -192,12 +193,12 @@ impl PartialEq for SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Compute the index block for the runs in `summaries`, whose body
-    /// is `body`.
+    /// Compute the index block for `rows`, kind by kind and ids
+    /// ascending, whose body is `body`.
     #[must_use]
     pub fn compute<'a>(
         id: u64,
-        summaries: impl ExactSizeIterator<Item = &'a RunSummary>,
+        rows: impl Iterator<Item = RunRow<'a>> + Clone,
         body: SegmentBody,
     ) -> SegmentMeta {
         let mut meta = SegmentMeta {
@@ -209,7 +210,7 @@ impl SegmentMeta {
             tasks: None,
             bandwidth: None,
             apis: BTreeSet::new(),
-            bloom: Bloom::with_capacity(summaries.len()),
+            bloom: Bloom::with_capacity(rows.clone().count()),
             body,
         };
         fn widen<T: Copy + PartialOrd>(range: &mut Option<(T, T)>, v: T) {
@@ -218,23 +219,23 @@ impl SegmentMeta {
                 Some((lo, hi)) => (if v < lo { v } else { lo }, if v > hi { v } else { hi }),
             });
         }
-        for s in summaries {
-            match s.kind {
+        for row in rows {
+            match row.kind() {
                 RunKind::Benchmark => {
                     meta.bench_count += 1;
-                    widen(&mut meta.bench_ids, s.id);
+                    widen(&mut meta.bench_ids, row.id());
                 }
                 RunKind::Io500 => {
                     meta.io500_count += 1;
-                    widen(&mut meta.io500_ids, s.id);
+                    widen(&mut meta.io500_ids, row.id());
                 }
             }
-            widen(&mut meta.tasks, s.tasks);
-            widen(&mut meta.bandwidth, s.bandwidth());
-            if !meta.apis.contains(&s.api) {
-                meta.apis.insert(s.api.clone());
+            widen(&mut meta.tasks, row.tasks());
+            widen(&mut meta.bandwidth, row.bandwidth());
+            if !meta.apis.contains(row.api()) {
+                meta.apis.insert(row.api().to_owned());
             }
-            meta.bloom.insert(s.kind, s.id);
+            meta.bloom.insert(row.kind(), row.id());
         }
         meta
     }
@@ -381,14 +382,13 @@ impl SegmentMeta {
 }
 
 /// A block of runs: the rows full deserialization joins against, and
-/// the projections of them the executor scans. A sealed segment's
+/// the summary columns of them the executor scans. A sealed segment's
 /// body and the store's active generation are both one of these — the
 /// active block simply has not been sealed yet.
 #[derive(Debug, Clone)]
 pub struct SegmentData {
-    /// Every run's projection row, keyed (and so iterated) in
-    /// `(kind, id)` order.
-    pub summaries: BTreeMap<(RunKind, u64), RunSummary>,
+    /// Every run's summary, column-wise per kind, ids ascending.
+    pub summaries: Summaries,
     /// The runs' rows (ids preserved across sealing).
     pub db: Database,
 }
@@ -397,44 +397,27 @@ impl SegmentData {
     /// A block holding no runs over `db` (its schema and counters).
     pub(crate) fn empty(db: Database) -> SegmentData {
         SegmentData {
-            summaries: BTreeMap::new(),
+            summaries: Summaries::default(),
             db,
         }
     }
 
     /// The block over `db`'s rows, every summary derived from them.
     pub(crate) fn from_db(db: Database) -> Result<SegmentData, DbError> {
-        Ok(SegmentData {
-            summaries: BlockReader::many(&db).summaries()?,
-            db,
-        })
+        let mut summaries = Summaries::default();
+        BlockReader::many(&db).for_each_summary(|s| summaries.push(&s))?;
+        Ok(SegmentData { summaries, db })
     }
 
     /// One block of the runs of `blocks`, whose ids ascend from each
     /// block to the next, moved out of them ([`Database::append`]).
     pub(crate) fn concat(blocks: Vec<SegmentData>) -> Result<SegmentData, DbError> {
-        let mut db = build_schema();
-        let (mut bench, mut io500) = (Vec::new(), Vec::new());
+        let mut merged = SegmentData::empty(build_schema());
         for mut block in blocks {
-            db.append(&mut block.db)?;
-            io500.push(block.summaries.split_off(&(RunKind::Io500, 0)));
-            bench.push(block.summaries);
+            merged.db.append(&mut block.db)?;
+            merged.summaries.append(&block.summaries);
         }
-        // Already in key order, so the collect sorts in one pass.
-        let summaries = bench.into_iter().chain(io500).flatten().collect();
-        Ok(SegmentData { summaries, db })
-    }
-
-    /// The projection rows of one kind, ids ascending.
-    pub(crate) fn of_kind(&self, kind: RunKind) -> impl Iterator<Item = &RunSummary> {
-        self.summaries
-            .range((kind, 0)..=(kind, u64::MAX))
-            .map(|(_, s)| s)
-    }
-
-    /// How many runs of `kind` the block holds.
-    pub(crate) fn count(&self, kind: RunKind) -> Result<usize, DbError> {
-        self.db.row_count(kind.table())
+        Ok(merged)
     }
 }
 
@@ -483,6 +466,15 @@ impl Segment {
     /// segment stays readable even after compaction unlinks the file).
     pub fn data(&self, vfs: &dyn Vfs) -> Result<Arc<SegmentData>, DbError> {
         self.load(vfs).map(|(data, _)| data)
+    }
+
+    /// The body when it is already in memory; never reads it.
+    pub(crate) fn resident(&self) -> Option<Arc<SegmentData>> {
+        let slot = self
+            .data
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        slot.clone()
     }
 
     /// [`Segment::data`], also returning the bytes this call decoded:
@@ -592,7 +584,7 @@ pub fn may_match_segment(pred: &RunPredicate, meta: &SegmentMeta, kind: RunKind)
 mod tests {
     use super::*;
     use crate::knowledge_store::KnowledgeStore;
-    use crate::query::OpStat;
+    use crate::query::{OpStat, RunSummary};
     use crate::vfs::FaultVfs;
     use iokc_core::model::{Knowledge, KnowledgeSource};
 
@@ -624,6 +616,13 @@ mod tests {
             total_score: 0.0,
             warning_count: 0,
         }
+    }
+
+    /// The summary columns of `rows`.
+    fn block(rows: &[RunSummary]) -> Summaries {
+        let mut summaries = Summaries::default();
+        rows.iter().for_each(|s| summaries.push(s));
+        summaries
     }
 
     fn io500_summary(id: u64, tasks: u32, bw_score: f64) -> RunSummary {
@@ -684,7 +683,7 @@ mod tests {
             bench_summary(9, "POSIX", 40, 900.0),
             io500_summary(2, 160, 1.5),
         ];
-        let meta = SegmentMeta::compute(4, summaries.iter(), WRITTEN);
+        let meta = SegmentMeta::compute(4, block(&summaries).values(), WRITTEN);
         assert_eq!(meta.id, 4);
         assert_eq!(meta.bench_count, 2);
         assert_eq!(meta.io500_count, 1);
@@ -721,7 +720,7 @@ mod tests {
             bench_summary(3, "MPIIO", 80, 2000.0),
             bench_summary(9, "POSIX", 40, 900.0),
         ];
-        let meta = SegmentMeta::compute(0, summaries.iter(), WRITTEN);
+        let meta = SegmentMeta::compute(0, block(&summaries).values(), WRITTEN);
         let b = RunKind::Benchmark;
         assert!(may_match_segment(&RunPredicate::True, &meta, b));
         assert!(may_match_segment(&RunPredicate::Kind(b), &meta, b));
@@ -813,7 +812,8 @@ mod tests {
         let run = Knowledge::new(KnowledgeSource::Ior, "ior").with_warning("partial");
         store.save_knowledge(&run).unwrap();
         let data = store.snapshot().active;
-        assert_eq!(data.summaries[&(RunKind::Benchmark, 1)].warning_count, 1);
+        let bench = data.summaries.of(RunKind::Benchmark);
+        assert_eq!(bench.row(bench.position(1).unwrap()).warning_count(), 1);
         let len = write_segment_vfs(&path, &vfs, &data).unwrap();
         assert_eq!(len, vfs.len(&path).unwrap());
 

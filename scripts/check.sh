@@ -222,8 +222,9 @@ done
 # sweep executor (the sequential `run_sweep` loop and the campaign
 # vocabulary it needed in core), a second simulated `mkdir -p`, a
 # second kind of store (an in-memory one with no files, told apart by
-# an optional path), and functions deleted for having no caller.
-echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model, one segment reader, one sweep executor, one kind of store"
+# an optional path), a map of summary rows beside a block's summary
+# columns, and functions deleted for having no caller.
+echo "==> no second durability mechanism, no secondary indexes, one fault plan, no queue mirror, one filter vocabulary, one crash model, one segment reader, one sweep executor, one kind of store, one summary container"
 # `! grep` alone would not stop the script: `set -e` ignores a negated
 # command's failure. Searches crates/, tests/ and examples/ unless
 # given other paths.
@@ -246,6 +247,7 @@ stays_deleted "fn ensure_dirs\|ensure_parent_dirs"
 stays_deleted "fn add_fault\|fn bytes_per_target\|fn mds_for\|fn max_rate(\|fn virtual_clock("
 stays_deleted "path: Option<PathBuf>\|fn inserted_since" crates/store/src
 stays_deleted "knowledge-store(memory)\|knowledge-store(file)"
+stays_deleted "summaries: BTreeMap<(RunKind, u64), RunSummary>" crates/store/src
 stays_deleted "fn compact_with_snapshot\|fn dxt_for\|fn reduce_shared\|fn extract_f64\|fn is_match\|fn is_retry\|fn render_with_point\|fn to_secs\|fn total_cores\|fn total_op_secs\|fn virtual_handle\|fn write_bandwidth_mib\|fn read_bandwidth_mib"
 
 # Benchmark smoke: perfbench is a package of its own, compiled against
